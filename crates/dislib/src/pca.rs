@@ -64,16 +64,15 @@ impl Pca {
         let eig = rt.task("pca_eigh").run1(cov, move |c: &Matrix| {
             let res = eigh(c);
             let d = res.values.len();
-            // Descending order.
-            let values: Vec<f64> = res.values.iter().rev().copied().collect();
-            let vectors = Matrix::from_fn(d, d, |r, col| res.vectors.get(r, d - 1 - col));
             let k = match keep {
                 Components::Count(k) => k.clamp(1, d),
                 Components::Variance(frac) => {
-                    let total: f64 = values.iter().map(|v| v.max(0.0)).sum();
+                    // Eigenvalues ascend: walk them largest first.
+                    let descending = || res.values.iter().rev();
+                    let total: f64 = descending().map(|v| v.max(0.0)).sum();
                     let mut acc = 0.0;
                     let mut k = d;
-                    for (i, v) in values.iter().enumerate() {
+                    for (i, v) in descending().enumerate() {
                         acc += v.max(0.0);
                         if total > 0.0 && acc / total >= frac {
                             k = i + 1;
@@ -83,8 +82,7 @@ impl Pca {
                     k
                 }
             };
-            let comp = vectors.slice_cols(0, k);
-            let var = values[..k].to_vec();
+            let (var, comp) = res.top_k(k);
             (comp, var)
         });
         let (components, explained_variance) = rt.split_pair(eig);

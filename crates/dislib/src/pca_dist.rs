@@ -101,14 +101,12 @@ pub fn register_pca_kinds(reg: &mut KindRegistry) {
         let cov = ins[0].as_matrix();
         let k = ins[1].as_u64() as usize;
         let res = eigh(cov);
-        let d = res.values.len();
-        let k = k.clamp(1, d);
+        let k = k.clamp(1, res.values.len());
         // Descending eigenvalue order, as in `crate::pca::Pca::fit`.
-        let values: Vec<f64> = res.values.iter().rev().copied().collect();
-        let vectors = Matrix::from_fn(d, d, |r, col| res.vectors.get(r, d - 1 - col));
+        let (values, vectors) = res.top_k(k);
         Ok(WireValue::List(vec![
-            WireValue::Matrix(vectors.slice_cols(0, k)),
-            WireValue::VecF64(values[..k].to_vec()),
+            WireValue::Matrix(vectors),
+            WireValue::VecF64(values),
         ]))
     });
     reg.register("dpca_project", |ins| {

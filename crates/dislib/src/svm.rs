@@ -113,11 +113,14 @@ pub fn fit_svc(x: &Matrix, y: &[u8], params: &SvcParams) -> SvcModel {
     let mut b = 0.0f64;
     let mut rng = StdRng::seed_from_u64(params.seed);
 
+    // Decision value `b + sum_j alpha_j y_j K(j, i)`. `Kernel::gram(x, x)`
+    // is exactly symmetric, so the contiguous row `i` holds the same
+    // bits as the column `i` the formula names.
     let f = |alpha: &[f64], b: f64, i: usize, k: &Matrix, ys: &[f64]| -> f64 {
         let mut acc = b;
-        for (j, &a) in alpha.iter().enumerate() {
+        for ((&a, &y), &kij) in alpha.iter().zip(ys).zip(k.row(i)) {
             if a != 0.0 {
-                acc += a * ys[j] * k.get(j, i);
+                acc += a * y * kij;
             }
         }
         acc

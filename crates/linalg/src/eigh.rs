@@ -1,19 +1,30 @@
 //! Symmetric eigendecomposition (`numpy.linalg.eigh` replacement).
 //!
-//! The implementation is the classical two-phase dense symmetric solver,
-//! a careful port of the EISPACK/JAMA routines:
+//! The classical two-phase dense symmetric solver (the EISPACK/JAMA
+//! `tred2` + `tql2` recurrences), laid out for the row-major [`Matrix`]
+//! it runs on:
 //!
-//! 1. **Householder tridiagonalization** (`tred2`): reduce the symmetric
-//!    input `A` to tridiagonal form `T = Q^T A Q`, accumulating the
-//!    orthogonal transform `Q`.
-//! 2. **Implicit-shift QL iteration** (`tql2`): diagonalize `T`, applying
-//!    the rotations to `Q` so its columns become eigenvectors.
+//! 1. **Householder tridiagonalization** ([`tridiagonalize`]): reduce the
+//!    symmetric input `A` to tridiagonal form `T = Q^T A Q`, accumulating
+//!    the orthogonal transform `Q`.
+//! 2. **Implicit-shift QL iteration** ([`ql_implicit`]): diagonalize `T`,
+//!    applying the Givens rotations to `Q` so it ends up holding the
+//!    eigenvectors.
+//!
+//! **Transposed storage.** Both phases only ever combine *columns* of
+//! `Q` (a column dotted with a vector, a column updated by a vector, two
+//! columns rotated against each other). The working matrix therefore
+//! holds `Q^T`: column `j` of `Q` is the contiguous row `j`, and every
+//! O(n^3) inner loop is a [`dot`], an AXPY or a two-row rotation over
+//! slices that the compiler vectorizes. The input is symmetric, so
+//! starting from the transpose costs nothing, and the transpose is
+//! undone for free inside the final sort's permutation copy.
 //!
 //! Eigenvalues are returned in **ascending** order (as `numpy.linalg.eigh`
-//! does); the PCA implementation in `dislib` reverses them to get
-//! components sorted by explained variance.
+//! does); [`EighResult::top_k`] gives the leading components in the
+//! descending order PCA wants.
 
-use crate::matrix::Matrix;
+use crate::matrix::{dot, Matrix};
 
 /// Result of [`eigh`]: `a = vectors * diag(values) * vectors^T`.
 #[derive(Debug, Clone)]
@@ -25,15 +36,36 @@ pub struct EighResult {
     pub vectors: Matrix,
 }
 
+impl EighResult {
+    /// The `k` largest eigenvalues in **descending** order and their
+    /// eigenvectors as the columns of a `d x k` matrix (column `c`
+    /// pairs with value `c`) — the PCA projection matrix.
+    ///
+    /// # Panics
+    /// Panics if `k` exceeds the matrix order.
+    pub fn top_k(&self, k: usize) -> (Vec<f64>, Matrix) {
+        let d = self.values.len();
+        assert!(k <= d, "top_k: k={k} exceeds order {d}");
+        let values = self.values.iter().rev().take(k).copied().collect();
+        let mut vectors = Matrix::zeros(d, k);
+        for r in 0..d {
+            let src = self.vectors.row(r)[d - k..].iter().rev();
+            for (dst, &v) in vectors.row_mut(r).iter_mut().zip(src) {
+                *dst = v;
+            }
+        }
+        (values, vectors)
+    }
+}
+
 /// Computes the eigendecomposition of a real symmetric matrix.
 ///
 /// The input is symmetrized internally (`(A + A^T) / 2`), so slight
 /// asymmetry from floating-point accumulation is tolerated.
 ///
 /// # Panics
-/// Panics if `a` is not square, or if the QL iteration exceeds 50
-/// iterations for a single eigenvalue (which only happens for non-finite
-/// input).
+/// Panics if `a` is not square, or with `eigh: non-finite input at
+/// (r, c)` if it holds a NaN or an infinity.
 pub fn eigh(a: &Matrix) -> EighResult {
     assert_eq!(a.rows(), a.cols(), "eigh requires a square matrix");
     let n = a.rows();
@@ -43,152 +75,148 @@ pub fn eigh(a: &Matrix) -> EighResult {
             vectors: Matrix::zeros(0, 0),
         };
     }
+    if let Some(i) = a.as_slice().iter().position(|v| !v.is_finite()) {
+        panic!("eigh: non-finite input at ({}, {})", i / n, i % n);
+    }
     // Symmetrized working copy from the buffer pool: PCA calls eigh
     // once per fitted model but repeated fits (CV folds, benches)
-    // recycle this n*n scratch.
-    let mut v = Matrix::from_pool(n, n);
+    // recycle this n*n scratch. It is exactly symmetric, so it is its
+    // own transpose and doubles as the initial `Q^T`.
+    let mut qt = Matrix::from_pool(n, n);
     for r in 0..n {
-        for c in 0..n {
-            v.set(r, c, 0.5 * (a.get(r, c) + a.get(c, r)));
+        for c in r..n {
+            let s = 0.5 * (a.get(r, c) + a.get(c, r));
+            qt.set(r, c, s);
+            qt.set(c, r, s);
         }
     }
     let mut d = vec![0.0; n];
     let mut e = vec![0.0; n];
-    tred2(&mut v, &mut d, &mut e);
-    tql2(&mut v, &mut d, &mut e);
-    sort_ascending(&mut v, &mut d);
-    EighResult {
-        values: d,
-        vectors: v,
+    tridiagonalize(&mut qt, &mut d, &mut e);
+    ql_implicit(&mut qt, &mut d, &mut e);
+    let vectors = sort_ascending(qt, &mut d);
+    EighResult { values: d, vectors }
+}
+
+/// `y += alpha * x` over equal-length slices.
+#[inline]
+fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
+    for (yk, &xk) in y.iter_mut().zip(x) {
+        *yk += alpha * xk;
     }
 }
 
-// Index-based loops below mirror the EISPACK/JAMA reference code; the
-// clippy `needless_range_loop` shape is kept intentionally for auditability.
-#[allow(clippy::needless_range_loop)]
-/// Householder reduction to tridiagonal form. On exit `v` holds the
-/// accumulated orthogonal transform, `d` the diagonal and `e` the
+/// Householder reduction to tridiagonal form. `qt` enters as the
+/// symmetric input and leaves as `Q^T` (row `j` is column `j` of the
+/// accumulated orthogonal transform); `d` gets the diagonal and `e` the
 /// sub-diagonal (`e[0] == 0`).
-fn tred2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
+///
+/// Only the upper triangle of the shrinking active block is read (its
+/// row `j` from the diagonal on is the JAMA code's column `j` from the
+/// diagonal down); the Householder vector of step `i` is parked in the
+/// lower part of row `i` until the accumulation phase consumes it.
+fn tridiagonalize(qt: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
     let n = d.len();
-    for j in 0..n {
-        d[j] = v.get(n - 1, j);
-    }
+    d.copy_from_slice(qt.row(n - 1));
 
     for i in (1..n).rev() {
-        let mut scale = 0.0;
+        let scale: f64 = d[..i].iter().map(|v| v.abs()).sum();
         let mut h = 0.0;
-        for k in 0..i {
-            scale += d[k].abs();
-        }
         if scale == 0.0 {
             e[i] = d[i - 1];
-            for j in 0..i {
-                d[j] = v.get(i - 1, j);
-                v.set(i, j, 0.0);
-                v.set(j, i, 0.0);
+            for (j, dj) in d[..i].iter_mut().enumerate() {
+                *dj = qt.get(j, i - 1);
+                qt.set(j, i, 0.0);
             }
+            qt.row_mut(i)[..i].fill(0.0);
         } else {
-            for k in 0..i {
-                d[k] /= scale;
-                h += d[k] * d[k];
+            for dk in &mut d[..i] {
+                *dk /= scale;
+                h += *dk * *dk;
             }
-            let mut f = d[i - 1];
-            let mut g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
+            let f = d[i - 1];
+            let g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
             e[i] = scale * g;
             h -= f * g;
             d[i - 1] = f - g;
-            for ej in e.iter_mut().take(i) {
-                *ej = 0.0;
-            }
+            e[..i].fill(0.0);
 
+            // e = A * d over the active block, from its upper triangle:
+            // row j contributes its dot with d to e[j] and an AXPY to
+            // the e[k] below it.
+            qt.row_mut(i)[..i].copy_from_slice(&d[..i]);
             for j in 0..i {
-                f = d[j];
-                v.set(j, i, f);
-                g = e[j] + v.get(j, j) * f;
-                for k in (j + 1)..i {
-                    g += v.get(k, j) * d[k];
-                    e[k] += v.get(k, j) * f;
-                }
-                e[j] = g;
+                let f = d[j];
+                let row = &qt.row(j)[..i];
+                let g = e[j] + row[j] * f;
+                e[j] = g + dot(&row[j + 1..], &d[j + 1..i]);
+                axpy(&mut e[j + 1..i], f, &row[j + 1..]);
             }
-            f = 0.0;
-            for j in 0..i {
-                e[j] /= h;
-                f += e[j] * d[j];
+            let mut f = 0.0;
+            for (ej, &dj) in e[..i].iter_mut().zip(&d[..i]) {
+                *ej /= h;
+                f += *ej * dj;
             }
             let hh = f / (h + h);
+            axpy(&mut e[..i], -hh, &d[..i]);
+            // Rank-2 update of the active block's upper triangle.
             for j in 0..i {
-                e[j] -= hh * d[j];
-            }
-            for j in 0..i {
-                f = d[j];
-                g = e[j];
-                for k in j..i {
-                    let val = v.get(k, j) - (f * e[k] + g * d[k]);
-                    v.set(k, j, val);
+                let (f, g) = (d[j], e[j]);
+                let row = &mut qt.row_mut(j)[j..i];
+                for ((v, &ek), &dk) in row.iter_mut().zip(&e[j..i]).zip(&d[j..i]) {
+                    *v -= f * ek + g * dk;
                 }
-                d[j] = v.get(i - 1, j);
-                v.set(i, j, 0.0);
+                d[j] = qt.get(j, i - 1);
+                qt.set(j, i, 0.0);
             }
         }
         d[i] = h;
     }
 
-    // Accumulate transformations.
-    for i in 0..n.saturating_sub(1) {
-        v.set(n - 1, i, v.get(i, i));
-        v.set(i, i, 1.0);
+    // Accumulate transformations: row i + 1 still holds the Householder
+    // vector of step i + 1, which is applied to rows 0..=i.
+    for i in 0..n - 1 {
+        let diag = qt.get(i, i);
+        qt.set(i, n - 1, diag);
+        qt.set(i, i, 1.0);
         let h = d[i + 1];
+        let (done, rest) = qt.as_mut_slice().split_at_mut((i + 1) * n);
+        let u = &mut rest[..=i];
         if h != 0.0 {
-            for k in 0..=i {
-                d[k] = v.get(k, i + 1) / h;
+            for (dk, &uk) in d[..=i].iter_mut().zip(u.iter()) {
+                *dk = uk / h;
             }
-            for j in 0..=i {
-                let mut g = 0.0;
-                for k in 0..=i {
-                    g += v.get(k, i + 1) * v.get(k, j);
-                }
-                for k in 0..=i {
-                    let val = v.get(k, j) - g * d[k];
-                    v.set(k, j, val);
-                }
+            for row in done.chunks_exact_mut(n) {
+                let row = &mut row[..=i];
+                let g = dot(u, row);
+                axpy(row, -g, &d[..=i]);
             }
         }
-        for k in 0..=i {
-            v.set(k, i + 1, 0.0);
-        }
+        u.fill(0.0);
     }
-    for j in 0..n {
-        d[j] = v.get(n - 1, j);
-        v.set(n - 1, j, 0.0);
+    for (j, dj) in d.iter_mut().enumerate() {
+        *dj = qt.get(j, n - 1);
+        qt.set(j, n - 1, 0.0);
     }
-    v.set(n - 1, n - 1, 1.0);
+    qt.set(n - 1, n - 1, 1.0);
     e[0] = 0.0;
 }
 
-#[allow(clippy::needless_range_loop)]
 /// Implicit-shift QL iteration on the tridiagonal (`d`, `e`), rotating
-/// the columns of `v` into eigenvectors.
-fn tql2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
+/// the rows of `qt` into eigenvectors.
+fn ql_implicit(qt: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
     let n = d.len();
-    for i in 1..n {
-        e[i - 1] = e[i];
-    }
+    e.copy_within(1.., 0);
     e[n - 1] = 0.0;
 
     let mut f = 0.0;
     let mut tst1: f64 = 0.0;
-    let eps = 2.0_f64.powi(-52);
+    let eps = f64::EPSILON;
     for l in 0..n {
         tst1 = tst1.max(d[l].abs() + e[l].abs());
-        let mut m = l;
-        while m < n {
-            if e[m].abs() <= eps * tst1 {
-                break;
-            }
-            m += 1;
-        }
+        let m = (l..n)
+            .find(|&m| e[m].abs() <= eps * tst1)
+            .expect("the scan stops at e[n - 1] == 0");
         if m > l {
             let mut iter = 0;
             loop {
@@ -205,7 +233,7 @@ fn tql2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
                 d[l + 1] = e[l] * (p + r);
                 let dl1 = d[l + 1];
                 let mut h = g - d[l];
-                for di in d.iter_mut().take(n).skip(l + 2) {
+                for di in &mut d[l + 2..] {
                     *di -= h;
                 }
                 f += h;
@@ -229,10 +257,12 @@ fn tql2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
                     c = p / r;
                     p = c * d[i] - s * g;
                     d[i + 1] = h + s * (c * g + s * d[i]);
-                    for k in 0..n {
-                        h = v.get(k, i + 1);
-                        v.set(k, i + 1, s * v.get(k, i) + c * h);
-                        v.set(k, i, c * v.get(k, i) - s * h);
+                    // Givens rotation of rows i and i + 1.
+                    let (lo, hi) = qt.as_mut_slice()[i * n..(i + 2) * n].split_at_mut(n);
+                    for (x, y) in lo.iter_mut().zip(hi) {
+                        let (xi, yi) = (*x, *y);
+                        *y = s * xi + c * yi;
+                        *x = c * xi - s * yi;
                     }
                 }
                 p = -s * s2 * c3 * el1 * e[l] / dl1;
@@ -249,26 +279,246 @@ fn tql2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
     }
 }
 
-/// Sorts eigenvalues ascending and permutes eigenvector columns to match.
-fn sort_ascending(v: &mut Matrix, d: &mut [f64]) {
+/// Sorts eigenvalues ascending and returns the eigenvectors as
+/// **columns** in the same order: one pass both permutes the rows of
+/// `qt` and undoes its transposed storage. Eight output columns are
+/// filled together, so every write completes a cache line while the
+/// eight source rows stream contiguously.
+fn sort_ascending(qt: Matrix, d: &mut [f64]) -> Matrix {
+    const TILE: usize = 8;
     let n = d.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("finite eigenvalues"));
     let old_d = d.to_vec();
-    let old_v = std::mem::replace(v, Matrix::from_pool(n, n));
-    for (new_col, &old_col) in order.iter().enumerate() {
-        d[new_col] = old_d[old_col];
+    for (dst, &src) in d.iter_mut().zip(&order) {
+        *dst = old_d[src];
+    }
+    // Every element is assigned below, so the pool need not zero it.
+    let mut v = Matrix::from_pool_full_overwrite(n, n);
+    for (tile, srcs) in order.chunks(TILE).enumerate() {
+        let c0 = tile * TILE;
         for r in 0..n {
-            v.set(r, new_col, old_v.get(r, old_col));
+            let out = &mut v.row_mut(r)[c0..c0 + srcs.len()];
+            for (o, &src) in out.iter_mut().zip(srcs) {
+                *o = qt.get(src, r);
+            }
         }
     }
-    old_v.into_pool();
+    qt.into_pool();
+    v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The column-walking EISPACK/JAMA `tred2` + `tql2` this module
+    /// shipped before the transposed-storage rewrite, kept verbatim as
+    /// the eigenvalue oracle.
+    mod jama {
+        use crate::matrix::Matrix;
+
+        /// Ascending eigenvalues of the symmetric matrix `a`.
+        pub fn eigenvalues(a: &Matrix) -> Vec<f64> {
+            let n = a.rows();
+            let mut v = a.clone();
+            let mut d = vec![0.0; n];
+            let mut e = vec![0.0; n];
+            tred2(&mut v, &mut d, &mut e);
+            tql2(&mut v, &mut d, &mut e);
+            d.sort_by(f64::total_cmp);
+            d
+        }
+
+        // Index-based loops below mirror the EISPACK/JAMA reference code; the
+        // clippy `needless_range_loop` shape is kept intentionally for auditability.
+        #[allow(clippy::needless_range_loop)]
+        /// Householder reduction to tridiagonal form. On exit `v` holds the
+        /// accumulated orthogonal transform, `d` the diagonal and `e` the
+        /// sub-diagonal (`e[0] == 0`).
+        fn tred2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
+            let n = d.len();
+            for j in 0..n {
+                d[j] = v.get(n - 1, j);
+            }
+
+            for i in (1..n).rev() {
+                let mut scale = 0.0;
+                let mut h = 0.0;
+                for k in 0..i {
+                    scale += d[k].abs();
+                }
+                if scale == 0.0 {
+                    e[i] = d[i - 1];
+                    for j in 0..i {
+                        d[j] = v.get(i - 1, j);
+                        v.set(i, j, 0.0);
+                        v.set(j, i, 0.0);
+                    }
+                } else {
+                    for k in 0..i {
+                        d[k] /= scale;
+                        h += d[k] * d[k];
+                    }
+                    let mut f = d[i - 1];
+                    let mut g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
+                    e[i] = scale * g;
+                    h -= f * g;
+                    d[i - 1] = f - g;
+                    for ej in e.iter_mut().take(i) {
+                        *ej = 0.0;
+                    }
+
+                    for j in 0..i {
+                        f = d[j];
+                        v.set(j, i, f);
+                        g = e[j] + v.get(j, j) * f;
+                        for k in (j + 1)..i {
+                            g += v.get(k, j) * d[k];
+                            e[k] += v.get(k, j) * f;
+                        }
+                        e[j] = g;
+                    }
+                    f = 0.0;
+                    for j in 0..i {
+                        e[j] /= h;
+                        f += e[j] * d[j];
+                    }
+                    let hh = f / (h + h);
+                    for j in 0..i {
+                        e[j] -= hh * d[j];
+                    }
+                    for j in 0..i {
+                        f = d[j];
+                        g = e[j];
+                        for k in j..i {
+                            let val = v.get(k, j) - (f * e[k] + g * d[k]);
+                            v.set(k, j, val);
+                        }
+                        d[j] = v.get(i - 1, j);
+                        v.set(i, j, 0.0);
+                    }
+                }
+                d[i] = h;
+            }
+
+            // Accumulate transformations.
+            for i in 0..n.saturating_sub(1) {
+                v.set(n - 1, i, v.get(i, i));
+                v.set(i, i, 1.0);
+                let h = d[i + 1];
+                if h != 0.0 {
+                    for k in 0..=i {
+                        d[k] = v.get(k, i + 1) / h;
+                    }
+                    for j in 0..=i {
+                        let mut g = 0.0;
+                        for k in 0..=i {
+                            g += v.get(k, i + 1) * v.get(k, j);
+                        }
+                        for k in 0..=i {
+                            let val = v.get(k, j) - g * d[k];
+                            v.set(k, j, val);
+                        }
+                    }
+                }
+                for k in 0..=i {
+                    v.set(k, i + 1, 0.0);
+                }
+            }
+            for j in 0..n {
+                d[j] = v.get(n - 1, j);
+                v.set(n - 1, j, 0.0);
+            }
+            v.set(n - 1, n - 1, 1.0);
+            e[0] = 0.0;
+        }
+
+        #[allow(clippy::needless_range_loop)]
+        /// Implicit-shift QL iteration on the tridiagonal (`d`, `e`), rotating
+        /// the columns of `v` into eigenvectors.
+        fn tql2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
+            let n = d.len();
+            for i in 1..n {
+                e[i - 1] = e[i];
+            }
+            e[n - 1] = 0.0;
+
+            let mut f = 0.0;
+            let mut tst1: f64 = 0.0;
+            let eps = 2.0_f64.powi(-52);
+            for l in 0..n {
+                tst1 = tst1.max(d[l].abs() + e[l].abs());
+                let mut m = l;
+                while m < n {
+                    if e[m].abs() <= eps * tst1 {
+                        break;
+                    }
+                    m += 1;
+                }
+                if m > l {
+                    let mut iter = 0;
+                    loop {
+                        iter += 1;
+                        assert!(iter <= 50, "eigh: QL iteration failed to converge");
+
+                        let mut g = d[l];
+                        let mut p = (d[l + 1] - g) / (2.0 * e[l]);
+                        let mut r = p.hypot(1.0);
+                        if p < 0.0 {
+                            r = -r;
+                        }
+                        d[l] = e[l] / (p + r);
+                        d[l + 1] = e[l] * (p + r);
+                        let dl1 = d[l + 1];
+                        let mut h = g - d[l];
+                        for di in d.iter_mut().take(n).skip(l + 2) {
+                            *di -= h;
+                        }
+                        f += h;
+
+                        p = d[m];
+                        let mut c = 1.0;
+                        let mut c2 = c;
+                        let mut c3 = c;
+                        let el1 = e[l + 1];
+                        let mut s = 0.0;
+                        let mut s2 = 0.0;
+                        for i in (l..m).rev() {
+                            c3 = c2;
+                            c2 = c;
+                            s2 = s;
+                            g = c * e[i];
+                            h = c * p;
+                            r = p.hypot(e[i]);
+                            e[i + 1] = s * r;
+                            s = e[i] / r;
+                            c = p / r;
+                            p = c * d[i] - s * g;
+                            d[i + 1] = h + s * (c * g + s * d[i]);
+                            for k in 0..n {
+                                h = v.get(k, i + 1);
+                                v.set(k, i + 1, s * v.get(k, i) + c * h);
+                                v.set(k, i, c * v.get(k, i) - s * h);
+                            }
+                        }
+                        p = -s * s2 * c3 * el1 * e[l] / dl1;
+                        e[l] = s * p;
+                        d[l] = c * p;
+
+                        if e[l].abs() <= eps * tst1 {
+                            break;
+                        }
+                    }
+                }
+                d[l] += f;
+                e[l] = 0.0;
+            }
+        }
+    }
 
     fn reconstruct(res: &EighResult) -> Matrix {
         let n = res.values.len();
@@ -277,6 +527,147 @@ mod tests {
             lam.set(i, i, v);
         }
         res.vectors.matmul(&lam).matmul(&res.vectors.transpose())
+    }
+
+    /// Seeded uniform noise in `[-0.5, 0.5)` (a `sin(r + c)` table
+    /// would have rank 2).
+    fn noise(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Matrix::from_fn(rows, cols, |_, _| rng.random_range(-0.5..0.5))
+    }
+
+    fn symmetric(n: usize, f: impl Fn(usize, usize) -> f64) -> Matrix {
+        Matrix::from_fn(n, n, |r, c| f(r.min(c), r.max(c)))
+    }
+
+    /// Every property a decomposition must have, and agreement with
+    /// the JAMA oracle's eigenvalues.
+    fn check_decomposition(a: &Matrix) -> EighResult {
+        let n = a.rows();
+        let res = eigh(a);
+        let amax = a.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        assert!(
+            res.values.windows(2).all(|w| w[0] <= w[1]),
+            "n={n}: eigenvalues not ascending"
+        );
+        let mut vl = res.vectors.clone();
+        for r in 0..n {
+            for (x, lam) in vl.row_mut(r).iter_mut().zip(&res.values) {
+                *x *= lam;
+            }
+        }
+        let residual = a.matmul(&res.vectors).max_abs_diff(&vl);
+        assert!(residual <= 1e-9 * amax, "n={n}: |AV - VL| = {residual:e}");
+        let vtv = res.vectors.t_matmul(&res.vectors);
+        let ortho = vtv.max_abs_diff(&Matrix::identity(n));
+        assert!(ortho <= 1e-10, "n={n}: |VtV - I| = {ortho:e}");
+        let trace: f64 = (0..n).map(|i| a.get(i, i)).sum();
+        let sum: f64 = res.values.iter().sum();
+        assert!(
+            (trace - sum).abs() <= 1e-9 * amax * n as f64,
+            "n={n}: trace {trace} vs eigenvalue sum {sum}"
+        );
+        let lmax = res.values.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (got, want) in res.values.iter().zip(jama::eigenvalues(a)) {
+            assert!(
+                (got - want).abs() <= 1e-10 * lmax,
+                "n={n}: eigenvalue {got} vs JAMA {want}"
+            );
+        }
+        res
+    }
+
+    #[test]
+    fn eigh_properties_across_sizes() {
+        // Sizes straddle the 4-lane `dot` chunks, the 8-column sort
+        // tile, and reach the benchmark's 384-feature covariance.
+        for n in [1, 2, 3, 4, 5, 7, 8, 9, 17, 64, 384] {
+            let raw = noise(n, n, n as u64);
+            let a = symmetric(n, |r, c| raw.get(r, c));
+            check_decomposition(&a);
+        }
+    }
+
+    #[test]
+    fn eigh_rank_deficient_covariance() {
+        // 40 samples of 48 features: the covariance has rank <= 39, so
+        // at least 9 eigenvalues are zero up to rounding (the af_*
+        // workloads' 400x481 design matrix in miniature).
+        let x = noise(40, 48, 7);
+        let mean = x.col_means();
+        let xc = Matrix::from_fn(40, 48, |r, c| x.get(r, c) - mean[c]);
+        let mut cov = xc.t_matmul(&xc);
+        cov.scale(1.0 / 39.0);
+        let res = check_decomposition(&cov);
+        let top = res.values[47];
+        assert!(res.values[..9].iter().all(|v| v.abs() <= 1e-12 * top));
+        assert!(res.values[9] > 1e-6 * top, "rank should be 39");
+    }
+
+    #[test]
+    fn eigh_zero_diagonal_and_repeated_eigenvalues() {
+        let zero = check_decomposition(&Matrix::zeros(6, 6));
+        assert!(zero.values.iter().all(|&v| v == 0.0));
+
+        let diag = symmetric(5, |r, c| {
+            if r == c {
+                [3.0, -1.0, 2.0, 0.0, 7.5][r]
+            } else {
+                0.0
+            }
+        });
+        assert_eq!(
+            check_decomposition(&diag).values,
+            [-1.0, 0.0, 2.0, 3.0, 7.5]
+        );
+
+        // 2*I + ones has eigenvalue 2 with multiplicity n-1 and n+2 once.
+        let n = 9;
+        let rep = symmetric(n, |r, c| if r == c { 3.0 } else { 1.0 });
+        let res = check_decomposition(&rep);
+        for v in &res.values[..n - 1] {
+            assert!((v - 2.0).abs() < 1e-12, "repeated eigenvalue {v}");
+        }
+        assert!((res.values[n - 1] - (n as f64 + 2.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn eigh_symmetrizes_its_input() {
+        let a = Matrix::from_fn(7, 7, |r, c| ((r * 7 + c) as f64 * 0.41).cos());
+        let sym = Matrix::from_fn(7, 7, |r, c| 0.5 * (a.get(r, c) + a.get(c, r)));
+        let (ra, rs) = (eigh(&a), eigh(&sym));
+        assert_eq!(ra.values, rs.values);
+        assert_eq!(ra.vectors, rs.vectors);
+    }
+
+    #[test]
+    #[should_panic(expected = "eigh: non-finite input at (2, 1)")]
+    fn eigh_rejects_non_finite_input() {
+        let mut a = Matrix::identity(4);
+        a.set(2, 1, f64::NAN);
+        let _ = eigh(&a);
+    }
+
+    #[test]
+    #[should_panic(expected = "eigh: non-finite input at (0, 3)")]
+    fn eigh_rejects_infinite_input() {
+        let mut a = Matrix::identity(4);
+        a.set(0, 3, f64::INFINITY);
+        let _ = eigh(&a);
+    }
+
+    #[test]
+    fn top_k_is_descending_prefix_of_reversed_columns() {
+        let a = symmetric(7, |r, c| 1.0 / (1.0 + r as f64 + c as f64));
+        let res = eigh(&a);
+        for k in [0, 1, 3, 7] {
+            let (values, vectors) = res.top_k(k);
+            assert_eq!(vectors.shape(), (7, k));
+            for (c, &value) in values.iter().enumerate() {
+                assert_eq!(value, res.values[6 - c]);
+                assert_eq!(vectors.col(c), res.vectors.col(6 - c));
+            }
+        }
     }
 
     #[test]

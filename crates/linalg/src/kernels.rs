@@ -4,7 +4,7 @@
 //! and the linear / RBF kernels used by the SMO-based SVC inside the
 //! CascadeSVM.
 
-use crate::matrix::Matrix;
+use crate::matrix::{sq_dists_map, Matrix};
 
 /// Squared Euclidean distance between two equally-long slices.
 ///
@@ -73,29 +73,22 @@ impl Kernel {
 
     /// Full kernel (Gram) matrix between the rows of `x` and `y`.
     ///
-    /// Built on the blocked [`Matrix::matmul_nt`] kernel rather than
-    /// per-pair [`Kernel::eval`] calls: linear/poly kernels are one
+    /// Built on the register-tiled [`Matrix::matmul_nt`] kernel rather
+    /// than per-pair [`Kernel::eval`] calls: linear/poly kernels are one
     /// `x * y^T`, and the RBF kernel expands `|xi - yj|^2` as
-    /// `|xi|^2 + |yj|^2 - 2 xi.yj` via [`pairwise_sq_dists`]. Because
+    /// `|xi|^2 + |yj|^2 - 2 xi.yj` like [`pairwise_sq_dists`]. Because
     /// norms and cross terms share one summation order, `gram(x, x)` is
-    /// exactly symmetric and the RBF diagonal is exactly `1.0`.
+    /// exactly symmetric and the RBF diagonal is exactly `1.0` — which
+    /// is what lets `gram(x, x)` (same matrix, by address) evaluate the
+    /// dots *and* the `exp`/`powi` pass on the upper triangle only and
+    /// mirror the rest, bit for bit.
     pub fn gram(&self, x: &Matrix, y: &Matrix) -> Matrix {
         assert_eq!(x.cols(), y.cols(), "gram feature mismatch");
         match *self {
             Kernel::Linear => x.matmul_nt(y),
-            Kernel::Rbf { gamma } => {
-                let mut g = pairwise_sq_dists(x, y);
-                for v in g.as_mut_slice() {
-                    *v = (-gamma * *v).exp();
-                }
-                g
-            }
+            Kernel::Rbf { gamma } => sq_dists_map(x, y, |d| (-gamma * d).exp()),
             Kernel::Poly { degree, coef0 } => {
-                let mut g = x.matmul_nt(y);
-                for v in g.as_mut_slice() {
-                    *v = (*v + coef0).powi(degree as i32);
-                }
-                g
+                x.matmul_nt_map(y, |_, _, v| (v + coef0).powi(degree as i32))
             }
         }
     }
@@ -194,6 +187,29 @@ mod tests {
                 fast.max_abs_diff(&naive) < 1e-12,
                 "{k:?} gram diverges from eval"
             );
+        }
+    }
+
+    #[test]
+    fn gram_with_itself_bitwise_matches_general_path() {
+        // Shapes straddle the 2x4 dot tile, its 4-lane chunks and the
+        // 8x8 mirror tile.
+        for (rows, cols) in [(5, 3), (61, 161), (257, 386), (300, 7)] {
+            let x = Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f64 * 0.37).sin());
+            for k in [
+                Kernel::Linear,
+                Kernel::Rbf { gamma: 0.05 },
+                Kernel::Poly {
+                    degree: 3,
+                    coef0: 0.5,
+                },
+            ] {
+                assert_eq!(
+                    k.gram(&x, &x),
+                    k.gram(&x, &x.clone()),
+                    "{k:?} at {rows}x{cols}"
+                );
+            }
         }
     }
 

@@ -6,10 +6,14 @@
 //!
 //! * [`Matrix`] — a dense row-major `f64` matrix with BLAS-3-style
 //!   multiply ([`Matrix::matmul`]), transpose, slicing and column
-//!   statistics (replaces `numpy.ndarray` usage).
+//!   statistics (replaces `numpy.ndarray` usage). Products of a matrix
+//!   with itself (`m.t_matmul(m)`, `x.matmul_nt(x)`, `Kernel::gram(x,
+//!   x)`) compute one triangle and mirror it, bit for bit.
 //! * [`eigh()`](eigh::eigh) — symmetric eigendecomposition via Householder
-//!   tridiagonalization followed by the implicit-shift QL iteration
-//!   (replaces `numpy.linalg.eigh`, used by the PCA covariance method).
+//!   tridiagonalization followed by the implicit-shift QL iteration,
+//!   run on the transposed transform so every inner loop walks a
+//!   contiguous row (replaces `numpy.linalg.eigh`, used by the PCA
+//!   covariance method).
 //! * [`fft`] — iterative radix-2 Cooley–Tukey FFT, plus plan-cached
 //!   complex and real-input transforms ([`FftPlan`] / [`RfftPlan`])
 //!   (replaces the FFT underlying `scipy.signal.spectrogram`).

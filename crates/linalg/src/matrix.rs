@@ -9,6 +9,19 @@
 //! reorders the per-element summation (contributions arrive in
 //! ascending-`k` order), so results are bitwise identical to the naive
 //! triple loop.
+//!
+//! The row-by-row products ([`Matrix::matmul_nt`], and through it
+//! [`pairwise_sq_dists`] and `Kernel::gram`) run a register tile of
+//! [`dot`]s instead: `NT_ROWS x NT_COLS` row pairs advance together so
+//! each loaded chunk feeds several accumulators, while every single dot
+//! keeps [`dot`]'s exact lane order and therefore its exact bits.
+//!
+//! **Symmetric fast paths.** A product of a matrix with *itself*
+//! (`m.t_matmul(m)`, `x.matmul_nt(x)`, `pairwise_sq_dists(x, x)`,
+//! `Kernel::gram(x, x)` — detected by `std::ptr::eq`) is exactly
+//! symmetric, because element `(i, j)` and element `(j, i)` sum the same
+//! commuted products in the same order. Those calls compute the upper
+//! triangle only and mirror it: half the flops, the same bits.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -22,6 +35,15 @@ const NC: usize = 512;
 /// Register tile height: output rows updated simultaneously, so each
 /// loaded element of the right operand feeds `MR` multiply-adds.
 const MR: usize = 4;
+/// Register tile of [`Matrix::matmul_nt`]: the dots of `NT_ROWS` rows
+/// of the left operand with `NT_COLS` rows of the right one advance
+/// together.
+const NT_ROWS: usize = 2;
+/// See [`NT_ROWS`].
+const NT_COLS: usize = 4;
+/// Edge of the square tiles [`Matrix::transpose`] and the triangle
+/// mirror move at a time: one cache line of `f64`.
+const TB: usize = 8;
 
 /// Dot product over two equal-length slices with four independent
 /// partial accumulators (fixed summation order, so `dot(a, b)` and
@@ -53,6 +75,12 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// exactly `0.0` because norms and cross terms share one summation
 /// order.
 pub fn pairwise_sq_dists(x: &Matrix, y: &Matrix) -> Matrix {
+    sq_dists_map(x, y, |d| d)
+}
+
+/// [`pairwise_sq_dists`] with `f` applied to every (clamped) distance;
+/// the RBF kernel is `f = exp(-gamma * d)`.
+pub(crate) fn sq_dists_map(x: &Matrix, y: &Matrix, f: impl Fn(f64) -> f64) -> Matrix {
     assert_eq!(
         x.cols(),
         y.cols(),
@@ -62,14 +90,41 @@ pub fn pairwise_sq_dists(x: &Matrix, y: &Matrix) -> Matrix {
     );
     let xn = x.row_sq_norms();
     let yn = y.row_sq_norms();
-    let mut g = x.matmul_nt(y);
-    for (i, &xni) in xn.iter().enumerate() {
-        let row = g.row_mut(i);
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = (xni + yn[j] - 2.0 * *v).max(0.0);
+    x.matmul_nt_map(y, |i, j, v| f((xn[i] + yn[j] - 2.0 * v).max(0.0)))
+}
+
+/// `R x C` block of [`dot`] products, `out[r][c] = dot(a[r], b[c])`,
+/// advanced together so every loaded chunk feeds `R` or `C`
+/// accumulators. Each product keeps [`dot`]'s lane assignment, combine
+/// order and remainder loop, so it is bitwise equal to calling [`dot`].
+#[inline]
+fn dot_tile<const R: usize, const C: usize>(a: [&[f64]; R], b: [&[f64]; C]) -> [[f64; C]; R] {
+    let k = a[0].len();
+    let a = a.map(|s| &s[..k]);
+    let b = b.map(|s| &s[..k]);
+    let body = k - k % 4;
+    let mut acc = [[[0.0f64; 4]; C]; R];
+    for q in (0..body).step_by(4) {
+        for r in 0..R {
+            for c in 0..C {
+                for l in 0..4 {
+                    acc[r][c][l] += a[r][q + l] * b[c][q + l];
+                }
+            }
         }
     }
-    g
+    let mut out = [[0.0f64; C]; R];
+    for r in 0..R {
+        for c in 0..C {
+            let t = &acc[r][c];
+            let mut s = (t[0] + t[1]) + (t[2] + t[3]);
+            for q in body..k {
+                s += a[r][q] * b[c][q];
+            }
+            out[r][c] = s;
+        }
+    }
+    out
 }
 
 /// A dense, row-major matrix of `f64`.
@@ -120,7 +175,7 @@ impl Matrix {
     /// kernels like [`Matrix::matmul_nt`]). A recycled buffer may
     /// carry stale values until the caller's writes land; see
     /// [`crate::pool::acquire_full_overwrite`].
-    fn from_pool_full_overwrite(rows: usize, cols: usize) -> Self {
+    pub(crate) fn from_pool_full_overwrite(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
@@ -245,16 +300,38 @@ impl Matrix {
         (0..self.rows).map(|r| self.get(r, c)).collect()
     }
 
-    /// Matrix transpose.
+    /// Matrix transpose, moved in `TB`-row strips: the `TB` source rows
+    /// stream contiguously and every write completes one cache line of
+    /// the output, instead of one strided store per element.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for (c, &v) in row.iter().enumerate() {
-                out.data[c * self.rows + r] = v;
+        for r0 in (0..self.rows).step_by(TB) {
+            let r1 = (r0 + TB).min(self.rows);
+            for (c, dst) in out.data.chunks_exact_mut(self.rows).enumerate() {
+                for (d, r) in dst[r0..r1].iter_mut().zip(r0..r1) {
+                    *d = self.data[r * self.cols + c];
+                }
             }
         }
         out
+    }
+
+    /// Copies the upper triangle of a square matrix onto its lower
+    /// triangle (`self[j][i] = self[i][j]` for `j > i`), `TB x TB` tiles
+    /// at a time so neither side is walked with a full-row stride.
+    fn mirror_upper(&mut self) {
+        debug_assert_eq!(self.rows, self.cols);
+        let n = self.rows;
+        for i0 in (0..n).step_by(TB) {
+            let i1 = (i0 + TB).min(n);
+            for j0 in (i0..n).step_by(TB) {
+                for j in j0..(j0 + TB).min(n) {
+                    for i in i0..i1.min(j) {
+                        self.data[j * n + i] = self.data[i * n + j];
+                    }
+                }
+            }
+        }
     }
 
     /// Matrix product `self * rhs`, cache-blocked and register-tiled.
@@ -330,6 +407,10 @@ impl Matrix {
     /// by the PCA covariance step (`x.T @ x`). Depth-blocked with the
     /// same `MR`-row register tiling as [`Matrix::matmul`] (here the
     /// tile runs over columns of `self`, i.e. rows of the output).
+    ///
+    /// When `rhs` *is* `self` (every PCA gram) each tile only computes
+    /// the columns from its first row's diagonal on, and the lower
+    /// triangle is mirrored at the end: same bits, half the flops.
     pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, rhs.rows,
@@ -341,17 +422,22 @@ impl Matrix {
         if m == 0 || n == 0 {
             return out;
         }
+        let symmetric = std::ptr::eq(self, rhs);
         for k0 in (0..self.rows).step_by(KC) {
             let k1 = (k0 + KC).min(self.rows);
             for (ib, out_chunk) in out.data.chunks_mut(MR * n).enumerate() {
                 let i0 = ib * MR;
+                // First output column this tile owes.
+                let j0 = if symmetric { i0 } else { 0 };
                 if out_chunk.len() == MR * n {
                     let (o0, r) = out_chunk.split_at_mut(n);
                     let (o1, r) = r.split_at_mut(n);
                     let (o2, o3) = r.split_at_mut(n);
+                    let (o0, o1) = (&mut o0[j0..], &mut o1[j0..]);
+                    let (o2, o3) = (&mut o2[j0..], &mut o3[j0..]);
                     for k in k0..k1 {
                         let a = &self.data[k * self.cols..(k + 1) * self.cols];
-                        let b = &rhs.data[k * n..(k + 1) * n];
+                        let b = &rhs.data[k * n + j0..(k + 1) * n];
                         let (a0, a1, a2, a3) = (a[i0], a[i0 + 1], a[i0 + 2], a[i0 + 3]);
                         for (j, &bkj) in b.iter().enumerate() {
                             o0[j] += a0 * bkj;
@@ -363,9 +449,10 @@ impl Matrix {
                 } else {
                     for (ri, o) in out_chunk.chunks_mut(n).enumerate() {
                         let i = i0 + ri;
+                        let o = &mut o[j0..];
                         for k in k0..k1 {
                             let aki = self.data[k * self.cols + i];
-                            let b = &rhs.data[k * n..(k + 1) * n];
+                            let b = &rhs.data[k * n + j0..(k + 1) * n];
                             for (j, &bkj) in b.iter().enumerate() {
                                 o[j] += aki * bkj;
                             }
@@ -374,6 +461,9 @@ impl Matrix {
                 }
             }
         }
+        if symmetric {
+            out.mirror_upper();
+        }
         out
     }
 
@@ -381,23 +471,69 @@ impl Matrix {
     /// product runs over two contiguous rows). This is the kernel-matrix
     /// building block: Gram matrices are `x.matmul_nt(y)`.
     ///
+    /// Each element is bitwise [`dot`]`(self.row(i), rhs.row(j))`; when
+    /// `rhs` *is* `self` only the upper triangle is computed and the
+    /// rest mirrored.
+    ///
     /// # Panics
     /// Panics if the operands disagree on column count.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
+        self.matmul_nt_map(rhs, |_, _, v| v)
+    }
+
+    /// [`Matrix::matmul_nt`] with `f(i, j, dot)` applied to every
+    /// element. For the symmetric fast path (`rhs` is `self`) `f` must
+    /// be symmetric too, `f(i, j, v) == f(j, i, v)` bitwise, as it runs
+    /// on the upper triangle only.
+    pub(crate) fn matmul_nt_map(
+        &self,
+        rhs: &Matrix,
+        f: impl Fn(usize, usize, f64) -> f64,
+    ) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_nt dimension mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        // Every output element is assigned (`*oj =`, never `+=`), so
-        // the pool's zero-fill would be pure waste.
-        let mut out = Matrix::from_pool_full_overwrite(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a = self.row(i);
-            let o = &mut out.data[i * rhs.rows..(i + 1) * rhs.rows];
-            for (j, oj) in o.iter_mut().enumerate() {
-                *oj = dot(a, rhs.row(j));
+        let n = rhs.rows;
+        // Every output element is assigned (`=`, never `+=`; the
+        // symmetric path's lower triangle by the mirror), so the pool's
+        // zero-fill would be pure waste.
+        let mut out = Matrix::from_pool_full_overwrite(self.rows, n);
+        let symmetric = std::ptr::eq(self, rhs);
+        for i0 in (0..self.rows).step_by(NT_ROWS) {
+            let i1 = (i0 + NT_ROWS).min(self.rows);
+            let mut put = |i: usize, j: usize, v: f64| out.data[i * n + j] = f(i, j, v);
+            // Tiles sit on the NT_COLS grid; the symmetric path starts at
+            // the last grid line at or left of the diagonal.
+            let mut j0 = if symmetric { i0 - i0 % NT_COLS } else { 0 };
+            while j0 + NT_COLS <= n {
+                let b: [&[f64]; NT_COLS] = std::array::from_fn(|c| rhs.row(j0 + c));
+                if i1 - i0 == NT_ROWS {
+                    let a: [&[f64]; NT_ROWS] = std::array::from_fn(|r| self.row(i0 + r));
+                    for (r, tile_row) in dot_tile(a, b).iter().enumerate() {
+                        for (c, &v) in tile_row.iter().enumerate() {
+                            put(i0 + r, j0 + c, v);
+                        }
+                    }
+                } else {
+                    for i in i0..i1 {
+                        let [tile_row] = dot_tile([self.row(i)], b);
+                        for (c, &v) in tile_row.iter().enumerate() {
+                            put(i, j0 + c, v);
+                        }
+                    }
+                }
+                j0 += NT_COLS;
             }
+            for j in j0..n {
+                for i in i0..i1 {
+                    put(i, j, dot(self.row(i), rhs.row(j)));
+                }
+            }
+        }
+        if symmetric {
+            out.mirror_upper();
         }
         out
     }
@@ -659,6 +795,78 @@ mod tests {
         let (hits1, _, _) = crate::pool::stats();
         assert!(hits1 > hits0, "matmul_nt should reuse the dirty buffer");
         assert_eq!(second, reference);
+    }
+
+    /// Shapes `(rows, cols)` straddling every edge the Gram kernels
+    /// have: the 2x4 `matmul_nt` tile and its 4-lane chunks, `MR = 4`
+    /// and `KC = 256` of `t_matmul`, and the 8x8 mirror tile.
+    const GRAM_SHAPES: [(usize, usize); 6] =
+        [(1, 1), (5, 3), (61, 161), (257, 386), (300, 7), (7, 300)];
+
+    fn wavy(rows: usize, cols: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| {
+            ((r * cols + c) as f64 * 0.37).sin() * 3.0
+        })
+    }
+
+    #[test]
+    fn t_matmul_with_itself_bitwise_matches_general_path() {
+        for (rows, cols) in GRAM_SHAPES {
+            let a = wavy(rows, cols);
+            let general = a.t_matmul(&a.clone());
+            assert_eq!(a.t_matmul(&a), general, "{rows}x{cols}");
+            assert_eq!(general, general.transpose(), "{rows}x{cols} not symmetric");
+        }
+    }
+
+    #[test]
+    fn matmul_nt_tiles_bitwise_match_per_element_dot() {
+        for (rows, cols) in GRAM_SHAPES {
+            let a = wavy(rows, cols);
+            let b = Matrix::from_fn(rows / 2 + 3, cols, |r, c| ((r + 7 * c) as f64 * 0.11).cos());
+            let expect = Matrix::from_fn(a.rows(), b.rows(), |i, j| dot(a.row(i), b.row(j)));
+            assert_eq!(a.matmul_nt(&b), expect, "{rows}x{cols}");
+            let expect = Matrix::from_fn(rows, rows, |i, j| dot(a.row(i), a.row(j)));
+            assert_eq!(a.matmul_nt(&a), expect, "{rows}x{cols} with itself");
+        }
+    }
+
+    #[test]
+    fn pairwise_sq_dists_with_itself_bitwise_matches_general_path() {
+        for (rows, cols) in GRAM_SHAPES {
+            let x = wavy(rows, cols);
+            assert_eq!(
+                pairwise_sq_dists(&x, &x),
+                pairwise_sq_dists(&x, &x.clone()),
+                "{rows}x{cols}"
+            );
+        }
+    }
+
+    #[test]
+    fn matmul_nt_with_itself_overwrites_a_dirty_pooled_buffer() {
+        // The symmetric path fills the lower triangle by mirroring, not
+        // by computing: no stale pooled value may survive there either.
+        let a = wavy(13, 9);
+        let reference = a.matmul_nt(&a.clone());
+        let mut dirty = crate::pool::acquire(13 * 13 + 5);
+        dirty.iter_mut().for_each(|x| *x = f64::NAN);
+        crate::pool::release(dirty);
+        assert_eq!(a.matmul_nt(&a), reference);
+    }
+
+    #[test]
+    fn transpose_matches_elementwise_across_strip_edges() {
+        for (rows, cols) in [(1, 1), (8, 8), (9, 17), (23, 5), (3, 40)] {
+            let a = wavy(rows, cols);
+            let t = a.transpose();
+            assert_eq!(t.shape(), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(t.get(c, r), a.get(r, c));
+                }
+            }
+        }
     }
 
     #[test]

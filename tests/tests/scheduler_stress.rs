@@ -19,6 +19,16 @@ use taskrt::{live_worker_threads, Handle, RetryPolicy, Runtime};
 
 const N_TASKS: usize = 5_000;
 
+/// `live_worker_threads` counts workers process-wide, so the leak checks
+/// below only mean something while no other test of this binary has a
+/// threaded runtime alive: every test holds this lock.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    // A poisoned lock only says another test failed; the guard is a unit.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Drives an n-task random-dependency DAG of fine-grained float ops.
 /// Task `i` combines up to 6 of the previous 48 results with fixed
 /// (associativity-sensitive) arithmetic, so any reordering of the
@@ -72,6 +82,7 @@ fn random_dag_checksum(rt: &Runtime, seed: u64) -> u64 {
 
 #[test]
 fn stress_5k_random_dag_threaded_matches_inline_bitwise() {
+    let _serial = serial();
     let inline = random_dag_checksum(&Runtime::new(), 7);
     for workers in [2usize, 4] {
         let threaded = random_dag_checksum(&Runtime::threaded(workers), 7);
@@ -84,6 +95,7 @@ fn stress_5k_random_dag_threaded_matches_inline_bitwise() {
 
 #[test]
 fn stress_sync_marker_serializes_later_submissions() {
+    let _serial = serial();
     // Fig. 9 semantics: tasks submitted after a wait() carry an extra
     // dependency on the sync marker, so a replay cannot hoist them
     // before the synchronization point. Must hold in both modes.
@@ -122,6 +134,7 @@ fn stress_sync_marker_serializes_later_submissions() {
 
 #[test]
 fn stress_10k_dag_with_injected_faults_drains_and_matches() {
+    let _serial = serial();
     // Inject a panic into the first attempt of a random ~10% of a
     // 10k-task DAG. Every task retries, so the runtime must drain
     // cleanly, the retried results must be bit-identical to a
@@ -183,6 +196,7 @@ fn stress_10k_dag_with_injected_faults_drains_and_matches() {
 
 #[test]
 fn stress_no_worker_threads_outlive_dropped_runtimes() {
+    let _serial = serial();
     let baseline = live_worker_threads();
     for round in 0..20 {
         let rt = Runtime::threaded(4);
@@ -205,6 +219,7 @@ fn stress_no_worker_threads_outlive_dropped_runtimes() {
 
 #[test]
 fn stress_locality_steering_counts_hits_and_is_bit_identical() {
+    let _serial = serial();
     // The affinity hint steers a task toward the worker that produced
     // its largest input. It must (a) actually fire on a chain-heavy
     // DAG — the continuation-keeping worker is the producer, so hits
