@@ -62,14 +62,8 @@ fn bench_conv(c: &mut Criterion) {
     group.bench_function("forward_im2col", |b| {
         b.iter(|| black_box(conv.forward(black_box(&x), len)))
     });
-    group.bench_function("forward_naive", |b| {
-        b.iter(|| black_box(conv.forward_naive(black_box(&x), len)))
-    });
     group.bench_function("backward_im2col", |b| {
         b.iter(|| black_box(conv.backward(black_box(&x), len, black_box(&dout))))
-    });
-    group.bench_function("backward_naive", |b| {
-        b.iter(|| black_box(conv.backward_naive(black_box(&x), len, black_box(&dout))))
     });
     group.finish();
 }
@@ -131,41 +125,6 @@ fn bench_sgemm_packed(c: &mut Criterion) {
                 out.fill(0.0);
                 linalg::sgemm_nn_scalar(n, n, n, &a, &b_, &mut out);
                 black_box(out[0])
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_locality_chain(c: &mut Criterion) {
-    // Affinity-steered stealing A/B: the blocked elementwise chain on a
-    // threaded pool with the locality heuristic on vs off. The values
-    // are bit-identical either way (asserted by `perf --check` and the
-    // scheduler stress suite); only the schedule shifts.
-    use dsarray::DsArray;
-    use taskrt::{ExecMode, RuntimeConfig};
-    let x = Matrix::from_fn(256, 192, |r, col| ((r * 192 + col) as f64 * 1e-4).sin());
-    let v: Vec<f64> = (0..192).map(|c| 1.0 + (c % 7) as f64 * 0.25).collect();
-    let mut group = c.benchmark_group("locality_chain");
-    group.sample_size(10);
-    for &locality in &[true, false] {
-        let name = if locality { "on" } else { "off" };
-        group.bench_with_input(BenchmarkId::from_parameter(name), &locality, |b, &loc| {
-            b.iter(|| {
-                let rt = Runtime::with_config(RuntimeConfig {
-                    mode: ExecMode::Threads(4),
-                    locality: loc,
-                    ..RuntimeConfig::default()
-                });
-                let vv = rt.put(v.clone());
-                let mut a = DsArray::from_matrix_owned(&rt, x.clone(), 32, 32);
-                for _ in 0..3 {
-                    a = a
-                        .map_blocks_inplace(&rt, "scale", |blk| blk.scale(1.0009))
-                        .sub_row_vector_inplace(&rt, vv)
-                        .div_row_vector_inplace(&rt, vv);
-                }
-                black_box(a.collect(&rt).get(0, 0))
             })
         });
     }
@@ -421,7 +380,6 @@ criterion_group!(
     bench_eigh,
     bench_gemm,
     bench_sgemm_packed,
-    bench_locality_chain,
     bench_scheduler_throughput,
     bench_smo,
     bench_runtime_submission,

@@ -132,8 +132,8 @@ fn run_workload(
 
 fn main() {
     let args = Args::capture();
-    let scale = args.get("scale").unwrap_or("small").to_string();
-    let small = scale == "small";
+    let small = args.scale_small(true);
+    let scale = if small { "small" } else { "full" };
     let workers: usize = args.get_or("workers", 4);
     let nodes: usize = args.get_or("nodes", 4);
     let seed: u64 = args.get_or("seed", 0xc4a0_5eed);
@@ -214,7 +214,7 @@ fn main() {
     // -- artifact -----------------------------------------------------
     let doc = Value::Object(vec![
         ("workload".into(), Value::from("dsarray_reductions")),
-        ("scale".into(), Value::String(scale)),
+        ("scale".into(), Value::from(scale)),
         ("workers".into(), Value::from(workers)),
         ("seed".into(), Value::from(seed)),
         (

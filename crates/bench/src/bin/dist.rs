@@ -71,11 +71,12 @@ fn main() {
     let check = args.has("check");
     let chaos = args.has("chaos");
     let workers: usize = args.get_or("workers", 2);
-    let scale: String = args.get_or("scale", "small".to_string());
-    let (n, d, block_rows, k) = match scale.as_str() {
-        "small" => (2048, 256, 256, 8),
-        "full" => (4096, 320, 256, 16),
-        other => panic!("unknown --scale '{other}' (small|full)"),
+    let small = args.scale_small(true);
+    let scale = if small { "small" } else { "full" };
+    let (n, d, block_rows, k) = if small {
+        (2048, 256, 256, 8)
+    } else {
+        (4096, 320, 256, 16)
     };
     assert!(
         !chaos || workers >= 2,
@@ -154,7 +155,7 @@ fn main() {
     );
 
     let summary = Value::Object(vec![
-        ("scale".into(), Value::String(scale.clone())),
+        ("scale".into(), Value::from(scale)),
         ("workers".into(), Value::Number(workers as f64)),
         ("chaos".into(), Value::Bool(chaos)),
         ("tasks".into(), Value::Number(plan.len() as f64)),

@@ -1,41 +1,32 @@
-//! Hot-path throughput benchmark: scheduler, DES replay, GEMM, and the
-//! application kernels (conv, STFT, RF split finding).
+//! Hot-path throughput benchmark: scheduler, DES replay, GEMM, the
+//! ds-array data plane and the fusion optimizer.
 //!
-//! Measures the paths the performance overhauls target and writes the
-//! numbers to `out/perf.json` (one artifact per binary under `out/`,
-//! so parallel CI jobs never clobber each other):
+//! Measures properties of the current code and writes the numbers to
+//! `out/perf.json` (one artifact per binary under `out/`, so parallel
+//! CI jobs never clobber each other). Superseded implementations are
+//! not kept around as denominators: absolute end-to-end and per-layer
+//! numbers (`runtime.dag_us_per_task`, `nnet.conv_*`, `linalg.stft_*`,
+//! `dislib.rf_s`, `runtime.locality_hit_rate`) come from
+//! `benchmark/run.sh`, and CHANGES.md keeps the history.
 //!
 //! * **scheduler** — a DAG of no-op tasks with random dependencies
-//!   driven through the new runtime (threaded and inline) and through
-//!   [`bench::legacy::LegacyRuntime`], the seed's global-lock
-//!   hash-map scheduler kept as a baseline. Reported as tasks/second;
-//!   `speedup_threaded` is new-vs-legacy on the same DAG and worker
-//!   count.
+//!   driven through the runtime, threaded and inline, reported as
+//!   tasks/second; plus the telemetry-on-vs-off and
+//!   metrics-on-vs-off overheads on the same DAG.
 //! * **des** — replaying a recorded no-op trace through
 //!   [`taskrt::sim::simulate`] on a simulated MareNostrum 4 partition,
 //!   reported as task events/second.
 //! * **gemm** — dense [`linalg::Matrix::matmul`] at a fixed size,
 //!   reported as GFLOP/s.
 //! * **kernel_floor** — the f32 [`linalg::sgemm_nn`] packed/FMA path
-//!   against its scalar oracle across a size sweep, reported as
-//!   GFLOP/s per size; the n=512 ratio is gated per dispatch backend
-//!   and parity is asserted at 1e-4 relative.
-//! * **locality** — the blocked elementwise chain, threaded, with
-//!   [`taskrt::RuntimeConfig::locality`] on vs off (bit-identity
-//!   asserted); reports the locality hit rate and throughput ratio.
-//! * **conv** — [`nnet::Conv1d`] forward/backward via im2col + GEMM
-//!   against the seed's scalar loops (`forward_naive` /
-//!   `backward_naive`), reported as samples/second per direction.
-//! * **stft** — [`linalg::stft`] spectrogram sweeps through a reused
-//!   [`linalg::SpectrogramPlan`] (plan-cached real FFT) against the
-//!   seed's per-window complex-FFT `spectrogram_legacy`, reported as
-//!   signals/second.
-//! * **rf_split** — [`dislib::rf::build_tree`] (pre-sorted split
-//!   finding) against [`dislib::rf::build_tree_legacy`] (per-node
-//!   re-sorting) on the same synthetic dataset, reported as
-//!   trees/second; the trees are asserted identical.
+//!   against its scalar oracle (the real non-AVX2 path) across a size
+//!   sweep, reported as GFLOP/s per size; the n=512 ratio is gated per
+//!   dispatch backend and parity is asserted at 1e-4 relative.
+//! * **dataplane** — a scaler-shaped elementwise ds-array chain through
+//!   the clone-based block ops vs the INOUT ones (asserted equal);
+//!   gates the INOUT steal rate and that INOUT is not slower.
 //! * **fusion** — the graph-rewrite optimizer
-//!   ([`taskrt::RuntimeConfig::fuse`]): the PR-4 elementwise chain at
+//!   ([`taskrt::RuntimeConfig::fuse`]): the elementwise chain at
 //!   fine-grained blocks fused vs unfused (Melem/s, asserted
 //!   bit-identical), the PCA pipeline's submitted-vs-dispatched task
 //!   counts, and a DES replay of both schedules on 288 simulated cores
@@ -44,21 +35,19 @@
 //!
 //! Usage: `cargo run --release -p bench --bin perf -- [--scale small|full]
 //! [--check] [--fuse]` (`small` is the CI smoke setting: fewer
-//! repetitions, smaller shapes; `--check` exits non-zero if any
-//! `speedup_*` field falls below 1.0, fusion changes a value, or the
-//! fused PCA schedule shrinks by less than 30%; `--fuse` additionally
-//! drives the scheduler/obs sections through fusing runtimes).
+//! repetitions, smaller shapes; `--check` exits non-zero if INOUT or
+//! fusion loses to its unfused/clone arm, the kernel floor or steal
+//! rate is missed, telemetry costs 5% or more, fusion changes a value,
+//! or the fused PCA schedule shrinks by less than 30%; `--fuse`
+//! additionally drives the scheduler/obs sections through fusing
+//! runtimes).
 
-use bench::legacy::{AnyArc as LegacyAnyArc, LegacyRuntime, LegacyTaskFn};
 use bench::report::{write_artifact, Args};
 use dislib::pca::{Components, Pca};
-use dislib::rf::{build_tree, build_tree_legacy, RfParams};
 use dsarray::DsArray;
-use linalg::stft::{spectrogram_legacy, SpectrogramConfig, SpectrogramPlan};
 use linalg::Matrix;
-use nnet::Conv1d;
 use rand::rngs::StdRng;
-use rand::{RngCore, RngExt, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
 use taskrt::json::Value;
@@ -89,8 +78,7 @@ fn make_dag(n: usize, seed: u64) -> Vec<Vec<usize>> {
 }
 
 /// One shared output value for every no-op task (cloning an `Arc` is a
-/// refcount bump): keeps the measured work scheduler-only, identically
-/// for both runtimes under test.
+/// refcount bump): keeps the measured work scheduler-only.
 fn unit() -> Arc<u8> {
     static UNIT: std::sync::OnceLock<Arc<u8>> = std::sync::OnceLock::new();
     UNIT.get_or_init(|| Arc::new(0u8)).clone()
@@ -102,8 +90,8 @@ fn noop_body() -> NoopFn {
     Box::new(|_ctx, _ins| vec![(unit() as AnyArc, 1)])
 }
 
-/// Drives `dag` through the new runtime; returns elapsed seconds.
-fn drive_new(rt: &Runtime, dag: &[Vec<usize>]) -> f64 {
+/// Drives `dag` through `rt`; returns elapsed seconds.
+fn drive(rt: &Runtime, dag: &[Vec<usize>]) -> f64 {
     let start = Instant::now();
     let mut outs: Vec<DataId> = Vec::with_capacity(dag.len());
     for deps in dag {
@@ -115,52 +103,15 @@ fn drive_new(rt: &Runtime, dag: &[Vec<usize>]) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-fn legacy_noop_body() -> LegacyTaskFn {
-    Box::new(|_ins| vec![(unit() as LegacyAnyArc, 1)])
-}
-
-/// Drives `dag` through the legacy baseline; returns elapsed seconds.
-fn drive_legacy(rt: &LegacyRuntime, dag: &[Vec<usize>]) -> f64 {
-    let start = Instant::now();
-    let mut outs: Vec<DataId> = Vec::with_capacity(dag.len());
-    for deps in dag {
-        let inputs: Vec<DataId> = deps.iter().map(|&j| outs[j]).collect();
-        let ids = rt.submit_raw("noop".to_string(), inputs, 1, legacy_noop_body());
-        outs.push(ids[0]);
-    }
-    rt.barrier();
-    start.elapsed().as_secs_f64()
-}
-
 /// Best (minimum) elapsed time over `reps` runs of `f`.
 fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
     (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min)
 }
 
-/// Two overlapping quasi-Gaussian clusters (sum of four uniforms per
-/// coordinate), `2 * n_per` rows by `dims` columns, labels alternating.
-/// Overlap keeps nodes impure deep into the tree, which is the regime
-/// where split finding dominates RF training.
-fn synth_blobs(n_per: usize, dims: usize, gap: f64, seed: u64) -> (Matrix, Vec<u8>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut x = Matrix::zeros(2 * n_per, dims);
-    let mut y = Vec::with_capacity(2 * n_per);
-    for r in 0..2 * n_per {
-        let cls = (r % 2) as u8;
-        let center = if cls == 1 { gap } else { 0.0 };
-        for v in x.row_mut(r) {
-            let u: f64 = (0..4).map(|_| rng.random::<f64>()).sum::<f64>() - 2.0;
-            *v = center + u;
-        }
-        y.push(cls);
-    }
-    (x, y)
-}
-
 fn main() {
     let args = Args::capture();
-    let scale = args.get("scale").unwrap_or("full").to_string();
-    let small = scale == "small";
+    let small = args.scale_small(false);
+    let scale = if small { "small" } else { "full" };
     // The CI container has 1 CPU: threaded timings swing 20-30% run to
     // run, so full scale takes enough repetitions for best-of to settle.
     let reps: usize = args.get_or("reps", if small { 2 } else { 9 });
@@ -193,22 +144,12 @@ fn main() {
     };
 
     // -- scheduler ----------------------------------------------------
-    let t_new = best_of(reps, || drive_new(&new_threaded(), &dag));
-    let t_inline = best_of(reps, || drive_new(&new_inline(), &dag));
-    let t_legacy = best_of(reps, || drive_legacy(&LegacyRuntime::new(workers), &dag));
-    let t_legacy_inline = best_of(reps, || drive_legacy(&LegacyRuntime::new(0), &dag));
+    let t_new = best_of(reps, || drive(&new_threaded(), &dag));
+    let t_inline = best_of(reps, || drive(&new_inline(), &dag));
     let new_tps = n_tasks as f64 / t_new;
     let inline_tps = n_tasks as f64 / t_inline;
-    let legacy_tps = n_tasks as f64 / t_legacy;
-    let legacy_inline_tps = n_tasks as f64 / t_legacy_inline;
-    let speedup = new_tps / legacy_tps;
-    let speedup_inline = inline_tps / legacy_inline_tps;
-    println!(
-        "scheduler (threaded x{workers}): new {new_tps:.0} tasks/s | legacy {legacy_tps:.0} tasks/s | speedup {speedup:.2}x"
-    );
-    println!(
-        "scheduler (inline):      new {inline_tps:.0} tasks/s | legacy {legacy_inline_tps:.0} tasks/s | speedup {speedup_inline:.2}x"
-    );
+    println!("scheduler (threaded x{workers}): {new_tps:.0} tasks/s");
+    println!("scheduler (inline):      {inline_tps:.0} tasks/s");
 
     // -- observability / telemetry overhead ---------------------------
     // `Runtime::threaded` keeps the full telemetry layer on (the
@@ -245,17 +186,17 @@ fn main() {
     };
     let obs_reps = reps.max(15);
     // One long-lived runtime per arm: worker threads spawn once, so a
-    // sample never includes pool start-up, and dense-table growth is
+    // sample never includes pool start-up, and table growth is
     // amortized identically on both sides.
     let rt_on = new_threaded();
     let rt_off = no_telemetry();
     let rt_bare = no_metrics();
-    drive_new(&rt_on, &dag); // warmup, discarded
-    drive_new(&rt_off, &dag);
-    drive_new(&rt_bare, &dag);
+    drive(&rt_on, &dag); // warmup, discarded
+    drive(&rt_off, &dag);
+    drive(&rt_bare, &dag);
     // Each timing sample is three consecutive drives (30k tasks):
     // single ~10ms drives swing several percent from scheduling alone.
-    let sample = |rt: &Runtime| -> f64 { (0..3).map(|_| drive_new(rt, &dag)).sum() };
+    let sample = |rt: &Runtime| -> f64 { (0..3).map(|_| drive(rt, &dag)).sum() };
     let mut t_obs_on = f64::INFINITY;
     let mut t_obs_off = f64::INFINITY;
     let mut t_bare = f64::INFINITY;
@@ -283,13 +224,18 @@ fn main() {
     let obs_off_tps = 3.0 * n_tasks as f64 / t_obs_off;
     let bare_tps = 3.0 * n_tasks as f64 / t_bare;
     // Median of the paired ratios, not a ratio of aggregates.
+    // Join the 12 pool threads now: parked, they would pin their malloc
+    // arenas for the rest of the process, and the later sections' worker
+    // threads then land on an arena shared with the driver (measured:
+    // the fused chain runs 3-4x slower in about half of all processes).
+    drop((rt_on, rt_off, rt_bare));
     let obs_overhead = ratios[ratios.len() / 2] - 1.0;
     let trace_overhead = bare_tps / obs_off_tps - 1.0;
     // One instrumented run to report what the journal captured on the
     // 10k-task workload (and that drops are being counted, not lost).
     let (journal_emitted, journal_dropped) = {
         let rt = new_threaded();
-        drive_new(&rt, &dag);
+        drive(&rt, &dag);
         let t = rt.telemetry().expect("telemetry on by default");
         (t.journal().emitted(), t.journal().dropped())
     };
@@ -422,159 +368,6 @@ fn main() {
     };
     println!("kernel_floor gate: n=512 speedup {kf_speedup_512:.2}x vs floor {kf_floor:.2}x [{kf_backend}] (checksum {kf_sink:.3})");
 
-    // -- conv: im2col + GEMM vs scalar loops --------------------------
-    // The acceptance shape: a CNN-realistic mini-batch (the full-scale
-    // setting); `small` shrinks the batch only, keeping the per-sample
-    // shape so CI still exercises the same code paths.
-    let (c_batch, c_in, c_out, c_len, c_k) = if small {
-        (16usize, 16usize, 32usize, 256usize, 7usize)
-    } else {
-        (64, 16, 32, 256, 7)
-    };
-    let mut conv_rng = StdRng::seed_from_u64(11);
-    let mut conv = Conv1d::new(c_in, c_out, c_k, 1, &mut conv_rng);
-    let xs: Vec<Vec<f32>> = (0..c_batch)
-        .map(|_| {
-            (0..c_in * c_len)
-                .map(|_| conv_rng.random::<f32>() * 2.0 - 1.0)
-                .collect()
-        })
-        .collect();
-    let c_ol = conv.out_len(c_len);
-    let dout: Vec<f32> = (0..c_out * c_ol)
-        .map(|_| conv_rng.random::<f32>() * 2.0 - 1.0)
-        .collect();
-    let mut csink = 0.0f32;
-    let t_conv_f = best_of(reps, || {
-        let start = Instant::now();
-        for x in &xs {
-            csink += conv.forward(x, c_len)[0];
-        }
-        start.elapsed().as_secs_f64()
-    });
-    let t_conv_f_naive = best_of(reps, || {
-        let start = Instant::now();
-        for x in &xs {
-            csink += conv.forward_naive(x, c_len)[0];
-        }
-        start.elapsed().as_secs_f64()
-    });
-    let t_conv_b = best_of(reps, || {
-        conv.gw.fill(0.0);
-        conv.gb.fill(0.0);
-        let start = Instant::now();
-        for x in &xs {
-            csink += conv.backward(x, c_len, &dout)[0];
-        }
-        start.elapsed().as_secs_f64()
-    });
-    let t_conv_b_naive = best_of(reps, || {
-        conv.gw.fill(0.0);
-        conv.gb.fill(0.0);
-        let start = Instant::now();
-        for x in &xs {
-            csink += conv.backward_naive(x, c_len, &dout)[0];
-        }
-        start.elapsed().as_secs_f64()
-    });
-    let conv_f_sps = c_batch as f64 / t_conv_f;
-    let conv_f_naive_sps = c_batch as f64 / t_conv_f_naive;
-    let conv_b_sps = c_batch as f64 / t_conv_b;
-    let conv_b_naive_sps = c_batch as f64 / t_conv_b_naive;
-    let speedup_conv_f = conv_f_sps / conv_f_naive_sps;
-    let speedup_conv_b = conv_b_sps / conv_b_naive_sps;
-    println!(
-        "conv fwd ({c_batch}x{c_in}->{c_out} len {c_len} k {c_k}): im2col {conv_f_sps:.0} samples/s | naive {conv_f_naive_sps:.0} samples/s | speedup {speedup_conv_f:.2}x"
-    );
-    println!(
-        "conv bwd: im2col {conv_b_sps:.0} samples/s | naive {conv_b_naive_sps:.0} samples/s | speedup {speedup_conv_b:.2}x (checksum {csink:.3})"
-    );
-
-    // -- stft: plan-cached real FFT vs per-window complex FFT ---------
-    let (s_len, s_count) = if small {
-        (6_000usize, 8usize)
-    } else {
-        (18_300, 24) // the paper's zero-padded recording length
-    };
-    let s_cfg = SpectrogramConfig {
-        nperseg: 256,
-        noverlap: 128,
-        fs: 300.0,
-    };
-    let mut s_rng = StdRng::seed_from_u64(13);
-    let signals: Vec<Vec<f64>> = (0..s_count)
-        .map(|_| (0..s_len).map(|_| s_rng.random::<f64>() - 0.5).collect())
-        .collect();
-    let mut ssink = 0.0;
-    let t_stft_plan = best_of(reps, || {
-        let mut plan = SpectrogramPlan::new(&s_cfg);
-        let start = Instant::now();
-        for sig in &signals {
-            ssink += plan.compute(sig).get(0, 0);
-        }
-        start.elapsed().as_secs_f64()
-    });
-    let t_stft_legacy = best_of(reps, || {
-        let start = Instant::now();
-        for sig in &signals {
-            ssink += spectrogram_legacy(sig, &s_cfg).get(0, 0);
-        }
-        start.elapsed().as_secs_f64()
-    });
-    let stft_sps = s_count as f64 / t_stft_plan;
-    let stft_legacy_sps = s_count as f64 / t_stft_legacy;
-    let speedup_stft = stft_sps / stft_legacy_sps;
-    println!(
-        "stft ({s_count} signals x {s_len} samples, nperseg {}): plan {stft_sps:.1} signals/s | legacy {stft_legacy_sps:.1} signals/s | speedup {speedup_stft:.2}x (checksum {ssink:.3e})",
-        s_cfg.nperseg
-    );
-
-    // -- rf_split: pre-sorted split finding vs per-node re-sorting ----
-    let (rf_per, rf_dims, rf_trees) = if small {
-        (400usize, 10usize, 2u64)
-    } else {
-        (1500, 12, 4)
-    };
-    let (rx, ry) = synth_blobs(rf_per, rf_dims, 0.5, 17);
-    let rf_params = RfParams {
-        max_depth: 12,
-        min_samples_split: 2,
-        seed: 17,
-        ..Default::default()
-    };
-    let mut rf_nodes = 0usize;
-    let t_rf_fast = best_of(reps, || {
-        rf_nodes = 0;
-        let start = Instant::now();
-        for est in 0..rf_trees {
-            rf_nodes += build_tree(&rx, &ry, &rf_params, est).nodes.len();
-        }
-        start.elapsed().as_secs_f64()
-    });
-    let t_rf_legacy = best_of(reps, || {
-        let start = Instant::now();
-        for est in 0..rf_trees {
-            build_tree_legacy(&rx, &ry, &rf_params, est);
-        }
-        start.elapsed().as_secs_f64()
-    });
-    // The whole point of the fast splitter is that it changes nothing:
-    // same trees, just faster. Assert it on the benchmark data too.
-    for est in 0..rf_trees {
-        assert_eq!(
-            build_tree(&rx, &ry, &rf_params, est).nodes,
-            build_tree_legacy(&rx, &ry, &rf_params, est).nodes,
-            "fast and legacy split finders diverged (est {est})"
-        );
-    }
-    let rf_tps = rf_trees as f64 / t_rf_fast;
-    let rf_legacy_tps = rf_trees as f64 / t_rf_legacy;
-    let speedup_rf = rf_tps / rf_legacy_tps;
-    println!(
-        "rf_split ({} samples x {rf_dims} feats, {rf_trees} trees, {rf_nodes} nodes): presorted {rf_tps:.2} trees/s | legacy {rf_legacy_tps:.2} trees/s | speedup {speedup_rf:.2}x",
-        2 * rf_per
-    );
-
     // -- dataplane: clone-based vs INOUT ds-array ops -----------------
     // The scaler-shaped pipeline (scale, center, divide — all
     // elementwise, repeated) over paper-scale blocks, run once through
@@ -665,89 +458,8 @@ fn main() {
         dp_bytes_stolen / 1e6
     );
 
-    // -- locality: affinity-steered work stealing A/B -----------------
-    // The same blocked elementwise chain, threaded, with the locality
-    // heuristic on vs off. Each block's 9-op chain re-reads the block a
-    // producer just wrote, so steering the consumer to the producer's
-    // deque keeps the block in that worker's cache. The heuristic is
-    // advisory only — the outputs must be bit-identical — and the
-    // hit-rate gate (not the throughput ratio, which is noise on the
-    // 1-CPU CI container) is what proves the steering engaged.
-    let loc_rt = |locality: bool| {
-        Runtime::with_config(RuntimeConfig {
-            mode: ExecMode::Threads(workers),
-            locality,
-            ..RuntimeConfig::default()
-        })
-    };
-    // Finer blocks than the dataplane section: enough ready tasks that
-    // the submission-time injector flushes engage the worker pool (at
-    // the dataplane granularity the driver's cooperative help drains
-    // the whole chain by itself and no worker ever runs a task).
-    let (loc_rb, loc_cb) = if small {
-        (32usize, 32usize)
-    } else {
-        (100, 100)
-    };
-    let run_loc = |rt: &Runtime| -> Matrix {
-        let v = rt.put(dp_v.clone());
-        let mut a = DsArray::from_matrix_owned(rt, dp_x.clone(), loc_rb, loc_cb);
-        for _ in 0..dp_chain {
-            a = a
-                .map_blocks_inplace(rt, "loc_scale", |b| b.scale(1.0009))
-                .sub_row_vector_inplace(rt, v)
-                .div_row_vector_inplace(rt, v);
-        }
-        a.collect(rt)
-    };
-    assert_eq!(
-        run_loc(&loc_rt(true)),
-        run_loc(&loc_rt(false)),
-        "locality steering changed the elementwise chain output"
-    );
-    let loc_reps = reps.max(5);
-    let mut t_loc_on = f64::INFINITY;
-    let mut t_loc_off = f64::INFINITY;
-    let mut loc_sink = 0.0;
-    let (mut loc_hits, mut loc_misses, mut loc_stolen) = (0u64, 0u64, 0u64);
-    for _ in 0..loc_reps {
-        // Interleaved pairs, as the obs/fusion sections do, so
-        // container-wide drift lands on both arms.
-        let rt = loc_rt(true);
-        let start = Instant::now();
-        loc_sink += run_loc(&rt).get(0, 0);
-        t_loc_on = t_loc_on.min(start.elapsed().as_secs_f64());
-        // Accumulated across repetitions: any single rep can land
-        // entirely on the driver's cooperative help path (no worker
-        // runs a task, so nothing is hinted) — the aggregate is what
-        // proves the steering engages.
-        let st = rt.stats();
-        loc_hits += st.locality_hits;
-        loc_misses += st.locality_misses;
-        loc_stolen += st.stolen_tasks;
-        let rt = loc_rt(false);
-        let start = Instant::now();
-        loc_sink += run_loc(&rt).get(0, 0);
-        t_loc_off = t_loc_off.min(start.elapsed().as_secs_f64());
-    }
-    let loc_on_meps = dp_elems / t_loc_on / 1e6;
-    let loc_off_meps = dp_elems / t_loc_off / 1e6;
-    let speedup_locality = loc_on_meps / loc_off_meps;
-    let loc_hit_rate = if loc_hits + loc_misses > 0 {
-        loc_hits as f64 / (loc_hits + loc_misses) as f64
-    } else {
-        0.0
-    };
-    println!(
-        "locality (threaded x{workers}, {dp_rows}x{dp_cols} chain, blocks {loc_rb}x{loc_cb}): on {loc_on_meps:.0} Melem/s | off {loc_off_meps:.0} Melem/s | ratio {speedup_locality:.2}x (checksum {loc_sink:.3})"
-    );
-    println!(
-        "locality hints: {loc_hits} hits / {loc_misses} misses ({:.0}% hit rate, {loc_stolen} tasks stolen)",
-        loc_hit_rate * 100.0
-    );
-
     // -- fusion: graph-rewrite optimizer ------------------------------
-    // (a) The PR-4 elementwise chain (3 rounds of scale, center,
+    // (a) The dataplane elementwise chain (3 rounds of scale, center,
     // divide = 9 per-block ops) at COMPSs-granularity blocks: per-task
     // work is a few microseconds, the regime where per-task overhead
     // dominates and fusing each block's 9-op chain into one task pays.
@@ -876,7 +588,7 @@ fn main() {
 
     // -- artifact -----------------------------------------------------
     let doc = Value::Object(vec![
-        ("scale".into(), Value::String(scale)),
+        ("scale".into(), Value::from(scale)),
         ("fuse".into(), Value::Bool(fuse_all)),
         (
             "scheduler".into(),
@@ -885,16 +597,6 @@ fn main() {
                 ("workers".into(), Value::Number(workers as f64)),
                 ("new_threaded_tasks_per_s".into(), Value::Number(new_tps)),
                 ("new_inline_tasks_per_s".into(), Value::Number(inline_tps)),
-                (
-                    "legacy_threaded_tasks_per_s".into(),
-                    Value::Number(legacy_tps),
-                ),
-                (
-                    "legacy_inline_tasks_per_s".into(),
-                    Value::Number(legacy_inline_tps),
-                ),
-                ("speedup_threaded".into(), Value::Number(speedup)),
-                ("speedup_inline".into(), Value::Number(speedup_inline)),
                 ("obs_on_tasks_per_s".into(), Value::Number(obs_on_tps)),
                 ("obs_off_tasks_per_s".into(), Value::Number(obs_off_tps)),
                 ("obs_overhead_frac".into(), Value::Number(obs_overhead)),
@@ -931,57 +633,6 @@ fn main() {
                 ("floor_512".into(), Value::Number(kf_floor)),
                 ("speedup_512".into(), Value::Number(kf_speedup_512)),
                 ("sweep".into(), Value::Array(kf_rows)),
-            ]),
-        ),
-        (
-            "locality".into(),
-            Value::Object(vec![
-                ("workers".into(), Value::Number(workers as f64)),
-                ("block_rows".into(), Value::Number(loc_rb as f64)),
-                ("block_cols".into(), Value::Number(loc_cb as f64)),
-                ("on_melems_per_s".into(), Value::Number(loc_on_meps)),
-                ("off_melems_per_s".into(), Value::Number(loc_off_meps)),
-                ("speedup_locality".into(), Value::Number(speedup_locality)),
-                ("locality_hits".into(), Value::Number(loc_hits as f64)),
-                ("locality_misses".into(), Value::Number(loc_misses as f64)),
-                ("hit_rate".into(), Value::Number(loc_hit_rate)),
-                ("stolen_tasks".into(), Value::Number(loc_stolen as f64)),
-            ]),
-        ),
-        (
-            "conv".into(),
-            Value::Object(vec![
-                ("batch".into(), Value::Number(c_batch as f64)),
-                ("in_ch".into(), Value::Number(c_in as f64)),
-                ("out_ch".into(), Value::Number(c_out as f64)),
-                ("len".into(), Value::Number(c_len as f64)),
-                ("kernel".into(), Value::Number(c_k as f64)),
-                ("forward_samples_per_s".into(), Value::Number(conv_f_sps)),
-                (
-                    "forward_naive_samples_per_s".into(),
-                    Value::Number(conv_f_naive_sps),
-                ),
-                ("backward_samples_per_s".into(), Value::Number(conv_b_sps)),
-                (
-                    "backward_naive_samples_per_s".into(),
-                    Value::Number(conv_b_naive_sps),
-                ),
-                ("speedup_forward".into(), Value::Number(speedup_conv_f)),
-                ("speedup_backward".into(), Value::Number(speedup_conv_b)),
-            ]),
-        ),
-        (
-            "stft".into(),
-            Value::Object(vec![
-                ("signals".into(), Value::Number(s_count as f64)),
-                ("signal_len".into(), Value::Number(s_len as f64)),
-                ("nperseg".into(), Value::Number(s_cfg.nperseg as f64)),
-                ("plan_signals_per_s".into(), Value::Number(stft_sps)),
-                (
-                    "legacy_signals_per_s".into(),
-                    Value::Number(stft_legacy_sps),
-                ),
-                ("speedup_plan".into(), Value::Number(speedup_stft)),
             ]),
         ),
         (
@@ -1065,41 +716,12 @@ fn main() {
                 ),
             ]),
         ),
-        (
-            "rf_split".into(),
-            Value::Object(vec![
-                ("samples".into(), Value::Number(2.0 * rf_per as f64)),
-                ("features".into(), Value::Number(rf_dims as f64)),
-                ("trees".into(), Value::Number(rf_trees as f64)),
-                ("nodes".into(), Value::Number(rf_nodes as f64)),
-                ("presorted_trees_per_s".into(), Value::Number(rf_tps)),
-                ("legacy_trees_per_s".into(), Value::Number(rf_legacy_tps)),
-                ("speedup_presorted".into(), Value::Number(speedup_rf)),
-            ]),
-        ),
     ]);
     write_artifact("out/perf.json", &doc.pretty()).expect("write out/perf.json");
 
     // -- gate (--check) -----------------------------------------------
     if args.has("check") {
-        // Under `--fuse` the scheduler sections run through fused
-        // runtimes on the random no-op DAG — the anti-fusion regime
-        // (shallow chains, zero per-task work), where windowing is pure
-        // overhead. The legacy-comparison gates only apply to the
-        // default path; the fused run still gates bit-identity, the
-        // fusion section, and every runtime-independent kernel.
-        let (sched_threaded, sched_inline) = if fuse_all {
-            (f64::INFINITY, f64::INFINITY)
-        } else {
-            (speedup, speedup_inline)
-        };
         let gates = [
-            ("scheduler.speedup_threaded", sched_threaded),
-            ("scheduler.speedup_inline", sched_inline),
-            ("conv.speedup_forward", speedup_conv_f),
-            ("conv.speedup_backward", speedup_conv_b),
-            ("stft.speedup_plan", speedup_stft),
-            ("rf_split.speedup_presorted", speedup_rf),
             ("dataplane.speedup_inout", speedup_dp),
             ("fusion.speedup_fused", speedup_fused),
         ];
@@ -1122,22 +744,6 @@ fn main() {
             eprintln!(
                 "check FAILED: kernel_floor.speedup_512 = {kf_speedup_512:.3} < {kf_floor:.2} [{kf_backend}]"
             );
-            ok = false;
-        }
-        // Locality: the hint must actually fire (hits exist and
-        // dominate) — this holds even on a 1-CPU container, where the
-        // throughput ratio itself is noise, so that ratio only gates
-        // against outright regression.
-        if loc_hits == 0 {
-            eprintln!("check FAILED: locality.locality_hits = 0");
-            ok = false;
-        }
-        if loc_hit_rate <= 0.5 || loc_hit_rate.is_nan() {
-            eprintln!("check FAILED: locality.hit_rate = {loc_hit_rate:.3} <= 0.5");
-            ok = false;
-        }
-        if speedup_locality < 0.95 || speedup_locality.is_nan() {
-            eprintln!("check FAILED: locality.speedup_locality = {speedup_locality:.3} < 0.95");
             ok = false;
         }
         // Fusion is an optimizer: it must never change values and must
@@ -1176,8 +782,7 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "check: all speedup_* fields >= 1.0, kernel floor {kf_speedup_512:.2}x >= {kf_floor:.2}x [{kf_backend}], locality hit rate {:.0}%, steal rate > 50%, telemetry overhead {:.1}% < 5%, fusion bit-identical with {:.0}% fewer PCA dispatches",
-            loc_hit_rate * 100.0,
+            "check: inout and fusion speedups >= 1.0, kernel floor {kf_speedup_512:.2}x >= {kf_floor:.2}x [{kf_backend}], steal rate > 50%, telemetry overhead {:.1}% < 5%, fusion bit-identical with {:.0}% fewer PCA dispatches",
             obs_overhead * 100.0,
             pca_reduction * 100.0
         );

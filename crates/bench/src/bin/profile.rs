@@ -35,8 +35,8 @@ use taskrt::{Profile, Runtime, SimProfile};
 
 fn main() {
     let args = Args::capture();
-    let scale = args.get("scale").unwrap_or("small").to_string();
-    let small = scale == "small";
+    let small = args.scale_small(true);
+    let scale = if small { "small" } else { "full" };
     let default_workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
@@ -92,7 +92,7 @@ fn main() {
     // -- artifacts ----------------------------------------------------
     let doc = Value::Object(vec![
         ("workload".into(), Value::from("ecg_pca")),
-        ("scale".into(), Value::String(scale)),
+        ("scale".into(), Value::from(scale)),
         ("workers".into(), Value::from(workers)),
         ("sim_nodes".into(), Value::from(nodes)),
         ("runtime".into(), stats.to_value()),

@@ -11,8 +11,8 @@
 //! * **throughput** — the same sliding-window random DAG driven at
 //!   10k tasks and at 1M tasks (`--scale small` shrinks the large run
 //!   to 250k) through a streaming runtime. Reported as tasks/second;
-//!   `ratio_large` is large-vs-10k on identical configuration. A flat
-//!   runtime degrades here as its tables grow without bound; the
+//!   `ratio_large` is large-vs-10k on identical configuration. A default
+//!   (retire-nothing) runtime degrades here as its tables grow without bound; the
 //!   streaming runtime must hold ≥ 0.5× its 10k rate.
 //! * **residency** — [`taskrt::Runtime::table_stats`] after the large
 //!   run: every task was allocated, but the peak *live* slot count
@@ -117,8 +117,8 @@ fn spin(iters: u64) -> u64 {
 
 fn main() {
     let args = Args::capture();
-    let scale = args.get("scale").unwrap_or("full").to_string();
-    let small = scale == "small";
+    let small = args.scale_small(false);
+    let scale = if small { "small" } else { "full" };
     let default_workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
@@ -171,7 +171,7 @@ fn main() {
     // tasks. From the moment B's backlog is queued, deficit-round-
     // robin dispatch must interleave 1:1 (equal weights): while B
     // drains, A completes one task per B task, not a flood's worth.
-    // The experiment runs on a flat runtime — fairness is orthogonal
+    // The experiment runs on a default runtime — fairness is orthogonal
     // to streaming, and pre-queuing the full flood is exactly what
     // backpressure would forbid.
     let (nb, spin_iters) = if small {
@@ -230,7 +230,7 @@ fn main() {
 
     // -- artifact: merge the "scale" section into out/perf.json -------
     let section = Value::Object(vec![
-        ("setting".into(), Value::String(scale)),
+        ("setting".into(), Value::from(scale)),
         ("workers".into(), Value::from(workers)),
         ("watermark_high".into(), Value::from(high)),
         ("watermark_low".into(), Value::from(low)),

@@ -44,8 +44,8 @@ use taskrt::Runtime;
 
 fn main() {
     let args = Args::capture();
-    let scale = args.get("scale").unwrap_or("small").to_string();
-    let small = scale == "small";
+    let small = args.scale_small(true);
+    let scale = if small { "small" } else { "full" };
     let default_workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
@@ -241,7 +241,7 @@ fn main() {
     };
     let doc = Value::Object(vec![
         ("workload".into(), Value::from("ecg_pca")),
-        ("scale".into(), Value::String(scale)),
+        ("scale".into(), Value::from(scale)),
         ("workers".into(), Value::from(workers)),
         ("sim_nodes".into(), Value::from(nodes)),
         ("runtime".into(), stats.to_value()),
@@ -339,9 +339,8 @@ fn self_check() {
     );
     let events = v["journal"]["events"].as_array().expect("journal.events");
     assert!(!events.is_empty(), "journal captured no events");
-    // The ring capacity scales with the worker count (see
-    // `RuntimeConfig::journal_cap`); a high drop rate means the sizing
-    // regressed back to losing most of the run's events.
+    // `Telemetry::new` sizes the rings from the worker count; a high
+    // drop rate means that rule regressed to losing most of the run.
     let drop_rate = v["journal"]["drop_rate"]
         .as_f64()
         .expect("journal.drop_rate");

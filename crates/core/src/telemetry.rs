@@ -74,8 +74,8 @@ pub enum EventKind {
     /// The block buffer pool fell through to a fresh allocation. `n` =
     /// bytes allocated.
     PoolMiss,
-    /// A steal batch was filtered by the locality heuristic
-    /// ([`crate::RuntimeConfig::locality`]): tasks whose affinity hint
+    /// A steal batch was filtered by the locality heuristic (the
+    /// affinity hint every threaded runtime computes): tasks whose hint
     /// named the victim were handed back instead of migrated. Emitted
     /// alongside the [`EventKind::Steal`] event only when the filter
     /// actually returned something. `n` = cold tasks kept by the
@@ -262,12 +262,12 @@ impl Shard {
 }
 
 /// Floor for the auto-scaled per-shard capacity (see
-/// [`Telemetry::new_with_cap`]): the journal keeps the last `capacity`
-/// events per executor and counts the rest as dropped. 512 slots ×
-/// 48 bytes ≈ 24 KiB keeps a ring L1-resident, but as a flat default
-/// it dropped ~75% of a 10k-task run's events; the auto default now
-/// divides a fixed event budget across the shards, trading ~2% of
-/// no-op throughput (cold slot lines) for full-stream retention.
+/// [`Telemetry::new`]): the journal keeps the last `capacity` events
+/// per executor and counts the rest as dropped. 512 slots × 48 bytes
+/// ≈ 24 KiB keeps a ring L1-resident, but as a flat size it dropped
+/// ~75% of a 10k-task run's events; `Telemetry::new` divides a fixed
+/// event budget across the shards instead, trading ~2% of no-op
+/// throughput (cold slot lines) for full-stream retention.
 pub const DEFAULT_JOURNAL_CAP: usize = 512;
 
 /// A bounded, lock-free event journal with one ring per executor
@@ -1301,27 +1301,18 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
+    /// Sizes the journal from the worker count: each shard gets a
+    /// share of a fixed overall event budget, so wide pools don't
+    /// multiply the journal's footprint while small pools stop
+    /// dropping the bulk of a 10k-task run (flat 512-slot rings lost
+    /// ~75% of events there).
     pub fn new(n_workers: usize, epoch: Instant) -> Self {
-        Self::new_with_cap(n_workers, 0, epoch)
-    }
-
-    /// Like [`Telemetry::new`] but with an explicit per-shard journal
-    /// capacity (see [`crate::RuntimeConfig::journal_cap`]). `0` picks
-    /// the default: a per-worker share of a fixed overall event budget,
-    /// so wide pools don't multiply the journal's footprint while small
-    /// pools stop dropping the bulk of a 10k-task run (the old flat
-    /// 512-slot rings lost ~75% of events there).
-    pub fn new_with_cap(n_workers: usize, cap: usize, epoch: Instant) -> Self {
-        let cap = if cap == 0 {
-            // Overall budget: 32768 events split across the shards
-            // (driver + workers + external), clamped so one shard never
-            // drops below the old default or balloons past 16k slots.
-            (32768 / (n_workers + 2))
-                .next_power_of_two()
-                .clamp(DEFAULT_JOURNAL_CAP, 16384)
-        } else {
-            cap
-        };
+        // Overall budget: 32768 events split across the shards
+        // (driver + workers + external), clamped so one shard never
+        // drops below the floor or balloons past 16k slots.
+        let cap = (32768 / (n_workers + 2))
+            .next_power_of_two()
+            .clamp(DEFAULT_JOURNAL_CAP, 16384);
         Telemetry {
             journal: Journal::new(n_workers, cap, epoch),
             queue_wait: LogHistogram::new(),

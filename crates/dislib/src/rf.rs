@@ -171,85 +171,9 @@ fn gini(counts: &[usize; 2]) -> f64 {
     1.0 - p0 * p0 - p1 * p1
 }
 
-fn class_counts(y: &[u8], idx: &[u32]) -> [usize; 2] {
-    let mut c = [0usize; 2];
-    for &i in idx {
-        c[y[i as usize] as usize] += 1;
-    }
-    c
-}
-
 fn leaf_probs(counts: &[usize; 2]) -> [f64; 2] {
     let n = (counts[0] + counts[1]).max(1) as f64;
     [counts[0] as f64 / n, counts[1] as f64 / n]
-}
-
-/// Best (feature, threshold) among a random subset of `sqrt(n_features)`
-/// features, by weighted Gini; `None` if no split reduces impurity.
-///
-/// This is the seed's splitter: it re-gathers and re-sorts the node's
-/// `(value, label)` pairs for every tried feature of every node. Kept
-/// as the reference path for the perf harness A/B and the
-/// identical-tree parity tests; [`best_split_fast`] is the production
-/// path.
-fn best_split(
-    x: &Matrix,
-    y: &[u8],
-    idx: &[u32],
-    rng: &mut StdRng,
-) -> Option<(u32, f64, Vec<u32>, Vec<u32>)> {
-    let n_feat = x.cols();
-    let n_try = (n_feat as f64).sqrt().ceil() as usize;
-    let parent_counts = class_counts(y, idx);
-    let parent_gini = gini(&parent_counts);
-    if parent_gini == 0.0 {
-        return None;
-    }
-
-    let mut best: Option<(f64, u32, f64)> = None; // (score, feature, threshold)
-    for _ in 0..n_try {
-        let f = rng.random_range(0..n_feat);
-        // Sort sample values along this feature.
-        let mut vals: Vec<(f64, u8)> = idx
-            .iter()
-            .map(|&i| (x.get(i as usize, f), y[i as usize]))
-            .collect();
-        vals.sort_by(|a, b| a.0.total_cmp(&b.0));
-        // Sweep thresholds between distinct consecutive values.
-        let total = class_counts(y, idx);
-        let mut left = [0usize; 2];
-        for w in 0..vals.len() - 1 {
-            left[vals[w].1 as usize] += 1;
-            if vals[w].0 == vals[w + 1].0 {
-                continue;
-            }
-            let right = [total[0] - left[0], total[1] - left[1]];
-            let nl = (left[0] + left[1]) as f64;
-            let nr = (right[0] + right[1]) as f64;
-            let score = (nl * gini(&left) + nr * gini(&right)) / (nl + nr);
-            let thr = 0.5 * (vals[w].0 + vals[w + 1].0);
-            if best.is_none_or(|(s, _, _)| score < s) {
-                best = Some((score, f as u32, thr));
-            }
-        }
-    }
-
-    let (score, feature, threshold) = best?;
-    if score >= parent_gini - 1e-12 {
-        return None;
-    }
-    let (mut li, mut ri) = (Vec::new(), Vec::new());
-    for &i in idx {
-        if x.get(i as usize, feature as usize) <= threshold {
-            li.push(i);
-        } else {
-            ri.push(i);
-        }
-    }
-    if li.is_empty() || ri.is_empty() {
-        return None;
-    }
-    Some((feature, threshold, li, ri))
 }
 
 /// Per-tree scratch for the pre-sorted split finder: the bootstrap
@@ -344,8 +268,9 @@ fn class_counts_pos(y: &[u8], rows: &[u32], pos: &[u32]) -> [usize; 2] {
     c
 }
 
-/// The fast splitter: same split decisions as [`best_split`] (identical
-/// scores, thresholds, and tie-breaks, hence identical trees), but
+/// The split finder: same split decisions as the per-node re-sorting
+/// splitter it replaced (identical scores, thresholds, and tie-breaks,
+/// hence identical trees — the test-only `best_split` oracle), but
 /// instead of re-sorting the node's samples per feature it filters the
 /// tree-wide pre-sorted order through the node-membership mark — O(n)
 /// per feature with no sort. Small nodes (where a full-bootstrap scan
@@ -430,55 +355,8 @@ fn best_split_fast(
     Some((feature, threshold, li, ri))
 }
 
-/// Recursively grows a subtree into `arena`, returning its root index.
-#[allow(clippy::too_many_arguments)]
-fn grow(
-    arena: &mut Vec<Node>,
-    x: &Matrix,
-    y: &[u8],
-    idx: &[u32],
-    depth: usize,
-    params: &RfParams,
-    rng: &mut StdRng,
-    stop_depth: Option<usize>,
-) -> u32 {
-    let counts = class_counts(y, idx);
-    let probs = leaf_probs(&counts);
-    let me = arena.len() as u32;
-    arena.push(Node {
-        feature: 0,
-        threshold: 0.0,
-        left: LEAF,
-        right: 0,
-        probs,
-    });
-
-    if let Some(sd) = stop_depth {
-        if depth == sd {
-            // Frontier slot: partition index assigned by the caller.
-            arena[me as usize].left = FRONTIER;
-            return me;
-        }
-    }
-    if depth >= params.max_depth || idx.len() < params.min_samples_split {
-        return me;
-    }
-    let Some((feature, threshold, li, ri)) = best_split(x, y, idx, rng) else {
-        return me;
-    };
-    let l = grow(arena, x, y, &li, depth + 1, params, rng, stop_depth);
-    let r = grow(arena, x, y, &ri, depth + 1, params, rng, stop_depth);
-    let n = &mut arena[me as usize];
-    n.feature = feature;
-    n.threshold = threshold;
-    n.left = l;
-    n.right = r;
-    me
-}
-
-/// [`grow`] over bootstrap *positions* with the pre-sorted splitter;
-/// identical recursion structure, identical RNG consumption, identical
-/// resulting arena.
+/// Recursively grows a subtree into `arena` over bootstrap
+/// *positions* with the pre-sorted splitter, returning its root index.
 #[allow(clippy::too_many_arguments)]
 fn grow_fast(
     arena: &mut Vec<Node>,
@@ -538,17 +416,6 @@ pub fn build_tree(x: &Matrix, y: &[u8], params: &RfParams, est_seed: u64) -> Tre
     let mut sc = SplitScratch::new(rows, y, x.cols());
     let mut arena = Vec::new();
     grow_fast(&mut arena, x, y, &mut sc, &pos, 0, params, &mut rng, None);
-    Tree { nodes: arena }
-}
-
-/// [`build_tree`] via the seed's per-node re-sorting splitter. Kept for
-/// the perf harness A/B and the identical-tree parity tests; produces
-/// bit-identical trees to [`build_tree`].
-pub fn build_tree_legacy(x: &Matrix, y: &[u8], params: &RfParams, est_seed: u64) -> Tree {
-    let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(est_seed));
-    let idx = bootstrap(x.rows(), &mut rng);
-    let mut arena = Vec::new();
-    grow(&mut arena, x, y, &idx, 0, params, &mut rng, None);
     Tree { nodes: arena }
 }
 
@@ -794,6 +661,136 @@ mod tests {
     use super::*;
     use crate::metrics::accuracy;
     use crate::testutil::{blobs, blobs_nd};
+
+    fn class_counts(y: &[u8], idx: &[u32]) -> [usize; 2] {
+        let mut c = [0usize; 2];
+        for &i in idx {
+            c[y[i as usize] as usize] += 1;
+        }
+        c
+    }
+
+    /// Best (feature, threshold) among a random subset of `sqrt(n_features)`
+    /// features, by weighted Gini; `None` if no split reduces impurity.
+    ///
+    /// The oracle splitter: it re-gathers and re-sorts the node's
+    /// `(value, label)` pairs for every tried feature of every node.
+    /// [`best_split_fast`] must make the same decisions.
+    fn best_split(
+        x: &Matrix,
+        y: &[u8],
+        idx: &[u32],
+        rng: &mut StdRng,
+    ) -> Option<(u32, f64, Vec<u32>, Vec<u32>)> {
+        let n_feat = x.cols();
+        let n_try = (n_feat as f64).sqrt().ceil() as usize;
+        let parent_counts = class_counts(y, idx);
+        let parent_gini = gini(&parent_counts);
+        if parent_gini == 0.0 {
+            return None;
+        }
+
+        let mut best: Option<(f64, u32, f64)> = None; // (score, feature, threshold)
+        for _ in 0..n_try {
+            let f = rng.random_range(0..n_feat);
+            // Sort sample values along this feature.
+            let mut vals: Vec<(f64, u8)> = idx
+                .iter()
+                .map(|&i| (x.get(i as usize, f), y[i as usize]))
+                .collect();
+            vals.sort_by(|a, b| a.0.total_cmp(&b.0));
+            // Sweep thresholds between distinct consecutive values.
+            let total = class_counts(y, idx);
+            let mut left = [0usize; 2];
+            for w in 0..vals.len() - 1 {
+                left[vals[w].1 as usize] += 1;
+                if vals[w].0 == vals[w + 1].0 {
+                    continue;
+                }
+                let right = [total[0] - left[0], total[1] - left[1]];
+                let nl = (left[0] + left[1]) as f64;
+                let nr = (right[0] + right[1]) as f64;
+                let score = (nl * gini(&left) + nr * gini(&right)) / (nl + nr);
+                let thr = 0.5 * (vals[w].0 + vals[w + 1].0);
+                if best.is_none_or(|(s, _, _)| score < s) {
+                    best = Some((score, f as u32, thr));
+                }
+            }
+        }
+
+        let (score, feature, threshold) = best?;
+        if score >= parent_gini - 1e-12 {
+            return None;
+        }
+        let (mut li, mut ri) = (Vec::new(), Vec::new());
+        for &i in idx {
+            if x.get(i as usize, feature as usize) <= threshold {
+                li.push(i);
+            } else {
+                ri.push(i);
+            }
+        }
+        if li.is_empty() || ri.is_empty() {
+            return None;
+        }
+        Some((feature, threshold, li, ri))
+    }
+
+    /// Recursively grows a subtree into `arena`, returning its root index.
+    #[allow(clippy::too_many_arguments)]
+    fn grow(
+        arena: &mut Vec<Node>,
+        x: &Matrix,
+        y: &[u8],
+        idx: &[u32],
+        depth: usize,
+        params: &RfParams,
+        rng: &mut StdRng,
+        stop_depth: Option<usize>,
+    ) -> u32 {
+        let counts = class_counts(y, idx);
+        let probs = leaf_probs(&counts);
+        let me = arena.len() as u32;
+        arena.push(Node {
+            feature: 0,
+            threshold: 0.0,
+            left: LEAF,
+            right: 0,
+            probs,
+        });
+
+        if let Some(sd) = stop_depth {
+            if depth == sd {
+                // Frontier slot: partition index assigned by the caller.
+                arena[me as usize].left = FRONTIER;
+                return me;
+            }
+        }
+        if depth >= params.max_depth || idx.len() < params.min_samples_split {
+            return me;
+        }
+        let Some((feature, threshold, li, ri)) = best_split(x, y, idx, rng) else {
+            return me;
+        };
+        let l = grow(arena, x, y, &li, depth + 1, params, rng, stop_depth);
+        let r = grow(arena, x, y, &ri, depth + 1, params, rng, stop_depth);
+        let n = &mut arena[me as usize];
+        n.feature = feature;
+        n.threshold = threshold;
+        n.left = l;
+        n.right = r;
+        me
+    }
+
+    /// [`build_tree`] via the per-node re-sorting splitter: the oracle
+    /// [`build_tree`] must reproduce bit for bit.
+    fn build_tree_legacy(x: &Matrix, y: &[u8], params: &RfParams, est_seed: u64) -> Tree {
+        let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(est_seed));
+        let idx = bootstrap(x.rows(), &mut rng);
+        let mut arena = Vec::new();
+        grow(&mut arena, x, y, &idx, 0, params, &mut rng, None);
+        Tree { nodes: arena }
+    }
 
     #[test]
     fn gini_extremes() {

@@ -9,7 +9,7 @@
 //!
 //! * [`fft_inplace`] / [`ifft_inplace`] — the self-contained transform
 //!   that recomputes twiddle factors with a complex-multiply recurrence
-//!   on every call. Kept as the reference/legacy path.
+//!   on every call. The reference path the plans are tested against.
 //! * [`FftPlan`] / [`RfftPlan`] — plan-then-execute, FFTW-style. A plan
 //!   precomputes the bit-reversal permutation and a twiddle table once;
 //!   executing it performs no trigonometry and no allocation. The real

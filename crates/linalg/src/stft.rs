@@ -7,7 +7,7 @@
 //! of `nperseg` samples, hop `nperseg - noverlap`, one-sided power
 //! spectral density per segment.
 
-use crate::fft::{fft_inplace, Complex, RfftPlan};
+use crate::fft::{Complex, RfftPlan};
 use crate::matrix::Matrix;
 
 /// Parameters for [`spectrogram`], mirroring `scipy.signal.spectrogram`.
@@ -157,53 +157,6 @@ pub fn spectrogram(signal: &[f64], cfg: &SpectrogramConfig) -> Matrix {
     SpectrogramPlan::new(cfg).compute(signal)
 }
 
-/// The seed's per-window implementation: recomputes the Hann window and
-/// PSD scaling per call and the FFT twiddle factors per *window*, and
-/// runs the full complex FFT on the zero-padded segment. Kept as the
-/// reference path so the perf harness can A/B it against
-/// [`SpectrogramPlan`]; results agree to ~1e-9 relative (the plan's
-/// tabulated twiddles avoid the legacy recurrence's rounding drift).
-pub fn spectrogram_legacy(signal: &[f64], cfg: &SpectrogramConfig) -> Matrix {
-    assert!(cfg.nperseg > 0, "nperseg must be positive");
-    assert!(cfg.noverlap < cfg.nperseg, "noverlap must be < nperseg");
-    let nfft = cfg.nperseg.next_power_of_two();
-    let bins = nfft / 2 + 1;
-    let hop = cfg.nperseg - cfg.noverlap;
-    if signal.len() < cfg.nperseg {
-        return Matrix::zeros(bins, 0);
-    }
-    let nseg = (signal.len() - cfg.nperseg) / hop + 1;
-
-    let window = hann_window(cfg.nperseg);
-    let win_pow: f64 = window.iter().map(|w| w * w).sum();
-    // SciPy PSD scaling: 1 / (fs * sum(win^2)).
-    let scale = 1.0 / (cfg.fs * win_pow);
-
-    let mut out = Matrix::zeros(bins, nseg);
-    let mut buf = vec![Complex::default(); nfft];
-    for seg in 0..nseg {
-        let start = seg * hop;
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = if i < cfg.nperseg {
-                Complex::new(signal[start + i] * window[i], 0.0)
-            } else {
-                Complex::default()
-            };
-        }
-        fft_inplace(&mut buf);
-        for (bin, c) in buf[..bins].iter().enumerate() {
-            // One-sided spectrum doubles interior bins.
-            let mult = if bin == 0 || bin == bins - 1 {
-                1.0
-            } else {
-                2.0
-            };
-            out.set(bin, seg, mult * c.norm_sq() * scale);
-        }
-    }
-    out
-}
-
 /// Flattens a spectrogram row-major into a feature vector, as the paper
 /// does with `numpy.ndarray.flatten` before PCA.
 pub fn flatten_spectrogram(sxx: &Matrix) -> Vec<f64> {
@@ -225,7 +178,54 @@ pub fn feature_count(len: usize, cfg: &SpectrogramConfig) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fft::fft_inplace;
     use proptest::prelude::*;
+
+    /// The per-window oracle: recomputes the Hann window and PSD scaling
+    /// per call and the FFT twiddle factors per *window*, and runs the
+    /// full complex FFT on the zero-padded segment. [`SpectrogramPlan`]
+    /// agrees to ~1e-9 relative (its tabulated twiddles avoid this
+    /// recurrence's rounding drift).
+    fn spectrogram_legacy(signal: &[f64], cfg: &SpectrogramConfig) -> Matrix {
+        assert!(cfg.nperseg > 0, "nperseg must be positive");
+        assert!(cfg.noverlap < cfg.nperseg, "noverlap must be < nperseg");
+        let nfft = cfg.nperseg.next_power_of_two();
+        let bins = nfft / 2 + 1;
+        let hop = cfg.nperseg - cfg.noverlap;
+        if signal.len() < cfg.nperseg {
+            return Matrix::zeros(bins, 0);
+        }
+        let nseg = (signal.len() - cfg.nperseg) / hop + 1;
+
+        let window = hann_window(cfg.nperseg);
+        let win_pow: f64 = window.iter().map(|w| w * w).sum();
+        // SciPy PSD scaling: 1 / (fs * sum(win^2)).
+        let scale = 1.0 / (cfg.fs * win_pow);
+
+        let mut out = Matrix::zeros(bins, nseg);
+        let mut buf = vec![Complex::default(); nfft];
+        for seg in 0..nseg {
+            let start = seg * hop;
+            for (i, b) in buf.iter_mut().enumerate() {
+                *b = if i < cfg.nperseg {
+                    Complex::new(signal[start + i] * window[i], 0.0)
+                } else {
+                    Complex::default()
+                };
+            }
+            fft_inplace(&mut buf);
+            for (bin, c) in buf[..bins].iter().enumerate() {
+                // One-sided spectrum doubles interior bins.
+                let mult = if bin == 0 || bin == bins - 1 {
+                    1.0
+                } else {
+                    2.0
+                };
+                out.set(bin, seg, mult * c.norm_sq() * scale);
+            }
+        }
+        out
+    }
 
     #[test]
     fn hann_endpoints_and_symmetry() {

@@ -133,12 +133,13 @@ impl Conv1d {
     /// Forward pass, lowered to im2col + GEMM (the EDDL lowering):
     /// `out[out_ch x ol] = w[out_ch x ick] * cols[ick x ol] + b`.
     /// With the scalar GEMM (`LINALG_FORCE_SCALAR`) this is bitwise
-    /// identical to [`Self::forward_naive`] — the patch-matrix row
-    /// order and the blocked GEMM's ascending-`k` accumulation
-    /// reproduce the scalar loops' summation order exactly (asserted
-    /// by `im2col_with_scalar_gemm_bitwise_matches_naive`). The
-    /// default SIMD GEMM reassociates the per-element sums and matches
-    /// to ≤1e-4 relative instead.
+    /// identical to the 4-deep scalar loops (the test-only
+    /// `forward_naive` oracle) — the patch-matrix row order and the
+    /// blocked GEMM's ascending-`k` accumulation reproduce their
+    /// summation order exactly (asserted by
+    /// `im2col_with_scalar_gemm_bitwise_matches_naive`). The default
+    /// SIMD GEMM reassociates the per-element sums and matches to
+    /// ≤1e-4 relative instead.
     pub fn forward(&self, x: &[f32], in_len: usize) -> Vec<f32> {
         let ol = self.out_len(in_len);
         let ick = self.in_ch * self.kernel;
@@ -156,8 +157,8 @@ impl Conv1d {
 
     /// Backward pass, lowered to two GEMMs plus a col2im scatter:
     /// `gw += dout * cols^T`, `dcols = w^T * dout`, `dx = col2im(dcols)`.
-    /// Matches [`Self::backward_naive`] to f32 rounding (the gradient
-    /// GEMMs reassociate the sums).
+    /// Matches the scalar loops (test-only `backward_naive` oracle) to
+    /// f32 rounding (the gradient GEMMs reassociate the sums).
     pub fn backward(&mut self, x: &[f32], in_len: usize, dout: &[f32]) -> Vec<f32> {
         let ol = self.out_len(in_len);
         let ick = self.in_ch * self.kernel;
@@ -182,54 +183,6 @@ impl Conv1d {
                 }
             }
         });
-        dx
-    }
-
-    /// The seed's 4-deep scalar-loop forward pass, kept as the
-    /// reference path for parity tests and the perf harness A/B.
-    pub fn forward_naive(&self, x: &[f32], in_len: usize) -> Vec<f32> {
-        let ol = self.out_len(in_len);
-        let mut out = vec![0.0f32; self.out_ch * ol];
-        for o in 0..self.out_ch {
-            for t in 0..ol {
-                let mut acc = self.b[o];
-                let base_t = t * self.stride;
-                for i in 0..self.in_ch {
-                    let wbase = (o * self.in_ch + i) * self.kernel;
-                    let xbase = i * in_len + base_t;
-                    for k in 0..self.kernel {
-                        acc += self.w[wbase + k] * x[xbase + k];
-                    }
-                }
-                out[o * ol + t] = acc;
-            }
-        }
-        out
-    }
-
-    /// The seed's scalar-loop backward pass (reference path; see
-    /// [`Self::forward_naive`]).
-    pub fn backward_naive(&mut self, x: &[f32], in_len: usize, dout: &[f32]) -> Vec<f32> {
-        let ol = self.out_len(in_len);
-        let mut dx = vec![0.0f32; self.in_ch * in_len];
-        for o in 0..self.out_ch {
-            for t in 0..ol {
-                let g = dout[o * ol + t];
-                if g == 0.0 {
-                    continue;
-                }
-                self.gb[o] += g;
-                let base_t = t * self.stride;
-                for i in 0..self.in_ch {
-                    let wbase = (o * self.in_ch + i) * self.kernel;
-                    let xbase = i * in_len + base_t;
-                    for k in 0..self.kernel {
-                        self.gw[wbase + k] += g * x[xbase + k];
-                        dx[xbase + k] += g * self.w[wbase + k];
-                    }
-                }
-            }
-        }
         dx
     }
 }
@@ -442,6 +395,55 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(1)
+    }
+
+    impl Conv1d {
+        /// The 4-deep scalar-loop forward pass: the oracle the
+        /// im2col + GEMM lowering is checked against.
+        fn forward_naive(&self, x: &[f32], in_len: usize) -> Vec<f32> {
+            let ol = self.out_len(in_len);
+            let mut out = vec![0.0f32; self.out_ch * ol];
+            for o in 0..self.out_ch {
+                for t in 0..ol {
+                    let mut acc = self.b[o];
+                    let base_t = t * self.stride;
+                    for i in 0..self.in_ch {
+                        let wbase = (o * self.in_ch + i) * self.kernel;
+                        let xbase = i * in_len + base_t;
+                        for k in 0..self.kernel {
+                            acc += self.w[wbase + k] * x[xbase + k];
+                        }
+                    }
+                    out[o * ol + t] = acc;
+                }
+            }
+            out
+        }
+
+        /// The scalar-loop backward pass (oracle; see `forward_naive`).
+        fn backward_naive(&mut self, x: &[f32], in_len: usize, dout: &[f32]) -> Vec<f32> {
+            let ol = self.out_len(in_len);
+            let mut dx = vec![0.0f32; self.in_ch * in_len];
+            for o in 0..self.out_ch {
+                for t in 0..ol {
+                    let g = dout[o * ol + t];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    self.gb[o] += g;
+                    let base_t = t * self.stride;
+                    for i in 0..self.in_ch {
+                        let wbase = (o * self.in_ch + i) * self.kernel;
+                        let xbase = i * in_len + base_t;
+                        for k in 0..self.kernel {
+                            self.gw[wbase + k] += g * x[xbase + k];
+                            dx[xbase + k] += g * self.w[wbase + k];
+                        }
+                    }
+                }
+            }
+            dx
+        }
     }
 
     #[test]

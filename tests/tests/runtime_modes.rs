@@ -128,3 +128,61 @@ fn many_waits_interleaved_with_submissions() {
         .count();
     assert_eq!(markers, 50);
 }
+
+/// The retention policy of a default runtime (no `stream`): the tables
+/// are paged, but nothing is ever retired — the trace is complete,
+/// `release` is a no-op, and a consumed handle reads as consumed, never
+/// as stale.
+fn default_runtime_retains_everything(rt: Runtime) {
+    use taskrt::arena::PAGE;
+    let n = 3 * PAGE + 17;
+    // seed + (n - 2) INOUT links + one reader: the chain crosses every
+    // page boundary of the task, record and data tables.
+    let seed = rt.task("seed").run0(|| vec![0u64; 4]);
+    let mut acc = seed;
+    for _ in 0..n - 2 {
+        acc = rt.task("inc").run1_inout(acc, |v| v[0] += 1);
+    }
+    let kept = rt.task("kept").run1(acc, |v| v[0]);
+
+    rt.release(kept);
+    assert_eq!(*rt.peek(kept), (n - 2) as u64, "released handle unreadable");
+
+    let trace = rt.finish();
+    assert_eq!(trace.records.len(), n + 1, "n tasks + the barrier marker");
+    for (i, r) in trace.records.iter().enumerate() {
+        assert_eq!(r.id.0, i as u64, "records out of id order");
+    }
+    let block_bytes = trace.records[0].outputs[0].1;
+    assert!(block_bytes > 0);
+    for r in trace.records.iter().filter(|r| r.name == "inc") {
+        assert_eq!(
+            r.inputs[0].1, block_bytes,
+            "{:?}: moved input size lost",
+            r.id
+        );
+    }
+
+    let t = rt.table_stats();
+    for (name, s) in [("tasks", t.tasks), ("data", t.data), ("records", t.records)] {
+        assert_eq!(s.retired, 0, "{name} retired on a default runtime");
+        assert_eq!(s.live, s.allocated, "{name}");
+    }
+    assert_eq!(t.tasks.allocated, n as u64 + 1);
+
+    let consumed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.peek(seed)))
+        .expect_err("reading a consumed handle must fail");
+    let msg = consumed.downcast_ref::<String>().expect("string panic");
+    assert!(msg.contains("consumed by an INOUT task"), "{msg}");
+    assert!(!msg.contains("stale handle"), "{msg}");
+}
+
+#[test]
+fn default_inline_runtime_retains_everything() {
+    default_runtime_retains_everything(Runtime::new());
+}
+
+#[test]
+fn default_threaded_runtime_retains_everything() {
+    default_runtime_retains_everything(Runtime::threaded(2));
+}

@@ -6,8 +6,8 @@
 //! documents:
 //!
 //! 1. **Bit-identity** — recycled-slot runs compute exactly the same
-//!    bits as flat-table runs, over random DAGs (proptest) and long
-//!    INOUT chains, in both execution modes.
+//!    bits as default (retire-nothing) runs, over random DAGs
+//!    (proptest) and long INOUT chains, in both execution modes.
 //! 2. **Loud staleness** — reading a recycled slot (a released handle,
 //!    or a handle consumed by an INOUT steal) panics with a named
 //!    `"stale handle"` error instead of returning a wrong value.
@@ -26,7 +26,7 @@ fn streaming_rt(mode: ExecMode, high: usize, low: usize) -> Runtime {
     })
 }
 
-fn flat_rt(mode: ExecMode) -> Runtime {
+fn default_rt(mode: ExecMode) -> Runtime {
     Runtime::with_config(RuntimeConfig {
         mode,
         ..RuntimeConfig::default()
@@ -83,7 +83,7 @@ fn random_dag_checksum(rt: &Runtime, n: usize, seed: u64) -> u64 {
         outs.push(Some(h));
         // Occasionally tell the runtime we are done with an older
         // handle: on a streaming runtime its slot may be recycled, on
-        // a flat runtime this is a no-op — results must agree anyway.
+        // a default runtime this is a no-op — results must agree anyway.
         if i > 8 && next() % 3 == 0 {
             let j = (next() as usize) % (i - 4);
             if let Some(old) = outs[j].take() {
@@ -108,11 +108,12 @@ fn random_dag_checksum(rt: &Runtime, n: usize, seed: u64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Recycled-slot runs are bit-identical to flat-table runs, across
-    /// random DAG shapes, seeds, and both execution modes.
+    /// Recycled-slot runs are bit-identical to default-runtime runs,
+    /// across random DAG shapes (some spanning more than one table
+    /// page), seeds, and both execution modes.
     #[test]
-    fn recycled_runs_are_bit_identical_to_flat(
-        n in 32usize..220,
+    fn recycled_runs_are_bit_identical_to_default_runtime(
+        n in 32usize..(taskrt::arena::PAGE + 400),
         seed in 0u64..1_000_000,
         threads in 0usize..3,
     ) {
@@ -120,9 +121,9 @@ proptest! {
             0 => ExecMode::Inline,
             t => ExecMode::Threads(t + 1),
         };
-        let flat = random_dag_checksum(&flat_rt(mode), n, seed);
+        let kept = random_dag_checksum(&default_rt(mode), n, seed);
         let streamed = random_dag_checksum(&streaming_rt(mode, 64, 32), n, seed);
-        prop_assert_eq!(flat, streamed);
+        prop_assert_eq!(kept, streamed);
     }
 }
 
@@ -143,7 +144,7 @@ fn consumed_inout_handle_read_panics_on_streaming_runtime() {
     let a = rt.task("v").run0(|| vec![1.0f64; 8]);
     let _b = rt.task("bump").run1_inout(a, |v| v[0] += 1.0);
     // `a` was consumed by the INOUT steal and its slot recycled; a
-    // flat runtime fails the reader task gracefully, a streaming
+    // default runtime fails the reader task gracefully, a streaming
     // runtime refuses the stale id at submission.
     let _ = rt.task("read").run1(a, |v| v[0]);
 }
@@ -277,7 +278,7 @@ fn late_tenant_is_not_starved_by_an_earlier_flood() {
         }
         std::hint::black_box(x)
     };
-    let rt = flat_rt(ExecMode::Threads(4));
+    let rt = default_rt(ExecMode::Threads(4));
     let a = rt.tenant("bulk", 1);
     let b = rt.tenant("interactive", 1);
     let order: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
@@ -314,10 +315,10 @@ fn late_tenant_is_not_starved_by_an_earlier_flood() {
 }
 
 #[test]
-fn tenants_work_on_flat_runtimes_too() {
-    // The fair-share layer is orthogonal to streaming: a flat runtime
-    // multiplexes tenants with the same DRR dispatch.
-    let rt = flat_rt(ExecMode::Threads(2));
+fn tenants_work_on_default_runtimes_too() {
+    // The fair-share layer is orthogonal to streaming: a default
+    // runtime multiplexes tenants with the same DRR dispatch.
+    let rt = default_rt(ExecMode::Threads(2));
     let a = rt.tenant("a", 2);
     let h = a.task("t").run0(|| 5u32);
     assert_eq!(*rt.wait(h), 5);
