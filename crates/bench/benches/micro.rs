@@ -285,48 +285,6 @@ fn bench_dataplane_inout(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fusion_pipeline(c: &mut Criterion) {
-    // The graph-rewrite optimizer on the dislib pipeline the paper
-    // benchmarks: StandardScaler.transform feeding PCA fit + project.
-    // Per-block centering/scaling chains fuse into single dispatches;
-    // the fused and eager runtimes produce bit-identical projections
-    // (asserted by the dislib test suite), so this measures pure
-    // scheduling overhead. Worker dispatch (the wake/dequeue round
-    // trip a distributed runtime pays per task) is what fusion
-    // amortizes, so both sides run on a worker thread rather than
-    // inline. The pipeline's fusible chains are shallow (~1.5 members
-    // per dispatch), so expect rough parity here — the deep-chain
-    // regime where fusion wins outright is the perf binary's 9-op
-    // elementwise chain.
-    use dislib::pca::{Components, Pca};
-    use dislib::scaler::StandardScaler;
-    use dsarray::DsArray;
-    use taskrt::{ExecMode, RuntimeConfig};
-
-    let (rows, cols, rb) = (1024usize, 12usize, 8usize);
-    let x = Matrix::from_fn(rows, cols, |r, q| {
-        ((r * cols + q) as f64 * 1e-3).sin() * (1.0 + q as f64)
-    });
-
-    let run = |fuse: bool| {
-        let rt = Runtime::with_config(RuntimeConfig {
-            fuse,
-            mode: ExecMode::Threads(1),
-            ..RuntimeConfig::default()
-        });
-        let ds = DsArray::from_matrix(&rt, &x, rb, cols);
-        let (_, scaled) = StandardScaler::fit_transform(&rt, &ds);
-        let pca = Pca::fit(&rt, &scaled, Components::Count(4));
-        let proj = pca.transform(&rt, &scaled);
-        proj.collect(&rt).fro_norm()
-    };
-
-    let mut group = c.benchmark_group("scaler_pca_1024x12");
-    group.bench_function("eager", |b| b.iter(|| black_box(run(false))));
-    group.bench_function("fused", |b| b.iter(|| black_box(run(true))));
-    group.finish();
-}
-
 fn bench_pool_covariance(c: &mut Criterion) {
     // PCA covariance temporaries: X^T X allocates an output matrix per
     // call. With a warmed pool the buffer is recycled across calls;
@@ -385,7 +343,6 @@ criterion_group!(
     bench_runtime_submission,
     bench_threaded_vs_inline,
     bench_dataplane_inout,
-    bench_fusion_pipeline,
     bench_pool_covariance,
     bench_des_replay
 );

@@ -1,5 +1,5 @@
-//! Hot-path throughput benchmark: scheduler, DES replay, GEMM, the
-//! ds-array data plane and the fusion optimizer.
+//! Hot-path throughput benchmark: scheduler, DES replay, GEMM and the
+//! ds-array data plane.
 //!
 //! Measures properties of the current code and writes the numbers to
 //! `out/perf.json` (one artifact per binary under `out/`, so parallel
@@ -25,25 +25,14 @@
 //! * **dataplane** — a scaler-shaped elementwise ds-array chain through
 //!   the clone-based block ops vs the INOUT ones (asserted equal);
 //!   gates the INOUT steal rate and that INOUT is not slower.
-//! * **fusion** — the graph-rewrite optimizer
-//!   ([`taskrt::RuntimeConfig::fuse`]): the elementwise chain at
-//!   fine-grained blocks fused vs unfused (Melem/s, asserted
-//!   bit-identical), the PCA pipeline's submitted-vs-dispatched task
-//!   counts, and a DES replay of both schedules on 288 simulated cores
-//!   with a per-task dispatch cost. Also writes the fused run's Chrome
-//!   trace to `out/fused_pca.trace.json`.
 //!
 //! Usage: `cargo run --release -p bench --bin perf -- [--scale small|full]
-//! [--check] [--fuse]` (`small` is the CI smoke setting: fewer
-//! repetitions, smaller shapes; `--check` exits non-zero if INOUT or
-//! fusion loses to its unfused/clone arm, the kernel floor or steal
-//! rate is missed, telemetry costs 5% or more, fusion changes a value,
-//! or the fused PCA schedule shrinks by less than 30%; `--fuse`
-//! additionally drives the scheduler/obs sections through fusing
-//! runtimes).
+//! [--workers N] [--check]` (`small` is the CI smoke setting: fewer
+//! repetitions, smaller shapes; `--check` exits non-zero if INOUT
+//! loses to its clone arm, the kernel floor or steal rate is missed,
+//! or telemetry costs 5% or more).
 
 use bench::report::{write_artifact, Args};
-use dislib::pca::{Components, Pca};
 use dsarray::DsArray;
 use linalg::Matrix;
 use rand::rngs::StdRng;
@@ -51,10 +40,9 @@ use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
 use taskrt::json::Value;
-use taskrt::obs::chrome_trace;
 use taskrt::runtime::AnyArc;
 use taskrt::sim::{simulate, ClusterSpec, SimOptions};
-use taskrt::{fuse_trace, DataId, ExecMode, Runtime, RuntimeConfig};
+use taskrt::{DataId, ExecMode, Runtime, RuntimeConfig};
 
 /// Random-dependency DAG: task `i` depends on up to 3 of the previous
 /// 64 tasks. Generated once and replayed on every runtime under test.
@@ -116,36 +104,23 @@ fn main() {
     // run, so full scale takes enough repetitions for best-of to settle.
     let reps: usize = args.get_or("reps", if small { 2 } else { 9 });
     let n_tasks = 10_000; // the acceptance workload: 10k no-op tasks
+
+    // Never more workers than CPUs (the benchmark's `host::workers()`
+    // follows the same rule): an oversubscribed pool time-slices, and
+    // the 5% telemetry gate below then measures the OS scheduler.
     let default_workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
-        .clamp(4, 8);
+        .clamp(2, 8);
     let workers: usize = args.get_or("workers", default_workers);
-    // `--fuse` drives the scheduler/obs sections through runtimes with
-    // the graph-rewrite optimizer enabled, so CI measures the whole
-    // suite in both configurations. The dedicated fusion section below
-    // always measures both side by side.
-    let fuse_all = args.has("fuse");
 
-    println!("perf: scale={scale} tasks={n_tasks} workers={workers} reps={reps} fuse={fuse_all}");
+    println!("perf: scale={scale} tasks={n_tasks} workers={workers} reps={reps}");
     let dag = make_dag(n_tasks, 42);
-    let new_threaded = || {
-        Runtime::with_config(RuntimeConfig {
-            mode: ExecMode::Threads(workers),
-            fuse: fuse_all,
-            ..RuntimeConfig::default()
-        })
-    };
-    let new_inline = || {
-        Runtime::with_config(RuntimeConfig {
-            fuse: fuse_all,
-            ..RuntimeConfig::default()
-        })
-    };
+    let new_threaded = || Runtime::threaded(workers);
 
     // -- scheduler ----------------------------------------------------
     let t_new = best_of(reps, || drive(&new_threaded(), &dag));
-    let t_inline = best_of(reps, || drive(&new_inline(), &dag));
+    let t_inline = best_of(reps, || drive(&Runtime::new(), &dag));
     let new_tps = n_tasks as f64 / t_new;
     let inline_tps = n_tasks as f64 / t_inline;
     println!("scheduler (threaded x{workers}): {new_tps:.0} tasks/s");
@@ -171,7 +146,6 @@ fn main() {
         Runtime::with_config(RuntimeConfig {
             mode: ExecMode::Threads(workers),
             telemetry: false,
-            fuse: fuse_all,
             ..RuntimeConfig::default()
         })
     };
@@ -180,7 +154,6 @@ fn main() {
             mode: ExecMode::Threads(workers),
             metrics: false,
             telemetry: false,
-            fuse: fuse_all,
             ..RuntimeConfig::default()
         })
     };
@@ -224,10 +197,9 @@ fn main() {
     let obs_off_tps = 3.0 * n_tasks as f64 / t_obs_off;
     let bare_tps = 3.0 * n_tasks as f64 / t_bare;
     // Median of the paired ratios, not a ratio of aggregates.
-    // Join the 12 pool threads now: parked, they would pin their malloc
-    // arenas for the rest of the process, and the later sections' worker
-    // threads then land on an arena shared with the driver (measured:
-    // the fused chain runs 3-4x slower in about half of all processes).
+    // Join the pool threads now: parked, they would pin their malloc
+    // arenas for the rest of the process, and a later section's worker
+    // threads then land on an arena shared with the driver.
     drop((rt_on, rt_off, rt_bare));
     let obs_overhead = ratios[ratios.len() / 2] - 1.0;
     let trace_overhead = bare_tps / obs_off_tps - 1.0;
@@ -458,138 +430,9 @@ fn main() {
         dp_bytes_stolen / 1e6
     );
 
-    // -- fusion: graph-rewrite optimizer ------------------------------
-    // (a) The dataplane elementwise chain (3 rounds of scale, center,
-    // divide = 9 per-block ops) at COMPSs-granularity blocks: per-task
-    // work is a few microseconds, the regime where per-task overhead
-    // dominates and fusing each block's 9-op chain into one task pays.
-    // Results must be bit-identical; only the dispatched-task count and
-    // throughput change.
-    let (fu_rows, fu_cols, fu_rb, fu_cb) = if small {
-        (64usize, 224usize, 8usize, 8usize) // 224 blocks x 9 = 2016 tasks
-    } else {
-        (128, 448, 8, 8) // 896 blocks x 9 ops = 8064 tasks, one window
-    };
-    let fu_chain = 3usize;
-    let fu_x = Matrix::from_fn(fu_rows, fu_cols, |r, c| {
-        ((r * fu_cols + c) as f64 * 1e-4).sin()
-    });
-    let fu_v: Vec<f64> = (0..fu_cols).map(|c| 1.0 + (c % 7) as f64 * 0.25).collect();
-    let fu_rt = |fuse: bool| {
-        Runtime::with_config(RuntimeConfig {
-            mode: ExecMode::Threads(1),
-            fuse,
-            ..RuntimeConfig::default()
-        })
-    };
-    let run_fu = |rt: &Runtime| -> Matrix {
-        let v = rt.put(fu_v.clone());
-        let mut a = DsArray::from_matrix_owned(rt, fu_x.clone(), fu_rb, fu_cb);
-        for _ in 0..fu_chain {
-            a = a
-                .map_blocks_inplace(rt, "fu_scale", |b| b.scale(1.0009))
-                .sub_row_vector_inplace(rt, v)
-                .div_row_vector_inplace(rt, v);
-        }
-        a.collect(rt)
-    };
-    // Bit-identity and dispatch counts, measured once.
-    let rt_off = fu_rt(false);
-    let rt_on = fu_rt(true);
-    let fu_out_off = run_fu(&rt_off);
-    let fu_out_on = run_fu(&rt_on);
-    let fu_identical = fu_out_on == fu_out_off;
-    assert!(fu_identical, "fusion changed the elementwise chain output");
-    let fu_tasks_unfused = rt_off.trace().user_task_count();
-    let fu_tasks_fused = rt_on.trace().user_task_count();
-    let fu_stats = rt_on.stats();
-    let mut fu_sink = 0.0;
-    // Interleave fused/unfused reps (as the obs section does) and take
-    // each side's best: one run is ~25 ms, well inside this box's noise
-    // floor, and the `--check` gate compares the two directly.
-    let fu_reps = reps.max(9);
-    let mut t_fu_off = f64::INFINITY;
-    let mut t_fu_on = f64::INFINITY;
-    for _ in 0..fu_reps {
-        let rt = fu_rt(false);
-        let start = Instant::now();
-        fu_sink += run_fu(&rt).get(0, 0);
-        t_fu_off = t_fu_off.min(start.elapsed().as_secs_f64());
-        let rt = fu_rt(true);
-        let start = Instant::now();
-        fu_sink += run_fu(&rt).get(0, 0);
-        t_fu_on = t_fu_on.min(start.elapsed().as_secs_f64());
-    }
-    let fu_elems = (fu_chain * 3 * fu_rows * fu_cols) as f64;
-    let fu_off_meps = fu_elems / t_fu_off / 1e6;
-    let fu_on_meps = fu_elems / t_fu_on / 1e6;
-    let speedup_fused = fu_on_meps / fu_off_meps;
-    println!(
-        "fusion chain ({fu_rows}x{fu_cols}, blocks {fu_rb}x{fu_cb}, {} ops): fused {fu_on_meps:.0} Melem/s | unfused {fu_off_meps:.0} Melem/s | speedup {speedup_fused:.2}x (bit-identical, checksum {fu_sink:.3})",
-        fu_chain * 3
-    );
-    println!(
-        "fusion chain tasks: {fu_tasks_unfused} submitted -> {fu_tasks_fused} dispatched ({} fused groups, {} members elided)",
-        fu_stats.fused_tasks, fu_stats.tasks_elided
-    );
-
-    // (b) The PCA pipeline (col-sum map-reduce, centering, gram
-    // map-reduce, eigh, projection): tasks submitted vs dispatched.
-    let (pca_n, pca_d, pca_rb) = if small {
-        (256usize, 8usize, 32usize)
-    } else {
-        (1024, 16, 128)
-    };
-    let pca_x = Matrix::from_fn(pca_n, pca_d, |r, c| {
-        ((r * 31 + c * 17) as f64 * 0.013).sin()
-    });
-    let run_pca = |fuse: bool| -> (Matrix, taskrt::Trace) {
-        let rt = fu_rt(fuse);
-        let ds = DsArray::from_matrix_owned(&rt, pca_x.clone(), pca_rb, pca_d);
-        let pca = Pca::fit(&rt, &ds, Components::Count(4));
-        let proj = pca.transform(&rt, &ds).collect(&rt);
-        rt.barrier();
-        (proj, rt.finish())
-    };
-    let (pca_proj_off, pca_trace_off) = run_pca(false);
-    let (pca_proj_on, pca_trace_on) = run_pca(true);
-    assert_eq!(
-        pca_proj_on, pca_proj_off,
-        "fusion changed the PCA projection"
-    );
-    let pca_submitted = pca_trace_off.user_task_count();
-    let pca_dispatched = pca_trace_on.user_task_count();
-    let pca_reduction = 1.0 - pca_dispatched as f64 / pca_submitted as f64;
-    println!(
-        "fusion pca ({pca_n}x{pca_d}, rb {pca_rb}): {pca_submitted} submitted -> {pca_dispatched} dispatched ({:.1}% fewer, bit-identical)",
-        pca_reduction * 100.0
-    );
-
-    // (c) DES replay of both schedules on the paper's 288-core
-    // MareNostrum 4 partition with a centralized per-task dispatch
-    // cost; the fused Chrome trace is written for inspection (member
-    // names survive inside the `fused(...)` labels).
-    let fu_cluster = ClusterSpec::marenostrum4(6);
-    let fu_opts = SimOptions {
-        dispatch_overhead_s: 1e-3,
-        ..SimOptions::default()
-    };
-    let des_off = simulate(&pca_trace_off, &fu_cluster, &fu_opts);
-    let des_on = simulate(&fuse_trace(&pca_trace_off), &fu_cluster, &fu_opts);
-    println!(
-        "fusion des (288 cores, 1ms dispatch): fused makespan {:.3}s ({} events) | unfused {:.3}s ({} events)",
-        des_on.makespan_s,
-        des_on.schedule.len(),
-        des_off.makespan_s,
-        des_off.schedule.len()
-    );
-    write_artifact("out/fused_pca.trace.json", &chrome_trace(&pca_trace_on))
-        .expect("write out/fused_pca.trace.json");
-
     // -- artifact -----------------------------------------------------
     let doc = Value::Object(vec![
         ("scale".into(), Value::from(scale)),
-        ("fuse".into(), Value::Bool(fuse_all)),
         (
             "scheduler".into(),
             Value::Object(vec![
@@ -655,82 +498,15 @@ fn main() {
                 ("bytes_stolen".into(), Value::Number(dp_bytes_stolen)),
             ]),
         ),
-        (
-            "fusion".into(),
-            Value::Object(vec![
-                ("chain_rows".into(), Value::Number(fu_rows as f64)),
-                ("chain_cols".into(), Value::Number(fu_cols as f64)),
-                ("chain_block_rows".into(), Value::Number(fu_rb as f64)),
-                ("chain_block_cols".into(), Value::Number(fu_cb as f64)),
-                (
-                    "chain_elementwise_ops".into(),
-                    Value::Number((fu_chain * 3) as f64),
-                ),
-                (
-                    "chain_tasks_submitted".into(),
-                    Value::Number(fu_tasks_unfused as f64),
-                ),
-                (
-                    "chain_tasks_dispatched".into(),
-                    Value::Number(fu_tasks_fused as f64),
-                ),
-                (
-                    "chain_fused_tasks".into(),
-                    Value::Number(fu_stats.fused_tasks as f64),
-                ),
-                (
-                    "chain_tasks_elided".into(),
-                    Value::Number(fu_stats.tasks_elided as f64),
-                ),
-                ("unfused_melems_per_s".into(), Value::Number(fu_off_meps)),
-                ("fused_melems_per_s".into(), Value::Number(fu_on_meps)),
-                ("speedup_fused".into(), Value::Number(speedup_fused)),
-                ("bit_identical".into(), Value::Bool(fu_identical)),
-                (
-                    "pca_tasks_submitted".into(),
-                    Value::Number(pca_submitted as f64),
-                ),
-                (
-                    "pca_tasks_dispatched".into(),
-                    Value::Number(pca_dispatched as f64),
-                ),
-                (
-                    "pca_dispatch_reduction".into(),
-                    Value::Number(pca_reduction),
-                ),
-                (
-                    "des_unfused_makespan_s".into(),
-                    Value::Number(des_off.makespan_s),
-                ),
-                (
-                    "des_fused_makespan_s".into(),
-                    Value::Number(des_on.makespan_s),
-                ),
-                (
-                    "des_unfused_events".into(),
-                    Value::Number(des_off.schedule.len() as f64),
-                ),
-                (
-                    "des_fused_events".into(),
-                    Value::Number(des_on.schedule.len() as f64),
-                ),
-            ]),
-        ),
     ]);
     write_artifact("out/perf.json", &doc.pretty()).expect("write out/perf.json");
 
     // -- gate (--check) -----------------------------------------------
     if args.has("check") {
-        let gates = [
-            ("dataplane.speedup_inout", speedup_dp),
-            ("fusion.speedup_fused", speedup_fused),
-        ];
         let mut ok = true;
-        for (name, v) in gates {
-            if v < 1.0 || v.is_nan() {
-                eprintln!("check FAILED: {name} = {v:.3} < 1.0");
-                ok = false;
-            }
+        if speedup_dp < 1.0 || speedup_dp.is_nan() {
+            eprintln!("check FAILED: dataplane.speedup_inout = {speedup_dp:.3} < 1.0");
+            ok = false;
         }
         // A single-consumer pipeline that mostly copies means the steal
         // path regressed even if throughput hasn't caught it yet.
@@ -743,23 +519,6 @@ fn main() {
         if kf_speedup_512 < kf_floor || kf_speedup_512.is_nan() {
             eprintln!(
                 "check FAILED: kernel_floor.speedup_512 = {kf_speedup_512:.3} < {kf_floor:.2} [{kf_backend}]"
-            );
-            ok = false;
-        }
-        // Fusion is an optimizer: it must never change values and must
-        // actually shrink the dispatched PCA schedule.
-        if !fu_identical {
-            eprintln!("check FAILED: fusion.bit_identical = false");
-            ok = false;
-        }
-        if pca_reduction < 0.30 || pca_reduction.is_nan() {
-            eprintln!("check FAILED: fusion.pca_dispatch_reduction = {pca_reduction:.3} < 0.30");
-            ok = false;
-        }
-        if des_on.makespan_s >= des_off.makespan_s {
-            eprintln!(
-                "check FAILED: fused DES makespan {:.3}s >= unfused {:.3}s",
-                des_on.makespan_s, des_off.makespan_s
             );
             ok = false;
         }
@@ -782,9 +541,8 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "check: inout and fusion speedups >= 1.0, kernel floor {kf_speedup_512:.2}x >= {kf_floor:.2}x [{kf_backend}], steal rate > 50%, telemetry overhead {:.1}% < 5%, fusion bit-identical with {:.0}% fewer PCA dispatches",
-            obs_overhead * 100.0,
-            pca_reduction * 100.0
+            "check: inout speedup >= 1.0, kernel floor {kf_speedup_512:.2}x >= {kf_floor:.2}x [{kf_backend}], steal rate > 50%, telemetry overhead {:.1}% < 5%",
+            obs_overhead * 100.0
         );
     }
 }

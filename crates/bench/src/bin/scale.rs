@@ -1,12 +1,11 @@
-//! Million-task streaming benchmark: bounded-memory submission, slot
-//! recycling, and fair-share multi-tenant dispatch under an
-//! adversarial load mix.
+//! Million-task streaming benchmark: bounded-memory submission and
+//! slot recycling.
 //!
 //! Where `perf` measures hot-path throughput on a 10k-task DAG that
 //! fits comfortably in the task tables, this bin measures the regime
 //! the streaming runtime exists for: DAGs one to two orders of
 //! magnitude larger than the live window, submitted from a driver
-//! loop that releases handles as it goes. Three sections:
+//! loop that releases handles as it goes. Two sections:
 //!
 //! * **throughput** — the same sliding-window random DAG driven at
 //!   10k tasks and at 1M tasks (`--scale small` shrinks the large run
@@ -18,18 +17,12 @@
 //!   run: every task was allocated, but the peak *live* slot count
 //!   must stay proportional to the backpressure window (high
 //!   watermark + release-window + scheduler slack), not the DAG.
-//! * **fairness** — two tenants with equal weights submit an
-//!   adversarial 10:1 task mix from concurrent driver threads. At the
-//!   instant the small tenant's backlog drains, the deficit-round-
-//!   robin dispatcher must have given the large tenant its weighted
-//!   share of completions — within 15% — rather than letting the
-//!   flood starve the small tenant (or vice versa).
 //!
 //! Results are merged into `out/perf.json` as the `"scale"` section
 //! (run after `perf`, which rewrites the file whole). Usage:
 //! `cargo run --release -p bench --bin scale -- [--scale small|full]
 //! [--workers N] [--check]`; `--check` exits non-zero if the large-DAG
-//! throughput ratio, the residency bound, or the fairness share fails.
+//! throughput ratio or the residency bound fails.
 
 use bench::report::{write_artifact, Args};
 use std::collections::VecDeque;
@@ -105,16 +98,6 @@ fn drive_windowed(rt: &Runtime, n: usize, seed: u64) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// Scheduler-visible busy work (~10us): long enough that dispatch
-/// order, not submission order, decides who finishes first.
-fn spin(iters: u64) -> u64 {
-    let mut x = 0x9E37_79B9u64;
-    for i in 0..iters {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
-    }
-    std::hint::black_box(x)
-}
-
 fn main() {
     let args = Args::capture();
     let small = args.scale_small(false);
@@ -164,70 +147,6 @@ fn main() {
         stats.tasks.allocated, stats.tasks.peak_live, stats.data.peak_live, stats.peak_in_flight
     );
 
-    // -- fairness: adversarial 10:1 mix, equal weights ----------------
-    // Tenant A floods its entire backlog (10x tenant B's task count)
-    // before B submits a single task — the adversarial case: by the
-    // time B shows up the injector already holds thousands of A's
-    // tasks. From the moment B's backlog is queued, deficit-round-
-    // robin dispatch must interleave 1:1 (equal weights): while B
-    // drains, A completes one task per B task, not a flood's worth.
-    // The experiment runs on a default runtime — fairness is orthogonal
-    // to streaming, and pre-queuing the full flood is exactly what
-    // backpressure would forbid.
-    let (nb, spin_iters) = if small {
-        (3_000u64, 50_000u64)
-    } else {
-        (10_000, 50_000)
-    };
-    let na = 10 * nb;
-    let frt = Runtime::with_config(RuntimeConfig {
-        mode: ExecMode::Threads(workers),
-        ..RuntimeConfig::default()
-    });
-    let tenant_a = frt.tenant("bulk", 1);
-    let tenant_b = frt.tenant("interactive", 1);
-    let fair_start = Instant::now();
-    for _ in 0..na {
-        let h = tenant_a.task("spin").run0(move || spin(spin_iters));
-        frt.release(h);
-    }
-    for _ in 0..nb {
-        let h = tenant_b.task("spin").run0(move || spin(spin_iters));
-        frt.release(h);
-    }
-    // Contention baseline: B's backlog is fully queued, A's flood is
-    // ahead by whatever executed during submission.
-    let ts0 = frt.tenant_stats();
-    let (a0, b0) = (ts0[0].completed, ts0[1].completed);
-    let remaining_b = nb - b0;
-    // Watch for the moment B's backlog drains; everything A completed
-    // since the baseline was won through the DRR dispatcher under
-    // contention with B.
-    let a_at_drain = loop {
-        let ts = frt.tenant_stats();
-        if ts[1].completed >= nb {
-            break ts[0].completed;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    };
-    let t_b_done = fair_start.elapsed().as_secs_f64();
-    frt.barrier();
-    let t_fair = fair_start.elapsed().as_secs_f64();
-    let ts = frt.tenant_stats();
-    let a_delta = a_at_drain - a0;
-    let share_err = (a_delta as f64 - remaining_b as f64).abs() / remaining_b as f64;
-    let a_tps = ts[0].completed as f64 / t_fair;
-    let b_tps = nb as f64 / t_b_done;
-    println!(
-        "fairness ({na}:{nb} tasks, weights 1:1): while B drained {remaining_b}, A completed {a_delta} (err {:.1}%)",
-        share_err * 100.0
-    );
-    println!(
-        "fairness throughput: A {a_tps:.0} tasks/s over full run | B {b_tps:.0} tasks/s to drain | queue-wait p95 A {:.1}ms B {:.1}ms",
-        ts[0].queue_wait.quantile(0.95) as f64 * 1e-6,
-        ts[1].queue_wait.quantile(0.95) as f64 * 1e-6,
-    );
-
     // -- artifact: merge the "scale" section into out/perf.json -------
     let section = Value::Object(vec![
         ("setting".into(), Value::from(scale)),
@@ -246,13 +165,6 @@ fn main() {
         ("data_peak_live".into(), Value::from(stats.data.peak_live)),
         ("peak_in_flight".into(), Value::from(stats.peak_in_flight)),
         ("peak_in_flight_bound".into(), Value::from(inflight_bound)),
-        ("fair_tasks_a".into(), Value::from(na)),
-        ("fair_tasks_b".into(), Value::from(nb)),
-        ("fair_b_drained".into(), Value::from(remaining_b)),
-        ("fair_a_done_while_b_drained".into(), Value::from(a_delta)),
-        ("fair_share_err".into(), Value::Number(share_err)),
-        ("fair_a_tasks_per_s".into(), Value::Number(a_tps)),
-        ("fair_b_tasks_per_s".into(), Value::Number(b_tps)),
     ]);
     let merged = match std::fs::read_to_string("out/perf.json")
         .ok()
@@ -290,16 +202,12 @@ fn main() {
             );
             ok = false;
         }
-        if share_err > 0.15 || !share_err.is_finite() {
-            eprintln!("check FAILED: scale.fair_share_err = {share_err:.3} > 0.15");
-            ok = false;
-        }
         if !ok {
             std::process::exit(1);
         }
         println!(
-            "check: {n_large}-task rate {:.2}x the 10k rate, peak live {} <= {task_bound}, fairness within {:.1}%",
-            ratio, stats.tasks.peak_live, share_err * 100.0
+            "check: {n_large}-task rate {:.2}x the 10k rate, peak live {} <= {task_bound}",
+            ratio, stats.tasks.peak_live
         );
     }
 }

@@ -220,13 +220,12 @@ fn main() {
     );
     for s in stragglers.stragglers.iter().take(5) {
         println!(
-            "  task {} '{}' on worker {}: {:.3}ms = {:.1}x median{}{}",
+            "  task {} '{}' on worker {}: {:.3}ms = {:.1}x median{}",
             s.task,
             s.name,
             s.worker,
             s.duration_s * 1e3,
             s.factor,
-            if s.fused { " [fused]" } else { "" },
             if s.retried { " [retried]" } else { "" },
         );
     }

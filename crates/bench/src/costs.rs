@@ -201,7 +201,6 @@ mod tests {
             worker: -1,
             child: None,
             attempts: vec![],
-            tenant: 0,
         }
     }
 

@@ -10,7 +10,7 @@
 //! | `graphs` | Figs. 4, 6, 8, 9, 10: execution graphs as Graphviz DOT |
 //! | `pca_cost` | §IV-B: constant PCA cost across algorithms |
 //! | `ablate` | ablations: block size, scheduler policy, `distr_depth`, nesting, augmentation |
-//! | `perf` | hot-path throughput and gates on current code: scheduler tasks/s, telemetry overhead, DES replay, GEMM + sgemm kernel floor, INOUT data plane, fusion — writes `out/perf.json` |
+//! | `perf` | hot-path throughput and gates on current code: scheduler tasks/s, telemetry overhead, DES replay, GEMM + sgemm kernel floor, INOUT data plane — writes `out/perf.json` |
 //! | `dist` | multi-process PCA over `taskrt::dist`: bit-identity vs the inline oracle, DES divergence gate, chaos SIGKILL arm — writes `out/dist.json` |
 //!
 //! Library modules: [`pipeline`] (the end-to-end AF workflow at `small`

@@ -18,8 +18,7 @@
 //!   retired, so a stale handle read is a loud, named error
 //!   (`"stale handle: …"`), never a silent wrong read. This is the
 //!   generational-arena guarantee without packing generation bits into
-//!   the id (which would break the fusion window's contiguous output
-//!   ranges and every trace/sim consumer of raw ids).
+//!   the id (which would break every trace/sim consumer of raw ids).
 //! * Entries live in fixed-size **pages** (`Box`ed, [`PAGE`] slots).
 //!   Retiring an entry drops its payload immediately; when every slot
 //!   of a page is retired the page frame itself is released to a small
@@ -138,13 +137,6 @@ impl<T> Store<T> {
         self.len += 1;
         self.live += 1;
         self.peak_live = self.peak_live.max(self.live);
-    }
-
-    /// Extends with default entries up to (excluding) index `upto`.
-    pub fn ensure_with(&mut self, upto: usize, mut default: impl FnMut() -> T) {
-        while self.len < upto {
-            self.push(default());
-        }
     }
 
     #[inline]

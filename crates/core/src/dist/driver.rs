@@ -671,7 +671,6 @@ impl DistRuntime {
                             worker: w as i64,
                             child: None,
                             attempts: attempt_log,
-                            tenant: 0,
                         });
                         // One TaskEnd slot per task, like the threaded
                         // runtime's hot path: `Journal::snapshot`

@@ -30,9 +30,8 @@
 //! |---|---|
 //! | [`runtime`] | [`Runtime`], [`TaskBuilder`], execution modes, nesting |
 //! | [`dist`] | multi-process driver/worker executor over Unix sockets |
-//! | [`arena`] | generational slot stores backing streaming submission |
+//! | [`arena`] | the paged generational store behind the task/data/record tables |
 //! | [`fault`] | [`OnFailure`] / [`RetryPolicy`] policies, [`FaultPlan`] injection |
-//! | [`fuse`] | graph-rewrite planner for task fusion, [`fuse_trace`] |
 //! | [`handle`] | [`Handle`], [`DataId`], [`TaskId`] |
 //! | [`payload`] | the [`Payload`] trait (what can flow between tasks) |
 //! | [`trace`] | [`Trace`] / [`TaskRecord`] — the replayable artifact |
@@ -54,7 +53,6 @@ pub mod arena;
 pub mod dist;
 pub mod dot;
 pub mod fault;
-pub mod fuse;
 pub mod gantt;
 pub mod handle;
 pub mod json;
@@ -68,13 +66,12 @@ pub mod trace;
 pub use arena::StoreStats;
 pub use dist::{DistConfig, DistReport, DistRuntime, KindRegistry, Plan, WireValue};
 pub use fault::{FaultMode, FaultPlan, OnFailure, RetryPolicy, TaskFault};
-pub use fuse::fuse_trace;
 pub use handle::{DataId, Handle, TaskId};
 pub use obs::{Profile, RuntimeStats, SimProfile};
 pub use payload::Payload;
 pub use runtime::{
     live_worker_threads, ExecMode, Runtime, RuntimeConfig, StreamConfig, TableStats, TaskBuilder,
-    TaskCtx, Tenant, TenantStats,
+    TaskCtx,
 };
 pub use telemetry::{
     Divergence, Event, EventKind, HistogramSnapshot, Journal, LogHistogram, Registry,

@@ -100,14 +100,6 @@ pub(crate) struct Counters {
     pub(crate) poisoned: AtomicU64,
     /// Tasks cancelled by a failed predecessor's policy.
     pub(crate) cancelled: AtomicU64,
-    // Fusion-optimizer counters ([`crate::RuntimeConfig::fuse`]):
-    // touched once per window flush, never on the per-task hot path.
-    /// Fused tasks created by the graph-rewrite optimizer.
-    pub(crate) fused_tasks: AtomicU64,
-    /// Submitted tasks that never dispatched individually: members
-    /// absorbed into a fused task (beyond the first) plus dead tasks
-    /// removed by the elimination pass.
-    pub(crate) tasks_elided: AtomicU64,
 }
 
 impl Counters {
@@ -123,8 +115,6 @@ impl Counters {
             giveups: AtomicU64::new(0),
             poisoned: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
-            fused_tasks: AtomicU64::new(0),
-            tasks_elided: AtomicU64::new(0),
         }
     }
 
@@ -176,8 +166,6 @@ impl Counters {
             giveups: ld(&self.giveups),
             poisoned: ld(&self.poisoned),
             cancelled: ld(&self.cancelled),
-            fused_tasks: ld(&self.fused_tasks),
-            tasks_elided: ld(&self.tasks_elided),
             worker_parks: workers.iter().map(|s| ld(&s.parks)).sum(),
             worker_idle_s: workers.iter().map(|s| ld(&s.idle_ns)).sum::<u64>() as f64 * 1e-9,
             driver_parks: ld(&self.shards[0].parks),
@@ -235,13 +223,6 @@ pub struct RuntimeStats {
     /// them from the schedule ([`crate::OnFailure::Ignore`] or
     /// [`crate::OnFailure::CancelSuccessors`]).
     pub cancelled: u64,
-    /// Fused tasks created by the graph-rewrite optimizer
-    /// ([`crate::RuntimeConfig::fuse`]); each replaced two or more
-    /// submitted tasks.
-    pub fused_tasks: u64,
-    /// Submitted tasks that never dispatched individually: fused-group
-    /// members beyond the first, plus dead tasks removed outright.
-    pub tasks_elided: u64,
     /// Worker condvar sleeps.
     pub worker_parks: u64,
     /// Total seconds workers were parked.
@@ -342,8 +323,6 @@ impl RuntimeStats {
             ("giveups".into(), Value::from(self.giveups)),
             ("poisoned".into(), Value::from(self.poisoned)),
             ("cancelled".into(), Value::from(self.cancelled)),
-            ("fused_tasks".into(), Value::from(self.fused_tasks)),
-            ("tasks_elided".into(), Value::from(self.tasks_elided)),
             ("worker_parks".into(), Value::from(self.worker_parks)),
             ("worker_idle_s".into(), Value::from(self.worker_idle_s)),
             ("driver_parks".into(), Value::from(self.driver_parks)),
@@ -406,14 +385,6 @@ impl RuntimeStats {
                 out,
                 "  faults             {:>12} retries / {} giveups / {} poisoned / {} cancelled",
                 self.retries, self.giveups, self.poisoned, self.cancelled
-            )
-            .unwrap();
-        }
-        if self.fused_tasks + self.tasks_elided > 0 {
-            writeln!(
-                out,
-                "  fusion             {:>12} fused tasks / {} tasks elided",
-                self.fused_tasks, self.tasks_elided
             )
             .unwrap();
         }
@@ -574,7 +545,6 @@ fn chrome_trace_events(trace: &Trace, stragglers: &[crate::telemetry::Straggler]
                     ("factor".into(), Value::Number(s.factor)),
                     ("median_s".into(), Value::Number(s.median_s)),
                     ("retried".into(), Value::from(s.retried)),
-                    ("fused".into(), Value::from(s.fused)),
                 ]),
             ),
         ]));
@@ -1030,7 +1000,6 @@ mod tests {
             worker: -1,
             child: None,
             attempts: vec![],
-            tenant: 0,
         }
     }
 
@@ -1171,7 +1140,6 @@ mod tests {
             nested_mode: crate::ExecMode::Inline,
             metrics: false,
             telemetry: false,
-            fuse: false,
             ..crate::RuntimeConfig::default()
         });
         let a = rt.put(0u64);

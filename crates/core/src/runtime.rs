@@ -65,7 +65,6 @@
 
 use crate::arena::{Store, StoreStats};
 use crate::fault::{FaultMode, FaultPlan, OnFailure, RetryPolicy, TaskFault, INJECTED_PANIC};
-use crate::fuse::{fused_label, plan_groups_csr};
 use crate::handle::{DataId, Handle, TaskId};
 use crate::obs::{Counters, RuntimeStats};
 use crate::payload::Payload;
@@ -149,17 +148,6 @@ pub struct RuntimeConfig {
     /// `bench --bin perf` measures and gates the telemetry-on-vs-off
     /// gap on the no-op scheduler DAG.
     pub telemetry: bool,
-    /// Whether submissions are windowed in a lazy buffer and rewritten
-    /// by the graph optimizer before dispatch: linear chains of
-    /// compatible tasks are fused into single tasks, and dead
-    /// [`TaskBuilder::discardable`] tasks are elided (see
-    /// [`crate::fuse`]). Results are bit-identical; what changes is the
-    /// number of dispatched tasks and therefore the per-task overhead.
-    /// Off by default — fusion trades submission eagerness (tasks only
-    /// start at the next `wait`/`peek`/`barrier` or when the window
-    /// fills) for lower scheduling cost, which pays off on fine-grained
-    /// block pipelines.
-    pub fuse: bool,
     /// The retention policy over the runtime's (single, paged)
     /// task/data/record tables.
     ///
@@ -176,8 +164,6 @@ pub struct RuntimeConfig {
     /// submitting thread (helping drain the queues first) until the
     /// scheduler drains to `low`. Reads of retired handles fail with
     /// a named `"stale handle"` error, never a silent wrong read.
-    /// Mutually exclusive with `fuse` (the fusion window's contiguous
-    /// pre-allocated output ranges assume nothing retires).
     pub stream: Option<StreamConfig>,
 }
 
@@ -208,7 +194,6 @@ impl Default for RuntimeConfig {
             nested_mode: ExecMode::Inline,
             metrics: true,
             telemetry: true,
-            fuse: false,
             stream: None,
         }
     }
@@ -219,7 +204,6 @@ pub struct TaskCtx {
     nested_mode: ExecMode,
     metrics: bool,
     telemetry: bool,
-    fuse: bool,
     /// Runtime counters for in-body instrumentation (INOUT steal/copy
     /// accounting); `None` when metrics are off.
     counters: Option<Arc<Counters>>,
@@ -245,7 +229,6 @@ impl TaskCtx {
             nested_mode: self.nested_mode,
             metrics: self.metrics,
             telemetry: self.telemetry,
-            fuse: self.fuse,
             // Child graphs are small (bounded by the parent task's
             // scope): nothing to reclaim.
             stream: None,
@@ -343,10 +326,6 @@ struct PendingJob {
     consume_mask: u64,
     /// Failure policy + retry parameters declared at submission.
     fault: TaskFault,
-    /// Owning tenant, for fair-share dispatch and per-tenant counters;
-    /// `None` for the default tenant (the common single-job path pays
-    /// no `Arc` traffic).
-    tenant: Option<Arc<TenantInfo>>,
 }
 
 /// A task made fully self-contained at *release* time: the body plus
@@ -370,9 +349,6 @@ struct ReadyRun {
     /// is installed (injection decisions match on the kind); `None`
     /// keeps the no-chaos hot path allocation-free.
     name: Option<String>,
-    /// Owning tenant: routes the run through that tenant's injector
-    /// queue (deficit round-robin) and its completion counters.
-    tenant: Option<Arc<TenantInfo>>,
     /// Locality hint: the worker whose cache most recently held this
     /// task's largest input ([`DRIVER`] when the task has no inputs or
     /// everything was driver-produced — always, in inline mode).
@@ -478,7 +454,6 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
         ready_at,
         fault: job.fault,
         name: inject.then(|| st.records[ti].name.clone()),
-        tenant: job.tenant,
         affinity,
     }
 }
@@ -574,52 +549,6 @@ struct State {
     staged: Vec<ReadyRun>,
 }
 
-/// A submission parked in the fusion window: everything
-/// [`submit_locked`] needs to materialize the task later, plus the
-/// optimizer-facing flags. Output [`DataEntry`]s are pre-allocated at
-/// buffering time so handles stay valid; their `producer` stays `None`
-/// until materialization — unobservable in between, because every read
-/// path (`wait`/`peek`/`barrier`/`trace`) flushes the window first.
-struct BufTask {
-    name: String,
-    cores: u32,
-    gpus: u32,
-    inputs: Vec<DataId>,
-    consume_mask: u64,
-    /// Output data ids are pre-allocated contiguously at buffering time,
-    /// so a `(first, count)` range replaces an owned vector — the flush
-    /// derives both the producer index and the materialized output list
-    /// from it without touching the allocator.
-    first_out: DataId,
-    n_outs: u32,
-    fault: TaskFault,
-    /// Whether the optimizer may merge this task into a fused group.
-    /// Nested tasks are excluded: a fused record has one child-trace
-    /// slot, so merging would silently drop all but one sub-trace.
-    fusible: bool,
-    /// Whether the dead-task pass may elide this task when nothing in
-    /// the window reads its outputs (opt-in via
-    /// [`TaskBuilder::discardable`]).
-    discardable: bool,
-    /// Owning tenant (tenant tasks buffer as non-fusible singletons,
-    /// so the tenant never merges into a fused group).
-    tenant: Option<Arc<TenantInfo>>,
-    f: TaskFn,
-}
-
-/// What triggered a fusion-window flush.
-#[derive(Clone, Copy)]
-enum FlushKind {
-    /// A synchronization point: `wait`/`peek` (carrying the awaited
-    /// datum) or `barrier` (`None`). The only flushes that run dead-task
-    /// elimination — a discardable task unread by the window and not the
-    /// sync target is provably unobservable here.
-    Sync(Option<DataId>),
-    /// Window overflow or an observability read (`trace`, `stats`,
-    /// `task_count`): materialize everything, elide nothing.
-    Drain,
-}
-
 struct WakeState {
     /// Workers currently in (or entering) a condvar sleep.
     sleepers: usize,
@@ -637,211 +566,6 @@ impl WakeState {
     /// taking the wake lock on every task.
     fn publish_idle_hint(&self, hint: &AtomicBool) {
         hint.store(self.sleepers > self.tokens, Ordering::Relaxed);
-    }
-}
-
-/// Identity, weight, and live counters of one tenant (logical job)
-/// multiplexed onto the runtime — see [`Runtime::tenant`].
-struct TenantInfo {
-    /// 1-based tenant index (0 is the default tenant).
-    id: u32,
-    name: String,
-    /// Fair-share weight: tasks dispatched per deficit-round-robin
-    /// visit relative to other tenants.
-    weight: u32,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    /// Ready-to-start latency per task of this tenant — the metric
-    /// fairness shows up in (a starved tenant's queue wait balloons).
-    queue_wait: LogHistogram,
-}
-
-/// Point-in-time per-tenant counters (see [`Runtime::tenant_stats`]).
-#[derive(Debug, Clone)]
-pub struct TenantStats {
-    pub name: String,
-    pub weight: u32,
-    /// Tasks submitted through this tenant's handle.
-    pub submitted: u64,
-    /// Tasks of this tenant that completed successfully.
-    pub completed: u64,
-    /// Ready-to-start latency histogram (nanoseconds).
-    pub queue_wait: HistogramSnapshot,
-}
-
-/// A per-tenant submission handle: tasks built through
-/// [`Tenant::task`] are dispatched under this tenant's fair-share
-/// weight and counted on its stats. Cheap to clone; clones share the
-/// underlying runtime.
-#[derive(Clone)]
-pub struct Tenant {
-    rt: Runtime,
-    info: Arc<TenantInfo>,
-}
-
-impl Tenant {
-    /// Starts building a task owned by this tenant (same surface as
-    /// [`Runtime::task`]).
-    pub fn task(&self, name: &str) -> TaskBuilder<'_> {
-        let mut b = self.rt.task(name);
-        b.tenant = Some(self.info.clone());
-        // A fused group merges bodies across submissions; keeping
-        // tenant tasks unfused keeps accounting and fair-share
-        // dispatch per-task exact.
-        b.fusible = false;
-        b
-    }
-
-    /// The runtime this tenant submits into.
-    pub fn runtime(&self) -> &Runtime {
-        &self.rt
-    }
-
-    /// This tenant's live counters.
-    pub fn stats(&self) -> TenantStats {
-        TenantStats {
-            name: self.info.name.clone(),
-            weight: self.info.weight,
-            submitted: self.info.submitted.load(Ordering::Relaxed),
-            completed: self.info.completed.load(Ordering::Relaxed),
-            queue_wait: self.info.queue_wait.snapshot(),
-        }
-    }
-}
-
-/// Per-tenant root-task queue inside the [`Injector`].
-struct TenantQ {
-    q: VecDeque<ReadyRun>,
-    weight: u32,
-    /// Remaining dispatches in the current round-robin visit.
-    deficit: u32,
-}
-
-/// The shared root-task queue. With no tenants registered it is a
-/// plain FIFO (exact legacy behavior, one branch). With tenants, each
-/// tenant gets its own sub-queue and `pop_one` serves them
-/// **deficit-round-robin**: a visit grants a tenant `weight`
-/// dispatches before the cursor moves on, so over any window each
-/// backlogged tenant receives dispatch slots proportional to its
-/// weight — an adversarial tenant flooding 10x the tasks cannot starve
-/// the others. Dependent-task continuations bypass the injector
-/// entirely (worker-local), so fairness governs *root* dispatch.
-struct Injector {
-    /// Default-tenant queue (also the fast path with no tenants).
-    q: VecDeque<ReadyRun>,
-    /// Deficit of the default queue in the round-robin (weight 1).
-    def0: u32,
-    tq: Vec<TenantQ>,
-    /// Round-robin position: 0 is the default queue, `i + 1` is
-    /// `tq[i]`.
-    cursor: usize,
-    total: usize,
-}
-
-impl Injector {
-    fn new() -> Self {
-        Injector {
-            q: VecDeque::new(),
-            def0: 0,
-            tq: Vec::new(),
-            cursor: 0,
-            total: 0,
-        }
-    }
-
-    fn register_tenant(&mut self, weight: u32) {
-        self.tq.push(TenantQ {
-            q: VecDeque::new(),
-            weight: weight.max(1),
-            deficit: 0,
-        });
-    }
-
-    fn len(&self) -> usize {
-        self.total
-    }
-
-    fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    fn push(&mut self, r: ReadyRun) {
-        self.total += 1;
-        let t = r.tenant.as_ref().map_or(0, |t| t.id) as usize;
-        if t == 0 || t > self.tq.len() {
-            self.q.push_back(r);
-        } else {
-            self.tq[t - 1].q.push_back(r);
-        }
-    }
-
-    fn extend(&mut self, it: impl IntoIterator<Item = ReadyRun>) {
-        for r in it {
-            self.push(r);
-        }
-    }
-
-    /// Pops the next run in fair-share order (FIFO when no tenants).
-    fn pop_one(&mut self) -> Option<ReadyRun> {
-        if self.total == 0 {
-            return None;
-        }
-        if self.tq.is_empty() {
-            self.total -= 1;
-            return self.q.pop_front();
-        }
-        let nq = 1 + self.tq.len();
-        loop {
-            let c = self.cursor % nq;
-            let (len, weight) = if c == 0 {
-                (self.q.len(), 1)
-            } else {
-                let t = &self.tq[c - 1];
-                (t.q.len(), t.weight)
-            };
-            if len == 0 {
-                // An idle queue forfeits its remaining deficit: credit
-                // must not accumulate while a tenant has nothing to
-                // run, or a burst later gets more than its share.
-                if c == 0 {
-                    self.def0 = 0;
-                } else {
-                    self.tq[c - 1].deficit = 0;
-                }
-                self.cursor = (c + 1) % nq;
-                continue;
-            }
-            let deficit = if c == 0 {
-                &mut self.def0
-            } else {
-                &mut self.tq[c - 1].deficit
-            };
-            if *deficit == 0 {
-                *deficit = weight;
-            }
-            *deficit -= 1;
-            let exhausted = *deficit == 0;
-            let r = if c == 0 {
-                self.q.pop_front()
-            } else {
-                self.tq[c - 1].q.pop_front()
-            };
-            if exhausted {
-                self.cursor = (c + 1) % nq;
-            }
-            self.total -= 1;
-            return r;
-        }
-    }
-
-    /// Pops up to `n` runs in fair-share order into `out`.
-    fn pop_into(&mut self, n: usize, out: &mut Vec<ReadyRun>) {
-        for _ in 0..n {
-            match self.pop_one() {
-                Some(r) => out.push(r),
-                None => break,
-            }
-        }
     }
 }
 
@@ -867,11 +591,8 @@ struct Shared {
     state: Mutex<State>,
     /// Signals task completion to blocked drivers.
     cv: Condvar,
-    /// Root-task submissions from the driver (fair-share across
-    /// tenants — see [`Injector`]).
-    injector: Mutex<Injector>,
-    /// Registered tenants, indexed by `TenantInfo::id - 1`.
-    tenants: Mutex<Vec<Arc<TenantInfo>>>,
+    /// Root-task submissions from the driver, oldest first.
+    injector: Mutex<VecDeque<ReadyRun>>,
     /// One deque per worker.
     queues: Vec<Mutex<VecDeque<ReadyRun>>>,
     wake: Mutex<WakeState>,
@@ -879,19 +600,6 @@ struct Shared {
     /// Mirror of `sleepers > tokens`, maintained under the wake lock;
     /// lets `submit_raw` decide stage-vs-flush without that lock.
     idle_hint: AtomicBool,
-    /// The fusion window (`RuntimeConfig::fuse`): parked submissions
-    /// waiting for [`flush_fuse`]. The mutex is held across a whole
-    /// flush and by every buffering submission, so a flush can release
-    /// the *state* lock between submit chunks (letting workers start on
-    /// already-submitted groups) while concurrent driver threads still
-    /// observe the flush as atomic. Lock order: always `fuse_flush`
-    /// before `state`.
-    fuse_flush: Mutex<Vec<Option<BufTask>>>,
-    /// Id allocator for [`DataId`]s, decoupled from `State::data` so a
-    /// buffering submission needs no state lock at all: entries for
-    /// allocated-but-unmaterialized ids are backfilled in bulk (see
-    /// [`ensure_data`]) by whoever touches the data table next.
-    data_ids: AtomicU64,
     /// Installed fault-injection plan (chaos harness), if any.
     fault_plan: Mutex<Option<Arc<FaultPlan>>>,
     /// Mirror of `fault_plan.is_some()`: a relaxed load keeps the
@@ -956,27 +664,13 @@ impl Runtime {
         })
     }
 
-    /// Whether this runtime buffers submissions for the graph-rewrite
-    /// optimizer (see [`RuntimeConfig::fuse`]).
-    pub fn fusing(&self) -> bool {
-        self.inner.shared.config.fuse
-    }
-
     /// Builds a runtime from an explicit configuration.
     ///
     /// # Panics
-    /// Panics when `stream` and `fuse` are both set (the fusion
-    /// window's contiguous pre-allocated output ranges are incompatible
-    /// with slot recycling), or when the stream watermarks are invalid
-    /// (`low > high` or `high == 0`).
+    /// Panics when the stream watermarks are invalid (`low > high` or
+    /// `high == 0`).
     pub fn with_config(config: RuntimeConfig) -> Self {
         if let Some(sc) = config.stream {
-            assert!(
-                !config.fuse,
-                "RuntimeConfig::stream and RuntimeConfig::fuse are mutually \
-                 exclusive: the fusion window pre-allocates contiguous output \
-                 id ranges that slot recycling would invalidate"
-            );
             assert!(
                 sc.high > 0 && sc.low <= sc.high,
                 "invalid stream watermarks: need 0 < low <= high, \
@@ -1006,8 +700,7 @@ impl Runtime {
                 staged: Vec::new(),
             }),
             cv: Condvar::new(),
-            injector: Mutex::new(Injector::new()),
-            tenants: Mutex::new(Vec::new()),
+            injector: Mutex::new(VecDeque::new()),
             queues: (0..n_workers)
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
@@ -1018,8 +711,6 @@ impl Runtime {
             }),
             wake_cv: Condvar::new(),
             idle_hint: AtomicBool::new(false),
-            fuse_flush: Mutex::new(Vec::new()),
-            data_ids: AtomicU64::new(0),
             fault_plan: Mutex::new(None),
             fault_active: AtomicBool::new(false),
             epoch,
@@ -1046,63 +737,16 @@ impl Runtime {
     /// places such data on the master node (node 0).
     pub fn put<T: Payload>(&self, value: T) -> Handle<T> {
         let bytes = value.approx_bytes();
-        let shared = &self.inner.shared;
-        let id = DataId(shared.data_ids.fetch_add(1, Ordering::Relaxed));
-        let mut st = lock(&shared.state);
-        ensure_data(&mut st, id.0 + 1);
-        st.data[id.0 as usize] = DataEntry {
+        let mut st = lock(&self.inner.shared.state);
+        let id = DataId(st.data.len() as u64);
+        st.data.push(DataEntry {
             slot: Slot::Ready(Arc::new(value), bytes),
             producer: None,
             pending_reads: 0,
             released: false,
             last_touch: DRIVER,
-        };
-        Handle::new(id)
-    }
-
-    /// Registers a tenant: a logical job whose tasks (submitted via
-    /// [`Tenant::task`]) are dispatched under a fair-share
-    /// deficit-round-robin with the given `weight` (dispatch slots per
-    /// round-robin visit, relative to other tenants; the default
-    /// tenant — plain [`Runtime::task`] submissions — has weight 1)
-    /// and counted on per-tenant stats ([`Tenant::stats`],
-    /// [`Runtime::tenant_stats`]). The "shared ML cluster" scenario:
-    /// N workflows multiplexed over one worker pool, none able to
-    /// starve the others.
-    pub fn tenant(&self, name: &str, weight: u32) -> Tenant {
-        let shared = &self.inner.shared;
-        let mut tenants = lock(&shared.tenants);
-        let info = Arc::new(TenantInfo {
-            id: tenants.len() as u32 + 1,
-            name: name.to_string(),
-            weight: weight.max(1),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            queue_wait: LogHistogram::new(),
         });
-        tenants.push(info.clone());
-        // Keep the injector's queue vector in lockstep with the
-        // registry (ids index both).
-        lock(&shared.injector).register_tenant(weight);
-        Tenant {
-            rt: self.clone(),
-            info,
-        }
-    }
-
-    /// Per-tenant counters for every registered tenant, in
-    /// registration order.
-    pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        lock(&self.inner.shared.tenants)
-            .iter()
-            .map(|t| TenantStats {
-                name: t.name.clone(),
-                weight: t.weight,
-                submitted: t.submitted.load(Ordering::Relaxed),
-                completed: t.completed.load(Ordering::Relaxed),
-                queue_wait: t.queue_wait.snapshot(),
-            })
-            .collect()
+        Handle::new(id)
     }
 
     /// Declares the driver done with `h`. On a streaming runtime
@@ -1136,7 +780,6 @@ impl Runtime {
     /// [`RuntimeConfig::stream`] nothing retires: `retired == 0` and
     /// `live == allocated` on all three tables.
     pub fn table_stats(&self) -> TableStats {
-        self.flush_fuse(FlushKind::Drain);
         let st = lock(&self.inner.shared.state);
         TableStats {
             tasks: st.tasks.stats(),
@@ -1159,9 +802,6 @@ impl Runtime {
             cores: 1,
             gpus: 0,
             fault: TaskFault::default(),
-            fusible: true,
-            discardable: false,
-            tenant: None,
         }
     }
 
@@ -1186,11 +826,6 @@ impl Runtime {
     /// # Panics
     /// Panics if the producing task panicked.
     pub fn wait<T: Payload>(&self, h: Handle<T>) -> Arc<T> {
-        // Materialize the fusion window (if any) before the marker: the
-        // marker's dependency is the *materialized* producer of `h`, and
-        // no task submitted before this wait may be elided as dead if it
-        // feeds `h`.
-        self.flush_fuse(FlushKind::Sync(Some(h.id)));
         // Record the sync marker first (driver-side order is submission
         // order), then block.
         {
@@ -1217,9 +852,6 @@ impl Runtime {
     }
 
     fn block_on<T: Payload>(&self, id: DataId) -> Arc<T> {
-        // `peek` lands here directly; `wait` already flushed (the call
-        // below is then a cheap empty-buffer early return).
-        self.flush_fuse(FlushKind::Sync(Some(id)));
         let shared = &self.inner.shared;
         let di = id.0 as usize;
         if di >= lock(&shared.state).data.len() {
@@ -1253,7 +885,6 @@ impl Runtime {
     /// Waits for every submitted task to complete and records a barrier
     /// marker (PyCOMPSs `compss_barrier`).
     pub fn barrier(&self) {
-        self.flush_fuse(FlushKind::Sync(None));
         let shared = &self.inner.shared;
         let pending: Vec<TaskId> = {
             let mut st = lock(&shared.state);
@@ -1333,9 +964,6 @@ impl Runtime {
     ///
     /// [`barrier`]: Runtime::barrier
     pub fn trace(&self) -> Trace {
-        // Observability reads materialize the window without eliding
-        // anything — a not-yet-synchronized task is still a submission.
-        self.flush_fuse(FlushKind::Drain);
         let st = lock(&self.inner.shared.state);
         Trace {
             // A streaming runtime retires records with their tasks, so
@@ -1353,7 +981,6 @@ impl Runtime {
 
     /// Number of tasks submitted so far (markers included).
     pub fn task_count(&self) -> usize {
-        self.flush_fuse(FlushKind::Drain);
         lock(&self.inner.shared.state).records.len()
     }
 
@@ -1361,7 +988,6 @@ impl Runtime {
     /// [`crate::obs::RuntimeStats`]). All zeros when the runtime was
     /// built with [`RuntimeConfig::metrics`] `= false`.
     pub fn stats(&self) -> RuntimeStats {
-        self.flush_fuse(FlushKind::Drain);
         self.inner.shared.counters.snapshot()
     }
 
@@ -1471,16 +1097,6 @@ impl Runtime {
             s.cancelled,
         );
         reg.counter(
-            "taskrt_fused_tasks_total",
-            "fused tasks dispatched by the graph optimizer",
-            s.fused_tasks,
-        );
-        reg.counter(
-            "taskrt_tasks_elided_total",
-            "submitted tasks never dispatched individually",
-            s.tasks_elided,
-        );
-        reg.counter(
             "taskrt_worker_parks_total",
             "worker condvar sleeps",
             s.worker_parks,
@@ -1544,7 +1160,6 @@ impl Runtime {
             worker: -1,
             child: None,
             attempts: vec![],
-            tenant: 0,
         });
         st.tasks.push(TaskEntry {
             status: Status::Done,
@@ -1621,25 +1236,12 @@ impl Runtime {
         fault: TaskFault,
         f: TaskFn,
     ) -> Vec<DataId> {
-        self.submit_inner(
-            name,
-            cores,
-            gpus,
-            inputs,
-            consume_mask,
-            n_outputs,
-            fault,
-            true,
-            false,
-            None,
-            f,
-        )
+        self.submit_inner(name, cores, gpus, inputs, consume_mask, n_outputs, fault, f)
     }
 
-    /// Full-parameter submission: the public paths above plus the
-    /// optimizer flags (`fusible`, `discardable` — see [`BufTask`]).
-    /// With [`RuntimeConfig::fuse`] off this is the direct dispatch
-    /// path; with it on, the task parks in the fusion window.
+    /// The one submission path every public entry point funnels into:
+    /// sanitize the consume mask, run the [`submit_locked`] transaction
+    /// under the state lock, then execute / wake / throttle outside it.
     #[allow(clippy::too_many_arguments)]
     fn submit_inner(
         &self,
@@ -1650,9 +1252,6 @@ impl Runtime {
         mut consume_mask: u64,
         n_outputs: usize,
         fault: TaskFault,
-        fusible: bool,
-        discardable: bool,
-        tenant: Option<Arc<TenantInfo>>,
         f: TaskFn,
     ) -> Vec<DataId> {
         // A datum passed twice to the same task must never be consumed:
@@ -1672,43 +1271,6 @@ impl Runtime {
             }
         }
         let shared = &self.inner.shared;
-        if shared.config.fuse {
-            // Buffering touches neither the state lock nor the data
-            // table: ids come from the atomic allocator and entries are
-            // backfilled in bulk at flush time (see [`ensure_data`]).
-            // Allocation happens under the window lock so buffer order
-            // always matches id order — the flush's producer index
-            // depends on the window being sorted by `first_out`.
-            let (first_out, overflow) = {
-                let mut window = lock(&shared.fuse_flush);
-                let first_out = DataId(
-                    shared
-                        .data_ids
-                        .fetch_add(n_outputs as u64, Ordering::Relaxed),
-                );
-                window.push(Some(BufTask {
-                    name,
-                    cores,
-                    gpus,
-                    inputs,
-                    consume_mask,
-                    first_out,
-                    n_outs: n_outputs as u32,
-                    fault,
-                    fusible,
-                    discardable,
-                    tenant,
-                    f,
-                }));
-                (first_out, window.len() >= FUSE_WINDOW)
-            };
-            if overflow {
-                self.flush_fuse(FlushKind::Drain);
-            }
-            return (0..n_outputs as u64)
-                .map(|k| DataId(first_out.0 + k))
-                .collect();
-        }
         let mut inline_runs = INLINE_WORKLIST.with(std::cell::Cell::take);
         let mut wake_n = 0;
         let outputs = {
@@ -1721,9 +1283,8 @@ impl Runtime {
                 gpus,
                 inputs,
                 consume_mask,
-                SubmitOutputs::Alloc(n_outputs),
+                n_outputs,
                 fault,
-                tenant,
                 f,
                 &mut inline_runs,
                 &mut wake_n,
@@ -1744,23 +1305,10 @@ impl Runtime {
         }
         outputs
     }
-
-    fn flush_fuse(&self, kind: FlushKind) {
-        flush_fuse(&self.inner.shared, kind);
-    }
 }
 
-/// Output allocation mode for [`submit_locked`].
-enum SubmitOutputs {
-    /// Allocate this many fresh output data entries.
-    Alloc(usize),
-    /// Adopt entries pre-allocated at fusion-buffering time; their
-    /// `producer` is stamped here.
-    Prealloc(Vec<DataId>),
-}
-
-/// The single-task submission transaction: allocates (or adopts) the
-/// output entries, detects dependencies, records the task, and
+/// The single-task submission transaction: allocates the output
+/// entries, detects dependencies, records the task, and
 /// dispatches it if ready — all under the state lock the caller holds.
 /// Ready inline-mode tasks are appended to `inline_runs` (the caller
 /// executes them after unlocking); threaded-mode wake obligations
@@ -1775,34 +1323,27 @@ fn submit_locked(
     gpus: u32,
     inputs: Vec<DataId>,
     consume_mask: u64,
-    out_mode: SubmitOutputs,
+    n_outputs: usize,
     fault: TaskFault,
-    tenant: Option<Arc<TenantInfo>>,
     f: TaskFn,
     inline_runs: &mut Vec<ReadyRun>,
     wake_n: &mut usize,
 ) -> Vec<DataId> {
     let tid = TaskId(st.tasks.len() as u64);
 
-    let outputs = match out_mode {
-        SubmitOutputs::Alloc(n) => {
-            let first = shared.data_ids.fetch_add(n as u64, Ordering::Relaxed);
-            ensure_data(st, first + n as u64);
-            let mut outputs = Vec::with_capacity(n);
-            for k in 0..n as u64 {
-                let id = DataId(first + k);
-                st.data[id.0 as usize].producer = Some(tid);
-                outputs.push(id);
-            }
-            outputs
-        }
-        SubmitOutputs::Prealloc(outputs) => {
-            for &d in &outputs {
-                st.data[d.0 as usize].producer = Some(tid);
-            }
-            outputs
-        }
-    };
+    let outputs: Vec<DataId> = (0..n_outputs)
+        .map(|_| {
+            let id = DataId(st.data.len() as u64);
+            st.data.push(DataEntry {
+                slot: Slot::Pending,
+                producer: Some(tid),
+                pending_reads: 0,
+                released: false,
+                last_touch: DRIVER,
+            });
+            id
+        })
+        .collect();
 
     let seq = st.records.len() as u64;
     let mut consumed_input = None;
@@ -1849,7 +1390,6 @@ fn submit_locked(
         .filter(|&&d| st.tasks[d.0 as usize].status != Status::Done)
         .count();
 
-    let tenant_id = tenant.as_ref().map_or(0, |t| t.id);
     st.records.push(TaskRecord {
         id: tid,
         name,
@@ -1864,11 +1404,7 @@ fn submit_locked(
         worker: -1,
         child: None,
         attempts: vec![],
-        tenant: tenant_id,
     });
-    if let Some(t) = &tenant {
-        t.submitted.fetch_add(1, Ordering::Relaxed);
-    }
     st.since_barrier.push(tid);
     // Streaming: `since_barrier` would otherwise grow one id per task
     // for the life of the run. Completed (or recycled) entries can
@@ -1952,7 +1488,6 @@ fn submit_locked(
                 f,
                 consume_mask,
                 fault,
-                tenant,
             }),
             failure: None,
             on_failure: fault.on_failure,
@@ -1968,7 +1503,6 @@ fn submit_locked(
                 f,
                 consume_mask,
                 fault,
-                tenant,
             }),
             failure: None,
             on_failure: fault.on_failure,
@@ -2018,12 +1552,6 @@ fn submit_locked(
             ExecMode::Threads(_) => {
                 // No stamp here either: the flush stamps its batch.
                 let run = make_run(st, tid, None, inject);
-                // Tenant-owned tasks are published immediately: the
-                // deficit-round-robin can only be fair over runs the
-                // injector can see, and a staged tail is invisible to
-                // workers until one runs completely dry — which, under
-                // a flood from another tenant, is after the flood.
-                let eager = run.tenant.is_some();
                 st.staged.push(run);
                 // "Idle" means a sleeper with no wakeup already
                 // in flight — a notified-but-not-yet-scheduled
@@ -2032,7 +1560,7 @@ fn submit_locked(
                 // worker publishes the hint before its final
                 // staged-drain, and we stage before reading.)
                 let idle = shared.idle_hint.load(Ordering::Relaxed);
-                if idle || eager || st.staged.len() >= STAGE_BATCH {
+                if idle || st.staged.len() >= STAGE_BATCH {
                     *wake_n += flush_staged_locked(shared, st);
                 }
             }
@@ -2041,557 +1569,10 @@ fn submit_locked(
     outputs
 }
 
-/// Backfills `State::data` with placeholder entries up to (excluding)
-/// id `upto`. Ids are handed out by `Shared::data_ids` without the
-/// state lock (buffered submissions never touch the data table), so
-/// whoever next needs an entry — a flush, a `put`, a direct allocation
-/// — first extends the table to cover everything allocated before it.
-/// The placeholder (pending, no producer) is exactly the state a
-/// buffered output is in until its task materializes.
-fn ensure_data(st: &mut State, upto: u64) {
-    st.data.ensure_with(upto as usize, || DataEntry {
-        slot: Slot::Pending,
-        producer: None,
-        pending_reads: 0,
-        released: false,
-        last_touch: DRIVER,
-    });
-}
-
-/// Max submissions buffered in the fusion window before a forced
-/// [`FlushKind::Drain`]. Bounds driver-side memory (each buffered task
-/// holds its closure). Sized generously: a window boundary cuts every
-/// per-block chain that straddles it into fragments, so the window must
-/// comfortably cover (blocks x chain-length) of a typical fine-grained
-/// pipeline stretch; the planning passes are linear in the window, so a
-/// larger window costs memory, not asymptotics.
-const FUSE_WINDOW: usize = 8192;
-
-/// Materializes the fusion window: runs the rewrite passes over the
-/// buffered submissions, then feeds the surviving (possibly fused)
-/// tasks through [`submit_locked`] in a valid topological order —
-/// groups sorted by their first member's buffer index (see
-/// [`plan_groups`] for why that order is always valid).
-///
-/// The whole flush holds the window lock (`Shared::fuse_flush`), so
-/// other driver threads observe it as atomic; the *state* lock is only
-/// held to take the window, to poison elided outputs, and per submit
-/// chunk — the planning passes run lock-free on the taken window, and
-/// workers start executing the front of the window while the back is
-/// still being planned.
-fn flush_fuse(shared: &Shared, kind: FlushKind) {
-    if !shared.config.fuse {
-        return;
-    }
-    let metrics = shared.config.metrics;
-    // Lock order: `fuse_flush` before `state` (see `Shared`).
-    let mut window = lock(&shared.fuse_flush);
-    if window.is_empty() {
-        return;
-    }
-    let mut buf = std::mem::take(&mut *window);
-    {
-        // In-window producer index: every task's output ids are one
-        // contiguous range, and ranges are allocated in submission order
-        // — so the window, keyed by `first_out`, IS the sorted producer
-        // index. The firsts are copied into a dense `u64` array so the
-        // binary search stays inside a few cache lines instead of
-        // striding over full `BufTask` entries; indices stay stable
-        // across elision (dead tasks become `None` in place), and a
-        // dead producer can never be resolved from a live task —
-        // liveness propagates to producers.
-        //
-        // Ids outside the window's output span (puts, earlier flushes)
-        // reject in O(1) — in block pipelines that is most lookups.
-        let firsts: Vec<u64> = buf
-            .iter()
-            .map(|t| {
-                t.as_ref()
-                    .expect("window tasks present at take")
-                    .first_out
-                    .0
-            })
-            .collect();
-        let (min_out, max_out) = {
-            let last = buf[buf.len() - 1]
-                .as_ref()
-                .expect("window tasks present at take");
-            (firsts[0], last.first_out.0 + last.n_outs as u64)
-        };
-        // Materialize placeholder entries for every id the window
-        // allocated (buffering skips the data table entirely), so
-        // elision can poison and submission can stamp producers.
-        {
-            let mut st = lock(&shared.state);
-            ensure_data(&mut st, max_out);
-        }
-        let producer_of = |buf: &[Option<BufTask>], d: DataId| -> Option<usize> {
-            if d.0 < min_out || d.0 >= max_out {
-                return None;
-            }
-            let j = firsts.partition_point(|&x| x <= d.0) - 1;
-            buf[j]
-                .as_ref()
-                .filter(|t| d.0 < t.first_out.0 + t.n_outs as u64)
-                .map(|_| j)
-        };
-        // Pass (a) prep: the dependency CSR. Policies whose failure
-        // cascade is per-task (`Ignore` poisons its own outputs,
-        // `CancelSuccessors` scopes to its own cone) cannot be honoured
-        // member-wise inside one fused task, so such tasks never fuse.
-        let build_csr = |buf: &[Option<BufTask>]| -> (Vec<u32>, Vec<u32>, Vec<bool>) {
-            let mut preds_off: Vec<u32> = Vec::with_capacity(buf.len() + 1);
-            preds_off.push(0);
-            let mut preds_flat: Vec<u32> = Vec::with_capacity(buf.len() * 2);
-            let mut fusible: Vec<bool> = Vec::with_capacity(buf.len());
-            let mut scratch: Vec<u32> = Vec::new();
-            for entry in buf {
-                if let Some(t) = entry {
-                    scratch.clear();
-                    scratch.extend(
-                        t.inputs
-                            .iter()
-                            .filter_map(|&d| producer_of(buf, d).map(|p| p as u32)),
-                    );
-                    scratch.sort_unstable();
-                    scratch.dedup();
-                    preds_flat.extend_from_slice(&scratch);
-                    fusible.push(
-                        t.fusible
-                            && matches!(t.fault.on_failure, OnFailure::Fail | OnFailure::Retry),
-                    );
-                } else {
-                    fusible.push(false);
-                }
-                preds_off.push(preds_flat.len() as u32);
-            }
-            (preds_off, preds_flat, fusible)
-        };
-        // Consume (INOUT-steal) bits: a bit survives the rewrite only
-        // when its datum has exactly one read in the whole window —
-        // group reordering may materialize a consumer *before* a reader
-        // that was submitted earlier, and a premature steal would fail
-        // that reader, so any shared datum falls back to the
-        // (result-identical) clone path. Masks are cleaned once up
-        // front so neither the singleton path nor [`build_fused`] needs
-        // a per-input probe later; windows with no consume bits at all
-        // (pure chains) skip the pass entirely.
-        if buf.iter().flatten().any(|t| t.consume_mask != 0) {
-            let mut read_ids: Vec<DataId> = Vec::with_capacity(buf.len() * 2);
-            for t in buf.iter().flatten() {
-                read_ids.extend_from_slice(&t.inputs);
-            }
-            read_ids.sort_unstable();
-            let sole_reader = |d: DataId| -> bool {
-                let i = read_ids.partition_point(|&x| x < d);
-                i < read_ids.len()
-                    && read_ids[i] == d
-                    && (i + 1 == read_ids.len() || read_ids[i + 1] != d)
-            };
-            for t in buf.iter_mut().flatten() {
-                if t.consume_mask == 0 {
-                    continue;
-                }
-                let mut mask = t.consume_mask;
-                for (i, &d) in t.inputs.iter().enumerate().take(64) {
-                    if mask >> i & 1 == 1 && !sole_reader(d) {
-                        mask &= !(1u64 << i);
-                    }
-                }
-                t.consume_mask = mask;
-            }
-        }
-        let (mut preds_off, mut preds_flat, mut fusible) = build_csr(&buf);
-        // Pass (b): dead-task elimination, only at sync flushes — an
-        // observability drain must still materialize everything. Dead
-        // entries turn `None` in place; the CSR is rebuilt (rare) so
-        // their read edges vanish and they plan as skipped singletons.
-        // Poisoning touches the data table, so this briefly retakes the
-        // state lock.
-        if let FlushKind::Sync(protect) = kind {
-            let protect_idx = protect.and_then(|d| producer_of(&buf, d));
-            let elided = {
-                let mut st = lock(&shared.state);
-                eliminate_dead(&mut st, &mut buf, protect_idx, &preds_off, &preds_flat)
-            };
-            if elided > 0 {
-                if metrics {
-                    Counters::add(&shared.counters.tasks_elided, elided);
-                }
-                (preds_off, preds_flat, fusible) = build_csr(&buf);
-            }
-        }
-        let groups = plan_groups_csr(&fusible, &preds_off, &preds_flat);
-        // Submission runs in chunks: each chunk's fused closures are
-        // built lock-free, then one short state-lock hold dispatches
-        // them and the freshly-ready front of the window is woken
-        // immediately — workers execute it while the next chunk is
-        // still being built. Inline-mode bodies are deferred until the
-        // window lock is released (a task body must never run under
-        // it).
-        const SUBMIT_CHUNK: usize = 64;
-        enum Planned {
-            Single(BufTask),
-            Fused(FusedSpec),
-        }
-        let mut inline_runs: Vec<ReadyRun> = Vec::new();
-        let mut taken = buf;
-        let mut planned: Vec<Planned> = Vec::with_capacity(SUBMIT_CHUNK);
-        for chunk in groups.chunks(SUBMIT_CHUNK) {
-            planned.clear();
-            for g in chunk {
-                if g.len() == 1 {
-                    // Elided (`None`) entries plan as singletons; skip.
-                    if let Some(t) = taken[g[0]].take() {
-                        planned.push(Planned::Single(t));
-                    }
-                } else {
-                    if metrics {
-                        Counters::add(&shared.counters.fused_tasks, 1);
-                        Counters::add(&shared.counters.tasks_elided, g.len() as u64 - 1);
-                    }
-                    planned.push(Planned::Fused(build_fused(&mut taken, g)));
-                }
-            }
-            let mut wake_n = 0usize;
-            // (task id, member count) of fused dispatches in this
-            // chunk; journal events are emitted after the lock drops.
-            let mut fused_dispatched: Vec<(u64, u32)> = Vec::new();
-            {
-                let mut st = lock(&shared.state);
-                for p in planned.drain(..) {
-                    match p {
-                        Planned::Single(t) => {
-                            let outputs: Vec<DataId> = (0..t.n_outs as u64)
-                                .map(|k| DataId(t.first_out.0 + k))
-                                .collect();
-                            submit_locked(
-                                shared,
-                                &mut st,
-                                t.name,
-                                t.cores,
-                                t.gpus,
-                                t.inputs,
-                                t.consume_mask,
-                                SubmitOutputs::Prealloc(outputs),
-                                t.fault,
-                                t.tenant,
-                                t.f,
-                                &mut inline_runs,
-                                &mut wake_n,
-                            );
-                        }
-                        Planned::Fused(fused) => {
-                            // Internally consumed data never
-                            // materializes; retire it exactly as an
-                            // INOUT steal would have, so a post-window
-                            // read fails loudly instead of hanging.
-                            for d in &fused.moved_internal {
-                                st.data[d.0 as usize].slot = Slot::Moved(0);
-                            }
-                            fused_dispatched.push((st.tasks.len() as u64, fused.members));
-                            submit_locked(
-                                shared,
-                                &mut st,
-                                fused.name,
-                                fused.cores,
-                                fused.gpus,
-                                fused.inputs,
-                                fused.consume_mask,
-                                SubmitOutputs::Prealloc(fused.outputs),
-                                fused.fault,
-                                // Tenant tasks buffer as non-fusible
-                                // singletons; fused groups are always
-                                // default-tenant.
-                                None,
-                                fused.f,
-                                &mut inline_runs,
-                                &mut wake_n,
-                            );
-                        }
-                    }
-                }
-            }
-            if wake_n > 0 {
-                wake(shared, wake_n);
-            }
-            if let Some(t) = &shared.telemetry {
-                let at = Instant::now();
-                for (tid, members) in fused_dispatched {
-                    t.journal().emit_at(
-                        DRIVER,
-                        at,
-                        EventKind::FusedGroup,
-                        Some(tid),
-                        members as u64,
-                        0,
-                    );
-                }
-            }
-        }
-        drop(window);
-        run_worklist(shared, inline_runs);
-    }
-}
-
-/// Dead-task elimination over the fusion window: drops buffered tasks
-/// that opted in ([`TaskBuilder::discardable`]) when no surviving task
-/// in the window reads their outputs (transitively) and the flush's
-/// sync target (`protect`, already resolved to a buffer index) is not
-/// one of them. Liveness propagates producer-ward over the preds CSR.
-/// Elided tasks never run: their entries turn `None` in place and their
-/// outputs are poisoned so a later out-of-window read fails loudly.
-/// Returns how many tasks were elided.
-fn eliminate_dead(
-    st: &mut State,
-    buf: &mut [Option<BufTask>],
-    protect: Option<usize>,
-    preds_off: &[u32],
-    preds_flat: &[u32],
-) -> u64 {
-    if !buf.iter().flatten().any(|t| t.discardable) {
-        return 0;
-    }
-    let n = buf.len();
-    let mut live = vec![false; n];
-    let mut frontier: Vec<usize> = Vec::new();
-    for (i, t) in buf.iter().enumerate() {
-        if t.as_ref().is_some_and(|t| !t.discardable) {
-            live[i] = true;
-            frontier.push(i);
-        }
-    }
-    if let Some(i) = protect {
-        if !live[i] {
-            live[i] = true;
-            frontier.push(i);
-        }
-    }
-    while let Some(i) = frontier.pop() {
-        for &p in &preds_flat[preds_off[i] as usize..preds_off[i + 1] as usize] {
-            let p = p as usize;
-            if !live[p] {
-                live[p] = true;
-                frontier.push(p);
-            }
-        }
-    }
-    let mut elided = 0u64;
-    for (i, entry) in buf.iter_mut().enumerate() {
-        if live[i] || entry.is_none() {
-            continue;
-        }
-        let t = entry.take().expect("dead entry present");
-        elided += 1;
-        let msg: Arc<str> = format!(
-            "task '{}' was elided as dead by the fusion optimizer \
-             (its outputs were never read before the sync point)",
-            t.name
-        )
-        .into();
-        for k in 0..t.n_outs as u64 {
-            st.data[(t.first_out.0 + k) as usize].slot = Slot::Poisoned(msg.clone());
-        }
-    }
-    elided
-}
-
-/// Where a fused member's input comes from at execution time.
-enum Src {
-    /// Index into the fused task's external input vector.
-    Ext(usize),
-    /// Internal slot: another member's output, produced earlier in the
-    /// same fused body.
-    Int(usize),
-}
-
-/// Execution plan for one member of a fused task. Input sources live in
-/// one flat per-group vector (`srcs_start..srcs_start + n_srcs`) and
-/// member outputs occupy the contiguous internal slot range
-/// `slot_base..slot_base + n_outs` — ranges instead of per-member
-/// vectors, because groups are built on the flush hot path.
-struct MemberPlan {
-    f: TaskFn,
-    srcs_start: u32,
-    n_srcs: u32,
-    slot_base: u32,
-    n_outs: u32,
-}
-
-/// A fully planned fused task, ready for [`submit_locked`].
-struct FusedSpec {
-    name: String,
-    cores: u32,
-    gpus: u32,
-    inputs: Vec<DataId>,
-    consume_mask: u64,
-    outputs: Vec<DataId>,
-    fault: TaskFault,
-    /// Member outputs consumed member-to-member inside the fused body:
-    /// they never materialize and are retired as `Slot::Moved`.
-    moved_internal: Vec<DataId>,
-    /// Number of member tasks collapsed into this one (for the
-    /// `fused_group` journal event).
-    members: u32,
-    f: TaskFn,
-}
-
-/// Builds the single fused task for a planned group: one closure that
-/// runs the member bodies back-to-back on one worker, wiring member
-/// outputs to member inputs through an internal slot vector — no
-/// scheduler round-trip, no dependency release, no per-member commit.
-///
-/// Fault policy: the strictest member wins. Any `Retry` member makes
-/// the whole fused task retryable with the largest attempt budget (a
-/// member can only be replayed by replaying the group — all-or-nothing,
-/// like the unfused task is); `Ignore`/`CancelSuccessors` members were
-/// already rejected by the planner. For a retryable fused task,
-/// member-to-member consumption is disabled (inputs of every attempt
-/// must stay pristine), mirroring how [`make_run`] zeroes the consume
-/// mask of retryable unfused tasks.
-fn build_fused(taken: &mut [Option<BufTask>], g: &[usize]) -> FusedSpec {
-    let member = |&i: &usize| taken[i].as_ref().expect("group member present");
-    let names: Vec<&str> = g.iter().map(|i| member(i).name.as_str()).collect();
-    let name = fused_label(&names);
-    drop(names);
-    let cores = g.iter().map(|i| member(i).cores).max().unwrap_or(1);
-    let gpus = g.iter().map(|i| member(i).gpus).max().unwrap_or(0);
-    let fault = g
-        .iter()
-        .map(member)
-        .filter(|m| matches!(m.fault.on_failure, OnFailure::Retry))
-        .max_by_key(|m| m.fault.max_attempts())
-        .map(|m| m.fault)
-        .unwrap_or_default();
-    let retryable = fault.retryable();
-
-    // Groups are capped at `MAX_GROUP` members, so id-to-index lookups
-    // are linear scans over short vectors — cheaper than any hash map
-    // at this size, and this runs on the flush hot path.
-    let n_members = g.len();
-    let mut slot_data: Vec<DataId> = Vec::with_capacity(n_members);
-    let mut internal_consumed: Vec<bool> = Vec::with_capacity(n_members);
-    let mut ext_ids: Vec<DataId> = Vec::new();
-    let mut consume_mask = 0u64;
-    let mut srcs: Vec<(Src, bool)> = Vec::with_capacity(n_members * 2);
-    let mut plans: Vec<MemberPlan> = Vec::with_capacity(n_members);
-    for &gi in g {
-        let m = taken[gi].take().expect("group member taken once");
-        let srcs_start = srcs.len() as u32;
-        for (i, &d) in m.inputs.iter().enumerate() {
-            // Member consume bits were already reduced to sole-reader
-            // occurrences by the flush's mask-cleaning pass.
-            let consume = i < 64 && m.consume_mask >> i & 1 == 1;
-            if let Some(s) = slot_data.iter().position(|&x| x == d) {
-                let take = consume && !retryable;
-                if take {
-                    internal_consumed[s] = true;
-                }
-                srcs.push((Src::Int(s), take));
-            } else {
-                let e = ext_ids.iter().position(|&x| x == d).unwrap_or_else(|| {
-                    ext_ids.push(d);
-                    ext_ids.len() - 1
-                });
-                let take = consume && e < 64;
-                if take {
-                    consume_mask |= 1u64 << e;
-                }
-                srcs.push((Src::Ext(e), take));
-            }
-        }
-        let slot_base = slot_data.len() as u32;
-        for k in 0..m.n_outs as u64 {
-            slot_data.push(DataId(m.first_out.0 + k));
-            internal_consumed.push(false);
-        }
-        plans.push(MemberPlan {
-            f: m.f,
-            srcs_start,
-            n_srcs: srcs.len() as u32 - srcs_start,
-            slot_base,
-            n_outs: slot_data.len() as u32 - slot_base,
-        });
-    }
-    // Every member output that is not consumed member-to-member stays a
-    // real output of the fused task — an intermediate the driver might
-    // peek later materializes exactly as it would have unfused.
-    let n_slots = slot_data.len();
-    let kept: Vec<usize> = (0..n_slots).filter(|&s| !internal_consumed[s]).collect();
-    let outputs: Vec<DataId> = kept.iter().map(|&s| slot_data[s]).collect();
-    let moved_internal: Vec<DataId> = (0..n_slots)
-        .filter(|&s| internal_consumed[s])
-        .map(|s| slot_data[s])
-        .collect();
-    let mut plans = plans;
-    let f: TaskFn = Box::new(move |ctx, ins| {
-        let mut slots: Vec<Option<(AnyArc, usize)>> = (0..n_slots).map(|_| None).collect();
-        let mut mins: Vec<AnyArc> = Vec::new();
-        for plan in plans.iter_mut() {
-            // Rebuild this member's input vector in its original
-            // positional order; the member body indexes it as if it
-            // were dispatched alone.
-            mins.clear();
-            let range = plan.srcs_start as usize..(plan.srcs_start + plan.n_srcs) as usize;
-            for (src, take) in &srcs[range] {
-                match src {
-                    Src::Ext(e) => mins.push(if *take {
-                        std::mem::replace(&mut ins[*e], unit_any())
-                    } else {
-                        ins[*e].clone()
-                    }),
-                    Src::Int(s) => mins.push(if *take {
-                        slots[*s]
-                            .take()
-                            .expect("fused internal slot consumed once")
-                            .0
-                    } else {
-                        slots[*s]
-                            .as_ref()
-                            .expect("fused internal slot available")
-                            .0
-                            .clone()
-                    }),
-                }
-            }
-            let outs = (plan.f)(ctx, &mut mins);
-            assert_eq!(
-                outs.len(),
-                plan.n_outs as usize,
-                "fused member returned wrong output arity"
-            );
-            for (k, ob) in outs.into_iter().enumerate() {
-                slots[plan.slot_base as usize + k] = Some(ob);
-            }
-        }
-        kept.iter()
-            .map(|&s| slots[s].take().expect("fused output slot filled"))
-            .collect()
-    });
-    FusedSpec {
-        name,
-        cores,
-        gpus,
-        inputs: ext_ids,
-        consume_mask,
-        outputs,
-        fault,
-        moved_internal,
-        members: g.len() as u32,
-        f,
-    }
-}
-
 /// How many ready-at-submission tasks accumulate in [`State::staged`]
 /// before a flush when no worker is idle (all busy: dispatch latency is
 /// irrelevant, batching the lock + wakeup traffic is everything).
 const STAGE_BATCH: usize = 32;
-
-/// Cap on one injector adoption when tenants are registered (see
-/// [`adopt_batch`]): small enough that a late-arriving tenant waits at
-/// most `workers * FAIR_ADOPT_BATCH` already-committed tasks, large
-/// enough to amortize the injector lock.
-const FAIR_ADOPT_BATCH: usize = 32;
 
 /// Executor id recorded on [`TaskRecord::worker`] for tasks run on the
 /// driver thread (inline mode, `run_worklist`, or cooperative
@@ -2696,7 +1677,7 @@ fn help_drain(shared: &Shared, newly: &mut Vec<ReadyRun>) -> bool {
     let mut helped = false;
     loop {
         let next = lock(&shared.injector)
-            .pop_one()
+            .pop_front()
             .or_else(|| shared.queues.iter().find_map(|q| lock(q).pop_back()));
         let Some(first) = next else {
             if flush_staged(shared) > 0 {
@@ -2776,21 +1757,8 @@ fn adopt_batch(shared: &Shared, me: usize, scratch: &mut Vec<ReadyRun>) -> Optio
     scratch.clear();
     {
         let mut inj = lock(&shared.injector);
-        // Fair-share order: the batch is taken by repeated DRR pops,
-        // so one worker adopting half the injector still acquires a
-        // weight-proportional tenant mix, not one tenant's burst.
-        // With tenants registered, the batch is additionally capped:
-        // adopted runs are committed to one worker's deque where the
-        // round-robin can no longer reach them, so a huge adoption
-        // would let a pre-queued flood shut out a tenant that submits
-        // a moment later. The cap bounds that fairness latency to
-        // `workers * FAIR_ADOPT_BATCH` tasks while still amortizing
-        // the injector lock.
-        let mut take = inj.len().div_ceil(2);
-        if !inj.tq.is_empty() {
-            take = take.min(FAIR_ADOPT_BATCH);
-        }
-        inj.pop_into(take, scratch);
+        let take = inj.len().div_ceil(2);
+        scratch.extend(inj.drain(..take));
     }
     if scratch.len() > 1 {
         // Keep the oldest for ourselves, queue the rest.
@@ -3018,7 +1986,6 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         ready_at,
         fault,
         name,
-        tenant,
         affinity,
     } = run;
     let ti = task.0 as usize;
@@ -3065,7 +2032,6 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
             nested_mode: shared.config.nested_mode,
             metrics,
             telemetry: shared.config.telemetry,
-            fuse: shared.config.fuse,
             counters: metrics.then(|| Arc::clone(&shared.counters)),
             inout_steals: AtomicU64::new(0),
             inout_clones: AtomicU64::new(0),
@@ -3101,10 +2067,6 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                 count(&shard.queue_wait_ns, wait);
                 if let Some(t) = tel {
                     record(&t.queue_wait, wait);
-                }
-                if let Some(tn) = &tenant {
-                    // Shared across workers — takes the RMW path.
-                    tn.queue_wait.record(wait);
                 }
             }
             // No TaskStart emit here: the journal synthesizes start
@@ -3219,12 +2181,6 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         record(&t.run_time, dur_ns);
         t.journal()
             .emit_at(who, end, EventKind::TaskEnd, Some(task.0), dur_ns, failed);
-    }
-
-    if outcome.is_ok() {
-        if let Some(tn) = &tenant {
-            tn.completed.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     let notify_driver;
@@ -3440,15 +2396,6 @@ pub struct TaskBuilder<'rt> {
     cores: u32,
     gpus: u32,
     fault: TaskFault,
-    /// Whether the fusion optimizer may merge this task into a fused
-    /// group (nested tasks opt out — see [`BufTask::fusible`]).
-    fusible: bool,
-    /// Whether the dead-task pass may elide this task (see
-    /// [`TaskBuilder::discardable`]).
-    discardable: bool,
-    /// Owning tenant for fair-share dispatch; `None` routes through the
-    /// default (legacy FIFO) queue. Set by [`Tenant::task`].
-    tenant: Option<Arc<TenantInfo>>,
 }
 
 fn arg<T: Payload>(ins: &[AnyArc], i: usize) -> &T {
@@ -3528,22 +2475,9 @@ impl<'rt> TaskBuilder<'rt> {
         self
     }
 
-    /// Opts this task into the dead-task elimination pass: when the
-    /// runtime buffers submissions ([`RuntimeConfig::fuse`]) and, at a
-    /// `wait`/`peek`/`barrier` flush, nothing in the window reads the
-    /// task's outputs (and the sync does not target them), the task is
-    /// dropped without ever running. Its outputs are poisoned so a
-    /// later read fails loudly instead of hanging. Intended for
-    /// speculative materializations (e.g. a gather the driver may never
-    /// look at); no effect when fusion is off.
-    pub fn discardable(mut self) -> Self {
-        self.discardable = true;
-        self
-    }
-
     /// Single funnel for every `run*` method below: forwards the
-    /// builder's accumulated attributes — including the optimizer
-    /// flags — to the runtime's submission path.
+    /// builder's accumulated attributes to the runtime's submission
+    /// path.
     fn submit(
         self,
         inputs: Vec<DataId>,
@@ -3559,9 +2493,6 @@ impl<'rt> TaskBuilder<'rt> {
             consume_mask,
             n_outputs,
             self.fault,
-            self.fusible,
-            self.discardable,
-            self.tenant,
             f,
         )
     }
@@ -3773,15 +2704,12 @@ impl<'rt> TaskBuilder<'rt> {
     /// and may submit (and wait on) its own sub-tasks. The child trace
     /// is attached to this task's record; the simulator schedules it on
     /// the resources granted to this task (paper §III-D, Fig. 10).
-    pub fn run_nested1<A, R, F>(mut self, a: Handle<A>, mut f: F) -> Handle<R>
+    pub fn run_nested1<A, R, F>(self, a: Handle<A>, mut f: F) -> Handle<R>
     where
         A: Payload,
         R: Payload,
         F: FnMut(&Runtime, &A) -> R + Send + 'static,
     {
-        // A fused record has a single child-trace slot; merging nested
-        // tasks would silently drop all but one sub-trace.
-        self.fusible = false;
         let ids = self.submit(
             vec![a.id],
             0,
@@ -3795,14 +2723,13 @@ impl<'rt> TaskBuilder<'rt> {
     }
 
     /// Nested task with two inputs.
-    pub fn run_nested2<A, B, R, F>(mut self, a: Handle<A>, b: Handle<B>, mut f: F) -> Handle<R>
+    pub fn run_nested2<A, B, R, F>(self, a: Handle<A>, b: Handle<B>, mut f: F) -> Handle<R>
     where
         A: Payload,
         B: Payload,
         R: Payload,
         F: FnMut(&Runtime, &A, &B) -> R + Send + 'static,
     {
-        self.fusible = false;
         let ids = self.submit(
             vec![a.id, b.id],
             0,
@@ -4150,6 +3077,54 @@ mod tests {
         tx.send(()).expect("release gate");
         assert_eq!(*rt.peek(read), 7.0 * 64.0);
         assert_eq!(*rt.peek(consumed), vec![-7.0; 64]);
+    }
+
+    #[test]
+    fn adopt_batch_takes_the_oldest_half_in_submission_order() {
+        // The injector contract: a plain FIFO whose adopter takes the
+        // oldest ceil(len/2), keeps the single oldest to run now, and
+        // leaves the rest untouched. The only worker is parked inside
+        // a gate task, so nothing else touches the queues.
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let rt = Runtime::threaded(1);
+        let _gate = rt.task("gate").run0(move || {
+            started_tx.send(()).expect("test thread alive");
+            release_rx.recv().expect("gate release");
+            0u8
+        }); // task 0
+        started_rx.recv().expect("gate started");
+
+        let n = 3 * STAGE_BATCH + 5;
+        for i in 0..n as u64 {
+            let _ = rt.task("root").run0(move || i); // tasks 1..=n
+        }
+        let shared = &rt.inner.shared;
+        // The busy worker forced batching: full batches were published,
+        // the tail is still staged.
+        assert_eq!(lock(&shared.injector).len(), 3 * STAGE_BATCH);
+        assert_eq!(flush_staged(shared), 5);
+
+        let mut scratch = Vec::new();
+        let first = adopt_batch(shared, 0, &mut scratch).expect("injector non-empty");
+        let take = n.div_ceil(2) as u64;
+        assert_eq!(first.id, TaskId(1), "caller keeps the single oldest");
+        let ids = |q: &VecDeque<ReadyRun>| q.iter().map(|r| r.id.0).collect::<Vec<_>>();
+        assert_eq!(
+            ids(&lock(&shared.queues[0])),
+            (2..=take).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            ids(&lock(&shared.injector)),
+            (take + 1..=n as u64).collect::<Vec<_>>()
+        );
+
+        // Nothing was lost or duplicated: run the adopted task here,
+        // release the worker, and everything drains.
+        execute_one(shared, first, &mut Vec::new(), DRIVER);
+        release_tx.send(()).expect("worker alive");
+        rt.barrier();
+        assert_eq!(rt.stats().total_tasks(), n as u64 + 1);
     }
 
     #[test]

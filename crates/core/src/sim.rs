@@ -163,20 +163,9 @@ pub struct SimOptions {
     /// non-marker dispatch occupies the (serialized) master for this
     /// long before the task may start — the centralized-runtime
     /// overhead whose per-task constant flattens speedup curves at high
-    /// core counts (arXiv 2010.11105). Replaying a trace and its
-    /// [`crate::fuse::fuse_trace`] rewrite under the same overhead
-    /// quantifies what task fusion recovers. `0.0` (default) disables
-    /// the model.
+    /// core counts (arXiv 2010.11105). `0.0` (default) disables the
+    /// model.
     pub dispatch_overhead_s: f64,
-    /// Fair-share mirror of the live runtime's deficit-round-robin
-    /// dispatch (see [`crate::Runtime::tenant`]): when set, each
-    /// placement sweep serves ready tasks DRR-ordered by
-    /// [`crate::TaskRecord::tenant`] with these weights (index 0 is
-    /// tenant 1; tenant 0 — the default tenant — has weight 1), so
-    /// simulated multi-tenant schedules stay comparable to real ones.
-    /// `None` (the default) keeps the submission-order sweep —
-    /// bit-identical to pre-tenant replays.
-    pub tenant_weights: Option<Vec<u32>>,
 }
 
 impl Default for SimOptions {
@@ -187,7 +176,6 @@ impl Default for SimOptions {
             duration_of: None,
             node_speed: None,
             dispatch_overhead_s: 0.0,
-            tenant_weights: None,
         }
     }
 }
@@ -301,50 +289,6 @@ fn replica_has(bits: &[u64], words: usize, d: usize, nd: usize) -> bool {
 #[inline]
 fn replica_set(bits: &mut [u64], words: usize, d: usize, nd: usize) {
     bits[d * words + nd / 64] |= 1 << (nd % 64);
-}
-
-/// Reorders one placement sweep deficit-round-robin across tenants —
-/// the exact dispatch discipline of the live runtime's injector: a
-/// visit grants a tenant `weight` placements before the cursor moves
-/// on, and an idle tenant forfeits its remaining deficit (credit must
-/// not accumulate while it has nothing to run). `cursor`/`deficits`
-/// persist across sweeps so fair-share holds over the whole replay,
-/// not just inside one sweep. Queue 0 is the default tenant (weight
-/// 1); queue `t` is tenant `t` with `weights[t - 1]`.
-fn drr_order(
-    ready: &mut Vec<(u64, usize)>,
-    tenant_of: impl Fn(usize) -> usize,
-    weights: &[u32],
-    cursor: &mut usize,
-    deficits: &mut [u32],
-) {
-    let nq = weights.len() + 1;
-    if nq == 1 || ready.len() <= 1 {
-        return;
-    }
-    let mut queues: Vec<std::collections::VecDeque<(u64, usize)>> = vec![Default::default(); nq];
-    for &(k, i) in ready.iter() {
-        queues[tenant_of(i).min(nq - 1)].push_back((k, i));
-    }
-    let weight = |q: usize| if q == 0 { 1 } else { weights[q - 1].max(1) };
-    let mut out = Vec::with_capacity(ready.len());
-    while out.len() < ready.len() {
-        let c = *cursor % nq;
-        if queues[c].is_empty() {
-            deficits[c] = 0;
-            *cursor = (c + 1) % nq;
-            continue;
-        }
-        if deficits[c] == 0 {
-            deficits[c] = weight(c);
-        }
-        deficits[c] -= 1;
-        out.push(queues[c].pop_front().unwrap());
-        if deficits[c] == 0 {
-            *cursor = (c + 1) % nq;
-        }
-    }
-    *ready = out;
 }
 
 /// Merges the sorted `newly` list into the sorted `ready` list.
@@ -564,24 +508,9 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
         schedule: Vec::new(),
     };
 
-    // Fair-share mirror state (see [`SimOptions::tenant_weights`]).
-    let drr_weights = opts.tenant_weights.clone();
-    let mut drr_cursor = 0usize;
-    let mut drr_deficits = vec![0u32; drr_weights.as_ref().map_or(0, |w| w.len() + 1)];
-
     loop {
         // One placement sweep over the ready list at the current time,
-        // in submission order — or deficit-round-robin across tenants
-        // when the fair-share mirror is on.
-        if let Some(w) = &drr_weights {
-            drr_order(
-                &mut ready,
-                |i| trace.records[i].tenant as usize,
-                w,
-                &mut drr_cursor,
-                &mut drr_deficits,
-            );
-        }
+        // in submission order.
         let mut still_ready = Vec::new();
         for (key, i) in ready.drain(..) {
             let r = &trace.records[i];
@@ -666,11 +595,6 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
             });
         }
         ready = still_ready;
-        if drr_weights.is_some() {
-            // Restore the sorted-by-seq invariant `merge_ready` relies
-            // on (the DRR sweep permuted the leftovers).
-            ready.sort_unstable();
-        }
 
         if done == n {
             break;
@@ -937,7 +861,6 @@ mod tests {
             worker: -1,
             child: None,
             attempts: vec![],
-            tenant: 0,
         }
     }
 
@@ -950,52 +873,6 @@ mod tests {
             latency_s: 0.0,
             failures: Vec::new(),
         }
-    }
-
-    #[test]
-    fn tenant_weights_interleave_placements_fairly() {
-        // Tenant 1 floods 12 tasks before tenant 2's 4 arrive in the
-        // submission order; on one core, the default sweep runs all of
-        // tenant 1 first, while the DRR mirror (weights 1:1) alternates
-        // so tenant 2's last task finishes near slot 8, not slot 16.
-        let mut records = Vec::new();
-        for i in 0..12u64 {
-            let mut r = rec(i, &[], 1.0, 1);
-            r.tenant = 1;
-            records.push(r);
-        }
-        for i in 12..16u64 {
-            let mut r = rec(i, &[], 1.0, 1);
-            r.tenant = 2;
-            records.push(r);
-        }
-        let t = Trace { records };
-        let fifo = simulate(&t, &cluster(1, 1), &SimOptions::default());
-        let last_b_fifo = fifo
-            .schedule
-            .iter()
-            .filter(|e| e.task.0 >= 12)
-            .map(|e| e.end_s)
-            .fold(0.0f64, f64::max);
-        assert!((last_b_fifo - 16.0).abs() < 1e-9, "fifo got {last_b_fifo}");
-
-        let opts = SimOptions {
-            tenant_weights: Some(vec![1, 1]),
-            ..SimOptions::default()
-        };
-        let fair = simulate(&t, &cluster(1, 1), &opts);
-        let last_b_fair = fair
-            .schedule
-            .iter()
-            .filter(|e| e.task.0 >= 12)
-            .map(|e| e.end_s)
-            .fold(0.0f64, f64::max);
-        assert!(
-            last_b_fair <= 9.0 + 1e-9,
-            "DRR should interleave tenant 2 within ~2x its share, got {last_b_fair}"
-        );
-        // Total work is conserved either way.
-        assert!((fair.makespan_s - fifo.makespan_s).abs() < 1e-9);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! - [`Journal`] — a per-executor bounded ring buffer of structured
 //!   events (task start/end, injector flushes, steals, retry attempts,
-//!   fused-group dispatch, INOUT steal/clone, buffer-pool hit/miss).
+//!   INOUT steal/clone, buffer-pool hit/miss).
 //!   Writers never block and never allocate on the emit path; overflow
 //!   overwrites the oldest events and counts drops.
 //! - [`LogHistogram`] — log2-bucketed latency histograms (queue wait,
@@ -18,7 +18,7 @@
 //! - [`Registry`] — a typed bag of counters/gauges/histograms rendered
 //!   as JSON or Prometheus text exposition format.
 //! - [`StragglerAnalyzer`] — flags tasks slower than `k×` their kind's
-//!   running median, attributes them to worker/fused-group/retries, and
+//!   running median, attributes them to worker/retries, and
 //!   maintains the critical path incrementally.
 //! - [`events_from_trace`] / [`events_from_schedule`] — the threaded
 //!   runtime and the DES oracle emit the *same* event schema, so
@@ -61,9 +61,6 @@ pub enum EventKind {
     /// A failed attempt will be retried. `n` = the attempt number that
     /// failed.
     Retry,
-    /// The graph optimizer dispatched a fused group as one task. `n` =
-    /// member count.
-    FusedGroup,
     /// An INOUT parameter was handed over by move (zero-copy).
     InoutSteal,
     /// An INOUT parameter fell back to clone-on-shared.
@@ -84,14 +81,14 @@ pub enum EventKind {
 }
 
 /// Every kind, in encoding order (`u8` tags in the journal slots).
-/// Append-only: existing tags are stable wire format.
-const EVENT_KINDS: [EventKind; 11] = [
+/// Tags never leave the process that wrote them; the stable wire
+/// format is the [`EventKind::as_str`] name.
+const EVENT_KINDS: [EventKind; 10] = [
     EventKind::TaskStart,
     EventKind::TaskEnd,
     EventKind::QueueFlush,
     EventKind::Steal,
     EventKind::Retry,
-    EventKind::FusedGroup,
     EventKind::InoutSteal,
     EventKind::InoutClone,
     EventKind::PoolHit,
@@ -108,7 +105,6 @@ impl EventKind {
             EventKind::QueueFlush => "queue_flush",
             EventKind::Steal => "steal",
             EventKind::Retry => "retry",
-            EventKind::FusedGroup => "fused_group",
             EventKind::InoutSteal => "inout_steal",
             EventKind::InoutClone => "inout_clone",
             EventKind::PoolHit => "pool_hit",
@@ -897,8 +893,6 @@ pub struct Straggler {
     pub median_s: f64,
     /// `duration_s / median_s`.
     pub factor: f64,
-    /// The task was a fused group (graph-optimizer dispatch).
-    pub fused: bool,
     /// The task went through at least one failed attempt.
     pub retried: bool,
 }
@@ -912,7 +906,6 @@ impl Straggler {
             ("duration_s".into(), Value::Number(self.duration_s)),
             ("median_s".into(), Value::Number(self.median_s)),
             ("factor".into(), Value::Number(self.factor)),
-            ("fused".into(), Value::from(self.fused)),
             ("retried".into(), Value::from(self.retried)),
         ])
     }
@@ -925,8 +918,7 @@ impl Straggler {
 /// topological order). A task is flagged when its duration exceeds
 /// `k ×` the running median of its kind and the kind has at least
 /// `min_samples` observations — the per-task-constant-cost analysis of
-/// the Dask-overheads paper, applied online. Fused groups (label
-/// `fused(...)`) are binned together as one kind.
+/// the Dask-overheads paper, applied online.
 pub struct StragglerAnalyzer {
     k: f64,
     min_samples: usize,
@@ -992,9 +984,7 @@ impl StragglerAnalyzer {
         if name.starts_with("__") {
             return false;
         }
-        let fused = name.starts_with("fused(");
-        let kind = if fused { "fused(...)" } else { name };
-        let durs = self.kinds.entry(kind.to_string()).or_default();
+        let durs = self.kinds.entry(name.to_string()).or_default();
         let n = durs.len();
         let flagged = if n >= self.min_samples {
             let median = durs[n / 2];
@@ -1017,7 +1007,6 @@ impl StragglerAnalyzer {
                 } else {
                     f64::INFINITY
                 },
-                fused,
                 retried,
             });
         }
@@ -1535,7 +1524,7 @@ mod tests {
         let rep = an.report();
         assert_eq!(rep.stragglers.len(), 1);
         let s = &rep.stragglers[0];
-        assert_eq!((s.task, s.worker, s.retried, s.fused), (5, 1, true, false));
+        assert_eq!((s.task, s.worker, s.retried), (5, 1, true));
         assert!(s.factor > 3.0);
         // Critical path: load -> gemm(2, the slower dep) -> straggler.
         assert_eq!(rep.critical_path, vec![0, 2, 5]);

@@ -105,9 +105,6 @@ pub struct TaskRecord {
     /// clean attempt; populated (every attempt, including the final
     /// one) when any attempt failed — the fault-tolerance audit trail.
     pub attempts: Vec<AttemptRecord>,
-    /// Owning tenant id (`0` = the runtime's default tenant; `>= 1` are
-    /// handles from [`crate::Runtime::tenant`], in registration order).
-    pub tenant: u32,
 }
 
 impl TaskRecord {
@@ -153,7 +150,6 @@ impl TaskRecord {
                 "attempts".into(),
                 Value::Array(self.attempts.iter().map(AttemptRecord::to_value).collect()),
             ),
-            ("tenant".into(), Value::from(self.tenant)),
         ])
     }
 
@@ -222,9 +218,6 @@ impl TaskRecord {
                     .collect::<Result<Vec<_>, _>>()?,
                 None => Vec::new(),
             },
-            // Optional for compatibility with traces archived before
-            // multi-tenancy existed.
-            tenant: v.get("tenant").and_then(Value::as_u64).unwrap_or(0) as u32,
         })
     }
 }
@@ -418,7 +411,6 @@ mod tests {
             worker: -1,
             child: None,
             attempts: vec![],
-            tenant: 0,
         }
     }
 
@@ -505,6 +497,32 @@ mod tests {
         assert_eq!(back.len(), 2);
         assert_eq!(back.records[0].duration_s, 1.5);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn load_accepts_artifacts_of_removed_features() {
+        // `testdata/trace_pr8.json` is an `out/*.json` artifact as PRs
+        // 6-15 wrote them: every record carries the per-job ownership
+        // key (PR 8) this version no longer reads, and one name is a
+        // fusion-window group label (PR 6) — now just another kind.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/trace_pr8.json");
+        let t = Trace::load(path).unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.records[0].name, "fused(ds_scale;ds_sub_row)");
+        assert_eq!(t.records[0].worker, 1);
+        assert_eq!(t.records[1].deps, vec![TaskId(0)]);
+        // What we write back is the current schema and loads to the
+        // same records.
+        let json = t.to_json();
+        let back = Trace::from_json(&json).unwrap();
+        assert_eq!(back.to_json(), json);
+        // ... with exactly the keys a record built today has: the
+        // dropped key is not re-emitted.
+        let keys = |r: &TaskRecord| match r.to_value() {
+            Value::Object(fields) => fields.into_iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            _ => panic!("record encodes as an object"),
+        };
+        assert_eq!(keys(&t.records[0]), keys(&rec(0, &[], 1.0)));
     }
 
     #[test]

@@ -122,35 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_fit_transform_matches_unfused() {
-        // StandardScaler's fit + transform under the graph-rewrite
-        // optimizer: per-block centering/scaling chains fuse, the stats
-        // and the scaled matrix stay bit-identical.
-        use taskrt::RuntimeConfig;
-        let x = skewed();
-        let run = |fuse: bool| {
-            let rt = Runtime::with_config(RuntimeConfig {
-                fuse,
-                ..RuntimeConfig::default()
-            });
-            let ds = DsArray::from_matrix_owned(&rt, x.clone(), 13, 2);
-            let (scaler, scaled) = StandardScaler::fit_transform(&rt, &ds);
-            let mean = (*rt.peek(scaler.mean)).clone();
-            let std = (*rt.peek(scaler.std)).clone();
-            (mean, std, scaled.collect(&rt), rt.trace().user_task_count())
-        };
-        let (mean_e, std_e, out_e, tasks_eager) = run(false);
-        let (mean_f, std_f, out_f, tasks_fused) = run(true);
-        assert_eq!(mean_f, mean_e);
-        assert_eq!(std_f, std_e);
-        assert_eq!(out_f, out_e, "scaled output must be bit-identical");
-        assert!(
-            tasks_fused < tasks_eager,
-            "fusion must dispatch fewer tasks ({tasks_fused} vs {tasks_eager})"
-        );
-    }
-
-    #[test]
     fn parallelism_scales_with_blocks() {
         let rt = Runtime::new();
         let ds = DsArray::from_matrix(&rt, &skewed(), 5, 3);

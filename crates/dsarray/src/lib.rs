@@ -295,29 +295,23 @@ impl DsArray {
 
     /// Gathers the whole array into a single matrix **handle** without
     /// synchronizing: the `ds_gather` task stays in the task graph, so
-    /// downstream tasks can consume the gathered matrix — or, with
-    /// fusion enabled, the optimizer can drop it — before the driver
-    /// ever blocks. The task is marked discardable: a gather whose
-    /// result is never read and never reaches a barrier is pure
-    /// data-plane traffic, and the fusion optimizer's dead-task pass is
-    /// allowed to elide it.
+    /// downstream tasks can consume the gathered matrix before the
+    /// driver ever blocks.
     pub fn collect_handle(&self, rt: &Runtime) -> Handle<Matrix> {
         let blocks: Vec<Handle<Matrix>> = self.grid.iter().flatten().copied().collect();
         let (rows, cols) = (self.rows, self.cols);
         let (rb_size, cb_size) = (self.rb_size, self.cb_size);
         let n_cb = self.n_col_blocks();
-        rt.task("ds_gather")
-            .discardable()
-            .run_many(&blocks, move |bs| {
-                let mut out = Matrix::from_pool(rows, cols);
-                for (i, b) in bs.iter().enumerate() {
-                    let (r0, c0) = ((i / n_cb) * rb_size, (i % n_cb) * cb_size);
-                    for r in 0..b.rows() {
-                        out.row_mut(r0 + r)[c0..c0 + b.cols()].copy_from_slice(b.row(r));
-                    }
+        rt.task("ds_gather").run_many(&blocks, move |bs| {
+            let mut out = Matrix::from_pool(rows, cols);
+            for (i, b) in bs.iter().enumerate() {
+                let (r0, c0) = ((i / n_cb) * rb_size, (i % n_cb) * cb_size);
+                for r in 0..b.rows() {
+                    out.row_mut(r0 + r)[c0..c0 + b.cols()].copy_from_slice(b.row(r));
                 }
-                out
-            })
+            }
+            out
+        })
     }
 
     /// Gathers the whole array back into one local matrix (synchronizes).

@@ -70,7 +70,6 @@ fn nested_child_panic_reaches_parent_waiter() {
         nested_mode: ExecMode::Inline,
         metrics: true,
         telemetry: true,
-        fuse: false,
         ..RuntimeConfig::default()
     });
     let a = rt.put(1u64);

@@ -23,7 +23,6 @@ fn rec(id: u64, deps: &[u64], dur: f64, name: &str) -> TaskRecord {
         worker: -1,
         child: None,
         attempts: vec![],
-        tenant: 0,
     }
 }
 

@@ -68,7 +68,6 @@ fn threaded_nested_tasks() {
         nested_mode: ExecMode::Threads(2),
         metrics: true,
         telemetry: true,
-        fuse: false,
         ..RuntimeConfig::default()
     });
     let data: Vec<_> = (0..6).map(|i| rt.put(i as f64)).collect();

@@ -1,6 +1,6 @@
 //! Scheduler stress tests for the work-stealing runtime.
 //!
-//! Three properties the performance overhaul must preserve:
+//! Four properties the scheduler must preserve:
 //!
 //! 1. **Mode equivalence** — a ~5k-task DAG of fine-grained float tasks
 //!    with random dependencies computes *bit-identical* results inline
@@ -11,6 +11,9 @@
 //!    execution modes.
 //! 3. **Clean shutdown** — no worker thread outlives its dropped
 //!    `Runtime`, even after churning through many short-lived runtimes.
+//! 4. **Concurrent drivers** — two threads submitting into one runtime
+//!    each get their own data ids and compute what the same graphs
+//!    compute inline.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
@@ -241,4 +244,89 @@ fn stress_locality_steering_counts_hits_and_is_bit_identical() {
     );
     let inline_stats = inline.stats();
     assert_eq!(inline_stats.locality_hits + inline_stats.locality_misses, 0);
+}
+
+/// One driver's graph: a `put` seed, `links` chain steps alternating
+/// `run1` / `run1_inout`, a fresh `put` per link, and a `run_many`
+/// fan-in over every put plus the chain's end. Submits everything,
+/// then reads back every handle that is still readable (puts, INOUT
+/// successors, the fan-in) and checks each against the value computed
+/// on the driver side — a cross-thread id collision would hand one
+/// driver the other's datum. Takes `2 * links + 2` data ids (seed, one
+/// put and one task output per link, the fan-in) and submits
+/// `links + 1` tasks; returns the values read.
+fn drive_chain_with_puts(rt: &Runtime, salt: u64, links: u64) -> Vec<u64> {
+    let step = move |v: u64, i: u64| v.wrapping_mul(6364136223846793005).wrapping_add(i ^ salt);
+    let seed = rt.put(salt);
+    let mut chain = seed;
+    let mut expect = salt;
+    let mut puts: Vec<(Handle<u64>, u64)> = vec![(seed, salt)];
+    let mut readable: Vec<(Handle<u64>, u64)> = Vec::new();
+    for i in 0..links {
+        let v = salt.rotate_left(17) ^ i;
+        puts.push((rt.put(v), v));
+        expect = step(expect, i);
+        if i % 2 == 0 {
+            chain = rt.task("link").run1(chain, move |x| step(*x, i));
+        } else {
+            // Consumes the `run1` output above; the successor version
+            // is read (not consumed) by the next `run1`.
+            chain = rt
+                .task("link_inout")
+                .run1_inout(chain, move |x| *x = step(*x, i));
+            readable.push((chain, expect));
+        }
+    }
+    let mut fan: Vec<Handle<u64>> = puts.iter().map(|&(h, _)| h).collect();
+    fan.push(chain);
+    let total = rt.task("fan_in").run_many(&fan, |xs: &[&u64]| {
+        xs.iter().fold(0u64, |acc, &&x| acc.rotate_left(5) ^ x)
+    });
+    let want_total = puts
+        .iter()
+        .map(|&(_, v)| v)
+        .chain([expect])
+        .fold(0u64, |acc, x| acc.rotate_left(5) ^ x);
+    readable.push((total, want_total));
+
+    let mut values = Vec::with_capacity(puts.len() + readable.len());
+    for (h, want) in puts.iter().chain(&readable) {
+        let got = *rt.peek(*h);
+        assert_eq!(got, *want, "salt {salt}: {h:?} read another datum's value");
+        values.push(got);
+    }
+    values
+}
+
+#[test]
+fn concurrent_drivers_are_bit_identical_to_inline() {
+    let _serial = serial();
+    // `Runtime` is `Send + Sync`: two driver threads submitting into
+    // one threaded runtime must each get their own ids (allocated
+    // under the state lock, where the entries are pushed) and compute
+    // what the same two graphs compute one after the other inline.
+    const LINKS: u64 = 2_000;
+    let inline = Runtime::new();
+    let want = [1u64, 2].map(|salt| drive_chain_with_puts(&inline, salt, LINKS));
+
+    let rt = Runtime::threaded(2);
+    // Both drivers start submitting at the same instant, so their
+    // `put`s and submissions interleave on the state lock.
+    let start = std::sync::Barrier::new(2);
+    let got = std::thread::scope(|s| {
+        let spawn = |salt: u64| {
+            let (rt, start) = (&rt, &start);
+            s.spawn(move || {
+                start.wait();
+                drive_chain_with_puts(rt, salt, LINKS)
+            })
+        };
+        let (a, b) = (spawn(1), spawn(2));
+        [a.join().expect("driver 1"), b.join().expect("driver 2")]
+    });
+    assert_eq!(got, want, "concurrent drivers diverged from inline");
+
+    rt.barrier();
+    assert_eq!(rt.table_stats().data.allocated, 2 * (2 * LINKS + 2));
+    assert_eq!(rt.stats().total_tasks(), 2 * (LINKS + 1));
 }

@@ -41,7 +41,6 @@ fn random_trace(n: usize, edges_seed: u64, durations: &[f64], cores: &[u32]) -> 
             worker: -1,
             child: None,
             attempts: vec![],
-            tenant: 0,
         });
     }
     Trace { records }
@@ -148,7 +147,6 @@ proptest! {
                 worker: -1,
                 child: None,
                 attempts: vec![],
-                tenant: 0,
             });
         }
         let trace = Trace { records };

@@ -233,99 +233,6 @@ fn wide_fanout_backpressure_parks_driver_within_watermark() {
 }
 
 #[test]
-fn tenant_stats_count_submissions_and_completions() {
-    let rt = streaming_rt(ExecMode::Threads(2), 256, 128);
-    let a = rt.tenant("etl", 3);
-    let b = rt.tenant("training", 1);
-    let mut outs = Vec::new();
-    for i in 0..300u64 {
-        outs.push(a.task("a").run0(move || i));
-        if i % 3 == 0 {
-            outs.push(b.task("b").run0(move || i * 2));
-        }
-    }
-    rt.barrier();
-    let stats = rt.tenant_stats();
-    assert_eq!(stats.len(), 2);
-    assert_eq!(stats[0].name, "etl");
-    assert_eq!(stats[0].weight, 3);
-    assert_eq!(stats[0].submitted, 300);
-    assert_eq!(stats[0].completed, 300);
-    assert_eq!(stats[1].name, "training");
-    assert_eq!(stats[1].submitted, 100);
-    assert_eq!(stats[1].completed, 100);
-    // Queue-wait histograms saw every dispatched task.
-    assert_eq!(stats[0].queue_wait.count(), 300);
-    assert_eq!(stats[1].queue_wait.count(), 100);
-    drop(outs);
-}
-
-#[test]
-fn late_tenant_is_not_starved_by_an_earlier_flood() {
-    // The adversarial mix: tenant A's whole backlog is queued before
-    // tenant B submits anything. With equal weights, the deficit-
-    // round-robin must interleave B's tasks 1:1 with A's from the
-    // moment they arrive — every B task completes in the first half
-    // of the run, not after the flood. This covers both the DRR
-    // dispatch order and the eager publication of tenant tasks (a
-    // staged tail would otherwise stay invisible to workers until
-    // the flood drains).
-    use std::sync::{Arc, Mutex};
-    let spin = |iters: u64| {
-        let mut x = 0x9E37_79B9u64;
-        for i in 0..iters {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        std::hint::black_box(x)
-    };
-    let rt = default_rt(ExecMode::Threads(4));
-    let a = rt.tenant("bulk", 1);
-    let b = rt.tenant("interactive", 1);
-    let order: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-    const NA: usize = 2000;
-    const NB: usize = 200;
-    for _ in 0..NA {
-        let o = order.clone();
-        rt.release(a.task("a").run0(move || {
-            spin(20_000);
-            o.lock().unwrap().push(1);
-            0u8
-        }));
-    }
-    for _ in 0..NB {
-        let o = order.clone();
-        rt.release(b.task("b").run0(move || {
-            spin(20_000);
-            o.lock().unwrap().push(2);
-            0u8
-        }));
-    }
-    rt.barrier();
-    let v = order.lock().unwrap();
-    assert_eq!(v.len(), NA + NB);
-    let last_b = v.iter().rposition(|&t| t == 2).expect("B tasks ran");
-    // Fair 1:1 interleaving drains B within ~2*NB completions of its
-    // arrival (plus worker-deque inventory); a starved B tail lands
-    // at the very end of the run. Split the difference decisively.
-    assert!(
-        last_b < (NA + NB) / 2,
-        "tenant B's last task completed at position {last_b}/{} — starved by the flood",
-        NA + NB
-    );
-}
-
-#[test]
-fn tenants_work_on_default_runtimes_too() {
-    // The fair-share layer is orthogonal to streaming: a default
-    // runtime multiplexes tenants with the same DRR dispatch.
-    let rt = default_rt(ExecMode::Threads(2));
-    let a = rt.tenant("a", 2);
-    let h = a.task("t").run0(|| 5u32);
-    assert_eq!(*rt.wait(h), 5);
-    assert_eq!(rt.tenant_stats()[0].completed, 1);
-}
-
-#[test]
 fn streaming_trace_keeps_live_records_only() {
     let rt = streaming_rt(ExecMode::Inline, 64, 32);
     let mut acc = rt.task("seed").run0(|| 0u64);
