@@ -10,9 +10,12 @@
 //!    loop), runs the same plan distributed, and requires the outputs to
 //!    be **bit-identical** to the oracle;
 //! 3. replays the measured trace on the DES mirror of the cluster
-//!    (`DistRuntime::cluster_spec`) and computes the measured-vs-
-//!    simulated divergence — `--check` gates `|makespan_ratio − 1| ≤
-//!    0.25`;
+//!    (`DistRuntime::cluster_spec`), with the dispatch turnaround and
+//!    the link measured on a twin cluster just before (`calibrate`),
+//!    and computes the measured-vs-simulated divergence — `--check`
+//!    gates `|makespan_ratio − 1| ≤ 0.25`, and on 2 workers that the
+//!    bytes moved (peer pulls + driver relay) stay within 2× the
+//!    seeded input;
 //! 4. with `--chaos`, SIGKILLs one worker mid-run and requires the
 //!    driver to finish anyway via lineage re-execution, still
 //!    bit-identical;
@@ -29,20 +32,102 @@ use bench::report::{write_artifact, Args};
 use dislib::pca_dist::{pca_plan, register_pca_kinds};
 use linalg::Matrix;
 use std::sync::Arc;
-use taskrt::dist::{self, fingerprint, DistConfig, DistRuntime, KindRegistry};
+use taskrt::dist::{self, fingerprint, DistConfig, DistRuntime, KindRegistry, Plan, WireValue};
 use taskrt::json::Value;
 use taskrt::sim::{simulate, SimOptions};
 use taskrt::telemetry::divergence;
 
-/// Per-task master-side dispatch cost fed to the DES. The driver
-/// serializes one Done → schedule → Run RPC round trip per task
-/// (length-prefixed frames over Unix sockets, ~0.1–1 MB payload
-/// specs); this is the measured order of that cost on commodity
-/// hardware (~0.9 ms per Done→Run turnaround), and the same centralized-runtime constant the simulator's
-/// `dispatch_overhead_s` knob exists to model (arXiv 2010.11105). A
-/// fixed constant — not fitted per run — so the divergence gate stays
-/// an honest prediction check.
-const DISPATCH_OVERHEAD_S: f64 = 800e-6;
+/// The calibration chain's one kind (its first input plus one), and its
+/// links per scalar segment and per block segment (a block link moves
+/// ~0.5 MB, so it gets fewer).
+const CAL_KIND: &str = "calibrate_link";
+const CAL_SCALAR_LINKS: usize = 200;
+const CAL_BLOCK_LINKS: usize = 32;
+
+/// What the DES is told about the cluster, measured and not guessed.
+struct Calibration {
+    /// Done → Run → body-start round trip through the driver: the
+    /// serialized per-task master cost the simulator's
+    /// `dispatch_overhead_s` models (arXiv 2010.11105).
+    turnaround_s: f64,
+    /// Fixed cost of one fetch over a socket (connect, request, reply).
+    latency_s: f64,
+    /// Payload rate of a block-sized fetch, codec included.
+    bandwidth_bps: f64,
+}
+
+/// Measures the constants on a twin of the cluster the plan will run on
+/// (one plan per cluster, so not on the very same one), before the plan
+/// runs and from nothing the plan's own run produces — the divergence
+/// gate stays a prediction check, not a fit.
+///
+/// One dependency chain per worker, all at once, so the driver serves
+/// as many streams as it will in the real run. A chain runs serially on
+/// the worker that owns its running value, in three segments: links
+/// that fetch nothing (the turnaround), links that each fetch a scalar
+/// seed (+ the latency), links that each fetch a `block_rows × cols`
+/// seed (+ bytes / rate). A segment is timed between body starts on
+/// that one worker's clock.
+fn calibrate(
+    workers: usize,
+    registry: &Arc<KindRegistry>,
+    block_rows: usize,
+    cols: usize,
+) -> Calibration {
+    let block = WireValue::Matrix(Matrix::zeros(block_rows, cols));
+    let block_bytes = block.encoded_len() as f64;
+    // (links, what each link fetches) per segment.
+    let segments = [
+        (CAL_SCALAR_LINKS, None),
+        (CAL_SCALAR_LINKS, Some(WireValue::F64(0.0))),
+        (CAL_BLOCK_LINKS, Some(block)),
+    ];
+    let mut plan = Plan::new();
+    // Per chain: the task that opens each segment, and the one after the last.
+    let mut bounds: Vec<[usize; 4]> = Vec::new();
+    for _ in 0..workers {
+        let mut last = plan.put(WireValue::F64(0.0));
+        let mut chain = [0; 4];
+        for (segment, (links, fetched)) in segments.iter().enumerate() {
+            chain[segment] = plan.len();
+            for _ in 0..*links {
+                last = match fetched {
+                    None => plan.task(CAL_KIND, &[last]),
+                    Some(value) => {
+                        let seed = plan.put(value.clone());
+                        plan.task(CAL_KIND, &[last, seed])
+                    }
+                };
+            }
+        }
+        chain[3] = plan.len();
+        last = plan.task(CAL_KIND, &[last]);
+        plan.mark_output(last);
+        bounds.push(chain);
+    }
+
+    let mut rt = DistRuntime::launch(DistConfig::with_workers(workers), registry)
+        .expect("failed to launch calibration workers");
+    let report = rt.run(&plan, registry).expect("calibration run failed");
+    rt.shutdown();
+    let mut start_s = vec![0.0; plan.len()];
+    for r in &report.trace.records {
+        start_s[r.seq as usize] = r.start_s;
+    }
+    let per_link = |segment: usize| {
+        let total: f64 = bounds
+            .iter()
+            .map(|b| start_s[b[segment + 1]] - start_s[b[segment]])
+            .sum();
+        total / (workers * segments[segment].0) as f64
+    };
+    let (turnaround_s, scalar_s, block_s) = (per_link(0), per_link(1), per_link(2));
+    Calibration {
+        turnaround_s,
+        latency_s: (scalar_s - turnaround_s).max(0.0),
+        bandwidth_bps: block_bytes / (block_s - scalar_s).max(1e-9),
+    }
+}
 
 /// Deterministic input matrix (same fixed pattern as the chaos harness).
 fn input_matrix(rows: usize, cols: usize) -> Matrix {
@@ -63,6 +148,7 @@ fn main() {
     let registry = {
         let mut reg = KindRegistry::new();
         register_pca_kinds(&mut reg);
+        reg.register(CAL_KIND, |ins| Ok(WireValue::F64(ins[0].as_f64() + 1.0)));
         Arc::new(reg)
     };
     dist::maybe_worker(&registry);
@@ -100,7 +186,15 @@ fn main() {
     let inline_fp = fingerprint(&inline);
     println!("inline oracle: {inline_s:.3}s");
 
-    // 2. Distributed run across worker processes.
+    // 2. Distributed run across worker processes, after measuring what
+    // the DES will be told about them.
+    let cal = calibrate(workers, &registry, block_rows, d);
+    println!(
+        "calibration: turnaround {:.0} us, link {:.0} us + {:.2} GB/s",
+        cal.turnaround_s * 1e6,
+        cal.latency_s * 1e6,
+        cal.bandwidth_bps / 1e9
+    );
     let mut rt = DistRuntime::launch(DistConfig::with_workers(workers), &registry)
         .expect("failed to launch worker processes");
     if chaos {
@@ -113,15 +207,20 @@ fn main() {
         );
     }
     let report = rt.run(&plan, &registry).expect("distributed run failed");
-    let spec = rt.cluster_spec();
+    let mut spec = rt.cluster_spec();
+    spec.latency_s = cal.latency_s;
+    spec.bandwidth_bps = cal.bandwidth_bps;
     let shutdown = rt.shutdown();
     let s = &report.stats;
     println!(
         "distributed: {:.3}s wall, {} task runs, {} retries, {} re-executions, {} workers lost",
         s.wall_s, s.tasks_run, s.retries, s.reexecutions, s.workers_lost
     );
+    let input_bytes = (n * d * std::mem::size_of::<f64>()) as u64;
+    let moved_ratio = (s.peer_pull_bytes + s.relay_bytes) as f64 / input_bytes as f64;
     println!(
-        "data plane: {} peer pulls ({} bytes), {} relay bytes",
+        "data plane: {} peer pulls ({} bytes worker-to-worker), {} bytes relayed by the driver; \
+         moved {moved_ratio:.2}x the {input_bytes}-byte input",
         s.peer_pulls, s.peer_pull_bytes, s.relay_bytes
     );
     println!(
@@ -144,7 +243,7 @@ fn main() {
         &report.trace,
         &spec,
         &SimOptions {
-            dispatch_overhead_s: DISPATCH_OVERHEAD_S,
+            dispatch_overhead_s: cal.turnaround_s,
             ..SimOptions::default()
         },
     );
@@ -173,6 +272,17 @@ fn main() {
             Value::Number(s.peer_pull_bytes as f64),
         ),
         ("relay_bytes".into(), Value::Number(s.relay_bytes as f64)),
+        ("input_bytes".into(), Value::Number(input_bytes as f64)),
+        ("moved_ratio".into(), Value::Number(moved_ratio)),
+        (
+            "dispatch_turnaround_s".into(),
+            Value::Number(cal.turnaround_s),
+        ),
+        ("link_latency_s".into(), Value::Number(cal.latency_s)),
+        (
+            "link_bandwidth_bps".into(),
+            Value::Number(cal.bandwidth_bps),
+        ),
         (
             "workers_reaped".into(),
             Value::Number(shutdown.workers_reaped as f64),
@@ -209,6 +319,12 @@ fn main() {
                 (div.makespan_ratio - 1.0).abs() <= 0.25,
                 "measured-vs-DES makespan diverged: ratio {:.3} (gate: |ratio-1| <= 0.25)",
                 div.makespan_ratio
+            );
+            // Owner-computes placement: a block is relayed once and then
+            // stays put. Gated where the target is stated (ROADMAP 2a).
+            assert!(
+                workers != 2 || moved_ratio <= 2.0,
+                "peer pulls + relay moved {moved_ratio:.2}x the input (gate: <= 2x on 2 workers)"
             );
         }
         if chaos {

@@ -4,13 +4,25 @@
 //! hold it`), and the failure detector. It ships [`Msg::Run`] frames
 //! naming registered kinds; payloads move worker-to-worker (the `Run`
 //! carries replica owner addresses, consumers pull) with the driver
-//! relaying only its own seeds. Heartbeat loss or a control-stream EOF
-//! declares a worker dead, which feeds the same recovery vocabulary the
-//! DES models: in-flight tasks are requeued, and completed tasks whose
-//! only output replica died are **re-executed from lineage** on the
-//! survivors — exactly the rollback `crate::sim` performs for a
-//! simulated node failure, so measured and simulated recovery stay
-//! comparable.
+//! relaying only its own seeds.
+//!
+//! **Placement is owner-computes** ([`place`]): a ready task belongs to
+//! the live worker that already holds the most bytes of its inputs and
+//! waits for that worker if it is busy, so a block stays where it was
+//! first touched and is pulled at most when an idle worker steals it.
+//! The rule is a pure function of the task states and the replica map,
+//! recomputed on every pass — there is no queue to repair when a worker
+//! dies. One `Run` is in flight per worker.
+//!
+//! Heartbeat loss or a control-stream EOF declares a worker dead, which
+//! feeds the same recovery vocabulary the DES models: in-flight tasks
+//! are requeued, and completed tasks whose only output replica died are
+//! **re-executed from lineage** on the survivors — exactly the rollback
+//! `crate::sim` performs for a simulated node failure, so measured and
+//! simulated recovery stay comparable. The run loop wakes at least once
+//! per heartbeat period and checks for silence itself; nothing in the
+//! driver sleeps for a fixed time, so teardown costs what the workers'
+//! exit costs.
 
 use super::kind::KindRegistry;
 use super::plan::Plan;
@@ -22,11 +34,12 @@ use crate::handle::{DataId, TaskId};
 use crate::sim::ClusterSpec;
 use crate::telemetry::{Event, EventKind, Telemetry, DRIVER};
 use crate::trace::{AttemptRecord, TaskRecord, Trace};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -94,7 +107,8 @@ pub struct DistStats {
     /// Tasks requeued because a worker could not fetch an input (its
     /// replica owner died mid-dispatch).
     pub fetch_failures: u64,
-    /// Input resolutions served worker-to-worker.
+    /// Input resolutions served worker-to-worker. A datum the driver
+    /// relayed is not counted here.
     pub peer_pulls: u64,
     /// Bytes of those peer pulls (by the data's recorded size).
     pub peer_pull_bytes: u64,
@@ -131,7 +145,6 @@ enum Ev {
     Joined,
     FromWorker(usize, Msg),
     Eof(usize),
-    Tick,
 }
 
 /// Per-worker state shared between the accept/reader threads and the
@@ -164,6 +177,72 @@ struct DataState {
     bytes: u64,
 }
 
+/// Owner-computes placement: which ready tasks to ship now, and where.
+///
+/// `ready` lists the dispatchable tasks in plan order, each with the
+/// bytes of its inputs every worker already holds; `in_flight[w]` is
+/// the number of `Run`s worker `w` has not answered; `alive[w]` says
+/// whether it may be chosen at all. Pure and deterministic — equal
+/// inputs give equal output, and nothing is remembered between calls.
+///
+/// 1. A task joins the backlog of the live worker holding the most
+///    bytes of its inputs, **busy or not**; ties go to the shorter
+///    backlog, then the lower id. Waiting for the owner is cheaper than
+///    moving a block to whoever happens to be idle.
+/// 2. Tasks nobody holds a byte of (first touches of driver-held seeds)
+///    are dealt over the live workers in *contiguous runs* of plan
+///    order, so the neighbours a pairwise reduction combines first are
+///    born on the same worker.
+/// 3. A worker with nothing in flight takes the head of its backlog.
+///    One whose backlog is empty takes the *last* waiting task of the
+///    longest backlog — the one its owner would have reached last.
+///
+/// Returns `(task, worker)` pairs, at most one per idle worker.
+fn place(ready: &[(usize, Vec<u64>)], in_flight: &[usize], alive: &[bool]) -> Vec<(usize, usize)> {
+    let live: Vec<usize> = (0..alive.len()).filter(|&w| alive[w]).collect();
+    if live.is_empty() {
+        return Vec::new();
+    }
+    let mut backlog: Vec<Vec<usize>> = vec![Vec::new(); alive.len()];
+    let mut unowned = Vec::new();
+    for (task, held) in ready {
+        let owner = live
+            .iter()
+            .copied()
+            .filter(|&w| held[w] > 0)
+            .min_by_key(|&w| (Reverse(held[w]), in_flight[w] + backlog[w].len(), w));
+        match owner {
+            Some(w) => backlog[w].push(*task),
+            None => unowned.push(*task),
+        }
+    }
+    for (j, &w) in live.iter().enumerate() {
+        let run = j * unowned.len() / live.len()..(j + 1) * unowned.len() / live.len();
+        backlog[w].extend_from_slice(&unowned[run]);
+        backlog[w].sort_unstable(); // back to plan order
+    }
+    let mut shipped = Vec::new();
+    let mut starved = Vec::new();
+    for &w in live.iter().filter(|&&w| in_flight[w] == 0) {
+        if backlog[w].is_empty() {
+            starved.push(w);
+        } else {
+            shipped.push((backlog[w].remove(0), w));
+        }
+    }
+    for w in starved {
+        let victim = live
+            .iter()
+            .copied()
+            .min_by_key(|&v| (Reverse(backlog[v].len()), v))
+            .expect("live is non-empty");
+        if let Some(task) = backlog[victim].pop() {
+            shipped.push((task, w));
+        }
+    }
+    shipped
+}
+
 /// A driver for a cluster of worker processes (or threads) connected
 /// over Unix-domain sockets. One [`DistRuntime::run`] executes one
 /// [`Plan`]; call [`DistRuntime::shutdown`] to reap everything.
@@ -179,7 +258,6 @@ pub struct DistRuntime {
     rx: Receiver<Ev>,
     handles: Vec<Option<WorkerHandle>>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    ticker_thread: Option<std::thread::JoinHandle<()>>,
     telemetry: Telemetry,
     epoch: Instant,
     chaos: Option<(usize, usize)>, // (kill after N completions, worker)
@@ -243,30 +321,21 @@ impl DistRuntime {
         let driver_store = Arc::new(Mutex::new(HashMap::new()));
         let relay_bytes = Arc::new(AtomicU64::new(0));
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::channel::<Ev>();
+        // Bounded: a worker has at most one `Joined`, one reply to its one
+        // `Run` in flight, and one `Eof` outstanding. A full channel
+        // blocks that worker's reader thread, never the run loop.
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Ev>(4 * cfg.workers);
 
         let accept_thread = {
-            let slots = Arc::clone(&slots);
-            let store = Arc::clone(&driver_store);
-            let relay = Arc::clone(&relay_bytes);
             let stop = Arc::clone(&stop);
-            let tx = tx.clone();
-            let epoch_ = epoch;
-            std::thread::spawn(move || accept_loop(listener, slots, store, relay, stop, tx, epoch_))
-        };
-
-        let ticker_thread = {
-            let stop = Arc::clone(&stop);
-            let tx = tx.clone();
-            let period = Duration::from_millis(cfg.heartbeat_ms.max(1));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(period);
-                    if tx.send(Ev::Tick).is_err() {
-                        break;
-                    }
-                }
-            })
+            let conns = ConnCtx {
+                slots: Arc::clone(&slots),
+                store: Arc::clone(&driver_store),
+                relay_bytes: Arc::clone(&relay_bytes),
+                tx,
+                epoch,
+            };
+            std::thread::spawn(move || accept_loop(listener, stop, conns))
         };
 
         let mut handles = Vec::with_capacity(cfg.workers);
@@ -314,7 +383,6 @@ impl DistRuntime {
             rx,
             handles,
             accept_thread: Some(accept_thread),
-            ticker_thread: Some(ticker_thread),
             telemetry: Telemetry::new(n_workers, epoch),
             epoch,
             chaos: None,
@@ -393,38 +461,71 @@ impl DistRuntime {
         let mut stats = DistStats::default();
         let mut completions: usize = 0;
 
-        self.wait_for_join(&mut stats)?;
+        // Whatever arrived while the workers were joining is handled
+        // first, like any other event.
+        let mut inbox = self.wait_for_join()?;
 
         let grace = self.cfg.grace();
+        let period = Duration::from_millis(self.cfg.heartbeat_ms.max(1));
+        let mut silence_check_due = Instant::now() + period;
         let mut outputs: BTreeMap<u64, Arc<WireValue>> = BTreeMap::new();
 
         loop {
-            // 1. Handle every queued event.
+            // 1. Handle every event read so far, then every queued one.
             loop {
-                match self.rx.try_recv() {
-                    Ok(ev) => self.handle_event(
-                        ev,
+                let ev = match inbox.pop_front() {
+                    Some(ev) => ev,
+                    None => match self.rx.try_recv() {
+                        Ok(ev) => ev,
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => {
+                            return Err("driver event channel closed".into())
+                        }
+                    },
+                };
+                self.handle_event(
+                    ev,
+                    plan,
+                    registry,
+                    &producer,
+                    &mut data,
+                    &mut tstate,
+                    &mut attempts,
+                    &mut not_before,
+                    &mut failed_attempts,
+                    &mut records,
+                    &mut stats,
+                    &mut completions,
+                )?;
+            }
+
+            // 2. Heartbeat-timeout failure detection, once per period
+            // (step 5 wakes this loop at least that often).
+            let now = Instant::now();
+            if now >= silence_check_due {
+                silence_check_due = now + period;
+                let silent: Vec<usize> = {
+                    let slots = self.slots.lock().unwrap();
+                    (0..slots.len())
+                        .filter(|&w| {
+                            slots[w].alive && now.duration_since(slots[w].last_seen) > grace
+                        })
+                        .collect()
+                };
+                for w in silent {
+                    self.declare_dead(
+                        w,
                         plan,
-                        registry,
                         &producer,
                         &mut data,
                         &mut tstate,
-                        &mut attempts,
-                        &mut not_before,
-                        &mut failed_attempts,
-                        &mut records,
                         &mut stats,
-                        &mut completions,
-                        grace,
-                    )?,
-                    Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                    Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                        return Err("driver event channel closed".into())
-                    }
+                        &outputs,
+                    );
                 }
             }
 
-            // 2. Finished? Fetch outputs (this can discover dead owners,
+            // 3. Finished? Fetch outputs (this can discover dead owners,
             // in which case lineage re-opens work).
             if tstate.iter().all(|s| *s == TState::Done) {
                 let mut all_fetched = true;
@@ -482,31 +583,14 @@ impl DistRuntime {
                 }
             }
 
-            // 3. Ship ready tasks to idle workers.
+            // 4. Ship ready tasks to the workers `place` names.
             self.schedule(plan, &data, &mut tstate, &attempts, &not_before)?;
 
-            // 4. Block for the next event (bounded by a heartbeat).
-            match self
-                .rx
-                .recv_timeout(Duration::from_millis(self.cfg.heartbeat_ms.max(1)))
-            {
-                Ok(ev) => self.handle_event(
-                    ev,
-                    plan,
-                    registry,
-                    &producer,
-                    &mut data,
-                    &mut tstate,
-                    &mut attempts,
-                    &mut not_before,
-                    &mut failed_attempts,
-                    &mut records,
-                    &mut stats,
-                    &mut completions,
-                    grace,
-                )?,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            // 5. Block for the next event (bounded by a heartbeat).
+            match self.rx.recv_timeout(period) {
+                Ok(ev) => inbox.push_back(ev),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => {
                     return Err("driver event channel closed".into())
                 }
             }
@@ -524,9 +608,13 @@ impl DistRuntime {
         })
     }
 
-    /// Blocks until every worker has joined (Hello received).
-    fn wait_for_join(&mut self, stats: &mut DistStats) -> Result<(), String> {
+    /// Blocks until every worker has joined (Hello received). Returns
+    /// every other event read meanwhile — an `Eof` from a worker that
+    /// crashed right after its `Hello` must reach the run loop, or that
+    /// worker stays "alive" until its heartbeat grace runs out.
+    fn wait_for_join(&mut self) -> Result<VecDeque<Ev>, String> {
         let deadline = Instant::now() + Duration::from_secs_f64(self.cfg.join_timeout_s);
+        let mut early = VecDeque::new();
         loop {
             let joined = self
                 .slots
@@ -536,7 +624,7 @@ impl DistRuntime {
                 .filter(|s| s.joined_at_s.is_some())
                 .count();
             if joined == self.cfg.workers {
-                return Ok(());
+                return Ok(early);
             }
             if Instant::now() > deadline {
                 return Err(format!(
@@ -545,10 +633,10 @@ impl DistRuntime {
                     self.cfg.workers, self.cfg.join_timeout_s
                 ));
             }
-            let _ = stats;
             match self.rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(_) | Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                Ok(Ev::Joined) | Err(RecvTimeoutError::Timeout) => {}
+                Ok(ev) => early.push_back(ev),
+                Err(RecvTimeoutError::Disconnected) => {
                     return Err("driver event channel closed".into())
                 }
             }
@@ -570,30 +658,9 @@ impl DistRuntime {
         records: &mut [Option<TaskRecord>],
         stats: &mut DistStats,
         completions: &mut usize,
-        grace: Duration,
     ) -> Result<(), String> {
         match ev {
             Ev::Joined => {}
-            Ev::Tick => {
-                // Heartbeat-timeout failure detection.
-                let now = Instant::now();
-                let timed_out: Vec<usize> = {
-                    let slots = self.slots.lock().unwrap();
-                    slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| {
-                            s.alive
-                                && s.joined_at_s.is_some()
-                                && now.duration_since(s.last_seen) > grace
-                        })
-                        .map(|(i, _)| i)
-                        .collect()
-                };
-                for w in timed_out {
-                    self.declare_dead(w, plan, producer, data, tstate, stats, &BTreeMap::new());
-                }
-            }
             Ev::Eof(w) => {
                 let was_alive = self.slots.lock().unwrap()[w].alive;
                 if was_alive {
@@ -612,6 +679,7 @@ impl DistRuntime {
                         start_rel_s,
                         duration_s,
                         pulled,
+                        relayed,
                     } => {
                         let t = task as usize;
                         if tstate.get(t).copied() != Some(TState::Running(w)) {
@@ -632,6 +700,13 @@ impl DistRuntime {
                                 d.replicas.insert(w);
                                 stats.peer_pulls += 1;
                                 stats.peer_pull_bytes += d.bytes;
+                            }
+                        }
+                        // Relayed bytes were counted once, where the
+                        // driver served them (`relay_bytes`).
+                        for p in &relayed {
+                            if let Some(d) = data.get_mut(p) {
+                                d.replicas.insert(w);
                             }
                         }
                         let joined_at_s = self.slots.lock().unwrap()[w].joined_at_s.unwrap_or(0.0);
@@ -754,7 +829,10 @@ impl DistRuntime {
         Ok(())
     }
 
-    /// Ships every ready task to the best idle worker.
+    /// Ships the ready tasks [`place`] assigns to workers with nothing
+    /// in flight. Everything `place` sees is rebuilt here from `tstate`
+    /// and the replica map, so a death or a rollback between two passes
+    /// needs no bookkeeping.
     fn schedule(
         &mut self,
         plan: &Plan,
@@ -763,61 +841,45 @@ impl DistRuntime {
         attempts: &[u32],
         not_before: &[Option<Instant>],
     ) -> Result<(), String> {
+        let alive: Vec<bool> = {
+            let slots = self.slots.lock().unwrap();
+            slots.iter().map(|s| s.alive).collect()
+        };
+        let mut in_flight = vec![0usize; alive.len()];
+        for s in tstate.iter() {
+            if let TState::Running(w) = s {
+                in_flight[*w] += 1;
+            }
+        }
+        let any_alive = alive.contains(&true);
+        if any_alive && (0..alive.len()).all(|w| !alive[w] || in_flight[w] > 0) {
+            return Ok(()); // every live worker is busy: nothing can ship
+        }
         let now = Instant::now();
-        for t in 0..plan.tasks.len() {
-            if tstate[t] != TState::Pending {
-                continue;
-            }
-            if let Some(nb) = not_before[t] {
-                if now < nb {
-                    continue;
+        let ready: Vec<(usize, Vec<u64>)> = (0..plan.tasks.len())
+            .filter(|&t| {
+                tstate[t] == TState::Pending
+                    && not_before[t].is_none_or(|nb| now >= nb)
+                    && plan.tasks[t].inputs.iter().all(|i| {
+                        data.get(i)
+                            .is_some_and(|d| d.driver || !d.replicas.is_empty())
+                    })
+            })
+            .map(|t| {
+                let mut held = vec![0u64; alive.len()];
+                for d in plan.tasks[t].inputs.iter().filter_map(|i| data.get(i)) {
+                    for &w in &d.replicas {
+                        held[w] += d.bytes;
+                    }
                 }
-            }
+                (t, held)
+            })
+            .collect();
+        if !ready.is_empty() && !any_alive {
+            return Err("all workers died; no survivors to re-execute on".into());
+        }
+        for (t, w) in place(&ready, &in_flight, &alive) {
             let pt = &plan.tasks[t];
-            let available = pt.inputs.iter().all(|i| {
-                data.get(i)
-                    .is_some_and(|d| d.driver || !d.replicas.is_empty())
-            });
-            if !available {
-                continue;
-            }
-            // Idle live workers; prefer the one already holding the
-            // most input bytes (the DES's locality-aware placement).
-            let busy: BTreeSet<usize> = tstate
-                .iter()
-                .filter_map(|s| match s {
-                    TState::Running(w) => Some(*w),
-                    _ => None,
-                })
-                .collect();
-            let chosen = {
-                let slots = self.slots.lock().unwrap();
-                let mut best: Option<(u64, usize)> = None;
-                for (w, slot) in slots.iter().enumerate() {
-                    if !slot.alive || busy.contains(&w) {
-                        continue;
-                    }
-                    let local: u64 = pt
-                        .inputs
-                        .iter()
-                        .filter_map(|i| data.get(i))
-                        .filter(|d| d.replicas.contains(&w))
-                        .map(|d| d.bytes)
-                        .sum();
-                    if best.is_none_or(|(b, _)| local > b) {
-                        best = Some((local, w));
-                    }
-                }
-                best.map(|(_, w)| w)
-            };
-            let Some(w) = chosen else {
-                // No idle live worker; if none are alive at all, fail.
-                let any_alive = self.slots.lock().unwrap().iter().any(|s| s.alive);
-                if !any_alive {
-                    return Err("all workers died; no survivors to re-execute on".into());
-                }
-                break;
-            };
             let inputs: Vec<InputSpec> = pt
                 .inputs
                 .iter()
@@ -870,7 +932,7 @@ impl DistRuntime {
             if let Ok(mut conn) = UnixStream::connect(&self.peer_paths[w]) {
                 if proto::send(&mut conn, &Msg::Pull { data: id }).is_ok() {
                     if let Ok(Msg::Data { value, .. }) = proto::recv(&mut conn) {
-                        return Some(Arc::new(value));
+                        return Some(value);
                     }
                 }
             }
@@ -1011,25 +1073,36 @@ impl DistRuntime {
                 slot.alive = false;
             }
         }
+        // A worker's exit closes its control stream and its reader
+        // thread reports `Eof`: wait for those, not on a poll of
+        // `try_wait`. Only process workers are waited for this way;
+        // a thread worker is joined below.
+        let mut exiting: BTreeSet<usize> = (0..spawned)
+            .filter(|&w| matches!(self.handles[w], Some(WorkerHandle::Process(_))))
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !exiting.is_empty() {
+            match self
+                .rx
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            {
+                Ok(Ev::Eof(w)) => {
+                    exiting.remove(&w);
+                }
+                Ok(_) => {}
+                Err(_) => break, // deadline: whoever is left ignored `Shutdown`
+            }
+        }
         let mut reaped = 0usize;
         let mut force_killed = 0usize;
-        for h in self.handles.iter_mut() {
+        for (w, h) in self.handles.iter_mut().enumerate() {
             match h.take() {
                 Some(WorkerHandle::Process(mut child)) => {
-                    let deadline = Instant::now() + Duration::from_secs(2);
-                    loop {
-                        match child.try_wait() {
-                            Ok(Some(_)) => break,
-                            Ok(None) if Instant::now() > deadline => {
-                                let _ = child.kill();
-                                let _ = child.wait();
-                                force_killed += 1;
-                                break;
-                            }
-                            Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-                            Err(_) => break,
-                        }
+                    if exiting.contains(&w) && matches!(child.try_wait(), Ok(None)) {
+                        let _ = child.kill();
+                        force_killed += 1;
                     }
+                    let _ = child.wait();
                     reaped += 1;
                 }
                 Some(WorkerHandle::Thread(t)) => {
@@ -1039,14 +1112,11 @@ impl DistRuntime {
                 None => reaped += 1, // already reaped at death time
             }
         }
-        // Stop our own service threads: the ticker wakes on its period;
-        // the accept loop needs one last connection to notice the flag.
+        // Stop our own service thread: the accept loop needs one last
+        // connection to notice the flag.
         self.stop.store(true, Ordering::Relaxed);
         let _ = UnixStream::connect(&self.driver_sock);
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.ticker_thread.take() {
             let _ = t.join();
         }
         let removed = std::fs::remove_dir_all(&self.dir).is_ok();
@@ -1068,80 +1138,81 @@ impl Drop for DistRuntime {
     }
 }
 
-/// Driver listener loop: control Hellos and one-shot relay requests.
-fn accept_loop(
-    listener: UnixListener,
+/// What every connection to the driver's listener needs.
+#[derive(Clone)]
+struct ConnCtx {
     slots: Arc<Mutex<Vec<Slot>>>,
     store: Arc<Mutex<HashMap<u64, Arc<WireValue>>>>,
     relay_bytes: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-    tx: Sender<Ev>,
+    tx: SyncSender<Ev>,
     epoch: Instant,
-) {
+}
+
+/// Driver listener loop. It only accepts: each connection's opening
+/// frame is read on that connection's own thread, so a connector that
+/// never writes holds up no join and no relay behind it.
+fn accept_loop(listener: UnixListener, stop: Arc<AtomicBool>, conns: ConnCtx) {
     for conn in listener.incoming() {
         if stop.load(Ordering::Relaxed) {
             break;
         }
-        let Ok(mut conn) = conn else { break };
-        match proto::recv(&mut conn) {
-            Ok(Msg::Hello { worker }) => {
-                let w = worker as usize;
-                let now = Instant::now();
-                {
-                    let mut slots = slots.lock().unwrap();
-                    if w >= slots.len() {
-                        continue;
-                    }
-                    let writer = match conn.try_clone() {
-                        Ok(c) => c,
-                        Err(_) => continue,
-                    };
-                    slots[w].writer = Some(writer);
-                    slots[w].last_seen = now;
-                    slots[w].joined_at_s = Some(now.duration_since(epoch).as_secs_f64());
-                    slots[w].alive = true;
+        let Ok(conn) = conn else { break };
+        let ctx = conns.clone();
+        // Detached: it ends with the connection, at the peer's EOF.
+        std::thread::spawn(move || serve_connection(conn, ctx));
+    }
+}
+
+/// One connection to the driver: a worker's control stream (`Hello`,
+/// then its replies until EOF) or a one-shot relay request (`Need`).
+fn serve_connection(mut conn: UnixStream, ctx: ConnCtx) {
+    match proto::recv(&mut conn) {
+        Ok(Msg::Hello { worker }) => {
+            let w = worker as usize;
+            let now = Instant::now();
+            {
+                let mut slots = ctx.slots.lock().unwrap();
+                if w >= slots.len() {
+                    return;
                 }
-                let _ = tx.send(Ev::Joined);
-                let slots = Arc::clone(&slots);
-                let tx = tx.clone();
-                std::thread::spawn(move || loop {
-                    match proto::recv(&mut conn) {
-                        Ok(Msg::Heartbeat { .. }) => {
-                            slots.lock().unwrap()[w].last_seen = Instant::now();
-                        }
-                        Ok(msg) => {
-                            slots.lock().unwrap()[w].last_seen = Instant::now();
-                            if tx.send(Ev::FromWorker(w, msg)).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => {
-                            let _ = tx.send(Ev::Eof(w));
+                let Ok(writer) = conn.try_clone() else { return };
+                slots[w].writer = Some(writer);
+                slots[w].last_seen = now;
+                slots[w].joined_at_s = Some(now.duration_since(ctx.epoch).as_secs_f64());
+                slots[w].alive = true;
+            }
+            let _ = ctx.tx.send(Ev::Joined);
+            loop {
+                match proto::recv(&mut conn) {
+                    Ok(Msg::Heartbeat { .. }) => {
+                        ctx.slots.lock().unwrap()[w].last_seen = Instant::now();
+                    }
+                    Ok(msg) => {
+                        ctx.slots.lock().unwrap()[w].last_seen = Instant::now();
+                        if ctx.tx.send(Ev::FromWorker(w, msg)).is_err() {
                             break;
                         }
                     }
-                });
+                    Err(_) => {
+                        let _ = ctx.tx.send(Ev::Eof(w));
+                        break;
+                    }
+                }
             }
-            Ok(Msg::Need { data, .. }) => {
-                let store = Arc::clone(&store);
-                let relay_bytes = Arc::clone(&relay_bytes);
-                std::thread::spawn(move || {
-                    let held = store.lock().unwrap().get(&data).cloned();
-                    let reply = match held {
-                        Some(value) => {
-                            relay_bytes.fetch_add(value.encoded_len() as u64, Ordering::Relaxed);
-                            Msg::Data {
-                                data,
-                                value: value.as_ref().clone(),
-                            }
-                        }
-                        None => Msg::NotFound { data },
-                    };
-                    let _ = proto::send(&mut conn, &reply);
-                });
-            }
-            _ => {} // shutdown wake-up connection, or garbage
         }
+        Ok(Msg::Need { data, .. }) => {
+            let held = ctx.store.lock().unwrap().get(&data).cloned();
+            let reply = match held {
+                Some(value) => {
+                    ctx.relay_bytes
+                        .fetch_add(value.encoded_len() as u64, Ordering::Relaxed);
+                    Msg::Data { data, value }
+                }
+                None => Msg::NotFound { data },
+            };
+            let _ = proto::send(&mut conn, &reply);
+        }
+        _ => {} // shutdown wake-up connection, or garbage
     }
 }
 
@@ -1194,6 +1265,160 @@ mod tests {
         assert_eq!(shutdown.workers_force_killed, 0);
         assert!(shutdown.sock_dir_removed, "socket dir leaked");
         assert!(!dir.exists());
+    }
+
+    /// Runs `place` in lock-step rounds — every live worker finishes
+    /// its task before the next round — and returns who ran what.
+    fn drain(mut ready: Vec<(usize, Vec<u64>)>, alive: &[bool]) -> Vec<Vec<usize>> {
+        let mut ran = vec![Vec::new(); alive.len()];
+        while !ready.is_empty() {
+            let shipped = place(&ready, &vec![0; alive.len()], alive);
+            assert!(!shipped.is_empty(), "ready work but nothing shipped");
+            for (t, w) in shipped {
+                ran[w].push(t);
+                ready.retain(|(r, _)| *r != t);
+            }
+        }
+        ran
+    }
+
+    #[test]
+    fn place_gives_a_task_to_its_owner_even_when_busy() {
+        // Worker 0 holds task 5's input and is busy; worker 1 is idle
+        // and has work of its own. Task 5 waits for its owner.
+        let ready = vec![(5, vec![100, 0]), (6, vec![0, 50])];
+        assert_eq!(place(&ready, &[1, 0], &[true, true]), vec![(6, 1)]);
+        // Most bytes wins; a tie goes to the shorter backlog.
+        let ready = vec![(0, vec![5, 0]), (1, vec![5, 5]), (2, vec![1, 9])];
+        assert_eq!(
+            place(&ready, &[0, 0], &[true, true]),
+            vec![(0, 0), (1, 1)],
+            "task 1 ties on bytes and joins worker 1's empty backlog"
+        );
+    }
+
+    #[test]
+    fn place_deals_unowned_tasks_in_contiguous_runs_over_live_workers() {
+        let unowned = |n: usize| (0..n).map(|t| (t, vec![0, 0, 0])).collect::<Vec<_>>();
+        let alive = [true, false, true];
+        assert_eq!(place(&unowned(6), &[0, 0, 0], &alive), vec![(0, 0), (3, 2)]);
+        assert_eq!(
+            drain(unowned(6), &alive),
+            vec![vec![0, 1, 2], vec![], vec![3, 4, 5]]
+        );
+        assert_eq!(
+            drain(unowned(8), &[true, true, true]),
+            vec![vec![0, 1], vec![2, 3, 4], vec![5, 6, 7]]
+        );
+    }
+
+    #[test]
+    fn place_lets_an_idle_worker_steal_only_the_tail_of_the_longest_backlog() {
+        let ready = vec![
+            (1, vec![9, 0, 0]),
+            (2, vec![9, 0, 0]),
+            (3, vec![9, 0, 0]),
+            (4, vec![0, 9, 0]),
+        ];
+        // Workers 0 and 1 are busy; worker 2 holds nothing.
+        assert_eq!(place(&ready, &[1, 1, 0], &[true; 3]), vec![(3, 2)]);
+        // With work of its own it steals nothing.
+        let mut own = ready.clone();
+        own.push((7, vec![0, 0, 9]));
+        assert_eq!(place(&own, &[1, 1, 0], &[true; 3]), vec![(7, 2)]);
+        // Nobody idle: nothing ships.
+        assert_eq!(place(&ready, &[1, 1, 1], &[true; 3]), vec![]);
+    }
+
+    #[test]
+    fn place_never_chooses_a_dead_worker_and_is_deterministic() {
+        // The only holder is dead: the task is dealt like an unowned one.
+        let ready = vec![(0, vec![0, 77]), (1, vec![0, 77])];
+        let alive = [true, false];
+        assert_eq!(place(&ready, &[0, 0], &alive), vec![(0, 0)]);
+        assert_eq!(drain(ready.clone(), &alive), vec![vec![0, 1], vec![]]);
+        assert_eq!(place(&ready, &[0, 0], &[false, false]), vec![]);
+        // Equal holdings and backlogs: the lower id, every time.
+        let tie = vec![(0, vec![5, 5])];
+        for _ in 0..3 {
+            assert_eq!(place(&tie, &[0, 0], &[true, true]), vec![(0, 0)]);
+        }
+    }
+
+    #[test]
+    fn teardown_does_not_wait_out_a_heartbeat_period() {
+        // With a 2 s period, any fixed sleep of one period — a ticker,
+        // a beacon, a reaping poll — would show as ~2 s here.
+        let reg = arith_registry();
+        let mut p = Plan::new();
+        let a = p.put(WireValue::F64(2.0));
+        let out = p.task("add", &[a, a]);
+        p.mark_output(out);
+        let cfg = DistConfig {
+            heartbeat_ms: 2000,
+            ..DistConfig::with_workers(2)
+        };
+        let t0 = Instant::now();
+        let mut rt = DistRuntime::launch_threads(cfg, &reg).unwrap();
+        let report = rt.run(&p, &reg).unwrap();
+        assert_eq!(report.outputs[&out].as_f64(), 4.0);
+        let shutdown = rt.shutdown();
+        let elapsed = t0.elapsed();
+        assert_eq!(shutdown.workers_reaped, shutdown.workers_spawned);
+        assert_eq!(shutdown.workers_reaped, 2);
+        assert!(shutdown.sock_dir_removed, "socket dir leaked");
+        assert!(
+            elapsed < Duration::from_millis(1000),
+            "launch + run + shutdown took {elapsed:?} with a 2 s heartbeat"
+        );
+    }
+
+    #[test]
+    fn silent_connector_does_not_block_the_relay() {
+        // A connection that never sends its opening frame must not hold
+        // up the listener: the plan's seed reaches the worker through a
+        // relay request accepted *after* the silent one.
+        let reg = arith_registry();
+        let (plan, top) = diamond_plan();
+        let mut rt = DistRuntime::launch_threads(DistConfig::with_workers(1), &reg).unwrap();
+        assert!(rt.wait_for_join().unwrap().is_empty());
+        let silent = UnixStream::connect(&rt.driver_sock).unwrap();
+        let report = rt.run(&plan, &reg).unwrap();
+        assert_eq!(report.outputs[&top].as_f64(), 30.0);
+        assert!(report.stats.relay_bytes > 0, "the seeds were never relayed");
+        drop(silent);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn death_during_join_is_not_swallowed() {
+        // Worker 0 dies while the driver still waits for worker 1's
+        // Hello. Its Eof must survive `wait_for_join`, or worker 0 stays
+        // "alive" for the whole 20 s grace.
+        let reg = arith_registry();
+        let (plan, top) = diamond_plan();
+        let cfg = DistConfig {
+            heartbeat_ms: 2000,
+            ..DistConfig::with_workers(2)
+        };
+        let mut rt = DistRuntime::launch_threads(cfg, &reg).unwrap();
+        assert!(rt.wait_for_join().unwrap().is_empty());
+        // Re-open worker 1's join, cut worker 0, and let worker 1
+        // "arrive" once the driver has had time to read the Eof.
+        let joined_at = rt.slots.lock().unwrap()[1].joined_at_s.take();
+        rt.kill_abruptly(0);
+        let slots = Arc::clone(&rt.slots);
+        let late_join = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            slots.lock().unwrap()[1].joined_at_s = joined_at;
+        });
+        let t0 = Instant::now();
+        let report = rt.run(&plan, &reg).unwrap();
+        late_join.join().unwrap();
+        assert_eq!(report.outputs[&top].as_f64(), 30.0);
+        assert_eq!(report.stats.workers_lost, 1, "the Eof was dropped");
+        assert!(t0.elapsed() < Duration::from_secs(5));
+        rt.shutdown();
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   must match bit for bit.
 //! * [`worker`] — the worker loop: local store, peer listener,
 //!   heartbeat beacon.
-//! * [`driver`] — the driver: scheduling, replica map, heartbeat
-//!   failure detection, lineage re-execution, trace + journal capture.
+//! * [`driver`] — the driver: owner-computes placement over the
+//!   replica map, heartbeat failure detection, lineage re-execution,
+//!   trace + journal capture.
 //!
 //! ```no_run
 //! use std::sync::Arc;

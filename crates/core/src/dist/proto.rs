@@ -17,6 +17,7 @@
 //!   payloads through the driver.
 
 use super::wire::{WireError, WireValue};
+use std::sync::Arc;
 
 /// Where a consumer can find an input: the data id plus the peer
 /// socket paths of workers currently holding a replica (driver-held
@@ -37,8 +38,9 @@ pub enum Msg {
     /// Periodic liveness beacon (`seq` increments per beat).
     Heartbeat { seq: u64 },
     /// Task finished. `start_rel_s` is seconds since the worker's own
-    /// connection epoch; `pulled` lists input data ids the worker
-    /// fetched (and now holds as replicas).
+    /// connection epoch. `pulled` lists the input data ids the worker
+    /// fetched from a peer and `relayed` those it fetched through the
+    /// driver relay; it now holds a replica of both.
     Done {
         task: u64,
         out: u64,
@@ -46,6 +48,7 @@ pub enum Msg {
         start_rel_s: f64,
         duration_s: f64,
         pulled: Vec<u64>,
+        relayed: Vec<u64>,
     },
     /// Task body returned an error or panicked.
     Failed { task: u64, error: String },
@@ -69,8 +72,9 @@ pub enum Msg {
     Need { worker: u32, data: u64 },
     /// One-shot pull request to a peer worker.
     Pull { data: u64 },
-    /// Reply carrying a payload.
-    Data { data: u64, value: WireValue },
+    /// Reply carrying a payload. Shared, so serving a datum out of a
+    /// store never copies it.
+    Data { data: u64, value: Arc<WireValue> },
     /// Reply: the responder no longer holds that datum.
     NotFound { data: u64 },
 }
@@ -97,6 +101,13 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
+fn put_ids(out: &mut Vec<u8>, ids: &[u64]) {
+    put_u64(out, ids.len() as u64);
+    for d in ids {
+        put_u64(out, *d);
+    }
+}
+
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u64(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
@@ -113,6 +124,14 @@ fn take_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
 
 fn take_f64(buf: &mut &[u8]) -> Result<f64, WireError> {
     Ok(f64::from_bits(take_u64(buf)?))
+}
+
+fn take_ids(buf: &mut &[u8]) -> Result<Vec<u64>, WireError> {
+    let n = take_u64(buf)? as usize;
+    if n > buf.len() {
+        return Err(WireError::Truncated);
+    }
+    (0..n).map(|_| take_u64(buf)).collect()
 }
 
 fn take_str(buf: &mut &[u8]) -> Result<String, WireError> {
@@ -145,6 +164,7 @@ impl Msg {
                 start_rel_s,
                 duration_s,
                 pulled,
+                relayed,
             } => {
                 out.push(tag::DONE);
                 put_u64(&mut out, *task);
@@ -152,10 +172,8 @@ impl Msg {
                 put_u64(&mut out, *bytes);
                 put_f64(&mut out, *start_rel_s);
                 put_f64(&mut out, *duration_s);
-                put_u64(&mut out, pulled.len() as u64);
-                for d in pulled {
-                    put_u64(&mut out, *d);
-                }
+                put_ids(&mut out, pulled);
+                put_ids(&mut out, relayed);
             }
             Msg::Failed { task, error } => {
                 out.push(tag::FAILED);
@@ -195,6 +213,7 @@ impl Msg {
                 put_u64(&mut out, *data);
             }
             Msg::Data { data, value } => {
+                out.reserve(9 + value.encoded_len());
                 out.push(tag::DATA);
                 put_u64(&mut out, *data);
                 value.encode_into(&mut out);
@@ -233,14 +252,8 @@ impl Msg {
                 let bytes = take_u64(&mut buf)?;
                 let start_rel_s = take_f64(&mut buf)?;
                 let duration_s = take_f64(&mut buf)?;
-                let n = take_u64(&mut buf)? as usize;
-                if n > body.len() {
-                    return Err(WireError::Truncated);
-                }
-                let mut pulled = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pulled.push(take_u64(&mut buf)?);
-                }
+                let pulled = take_ids(&mut buf)?;
+                let relayed = take_ids(&mut buf)?;
                 Msg::Done {
                     task,
                     out,
@@ -248,6 +261,7 @@ impl Msg {
                     start_rel_s,
                     duration_s,
                     pulled,
+                    relayed,
                 }
             }
             tag::FAILED => Msg::Failed {
@@ -295,7 +309,7 @@ impl Msg {
             },
             tag::DATA => {
                 let data = take_u64(&mut buf)?;
-                let value = WireValue::decode_from(&mut buf)?;
+                let value = Arc::new(WireValue::decode_from(&mut buf)?);
                 Msg::Data { data, value }
             }
             tag::NOT_FOUND => Msg::NotFound {
@@ -341,6 +355,7 @@ mod tests {
                 start_rel_s: 0.25,
                 duration_s: 0.0625,
                 pulled: vec![1, 2],
+                relayed: vec![3],
             },
             Msg::Failed {
                 task: 5,
@@ -361,7 +376,9 @@ mod tests {
             Msg::Pull { data: 4 },
             Msg::Data {
                 data: 4,
-                value: WireValue::Matrix(Matrix::from_fn(2, 2, |r, c| (r + c) as f64)),
+                value: Arc::new(WireValue::Matrix(Matrix::from_fn(2, 2, |r, c| {
+                    (r + c) as f64
+                }))),
             },
             Msg::NotFound { data: 4 },
             Msg::FetchFailed { task: 5, data: 4 },

@@ -5,9 +5,12 @@
 //! workers the driver named as replica owners (peer-to-peer over the
 //! owner's listener socket), and only as a last resort by asking the
 //! driver to relay — so bulk payloads flow worker-to-worker, not
-//! through the driver. A dedicated thread heartbeats over the control
-//! stream even while a task body runs, so a *slow* worker is
-//! distinguishable from a *dead* one.
+//! through the driver. The store holds `Arc`s and [`Msg::Data`] carries
+//! one, so serving a pull encodes straight from the stored value. A
+//! dedicated thread heartbeats over the control stream even while a
+//! task body runs, so a *slow* worker is distinguishable from a *dead*
+//! one; it waits on a channel, not in a sleep, so teardown never waits
+//! out a heartbeat period.
 
 use super::kind::{KindRegistry, CRASH_DROP, CRASH_TRUNCATE};
 use super::proto::{self, InputSpec, Msg};
@@ -17,6 +20,7 @@ use std::io::Write as _;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -102,14 +106,15 @@ pub fn run_worker(opts: WorkerOpts, registry: Arc<KindRegistry>) -> Result<(), w
     )?;
 
     // Heartbeats keep flowing while a task body runs on this thread.
+    // The beacon's wait doubles as its stop signal: dropping `hb_stop`
+    // wakes it at once.
+    let (hb_stop, hb_wait) = std::sync::mpsc::channel::<()>();
     let hb_thread = {
         let control_w = Arc::clone(&control_w);
-        let stop = Arc::clone(&stop);
         let period = std::time::Duration::from_millis(opts.heartbeat_ms.max(1));
         std::thread::spawn(move || {
             let mut seq = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(period);
+            while hb_wait.recv_timeout(period) == Err(RecvTimeoutError::Timeout) {
                 seq += 1;
                 let mut w = control_w.lock().unwrap();
                 if proto::send(&mut *w, &Msg::Heartbeat { seq }).is_err() {
@@ -121,7 +126,8 @@ pub fn run_worker(opts: WorkerOpts, registry: Arc<KindRegistry>) -> Result<(), w
 
     let result = serve_driver(&opts, &registry, &store, &mut control_r, &control_w, epoch);
 
-    // Unblock the peer accept loop and tear down.
+    // Unblock the beacon and the peer accept loop, and tear down.
+    drop(hb_stop);
     stop.store(true, Ordering::Relaxed);
     let _ = UnixStream::connect(&opts.peer_sock);
     let _ = peer_thread.join();
@@ -143,10 +149,7 @@ fn serve_peers(listener: UnixListener, store: Store, stop: Arc<AtomicBool>) {
             if let Ok(Msg::Pull { data }) = proto::recv(&mut conn) {
                 let held = store.lock().unwrap().get(&data).cloned();
                 let reply = match held {
-                    Some(value) => Msg::Data {
-                        data,
-                        value: value.as_ref().clone(),
-                    },
+                    Some(value) => Msg::Data { data, value },
                     None => Msg::NotFound { data },
                 };
                 let _ = proto::send(&mut conn, &reply);
@@ -155,17 +158,24 @@ fn serve_peers(listener: UnixListener, store: Store, stop: Arc<AtomicBool>) {
     }
 }
 
+/// Where [`resolve_input`] found a value. Anything but `Local` is a
+/// new replica the driver should learn about.
+enum Source {
+    Local,
+    Peer,
+    Relay,
+}
+
 /// Resolves one input: local store, then peer owners, then the driver
-/// relay. Returns the value plus whether it was fetched remotely (and
-/// is therefore a replica the driver should learn about); on failure,
-/// the unfetchable data id.
+/// relay. Returns the value and where it came from; on failure, the
+/// unfetchable data id.
 fn resolve_input(
     opts: &WorkerOpts,
     store: &Store,
     spec: &InputSpec,
-) -> Result<(Arc<WireValue>, bool), u64> {
+) -> Result<(Arc<WireValue>, Source), u64> {
     if let Some(v) = store.lock().unwrap().get(&spec.data).cloned() {
-        return Ok((v, false));
+        return Ok((v, Source::Local));
     }
     // Peer-to-peer pull from a replica owner.
     for (owner, path) in &spec.owners {
@@ -175,9 +185,8 @@ fn resolve_input(
         if let Ok(mut conn) = UnixStream::connect(path) {
             if proto::send(&mut conn, &Msg::Pull { data: spec.data }).is_ok() {
                 if let Ok(Msg::Data { value, .. }) = proto::recv(&mut conn) {
-                    let v = Arc::new(value);
-                    store.lock().unwrap().insert(spec.data, Arc::clone(&v));
-                    return Ok((v, true));
+                    store.lock().unwrap().insert(spec.data, Arc::clone(&value));
+                    return Ok((value, Source::Peer));
                 }
             }
         }
@@ -190,9 +199,8 @@ fn resolve_input(
         };
         if proto::send(&mut conn, &need).is_ok() {
             if let Ok(Msg::Data { value, .. }) = proto::recv(&mut conn) {
-                let v = Arc::new(value);
-                store.lock().unwrap().insert(spec.data, Arc::clone(&v));
-                return Ok((v, true));
+                store.lock().unwrap().insert(spec.data, Arc::clone(&value));
+                return Ok((value, Source::Relay));
             }
         }
     }
@@ -225,12 +233,15 @@ fn serve_driver(
             } => {
                 let mut resolved = Vec::with_capacity(inputs.len());
                 let mut pulled = Vec::new();
+                let mut relayed = Vec::new();
                 let mut missing = None;
                 for spec in &inputs {
                     match resolve_input(opts, store, spec) {
-                        Ok((v, was_remote)) => {
-                            if was_remote {
-                                pulled.push(spec.data);
+                        Ok((v, source)) => {
+                            match source {
+                                Source::Local => {}
+                                Source::Peer => pulled.push(spec.data),
+                                Source::Relay => relayed.push(spec.data),
                             }
                             resolved.push(v);
                         }
@@ -264,6 +275,7 @@ fn serve_driver(
                             start_rel_s,
                             duration_s,
                             pulled,
+                            relayed,
                         };
                         let mut w = control_w.lock().unwrap();
                         proto::send(&mut *w, &done)?;
@@ -284,6 +296,7 @@ fn serve_driver(
                             start_rel_s,
                             duration_s,
                             pulled,
+                            relayed,
                         }
                         .encode();
                         let mut w = control_w.lock().unwrap();
