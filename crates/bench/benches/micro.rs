@@ -5,7 +5,7 @@ use dislib::svm::{fit_svc, SvcParams};
 use linalg::fft::{fft_inplace, Complex};
 use linalg::stft::{spectrogram, SpectrogramConfig, SpectrogramPlan};
 use linalg::{eigh, Kernel, Matrix};
-use nnet::Conv1d;
+use nnet::{Conv1d, Network, TrainParams};
 use std::hint::black_box;
 use taskrt::sim::{simulate, ClusterSpec, SimOptions};
 use taskrt::Runtime;
@@ -66,6 +66,24 @@ fn bench_conv(c: &mut Criterion) {
         b.iter(|| black_box(conv.backward(black_box(&x), len, black_box(&dout))))
     });
     group.finish();
+
+    // One `cnn_train` task of the end-to-end benchmark: an epoch of the
+    // paper's CNN over an 80-row shard of 160 PCA scores, batch 4.
+    let xs = Matrix::from_fn(80, 160, |_, _| rng.random::<f64>() * 2.0 - 1.0);
+    let ys: Vec<u8> = (0..80).map(|i| (i % 2) as u8).collect();
+    let tp = TrainParams {
+        lr: 0.03,
+        momentum: 0.9,
+        batch_size: 4,
+        seed: 1,
+    };
+    let net0 = Network::afib_cnn(160, 1);
+    c.bench_function("cnn_train_epoch_80x160_batch4", |b| {
+        b.iter(|| {
+            let mut net = net0.clone();
+            black_box(net.train_epoch(black_box(&xs), &ys, &tp, 0))
+        })
+    });
 }
 
 fn bench_eigh(c: &mut Criterion) {

@@ -16,7 +16,7 @@
 
 use bench::report::{print_series, Args};
 use dislib::model_selection::cross_validate;
-use dislib::rf::{build_tree, RfParams, Tree};
+use dislib::rf::{build_tree, Presort, RfParams, Tree};
 use dislib::{ConfusionMatrix, KFold};
 use ecg::features::build_design_matrix;
 use ecg::hrv::RrDetector;
@@ -66,8 +66,9 @@ fn ml_accuracy(recs: &[ecg::Recording], seed: u64) -> ConfusionMatrix {
         ..Default::default()
     };
     let folds = cross_validate(&x, &y, &kf, |xtr, ytr, xte| {
+        let pre = Presort::new(xtr);
         let trees: Vec<Tree> = (0..params.n_estimators)
-            .map(|e| build_tree(xtr, ytr, &params, e as u64))
+            .map(|e| build_tree(xtr, ytr, &pre, &params, e as u64))
             .collect();
         (0..xte.rows())
             .map(|r| {

@@ -12,6 +12,7 @@
 //! | `csvm_fit`/`csvm_merge` | SMO ≈ `m^2 · d` | m: 500-row blocks vs ours; d: 3269 vs ours |
 //! | `knn_query` | brute force ≈ `m · q · d` | 250-row blocks |
 //! | `rf_build_tree` | CART ≈ `m · log m · sqrt(d) · depth` | full 8246-sample folds |
+//! | `rf_presort` | one argsort per feature ≈ `d · m · log m` | once per forest |
 //! | `cnn_train` | conv flops ∝ `samples · features` | plus multi-GPU sync overhead |
 //! | `ds_*`, `scaler_*`, `pca_*` | linear in block elements | |
 //!
@@ -97,6 +98,11 @@ impl ScaleModel {
         // CART: samples log samples x sqrt(features).
         let rf = sample_ratio * (1.0 + sample_ratio.ln().max(0.0)) * feature_ratio.sqrt();
         factors.insert("rf_build_tree".into(), rf);
+        // The forest-wide presort argsorts every feature, not sqrt(d).
+        factors.insert(
+            "rf_presort".into(),
+            sample_ratio * (1.0 + sample_ratio.ln().max(0.0)) * feature_ratio,
+        );
         factors.insert("rf_top".into(), rf);
         factors.insert("rf_subtree".into(), rf);
         factors.insert("rf_join".into(), sample_ratio);

@@ -176,14 +176,58 @@ fn leaf_probs(counts: &[usize; 2]) -> [f64; 2] {
     [counts[0] as f64 / n, counts[1] as f64 / n]
 }
 
+/// The forest-wide pre-sort: for every feature, the training rows in
+/// ascending value order (stable, so ties keep row order). Computed
+/// once per [`RandomForest::fit`] by the `rf_presort` task and shared
+/// by every tree task — all trees sort the same matrix, only their
+/// bootstraps differ, and a bootstrap's order falls out of this one in
+/// O(rows) per feature (see [`SplitScratch::ensure_order`]).
+#[derive(Debug, Clone)]
+pub struct Presort {
+    n_rows: usize,
+    /// `order[f * n_rows..][..n_rows]`: row indices sorted by feature `f`.
+    order: Vec<u32>,
+}
+
+impl Payload for Presort {
+    fn approx_bytes(&self) -> usize {
+        self.order.len() * 4 + std::mem::size_of::<Self>()
+    }
+}
+
+impl Presort {
+    /// Argsorts every column of `x`.
+    pub fn new(x: &Matrix) -> Self {
+        let n = x.rows();
+        let mut order = Vec::with_capacity(n * x.cols());
+        for f in 0..x.cols() {
+            let col = x.col(f);
+            let start = order.len();
+            order.extend(0..n as u32);
+            order[start..].sort_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+        }
+        Self { n_rows: n, order }
+    }
+
+    fn feature(&self, f: usize) -> &[u32] {
+        &self.order[f * self.n_rows..(f + 1) * self.n_rows]
+    }
+}
+
 /// Per-tree scratch for the pre-sorted split finder: the bootstrap
-/// rows, a lazily-built per-feature stable argsort of the bootstrap
+/// rows, a lazily-built per-feature value order of the bootstrap
 /// *positions*, and an epoch-stamped membership mark that filters a
 /// feature's tree-wide order down to the current node without sorting.
-struct SplitScratch {
+struct SplitScratch<'a> {
+    /// The forest-wide row order the tree's own orders derive from.
+    pre: &'a Presort,
     /// Bootstrap sample rows; all position indices index into this.
     rows: Vec<u32>,
-    /// `order[f]`: positions `0..rows.len()` stably sorted by
+    /// CSR map training row → the bootstrap positions holding it:
+    /// `members[starts[r]..starts[r + 1]]`, ascending.
+    starts: Vec<u32>,
+    members: Vec<u32>,
+    /// `order[f]`: positions `0..rows.len()` in ascending order of
     /// `x[rows[pos]][f]`, paired with the matching value sequence
     /// (`sorted_vals[i]` = value of `order[i]`, so the filter sweep
     /// reads both sequentially instead of re-gathering from the
@@ -199,12 +243,28 @@ struct SplitScratch {
     vals: Vec<(f64, u8)>,
 }
 
-impl SplitScratch {
-    fn new(rows: Vec<u32>, y: &[u8], n_feat: usize) -> Self {
+impl<'a> SplitScratch<'a> {
+    fn new(rows: Vec<u32>, y: &[u8], pre: &'a Presort, n_feat: usize) -> Self {
         let n = rows.len();
         let labels = rows.iter().map(|&r| y[r as usize]).collect();
+        let mut starts = vec![0u32; pre.n_rows + 1];
+        for &r in &rows {
+            starts[r as usize + 1] += 1;
+        }
+        for r in 0..pre.n_rows {
+            starts[r + 1] += starts[r];
+        }
+        let mut next = starts.clone();
+        let mut members = vec![0u32; n];
+        for (p, &r) in rows.iter().enumerate() {
+            members[next[r as usize] as usize] = p as u32;
+            next[r as usize] += 1;
+        }
         Self {
+            pre,
             rows,
+            starts,
+            members,
             order: vec![None; n_feat],
             labels,
             mark: vec![0; n],
@@ -213,17 +273,24 @@ impl SplitScratch {
         }
     }
 
-    /// Builds (once) the stable value-argsort of feature `f`.
+    /// Builds (once) the value order of feature `f` over the bootstrap
+    /// positions without sorting: walk the forest-wide row order and
+    /// emit each row's positions. Tied values come out grouped by row
+    /// rather than by position; the sweep only aggregates label counts
+    /// across a tie group, so within-tie order never affects the
+    /// chosen split.
     fn ensure_order(&mut self, x: &Matrix, f: usize) {
         if self.order[f].is_none() {
-            let rows = &self.rows;
-            let vals: Vec<f64> = rows.iter().map(|&r| x.get(r as usize, f)).collect();
-            let mut ord: Vec<u32> = (0..rows.len() as u32).collect();
-            // Stable: tied values keep bootstrap-position order. The
-            // sweep only aggregates label counts across a tie group, so
-            // within-tie order never affects the chosen split.
-            ord.sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
-            let sorted_vals = ord.iter().map(|&p| vals[p as usize]).collect();
+            let n = self.rows.len();
+            let (mut ord, mut sorted_vals) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            for &r in self.pre.feature(f) {
+                let r = r as usize;
+                let held = &self.members[self.starts[r] as usize..self.starts[r + 1] as usize];
+                if !held.is_empty() {
+                    ord.extend_from_slice(held);
+                    sorted_vals.resize(ord.len(), x.get(r, f));
+                }
+            }
             self.order[f] = Some((ord, sorted_vals));
         }
     }
@@ -280,7 +347,7 @@ fn class_counts_pos(y: &[u8], rows: &[u32], pos: &[u32]) -> [usize; 2] {
 fn best_split_fast(
     x: &Matrix,
     y: &[u8],
-    sc: &mut SplitScratch,
+    sc: &mut SplitScratch<'_>,
     pos: &[u32],
     rng: &mut StdRng,
 ) -> Option<(u32, f64, Vec<u32>, Vec<u32>)> {
@@ -297,8 +364,9 @@ fn best_split_fast(
     // step (sequential u32 compare) is several times cheaper than a
     // sort comparison, hence the factor on the `m log m` side. Filter
     // only while the node is a large enough fraction of the bootstrap
-    // to win.
-    let n = sc.rows.len();
+    // to win. A subtree's bootstrap is a partition of the forest's rows,
+    // and building a feature's order walks all of those.
+    let n = sc.rows.len().max(x.rows());
     let m = pos.len();
     let use_filter = 4 * m * (usize::BITS - m.leading_zeros()) as usize >= n;
     if use_filter {
@@ -362,7 +430,7 @@ fn grow_fast(
     arena: &mut Vec<Node>,
     x: &Matrix,
     y: &[u8],
-    sc: &mut SplitScratch,
+    sc: &mut SplitScratch<'_>,
     pos: &[u32],
     depth: usize,
     params: &RfParams,
@@ -408,12 +476,12 @@ fn bootstrap(n: usize, rng: &mut StdRng) -> Vec<u32> {
 }
 
 /// Builds one full tree locally (the `distr_depth == 0` path), using
-/// the pre-sorted split finder.
-pub fn build_tree(x: &Matrix, y: &[u8], params: &RfParams, est_seed: u64) -> Tree {
+/// the pre-sorted split finder over the forest-wide `pre`sort of `x`.
+pub fn build_tree(x: &Matrix, y: &[u8], pre: &Presort, params: &RfParams, est_seed: u64) -> Tree {
     let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(est_seed));
     let rows = bootstrap(x.rows(), &mut rng);
     let pos: Vec<u32> = (0..rows.len() as u32).collect();
-    let mut sc = SplitScratch::new(rows, y, x.cols());
+    let mut sc = SplitScratch::new(rows, y, pre, x.cols());
     let mut arena = Vec::new();
     grow_fast(&mut arena, x, y, &mut sc, &pos, 0, params, &mut rng, None);
     Tree { nodes: arena }
@@ -421,11 +489,17 @@ pub fn build_tree(x: &Matrix, y: &[u8], params: &RfParams, est_seed: u64) -> Tre
 
 /// Builds the top of a tree down to `distr_depth` and collects the
 /// sample partition for each frontier slot.
-pub fn build_top(x: &Matrix, y: &[u8], params: &RfParams, est_seed: u64) -> TopSplit {
+pub fn build_top(
+    x: &Matrix,
+    y: &[u8],
+    pre: &Presort,
+    params: &RfParams,
+    est_seed: u64,
+) -> TopSplit {
     let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(est_seed));
     let rows = bootstrap(x.rows(), &mut rng);
     let pos: Vec<u32> = (0..rows.len() as u32).collect();
-    let mut sc = SplitScratch::new(rows, y, x.cols());
+    let mut sc = SplitScratch::new(rows, y, pre, x.cols());
     let mut arena = Vec::new();
     grow_fast(
         &mut arena,
@@ -438,10 +512,12 @@ pub fn build_top(x: &Matrix, y: &[u8], params: &RfParams, est_seed: u64) -> TopS
         &mut rng,
         Some(params.distr_depth),
     );
-    let idx = sc.rows;
-    let mut tree = Tree { nodes: arena };
+    route_to_frontier(Tree { nodes: arena }, x, &sc.rows)
+}
 
-    // Route every bootstrap sample to its frontier slot.
+/// Routes every bootstrap sample of a partial tree to its frontier
+/// slot and tags each frontier node with its slot index.
+fn route_to_frontier(mut tree: Tree, x: &Matrix, idx: &[u32]) -> TopSplit {
     let slots = tree.frontier_slots();
     let slot_of = |row: &[f64]| -> usize {
         let mut i = 0usize;
@@ -458,7 +534,7 @@ pub fn build_top(x: &Matrix, y: &[u8], params: &RfParams, est_seed: u64) -> TopS
         }
     };
     let mut partitions: Vec<Vec<u32>> = vec![Vec::new(); slots.len()];
-    for &i in &idx {
+    for &i in idx {
         let node = slot_of(x.row(i as usize));
         if let Some(slot) = slots.iter().position(|&s| s == node) {
             partitions[slot].push(i);
@@ -466,7 +542,6 @@ pub fn build_top(x: &Matrix, y: &[u8], params: &RfParams, est_seed: u64) -> TopS
         // Samples ending in real leaves above the frontier need no
         // further growing.
     }
-    // Tag each frontier node with its slot index.
     for (slot, &node) in slots.iter().enumerate() {
         tree.nodes[node].feature = slot as u32;
     }
@@ -477,6 +552,7 @@ pub fn build_top(x: &Matrix, y: &[u8], params: &RfParams, est_seed: u64) -> TopS
 pub fn build_subtree(
     x: &Matrix,
     y: &[u8],
+    pre: &Presort,
     top: &TopSplit,
     slot: usize,
     params: &RfParams,
@@ -503,7 +579,7 @@ pub fn build_subtree(
         });
     } else {
         let pos: Vec<u32> = (0..idx.len() as u32).collect();
-        let mut sc = SplitScratch::new(idx.clone(), y, x.cols());
+        let mut sc = SplitScratch::new(idx.clone(), y, pre, x.cols());
         grow_fast(
             &mut arena,
             x,
@@ -559,31 +635,42 @@ impl RandomForest {
     /// handle. Task structure depends on `distr_depth` (see module
     /// docs).
     pub fn fit(rt: &Runtime, x: Handle<Matrix>, y: Handle<Vec<u8>>, params: RfParams) -> Self {
+        let pre = rt
+            .task("rf_presort")
+            .cores(params.task_cores)
+            .run1(x, Presort::new);
         let trees = (0..params.n_estimators)
             .map(|est| {
                 let est_seed = est as u64;
                 if params.distr_depth == 0 {
-                    rt.task("rf_build_tree").cores(params.task_cores).run2(
+                    rt.task("rf_build_tree").cores(params.task_cores).run3(
                         x,
                         y,
-                        move |x: &Matrix, y: &Vec<u8>| build_tree(x, y, &params, est_seed),
+                        pre,
+                        move |x: &Matrix, y: &Vec<u8>, pre: &Presort| {
+                            build_tree(x, y, pre, &params, est_seed)
+                        },
                     )
                 } else {
-                    let top = rt.task("rf_top").cores(params.task_cores).run2(
+                    let top = rt.task("rf_top").cores(params.task_cores).run3(
                         x,
                         y,
-                        move |x: &Matrix, y: &Vec<u8>| build_top(x, y, &params, est_seed),
+                        pre,
+                        move |x: &Matrix, y: &Vec<u8>, pre: &Presort| {
+                            build_top(x, y, pre, &params, est_seed)
+                        },
                     );
                     let n_slots = 1usize << params.distr_depth;
                     let subtrees: Vec<Handle<Tree>> = (0..n_slots)
                         .map(|slot| {
-                            rt.task("rf_subtree").cores(params.task_cores).run3(
+                            rt.task("rf_subtree").cores(params.task_cores).run4(
                                 x,
                                 y,
+                                pre,
                                 top,
-                                move |x: &Matrix, y: &Vec<u8>, top: &TopSplit| {
+                                move |x: &Matrix, y: &Vec<u8>, pre: &Presort, top: &TopSplit| {
                                     if slot < top.partitions.len() {
-                                        build_subtree(x, y, top, slot, &params, est_seed)
+                                        build_subtree(x, y, pre, top, slot, &params, est_seed)
                                     } else {
                                         // The top stopped early (pure
                                         // node); nothing to grow.
@@ -627,16 +714,17 @@ impl RandomForest {
                     t,
                     x,
                     |tree: &Tree, q: &Matrix| {
-                        Matrix::from_fn(q.rows(), 2, |r, c| tree.predict_probs(q.row(r))[c])
+                        let mut out = Matrix::zeros(q.rows(), 2);
+                        for r in 0..q.rows() {
+                            out.row_mut(r)
+                                .copy_from_slice(&tree.predict_probs(q.row(r)));
+                        }
+                        out
                     },
                 )
             })
             .collect();
-        let summed = dsarray::tree_reduce(rt, "rf_reduce", &partials, |a, b| {
-            let mut s = a.clone();
-            s.add_assign(b);
-            s
-        });
+        let summed = dsarray::tree_reduce_inout(rt, "rf_reduce", &partials, Matrix::add_assign);
         let n = self.trees.len() as f64;
         rt.task("rf_average").run1(summed, move |m: &Matrix| {
             let mut out = m.clone();
@@ -792,6 +880,38 @@ mod tests {
         Tree { nodes: arena }
     }
 
+    /// The `distr_depth > 0` path (top, subtrees, join) via the oracle
+    /// splitter, with the seeds [`build_top`] / [`build_subtree`] use.
+    fn build_distributed_legacy(x: &Matrix, y: &[u8], params: &RfParams, est_seed: u64) -> Tree {
+        let seed = params.seed.wrapping_add(est_seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let idx = bootstrap(x.rows(), &mut rng);
+        let mut arena = Vec::new();
+        let stop = Some(params.distr_depth);
+        grow(&mut arena, x, y, &idx, 0, params, &mut rng, stop);
+        let top = route_to_frontier(Tree { nodes: arena }, x, &idx);
+        let subs: Vec<Tree> = (0..top.partitions.len())
+            .map(|slot| {
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(977 * slot as u64));
+                let mut arena = Vec::new();
+                let part = &top.partitions[slot];
+                assert!(!part.is_empty(), "a frontier slot holds its node's samples");
+                grow(
+                    &mut arena,
+                    x,
+                    y,
+                    part,
+                    params.distr_depth,
+                    params,
+                    &mut rng,
+                    None,
+                );
+                Tree { nodes: arena }
+            })
+            .collect();
+        join_tree(&top, &subs.iter().collect::<Vec<_>>())
+    }
+
     #[test]
     fn gini_extremes() {
         assert_eq!(gini(&[10, 0]), 0.0);
@@ -806,7 +926,7 @@ mod tests {
             n_estimators: 1,
             ..Default::default()
         };
-        let tree = build_tree(&x, &y, &params, 0);
+        let tree = build_tree(&x, &y, &Presort::new(&x), &params, 0);
         let pred: Vec<u8> = (0..x.rows()).map(|r| tree.predict_one(x.row(r))).collect();
         assert!(accuracy(&y, &pred) > 0.9);
         assert!(tree.depth() >= 1);
@@ -885,11 +1005,12 @@ mod tests {
             distr_depth: 1,
             ..Default::default()
         };
-        let top = build_top(&x, &y, &params, 0);
+        let pre = Presort::new(&x);
+        let top = build_top(&x, &y, &pre, &params, 0);
         let n_slots = top.partitions.len();
         assert!(n_slots <= 2);
         let subs: Vec<Tree> = (0..n_slots)
-            .map(|s| build_subtree(&x, &y, &top, s, &params, 0))
+            .map(|s| build_subtree(&x, &y, &pre, &top, s, &params, 0))
             .collect();
         let refs: Vec<&Tree> = subs.iter().collect();
         let tree = join_tree(&top, &refs);
@@ -923,10 +1044,10 @@ mod tests {
     fn bootstrap_determinism() {
         let (x, y) = blobs(20, 2.0, 38);
         let params = RfParams::default();
-        let a = build_tree(&x, &y, &params, 3);
-        let b = build_tree(&x, &y, &params, 3);
+        let a = build_tree(&x, &y, &Presort::new(&x), &params, 3);
+        let b = build_tree(&x, &y, &Presort::new(&x), &params, 3);
         assert_eq!(a.nodes, b.nodes);
-        let c = build_tree(&x, &y, &params, 4);
+        let c = build_tree(&x, &y, &Presort::new(&x), &params, 4);
         assert_ne!(a.nodes, c.nodes);
     }
 
@@ -947,7 +1068,7 @@ mod tests {
                     seed,
                     ..Default::default()
                 };
-                let fast = build_tree(&x, &y, &params, est);
+                let fast = build_tree(&x, &y, &Presort::new(&x), &params, est);
                 let legacy = build_tree_legacy(&x, &y, &params, est);
                 assert_eq!(fast.nodes, legacy.nodes, "n={n} d={d} est={est}");
             }
@@ -970,9 +1091,100 @@ mod tests {
             ..Default::default()
         };
         for est in 0..4u64 {
-            let fast = build_tree(&x, &y, &params, est);
+            let fast = build_tree(&x, &y, &Presort::new(&x), &params, est);
             let legacy = build_tree_legacy(&x, &y, &params, est);
             assert_eq!(fast.nodes, legacy.nodes, "est={est}");
+        }
+    }
+
+    /// Features quantised to 8 levels: nearly every sweep step is
+    /// inside a tie group, whose within-group order the shared presort
+    /// changes (by row, not by bootstrap position).
+    fn eight_level_blobs(n: usize, d: usize, seed: u64) -> (Matrix, Vec<u8>) {
+        let (mut x, y) = blobs_nd(n, d, 1.0, seed);
+        for v in x.as_mut_slice() {
+            *v = ((v.clamp(-2.0, 1.5) + 2.0) * 2.0).round();
+        }
+        (x, y)
+    }
+
+    #[test]
+    fn shared_presort_trees_match_legacy_under_heavy_ties() {
+        let (x, y) = eight_level_blobs(120, 6, 44);
+        let levels: std::collections::BTreeSet<u64> =
+            x.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(levels.len(), 8);
+        let pre = Presort::new(&x);
+        let params = RfParams {
+            max_depth: 12,
+            min_samples_split: 2,
+            seed: 9,
+            ..Default::default()
+        };
+        for est in 0..6u64 {
+            let fast = build_tree(&x, &y, &pre, &params, est);
+            let legacy = build_tree_legacy(&x, &y, &params, est);
+            assert_eq!(fast.nodes, legacy.nodes, "est={est}");
+        }
+    }
+
+    #[test]
+    fn shared_presort_distributed_trees_match_legacy() {
+        for (x, y) in [blobs_nd(150, 8, 0.8, 45), eight_level_blobs(150, 5, 46)] {
+            let pre = Presort::new(&x);
+            for distr_depth in 1..=3 {
+                let params = RfParams {
+                    max_depth: 10,
+                    min_samples_split: 2,
+                    distr_depth,
+                    seed: 3,
+                    ..Default::default()
+                };
+                for est in 0..3u64 {
+                    let top = build_top(&x, &y, &pre, &params, est);
+                    let subs: Vec<Tree> = (0..top.partitions.len())
+                        .map(|s| build_subtree(&x, &y, &pre, &top, s, &params, est))
+                        .collect();
+                    let fast = join_tree(&top, &subs.iter().collect::<Vec<_>>());
+                    let legacy = build_distributed_legacy(&x, &y, &params, est);
+                    assert_eq!(fast.nodes, legacy.nodes, "depth={distr_depth} est={est}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threaded_forest_equals_inline_forest() {
+        let (x, y) = eight_level_blobs(90, 6, 47);
+        for distr_depth in [0usize, 2] {
+            let params = RfParams {
+                n_estimators: 8,
+                distr_depth,
+                seed: 5,
+                ..Default::default()
+            };
+            let fit = |rt: &Runtime| {
+                let (xh, yh) = (rt.put(x.clone()), rt.put(y.clone()));
+                let forest = RandomForest::fit(rt, xh, yh, params);
+                let trees: Vec<Vec<Node>> = forest
+                    .trees
+                    .iter()
+                    .map(|&t| rt.wait(t).nodes.clone())
+                    .collect();
+                let probs = rt.wait(forest.predict_probs(rt, xh));
+                (trees, probs.as_slice().to_vec())
+            };
+            let inline = fit(&Runtime::new());
+            let threaded = fit(&Runtime::threaded(3));
+            assert_eq!(inline, threaded, "distr_depth={distr_depth}");
+            assert_eq!(
+                inline.0[0],
+                if distr_depth == 0 {
+                    build_tree_legacy(&x, &y, &params, 0).nodes
+                } else {
+                    build_distributed_legacy(&x, &y, &params, 0).nodes
+                }
+            );
         }
     }
 
@@ -999,7 +1211,7 @@ mod tests {
                 seed,
                 ..Default::default()
             };
-            let fast = build_tree(&x, &y, &params, est);
+            let fast = build_tree(&x, &y, &Presort::new(&x), &params, est);
             let legacy = build_tree_legacy(&x, &y, &params, est);
             proptest::prop_assert_eq!(fast.nodes, legacy.nodes);
         }

@@ -15,7 +15,12 @@
 //!   order, so `sgemm_nn_scalar` is bitwise identical to a scalar
 //!   `ikj` triple loop. These stay as the parity reference.
 //! * **Packed SIMD path** ([`sgemm_nn_packed`] etc.): operands are
-//!   repacked into MR×KC / KC×NR panels and multiplied by an explicit
+//!   repacked into MR×KC / KC×NR panels — straight from the operand
+//!   slices, as `copy_from_slice` runs where a panel row is contiguous
+//!   in the source and as a sequential-read / strided-write sweep
+//!   where the operand is transposed, so that at the conv layers'
+//!   shapes (N or K of a few dozen) packing stays cheaper than the
+//!   FMAs it feeds — and multiplied by an explicit
 //!   [`MR`]×[`NR`] register-tiled microkernel — a bounds-check-free
 //!   `chunks_exact` loop the compiler autovectorizes, with a
 //!   runtime-dispatched `std::arch` AVX2+FMA variant on x86-64. The
@@ -77,7 +82,7 @@ pub fn backend() -> &'static str {
 pub fn sgemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
     if simd_enabled() {
-        packed::gemm(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], out)
+        packed::gemm(m, k, n, (a, false), (b, false), out)
     } else {
         sgemm_nn_scalar(m, k, n, a, b, out)
     }
@@ -92,7 +97,7 @@ pub fn sgemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
 pub fn sgemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert!(a.len() >= m * k && b.len() >= n * k && out.len() >= m * n);
     if simd_enabled() {
-        packed::gemm(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[j * k + kk], out)
+        packed::gemm(m, k, n, (a, false), (b, true), out)
     } else {
         sgemm_nt_scalar(m, k, n, a, b, out)
     }
@@ -108,7 +113,7 @@ pub fn sgemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
 pub fn sgemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert!(a.len() >= k * m && b.len() >= k * n && out.len() >= m * n);
     if simd_enabled() {
-        packed::gemm(m, k, n, |i, kk| a[kk * m + i], |kk, j| b[kk * n + j], out)
+        packed::gemm(m, k, n, (a, true), (b, false), out)
     } else {
         sgemm_tn_scalar(m, k, n, a, b, out)
     }
@@ -118,19 +123,19 @@ pub fn sgemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
 /// and parity tests).
 pub fn sgemm_nn_packed(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
-    packed::gemm(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], out)
+    packed::gemm(m, k, n, (a, false), (b, false), out)
 }
 
 /// Packed-path entry for `out += a * b^T`, bypassing dispatch.
 pub fn sgemm_nt_packed(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert!(a.len() >= m * k && b.len() >= n * k && out.len() >= m * n);
-    packed::gemm(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[j * k + kk], out)
+    packed::gemm(m, k, n, (a, false), (b, true), out)
 }
 
 /// Packed-path entry for `out += a^T * b`, bypassing dispatch.
 pub fn sgemm_tn_packed(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert!(a.len() >= k * m && b.len() >= k * n && out.len() >= m * n);
-    packed::gemm(m, k, n, |i, kk| a[kk * m + i], |kk, j| b[kk * n + j], out)
+    packed::gemm(m, k, n, (a, true), (b, false), out)
 }
 
 /// Scalar oracle for `out += a * b`: blocked over depth (`KC`),
@@ -267,8 +272,10 @@ pub fn sgemm_tn_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: 
 /// a `kb`×`MR` tile (k-major, zero-padded past `m`), and an `MR`×`NR`
 /// accumulator tile is produced per (stripe, panel) pair by the
 /// microkernel. Zero padding is sound because padded lanes only feed
-/// accumulator slots the writeback never reads. Accumulate semantics
-/// (`out += acc`) are preserved: `out` is touched once per depth panel.
+/// accumulator slots the writeback never reads; the packers write
+/// every lane of the recycled scratch (data or zero), so nothing stale
+/// survives a call. Accumulate semantics (`out += acc`) are preserved:
+/// `out` is touched once per depth panel.
 mod packed {
     use super::{fma_available, KC, MR, NR};
     use std::cell::RefCell;
@@ -341,45 +348,107 @@ mod packed {
         microkernel_generic(ap, bp, acc);
     }
 
-    /// `out[m x n] += A * B` where `at(i, kk)` / `bt(kk, j)` read the
-    /// logical (already transposed) operand elements.
+    /// Packs the `kb`×`MR` tile of A rows `i0..i0 + mr`, depth
+    /// `k0..k0 + kb`: `apack[kk * MR + r] = A[i0 + r][k0 + kk]`, lanes
+    /// `mr..MR` zero. `a` is `m`×`k` row-major, or `k`×`m` when
+    /// `trans` (then a tile row is contiguous in `a`).
+    pub(super) fn pack_a(
+        (a, trans): (&[f32], bool),
+        (m, k): (usize, usize),
+        (i0, mr): (usize, usize),
+        (k0, kb): (usize, usize),
+        apack: &mut Vec<f32>,
+    ) {
+        apack.resize(kb * MR, 0.0);
+        if trans {
+            let src = a[k0 * m..(k0 + kb) * m].chunks_exact(m);
+            let dst = apack.chunks_exact_mut(MR);
+            // A full-width copy has a constant length and compiles to
+            // one vector move instead of a `memcpy` call per depth step.
+            if mr == MR {
+                for (dst, arow) in dst.zip(src) {
+                    dst.copy_from_slice(&arow[i0..i0 + MR]);
+                }
+            } else {
+                for (dst, arow) in dst.zip(src) {
+                    dst[..mr].copy_from_slice(&arow[i0..i0 + mr]);
+                    dst[mr..].fill(0.0);
+                }
+            }
+        } else {
+            if mr < MR {
+                apack.fill(0.0);
+            }
+            for (r, arow) in a[i0 * k..(i0 + mr) * k].chunks_exact(k).enumerate() {
+                for (dst, &v) in apack.chunks_exact_mut(MR).zip(&arow[k0..k0 + kb]) {
+                    dst[r] = v;
+                }
+            }
+        }
+    }
+
+    /// Packs depth `k0..k0 + kb` of B into `⌈n/NR⌉` panels of
+    /// `kb`×`NR`: `bpack[jp][kk * NR + j] = B[k0 + kk][jp * NR + j]`,
+    /// lanes past `n` zero. `b` is `k`×`n` row-major, or `n`×`k` when
+    /// `trans` (then a panel *column* is contiguous in `b`).
+    pub(super) fn pack_b(
+        (b, trans): (&[f32], bool),
+        (k, n): (usize, usize),
+        (k0, kb): (usize, usize),
+        bpack: &mut Vec<f32>,
+    ) {
+        bpack.resize(n.div_ceil(NR) * kb * NR, 0.0);
+        for (jp, panel) in bpack.chunks_exact_mut(kb * NR).enumerate() {
+            let j0 = jp * NR;
+            let jw = NR.min(n - j0);
+            if trans {
+                if jw < NR {
+                    panel.fill(0.0);
+                }
+                for (j, bcol) in b[j0 * k..(j0 + jw) * k].chunks_exact(k).enumerate() {
+                    for (dst, &v) in panel.chunks_exact_mut(NR).zip(&bcol[k0..k0 + kb]) {
+                        dst[j] = v;
+                    }
+                }
+            } else {
+                let src = b[k0 * n..(k0 + kb) * n].chunks_exact(n);
+                let dst = panel.chunks_exact_mut(NR);
+                if jw == NR {
+                    for (dst, brow) in dst.zip(src) {
+                        dst.copy_from_slice(&brow[j0..j0 + NR]);
+                    }
+                } else {
+                    for (dst, brow) in dst.zip(src) {
+                        dst[..jw].copy_from_slice(&brow[j0..j0 + jw]);
+                        dst[jw..].fill(0.0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `out[m x n] += A * B`; each operand is its slice plus whether it
+    /// is stored transposed (`a`: `k`×`m`, `b`: `n`×`k`).
     pub(super) fn gemm(
         m: usize,
         k: usize,
         n: usize,
-        at: impl Fn(usize, usize) -> f32,
-        bt: impl Fn(usize, usize) -> f32,
+        a: (&[f32], bool),
+        b: (&[f32], bool),
         out: &mut [f32],
     ) {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
         let use_fma = fma_available();
-        let np = n.div_ceil(NR);
         SCRATCH.with(|s| {
             let (apack, bpack) = &mut *s.borrow_mut();
             for k0 in (0..k).step_by(KC) {
                 let kb = (k0 + KC).min(k) - k0;
-                bpack.clear();
-                bpack.resize(np * kb * NR, 0.0);
-                for (jp, panel) in bpack.chunks_exact_mut(kb * NR).enumerate() {
-                    let j0 = jp * NR;
-                    let jw = NR.min(n - j0);
-                    for (kk, prow) in panel.chunks_exact_mut(NR).enumerate() {
-                        for (j, p) in prow[..jw].iter_mut().enumerate() {
-                            *p = bt(k0 + kk, j0 + j);
-                        }
-                    }
-                }
+                pack_b(b, (k, n), (k0, kb), bpack);
                 for i0 in (0..m).step_by(MR) {
                     let mr = MR.min(m - i0);
-                    apack.clear();
-                    apack.resize(kb * MR, 0.0);
-                    for (kk, arow) in apack.chunks_exact_mut(MR).enumerate() {
-                        for (r, p) in arow[..mr].iter_mut().enumerate() {
-                            *p = at(i0 + r, k0 + kk);
-                        }
-                    }
+                    pack_a(a, (m, k), (i0, mr), (k0, kb), apack);
                     for (jp, panel) in bpack.chunks_exact(kb * NR).enumerate() {
                         let j0 = jp * NR;
                         let jw = NR.min(n - j0);
@@ -558,32 +627,117 @@ mod tests {
         ) {
             let n = 1 + dn; // 1..=19 straddles the NR=16 panel edge
             let k = KC - 4 + dk; // 252..=260 straddles the KC edge
-            let (al, bl) = match which {
-                0 => (m * k, k * n), // nn
-                1 => (m * k, n * k), // nt
-                _ => (k * m, k * n), // tn
-            };
-            let a = fill(al, seed);
-            let b = fill(bl, seed + 0.5);
-            let mut got = vec![0.0f32; m * n];
-            let mut want = vec![0.0f32; m * n];
-            match which {
-                0 => {
-                    sgemm_nn_packed(m, k, n, &a, &b, &mut got);
-                    sgemm_nn_scalar(m, k, n, &a, &b, &mut want);
-                }
-                1 => {
-                    sgemm_nt_packed(m, k, n, &a, &b, &mut got);
-                    sgemm_nt_scalar(m, k, n, &a, &b, &mut want);
-                }
-                _ => {
-                    sgemm_tn_packed(m, k, n, &a, &b, &mut got);
-                    sgemm_tn_scalar(m, k, n, &a, &b, &mut want);
+            check_packed_matches_scalar(m, k, n, which, seed);
+        }
+
+        /// The slice packers must lay out exactly the A tile and B
+        /// panels the element-wise reference does, for every transpose
+        /// variant, at the MR / NR / KC remainder edges and at shapes
+        /// smaller than one tile (m, n < NR; k < 8).
+        #[test]
+        fn prop_slice_packers_match_elementwise_reference(
+            small in 0usize..2,
+            dm in 0usize..10, dn in 0usize..35, dk in 0usize..9,
+            a_trans in 0usize..2, b_trans in 0usize..2,
+            seed in 0.0f32..10.0,
+        ) {
+            let (a_trans, b_trans) = (a_trans == 1, b_trans == 1);
+            let (m, n) = (1 + dm, 1 + dn);
+            let k = if small == 1 { 1 + dk } else { KC - 4 + dk };
+            let a = fill(m * k, seed);
+            let b = fill(k * n, seed + 0.5);
+            let at = |i: usize, kk: usize| if a_trans { a[kk * m + i] } else { a[i * k + kk] };
+            let bt = |kk: usize, j: usize| if b_trans { b[j * k + kk] } else { b[kk * n + j] };
+            // Dirty, oversized scratch: stale lanes must not survive.
+            let (mut apack, mut bpack) = (vec![f32::NAN; 3 * KC * MR], vec![f32::NAN; 4 * KC * NR]);
+            for k0 in (0..k).step_by(KC) {
+                let kb = (k0 + KC).min(k) - k0;
+                packed::pack_b((&b, b_trans), (k, n), (k0, kb), &mut bpack);
+                prop_assert_eq!(bits(&bpack), bits(&pack_b_ref(&bt, n, k0, kb)));
+                for i0 in (0..m).step_by(MR) {
+                    let mr = MR.min(m - i0);
+                    packed::pack_a((&a, a_trans), (m, k), (i0, mr), (k0, kb), &mut apack);
+                    prop_assert_eq!(bits(&apack), bits(&pack_a_ref(&at, i0, mr, k0, kb)));
                 }
             }
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert!((g - w).abs() <= 1e-4 * w.abs().max(1.0), "{g} vs {w}");
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Element-wise A-tile packing through an accessor closure: the
+    /// reference layout the slice packer must reproduce.
+    fn pack_a_ref(
+        at: &impl Fn(usize, usize) -> f32,
+        i0: usize,
+        mr: usize,
+        k0: usize,
+        kb: usize,
+    ) -> Vec<f32> {
+        let mut apack = vec![0.0f32; kb * MR];
+        for (kk, arow) in apack.chunks_exact_mut(MR).enumerate() {
+            for (r, p) in arow[..mr].iter_mut().enumerate() {
+                *p = at(i0 + r, k0 + kk);
             }
+        }
+        apack
+    }
+
+    /// Element-wise B-panel packing (see [`pack_a_ref`]).
+    fn pack_b_ref(bt: &impl Fn(usize, usize) -> f32, n: usize, k0: usize, kb: usize) -> Vec<f32> {
+        let mut bpack = vec![0.0f32; n.div_ceil(NR) * kb * NR];
+        for (jp, panel) in bpack.chunks_exact_mut(kb * NR).enumerate() {
+            let j0 = jp * NR;
+            let jw = NR.min(n - j0);
+            for (kk, prow) in panel.chunks_exact_mut(NR).enumerate() {
+                for (j, p) in prow[..jw].iter_mut().enumerate() {
+                    *p = bt(k0 + kk, j0 + j);
+                }
+            }
+        }
+        bpack
+    }
+
+    fn check_packed_matches_scalar(m: usize, k: usize, n: usize, which: usize, seed: f32) {
+        let (al, bl) = match which {
+            0 => (m * k, k * n), // nn
+            1 => (m * k, n * k), // nt
+            _ => (k * m, k * n), // tn
+        };
+        let a = fill(al, seed);
+        let b = fill(bl, seed + 0.5);
+        let mut got = vec![0.0f32; m * n];
+        let mut want = vec![0.0f32; m * n];
+        match which {
+            0 => {
+                sgemm_nn_packed(m, k, n, &a, &b, &mut got);
+                sgemm_nn_scalar(m, k, n, &a, &b, &mut want);
+            }
+            1 => {
+                sgemm_nt_packed(m, k, n, &a, &b, &mut got);
+                sgemm_nt_scalar(m, k, n, &a, &b, &mut want);
+            }
+            _ => {
+                sgemm_tn_packed(m, k, n, &a, &b, &mut got);
+                sgemm_tn_scalar(m, k, n, &a, &b, &mut want);
+            }
+        }
+        assert_close(&got, &want, 1e-4);
+    }
+
+    /// The GEMMs the paper's CNN lowers to at a mini-batch of 4: conv1
+    /// forward, then conv2 forward / weight gradient / input gradient.
+    #[test]
+    fn packed_matches_scalar_at_the_cnn_shapes() {
+        for (m, k, n, which) in [
+            (32, 7, 208, 0),
+            (32, 160, 44, 0),
+            (32, 44, 160, 1),
+            (160, 32, 44, 2),
+        ] {
+            check_packed_matches_scalar(m, k, n, which, 1.0);
         }
     }
 }

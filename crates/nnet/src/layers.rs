@@ -1,27 +1,26 @@
 //! Neural-network layers with forward and backward passes.
 //!
-//! Activations are flat `Vec<f32>` buffers interpreted as
-//! `(channels, length)` feature maps (dense layers treat them as flat
-//! vectors). Every layer implements `forward` and a `backward` that
-//! consumes the gradient w.r.t. its output and produces the gradient
-//! w.r.t. its input, accumulating parameter gradients internally.
+//! The unit of compute is the **mini-batch**. An activation buffer
+//! holds `bsz` feature maps of `channels x length` laid out
+//! `[channel][sample][len]`, so a convolution lowers to *one* im2col
+//! and *one* GEMM per mini-batch and direction (the GEMM's `N` / `K`
+//! dimension is `bsz * out_len`, not `out_len`), and the pooling and
+//! ReLU sweeps walk `bsz * channels` contiguous rows. Every kernel
+//! writes into caller-provided buffers — the network's `Workspace`
+//! owns them for a whole epoch — and the patch matrix a convolution
+//! builds in `forward_batch` is the one its `backward_batch` consumes.
+//!
+//! The per-sample `forward` / `backward` methods are batch-of-one
+//! calls into the same kernels (`[channel][1][len]` is the plain
+//! `(channels, length)` feature map) that allocate their result.
 
 use linalg::{sgemm_nn, sgemm_nt, sgemm_tn};
 use rand::rngs::StdRng;
 use rand::RngExt;
 #[cfg(test)]
 use rand::SeedableRng;
-use std::cell::RefCell;
 
-thread_local! {
-    /// im2col patch-matrix scratch (`cols`, `dcols`), reused across
-    /// layers, samples, and mini-batches on the same thread so an
-    /// epoch's worth of convolutions performs O(1) buffer allocations.
-    static IM2COL_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-}
-
-/// Shape of an activation buffer: `channels x length`.
+/// Shape of one sample's activation: `channels x length`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shape {
     /// Channel count.
@@ -31,10 +30,45 @@ pub struct Shape {
 }
 
 impl Shape {
-    /// Buffer size.
+    /// Buffer size of one sample.
     pub fn size(&self) -> usize {
         self.ch * self.len
     }
+}
+
+/// Copies sample `s` of a `[ch][bsz][len]` buffer into the contiguous
+/// `[ch][len]` row `out`.
+pub(crate) fn gather_sample(buf: &[f32], sh: Shape, bsz: usize, s: usize, out: &mut [f32]) {
+    for (c, o) in out[..sh.size()].chunks_exact_mut(sh.len).enumerate() {
+        o.copy_from_slice(&buf[(c * bsz + s) * sh.len..][..sh.len]);
+    }
+}
+
+/// Inverse of [`gather_sample`]: writes the `[ch][len]` row into sample
+/// `s` of a `[ch][bsz][len]` buffer.
+pub(crate) fn scatter_sample(row: &[f32], sh: Shape, bsz: usize, s: usize, buf: &mut [f32]) {
+    for (c, r) in row[..sh.size()].chunks_exact(sh.len).enumerate() {
+        buf[(c * bsz + s) * sh.len..][..sh.len].copy_from_slice(r);
+    }
+}
+
+/// Dot product with eight independent partial sums (fixed order, so
+/// deterministic), which lets the compiler keep one vector accumulator
+/// instead of a serial chain of scalar adds.
+fn dot(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = [0.0f32; 8];
+    let (ca, cb) = (a.chunks_exact(8), b.chunks_exact(8));
+    let (ra, rb) = (ca.remainder(), cb.remainder());
+    for (qa, qb) in ca.zip(cb) {
+        for (s, (x, y)) in acc.iter_mut().zip(qa.iter().zip(qb)) {
+            *s += x * y;
+        }
+    }
+    let mut s = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+    for (x, y) in ra.iter().zip(rb) {
+        s += x * y;
+    }
+    s
 }
 
 /// 1-D valid convolution with stride.
@@ -98,91 +132,112 @@ impl Conv1d {
         (in_len - self.kernel) / self.stride + 1
     }
 
-    /// Gathers the receptive fields into the `(in_ch*kernel) x ol` patch
-    /// matrix: `cols[(i*kernel + k) * ol + t] = x[i*in_len + t*stride + k]`.
+    /// Gathers the receptive fields of a `[in_ch][bsz][in_len]` batch
+    /// into the `(in_ch*kernel) x (bsz*ol)` patch matrix:
+    /// `cols[(i*kernel + k) * bsz*ol + s*ol + t] = x[(i*bsz + s)*in_len + t*stride + k]`.
     /// Row order matches the weight layout `[out][in][k]`, so a plain
     /// row-major GEMM against `w` computes the convolution with the same
-    /// per-element summation order as the scalar loops.
-    fn im2col(&self, x: &[f32], in_len: usize, ol: usize, cols: &mut Vec<f32>) {
-        let ick = self.in_ch * self.kernel;
-        // Every patch row is fully overwritten below, so zero-filling
-        // the recycled scratch would be pure memset waste (the same
-        // full-overwrite contract as `linalg::pool::acquire_full_overwrite`);
-        // only growth past the recycled length takes zeros.
-        let need = ick * ol;
-        if cols.len() >= need {
-            cols.truncate(need);
-        } else {
-            cols.resize(need, 0.0);
-        }
-        for i in 0..self.in_ch {
-            for k in 0..self.kernel {
-                let row = &mut cols[(i * self.kernel + k) * ol..(i * self.kernel + k + 1) * ol];
-                let xbase = i * in_len + k;
+    /// per-element summation order as the scalar loops. Every element of
+    /// `cols` is overwritten.
+    fn im2col(&self, x: &[f32], bsz: usize, in_len: usize, cols: &mut [f32]) {
+        let ol = self.out_len(in_len);
+        for (ik, row) in cols.chunks_exact_mut(bsz * ol).enumerate() {
+            let (i, k) = (ik / self.kernel, ik % self.kernel);
+            for (s, seg) in row.chunks_exact_mut(ol).enumerate() {
+                let xs = &x[(i * bsz + s) * in_len + k..];
                 if self.stride == 1 {
-                    row.copy_from_slice(&x[xbase..xbase + ol]);
+                    seg.copy_from_slice(&xs[..ol]);
                 } else {
-                    for (t, r) in row.iter_mut().enumerate() {
-                        *r = x[xbase + t * self.stride];
+                    for (r, &v) in seg.iter_mut().zip(xs.iter().step_by(self.stride)) {
+                        *r = v;
                     }
                 }
             }
         }
     }
 
-    /// Forward pass, lowered to im2col + GEMM (the EDDL lowering):
-    /// `out[out_ch x ol] = w[out_ch x ick] * cols[ick x ol] + b`.
-    /// With the scalar GEMM (`LINALG_FORCE_SCALAR`) this is bitwise
-    /// identical to the 4-deep scalar loops (the test-only
-    /// `forward_naive` oracle) — the patch-matrix row order and the
-    /// blocked GEMM's ascending-`k` accumulation reproduce their
-    /// summation order exactly (asserted by
-    /// `im2col_with_scalar_gemm_bitwise_matches_naive`). The default
-    /// SIMD GEMM reassociates the per-element sums and matches to
-    /// ≤1e-4 relative instead.
-    pub fn forward(&self, x: &[f32], in_len: usize) -> Vec<f32> {
-        let ol = self.out_len(in_len);
+    /// Batched forward pass, lowered to one im2col + one GEMM (the EDDL
+    /// lowering): `out[out_ch x bsz*ol] = w[out_ch x ick] * cols + b`,
+    /// which *is* the `[out_ch][bsz][ol]` output batch. `cols` is
+    /// resized to the patch matrix and left holding it for
+    /// [`Self::backward_batch`].
+    ///
+    /// With the scalar GEMM (`LINALG_FORCE_SCALAR`) a batch of one is
+    /// bitwise identical to the 4-deep scalar loops (asserted by
+    /// `im2col_with_scalar_gemm_bitwise_matches_naive`); the default
+    /// SIMD GEMM reassociates the sums and matches to ≤1e-4 relative.
+    /// Either way the GEMM's depth is `ick` whatever the batch, so a
+    /// sample's outputs do not depend on which batch it rides in.
+    pub(crate) fn forward_batch(
+        &self,
+        x: &[f32],
+        bsz: usize,
+        in_len: usize,
+        cols: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        let n = bsz * self.out_len(in_len);
         let ick = self.in_ch * self.kernel;
-        let mut out = vec![0.0f32; self.out_ch * ol];
-        for (orow, &bias) in out.chunks_mut(ol).zip(&self.b) {
+        cols.resize(ick * n, 0.0);
+        self.im2col(x, bsz, in_len, cols);
+        for (orow, &bias) in out.chunks_exact_mut(n).zip(&self.b) {
             orow.fill(bias);
         }
-        IM2COL_SCRATCH.with(|s| {
-            let cols = &mut s.borrow_mut().0;
-            self.im2col(x, in_len, ol, cols);
-            sgemm_nn(self.out_ch, ick, ol, &self.w, cols, &mut out);
-        });
+        sgemm_nn(self.out_ch, ick, n, &self.w, cols, out);
+    }
+
+    /// Batched backward pass over the patch matrix `cols` that
+    /// [`Self::forward_batch`] left behind: `gw += dout * cols^T`, and,
+    /// unless `dx` is `None` (a network's first layer: nothing consumes
+    /// the gradient w.r.t. the data), `dcols = w^T * dout` followed by
+    /// the col2im scatter into `dx` (`[in_ch][bsz][in_len]`). Matches
+    /// the scalar loops (test-only `backward_naive`) to f32 rounding.
+    pub(crate) fn backward_batch(
+        &mut self,
+        cols: &[f32],
+        bsz: usize,
+        in_len: usize,
+        dout: &[f32],
+        dcols: &mut Vec<f32>,
+        dx: Option<&mut [f32]>,
+    ) {
+        let ol = self.out_len(in_len);
+        let n = bsz * ol;
+        let ick = self.in_ch * self.kernel;
+        for (gb, orow) in self.gb.iter_mut().zip(dout.chunks_exact(n)) {
+            *gb += orow.iter().sum::<f32>();
+        }
+        sgemm_nt(self.out_ch, n, ick, dout, cols, &mut self.gw);
+        let Some(dx) = dx else { return };
+        dcols.clear();
+        dcols.resize(ick * n, 0.0);
+        sgemm_tn(ick, self.out_ch, n, &self.w, dout, dcols);
+        dx.fill(0.0);
+        for (ik, row) in dcols.chunks_exact(n).enumerate() {
+            let (i, k) = (ik / self.kernel, ik % self.kernel);
+            for (s, seg) in row.chunks_exact(ol).enumerate() {
+                let xs = &mut dx[(i * bsz + s) * in_len + k..];
+                for (d, &v) in xs.iter_mut().step_by(self.stride).zip(seg) {
+                    *d += v;
+                }
+            }
+        }
+    }
+
+    /// Forward pass of one `[in_ch][in_len]` sample.
+    pub fn forward(&self, x: &[f32], in_len: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.out_ch * self.out_len(in_len)];
+        self.forward_batch(x, 1, in_len, &mut Vec::new(), &mut out);
         out
     }
 
-    /// Backward pass, lowered to two GEMMs plus a col2im scatter:
-    /// `gw += dout * cols^T`, `dcols = w^T * dout`, `dx = col2im(dcols)`.
-    /// Matches the scalar loops (test-only `backward_naive` oracle) to
-    /// f32 rounding (the gradient GEMMs reassociate the sums).
+    /// Backward pass of one sample: accumulates `gw` / `gb` and returns
+    /// the gradient w.r.t. `x`.
     pub fn backward(&mut self, x: &[f32], in_len: usize, dout: &[f32]) -> Vec<f32> {
-        let ol = self.out_len(in_len);
-        let ick = self.in_ch * self.kernel;
+        let mut cols = vec![0.0f32; self.in_ch * self.kernel * self.out_len(in_len)];
+        self.im2col(x, 1, in_len, &mut cols);
         let mut dx = vec![0.0f32; self.in_ch * in_len];
-        for (gb, orow) in self.gb.iter_mut().zip(dout.chunks(ol)) {
-            *gb += orow.iter().sum::<f32>();
-        }
-        IM2COL_SCRATCH.with(|s| {
-            let (cols, dcols) = &mut *s.borrow_mut();
-            self.im2col(x, in_len, ol, cols);
-            sgemm_nt(self.out_ch, ol, ick, dout, cols, &mut self.gw);
-            dcols.clear();
-            dcols.resize(ick * ol, 0.0);
-            sgemm_tn(ick, self.out_ch, ol, &self.w, dout, dcols);
-            for i in 0..self.in_ch {
-                for k in 0..self.kernel {
-                    let row = &dcols[(i * self.kernel + k) * ol..(i * self.kernel + k + 1) * ol];
-                    let xbase = i * in_len + k;
-                    for (t, &v) in row.iter().enumerate() {
-                        dx[xbase + t * self.stride] += v;
-                    }
-                }
-            }
-        });
+        self.backward_batch(&cols, 1, in_len, dout, &mut Vec::new(), Some(&mut dx));
         dx
     }
 }
@@ -228,28 +283,106 @@ impl Dense {
         }
     }
 
-    fn forward(&self, x: &[f32]) -> Vec<f32> {
-        debug_assert_eq!(x.len(), self.n_in);
-        (0..self.n_out)
-            .map(|o| {
-                let row = &self.w[o * self.n_in..(o + 1) * self.n_in];
-                self.b[o] + row.iter().zip(x).map(|(w, v)| w * v).sum::<f32>()
-            })
-            .collect()
-    }
-
-    fn backward(&mut self, x: &[f32], dout: &[f32]) -> Vec<f32> {
-        let mut dx = vec![0.0f32; self.n_in];
-        for (o, &g) in dout.iter().enumerate().take(self.n_out) {
-            self.gb[o] += g;
-            let row = &self.w[o * self.n_in..(o + 1) * self.n_in];
-            let grow = &mut self.gw[o * self.n_in..(o + 1) * self.n_in];
-            for i in 0..self.n_in {
-                grow[i] += g * x[i];
-                dx[i] += g * row[i];
+    /// Batched forward pass over a `[sh.ch][bsz][sh.len]` input with
+    /// `sh.size() == n_in`: each sample is flattened into `flat`
+    /// (`[sample][n_in]`, kept for [`Self::backward_batch`]) and
+    /// multiplied through; `out` is `[sample][n_out]`, which is the
+    /// batch layout of a one-channel activation.
+    fn forward_batch(
+        &self,
+        x: &[f32],
+        sh: Shape,
+        bsz: usize,
+        flat: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        debug_assert_eq!(sh.size(), self.n_in);
+        flat.resize(bsz * self.n_in, 0.0);
+        let rows = flat.chunks_exact_mut(self.n_in);
+        for (s, (xs, os)) in rows.zip(out.chunks_exact_mut(self.n_out)).enumerate() {
+            gather_sample(x, sh, bsz, s, xs);
+            for ((o, wrow), &bias) in os
+                .iter_mut()
+                .zip(self.w.chunks_exact(self.n_in))
+                .zip(&self.b)
+            {
+                *o = bias + dot(wrow, xs);
             }
         }
-        dx
+    }
+
+    /// Batched backward pass over the flattened inputs `flat` kept by
+    /// [`Self::forward_batch`]; `row` is an `n_in`-sized scratch for one
+    /// sample's input gradient before it is scattered into `dx`.
+    fn backward_batch(
+        &mut self,
+        flat: &[f32],
+        sh: Shape,
+        bsz: usize,
+        dout: &[f32],
+        row: &mut Vec<f32>,
+        mut dx: Option<&mut [f32]>,
+    ) {
+        let n_in = self.n_in;
+        row.resize(n_in, 0.0);
+        let samples = flat.chunks_exact(n_in).zip(dout.chunks_exact(self.n_out));
+        for (s, (xs, gs)) in samples.enumerate() {
+            row.fill(0.0);
+            for (o, &g) in gs.iter().enumerate() {
+                self.gb[o] += g;
+                let wrow = &self.w[o * n_in..(o + 1) * n_in];
+                let grow = &mut self.gw[o * n_in..(o + 1) * n_in];
+                for (((gw, d), &xv), &wv) in grow.iter_mut().zip(row.iter_mut()).zip(xs).zip(wrow) {
+                    *gw += g * xv;
+                    *d += g * wv;
+                }
+            }
+            if let Some(dx) = dx.as_deref_mut() {
+                scatter_sample(row, sh, bsz, s, dx);
+            }
+        }
+    }
+}
+
+/// Non-overlapping max pooling of every `len`-long row of `x` with
+/// window `p`; a ragged tail (`len % p`) is dropped. Inlined into each
+/// call site so that a literal `p` (the pair pooling of the paper's
+/// network) unrolls the window loops — 9x on the pass at `p = 2`.
+#[inline(always)]
+fn max_pool(x: &[f32], len: usize, p: usize, out: &mut [f32]) {
+    for (xrow, orow) in x.chunks_exact(len).zip(out.chunks_exact_mut(len / p)) {
+        for (o, win) in orow.iter_mut().zip(xrow.chunks_exact(p)) {
+            let mut m = f32::MIN;
+            for &v in win {
+                if v > m {
+                    m = v;
+                }
+            }
+            *o = m;
+        }
+    }
+}
+
+/// Routes each window's output gradient to the **last** maximum of the
+/// window (post-ReLU windows are often all zero); everything else,
+/// including a ragged tail, gets zero.
+#[inline(always)]
+fn max_pool_backward(x: &[f32], len: usize, p: usize, dout: &[f32], dx: &mut [f32]) {
+    let rows = x.chunks_exact(len).zip(dx.chunks_exact_mut(len));
+    for ((xrow, drow), grow) in rows.zip(dout.chunks_exact(len / p)) {
+        drow[len - len % p..].fill(0.0);
+        let wins = xrow.chunks_exact(p).zip(drow.chunks_exact_mut(p));
+        for ((xw, dw), &g) in wins.zip(grow) {
+            let (mut arg, mut m) = (0, xw[0]);
+            for (j, &v) in xw.iter().enumerate() {
+                if v >= m {
+                    (arg, m) = (j, v);
+                }
+            }
+            for (j, d) in dw.iter_mut().enumerate() {
+                *d = if j == arg { g } else { 0.0 };
+            }
+        }
     }
 }
 
@@ -278,10 +411,13 @@ impl Layer {
                 }
             }
             Layer::Relu => s,
-            Layer::MaxPool1d(p) => Shape {
-                ch: s.ch,
-                len: s.len / p,
-            },
+            Layer::MaxPool1d(p) => {
+                assert!(s.len >= *p, "input shorter than pool window");
+                Shape {
+                    ch: s.ch,
+                    len: s.len / p,
+                }
+            }
             Layer::Dense(d) => {
                 assert_eq!(s.size(), d.n_in, "dense input mismatch");
                 Shape {
@@ -292,55 +428,84 @@ impl Layer {
         }
     }
 
-    /// Forward pass.
-    pub fn forward(&self, x: &[f32], s: Shape) -> Vec<f32> {
+    /// Batched forward pass: `x` is `[s.ch][bsz][s.len]`, `out` the
+    /// same layout at [`Self::out_shape`]. `kept` receives what the
+    /// layer's backward pass needs beyond `x` (the conv patch matrix,
+    /// the dense layer's flattened inputs; untouched otherwise).
+    pub(crate) fn forward_batch(
+        &self,
+        x: &[f32],
+        s: Shape,
+        bsz: usize,
+        kept: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
         match self {
-            Layer::Conv1d(c) => c.forward(x, s.len),
-            Layer::Relu => x.iter().map(|&v| v.max(0.0)).collect(),
-            Layer::MaxPool1d(p) => {
-                let ol = s.len / p;
-                let mut out = vec![0.0f32; s.ch * ol];
-                for c in 0..s.ch {
-                    for t in 0..ol {
-                        let base = c * s.len + t * p;
-                        let m = x[base..base + p].iter().cloned().fold(f32::MIN, f32::max);
-                        out[c * ol + t] = m;
-                    }
+            Layer::Conv1d(c) => c.forward_batch(x, bsz, s.len, kept, out),
+            Layer::Relu => {
+                for (o, &v) in out.iter_mut().zip(x) {
+                    *o = v.max(0.0);
                 }
-                out
             }
-            Layer::Dense(d) => d.forward(x),
+            Layer::MaxPool1d(2) => max_pool(x, s.len, 2, out),
+            Layer::MaxPool1d(p) => max_pool(x, s.len, *p, out),
+            Layer::Dense(d) => d.forward_batch(x, s, bsz, kept, out),
         }
     }
 
-    /// Backward pass: given the layer input and the output gradient,
-    /// returns the input gradient and accumulates parameter gradients.
-    pub fn backward(&mut self, x: &[f32], s: Shape, dout: &[f32]) -> Vec<f32> {
+    /// Batched backward pass: given the layer input `x`, what
+    /// [`Self::forward_batch`] `kept`, and the output gradient, writes
+    /// the input gradient into `dx` (skipped when `None`) and
+    /// accumulates parameter gradients. `scratch` is reused freely.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn backward_batch(
+        &mut self,
+        x: &[f32],
+        s: Shape,
+        bsz: usize,
+        kept: &[f32],
+        dout: &[f32],
+        scratch: &mut Vec<f32>,
+        dx: Option<&mut [f32]>,
+    ) {
         match self {
-            Layer::Conv1d(c) => c.backward(x, s.len, dout),
-            Layer::Relu => x
-                .iter()
-                .zip(dout)
-                .map(|(&v, &g)| if v > 0.0 { g } else { 0.0 })
-                .collect(),
-            Layer::MaxPool1d(p) => {
-                let ol = s.len / *p;
-                let mut dx = vec![0.0f32; x.len()];
-                for c in 0..s.ch {
-                    for t in 0..ol {
-                        let base = c * s.len + t * *p;
-                        let (arg, _) = x[base..base + *p]
-                            .iter()
-                            .enumerate()
-                            .max_by(|a, b| a.1.total_cmp(b.1))
-                            .expect("non-empty pool window");
-                        dx[base + arg] += dout[c * ol + t];
-                    }
+            Layer::Conv1d(c) => c.backward_batch(kept, bsz, s.len, dout, scratch, dx),
+            Layer::Dense(d) => d.backward_batch(kept, s, bsz, dout, scratch, dx),
+            Layer::Relu => {
+                let Some(dx) = dx else { return };
+                for ((d, &v), &g) in dx.iter_mut().zip(x).zip(dout) {
+                    *d = if v > 0.0 { g } else { 0.0 };
                 }
-                dx
             }
-            Layer::Dense(d) => d.backward(x, dout),
+            Layer::MaxPool1d(p) => {
+                let Some(dx) = dx else { return };
+                match *p {
+                    2 => max_pool_backward(x, s.len, 2, dout, dx),
+                    p => max_pool_backward(x, s.len, p, dout, dx),
+                }
+            }
         }
+    }
+
+    /// Forward pass of one sample.
+    pub fn forward(&self, x: &[f32], s: Shape) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.out_shape(s).size()];
+        self.forward_batch(x, s, 1, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// Backward pass of one sample: given the layer input and the
+    /// output gradient, returns the input gradient and accumulates
+    /// parameter gradients.
+    pub fn backward(&mut self, x: &[f32], s: Shape, dout: &[f32]) -> Vec<f32> {
+        if let Layer::Conv1d(c) = self {
+            return c.backward(x, s.len, dout);
+        }
+        let mut dx = vec![0.0f32; s.size()];
+        // What a dense layer keeps is its flattened input, and one
+        // flattened sample is `x` itself.
+        self.backward_batch(x, s, 1, x, dout, &mut Vec::new(), Some(&mut dx));
+        dx
     }
 
     /// Visits `(params, grads, velocities)` buffers of this layer, if
@@ -372,21 +537,25 @@ impl Layer {
     }
 }
 
-/// Softmax of logits.
-pub fn softmax(logits: &[f32]) -> Vec<f32> {
+/// Softmax of `logits` into `out` (same length).
+pub fn softmax(logits: &[f32], out: &mut [f32]) {
     let m = logits.iter().cloned().fold(f32::MIN, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&v| (v - m).exp()).collect();
-    let s: f32 = exps.iter().sum();
-    exps.iter().map(|&e| e / s).collect()
+    for (e, &v) in out.iter_mut().zip(logits) {
+        *e = (v - m).exp();
+    }
+    let s: f32 = out.iter().sum();
+    for e in out.iter_mut() {
+        *e /= s;
+    }
 }
 
-/// Cross-entropy loss and gradient w.r.t. logits for a one-hot target.
-pub fn softmax_ce(logits: &[f32], target: usize) -> (f32, Vec<f32>) {
-    let p = softmax(logits);
-    let loss = -(p[target].max(1e-12)).ln();
-    let mut grad = p;
+/// Cross-entropy loss for a one-hot target; the gradient w.r.t. the
+/// logits is written into `grad`.
+pub fn softmax_ce(logits: &[f32], target: usize, grad: &mut [f32]) -> f32 {
+    softmax(logits, grad);
+    let loss = -(grad[target].max(1e-12)).ln();
     grad[target] -= 1.0;
-    (loss, grad)
+    loss
 }
 
 #[cfg(test)]
@@ -485,14 +654,16 @@ mod tests {
 
     #[test]
     fn softmax_is_distribution() {
-        let p = softmax(&[1.0, 2.0, 3.0]);
+        let mut p = [0.0f32; 3];
+        softmax(&[1.0, 2.0, 3.0], &mut p);
         assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-6);
         assert!(p[2] > p[1] && p[1] > p[0]);
     }
 
     #[test]
     fn ce_gradient_direction() {
-        let (loss, g) = softmax_ce(&[0.0, 0.0], 1);
+        let mut g = [0.0f32; 2];
+        let loss = softmax_ce(&[0.0, 0.0], 1, &mut g);
         assert!(loss > 0.0);
         assert!(g[1] < 0.0 && g[0] > 0.0);
     }
@@ -530,17 +701,22 @@ mod tests {
     fn dense_gradient_check() {
         let mut d = Dense::new(4, 3, &mut rng());
         let x = vec![0.5, -1.0, 2.0, 0.1];
-        let out = d.forward(&x);
-        let dout = vec![1.0f32; out.len()];
-        let _ = d.backward(&x, &dout);
+        let sh = Shape { ch: 1, len: 4 };
+        let forward = |d: &Dense| {
+            let mut out = vec![0.0f32; d.n_out];
+            d.forward_batch(&x, sh, 1, &mut Vec::new(), &mut out);
+            out
+        };
+        let dout = vec![1.0f32; forward(&d).len()];
+        d.backward_batch(&x, sh, 1, &dout, &mut Vec::new(), None);
         let analytic = d.gw.clone();
         let eps = 1e-3;
         for widx in [0usize, 3, 7, 11] {
             let orig = d.w[widx];
             d.w[widx] = orig + eps;
-            let lp: f32 = d.forward(&x).iter().sum();
+            let lp: f32 = forward(&d).iter().sum();
             d.w[widx] = orig - eps;
-            let lm: f32 = d.forward(&x).iter().sum();
+            let lm: f32 = forward(&d).iter().sum();
             d.w[widx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             assert!((numeric - analytic[widx]).abs() < 1e-2);
@@ -579,8 +755,9 @@ mod tests {
 
     #[test]
     fn im2col_with_scalar_gemm_bitwise_matches_naive() {
-        // Pinned to the scalar GEMM oracle: the im2col row order plus
-        // ascending-k accumulation reproduce the naive loops exactly.
+        // Pinned to the scalar GEMM oracle: the batch-of-one im2col
+        // row order plus ascending-k accumulation reproduce the naive
+        // loops exactly.
         let (c, x) = random_conv(3, 5, 4, 2, 33, 7);
         let ol = c.out_len(33);
         let ick = c.in_ch * c.kernel;
@@ -588,20 +765,80 @@ mod tests {
         for (orow, &bias) in out.chunks_mut(ol).zip(&c.b) {
             orow.fill(bias);
         }
-        let mut cols = Vec::new();
-        c.im2col(&x, 33, ol, &mut cols);
+        let mut cols = vec![0.0f32; ick * ol];
+        c.im2col(&x, 1, 33, &mut cols);
         linalg::sgemm_nn_scalar(c.out_ch, ick, ol, &c.w, &cols, &mut out);
         assert_eq!(out, c.forward_naive(&x, 33));
     }
 
+    /// `[ch][len]` samples interleaved into one `[ch][bsz][len]` batch.
+    fn batch_of(samples: &[Vec<f32>], sh: Shape) -> Vec<f32> {
+        let mut buf = vec![0.0f32; samples.len() * sh.size()];
+        for (s, x) in samples.iter().enumerate() {
+            scatter_sample(x, sh, samples.len(), s, &mut buf);
+        }
+        buf
+    }
+
+    #[test]
+    fn conv_batch_forward_is_bitwise_the_per_sample_forward() {
+        // The GEMM depth is `in_ch * kernel` whatever the batch, so a
+        // sample's outputs do not depend on its batch mates.
+        let (c, _) = random_conv(3, 5, 4, 2, 33, 7);
+        let sh = Shape { ch: 3, len: 33 };
+        let samples: Vec<Vec<f32>> = (0..5).map(|s| random_conv(3, 5, 4, 2, 33, s).1).collect();
+        let so = Shape {
+            ch: 5,
+            len: c.out_len(33),
+        };
+        let mut out = vec![0.0f32; 5 * so.size()];
+        c.forward_batch(&batch_of(&samples, sh), 5, 33, &mut Vec::new(), &mut out);
+        for (s, x) in samples.iter().enumerate() {
+            let mut got = vec![0.0f32; so.size()];
+            gather_sample(&out, so, 5, s, &mut got);
+            assert_eq!(got, c.forward(x, 33), "sample {s}");
+        }
+    }
+
+    #[test]
+    fn maxpool_backward_last_maximum_of_a_window_wins() {
+        // Post-ReLU windows are often all zero: the tie goes to the
+        // last position, per window, per row of the batch; the ragged
+        // tail (len % pool) gets no gradient.
+        let mut l = Layer::MaxPool1d(3);
+        let s = Shape { ch: 1, len: 7 };
+        let x = vec![0.0, 0.0, 0.0, 2.0, 2.0, 1.0, 9.0];
+        assert_eq!(l.forward(&x, s), vec![0.0, 2.0]);
+        let dx = l.backward(&x, s, &[5.0, 7.0]);
+        assert_eq!(dx, vec![0.0, 0.0, 5.0, 0.0, 7.0, 0.0, 0.0]);
+        // Two samples of one channel: rows are independent.
+        let xb = [x.clone(), vec![1.0, 1.0, 0.0, 0.0, 3.0, 3.0, 0.0]].concat();
+        let mut dxb = vec![1.0f32; 14];
+        l.backward_batch(
+            &xb,
+            s,
+            2,
+            &[],
+            &[5.0, 7.0, 1.0, 2.0],
+            &mut Vec::new(),
+            Some(&mut dxb),
+        );
+        assert_eq!(dxb[..7], dx[..]);
+        assert_eq!(dxb[7..], [0.0, 1.0, 0.0, 0.0, 0.0, 2.0, 0.0]);
+    }
+
     #[test]
     fn im2col_scratch_reuse_is_clean_across_shrinking_shapes() {
-        // A big layer leaves a long dirty scratch; a smaller one must
-        // still produce exact patches (truncate, not stale tail).
+        // A reused patch buffer (the workspace's, when the last
+        // mini-batch of an epoch is short) is long and dirty; a smaller
+        // problem must still see exact patches (truncate, not stale tail).
+        let mut cols = Vec::new();
         let (big, xb) = random_conv(4, 3, 5, 1, 40, 3);
-        let _ = big.forward(&xb, 40);
+        let mut out = vec![0.0f32; 3 * big.out_len(40)];
+        big.forward_batch(&xb, 1, 40, &mut cols, &mut out);
         let (small, xs) = random_conv(2, 3, 3, 2, 15, 4);
-        let got = small.forward(&xs, 15);
+        let mut got = vec![0.0f32; 3 * small.out_len(15)];
+        small.forward_batch(&xs, 1, 15, &mut cols, &mut got);
         let want = small.forward_naive(&xs, 15);
         for (p, q) in got.iter().zip(&want) {
             assert!((p - q).abs() <= 1e-4 * q.abs().max(1.0), "{p} vs {q}");

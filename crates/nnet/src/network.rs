@@ -1,7 +1,8 @@
 //! The sequential [`Network`] container, SGD training, and the paper's
 //! CNN architecture.
 
-use crate::layers::{softmax, softmax_ce, Conv1d, Dense, Layer, Shape};
+use crate::layers::{gather_sample, scatter_sample, softmax, softmax_ce};
+use crate::layers::{Conv1d, Dense, Layer, Shape};
 use linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -29,6 +30,46 @@ impl Default for TrainParams {
             batch_size: 16,
             seed: 0,
         }
+    }
+}
+
+/// Rows per forward pass when no mini-batch size is given (`predict`,
+/// and the cap on one `compute_gradients` pass): enough columns to fill
+/// the GEMM's register tiles, small enough that the workspace of the
+/// paper's CNN stays within L2.
+const EVAL_BATCH: usize = 16;
+
+/// The buffers a batched forward/backward pass works in. Built once
+/// per `train_epoch` / `compute_gradients` / `predict` call for the
+/// largest batch it will see and reused by every mini-batch, so the
+/// passes themselves allocate nothing. All batches are laid out
+/// `[channel][sample][len]` (see [`crate::layers`]).
+struct Workspace {
+    /// `shapes[i]`: per-sample input shape of layer `i`; the last
+    /// entry is the shape of the logits.
+    shapes: Vec<Shape>,
+    /// `acts[i]`: input batch of layer `i` (`acts[0]` is the data).
+    acts: Vec<Vec<f32>>,
+    /// `kept[i]`: what layer `i`'s forward pass leaves for its backward
+    /// pass (conv patch matrix, flattened dense input).
+    kept: Vec<Vec<f32>>,
+    /// Output-gradient / input-gradient ping-pong pair.
+    grads: [Vec<f32>; 2],
+    /// Layer-local backward scratch.
+    scratch: Vec<f32>,
+    /// One sample's logits, and its probabilities or logit gradient.
+    logits: Vec<f32>,
+    head: Vec<f32>,
+}
+
+impl Workspace {
+    /// Class probabilities of sample `s` of the `bsz`-sample batch the
+    /// last forward pass ran.
+    fn probs(&mut self, bsz: usize, s: usize) -> &[f32] {
+        let n = self.acts.len() - 1;
+        gather_sample(&self.acts[n], self.shapes[n], bsz, s, &mut self.logits);
+        softmax(&self.logits, &mut self.head);
+        &self.head
     }
 }
 
@@ -165,21 +206,106 @@ impl Network {
         Ok(())
     }
 
+    /// A workspace for batches of up to `max_bsz` samples.
+    fn workspace(&self, max_bsz: usize) -> Workspace {
+        let mut shapes = vec![self.input];
+        for l in &self.layers {
+            shapes.push(l.out_shape(shapes[shapes.len() - 1]));
+        }
+        let acts: Vec<Vec<f32>> = shapes
+            .iter()
+            .map(|s| vec![0.0; max_bsz * s.size()])
+            .collect();
+        let widest = acts.iter().map(Vec::len).max().unwrap_or(0);
+        let n_out = shapes[shapes.len() - 1].size();
+        Workspace {
+            shapes,
+            acts,
+            kept: vec![Vec::new(); self.layers.len()],
+            grads: [vec![0.0; widest], vec![0.0; widest]],
+            scratch: Vec::new(),
+            logits: vec![0.0; n_out],
+            head: vec![0.0; n_out],
+        }
+    }
+
+    /// Loads `rows` (f64 features are converted to f32) as one batch
+    /// into `ws` and runs every layer over it; returns the batch size.
+    fn forward_batch<'a>(
+        &self,
+        ws: &mut Workspace,
+        rows: impl ExactSizeIterator<Item = &'a [f64]>,
+    ) -> usize {
+        let bsz = rows.len();
+        let s0 = self.input;
+        for (s, row) in rows.enumerate() {
+            assert_eq!(row.len(), s0.size(), "input length mismatch");
+            for (c, r) in row.chunks_exact(s0.len).enumerate() {
+                let dst = &mut ws.acts[0][(c * bsz + s) * s0.len..][..s0.len];
+                for (a, &v) in dst.iter_mut().zip(r) {
+                    *a = v as f32;
+                }
+            }
+        }
+        for (i, l) in self.layers.iter().enumerate() {
+            let (si, so) = (ws.shapes[i], ws.shapes[i + 1]);
+            let (lo, hi) = ws.acts.split_at_mut(i + 1);
+            let (x, out) = (&lo[i][..bsz * si.size()], &mut hi[0][..bsz * so.size()]);
+            l.forward_batch(x, si, bsz, &mut ws.kept[i], out);
+        }
+        bsz
+    }
+
+    /// Backpropagates the `bsz`-sample batch [`Self::forward_batch`]
+    /// just ran against its `targets`, accumulating parameter
+    /// gradients; returns the summed loss. The first layer is not asked
+    /// for its input gradient — nothing consumes the gradient w.r.t.
+    /// the data.
+    fn backward_batch(
+        &mut self,
+        ws: &mut Workspace,
+        bsz: usize,
+        targets: impl Iterator<Item = u8>,
+    ) -> f32 {
+        let n = self.layers.len();
+        let [mut g, mut dx] = ws.grads.each_mut();
+        let mut loss = 0.0;
+        for (s, t) in targets.enumerate() {
+            gather_sample(&ws.acts[n], ws.shapes[n], bsz, s, &mut ws.logits);
+            loss += softmax_ce(&ws.logits, t as usize, &mut ws.head);
+            scatter_sample(&ws.head, ws.shapes[n], bsz, s, g);
+        }
+        for (i, l) in self.layers.iter_mut().enumerate().rev() {
+            let (si, so) = (ws.shapes[i], ws.shapes[i + 1]);
+            let x = &ws.acts[i][..bsz * si.size()];
+            let dout = &g[..bsz * so.size()];
+            let dxi = (i > 0).then(|| &mut dx[..bsz * si.size()]);
+            l.backward_batch(x, si, bsz, &ws.kept[i], dout, &mut ws.scratch, dxi);
+            std::mem::swap(&mut g, &mut dx);
+        }
+        loss
+    }
+
+    /// One forward + backward pass over the rows `idx` of `(x, y)` as a
+    /// single batch; returns the summed loss.
+    fn backprop_batch(&mut self, ws: &mut Workspace, x: &Matrix, y: &[u8], idx: &[usize]) -> f32 {
+        let bsz = self.forward_batch(ws, idx.iter().map(|&i| x.row(i)));
+        self.backward_batch(ws, bsz, idx.iter().map(|&i| y[i]))
+    }
+
     /// Logits for one sample row (f64 features are converted to f32).
     pub fn forward(&self, row: &[f64]) -> Vec<f32> {
-        let mut act: Vec<f32> = row.iter().map(|&v| v as f32).collect();
-        let mut s = self.input;
-        assert_eq!(act.len(), s.size(), "input length mismatch");
-        for l in &self.layers {
-            act = l.forward(&act, s);
-            s = l.out_shape(s);
-        }
-        act
+        let mut ws = self.workspace(1);
+        self.forward_batch(&mut ws, std::iter::once(row));
+        // A batch of one is laid out as the plain `[ch][len]` sample.
+        ws.acts.pop().expect("input batch")
     }
 
     /// Class probabilities for one sample.
     pub fn predict_probs(&self, row: &[f64]) -> Vec<f32> {
-        softmax(&self.forward(row))
+        let mut ws = self.workspace(1);
+        self.forward_batch(&mut ws, std::iter::once(row));
+        ws.probs(1, 0).to_vec()
     }
 
     /// Hard 0/1 label for one sample.
@@ -190,7 +316,17 @@ impl Network {
 
     /// Hard labels for every row of `x`.
     pub fn predict(&self, x: &Matrix) -> Vec<u8> {
-        (0..x.rows()).map(|r| self.predict_one(x.row(r))).collect()
+        let mut ws = self.workspace(EVAL_BATCH.min(x.rows()));
+        let mut labels = Vec::with_capacity(x.rows());
+        for r0 in (0..x.rows()).step_by(EVAL_BATCH) {
+            let r1 = (r0 + EVAL_BATCH).min(x.rows());
+            let bsz = self.forward_batch(&mut ws, (r0..r1).map(|r| x.row(r)));
+            for s in 0..bsz {
+                let p = ws.probs(bsz, s);
+                labels.push(u8::from(p[1] > p[0]));
+            }
+        }
+        labels
     }
 
     /// `(correct, total)` over a labeled set.
@@ -198,27 +334,6 @@ impl Network {
         let pred = self.predict(x);
         let correct = pred.iter().zip(y).filter(|(p, t)| p == t).count() as u64;
         (correct, y.len() as u64)
-    }
-
-    /// Backpropagates one sample, accumulating gradients; returns the
-    /// loss.
-    fn backprop_one(&mut self, row: &[f64], target: u8) -> f32 {
-        // Forward with cached activations.
-        let mut acts: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len() + 1);
-        let mut shapes: Vec<Shape> = Vec::with_capacity(self.layers.len() + 1);
-        acts.push(row.iter().map(|&v| v as f32).collect());
-        shapes.push(self.input);
-        for (i, l) in self.layers.iter().enumerate() {
-            let out = l.forward(&acts[i], shapes[i]);
-            shapes.push(l.out_shape(shapes[i]));
-            acts.push(out);
-        }
-        let logits = acts.last().expect("non-empty activations");
-        let (loss, mut grad) = softmax_ce(logits, target as usize);
-        for i in (0..self.layers.len()).rev() {
-            grad = self.layers[i].backward(&acts[i], shapes[i], &grad);
-        }
-        loss
     }
 
     /// Applies accumulated gradients (scaled by `1/batch`) with
@@ -243,9 +358,10 @@ impl Network {
     /// [`Self::get_weights`]) and the summed loss. Internal accumulators
     /// are cleared.
     pub fn compute_gradients(&mut self, x: &Matrix, y: &[u8], idx: &[usize]) -> (Vec<f32>, f32) {
+        let mut ws = self.workspace(EVAL_BATCH.min(idx.len()));
         let mut loss = 0.0;
-        for &i in idx {
-            loss += self.backprop_one(x.row(i), y[i]);
+        for chunk in idx.chunks(EVAL_BATCH) {
+            loss += self.backprop_batch(&mut ws, x, y, chunk);
         }
         let mut flat = Vec::with_capacity(self.n_params());
         for l in &mut self.layers {
@@ -284,17 +400,19 @@ impl Network {
         }
     }
 
-    /// One SGD epoch over `(x, y)`; returns the mean loss.
+    /// One SGD epoch over `(x, y)`; returns the mean loss. Each
+    /// mini-batch is one batched forward/backward pass through a
+    /// workspace built once per call.
     pub fn train_epoch(&mut self, x: &Matrix, y: &[u8], params: &TrainParams, epoch: u64) -> f32 {
         assert_eq!(x.rows(), y.len());
         let mut order: Vec<usize> = (0..x.rows()).collect();
         let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(epoch.wrapping_mul(0x9E37)));
         order.shuffle(&mut rng);
+        let batch = params.batch_size.max(1);
+        let mut ws = self.workspace(batch.min(x.rows()));
         let mut total_loss = 0.0f32;
-        for chunk in order.chunks(params.batch_size.max(1)) {
-            for &i in chunk {
-                total_loss += self.backprop_one(x.row(i), y[i]);
-            }
+        for chunk in order.chunks(batch) {
+            total_loss += self.backprop_batch(&mut ws, x, y, chunk);
             self.sgd_step(params.lr, params.momentum, chunk.len());
         }
         total_loss / x.rows().max(1) as f32
@@ -306,24 +424,30 @@ impl Network {
 /// worker are retrieved and they are merged and used in the next epoch".
 pub fn average_networks(nets: &[&Network]) -> Network {
     assert!(!nets.is_empty(), "cannot average zero networks");
-    let mut acc = nets[0].get_weights();
-    for n in &nets[1..] {
-        let w = n.get_weights();
-        assert_eq!(
-            w.len(),
-            acc.len(),
-            "cannot average differently-shaped networks"
-        );
-        for (a, b) in acc.iter_mut().zip(w) {
-            *a += b;
+    let mut out = nets[0].clone();
+    let k = nets.len() as f32;
+    for (li, layer) in out.layers.iter_mut().enumerate() {
+        let Some((params, _, _)) = layer.params_mut() else {
+            continue;
+        };
+        // Net by net, then `/ k`: `((w0 + w1) + w2) + ..` per weight.
+        for (pi, acc) in params.into_iter().enumerate() {
+            for net in &nets[1..] {
+                let p = net.layers[li].params()[pi];
+                assert_eq!(
+                    p.len(),
+                    acc.len(),
+                    "cannot average differently-shaped networks"
+                );
+                for (a, b) in acc.iter_mut().zip(p) {
+                    *a += b;
+                }
+            }
+            for a in acc.iter_mut() {
+                *a /= k;
+            }
         }
     }
-    let k = nets.len() as f32;
-    for a in &mut acc {
-        *a /= k;
-    }
-    let mut out = nets[0].clone();
-    out.set_weights(&acc);
     out
 }
 
@@ -440,9 +564,102 @@ mod tests {
         let mut a = Network::afib_cnn(64, 1);
         let mut b = Network::afib_cnn(64, 1);
         let p = TrainParams::default();
-        a.train_epoch(&x, &y, &p, 0);
-        b.train_epoch(&x, &y, &p, 0);
-        assert_eq!(a.get_weights(), b.get_weights());
+        // 20 rows at the default batch of 16: a full and a ragged batch.
+        let la = a.train_epoch(&x, &y, &p, 0);
+        let lb = b.train_epoch(&x, &y, &p, 0);
+        assert_eq!(la.to_bits(), lb.to_bits());
+        let bits = |n: &Network| {
+            n.get_weights()
+                .iter()
+                .map(|w| w.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&a), bits(&b));
+        assert_ne!(bits(&a), bits(&Network::afib_cnn(64, 1)));
+    }
+
+    #[test]
+    fn averaging_sums_net_by_net_then_divides() {
+        let nets: Vec<Network> = (0..4).map(|s| Network::afib_cnn(64, 20 + s)).collect();
+        let refs: Vec<&Network> = nets.iter().collect();
+        let w: Vec<Vec<f32>> = nets.iter().map(Network::get_weights).collect();
+        let want: Vec<u32> = (0..w[0].len())
+            .map(|i| ((((w[0][i] + w[1][i]) + w[2][i]) + w[3][i]) / 4.0).to_bits())
+            .collect();
+        let got = average_networks(&refs).get_weights();
+        assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// One batch of B samples must give the logits of, and
+        /// accumulate the gradients of, B batches of one — on random
+        /// conv/pool/dense shapes including `len % pool != 0` and
+        /// `stride > kernel`. Forward is exact (no GEMM depth grows
+        /// with the batch); the conv weight gradient sums over
+        /// `B * out_len` in one GEMM instead of B, hence 1e-5.
+        #[test]
+        fn prop_batch_equals_per_sample_accumulation(
+            in_ch in 1usize..3,
+            out_ch in 1usize..5,
+            kernel in 1usize..5,
+            stride in 1usize..7,
+            pool in 1usize..4,
+            extra in 0usize..9,
+            bsz in 2usize..7,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Long enough that the pooled map still fits the second kernel.
+            let k2 = 1 + (seed % 2) as usize;
+            let in_len = kernel + stride * (2 * pool - 1) + extra;
+            let c1 = Conv1d::new(in_ch, out_ch, kernel, stride, &mut rng);
+            let pooled = c1.out_len(in_len) / pool;
+            let c2 = Conv1d::new(out_ch, 3, k2, 1, &mut rng);
+            let flat = 3 * c2.out_len(pooled);
+            let net = Network::new(
+                Shape { ch: in_ch, len: in_len },
+                vec![
+                    Layer::Conv1d(c1),
+                    Layer::Relu,
+                    Layer::MaxPool1d(pool),
+                    Layer::Conv1d(c2),
+                    Layer::Relu,
+                    Layer::Dense(Dense::new(flat, 4, &mut rng)),
+                    Layer::Relu,
+                    Layer::Dense(Dense::new(4, 2, &mut rng)),
+                ],
+            );
+            let rows: Vec<Vec<f64>> = (0..bsz)
+                .map(|_| (0..in_ch * in_len).map(|_| rng.random::<f64>() * 2.0 - 1.0).collect())
+                .collect();
+            let x = Matrix::from_rows(&rows);
+            let y: Vec<u8> = (0..bsz).map(|i| ((i as u64 + seed) % 2) as u8).collect();
+
+            let mut ws = net.workspace(bsz);
+            net.forward_batch(&mut ws, rows.iter().map(Vec::as_slice));
+            let so = Shape { ch: 1, len: 2 };
+            for (s, row) in rows.iter().enumerate() {
+                let mut logits = [0.0f32; 2];
+                gather_sample(&ws.acts[net.layers.len()], so, bsz, s, &mut logits);
+                proptest::prop_assert_eq!(logits.to_vec(), net.forward(row));
+            }
+
+            let idx: Vec<usize> = (0..bsz).collect();
+            let (batched, loss) = net.clone().compute_gradients(&x, &y, &idx);
+            let mut summed = vec![0.0f32; batched.len()];
+            let mut loss1 = 0.0f32;
+            for i in idx {
+                let (g, l) = net.clone().compute_gradients(&x, &y, &[i]);
+                summed.iter_mut().zip(g).for_each(|(a, b)| *a += b);
+                loss1 += l;
+            }
+            proptest::prop_assert!((loss - loss1).abs() < 1e-5 * loss1.max(1.0));
+            for (p, q) in batched.iter().zip(&summed) {
+                proptest::prop_assert!((p - q).abs() < 1e-5 * q.abs().max(1.0), "{} vs {}", p, q);
+            }
+        }
     }
 
     #[test]
