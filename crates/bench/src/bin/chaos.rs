@@ -132,7 +132,7 @@ fn run_workload(
 
 fn main() {
     let args = Args::capture();
-    let small = args.scale_small(true);
+    let small = args.scale_small();
     let scale = if small { "small" } else { "full" };
     let workers: usize = args.get_or("workers", 4);
     let nodes: usize = args.get_or("nodes", 4);

@@ -157,7 +157,7 @@ fn main() {
     let check = args.has("check");
     let chaos = args.has("chaos");
     let workers: usize = args.get_or("workers", 2);
-    let small = args.scale_small(true);
+    let small = args.scale_small();
     let scale = if small { "small" } else { "full" };
     let (n, d, block_rows, k) = if small {
         (2048, 256, 256, 8)

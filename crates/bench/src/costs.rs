@@ -177,14 +177,6 @@ impl ScaleModel {
             Some(d)
         })
     }
-
-    /// A data-size multiplier matched to the duration scaling, for
-    /// transfer modeling at paper scale (applied by the caller when it
-    /// builds the cluster spec: we keep byte counts and instead divide
-    /// bandwidth, which is equivalent and avoids rewriting traces).
-    pub fn bandwidth_divisor(&self, element_ratio: f64) -> f64 {
-        element_ratio
-    }
 }
 
 #[cfg(test)]

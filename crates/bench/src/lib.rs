@@ -1,6 +1,6 @@
 //! # bench — experiment harness reproducing the paper's evaluation
 //!
-//! Binaries (run from the repo root; all accept `--help`):
+//! Binaries (run from the repo root):
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -10,8 +10,13 @@
 //! | `graphs` | Figs. 4, 6, 8, 9, 10: execution graphs as Graphviz DOT |
 //! | `pca_cost` | §IV-B: constant PCA cost across algorithms |
 //! | `ablate` | ablations: block size, scheduler policy, `distr_depth`, nesting, augmentation |
-//! | `perf` | hot-path throughput and gates on current code: scheduler tasks/s, telemetry overhead, DES replay, GEMM + sgemm kernel floor, INOUT data plane — writes `out/perf.json` |
+//! | `rr_baseline` | §II: the RR-interval baseline vs the STFT pipeline |
 //! | `dist` | multi-process PCA over `taskrt::dist`: bit-identity vs the inline oracle, DES divergence gate, chaos SIGKILL arm — writes `out/dist.json` |
+//! | `chaos` | fault injection on the threaded runtime + node-failure replay in the DES — writes `out/chaos.json` |
+//! | `profile` | observability exporter: one ECG → PCA run, every `taskrt::obs` / `taskrt::telemetry` artifact — writes `out/profile.json`, `.prom`, two Chrome traces |
+//!
+//! Nothing here times the code for a verdict: that is `benchmark/`
+//! (`bash benchmark/run.sh`), and properties are `cargo test`.
 //!
 //! Library modules: [`pipeline`] (the end-to-end AF workflow at `small`
 //! scale), [`costs`] (the analytic duration scaling that lifts measured

@@ -88,14 +88,13 @@ impl Args {
         self.raw.iter().any(|a| a == &flag)
     }
 
-    /// The `--scale small|full` setting every measuring bin takes:
-    /// `true` for `small`, `default_small` when the flag is absent.
+    /// The `--scale small|full` setting of `profile`, `dist` and
+    /// `chaos`: `true` for `small` and when the flag is absent.
     /// Anything else is a typo, not a third scale — exits 2 with a
     /// usage line instead of silently running the full setting.
-    pub fn scale_small(&self, default_small: bool) -> bool {
+    pub fn scale_small(&self) -> bool {
         match self.get("scale") {
-            None => default_small,
-            Some("small") => true,
+            None | Some("small") => true,
             Some("full") => false,
             Some(other) => {
                 eprintln!("unknown --scale '{other}'; usage: --scale small|full");

@@ -34,8 +34,8 @@
 //!   unchanged — so the second layout went.
 //!
 //! Peak-liveness accounting (`live` / `peak_live` / `retired`) is what
-//! the `scale` bench gates on: a bounded resident set under a 1M-task
-//! stream shows up here as `peak_live ≪ len`.
+//! `tests/tests/streaming_scale.rs` gates on: a bounded resident set
+//! under a 250k-task stream shows up here as `peak_live ≪ len`.
 
 /// Slots per page (power of two; index math is shift + mask).
 pub const PAGE: usize = 1 << PAGE_SHIFT;

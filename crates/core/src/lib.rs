@@ -47,7 +47,8 @@
 //! where per-task overhead dominates; see [`runtime`] for the data
 //! structures (dense id-indexed tables, per-worker work-stealing
 //! deques, batched ready release, targeted wakeups) and
-//! `cargo run -p bench --bin perf` for the measured throughput.
+//! `bash benchmark/run.sh --workload sched_fine` for the measured
+//! throughput.
 
 pub mod arena;
 pub mod dist;

@@ -10,8 +10,9 @@
 //!   batches, wakeups, parks/idle time, driver stalls, queue-wait vs
 //!   run time). Collected with relaxed atomics off the lock path and
 //!   gated by [`crate::RuntimeConfig::metrics`], so the hot path stays
-//!   within noise of the un-instrumented scheduler (measured by
-//!   `bench --bin perf`, recorded in `out/perf.json`).
+//!   within noise of the un-instrumented scheduler (measured as
+//!   `obs.recording_overhead_frac` by `benchmark/run.sh --workload
+//!   sched_fine --trace 1`).
 //! * **[`chrome_trace`] / [`chrome_trace_schedule`]** — Chrome-trace
 //!   format (`chrome://tracing` / [Perfetto](https://ui.perfetto.dev))
 //!   JSON timelines: one track per executor (driver + workers) for a

@@ -78,7 +78,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Type-erased shared value.
-pub type AnyArc = Arc<dyn Any + Send + Sync>;
+type AnyArc = Arc<dyn Any + Send + Sync>;
 
 /// Type-erased task body: receives the resolved inputs (mutable so
 /// INOUT wrappers can take ownership of individual entries), returns
@@ -138,15 +138,14 @@ pub struct RuntimeConfig {
     /// Whether the scheduler maintains observability counters and
     /// per-task timestamps (see [`crate::obs`] and [`Runtime::stats`]).
     /// Updates are relaxed atomics off the lock path, so the default is
-    /// on; `bench --bin perf` measures the on-vs-off gap to keep it
-    /// within noise.
+    /// on; the benchmark's `obs.recording_overhead_frac` (`sched_fine
+    /// --trace 1`) measures the on-vs-off gap.
     pub metrics: bool,
     /// Whether the runtime keeps live telemetry — the structured event
     /// journal and latency histograms (see [`crate::telemetry`] and
     /// [`Runtime::telemetry`]). Only active when `metrics` is also on
     /// (telemetry reuses the metrics timestamps); on by default.
-    /// `bench --bin perf` measures and gates the telemetry-on-vs-off
-    /// gap on the no-op scheduler DAG.
+    /// Its cost is part of the same `obs.recording_overhead_frac`.
     pub telemetry: bool,
     /// The retention policy over the runtime's (single, paged)
     /// task/data/record tables.
@@ -598,7 +597,7 @@ struct Shared {
     wake: Mutex<WakeState>,
     wake_cv: Condvar,
     /// Mirror of `sleepers > tokens`, maintained under the wake lock;
-    /// lets `submit_raw` decide stage-vs-flush without that lock.
+    /// lets `submit_locked` decide stage-vs-flush without that lock.
     idle_hint: AtomicBool,
     /// Installed fault-injection plan (chaos harness), if any.
     fault_plan: Mutex<Option<Arc<FaultPlan>>>,
@@ -758,11 +757,7 @@ impl Runtime {
     /// retention policy is "keep everything": this is a no-op and the
     /// handle stays readable.
     pub fn release<T: Payload>(&self, h: Handle<T>) {
-        self.release_id(h.id);
-    }
-
-    /// Untyped [`Runtime::release`] (dsarray block streams use this).
-    pub fn release_id(&self, id: DataId) {
+        let id = h.id;
         let shared = &self.inner.shared;
         if shared.config.stream.is_none() {
             return;
@@ -776,7 +771,7 @@ impl Runtime {
 
     /// Liveness snapshot of the task/data/record tables plus the
     /// in-flight gauge — how the streaming runtime's bounded resident
-    /// set is observed (and gated, by `bench --bin scale`). Without
+    /// set is observed (and gated, by `tests/tests/streaming_scale.rs`). Without
     /// [`RuntimeConfig::stream`] nothing retires: `retired == 0` and
     /// `live == allocated` on all three tables.
     pub fn table_stats(&self) -> TableStats {
@@ -938,11 +933,9 @@ impl Runtime {
         A: Payload + Clone,
         B: Payload + Clone,
     {
-        let ids = self.submit_raw(
-            SPLIT_TASK.to_string(),
-            0,
-            0,
+        let ids = self.task(SPLIT_TASK).cores(0).submit(
             vec![h.id],
+            0,
             2,
             Box::new(move |_ctx, ins| {
                 let pair = ins[0]
@@ -1029,7 +1022,7 @@ impl Runtime {
     /// Builds a [`Registry`] snapshot of every scheduler counter plus
     /// the latency histograms, ready for JSON or Prometheus export.
     /// Snapshotable at any time without stopping workers; callers may
-    /// fold their own metrics in afterwards (the `telemetry` bin adds
+    /// fold their own metrics in afterwards (the `profile` bin adds
     /// the linalg buffer-pool counters this way).
     pub fn registry(&self) -> Registry {
         let s = self.stats();
@@ -1176,72 +1169,17 @@ impl Runtime {
         id
     }
 
-    /// Low-level untyped submission. Most callers should use the typed
-    /// [`TaskBuilder`] helpers instead.
-    pub fn submit_raw(
-        &self,
-        name: String,
-        cores: u32,
-        gpus: u32,
-        inputs: Vec<DataId>,
-        n_outputs: usize,
-        f: TaskFn,
-    ) -> Vec<DataId> {
-        self.submit_raw_consume(name, cores, gpus, inputs, 0, n_outputs, f)
-    }
-
-    /// [`Runtime::submit_raw`] with INOUT semantics on selected inputs:
-    /// bit `i` of `consume_mask` marks input `i` as consumable — the
+    /// The one submission path every public entry point funnels into:
+    /// sanitize the consume mask, run the [`submit_locked`] transaction
+    /// under the state lock, then execute / wake / throttle outside it.
+    ///
+    /// Bit `i` of `consume_mask` marks input `i` as consumable — the
     /// dispatcher moves the stored value into the task when the task is
     /// its last live consumer (see [`make_run`]), so the body can reuse
     /// the buffer instead of cloning it. The consumed handle's datum is
     /// retired ([`Slot::Moved`]); tasks submitted later that read it
     /// fail loudly — the PyCOMPSs `direction=INOUT` contract where the
     /// post-task version of the datum is the one to keep using.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_raw_consume(
-        &self,
-        name: String,
-        cores: u32,
-        gpus: u32,
-        inputs: Vec<DataId>,
-        consume_mask: u64,
-        n_outputs: usize,
-        f: TaskFn,
-    ) -> Vec<DataId> {
-        self.submit_with(
-            name,
-            cores,
-            gpus,
-            inputs,
-            consume_mask,
-            n_outputs,
-            TaskFault::default(),
-            f,
-        )
-    }
-
-    /// [`Runtime::submit_raw_consume`] with an explicit failure policy
-    /// (see [`TaskFault`]); the typed path is [`TaskBuilder::retry`] /
-    /// [`TaskBuilder::on_failure`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_with(
-        &self,
-        name: String,
-        cores: u32,
-        gpus: u32,
-        inputs: Vec<DataId>,
-        consume_mask: u64,
-        n_outputs: usize,
-        fault: TaskFault,
-        f: TaskFn,
-    ) -> Vec<DataId> {
-        self.submit_inner(name, cores, gpus, inputs, consume_mask, n_outputs, fault, f)
-    }
-
-    /// The one submission path every public entry point funnels into:
-    /// sanitize the consume mask, run the [`submit_locked`] transaction
-    /// under the state lock, then execute / wake / throttle outside it.
     #[allow(clippy::too_many_arguments)]
     fn submit_inner(
         &self,

@@ -664,7 +664,7 @@ struct Metric {
 /// or Prometheus text exposition format
 /// ([`Registry::to_prometheus`]). Built on demand from live runtime
 /// state — see `Runtime::registry` — and extendable by callers (the
-/// `telemetry` bin folds the linalg pool counters in).
+/// `profile` bin folds the linalg pool counters in).
 #[derive(Default)]
 pub struct Registry {
     metrics: Vec<Metric>,
@@ -796,7 +796,7 @@ impl Registry {
 /// Validates Prometheus text exposition output: well-formed comment
 /// and sample lines, legal metric names, parseable values, histogram
 /// buckets cumulative with `+Inf` equal to `_count`. Returns the
-/// number of sample lines. Used by the `telemetry` bin's `--check` so
+/// number of sample lines. Used by the `profile` bin's `--check` so
 /// CI catches a malformed exporter.
 pub fn validate_prometheus(text: &str) -> Result<usize, String> {
     fn valid_name(s: &str) -> bool {

@@ -520,29 +520,7 @@ impl DsArray {
     /// Subtracts a row vector from every row (column centering), block
     /// aligned — used by PCA and StandardScaler.
     pub fn sub_row_vector(&self, rt: &Runtime, v: Handle<Vec<f64>>) -> DsArray {
-        let cb_size = self.cb_size;
-        let grid = self
-            .grid
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(cb, &b)| {
-                        let c0 = cb * cb_size;
-                        rt.task("ds_center")
-                            .run2(b, v, move |m: &Matrix, v: &Vec<f64>| {
-                                let mut out = m.clone();
-                                for r in 0..out.rows() {
-                                    for (j, x) in out.row_mut(r).iter_mut().enumerate() {
-                                        *x -= v[c0 + j];
-                                    }
-                                }
-                                out
-                            })
-                    })
-                    .collect()
-            })
-            .collect();
+        let grid = self.row_vector_op(rt, "ds_center", v, false, center);
         DsArray { grid, ..*self }
     }
 
@@ -551,93 +529,78 @@ impl DsArray {
     /// (the common scaler/PCA pipeline shape) mutates blocks in place
     /// instead of cloning each one.
     pub fn sub_row_vector_inplace(self, rt: &Runtime, v: Handle<Vec<f64>>) -> DsArray {
-        let cb_size = self.cb_size;
-        let grid = self
-            .grid
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(cb, &b)| {
-                        let c0 = cb * cb_size;
-                        rt.task("ds_center").run2_inout(
-                            b,
-                            v,
-                            move |m: &mut Matrix, v: &Vec<f64>| {
-                                for r in 0..m.rows() {
-                                    for (j, x) in m.row_mut(r).iter_mut().enumerate() {
-                                        *x -= v[c0 + j];
-                                    }
-                                }
-                            },
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        let grid = self.row_vector_op(rt, "ds_center", v, true, center);
         DsArray { grid, ..self }
     }
 
     /// Divides every column by the matching entry of `v` (unit-variance
     /// scaling); entries `<= eps` divide by 1 instead (constant columns).
     pub fn div_row_vector(&self, rt: &Runtime, v: Handle<Vec<f64>>) -> DsArray {
-        let cb_size = self.cb_size;
-        let grid = self
-            .grid
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(cb, &b)| {
-                        let c0 = cb * cb_size;
-                        rt.task("ds_scale")
-                            .run2(b, v, move |m: &Matrix, v: &Vec<f64>| {
-                                let mut out = m.clone();
-                                for r in 0..out.rows() {
-                                    for (j, x) in out.row_mut(r).iter_mut().enumerate() {
-                                        let s = v[c0 + j];
-                                        if s > f64::EPSILON {
-                                            *x /= s;
-                                        }
-                                    }
-                                }
-                                out
-                            })
-                    })
-                    .collect()
-            })
-            .collect();
+        let grid = self.row_vector_op(rt, "ds_scale", v, false, unit_scale);
         DsArray { grid, ..*self }
     }
 
     /// Consuming, in-place variant of [`DsArray::div_row_vector`]; same
     /// constant-column guard, INOUT block parameter.
     pub fn div_row_vector_inplace(self, rt: &Runtime, v: Handle<Vec<f64>>) -> DsArray {
+        let grid = self.row_vector_op(rt, "ds_scale", v, true, unit_scale);
+        DsArray { grid, ..self }
+    }
+
+    /// One `name` task per block applying `op(x, v[column of x])` to
+    /// every element: INOUT on the block when `inplace`, on a clone of
+    /// it otherwise. (Both forms stay: a `Handle` the driver still holds
+    /// does not block an INOUT steal, so a caller that reads the array
+    /// again cannot use the consuming form.)
+    fn row_vector_op(
+        &self,
+        rt: &Runtime,
+        name: &str,
+        v: Handle<Vec<f64>>,
+        inplace: bool,
+        op: impl Fn(&mut f64, f64) + Copy + Send + 'static,
+    ) -> Vec<Vec<Handle<Matrix>>> {
         let cb_size = self.cb_size;
-        let grid = self
-            .grid
+        self.grid
             .iter()
             .map(|row| {
                 row.iter()
                     .enumerate()
                     .map(|(cb, &b)| {
                         let c0 = cb * cb_size;
-                        rt.task("ds_scale")
-                            .run2_inout(b, v, move |m: &mut Matrix, v: &Vec<f64>| {
-                                for r in 0..m.rows() {
-                                    for (j, x) in m.row_mut(r).iter_mut().enumerate() {
-                                        let s = v[c0 + j];
-                                        if s > f64::EPSILON {
-                                            *x /= s;
-                                        }
-                                    }
+                        let apply = move |m: &mut Matrix, v: &Vec<f64>| {
+                            for r in 0..m.rows() {
+                                for (j, x) in m.row_mut(r).iter_mut().enumerate() {
+                                    op(x, v[c0 + j]);
                                 }
+                            }
+                        };
+                        if inplace {
+                            rt.task(name).run2_inout(b, v, apply)
+                        } else {
+                            rt.task(name).run2(b, v, move |m: &Matrix, v: &Vec<f64>| {
+                                let mut out = m.clone();
+                                apply(&mut out, v);
+                                out
                             })
+                        }
                     })
                     .collect()
             })
-            .collect();
-        DsArray { grid, ..self }
+            .collect()
+    }
+}
+
+/// Column centering: `x - mean`.
+fn center(x: &mut f64, mean: f64) {
+    *x -= mean;
+}
+
+/// Unit-variance scaling: `x / s`, leaving constant columns (`s <= eps`)
+/// as they are.
+fn unit_scale(x: &mut f64, s: f64) {
+    if s > f64::EPSILON {
+        *x /= s;
     }
 }
 

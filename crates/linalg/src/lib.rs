@@ -44,10 +44,7 @@ pub use eigh::{eigh, EighResult};
 pub use fft::{fft_inplace, ifft_inplace, rfft, rfft_mag, Complex, FftPlan, RfftPlan};
 pub use kernels::{euclidean_sq, Kernel};
 pub use matrix::{dot, pairwise_sq_dists, Matrix};
-pub use sgemm::{
-    sgemm_nn, sgemm_nn_packed, sgemm_nn_scalar, sgemm_nt, sgemm_nt_packed, sgemm_nt_scalar,
-    sgemm_tn, sgemm_tn_packed, sgemm_tn_scalar,
-};
+pub use sgemm::{sgemm_nn, sgemm_nn_scalar, sgemm_nt, sgemm_nt_scalar, sgemm_tn, sgemm_tn_scalar};
 pub use stft::{hann_window, spectrogram, SpectrogramConfig, SpectrogramPlan};
 
 /// Machine-epsilon-scaled tolerance used by the iterative solvers.

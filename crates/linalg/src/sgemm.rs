@@ -14,7 +14,7 @@
 //!   Per output element the contributions arrive in ascending-`k`
 //!   order, so `sgemm_nn_scalar` is bitwise identical to a scalar
 //!   `ikj` triple loop. These stay as the parity reference.
-//! * **Packed SIMD path** ([`sgemm_nn_packed`] etc.): operands are
+//! * **Packed SIMD path** (the private `packed::gemm`): operands are
 //!   repacked into MR×KC / KC×NR panels — straight from the operand
 //!   slices, as `copy_from_slice` runs where a panel row is contiguous
 //!   in the source and as a sequential-read / strided-write sweep
@@ -117,25 +117,6 @@ pub fn sgemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
     } else {
         sgemm_tn_scalar(m, k, n, a, b, out)
     }
-}
-
-/// Packed-path entry for `out += a * b`, bypassing dispatch (benches
-/// and parity tests).
-pub fn sgemm_nn_packed(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
-    packed::gemm(m, k, n, (a, false), (b, false), out)
-}
-
-/// Packed-path entry for `out += a * b^T`, bypassing dispatch.
-pub fn sgemm_nt_packed(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert!(a.len() >= m * k && b.len() >= n * k && out.len() >= m * n);
-    packed::gemm(m, k, n, (a, false), (b, true), out)
-}
-
-/// Packed-path entry for `out += a^T * b`, bypassing dispatch.
-pub fn sgemm_tn_packed(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert!(a.len() >= k * m && b.len() >= k * n && out.len() >= m * n);
-    packed::gemm(m, k, n, (a, true), (b, false), out)
 }
 
 /// Scalar oracle for `out += a * b`: blocked over depth (`KC`),
@@ -485,6 +466,24 @@ mod tests {
         out
     }
 
+    /// Packed-path entries bypassing dispatch, so the parity and floor
+    /// tests below compare packed against scalar under
+    /// `LINALG_FORCE_SCALAR` too.
+    fn sgemm_nn_packed(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
+        packed::gemm(m, k, n, (a, false), (b, false), out)
+    }
+
+    fn sgemm_nt_packed(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        assert!(a.len() >= m * k && b.len() >= n * k && out.len() >= m * n);
+        packed::gemm(m, k, n, (a, false), (b, true), out)
+    }
+
+    fn sgemm_tn_packed(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        assert!(a.len() >= k * m && b.len() >= k * n && out.len() >= m * n);
+        packed::gemm(m, k, n, (a, true), (b, false), out)
+    }
+
     fn fill(len: usize, seed: f32) -> Vec<f32> {
         (0..len).map(|i| ((i as f32 + seed) * 0.37).sin()).collect()
     }
@@ -700,30 +699,26 @@ mod tests {
         bpack
     }
 
+    type Sgemm = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+
+    /// `(packed, scalar)` for variant `which`: 0 = nn, 1 = nt, 2 = tn
+    /// (operand element counts are `m * k` and `k * n` for all three).
+    fn variant(which: usize) -> (Sgemm, Sgemm) {
+        match which {
+            0 => (sgemm_nn_packed, sgemm_nn_scalar),
+            1 => (sgemm_nt_packed, sgemm_nt_scalar),
+            _ => (sgemm_tn_packed, sgemm_tn_scalar),
+        }
+    }
+
     fn check_packed_matches_scalar(m: usize, k: usize, n: usize, which: usize, seed: f32) {
-        let (al, bl) = match which {
-            0 => (m * k, k * n), // nn
-            1 => (m * k, n * k), // nt
-            _ => (k * m, k * n), // tn
-        };
-        let a = fill(al, seed);
-        let b = fill(bl, seed + 0.5);
+        let (packed, scalar) = variant(which);
+        let a = fill(m * k, seed);
+        let b = fill(k * n, seed + 0.5);
         let mut got = vec![0.0f32; m * n];
         let mut want = vec![0.0f32; m * n];
-        match which {
-            0 => {
-                sgemm_nn_packed(m, k, n, &a, &b, &mut got);
-                sgemm_nn_scalar(m, k, n, &a, &b, &mut want);
-            }
-            1 => {
-                sgemm_nt_packed(m, k, n, &a, &b, &mut got);
-                sgemm_nt_scalar(m, k, n, &a, &b, &mut want);
-            }
-            _ => {
-                sgemm_tn_packed(m, k, n, &a, &b, &mut got);
-                sgemm_tn_scalar(m, k, n, &a, &b, &mut want);
-            }
-        }
+        packed(m, k, n, &a, &b, &mut got);
+        scalar(m, k, n, &a, &b, &mut want);
         assert_close(&got, &want, 1e-4);
     }
 
@@ -738,6 +733,53 @@ mod tests {
             (160, 32, 44, 2),
         ] {
             check_packed_matches_scalar(m, k, n, which, 1.0);
+        }
+    }
+
+    /// The kernel floor, as a property of the code: where the CNN calls
+    /// it (and at 512³, where packing is < 3 % of the work) the packed
+    /// path must not lose to the scalar oracle it replaced — and the
+    /// AVX2+FMA microkernel owes a real multiple at 512³. At the conv
+    /// shapes a call is microseconds long, so each sample loops enough
+    /// calls to reach ~1 ms; the arms alternate and each keeps its best
+    /// of 7, so a host stall has to hit one arm seven times to matter.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "times optimized code: run with `cargo test --release`"
+    )]
+    fn packed_beats_the_scalar_oracle_where_the_cnn_calls_it() {
+        let floor_512 = if fma_available() { 1.8 } else { 1.0 };
+        for (m, k, n, which, floor) in [
+            (512, 512, 512, 0, floor_512),
+            (32, 160, 44, 0, 1.0),
+            (32, 44, 160, 1, 1.0),
+            (160, 32, 44, 2, 1.0),
+            (32, 160, 11, 0, 1.0),
+        ] {
+            let (packed, scalar) = variant(which);
+            let a = fill(m * k, 1.0);
+            let b = fill(k * n, 1.5);
+            let mut out = vec![0.0f32; m * n];
+            let calls = (2e7 / (2 * m * k * n) as f64).ceil() as usize;
+            let mut time = |f: Sgemm| {
+                out.fill(0.0);
+                let start = std::time::Instant::now();
+                for _ in 0..calls {
+                    f(m, k, n, std::hint::black_box(&a), &b, &mut out);
+                }
+                start.elapsed().as_secs_f64()
+            };
+            let (mut t_packed, mut t_scalar) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..7 {
+                t_scalar = t_scalar.min(time(scalar));
+                t_packed = t_packed.min(time(packed));
+            }
+            let speedup = t_scalar / t_packed;
+            assert!(
+                speedup >= floor,
+                "variant {which} {m}x{k}x{n}: packed is {speedup:.2}x the scalar oracle, floor {floor}x"
+            );
         }
     }
 }

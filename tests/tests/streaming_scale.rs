@@ -13,7 +13,8 @@
 //!    `"stale handle"` error instead of returning a wrong value.
 //! 3. **Bounded tables** — a 200k-task chain keeps the task/data/record
 //!    high-water marks proportional to the backpressure window, not the
-//!    DAG size, and the in-flight peak respects the high watermark.
+//!    DAG size, and the in-flight peak respects the high watermark; a
+//!    250k-task sliding-window DAG stays window-resident.
 
 use proptest::prelude::*;
 use taskrt::{ExecMode, Handle, Runtime, RuntimeConfig, StreamConfig};
@@ -33,18 +34,23 @@ fn default_rt(mode: ExecMode) -> Runtime {
     })
 }
 
+/// Seeded xorshift64 stream.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
 /// A deterministic random DAG mixing the shapes recycling must get
 /// right: plain reads (shared fan-out), INOUT consuming chains, and
 /// driver-side releases of handles it is done with. Returns the exact
 /// bit pattern of the final fold.
 fn random_dag_checksum(rt: &Runtime, n: usize, seed: u64) -> u64 {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut next = xorshift(seed);
     // `outs` holds only handles that are never INOUT-consumed (reading
     // a consumed handle is a contract violation on any runtime); the
     // accumulator chain lives outside it.
@@ -84,7 +90,7 @@ fn random_dag_checksum(rt: &Runtime, n: usize, seed: u64) -> u64 {
         // Occasionally tell the runtime we are done with an older
         // handle: on a streaming runtime its slot may be recycled, on
         // a default runtime this is a no-op — results must agree anyway.
-        if i > 8 && next() % 3 == 0 {
+        if i > 8 && next().is_multiple_of(3) {
             let j = (next() as usize) % (i - 4);
             if let Some(old) = outs[j].take() {
                 rt.release(old);
@@ -248,5 +254,58 @@ fn streaming_trace_keeps_live_records_only() {
         trace.records.len() < 50,
         "trace kept {} records",
         trace.records.len()
+    );
+}
+
+/// The streaming submission idiom at scale: task `i` reads up to 3 of
+/// the last 64 outputs and the driver releases each output as it slides
+/// out of that window, so a DAG 60x the high watermark must stay
+/// window-resident — live slots are the in-flight window (≤ high), the
+/// completed producers its tasks still pin (≤ high again), the driver's
+/// ring and per-worker scheduler slack.
+#[test]
+fn sliding_window_dag_250k_tasks_stays_window_resident() {
+    const N: usize = 250_000;
+    const WINDOW: usize = 64;
+    const WORKERS: usize = 4;
+    const HIGH: usize = 4096;
+    let rt = streaming_rt(ExecMode::Threads(WORKERS), HIGH, HIGH / 2);
+    let mut next = xorshift(7);
+    // Each task's value is its depth in the DAG, mirrored on the driver.
+    let mut ring: std::collections::VecDeque<(Handle<u64>, u64)> =
+        std::collections::VecDeque::with_capacity(WINDOW + 1);
+    for _ in 0..N {
+        let r = next();
+        let picks: Vec<(Handle<u64>, u64)> = (0..(r % 4) as usize)
+            .filter(|_| !ring.is_empty())
+            .map(|k| ring[(r >> (8 + 8 * k)) as usize % ring.len()])
+            .collect();
+        let inputs: Vec<Handle<u64>> = picks.iter().map(|p| p.0).collect();
+        let depth = 1 + picks.iter().map(|p| p.1).max().unwrap_or(0);
+        let h = rt.task("node").run_many(&inputs, |deps: &[&u64]| {
+            1 + deps.iter().map(|d| **d).max().unwrap_or(0)
+        });
+        ring.push_back((h, depth));
+        if ring.len() > WINDOW {
+            rt.release(ring.pop_front().expect("non-empty ring").0);
+        }
+    }
+    for (h, depth) in ring {
+        assert_eq!(*rt.wait(h), depth);
+        rt.release(h);
+    }
+    rt.barrier();
+    let stats = rt.table_stats();
+    assert!(stats.tasks.allocated >= N as u64);
+    let task_bound = (2 * HIGH + WINDOW + 64 * WORKERS) as u64;
+    assert!(
+        stats.tasks.peak_live <= task_bound,
+        "task table peak {} exceeds bound {task_bound} (resident set not bounded)",
+        stats.tasks.peak_live
+    );
+    assert!(
+        stats.peak_in_flight as usize <= HIGH + 16,
+        "peak in-flight {} breached the high watermark {HIGH}",
+        stats.peak_in_flight
     );
 }
