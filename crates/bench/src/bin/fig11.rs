@@ -80,8 +80,10 @@ fn main() {
         // Paper: 500-row blocks; ours: 16-row blocks. Per-task durations
         // are set structurally (SMO on one 500x3269 block ~ 30 s; a
         // cascade merge retrains on the ~2x300 surviving support
-        // vectors ~ 11 s) because the small-scale SV retention rate
-        // would otherwise distort the fit/merge cost ratio.
+        // vectors ~ 11 s; `csvm_final` is the root merge — the widest
+        // union of the cascade, and the only training at that level —
+        // ~ 15 s) because the small-scale SV retention rate would
+        // otherwise distort the fit/merge cost ratio.
         let sample_ratio = 500.0 / 16.0;
         let model = ScaleModel::paper_scale(sample_ratio, FEATURE_RATIO)
             .with_fixed("csvm_fit", 30.0)

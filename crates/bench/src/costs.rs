@@ -9,7 +9,7 @@
 //!
 //! | kind | work model | paper / small workload |
 //! |---|---|---|
-//! | `csvm_fit`/`csvm_merge` | SMO ≈ `m^2 · d` | m: 500-row blocks vs ours; d: 3269 vs ours |
+//! | `csvm_fit`/`csvm_merge`/`csvm_final` (the root merge) | SMO ≈ `m^2 · d` | m: 500-row blocks vs ours; d: 3269 vs ours |
 //! | `knn_query` | brute force ≈ `m · q · d` | 250-row blocks |
 //! | `rf_build_tree` | CART ≈ `m · log m · sqrt(d) · depth` | full 8246-sample folds |
 //! | `rf_presort` | one argsort per feature ≈ `d · m · log m` | once per forest |

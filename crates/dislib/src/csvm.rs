@@ -12,18 +12,65 @@
 //!
 //! * `csvm_fit` — one per row block of the input ds-array (the
 //!   parallelism bound the paper calls out),
-//! * `csvm_merge` — pairwise reduction tasks,
-//! * `csvm_final` — trains the deployable [`SvcModel`] on the last
-//!   surviving support-vector set,
+//! * `csvm_merge` — pairwise reduction tasks below the root,
+//! * `csvm_final` — the root of the reduction: its [`SvcModel`] *is*
+//!   the deployable model (as dislib's last `_train` returns it),
 //! * `csvm_predict` / `csvm_score` — per-row-block inference.
+//!
+//! Every node keeps the model it trained (its support vectors are the
+//! set handed upward), so `b` blocks train exactly `2b - 1` times.
 
 use crate::svm::{fit_svc, SvcModel, SvcParams};
 use dsarray::{tree_reduce, DsArray, DsLabels};
 use linalg::Matrix;
-use taskrt::{Handle, Runtime};
+use std::borrow::Cow;
+use taskrt::{Handle, Payload, Runtime};
 
-/// A labeled sample set flowing through the cascade: `(rows, labels)`.
-pub type Labeled = (Matrix, Vec<u8>);
+/// What a cascade node hands upward.
+#[derive(Clone)]
+enum Node {
+    /// The model trained on the node's set; its support vectors survive.
+    Trained(SvcModel),
+    /// An untrainable set (single class, as in ragged tail blocks, or
+    /// one row) passes through unchanged.
+    Raw(Matrix, Vec<u8>),
+}
+
+impl Node {
+    /// Trains on a borrowed block or an owned merge, copying neither.
+    fn train(x: Cow<'_, Matrix>, y: Cow<'_, [u8]>, params: &SvcParams) -> Node {
+        if y.contains(&1) && y.contains(&0) && x.rows() >= 2 {
+            Node::Trained(fit_svc(&x, &y, params))
+        } else {
+            Node::Raw(x.into_owned(), y.into_owned())
+        }
+    }
+
+    /// The root's training is the cascade's model.
+    fn into_model(self) -> SvcModel {
+        match self {
+            Node::Trained(model) => model,
+            Node::Raw(..) => panic!("cascade collapsed to a single class"),
+        }
+    }
+
+    /// The surviving `(rows, labels)`.
+    fn set(&self) -> (&Matrix, &[u8]) {
+        match self {
+            Node::Trained(m) => (&m.support_vectors, &m.support_labels),
+            Node::Raw(x, y) => (x, y),
+        }
+    }
+}
+
+impl Payload for Node {
+    fn approx_bytes(&self) -> usize {
+        match self {
+            Node::Trained(m) => m.approx_bytes(),
+            Node::Raw(x, y) => x.approx_bytes() + y.len(),
+        }
+    }
+}
 
 /// CascadeSVM hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -62,31 +109,16 @@ pub struct CascadeSvm {
     params: CascadeSvmParams,
 }
 
-/// Trains an SVC on a sample set and keeps only its support vectors; a
-/// single-class subset passes through unchanged (can happen in ragged
-/// tail blocks).
-fn distill(set: &Labeled, params: &SvcParams) -> Labeled {
-    let (x, y) = set;
-    let has_both = y.contains(&1) && y.contains(&0);
-    if !has_both || x.rows() < 2 {
-        return set.clone();
-    }
-    let model = fit_svc(x, y, params);
-    (model.support_vectors.clone(), model.support_labels.clone())
-}
-
-/// Concatenates two labeled sets.
-fn merge(a: &Labeled, b: &Labeled) -> Labeled {
-    let x = a.0.vstack(&b.0);
-    let mut y = a.1.clone();
-    y.extend_from_slice(&b.1);
-    (x, y)
+/// Trains on the concatenation of two labeled sets.
+fn train_merged(a: (&Matrix, &[u8]), b: (&Matrix, &[u8]), params: &SvcParams) -> Node {
+    let (x, y) = (a.0.vstack(b.0), [a.1, b.1].concat());
+    Node::train(Cow::Owned(x), Cow::Owned(y), params)
 }
 
 impl CascadeSvm {
-    /// Fits the cascade on a blocked dataset. Submits one `csvm_fit`
-    /// task per row block, `n_blocks - 1` `csvm_merge` tasks per
-    /// iteration, and one `csvm_final` task.
+    /// Fits the cascade on a blocked dataset. Per iteration it submits
+    /// one `csvm_fit` (`csvm_refit`) task per row block, `n_blocks - 2`
+    /// `csvm_merge` tasks and the `csvm_final` root.
     pub fn fit(rt: &Runtime, x: &DsArray, y: &DsLabels, params: CascadeSvmParams) -> Self {
         assert_eq!(
             x.n_row_blocks(),
@@ -97,42 +129,44 @@ impl CascadeSvm {
         let bands = x.row_bands(rt);
 
         // Layer 0: distill each subset to its support vectors.
-        let mut sv_sets: Vec<Handle<Labeled>> = bands
+        let leaves: Vec<Handle<Node>> = bands
             .iter()
             .enumerate()
             .map(|(i, &band)| {
                 rt.task("csvm_fit").cores(params.task_cores).run2(
                     band,
                     y.part(i),
-                    move |m: &Matrix, labels: &Vec<u8>| distill(&(m.clone(), labels.clone()), &svc),
+                    move |m: &Matrix, labels: &Vec<u8>| {
+                        Node::train(Cow::Borrowed(m), Cow::Borrowed(labels), &svc)
+                    },
                 )
             })
             .collect();
 
         // Cascade reduction; optionally iterate feeding the winners back.
-        let mut survivors = Self::reduce_layer(rt, &sv_sets, params);
-        let mut prev_sv_count = params.convergence_tol.map(|_| rt.wait(survivors).1.len());
+        let mut model = Self::reduce_layer(rt, leaves, params);
+        let mut prev_sv_count = params.convergence_tol.map(|_| rt.wait(model).n_support());
         for _ in 1..params.cascade_iterations.max(1) {
-            sv_sets = bands
+            let leaves = bands
                 .iter()
                 .enumerate()
                 .map(|(i, &band)| {
                     rt.task("csvm_refit").cores(params.task_cores).run3(
                         band,
                         y.part(i),
-                        survivors,
-                        move |m: &Matrix, labels: &Vec<u8>, winners: &Labeled| {
-                            let merged = merge(&(m.clone(), labels.clone()), winners);
-                            distill(&merged, &svc)
+                        model,
+                        move |m: &Matrix, labels: &Vec<u8>, winners: &SvcModel| {
+                            let winners = (&winners.support_vectors, &winners.support_labels[..]);
+                            train_merged((m, labels), winners, &svc)
                         },
                     )
                 })
                 .collect();
-            survivors = Self::reduce_layer(rt, &sv_sets, params);
+            model = Self::reduce_layer(rt, leaves, params);
             // Convergence check (synchronizes the driver, like dislib's
             // `check_convergence`): stop when the SV count stabilizes.
             if let (Some(tol), Some(prev)) = (params.convergence_tol, prev_sv_count) {
-                let count = rt.wait(survivors).1.len();
+                let count = rt.wait(model).n_support();
                 let rel = (count as f64 - prev as f64).abs() / prev.max(1) as f64;
                 prev_sv_count = Some(count);
                 if rel < tol {
@@ -140,46 +174,40 @@ impl CascadeSvm {
                 }
             }
         }
-
-        let model =
-            rt.task("csvm_final")
-                .cores(params.task_cores)
-                .run1(survivors, move |set: &Labeled| {
-                    let (x, y) = set;
-                    assert!(
-                        y.contains(&1) && y.contains(&0),
-                        "cascade collapsed to a single class"
-                    );
-                    fit_svc(x, y, &svc)
-                });
         CascadeSvm { model, params }
     }
 
+    /// Pairwise `csvm_merge` reduction down to two nodes, then the
+    /// `csvm_final` root, whose training is the iteration's model (a
+    /// lone leaf has already trained: the root only unwraps it).
     fn reduce_layer(
         rt: &Runtime,
-        sets: &[Handle<Labeled>],
+        mut level: Vec<Handle<Node>>,
         params: CascadeSvmParams,
-    ) -> Handle<Labeled> {
+    ) -> Handle<SvcModel> {
         let svc = params.svc;
+        let joined = move |a: &Node, b: &Node| train_merged(a.set(), b.set(), &svc);
         // NOTE: tree_reduce does not let us set per-task cores; replicate
         // its pairwise pattern through a named task with resources.
-        let mut level: Vec<Handle<Labeled>> = sets.to_vec();
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            for pair in level.chunks(2) {
-                if pair.len() == 2 {
-                    next.push(rt.task("csvm_merge").cores(params.task_cores).run2(
-                        pair[0],
-                        pair[1],
-                        move |a: &Labeled, b: &Labeled| distill(&merge(a, b), &svc),
-                    ));
-                } else {
-                    next.push(pair[0]);
-                }
-            }
-            level = next;
+        while level.len() > 2 {
+            level = level
+                .chunks(2)
+                .map(|pair| match *pair {
+                    [a, b] => rt
+                        .task("csvm_merge")
+                        .cores(params.task_cores)
+                        .run2(a, b, joined),
+                    [a] => a,
+                    _ => unreachable!("chunks(2)"),
+                })
+                .collect();
         }
-        level[0]
+        let last = rt.task("csvm_final").cores(params.task_cores);
+        match level[..] {
+            [a, b] => last.run2(a, b, move |a: &Node, b: &Node| joined(a, b).into_model()),
+            [a] => last.run1(a, |a: &Node| a.clone().into_model()),
+            _ => unreachable!("a ds-array has at least one row block"),
+        }
     }
 
     /// Predicts labels for every row block of `x`; one `csvm_predict`
@@ -254,11 +282,65 @@ mod tests {
 
     #[test]
     fn task_structure_matches_cascade() {
-        let (rt, _model, _ds, _dl) = fit_demo(40, 4);
+        // b leaves, b - 2 merges below the root, and the root itself:
+        // 2b - 1 trainings. At 4 blocks: 4 -> 2 -> root.
+        for blocks in [2, 3, 4, 6] {
+            let (rt, _model, ds, _dl) = fit_demo(42, blocks);
+            assert_eq!(ds.n_row_blocks(), blocks);
+            let hist = rt.trace().task_histogram();
+            assert_eq!(hist["csvm_fit"], blocks);
+            assert_eq!(hist.get("csvm_merge").copied().unwrap_or(0), blocks - 2);
+            assert_eq!(hist["csvm_final"], 1);
+        }
+        // A single block has nothing to merge: its training is the model.
+        let (rt, model, ds, _dl) = fit_demo(20, 1);
         let hist = rt.trace().task_histogram();
-        assert_eq!(hist["csvm_fit"], 4);
-        assert_eq!(hist["csvm_merge"], 3); // 4 -> 2 -> 1
-        assert_eq!(hist["csvm_final"], 1);
+        assert_eq!((hist["csvm_fit"], hist["csvm_final"]), (1, 1));
+        assert!(!hist.contains_key("csvm_merge"));
+        let (x, y) = blobs(20, 2.0, 7);
+        assert_eq!(ds.shape(), x.shape());
+        assert_same_model(
+            &rt.wait(model.model),
+            &fit_svc(&x, &y, &SvcParams::default()),
+        );
+    }
+
+    fn assert_same_model(a: &SvcModel, b: &SvcModel) {
+        assert_eq!(a.support_vectors, b.support_vectors);
+        assert_eq!(a.support_labels, b.support_labels);
+        assert_eq!(a.dual_coef, b.dual_coef);
+        assert_eq!(a.intercept, b.intercept);
+    }
+
+    #[test]
+    fn root_model_is_fit_svc_on_its_childrens_support_vectors() {
+        let (rt, model, _ds, _dl) = fit_demo(30, 2);
+        let (x, y) = blobs(30, 2.0, 7);
+        let svc = SvcParams::default();
+        let lo = fit_svc(&x.slice_rows(0, 30), &y[..30], &svc);
+        let hi = fit_svc(&x.slice_rows(30, 60), &y[30..], &svc);
+        let labels = [&lo.support_labels[..], &hi.support_labels[..]].concat();
+        let want = fit_svc(
+            &lo.support_vectors.vstack(&hi.support_vectors),
+            &labels,
+            &svc,
+        );
+        assert_same_model(&rt.wait(model.model), &want);
+    }
+
+    #[test]
+    fn threaded_cascade_matches_inline_bit_for_bit() {
+        let (x, y) = blobs(45, 1.0, 13);
+        let fit = |rt: &Runtime| {
+            let ds = DsArray::from_matrix(rt, &x, 15, x.cols());
+            let dl = DsLabels::from_slice(rt, &y, 15);
+            let params = CascadeSvmParams {
+                cascade_iterations: 2,
+                ..Default::default()
+            };
+            SvcModel::clone(&rt.wait(CascadeSvm::fit(rt, &ds, &dl, params).model))
+        };
+        assert_same_model(&fit(&Runtime::threaded(3)), &fit(&Runtime::new()));
     }
 
     #[test]

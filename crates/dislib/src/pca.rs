@@ -11,9 +11,13 @@
 //! Task kinds: `ds_colsum`/`ds_colsum_reduce` (phase 1), `ds_center`,
 //! `ds_gram`/`ds_gram_reduce` (phase 2), `pca_eigh` (single task),
 //! `ds_matmul` (projection).
+//!
+//! That single task is the fit's critical path on every executor, so
+//! [`linalg::eigh_top`] finds every eigenvalue, lets [`Components`] pick
+//! `k`, and forms just those `k` eigenvectors (DESIGN.md §5.19).
 
 use dsarray::DsArray;
-use linalg::{eigh, Matrix};
+use linalg::{eigh_top, Matrix};
 use taskrt::{Handle, Runtime};
 
 /// How many components to keep.
@@ -62,27 +66,18 @@ impl Pca {
 
         // Single eigendecomposition task (as in dislib).
         let eig = rt.task("pca_eigh").run1(cov, move |c: &Matrix| {
-            let res = eigh(c);
-            let d = res.values.len();
-            let k = match keep {
-                Components::Count(k) => k.clamp(1, d),
+            let (var, comp) = eigh_top(c, |descending| match keep {
+                Components::Count(k) => k.clamp(1, descending.len()),
                 Components::Variance(frac) => {
-                    // Eigenvalues ascend: walk them largest first.
-                    let descending = || res.values.iter().rev();
-                    let total: f64 = descending().map(|v| v.max(0.0)).sum();
+                    let total: f64 = descending.iter().map(|v| v.max(0.0)).sum();
                     let mut acc = 0.0;
-                    let mut k = d;
-                    for (i, v) in descending().enumerate() {
+                    let reached = descending.iter().position(|v| {
                         acc += v.max(0.0);
-                        if total > 0.0 && acc / total >= frac {
-                            k = i + 1;
-                            break;
-                        }
-                    }
-                    k
+                        total > 0.0 && acc / total >= frac
+                    });
+                    reached.map_or(descending.len(), |i| i + 1)
                 }
-            };
-            let (var, comp) = res.top_k(k);
+            });
             (comp, var)
         });
         let (components, explained_variance) = rt.split_pair(eig);
@@ -157,6 +152,21 @@ mod tests {
         assert_eq!(pca.n_components(&rt), 1);
         let pca_all = Pca::fit(&rt, &ds, Components::Variance(0.999999));
         assert!(pca_all.n_components(&rt) >= 2);
+    }
+
+    #[test]
+    fn threaded_fit_matches_inline_bit_for_bit() {
+        let x = anisotropic(200, 2);
+        for keep in [Components::Variance(0.95), Components::Count(3)] {
+            let fit = |rt: &Runtime| {
+                let ds = DsArray::from_matrix(rt, &x, 64, 3);
+                let pca = Pca::fit(rt, &ds, keep);
+                let projected = pca.transform(rt, &ds).collect(rt);
+                let ev = rt.peek(pca.explained_variance).to_vec();
+                (Matrix::clone(&rt.peek(pca.components)), ev, projected)
+            };
+            assert!(fit(&Runtime::threaded(3)) == fit(&Runtime::new()));
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! fail-fast, with worker *death* handled by the driver's lineage
 //! re-execution instead.
 
-use linalg::{eigh, Matrix};
+use linalg::{eigh_top, Matrix};
 use taskrt::dist::{KindRegistry, Plan, WireValue};
 use taskrt::{OnFailure, RetryPolicy};
 
@@ -100,10 +100,8 @@ pub fn register_pca_kinds(reg: &mut KindRegistry) {
     reg.register("dpca_eigh", |ins| {
         let cov = ins[0].as_matrix();
         let k = ins[1].as_u64() as usize;
-        let res = eigh(cov);
-        let k = k.clamp(1, res.values.len());
         // Descending eigenvalue order, as in `crate::pca::Pca::fit`.
-        let (values, vectors) = res.top_k(k);
+        let (values, vectors) = eigh_top(cov, |all| k.clamp(1, all.len()));
         Ok(WireValue::List(vec![
             WireValue::Matrix(vectors),
             WireValue::VecF64(values),

@@ -4,9 +4,9 @@
 //! `tred2` + `tql2` recurrences), laid out for the row-major [`Matrix`]
 //! it runs on:
 //!
-//! 1. **Householder tridiagonalization** ([`tridiagonalize`]): reduce the
-//!    symmetric input `A` to tridiagonal form `T = Q^T A Q`, accumulating
-//!    the orthogonal transform `Q`.
+//! 1. **Householder tridiagonalization** ([`reduce`], [`accumulate`]):
+//!    reduce the symmetric input `A` to tridiagonal form `T = Q^T A Q`,
+//!    then accumulate the orthogonal transform `Q`.
 //! 2. **Implicit-shift QL iteration** ([`ql_implicit`]): diagonalize `T`,
 //!    applying the Givens rotations to `Q` so it ends up holding the
 //!    eigenvectors.
@@ -20,9 +20,9 @@
 //! starting from the transpose costs nothing, and the transpose is
 //! undone for free inside the final sort's permutation copy.
 //!
-//! Eigenvalues are returned in **ascending** order (as `numpy.linalg.eigh`
-//! does); [`EighResult::top_k`] gives the leading components in the
-//! descending order PCA wants.
+//! [`eigh`] returns every eigenpair, eigenvalues in **ascending** order
+//! (as `numpy.linalg.eigh` does); [`eigh_top`] the leading `k` in the
+//! descending order PCA wants, forming those `k` vectors only.
 
 use crate::matrix::{dot, Matrix};
 
@@ -36,28 +36,6 @@ pub struct EighResult {
     pub vectors: Matrix,
 }
 
-impl EighResult {
-    /// The `k` largest eigenvalues in **descending** order and their
-    /// eigenvectors as the columns of a `d x k` matrix (column `c`
-    /// pairs with value `c`) — the PCA projection matrix.
-    ///
-    /// # Panics
-    /// Panics if `k` exceeds the matrix order.
-    pub fn top_k(&self, k: usize) -> (Vec<f64>, Matrix) {
-        let d = self.values.len();
-        assert!(k <= d, "top_k: k={k} exceeds order {d}");
-        let values = self.values.iter().rev().take(k).copied().collect();
-        let mut vectors = Matrix::zeros(d, k);
-        for r in 0..d {
-            let src = self.vectors.row(r)[d - k..].iter().rev();
-            for (dst, &v) in vectors.row_mut(r).iter_mut().zip(src) {
-                *dst = v;
-            }
-        }
-        (values, vectors)
-    }
-}
-
 /// Computes the eigendecomposition of a real symmetric matrix.
 ///
 /// The input is symmetrized internally (`(A + A^T) / 2`), so slight
@@ -67,21 +45,100 @@ impl EighResult {
 /// Panics if `a` is not square, or with `eigh: non-finite input at
 /// (r, c)` if it holds a NaN or an infinity.
 pub fn eigh(a: &Matrix) -> EighResult {
-    assert_eq!(a.rows(), a.cols(), "eigh requires a square matrix");
-    let n = a.rows();
-    if n == 0 {
+    let Some(mut qt) = symmetrized(a) else {
         return EighResult {
             values: vec![],
             vectors: Matrix::zeros(0, 0),
         };
+    };
+    let n = qt.rows();
+    let mut d = vec![0.0; n];
+    let mut e = vec![0.0; n];
+    reduce(&mut qt, &mut d, &mut e);
+    accumulate(&mut qt, &mut d);
+    ql_implicit(&mut d, &mut e, |i, c, s| rotate_rows(&mut qt, i, c, s));
+    let order = ascending(&d);
+    let vectors = sorted_columns(qt, &order);
+    EighResult {
+        values: order.iter().map(|&i| d[i]).collect(),
+        vectors,
+    }
+}
+
+/// The leading eigenpairs only — what PCA keeps — for a fraction of
+/// [`eigh`]'s vector work. `keep` sees every eigenvalue in
+/// **descending** order and returns how many pairs `k` to return: those
+/// values and, as `n x k` columns, the last `k` columns of
+/// `eigh(a).vectors` reversed — up to rounding.
+///
+/// `Q` is never accumulated and the QL rotations are logged, not
+/// applied: the full solver ends with `V^T = G_R .. G_1 Q^T`, so the
+/// wanted columns are `V S = Q G_1^T .. G_R^T S` for the selector `S` —
+/// the log replayed in reverse over `k`-wide rows, then the `n - 1`
+/// reflectors applied to those `k` columns.
+///
+/// # Panics
+/// As [`eigh`], and if `keep` returns 0 or more than the matrix order.
+pub fn eigh_top(a: &Matrix, keep: impl FnOnce(&[f64]) -> usize) -> (Vec<f64>, Matrix) {
+    let Some(mut qt) = symmetrized(a) else {
+        return (vec![], Matrix::zeros(0, 0));
+    };
+    let n = qt.rows();
+    let mut d = vec![0.0; n];
+    let mut e = vec![0.0; n];
+    reduce(&mut qt, &mut d, &mut e);
+    // `d` leaves the reduction holding each step's `h`; the diagonal of
+    // the tridiagonal form is still on the diagonal of `qt`.
+    let h = std::mem::replace(&mut d, (0..n).map(|i| qt.get(i, i)).collect());
+    let log = ql_logged(&mut d, &mut e);
+
+    let order = ascending(&d);
+    let mut values: Vec<f64> = order.iter().rev().map(|&i| d[i]).collect();
+    let k = keep(&values);
+    assert!((1..=n).contains(&k), "eigh_top: k={k} outside 1..={n}");
+    let mut v = Matrix::zeros(n, k);
+    for (c, &src) in order.iter().rev().take(k).enumerate() {
+        v.set(src, c, 1.0);
+    }
+    // The transpose of the rotation `(c, s)` is the rotation `(c, -s)`.
+    for &(i, c, s) in log.iter().rev() {
+        rotate_rows(&mut v, i, c, -s);
+    }
+    // Q = H_{n-1} .. H_1, and H_i = I - u u^T / h reflects the first i
+    // coordinates with the u parked in row i of `qt`.
+    let mut w = vec![0.0; k];
+    for (i, &hi) in h.iter().enumerate().skip(1) {
+        if hi == 0.0 {
+            continue;
+        }
+        let u = &qt.row(i)[..i];
+        let rows = &mut v.as_mut_slice()[..i * k];
+        w.fill(0.0);
+        for (row, &ur) in rows.chunks_exact(k).zip(u) {
+            axpy(&mut w, ur, row);
+        }
+        for (row, &ur) in rows.chunks_exact_mut(k).zip(u) {
+            axpy(row, -ur / hi, &w);
+        }
+    }
+    qt.into_pool();
+    values.truncate(k);
+    (values, v)
+}
+
+/// The symmetrized working copy `(A + A^T) / 2` of a square input
+/// (`None` if empty), from the buffer pool: repeated fits — CV folds,
+/// benches — recycle this n*n scratch. Exactly symmetric, so it is its
+/// own transpose and doubles as the initial `Q^T`.
+fn symmetrized(a: &Matrix) -> Option<Matrix> {
+    assert_eq!(a.rows(), a.cols(), "eigh requires a square matrix");
+    let n = a.rows();
+    if n == 0 {
+        return None;
     }
     if let Some(i) = a.as_slice().iter().position(|v| !v.is_finite()) {
         panic!("eigh: non-finite input at ({}, {})", i / n, i % n);
     }
-    // Symmetrized working copy from the buffer pool: PCA calls eigh
-    // once per fitted model but repeated fits (CV folds, benches)
-    // recycle this n*n scratch. It is exactly symmetric, so it is its
-    // own transpose and doubles as the initial `Q^T`.
     let mut qt = Matrix::from_pool(n, n);
     for r in 0..n {
         for c in r..n {
@@ -90,12 +147,19 @@ pub fn eigh(a: &Matrix) -> EighResult {
             qt.set(c, r, s);
         }
     }
-    let mut d = vec![0.0; n];
-    let mut e = vec![0.0; n];
-    tridiagonalize(&mut qt, &mut d, &mut e);
-    ql_implicit(&mut qt, &mut d, &mut e);
-    let vectors = sort_ascending(qt, &mut d);
-    EighResult { values: d, vectors }
+    Some(qt)
+}
+
+/// Givens rotation of rows `i` and `i + 1` of `m`.
+#[inline]
+fn rotate_rows(m: &mut Matrix, i: usize, c: f64, s: f64) {
+    let w = m.cols();
+    let (lo, hi) = m.as_mut_slice()[i * w..(i + 2) * w].split_at_mut(w);
+    for (x, y) in lo.iter_mut().zip(hi) {
+        let (xi, yi) = (*x, *y);
+        *y = s * xi + c * yi;
+        *x = c * xi - s * yi;
+    }
 }
 
 /// `y += alpha * x` over equal-length slices.
@@ -107,15 +171,15 @@ fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
 }
 
 /// Householder reduction to tridiagonal form. `qt` enters as the
-/// symmetric input and leaves as `Q^T` (row `j` is column `j` of the
-/// accumulated orthogonal transform); `d` gets the diagonal and `e` the
-/// sub-diagonal (`e[0] == 0`).
+/// symmetric input and leaves with the tridiagonal's diagonal on its own
+/// diagonal; `e` gets the sub-diagonal (`e[0] == 0`) and `d[i]` the
+/// scalar `h` of step `i`.
 ///
 /// Only the upper triangle of the shrinking active block is read (its
 /// row `j` from the diagonal on is the JAMA code's column `j` from the
 /// diagonal down); the Householder vector of step `i` is parked in the
-/// lower part of row `i` until the accumulation phase consumes it.
-fn tridiagonalize(qt: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
+/// lower part of row `i`, for [`accumulate`] or [`eigh_top`] to consume.
+fn reduce(qt: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
     let n = d.len();
     d.copy_from_slice(qt.row(n - 1));
 
@@ -172,9 +236,14 @@ fn tridiagonalize(qt: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
         }
         d[i] = h;
     }
+    e[0] = 0.0;
+}
 
-    // Accumulate transformations: row i + 1 still holds the Householder
-    // vector of step i + 1, which is applied to rows 0..=i.
+/// Accumulates the parked reflectors into `Q^T` and moves the
+/// tridiagonal's diagonal into `d`: row i + 1 still holds the
+/// Householder vector of step i + 1, which is applied to rows 0..=i.
+fn accumulate(qt: &mut Matrix, d: &mut [f64]) {
+    let n = d.len();
     for i in 0..n - 1 {
         let diag = qt.get(i, i);
         qt.set(i, n - 1, diag);
@@ -199,12 +268,12 @@ fn tridiagonalize(qt: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
         qt.set(j, n - 1, 0.0);
     }
     qt.set(n - 1, n - 1, 1.0);
-    e[0] = 0.0;
 }
 
-/// Implicit-shift QL iteration on the tridiagonal (`d`, `e`), rotating
-/// the rows of `qt` into eigenvectors.
-fn ql_implicit(qt: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
+/// Implicit-shift QL iteration on the tridiagonal (`d`, `e`). Each
+/// Givens rotation `(i, c, s)` of rows `i` and `i + 1` of `Q^T` goes to
+/// `rotate`, in the order the eigenvectors need them.
+fn ql_implicit(d: &mut [f64], e: &mut [f64], mut rotate: impl FnMut(usize, f64, f64)) {
     let n = d.len();
     e.copy_within(1.., 0);
     e[n - 1] = 0.0;
@@ -257,13 +326,7 @@ fn ql_implicit(qt: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
                     c = p / r;
                     p = c * d[i] - s * g;
                     d[i + 1] = h + s * (c * g + s * d[i]);
-                    // Givens rotation of rows i and i + 1.
-                    let (lo, hi) = qt.as_mut_slice()[i * n..(i + 2) * n].split_at_mut(n);
-                    for (x, y) in lo.iter_mut().zip(hi) {
-                        let (xi, yi) = (*x, *y);
-                        *y = s * xi + c * yi;
-                        *x = c * xi - s * yi;
-                    }
+                    rotate(i, c, s);
                 }
                 p = -s * s2 * c3 * el1 * e[l] / dl1;
                 e[l] = s * p;
@@ -279,20 +342,28 @@ fn ql_implicit(qt: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
     }
 }
 
-/// Sorts eigenvalues ascending and returns the eigenvectors as
-/// **columns** in the same order: one pass both permutes the rows of
-/// `qt` and undoes its transposed storage. Eight output columns are
-/// filled together, so every write completes a cache line while the
-/// eight source rows stream contiguously.
-fn sort_ascending(qt: Matrix, d: &mut [f64]) -> Matrix {
-    const TILE: usize = 8;
-    let n = d.len();
-    let mut order: Vec<usize> = (0..n).collect();
+/// [`ql_implicit`] with its rotations logged for replay. The log grows
+/// with what QL produces (0.5-1.2 n^2 rotations, at most 50 n^2 / 2).
+fn ql_logged(d: &mut [f64], e: &mut [f64]) -> Vec<(usize, f64, f64)> {
+    let mut log = Vec::new();
+    ql_implicit(d, e, |i, c, s| log.push((i, c, s)));
+    log
+}
+
+/// The (stable) permutation that sorts the eigenvalues ascending.
+fn ascending(d: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..d.len()).collect();
     order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("finite eigenvalues"));
-    let old_d = d.to_vec();
-    for (dst, &src) in d.iter_mut().zip(&order) {
-        *dst = old_d[src];
-    }
+    order
+}
+
+/// The eigenvectors as **columns** in `order`: one pass both permutes
+/// the rows of `qt` and undoes its transposed storage. Eight output
+/// columns are filled together, so every write completes a cache line
+/// while the eight source rows stream contiguously.
+fn sorted_columns(qt: Matrix, order: &[usize]) -> Matrix {
+    const TILE: usize = 8;
+    let n = order.len();
     // Every element is assigned below, so the pool need not zero it.
     let mut v = Matrix::from_pool_full_overwrite(n, n);
     for (tile, srcs) in order.chunks(TILE).enumerate() {
@@ -656,18 +727,110 @@ mod tests {
         let _ = eigh(&a);
     }
 
-    #[test]
-    fn top_k_is_descending_prefix_of_reversed_columns() {
-        let a = symmetric(7, |r, c| 1.0 / (1.0 + r as f64 + c as f64));
-        let res = eigh(&a);
-        for k in [0, 1, 3, 7] {
-            let (values, vectors) = res.top_k(k);
-            assert_eq!(vectors.shape(), (7, k));
-            for (c, &value) in values.iter().enumerate() {
-                assert_eq!(value, res.values[6 - c]);
-                assert_eq!(vectors.col(c), res.vectors.col(6 - c));
+    /// `eigh_top(a, k)` against the full decomposition: the same
+    /// eigenvalue bits (both run one reduction and one QL recurrence),
+    /// a small residual, orthonormal columns and — with `columns` —
+    /// the full solver's vectors up to sign wherever the spectrum
+    /// separates them.
+    fn check_top(a: &Matrix, k: usize, columns: bool) {
+        let n = a.rows();
+        let full = eigh(a);
+        let (values, v) = eigh_top(a, |all| {
+            assert!(all.iter().eq(full.values.iter().rev()), "n={n}: values");
+            k
+        });
+        assert_eq!(v.shape(), (n, k));
+        assert_eq!(
+            values[..],
+            full.values
+                .iter()
+                .rev()
+                .take(k)
+                .copied()
+                .collect::<Vec<_>>()[..]
+        );
+        let amax = a.as_slice().iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        let mut vl = v.clone();
+        for r in 0..n {
+            for (x, lam) in vl.row_mut(r).iter_mut().zip(&values) {
+                *x *= lam;
             }
         }
+        let residual = a.matmul(&v).max_abs_diff(&vl);
+        assert!(
+            residual <= 1e-9 * amax,
+            "n={n} k={k}: |AV - VL| = {residual:e}"
+        );
+        let ortho = v.t_matmul(&v).max_abs_diff(&Matrix::identity(k));
+        assert!(ortho <= 1e-10, "n={n} k={k}: |VtV - I| = {ortho:e}");
+        let lmax = values[0].abs().max(full.values[0].abs());
+        for c in 0..k.min(if columns { n } else { 0 }) {
+            let j = n - 1 - c;
+            let gap = [j.checked_sub(1), (j + 1 < n).then_some(j + 1)]
+                .into_iter()
+                .flatten()
+                .map(|o| (full.values[o] - full.values[j]).abs())
+                .fold(f64::INFINITY, f64::min);
+            if gap <= 1e-3 * lmax {
+                continue;
+            }
+            let (got, want) = (v.col(c), full.vectors.col(j));
+            let sign = dot(&got, &want).signum();
+            for (g, w) in got.iter().zip(&want) {
+                assert!((g - sign * w).abs() <= 1e-9, "n={n} k={k}: column {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn eigh_top_matches_the_full_decomposition() {
+        for n in [1usize, 2, 5, 9, 17, 64, 384] {
+            let raw = noise(n, n, n as u64);
+            let a = symmetric(n, |r, c| raw.get(r, c));
+            for k in [1, n.div_ceil(3), n] {
+                check_top(&a, k, true);
+            }
+        }
+        // Rank 39 of 48, as in `eigh_rank_deficient_covariance`: the
+        // nine-fold zero eigenvalue is skipped by the gap rule.
+        let x = noise(40, 48, 7);
+        let mean = x.col_means();
+        let xc = Matrix::from_fn(40, 48, |r, c| x.get(r, c) - mean[c]);
+        let cov = xc.t_matmul(&xc);
+        for k in [1, 16, 48] {
+            check_top(&cov, k, true);
+        }
+        // Repeated eigenvalues and the zero matrix leave the basis of
+        // an eigenspace free: residual and orthonormality only.
+        let rep = symmetric(9, |r, c| if r == c { 4.0 } else { 1.0 });
+        for k in [1, 3, 9] {
+            check_top(&rep, k, false);
+            check_top(&Matrix::zeros(9, 9), k, false);
+        }
+        assert_eq!(eigh_top(&Matrix::zeros(0, 0), |_| 0).0, Vec::<f64>::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "eigh: non-finite input at (2, 1)")]
+    fn eigh_top_rejects_non_finite_input() {
+        let mut a = Matrix::identity(4);
+        a.set(2, 1, f64::NAN);
+        let _ = eigh_top(&a, |_| 1);
+    }
+
+    #[test]
+    fn rotation_log_grows_with_what_ql_produced() {
+        let n = 64;
+        let raw = noise(n, n, 3);
+        let mut qt = symmetric(n, |r, c| raw.get(r, c));
+        let (mut d, mut e) = (vec![0.0; n], vec![0.0; n]);
+        reduce(&mut qt, &mut d, &mut e);
+        let mut d: Vec<f64> = (0..n).map(|i| qt.get(i, i)).collect();
+        let log = ql_logged(&mut d, &mut e);
+        let per_n2 = log.len() as f64 / (n * n) as f64;
+        assert!((0.4..1.6).contains(&per_n2), "{per_n2} n^2 rotations");
+        // Doubling growth, not a `50 n^2 / 2` worst-case reservation.
+        assert!(log.capacity() <= 2 * log.len().next_power_of_two());
     }
 
     #[test]

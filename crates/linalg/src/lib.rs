@@ -12,8 +12,10 @@
 //! * [`eigh()`](eigh::eigh) — symmetric eigendecomposition via Householder
 //!   tridiagonalization followed by the implicit-shift QL iteration,
 //!   run on the transposed transform so every inner loop walks a
-//!   contiguous row (replaces `numpy.linalg.eigh`, used by the PCA
-//!   covariance method).
+//!   contiguous row (replaces `numpy.linalg.eigh`);
+//!   [`eigh_top()`](eigh::eigh_top) is the same solver forming only the
+//!   leading `k` eigenvectors, which is what the PCA covariance method
+//!   calls.
 //! * [`fft`] — iterative radix-2 Cooley–Tukey FFT, plus plan-cached
 //!   complex and real-input transforms ([`FftPlan`] / [`RfftPlan`])
 //!   (replaces the FFT underlying `scipy.signal.spectrogram`).
@@ -40,7 +42,7 @@ pub mod pool;
 pub mod sgemm;
 pub mod stft;
 
-pub use eigh::{eigh, EighResult};
+pub use eigh::{eigh, eigh_top, EighResult};
 pub use fft::{fft_inplace, ifft_inplace, rfft, rfft_mag, Complex, FftPlan, RfftPlan};
 pub use kernels::{euclidean_sq, Kernel};
 pub use matrix::{dot, pairwise_sq_dists, Matrix};

@@ -22,7 +22,9 @@ fn csvm_parallelism_bounded_by_row_blocks() {
         let trace = rt.finish();
         let hist = trace.task_histogram();
         assert_eq!(hist["csvm_fit"], ds.n_row_blocks());
-        assert_eq!(hist["csvm_merge"], ds.n_row_blocks() - 1);
+        // The root of the pairwise reduction is the `csvm_final` task.
+        assert_eq!(hist["csvm_merge"], ds.n_row_blocks() - 2);
+        assert_eq!(hist["csvm_final"], 1);
     }
 }
 
