@@ -15,10 +15,25 @@
 //!   imbalance the paper blames for RF's poor scalability ("the division
 //!   of the data on the different decision trees can cause some tasks
 //!   handle considerably more data than other").
+//!
+//! What the tasks share and what each owns: every fit starts with one
+//! `rf_presort` task whose [`Presort`] — each feature's rows in value
+//! order — is the only sorted structure of the forest, read by all of
+//! its tree tasks. A tree task (`rf_build_tree`, `rf_top`,
+//! `rf_subtree`) owns just three row-indexed arrays: its bootstrap as
+//! *weights* (how often each row was drawn), the distinct in-bag rows,
+//! partitioned in place so that a node is a sub-slice, and a per-node
+//! mark. A candidate split is one walk of the shared order keeping the
+//! marked rows (a node too small to be worth the walk sorts its own
+//! handful of rows in a reused buffer); no order is built per tree and
+//! nothing is allocated per feature or node. The trees are
+//! bit-identical to the per-node re-sorting CART the tests keep as
+//! their oracle.
 
 use linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::ops::Range;
 use taskrt::{Handle, Payload, Runtime};
 
 /// Sentinel: node is a leaf.
@@ -178,10 +193,11 @@ fn leaf_probs(counts: &[usize; 2]) -> [f64; 2] {
 
 /// The forest-wide pre-sort: for every feature, the training rows in
 /// ascending value order (stable, so ties keep row order). Computed
-/// once per [`RandomForest::fit`] by the `rf_presort` task and shared
-/// by every tree task — all trees sort the same matrix, only their
-/// bootstraps differ, and a bootstrap's order falls out of this one in
-/// O(rows) per feature (see [`SplitScratch::ensure_order`]).
+/// once per [`RandomForest::fit`] by the `rf_presort` task and shared,
+/// read-only, by every tree task of the fit — all trees sort the same
+/// matrix and only their bootstraps differ, so this is the only order
+/// any of them needs: a tree reads its own nodes out of it through its
+/// row weights (see [`SplitScratch`]) and builds no order of its own.
 #[derive(Debug, Clone)]
 pub struct Presort {
     n_rows: usize,
@@ -196,12 +212,14 @@ impl Payload for Presort {
 }
 
 impl Presort {
-    /// Argsorts every column of `x`.
+    /// Argsorts every column of `x`, each read as a contiguous row of
+    /// one transposed copy.
     pub fn new(x: &Matrix) -> Self {
         let n = x.rows();
+        let xt = x.transpose();
         let mut order = Vec::with_capacity(n * x.cols());
         for f in 0..x.cols() {
-            let col = x.col(f);
+            let col = xt.row(f);
             let start = order.len();
             order.extend(0..n as u32);
             order[start..].sort_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
@@ -214,102 +232,85 @@ impl Presort {
     }
 }
 
-/// Per-tree scratch for the pre-sorted split finder: the bootstrap
-/// rows, a lazily-built per-feature value order of the bootstrap
-/// *positions*, and an epoch-stamped membership mark that filters a
-/// feature's tree-wide order down to the current node without sorting.
+/// Everything a tree task owns. A tree is its bootstrap *weights* over
+/// the training rows, never a list of sample positions: a row drawn
+/// `k` times is one entry counting `k`, which is all the split sweep
+/// ever used of duplicates (it only adds label counts, and `k` equal
+/// values never put a threshold between themselves).
 struct SplitScratch<'a> {
-    /// The forest-wide row order the tree's own orders derive from.
+    /// The forest-wide row order, shared by every tree of the fit.
     pre: &'a Presort,
-    /// Bootstrap sample rows; all position indices index into this.
+    /// Bootstrap multiplicity of each training row; 0 = out of bag.
+    w: Vec<u32>,
+    /// The distinct in-bag rows, partitioned in place as the tree
+    /// grows: a node is a sub-slice, its children the two halves.
     rows: Vec<u32>,
-    /// CSR map training row → the bootstrap positions holding it:
-    /// `members[starts[r]..starts[r + 1]]`, ascending.
-    starts: Vec<u32>,
-    members: Vec<u32>,
-    /// `order[f]`: positions `0..rows.len()` in ascending order of
-    /// `x[rows[pos]][f]`, paired with the matching value sequence
-    /// (`sorted_vals[i]` = value of `order[i]`, so the filter sweep
-    /// reads both sequentially instead of re-gathering from the
-    /// matrix); built on first use of feature `f` and reused by every
-    /// later node of the tree that samples `f`.
-    order: Vec<Option<(Vec<u32>, Vec<f64>)>>,
-    /// `labels[pos]` = `y[rows[pos]]`, cached once per tree.
-    labels: Vec<u8>,
-    /// `mark[pos] == epoch` iff `pos` belongs to the node being split.
+    /// `mark[row] == epoch` iff `row` belongs to the node being split.
     mark: Vec<u32>,
     epoch: u32,
     /// Gather buffer for the local-sort fallback on small nodes.
-    vals: Vec<(f64, u8)>,
+    vals: Vec<(f64, u8, u32)>,
 }
 
 impl<'a> SplitScratch<'a> {
-    fn new(rows: Vec<u32>, y: &[u8], pre: &'a Presort, n_feat: usize) -> Self {
-        let n = rows.len();
-        let labels = rows.iter().map(|&r| y[r as usize]).collect();
-        let mut starts = vec![0u32; pre.n_rows + 1];
-        for &r in &rows {
-            starts[r as usize + 1] += 1;
+    /// `samples` are training rows with repetition (a bootstrap, or the
+    /// part of one that reached a frontier slot).
+    fn new(samples: &[u32], pre: &'a Presort) -> Self {
+        let mut w = vec![0u32; pre.n_rows];
+        for &r in samples {
+            w[r as usize] += 1;
         }
-        for r in 0..pre.n_rows {
-            starts[r + 1] += starts[r];
-        }
-        let mut next = starts.clone();
-        let mut members = vec![0u32; n];
-        for (p, &r) in rows.iter().enumerate() {
-            members[next[r as usize] as usize] = p as u32;
-            next[r as usize] += 1;
-        }
+        let rows = (0..pre.n_rows as u32)
+            .filter(|&r| w[r as usize] > 0)
+            .collect();
         Self {
             pre,
+            w,
             rows,
-            starts,
-            members,
-            order: vec![None; n_feat],
-            labels,
-            mark: vec![0; n],
+            mark: vec![0; pre.n_rows],
             epoch: 0,
             vals: Vec::new(),
         }
     }
 
-    /// Builds (once) the value order of feature `f` over the bootstrap
-    /// positions without sorting: walk the forest-wide row order and
-    /// emit each row's positions. Tied values come out grouped by row
-    /// rather than by position; the sweep only aggregates label counts
-    /// across a tie group, so within-tie order never affects the
-    /// chosen split.
-    fn ensure_order(&mut self, x: &Matrix, f: usize) {
-        if self.order[f].is_none() {
-            let n = self.rows.len();
-            let (mut ord, mut sorted_vals) = (Vec::with_capacity(n), Vec::with_capacity(n));
-            for &r in self.pre.feature(f) {
-                let r = r as usize;
-                let held = &self.members[self.starts[r] as usize..self.starts[r + 1] as usize];
-                if !held.is_empty() {
-                    ord.extend_from_slice(held);
-                    sorted_vals.resize(ord.len(), x.get(r, f));
-                }
-            }
-            self.order[f] = Some((ord, sorted_vals));
+    /// Weighted class counts of the node `rows[node]`.
+    fn class_counts(&self, y: &[u8], node: Range<usize>) -> [usize; 2] {
+        let mut c = [0usize; 2];
+        for &r in &self.rows[node] {
+            c[y[r as usize] as usize] += self.w[r as usize] as usize;
         }
+        c
+    }
+
+    /// Whether a node of `m` distinct rows should be read out of the
+    /// presort (filter: one pass over all `n` training rows, a `u32`
+    /// compare each) rather than gathered and sorted (~`m log m`
+    /// comparator calls, each worth several filter steps — hence the
+    /// factor). Both paths find the same split, so the factor only
+    /// moves cost, and barely: 40 trees at 320×160 take 17.7–18.1 ms
+    /// with factor 1, 15.8–18.7 with 2, 16.1–18.5 with 4, 16.7–18.1
+    /// with 8, 16.0–17.2 with 16 (best of 40 fits, three runs each).
+    fn filter_wins(&self, m: usize) -> bool {
+        4 * m * (usize::BITS - m.leading_zeros()) as usize >= self.pre.n_rows
     }
 }
 
-/// Streaming threshold sweep over `(value, label)` pairs arriving in
-/// ascending value order: evaluates a candidate threshold at every
-/// distinct-value boundary, exactly as the seed splitter's indexed loop
-/// does (same counts, same `0.5 * (prev + next)` thresholds, same
-/// strict-improvement tie-breaking), updating `best` in place.
+/// Streaming threshold sweep over `(value, label, weight)` triples
+/// arriving in ascending value order: evaluates a candidate threshold
+/// at every distinct-value boundary, exactly as the seed splitter's
+/// indexed loop does over the duplicated samples (same counts — a
+/// weight adds what its duplicates added one by one, and they never had
+/// a boundary between them — same `0.5 * (prev + next)` thresholds,
+/// same strict-improvement tie-breaking), updating `best` in place.
 fn sweep_sorted(
-    iter: impl Iterator<Item = (f64, u8)>,
+    iter: impl Iterator<Item = (f64, u8, u32)>,
     total: &[usize; 2],
     f: u32,
     best: &mut Option<(f64, u32, f64)>,
 ) {
     let mut left = [0usize; 2];
     let mut prev: Option<f64> = None;
-    for (v, lab) in iter {
+    for (v, lab, wt) in iter {
         if let Some(pv) = prev {
             if v != pv {
                 let right = [total[0] - left[0], total[1] - left[1]];
@@ -322,86 +323,73 @@ fn sweep_sorted(
                 }
             }
         }
-        left[lab as usize] += 1;
+        left[lab as usize] += wt as usize;
         prev = Some(v);
     }
 }
 
-fn class_counts_pos(y: &[u8], rows: &[u32], pos: &[u32]) -> [usize; 2] {
-    let mut c = [0usize; 2];
-    for &p in pos {
-        c[y[rows[p as usize] as usize] as usize] += 1;
-    }
-    c
-}
-
 /// The split finder: same split decisions as the per-node re-sorting
 /// splitter it replaced (identical scores, thresholds, and tie-breaks,
-/// hence identical trees — the test-only `best_split` oracle), but
-/// instead of re-sorting the node's samples per feature it filters the
-/// tree-wide pre-sorted order through the node-membership mark — O(n)
-/// per feature with no sort. Small nodes (where a full-bootstrap scan
-/// would cost more than sorting the handful of samples) fall back to
-/// the gather-and-sort sweep over a reused buffer. Operates on
-/// *positions* into `sc.rows`; returns position partitions.
+/// hence identical trees — the test-only `best_split` oracle). With
+/// `use_filter` a candidate feature is one walk of the forest-wide
+/// [`Presort`] order keeping the rows marked as the node's — O(rows)
+/// with no sort and no order of the tree's own; without it (small
+/// nodes, see [`SplitScratch::filter_wins`]) the node's rows are
+/// gathered into a reused buffer and sorted. Either way the sweep sees
+/// the same tie groups with the same counts, so the path never changes
+/// the split. Partitions `sc.rows[node]` in place and returns
+/// `(feature, threshold, mid)`: rows `node.start..mid` go left.
 fn best_split_fast(
     x: &Matrix,
     y: &[u8],
     sc: &mut SplitScratch<'_>,
-    pos: &[u32],
+    node: Range<usize>,
+    counts: &[usize; 2],
+    use_filter: bool,
     rng: &mut StdRng,
-) -> Option<(u32, f64, Vec<u32>, Vec<u32>)> {
+) -> Option<(u32, f64, usize)> {
     let n_feat = x.cols();
     let n_try = (n_feat as f64).sqrt().ceil() as usize;
-    let parent_counts = class_counts_pos(y, &sc.rows, pos);
-    let parent_gini = gini(&parent_counts);
+    let parent_gini = gini(counts);
     if parent_gini == 0.0 {
         return None;
     }
 
-    // Filtering scans all `n` bootstrap positions; local sorting costs
-    // ~`m log m` comparator calls for the node's `m` samples. A filter
-    // step (sequential u32 compare) is several times cheaper than a
-    // sort comparison, hence the factor on the `m log m` side. Filter
-    // only while the node is a large enough fraction of the bootstrap
-    // to win. A subtree's bootstrap is a partition of the forest's rows,
-    // and building a feature's order walks all of those.
-    let n = sc.rows.len().max(x.rows());
-    let m = pos.len();
-    let use_filter = 4 * m * (usize::BITS - m.leading_zeros()) as usize >= n;
+    let SplitScratch {
+        pre,
+        w,
+        rows,
+        mark,
+        epoch,
+        vals,
+    } = sc;
+    let rows = &mut rows[node.clone()];
     if use_filter {
-        if sc.epoch == u32::MAX {
-            sc.mark.fill(0);
-            sc.epoch = 0;
+        if *epoch == u32::MAX {
+            mark.fill(0);
+            *epoch = 0;
         }
-        sc.epoch += 1;
-        for &p in pos {
-            sc.mark[p as usize] = sc.epoch;
+        *epoch += 1;
+        for &r in rows.iter() {
+            mark[r as usize] = *epoch;
         }
     }
 
+    let at = |r: u32, f: usize| (x.get(r as usize, f), y[r as usize], w[r as usize]);
     let mut best: Option<(f64, u32, f64)> = None;
     for _ in 0..n_try {
         let f = rng.random_range(0..n_feat);
         if use_filter {
-            sc.ensure_order(x, f);
-            let (ord, sv) = sc.order[f].as_ref().expect("order just built");
-            let (labels, mark, epoch) = (&sc.labels, &sc.mark, sc.epoch);
-            let node_sorted = ord
+            let in_node = pre
+                .feature(f)
                 .iter()
-                .zip(sv)
-                .filter(|(&p, _)| mark[p as usize] == epoch)
-                .map(|(&p, &v)| (v, labels[p as usize]));
-            sweep_sorted(node_sorted, &parent_counts, f as u32, &mut best);
+                .filter(|&&r| mark[r as usize] == *epoch);
+            sweep_sorted(in_node.map(|&r| at(r, f)), counts, f as u32, &mut best);
         } else {
-            let (vals, rows) = (&mut sc.vals, &sc.rows);
             vals.clear();
-            vals.extend(pos.iter().map(|&p| {
-                let r = rows[p as usize] as usize;
-                (x.get(r, f), y[r])
-            }));
+            vals.extend(rows.iter().map(|&r| at(r, f)));
             vals.sort_by(|a, b| a.0.total_cmp(&b.0));
-            sweep_sorted(vals.iter().copied(), &parent_counts, f as u32, &mut best);
+            sweep_sorted(vals.iter().copied(), counts, f as u32, &mut best);
         }
     }
 
@@ -409,35 +397,35 @@ fn best_split_fast(
     if score >= parent_gini - 1e-12 {
         return None;
     }
-    let (mut li, mut ri) = (Vec::new(), Vec::new());
-    for &p in pos {
-        if x.get(sc.rows[p as usize] as usize, feature as usize) <= threshold {
-            li.push(p);
-        } else {
-            ri.push(p);
+    let mut n_left = 0;
+    for i in 0..rows.len() {
+        if x.get(rows[i] as usize, feature as usize) <= threshold {
+            rows.swap(i, n_left);
+            n_left += 1;
         }
     }
-    if li.is_empty() || ri.is_empty() {
+    if n_left == 0 || n_left == rows.len() {
         return None;
     }
-    Some((feature, threshold, li, ri))
+    Some((feature, threshold, node.start + n_left))
 }
 
-/// Recursively grows a subtree into `arena` over bootstrap
-/// *positions* with the pre-sorted splitter, returning its root index.
+/// Recursively grows a subtree into `arena` over the node
+/// `sc.rows[node]` with the pre-sorted splitter, returning its root
+/// index.
 #[allow(clippy::too_many_arguments)]
 fn grow_fast(
     arena: &mut Vec<Node>,
     x: &Matrix,
     y: &[u8],
     sc: &mut SplitScratch<'_>,
-    pos: &[u32],
+    node: Range<usize>,
     depth: usize,
     params: &RfParams,
     rng: &mut StdRng,
     stop_depth: Option<usize>,
 ) -> u32 {
-    let counts = class_counts_pos(y, &sc.rows, pos);
+    let counts = sc.class_counts(y, node.clone());
     let probs = leaf_probs(&counts);
     let me = arena.len() as u32;
     arena.push(Node {
@@ -454,14 +442,19 @@ fn grow_fast(
             return me;
         }
     }
-    if depth >= params.max_depth || pos.len() < params.min_samples_split {
+    // `min_samples_split` counts samples, i.e. multiplicity.
+    if depth >= params.max_depth || counts[0] + counts[1] < params.min_samples_split {
         return me;
     }
-    let Some((feature, threshold, li, ri)) = best_split_fast(x, y, sc, pos, rng) else {
+    let use_filter = sc.filter_wins(node.len());
+    let Some((feature, threshold, mid)) =
+        best_split_fast(x, y, sc, node.clone(), &counts, use_filter, rng)
+    else {
         return me;
     };
-    let l = grow_fast(arena, x, y, sc, &li, depth + 1, params, rng, stop_depth);
-    let r = grow_fast(arena, x, y, sc, &ri, depth + 1, params, rng, stop_depth);
+    let (lo, hi) = (node.start..mid, mid..node.end);
+    let l = grow_fast(arena, x, y, sc, lo, depth + 1, params, rng, stop_depth);
+    let r = grow_fast(arena, x, y, sc, hi, depth + 1, params, rng, stop_depth);
     let n = &mut arena[me as usize];
     n.feature = feature;
     n.threshold = threshold;
@@ -475,16 +468,33 @@ fn bootstrap(n: usize, rng: &mut StdRng) -> Vec<u32> {
     (0..n).map(|_| rng.random_range(0..n) as u32).collect()
 }
 
+/// Grows the tree of `samples` (training rows with repetition) from
+/// `depth` on, over the forest-wide `pre`sort of `x`.
+#[allow(clippy::too_many_arguments)]
+fn grow_samples(
+    x: &Matrix,
+    y: &[u8],
+    pre: &Presort,
+    samples: &[u32],
+    depth: usize,
+    params: &RfParams,
+    rng: &mut StdRng,
+    stop_depth: Option<usize>,
+) -> Tree {
+    let mut sc = SplitScratch::new(samples, pre);
+    let (mut arena, all) = (Vec::new(), 0..sc.rows.len());
+    grow_fast(
+        &mut arena, x, y, &mut sc, all, depth, params, rng, stop_depth,
+    );
+    Tree { nodes: arena }
+}
+
 /// Builds one full tree locally (the `distr_depth == 0` path), using
 /// the pre-sorted split finder over the forest-wide `pre`sort of `x`.
 pub fn build_tree(x: &Matrix, y: &[u8], pre: &Presort, params: &RfParams, est_seed: u64) -> Tree {
     let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(est_seed));
-    let rows = bootstrap(x.rows(), &mut rng);
-    let pos: Vec<u32> = (0..rows.len() as u32).collect();
-    let mut sc = SplitScratch::new(rows, y, pre, x.cols());
-    let mut arena = Vec::new();
-    grow_fast(&mut arena, x, y, &mut sc, &pos, 0, params, &mut rng, None);
-    Tree { nodes: arena }
+    let samples = bootstrap(x.rows(), &mut rng);
+    grow_samples(x, y, pre, &samples, 0, params, &mut rng, None)
 }
 
 /// Builds the top of a tree down to `distr_depth` and collects the
@@ -497,22 +507,10 @@ pub fn build_top(
     est_seed: u64,
 ) -> TopSplit {
     let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(est_seed));
-    let rows = bootstrap(x.rows(), &mut rng);
-    let pos: Vec<u32> = (0..rows.len() as u32).collect();
-    let mut sc = SplitScratch::new(rows, y, pre, x.cols());
-    let mut arena = Vec::new();
-    grow_fast(
-        &mut arena,
-        x,
-        y,
-        &mut sc,
-        &pos,
-        0,
-        params,
-        &mut rng,
-        Some(params.distr_depth),
-    );
-    route_to_frontier(Tree { nodes: arena }, x, &sc.rows)
+    let samples = bootstrap(x.rows(), &mut rng);
+    let stop = Some(params.distr_depth);
+    let tree = grow_samples(x, y, pre, &samples, 0, params, &mut rng, stop);
+    route_to_frontier(tree, x, &samples)
 }
 
 /// Routes every bootstrap sample of a partial tree to its frontier
@@ -565,34 +563,24 @@ pub fn build_subtree(
             .wrapping_add(977 * slot as u64),
     );
     let idx = &top.partitions[slot];
-    let mut arena = Vec::new();
     if idx.is_empty() {
         // Keep the parent's distribution.
         let slots = top.tree.frontier_slots();
         let probs = top.tree.nodes[slots[slot]].probs;
-        arena.push(Node {
-            feature: 0,
-            threshold: 0.0,
-            left: LEAF,
-            right: 0,
-            probs,
-        });
-    } else {
-        let pos: Vec<u32> = (0..idx.len() as u32).collect();
-        let mut sc = SplitScratch::new(idx.clone(), y, pre, x.cols());
-        grow_fast(
-            &mut arena,
-            x,
-            y,
-            &mut sc,
-            &pos,
-            params.distr_depth,
-            params,
-            &mut rng,
-            None,
-        );
+        return Tree {
+            nodes: vec![Node {
+                feature: 0,
+                threshold: 0.0,
+                left: LEAF,
+                right: 0,
+                probs,
+            }],
+        };
     }
-    Tree { nodes: arena }
+    // The partition's duplicated sample indices become this subtree's
+    // row weights.
+    let depth = params.distr_depth;
+    grow_samples(x, y, pre, idx, depth, params, &mut rng, None)
 }
 
 /// Grafts the subtrees into the partial tree, producing a complete tree.
@@ -726,11 +714,8 @@ impl RandomForest {
             .collect();
         let summed = dsarray::tree_reduce_inout(rt, "rf_reduce", &partials, Matrix::add_assign);
         let n = self.trees.len() as f64;
-        rt.task("rf_average").run1(summed, move |m: &Matrix| {
-            let mut out = m.clone();
-            out.scale(1.0 / n);
-            out
-        })
+        rt.task("rf_average")
+            .run1_inout(summed, move |m: &mut Matrix| m.scale(1.0 / n))
     }
 
     /// Hard labels for a query block.
@@ -1188,6 +1173,144 @@ mod tests {
         }
     }
 
+    #[test]
+    fn out_of_bag_extreme_never_supplies_a_threshold() {
+        // Row 0 holds the global maximum of every feature, so it ends
+        // every presorted order — including in the trees whose
+        // bootstrap never drew it.
+        let (mut x, y) = blobs_nd(20, 3, 0.6, 48);
+        for f in 0..x.cols() {
+            x.set(0, f, 1e6);
+        }
+        let pre = Presort::new(&x);
+        let params = RfParams {
+            min_samples_split: 2,
+            seed: 11,
+            ..Default::default()
+        };
+        let mut out_of_bag = 0;
+        for est in 0..24u64 {
+            // `build_tree`'s own bootstrap for this estimator.
+            let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(est));
+            let samples = bootstrap(x.rows(), &mut rng);
+            if samples.contains(&0) {
+                continue;
+            }
+            out_of_bag += 1;
+            let tree = build_tree(&x, &y, &pre, &params, est);
+            assert_eq!(tree.nodes, build_tree_legacy(&x, &y, &params, est).nodes);
+            // Every threshold is the midpoint of two in-bag values.
+            let splits = tree.nodes.iter().filter(|n| n.left != LEAF);
+            assert!(splits.clone().count() > 0);
+            for n in splits {
+                let f = n.feature as usize;
+                let vals: Vec<f64> = samples.iter().map(|&r| x.get(r as usize, f)).collect();
+                let between = |a: &f64| vals.iter().any(|b| 0.5 * (a + b) == n.threshold);
+                assert!(
+                    vals.iter().any(between),
+                    "est={est}: threshold {} on feature {f} is not between in-bag values",
+                    n.threshold
+                );
+            }
+        }
+        assert!(out_of_bag >= 4, "only {out_of_bag} trees left row 0 out");
+    }
+
+    #[test]
+    fn min_samples_split_counts_multiplicity_not_distinct_rows() {
+        // Two distinct rows drawn twice each: four samples.
+        let x = Matrix::from_rows(&[vec![0.0], vec![1.0]]);
+        let y = vec![0u8, 1];
+        let pre = Presort::new(&x);
+        // (A non-empty partition never reads the top's partial tree.)
+        let top = TopSplit {
+            tree: Tree::default(),
+            partitions: vec![vec![0, 1, 0, 1]],
+        };
+        for (min_samples_split, n_nodes) in [(4usize, 3usize), (5, 1)] {
+            let params = RfParams {
+                min_samples_split,
+                ..Default::default()
+            };
+            let sub = build_subtree(&x, &y, &pre, &top, 0, &params, 0);
+            assert_eq!(
+                sub.nodes.len(),
+                n_nodes,
+                "min_samples_split={min_samples_split}"
+            );
+            let mut legacy = Vec::new();
+            let mut rng = StdRng::seed_from_u64(0);
+            let part = &top.partitions[0];
+            grow(&mut legacy, &x, &y, part, 0, &params, &mut rng, None);
+            assert_eq!(sub.nodes, legacy);
+        }
+    }
+
+    #[test]
+    fn split_is_independent_of_the_filter_vs_sort_path() {
+        let (x, y) = eight_level_blobs(60, 5, 49);
+        let pre = Presort::new(&x);
+        let samples = bootstrap(x.rows(), &mut StdRng::seed_from_u64(3));
+        let mut filtered = SplitScratch::new(&samples, &pre);
+        let mut sorted = SplitScratch::new(&samples, &pre);
+        let as_set = |sc: &SplitScratch<'_>, part: Range<usize>| {
+            let mut rows = sc.rows[part].to_vec();
+            rows.sort_unstable();
+            rows
+        };
+        // Every node of the tree, from the ones `filter_wins` would
+        // filter down to the ones it would sort.
+        let mut todo = Vec::new();
+        todo.push(0..filtered.rows.len());
+        let (mut large, mut small) = (0, 0);
+        while let Some(node) = todo.pop() {
+            let counts = filtered.class_counts(&y, node.clone());
+            let split = |sc: &mut SplitScratch<'_>, use_filter| {
+                let mut rng = StdRng::seed_from_u64(100 + node.start as u64);
+                best_split_fast(&x, &y, sc, node.clone(), &counts, use_filter, &mut rng)
+            };
+            let by_filter = split(&mut filtered, true);
+            assert_eq!(by_filter, split(&mut sorted, false), "node {node:?}");
+            let Some((_, _, mid)) = by_filter else {
+                continue;
+            };
+            for child in [node.start..mid, mid..node.end] {
+                assert_eq!(
+                    as_set(&filtered, child.clone()),
+                    as_set(&sorted, child.clone())
+                );
+                todo.push(child);
+            }
+            if filtered.filter_wins(node.len()) {
+                large += 1;
+            } else {
+                small += 1;
+            }
+        }
+        assert!(
+            large >= 3 && small >= 3,
+            "{large} large and {small} small nodes split"
+        );
+    }
+
+    #[test]
+    fn one_presort_serves_forests_of_different_seeds() {
+        let (x, y) = eight_level_blobs(70, 4, 50);
+        let pre = Presort::new(&x);
+        for est in 0..3u64 {
+            for seed in [1u64, 99, 12345] {
+                let params = RfParams {
+                    min_samples_split: 2,
+                    seed,
+                    ..Default::default()
+                };
+                let fast = build_tree(&x, &y, &pre, &params, est);
+                let legacy = build_tree_legacy(&x, &y, &params, est);
+                assert_eq!(fast.nodes, legacy.nodes, "seed={seed} est={est}");
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
 
@@ -1213,6 +1336,35 @@ mod tests {
             };
             let fast = build_tree(&x, &y, &Presort::new(&x), &params, est);
             let legacy = build_tree_legacy(&x, &y, &params, est);
+            proptest::prop_assert_eq!(fast.nodes, legacy.nodes);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Weights ≡ duplicates: on sets this small a bootstrap draws
+        /// many rows 3–6 times, and the quantised features tie them
+        /// with other rows too.
+        #[test]
+        fn prop_row_weights_equal_duplicated_samples(
+            n in 2usize..40,
+            d in 1usize..5,
+            seed in 0u64..1000,
+            est in 0u64..8,
+        ) {
+            let (x, y) = blobs_nd(20, d, 0.5, seed);
+            let (mut x, y) = (x.slice_rows(0, n), &y[..n]);
+            for v in x.as_mut_slice() {
+                *v = (*v * 2.0).round() / 2.0;
+            }
+            let params = RfParams {
+                min_samples_split: [2, 4, 9][(seed % 3) as usize],
+                seed,
+                ..Default::default()
+            };
+            let fast = build_tree(&x, y, &Presort::new(&x), &params, est);
+            let legacy = build_tree_legacy(&x, y, &params, est);
             proptest::prop_assert_eq!(fast.nodes, legacy.nodes);
         }
     }
