@@ -25,7 +25,7 @@
 //!   across every window of a sweep.
 //! * [`kernels`] — pairwise distances and SVM kernel functions.
 //! * [`sgemm`] — blocked single-precision GEMM over raw `f32` slices,
-//!   the kernel behind the im2col convolution lowering in `nnet`.
+//!   the kernel behind the convolution and dense layers of `nnet`.
 //! * [`pool`] — thread-local recycling pool for `Vec<f64>` storage;
 //!   GEMM outputs and eigensolver scratch come from
 //!   [`Matrix::from_pool`] and return via [`Matrix::into_pool`].

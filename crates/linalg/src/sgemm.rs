@@ -722,8 +722,11 @@ mod tests {
         assert_close(&got, &want, 1e-4);
     }
 
-    /// The GEMMs the paper's CNN lowers to at a mini-batch of 4: conv1
-    /// forward, then conv2 forward / weight gradient / input gradient.
+    /// The GEMMs the paper's CNN lowers to at a mini-batch of 4: four
+    /// shapes of a channels-first lowering, then what `nnet`'s
+    /// channels-last layers issue — conv2 forward / weight gradient /
+    /// input gradient, conv1 forward / weight gradient, and the first
+    /// dense layer's three.
     #[test]
     fn packed_matches_scalar_at_the_cnn_shapes() {
         for (m, k, n, which) in [
@@ -731,6 +734,14 @@ mod tests {
             (32, 160, 44, 0),
             (32, 44, 160, 1),
             (160, 32, 44, 2),
+            (44, 160, 32, 1),
+            (32, 44, 160, 2),
+            (44, 32, 160, 0),
+            (208, 7, 32, 1),
+            (32, 208, 7, 2),
+            (4, 160, 32, 1),
+            (32, 4, 160, 2),
+            (4, 32, 160, 0),
         ] {
             check_packed_matches_scalar(m, k, n, which, 1.0);
         }
@@ -739,10 +750,21 @@ mod tests {
     /// The kernel floor, as a property of the code: where the CNN calls
     /// it (and at 512³, where packing is < 3 % of the work) the packed
     /// path must not lose to the scalar oracle it replaced — and the
-    /// AVX2+FMA microkernel owes a real multiple at 512³. At the conv
-    /// shapes a call is microseconds long, so each sample loops enough
-    /// calls to reach ~1 ms; the arms alternate and each keeps its best
-    /// of 7, so a host stall has to hit one arm seven times to matter.
+    /// AVX2+FMA microkernel owes a real multiple at 512³. The CNN rows
+    /// are what the channels-last layers issue at a mini-batch of 4:
+    /// conv2 forward / weight gradient / input gradient, its
+    /// batch-of-one forward, conv1 forward / weight gradient (depth 7
+    /// and width 7: measured 5.5x and 3.5x) and the first dense layer's
+    /// forward and input gradient. Two calls of a batch are *not*
+    /// gated, because packing is all they do: the dense weight
+    /// gradient `tn` 32x4x160 (depth 4) measures 0.97-1.05x the scalar
+    /// oracle (1.8 us either way) and the two-logit head `nt` 4x32x2
+    /// 0.42x (0.16 against 0.07 us).
+    ///
+    /// At these shapes a call is microseconds long, so each sample
+    /// loops enough calls to reach ~1 ms; the arms alternate and each
+    /// keeps its best of 7, so a host stall has to hit one arm seven
+    /// times to matter.
     #[test]
     #[cfg_attr(
         debug_assertions,
@@ -752,10 +774,14 @@ mod tests {
         let floor_512 = if fma_available() { 1.8 } else { 1.0 };
         for (m, k, n, which, floor) in [
             (512, 512, 512, 0, floor_512),
-            (32, 160, 44, 0, 1.0),
-            (32, 44, 160, 1, 1.0),
-            (160, 32, 44, 2, 1.0),
-            (32, 160, 11, 0, 1.0),
+            (44, 160, 32, 1, 1.0),
+            (32, 44, 160, 2, 1.0),
+            (44, 32, 160, 0, 1.0),
+            (11, 160, 32, 1, 1.0),
+            (208, 7, 32, 1, 1.0),
+            (32, 208, 7, 2, 1.0),
+            (4, 160, 32, 1, 1.0),
+            (4, 32, 160, 0, 1.0),
         ] {
             let (packed, scalar) = variant(which);
             let a = fill(m * k, 1.0);

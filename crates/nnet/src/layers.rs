@@ -1,18 +1,24 @@
 //! Neural-network layers with forward and backward passes.
 //!
-//! The unit of compute is the **mini-batch**. An activation buffer
-//! holds `bsz` feature maps of `channels x length` laid out
-//! `[channel][sample][len]`, so a convolution lowers to *one* im2col
-//! and *one* GEMM per mini-batch and direction (the GEMM's `N` / `K`
-//! dimension is `bsz * out_len`, not `out_len`), and the pooling and
-//! ReLU sweeps walk `bsz * channels` contiguous rows. Every kernel
-//! writes into caller-provided buffers — the network's `Workspace`
-//! owns them for a whole epoch — and the patch matrix a convolution
-//! builds in `forward_batch` is the one its `backward_batch` consumes.
+//! The unit of compute is the **mini-batch**, laid out channels-last:
+//! an activation buffer holds `bsz` feature maps of `channels x length`
+//! as `[sample][len][channel]`. A receptive field of a convolution is
+//! then one *contiguous* run of `kernel * in_ch` floats, so the patch
+//! matrix is a stack of row copies, every pass of a convolution or a
+//! dense layer is one GEMM whose product already *is* the next buffer
+//! in this layout, a flattened sample (`[len][channel]`) is a plain
+//! sub-slice, and the bias, pooling and scatter sweeps run over
+//! contiguous `channel`-wide rows the compiler vectorises. For one
+//! channel (the network's input, a dense layer's output) the layout is
+//! the plain `[sample][len]`.
+//!
+//! Every kernel writes into caller-provided buffers — the network's
+//! `Workspace` owns them for a whole epoch — and the patch matrix a
+//! convolution builds in `forward_batch` is the one its
+//! `backward_batch` consumes.
 //!
 //! The per-sample `forward` / `backward` methods are batch-of-one
-//! calls into the same kernels (`[channel][1][len]` is the plain
-//! `(channels, length)` feature map) that allocate their result.
+//! calls into the same kernels that allocate their result.
 
 use linalg::{sgemm_nn, sgemm_nt, sgemm_tn};
 use rand::rngs::StdRng;
@@ -36,39 +42,22 @@ impl Shape {
     }
 }
 
-/// Copies sample `s` of a `[ch][bsz][len]` buffer into the contiguous
-/// `[ch][len]` row `out`.
-pub(crate) fn gather_sample(buf: &[f32], sh: Shape, bsz: usize, s: usize, out: &mut [f32]) {
-    for (c, o) in out[..sh.size()].chunks_exact_mut(sh.len).enumerate() {
-        o.copy_from_slice(&buf[(c * bsz + s) * sh.len..][..sh.len]);
+/// `out[r] = bias` for every `bias.len()`-wide row of `out`: the
+/// accumulating GEMM that follows then computes `x * w^T + bias`.
+fn fill_rows(out: &mut [f32], bias: &[f32]) {
+    for row in out.chunks_exact_mut(bias.len()) {
+        row.copy_from_slice(bias);
     }
 }
 
-/// Inverse of [`gather_sample`]: writes the `[ch][len]` row into sample
-/// `s` of a `[ch][bsz][len]` buffer.
-pub(crate) fn scatter_sample(row: &[f32], sh: Shape, bsz: usize, s: usize, buf: &mut [f32]) {
-    for (c, r) in row[..sh.size()].chunks_exact(sh.len).enumerate() {
-        buf[(c * bsz + s) * sh.len..][..sh.len].copy_from_slice(r);
-    }
-}
-
-/// Dot product with eight independent partial sums (fixed order, so
-/// deterministic), which lets the compiler keep one vector accumulator
-/// instead of a serial chain of scalar adds.
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 8];
-    let (ca, cb) = (a.chunks_exact(8), b.chunks_exact(8));
-    let (ra, rb) = (ca.remainder(), cb.remainder());
-    for (qa, qb) in ca.zip(cb) {
-        for (s, (x, y)) in acc.iter_mut().zip(qa.iter().zip(qb)) {
-            *s += x * y;
+/// `acc[j] += Σ_r rows[r][j]` over the `acc.len()`-wide rows of `rows`
+/// (a bias gradient), row by row so the sweep is a vector add.
+fn add_column_sums(rows: &[f32], acc: &mut [f32]) {
+    for row in rows.chunks_exact(acc.len()) {
+        for (a, &v) in acc.iter_mut().zip(row) {
+            *a += v;
         }
     }
-    let mut s = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    for (x, y) in ra.iter().zip(rb) {
-        s += x * y;
-    }
-    s
 }
 
 /// 1-D valid convolution with stride.
@@ -82,7 +71,9 @@ pub struct Conv1d {
     pub kernel: usize,
     /// Stride.
     pub stride: usize,
-    /// Weights, layout `[out][in][k]`.
+    /// Weights, layout `[out][k][in]`: row `o` is filter `o` in the
+    /// order a channels-last receptive field is stored, i.e. the
+    /// `out_ch x (kernel * in_ch)` right operand of the forward GEMM.
     pub w: Vec<f32>,
     /// Biases, one per output channel.
     pub b: Vec<f32>,
@@ -132,112 +123,101 @@ impl Conv1d {
         (in_len - self.kernel) / self.stride + 1
     }
 
-    /// Gathers the receptive fields of a `[in_ch][bsz][in_len]` batch
-    /// into the `(in_ch*kernel) x (bsz*ol)` patch matrix:
-    /// `cols[(i*kernel + k) * bsz*ol + s*ol + t] = x[(i*bsz + s)*in_len + t*stride + k]`.
-    /// Row order matches the weight layout `[out][in][k]`, so a plain
-    /// row-major GEMM against `w` computes the convolution with the same
-    /// per-element summation order as the scalar loops. Every element of
-    /// `cols` is overwritten.
-    fn im2col(&self, x: &[f32], bsz: usize, in_len: usize, cols: &mut [f32]) {
-        let ol = self.out_len(in_len);
-        for (ik, row) in cols.chunks_exact_mut(bsz * ol).enumerate() {
-            let (i, k) = (ik / self.kernel, ik % self.kernel);
-            for (s, seg) in row.chunks_exact_mut(ol).enumerate() {
-                let xs = &x[(i * bsz + s) * in_len + k..];
-                if self.stride == 1 {
-                    seg.copy_from_slice(&xs[..ol]);
-                } else {
-                    for (r, &v) in seg.iter_mut().zip(xs.iter().step_by(self.stride)) {
-                        *r = v;
-                    }
-                }
+    /// Resizes `patches` to the `(bsz * ol) x (kernel * in_ch)` patch
+    /// matrix of a `[bsz][in_len][in_ch]` batch and overwrites every
+    /// element: row `s * ol + t` is the receptive field of output
+    /// position `t` of sample `s`, one contiguous run of `x`.
+    fn copy_patches(&self, x: &[f32], in_len: usize, patches: &mut Vec<f32>) {
+        let ick = self.kernel * self.in_ch;
+        let (ol, hop) = (self.out_len(in_len), self.stride * self.in_ch);
+        let samples = x.chunks_exact(in_len * self.in_ch);
+        patches.resize(samples.len() * ol * ick, 0.0);
+        for (xs, ps) in samples.zip(patches.chunks_exact_mut(ol * ick)) {
+            for (t, row) in ps.chunks_exact_mut(ick).enumerate() {
+                row.copy_from_slice(&xs[t * hop..][..ick]);
             }
         }
     }
 
-    /// Batched forward pass, lowered to one im2col + one GEMM (the EDDL
-    /// lowering): `out[out_ch x bsz*ol] = w[out_ch x ick] * cols + b`,
-    /// which *is* the `[out_ch][bsz][ol]` output batch. `cols` is
-    /// resized to the patch matrix and left holding it for
+    /// Batched forward pass over a `[bsz][in_len][in_ch]` batch: one
+    /// patch copy + one GEMM, `out[(bsz*ol) x out_ch] = patches * w^T +
+    /// b` (`sgemm_nt`), which *is* the `[bsz][ol][out_ch]` output
+    /// batch. `patches` is left holding the patch matrix for
     /// [`Self::backward_batch`].
     ///
-    /// With the scalar GEMM (`LINALG_FORCE_SCALAR`) a batch of one is
-    /// bitwise identical to the 4-deep scalar loops (asserted by
-    /// `im2col_with_scalar_gemm_bitwise_matches_naive`); the default
-    /// SIMD GEMM reassociates the sums and matches to ≤1e-4 relative.
-    /// Either way the GEMM's depth is `ick` whatever the batch, so a
-    /// sample's outputs do not depend on which batch it rides in.
+    /// The GEMM's depth is `kernel * in_ch` whatever the batch, so a
+    /// sample's outputs do not depend on which batch it rides in. The
+    /// packed GEMM reassociates the sums (≤1e-4 relative of the scalar
+    /// loops); the scalar one (`LINALG_FORCE_SCALAR`) sums each output
+    /// in `sgemm_nt_scalar`'s documented order — four interleaved
+    /// partial sums over the receptive field, then the bias — which
+    /// `im2col_with_scalar_gemm_bitwise_matches_naive` pins bit for bit.
     pub(crate) fn forward_batch(
         &self,
         x: &[f32],
-        bsz: usize,
         in_len: usize,
-        cols: &mut Vec<f32>,
+        patches: &mut Vec<f32>,
         out: &mut [f32],
     ) {
-        let n = bsz * self.out_len(in_len);
-        let ick = self.in_ch * self.kernel;
-        cols.resize(ick * n, 0.0);
-        self.im2col(x, bsz, in_len, cols);
-        for (orow, &bias) in out.chunks_exact_mut(n).zip(&self.b) {
-            orow.fill(bias);
-        }
-        sgemm_nn(self.out_ch, ick, n, &self.w, cols, out);
+        self.copy_patches(x, in_len, patches);
+        let ick = self.kernel * self.in_ch;
+        fill_rows(out, &self.b);
+        sgemm_nt(patches.len() / ick, ick, self.out_ch, patches, &self.w, out);
     }
 
-    /// Batched backward pass over the patch matrix `cols` that
-    /// [`Self::forward_batch`] left behind: `gw += dout * cols^T`, and,
-    /// unless `dx` is `None` (a network's first layer: nothing consumes
-    /// the gradient w.r.t. the data), `dcols = w^T * dout` followed by
-    /// the col2im scatter into `dx` (`[in_ch][bsz][in_len]`). Matches
-    /// the scalar loops (test-only `backward_naive`) to f32 rounding.
+    /// Batched backward pass over the patch matrix that
+    /// [`Self::forward_batch`] left behind, `dout` being
+    /// `[bsz][ol][out_ch]`: `gb +=` column sums of `dout`,
+    /// `gw += dout^T * patches` (`sgemm_tn`), and, unless `dx` is
+    /// `None` (a network's first layer: nothing consumes the gradient
+    /// w.r.t. the data), `dpatches = dout * w` (`sgemm_nn`) followed by
+    /// adding each of its rows onto the contiguous run of `dx`
+    /// (`[bsz][in_len][in_ch]`) it was copied from. Matches the scalar
+    /// loops (test-only `backward_naive`) to f32 rounding.
     pub(crate) fn backward_batch(
         &mut self,
-        cols: &[f32],
-        bsz: usize,
+        patches: &[f32],
         in_len: usize,
         dout: &[f32],
-        dcols: &mut Vec<f32>,
+        dpatches: &mut Vec<f32>,
         dx: Option<&mut [f32]>,
     ) {
-        let ol = self.out_len(in_len);
-        let n = bsz * ol;
-        let ick = self.in_ch * self.kernel;
-        for (gb, orow) in self.gb.iter_mut().zip(dout.chunks_exact(n)) {
-            *gb += orow.iter().sum::<f32>();
-        }
-        sgemm_nt(self.out_ch, n, ick, dout, cols, &mut self.gw);
+        let ick = self.kernel * self.in_ch;
+        let rows = patches.len() / ick;
+        add_column_sums(dout, &mut self.gb);
+        sgemm_tn(self.out_ch, rows, ick, dout, patches, &mut self.gw);
         let Some(dx) = dx else { return };
-        dcols.clear();
-        dcols.resize(ick * n, 0.0);
-        sgemm_tn(ick, self.out_ch, n, &self.w, dout, dcols);
+        dpatches.clear();
+        dpatches.resize(rows * ick, 0.0);
+        sgemm_nn(rows, self.out_ch, ick, dout, &self.w, dpatches);
         dx.fill(0.0);
-        for (ik, row) in dcols.chunks_exact(n).enumerate() {
-            let (i, k) = (ik / self.kernel, ik % self.kernel);
-            for (s, seg) in row.chunks_exact(ol).enumerate() {
-                let xs = &mut dx[(i * bsz + s) * in_len + k..];
-                for (d, &v) in xs.iter_mut().step_by(self.stride).zip(seg) {
+        let (ol, hop) = (self.out_len(in_len), self.stride * self.in_ch);
+        let samples = dx.chunks_exact_mut(in_len * self.in_ch);
+        for (ds, ps) in samples.zip(dpatches.chunks_exact(ol * ick)) {
+            for (t, row) in ps.chunks_exact(ick).enumerate() {
+                for (d, &v) in ds[t * hop..][..ick].iter_mut().zip(row) {
                     *d += v;
                 }
             }
         }
     }
 
-    /// Forward pass of one `[in_ch][in_len]` sample.
+    /// Forward pass of one `[in_len][in_ch]` sample; the result is
+    /// `[out_len][out_ch]`.
     pub fn forward(&self, x: &[f32], in_len: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; self.out_ch * self.out_len(in_len)];
-        self.forward_batch(x, 1, in_len, &mut Vec::new(), &mut out);
+        self.forward_batch(&x[..in_len * self.in_ch], in_len, &mut Vec::new(), &mut out);
         out
     }
 
-    /// Backward pass of one sample: accumulates `gw` / `gb` and returns
-    /// the gradient w.r.t. `x`.
+    /// Backward pass of one sample (`x` as in [`Self::forward`], `dout`
+    /// `[out_len][out_ch]`): accumulates `gw` / `gb` and returns the
+    /// gradient w.r.t. `x`.
     pub fn backward(&mut self, x: &[f32], in_len: usize, dout: &[f32]) -> Vec<f32> {
-        let mut cols = vec![0.0f32; self.in_ch * self.kernel * self.out_len(in_len)];
-        self.im2col(x, 1, in_len, &mut cols);
+        let mut patches = Vec::new();
+        self.copy_patches(&x[..in_len * self.in_ch], in_len, &mut patches);
         let mut dx = vec![0.0f32; self.in_ch * in_len];
-        self.backward_batch(&cols, 1, in_len, dout, &mut Vec::new(), Some(&mut dx));
+        self.backward_batch(&patches, in_len, dout, &mut Vec::new(), Some(&mut dx));
         dx
     }
 }
@@ -249,7 +229,8 @@ pub struct Dense {
     pub n_in: usize,
     /// Output size.
     pub n_out: usize,
-    /// Weights, layout `[out][in]`.
+    /// Weights, layout `[out][in]`; `in` runs over the flattened
+    /// `[len][channel]` input sample.
     pub w: Vec<f32>,
     /// Biases.
     pub b: Vec<f32>,
@@ -283,104 +264,81 @@ impl Dense {
         }
     }
 
-    /// Batched forward pass over a `[sh.ch][bsz][sh.len]` input with
-    /// `sh.size() == n_in`: each sample is flattened into `flat`
-    /// (`[sample][n_in]`, kept for [`Self::backward_batch`]) and
-    /// multiplied through; `out` is `[sample][n_out]`, which is the
-    /// batch layout of a one-channel activation.
-    fn forward_batch(
-        &self,
-        x: &[f32],
-        sh: Shape,
-        bsz: usize,
-        flat: &mut Vec<f32>,
-        out: &mut [f32],
-    ) {
-        debug_assert_eq!(sh.size(), self.n_in);
-        flat.resize(bsz * self.n_in, 0.0);
-        let rows = flat.chunks_exact_mut(self.n_in);
-        for (s, (xs, os)) in rows.zip(out.chunks_exact_mut(self.n_out)).enumerate() {
-            gather_sample(x, sh, bsz, s, xs);
-            for ((o, wrow), &bias) in os
-                .iter_mut()
-                .zip(self.w.chunks_exact(self.n_in))
-                .zip(&self.b)
-            {
-                *o = bias + dot(wrow, xs);
-            }
-        }
+    /// Batched forward pass: a channels-last batch is already the
+    /// `bsz x n_in` matrix of flattened samples, so
+    /// `out[bsz x n_out] = x * w^T + b` is one `sgemm_nt` (depth `n_in`
+    /// whatever the batch).
+    fn forward_batch(&self, x: &[f32], out: &mut [f32]) {
+        fill_rows(out, &self.b);
+        sgemm_nt(x.len() / self.n_in, self.n_in, self.n_out, x, &self.w, out);
     }
 
-    /// Batched backward pass over the flattened inputs `flat` kept by
-    /// [`Self::forward_batch`]; `row` is an `n_in`-sized scratch for one
-    /// sample's input gradient before it is scattered into `dx`.
-    fn backward_batch(
-        &mut self,
-        flat: &[f32],
-        sh: Shape,
-        bsz: usize,
-        dout: &[f32],
-        row: &mut Vec<f32>,
-        mut dx: Option<&mut [f32]>,
-    ) {
-        let n_in = self.n_in;
-        row.resize(n_in, 0.0);
-        let samples = flat.chunks_exact(n_in).zip(dout.chunks_exact(self.n_out));
-        for (s, (xs, gs)) in samples.enumerate() {
-            row.fill(0.0);
-            for (o, &g) in gs.iter().enumerate() {
-                self.gb[o] += g;
-                let wrow = &self.w[o * n_in..(o + 1) * n_in];
-                let grow = &mut self.gw[o * n_in..(o + 1) * n_in];
-                for (((gw, d), &xv), &wv) in grow.iter_mut().zip(row.iter_mut()).zip(xs).zip(wrow) {
-                    *gw += g * xv;
-                    *d += g * wv;
+    /// Batched backward pass over the layer input `x`: `gb +=` column
+    /// sums of `dout`, `gw += dout^T * x` (`sgemm_tn`), `dx = dout * w`
+    /// (`sgemm_nn`).
+    fn backward_batch(&mut self, x: &[f32], dout: &[f32], dx: Option<&mut [f32]>) {
+        let bsz = x.len() / self.n_in;
+        add_column_sums(dout, &mut self.gb);
+        sgemm_tn(self.n_out, bsz, self.n_in, dout, x, &mut self.gw);
+        let Some(dx) = dx else { return };
+        dx.fill(0.0);
+        sgemm_nn(bsz, self.n_out, self.n_in, dout, &self.w, dx);
+    }
+}
+
+/// Non-overlapping max pooling along `len` of a `[sample][s.len][s.ch]`
+/// batch with window `p`: a vertical maximum of `p` channel rows, the
+/// first maximum kept (`-0.0` before `0.0` stays `-0.0`); a ragged tail
+/// (`len % p`) is dropped.
+fn max_pool(x: &[f32], s: Shape, p: usize, out: &mut [f32]) {
+    let ch = s.ch;
+    let samples = x
+        .chunks_exact(s.size())
+        .zip(out.chunks_exact_mut(s.len / p * ch));
+    for (xs, os) in samples {
+        for (win, orow) in xs.chunks_exact(p * ch).zip(os.chunks_exact_mut(ch)) {
+            orow.copy_from_slice(&win[..ch]);
+            for xrow in win[ch..].chunks_exact(ch) {
+                for (o, &v) in orow.iter_mut().zip(xrow) {
+                    *o = if v > *o { v } else { *o };
                 }
-            }
-            if let Some(dx) = dx.as_deref_mut() {
-                scatter_sample(row, sh, bsz, s, dx);
             }
         }
     }
 }
 
-/// Non-overlapping max pooling of every `len`-long row of `x` with
-/// window `p`; a ragged tail (`len % p`) is dropped. Inlined into each
-/// call site so that a literal `p` (the pair pooling of the paper's
-/// network) unrolls the window loops — 9x on the pass at `p = 2`.
-#[inline(always)]
-fn max_pool(x: &[f32], len: usize, p: usize, out: &mut [f32]) {
-    for (xrow, orow) in x.chunks_exact(len).zip(out.chunks_exact_mut(len / p)) {
-        for (o, win) in orow.iter_mut().zip(xrow.chunks_exact(p)) {
-            let mut m = f32::MIN;
-            for &v in win {
-                if v > m {
-                    m = v;
-                }
-            }
-            *o = m;
-        }
+/// Zeroes `d[c]` wherever `beaten(other[c], own[c])`. Post-ReLU
+/// activations have coin-flip signs, so the choice must not become a
+/// branch: it is applied as a bit mask over equally long rows, which
+/// vectorises (as a mispredicted branch the pooling backward sweep cost
+/// as much as a convolution's GEMM).
+fn zero_where(d: &mut [f32], other: &[f32], own: &[f32], beaten: impl Fn(f32, f32) -> bool) {
+    for ((d, &o), &w) in d.iter_mut().zip(other).zip(own) {
+        *d = f32::from_bits(d.to_bits() & (beaten(o, w) as u32).wrapping_sub(1));
     }
 }
 
 /// Routes each window's output gradient to the **last** maximum of the
-/// window (post-ReLU windows are often all zero); everything else,
-/// including a ragged tail, gets zero.
-#[inline(always)]
-fn max_pool_backward(x: &[f32], len: usize, p: usize, dout: &[f32], dx: &mut [f32]) {
-    let rows = x.chunks_exact(len).zip(dx.chunks_exact_mut(len));
-    for ((xrow, drow), grow) in rows.zip(dout.chunks_exact(len / p)) {
-        drow[len - len % p..].fill(0.0);
-        let wins = xrow.chunks_exact(p).zip(drow.chunks_exact_mut(p));
-        for ((xw, dw), &g) in wins.zip(grow) {
-            let (mut arg, mut m) = (0, xw[0]);
-            for (j, &v) in xw.iter().enumerate() {
-                if v >= m {
-                    (arg, m) = (j, v);
+/// window, per channel (post-ReLU windows are often all zero): row `q`
+/// keeps it unless an earlier row is greater or a later one at least
+/// equal. Everything else, including a ragged tail, gets zero.
+fn max_pool_backward(x: &[f32], s: Shape, p: usize, dout: &[f32], dx: &mut [f32]) {
+    let ch = s.ch;
+    let samples = x.chunks_exact(s.size()).zip(dx.chunks_exact_mut(s.size()));
+    for ((xs, ds), gs) in samples.zip(dout.chunks_exact(s.len / p * ch)) {
+        ds[s.len / p * p * ch..].fill(0.0);
+        let wins = xs.chunks_exact(p * ch).zip(ds.chunks_exact_mut(p * ch));
+        for ((xw, dw), g) in wins.zip(gs.chunks_exact(ch)) {
+            for (q, dq) in dw.chunks_exact_mut(ch).enumerate() {
+                let (earlier, rest) = xw.split_at(q * ch);
+                let (xq, later) = rest.split_at(ch);
+                dq.copy_from_slice(g);
+                for xj in earlier.chunks_exact(ch) {
+                    zero_where(dq, xj, xq, |o, w| o > w);
                 }
-            }
-            for (j, d) in dw.iter_mut().enumerate() {
-                *d = if j == arg { g } else { 0.0 };
+                for xj in later.chunks_exact(ch) {
+                    zero_where(dq, xj, xq, |o, w| o >= w);
+                }
             }
         }
     }
@@ -428,28 +386,21 @@ impl Layer {
         }
     }
 
-    /// Batched forward pass: `x` is `[s.ch][bsz][s.len]`, `out` the
-    /// same layout at [`Self::out_shape`]. `kept` receives what the
-    /// layer's backward pass needs beyond `x` (the conv patch matrix,
-    /// the dense layer's flattened inputs; untouched otherwise).
-    pub(crate) fn forward_batch(
-        &self,
-        x: &[f32],
-        s: Shape,
-        bsz: usize,
-        kept: &mut Vec<f32>,
-        out: &mut [f32],
-    ) {
+    /// Batched forward pass: `x` is `[sample][s.len][s.ch]` (its length
+    /// gives the batch size), `out` the same layout at
+    /// [`Self::out_shape`]. `kept` receives what the layer's backward
+    /// pass needs beyond `x`: a convolution's patch matrix; untouched
+    /// by every other layer.
+    pub(crate) fn forward_batch(&self, x: &[f32], s: Shape, kept: &mut Vec<f32>, out: &mut [f32]) {
         match self {
-            Layer::Conv1d(c) => c.forward_batch(x, bsz, s.len, kept, out),
+            Layer::Conv1d(c) => c.forward_batch(x, s.len, kept, out),
             Layer::Relu => {
                 for (o, &v) in out.iter_mut().zip(x) {
                     *o = v.max(0.0);
                 }
             }
-            Layer::MaxPool1d(2) => max_pool(x, s.len, 2, out),
-            Layer::MaxPool1d(p) => max_pool(x, s.len, *p, out),
-            Layer::Dense(d) => d.forward_batch(x, s, bsz, kept, out),
+            Layer::MaxPool1d(p) => max_pool(x, s, *p, out),
+            Layer::Dense(d) => d.forward_batch(x, out),
         }
     }
 
@@ -457,20 +408,18 @@ impl Layer {
     /// [`Self::forward_batch`] `kept`, and the output gradient, writes
     /// the input gradient into `dx` (skipped when `None`) and
     /// accumulates parameter gradients. `scratch` is reused freely.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn backward_batch(
         &mut self,
         x: &[f32],
         s: Shape,
-        bsz: usize,
         kept: &[f32],
         dout: &[f32],
         scratch: &mut Vec<f32>,
         dx: Option<&mut [f32]>,
     ) {
         match self {
-            Layer::Conv1d(c) => c.backward_batch(kept, bsz, s.len, dout, scratch, dx),
-            Layer::Dense(d) => d.backward_batch(kept, s, bsz, dout, scratch, dx),
+            Layer::Conv1d(c) => c.backward_batch(kept, s.len, dout, scratch, dx),
+            Layer::Dense(d) => d.backward_batch(x, dout, dx),
             Layer::Relu => {
                 let Some(dx) = dx else { return };
                 for ((d, &v), &g) in dx.iter_mut().zip(x).zip(dout) {
@@ -479,18 +428,15 @@ impl Layer {
             }
             Layer::MaxPool1d(p) => {
                 let Some(dx) = dx else { return };
-                match *p {
-                    2 => max_pool_backward(x, s.len, 2, dout, dx),
-                    p => max_pool_backward(x, s.len, p, dout, dx),
-                }
+                max_pool_backward(x, s, *p, dout, dx);
             }
         }
     }
 
-    /// Forward pass of one sample.
+    /// Forward pass of one `[s.len][s.ch]` sample.
     pub fn forward(&self, x: &[f32], s: Shape) -> Vec<f32> {
         let mut out = vec![0.0f32; self.out_shape(s).size()];
-        self.forward_batch(x, s, 1, &mut Vec::new(), &mut out);
+        self.forward_batch(&x[..s.size()], s, &mut Vec::new(), &mut out);
         out
     }
 
@@ -502,9 +448,7 @@ impl Layer {
             return c.backward(x, s.len, dout);
         }
         let mut dx = vec![0.0f32; s.size()];
-        // What a dense layer keeps is its flattened input, and one
-        // flattened sample is `x` itself.
-        self.backward_batch(x, s, 1, x, dout, &mut Vec::new(), Some(&mut dx));
+        self.backward_batch(&x[..s.size()], s, &[], dout, &mut Vec::new(), Some(&mut dx));
         dx
     }
 
@@ -566,53 +510,81 @@ mod tests {
         StdRng::seed_from_u64(1)
     }
 
+    /// `Σ prod` in the order `sgemm_nt_scalar` documents for one output
+    /// element: four interleaved partial sums over the full quads,
+    /// combined pairwise, then the remainder one by one.
+    fn nt_order_sum(prod: &[f32]) -> f32 {
+        let quads = prod.chunks_exact(4);
+        let tail = quads.remainder();
+        let mut acc = [0.0f32; 4];
+        for q in quads {
+            for (a, &v) in acc.iter_mut().zip(q) {
+                *a += v;
+            }
+        }
+        let lanes = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+        tail.iter().fold(lanes, |s, &v| s + v)
+    }
+
     impl Conv1d {
-        /// The 4-deep scalar-loop forward pass: the oracle the
-        /// im2col + GEMM lowering is checked against.
+        /// The scalar-loop forward pass of one `[in_len][in_ch]`
+        /// sample, indexed element by element: the oracle the patch
+        /// copy + GEMM lowering is checked against. Each output sums
+        /// its receptive field in [`nt_order_sum`]'s order and then
+        /// adds the bias, which is what the scalar GEMM does — so under
+        /// it the comparison is bitwise, under the packed one 1e-4.
         fn forward_naive(&self, x: &[f32], in_len: usize) -> Vec<f32> {
             let ol = self.out_len(in_len);
-            let mut out = vec![0.0f32; self.out_ch * ol];
-            for o in 0..self.out_ch {
-                for t in 0..ol {
-                    let mut acc = self.b[o];
-                    let base_t = t * self.stride;
-                    for i in 0..self.in_ch {
-                        let wbase = (o * self.in_ch + i) * self.kernel;
-                        let xbase = i * in_len + base_t;
-                        for k in 0..self.kernel {
-                            acc += self.w[wbase + k] * x[xbase + k];
+            let mut out = vec![0.0f32; ol * self.out_ch];
+            for t in 0..ol {
+                for o in 0..self.out_ch {
+                    let mut prod = Vec::new();
+                    for k in 0..self.kernel {
+                        for i in 0..self.in_ch {
+                            let xv = x[(t * self.stride + k) * self.in_ch + i];
+                            prod.push(xv * self.w[(o * self.kernel + k) * self.in_ch + i]);
                         }
                     }
-                    out[o * ol + t] = acc;
+                    out[t * self.out_ch + o] = self.b[o] + nt_order_sum(&prod);
                 }
             }
             out
         }
 
-        /// The scalar-loop backward pass (oracle; see `forward_naive`).
+        /// The scalar-loop backward pass (oracle; see `forward_naive`):
+        /// `dout` is `[out_len][out_ch]`, the result `[in_len][in_ch]`.
         fn backward_naive(&mut self, x: &[f32], in_len: usize, dout: &[f32]) -> Vec<f32> {
-            let ol = self.out_len(in_len);
-            let mut dx = vec![0.0f32; self.in_ch * in_len];
-            for o in 0..self.out_ch {
-                for t in 0..ol {
-                    let g = dout[o * ol + t];
-                    if g == 0.0 {
-                        continue;
-                    }
+            let mut dx = vec![0.0f32; in_len * self.in_ch];
+            for t in 0..self.out_len(in_len) {
+                for o in 0..self.out_ch {
+                    let g = dout[t * self.out_ch + o];
                     self.gb[o] += g;
-                    let base_t = t * self.stride;
-                    for i in 0..self.in_ch {
-                        let wbase = (o * self.in_ch + i) * self.kernel;
-                        let xbase = i * in_len + base_t;
-                        for k in 0..self.kernel {
-                            self.gw[wbase + k] += g * x[xbase + k];
-                            dx[xbase + k] += g * self.w[wbase + k];
+                    for k in 0..self.kernel {
+                        for i in 0..self.in_ch {
+                            let xi = (t * self.stride + k) * self.in_ch + i;
+                            let wi = (o * self.kernel + k) * self.in_ch + i;
+                            self.gw[wi] += g * x[xi];
+                            dx[xi] += g * self.w[wi];
                         }
                     }
                 }
             }
             dx
         }
+    }
+
+    fn assert_close(got: &[f32], want: &[f32], tol: f32, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what} length");
+        for (p, q) in got.iter().zip(want) {
+            assert!(
+                (p - q).abs() <= tol * q.abs().max(1.0),
+                "{what}: {p} vs {q}"
+            );
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
     }
 
     #[test]
@@ -622,6 +594,19 @@ mod tests {
         c.b = vec![0.5];
         let out = c.forward(&[1.0, 3.0, 2.0, 0.0], 4);
         assert_eq!(out, vec![1.0 - 3.0 + 0.5, 3.0 - 2.0 + 0.5, 2.0 - 0.0 + 0.5]);
+    }
+
+    #[test]
+    fn conv_weights_are_out_k_in_over_a_len_ch_sample() {
+        // Two input channels, kernel 2: a sample is `[len][ch]` and a
+        // filter `[k][in]`, so filter and receptive field line up
+        // element for element.
+        let mut c = Conv1d::new(2, 1, 2, 1, &mut rng());
+        c.w = vec![1.0, 10.0, 100.0, 1000.0];
+        c.b = vec![0.0];
+        // t = 0: (1, 2), t = 1: (3, 4), t = 2: (5, 6).
+        let out = c.forward(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3);
+        assert_eq!(out, vec![4321.0, 6543.0]);
     }
 
     #[test]
@@ -701,14 +686,13 @@ mod tests {
     fn dense_gradient_check() {
         let mut d = Dense::new(4, 3, &mut rng());
         let x = vec![0.5, -1.0, 2.0, 0.1];
-        let sh = Shape { ch: 1, len: 4 };
         let forward = |d: &Dense| {
             let mut out = vec![0.0f32; d.n_out];
-            d.forward_batch(&x, sh, 1, &mut Vec::new(), &mut out);
+            d.forward_batch(&x, &mut out);
             out
         };
         let dout = vec![1.0f32; forward(&d).len()];
-        d.backward_batch(&x, sh, 1, &dout, &mut Vec::new(), None);
+        d.backward_batch(&x, &dout, None);
         let analytic = d.gw.clone();
         let eps = 1e-3;
         for widx in [0usize, 3, 7, 11] {
@@ -723,7 +707,40 @@ mod tests {
         }
     }
 
-    /// Random conv layer + input for the im2col parity tests.
+    #[test]
+    fn dense_batch_is_bitwise_its_samples_forward_and_their_gradient_sum() {
+        // Forward: the GEMM depth is `n_in` whatever the batch. Backward:
+        // one GEMM sums over the batch what B calls accumulate, 1e-5.
+        let mut r = StdRng::seed_from_u64(5);
+        let d = Dense::new(23, 6, &mut r);
+        let bsz = 5;
+        let mut draw =
+            |n: usize| -> Vec<f32> { (0..n).map(|_| r.random::<f32>() * 2.0 - 1.0).collect() };
+        let (x, dout) = (draw(bsz * d.n_in), draw(bsz * d.n_out));
+        let mut out = vec![0.0f32; bsz * d.n_out];
+        d.forward_batch(&x, &mut out);
+        let (mut batched, mut summed) = (d.clone(), d.clone());
+        let mut dx = vec![1.0f32; bsz * d.n_in];
+        batched.backward_batch(&x, &dout, Some(&mut dx));
+        for s in 0..bsz {
+            let (xs, gs) = (&x[s * d.n_in..][..d.n_in], &dout[s * d.n_out..][..d.n_out]);
+            let mut one = vec![0.0f32; d.n_out];
+            d.forward_batch(xs, &mut one);
+            assert_eq!(
+                bits(&out[s * d.n_out..][..d.n_out]),
+                bits(&one),
+                "sample {s}"
+            );
+            let mut dx1 = vec![0.0f32; d.n_in];
+            summed.backward_batch(xs, gs, Some(&mut dx1));
+            assert_close(&dx[s * d.n_in..][..d.n_in], &dx1, 1e-5, "dx");
+        }
+        assert_close(&batched.gw, &summed.gw, 1e-5, "gw");
+        assert_close(&batched.gb, &summed.gb, 1e-5, "gb");
+    }
+
+    /// Random conv layer + one `[in_len][in_ch]` input for the parity
+    /// tests.
     fn random_conv(
         in_ch: usize,
         out_ch: usize,
@@ -733,7 +750,8 @@ mod tests {
         seed: u64,
     ) -> (Conv1d, Vec<f32>) {
         let mut r = StdRng::seed_from_u64(seed);
-        let c = Conv1d::new(in_ch, out_ch, kernel, stride, &mut r);
+        let mut c = Conv1d::new(in_ch, out_ch, kernel, stride, &mut r);
+        c.b.iter_mut().for_each(|b| *b = r.random::<f32>() - 0.5);
         let x: Vec<f32> = (0..in_ch * in_len)
             .map(|_| r.random::<f32>() * 2.0 - 1.0)
             .collect();
@@ -746,38 +764,24 @@ mod tests {
         // reassociates sums: compare to 1e-4 relative, the kernel's
         // documented parity bound.
         let (c, x) = random_conv(3, 5, 4, 2, 33, 7);
-        let got = c.forward(&x, 33);
-        let want = c.forward_naive(&x, 33);
-        for (p, q) in got.iter().zip(&want) {
-            assert!((p - q).abs() <= 1e-4 * q.abs().max(1.0), "{p} vs {q}");
-        }
+        assert_close(&c.forward(&x, 33), &c.forward_naive(&x, 33), 1e-4, "out");
     }
 
     #[test]
     fn im2col_with_scalar_gemm_bitwise_matches_naive() {
-        // Pinned to the scalar GEMM oracle: the batch-of-one im2col
-        // row order plus ascending-k accumulation reproduce the naive
-        // loops exactly.
+        // Pinned to the scalar GEMM oracle: patch rows in `[k][in]`
+        // order against `[out][k][in]` filters, summed the way
+        // `sgemm_nt_scalar` documents (four partial sums, not the
+        // ascending chain the `[channel][sample][len]` layout's
+        // `sgemm_nn_scalar` gave), reproduce the naive loops exactly.
         let (c, x) = random_conv(3, 5, 4, 2, 33, 7);
-        let ol = c.out_len(33);
         let ick = c.in_ch * c.kernel;
-        let mut out = vec![0.0f32; c.out_ch * ol];
-        for (orow, &bias) in out.chunks_mut(ol).zip(&c.b) {
-            orow.fill(bias);
-        }
-        let mut cols = vec![0.0f32; ick * ol];
-        c.im2col(&x, 1, 33, &mut cols);
-        linalg::sgemm_nn_scalar(c.out_ch, ick, ol, &c.w, &cols, &mut out);
-        assert_eq!(out, c.forward_naive(&x, 33));
-    }
-
-    /// `[ch][len]` samples interleaved into one `[ch][bsz][len]` batch.
-    fn batch_of(samples: &[Vec<f32>], sh: Shape) -> Vec<f32> {
-        let mut buf = vec![0.0f32; samples.len() * sh.size()];
-        for (s, x) in samples.iter().enumerate() {
-            scatter_sample(x, sh, samples.len(), s, &mut buf);
-        }
-        buf
+        let mut patches = Vec::new();
+        c.copy_patches(&x, 33, &mut patches);
+        let mut out = vec![0.0f32; c.out_ch * c.out_len(33)];
+        fill_rows(&mut out, &c.b);
+        linalg::sgemm_nt_scalar(c.out_len(33), ick, c.out_ch, &patches, &c.w, &mut out);
+        assert_eq!(bits(&out), bits(&c.forward_naive(&x, 33)));
     }
 
     #[test]
@@ -785,18 +789,12 @@ mod tests {
         // The GEMM depth is `in_ch * kernel` whatever the batch, so a
         // sample's outputs do not depend on its batch mates.
         let (c, _) = random_conv(3, 5, 4, 2, 33, 7);
-        let sh = Shape { ch: 3, len: 33 };
         let samples: Vec<Vec<f32>> = (0..5).map(|s| random_conv(3, 5, 4, 2, 33, s).1).collect();
-        let so = Shape {
-            ch: 5,
-            len: c.out_len(33),
-        };
-        let mut out = vec![0.0f32; 5 * so.size()];
-        c.forward_batch(&batch_of(&samples, sh), 5, 33, &mut Vec::new(), &mut out);
-        for (s, x) in samples.iter().enumerate() {
-            let mut got = vec![0.0f32; so.size()];
-            gather_sample(&out, so, 5, s, &mut got);
-            assert_eq!(got, c.forward(x, 33), "sample {s}");
+        let so = c.out_ch * c.out_len(33);
+        let mut out = vec![0.0f32; 5 * so];
+        c.forward_batch(&samples.concat(), 33, &mut Vec::new(), &mut out);
+        for (s, (x, got)) in samples.iter().zip(out.chunks_exact(so)).enumerate() {
+            assert_eq!(bits(got), bits(&c.forward(x, 33)), "sample {s}");
         }
     }
 
@@ -817,7 +815,6 @@ mod tests {
         l.backward_batch(
             &xb,
             s,
-            2,
             &[],
             &[5.0, 7.0, 1.0, 2.0],
             &mut Vec::new(),
@@ -827,22 +824,74 @@ mod tests {
         assert_eq!(dxb[7..], [0.0, 1.0, 0.0, 0.0, 0.0, 2.0, 0.0]);
     }
 
+    /// Max pooling of a `[bsz][s.len][s.ch]` batch one channel series at
+    /// a time, with the scalar loops' comparisons: the first maximum is
+    /// the output, the last one gets the gradient.
+    fn pool_oracle(x: &[f32], s: Shape, p: usize, dout: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let (bsz, ol) = (x.len() / s.size(), s.len / p);
+        let mut out = vec![0.0f32; bsz * ol * s.ch];
+        let mut dx = vec![0.0f32; x.len()];
+        for smp in 0..bsz {
+            for c in 0..s.ch {
+                let at = |t: usize| (smp * s.len + t) * s.ch + c;
+                for w in 0..ol {
+                    let (mut first, mut last) = (0, 0);
+                    for j in 0..p {
+                        if x[at(w * p + j)] > x[at(w * p + first)] {
+                            first = j;
+                        }
+                        if x[at(w * p + j)] >= x[at(w * p + last)] {
+                            last = j;
+                        }
+                    }
+                    let o = (smp * ol + w) * s.ch + c;
+                    out[o] = x[at(w * p + first)];
+                    dx[at(w * p + last)] = dout[o];
+                }
+            }
+        }
+        (out, dx)
+    }
+
+    #[test]
+    fn maxpool_matches_the_per_channel_scalar_oracle() {
+        // Values drawn from a handful of levels, so that ties, all-zero
+        // windows (post-ReLU), all-negative windows and `-0.0` next to
+        // `0.0` all occur, on 3 samples x 5 channels with a ragged tail.
+        let levels = [0.0f32, 0.0, 0.0, -0.0, -0.0, 1.5, -2.0, -0.25, 3.0];
+        let mut r = StdRng::seed_from_u64(11);
+        for (p, len) in [(1, 4), (2, 9), (3, 11), (3, 3), (2, 2)] {
+            let s = Shape { ch: 5, len };
+            let x: Vec<f32> = (0..3 * s.size())
+                .map(|_| levels[(r.random::<f32>() * levels.len() as f32) as usize])
+                .collect();
+            let dout: Vec<f32> = (0..3 * (len / p) * s.ch)
+                .map(|_| r.random::<f32>() - 0.5)
+                .collect();
+            let (want_out, want_dx) = pool_oracle(&x, s, p, &dout);
+            let mut l = Layer::MaxPool1d(p);
+            let mut out = vec![7.0f32; want_out.len()];
+            l.forward_batch(&x, s, &mut Vec::new(), &mut out);
+            assert_eq!(bits(&out), bits(&want_out), "forward p={p} len={len}");
+            let mut dx = vec![7.0f32; x.len()];
+            l.backward_batch(&x, s, &[], &dout, &mut Vec::new(), Some(&mut dx));
+            assert_eq!(bits(&dx), bits(&want_dx), "backward p={p} len={len}");
+        }
+    }
+
     #[test]
     fn im2col_scratch_reuse_is_clean_across_shrinking_shapes() {
         // A reused patch buffer (the workspace's, when the last
         // mini-batch of an epoch is short) is long and dirty; a smaller
         // problem must still see exact patches (truncate, not stale tail).
-        let mut cols = Vec::new();
+        let mut patches = Vec::new();
         let (big, xb) = random_conv(4, 3, 5, 1, 40, 3);
         let mut out = vec![0.0f32; 3 * big.out_len(40)];
-        big.forward_batch(&xb, 1, 40, &mut cols, &mut out);
+        big.forward_batch(&xb, 40, &mut patches, &mut out);
         let (small, xs) = random_conv(2, 3, 3, 2, 15, 4);
         let mut got = vec![0.0f32; 3 * small.out_len(15)];
-        small.forward_batch(&xs, 1, 15, &mut cols, &mut got);
-        let want = small.forward_naive(&xs, 15);
-        for (p, q) in got.iter().zip(&want) {
-            assert!((p - q).abs() <= 1e-4 * q.abs().max(1.0), "{p} vs {q}");
-        }
+        small.forward_batch(&xs, 15, &mut patches, &mut got);
+        assert_close(&got, &small.forward_naive(&xs, 15), 1e-4, "out");
     }
 
     #[test]
@@ -854,49 +903,58 @@ mod tests {
         let dout: Vec<f32> = (0..4 * ol).map(|i| ((i as f32) * 0.31).sin()).collect();
         let dxa = a.backward(&x, 24, &dout);
         let dxb = b.backward_naive(&x, 24, &dout);
-        for (p, q) in dxa.iter().zip(&dxb) {
-            assert!((p - q).abs() < 1e-5, "dx {p} vs {q}");
-        }
-        for (p, q) in a.gw.iter().zip(&b.gw) {
-            assert!((p - q).abs() < 1e-4 * q.abs().max(1.0), "gw {p} vs {q}");
-        }
-        for (p, q) in a.gb.iter().zip(&b.gb) {
-            assert!((p - q).abs() < 1e-4 * q.abs().max(1.0), "gb {p} vs {q}");
-        }
+        assert_close(&dxa, &dxb, 1e-5, "dx");
+        assert_close(&a.gw, &b.gw, 1e-4, "gw");
+        assert_close(&a.gb, &b.gb, 1e-4, "gb");
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// im2col conv must match the scalar loops on random shapes
-        /// (forward and both gradient passes) to 1e-5.
+        /// The channels-last batch kernels must match the scalar loops
+        /// sample by sample — forward, `gw`, `gb` and `dx`, to 1e-5 —
+        /// on random shapes including `stride > kernel` (input columns
+        /// no patch covers), through a reused patch buffer that comes
+        /// in longer than needed and dirty.
         #[test]
         fn prop_im2col_matches_naive(
-            in_ch in 1usize..4,
+            in_ch in 1usize..5,
             out_ch in 1usize..5,
             kernel in 1usize..6,
-            stride in 1usize..4,
+            stride in 1usize..8,
             extra in 0usize..20,
+            bsz in 1usize..7,
             seed in 0u64..1000,
         ) {
             let in_len = kernel + extra;
-            let (c, x) = random_conv(in_ch, out_ch, kernel, stride, in_len, seed);
-            let fwd = c.forward(&x, in_len);
-            let fwd_naive = c.forward_naive(&x, in_len);
-            for (p, q) in fwd.iter().zip(&fwd_naive) {
-                proptest::prop_assert!((p - q).abs() < 1e-5 * q.abs().max(1.0));
-            }
-
-            let mut a = c.clone();
-            let mut b = c;
-            let ol = a.out_len(in_len);
-            let dout: Vec<f32> = (0..out_ch * ol)
+            let (c, _) = random_conv(in_ch, out_ch, kernel, stride, in_len, seed);
+            let samples: Vec<Vec<f32>> = (0..bsz as u64)
+                .map(|s| random_conv(in_ch, out_ch, kernel, stride, in_len, seed + 1 + s).1)
+                .collect();
+            let so = out_ch * c.out_len(in_len);
+            let dout: Vec<f32> = (0..bsz * so)
                 .map(|i| ((i as f32 + seed as f32) * 0.7).cos())
                 .collect();
-            let dxa = a.backward(&x, in_len, &dout);
-            let dxb = b.backward_naive(&x, in_len, &dout);
-            for (p, q) in dxa.iter().zip(&dxb) {
-                proptest::prop_assert!((p - q).abs() < 1e-5 * q.abs().max(1.0));
+
+            let mut a = c.clone();
+            let mut patches = vec![f32::NAN; bsz * so * in_ch * kernel + 13];
+            let mut out = vec![0.0f32; bsz * so];
+            a.forward_batch(&samples.concat(), in_len, &mut patches, &mut out);
+            let mut dx = vec![f32::NAN; bsz * in_ch * in_len];
+            let mut scratch = vec![f32::NAN; 7];
+            a.backward_batch(&patches, in_len, &dout, &mut scratch, Some(&mut dx));
+
+            let mut b = c;
+            let sx = in_ch * in_len;
+            for (s, x) in samples.iter().enumerate() {
+                let fwd = b.forward_naive(x, in_len);
+                for (p, q) in out[s * so..][..so].iter().zip(&fwd) {
+                    proptest::prop_assert!((p - q).abs() < 1e-5 * q.abs().max(1.0));
+                }
+                let dxs = b.backward_naive(x, in_len, &dout[s * so..][..so]);
+                for (p, q) in dx[s * sx..][..sx].iter().zip(&dxs) {
+                    proptest::prop_assert!((p - q).abs() < 1e-5 * q.abs().max(1.0));
+                }
             }
             for (p, q) in a.gw.iter().zip(&b.gw) {
                 proptest::prop_assert!((p - q).abs() < 1e-5 * q.abs().max(1.0));

@@ -8,7 +8,8 @@
 //! scratch:
 //!
 //! * [`layers`] — 1-D convolution, max-pooling, dense, ReLU, and the
-//!   softmax/cross-entropy head, with full backpropagation.
+//!   softmax/cross-entropy head, with full backpropagation over
+//!   channels-last mini-batches (every conv / dense pass is one GEMM).
 //! * [`network`] — the sequential [`Network`] container, SGD training,
 //!   and the paper's architecture ("two 1-dimensional convolutional
 //!   layers with 32 filters and a final dense layer with 32 neurons").

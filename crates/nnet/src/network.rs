@@ -1,8 +1,12 @@
 //! The sequential [`Network`] container, SGD training, and the paper's
 //! CNN architecture.
+//!
+//! A network runs whole mini-batches through its layers in a private
+//! workspace of channels-last buffers (`[sample][len][channel]`, see
+//! [`crate::layers`]); a data row is one `[len][channel]` sample — for
+//! the paper's one-channel network, the plain feature vector.
 
-use crate::layers::{gather_sample, scatter_sample, softmax, softmax_ce};
-use crate::layers::{Conv1d, Dense, Layer, Shape};
+use crate::layers::{softmax, softmax_ce, Conv1d, Dense, Layer, Shape};
 use linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -43,7 +47,8 @@ const EVAL_BATCH: usize = 16;
 /// per `train_epoch` / `compute_gradients` / `predict` call for the
 /// largest batch it will see and reused by every mini-batch, so the
 /// passes themselves allocate nothing. All batches are laid out
-/// `[channel][sample][len]` (see [`crate::layers`]).
+/// channels-last, `[sample][len][channel]` (see [`crate::layers`]), so
+/// sample `s` of any of them is the sub-slice `[s * size..][..size]`.
 struct Workspace {
     /// `shapes[i]`: per-sample input shape of layer `i`; the last
     /// entry is the shape of the logits.
@@ -51,25 +56,40 @@ struct Workspace {
     /// `acts[i]`: input batch of layer `i` (`acts[0]` is the data).
     acts: Vec<Vec<f32>>,
     /// `kept[i]`: what layer `i`'s forward pass leaves for its backward
-    /// pass (conv patch matrix, flattened dense input).
+    /// pass (a convolution's patch matrix; empty otherwise).
     kept: Vec<Vec<f32>>,
     /// Output-gradient / input-gradient ping-pong pair.
     grads: [Vec<f32>; 2],
     /// Layer-local backward scratch.
     scratch: Vec<f32>,
-    /// One sample's logits, and its probabilities or logit gradient.
-    logits: Vec<f32>,
+    /// One sample's class probabilities.
     head: Vec<f32>,
 }
 
 impl Workspace {
-    /// Class probabilities of sample `s` of the `bsz`-sample batch the
-    /// last forward pass ran.
-    fn probs(&mut self, bsz: usize, s: usize) -> &[f32] {
-        let n = self.acts.len() - 1;
-        gather_sample(&self.acts[n], self.shapes[n], bsz, s, &mut self.logits);
-        softmax(&self.logits, &mut self.head);
+    /// Class probabilities of sample `s` of the batch the last forward
+    /// pass ran.
+    fn probs(&mut self, s: usize) -> &[f32] {
+        let k = self.head.len();
+        let logits = self.acts.last().expect("logits batch");
+        softmax(&logits[s * k..][..k], &mut self.head);
         &self.head
+    }
+}
+
+/// The momentum update `momentum * v - step`, flushed to a signed zero
+/// below the normal range. Where the gradient is exactly 0 (a dead-ReLU
+/// filter) `v` only decays; it would reach the subnormals after ~800
+/// steps and stick at the smallest one (`0.9 * 1.4e-45` rounds back to
+/// itself), and subnormal arithmetic then costs 30-40x on the whole step,
+/// for good. A select, not a branch; no bit changes where no subnormal
+/// would have existed.
+fn momentum_step(momentum: f32, v: f32, step: f32) -> f32 {
+    let v = momentum * v - step;
+    if v.abs() < f32::MIN_POSITIVE {
+        0.0f32.copysign(v)
+    } else {
+        v
     }
 }
 
@@ -224,34 +244,31 @@ impl Network {
             kept: vec![Vec::new(); self.layers.len()],
             grads: [vec![0.0; widest], vec![0.0; widest]],
             scratch: Vec::new(),
-            logits: vec![0.0; n_out],
             head: vec![0.0; n_out],
         }
     }
 
-    /// Loads `rows` (f64 features are converted to f32) as one batch
-    /// into `ws` and runs every layer over it; returns the batch size.
+    /// Loads `rows` (each a `[len][channel]` sample; f64 features are
+    /// converted to f32) as one batch into `ws` and runs every layer
+    /// over it; returns the batch size.
     fn forward_batch<'a>(
         &self,
         ws: &mut Workspace,
         rows: impl ExactSizeIterator<Item = &'a [f64]>,
     ) -> usize {
         let bsz = rows.len();
-        let s0 = self.input;
-        for (s, row) in rows.enumerate() {
-            assert_eq!(row.len(), s0.size(), "input length mismatch");
-            for (c, r) in row.chunks_exact(s0.len).enumerate() {
-                let dst = &mut ws.acts[0][(c * bsz + s) * s0.len..][..s0.len];
-                for (a, &v) in dst.iter_mut().zip(r) {
-                    *a = v as f32;
-                }
+        let n_in = self.input.size();
+        for (row, dst) in rows.zip(ws.acts[0].chunks_exact_mut(n_in)) {
+            assert_eq!(row.len(), n_in, "input length mismatch");
+            for (a, &v) in dst.iter_mut().zip(row) {
+                *a = v as f32;
             }
         }
         for (i, l) in self.layers.iter().enumerate() {
             let (si, so) = (ws.shapes[i], ws.shapes[i + 1]);
             let (lo, hi) = ws.acts.split_at_mut(i + 1);
             let (x, out) = (&lo[i][..bsz * si.size()], &mut hi[0][..bsz * so.size()]);
-            l.forward_batch(x, si, bsz, &mut ws.kept[i], out);
+            l.forward_batch(x, si, &mut ws.kept[i], out);
         }
         bsz
     }
@@ -267,20 +284,19 @@ impl Network {
         bsz: usize,
         targets: impl Iterator<Item = u8>,
     ) -> f32 {
-        let n = self.layers.len();
+        let k = ws.head.len();
         let [mut g, mut dx] = ws.grads.each_mut();
         let mut loss = 0.0;
-        for (s, t) in targets.enumerate() {
-            gather_sample(&ws.acts[n], ws.shapes[n], bsz, s, &mut ws.logits);
-            loss += softmax_ce(&ws.logits, t as usize, &mut ws.head);
-            scatter_sample(&ws.head, ws.shapes[n], bsz, s, g);
+        let logits = ws.acts[self.layers.len()].chunks_exact(k);
+        for ((t, logits), gs) in targets.zip(logits).zip(g.chunks_exact_mut(k)) {
+            loss += softmax_ce(logits, t as usize, gs);
         }
         for (i, l) in self.layers.iter_mut().enumerate().rev() {
             let (si, so) = (ws.shapes[i], ws.shapes[i + 1]);
             let x = &ws.acts[i][..bsz * si.size()];
             let dout = &g[..bsz * so.size()];
             let dxi = (i > 0).then(|| &mut dx[..bsz * si.size()]);
-            l.backward_batch(x, si, bsz, &ws.kept[i], dout, &mut ws.scratch, dxi);
+            l.backward_batch(x, si, &ws.kept[i], dout, &mut ws.scratch, dxi);
             std::mem::swap(&mut g, &mut dx);
         }
         loss
@@ -293,19 +309,19 @@ impl Network {
         self.backward_batch(ws, bsz, idx.iter().map(|&i| y[i]))
     }
 
-    /// Logits for one sample row (f64 features are converted to f32).
+    /// Logits for one `[len][channel]` sample row (f64 features are
+    /// converted to f32).
     pub fn forward(&self, row: &[f64]) -> Vec<f32> {
         let mut ws = self.workspace(1);
         self.forward_batch(&mut ws, std::iter::once(row));
-        // A batch of one is laid out as the plain `[ch][len]` sample.
-        ws.acts.pop().expect("input batch")
+        ws.acts.pop().expect("logits batch")
     }
 
     /// Class probabilities for one sample.
     pub fn predict_probs(&self, row: &[f64]) -> Vec<f32> {
         let mut ws = self.workspace(1);
         self.forward_batch(&mut ws, std::iter::once(row));
-        ws.probs(1, 0).to_vec()
+        ws.probs(0).to_vec()
     }
 
     /// Hard 0/1 label for one sample.
@@ -322,7 +338,7 @@ impl Network {
             let r1 = (r0 + EVAL_BATCH).min(x.rows());
             let bsz = self.forward_batch(&mut ws, (r0..r1).map(|r| x.row(r)));
             for s in 0..bsz {
-                let p = ws.probs(bsz, s);
+                let p = ws.probs(s);
                 labels.push(u8::from(p[1] > p[0]));
             }
         }
@@ -344,7 +360,7 @@ impl Network {
             if let Some((params, grads, vels)) = l.params_mut() {
                 for ((p, g), v) in params.into_iter().zip(grads).zip(vels) {
                     for ((pv, gv), vv) in p.iter_mut().zip(g.iter_mut()).zip(v.iter_mut()) {
-                        *vv = momentum * *vv - scale * *gv;
+                        *vv = momentum_step(momentum, *vv, scale * *gv);
                         *pv += *vv;
                         *gv = 0.0;
                     }
@@ -391,7 +407,7 @@ impl Network {
                     let len = p.len();
                     for ((pv, vv), gv) in p.iter_mut().zip(v.iter_mut()).zip(&flat[off..off + len])
                     {
-                        *vv = momentum * *vv - scale * gv;
+                        *vv = momentum_step(momentum, *vv, scale * gv);
                         *pv += *vv;
                     }
                     off += len;
@@ -579,6 +595,38 @@ mod tests {
     }
 
     #[test]
+    fn zero_gradient_steps_flush_velocities_instead_of_going_subnormal() {
+        // A dead-ReLU filter's gradient is exactly 0, so its velocity
+        // only decays: 0.9^n reaches the subnormals near step 800 and
+        // would stick at the smallest one. Both step functions.
+        type Step = fn(&mut Network);
+        let steps: [Step; 2] = [
+            |n| n.sgd_step(0.01, 0.9, 8),
+            |n| n.apply_gradients(&vec![0.0; n.n_params()], 0.01, 0.9, 8),
+        ];
+        let (x, y) = toy_data(8, 64, 4);
+        for step in steps {
+            let mut net = Network::afib_cnn(64, 1);
+            net.train_epoch(&x, &y, &TrainParams::default(), 0);
+            let velocities = |n: &mut Network| -> Vec<f32> {
+                let layers = n.layers.iter_mut().filter_map(Layer::params_mut);
+                layers
+                    .flat_map(|(_, _, v)| v)
+                    .flatten()
+                    .map(|v| *v)
+                    .collect()
+            };
+            assert!(velocities(&mut net).iter().any(|&v| v != 0.0));
+            (0..1000).for_each(|_| step(&mut net));
+            let settled = net.get_weights();
+            (0..1000).for_each(|_| step(&mut net));
+            assert!(velocities(&mut net).iter().all(|&v| v == 0.0));
+            let bits = |w: Vec<f32>| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(net.get_weights()), bits(settled));
+        }
+    }
+
+    #[test]
     fn averaging_sums_net_by_net_then_divides() {
         let nets: Vec<Network> = (0..4).map(|s| Network::afib_cnn(64, 20 + s)).collect();
         let refs: Vec<&Network> = nets.iter().collect();
@@ -639,10 +687,8 @@ mod tests {
 
             let mut ws = net.workspace(bsz);
             net.forward_batch(&mut ws, rows.iter().map(Vec::as_slice));
-            let so = Shape { ch: 1, len: 2 };
-            for (s, row) in rows.iter().enumerate() {
-                let mut logits = [0.0f32; 2];
-                gather_sample(&ws.acts[net.layers.len()], so, bsz, s, &mut logits);
+            let logits = ws.acts[net.layers.len()].chunks_exact(2);
+            for (row, logits) in rows.iter().zip(logits) {
                 proptest::prop_assert_eq!(logits.to_vec(), net.forward(row));
             }
 

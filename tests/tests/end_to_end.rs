@@ -97,10 +97,9 @@ fn full_knn_with_scaler_workflow() {
     assert_eq!(c, t, "1-NN self-score must be exact");
 }
 
-#[test]
-fn cnn_nested_training_integrates() {
+/// The PCA projection standardized for SGD.
+fn standardized() -> (Matrix, Vec<u8>) {
     let (xp, y) = projected();
-    // Standardize for SGD.
     let means = xp.col_means();
     let stds = xp.col_stds(&means);
     let mut xn = xp.clone();
@@ -109,6 +108,26 @@ fn cnn_nested_training_integrates() {
             *v = (*v - means[c]) / stds[c].max(1e-9);
         }
     }
+    (xn, y)
+}
+
+fn cnn_config(epochs: usize, batch_size: usize) -> nnet::ParallelConfig {
+    nnet::ParallelConfig {
+        epochs,
+        workers: 2,
+        gpus_per_task: 1,
+        train: nnet::TrainParams {
+            lr: 0.02,
+            momentum: 0.9,
+            batch_size,
+            seed: 0,
+        },
+    }
+}
+
+#[test]
+fn cnn_nested_training_integrates() {
+    let (xn, y) = standardized();
     let rt = Runtime::new();
     let net0 = nnet::Network::afib_cnn(xn.cols(), 6);
     let folds = vec![nnet::FoldData {
@@ -117,17 +136,7 @@ fn cnn_nested_training_integrates() {
         x_test: xn.clone(),
         y_test: y.clone(),
     }];
-    let cfg = nnet::ParallelConfig {
-        epochs: 6,
-        workers: 2,
-        gpus_per_task: 1,
-        train: nnet::TrainParams {
-            lr: 0.02,
-            momentum: 0.9,
-            batch_size: 8,
-            seed: 0,
-        },
-    };
+    let cfg = cnn_config(6, 8);
     let handles = nnet::train_kfold_nested(&rt, folds, &net0, &cfg);
     let res = rt.wait(handles[0]);
     let acc = res.test.0 as f64 / res.test.1 as f64;
@@ -137,6 +146,45 @@ fn cnn_nested_training_integrates() {
     let fold = trace.records.iter().find(|r| r.name == "cnn_fold").unwrap();
     let child = fold.child.as_ref().unwrap();
     assert_eq!(child.task_histogram()["cnn_train"], 12);
+}
+
+#[test]
+fn cnn_nested_training_is_bit_identical_on_inline_and_threaded_runtimes() {
+    // Every executor runs the same kernels on the same batches in the
+    // same order: two folds (even rows train / odd rows test, and the
+    // reverse), with a mini-batch that leaves a ragged last batch.
+    let (xn, y) = standardized();
+    let (even, odd): (Vec<usize>, Vec<usize>) = (0..xn.rows()).partition(|r| r % 2 == 0);
+    let fold = |train: &[usize], test: &[usize]| {
+        let ((x_train, y_train), (x_test, y_test)) = (take(&xn, &y, train), take(&xn, &y, test));
+        nnet::FoldData {
+            x_train,
+            y_train,
+            x_test,
+            y_test,
+        }
+    };
+    let net0 = nnet::Network::afib_cnn(xn.cols(), 6);
+    let run = |rt: Runtime| -> Vec<(Vec<u32>, Vec<u8>)> {
+        let folds = vec![fold(&even, &odd), fold(&odd, &even)];
+        nnet::train_kfold_nested(&rt, folds, &net0, &cnn_config(2, 4))
+            .into_iter()
+            .map(|h| {
+                let res = rt.wait(h);
+                let weights = res.network.get_weights();
+                (
+                    weights.iter().map(|w| w.to_bits()).collect(),
+                    res.predictions.clone(),
+                )
+            })
+            .collect()
+    };
+    let inline = run(Runtime::new());
+    assert_ne!(
+        inline[0].0, inline[1].0,
+        "the folds trained on different rows"
+    );
+    assert_eq!(inline, run(Runtime::threaded(2)));
 }
 
 #[test]
