@@ -73,10 +73,10 @@ fn workload(workers: usize, rows: usize, cols: usize, bs: usize) -> RunResult {
     run_workload(workers, rows, cols, bs, None)
 }
 
-/// `(result bits, trace, total tasks, counter retries, journal retry
-/// events, journal dropped)` — the last two from the live telemetry
-/// journal, cross-checked against the scheduler counter in `--check`.
-type RunResult = (Vec<u64>, Trace, u64, u64, u64, u64);
+/// `(result bits, trace, total tasks, counter retries, retry events)` —
+/// the last derived from the trace's attempt records, cross-checked
+/// against the scheduler counter in `--check`.
+type RunResult = (Vec<u64>, Trace, u64, u64, u64);
 
 fn run_workload(
     workers: usize,
@@ -106,27 +106,19 @@ fn run_workload(
     bits.extend(rt.wait(sums).iter().map(|v| v.to_bits()));
     bits.extend(rt.wait(gram).as_slice().iter().map(|v| v.to_bits()));
     bits.push(rt.wait(total).to_bits());
-    rt.barrier();
+    let trace = rt.finish();
     let stats = rt.stats();
-    let (journal_retries, journal_dropped) = rt
-        .telemetry()
-        .map(|t| {
-            let retries = t
-                .journal()
-                .snapshot()
-                .iter()
-                .filter(|e| e.kind == taskrt::EventKind::Retry)
-                .count() as u64;
-            (retries, t.journal().dropped())
-        })
-        .unwrap_or((0, 0));
+    let retry_events = trace
+        .events()
+        .iter()
+        .filter(|e| e.kind == taskrt::EventKind::Retry)
+        .count() as u64;
     (
         bits,
-        rt.finish(),
+        trace,
         stats.total_tasks(),
         stats.retries,
-        journal_retries,
-        journal_dropped,
+        retry_events,
     )
 }
 
@@ -144,14 +136,14 @@ fn main() {
     println!("chaos: scale={scale} workers={workers} sim_nodes={nodes} seed={seed:#x}");
 
     // -- 1: fault-free baseline vs. injected-fault retry runs ---------
-    let (clean_bits, trace, clean_tasks, _, _, _) = workload(workers, rows, cols, bs);
+    let (clean_bits, trace, clean_tasks, _, _) = workload(workers, rows, cols, bs);
     let mut plan = FaultPlan::new(seed);
     for kind in RETRYABLE_KINDS {
         plan = plan.panic_kind(kind, 1);
     }
-    let (fault_bits, _, fault_tasks, retries, journal_retries, journal_dropped) =
+    let (fault_bits, _, fault_tasks, retries, retry_events) =
         run_workload(workers, rows, cols, bs, Some(plan.clone()));
-    let (fault_bits2, _, _, retries2, _, _) = run_workload(workers, rows, cols, bs, Some(plan));
+    let (fault_bits2, _, _, retries2, _) = run_workload(workers, rows, cols, bs, Some(plan));
     let fault_frac = retries as f64 / fault_tasks as f64;
     let identical = clean_bits == fault_bits;
     let deterministic = fault_bits == fault_bits2 && retries == retries2;
@@ -160,9 +152,7 @@ fn main() {
          bit-identical={identical} deterministic={deterministic}",
         fault_frac * 100.0
     );
-    println!(
-        "telemetry: {journal_retries} retry events journaled ({journal_dropped} events dropped)"
-    );
+    println!("events: {retry_events} retry events derived from the trace");
 
     // -- 2: retry exhaustion fails with a named-task error ------------
     let giveup_msg = {
@@ -225,8 +215,7 @@ fn main() {
                 ("fault_fraction".into(), Value::from(fault_frac)),
                 ("bit_identical".into(), Value::from(identical)),
                 ("deterministic".into(), Value::from(deterministic)),
-                ("journal_retry_events".into(), Value::from(journal_retries)),
-                ("journal_dropped".into(), Value::from(journal_dropped)),
+                ("retry_events".into(), Value::from(retry_events)),
             ]),
         ),
         (
@@ -262,17 +251,12 @@ fn main() {
         );
         assert!(identical, "retried results diverged from fault-free run");
         assert!(deterministic, "seeded fault runs diverged from each other");
-        // The journal must tell the same story as the scheduler
-        // counter: one Retry event per retried attempt (exactly, while
-        // nothing overflowed; at least one under overflow).
-        if journal_dropped == 0 {
-            assert_eq!(
-                journal_retries, retries,
-                "journal retry events must match the retry counter"
-            );
-        } else {
-            assert!(journal_retries > 0, "no retry events survived in journal");
-        }
+        // The trace must tell the same story as the scheduler counter:
+        // one derived `retry` event per retried attempt.
+        assert_eq!(
+            retry_events, retries,
+            "derived retry events must match the retry counter"
+        );
         assert!(
             named_failure,
             "give-up error must name the task and attempt count, got: {giveup_msg:?}"

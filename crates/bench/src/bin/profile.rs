@@ -1,14 +1,15 @@
 //! Observability exporter: run the ECG → PCA stage once on the threaded
 //! scheduler and export every `taskrt::obs` / `taskrt::telemetry`
 //! artifact of that one run — the role Extrae + Paraver play in the
-//! paper, plus the in-flight half (event journal, latency histograms,
-//! straggler analyzer, real-vs-DES divergence). Writes, under `out/`:
+//! paper: counters, then views derived from the finished trace (event
+//! stream, latency histograms, stragglers, real-vs-DES divergence).
+//! Writes, under `out/`:
 //!
 //! * `profile.json` — scheduler counters ([`taskrt::RuntimeStats`]),
 //!   per-kind profile ([`taskrt::Profile`]), simulated per-node
 //!   breakdown ([`taskrt::SimProfile`]), registry snapshot (linalg pool
-//!   counters folded in), journal summary, straggler and divergence
-//!   reports, event-schema identity check.
+//!   counters folded in), derived events per kind, straggler and
+//!   divergence reports, event-schema identity check.
 //! * `profile.prom` — the registry in Prometheus text exposition format.
 //! * `profile.trace.json` — Chrome-trace timeline of the *real* run (one
 //!   track per driver/worker, straggler verdicts as `instant` markers);
@@ -29,7 +30,7 @@ use ecg::{Dataset, DatasetSpec, Scale};
 use taskrt::json::Value;
 use taskrt::obs::{chrome_trace_schedule, chrome_trace_stragglers};
 use taskrt::sim::{simulate, ClusterSpec, SimOptions};
-use taskrt::telemetry::{divergence, validate_prometheus, EventKind, StragglerReport, EXTERNAL};
+use taskrt::telemetry::{divergence, validate_prometheus, StragglerReport};
 use taskrt::{Profile, Runtime, SimProfile};
 
 fn main() {
@@ -67,32 +68,16 @@ fn main() {
     );
 
     let rt = Runtime::threaded(workers);
-    // Forward linalg buffer-pool events into the journal's external
-    // shard: pool hits/misses happen on worker threads inside kernel
-    // bodies, outside the scheduler's own instrumentation points.
-    {
-        let rt = rt.clone();
-        linalg::pool::set_observer(Some(Box::new(move |hit, bytes| {
-            if let Some(t) = rt.telemetry() {
-                let kind = [EventKind::PoolMiss, EventKind::PoolHit][hit as usize];
-                t.journal().emit(EXTERNAL, kind, None, bytes, 0);
-            }
-        })));
-    }
     let pool0 = linalg::pool::global_stats();
     let dist = DsArray::from_matrix(&rt, &x, block_rows, block_cols);
     let pca = Pca::fit(&rt, &dist, Components::Count(n_comp.min(x.cols())));
     let _xp = pca.transform(&rt, &dist).collect(&rt);
     rt.barrier();
-    linalg::pool::set_observer(None);
     let pool1 = linalg::pool::global_stats();
     let (pool_hits, pool_misses, pool_bytes) =
         (pool1.0 - pool0.0, pool1.1 - pool0.1, pool1.2 - pool0.2);
 
     let stats = rt.stats();
-    let journal_events = rt.journal_events();
-    let journal_dropped = rt.journal_dropped();
-    let journal_emitted = rt.telemetry().expect("metrics on").journal().emitted();
     let mut registry = rt.registry();
     let trace = rt.finish();
 
@@ -140,13 +125,10 @@ fn main() {
     let (real_keys, sim_keys) = (key_set(&real_events), key_set(&sim_events));
     let schema_identical = !real_keys.is_empty() && real_keys == sim_keys;
 
-    let mut by_kind: BTreeMap<String, u64> = BTreeMap::new();
-    for e in &journal_events {
-        *by_kind.entry(e.kind.as_str().to_string()).or_default() += 1;
+    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
+    for e in &real_events {
+        *by_kind.entry(e.kind.as_str()).or_default() += 1;
     }
-    let by_kind = by_kind.into_iter().map(|(k, n)| (k, Value::from(n)));
-    let journal_drop_rate =
-        journal_dropped as f64 / ((journal_emitted + journal_dropped).max(1)) as f64;
 
     // -- console summary ----------------------------------------------
     for table in [
@@ -158,9 +140,8 @@ fn main() {
     }
     println!();
     println!(
-        "journal: {journal_emitted} events emitted, {} retained, {journal_dropped} dropped ({:.1}% drop rate); pool: {pool_hits} hits / {pool_misses} misses",
-        journal_events.len(),
-        journal_drop_rate * 100.0
+        "events: {} derived from the trace {by_kind:?}; pool: {pool_hits} hits / {pool_misses} misses",
+        real_events.len(),
     );
     println!(
         "stragglers (k={straggler_k}): {} flagged; critical path {} tasks, {:.3}s",
@@ -186,14 +167,16 @@ fn main() {
         ("sim".into(), sim_profile.to_value()),
         ("registry".into(), registry.to_value()),
         (
-            "journal".into(),
-            Value::Object(vec![
-                ("emitted".into(), Value::from(journal_emitted)),
-                ("retained".into(), Value::from(journal_events.len())),
-                ("dropped".into(), Value::from(journal_dropped)),
-                ("drop_rate".into(), Value::Number(journal_drop_rate)),
-                ("by_kind".into(), Value::Object(by_kind.collect())),
-            ]),
+            "events".into(),
+            Value::Object(vec![(
+                "by_kind".into(),
+                Value::Object(
+                    by_kind
+                        .iter()
+                        .map(|(&k, &n)| (k.to_string(), Value::from(n)))
+                        .collect(),
+                ),
+            )]),
         ),
         ("stragglers".into(), stragglers.to_value()),
         ("divergence".into(), div.to_value()),
@@ -222,9 +205,9 @@ fn main() {
 }
 
 /// Re-reads the written artifacts and asserts they are usable. CI runs
-/// `--check` so a silent regression (counters gated off, pool observer
-/// unwired, under-sized journal, DES schema drift, empty timeline,
-/// malformed exporter) fails the build.
+/// `--check` so a silent regression (counters gated off, ready stamps
+/// missing, pool counters not folded in, DES schema drift, empty
+/// timeline, malformed exporter) fails the build.
 fn self_check(nodes: usize) {
     let read =
         |path: &str| std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
@@ -247,11 +230,10 @@ fn self_check(nodes: usize) {
     for path in [
         "runtime.total_tasks",
         "runtime.queued_tasks",
-        "journal.retained",
-        "journal.by_kind.task_start",
-        "journal.by_kind.task_end",
-        "journal.by_kind.queue_flush",
+        "events.by_kind.task_start",
+        "events.by_kind.task_end",
         "registry.taskrt_run_seconds.count",
+        "registry.taskrt_queue_wait_seconds.count",
         "divergence.real_makespan_s",
         "divergence.sim_makespan_s",
     ] {
@@ -265,18 +247,6 @@ fn self_check(nodes: usize) {
     }
     let rows = v["sim"]["nodes"].as_array().expect("sim.nodes");
     assert_eq!(rows.len(), nodes, "one utilization row per node");
-    let by_kind = &v["journal"]["by_kind"];
-    assert!(
-        num(&by_kind["pool_hit"]) + num(&by_kind["pool_miss"]) > 0.0,
-        "journal has no buffer-pool events (observer not wired?)"
-    );
-    // `Telemetry::new` sizes the rings from the worker count; a high
-    // drop rate means that rule regressed to losing most of the run.
-    let drop_rate = v["journal"]["drop_rate"].as_f64();
-    assert!(
-        drop_rate.is_some_and(|r| r < 0.25),
-        "journal drop rate {drop_rate:?} — ring under-sized for this worker count"
-    );
     let run_p95 = &v["registry"]["taskrt_run_seconds"]["p95"];
     assert!(run_p95.as_f64().is_some(), "run-time histogram has no p95");
     let div_kinds = v["divergence"]["kinds"]

@@ -195,6 +195,7 @@ mod tests {
             cores: 1,
             gpus,
             seq: 0,
+            ready_s: 0.0,
             start_s: 0.0,
             worker: -1,
             child: None,

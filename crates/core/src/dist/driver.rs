@@ -32,7 +32,6 @@ use super::worker::{self, WorkerOpts};
 use crate::fault::OnFailure;
 use crate::handle::{DataId, TaskId};
 use crate::sim::ClusterSpec;
-use crate::telemetry::{Event, EventKind, Telemetry, DRIVER};
 use crate::trace::{AttemptRecord, TaskRecord, Trace};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -258,7 +257,6 @@ pub struct DistRuntime {
     rx: Receiver<Ev>,
     handles: Vec<Option<WorkerHandle>>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    telemetry: Telemetry,
     epoch: Instant,
     chaos: Option<(usize, usize)>, // (kill after N completions, worker)
     chaos_fired: bool,
@@ -370,7 +368,6 @@ impl DistRuntime {
             handles.push(Some(handle));
         }
 
-        let n_workers = cfg.workers;
         Ok(DistRuntime {
             cfg,
             dir,
@@ -383,7 +380,6 @@ impl DistRuntime {
             rx,
             handles,
             accept_thread: Some(accept_thread),
-            telemetry: Telemetry::new(n_workers, epoch),
             epoch,
             chaos: None,
             chaos_fired: false,
@@ -414,12 +410,6 @@ impl DistRuntime {
     pub fn kill_worker_after(&mut self, done_tasks: usize, worker: usize) {
         assert!(worker < self.cfg.workers);
         self.chaos = Some((done_tasks, worker));
-    }
-
-    /// Telemetry events the driver journaled (same schema as the
-    /// threaded runtime and the DES).
-    pub fn journal_events(&self) -> Vec<Event> {
-        self.telemetry.journal().snapshot()
     }
 
     /// Executes one plan across the cluster. Currently one run per
@@ -742,24 +732,12 @@ impl DistRuntime {
                             cores: 1,
                             gpus: 0,
                             seq: task,
+                            ready_s: 0.0,
                             start_s,
                             worker: w as i64,
                             child: None,
                             attempts: attempt_log,
                         });
-                        // One TaskEnd slot per task, like the threaded
-                        // runtime's hot path: `Journal::snapshot`
-                        // synthesizes the TaskStart at `end - n` nanos.
-                        let start_at = self.epoch + Duration::from_secs_f64(start_s.max(0.0));
-                        self.telemetry.journal().emit_at(
-                            w as i64,
-                            start_at + Duration::from_secs_f64(duration_s.max(0.0)),
-                            EventKind::TaskEnd,
-                            Some(task),
-                            (duration_s * 1e9) as u64,
-                            0,
-                        );
-                        self.telemetry.run_time.record((duration_s * 1e9) as u64);
                         // Chaos trigger rides completions.
                         if let Some((after, victim)) = self.chaos {
                             if !self.chaos_fired && *completions >= after {
@@ -795,8 +773,10 @@ impl DistRuntime {
                         let kind = registry
                             .get(&plan.tasks[t].kind)
                             .expect("validated at submit");
+                        // `Failed` carries no timing: stamp the attempt
+                        // when the frame arrives (see `AttemptRecord`).
                         failed_attempts[t].push(AttemptRecord {
-                            start_s: 0.0,
+                            start_s: self.epoch.elapsed().as_secs_f64(),
                             duration_s: 0.0,
                             error: Some(error.clone()),
                         });
@@ -804,13 +784,6 @@ impl DistRuntime {
                             && attempts[t] < kind.retry.max_attempts;
                         if retryable {
                             let backoff = kind.retry.backoff_s(task, attempts[t]);
-                            self.telemetry.journal().emit(
-                                DRIVER,
-                                EventKind::Retry,
-                                Some(task),
-                                u64::from(attempts[t]),
-                                0,
-                            );
                             attempts[t] += 1;
                             stats.retries += 1;
                             not_before[t] = Some(Instant::now() + Duration::from_secs_f64(backoff));
@@ -1018,13 +991,6 @@ impl DistRuntime {
                 if needed_as_output || needed_as_input {
                     tstate[t] = TState::Pending;
                     stats.reexecutions += 1;
-                    self.telemetry.journal().emit(
-                        DRIVER,
-                        EventKind::Retry,
-                        Some(t as u64),
-                        0,
-                        1, // aux=1: lineage re-execution, not a body retry
-                    );
                     changed = true;
                 }
             }
@@ -1450,11 +1416,22 @@ mod tests {
         let report = rt.run(&p, &reg).unwrap();
         assert_eq!(report.outputs[&out].as_u64(), 7);
         assert_eq!(report.stats.retries, 1);
-        let events = rt.journal_events();
-        assert!(
-            events.iter().any(|e| e.kind == EventKind::Retry),
-            "retry not journaled"
-        );
+        // The failed attempt is stamped on arrival of its `Failed`
+        // frame: after the epoch, no later than the retry's start, and
+        // the derived `retry` event sits between the two.
+        let attempts = &report.trace.records[0].attempts;
+        assert_eq!(attempts.len(), 2);
+        let (failed, ok) = (&attempts[0], &attempts[1]);
+        assert!(failed.error.is_some() && ok.error.is_none());
+        assert!(failed.start_s > 0.0, "failed attempt stamped at t = 0");
+        assert!(failed.start_s <= ok.start_s);
+        let events = report.trace.events();
+        let retries: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == crate::telemetry::EventKind::Retry)
+            .collect();
+        assert_eq!(retries.len(), 1, "one derived retry event");
+        assert!(failed.start_s <= retries[0].t_s && retries[0].t_s <= ok.start_s);
         rt.shutdown();
     }
 

@@ -25,7 +25,7 @@
 //!   heartbeat beacon.
 //! * [`driver`] — the driver: owner-computes placement over the
 //!   replica map, heartbeat failure detection, lineage re-execution,
-//!   trace + journal capture.
+//!   trace capture.
 //!
 //! ```no_run
 //! use std::sync::Arc;

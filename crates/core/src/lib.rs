@@ -39,6 +39,7 @@
 //! | [`dot`] | Graphviz export of execution graphs |
 //! | [`gantt`] | ASCII/JSON timelines of simulated schedules |
 //! | [`obs`] | scheduler counters, Chrome-trace export, profile reports |
+//! | [`telemetry`] | views derived from a finished trace: events, histograms, registry, stragglers, divergence |
 //! | [`json`] | self-contained JSON tree, parser, and printer |
 //!
 //! ## Runtime internals & performance
@@ -74,8 +75,5 @@ pub use runtime::{
     live_worker_threads, ExecMode, Runtime, RuntimeConfig, StreamConfig, TableStats, TaskBuilder,
     TaskCtx,
 };
-pub use telemetry::{
-    Divergence, Event, EventKind, HistogramSnapshot, Journal, LogHistogram, Registry,
-    StragglerAnalyzer, StragglerReport, Telemetry,
-};
+pub use telemetry::{Divergence, Event, EventKind, HistogramSnapshot, Registry, StragglerReport};
 pub use trace::{TaskRecord, Trace};

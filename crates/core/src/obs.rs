@@ -26,6 +26,11 @@
 //!   received, plus cluster-wide *stall* time (instants where no node
 //!   runs anything — the cost of `wait`/`barrier` serialization).
 //!
+//! The counters are the only observability state a runtime updates
+//! besides each task's [`crate::TaskRecord`]; events, histograms and
+//! straggler reports are derived from the records after the run (see
+//! [`crate::telemetry`]).
+//!
 //! `cargo run --release -p bench --bin profile` exercises all of the
 //! above on a real pipeline and writes `out/profile.json` plus two
 //! `.trace.json` timelines.
@@ -448,9 +453,9 @@ pub fn chrome_trace(trace: &Trace) -> String {
 }
 
 /// [`chrome_trace`] with straggler highlighting: every task the
-/// analyzer flagged (see [`crate::telemetry::StragglerReport`]) gets an
+/// report flagged (see [`crate::telemetry::StragglerReport`]) gets an
 /// `instant` marker (`ph:"i"`) at its start on the same track, so
-/// Perfetto renders the analyzer's verdicts as droplets over the
+/// Perfetto renders the report's verdicts as droplets over the
 /// timeline. The marker's args carry the slowdown factor and the
 /// kind's median at flag time.
 pub fn chrome_trace_stragglers(
@@ -676,36 +681,13 @@ impl Profile {
             e.1 += r.outputs.iter().map(|(_, b)| *b as u64).sum::<u64>();
         }
 
-        // Walk the critical path backwards to attribute its time.
+        // Attribute the critical path's time to kinds.
+        let (path, critical_path_s) = trace.critical_path();
         let index = trace.index_by_id();
-        let n = trace.records.len();
-        let mut finish = vec![0.0f64; n];
-        let mut pred: Vec<Option<usize>> = vec![None; n];
-        let mut best = 0usize;
-        for (i, r) in trace.records.iter().enumerate() {
-            let mut ready = 0.0f64;
-            for d in &r.deps {
-                if let Some(&j) = index.get(d) {
-                    if finish[j] > ready {
-                        ready = finish[j];
-                        pred[i] = Some(j);
-                    }
-                }
-            }
-            finish[i] = ready + r.duration_s;
-            if finish[i] > finish[best] {
-                best = i;
-            }
-        }
         let mut cp_of: BTreeMap<&str, f64> = BTreeMap::new();
-        if n > 0 {
-            let mut cur = Some(best);
-            while let Some(i) = cur {
-                let r = &trace.records[i];
-                if !r.is_marker() {
-                    *cp_of.entry(&r.name).or_insert(0.0) += r.duration_s;
-                }
-                cur = pred[i];
+        for r in path.iter().map(|id| &trace.records[index[id]]) {
+            if !r.is_marker() {
+                *cp_of.entry(&r.name).or_insert(0.0) += r.duration_s;
             }
         }
 
@@ -733,7 +715,7 @@ impl Profile {
             kinds,
             task_count: trace.records.iter().filter(|r| !r.is_marker()).count(),
             total_work_s: trace.total_work_s(),
-            critical_path_s: trace.critical_path_s(),
+            critical_path_s,
         }
     }
 
@@ -997,6 +979,7 @@ mod tests {
             cores: 1,
             gpus: 0,
             seq: id,
+            ready_s: 0.0,
             start_s: 0.0,
             worker: -1,
             child: None,
@@ -1140,7 +1123,6 @@ mod tests {
             mode: crate::ExecMode::Threads(2),
             nested_mode: crate::ExecMode::Inline,
             metrics: false,
-            telemetry: false,
             ..crate::RuntimeConfig::default()
         });
         let a = rt.put(0u64);

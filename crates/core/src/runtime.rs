@@ -68,7 +68,7 @@ use crate::fault::{FaultMode, FaultPlan, OnFailure, RetryPolicy, TaskFault, INJE
 use crate::handle::{DataId, Handle, TaskId};
 use crate::obs::{Counters, RuntimeStats};
 use crate::payload::Payload;
-use crate::telemetry::{Event, EventKind, HistogramSnapshot, LogHistogram, Registry, Telemetry};
+use crate::telemetry::{HistogramSnapshot, Registry};
 use crate::trace::{AttemptRecord, TaskRecord, Trace, BARRIER_TASK, SPLIT_TASK, SYNC_TASK};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -135,17 +135,18 @@ pub struct RuntimeConfig {
     pub mode: ExecMode,
     /// Execution mode for child runtimes created by nested tasks.
     pub nested_mode: ExecMode,
-    /// Whether the scheduler maintains observability counters and
-    /// per-task timestamps (see [`crate::obs`] and [`Runtime::stats`]).
-    /// Updates are relaxed atomics off the lock path, so the default is
-    /// on; the benchmark's `obs.recording_overhead_frac` (`sched_fine
-    /// --trace 1`) measures the on-vs-off gap.
+    /// The one observability switch: whether the scheduler maintains
+    /// its counters (see [`crate::obs`] and [`Runtime::stats`]) and
+    /// stamps each record's [`TaskRecord::ready_s`]. Updates are
+    /// relaxed atomics off the lock path, so the default is on; the
+    /// benchmark's `obs.recording_overhead_frac` (`sched_fine --trace
+    /// 1`) measures the on-vs-off gap. Events, latency histograms and
+    /// straggler reports are derived from the records after the run
+    /// ([`Trace::events`], [`Runtime::registry`]).
     pub metrics: bool,
-    /// Whether the runtime keeps live telemetry — the structured event
-    /// journal and latency histograms (see [`crate::telemetry`] and
-    /// [`Runtime::telemetry`]). Only active when `metrics` is also on
-    /// (telemetry reuses the metrics timestamps); on by default.
-    /// Its cost is part of the same `obs.recording_overhead_frac`.
+    /// No effect. Kept only because the frozen benchmark constructs
+    /// it; `metrics` is the one observability switch. Removal waits for
+    /// the next change to the benchmark.
     pub telemetry: bool,
     /// The retention policy over the runtime's (single, paged)
     /// task/data/record tables.
@@ -202,17 +203,9 @@ impl Default for RuntimeConfig {
 pub struct TaskCtx {
     nested_mode: ExecMode,
     metrics: bool,
-    telemetry: bool,
     /// Runtime counters for in-body instrumentation (INOUT steal/copy
     /// accounting); `None` when metrics are off.
     counters: Option<Arc<Counters>>,
-    /// In-body INOUT resolutions, buffered here (relaxed stores, only
-    /// the executing thread writes) and flushed into the telemetry
-    /// journal by the executor once the body returns. Buffering keeps
-    /// the per-task ctx free of an `Arc<Telemetry>` refcount bump,
-    /// which all workers would contend on.
-    inout_steals: AtomicU64,
-    inout_clones: AtomicU64,
     child: Mutex<Option<Runtime>>,
 }
 
@@ -227,10 +220,9 @@ impl TaskCtx {
             mode: self.nested_mode,
             nested_mode: self.nested_mode,
             metrics: self.metrics,
-            telemetry: self.telemetry,
             // Child graphs are small (bounded by the parent task's
-            // scope): nothing to reclaim.
-            stream: None,
+            // scope): nothing to reclaim (`stream: None`).
+            ..RuntimeConfig::default()
         });
         *lock(&self.child) = Some(rt.clone());
         rt
@@ -247,12 +239,6 @@ impl TaskCtx {
             };
             Counters::add(ctr, 1);
         }
-        let buf = if stolen {
-            &self.inout_steals
-        } else {
-            &self.inout_clones
-        };
-        buf.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -610,11 +596,6 @@ struct Shared {
     /// `config.metrics`. `Arc` so a [`TaskCtx`] can carry a reference
     /// into task bodies for in-body (INOUT) accounting.
     counters: Arc<Counters>,
-    /// Live telemetry (event journal + latency histograms, see
-    /// [`crate::telemetry`]); `None` when `config.metrics` is off, so
-    /// the telemetry-off path pays a single branch. Shares `epoch` as
-    /// its time zero.
-    telemetry: Option<Arc<Telemetry>>,
 }
 
 struct Inner {
@@ -714,8 +695,6 @@ impl Runtime {
             fault_active: AtomicBool::new(false),
             epoch,
             counters: Arc::new(Counters::new(n_workers)),
-            telemetry: (config.metrics && config.telemetry)
-                .then(|| Arc::new(Telemetry::new(n_workers, epoch))),
         });
         let workers = (0..n_workers)
             .map(|i| {
@@ -984,47 +963,32 @@ impl Runtime {
         self.inner.shared.counters.snapshot()
     }
 
-    /// Live telemetry state — the event journal and latency histograms
-    /// (see [`crate::telemetry`]). `None` when the runtime was built
-    /// with [`RuntimeConfig::metrics`] `= false`.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.inner.shared.telemetry.as_deref()
-    }
-
-    /// Snapshot of the event journal, merged across executors and
-    /// sorted by time. Empty when metrics are off. Safe to call while
-    /// workers are running.
-    pub fn journal_events(&self) -> Vec<Event> {
-        self.telemetry()
-            .map(|t| t.journal().snapshot())
-            .unwrap_or_default()
-    }
-
-    /// Journal events overwritten before they could be snapshotted.
-    pub fn journal_dropped(&self) -> u64 {
-        self.telemetry().map(|t| t.journal().dropped()).unwrap_or(0)
-    }
-
-    /// Point-in-time copies of the (queue-wait, run-time, attempt)
-    /// latency histograms, in nanoseconds. `None` when metrics are off.
-    pub fn latency_histograms(
-        &self,
-    ) -> Option<(HistogramSnapshot, HistogramSnapshot, HistogramSnapshot)> {
-        self.telemetry().map(|t| {
-            (
-                t.queue_wait.snapshot(),
-                t.run_time.snapshot(),
-                t.attempt.snapshot(),
-            )
-        })
-    }
-
-    /// Builds a [`Registry`] snapshot of every scheduler counter plus
-    /// the latency histograms, ready for JSON or Prometheus export.
-    /// Snapshotable at any time without stopping workers; callers may
-    /// fold their own metrics in afterwards (the `profile` bin adds
-    /// the linalg buffer-pool counters this way).
+    /// Builds a [`Registry`] of every scheduler counter plus three
+    /// latency histograms derived from the resident records — queue
+    /// wait (`ready_s` to the first attempt's start, for records with a
+    /// ready stamp), run time (final attempt) and per-attempt latency —
+    /// ready for JSON or Prometheus export. Call it after a `barrier`:
+    /// a task still running has no record stamps yet. Callers may fold
+    /// their own metrics in afterwards (the `profile` bin adds the
+    /// linalg buffer-pool counters this way).
     pub fn registry(&self) -> Registry {
+        let ns = |s: f64| (s.max(0.0) * 1e9) as u64;
+        let (mut queue_wait, mut run, mut attempt) = (Vec::new(), Vec::new(), Vec::new());
+        {
+            let st = lock(&self.inner.shared.state);
+            for (_, r) in st.records.iter_live().filter(|(_, r)| r.ran()) {
+                run.push(ns(r.duration_s));
+                if r.attempts.is_empty() {
+                    attempt.push(ns(r.duration_s));
+                } else {
+                    attempt.extend(r.attempts.iter().map(|a| ns(a.duration_s)));
+                }
+                if r.ready_s > 0.0 {
+                    let first_start = r.attempts.first().map_or(r.start_s, |a| a.start_s);
+                    queue_wait.push(ns(first_start - r.ready_s));
+                }
+            }
+        }
         let s = self.stats();
         let mut reg = Registry::new();
         reg.counter("taskrt_tasks_total", "tasks executed", s.total_tasks());
@@ -1099,36 +1063,24 @@ impl Runtime {
             "total seconds workers were parked",
             s.worker_idle_s,
         );
-        if let Some(t) = self.telemetry() {
-            reg.counter(
-                "taskrt_journal_events_total",
-                "telemetry events emitted",
-                t.journal().emitted(),
-            );
-            reg.counter(
-                "taskrt_journal_dropped_total",
-                "telemetry events overwritten before snapshot",
-                t.journal().dropped(),
-            );
-            reg.histogram(
-                "taskrt_queue_wait_seconds",
-                "ready-to-start latency per task",
-                t.queue_wait.snapshot(),
-                1e-9,
-            );
-            reg.histogram(
-                "taskrt_run_seconds",
-                "task body run time (final attempt)",
-                t.run_time.snapshot(),
-                1e-9,
-            );
-            reg.histogram(
-                "taskrt_attempt_seconds",
-                "per-attempt body latency (all attempts)",
-                t.attempt.snapshot(),
-                1e-9,
-            );
-        }
+        reg.histogram(
+            "taskrt_queue_wait_seconds",
+            "ready-to-start latency per task",
+            HistogramSnapshot::from_samples(queue_wait),
+            1e-9,
+        );
+        reg.histogram(
+            "taskrt_run_seconds",
+            "task body run time (final attempt)",
+            HistogramSnapshot::from_samples(run),
+            1e-9,
+        );
+        reg.histogram(
+            "taskrt_attempt_seconds",
+            "per-attempt body latency (all attempts)",
+            HistogramSnapshot::from_samples(attempt),
+            1e-9,
+        );
         reg
     }
 
@@ -1149,6 +1101,7 @@ impl Runtime {
             cores: 0,
             gpus: 0,
             seq,
+            ready_s: 0.0,
             start_s: 0.0,
             worker: -1,
             child: None,
@@ -1338,6 +1291,7 @@ fn submit_locked(
         cores,
         gpus,
         seq,
+        ready_s: 0.0,
         start_s: 0.0,
         worker: -1,
         child: None,
@@ -1541,10 +1495,6 @@ fn flush_staged_locked(shared: &Shared, st: &mut State) -> usize {
         if metrics {
             Counters::add(&shared.counters.injector_flushes, 1);
             Counters::add(&shared.counters.injector_flushed_tasks, n as u64);
-        }
-        if let (Some(t), Some(at)) = (&shared.telemetry, stamp) {
-            t.journal()
-                .emit_at(DRIVER, at, EventKind::QueueFlush, None, n as u64, 0);
         }
     }
     n
@@ -1751,14 +1701,12 @@ fn pop_work(shared: &Shared, me: usize, scratch: &mut Vec<ReadyRun>) -> Option<R
             // the victim's cache), provided at least one cold task
             // remains for us — an all-hot batch is kept whole so a
             // starved thief still makes progress.
-            let mut hot_returned = 0u64;
             let vid = j as i64;
             if scratch.iter().any(|r| r.affinity != vid) {
                 let mut i = 0;
                 while i < scratch.len() {
                     if scratch[i].affinity == vid {
                         q.push_back(scratch.remove(i));
-                        hot_returned += 1;
                     } else {
                         i += 1;
                     }
@@ -1771,21 +1719,6 @@ fn pop_work(shared: &Shared, me: usize, scratch: &mut Vec<ReadyRun>) -> Option<R
                 Counters::bump(&shard.steal_successes, 1);
                 Counters::bump(&shard.stolen_tasks, kept as u64);
             }
-            if let Some(t) = &shared.telemetry {
-                let journal = t.journal();
-                journal.emit(me as i64, EventKind::Steal, None, kept as u64, j as u64);
-                if hot_returned > 0 {
-                    // The locality filter actually fired: record how
-                    // many cold tasks were kept vs hot ones returned.
-                    journal.emit(
-                        me as i64,
-                        EventKind::StealCold,
-                        None,
-                        kept as u64,
-                        hot_returned,
-                    );
-                }
-            }
             if scratch.len() > 1 {
                 lock(&shared.queues[me]).extend(scratch.drain(1..));
             }
@@ -1796,10 +1729,6 @@ fn pop_work(shared: &Shared, me: usize, scratch: &mut Vec<ReadyRun>) -> Option<R
                 let shard = shared.counters.shard(me as i64);
                 Counters::bump(&shard.steal_successes, 1);
                 Counters::bump(&shard.stolen_tasks, 1);
-            }
-            if let Some(tl) = &shared.telemetry {
-                tl.journal()
-                    .emit(me as i64, EventKind::Steal, None, 1, j as u64);
             }
             return Some(t);
         }
@@ -1928,18 +1857,7 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
     } = run;
     let ti = task.0 as usize;
     let metrics = shared.config.metrics;
-    let tel = shared.telemetry.as_ref();
-    // Histogram recording mirrors the `count` split below: workers own
-    // stripe `who + 1` (single-writer plain stores), driver executions
-    // can come from any user thread and take the RMW path on stripe 0.
-    let stripe = (who.max(-1) + 1) as usize;
-    let record = |h: &LogHistogram, v: u64| {
-        if who >= 0 {
-            h.record_on(stripe, v);
-        } else {
-            h.record(v);
-        }
-    };
+    let since_epoch = |t: Instant| t.saturating_duration_since(shared.epoch).as_secs_f64();
 
     // Workers own their shard (single writer -> cheap `bump`); driver
     // executions can come from any user thread and need the RMW.
@@ -1969,10 +1887,7 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         let ctx = TaskCtx {
             nested_mode: shared.config.nested_mode,
             metrics,
-            telemetry: shared.config.telemetry,
             counters: metrics.then(|| Arc::clone(&shared.counters)),
-            inout_steals: AtomicU64::new(0),
-            inout_clones: AtomicU64::new(0),
             child: Mutex::new(None),
         };
         let mut ins = if keep_inputs {
@@ -2003,14 +1918,7 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
             if let Some(t0) = ready_at {
                 let wait = start.saturating_duration_since(t0).as_nanos() as u64;
                 count(&shard.queue_wait_ns, wait);
-                if let Some(t) = tel {
-                    record(&t.queue_wait, wait);
-                }
             }
-            // No TaskStart emit here: the journal synthesizes start
-            // events from TaskEnd slots (`t_end - duration`) at
-            // snapshot time, halving the per-task emit cost on the hot
-            // path. See `Journal::snapshot`.
         }
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             match injected {
@@ -2025,29 +1933,8 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         if metrics {
             count(&shared.counters.shard(who).run_ns, (duration * 1e9) as u64);
         }
-        if let Some(t) = tel {
-            record(
-                &t.attempt,
-                end.saturating_duration_since(start).as_nanos() as u64,
-            );
-            // Flush INOUT resolutions buffered by the body: one event
-            // per path with the resolution count in `n`. The ctx is
-            // per-attempt and its writer (the body) has returned, so
-            // plain relaxed loads suffice — tasks without INOUT params
-            // pay two loads of an unshared cache line.
-            let steals = ctx.inout_steals.load(Ordering::Relaxed);
-            if steals > 0 {
-                t.journal()
-                    .emit_at(who, end, EventKind::InoutSteal, Some(task.0), steals, 0);
-            }
-            let clones = ctx.inout_clones.load(Ordering::Relaxed);
-            if clones > 0 {
-                t.journal()
-                    .emit_at(who, end, EventKind::InoutClone, Some(task.0), clones, 0);
-            }
-        }
         drop(ins); // release the attempt's input refcounts outside the lock
-        let start_s = start.saturating_duration_since(shared.epoch).as_secs_f64();
+        let start_s = since_epoch(start);
         // Cooperative per-attempt timeout: a body cannot be preempted,
         // so an overrunning attempt finishes but its result is
         // discarded and the attempt counts as failed.
@@ -2082,20 +1969,10 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                     error: Some(panic_message(&*e)),
                 });
                 if attempts.len() as u32 >= max_attempts {
-                    break Err((start, end, duration));
+                    break Err((start, duration));
                 }
                 if metrics {
                     Counters::add(&shared.counters.retries, 1);
-                }
-                if let Some(t) = tel {
-                    t.journal().emit_at(
-                        who,
-                        end,
-                        EventKind::Retry,
-                        Some(task.0),
-                        attempt_no as u64,
-                        0,
-                    );
                 }
                 // Deterministic exponential backoff; sleeps on the
                 // executing worker — retry delays are expected to be
@@ -2109,17 +1986,7 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         }
     };
     drop(inputs); // release the pristine originals (retry path) outside the lock
-
-    if let Some(t) = tel {
-        let (end, duration, failed) = match &outcome {
-            Ok((_, _, _, end, duration)) => (*end, *duration, 0),
-            Err((_, end, duration)) => (*end, *duration, 1),
-        };
-        let dur_ns = (duration * 1e9) as u64;
-        record(&t.run_time, dur_ns);
-        t.journal()
-            .emit_at(who, end, EventKind::TaskEnd, Some(task.0), dur_ns, failed);
-    }
+    let ready_s = ready_at.map_or(0.0, since_epoch);
 
     let notify_driver;
     {
@@ -2144,7 +2011,8 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                 );
                 let data = &mut st.data;
                 rec.duration_s = duration;
-                rec.start_s = start.saturating_duration_since(shared.epoch).as_secs_f64();
+                rec.ready_s = ready_s;
+                rec.start_s = since_epoch(start);
                 rec.worker = who;
                 rec.child = child_trace;
                 rec.attempts = attempts;
@@ -2207,7 +2075,7 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                     st.in_flight -= 1;
                 }
             }
-            Err((start, _end, duration)) => {
+            Err((start, duration)) => {
                 let n = attempts.len();
                 let msg = attempts
                     .last()
@@ -2221,7 +2089,8 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                 };
                 let rec = &mut st.records[ti];
                 rec.duration_s = duration;
-                rec.start_s = start.saturating_duration_since(shared.epoch).as_secs_f64();
+                rec.ready_s = ready_s;
+                rec.start_s = since_epoch(start);
                 rec.worker = who;
                 rec.attempts = attempts;
                 if st.stream {
@@ -2902,6 +2771,43 @@ mod tests {
             .iter()
             .filter(|r| !r.is_marker())
             .all(|r| r.duration_s >= 0.0));
+    }
+
+    #[test]
+    fn ready_stamp_precedes_start_on_threaded_runs() {
+        let rt = Runtime::threaded(2);
+        let a = rt.put(1u64);
+        let mut h = a;
+        for _ in 0..20 {
+            h = rt.task("chain").run1(h, |v| v + 1);
+            let _ = rt.task("leaf").run1(a, |v| *v);
+        }
+        assert_eq!(*rt.wait(h), 21);
+        let t = rt.finish();
+        for r in t.records.iter().filter(|r| r.ran()) {
+            assert!(
+                r.ready_s > 0.0 && r.ready_s <= r.start_s,
+                "task {:?}: ready {} start {}",
+                r.id,
+                r.ready_s,
+                r.start_s
+            );
+        }
+    }
+
+    #[test]
+    fn inline_records_carry_no_ready_stamp() {
+        let rt = Runtime::new();
+        let a = rt.put(2u64);
+        let b = rt.task("double").run1(a, |v| v * 2);
+        assert_eq!(*rt.wait(b), 4);
+        let t = rt.finish();
+        assert!(t.records.iter().all(|r| r.ready_s == 0.0));
+        // Inline tasks never queue: no queue-wait samples, one run-time
+        // sample per task.
+        let reg = rt.registry().to_value();
+        assert_eq!(reg["taskrt_queue_wait_seconds"]["count"].as_u64(), Some(0));
+        assert_eq!(reg["taskrt_run_seconds"]["count"].as_u64(), Some(1));
     }
 
     #[test]

@@ -271,8 +271,9 @@ pub struct SimReport {
 
 impl SimReport {
     /// Re-emits the simulated schedule as the telemetry event schema —
-    /// the same `task_start`/`task_end` stream a threaded run's journal
-    /// produces, with cluster node indices in the `worker` field. See
+    /// the same `task_start`/`task_end` stream [`crate::Trace::events`]
+    /// derives from a real run, with cluster node indices in the
+    /// `worker` field. See
     /// [`crate::telemetry::events_from_schedule`].
     pub fn events(&self) -> Vec<crate::telemetry::Event> {
         crate::telemetry::events_from_schedule(self)
@@ -857,6 +858,7 @@ mod tests {
             cores,
             gpus: 0,
             seq: id,
+            ready_s: 0.0,
             start_s: 0.0,
             worker: -1,
             child: None,

@@ -1,35 +1,25 @@
-//! Live telemetry: a lock-free event journal, latency histograms, a
-//! metrics registry with JSON/Prometheus export, and online
-//! straggler/critical-path analysis.
+//! Observability views derived from a finished [`Trace`]: the event
+//! stream, latency histograms, a metrics registry with JSON/Prometheus
+//! export, straggler reports and real-vs-DES divergence.
 //!
-//! This is the in-flight half of the observability story. [`crate::obs`]
-//! reproduces the paper's *post-mortem* Extrae/Paraver workflow
-//! (counters, Chrome traces, profiles over a finished [`Trace`]); this
-//! module makes the same signals visible **while a run is executing**:
+//! Nothing in this module is written while a run executes. The one
+//! per-task stamp is the [`crate::TaskRecord`] the executor fills under
+//! its commit lock (`ready_s`, `start_s`, `duration_s`, `worker`,
+//! `attempts`), beside the `obs::Counters` sums; every view here is
+//! computed from those records on demand, after the run — the paper's
+//! post-mortem Extrae → Paraver workflow:
 //!
-//! - [`Journal`] — a per-executor bounded ring buffer of structured
-//!   events (task start/end, injector flushes, steals, retry attempts,
-//!   INOUT steal/clone, buffer-pool hit/miss).
-//!   Writers never block and never allocate on the emit path; overflow
-//!   overwrites the oldest events and counts drops.
-//! - [`LogHistogram`] — log2-bucketed latency histograms (queue wait,
-//!   run time, per-attempt latency) that are snapshotable at any time
-//!   without stopping workers.
+//! - [`events_from_trace`] / [`events_from_schedule`] — one event
+//!   schema for a real run and for its DES replay, so [`divergence`]
+//!   can diff the two (makespan and per-kind busy time).
+//! - [`HistogramSnapshot`] — log2-bucketed latency histograms (queue
+//!   wait, run time, per-attempt latency; see `Runtime::registry`).
 //! - [`Registry`] — a typed bag of counters/gauges/histograms rendered
 //!   as JSON or Prometheus text exposition format.
-//! - [`StragglerAnalyzer`] — flags tasks slower than `k×` their kind's
-//!   running median, attributes them to worker/retries, and
-//!   maintains the critical path incrementally.
-//! - [`events_from_trace`] / [`events_from_schedule`] — the threaded
-//!   runtime and the DES oracle emit the *same* event schema, so
-//!   [`divergence`] can diff a real run against its simulated replay
-//!   (makespan and per-kind busy time) — the oracle check the
-//!   distributed executor work needs.
+//! - [`StragglerReport`] — tasks slower than `k×` their kind's running
+//!   median, attributed to worker/retries, plus the critical path.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 use crate::json::Value;
 use crate::sim::SimReport;
@@ -39,62 +29,28 @@ use crate::trace::Trace;
 // Event schema
 // ---------------------------------------------------------------------
 
-/// What a journal [`Event`] records. The JSON encoding of every kind
-/// uses the same fixed key set (see [`Event::to_value`]), so streams
-/// from the threaded runtime and the DES simulator are
-/// schema-identical and can be diffed directly.
+/// What an [`Event`] records. The JSON encoding of every kind uses the
+/// same fixed key set (see [`Event::to_value`]), so streams derived
+/// from a real run and from a DES schedule are schema-identical and can
+/// be diffed directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EventKind {
-    /// A task body started executing. `n`/`aux` unused.
+    /// A task body started executing (its final attempt). `n`/`aux`
+    /// unused.
     TaskStart,
     /// A task finished (success or terminal failure). `n` = body
     /// nanoseconds of the final attempt, `aux` = 0 on success, 1 on
     /// failure (or, for DES streams, 1 when the run was lost to a
     /// simulated node failure).
     TaskEnd,
-    /// The driver flushed a staged batch to the injector. `n` = tasks
-    /// in the batch.
-    QueueFlush,
-    /// A worker stole work from a sibling. `n` = tasks taken, `aux` =
-    /// victim worker.
-    Steal,
-    /// A failed attempt will be retried. `n` = the attempt number that
+    /// A failed attempt was followed by another attempt. Stamped at
+    /// the end of the failed attempt; `n` = the attempt number that
     /// failed.
     Retry,
-    /// An INOUT parameter was handed over by move (zero-copy).
-    InoutSteal,
-    /// An INOUT parameter fell back to clone-on-shared.
-    InoutClone,
-    /// The block buffer pool served an allocation from a retained
-    /// buffer. `n` = bytes reused.
-    PoolHit,
-    /// The block buffer pool fell through to a fresh allocation. `n` =
-    /// bytes allocated.
-    PoolMiss,
-    /// A steal batch was filtered by the locality heuristic (the
-    /// affinity hint every threaded runtime computes): tasks whose hint
-    /// named the victim were handed back instead of migrated. Emitted
-    /// alongside the [`EventKind::Steal`] event only when the filter
-    /// actually returned something. `n` = cold tasks kept by the
-    /// thief, `aux` = hot tasks returned to the victim.
-    StealCold,
 }
 
-/// Every kind, in encoding order (`u8` tags in the journal slots).
-/// Tags never leave the process that wrote them; the stable wire
-/// format is the [`EventKind::as_str`] name.
-const EVENT_KINDS: [EventKind; 10] = [
-    EventKind::TaskStart,
-    EventKind::TaskEnd,
-    EventKind::QueueFlush,
-    EventKind::Steal,
-    EventKind::Retry,
-    EventKind::InoutSteal,
-    EventKind::InoutClone,
-    EventKind::PoolHit,
-    EventKind::PoolMiss,
-    EventKind::StealCold,
-];
+/// Every kind, in encoding order.
+const EVENT_KINDS: [EventKind; 3] = [EventKind::TaskStart, EventKind::TaskEnd, EventKind::Retry];
 
 impl EventKind {
     /// Stable wire name used in the JSON schema.
@@ -102,14 +58,7 @@ impl EventKind {
         match self {
             EventKind::TaskStart => "task_start",
             EventKind::TaskEnd => "task_end",
-            EventKind::QueueFlush => "queue_flush",
-            EventKind::Steal => "steal",
             EventKind::Retry => "retry",
-            EventKind::InoutSteal => "inout_steal",
-            EventKind::InoutClone => "inout_clone",
-            EventKind::PoolHit => "pool_hit",
-            EventKind::PoolMiss => "pool_miss",
-            EventKind::StealCold => "steal_cold",
         }
     }
 
@@ -117,19 +66,11 @@ impl EventKind {
     pub fn parse(s: &str) -> Option<EventKind> {
         EVENT_KINDS.iter().copied().find(|k| k.as_str() == s)
     }
-
-    fn tag(self) -> u64 {
-        EVENT_KINDS.iter().position(|&k| k == self).unwrap() as u64
-    }
-
-    fn from_tag(t: u64) -> Option<EventKind> {
-        EVENT_KINDS.get(t as usize).copied()
-    }
 }
 
-/// One telemetry event. The same struct (and therefore the same JSON
-/// schema) describes events from the live journal, from a finished
-/// [`Trace`], and from a simulated [`SimReport`] schedule.
+/// One observability event. The same struct (and therefore the same
+/// JSON schema) describes events derived from a finished [`Trace`] and
+/// from a simulated [`SimReport`] schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Seconds since the runtime epoch (or simulated time zero).
@@ -137,9 +78,9 @@ pub struct Event {
     pub kind: EventKind,
     /// Task this event concerns, when one is attributable.
     pub task: Option<u64>,
-    /// Executor: worker index, [`DRIVER`] for driver threads,
-    /// [`EXTERNAL`] for non-runtime threads (e.g. pool callbacks). In
-    /// DES streams this is the cluster node index.
+    /// Executor: worker index, or `-1` for a driver thread (the
+    /// record's [`crate::TaskRecord::worker`]). In DES streams this is
+    /// the cluster node index.
     pub worker: i64,
     /// Primary magnitude — meaning depends on `kind` (see
     /// [`EventKind`]).
@@ -147,12 +88,6 @@ pub struct Event {
     /// Secondary payload — meaning depends on `kind`.
     pub aux: u64,
 }
-
-/// `worker` value for events emitted by a driver (user) thread.
-pub const DRIVER: i64 = -1;
-/// `worker` value for events emitted outside the runtime's executors
-/// (e.g. the linalg buffer pool observed from an arbitrary thread).
-pub const EXTERNAL: i64 = -2;
 
 impl Event {
     /// Encodes the event with the stable key set
@@ -196,273 +131,6 @@ impl Event {
 }
 
 // ---------------------------------------------------------------------
-// Journal
-// ---------------------------------------------------------------------
-
-/// Sentinel stored in a slot's `task` field when the event has no
-/// attributable task.
-const NO_TASK: u64 = u64::MAX;
-
-/// One journal slot: a sequence word plus the event payload, all plain
-/// atomics (no unsafe). The sequence word holds `index + 1` once the
-/// slot's write is published; readers reject slots whose sequence
-/// doesn't match the index they expect (in-progress or lapped writes).
-struct SlotCell {
-    seq: AtomicU64,
-    t_ns: AtomicU64,
-    kind: AtomicU64,
-    task: AtomicU64,
-    n: AtomicU64,
-    aux: AtomicU64,
-}
-
-/// Per-executor ring. `head` counts every claim ever made; slot `i`
-/// lives at `i % capacity`, so `head.saturating_sub(capacity)` is the
-/// number of overwritten (dropped) events. Slots are allocated lazily
-/// on the shard's first emit, so idle executors (and the many inline
-/// runtimes created by tests) cost nothing.
-///
-/// Cache-line aligned: shards live in one `Vec`, and without the
-/// alignment three ~24-byte shards share a line — every worker's
-/// per-emit `head.fetch_add` would ping-pong that line with its
-/// neighbors, defeating the point of sharding.
-#[repr(align(64))]
-struct Shard {
-    head: AtomicU64,
-    slots: OnceLock<Box<[SlotCell]>>,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            head: AtomicU64::new(0),
-            slots: OnceLock::new(),
-        }
-    }
-
-    fn slots(&self, cap: usize) -> &[SlotCell] {
-        self.slots.get_or_init(|| {
-            (0..cap)
-                .map(|_| SlotCell {
-                    seq: AtomicU64::new(0),
-                    t_ns: AtomicU64::new(0),
-                    kind: AtomicU64::new(0),
-                    task: AtomicU64::new(0),
-                    n: AtomicU64::new(0),
-                    aux: AtomicU64::new(0),
-                })
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        })
-    }
-}
-
-/// Floor for the auto-scaled per-shard capacity (see
-/// [`Telemetry::new`]): the journal keeps the last `capacity` events
-/// per executor and counts the rest as dropped. 512 slots × 48 bytes
-/// ≈ 24 KiB keeps a ring L1-resident, but as a flat size it dropped
-/// ~75% of a 10k-task run's events; `Telemetry::new` divides a fixed
-/// event budget across the shards instead, trading ~2% of no-op
-/// throughput (cold slot lines) for full-stream retention.
-pub const DEFAULT_JOURNAL_CAP: usize = 512;
-
-/// A bounded, lock-free event journal with one ring per executor
-/// (driver, each worker, plus one shard for [`EXTERNAL`] emitters).
-///
-/// Writers claim a slot with one `fetch_add` and publish it with a
-/// release store of the slot's sequence word — no locks, no blocking,
-/// no allocation (after the shard's one-time lazy init). On overflow
-/// the oldest events are overwritten and counted by [`Journal::dropped`].
-///
-/// [`Journal::snapshot`] can run at any time, concurrently with
-/// writers: a slot whose sequence word doesn't match the expected
-/// index (a write in progress, or a writer that lapped the ring) is
-/// simply skipped. The sequence protocol is a seqlock-light: the
-/// release store of `seq` publishes the payload stores before it, so a
-/// validated slot read a full lap behind an active writer is the only
-/// (vanishingly rare) way to observe a torn event — and the cost is
-/// one bogus sample in a diagnostic stream, never unsoundness (all
-/// fields are plain atomics).
-pub struct Journal {
-    shards: Vec<Shard>,
-    capacity: usize,
-    epoch: Instant,
-}
-
-impl Journal {
-    /// A journal for a runtime with `n_workers` pool workers.
-    /// `capacity` is rounded up to a power of two: the emit path maps a
-    /// monotone claim counter to a slot with a mask instead of a
-    /// hardware division (a measurable cost at no-op task rates).
-    pub fn new(n_workers: usize, capacity: usize, epoch: Instant) -> Self {
-        Journal {
-            // driver + workers + external
-            shards: (0..n_workers + 2).map(|_| Shard::new()).collect(),
-            capacity: capacity.max(2).next_power_of_two(),
-            epoch,
-        }
-    }
-
-    /// Per-shard event capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    #[inline]
-    fn shard(&self, worker: i64) -> &Shard {
-        let i = match worker {
-            w if w >= 0 => (w as usize + 1).min(self.shards.len() - 2),
-            DRIVER => 0,
-            _ => self.shards.len() - 1,
-        };
-        &self.shards[i]
-    }
-
-    fn shard_worker(&self, i: usize) -> i64 {
-        if i == 0 {
-            DRIVER
-        } else if i == self.shards.len() - 1 {
-            EXTERNAL
-        } else {
-            (i - 1) as i64
-        }
-    }
-
-    /// Records an event stamped `now`.
-    pub fn emit(&self, worker: i64, kind: EventKind, task: Option<u64>, n: u64, aux: u64) {
-        self.emit_at(worker, Instant::now(), kind, task, n, aux);
-    }
-
-    /// Records an event with an explicit timestamp — callers on the
-    /// hot path reuse an `Instant` they already read.
-    #[inline]
-    pub fn emit_at(
-        &self,
-        worker: i64,
-        at: Instant,
-        kind: EventKind,
-        task: Option<u64>,
-        n: u64,
-        aux: u64,
-    ) {
-        let t_ns = at.saturating_duration_since(self.epoch).as_nanos() as u64;
-        let shard = self.shard(worker);
-        let slots = shard.slots(self.capacity);
-        // Worker shards are single-writer by construction (every emit
-        // with `worker >= 0` comes from that worker's executor thread),
-        // so the claim is a plain load+store: a `fetch_add` is a full
-        // fence on x86 and drains the store buffer, which on the no-op
-        // task hot path costs more than the rest of the emit combined.
-        // Driver/external shards can be hit from any thread and keep
-        // the atomic claim. A misuse (two threads claiming the same
-        // worker shard) could lose or tear an event — a bogus
-        // diagnostic sample, never unsoundness (all fields are plain
-        // atomics, and readers validate `seq`).
-        let i = if worker >= 0 {
-            let i = shard.head.load(Ordering::Relaxed);
-            shard.head.store(i + 1, Ordering::Relaxed);
-            i
-        } else {
-            shard.head.fetch_add(1, Ordering::Relaxed)
-        };
-        // `capacity` is a power of two; mask instead of dividing.
-        let slot = &slots[i as usize & (self.capacity - 1)];
-        // Invalidate, fill, publish. The release store of `seq` is what
-        // makes the payload visible to a reader that validates it.
-        slot.seq.store(0, Ordering::Release);
-        slot.t_ns.store(t_ns, Ordering::Relaxed);
-        slot.kind.store(kind.tag(), Ordering::Relaxed);
-        slot.task.store(task.unwrap_or(NO_TASK), Ordering::Relaxed);
-        slot.n.store(n, Ordering::Relaxed);
-        slot.aux.store(aux, Ordering::Relaxed);
-        slot.seq.store(i + 1, Ordering::Release);
-    }
-
-    /// Events overwritten before they could be snapshotted, across all
-    /// shards.
-    pub fn dropped(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.head
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(self.capacity as u64)
-            })
-            .sum()
-    }
-
-    /// Total events ever emitted, across all shards.
-    pub fn emitted(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.head.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Collects the currently retained events, merged across shards and
-    /// sorted by timestamp. Safe to call at any time; never blocks
-    /// writers.
-    ///
-    /// For every retained [`EventKind::TaskEnd`] slot a matching
-    /// [`EventKind::TaskStart`] is synthesized at `t_end - duration`:
-    /// the runtime emits one slot per task (the hot path pays one ring
-    /// write, not two) and the reader reconstructs the start. The only
-    /// observable differences from emitting starts eagerly are that a
-    /// task still executing at snapshot time has no start event yet,
-    /// and a retried task's start is its *final* attempt's start (the
-    /// earlier attempts are visible as [`EventKind::Retry`] events).
-    pub fn snapshot(&self) -> Vec<Event> {
-        let mut out = Vec::new();
-        for (si, shard) in self.shards.iter().enumerate() {
-            let Some(slots) = shard.slots.get() else {
-                continue; // never emitted
-            };
-            let worker = self.shard_worker(si);
-            let head = shard.head.load(Ordering::Acquire);
-            let n = head.min(self.capacity as u64);
-            for i in head - n..head {
-                let slot = &slots[i as usize % self.capacity];
-                if slot.seq.load(Ordering::Acquire) != i + 1 {
-                    continue; // in progress or lapped
-                }
-                let t_ns = slot.t_ns.load(Ordering::Relaxed);
-                let kind = slot.kind.load(Ordering::Relaxed);
-                let task = slot.task.load(Ordering::Relaxed);
-                let ev_n = slot.n.load(Ordering::Relaxed);
-                let aux = slot.aux.load(Ordering::Relaxed);
-                if slot.seq.load(Ordering::Acquire) != i + 1 {
-                    continue; // overwritten while reading
-                }
-                let Some(kind) = EventKind::from_tag(kind) else {
-                    continue;
-                };
-                let task = (task != NO_TASK).then_some(task);
-                if kind == EventKind::TaskEnd {
-                    out.push(Event {
-                        t_s: (t_ns.saturating_sub(ev_n)) as f64 * 1e-9,
-                        kind: EventKind::TaskStart,
-                        task,
-                        worker,
-                        n: 0,
-                        aux: 0,
-                    });
-                }
-                out.push(Event {
-                    t_s: t_ns as f64 * 1e-9,
-                    kind,
-                    task,
-                    worker,
-                    n: ev_n,
-                    aux,
-                });
-            }
-        }
-        out.sort_by(|a, b| a.t_s.total_cmp(&b.t_s));
-        out
-    }
-}
-
-// ---------------------------------------------------------------------
 // Log-bucketed histograms
 // ---------------------------------------------------------------------
 
@@ -476,92 +144,10 @@ fn bucket_of(v: u64) -> usize {
     (64 - v.leading_zeros() as usize).min(HIST_BUCKETS - 1)
 }
 
-/// Stripes per histogram. Workers recording similar latencies would
-/// all hit the *same* bucket counter (same bit length) plus the shared
-/// `sum` — two contended cache lines per record, which alone pushed
-/// telemetry overhead on the no-op scheduler bench above 20%. Each
-/// stripe is its own cache-line-aligned bucket array, so a worker
-/// recording on its own stripe never ping-pongs a line with another.
-/// 16 stripes keep every worker of typical pools (≤15) off stripe 0,
-/// which is reserved for the multi-writer [`LogHistogram::record`].
-const HIST_STRIPES: usize = 16;
-
-#[repr(align(64))]
-struct HistStripe {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    sum: AtomicU64,
-}
-
 /// A log2-bucketed histogram of `u64` samples (latencies in
-/// nanoseconds, sizes in bytes, ...). Recording is two relaxed
-/// `fetch_add`s on a caller-chosen stripe; snapshots merge the stripes
-/// and read concurrently with writers. Quantile estimates are exact to
-/// within one power-of-two bucket.
-pub struct LogHistogram {
-    stripes: Box<[HistStripe]>,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LogHistogram {
-    pub fn new() -> Self {
-        LogHistogram {
-            stripes: (0..HIST_STRIPES)
-                .map(|_| HistStripe {
-                    buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                    sum: AtomicU64::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    /// Records one sample on stripe 0 with atomic read-modify-writes —
-    /// safe from any number of threads, but each RMW is a full fence on
-    /// x86. Hot single-writer paths use [`record_on`].
-    ///
-    /// [`record_on`]: LogHistogram::record_on
-    pub fn record(&self, v: u64) {
-        let s = &self.stripes[0];
-        s.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Records one sample on the given stripe (wrapped into range) with
-    /// plain load+store updates. The stripe must have a **single
-    /// writer** (each runtime worker passes its own index): two threads
-    /// racing the same stripe can lose samples — a skewed diagnostic,
-    /// never unsoundness. The payoff is skipping the locked RMW, which
-    /// costs more than the rest of the record combined on the no-op
-    /// task hot path.
-    pub fn record_on(&self, stripe: usize, v: u64) {
-        let s = &self.stripes[stripe % HIST_STRIPES];
-        let b = &s.buckets[bucket_of(v)];
-        b.store(b.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        s.sum.store(
-            s.sum.load(Ordering::Relaxed).wrapping_add(v),
-            Ordering::Relaxed,
-        );
-    }
-
-    /// A point-in-time copy of the histogram, merged across stripes.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut counts = [0u64; HIST_BUCKETS];
-        let mut sum = 0u64;
-        for s in self.stripes.iter() {
-            for (i, b) in s.buckets.iter().enumerate() {
-                counts[i] += b.load(Ordering::Relaxed);
-            }
-            sum = sum.wrapping_add(s.sum.load(Ordering::Relaxed));
-        }
-        HistogramSnapshot { counts, sum }
-    }
-}
-
-/// Immutable copy of a [`LogHistogram`].
+/// nanoseconds, sizes in bytes, ...), built in one pass over the
+/// samples by [`HistogramSnapshot::from_samples`]. Quantile estimates
+/// are exact to within one power-of-two bucket.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts; bucket `i` covers values of bit
@@ -572,6 +158,17 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Buckets `samples`.
+    pub fn from_samples(samples: impl IntoIterator<Item = u64>) -> HistogramSnapshot {
+        let mut counts = [0u64; HIST_BUCKETS];
+        let mut sum = 0u64;
+        for v in samples {
+            counts[bucket_of(v)] += 1;
+            sum = sum.wrapping_add(v);
+        }
+        HistogramSnapshot { counts, sum }
+    }
+
     /// Total recorded samples.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
@@ -662,9 +259,9 @@ struct Metric {
 
 /// A typed bag of metrics, exportable as JSON ([`Registry::to_value`])
 /// or Prometheus text exposition format
-/// ([`Registry::to_prometheus`]). Built on demand from live runtime
-/// state — see `Runtime::registry` — and extendable by callers (the
-/// `profile` bin folds the linalg pool counters in).
+/// ([`Registry::to_prometheus`]). Built on demand from a runtime's
+/// counters and records — see `Runtime::registry` — and extendable by
+/// callers (the `profile` bin folds the linalg pool counters in).
 #[derive(Default)]
 pub struct Registry {
     metrics: Vec<Metric>,
@@ -911,146 +508,7 @@ impl Straggler {
     }
 }
 
-/// Online straggler detection and incremental critical-path tracking.
-///
-/// Feed completed tasks in completion order (in a real run a task
-/// always completes after its dependencies, so completion order is a
-/// topological order). A task is flagged when its duration exceeds
-/// `k ×` the running median of its kind and the kind has at least
-/// `min_samples` observations — the per-task-constant-cost analysis of
-/// the Dask-overheads paper, applied online.
-pub struct StragglerAnalyzer {
-    k: f64,
-    min_samples: usize,
-    /// Sorted durations per kind (running median by bisection insert).
-    kinds: BTreeMap<String, Vec<f64>>,
-    /// finish[t] = longest dependency chain ending at t, in seconds.
-    finish: Vec<f64>,
-    /// Predecessor realizing `finish[t]` (-1 = none).
-    pred: Vec<i64>,
-    /// Task with the largest finish so far (-1 = none).
-    best: i64,
-    flagged: Vec<Straggler>,
-}
-
-impl StragglerAnalyzer {
-    /// `k` — flag threshold multiple over the running median;
-    /// `min_samples` — observations of a kind required before flagging.
-    pub fn new(k: f64, min_samples: usize) -> Self {
-        StragglerAnalyzer {
-            k,
-            min_samples: min_samples.max(1),
-            kinds: BTreeMap::new(),
-            finish: Vec::new(),
-            pred: Vec::new(),
-            best: -1,
-            flagged: Vec::new(),
-        }
-    }
-
-    /// Observes one completed task. `deps` are the task ids it waited
-    /// on. Returns whether the task was flagged as a straggler.
-    pub fn observe(
-        &mut self,
-        task: u64,
-        name: &str,
-        worker: i64,
-        duration_s: f64,
-        deps: &[u64],
-        retried: bool,
-    ) -> bool {
-        let ti = task as usize;
-        if self.finish.len() <= ti {
-            self.finish.resize(ti + 1, 0.0);
-            self.pred.resize(ti + 1, -1);
-        }
-        let mut base = 0.0f64;
-        let mut pred = -1i64;
-        for &d in deps {
-            let f = self.finish.get(d as usize).copied().unwrap_or(0.0);
-            if f > base {
-                base = f;
-                pred = d as i64;
-            }
-        }
-        self.finish[ti] = base + duration_s;
-        self.pred[ti] = pred;
-        if self.best < 0 || self.finish[ti] > self.finish[self.best as usize] {
-            self.best = ti as i64;
-        }
-
-        // Pseudo sync/barrier markers shape the critical path but have
-        // no body — they never enter the per-kind duration stats.
-        if name.starts_with("__") {
-            return false;
-        }
-        let durs = self.kinds.entry(name.to_string()).or_default();
-        let n = durs.len();
-        let flagged = if n >= self.min_samples {
-            let median = durs[n / 2];
-            median > 0.0 && duration_s > self.k * median
-        } else {
-            false
-        };
-        let median = if n > 0 { durs[n / 2] } else { duration_s };
-        let at = durs.partition_point(|&d| d < duration_s);
-        durs.insert(at, duration_s);
-        if flagged {
-            self.flagged.push(Straggler {
-                task,
-                name: name.to_string(),
-                worker,
-                duration_s,
-                median_s: median,
-                factor: if median > 0.0 {
-                    duration_s / median
-                } else {
-                    f64::INFINITY
-                },
-                retried,
-            });
-        }
-        flagged
-    }
-
-    /// Stragglers flagged so far, in observation order.
-    pub fn stragglers(&self) -> &[Straggler] {
-        &self.flagged
-    }
-
-    /// The current critical path, producer-first.
-    pub fn critical_path(&self) -> Vec<u64> {
-        let mut path = Vec::new();
-        let mut t = self.best;
-        while t >= 0 {
-            path.push(t as u64);
-            t = self.pred[t as usize];
-        }
-        path.reverse();
-        path
-    }
-
-    /// Length of the current critical path in seconds.
-    pub fn critical_path_s(&self) -> f64 {
-        if self.best < 0 {
-            0.0
-        } else {
-            self.finish[self.best as usize]
-        }
-    }
-
-    /// Freezes the analyzer state into a report.
-    pub fn report(&self) -> StragglerReport {
-        StragglerReport {
-            k: self.k,
-            stragglers: self.flagged.clone(),
-            critical_path: self.critical_path(),
-            critical_path_s: self.critical_path_s(),
-        }
-    }
-}
-
-/// Frozen output of a [`StragglerAnalyzer`].
+/// Stragglers and the critical path of a finished run.
 #[derive(Debug, Clone)]
 pub struct StragglerReport {
     pub k: f64,
@@ -1061,24 +519,47 @@ pub struct StragglerReport {
 }
 
 impl StragglerReport {
-    /// Replays a finished [`Trace`] through the analyzer in completion
-    /// order — the batch form of the online path, used by the bins.
+    /// Walks a finished [`Trace`] in completion order and flags every
+    /// task whose duration exceeds `k ×` the running median of the
+    /// tasks of its kind that completed before it, once the kind has
+    /// at least `min_samples` of them — the per-task-constant-cost
+    /// analysis of the Dask-overheads paper. Pseudo sync/barrier/split
+    /// markers have no body and never enter the per-kind statistics.
     pub fn from_trace(trace: &Trace, k: f64, min_samples: usize) -> StragglerReport {
-        let mut an = StragglerAnalyzer::new(k, min_samples);
-        let mut order: Vec<&crate::trace::TaskRecord> = trace.records.iter().collect();
+        let min_samples = min_samples.max(1);
+        let mut order: Vec<&crate::trace::TaskRecord> =
+            trace.records.iter().filter(|r| !r.is_marker()).collect();
         order.sort_by(|a, b| (a.start_s + a.duration_s).total_cmp(&(b.start_s + b.duration_s)));
+        // Sorted durations per kind: running median by bisection insert.
+        let mut kinds: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+        let mut stragglers = Vec::new();
         for r in order {
-            let deps: Vec<u64> = r.deps.iter().map(|d| d.0).collect();
-            an.observe(
-                r.id.0,
-                &r.name,
-                r.worker,
-                r.duration_s,
-                &deps,
-                r.attempts.iter().any(|a| a.error.is_some()),
-            );
+            let durs = kinds.entry(&r.name).or_default();
+            let n = durs.len();
+            if n >= min_samples {
+                let median = durs[n / 2];
+                if median > 0.0 && r.duration_s > k * median {
+                    stragglers.push(Straggler {
+                        task: r.id.0,
+                        name: r.name.clone(),
+                        worker: r.worker,
+                        duration_s: r.duration_s,
+                        median_s: median,
+                        factor: r.duration_s / median,
+                        retried: r.attempts.iter().any(|a| a.error.is_some()),
+                    });
+                }
+            }
+            let at = durs.partition_point(|&d| d < r.duration_s);
+            durs.insert(at, r.duration_s);
         }
-        an.report()
+        let (path, critical_path_s) = trace.critical_path();
+        StragglerReport {
+            k,
+            stragglers,
+            critical_path: path.iter().map(|t| t.0).collect(),
+            critical_path_s,
+        }
     }
 
     pub fn to_value(&self) -> Value {
@@ -1101,44 +582,52 @@ impl StragglerReport {
 }
 
 // ---------------------------------------------------------------------
-// Threaded / DES event emitters and divergence
+// Real / DES event streams and divergence
 // ---------------------------------------------------------------------
 
-/// Re-emits a finished real run as the journal event schema: one
-/// `task_start`/`task_end` pair per executed task. Pseudo sync/barrier
-/// markers are skipped (no body ran).
+/// The event stream of a finished real run, derived from its records:
+/// one `task_start`/`task_end` pair per task whose body ran (its final
+/// attempt; `aux = 1` on the end when it failed for good), plus one
+/// `retry` per failed attempt that was followed by another attempt.
+/// Sorted by time.
 pub fn events_from_trace(trace: &Trace) -> Vec<Event> {
     let mut out = Vec::new();
-    for r in &trace.records {
-        if r.name.starts_with("__") || r.duration_s <= 0.0 && r.worker < 0 {
-            continue;
+    for r in trace.records.iter().filter(|r| r.ran()) {
+        let ev = |t_s: f64, kind: EventKind, n: u64, aux: u64| Event {
+            t_s,
+            kind,
+            task: Some(r.id.0),
+            worker: r.worker,
+            n,
+            aux,
+        };
+        let retried = &r.attempts[..r.attempts.len().saturating_sub(1)];
+        for (i, a) in retried
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.error.is_some())
+        {
+            let end = a.start_s + a.duration_s;
+            out.push(ev(end, EventKind::Retry, i as u64 + 1, 0));
         }
-        out.push(Event {
-            t_s: r.start_s,
-            kind: EventKind::TaskStart,
-            task: Some(r.id.0),
-            worker: r.worker,
-            n: 0,
-            aux: 0,
-        });
-        out.push(Event {
-            t_s: r.start_s + r.duration_s,
-            kind: EventKind::TaskEnd,
-            task: Some(r.id.0),
-            worker: r.worker,
-            n: (r.duration_s * 1e9) as u64,
-            aux: 0,
-        });
+        let failed = r.attempts.last().is_some_and(|a| a.error.is_some());
+        out.push(ev(r.start_s, EventKind::TaskStart, 0, 0));
+        out.push(ev(
+            r.start_s + r.duration_s,
+            EventKind::TaskEnd,
+            (r.duration_s * 1e9) as u64,
+            u64::from(failed),
+        ));
     }
     out.sort_by(|a, b| a.t_s.total_cmp(&b.t_s));
     out
 }
 
-/// Re-emits a simulated schedule as the same event schema the threaded
-/// runtime produces: `worker` carries the cluster node index, and runs
-/// killed by an injected node failure set `aux = 1` on their
-/// `task_end`. Schema-identical to [`events_from_trace`] output by
-/// construction (both encode through [`Event::to_value`]).
+/// Re-emits a simulated schedule as the same event schema a real run
+/// derives: `worker` carries the cluster node index, and runs killed by
+/// an injected node failure set `aux = 1` on their `task_end`.
+/// Schema-identical to [`events_from_trace`] output by construction
+/// (both encode through [`Event::to_value`]).
 pub fn events_from_schedule(report: &SimReport) -> Vec<Event> {
     let mut out = Vec::new();
     for e in &report.schedule {
@@ -1271,110 +760,30 @@ pub fn divergence(trace: &Trace, report: &SimReport) -> Divergence {
     }
 }
 
-// ---------------------------------------------------------------------
-// Runtime-side aggregate
-// ---------------------------------------------------------------------
-
-/// The live telemetry state a runtime carries when metrics are on: the
-/// event journal plus the three scheduler latency histograms. Shared
-/// (`Arc`) so task contexts can emit from inside bodies.
-pub struct Telemetry {
-    journal: Journal,
-    /// Ready-to-start latency per task, nanoseconds.
-    pub queue_wait: LogHistogram,
-    /// Body run time of each task's final attempt, nanoseconds.
-    pub run_time: LogHistogram,
-    /// Per-attempt body latency (every attempt, including failed
-    /// ones), nanoseconds.
-    pub attempt: LogHistogram,
-}
-
-impl Telemetry {
-    /// Sizes the journal from the worker count: each shard gets a
-    /// share of a fixed overall event budget, so wide pools don't
-    /// multiply the journal's footprint while small pools stop
-    /// dropping the bulk of a 10k-task run (flat 512-slot rings lost
-    /// ~75% of events there).
-    pub fn new(n_workers: usize, epoch: Instant) -> Self {
-        // Overall budget: 32768 events split across the shards
-        // (driver + workers + external), clamped so one shard never
-        // drops below the floor or balloons past 16k slots.
-        let cap = (32768 / (n_workers + 2))
-            .next_power_of_two()
-            .clamp(DEFAULT_JOURNAL_CAP, 16384);
-        Telemetry {
-            journal: Journal::new(n_workers, cap, epoch),
-            queue_wait: LogHistogram::new(),
-            run_time: LogHistogram::new(),
-            attempt: LogHistogram::new(),
-        }
-    }
-
-    pub fn journal(&self) -> &Journal {
-        &self.journal
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handle::TaskId;
+    use crate::trace::{AttemptRecord, TaskRecord};
 
-    #[test]
-    fn ring_overflow_sets_drop_counter_and_keeps_last_window() {
-        let j = Journal::new(0, 16, Instant::now());
-        for i in 0..40u64 {
-            j.emit(DRIVER, EventKind::TaskStart, Some(i), 0, 0);
+    /// A record that ran on `worker` over `[start_s, start_s + dur)`.
+    fn ran(id: u64, name: &str, deps: &[u64], worker: i64, start_s: f64, dur: f64) -> TaskRecord {
+        TaskRecord {
+            id: TaskId(id),
+            name: name.to_string(),
+            deps: deps.iter().map(|&d| TaskId(d)).collect(),
+            duration_s: dur,
+            inputs: vec![],
+            outputs: vec![],
+            cores: 1,
+            gpus: 0,
+            seq: id,
+            ready_s: 0.0,
+            start_s,
+            worker,
+            child: None,
+            attempts: vec![],
         }
-        assert_eq!(j.dropped(), 40 - 16);
-        assert_eq!(j.emitted(), 40);
-        let snap = j.snapshot();
-        assert_eq!(snap.len(), 16);
-        // The retained window is the most recent events.
-        let ids: Vec<u64> = snap.iter().map(|e| e.task.unwrap()).collect();
-        assert_eq!(ids, (24..40).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn journal_emit_never_blocks_under_concurrency() {
-        use std::sync::Arc;
-        let j = Arc::new(Journal::new(4, 32, Instant::now()));
-        let threads: Vec<_> = (0..4)
-            .map(|w| {
-                let j = Arc::clone(&j);
-                std::thread::spawn(move || {
-                    for i in 0..10_000u64 {
-                        j.emit(w, EventKind::TaskEnd, Some(i), i, 0);
-                    }
-                })
-            })
-            .collect();
-        // Snapshot concurrently with the writers; must never block or
-        // panic, and every validated event must be well formed (the
-        // ends retained in the ring, plus their synthesized starts).
-        for _ in 0..50 {
-            for e in j.snapshot() {
-                assert!(matches!(e.kind, EventKind::TaskEnd | EventKind::TaskStart));
-            }
-        }
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(j.emitted(), 40_000);
-        assert_eq!(j.dropped(), 40_000 - 4 * 32);
-        // Each retained TaskEnd slot snapshots as end + synthesized start.
-        assert_eq!(j.snapshot().len(), 2 * 4 * 32);
-    }
-
-    #[test]
-    fn journal_routes_shards_and_recovers_worker() {
-        let j = Journal::new(2, 8, Instant::now());
-        j.emit(DRIVER, EventKind::QueueFlush, None, 3, 0);
-        j.emit(0, EventKind::TaskStart, Some(1), 0, 0);
-        j.emit(1, EventKind::TaskStart, Some(2), 0, 0);
-        j.emit(EXTERNAL, EventKind::PoolHit, None, 4096, 0);
-        let mut workers: Vec<i64> = j.snapshot().iter().map(|e| e.worker).collect();
-        workers.sort_unstable();
-        assert_eq!(workers, vec![EXTERNAL, DRIVER, 0, 1]);
     }
 
     #[test]
@@ -1389,11 +798,7 @@ mod tests {
                 .collect(), // bimodal
         ];
         for values in cases {
-            let h = LogHistogram::new();
-            for &v in &values {
-                h.record(v);
-            }
-            let snap = h.snapshot();
+            let snap = HistogramSnapshot::from_samples(values.iter().copied());
             assert_eq!(snap.count(), values.len() as u64);
             assert_eq!(snap.sum, values.iter().sum::<u64>());
             let mut sorted = values.clone();
@@ -1412,57 +817,13 @@ mod tests {
     }
 
     #[test]
-    fn histogram_snapshot_concurrent_with_writer() {
-        use std::sync::Arc;
-        let h = Arc::new(LogHistogram::new());
-        let w = {
-            let h = Arc::clone(&h);
-            std::thread::spawn(move || {
-                for i in 0..100_000u64 {
-                    h.record(i % 1000);
-                }
-            })
-        };
-        for _ in 0..100 {
-            let s = h.snapshot();
-            assert!(s.count() <= 100_000);
-        }
-        w.join().unwrap();
-        assert_eq!(h.snapshot().count(), 100_000);
-    }
-
-    #[test]
-    fn histogram_stripes_merge_in_snapshot() {
-        use std::sync::Arc;
-        let h = Arc::new(LogHistogram::new());
-        // One writer per stripe (the single-writer contract of
-        // `record_on`); the snapshot must see the union.
-        let writers: Vec<_> = (0..4)
-            .map(|stripe| {
-                let h = Arc::clone(&h);
-                std::thread::spawn(move || {
-                    for i in 0..10_000u64 {
-                        h.record_on(stripe, 100 + i % 10);
-                    }
-                })
-            })
-            .collect();
-        for w in writers {
-            w.join().unwrap();
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count(), 40_000);
-        assert_eq!(s.sum, (0..10_000u64).map(|i| 100 + i % 10).sum::<u64>() * 4);
-    }
-
-    #[test]
     fn event_json_roundtrip_all_kinds() {
         for (i, &kind) in EVENT_KINDS.iter().enumerate() {
             let ev = Event {
                 t_s: 0.125 * i as f64,
                 kind,
                 task: (i % 2 == 0).then_some(i as u64 * 7),
-                worker: i as i64 - 2,
+                worker: i as i64 - 1,
                 n: i as u64 * 1000,
                 aux: i as u64,
             };
@@ -1473,15 +834,56 @@ mod tests {
     }
 
     #[test]
+    fn events_derive_retries_and_terminal_failures() {
+        let failed = |start_s: f64| AttemptRecord {
+            start_s,
+            duration_s: 0.5,
+            error: Some("boom".into()),
+        };
+        // Task 0 fails once, then succeeds; task 1 fails for good after
+        // two attempts; task 2 never ran; task 3 is a sync marker.
+        let mut a = ran(0, "a", &[], 0, 2.0, 1.0);
+        a.attempts = vec![
+            failed(1.0),
+            AttemptRecord {
+                start_s: 2.0,
+                duration_s: 1.0,
+                error: None,
+            },
+        ];
+        let mut b = ran(1, "b", &[], 1, 5.0, 0.5);
+        b.attempts = vec![failed(4.0), failed(5.0)];
+        let never = ran(2, "c", &[1], -1, 0.0, 0.0);
+        let mut marker = ran(3, crate::trace::SYNC_TASK, &[0], -1, 0.0, 0.0);
+        marker.duration_s = 0.0;
+        let events = events_from_trace(&Trace {
+            records: vec![a, b, never, marker],
+        });
+        let summary: Vec<(f64, EventKind, u64, u64, u64)> = events
+            .iter()
+            .map(|e| (e.t_s, e.kind, e.task.unwrap(), e.n, e.aux))
+            .collect();
+        use EventKind::*;
+        assert_eq!(
+            summary,
+            vec![
+                (1.5, Retry, 0, 1, 0),
+                (2.0, TaskStart, 0, 0, 0),
+                (3.0, TaskEnd, 0, 1_000_000_000, 0),
+                (4.5, Retry, 1, 1, 0),
+                (5.0, TaskStart, 1, 0, 0),
+                (5.5, TaskEnd, 1, 500_000_000, 1),
+            ]
+        );
+    }
+
+    #[test]
     fn registry_prometheus_roundtrip_validates() {
         let mut reg = Registry::new();
         reg.counter("taskrt_tasks_total", "tasks executed", 42);
         reg.gauge("taskrt_utilization", "worker busy fraction", 0.75);
-        let h = LogHistogram::new();
-        for v in [100u64, 200, 400, 800, 100_000] {
-            h.record(v);
-        }
-        reg.histogram("taskrt_run_seconds", "body run time", h.snapshot(), 1e-9);
+        let h = HistogramSnapshot::from_samples([100u64, 200, 400, 800, 100_000]);
+        reg.histogram("taskrt_run_seconds", "body run time", h, 1e-9);
         let text = reg.to_prometheus();
         let n = validate_prometheus(&text).expect("valid exposition");
         assert!(
@@ -1511,17 +913,33 @@ mod tests {
 
     #[test]
     fn straggler_flagging_and_critical_path() {
-        let mut an = StragglerAnalyzer::new(3.0, 4);
-        // A chain a(0) -> b(1) -> c(2) plus independent gemms.
-        an.observe(0, "load", 0, 1.0, &[], false);
-        an.observe(1, "gemm", 0, 1.0, &[0], false);
-        an.observe(2, "gemm", 1, 1.1, &[0], false);
-        an.observe(3, "gemm", 0, 0.9, &[0], false);
-        an.observe(4, "gemm", 1, 1.0, &[0], false);
-        assert!(an.stragglers().is_empty());
+        // A chain a(0) -> b(1) -> c(2) plus independent gemms, all
+        // released by the load at t = 1; the straggler waits on 1 and 2.
+        let mut slow = ran(5, "gemm", &[1, 2], 1, 2.1, 10.0);
+        slow.attempts = vec![
+            AttemptRecord {
+                start_s: 2.1,
+                duration_s: 0.0,
+                error: Some("boom".into()),
+            },
+            AttemptRecord {
+                start_s: 2.1,
+                duration_s: 10.0,
+                error: None,
+            },
+        ];
+        let trace = Trace {
+            records: vec![
+                ran(0, "load", &[], 0, 0.0, 1.0),
+                ran(1, "gemm", &[0], 0, 1.0, 1.0),
+                ran(2, "gemm", &[0], 1, 1.0, 1.1),
+                ran(3, "gemm", &[0], 0, 1.0, 0.9),
+                ran(4, "gemm", &[0], 1, 1.0, 1.0),
+                slow,
+            ],
+        };
+        let rep = StragglerReport::from_trace(&trace, 3.0, 4);
         // 10s >> 3x median(~1.0): flagged and attributed.
-        assert!(an.observe(5, "gemm", 1, 10.0, &[1, 2], true));
-        let rep = an.report();
         assert_eq!(rep.stragglers.len(), 1);
         let s = &rep.stragglers[0];
         assert_eq!((s.task, s.worker, s.retried), (5, 1, true));
@@ -1533,50 +951,10 @@ mod tests {
 
     #[test]
     fn straggler_needs_min_samples() {
-        let mut an = StragglerAnalyzer::new(2.0, 10);
-        for i in 0..9 {
-            assert!(!an.observe(i, "t", 0, if i == 8 { 100.0 } else { 1.0 }, &[], false));
-        }
-    }
-}
-
-#[cfg(test)]
-mod emit_bench {
-    use super::*;
-
-    #[test]
-    #[ignore = "manual perf diagnostic"]
-    fn emit_cost() {
-        let epoch = Instant::now();
-        let j = Journal::new(4, 512, epoch);
-        let n = 5_000_000u64;
-        let t0 = Instant::now();
-        for i in 0..n {
-            let now = Instant::now();
-            j.emit_at(0, now, EventKind::TaskStart, Some(i), 0, 0);
-        }
-        println!(
-            "emit_at + Instant::now: {:.1} ns/emit",
-            t0.elapsed().as_secs_f64() / n as f64 * 1e9
-        );
-        let now = Instant::now();
-        let t0 = Instant::now();
-        for i in 0..n {
-            j.emit_at(0, now, EventKind::TaskStart, Some(i), 0, 0);
-        }
-        println!(
-            "emit_at reused stamp:  {:.1} ns/emit",
-            t0.elapsed().as_secs_f64() / n as f64 * 1e9
-        );
-        let t0 = Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..n {
-            acc = acc.wrapping_add(Instant::now().elapsed().subsec_nanos() as u64);
-        }
-        println!(
-            "Instant::now x2:       {:.1} ns/iter (acc {acc})",
-            t0.elapsed().as_secs_f64() / n as f64 * 1e9
-        );
-        assert_eq!(j.emitted(), 2 * n);
+        let records = (0..9)
+            .map(|i| ran(i, "t", &[], 0, i as f64, if i == 8 { 100.0 } else { 1.0 }))
+            .collect();
+        let rep = StragglerReport::from_trace(&Trace { records }, 2.0, 10);
+        assert!(rep.stragglers.is_empty());
     }
 }

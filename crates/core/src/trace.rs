@@ -24,6 +24,9 @@ pub const SPLIT_TASK: &str = "__split";
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttemptRecord {
     /// Wall-clock start of the attempt, seconds since the runtime epoch.
+    /// A `dist` driver learns of a failed attempt only from the
+    /// worker's `Failed` frame, which carries no timing: it stamps the
+    /// attempt at the instant the frame arrives, with duration `0.0`.
     pub start_s: f64,
     /// Duration of the attempt body, in seconds.
     pub duration_s: f64,
@@ -90,6 +93,13 @@ pub struct TaskRecord {
     pub gpus: u32,
     /// Submission sequence number (a valid topological order).
     pub seq: u64,
+    /// When the task became visible to workers (injector flush or the
+    /// releasing predecessor's completion), in seconds since the
+    /// recording runtime's epoch; its queue wait ends at the first
+    /// attempt's start. `0.0` when `RuntimeConfig::metrics` is off, for
+    /// tasks run inline, for markers, for tasks that never ran, and on
+    /// `dist` records.
+    pub ready_s: f64,
     /// Wall-clock start of the task body, in seconds since the
     /// recording runtime's epoch (creation time). `0.0` for markers
     /// and for tasks that never ran. Feeds the timeline exporter
@@ -112,6 +122,15 @@ impl TaskRecord {
     /// user task.
     pub fn is_marker(&self) -> bool {
         self.name == SYNC_TASK || self.name == BARRIER_TASK || self.name == SPLIT_TASK
+    }
+
+    /// Whether a body executed for this record: an executor stamped it
+    /// (`__split` helpers included), as opposed to a sync/barrier
+    /// marker or a task failed or cancelled before it could run.
+    pub fn ran(&self) -> bool {
+        self.name != SYNC_TASK
+            && self.name != BARRIER_TASK
+            && (self.worker >= 0 || self.start_s > 0.0 || self.duration_s > 0.0)
     }
 
     /// Encodes the record as a JSON tree (data refs as `[id, bytes]`
@@ -137,6 +156,7 @@ impl TaskRecord {
             ("cores".into(), Value::from(self.cores)),
             ("gpus".into(), Value::from(self.gpus)),
             ("seq".into(), Value::from(self.seq)),
+            ("ready_s".into(), Value::from(self.ready_s)),
             ("start_s".into(), Value::from(self.start_s)),
             ("worker".into(), Value::from(self.worker as f64)),
             (
@@ -203,6 +223,7 @@ impl TaskRecord {
             seq: u64_of(v.field("seq")?, "seq")?,
             // Optional for compatibility with traces archived before
             // the observability fields existed.
+            ready_s: v.get("ready_s").and_then(Value::as_f64).unwrap_or(0.0),
             start_s: v.get("start_s").and_then(Value::as_f64).unwrap_or(0.0),
             worker: v
                 .get("worker")
@@ -266,20 +287,39 @@ impl Trace {
     /// Length of the critical (longest) path through the DAG in seconds.
     /// A lower bound on any schedule's makespan.
     pub fn critical_path_s(&self) -> f64 {
+        self.critical_path().1
+    }
+
+    /// The critical (longest by summed duration) dependency chain,
+    /// producer-first, and its length in seconds. Ties go to the
+    /// first-listed dependency and the earliest-submitted end.
+    pub fn critical_path(&self) -> (Vec<TaskId>, f64) {
         let index = self.index_by_id();
         let mut finish = vec![0.0f64; self.records.len()];
-        let mut best: f64 = 0.0;
+        let mut pred: Vec<Option<usize>> = vec![None; self.records.len()];
+        let mut best: Option<usize> = None;
         // records are in submission order == topological order
         for (i, r) in self.records.iter().enumerate() {
-            let ready = r
-                .deps
-                .iter()
-                .filter_map(|d| index.get(d).map(|&j| finish[j]))
-                .fold(0.0f64, f64::max);
+            let mut ready = 0.0f64;
+            for &j in r.deps.iter().filter_map(|d| index.get(d)) {
+                if finish[j] > ready {
+                    ready = finish[j];
+                    pred[i] = Some(j);
+                }
+            }
             finish[i] = ready + r.duration_s;
-            best = best.max(finish[i]);
+            if best.is_none_or(|b| finish[i] > finish[b]) {
+                best = Some(i);
+            }
         }
-        best
+        let mut path = Vec::new();
+        let mut cur = best;
+        while let Some(i) = cur {
+            path.push(self.records[i].id);
+            cur = pred[i];
+        }
+        path.reverse();
+        (path, best.map_or(0.0, |b| finish[b]))
     }
 
     /// Map from task id to record index.
@@ -334,9 +374,10 @@ impl Trace {
         counts.values().copied().max().unwrap_or(0)
     }
 
-    /// Re-emits the recorded run as the telemetry event schema — one
-    /// `task_start`/`task_end` pair per executed task, schema-identical
-    /// to a DES replay's [`crate::sim::SimReport::events`]. See
+    /// The run's event stream, derived from the records — one
+    /// `task_start`/`task_end` pair per executed task plus a `retry`
+    /// per retried attempt, schema-identical to a DES replay's
+    /// [`crate::sim::SimReport::events`]. See
     /// [`crate::telemetry::events_from_trace`].
     pub fn events(&self) -> Vec<crate::telemetry::Event> {
         crate::telemetry::events_from_trace(self)
@@ -407,6 +448,7 @@ mod tests {
             cores: 1,
             gpus: 0,
             seq: id,
+            ready_s: 0.0,
             start_s: 0.0,
             worker: -1,
             child: None,
@@ -435,6 +477,32 @@ mod tests {
         };
         assert!((t.critical_path_s() - 7.0).abs() < 1e-12);
         assert_eq!(t.max_width(), 2);
+        let (path, len) = t.critical_path();
+        assert_eq!(path, vec![TaskId(0), TaskId(1), TaskId(3)]);
+        assert_eq!(len, t.critical_path_s());
+    }
+
+    #[test]
+    fn critical_path_of_empty_trace_is_empty() {
+        assert_eq!(Trace::default().critical_path(), (vec![], 0.0));
+    }
+
+    #[test]
+    fn ran_excludes_markers_and_unrun_tasks() {
+        let mut worker_ran = rec(0, &[], 0.0);
+        worker_ran.worker = 1;
+        let mut driver_ran = rec(1, &[], 0.5);
+        driver_ran.start_s = 0.25;
+        let mut split = rec(2, &[1], 0.1);
+        split.name = SPLIT_TASK.to_string();
+        let mut barrier = rec(3, &[0], 0.0);
+        barrier.name = BARRIER_TASK.to_string();
+        let never = rec(4, &[1], 0.0);
+        let ran: Vec<bool> = [worker_ran, driver_ran, split, barrier, never]
+            .iter()
+            .map(TaskRecord::ran)
+            .collect();
+        assert_eq!(ran, [true, true, true, false, false]);
     }
 
     #[test]
@@ -598,10 +666,12 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_obs_fields_and_defaults_old_traces() {
         let mut r = rec(0, &[], 1.0);
+        r.ready_s = 3.0;
         r.start_s = 3.25;
         r.worker = 2;
         let t = Trace { records: vec![r] };
         let back = Trace::from_json(&t.to_json()).unwrap();
+        assert_eq!(back.records[0].ready_s, 3.0);
         assert_eq!(back.records[0].start_s, 3.25);
         assert_eq!(back.records[0].worker, 2);
 
@@ -612,12 +682,13 @@ mod tests {
             if let Some((_, Value::Array(recs))) = fields.iter_mut().find(|(k, _)| k == "records") {
                 for r in recs {
                     if let Value::Object(rf) = r {
-                        rf.retain(|(k, _)| k != "start_s" && k != "worker");
+                        rf.retain(|(k, _)| !matches!(k.as_str(), "ready_s" | "start_s" | "worker"));
                     }
                 }
             }
         }
         let back = Trace::from_json(&v.pretty()).unwrap();
+        assert_eq!(back.records[0].ready_s, 0.0);
         assert_eq!(back.records[0].start_s, 0.0);
         assert_eq!(back.records[0].worker, -1);
     }

@@ -26,8 +26,7 @@
 //! No `unsafe`: the pool trades only `Vec` values.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Buffers retained per size bucket. The working set of a blocked GEMM
 /// or a reduction cascade cycles through a handful of buffers per size.
@@ -64,19 +63,11 @@ fn bucket_of(cap: usize) -> usize {
 // Process-wide pool counters. The per-thread counters above die with
 // their worker thread, which made the pool invisible to observability:
 // a driver reading `stats()` only ever saw its own (empty) pool. These
-// aggregate across every thread with relaxed `fetch_add`s so the
-// telemetry registry can report true hit/miss/bytes-reused totals.
+// aggregate across every thread with relaxed `fetch_add`s so a
+// metrics registry can report true hit/miss/bytes-reused totals.
 static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_MISSES: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_REUSED_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// Observer invoked on every pool resolution: `(hit, bytes)` where
-/// `bytes` is the capacity served (hit) or requested (miss). Installed
-/// by the telemetry bin to forward pool events into a runtime's
-/// journal. The flag keeps the uninstalled path at one relaxed load.
-static OBSERVER_ACTIVE: AtomicBool = AtomicBool::new(false);
-#[allow(clippy::type_complexity)]
-static OBSERVER: Mutex<Option<Box<dyn Fn(bool, u64) + Send + Sync>>> = Mutex::new(None);
 
 /// Process-wide pool counters, aggregated across all threads (alive
 /// and dead): `(hits, misses, bytes_reused)`.
@@ -88,31 +79,14 @@ pub fn global_stats() -> (u64, u64, u64) {
     )
 }
 
-/// Installs (or, with `None`, removes) the process-wide pool observer.
-/// The callback runs on whichever thread touched the pool; keep it
-/// cheap and non-blocking (the telemetry journal's emit qualifies).
-pub fn set_observer(f: Option<Box<dyn Fn(bool, u64) + Send + Sync>>) {
-    let mut g = OBSERVER
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    OBSERVER_ACTIVE.store(f.is_some(), Ordering::Release);
-    *g = f;
-}
-
+/// Counts one pool resolution; a hit adds the `bytes` it served to the
+/// reused total.
 fn observe(hit: bool, bytes: u64) {
     if hit {
         GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
         GLOBAL_REUSED_BYTES.fetch_add(bytes, Ordering::Relaxed);
     } else {
         GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
-    }
-    if OBSERVER_ACTIVE.load(Ordering::Acquire) {
-        let g = OBSERVER
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(f) = g.as_ref() {
-            f(hit, bytes);
-        }
     }
 }
 
@@ -138,7 +112,7 @@ fn acquire_raw(n: usize) -> Option<Vec<f64>> {
             }
         }
         p.misses += 1;
-        observe(false, (n * std::mem::size_of::<f64>()) as u64);
+        observe(false, 0);
         None
     })
 }

@@ -69,7 +69,6 @@ fn nested_child_panic_reaches_parent_waiter() {
         mode: ExecMode::Threads(2),
         nested_mode: ExecMode::Inline,
         metrics: true,
-        telemetry: true,
         ..RuntimeConfig::default()
     });
     let a = rt.put(1u64);

@@ -19,6 +19,7 @@ fn rec(id: u64, deps: &[u64], dur: f64, name: &str) -> TaskRecord {
         cores: 1,
         gpus: 0,
         seq: id,
+        ready_s: 0.0,
         start_s: 0.0,
         worker: -1,
         child: None,

@@ -67,7 +67,6 @@ fn threaded_nested_tasks() {
         mode: ExecMode::Threads(4),
         nested_mode: ExecMode::Threads(2),
         metrics: true,
-        telemetry: true,
         ..RuntimeConfig::default()
     });
     let data: Vec<_> = (0..6).map(|i| rt.put(i as f64)).collect();

@@ -37,6 +37,7 @@ fn random_trace(n: usize, edges_seed: u64, durations: &[f64], cores: &[u32]) -> 
             cores: cores[i % cores.len()],
             gpus: 0,
             seq: i as u64,
+            ready_s: 0.0,
             start_s: 0.0,
             worker: -1,
             child: None,
@@ -143,6 +144,7 @@ proptest! {
                 cores: 1,
                 gpus: 0,
                 seq: i as u64,
+                ready_s: 0.0,
                 start_s: 0.0,
                 worker: -1,
                 child: None,

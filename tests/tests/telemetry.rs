@@ -1,19 +1,18 @@
-//! Integration tests of the live telemetry layer: the event journal a
-//! threaded run produces, its schema identity with DES-emitted event
-//! streams, the metrics registry exports, and the real-vs-simulated
-//! divergence report — the tracing/analysis workflow the paper drives
-//! through Extrae + Paraver, here as first-class runtime state.
+//! Integration tests of the observability views derived from a finished
+//! run: the event stream a threaded run's trace yields, its schema
+//! identity with DES-emitted event streams, the metrics registry
+//! exports, and the real-vs-simulated divergence report — the
+//! tracing/analysis workflow the paper drives through Extrae + Paraver.
 
 use dislib::pca::{Components, Pca};
 use dsarray::DsArray;
 use integration_tests::tiny_dataset;
 use taskrt::sim::{simulate, ClusterSpec, SimOptions};
 use taskrt::telemetry::{divergence, validate_prometheus};
-use taskrt::{Event, EventKind, FaultPlan, Runtime, RuntimeConfig, Trace};
+use taskrt::{Event, EventKind, ExecMode, FaultPlan, OnFailure, Runtime, RuntimeConfig, Trace};
 
 /// A small mixed workload: blocked column sums + an explicit task
-/// cascade, enough to exercise queueing, stealing, and both histogram
-/// paths.
+/// cascade, enough to exercise queueing, stealing, and driver help.
 fn small_run() -> (Runtime, u64) {
     let (x, _) = tiny_dataset();
     let rt = Runtime::threaded(3);
@@ -25,69 +24,62 @@ fn small_run() -> (Runtime, u64) {
     (rt, tasks)
 }
 
+fn count(events: &[Event], kind: EventKind) -> u64 {
+    events.iter().filter(|e| e.kind == kind).count() as u64
+}
+
 #[test]
-fn journal_records_task_lifecycle() {
+fn trace_events_record_task_lifecycle() {
     let (rt, tasks) = small_run();
     assert!(tasks > 0);
-    assert_eq!(rt.journal_dropped(), 0, "workload must fit the ring");
-    let events = rt.journal_events();
-
-    let ends = events
-        .iter()
-        .filter(|e| e.kind == EventKind::TaskEnd)
-        .count() as u64;
-    let starts = events
-        .iter()
-        .filter(|e| e.kind == EventKind::TaskStart)
-        .count() as u64;
-    assert_eq!(ends, tasks, "one task_end per executed task");
-    assert_eq!(starts, ends, "every task_end has a synthesized start");
-    assert!(
-        events.iter().any(|e| e.kind == EventKind::QueueFlush),
-        "driver must journal its injector flushes"
+    let events = rt.trace().events();
+    assert_eq!(
+        count(&events, EventKind::TaskStart),
+        tasks,
+        "one start per task"
     );
-    // Snapshot is time-ordered and every task event is attributed.
+    assert_eq!(
+        count(&events, EventKind::TaskEnd),
+        tasks,
+        "one end per task"
+    );
+    assert_eq!(count(&events, EventKind::Retry), 0);
+    // Time-ordered, and every event is attributed to its task.
     assert!(events.windows(2).all(|w| w[0].t_s <= w[1].t_s));
-    assert!(events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::TaskStart | EventKind::TaskEnd))
-        .all(|e| e.task.is_some() && e.n != u64::MAX));
+    assert!(events.iter().all(|e| e.task.is_some()));
 }
 
 #[test]
-fn telemetry_flag_gates_the_journal() {
-    let rt = Runtime::with_config(RuntimeConfig {
-        telemetry: false,
-        ..RuntimeConfig::default()
-    });
-    let h = rt.task("t").run0(|| 1.0f64);
-    assert_eq!(*rt.wait(h), 1.0);
-    assert!(rt.telemetry().is_none(), "telemetry: false disables it");
-    assert!(rt.journal_events().is_empty());
+fn metrics_off_records_no_ready_stamp() {
+    let run = |metrics: bool| {
+        let rt = Runtime::with_config(RuntimeConfig {
+            mode: ExecMode::Threads(2),
+            metrics,
+            ..RuntimeConfig::default()
+        });
+        let x = rt.put(3.0f64);
+        let hs: Vec<_> = (0..20)
+            .map(|i| rt.task("t").run1(x, move |v| v * i as f64))
+            .collect();
+        let got: Vec<f64> = hs.into_iter().map(|h| *rt.wait(h)).collect();
+        (got, rt.finish(), rt.stats(), rt.registry())
+    };
+    let (off, trace, stats, reg) = run(false);
+    assert!(trace.records.iter().all(|r| r.ready_s == 0.0));
+    let zeros = taskrt::RuntimeStats {
+        worker_tasks: vec![0, 0],
+        ..Default::default()
+    };
+    assert_eq!(stats, zeros, "every counter stays zero");
+    let json = reg.to_value();
+    assert_eq!(json["taskrt_queue_wait_seconds"]["count"].as_u64(), Some(0));
+    let (on, trace_on, _, _) = run(true);
+    assert_eq!(off, on, "recording never changes results");
+    assert!(trace_on.records.iter().any(|r| r.ready_s > 0.0));
 }
 
-#[test]
-fn inout_handover_is_journaled() {
-    let rt = Runtime::threaded(2);
-    let m = rt.put(vec![1.0f64; 64]);
-    // Uniquely-owned input: the INOUT body takes it by move (steal).
-    let out = rt.task("scale_inplace").run1_inout(m, |v: &mut Vec<f64>| {
-        v.iter_mut().for_each(|x| *x *= 2.0);
-    });
-    let _ = rt.wait(out);
-    rt.barrier();
-    let events = rt.journal_events();
-    let steals: u64 = events
-        .iter()
-        .filter(|e| e.kind == EventKind::InoutSteal)
-        .map(|e| e.n)
-        .sum();
-    assert!(
-        steals >= 1,
-        "zero-copy handover must journal an inout_steal"
-    );
-}
-
+/// Every failed attempt is journaled in its record's `attempts`, and
+/// the derived stream turns each retried one into a `retry` event.
 #[test]
 fn retries_are_journaled() {
     let rt = Runtime::threaded(2);
@@ -100,33 +92,64 @@ fn retries_are_journaled() {
     let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.wait(h)));
     rt.barrier();
     assert_eq!(got.ok().map(|v| *v), Some(6.0));
-    let retries = rt
-        .journal_events()
-        .iter()
-        .filter(|e| e.kind == EventKind::Retry)
-        .count() as u64;
+    let retries = count(&rt.trace().events(), EventKind::Retry);
     assert_eq!(retries, rt.stats().retries);
     assert!(retries >= 1, "the injected first-attempt fault must retry");
 }
 
 #[test]
+fn failed_task_ends_with_aux_and_cancelled_successors_emit_nothing() {
+    let rt = Runtime::threaded(2);
+    let x = rt.put(1u64);
+    let bad = rt
+        .task("bad")
+        .on_failure(OnFailure::CancelSuccessors)
+        .run1(x, |_| -> u64 { panic!("boom") });
+    let _ = rt.task("after").run1(bad, |v| v + 1);
+    let ok = rt.task("ok").run1(x, |v| v + 1);
+    assert_eq!(*rt.wait(ok), 2);
+    rt.barrier();
+    let trace = rt.trace();
+    let name = |e: &Event| {
+        let id = e.task.expect("task events are attributed");
+        let r = trace.records.iter().find(|r| r.id.0 == id).unwrap();
+        r.name.clone()
+    };
+    let mut ends: Vec<(String, u64)> = trace
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::TaskEnd)
+        .map(|e| (name(e), e.aux))
+        .collect();
+    ends.sort();
+    // `after` was cancelled before it could run: no events at all.
+    assert_eq!(ends, [("bad".to_string(), 1), ("ok".to_string(), 0)]);
+    assert_eq!(count(&trace.events(), EventKind::Retry), 0);
+}
+
+#[test]
 fn histogram_counts_match_task_counts() {
     let (rt, tasks) = small_run();
-    let (queue_wait, run_time, attempt) = rt.latency_histograms().expect("telemetry on");
-    assert_eq!(run_time.count(), tasks, "one run_time sample per task");
-    assert_eq!(attempt.count(), tasks, "no retries: one attempt per task");
-    // Queue wait is only measurable for tasks that went through a
-    // ready queue (not driver-inlined ones), so it is bounded, not
-    // exact.
-    assert!(queue_wait.count() > 0 && queue_wait.count() <= tasks);
-    assert!(run_time.sum > 0, "task bodies take nonzero time");
-    assert!(run_time.mean() > 0.0);
+    let reg = rt.registry().to_value();
+    let hist = |name: &str| &reg[name];
+    let retries = rt.stats().retries;
+    assert_eq!(hist("taskrt_run_seconds")["count"].as_u64(), Some(tasks));
+    assert_eq!(
+        hist("taskrt_attempt_seconds")["count"].as_u64(),
+        Some(tasks + retries)
+    );
+    // Threaded with metrics on: every task gets a ready stamp.
+    assert_eq!(
+        hist("taskrt_queue_wait_seconds")["count"].as_u64(),
+        Some(tasks)
+    );
+    assert!(hist("taskrt_run_seconds")["sum"].as_f64().unwrap() > 0.0);
 }
 
 #[test]
 fn event_json_roundtrip_preserves_every_field() {
     let (rt, _) = small_run();
-    let events = rt.journal_events();
+    let events = rt.trace().events();
     assert!(!events.is_empty());
     for e in &events {
         let back = Event::from_value(&e.to_value()).expect("decode");
@@ -134,10 +157,10 @@ fn event_json_roundtrip_preserves_every_field() {
     }
 }
 
-/// The DES must speak the journal's exact schema — same JSON keys, same
-/// kind vocabulary — so divergence analysis can diff the two streams
-/// without translation (the role shared Paraver semantics play for
-/// Extrae traces).
+/// The DES must speak the real run's exact event schema — same JSON
+/// keys, same kind vocabulary — so divergence analysis can diff the two
+/// streams without translation (the role shared Paraver semantics play
+/// for Extrae traces).
 #[test]
 fn threaded_and_des_event_streams_are_schema_identical() {
     let (x, _) = tiny_dataset();
@@ -145,7 +168,6 @@ fn threaded_and_des_event_streams_are_schema_identical() {
     let ds = DsArray::from_matrix(&rt, x, 16, 120);
     let pca = Pca::fit(&rt, &ds, Components::Count(8));
     let _ = pca.transform(&rt, &ds).collect(&rt);
-    let live: Vec<Event> = rt.journal_events();
     let trace: Trace = rt.finish();
 
     let replayed = trace.events();
@@ -155,7 +177,7 @@ fn threaded_and_des_event_streams_are_schema_identical() {
         &SimOptions::default(),
     );
     let simulated = report.events();
-    assert!(!live.is_empty() && !replayed.is_empty() && !simulated.is_empty());
+    assert!(!replayed.is_empty() && !simulated.is_empty());
 
     let keys = |e: &Event| -> Vec<String> {
         match e.to_value() {
@@ -163,20 +185,14 @@ fn threaded_and_des_event_streams_are_schema_identical() {
             _ => panic!("events encode as objects"),
         }
     };
-    let schema = keys(&live[0]);
-    for e in replayed.iter().chain(simulated.iter()).chain(live.iter()) {
-        assert_eq!(keys(e), schema, "one schema across all three streams");
+    let schema = keys(&replayed[0]);
+    for e in replayed.iter().chain(simulated.iter()) {
+        assert_eq!(keys(e), schema, "one schema across both streams");
         let back = Event::from_value(&e.to_value()).expect("decode");
         assert_eq!(&back, e);
     }
-    // Both derived streams carry one start+end pair per real task.
-    let pairs = |evs: &[Event]| {
-        evs.iter().filter(|e| e.kind == EventKind::TaskEnd).count()
-            == evs
-                .iter()
-                .filter(|e| e.kind == EventKind::TaskStart)
-                .count()
-    };
+    // Both streams carry one start+end pair per real task.
+    let pairs = |evs: &[Event]| count(evs, EventKind::TaskEnd) == count(evs, EventKind::TaskStart);
     assert!(pairs(&replayed) && pairs(&simulated));
 }
 
