@@ -207,9 +207,7 @@ fn main() {
         );
     }
     let report = rt.run(&plan, &registry).expect("distributed run failed");
-    let mut spec = rt.cluster_spec();
-    spec.latency_s = cal.latency_s;
-    spec.bandwidth_bps = cal.bandwidth_bps;
+    let spec = rt.cluster_spec(cal.latency_s, cal.bandwidth_bps);
     let shutdown = rt.shutdown();
     let s = &report.stats;
     println!(

@@ -6,13 +6,21 @@
 //! carries replica owner addresses, consumers pull) with the driver
 //! relaying only its own seeds.
 //!
+//! **Decisions and I/O are apart.** Every decision of a run — what
+//! ships where, when a failed task is retried, what a lost worker takes
+//! with it — is made by `RunState` (`super::state`), a state machine
+//! with no socket, thread, lock or clock in it. [`DistRuntime::run`] is
+//! the shell around it: reader threads only forward frames, the run
+//! loop turns them, an EOF or heartbeat silence into events, performs
+//! the actions the state returns and feeds back what those observe.
+//!
 //! **Placement is owner-computes** ([`place`]): a ready task belongs to
 //! the live worker that already holds the most bytes of its inputs and
 //! waits for that worker if it is busy, so a block stays where it was
 //! first touched and is pulled at most when an idle worker steals it.
 //! The rule is a pure function of the task states and the replica map,
-//! recomputed on every pass — there is no queue to repair when a worker
-//! dies. One `Run` is in flight per worker.
+//! recomputed after every event — there is no queue to repair when a
+//! worker dies. One `Run` is in flight per worker.
 //!
 //! Heartbeat loss or a control-stream EOF declares a worker dead, which
 //! feeds the same recovery vocabulary the DES models: in-flight tasks
@@ -26,19 +34,19 @@
 
 use super::kind::KindRegistry;
 use super::plan::Plan;
-use super::proto::{self, InputSpec, Msg};
+use super::proto::{self, Msg};
+use super::state::{Action, Event, RunState};
 use super::wire::WireValue;
 use super::worker::{self, WorkerOpts};
-use crate::fault::OnFailure;
-use crate::handle::{DataId, TaskId};
 use crate::sim::ClusterSpec;
-use crate::trace::{AttemptRecord, TaskRecord, Trace};
+use crate::trace::Trace;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -54,10 +62,6 @@ pub struct DistConfig {
     /// inside a long task body keeps heartbeating from its beacon
     /// thread and is *not* declared dead.
     pub grace_beats: u32,
-    /// Modeled Unix-domain-socket bandwidth for [`DistRuntime::cluster_spec`].
-    pub bandwidth_bps: f64,
-    /// Modeled per-transfer latency for the cluster spec.
-    pub latency_s: f64,
     /// Seconds to wait for all workers to join before failing the run.
     pub join_timeout_s: f64,
 }
@@ -68,8 +72,6 @@ impl Default for DistConfig {
             workers: 2,
             heartbeat_ms: 20,
             grace_beats: 10,
-            bandwidth_bps: 4.0e9,
-            latency_s: 30e-6,
             join_timeout_s: 10.0,
         }
     }
@@ -94,7 +96,8 @@ impl DistConfig {
 pub struct DistStats {
     /// Task executions that completed (re-executions included).
     pub tasks_run: u64,
-    /// Body-failure retries granted by kind [`OnFailure::Retry`] policies.
+    /// Body-failure retries granted by kind [`crate::OnFailure::Retry`]
+    /// policies.
     pub retries: u64,
     /// Completed tasks re-executed because every replica of their
     /// output died (lineage rollback).
@@ -140,40 +143,21 @@ pub struct ShutdownReport {
     pub sock_dir_removed: bool,
 }
 
+/// What a control stream's reader thread forwards to the run loop.
 enum Ev {
-    Joined,
-    FromWorker(usize, Msg),
+    /// A worker's `Hello`: the write half of its control stream, and
+    /// the seconds from the driver epoch at which it arrived — the
+    /// anchor mapping worker-relative task start times onto the driver
+    /// clock.
+    Joined(usize, UnixStream, f64),
+    /// Any other frame but a heartbeat.
+    Frame(usize, Msg),
     Eof(usize),
-}
-
-/// Per-worker state shared between the accept/reader threads and the
-/// run loop.
-struct Slot {
-    writer: Option<UnixStream>,
-    last_seen: Instant,
-    /// Seconds from the driver epoch at which the worker's Hello
-    /// arrived — the anchor mapping worker-relative task start times
-    /// onto the driver clock.
-    joined_at_s: Option<f64>,
-    alive: bool,
 }
 
 enum WorkerHandle {
     Process(std::process::Child),
     Thread(std::thread::JoinHandle<()>),
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum TState {
-    Pending,
-    Running(usize),
-    Done,
-}
-
-struct DataState {
-    replicas: BTreeSet<usize>,
-    driver: bool,
-    bytes: u64,
 }
 
 /// Owner-computes placement: which ready tasks to ship now, and where.
@@ -197,7 +181,11 @@ struct DataState {
 ///    longest backlog — the one its owner would have reached last.
 ///
 /// Returns `(task, worker)` pairs, at most one per idle worker.
-fn place(ready: &[(usize, Vec<u64>)], in_flight: &[usize], alive: &[bool]) -> Vec<(usize, usize)> {
+pub(super) fn place(
+    ready: &[(usize, Vec<u64>)],
+    in_flight: &[usize],
+    alive: &[bool],
+) -> Vec<(usize, usize)> {
     let live: Vec<usize> = (0..alive.len()).filter(|&w| alive[w]).collect();
     if live.is_empty() {
         return Vec::new();
@@ -250,7 +238,14 @@ pub struct DistRuntime {
     dir: PathBuf,
     driver_sock: PathBuf,
     peer_paths: Vec<PathBuf>,
-    slots: Arc<Mutex<Vec<Slot>>>,
+    /// Write half of each joined worker's control stream; taken when the
+    /// worker is killed.
+    writers: Vec<Option<UnixStream>>,
+    /// Microseconds from `epoch` to each worker's last frame, stamped by
+    /// its reader thread.
+    last_seen: Arc<[AtomicU64]>,
+    /// Whether each worker's control stream has reported EOF.
+    closed: Vec<bool>,
     driver_store: Arc<Mutex<HashMap<u64, Arc<WireValue>>>>,
     relay_bytes: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
@@ -259,20 +254,21 @@ pub struct DistRuntime {
     accept_thread: Option<std::thread::JoinHandle<()>>,
     epoch: Instant,
     chaos: Option<(usize, usize)>, // (kill after N completions, worker)
-    chaos_fired: bool,
     ran: bool,
     shut_down: bool,
 }
 
 static DIR_NONCE: AtomicU64 = AtomicU64::new(0);
 
+const STORE_POISONED: &str = "a relay thread panicked holding the driver store";
+
 impl DistRuntime {
     /// Launches `cfg.workers` **worker processes** by re-executing the
     /// current binary. The host binary must call
     /// [`worker::maybe_worker`] first thing in `main` with the same
-    /// registry, or the children will just re-run `main`.
-    pub fn launch(cfg: DistConfig, registry: &Arc<KindRegistry>) -> std::io::Result<DistRuntime> {
-        let _ = registry; // process workers rebuild it from their own main
+    /// registry, or the children will just re-run `main`; the registry
+    /// passed here is not used, since each child builds its own.
+    pub fn launch(cfg: DistConfig, _registry: &Arc<KindRegistry>) -> std::io::Result<DistRuntime> {
         Self::launch_inner(cfg, None)
     }
 
@@ -306,16 +302,7 @@ impl DistRuntime {
 
         let listener = UnixListener::bind(&driver_sock)?;
         let epoch = Instant::now();
-        let slots = Arc::new(Mutex::new(
-            (0..cfg.workers)
-                .map(|_| Slot {
-                    writer: None,
-                    last_seen: epoch,
-                    joined_at_s: None,
-                    alive: false,
-                })
-                .collect::<Vec<_>>(),
-        ));
+        let last_seen: Arc<[AtomicU64]> = (0..cfg.workers).map(|_| AtomicU64::new(0)).collect();
         let driver_store = Arc::new(Mutex::new(HashMap::new()));
         let relay_bytes = Arc::new(AtomicU64::new(0));
         let stop = Arc::new(AtomicBool::new(false));
@@ -327,7 +314,7 @@ impl DistRuntime {
         let accept_thread = {
             let stop = Arc::clone(&stop);
             let conns = ConnCtx {
-                slots: Arc::clone(&slots),
+                last_seen: Arc::clone(&last_seen),
                 store: Arc::clone(&driver_store),
                 relay_bytes: Arc::clone(&relay_bytes),
                 tx,
@@ -337,7 +324,7 @@ impl DistRuntime {
         };
 
         let mut handles = Vec::with_capacity(cfg.workers);
-        for (i, peer_sock) in peer_paths.iter().enumerate().take(cfg.workers) {
+        for (i, peer_sock) in peer_paths.iter().enumerate() {
             let opts = WorkerOpts {
                 id: i as u32,
                 driver_sock: driver_sock.clone(),
@@ -359,7 +346,7 @@ impl DistRuntime {
                         .env(worker::ENV_WORKER, "1")
                         .env(worker::ENV_ID, i.to_string())
                         .env(worker::ENV_DRIVER_SOCK, &driver_sock)
-                        .env(worker::ENV_PEER_SOCK, &peer_paths[i])
+                        .env(worker::ENV_PEER_SOCK, peer_sock)
                         .env(worker::ENV_HEARTBEAT_MS, cfg.heartbeat_ms.to_string())
                         .spawn()?;
                     WorkerHandle::Process(child)
@@ -369,11 +356,13 @@ impl DistRuntime {
         }
 
         Ok(DistRuntime {
+            writers: (0..cfg.workers).map(|_| None).collect(),
+            closed: vec![false; cfg.workers],
             cfg,
             dir,
             driver_sock,
             peer_paths,
-            slots,
+            last_seen,
             driver_store,
             relay_bytes,
             stop,
@@ -382,23 +371,23 @@ impl DistRuntime {
             accept_thread: Some(accept_thread),
             epoch,
             chaos: None,
-            chaos_fired: false,
             ran: false,
             shut_down: false,
         })
     }
 
     /// The DES mirror of this cluster: one single-core node per worker
-    /// over the configured link model. Feed it `simulate(&report.trace,
-    /// &rt.cluster_spec(), ...)` and diff with
+    /// over a link of the given per-transfer latency and bandwidth —
+    /// measured on the real sockets, not assumed. Feed it
+    /// `simulate(&report.trace, &spec, ...)` and diff with
     /// [`crate::telemetry::divergence`].
-    pub fn cluster_spec(&self) -> ClusterSpec {
+    pub fn cluster_spec(&self, latency_s: f64, bandwidth_bps: f64) -> ClusterSpec {
         ClusterSpec {
             nodes: self.cfg.workers,
             cores_per_node: 1,
             gpus_per_node: 0,
-            bandwidth_bps: self.cfg.bandwidth_bps,
-            latency_s: self.cfg.latency_s,
+            bandwidth_bps,
+            latency_s,
             failures: Vec::new(),
         }
     }
@@ -419,602 +408,102 @@ impl DistRuntime {
         self.ran = true;
         plan.validate(registry)?;
         let run_start = Instant::now();
-
-        // Seed the driver store (and data table).
-        let mut data: HashMap<u64, DataState> = HashMap::new();
-        {
-            let mut store = self.driver_store.lock().unwrap();
-            for (id, v) in &plan.seeds {
-                store.insert(*id, Arc::clone(v));
-                data.insert(
-                    *id,
-                    DataState {
-                        replicas: BTreeSet::new(),
-                        driver: true,
-                        bytes: v.encoded_len() as u64,
-                    },
-                );
-            }
-        }
-        let producer: HashMap<u64, usize> = plan
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(t, pt)| (pt.out, t))
-            .collect();
-
-        let mut tstate: Vec<TState> = vec![TState::Pending; plan.tasks.len()];
-        let mut attempts: Vec<u32> = vec![1; plan.tasks.len()];
-        let mut not_before: Vec<Option<Instant>> = vec![None; plan.tasks.len()];
-        let mut failed_attempts: Vec<Vec<AttemptRecord>> = vec![Vec::new(); plan.tasks.len()];
-        let mut records: Vec<Option<TaskRecord>> = (0..plan.tasks.len()).map(|_| None).collect();
-        let mut stats = DistStats::default();
-        let mut completions: usize = 0;
-
-        // Whatever arrived while the workers were joining is handled
-        // first, like any other event.
-        let mut inbox = self.wait_for_join()?;
-
-        let grace = self.cfg.grace();
+        let seeds = plan.seeds.iter().map(|(id, v)| (*id, Arc::clone(v)));
+        self.driver_store
+            .lock()
+            .expect(STORE_POISONED)
+            .extend(seeds);
+        let peers = self.peer_paths.iter().map(|p| p.display().to_string());
         let period = Duration::from_millis(self.cfg.heartbeat_ms.max(1));
-        let mut silence_check_due = Instant::now() + period;
-        let mut outputs: BTreeMap<u64, Arc<WireValue>> = BTreeMap::new();
-
-        loop {
-            // 1. Handle every event read so far, then every queued one.
-            loop {
-                let ev = match inbox.pop_front() {
-                    Some(ev) => ev,
-                    None => match self.rx.try_recv() {
-                        Ok(ev) => ev,
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            return Err("driver event channel closed".into())
-                        }
-                    },
-                };
-                self.handle_event(
-                    ev,
-                    plan,
-                    registry,
-                    &producer,
-                    &mut data,
-                    &mut tstate,
-                    &mut attempts,
-                    &mut not_before,
-                    &mut failed_attempts,
-                    &mut records,
-                    &mut stats,
-                    &mut completions,
-                )?;
-            }
-
-            // 2. Heartbeat-timeout failure detection, once per period
-            // (step 5 wakes this loop at least that often).
-            let now = Instant::now();
-            if now >= silence_check_due {
-                silence_check_due = now + period;
-                let silent: Vec<usize> = {
-                    let slots = self.slots.lock().unwrap();
-                    (0..slots.len())
-                        .filter(|&w| {
-                            slots[w].alive && now.duration_since(slots[w].last_seen) > grace
-                        })
-                        .collect()
-                };
-                for w in silent {
-                    self.declare_dead(
-                        w,
-                        plan,
-                        &producer,
-                        &mut data,
-                        &mut tstate,
-                        &mut stats,
-                        &outputs,
-                    );
+        let heartbeat_s = period.as_secs_f64();
+        let mut state = RunState::new(plan, registry, peers.collect(), heartbeat_s, self.chaos);
+        let join_deadline = run_start + Duration::from_secs_f64(self.cfg.join_timeout_s);
+        let grace_us = self.cfg.grace().as_micros() as u64;
+        while !state.finished() {
+            // Block for the next frame, at most one heartbeat period.
+            let event = match self.rx.recv_timeout(period) {
+                Ok(Ev::Joined(worker, writer, at_s)) => {
+                    self.writers[worker] = Some(writer);
+                    Event::Joined { worker, at_s }
                 }
-            }
-
-            // 3. Finished? Fetch outputs (this can discover dead owners,
-            // in which case lineage re-opens work).
-            if tstate.iter().all(|s| *s == TState::Done) {
-                let mut all_fetched = true;
-                for &o in plan.outputs() {
-                    if outputs.contains_key(&o) {
-                        continue;
-                    }
-                    if let Some(v) = self.driver_store.lock().unwrap().get(&o).cloned() {
-                        outputs.insert(o, v);
-                        continue;
-                    }
-                    match self.fetch_from_replica(o, &data) {
-                        Some(v) => {
-                            outputs.insert(o, Arc::clone(&v));
-                            self.driver_store.lock().unwrap().insert(o, v);
-                            if let Some(d) = data.get_mut(&o) {
-                                d.driver = true;
-                            }
-                        }
-                        None => {
-                            all_fetched = false;
-                            // Every replica owner failed to answer —
-                            // declare them dead and let lineage recompute.
-                            let owners: Vec<usize> = data
-                                .get(&o)
-                                .map(|d| d.replicas.iter().copied().collect())
-                                .unwrap_or_default();
-                            if owners.is_empty() {
-                                // No replicas at all: producer must rerun.
-                                self.lineage_rollback(
-                                    plan,
-                                    &producer,
-                                    &mut data,
-                                    &mut tstate,
-                                    &mut stats,
-                                    &outputs,
-                                );
-                            }
-                            for w in owners {
-                                self.declare_dead(
-                                    w,
-                                    plan,
-                                    &producer,
-                                    &mut data,
-                                    &mut tstate,
-                                    &mut stats,
-                                    &outputs,
-                                );
-                            }
-                        }
-                    }
+                Ok(Ev::Frame(w, msg)) => Event::Frame(w, msg),
+                Ok(Ev::Eof(w)) => {
+                    self.closed[w] = true;
+                    Event::Lost(w)
                 }
-                if all_fetched && tstate.iter().all(|s| *s == TState::Done) {
-                    break;
-                }
-            }
-
-            // 4. Ship ready tasks to the workers `place` names.
-            self.schedule(plan, &data, &mut tstate, &attempts, &not_before)?;
-
-            // 5. Block for the next event (bounded by a heartbeat).
-            match self.rx.recv_timeout(period) {
-                Ok(ev) => inbox.push_back(ev),
-                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Timeout) => Event::Wake,
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err("driver event channel closed".into())
                 }
+            };
+            self.feed(&mut state, event)?;
+            // Heartbeat silence is a loss, as an EOF is.
+            let now_us = self.epoch.elapsed().as_micros() as u64;
+            for w in 0..self.cfg.workers {
+                let silent_us = now_us.saturating_sub(self.last_seen[w].load(Ordering::Relaxed));
+                if state.alive(w) && silent_us > grace_us {
+                    self.feed(&mut state, Event::Lost(w))?;
+                }
             }
-        }
-
-        stats.wall_s = run_start.elapsed().as_secs_f64();
-        stats.relay_bytes = self.relay_bytes.load(Ordering::Relaxed);
-        let trace = Trace {
-            records: records.into_iter().flatten().collect(),
-        };
-        Ok(DistReport {
-            outputs,
-            trace,
-            stats,
-        })
-    }
-
-    /// Blocks until every worker has joined (Hello received). Returns
-    /// every other event read meanwhile — an `Eof` from a worker that
-    /// crashed right after its `Hello` must reach the run loop, or that
-    /// worker stays "alive" until its heartbeat grace runs out.
-    fn wait_for_join(&mut self) -> Result<VecDeque<Ev>, String> {
-        let deadline = Instant::now() + Duration::from_secs_f64(self.cfg.join_timeout_s);
-        let mut early = VecDeque::new();
-        loop {
-            let joined = self
-                .slots
-                .lock()
-                .unwrap()
-                .iter()
-                .filter(|s| s.joined_at_s.is_some())
-                .count();
-            if joined == self.cfg.workers {
-                return Ok(early);
-            }
-            if Instant::now() > deadline {
+            let joined = state.joined();
+            if joined < self.cfg.workers && Instant::now() > join_deadline {
                 return Err(format!(
                     "only {joined}/{} workers joined within {:.1}s — \
                      does the host binary call dist::maybe_worker first?",
                     self.cfg.workers, self.cfg.join_timeout_s
                 ));
             }
-            match self.rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Ev::Joined) | Err(RecvTimeoutError::Timeout) => {}
-                Ok(ev) => early.push_back(ev),
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err("driver event channel closed".into())
-                }
-            }
         }
+        let mut report = state.into_report();
+        report.stats.wall_s = run_start.elapsed().as_secs_f64();
+        report.stats.relay_bytes = self.relay_bytes.load(Ordering::Relaxed);
+        Ok(report)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_event(
-        &mut self,
-        ev: Ev,
-        plan: &Plan,
-        registry: &KindRegistry,
-        producer: &HashMap<u64, usize>,
-        data: &mut HashMap<u64, DataState>,
-        tstate: &mut [TState],
-        attempts: &mut [u32],
-        not_before: &mut [Option<Instant>],
-        failed_attempts: &mut [Vec<AttemptRecord>],
-        records: &mut [Option<TaskRecord>],
-        stats: &mut DistStats,
-        completions: &mut usize,
-    ) -> Result<(), String> {
-        match ev {
-            Ev::Joined => {}
-            Ev::Eof(w) => {
-                let was_alive = self.slots.lock().unwrap()[w].alive;
-                if was_alive {
-                    self.declare_dead(w, plan, producer, data, tstate, stats, &BTreeMap::new());
-                }
-            }
-            Ev::FromWorker(w, msg) => {
-                if !self.slots.lock().unwrap()[w].alive {
-                    return Ok(()); // stale message from a declared-dead worker
-                }
-                match msg {
-                    Msg::Done {
-                        task,
-                        out,
-                        bytes,
-                        start_rel_s,
-                        duration_s,
-                        pulled,
-                        relayed,
-                    } => {
-                        let t = task as usize;
-                        if tstate.get(t).copied() != Some(TState::Running(w)) {
-                            return Ok(()); // late duplicate after re-execution
-                        }
-                        tstate[t] = TState::Done;
-                        stats.tasks_run += 1;
-                        *completions += 1;
-                        let entry = data.entry(out).or_insert(DataState {
-                            replicas: BTreeSet::new(),
-                            driver: false,
-                            bytes,
-                        });
-                        entry.bytes = bytes;
-                        entry.replicas.insert(w);
-                        for p in &pulled {
-                            if let Some(d) = data.get_mut(p) {
-                                d.replicas.insert(w);
-                                stats.peer_pulls += 1;
-                                stats.peer_pull_bytes += d.bytes;
-                            }
-                        }
-                        // Relayed bytes were counted once, where the
-                        // driver served them (`relay_bytes`).
-                        for p in &relayed {
-                            if let Some(d) = data.get_mut(p) {
-                                d.replicas.insert(w);
-                            }
-                        }
-                        let joined_at_s = self.slots.lock().unwrap()[w].joined_at_s.unwrap_or(0.0);
-                        let start_s = joined_at_s + start_rel_s;
-                        let pt = &plan.tasks[t];
-                        let mut attempt_log = failed_attempts[t].clone();
-                        if !attempt_log.is_empty() {
-                            attempt_log.push(AttemptRecord {
-                                start_s,
-                                duration_s,
-                                error: None,
-                            });
-                        }
-                        records[t] = Some(TaskRecord {
-                            id: TaskId(task),
-                            name: pt.kind.clone(),
-                            deps: {
-                                let mut deps: Vec<TaskId> = pt
-                                    .inputs
-                                    .iter()
-                                    .filter_map(|i| producer.get(i).map(|&p| TaskId(p as u64)))
-                                    .collect();
-                                deps.dedup();
-                                deps
-                            },
-                            duration_s,
-                            inputs: pt
-                                .inputs
-                                .iter()
-                                .map(|i| (DataId(*i), data.get(i).map_or(0, |d| d.bytes as usize)))
-                                .collect(),
-                            outputs: vec![(DataId(out), bytes as usize)],
-                            cores: 1,
-                            gpus: 0,
-                            seq: task,
-                            ready_s: 0.0,
-                            start_s,
-                            worker: w as i64,
-                            child: None,
-                            attempts: attempt_log,
-                        });
-                        // Chaos trigger rides completions.
-                        if let Some((after, victim)) = self.chaos {
-                            if !self.chaos_fired && *completions >= after {
-                                self.chaos_fired = true;
-                                self.kill_abruptly(victim);
-                            }
+    /// Hands `event` to the state and performs the actions it returns;
+    /// what an action observes goes back in as the next event.
+    fn feed(&mut self, state: &mut RunState<'_>, event: Event) -> Result<(), String> {
+        let mut events = VecDeque::from([event]);
+        while let Some(event) = events.pop_front() {
+            for action in state.step(event, self.epoch.elapsed().as_secs_f64())? {
+                match action {
+                    Action::Send(w, run) => {
+                        let writer = self.writers[w].as_mut();
+                        if writer.is_none_or(|s| proto::send(s, &run).is_err()) {
+                            events.push_back(Event::SendFailed(w));
                         }
                     }
-                    Msg::FetchFailed { task, data } => {
-                        let t = task as usize;
-                        if tstate.get(t).copied() != Some(TState::Running(w)) {
-                            return Ok(());
-                        }
-                        // The worker could not pull an input — its owner
-                        // died under the dispatch. Requeue (no attempt
-                        // burned); the owner's EOF/heartbeat death and
-                        // the lineage rollback it triggers will
-                        // re-supply `data`. A one-heartbeat pause stops
-                        // a hot requeue loop while that death event is
-                        // still in flight.
-                        stats.fetch_failures += 1;
-                        let _ = data;
-                        not_before[t] = Some(
-                            Instant::now() + Duration::from_millis(self.cfg.heartbeat_ms.max(1)),
-                        );
-                        tstate[t] = TState::Pending;
+                    Action::Kill(w) => self.kill(w),
+                    Action::Fetch { data, owners } => {
+                        events.push_back(Event::Fetched(data, self.fetch(data, &owners)));
                     }
-                    Msg::Failed { task, error } => {
-                        let t = task as usize;
-                        if tstate.get(t).copied() != Some(TState::Running(w)) {
-                            return Ok(());
-                        }
-                        let kind = registry
-                            .get(&plan.tasks[t].kind)
-                            .expect("validated at submit");
-                        // `Failed` carries no timing: stamp the attempt
-                        // when the frame arrives (see `AttemptRecord`).
-                        failed_attempts[t].push(AttemptRecord {
-                            start_s: self.epoch.elapsed().as_secs_f64(),
-                            duration_s: 0.0,
-                            error: Some(error.clone()),
-                        });
-                        let retryable = kind.on_failure == OnFailure::Retry
-                            && attempts[t] < kind.retry.max_attempts;
-                        if retryable {
-                            let backoff = kind.retry.backoff_s(task, attempts[t]);
-                            attempts[t] += 1;
-                            stats.retries += 1;
-                            not_before[t] = Some(Instant::now() + Duration::from_secs_f64(backoff));
-                            tstate[t] = TState::Pending;
-                        } else {
-                            return Err(format!(
-                                "task {task} ('{}') failed after {} attempts: {error}",
-                                plan.tasks[t].kind, attempts[t]
-                            ));
-                        }
-                    }
-                    _ => {}
                 }
             }
         }
         Ok(())
     }
 
-    /// Ships the ready tasks [`place`] assigns to workers with nothing
-    /// in flight. Everything `place` sees is rebuilt here from `tstate`
-    /// and the replica map, so a death or a rollback between two passes
-    /// needs no bookkeeping.
-    fn schedule(
-        &mut self,
-        plan: &Plan,
-        data: &HashMap<u64, DataState>,
-        tstate: &mut [TState],
-        attempts: &[u32],
-        not_before: &[Option<Instant>],
-    ) -> Result<(), String> {
-        let alive: Vec<bool> = {
-            let slots = self.slots.lock().unwrap();
-            slots.iter().map(|s| s.alive).collect()
-        };
-        let mut in_flight = vec![0usize; alive.len()];
-        for s in tstate.iter() {
-            if let TState::Running(w) = s {
-                in_flight[*w] += 1;
-            }
-        }
-        let any_alive = alive.contains(&true);
-        if any_alive && (0..alive.len()).all(|w| !alive[w] || in_flight[w] > 0) {
-            return Ok(()); // every live worker is busy: nothing can ship
-        }
-        let now = Instant::now();
-        let ready: Vec<(usize, Vec<u64>)> = (0..plan.tasks.len())
-            .filter(|&t| {
-                tstate[t] == TState::Pending
-                    && not_before[t].is_none_or(|nb| now >= nb)
-                    && plan.tasks[t].inputs.iter().all(|i| {
-                        data.get(i)
-                            .is_some_and(|d| d.driver || !d.replicas.is_empty())
-                    })
-            })
-            .map(|t| {
-                let mut held = vec![0u64; alive.len()];
-                for d in plan.tasks[t].inputs.iter().filter_map(|i| data.get(i)) {
-                    for &w in &d.replicas {
-                        held[w] += d.bytes;
-                    }
-                }
-                (t, held)
-            })
-            .collect();
-        if !ready.is_empty() && !any_alive {
-            return Err("all workers died; no survivors to re-execute on".into());
-        }
-        for (t, w) in place(&ready, &in_flight, &alive) {
-            let pt = &plan.tasks[t];
-            let inputs: Vec<InputSpec> = pt
-                .inputs
-                .iter()
-                .map(|i| InputSpec {
-                    data: *i,
-                    owners: data
-                        .get(i)
-                        .map(|d| {
-                            d.replicas
-                                .iter()
-                                .map(|&o| (o as u32, self.peer_paths[o].display().to_string()))
-                                .collect()
-                        })
-                        .unwrap_or_default(),
-                })
-                .collect();
-            let run = Msg::Run {
-                task: t as u64,
-                attempt: attempts[t],
-                kind: pt.kind.clone(),
-                out: pt.out,
-                inputs,
-            };
-            let sent = {
-                let mut slots = self.slots.lock().unwrap();
-                match &mut slots[w].writer {
-                    Some(stream) => proto::send(stream, &run).is_ok(),
-                    None => false,
-                }
-            };
-            if sent {
-                tstate[t] = TState::Running(w);
-            }
-            // A failed send means the worker just died; the reader
-            // thread's EOF event will declare it, and the task stays
-            // Pending for the next pass.
-        }
-        Ok(())
+    /// Pulls `data` from the first of `owners` that answers, and keeps it
+    /// in the driver's store from then on.
+    fn fetch(&self, data: u64, owners: &[usize]) -> Option<Arc<WireValue>> {
+        let value = owners
+            .iter()
+            .find_map(|&w| proto::pull(&self.peer_paths[w], data))?;
+        let mut store = self.driver_store.lock().expect(STORE_POISONED);
+        store.insert(data, Arc::clone(&value));
+        Some(value)
     }
 
-    /// Pulls a datum from any replica owner (the driver acting as a
-    /// peer consumer).
-    fn fetch_from_replica(
-        &self,
-        id: u64,
-        data: &HashMap<u64, DataState>,
-    ) -> Option<Arc<WireValue>> {
-        let owners = data.get(&id)?.replicas.clone();
-        for w in owners {
-            if let Ok(mut conn) = UnixStream::connect(&self.peer_paths[w]) {
-                if proto::send(&mut conn, &Msg::Pull { data: id }).is_ok() {
-                    if let Ok(Msg::Data { value, .. }) = proto::recv(&mut conn) {
-                        return Some(value);
-                    }
-                }
-            }
+    /// Kills a worker without ceremony: severs its control stream (a
+    /// thread worker exits on that), and SIGKILLs and reaps a process.
+    fn kill(&mut self, w: usize) {
+        if let Some(stream) = self.writers[w].take() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        None
-    }
-
-    /// Marks a worker dead: requeues its in-flight work and re-executes
-    /// the lineage of any needed data that lost its last replica.
-    #[allow(clippy::too_many_arguments)]
-    fn declare_dead(
-        &mut self,
-        w: usize,
-        plan: &Plan,
-        producer: &HashMap<u64, usize>,
-        data: &mut HashMap<u64, DataState>,
-        tstate: &mut [TState],
-        stats: &mut DistStats,
-        fetched: &BTreeMap<u64, Arc<WireValue>>,
-    ) {
-        {
-            let mut slots = self.slots.lock().unwrap();
-            if !slots[w].alive {
-                return;
-            }
-            slots[w].alive = false;
-            // Sever our half so the worker (if actually alive) notices.
-            if let Some(stream) = slots[w].writer.take() {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-        stats.workers_lost += 1;
-        // Reap a process worker right away (SIGKILL is idempotent).
         if let Some(WorkerHandle::Process(child)) = self.handles[w].as_mut() {
             let _ = child.kill();
             let _ = child.wait();
             self.handles[w] = None;
-        }
-        for d in data.values_mut() {
-            d.replicas.remove(&w);
-        }
-        for s in tstate.iter_mut() {
-            if *s == TState::Running(w) {
-                *s = TState::Pending;
-                stats.lost_tasks += 1;
-            }
-        }
-        let _ = producer;
-        self.lineage_rollback(plan, producer, data, tstate, stats, fetched);
-    }
-
-    /// Re-opens completed tasks whose outputs are gone but still
-    /// needed — the real-world mirror of the DES's lineage rollback.
-    fn lineage_rollback(
-        &mut self,
-        plan: &Plan,
-        producer: &HashMap<u64, usize>,
-        data: &mut HashMap<u64, DataState>,
-        tstate: &mut [TState],
-        stats: &mut DistStats,
-        fetched: &BTreeMap<u64, Arc<WireValue>>,
-    ) {
-        let _ = producer;
-        loop {
-            let mut changed = false;
-            for t in 0..plan.tasks.len() {
-                if tstate[t] != TState::Done {
-                    continue;
-                }
-                let out = plan.tasks[t].out;
-                let lost = data
-                    .get(&out)
-                    .is_none_or(|d| !d.driver && d.replicas.is_empty());
-                if !lost {
-                    continue;
-                }
-                let needed_as_output = plan.outputs().contains(&out) && !fetched.contains_key(&out);
-                let needed_as_input = plan
-                    .tasks
-                    .iter()
-                    .enumerate()
-                    .any(|(c, pt)| tstate[c] != TState::Done && pt.inputs.contains(&out));
-                if needed_as_output || needed_as_input {
-                    tstate[t] = TState::Pending;
-                    stats.reexecutions += 1;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return;
-            }
-        }
-    }
-
-    /// Kills a worker without ceremony: SIGKILL for a process, a
-    /// severed control stream for a thread.
-    fn kill_abruptly(&mut self, w: usize) {
-        match self.handles[w].as_mut() {
-            Some(WorkerHandle::Process(child)) => {
-                let _ = child.kill();
-                // The reader thread's EOF drives declare_dead; reaping
-                // happens there (kill is idempotent).
-            }
-            _ => {
-                let mut slots = self.slots.lock().unwrap();
-                if let Some(stream) = slots[w].writer.take() {
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                }
-            }
         }
     }
 
@@ -1029,22 +518,16 @@ impl DistRuntime {
 
     fn shutdown_inner(&mut self) -> ShutdownReport {
         let spawned = self.handles.len();
-        // Ask politely.
-        {
-            let mut slots = self.slots.lock().unwrap();
-            for slot in slots.iter_mut() {
-                if let Some(stream) = slot.writer.as_mut() {
-                    let _ = proto::send(stream, &Msg::Shutdown);
-                }
-                slot.alive = false;
-            }
+        // Ask politely; a worker whose `Hello` is still queued is asked
+        // when it is read below.
+        for stream in self.writers.iter_mut().flatten() {
+            let _ = proto::send(stream, &Msg::Shutdown);
         }
         // A worker's exit closes its control stream and its reader
         // thread reports `Eof`: wait for those, not on a poll of
-        // `try_wait`. Only process workers are waited for this way;
-        // a thread worker is joined below.
+        // `try_wait`.
         let mut exiting: BTreeSet<usize> = (0..spawned)
-            .filter(|&w| matches!(self.handles[w], Some(WorkerHandle::Process(_))))
+            .filter(|&w| self.handles[w].is_some() && !self.closed[w])
             .collect();
         let deadline = Instant::now() + Duration::from_secs(2);
         while !exiting.is_empty() {
@@ -1052,10 +535,13 @@ impl DistRuntime {
                 .rx
                 .recv_timeout(deadline.saturating_duration_since(Instant::now()))
             {
+                Ok(Ev::Joined(_, mut writer, _)) => {
+                    let _ = proto::send(&mut writer, &Msg::Shutdown);
+                }
                 Ok(Ev::Eof(w)) => {
                     exiting.remove(&w);
                 }
-                Ok(_) => {}
+                Ok(Ev::Frame(..)) => {}
                 Err(_) => break, // deadline: whoever is left ignored `Shutdown`
             }
         }
@@ -1107,7 +593,7 @@ impl Drop for DistRuntime {
 /// What every connection to the driver's listener needs.
 #[derive(Clone)]
 struct ConnCtx {
-    slots: Arc<Mutex<Vec<Slot>>>,
+    last_seen: Arc<[AtomicU64]>,
     store: Arc<Mutex<HashMap<u64, Arc<WireValue>>>>,
     relay_bytes: Arc<AtomicU64>,
     tx: SyncSender<Ev>,
@@ -1130,43 +616,35 @@ fn accept_loop(listener: UnixListener, stop: Arc<AtomicBool>, conns: ConnCtx) {
 }
 
 /// One connection to the driver: a worker's control stream (`Hello`,
-/// then its replies until EOF) or a one-shot relay request (`Need`).
+/// then its frames until EOF, each stamped into `last_seen` and all but
+/// heartbeats forwarded), or a one-shot `Pull` the driver serves from
+/// its own store — a relay.
 fn serve_connection(mut conn: UnixStream, ctx: ConnCtx) {
     match proto::recv(&mut conn) {
         Ok(Msg::Hello { worker }) => {
             let w = worker as usize;
-            let now = Instant::now();
-            {
-                let mut slots = ctx.slots.lock().unwrap();
-                if w >= slots.len() {
-                    return;
-                }
-                let Ok(writer) = conn.try_clone() else { return };
-                slots[w].writer = Some(writer);
-                slots[w].last_seen = now;
-                slots[w].joined_at_s = Some(now.duration_since(ctx.epoch).as_secs_f64());
-                slots[w].alive = true;
+            let (Some(seen), Ok(writer)) = (ctx.last_seen.get(w), conn.try_clone()) else {
+                return;
+            };
+            let since = ctx.epoch.elapsed();
+            seen.store(since.as_micros() as u64, Ordering::Relaxed);
+            let at_s = since.as_secs_f64();
+            if ctx.tx.send(Ev::Joined(w, writer, at_s)).is_err() {
+                return;
             }
-            let _ = ctx.tx.send(Ev::Joined);
             loop {
-                match proto::recv(&mut conn) {
-                    Ok(Msg::Heartbeat { .. }) => {
-                        ctx.slots.lock().unwrap()[w].last_seen = Instant::now();
-                    }
-                    Ok(msg) => {
-                        ctx.slots.lock().unwrap()[w].last_seen = Instant::now();
-                        if ctx.tx.send(Ev::FromWorker(w, msg)).is_err() {
-                            break;
-                        }
-                    }
-                    Err(_) => {
-                        let _ = ctx.tx.send(Ev::Eof(w));
-                        break;
-                    }
+                let Ok(msg) = proto::recv(&mut conn) else {
+                    let _ = ctx.tx.send(Ev::Eof(w));
+                    return;
+                };
+                seen.store(ctx.epoch.elapsed().as_micros() as u64, Ordering::Relaxed);
+                let heartbeat = matches!(msg, Msg::Heartbeat { .. });
+                if !heartbeat && ctx.tx.send(Ev::Frame(w, msg)).is_err() {
+                    return;
                 }
             }
         }
-        Ok(Msg::Need { data, .. }) => {
+        Ok(Msg::Pull { data }) => {
             let held = ctx.store.lock().unwrap().get(&data).cloned();
             let reply = match held {
                 Some(value) => {
@@ -1186,7 +664,8 @@ fn serve_connection(mut conn: UnixStream, ctx: ConnCtx) {
 mod tests {
     use super::*;
     use crate::dist::plan::fingerprint;
-    use crate::fault::RetryPolicy;
+    use crate::fault::{OnFailure, RetryPolicy};
+    use crate::handle::TaskId;
 
     fn arith_registry() -> Arc<KindRegistry> {
         let mut reg = KindRegistry::new();
@@ -1231,6 +710,24 @@ mod tests {
         assert_eq!(shutdown.workers_force_killed, 0);
         assert!(shutdown.sock_dir_removed, "socket dir leaked");
         assert!(!dir.exists());
+    }
+
+    #[test]
+    fn record_deps_are_sorted_and_deduplicated() {
+        // Task 2 reads [x, y, x]: its record names each producer once.
+        let reg = arith_registry();
+        let mut p = Plan::new();
+        let a = p.put(WireValue::F64(2.0));
+        let x = p.task("add", &[a]);
+        let y = p.task("mul", &[a]);
+        let z = p.task("add", &[x, y, x]);
+        p.mark_output(z);
+        let mut rt = DistRuntime::launch_threads(DistConfig::with_workers(1), &reg).unwrap();
+        let report = rt.run(&p, &reg).unwrap();
+        assert_eq!(report.outputs[&z].as_f64(), 6.0);
+        let last = report.trace.records.iter().find(|r| r.seq == 2).unwrap();
+        assert_eq!(last.deps, vec![TaskId(0), TaskId(1)]);
+        rt.shutdown();
     }
 
     /// Runs `place` in lock-step rounds — every live worker finishes
@@ -1347,7 +844,6 @@ mod tests {
         let reg = arith_registry();
         let (plan, top) = diamond_plan();
         let mut rt = DistRuntime::launch_threads(DistConfig::with_workers(1), &reg).unwrap();
-        assert!(rt.wait_for_join().unwrap().is_empty());
         let silent = UnixStream::connect(&rt.driver_sock).unwrap();
         let report = rt.run(&plan, &reg).unwrap();
         assert_eq!(report.outputs[&top].as_f64(), 30.0);
@@ -1359,32 +855,26 @@ mod tests {
     #[test]
     fn death_during_join_is_not_swallowed() {
         // Worker 0 dies while the driver still waits for worker 1's
-        // Hello. Its Eof must survive `wait_for_join`, or worker 0 stays
-        // "alive" for the whole 20 s grace.
+        // Hello. Its loss must count, and the run must start on worker
+        // 1 alone rather than keep worker 0 "alive" for its grace.
         let reg = arith_registry();
-        let (plan, top) = diamond_plan();
-        let cfg = DistConfig {
-            heartbeat_ms: 2000,
-            ..DistConfig::with_workers(2)
-        };
-        let mut rt = DistRuntime::launch_threads(cfg, &reg).unwrap();
-        assert!(rt.wait_for_join().unwrap().is_empty());
-        // Re-open worker 1's join, cut worker 0, and let worker 1
-        // "arrive" once the driver has had time to read the Eof.
-        let joined_at = rt.slots.lock().unwrap()[1].joined_at_s.take();
-        rt.kill_abruptly(0);
-        let slots = Arc::clone(&rt.slots);
-        let late_join = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(200));
-            slots.lock().unwrap()[1].joined_at_s = joined_at;
-        });
-        let t0 = Instant::now();
-        let report = rt.run(&plan, &reg).unwrap();
-        late_join.join().unwrap();
-        assert_eq!(report.outputs[&top].as_f64(), 30.0);
-        assert_eq!(report.stats.workers_lost, 1, "the Eof was dropped");
-        assert!(t0.elapsed() < Duration::from_secs(5));
-        rt.shutdown();
+        let (plan, _) = diamond_plan();
+        let peers = vec!["w0.sock".into(), "w1.sock".into()];
+        let mut st = RunState::new(&plan, &reg, peers, 2.0, None);
+        let joined = |worker| Event::Joined { worker, at_s: 0.0 };
+        assert_eq!(st.step(joined(0), 0.0).unwrap(), vec![]);
+        assert_eq!(st.step(Event::Lost(0), 0.1).unwrap(), vec![Action::Kill(0)]);
+        let actions = st.step(joined(1), 0.2).unwrap();
+        assert!(
+            matches!(actions[..], [Action::Send(1, Msg::Run { task: 0, .. })]),
+            "{actions:?}"
+        );
+        assert!(!st.alive(0) && st.alive(1));
+        assert_eq!(
+            st.into_report().stats.workers_lost,
+            1,
+            "the loss was dropped"
+        );
     }
 
     #[test]

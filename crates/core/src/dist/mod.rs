@@ -23,9 +23,11 @@
 //!   must match bit for bit.
 //! * [`worker`] — the worker loop: local store, peer listener,
 //!   heartbeat beacon.
-//! * [`driver`] — the driver: owner-computes placement over the
-//!   replica map, heartbeat failure detection, lineage re-execution,
-//!   trace capture.
+//! * `state` — the driver's decisions as an I/O-free state machine:
+//!   dispatch, retries, lineage re-execution, trace capture.
+//! * [`driver`] — the shell around it: sockets, threads, worker
+//!   processes, heartbeat failure detection, and owner-computes
+//!   placement over the replica map.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -59,6 +61,7 @@ pub mod driver;
 pub mod kind;
 pub mod plan;
 pub mod proto;
+mod state;
 pub mod wire;
 pub mod worker;
 

@@ -2,21 +2,23 @@
 //!
 //! Every message travels as one length-prefixed frame
 //! ([`crate::dist::wire`]); the first body byte is the message tag.
-//! Three connection roles share the format:
+//! Two connection roles share the format:
 //!
 //! * **Control** — a worker connects to the driver's listener and opens
 //!   with [`Msg::Hello`]; the stream then carries driver→worker
 //!   [`Msg::Run`]/[`Msg::Shutdown`] and worker→driver
-//!   [`Msg::Heartbeat`]/[`Msg::Done`]/[`Msg::Failed`].
-//! * **Driver relay** — a one-shot connection to the driver's listener
-//!   opening with [`Msg::Need`]; the driver answers [`Msg::Data`] or
-//!   [`Msg::NotFound`] and the connection closes.
-//! * **Peer pull** — a one-shot connection to a *worker's* listener
-//!   opening with [`Msg::Pull`]; same reply shapes. Consumers fetch
-//!   inputs from the owning worker directly instead of round-tripping
-//!   payloads through the driver.
+//!   [`Msg::Heartbeat`]/[`Msg::Done`]/[`Msg::Failed`]/[`Msg::FetchFailed`].
+//! * **Pull** — a one-shot connection opening with [`Msg::Pull`],
+//!   answered with [`Msg::Data`] or [`Msg::NotFound`] before it closes.
+//!   A worker's listener serves its store (a *peer pull*: consumers fetch
+//!   inputs from the owning worker instead of round-tripping payloads
+//!   through the driver); the driver's listener serves the seeds and the
+//!   outputs it fetched back (a *relay*). Which one answered is told by
+//!   the address that was dialled, not by the frames.
 
 use super::wire::{WireError, WireValue};
+use std::os::unix::net::UnixStream;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Where a consumer can find an input: the data id plus the peer
@@ -58,7 +60,9 @@ pub enum Msg {
     /// input instead of burning a retry attempt.
     FetchFailed { task: u64, data: u64 },
     /// Driver → worker: execute `kind` over `inputs`, store the result
-    /// as `out`. `attempt` is 1-based and reported back in errors.
+    /// as `out`. `attempt` is 1-based; the worker runs every attempt the
+    /// same way and ignores it — it is on the wire so that a captured
+    /// stream tells a retry from a first run.
     Run {
         task: u64,
         attempt: u32,
@@ -68,9 +72,7 @@ pub enum Msg {
     },
     /// Driver → worker: drain and exit cleanly.
     Shutdown,
-    /// One-shot relay request to the driver (`worker` asks for `data`).
-    Need { worker: u32, data: u64 },
-    /// One-shot pull request to a peer worker.
+    /// One-shot pull request, to a peer worker or to the driver.
     Pull { data: u64 },
     /// Reply carrying a payload. Shared, so serving a datum out of a
     /// store never copies it.
@@ -86,7 +88,6 @@ mod tag {
     pub const FAILED: u8 = 3;
     pub const RUN: u8 = 4;
     pub const SHUTDOWN: u8 = 5;
-    pub const NEED: u8 = 6;
     pub const PULL: u8 = 7;
     pub const DATA: u8 = 8;
     pub const NOT_FOUND: u8 = 9;
@@ -203,11 +204,6 @@ impl Msg {
                 }
             }
             Msg::Shutdown => out.push(tag::SHUTDOWN),
-            Msg::Need { worker, data } => {
-                out.push(tag::NEED);
-                put_u64(&mut out, u64::from(*worker));
-                put_u64(&mut out, *data);
-            }
             Msg::Pull { data } => {
                 out.push(tag::PULL);
                 put_u64(&mut out, *data);
@@ -300,10 +296,6 @@ impl Msg {
                 }
             }
             tag::SHUTDOWN => Msg::Shutdown,
-            tag::NEED => Msg::Need {
-                worker: take_u64(&mut buf)? as u32,
-                data: take_u64(&mut buf)?,
-            },
             tag::PULL => Msg::Pull {
                 data: take_u64(&mut buf)?,
             },
@@ -336,6 +328,17 @@ pub fn send(w: &mut impl std::io::Write, msg: &Msg) -> Result<(), WireError> {
 /// Receives one message frame.
 pub fn recv(r: &mut impl std::io::Read) -> Result<Msg, WireError> {
     Msg::decode(&super::wire::read_frame(r)?)
+}
+
+/// One pull connection: dials `addr`, asks for `data`, and returns the
+/// value if whoever listens there holds it.
+pub(super) fn pull(addr: &Path, data: u64) -> Option<Arc<WireValue>> {
+    let mut conn = UnixStream::connect(addr).ok()?;
+    send(&mut conn, &Msg::Pull { data }).ok()?;
+    match recv(&mut conn) {
+        Ok(Msg::Data { value, .. }) => Some(value),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -372,7 +375,6 @@ mod tests {
                 }],
             },
             Msg::Shutdown,
-            Msg::Need { worker: 1, data: 4 },
             Msg::Pull { data: 4 },
             Msg::Data {
                 data: 4,

@@ -1,11 +1,11 @@
 //! Worker-process side of the distributed executor.
 //!
 //! A worker owns a **local data store** (`data id → value`). Task
-//! inputs are resolved store-first, then by *pulling* from the peer
-//! workers the driver named as replica owners (peer-to-peer over the
-//! owner's listener socket), and only as a last resort by asking the
-//! driver to relay — so bulk payloads flow worker-to-worker, not
-//! through the driver. The store holds `Arc`s and [`Msg::Data`] carries
+//! inputs are resolved store-first, then by *pulling* ([`Msg::Pull`])
+//! from the peer workers the driver named as replica owners, and only
+//! as a last resort by sending the same pull to the driver's socket, a
+//! *relay* — so bulk payloads flow worker-to-worker, not through the
+//! driver. The store holds `Arc`s and [`Msg::Data`] carries
 //! one, so serving a pull encodes straight from the stored value. A
 //! dedicated thread heartbeats over the control stream even while a
 //! task body runs, so a *slow* worker is distinguishable from a *dead*
@@ -18,7 +18,7 @@ use super::wire::{self, WireValue};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
@@ -166,9 +166,10 @@ enum Source {
     Relay,
 }
 
-/// Resolves one input: local store, then peer owners, then the driver
-/// relay. Returns the value and where it came from; on failure, the
-/// unfetchable data id.
+/// Resolves one input: local store, then a pull from each named owner
+/// but this worker, then the same pull to the driver (seeds, or every
+/// named owner died). Returns the value and where it came from; on
+/// failure, the unfetchable data id.
 fn resolve_input(
     opts: &WorkerOpts,
     store: &Store,
@@ -177,31 +178,15 @@ fn resolve_input(
     if let Some(v) = store.lock().unwrap().get(&spec.data).cloned() {
         return Ok((v, Source::Local));
     }
-    // Peer-to-peer pull from a replica owner.
-    for (owner, path) in &spec.owners {
-        if *owner == opts.id {
-            continue; // our own missing slot; don't dial ourselves
-        }
-        if let Ok(mut conn) = UnixStream::connect(path) {
-            if proto::send(&mut conn, &Msg::Pull { data: spec.data }).is_ok() {
-                if let Ok(Msg::Data { value, .. }) = proto::recv(&mut conn) {
-                    store.lock().unwrap().insert(spec.data, Arc::clone(&value));
-                    return Ok((value, Source::Peer));
-                }
-            }
-        }
-    }
-    // Driver relay (seeds, or every named owner died).
-    if let Ok(mut conn) = UnixStream::connect(&opts.driver_sock) {
-        let need = Msg::Need {
-            worker: opts.id,
-            data: spec.data,
-        };
-        if proto::send(&mut conn, &need).is_ok() {
-            if let Ok(Msg::Data { value, .. }) = proto::recv(&mut conn) {
-                store.lock().unwrap().insert(spec.data, Arc::clone(&value));
-                return Ok((value, Source::Relay));
-            }
+    let peers = spec
+        .owners
+        .iter()
+        .filter(|(owner, _)| *owner != opts.id)
+        .map(|(_, path)| (Path::new(path), Source::Peer));
+    for (addr, source) in peers.chain([(opts.driver_sock.as_path(), Source::Relay)]) {
+        if let Some(value) = proto::pull(addr, spec.data) {
+            store.lock().unwrap().insert(spec.data, Arc::clone(&value));
+            return Ok((value, source));
         }
     }
     Err(spec.data)
