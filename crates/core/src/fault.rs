@@ -17,14 +17,8 @@
 //! task kinds panic or stall on their first N attempts, so the recovery
 //! machinery is testable in-process without real hardware faults.
 //!
-//! Retries compose with the streaming runtime's slot recycling
-//! ([`crate::RuntimeConfig::stream`]): a retryable task never INOUT-
-//! steals its inputs (a stolen buffer could not be re-read on attempt
-//! two), its input slots stay live until the task reaches a terminal
-//! state, and failed tasks — whose records a later `wait`/`barrier`
-//! may need for the error message — are never retired. Retry lineage
-//! is therefore exactly as durable under streaming as on the flat
-//! tables.
+//! A retryable task never INOUT-steals its inputs: a stolen buffer
+//! could not be re-read on attempt two.
 
 /// What the runtime does when a task's final attempt fails
 /// (COMPSs `on_failure` equivalent).

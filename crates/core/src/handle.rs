@@ -6,23 +6,15 @@
 //! Handles are `Copy`; passing one to another task wires a data
 //! dependency automatically.
 //!
-//! # Handle lifetime and staleness
+//! # Handle lifetime
 //!
-//! By default nothing in the runtime's tables is ever retired, so a
-//! handle stays readable for the runtime's whole life. On a
-//! *streaming* runtime ([`crate::RuntimeConfig::stream`]) a handle's
-//! slot is retired once the datum can never be read again — after the driver
-//! declares it dead with [`crate::Runtime::release`], or after an
-//! INOUT task consumed it ([`crate::TaskBuilder::run1_inout`] steals
-//! the old version; the *returned* handle names the new one) — and
-//! every already-submitted reader has finished. Ids are generational
-//! underneath (`arena::Store` tracks per-slot liveness and ids are
-//! never reused), so using a handle after its slot retired is always
-//! detected: the runtime panics with a `"stale handle"` error rather
-//! than returning another datum's bytes. Releasing is always safe to
-//! do early — a release only marks driver intent, and the slot holds
-//! on until readers submitted *before* the release have consumed it;
-//! without `stream`, `release` is free and changes nothing.
+//! Nothing in the runtime's tables is ever retired and ids are never
+//! reused, so a handle names the same datum for its runtime's whole
+//! life. The one handle that stops being readable is one an INOUT task
+//! consumed ([`crate::TaskBuilder::run1_inout`] moves the old version
+//! into the task; the *returned* handle names the new one): reading it
+//! fails loudly with "consumed by an INOUT task", never with another
+//! datum's bytes.
 
 use std::marker::PhantomData;
 

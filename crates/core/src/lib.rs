@@ -30,7 +30,7 @@
 //! |---|---|
 //! | [`runtime`] | [`Runtime`], [`TaskBuilder`], execution modes, nesting |
 //! | [`dist`] | multi-process driver/worker executor over Unix sockets |
-//! | [`arena`] | the paged generational store behind the task/data/record tables |
+//! | [`arena`] | the paged, push-only store behind the task/data/record tables |
 //! | [`fault`] | [`OnFailure`] / [`RetryPolicy`] policies, [`FaultPlan`] injection |
 //! | [`handle`] | [`Handle`], [`DataId`], [`TaskId`] |
 //! | [`payload`] | the [`Payload`] trait (what can flow between tasks) |
@@ -65,15 +65,11 @@ pub mod sim;
 pub mod telemetry;
 pub mod trace;
 
-pub use arena::StoreStats;
 pub use dist::{DistConfig, DistReport, DistRuntime, KindRegistry, Plan, WireValue};
 pub use fault::{FaultMode, FaultPlan, OnFailure, RetryPolicy, TaskFault};
 pub use handle::{DataId, Handle, TaskId};
 pub use obs::{Profile, RuntimeStats, SimProfile};
 pub use payload::Payload;
-pub use runtime::{
-    live_worker_threads, ExecMode, Runtime, RuntimeConfig, StreamConfig, TableStats, TaskBuilder,
-    TaskCtx,
-};
+pub use runtime::{live_worker_threads, ExecMode, Runtime, RuntimeConfig, TaskBuilder, TaskCtx};
 pub use telemetry::{Divergence, Event, EventKind, HistogramSnapshot, Registry, StragglerReport};
 pub use trace::{TaskRecord, Trace};

@@ -37,7 +37,7 @@
 
 use crate::json::Value;
 use crate::sim::SimReport;
-use crate::trace::{Trace, BARRIER_TASK, SYNC_TASK};
+use crate::trace::Trace;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -418,11 +418,6 @@ impl RuntimeStats {
     }
 }
 
-/// True for the pure bookkeeping markers that never execute a body.
-fn is_pseudo(name: &str) -> bool {
-    name == SYNC_TASK || name == BARRIER_TASK
-}
-
 fn ev(fields: Vec<(String, Value)>) -> Value {
     Value::Object(fields)
 }
@@ -446,8 +441,10 @@ fn thread_name_event(pid: u64, tid: u64, name: &str) -> Value {
 /// plus each pool worker. Timestamps are the recorded
 /// [`crate::TaskRecord::start_s`] offsets from the runtime epoch.
 ///
-/// Sync/barrier markers carry no duration and are skipped; nested child
-/// traces run on their own clock and are likewise not flattened in.
+/// Only records whose body ran ([`crate::TaskRecord::ran`]) get a
+/// slice: sync/barrier markers and tasks failed or cancelled before
+/// running have no start to draw. Nested child traces run on their own
+/// clock and are likewise not flattened in.
 pub fn chrome_trace(trace: &Trace) -> String {
     chrome_trace_events(trace, &[])
 }
@@ -471,7 +468,7 @@ fn chrome_trace_events(trace: &Trace, stragglers: &[crate::telemetry::Straggler]
     let max_worker = trace
         .records
         .iter()
-        .filter(|r| !is_pseudo(&r.name))
+        .filter(|r| r.ran())
         .map(|r| r.worker)
         .max()
         .unwrap_or(-1);
@@ -481,10 +478,7 @@ fn chrome_trace_events(trace: &Trace, stragglers: &[crate::telemetry::Straggler]
             events.push(thread_name_event(0, (w + 1) as u64, &format!("worker {w}")));
         }
     }
-    for r in &trace.records {
-        if is_pseudo(&r.name) {
-            continue;
-        }
+    for r in trace.records.iter().filter(|r| r.ran()) {
         let tid = (r.worker + 1).max(0) as u64;
         let bytes_in: usize = r.inputs.iter().map(|(_, b)| b).sum();
         let bytes_out: usize = r.outputs.iter().map(|(_, b)| b).sum();
@@ -649,7 +643,7 @@ pub struct KindStats {
 pub struct Profile {
     /// Per-kind rows, ordered by descending total duration.
     pub kinds: Vec<KindStats>,
-    /// User tasks profiled (markers excluded).
+    /// User tasks profiled (those whose body ran; markers excluded).
     pub task_count: usize,
     /// Summed user-task duration, seconds.
     pub total_work_s: f64,
@@ -667,14 +661,17 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 }
 
 impl Profile {
-    /// Builds the profile of a trace. Sync/barrier/split markers are
-    /// excluded from the per-kind rows; nested child traces are not
-    /// folded in (the parent's duration already encloses them).
+    /// Builds the profile of a trace. Only user tasks whose body ran
+    /// ([`crate::TaskRecord::ran`]) enter the per-kind rows: markers
+    /// and tasks failed or cancelled before running are excluded.
+    /// Nested child traces are not folded in (the parent's duration
+    /// already encloses them).
     pub fn from_trace(trace: &Trace) -> Profile {
         use std::collections::BTreeMap;
+        let profiled = || trace.records.iter().filter(|r| r.ran() && !r.is_marker());
         let mut durs: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
         let mut bytes: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-        for r in trace.records.iter().filter(|r| !r.is_marker()) {
+        for r in profiled() {
             durs.entry(&r.name).or_default().push(r.duration_s);
             let e = bytes.entry(&r.name).or_insert((0, 0));
             e.0 += r.inputs.iter().map(|(_, b)| *b as u64).sum::<u64>();
@@ -713,7 +710,7 @@ impl Profile {
         kinds.sort_by(|a, b| b.total_s.total_cmp(&a.total_s).then(a.name.cmp(&b.name)));
         Profile {
             kinds,
-            task_count: trace.records.iter().filter(|r| !r.is_marker()).count(),
+            task_count: profiled().count(),
             total_work_s: trace.total_work_s(),
             critical_path_s,
         }
@@ -1043,6 +1040,46 @@ mod tests {
             .expect("one complete event");
         assert_eq!(slice.field("name").unwrap().as_str(), Some("scale"));
         assert!(slice.field("dur").unwrap().as_f64().unwrap() >= 0.0);
+    }
+
+    #[test]
+    fn cancelled_tasks_are_not_zero_second_executions() {
+        // `boom` fails under CancelSuccessors after a gate releases it,
+        // so the `x` registered behind it is cancelled, never run; the
+        // two other `x` run.
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let rt = Runtime::threaded(1);
+        let gate = rt.task("gate").run0(move || {
+            rx.recv().expect("gate release");
+            0u64
+        }); // task 0
+        let boom = rt
+            .task("boom")
+            .on_failure(crate::OnFailure::CancelSuccessors)
+            .run1(gate, |_| -> u64 { panic!("kaboom") }); // task 1
+        let _cancelled = rt.task("x").run1(boom, |v| v + 1); // task 2
+        let _ = rt.task("x").run1(gate, |v| v + 1);
+        let _ = rt.task("x").run1(gate, |v| v + 2);
+        tx.send(()).expect("release gate");
+        let trace = rt.finish();
+        assert_eq!(trace.records[2].name, "x");
+
+        let p = Profile::from_trace(&trace);
+        let x = p.kinds.iter().find(|k| k.name == "x").expect("x row");
+        assert_eq!(x.count, 2, "the cancelled x counted as an execution");
+
+        let v = Value::parse(&chrome_trace(&trace)).expect("valid chrome trace JSON");
+        let events = v.field("traceEvents").unwrap().as_array().unwrap();
+        let slices_of = |task: u64| {
+            events
+                .iter()
+                .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+                .filter(|e| e.get("args").and_then(|a| a.get("task")?.as_u64()) == Some(task))
+                .count()
+        };
+        assert_eq!(slices_of(2), 0, "the cancelled task drawn as a slice");
+        // The failed task ran: its record slice plus its failed attempt.
+        assert_eq!(slices_of(1), 2);
     }
 
     #[test]

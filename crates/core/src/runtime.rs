@@ -35,9 +35,9 @@
 //!   sequentially, so every per-task and per-datum lookup is a shift,
 //!   a mask and two indexed loads into one paged table
 //!   ([`crate::arena::Store`]) — no hashing anywhere on the hot path.
-//!   A task's id doubles as its record index in the trace. Whether
-//!   entries are ever reclaimed is a policy over that one layout
-//!   ([`RuntimeConfig::stream`]), not a second layout.
+//!   A task's id doubles as its record index in the trace. The tables
+//!   are push-only: no entry is ever removed, so [`Runtime::trace`] and
+//!   [`Runtime::finish`] are complete by construction.
 //! * **Release-time resolution.** A task that becomes ready is turned
 //!   into a self-contained `ReadyRun` (job closure + cloned input
 //!   `Arc`s) under whichever lock released it, so executing it later
@@ -63,7 +63,7 @@
 //!   shutdown and joins every worker; no threads outlive the runtime
 //!   (observable via [`live_worker_threads`]).
 
-use crate::arena::{Store, StoreStats};
+use crate::arena::Store;
 use crate::fault::{FaultMode, FaultPlan, OnFailure, RetryPolicy, TaskFault, INJECTED_PANIC};
 use crate::handle::{DataId, Handle, TaskId};
 use crate::obs::{Counters, RuntimeStats};
@@ -148,43 +148,6 @@ pub struct RuntimeConfig {
     /// it; `metrics` is the one observability switch. Removal waits for
     /// the next change to the benchmark.
     pub telemetry: bool,
-    /// The retention policy over the runtime's (single, paged)
-    /// task/data/record tables.
-    ///
-    /// `None` (the default) never retires anything: every record stays
-    /// resident, so [`Runtime::trace`] / [`Runtime::finish`] are
-    /// complete — what the DES replay and every export need.
-    ///
-    /// `Some` is streaming submission for DAGs too large to
-    /// materialize (1M+ tasks): table slots are **retired** once a
-    /// task is done and its outputs consumed (INOUT steal) or
-    /// explicitly [`Runtime::release`]d, keeping the resident set
-    /// bounded; the watermarks add driver **backpressure** — a
-    /// `submit` that would push in-flight tasks past `high` parks the
-    /// submitting thread (helping drain the queues first) until the
-    /// scheduler drains to `low`. Reads of retired handles fail with
-    /// a named `"stale handle"` error, never a silent wrong read.
-    pub stream: Option<StreamConfig>,
-}
-
-/// Backpressure watermarks for streaming submission
-/// (see [`RuntimeConfig::stream`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamConfig {
-    /// Park the submitting thread when in-flight (submitted, not yet
-    /// terminal) tasks reach this count.
-    pub high: usize,
-    /// Resume submission once in-flight tasks drain to this count.
-    pub low: usize,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        Self {
-            high: 8192,
-            low: 4096,
-        }
-    }
 }
 
 impl Default for RuntimeConfig {
@@ -194,7 +157,6 @@ impl Default for RuntimeConfig {
             nested_mode: ExecMode::Inline,
             metrics: true,
             telemetry: true,
-            stream: None,
         }
     }
 }
@@ -220,8 +182,6 @@ impl TaskCtx {
             mode: self.nested_mode,
             nested_mode: self.nested_mode,
             metrics: self.metrics,
-            // Child graphs are small (bounded by the parent task's
-            // scope): nothing to reclaim (`stream: None`).
             ..RuntimeConfig::default()
         });
         *lock(&self.child) = Some(rt.clone());
@@ -270,10 +230,6 @@ struct DataEntry {
     /// leak increments (their `make_run` never runs), which only makes
     /// later consumers fall back to the copy path — conservative.
     pending_reads: usize,
-    /// The driver declared it is done with this datum
-    /// ([`Runtime::release`]): in streaming mode the entry is retired
-    /// as soon as it is produced and no submitted reader remains.
-    released: bool,
     /// Worker whose cache most recently held this value: the producer
     /// that committed it (stamped in `execute_one`), or [`DRIVER`]
     /// (-1) for `put` data and inline/driver executions. Feeds the
@@ -422,16 +378,6 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
             }
         }
     }
-    // Streaming reclamation sweep: a datum this dispatch consumed
-    // (`Slot::Moved`) or that the driver already released is dead once
-    // its pending-reader count hits zero — retire it now, under the
-    // same lock that resolved it.
-    if st.stream {
-        for k in 0..st.records[ti].inputs.len() {
-            let d = st.records[ti].inputs[k].0;
-            retire_data_if_idle(st, d);
-        }
-    }
     ReadyRun {
         id: tid,
         f: job.f,
@@ -440,47 +386,6 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
         fault: job.fault,
         name: inject.then(|| st.records[ti].name.clone()),
         affinity,
-    }
-}
-
-/// Retires datum `d` when it can never be read again: no pending
-/// (submitted-but-undispatched) reader remains and the slot is either
-/// consumed by an INOUT steal (`Moved`) or explicitly released by the
-/// driver after being produced. Retiring the last live output of a
-/// `Done` task retires the task entry and its record too — the
-/// whole per-task footprint leaves the tables. Streaming mode only:
-/// every call site is gated on `State::stream` — this *is* the
-/// retention policy, a default runtime must never get here. Caller
-/// holds the state lock.
-fn retire_data_if_idle(st: &mut State, d: DataId) {
-    debug_assert!(st.stream, "retirement without RuntimeConfig::stream");
-    let di = d.0 as usize;
-    let Some(e) = st.data.get_opt(di) else { return };
-    if e.pending_reads > 0 {
-        return;
-    }
-    let dead = match &e.slot {
-        Slot::Moved(_) => true,
-        Slot::Ready(..) | Slot::Poisoned(_) => e.released,
-        Slot::Pending => false,
-    };
-    if !dead {
-        return;
-    }
-    let producer = e.producer;
-    st.data.retire(di);
-    if let Some(p) = producer {
-        let pi = p.0 as usize;
-        if let Some(t) = st.tasks.get_opt_mut(pi) {
-            t.live_outputs = t.live_outputs.saturating_sub(1);
-            // Only `Done` tasks retire: failed/cancelled entries keep
-            // their failure message alive for `barrier`/`wait`, and
-            // anything unfinished is still needed by the scheduler.
-            if t.live_outputs == 0 && t.status == Status::Done {
-                st.tasks.retire(pi);
-                st.records.retire(pi);
-            }
-        }
     }
 }
 
@@ -499,27 +404,12 @@ struct TaskEntry {
     /// fatal to `barrier` ([`OnFailure::Fail`]/[`OnFailure::Retry`])
     /// or tolerated ([`OnFailure::CancelSuccessors`]).
     on_failure: OnFailure,
-    /// Outputs still resident in the data table (streaming mode):
-    /// when the last one retires and the task is `Done`, the task
-    /// entry and its record retire with it.
-    live_outputs: u32,
 }
 
 struct State {
     data: Store<DataEntry>,
     tasks: Store<TaskEntry>,
     records: Store<TaskRecord>,
-    /// Mirror of `RuntimeConfig::stream.is_some()`: gates every
-    /// reclamation sweep over the tables above with one branch.
-    stream: bool,
-    /// Tasks submitted with a body and not yet terminal — the quantity
-    /// the streaming watermarks throttle on (maintained only when
-    /// `stream` is on).
-    in_flight: u64,
-    peak_in_flight: u64,
-    /// `since_barrier` length that triggers the next streaming prune
-    /// (completed entries are dropped; doubles after each prune).
-    prune_mark: usize,
     sync_marker: Option<TaskId>,
     since_barrier: Vec<TaskId>,
     /// Drivers currently blocked in `wait`/`barrier`; completion skips
@@ -552,21 +442,6 @@ impl WakeState {
     fn publish_idle_hint(&self, hint: &AtomicBool) {
         hint.store(self.sleepers > self.tokens, Ordering::Relaxed);
     }
-}
-
-/// Liveness snapshot of the runtime's tables
-/// (see [`Runtime::table_stats`]).
-#[derive(Debug, Clone, Copy)]
-pub struct TableStats {
-    pub tasks: StoreStats,
-    pub data: StoreStats,
-    pub records: StoreStats,
-    /// Tasks submitted with a body and not yet terminal (streaming
-    /// mode only; 0 otherwise).
-    pub in_flight: u64,
-    /// High-water mark of `in_flight` — bounded by the stream `high`
-    /// watermark plus scheduler slack.
-    pub peak_in_flight: u64,
 }
 
 /// Everything workers need. Workers hold `Arc<Shared>` only — never
@@ -645,20 +520,7 @@ impl Runtime {
     }
 
     /// Builds a runtime from an explicit configuration.
-    ///
-    /// # Panics
-    /// Panics when the stream watermarks are invalid (`low > high` or
-    /// `high == 0`).
     pub fn with_config(config: RuntimeConfig) -> Self {
-        if let Some(sc) = config.stream {
-            assert!(
-                sc.high > 0 && sc.low <= sc.high,
-                "invalid stream watermarks: need 0 < low <= high, \
-                 got low={} high={}",
-                sc.low,
-                sc.high
-            );
-        }
         let n_workers = match config.mode {
             ExecMode::Inline => 0,
             ExecMode::Threads(n) => n.max(1),
@@ -670,10 +532,6 @@ impl Runtime {
                 data: Store::new("data"),
                 tasks: Store::new("task"),
                 records: Store::new("record"),
-                stream: config.stream.is_some(),
-                in_flight: 0,
-                peak_in_flight: 0,
-                prune_mark: 1024,
                 sync_marker: None,
                 since_barrier: Vec::new(),
                 waiters: 0,
@@ -721,47 +579,9 @@ impl Runtime {
             slot: Slot::Ready(Arc::new(value), bytes),
             producer: None,
             pending_reads: 0,
-            released: false,
             last_touch: DRIVER,
         });
         Handle::new(id)
-    }
-
-    /// Declares the driver done with `h`. On a streaming runtime
-    /// ([`RuntimeConfig::stream`]) the datum's table slot is retired
-    /// as soon as it is produced and every already-submitted reader
-    /// has consumed it; reading the handle afterwards fails with a
-    /// named `"stale handle"` error. Tasks submitted *before* the
-    /// release still read the value normally. Without `stream` the
-    /// retention policy is "keep everything": this is a no-op and the
-    /// handle stays readable.
-    pub fn release<T: Payload>(&self, h: Handle<T>) {
-        let id = h.id;
-        let shared = &self.inner.shared;
-        if shared.config.stream.is_none() {
-            return;
-        }
-        let mut st = lock(&shared.state);
-        if let Some(e) = st.data.get_opt_mut(id.0 as usize) {
-            e.released = true;
-        }
-        retire_data_if_idle(&mut st, id);
-    }
-
-    /// Liveness snapshot of the task/data/record tables plus the
-    /// in-flight gauge — how the streaming runtime's bounded resident
-    /// set is observed (and gated, by `tests/tests/streaming_scale.rs`). Without
-    /// [`RuntimeConfig::stream`] nothing retires: `retired == 0` and
-    /// `live == allocated` on all three tables.
-    pub fn table_stats(&self) -> TableStats {
-        let st = lock(&self.inner.shared.state);
-        TableStats {
-            tasks: st.tasks.stats(),
-            data: st.data.stats(),
-            records: st.records.stats(),
-            in_flight: st.in_flight,
-            peak_in_flight: st.peak_in_flight,
-        }
     }
 
     /// Starts building a task of the given kind name.
@@ -870,11 +690,7 @@ impl Runtime {
         };
         let outcome = drive_until(shared, |st| {
             for &t in &pending {
-                // A retired entry (streaming slot recycling) was
-                // necessarily `Done` with no failure — skip it.
-                let Some(e) = st.tasks.get_opt(t.0 as usize) else {
-                    continue;
-                };
+                let e = &st.tasks[t.0 as usize];
                 // Non-fatal policies (CancelSuccessors) record a
                 // failure but let the barrier pass; only Fail/Retry
                 // failures abort the workflow here.
@@ -894,9 +710,10 @@ impl Runtime {
             pending
                 .iter()
                 .all(|&t| {
-                    st.tasks.get_opt(t.0 as usize).is_none_or(|e| {
-                        matches!(e.status, Status::Done | Status::Failed | Status::Cancelled)
-                    })
+                    matches!(
+                        st.tasks[t.0 as usize].status,
+                        Status::Done | Status::Failed | Status::Cancelled
+                    )
                 })
                 .then_some(Ok(()))
         });
@@ -929,19 +746,15 @@ impl Runtime {
         (Handle::new(ids[0]), Handle::new(ids[1]))
     }
 
-    /// Snapshot of the trace recorded so far, in task-id order. Call
-    /// after [`barrier`] (or on an inline runtime) to get final
-    /// durations. Complete unless [`RuntimeConfig::stream`] is set, in
-    /// which case retired tasks' records are gone with them.
+    /// Snapshot of the trace recorded so far: every record, in task-id
+    /// order. Call after [`barrier`] (or on an inline runtime) to get
+    /// final durations.
     ///
     /// [`barrier`]: Runtime::barrier
     pub fn trace(&self) -> Trace {
         let st = lock(&self.inner.shared.state);
         Trace {
-            // A streaming runtime retires records with their tasks, so
-            // the trace covers only still-resident tasks there; the
-            // default policy retires nothing and the trace is complete.
-            records: st.records.iter_live().map(|(_, r)| r.clone()).collect(),
+            records: st.records.iter().cloned().collect(),
         }
     }
 
@@ -964,7 +777,7 @@ impl Runtime {
     }
 
     /// Builds a [`Registry`] of every scheduler counter plus three
-    /// latency histograms derived from the resident records — queue
+    /// latency histograms derived from the records — queue
     /// wait (`ready_s` to the first attempt's start, for records with a
     /// ready stamp), run time (final attempt) and per-attempt latency —
     /// ready for JSON or Prometheus export. Call it after a `barrier`:
@@ -976,7 +789,7 @@ impl Runtime {
         let (mut queue_wait, mut run, mut attempt) = (Vec::new(), Vec::new(), Vec::new());
         {
             let st = lock(&self.inner.shared.state);
-            for (_, r) in st.records.iter_live().filter(|(_, r)| r.ran()) {
+            for r in st.records.iter().filter(|r| r.ran()) {
                 run.push(ns(r.duration_s));
                 if r.attempts.is_empty() {
                     attempt.push(ns(r.duration_s));
@@ -1114,35 +927,30 @@ impl Runtime {
             job: None,
             failure: None,
             on_failure: OnFailure::Fail,
-            // Markers have no outputs, so no retirement path ever
-            // triggers on them — they stay resident (cheap: one per
-            // sync point) and `sync_marker` deps stay valid.
-            live_outputs: 0,
         });
         id
     }
+}
 
-    /// The one submission path every public entry point funnels into:
+impl TaskBuilder<'_> {
+    /// The one submission path every `run*` method funnels into:
     /// sanitize the consume mask, run the [`submit_locked`] transaction
-    /// under the state lock, then execute / wake / throttle outside it.
+    /// under the state lock, then execute / wake outside it.
+    /// The builder carries the task's name, resources and failure
+    /// policy into the record and the staged job.
     ///
     /// Bit `i` of `consume_mask` marks input `i` as consumable — the
     /// dispatcher moves the stored value into the task when the task is
     /// its last live consumer (see [`make_run`]), so the body can reuse
-    /// the buffer instead of cloning it. The consumed handle's datum is
-    /// retired ([`Slot::Moved`]); tasks submitted later that read it
+    /// the buffer instead of cloning it. The consumed handle's datum
+    /// becomes [`Slot::Moved`]; tasks submitted later that read it
     /// fail loudly — the PyCOMPSs `direction=INOUT` contract where the
     /// post-task version of the datum is the one to keep using.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_inner(
-        &self,
-        name: String,
-        cores: u32,
-        gpus: u32,
+    fn submit(
+        self,
         inputs: Vec<DataId>,
         mut consume_mask: u64,
         n_outputs: usize,
-        fault: TaskFault,
         f: TaskFn,
     ) -> Vec<DataId> {
         // A datum passed twice to the same task must never be consumed:
@@ -1161,65 +969,51 @@ impl Runtime {
                 }
             }
         }
-        let shared = &self.inner.shared;
+        let shared = &self.rt.inner.shared;
         let mut inline_runs = INLINE_WORKLIST.with(std::cell::Cell::take);
-        let mut wake_n = 0;
-        let outputs = {
-            let mut st = lock(&shared.state);
-            submit_locked(
-                shared,
-                &mut st,
-                name,
-                cores,
-                gpus,
-                inputs,
-                consume_mask,
-                n_outputs,
-                fault,
-                f,
-                &mut inline_runs,
-                &mut wake_n,
-            )
-        };
+        let (outputs, wake_n) = submit_locked(
+            self,
+            &mut lock(&shared.state),
+            inputs,
+            consume_mask,
+            n_outputs,
+            f,
+            &mut inline_runs,
+        );
         let scratch = run_worklist(shared, inline_runs);
         INLINE_WORKLIST.with(|c| c.set(scratch));
         if wake_n > 0 {
             wake(shared, wake_n);
-        }
-        // Streaming backpressure: park (after helping drain) when the
-        // in-flight count crossed the high watermark. Inline mode
-        // already drained everything in `run_worklist` above.
-        if let Some(sc) = shared.config.stream {
-            if !shared.queues.is_empty() {
-                throttle(shared, sc);
-            }
         }
         outputs
     }
 }
 
 /// The single-task submission transaction: allocates the output
-/// entries, detects dependencies, records the task, and
+/// entries, detects dependencies, records the task `b` describes, and
 /// dispatches it if ready — all under the state lock the caller holds.
-/// Ready inline-mode tasks are appended to `inline_runs` (the caller
-/// executes them after unlocking); threaded-mode wake obligations
-/// accumulate in `wake_n`. Lock order state -> wake/injector is
-/// one-way: nothing here acquires the state lock while holding either.
-#[allow(clippy::too_many_arguments)]
+/// A ready inline-mode task is appended to `inline_runs` (the caller
+/// executes it after unlocking); returns the output ids and the
+/// threaded-mode wake obligations. Lock order state -> wake/injector
+/// is one-way: nothing here acquires the state lock while holding
+/// either.
 fn submit_locked(
-    shared: &Shared,
+    b: TaskBuilder<'_>,
     st: &mut State,
-    name: String,
-    cores: u32,
-    gpus: u32,
     inputs: Vec<DataId>,
     consume_mask: u64,
     n_outputs: usize,
-    fault: TaskFault,
     f: TaskFn,
     inline_runs: &mut Vec<ReadyRun>,
-    wake_n: &mut usize,
-) -> Vec<DataId> {
+) -> (Vec<DataId>, usize) {
+    let TaskBuilder {
+        rt,
+        name,
+        cores,
+        gpus,
+        fault,
+    } = b;
+    let shared = &rt.inner.shared;
     let tid = TaskId(st.tasks.len() as u64);
 
     let outputs: Vec<DataId> = (0..n_outputs)
@@ -1229,7 +1023,6 @@ fn submit_locked(
                 slot: Slot::Pending,
                 producer: Some(tid),
                 pending_reads: 0,
-                released: false,
                 last_touch: DRIVER,
             });
             id
@@ -1298,25 +1091,6 @@ fn submit_locked(
         attempts: vec![],
     });
     st.since_barrier.push(tid);
-    // Streaming: `since_barrier` would otherwise grow one id per task
-    // for the life of the run. Completed (or recycled) entries can
-    // never fail a future barrier — prune them whenever the list
-    // doubles past the last mark, keeping it proportional to live
-    // tasks. Non-streaming runs keep the full list (the barrier
-    // marker's dep list documents the complete DAG there).
-    if st.stream && st.since_barrier.len() >= st.prune_mark {
-        let State {
-            since_barrier,
-            tasks,
-            ..
-        } = st;
-        since_barrier.retain(|t| {
-            tasks
-                .get_opt(t.0 as usize)
-                .is_some_and(|e| e.status != Status::Done)
-        });
-        st.prune_mark = (st.since_barrier.len() * 2).max(1024);
-    }
 
     let ready_now = if let Some(d) = consumed_input {
         // Reading a datum an INOUT task already consumed is a
@@ -1330,12 +1104,11 @@ fn submit_locked(
             failure: Some(
                 format!(
                     "input {d:?} was already consumed by an INOUT task; \
-                     use the handle returned by run*_inout instead"
+                 use the handle returned by run*_inout instead"
                 )
                 .into(),
             ),
             on_failure: fault.on_failure,
-            live_outputs: outputs.len() as u32,
         });
         false
     } else if let Some(msg) = poisoned_input {
@@ -1349,7 +1122,6 @@ fn submit_locked(
             job: None,
             failure: None,
             on_failure: fault.on_failure,
-            live_outputs: outputs.len() as u32,
         });
         for &d in &outputs {
             st.data[d.0 as usize].slot = Slot::Poisoned(msg.clone());
@@ -1368,7 +1140,6 @@ fn submit_locked(
             job: None,
             failure: Some(msg),
             on_failure: fault.on_failure,
-            live_outputs: outputs.len() as u32,
         });
         false
     } else if remaining == 0 {
@@ -1383,7 +1154,6 @@ fn submit_locked(
             }),
             failure: None,
             on_failure: fault.on_failure,
-            live_outputs: outputs.len() as u32,
         });
         true
     } else {
@@ -1398,7 +1168,6 @@ fn submit_locked(
             }),
             failure: None,
             on_failure: fault.on_failure,
-            live_outputs: outputs.len() as u32,
         });
         let deps = &st.records[tid.0 as usize].deps;
         let tasks = &mut st.tasks;
@@ -1418,15 +1187,6 @@ fn submit_locked(
         for (d, _) in ins {
             data[d.0 as usize].pending_reads += 1;
         }
-        // Backpressure gauge: one increment per task that will
-        // actually execute (markers and failed/cancelled-in-place
-        // tasks never enter the scheduler).
-        if st.stream {
-            st.in_flight += 1;
-            if st.in_flight > st.peak_in_flight {
-                st.peak_in_flight = st.in_flight;
-            }
-        }
     }
 
     // Dispatch, still under the state lock. Inline: resolve now
@@ -1434,6 +1194,7 @@ fn submit_locked(
     // and flush in batches — an idle worker forces an immediate
     // flush (eager semantics); otherwise submission storms pay
     // one injector lock + wakeup per batch, not per task.
+    let mut wake_n = 0;
     if ready_now {
         let inject = shared.fault_active.load(Ordering::Relaxed);
         match shared.config.mode {
@@ -1453,12 +1214,12 @@ fn submit_locked(
                 // staged-drain, and we stage before reading.)
                 let idle = shared.idle_hint.load(Ordering::Relaxed);
                 if idle || st.staged.len() >= STAGE_BATCH {
-                    *wake_n += flush_staged_locked(shared, st);
+                    wake_n = flush_staged_locked(shared, st);
                 }
             }
         }
     }
-    outputs
+    (outputs, wake_n)
 }
 
 /// How many ready-at-submission tasks accumulate in [`State::staged`]
@@ -1515,7 +1276,7 @@ fn run_worklist(shared: &Shared, mut work: Vec<ReadyRun>) -> Vec<ReadyRun> {
 thread_local! {
     /// Scratch worklist for inline submissions, reused across calls so
     /// the per-submission fast path allocates no `Vec` (see
-    /// [`Runtime::submit_inner`], which puts back what
+    /// [`TaskBuilder::submit`], which puts back what
     /// [`run_worklist`] returns). Task bodies may themselves submit
     /// tasks: the nested call `take`s an empty default and the
     /// outermost call wins the put-back, so reentrancy costs at most
@@ -1588,8 +1349,8 @@ fn help_drain(shared: &Shared, newly: &mut Vec<ReadyRun>) -> bool {
     }
 }
 
-/// The cooperative wait behind `wait`/`peek`, `barrier` and the
-/// streaming throttle: blocks the calling driver thread until `done`
+/// The cooperative wait behind `wait`/`peek` and `barrier`: blocks the
+/// calling driver thread until `done`
 /// (evaluated under the state lock) yields a value. Between checks the
 /// thread runs queued tasks itself (see [`help_drain`]) and parks on
 /// the condvar only after a dry pass — re-checking `done` under the
@@ -1623,17 +1384,6 @@ fn drive_until<R>(shared: &Shared, mut done: impl FnMut(&mut State) -> Option<R>
         }
         idle = !help_drain(shared, &mut newly);
     }
-}
-
-/// Streaming backpressure: blocks the submitting thread until in-flight
-/// tasks drain to the low watermark. The high→low hysteresis means a
-/// parked driver wakes into a burst of submission headroom instead of
-/// bouncing off the high mark once per task.
-fn throttle(shared: &Shared, sc: StreamConfig) {
-    if (lock(&shared.state).in_flight as usize) < sc.high {
-        return;
-    }
-    drive_until(shared, |st| (st.in_flight as usize <= sc.low).then_some(()));
 }
 
 /// Moves the front (oldest) half of the injector into `me`'s deque and
@@ -2025,22 +1775,13 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                     entry.last_touch = who;
                 }
                 for (d, bytes) in rec.inputs.iter_mut() {
-                    // Streaming may already have reclaimed an input slot
-                    // (its size was captured at dispatch time) — skip
-                    // rather than trip the stale-handle panic.
-                    match data.get_opt(d.0 as usize).map(|e| &e.slot) {
-                        // `Moved`: this task's own INOUT steal retired
-                        // the slot; the size survives in the tombstone.
-                        Some(Slot::Ready(_, b)) | Some(Slot::Moved(b)) => *bytes = *b,
-                        Some(Slot::Pending) | Some(Slot::Poisoned(_)) | None => {}
+                    match &data[d.0 as usize].slot {
+                        // `Moved`: this task's own INOUT steal; the size
+                        // survives in the tombstone.
+                        Slot::Ready(_, b) | Slot::Moved(b) => *bytes = *b,
+                        Slot::Pending | Slot::Poisoned(_) => {}
                     }
                 }
-                // Snapshot output ids before releasing dependents: a
-                // dependent's dispatch may steal the last output and
-                // retire this task's record out from under us.
-                let out_ids: Option<Vec<DataId>> = st
-                    .stream
-                    .then(|| rec.outputs.iter().map(|(d, _)| *d).collect());
                 st.tasks[ti].status = Status::Done;
 
                 // Batched release: one pass over the dependents. The
@@ -2060,20 +1801,7 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                         newly_ready.push(make_run(st, dep, released_at, inject));
                     }
                 }
-                // The entry may have been retired mid-loop (a dependent
-                // stole this task's last output); hand the dependents
-                // allocation back only if the slot is still live.
-                if let Some(e) = st.tasks.get_opt_mut(ti) {
-                    e.dependents = deps;
-                }
-                if let Some(out_ids) = out_ids {
-                    // Outputs the driver already `release`d can be
-                    // reclaimed now that they are produced + committed.
-                    for d in out_ids {
-                        retire_data_if_idle(st, d);
-                    }
-                    st.in_flight -= 1;
-                }
+                st.tasks[ti].dependents = deps;
             }
             Err((start, duration)) => {
                 let n = attempts.len();
@@ -2093,12 +1821,6 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                 rec.start_s = since_epoch(start);
                 rec.worker = who;
                 rec.attempts = attempts;
-                if st.stream {
-                    // The failing task leaves the in-flight window here;
-                    // its dependents leave as the cones below cancel or
-                    // fail them (each still holds its undispatched job).
-                    st.in_flight -= 1;
-                }
                 match fault.on_failure {
                     OnFailure::Fail | OnFailure::Retry => {
                         if metrics && fault.on_failure == OnFailure::Retry {
@@ -2110,9 +1832,6 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                         let mut frontier = vec![task];
                         while let Some(t) = frontier.pop() {
                             let e = &mut st.tasks[t.0 as usize];
-                            if st.stream && e.job.is_some() {
-                                st.in_flight -= 1;
-                            }
                             e.status = Status::Failed;
                             e.failure = Some(full.clone());
                             e.job = None;
@@ -2173,21 +1892,13 @@ fn cancel_dependents(st: &mut State, origin: usize, reason: &Arc<str>) -> u64 {
     let mut frontier = std::mem::take(&mut st.tasks[origin].dependents);
     while let Some(t) = frontier.pop() {
         let idx = t.0 as usize;
-        {
-            let e = &mut st.tasks[idx];
-            if !matches!(e.status, Status::Waiting | Status::Ready) {
-                continue; // finished, failed, or already cancelled
-            }
-            if st.stream && e.job.is_some() {
-                // Never dispatched — leaves the in-flight window here.
-                // (A `Ready` task already handed its job to a queued
-                // run; that run's completion does the decrement.)
-                st.in_flight -= 1;
-            }
-            e.status = Status::Cancelled;
-            e.job = None;
-            frontier.append(&mut e.dependents);
+        let e = &mut st.tasks[idx];
+        if !matches!(e.status, Status::Waiting | Status::Ready) {
+            continue; // finished, failed, or already cancelled
         }
+        e.status = Status::Cancelled;
+        e.job = None;
+        frontier.append(&mut e.dependents);
         for (d, _) in &st.records[idx].outputs {
             st.data[d.0 as usize].slot = Slot::Poisoned(reason.clone());
         }
@@ -2280,28 +1991,6 @@ impl<'rt> TaskBuilder<'rt> {
     pub fn on_failure(mut self, policy: OnFailure) -> Self {
         self.fault.on_failure = policy;
         self
-    }
-
-    /// Single funnel for every `run*` method below: forwards the
-    /// builder's accumulated attributes to the runtime's submission
-    /// path.
-    fn submit(
-        self,
-        inputs: Vec<DataId>,
-        consume_mask: u64,
-        n_outputs: usize,
-        f: TaskFn,
-    ) -> Vec<DataId> {
-        self.rt.submit_inner(
-            self.name,
-            self.cores,
-            self.gpus,
-            inputs,
-            consume_mask,
-            n_outputs,
-            self.fault,
-            f,
-        )
     }
 
     /// Submits a source task with no inputs.
@@ -3074,5 +2763,68 @@ mod tests {
         // x already failed (inline); y must not deadlock.
         let y = rt.task("after").run1(x, |v| *v);
         let _ = rt.peek(y);
+    }
+
+    #[test]
+    fn failure_cascades_over_pages_of_dependents_keep_every_record() {
+        // Two failing tasks, each with more than a page of dependents
+        // registered before it runs (a gate holds them back): the `Fail`
+        // cascade fails every dependent, `CancelSuccessors` cancels
+        // them. The tables are push-only, so the trace keeps every
+        // record.
+        use crate::arena::PAGE;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let fan = PAGE + 8;
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let rt = Runtime::threaded(2);
+        let gate = rt.task("gate").run0(move || {
+            rx.recv().expect("gate release");
+            0u64
+        });
+        let fail = rt.task("fail").run1(gate, |_| -> u64 { panic!("kaboom") });
+        let cancel = rt
+            .task("cancel")
+            .on_failure(OnFailure::CancelSuccessors)
+            .run1(gate, |_| -> u64 { panic!("kaboom") });
+        let failed: Vec<Handle<u64>> = (0..fan)
+            .map(|_| rt.task("fail_dep").run1(fail, |v| *v))
+            .collect();
+        let cancelled: Vec<Handle<u64>> = (0..fan)
+            .map(|_| rt.task("cancel_dep").run1(cancel, |v| *v))
+            .collect();
+        tx.send(()).expect("release gate");
+
+        let msg = |r: std::thread::Result<()>| {
+            let e = r.expect_err("must panic");
+            e.downcast_ref::<String>().expect("string panic").clone()
+        };
+        let caught = |h: Handle<u64>| {
+            msg(catch_unwind(AssertUnwindSafe(|| {
+                rt.peek(h);
+            })))
+        };
+        let barrier = msg(catch_unwind(AssertUnwindSafe(|| rt.barrier())));
+        assert!(barrier.contains("task 'fail'"), "{barrier}");
+        assert!(barrier.contains("failed before barrier"), "{barrier}");
+        let last_failed = caught(*failed.last().unwrap());
+        assert!(
+            last_failed.contains("dependency task failed"),
+            "{last_failed}"
+        );
+        let last_cancelled = caught(*cancelled.last().unwrap());
+        assert!(last_cancelled.contains("poisoned"), "{last_cancelled}");
+
+        // gate + 2 failing tasks + 2 fans + the two barrier markers.
+        let trace = rt.finish();
+        assert_eq!(trace.records.len(), 3 + 2 * fan + 2);
+        for (i, r) in trace.records.iter().enumerate() {
+            assert_eq!(r.id, TaskId(i as u64), "records out of id order");
+        }
+        assert!(trace
+            .records
+            .iter()
+            .filter(|r| r.name.ends_with("_dep"))
+            .all(|r| !r.ran()));
+        assert_eq!(rt.stats().cancelled, fan as u64);
     }
 }

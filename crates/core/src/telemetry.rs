@@ -523,12 +523,17 @@ impl StragglerReport {
     /// task whose duration exceeds `k ×` the running median of the
     /// tasks of its kind that completed before it, once the kind has
     /// at least `min_samples` of them — the per-task-constant-cost
-    /// analysis of the Dask-overheads paper. Pseudo sync/barrier/split
-    /// markers have no body and never enter the per-kind statistics.
+    /// analysis of the Dask-overheads paper. Only user tasks whose body
+    /// ran ([`crate::TaskRecord::ran`]) enter the per-kind statistics:
+    /// markers and tasks failed or cancelled before running are not
+    /// 0-second executions.
     pub fn from_trace(trace: &Trace, k: f64, min_samples: usize) -> StragglerReport {
         let min_samples = min_samples.max(1);
-        let mut order: Vec<&crate::trace::TaskRecord> =
-            trace.records.iter().filter(|r| !r.is_marker()).collect();
+        let mut order: Vec<&crate::trace::TaskRecord> = trace
+            .records
+            .iter()
+            .filter(|r| r.ran() && !r.is_marker())
+            .collect();
         order.sort_by(|a, b| (a.start_s + a.duration_s).total_cmp(&(b.start_s + b.duration_s)));
         // Sorted durations per kind: running median by bisection insert.
         let mut kinds: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
@@ -712,10 +717,7 @@ pub fn divergence(trace: &Trace, report: &SimReport) -> Divergence {
     let mut start = f64::INFINITY;
     let mut end = 0.0f64;
     let mut real_by_kind: BTreeMap<String, f64> = BTreeMap::new();
-    for r in &trace.records {
-        if r.name.starts_with("__") || (r.duration_s <= 0.0 && r.worker < 0) {
-            continue;
-        }
+    for r in trace.records.iter().filter(|r| r.ran() && !r.is_marker()) {
         start = start.min(r.start_s);
         end = end.max(r.start_s + r.duration_s);
         *real_by_kind.entry(r.name.clone()).or_default() += r.duration_s;

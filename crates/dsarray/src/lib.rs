@@ -423,25 +423,6 @@ impl DsArray {
         DsArray { grid, ..self }
     }
 
-    /// Declares the driver done with every block of this array: on a
-    /// streaming runtime ([`taskrt::StreamConfig`]) each block's table
-    /// slot is recycled once every already-submitted reader has
-    /// consumed it (see [`Runtime::release`]); a no-op otherwise.
-    ///
-    /// Call after the last pipeline stage *reading* these blocks has
-    /// been submitted — a driver loop producing many array generations
-    /// (`map_blocks` → release → repeat) then keeps a bounded
-    /// data-table footprint instead of one live block set per
-    /// generation. Reading a released block afterwards fails with the
-    /// runtime's named `"stale handle"` error.
-    pub fn release(self, rt: &Runtime) {
-        for row in self.grid {
-            for h in row {
-                rt.release(h);
-            }
-        }
-    }
-
     /// Per-column sums via one partial task per block followed by a tree
     /// reduction (dislib's first PCA map-reduce phase).
     pub fn col_sums(&self, rt: &Runtime) -> Handle<Vec<f64>> {

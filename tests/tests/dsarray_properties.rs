@@ -116,52 +116,3 @@ proptest! {
         prop_assert!(got.max_abs_diff(&m.matmul(&w)) < 1e-9);
     }
 }
-
-#[test]
-fn streamed_generation_pipeline_bounded_and_identical() {
-    use taskrt::{ExecMode, RuntimeConfig, StreamConfig};
-    // A driver loop producing many array generations: map a blocked
-    // array N times, releasing each consumed generation. On a streaming
-    // runtime the table footprint stays proportional to one generation,
-    // and the final matrix is identical to the flat-runtime pipeline.
-    const GENS: usize = 40;
-    let m = arbitrary_matrix(24, 18, 7);
-    let run = |rt: &Runtime| -> Matrix {
-        let mut ds = DsArray::from_matrix(rt, &m, 7, 5);
-        for g in 0..GENS {
-            let next = ds.map_blocks(rt, "gen", move |b| {
-                let mut out = b.clone();
-                for v in out.as_mut_slice() {
-                    *v = (*v * 1.000_1 + g as f64 * 1e-3).sin();
-                }
-                out
-            });
-            ds.release(rt); // done with this generation's blocks
-            ds = next;
-        }
-        ds.collect(rt)
-    };
-    let flat = run(&Runtime::with_config(RuntimeConfig {
-        mode: ExecMode::Threads(2),
-        ..RuntimeConfig::default()
-    }));
-    let rt = Runtime::with_config(RuntimeConfig {
-        mode: ExecMode::Threads(2),
-        stream: Some(StreamConfig {
-            high: 256,
-            low: 128,
-        }),
-        ..RuntimeConfig::default()
-    });
-    let streamed = run(&rt);
-    assert_eq!(flat, streamed);
-    let stats = rt.table_stats();
-    // 4x4-block grid, 40 generations = ~640 data slots allocated; the
-    // live set must stay near one generation, not the whole history.
-    assert!(
-        stats.data.live <= 3 * 16 + 32,
-        "data table holds {} live slots after release pipeline",
-        stats.data.live
-    );
-    assert!(stats.data.retired >= (GENS as u64 - 4) * 16);
-}

@@ -18,7 +18,7 @@
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 use taskrt::trace::SYNC_TASK;
-use taskrt::{live_worker_threads, Handle, RetryPolicy, Runtime};
+use taskrt::{live_worker_threads, DataId, Handle, RetryPolicy, Runtime};
 
 const N_TASKS: usize = 5_000;
 
@@ -254,14 +254,15 @@ fn stress_locality_steering_counts_hits_and_is_bit_identical() {
 /// on the driver side — a cross-thread id collision would hand one
 /// driver the other's datum. Takes `2 * links + 2` data ids (seed, one
 /// put and one task output per link, the fan-in) and submits
-/// `links + 1` tasks; returns the values read.
-fn drive_chain_with_puts(rt: &Runtime, salt: u64, links: u64) -> Vec<u64> {
+/// `links + 1` tasks; returns the values read and every data id taken.
+fn drive_chain_with_puts(rt: &Runtime, salt: u64, links: u64) -> (Vec<u64>, Vec<DataId>) {
     let step = move |v: u64, i: u64| v.wrapping_mul(6364136223846793005).wrapping_add(i ^ salt);
     let seed = rt.put(salt);
     let mut chain = seed;
     let mut expect = salt;
     let mut puts: Vec<(Handle<u64>, u64)> = vec![(seed, salt)];
     let mut readable: Vec<(Handle<u64>, u64)> = Vec::new();
+    let mut task_outputs = Vec::new();
     for i in 0..links {
         let v = salt.rotate_left(17) ^ i;
         puts.push((rt.put(v), v));
@@ -276,12 +277,14 @@ fn drive_chain_with_puts(rt: &Runtime, salt: u64, links: u64) -> Vec<u64> {
                 .run1_inout(chain, move |x| *x = step(*x, i));
             readable.push((chain, expect));
         }
+        task_outputs.push(chain.id());
     }
     let mut fan: Vec<Handle<u64>> = puts.iter().map(|&(h, _)| h).collect();
     fan.push(chain);
     let total = rt.task("fan_in").run_many(&fan, |xs: &[&u64]| {
         xs.iter().fold(0u64, |acc, &&x| acc.rotate_left(5) ^ x)
     });
+    task_outputs.push(total.id());
     let want_total = puts
         .iter()
         .map(|&(_, v)| v)
@@ -295,7 +298,12 @@ fn drive_chain_with_puts(rt: &Runtime, salt: u64, links: u64) -> Vec<u64> {
         assert_eq!(got, *want, "salt {salt}: {h:?} read another datum's value");
         values.push(got);
     }
-    values
+    let ids = puts
+        .iter()
+        .map(|(h, _)| h.id())
+        .chain(task_outputs)
+        .collect();
+    (values, ids)
 }
 
 #[test]
@@ -307,7 +315,7 @@ fn concurrent_drivers_are_bit_identical_to_inline() {
     // what the same two graphs compute one after the other inline.
     const LINKS: u64 = 2_000;
     let inline = Runtime::new();
-    let want = [1u64, 2].map(|salt| drive_chain_with_puts(&inline, salt, LINKS));
+    let want = [1u64, 2].map(|salt| drive_chain_with_puts(&inline, salt, LINKS).0);
 
     let rt = Runtime::threaded(2);
     // Both drivers start submitting at the same instant, so their
@@ -324,9 +332,25 @@ fn concurrent_drivers_are_bit_identical_to_inline() {
         let (a, b) = (spawn(1), spawn(2));
         [a.join().expect("driver 1"), b.join().expect("driver 2")]
     });
-    assert_eq!(got, want, "concurrent drivers diverged from inline");
+    let values = got.clone().map(|(v, _)| v);
+    assert_eq!(values, want, "concurrent drivers diverged from inline");
 
-    rt.barrier();
-    assert_eq!(rt.table_stats().data.allocated, 2 * (2 * LINKS + 2));
+    // Ids are dense and unique across both drivers: together they
+    // took exactly 0..n, and the trace records each task output once.
+    let n_data = 2 * (2 * LINKS + 2);
+    let mut ids: Vec<u64> = got.iter().flat_map(|(_, ids)| ids).map(|d| d.0).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..n_data).collect::<Vec<_>>());
+    let trace = rt.finish();
+    let mut outputs: Vec<u64> = trace
+        .records
+        .iter()
+        .flat_map(|r| &r.outputs)
+        .map(|(d, _)| d.0)
+        .collect();
+    outputs.sort_unstable();
+    outputs.dedup();
+    assert_eq!(outputs.len() as u64, 2 * (LINKS + 1));
+    assert!(outputs.iter().all(|&d| d < n_data));
     assert_eq!(rt.stats().total_tasks(), 2 * (LINKS + 1));
 }
