@@ -167,17 +167,13 @@ impl WireValue {
             WireValue::VecF64(v) => {
                 out.push(tag::VEC_F64);
                 out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-                for x in v {
-                    out.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
+                put_f64s(out, v);
             }
             WireValue::Matrix(m) => {
                 out.push(tag::MATRIX);
                 out.extend_from_slice(&(m.rows() as u64).to_le_bytes());
                 out.extend_from_slice(&(m.cols() as u64).to_le_bytes());
-                for x in m.as_slice() {
-                    out.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
+                put_f64s(out, m.as_slice());
             }
             WireValue::List(items) => {
                 out.push(tag::LIST);
@@ -233,26 +229,13 @@ impl WireValue {
             }
             tag::VEC_F64 => {
                 let n = take_len(buf)?;
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(f64::from_bits(take_u64(buf)?));
-                }
-                WireValue::VecF64(v)
+                WireValue::VecF64(take_f64s(buf, n)?)
             }
             tag::MATRIX => {
                 let rows = take_len(buf)?;
                 let cols = take_len(buf)?;
-                let n = rows
-                    .checked_mul(cols)
-                    .and_then(|n| n.checked_mul(8).map(|bytes| (n, bytes)))
-                    .filter(|&(_, bytes)| bytes <= buf.len())
-                    .map(|(n, _)| n)
-                    .ok_or(WireError::Truncated)?;
-                let mut data = Vec::with_capacity(n);
-                for _ in 0..n {
-                    data.push(f64::from_bits(take_u64(buf)?));
-                }
-                WireValue::Matrix(Matrix::from_vec(rows, cols, data))
+                let n = rows.checked_mul(cols).ok_or(WireError::Truncated)?;
+                WireValue::Matrix(Matrix::from_vec(rows, cols, take_f64s(buf, n)?))
             }
             tag::LIST => {
                 let n = take_len(buf)?;
@@ -319,6 +302,27 @@ fn take_bytes<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
     let (head, rest) = buf.split_at(n);
     *buf = rest;
     Ok(head)
+}
+
+/// Appends `xs` as little-endian `f64` bits: one resize, then a copy
+/// per element into its fixed 8-byte slot.
+fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
+    let start = out.len();
+    out.resize(start + 8 * xs.len(), 0);
+    for (slot, x) in out[start..].chunks_exact_mut(8).zip(xs) {
+        slot.copy_from_slice(&x.to_bits().to_le_bytes());
+    }
+}
+
+/// Takes `n` little-endian `f64`s. The `8 * n` bytes must all be there
+/// before anything is allocated, so a short body announcing a huge `n`
+/// costs nothing.
+fn take_f64s(buf: &mut &[u8], n: usize) -> Result<Vec<f64>, WireError> {
+    let bytes = take_bytes(buf, n.checked_mul(8).ok_or(WireError::Truncated)?)?;
+    Ok(bytes
+        .chunks_exact(8)
+        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk"))))
+        .collect())
 }
 
 // ---------------------------------------------------------------------
@@ -421,6 +425,32 @@ mod tests {
             WireValue::decode(&[200]),
             Err(WireError::BadTag(200))
         ));
+    }
+
+    /// Peak virtual memory of this process in KiB (`VmPeak`).
+    fn vm_peak_kib() -> u64 {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find(|l| l.starts_with("VmPeak:")).unwrap();
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+
+    /// A short body whose `f64` count is the largest `take_len` admits
+    /// (2^30 elements, 8 GiB) must be refused before that much is
+    /// reserved: the process's peak address space must not jump by GiBs.
+    #[test]
+    fn short_f64_payloads_are_refused_before_reserving() {
+        let n = (MAX_FRAME_BYTES as u64).to_le_bytes();
+        let vec_f64 = [&[tag::VEC_F64][..], &n, &[0; 64]].concat();
+        let matrix = [&[tag::MATRIX][..], &n, &1u64.to_le_bytes(), &[0; 64]].concat();
+        let before = vm_peak_kib();
+        for bytes in [vec_f64, matrix] {
+            assert!(matches!(
+                WireValue::decode(&bytes),
+                Err(WireError::Truncated)
+            ));
+        }
+        let grown_gib = (vm_peak_kib() - before) as f64 / (1 << 20) as f64;
+        assert!(grown_gib < 4.0, "decoding reserved {grown_gib:.1} GiB");
     }
 
     #[test]

@@ -23,8 +23,13 @@
 //! [`eigh`] returns every eigenpair, eigenvalues in **ascending** order
 //! (as `numpy.linalg.eigh` does); [`eigh_top`] the leading `k` in the
 //! descending order PCA wants, forming those `k` vectors only.
+//!
+//! Both run their body, and every helper it inlines, through
+//! [`crate::sgemm::wide`]: four `f64` lanes on AVX2 hosts, the same
+//! bits as the baseline build.
 
 use crate::matrix::{dot, Matrix};
+use crate::sgemm::{wide, wide_enabled};
 
 /// Result of [`eigh`]: `a = vectors * diag(values) * vectors^T`.
 #[derive(Debug, Clone)]
@@ -45,6 +50,16 @@ pub struct EighResult {
 /// Panics if `a` is not square, or with `eigh: non-finite input at
 /// (r, c)` if it holds a NaN or an infinity.
 pub fn eigh(a: &Matrix) -> EighResult {
+    if wide_enabled() {
+        wide(|| eigh_body(a))
+    } else {
+        eigh_body(a)
+    }
+}
+
+/// [`eigh`], for [`wide`] to inline.
+#[inline(always)]
+fn eigh_body(a: &Matrix) -> EighResult {
     let Some(mut qt) = symmetrized(a) else {
         return EighResult {
             values: vec![],
@@ -80,6 +95,16 @@ pub fn eigh(a: &Matrix) -> EighResult {
 /// # Panics
 /// As [`eigh`], and if `keep` returns 0 or more than the matrix order.
 pub fn eigh_top(a: &Matrix, keep: impl FnOnce(&[f64]) -> usize) -> (Vec<f64>, Matrix) {
+    if wide_enabled() {
+        wide(|| eigh_top_body(a, keep))
+    } else {
+        eigh_top_body(a, keep)
+    }
+}
+
+/// [`eigh_top`], for [`wide`] to inline.
+#[inline(always)]
+fn eigh_top_body(a: &Matrix, keep: impl FnOnce(&[f64]) -> usize) -> (Vec<f64>, Matrix) {
     let Some(mut qt) = symmetrized(a) else {
         return (vec![], Matrix::zeros(0, 0));
     };
@@ -130,6 +155,7 @@ pub fn eigh_top(a: &Matrix, keep: impl FnOnce(&[f64]) -> usize) -> (Vec<f64>, Ma
 /// (`None` if empty), from the buffer pool: repeated fits — CV folds,
 /// benches — recycle this n*n scratch. Exactly symmetric, so it is its
 /// own transpose and doubles as the initial `Q^T`.
+#[inline(always)]
 fn symmetrized(a: &Matrix) -> Option<Matrix> {
     assert_eq!(a.rows(), a.cols(), "eigh requires a square matrix");
     let n = a.rows();
@@ -151,7 +177,7 @@ fn symmetrized(a: &Matrix) -> Option<Matrix> {
 }
 
 /// Givens rotation of rows `i` and `i + 1` of `m`.
-#[inline]
+#[inline(always)]
 fn rotate_rows(m: &mut Matrix, i: usize, c: f64, s: f64) {
     let w = m.cols();
     let (lo, hi) = m.as_mut_slice()[i * w..(i + 2) * w].split_at_mut(w);
@@ -163,7 +189,7 @@ fn rotate_rows(m: &mut Matrix, i: usize, c: f64, s: f64) {
 }
 
 /// `y += alpha * x` over equal-length slices.
-#[inline]
+#[inline(always)]
 fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
     for (yk, &xk) in y.iter_mut().zip(x) {
         *yk += alpha * xk;
@@ -179,6 +205,7 @@ fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
 /// row `j` from the diagonal on is the JAMA code's column `j` from the
 /// diagonal down); the Householder vector of step `i` is parked in the
 /// lower part of row `i`, for [`accumulate`] or [`eigh_top`] to consume.
+#[inline(always)]
 fn reduce(qt: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
     let n = d.len();
     d.copy_from_slice(qt.row(n - 1));
@@ -242,6 +269,7 @@ fn reduce(qt: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
 /// Accumulates the parked reflectors into `Q^T` and moves the
 /// tridiagonal's diagonal into `d`: row i + 1 still holds the
 /// Householder vector of step i + 1, which is applied to rows 0..=i.
+#[inline(always)]
 fn accumulate(qt: &mut Matrix, d: &mut [f64]) {
     let n = d.len();
     for i in 0..n - 1 {
@@ -273,6 +301,7 @@ fn accumulate(qt: &mut Matrix, d: &mut [f64]) {
 /// Implicit-shift QL iteration on the tridiagonal (`d`, `e`). Each
 /// Givens rotation `(i, c, s)` of rows `i` and `i + 1` of `Q^T` goes to
 /// `rotate`, in the order the eigenvectors need them.
+#[inline(always)]
 fn ql_implicit(d: &mut [f64], e: &mut [f64], mut rotate: impl FnMut(usize, f64, f64)) {
     let n = d.len();
     e.copy_within(1.., 0);
@@ -344,6 +373,7 @@ fn ql_implicit(d: &mut [f64], e: &mut [f64], mut rotate: impl FnMut(usize, f64, 
 
 /// [`ql_implicit`] with its rotations logged for replay. The log grows
 /// with what QL produces (0.5-1.2 n^2 rotations, at most 50 n^2 / 2).
+#[inline(always)]
 fn ql_logged(d: &mut [f64], e: &mut [f64]) -> Vec<(usize, f64, f64)> {
     let mut log = Vec::new();
     ql_implicit(d, e, |i, c, s| log.push((i, c, s)));
@@ -892,6 +922,78 @@ mod tests {
         let trace: f64 = (0..8).map(|i| sym.get(i, i)).sum();
         let sum: f64 = res.values.iter().sum();
         assert!((trace - sum).abs() < 1e-9);
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `eigh` and `eigh_top` (at `k` = 1, n / 3 and n) as dispatched
+    /// through `wide`, against their bodies called directly: every
+    /// eigenvalue and eigenvector bit. Both sides are one codegen in the
+    /// dev profile and under `LINALG_FORCE_SCALAR`; the release run on
+    /// an AVX2 host compares two.
+    fn assert_wide_parity(a: &Matrix) {
+        let n = a.rows();
+        let (wide, direct) = (eigh(a), eigh_body(a));
+        assert_eq!(
+            bits(&wide.values),
+            bits(&direct.values),
+            "eigh values, n={n}"
+        );
+        let vectors = |r: &EighResult| bits(r.vectors.as_slice());
+        assert_eq!(vectors(&wide), vectors(&direct), "eigh vectors, n={n}");
+        for k in [1, n.div_ceil(3), n] {
+            let k = k.clamp(1, n.max(1));
+            let keep = |_: &[f64]| if n == 0 { 0 } else { k };
+            let (wide, direct) = (eigh_top(a, keep), eigh_top_body(a, keep));
+            assert_eq!(
+                bits(&wide.0),
+                bits(&direct.0),
+                "eigh_top values, n={n} k={k}"
+            );
+            assert_eq!(
+                bits(wide.1.as_slice()),
+                bits(direct.1.as_slice()),
+                "eigh_top vectors, n={n} k={k}"
+            );
+        }
+    }
+
+    /// A centred `rows x cols` sample's covariance: rank `rows - 1` when
+    /// `rows <= cols`.
+    fn covariance(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let x = noise(rows, cols, seed);
+        let mean = x.col_means();
+        let xc = Matrix::from_fn(rows, cols, |r, c| x.get(r, c) - mean[c]);
+        let mut cov = xc.t_matmul(&xc);
+        cov.scale(1.0 / (rows as f64 - 1.0));
+        cov
+    }
+
+    #[test]
+    fn wide_eigensolvers_bitwise_match_their_bodies() {
+        // Orders straddle the 4-lane `dot` chunks; 0 is the empty input.
+        for n in [0, 1, 2, 3, 4, 5, 6, 7, 9, 17, 64] {
+            let raw = noise(n, n, n as u64);
+            assert_wide_parity(&symmetric(n, |r, c| raw.get(r, c)));
+        }
+        assert_wide_parity(&covariance(40, 48, 7));
+        assert_wide_parity(&Matrix::zeros(9, 9));
+        assert_wide_parity(&symmetric(9, |r, c| if r == c { 4.0 } else { 1.0 }));
+    }
+
+    /// The two orders the benchmark solves: the AF pipeline's 481-feature
+    /// covariance of 400 samples (rank 399) and `pca_dist`'s 384-feature
+    /// one of a 256-row block (rank 255).
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "one codegen without optimization: run with `cargo test --release`"
+    )]
+    fn wide_eigensolvers_bitwise_match_their_bodies_at_the_workload_orders() {
+        assert_wide_parity(&covariance(400, 481, 11));
+        assert_wide_parity(&covariance(256, 384, 12));
     }
 
     proptest! {

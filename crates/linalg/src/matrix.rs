@@ -22,7 +22,14 @@
 //! symmetric, because element `(i, j)` and element `(j, i)` sum the same
 //! commuted products in the same order. Those calls compute the upper
 //! triangle only and mirror it: half the flops, the same bits.
+//!
+//! **Same source, two codegens.** Each public kernel calls its
+//! `#[inline(always)]` body through [`crate::sgemm::wide`], which
+//! compiles it four `f64` lanes wide on AVX2 hosts. The bits do not
+//! depend on that choice (see `wide`), and the `*_body` methods stay
+//! callable directly so the tests can hold the two builds equal.
 
+use crate::sgemm::{wide, wide_enabled};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -48,7 +55,10 @@ const TB: usize = 8;
 /// Dot product over two equal-length slices with four independent
 /// partial accumulators (fixed summation order, so `dot(a, b)` and
 /// `dot(b, a)` are bitwise equal and repeated calls are deterministic).
-#[inline]
+///
+/// Always inlined, so it takes its caller's codegen: four lanes inside
+/// the kernels [`crate::sgemm::wide`] runs, with the same bits.
+#[inline(always)]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f64; 4];
@@ -97,7 +107,7 @@ pub(crate) fn sq_dists_map(x: &Matrix, y: &Matrix, f: impl Fn(f64) -> f64) -> Ma
 /// advanced together so every loaded chunk feeds `R` or `C`
 /// accumulators. Each product keeps [`dot`]'s lane assignment, combine
 /// order and remainder loop, so it is bitwise equal to calling [`dot`].
-#[inline]
+#[inline(always)]
 fn dot_tile<const R: usize, const C: usize>(a: [&[f64]; R], b: [&[f64]; C]) -> [[f64; C]; R] {
     let k = a[0].len();
     let a = a.map(|s| &s[..k]);
@@ -352,6 +362,16 @@ impl Matrix {
             "matmul dimension mismatch: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
+        if wide_enabled() {
+            wide(|| self.matmul_body(rhs))
+        } else {
+            self.matmul_body(rhs)
+        }
+    }
+
+    /// [`Matrix::matmul`] after its shape check, for [`wide`] to inline.
+    #[inline(always)]
+    fn matmul_body(&self, rhs: &Matrix) -> Matrix {
         let (kdim, n) = (self.cols, rhs.cols);
         let mut out = Matrix::from_pool(self.rows, n);
         if n == 0 || kdim == 0 {
@@ -417,6 +437,16 @@ impl Matrix {
             "t_matmul dimension mismatch: ({}x{})^T * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
+        if wide_enabled() {
+            wide(|| self.t_matmul_body(rhs))
+        } else {
+            self.t_matmul_body(rhs)
+        }
+    }
+
+    /// [`Matrix::t_matmul`] after its shape check, for [`wide`] to inline.
+    #[inline(always)]
+    fn t_matmul_body(&self, rhs: &Matrix) -> Matrix {
         let (m, n) = (self.cols, rhs.cols);
         let mut out = Matrix::from_pool(m, n);
         if m == 0 || n == 0 {
@@ -495,6 +525,17 @@ impl Matrix {
             "matmul_nt dimension mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
+        if wide_enabled() {
+            wide(|| self.matmul_nt_map_body(rhs, f))
+        } else {
+            self.matmul_nt_map_body(rhs, f)
+        }
+    }
+
+    /// [`Matrix::matmul_nt_map`] after its shape check, for [`wide`] to
+    /// inline.
+    #[inline(always)]
+    fn matmul_nt_map_body(&self, rhs: &Matrix, f: impl Fn(usize, usize, f64) -> f64) -> Matrix {
         let n = rhs.rows;
         // Every output element is assigned (`=`, never `+=`; the
         // symmetric path's lower triangle by the mirror), so the pool's
@@ -542,9 +583,22 @@ impl Matrix {
     /// summation order as [`dot`] — so `pairwise_sq_dists` between a
     /// row and itself is exactly zero.
     pub fn row_sq_norms(&self) -> Vec<f64> {
-        (0..self.rows)
-            .map(|r| dot(self.row(r), self.row(r)))
-            .collect()
+        if wide_enabled() {
+            wide(|| self.row_sq_norms_body())
+        } else {
+            self.row_sq_norms_body()
+        }
+    }
+
+    /// [`Matrix::row_sq_norms`], for [`wide`] to inline.
+    #[inline(always)]
+    fn row_sq_norms_body(&self) -> Vec<f64> {
+        // A loop, not `map().collect()`: `collect` would stay out of line.
+        let mut norms = vec![0.0; self.rows];
+        for (r, v) in norms.iter_mut().enumerate() {
+            *v = dot(self.row(r), self.row(r));
+        }
+        norms
     }
 
     /// Element-wise in-place addition.
@@ -939,6 +993,99 @@ mod tests {
         let a = Matrix::from_fn(2, 4, |r, c| (r * 4 + c) as f64);
         let s = a.slice_cols(1, 3);
         assert_eq!(s.as_slice(), &[1., 2., 5., 6.]);
+    }
+
+    fn bits(m: &Matrix) -> (usize, usize, Vec<u64>) {
+        (m.rows, m.cols, m.data.iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// Every GEMM-family kernel that runs through `wide`, dispatched
+    /// against its body called directly, bit for bit: general and
+    /// symmetric paths, the `matmul_nt` map (pairwise distances
+    /// included), the row norms and `dot`.
+    /// `x` is `m x k`, `y` is `n x k`. (Both sides are one codegen in
+    /// the dev profile and under `LINALG_FORCE_SCALAR`; the release
+    /// run on an AVX2 host is the one that compares two.)
+    fn assert_wide_parity(x: &Matrix, y: &Matrix) {
+        let shape = (x.shape(), y.shape());
+        let (yt, z) = (y.transpose(), wavy(x.rows, y.rows));
+        let poly = |_: usize, _: usize, v: f64| (v + 0.5).powi(3);
+        let (xn, yn) = (x.row_sq_norms_body(), y.row_sq_norms_body());
+        let sq_dist = |i: usize, j: usize, v: f64| (xn[i] + yn[j] - 2.0 * v).max(0.0);
+        let pairs = [
+            (pairwise_sq_dists(x, y), x.matmul_nt_map_body(y, sq_dist)),
+            (x.matmul(&yt), x.matmul_body(&yt)),
+            (x.t_matmul(&z), x.t_matmul_body(&z)),
+            (x.t_matmul(x), x.t_matmul_body(x)),
+            (x.matmul_nt(y), x.matmul_nt_map_body(y, |_, _, v| v)),
+            (x.matmul_nt(x), x.matmul_nt_map_body(x, |_, _, v| v)),
+            (x.matmul_nt_map(y, poly), x.matmul_nt_map_body(y, poly)),
+            (x.matmul_nt_map(x, poly), x.matmul_nt_map_body(x, poly)),
+        ];
+        for (i, (dispatched, direct)) in pairs.iter().enumerate() {
+            assert_eq!(bits(dispatched), bits(direct), "kernel {i} at {shape:?}");
+        }
+        let norms: Vec<u64> = x.row_sq_norms().iter().map(|v| v.to_bits()).collect();
+        let direct: Vec<u64> = x.row_sq_norms_body().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(norms, direct, "row norms at {shape:?}");
+        if wide_enabled() {
+            for (a, b) in x
+                .data
+                .chunks_exact(x.cols.max(1))
+                .zip(y.data.chunks_exact(y.cols.max(1)))
+            {
+                assert_eq!(
+                    wide(|| dot(a, b)).to_bits(),
+                    dot(a, b).to_bits(),
+                    "dot at {shape:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wide_is_on_exactly_when_the_backend_is_avx2() {
+        assert_eq!(wide_enabled(), crate::sgemm::backend() == "avx2+fma");
+    }
+
+    #[test]
+    fn wide_kernels_bitwise_match_their_bodies_at_remainder_edges() {
+        // Rows straddle MR = 4 and NT_ROWS = 2, depth covers every
+        // k % 4 (and crosses KC = 256), the right operand's rows fall
+        // short of, meet and pass NT_COLS = 4; 0 is the empty case.
+        for m in [0, 1, 2, 3, 4, 5, 7, 9] {
+            for k in [0, 1, 2, 3, 4, 5, 6, 7, 258] {
+                for n in [0, 1, 3, 4, 5, 9] {
+                    assert_wide_parity(&wavy(m, k), &wavy(n, k));
+                }
+            }
+        }
+        // The NC = 512 column block and KC-deep t_matmul depth.
+        assert_wide_parity(&wavy(6, 300), &wavy(530, 300));
+        assert_wide_parity(&wavy(261, 13), &wavy(7, 13));
+    }
+
+    /// The PCA gram of `pca_dist`: a 256-row block of 384 features.
+    #[test]
+    fn wide_t_matmul_bitwise_matches_its_body_at_the_pca_block_shape() {
+        let x = wavy(256, 384);
+        assert_eq!(bits(&x.t_matmul(&x)), bits(&x.t_matmul_body(&x)));
+        let y = wavy(256, 384);
+        assert_eq!(bits(&x.t_matmul(&y)), bits(&x.t_matmul_body(&y)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn prop_wide_kernels_bitwise_match_their_bodies(
+            m in 0usize..12, k in 0usize..40, n in 0usize..12,
+            seed in -3.0f64..3.0,
+        ) {
+            let x = Matrix::from_fn(m, k, |r, c| ((r * k + c) as f64 * 0.37 + seed).sin());
+            let y = Matrix::from_fn(n, k, |r, c| ((r + 7 * c) as f64 * 0.11 - seed).cos());
+            assert_wide_parity(&x, &y);
+        }
     }
 
     proptest! {

@@ -32,6 +32,13 @@
 //! The public entry points [`sgemm_nn`] / [`sgemm_nt`] / [`sgemm_tn`]
 //! dispatch to the packed path unless `LINALG_FORCE_SCALAR` is set in
 //! the environment (checked once); [`backend`] reports the choice.
+//!
+//! This module is also the crate's one runtime-dispatched island: the
+//! f64 kernels of [`crate::matrix`] and [`crate::eigh`] run their
+//! unchanged bodies through [`wide`], which compiles them for AVX2 on
+//! hosts that have it. `LINALG_FORCE_SCALAR` pins those to baseline
+//! codegen too (same bits, two lanes). This is the only place in the
+//! workspace that holds `unsafe` code or a `#[target_feature]`.
 
 use std::sync::OnceLock;
 
@@ -42,7 +49,9 @@ const MR: usize = 4;
 /// Register tile width: two 8-lane f32 vectors per accumulator row.
 const NR: usize = 16;
 
-/// True unless `LINALG_FORCE_SCALAR` is set (to anything but `0`).
+/// True unless `LINALG_FORCE_SCALAR` is set (to anything but `0`), which
+/// sends sgemm to its scalar oracles and the f64 kernels to baseline
+/// codegen.
 fn simd_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| std::env::var_os("LINALG_FORCE_SCALAR").is_none_or(|v| v == *"0"))
@@ -62,6 +71,10 @@ fn fma_available() -> bool {
 /// Which kernel the public entry points dispatch to on this host:
 /// `"avx2+fma"`, `"packed-generic"` (autovectorized portable
 /// microkernel), or `"scalar-forced"` (`LINALG_FORCE_SCALAR` set).
+///
+/// The f64 kernels follow the same switch: under `"avx2+fma"` they run
+/// through [`wide`] four lanes wide, otherwise — `LINALG_FORCE_SCALAR`
+/// included — with baseline codegen. Their bits are the same either way.
 pub fn backend() -> &'static str {
     if !simd_enabled() {
         "scalar-forced"
@@ -70,6 +83,46 @@ pub fn backend() -> &'static str {
     } else {
         "packed-generic"
     }
+}
+
+/// True when the f64 kernels run through [`wide`]: [`backend`] is
+/// `"avx2+fma"`.
+#[inline]
+pub(crate) fn wide_enabled() -> bool {
+    simd_enabled() && fma_available()
+}
+
+/// Runs `f` compiled for AVX2+FMA.
+///
+/// The f64 kernels keep one scalar-source body each, marked
+/// `#[inline(always)]`, and every public entry point calls it as
+/// `if wide_enabled() { wide(|| body) } else { body }`. The closure is
+/// then inlined into the `#[target_feature]` clone below, so the
+/// autovectorizer fills four `f64` lanes instead of SSE2's two. It must
+/// have no other caller: LLVM keeps a closure that is also called from
+/// baseline code out of line, at baseline width.
+///
+/// The result is bit-identical to the baseline build, because the
+/// source fixes every summation order (element-wise AXPY / rotation
+/// loops, [`crate::dot`]'s four accumulator lanes) and Rust never
+/// contracts a separate `*` and `+` into an FMA.
+///
+/// # Panics
+/// Panics if the CPU lacks AVX2 or FMA.
+#[inline]
+pub(crate) fn wide<R>(f: impl FnOnce() -> R) -> R {
+    assert!(fma_available(), "wide: this CPU lacks AVX2+FMA");
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2,fma")]
+        fn avx2<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        // SAFETY: fma_available() detected AVX2 and FMA on this CPU.
+        unsafe { avx2(f) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    f()
 }
 
 /// `out[m x n] += a[m x k] * b[k x n]` (all row-major).
