@@ -146,7 +146,7 @@ fn main() {
     }
     if algo == "all" || algo == "rf" {
         eprintln!("running RF workflow...");
-        let r = run_rf(&prep, &cfg, 0);
+        let r = run_rf(&prep, &cfg);
         // RF tasks see the whole fold (paper: ~8246 samples; ours ~320).
         // Tree-construction tasks arenear-uniform in cost (same bootstrap
         // size), which is what makes 2 and 3 nodes take the same number

@@ -74,7 +74,7 @@ fn main() {
         json.push(row(&r));
     }
     if algo == "all" || algo == "rf" {
-        let r = run_rf(&prep, &cfg, 0);
+        let r = run_rf(&prep, &cfg);
         print_confusion(
             "Table Ic — RandomForest (40 estimators)",
             &r.pooled(),

@@ -9,8 +9,6 @@
 //! | `fig12` | Fig. 12: CNN training-time bars on the simulated CTE-Power |
 //! | `graphs` | Figs. 4, 6, 8, 9, 10: execution graphs as Graphviz DOT |
 //! | `pca_cost` | §IV-B: constant PCA cost across algorithms |
-//! | `ablate` | ablations: block size, scheduler policy, `distr_depth`, nesting, augmentation |
-//! | `rr_baseline` | §II: the RR-interval baseline vs the STFT pipeline |
 //! | `dist` | multi-process PCA over `taskrt::dist`: bit-identity vs the inline oracle, DES divergence gate, chaos SIGKILL arm — writes `out/dist.json` |
 //! | `chaos` | fault injection on the threaded runtime + node-failure replay in the DES — writes `out/chaos.json` |
 //! | `profile` | observability exporter: one ECG → PCA run, every `taskrt::obs` / `taskrt::telemetry` artifact — writes `out/profile.json`, `.prom`, two Chrome traces |

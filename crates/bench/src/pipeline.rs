@@ -69,8 +69,6 @@ pub struct PipelineConfig {
     pub block_rows: usize,
     /// Column-block size.
     pub block_cols: usize,
-    /// Disable the augmentation step (ablation).
-    pub augment: bool,
     /// Number of CV folds (paper: 5).
     pub k_folds: usize,
 }
@@ -83,7 +81,6 @@ impl Default for PipelineConfig {
             n_components: 160,
             block_rows: 60,
             block_cols: 256,
-            augment: true,
             k_folds: 5,
         }
     }
@@ -92,9 +89,7 @@ impl Default for PipelineConfig {
 /// Generates the dataset, extracts STFT features, and runs the
 /// distributed PCA (paper §III-B); everything is recorded in a trace.
 pub fn prepare(cfg: &PipelineConfig) -> Prepared {
-    let mut spec = DatasetSpec::at_scale(cfg.scale).with_seed(cfg.seed);
-    spec.augment = cfg.augment;
-    let ds = Dataset::build(&spec);
+    let ds = Dataset::build(&DatasetSpec::at_scale(cfg.scale).with_seed(cfg.seed));
     let raw_features = ds.x.cols();
 
     let rt = Runtime::new();
@@ -196,14 +191,13 @@ pub fn run_knn(prep: &Prepared, cfg: &PipelineConfig) -> AlgoResult {
 }
 
 /// Random Forest with 40 estimators (paper Table Ic, Fig. 11c).
-pub fn run_rf(prep: &Prepared, cfg: &PipelineConfig, distr_depth: usize) -> AlgoResult {
+pub fn run_rf(prep: &Prepared, cfg: &PipelineConfig) -> AlgoResult {
     let rt = Runtime::new();
     // dislib RF trains each estimator in a multi-core task; 4 cores per
     // task reproduces the paper's wave/packing behaviour on 48-core
     // nodes.
     let params = RfParams {
         n_estimators: 40,
-        distr_depth,
         seed: cfg.seed,
         task_cores: 4,
         ..Default::default()
@@ -405,7 +399,7 @@ mod tests {
     #[test]
     fn rf_pipeline_runs() {
         let p = tiny_prep();
-        let res = run_rf(p, &tiny_cfg(), 0);
+        let res = run_rf(p, &tiny_cfg());
         assert_eq!(res.pooled().total(), p.y.len());
         assert!(res.accuracy() > 0.5);
         assert_eq!(res.trace.task_histogram()["rf_build_tree"], 40 * 3);

@@ -142,12 +142,6 @@ pub enum Policy {
 /// duration of a record (keyed by name / sizes), or `None` to keep it.
 pub type DurationFn = Arc<dyn Fn(&TaskRecord) -> Option<f64> + Send + Sync>;
 
-/// Per-node relative speed factor: task durations on node `i` are
-/// divided by `f(i)`. `1.0` everywhere models a homogeneous cluster;
-/// values `< 1.0` model slower (e.g. edge) nodes in a computing
-/// continuum.
-pub type NodeSpeedFn = Arc<dyn Fn(usize) -> f64 + Send + Sync>;
-
 /// Simulation options.
 #[derive(Clone)]
 pub struct SimOptions {
@@ -157,8 +151,6 @@ pub struct SimOptions {
     pub model_transfers: bool,
     /// Optional analytic duration override (see [`DurationFn`]).
     pub duration_of: Option<DurationFn>,
-    /// Optional heterogeneous node speeds (see [`NodeSpeedFn`]).
-    pub node_speed: Option<NodeSpeedFn>,
     /// Constant per-task master-side dispatch cost, in seconds. Each
     /// non-marker dispatch occupies the (serialized) master for this
     /// long before the task may start — the centralized-runtime
@@ -174,7 +166,6 @@ impl Default for SimOptions {
             policy: Policy::LocalityAware,
             model_transfers: true,
             duration_of: None,
-            node_speed: None,
             dispatch_overhead_s: 0.0,
         }
     }
@@ -552,9 +543,7 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
                 }
             }
             report.transfer_time_s += xfer;
-            let speed = opts.node_speed.as_ref().map_or(1.0, |f| f(node));
-            assert!(speed > 0.0, "node speed must be positive");
-            let run_s = dur[i] / speed;
+            let run_s = dur[i];
             let mut dispatch = 0.0;
             if opts.dispatch_overhead_s > 0.0 && !r.is_marker() {
                 let begin = now.max(master_free);
@@ -1033,34 +1022,6 @@ mod tests {
         };
         let rep = simulate(&t, &cluster(1, 1), &SimOptions::default());
         assert!((rep.makespan_s - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn heterogeneous_node_speeds_slow_placed_tasks() {
-        // Two independent tasks, two single-core nodes, node 1 at half
-        // speed: the greedy scheduler uses both, and the makespan is set
-        // by the slow node.
-        let t = Trace {
-            records: vec![rec(0, &[], 1.0, 1), rec(1, &[], 1.0, 1)],
-        };
-        let opts = SimOptions {
-            node_speed: Some(Arc::new(|n| if n == 0 { 1.0 } else { 0.5 })),
-            ..SimOptions::default()
-        };
-        let rep = simulate(&t, &cluster(2, 1), &opts);
-        assert!(
-            (rep.makespan_s - 2.0).abs() < 1e-9,
-            "got {}",
-            rep.makespan_s
-        );
-
-        // Homogeneous double-speed halves everything.
-        let opts = SimOptions {
-            node_speed: Some(Arc::new(|_| 2.0)),
-            ..SimOptions::default()
-        };
-        let rep = simulate(&t, &cluster(2, 1), &opts);
-        assert!((rep.makespan_s - 0.5).abs() < 1e-9);
     }
 
     #[test]

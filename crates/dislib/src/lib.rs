@@ -37,7 +37,7 @@ pub(crate) mod testutil;
 pub use csvm::{CascadeSvm, CascadeSvmParams};
 pub use knn::{KnnClassifier, KnnParams, Weights};
 pub use metrics::{accuracy, roc_auc, roc_curve, threshold_for_recall, ConfusionMatrix, RocPoint};
-pub use model_selection::{cross_validate, grid_search, GridSearchResult, KFold};
+pub use model_selection::{cross_validate, KFold};
 pub use pca::{Components, Pca};
 pub use pca_dist::{pca_plan, register_pca_kinds, PcaPlanOutputs};
 pub use rf::{RandomForest, RfParams, Tree};

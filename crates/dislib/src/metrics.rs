@@ -126,12 +126,17 @@ pub struct RocPoint {
 /// distinct threshold, ordered from strictest to most permissive.
 ///
 /// # Panics
-/// Panics if lengths mismatch or either class is absent.
+/// Panics if lengths mismatch, either class is absent, or a score is
+/// NaN (it equals no threshold, so the tie loop could never pass it).
 pub fn roc_curve(y_true: &[u8], scores: &[f64]) -> Vec<RocPoint> {
     assert_eq!(y_true.len(), scores.len(), "label/score length mismatch");
     let pos = y_true.iter().filter(|&&l| l == 1).count();
     let neg = y_true.len() - pos;
     assert!(pos > 0 && neg > 0, "ROC needs both classes");
+    assert!(
+        scores.iter().all(|s| !s.is_nan()),
+        "ROC scores must not be NaN"
+    );
 
     let mut order: Vec<usize> = (0..scores.len()).collect();
     order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
@@ -310,6 +315,12 @@ mod tests {
     #[should_panic(expected = "both classes")]
     fn roc_rejects_single_class() {
         let _ = roc_curve(&[1, 1], &[0.1, 0.2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not be NaN")]
+    fn roc_rejects_nan_score() {
+        let _ = roc_curve(&[1, 0, 1], &[0.3, f64::NAN, 0.7]);
     }
 
     proptest! {

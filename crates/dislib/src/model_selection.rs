@@ -1,8 +1,6 @@
 //! Model selection: K-fold cross-validation (the paper evaluates every
 //! algorithm "with an ensemble of runs, trained with K-fold (K=5)"),
-//! plus generic [`cross_validate`] / [`grid_search`] helpers (the paper
-//! tuned its CNN by "assessing numerous alternatives"; these utilities
-//! do the same for any estimator).
+//! plus [`cross_validate`], which does it for any estimator.
 
 use crate::metrics::ConfusionMatrix;
 use linalg::Matrix;
@@ -91,58 +89,6 @@ where
             ConfusionMatrix::from_labels(&yte, &pred)
         })
         .collect()
-}
-
-/// Result of a [`grid_search`].
-#[derive(Debug, Clone)]
-pub struct GridSearchResult<P> {
-    /// The best-scoring parameter set.
-    pub best: P,
-    /// Its mean CV accuracy.
-    pub best_score: f64,
-    /// Every candidate with its mean CV accuracy, in input order.
-    pub scores: Vec<(P, f64)>,
-}
-
-/// Exhaustive parameter search by cross-validated accuracy.
-///
-/// # Panics
-/// Panics on an empty candidate list.
-pub fn grid_search<P, F>(
-    candidates: &[P],
-    x: &Matrix,
-    y: &[u8],
-    kf: &KFold,
-    fit_predict: F,
-) -> GridSearchResult<P>
-where
-    P: Clone,
-    F: Fn(&P, &Matrix, &[u8], &Matrix) -> Vec<u8>,
-{
-    assert!(
-        !candidates.is_empty(),
-        "grid search needs at least one candidate"
-    );
-    let scores: Vec<(P, f64)> = candidates
-        .iter()
-        .map(|p| {
-            let folds = cross_validate(x, y, kf, |xtr, ytr, xte| fit_predict(p, xtr, ytr, xte));
-            let pooled = folds
-                .iter()
-                .fold(ConfusionMatrix::default(), |acc, f| acc.merged(f));
-            (p.clone(), pooled.accuracy())
-        })
-        .collect();
-    let (best, best_score) = scores
-        .iter()
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(p, s)| (p.clone(), *s))
-        .expect("non-empty scores");
-    GridSearchResult {
-        best,
-        best_score,
-        scores,
-    }
 }
 
 #[cfg(test)]
@@ -242,43 +188,6 @@ mod tests {
         assert_eq!(folds.len(), 4);
         let total: usize = folds.iter().map(|f| f.total()).sum();
         assert_eq!(total, 20);
-    }
-
-    #[test]
-    fn grid_search_finds_discriminating_parameter() {
-        use crate::svm::{fit_svc, SvcParams};
-        use crate::testutil::blobs;
-        let (x, y) = blobs(30, 2.0, 17);
-        let kf = KFold {
-            k: 3,
-            shuffle: true,
-            seed: 2,
-        };
-        // Gamma candidates spanning absurd to sensible.
-        let candidates = [1e-6, 0.5, 1e4];
-        let result = grid_search(&candidates, &x, &y, &kf, |&gamma, xtr, ytr, xte| {
-            let params = SvcParams {
-                kernel: linalg::Kernel::Rbf { gamma },
-                ..Default::default()
-            };
-            fit_svc(xtr, ytr, &params).predict(xte)
-        });
-        assert_eq!(result.best, 0.5, "scores: {:?}", result.scores);
-        assert!(result.best_score > 0.9);
-        assert_eq!(result.scores.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one candidate")]
-    fn grid_search_rejects_empty() {
-        let x = Matrix::zeros(4, 1);
-        let y = vec![0, 1, 0, 1];
-        let kf = KFold {
-            k: 2,
-            shuffle: false,
-            seed: 0,
-        };
-        let _ = grid_search::<f64, _>(&[], &x, &y, &kf, |_, _, _, xte| vec![0; xte.rows()]);
     }
 
     proptest! {

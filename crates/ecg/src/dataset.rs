@@ -86,83 +86,6 @@ impl DatasetSpec {
     }
 }
 
-/// The four-class CinC-2017 cohort composition (paper §III-A: 8528
-/// recordings — 5154 Normal, 771 AF, 2557 Other rhythms, 46 Noisy).
-#[derive(Debug, Clone, Copy)]
-pub struct CohortSpec {
-    /// Normal recordings.
-    pub n_normal: usize,
-    /// AF recordings.
-    pub n_af: usize,
-    /// Other-rhythm recordings.
-    pub n_other: usize,
-    /// Noisy recordings.
-    pub n_noisy: usize,
-    /// Signal generator settings.
-    pub ecg: EcgConfig,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl CohortSpec {
-    /// The full paper-scale cohort.
-    pub fn paper() -> Self {
-        Self {
-            n_normal: 5154,
-            n_af: 771,
-            n_other: 2557,
-            n_noisy: 46,
-            ecg: EcgConfig::default(),
-            seed: 2017,
-        }
-    }
-
-    /// A small cohort with the same class proportions (~1/25 scale).
-    pub fn small() -> Self {
-        Self {
-            n_normal: 206,
-            n_af: 31,
-            n_other: 102,
-            n_noisy: 2,
-            ecg: EcgConfig {
-                min_duration_s: 9.0,
-                max_duration_s: 16.0,
-                ..EcgConfig::default()
-            },
-            seed: 2017,
-        }
-    }
-
-    /// Generates the full four-class cohort.
-    pub fn generate(&self) -> Vec<Recording> {
-        let mut out = Vec::with_capacity(self.n_normal + self.n_af + self.n_other + self.n_noisy);
-        let classes = [
-            (Class::Normal, self.n_normal, 0u64),
-            (Class::Af, self.n_af, 1_000_000),
-            (Class::Other, self.n_other, 2_000_000),
-            (Class::Noisy, self.n_noisy, 3_000_000),
-        ];
-        for (class, count, offset) in classes {
-            for i in 0..count {
-                out.push(generate(
-                    &self.ecg,
-                    class,
-                    self.seed.wrapping_add(offset + i as u64),
-                ));
-            }
-        }
-        out
-    }
-}
-
-/// The paper's scoping step: keeps only the Normal and AF recordings
-/// ("As other classes are out of the scope of this work and its future
-/// derivations, we only focused on the classification of AF and Normal
-/// classes").
-pub fn filter_af_normal(cohort: Vec<Recording>) -> Vec<Recording> {
-    cohort.into_iter().filter(|r| r.class.in_scope()).collect()
-}
-
 /// A fully assembled dataset: recordings plus the design matrix.
 pub struct Dataset {
     /// All recordings, original and augmented, Normal first.
@@ -278,75 +201,6 @@ mod tests {
         let ds = Dataset::build(&tiny_spec());
         let max = ds.recordings.iter().map(|r| r.samples.len()).max().unwrap();
         assert_eq!(ds.padded_len, max);
-    }
-
-    #[test]
-    fn cohort_reproduces_cinc_composition() {
-        let spec = CohortSpec::paper();
-        assert_eq!(
-            spec.n_normal + spec.n_af + spec.n_other + spec.n_noisy,
-            8528,
-            "paper: 8528 recordings"
-        );
-        let small = CohortSpec {
-            n_normal: 10,
-            n_af: 3,
-            n_other: 5,
-            n_noisy: 1,
-            ..CohortSpec::small()
-        };
-        let cohort = small.generate();
-        assert_eq!(cohort.len(), 19);
-        let count = |c: Class| cohort.iter().filter(|r| r.class == c).count();
-        assert_eq!(count(Class::Normal), 10);
-        assert_eq!(count(Class::Af), 3);
-        assert_eq!(count(Class::Other), 5);
-        assert_eq!(count(Class::Noisy), 1);
-    }
-
-    #[test]
-    fn filter_keeps_only_in_scope_classes() {
-        let small = CohortSpec {
-            n_normal: 6,
-            n_af: 2,
-            n_other: 4,
-            n_noisy: 2,
-            ..CohortSpec::small()
-        };
-        let filtered = filter_af_normal(small.generate());
-        assert_eq!(filtered.len(), 8);
-        assert!(filtered.iter().all(|r| r.class.in_scope()));
-    }
-
-    #[test]
-    fn noisy_recordings_are_noisier() {
-        let ecg = EcgConfig {
-            min_duration_s: 10.0,
-            max_duration_s: 11.0,
-            ..EcgConfig::default()
-        };
-        let clean = generate(&ecg, Class::Normal, 5);
-        let noisy = generate(&ecg, Class::Noisy, 5);
-        let power = |r: &Recording| {
-            let mean = r.samples.iter().sum::<f64>() / r.samples.len() as f64;
-            r.samples
-                .iter()
-                .map(|v| (v - mean) * (v - mean))
-                .sum::<f64>()
-                / r.samples.len() as f64
-        };
-        assert!(
-            power(&noisy) > 4.0 * power(&clean),
-            "noisy {} vs clean {}",
-            power(&noisy),
-            power(&clean)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of scope")]
-    fn out_of_scope_label_panics() {
-        let _ = Class::Other.label();
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //!   rhythm with irregular RR intervals, absent P waves and 4–9 Hz
 //!   fibrillatory f-waves.
 //! * [`rpeaks`] — R-peak detection (Gamboa-segmenter replacement).
-//! * [`hrv`] — RR-interval statistics and the classical irregularity
-//!   detector whose limits (paper §II) motivate the STFT pipeline.
 //! * [`augment`] — the shuffling-based data augmentation of Fig. 2:
 //!   patches of 6 contiguous R peaks are permuted to create synthetic
 //!   minority-class recordings until classes balance.
@@ -25,11 +23,10 @@
 pub mod augment;
 pub mod dataset;
 pub mod features;
-pub mod hrv;
 pub mod rpeaks;
 pub mod synth;
 
-pub use dataset::{filter_af_normal, CohortSpec, Dataset, DatasetSpec, Scale};
+pub use dataset::{Dataset, DatasetSpec, Scale};
 pub use synth::{Class, EcgConfig, Recording};
 
 /// Standard normal sample via Box–Muller (the `rand` crate alone ships

@@ -20,44 +20,26 @@ use crate::randn;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Diagnostic class of a recording, mirroring the four CinC-2017
-/// classes. The paper's models only ever see [`Class::Normal`] and
-/// [`Class::Af`] ("As other classes are out of the scope of this work
-/// ... we only focused on the classification of AF and Normal classes");
-/// [`Class::Other`] and [`Class::Noisy`] exist so the cohort generator
-/// can reproduce the full dataset and the filtering step.
+/// Diagnostic class of a recording. CinC-2017 has four classes; the
+/// paper keeps two ("As other classes are out of the scope of this work
+/// ... we only focused on the classification of AF and Normal classes"),
+/// and so does the generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Class {
     /// Normal sinus rhythm.
     Normal,
     /// Atrial fibrillation.
     Af,
-    /// Other rhythms (modeled as sinus rhythm with frequent premature
-    /// beats and altered T-wave morphology).
-    Other,
-    /// Too noisy to classify (motion artifacts swamping the ECG).
-    Noisy,
 }
 
 impl Class {
     /// Numeric label used by the estimators (AF = 1, the positive
-    /// class). Only the two in-scope classes have labels.
-    ///
-    /// # Panics
-    /// Panics for [`Class::Other`] / [`Class::Noisy`]: filter the cohort
-    /// with [`crate::dataset::filter_af_normal`] first, as the paper
-    /// does.
+    /// class).
     pub fn label(self) -> u8 {
         match self {
             Class::Normal => 0,
             Class::Af => 1,
-            other => panic!("class {other:?} is out of scope; filter to AF/Normal first"),
         }
-    }
-
-    /// Whether the class is part of the paper's binary problem.
-    pub fn in_scope(self) -> bool {
-        matches!(self, Class::Normal | Class::Af)
     }
 }
 
@@ -126,16 +108,14 @@ pub fn generate(cfg: &EcgConfig, class: Class, seed: u64) -> Recording {
     // Per-recording characteristics.
     let amp_scale = rng.random_range(0.8..1.25);
     let mean_rr = match class {
-        Class::Normal | Class::Noisy | Class::Other => rng.random_range(0.7..0.95),
+        Class::Normal => rng.random_range(0.7..0.95),
         Class::Af => rng.random_range(0.5..0.8),
     };
     let rr_sd = match (class, atypical) {
-        (Class::Normal | Class::Noisy, false) => 0.035,
-        (Class::Normal | Class::Noisy, true) => 0.10, // sinus arrhythmia look-alike
+        (Class::Normal, false) => 0.035,
+        (Class::Normal, true) => 0.10, // sinus arrhythmia look-alike
         (Class::Af, false) => 0.18,
         (Class::Af, true) => 0.05, // AF with fairly regular ventricular rate
-        // Other rhythms: moderately irregular ventricular response.
-        (Class::Other, _) => 0.07,
     };
 
     // R-peak times from a renewal process.
@@ -149,13 +129,7 @@ pub fn generate(cfg: &EcgConfig, class: Class, seed: u64) -> Recording {
         } else {
             0.0
         };
-        let mut rr = (mean_rr + rsa + rr_sd * randn(&mut rng)).clamp(0.35, 1.6);
-        // Other rhythms: ~15% premature beats (short coupling interval
-        // followed by a compensatory pause).
-        if class == Class::Other && rng.random::<f64>() < 0.15 {
-            rr *= 0.55;
-        }
-        t += rr;
+        t += (mean_rr + rsa + rr_sd * randn(&mut rng)).clamp(0.35, 1.6);
     }
 
     // Beat morphology: offsets in seconds relative to the R peak,
@@ -205,20 +179,14 @@ pub fn generate(cfg: &EcgConfig, class: Class, seed: u64) -> Recording {
         }
     }
 
-    // Baseline wander + white measurement noise. "Noisy" recordings get
-    // motion-artifact-level wander and noise that swamp the waveform.
-    let (noise_sd, bw_scale) = if class == Class::Noisy {
-        (cfg.noise_sd * 8.0 + 0.3, 8.0)
-    } else {
-        (cfg.noise_sd, 1.0)
-    };
-    let bw_amp = rng.random_range(0.02..0.08) * bw_scale;
+    // Baseline wander + white measurement noise.
+    let bw_amp = rng.random_range(0.02..0.08);
     let bw_freq = rng.random_range(0.15..0.45);
     let bw_phase = rng.random_range(0.0..std::f64::consts::TAU);
     for (i, s) in samples.iter_mut().enumerate() {
         let ti = i as f64 / cfg.fs;
         *s += bw_amp * (std::f64::consts::TAU * bw_freq * ti + bw_phase).sin();
-        *s += noise_sd * randn(&mut rng);
+        *s += cfg.noise_sd * randn(&mut rng);
     }
 
     Recording {

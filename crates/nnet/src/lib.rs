@@ -13,23 +13,19 @@
 //! * [`network`] — the sequential [`Network`] container, SGD training,
 //!   and the paper's architecture ("two 1-dimensional convolutional
 //!   layers with 32 filters and a final dense layer with 32 neurons").
-//! * [`federated`] — FedAvg across devices with private local data (the
-//!   paper's §V future-work proposal).
 //! * [`parallel`] — data-parallel epoch training over [`taskrt`] tasks:
 //!   per-worker `cnn_train` tasks, per-epoch `cnn_merge` weight
 //!   averaging, the **driver-side epoch synchronization** that blocks
 //!   fold-level parallelism (Fig. 9), and the **nested** variant that
 //!   encapsulates those syncs inside one task per fold (Fig. 10).
 
-pub mod federated;
 pub mod layers;
 pub mod network;
 pub mod parallel;
 
-pub use federated::{fed_avg, weighted_average, Device, FedWeighting, FederatedConfig};
 pub use layers::{Conv1d, Dense, Layer};
 pub use network::{Network, TrainParams};
 pub use parallel::{
-    train_data_parallel, train_epoch_gradsync, train_kfold, train_kfold_handles,
-    train_kfold_nested, train_kfold_nested_handles, FoldData, FoldResult, ParallelConfig,
+    train_data_parallel, train_kfold, train_kfold_handles, train_kfold_nested,
+    train_kfold_nested_handles, FoldData, FoldResult, ParallelConfig,
 };

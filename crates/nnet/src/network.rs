@@ -37,16 +37,15 @@ impl Default for TrainParams {
     }
 }
 
-/// Rows per forward pass when no mini-batch size is given (`predict`,
-/// and the cap on one `compute_gradients` pass): enough columns to fill
-/// the GEMM's register tiles, small enough that the workspace of the
-/// paper's CNN stays within L2.
+/// Rows per forward pass when no mini-batch size is given (`predict`):
+/// enough columns to fill the GEMM's register tiles, small enough that
+/// the workspace of the paper's CNN stays within L2.
 const EVAL_BATCH: usize = 16;
 
 /// The buffers a batched forward/backward pass works in. Built once
-/// per `train_epoch` / `compute_gradients` / `predict` call for the
-/// largest batch it will see and reused by every mini-batch, so the
-/// passes themselves allocate nothing. All batches are laid out
+/// per `train_epoch` / `predict` call for the largest batch it will see
+/// and reused by every mini-batch, so the passes themselves allocate
+/// nothing. All batches are laid out
 /// channels-last, `[sample][len][channel]` (see [`crate::layers`]), so
 /// sample `s` of any of them is the sub-slice `[s * size..][..size]`.
 struct Workspace {
@@ -369,53 +368,6 @@ impl Network {
         }
     }
 
-    /// Accumulates gradients for the given sample indices **without**
-    /// stepping, returning the flattened gradient buffer (aligned with
-    /// [`Self::get_weights`]) and the summed loss. Internal accumulators
-    /// are cleared.
-    pub fn compute_gradients(&mut self, x: &Matrix, y: &[u8], idx: &[usize]) -> (Vec<f32>, f32) {
-        let mut ws = self.workspace(EVAL_BATCH.min(idx.len()));
-        let mut loss = 0.0;
-        for chunk in idx.chunks(EVAL_BATCH) {
-            loss += self.backprop_batch(&mut ws, x, y, chunk);
-        }
-        let mut flat = Vec::with_capacity(self.n_params());
-        for l in &mut self.layers {
-            if let Some((_, grads, _)) = l.params_mut() {
-                for g in grads {
-                    flat.extend_from_slice(g);
-                    g.fill(0.0);
-                }
-            }
-        }
-        (flat, loss)
-    }
-
-    /// Applies an externally-averaged flat gradient (one momentum-SGD
-    /// step over `batch` samples) — the per-batch synchronization used
-    /// by intra-node multi-GPU data parallelism.
-    ///
-    /// # Panics
-    /// Panics on gradient-size mismatch.
-    pub fn apply_gradients(&mut self, flat: &[f32], lr: f32, momentum: f32, batch: usize) {
-        assert_eq!(flat.len(), self.n_params(), "gradient buffer size mismatch");
-        let scale = lr / batch.max(1) as f32;
-        let mut off = 0;
-        for l in &mut self.layers {
-            if let Some((params, _, vels)) = l.params_mut() {
-                for (p, v) in params.into_iter().zip(vels) {
-                    let len = p.len();
-                    for ((pv, vv), gv) in p.iter_mut().zip(v.iter_mut()).zip(&flat[off..off + len])
-                    {
-                        *vv = momentum_step(momentum, *vv, scale * gv);
-                        *pv += *vv;
-                    }
-                    off += len;
-                }
-            }
-        }
-    }
-
     /// One SGD epoch over `(x, y)`; returns the mean loss. Each
     /// mini-batch is one batched forward/backward pass through a
     /// workspace built once per call.
@@ -491,6 +443,29 @@ mod tests {
             y.push(cls);
         }
         (Matrix::from_rows(&rows), y)
+    }
+
+    /// Accumulates the gradients of the rows `idx` as batches of at most
+    /// [`EVAL_BATCH`] without stepping; returns them flattened (aligned
+    /// with [`Network::get_weights`]) with the summed loss.
+    fn compute_gradients(
+        net: &mut Network,
+        x: &Matrix,
+        y: &[u8],
+        idx: &[usize],
+    ) -> (Vec<f32>, f32) {
+        let mut ws = net.workspace(EVAL_BATCH.min(idx.len()));
+        let mut loss = 0.0;
+        for chunk in idx.chunks(EVAL_BATCH) {
+            loss += net.backprop_batch(&mut ws, x, y, chunk);
+        }
+        let mut flat = Vec::with_capacity(net.n_params());
+        for l in &mut net.layers {
+            if let Some((_, grads, _)) = l.params_mut() {
+                grads.into_iter().for_each(|g| flat.extend_from_slice(g));
+            }
+        }
+        (flat, loss)
     }
 
     #[test]
@@ -598,32 +573,25 @@ mod tests {
     fn zero_gradient_steps_flush_velocities_instead_of_going_subnormal() {
         // A dead-ReLU filter's gradient is exactly 0, so its velocity
         // only decays: 0.9^n reaches the subnormals near step 800 and
-        // would stick at the smallest one. Both step functions.
-        type Step = fn(&mut Network);
-        let steps: [Step; 2] = [
-            |n| n.sgd_step(0.01, 0.9, 8),
-            |n| n.apply_gradients(&vec![0.0; n.n_params()], 0.01, 0.9, 8),
-        ];
+        // would stick at the smallest one.
         let (x, y) = toy_data(8, 64, 4);
-        for step in steps {
-            let mut net = Network::afib_cnn(64, 1);
-            net.train_epoch(&x, &y, &TrainParams::default(), 0);
-            let velocities = |n: &mut Network| -> Vec<f32> {
-                let layers = n.layers.iter_mut().filter_map(Layer::params_mut);
-                layers
-                    .flat_map(|(_, _, v)| v)
-                    .flatten()
-                    .map(|v| *v)
-                    .collect()
-            };
-            assert!(velocities(&mut net).iter().any(|&v| v != 0.0));
-            (0..1000).for_each(|_| step(&mut net));
-            let settled = net.get_weights();
-            (0..1000).for_each(|_| step(&mut net));
-            assert!(velocities(&mut net).iter().all(|&v| v == 0.0));
-            let bits = |w: Vec<f32>| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(net.get_weights()), bits(settled));
-        }
+        let mut net = Network::afib_cnn(64, 1);
+        net.train_epoch(&x, &y, &TrainParams::default(), 0);
+        let velocities = |n: &mut Network| -> Vec<f32> {
+            let layers = n.layers.iter_mut().filter_map(Layer::params_mut);
+            layers
+                .flat_map(|(_, _, v)| v)
+                .flatten()
+                .map(|v| *v)
+                .collect()
+        };
+        assert!(velocities(&mut net).iter().any(|&v| v != 0.0));
+        (0..1000).for_each(|_| net.sgd_step(0.01, 0.9, 8));
+        let settled = net.get_weights();
+        (0..1000).for_each(|_| net.sgd_step(0.01, 0.9, 8));
+        assert!(velocities(&mut net).iter().all(|&v| v == 0.0));
+        let bits = |w: Vec<f32>| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(net.get_weights()), bits(settled));
     }
 
     #[test]
@@ -693,11 +661,11 @@ mod tests {
             }
 
             let idx: Vec<usize> = (0..bsz).collect();
-            let (batched, loss) = net.clone().compute_gradients(&x, &y, &idx);
+            let (batched, loss) = compute_gradients(&mut net.clone(), &x, &y, &idx);
             let mut summed = vec![0.0f32; batched.len()];
             let mut loss1 = 0.0f32;
             for i in idx {
-                let (g, l) = net.clone().compute_gradients(&x, &y, &[i]);
+                let (g, l) = compute_gradients(&mut net.clone(), &x, &y, &[i]);
                 summed.iter_mut().zip(g).for_each(|(a, b)| *a += b);
                 loss1 += l;
             }

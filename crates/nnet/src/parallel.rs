@@ -141,79 +141,6 @@ pub fn train_data_parallel(
     model
 }
 
-/// Per-**batch** gradient-synchronized data parallelism — what EDDL does
-/// *inside* a node across GPUs ("EDDL in charge of distributing the data
-/// between the different GPUs"). Every mini-batch spawns one `cnn_grad`
-/// task per shard plus a `cnn_grad_merge` + `cnn_apply` step, so the
-/// task count is `batches x (workers + 2)` per epoch — demonstrating why
-/// the paper keeps this scheme intra-node and uses per-epoch weight
-/// merging across nodes.
-///
-/// Mathematically equivalent to large-batch SGD on the concatenated
-/// shards (gradients are averaged before each step).
-pub fn train_epoch_gradsync(
-    rt: &Runtime,
-    mut model: Handle<Network>,
-    shards: &[Handle<(Matrix, Vec<u8>)>],
-    shard_rows: &[usize],
-    cfg: &ParallelConfig,
-    epoch: u64,
-) -> Handle<Network> {
-    let tp = cfg.train;
-    let max_rows = shard_rows.iter().copied().max().unwrap_or(0);
-    let batches = max_rows.div_ceil(tp.batch_size.max(1));
-    for b in 0..batches {
-        let grads: Vec<Handle<(Vec<f32>, u64)>> = shards
-            .iter()
-            .map(|&s| {
-                rt.task("cnn_grad").gpus(cfg.gpus_per_task).run2(
-                    model,
-                    s,
-                    move |net: &Network, shard: &(Matrix, Vec<u8>)| {
-                        let lo = (b * tp.batch_size).min(shard.0.rows());
-                        let hi = ((b + 1) * tp.batch_size).min(shard.0.rows());
-                        let idx: Vec<usize> = (lo..hi).collect();
-                        if idx.is_empty() {
-                            return (vec![0.0; net.n_params()], 0u64);
-                        }
-                        let mut local = net.clone();
-                        let (g, _) = local.compute_gradients(&shard.0, &shard.1, &idx);
-                        (g, idx.len() as u64)
-                    },
-                )
-            })
-            .collect();
-        let merged = rt
-            .task("cnn_grad_merge")
-            .run_many(&grads, |gs: &[&(Vec<f32>, u64)]| {
-                let mut acc = vec![0.0f32; gs[0].0.len()];
-                let mut count = 0u64;
-                for (g, c) in gs {
-                    for (a, v) in acc.iter_mut().zip(g) {
-                        *a += v;
-                    }
-                    count += c;
-                }
-                (acc, count)
-            });
-        // INOUT weight application: the previous model version's only
-        // remaining consumer is this step (the batch's cnn_grad tasks
-        // read it first), so the update usually mutates the stored
-        // network directly instead of cloning the full weight set.
-        model = rt.task("cnn_apply").run2_inout(
-            model,
-            merged,
-            move |net: &mut Network, g: &(Vec<f32>, u64)| {
-                if g.1 > 0 {
-                    net.apply_gradients(&g.0, tp.lr, tp.momentum, g.1 as usize);
-                }
-            },
-        );
-    }
-    let _ = epoch;
-    model
-}
-
 /// K-fold training **without** nesting: folds run one after another
 /// because every epoch sync stalls the driver (Fig. 9).
 pub fn train_kfold(
@@ -459,80 +386,6 @@ mod tests {
                 assert!(!ids.contains(d), "fold tasks must not depend on each other");
             }
         }
-    }
-
-    #[test]
-    fn gradsync_equals_large_batch_sgd() {
-        // Gradient averaging across shards must match a single-network
-        // step over the concatenated batch.
-        let (x, y) = toy_data(16, 64, 9);
-        let rt = Runtime::new();
-        let net0 = Network::afib_cnn(64, 4);
-        let cfg = ParallelConfig {
-            epochs: 1,
-            workers: 2,
-            gpus_per_task: 1,
-            // One batch spanning each whole shard.
-            train: TrainParams {
-                lr: 0.05,
-                momentum: 0.0,
-                batch_size: 8,
-                seed: 0,
-            },
-        };
-        let shards = super::shard(&x, &y, 2);
-        let shard_rows: Vec<usize> = shards.iter().map(|(m, _)| m.rows()).collect();
-        let handles: Vec<_> = shards.iter().map(|s| rt.put(s.clone())).collect();
-        let trained =
-            train_epoch_gradsync(&rt, rt.put(net0.clone()), &handles, &shard_rows, &cfg, 0);
-        let distributed = rt.wait(trained);
-
-        // Reference: one step over all 16 samples.
-        let mut reference = net0.clone();
-        let idx: Vec<usize> = (0..16).collect();
-        let (g, _) = reference.compute_gradients(&x, &y, &idx);
-        reference.apply_gradients(&g, 0.05, 0.0, 16);
-
-        let (wd, wr) = (distributed.get_weights(), reference.get_weights());
-        let max_diff = wd
-            .iter()
-            .zip(&wr)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(max_diff < 1e-5, "max weight diff {max_diff}");
-    }
-
-    #[test]
-    fn gradsync_task_count_explodes_with_batches() {
-        let (x, y) = toy_data(32, 64, 10);
-        let rt = Runtime::new();
-        let cfg = ParallelConfig {
-            epochs: 1,
-            workers: 4,
-            gpus_per_task: 1,
-            train: TrainParams {
-                lr: 0.05,
-                momentum: 0.9,
-                batch_size: 2,
-                seed: 0,
-            },
-        };
-        let shards = super::shard(&x, &y, 4);
-        let shard_rows: Vec<usize> = shards.iter().map(|(m, _)| m.rows()).collect();
-        let handles: Vec<_> = shards.iter().map(|s| rt.put(s.clone())).collect();
-        let _ = train_epoch_gradsync(
-            &rt,
-            rt.put(Network::afib_cnn(64, 0)),
-            &handles,
-            &shard_rows,
-            &cfg,
-            0,
-        );
-        let hist = rt.trace().task_histogram();
-        // 8 rows/shard, batch 2 -> 4 batches x 4 workers = 16 grad tasks.
-        assert_eq!(hist["cnn_grad"], 16);
-        assert_eq!(hist["cnn_grad_merge"], 4);
-        assert_eq!(hist["cnn_apply"], 4);
     }
 
     #[test]

@@ -82,7 +82,9 @@ fn main() {
         }
         truth.extend_from_slice(&yte);
     }
-    println!("cross-validated ROC AUC: {:.3}", roc_auc(&truth, &scores));
+    let auc = roc_auc(&truth, &scores);
+    println!("cross-validated ROC AUC: {auc:.3}");
+    assert!(auc > 0.5, "the forest ranks AF no better than chance");
     for target in [0.90, 0.95, 0.99] {
         match threshold_for_recall(&truth, &scores, target) {
             Some(thr) => {

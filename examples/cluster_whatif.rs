@@ -57,6 +57,7 @@ fn main() {
         "{:>14} {:>12} {:>14}",
         "bandwidth", "makespan(s)", "moved (MB)"
     );
+    let mut makespans = Vec::new();
     for (label, bps) in [
         ("10 Gbit/s", 1.25e9),
         ("1 Gbit/s", 1.25e8),
@@ -76,7 +77,12 @@ fn main() {
             rep.makespan_s,
             rep.transferred_bytes / 1e6
         );
+        makespans.push(rep.makespan_s);
     }
+    assert!(
+        makespans[2] > makespans[0],
+        "a 100 Mbit/s link must cost time over 10 Gbit/s: {makespans:?}"
+    );
 
     banner("4. timeline: where did the time go? (2-node run)");
     let rep = simulate(
@@ -89,6 +95,7 @@ fn main() {
     println!("busy seconds per node: {busy:.3?}");
 
     banner("5. does the scheduling policy matter?");
+    let mut moved = Vec::new();
     for (name, policy) in [
         ("fifo        ", Policy::Fifo),
         ("round-robin ", Policy::RoundRobin),
@@ -104,6 +111,12 @@ fn main() {
             rep.makespan_s,
             rep.transferred_bytes / 1e6
         );
+        moved.push(rep.transferred_bytes);
     }
+    // fifo, round-robin, locality: in that order above.
+    assert!(
+        moved[2] <= moved[1],
+        "locality-aware placement moved more bytes than round-robin: {moved:?}"
+    );
     println!("(locality-aware placement avoids re-shipping blocks — cheapest on slow links)");
 }

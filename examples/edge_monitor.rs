@@ -181,9 +181,11 @@ fn main() {
             correct += 1;
         }
     }
+    let agreement = correct as f64 / detections.len() as f64;
     println!(
         "window-level agreement: {:.1} % over {} windows",
-        correct as f64 / detections.len() as f64 * 100.0,
+        agreement * 100.0,
         detections.len()
     );
+    assert!(agreement >= 0.8, "the edge model misreads the stream");
 }
