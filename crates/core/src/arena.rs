@@ -1,5 +1,8 @@
-//! The paged, push-only store backing the runtime's task, data and
-//! record tables.
+//! The paged, push-only store backing the runtime's tables: one store
+//! each for the task rows, the data entries, the flat input list every
+//! task's inputs are a range of, and the dependent edges (the private
+//! `tables` module holds the row types and builds the exported records
+//! from them).
 //!
 //! The scheduler's tables are dense: ids are handed out sequentially
 //! and every lookup is an index, never a hash (see [`crate::runtime`]).
@@ -30,7 +33,8 @@ pub struct Store<T> {
     pages: Vec<Vec<T>>,
     /// Entries pushed so far (the next sequential id).
     len: usize,
-    /// Entity name for panic messages ("task" / "data" / "record").
+    /// Entity name for panic messages ("task" / "data" / "input" /
+    /// "edge").
     label: &'static str,
 }
 

@@ -8,6 +8,12 @@
 
 use std::fmt;
 
+/// The deepest array/object nesting [`Value::parse`] accepts. A trace
+/// nests four levels per nested runtime, so real documents stay far
+/// below it; past it the parser returns an error instead of recursing
+/// until the stack overflows.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON document node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -116,11 +122,13 @@ impl Value {
             .ok_or_else(|| JsonError::msg(format!("missing field '{key}'")))
     }
 
-    /// Parses a JSON document.
+    /// Parses a JSON document. Nesting deeper than [`MAX_DEPTH`] is an
+    /// error.
     pub fn parse(s: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -304,6 +312,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -352,11 +362,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, JsonError> {
@@ -537,6 +562,24 @@ mod tests {
         assert!(Value::parse("nul").is_err());
         assert!(Value::parse("1 2").is_err());
         assert!(Value::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = Value::parse(&deep).unwrap_err();
+        assert!(
+            err.to_string().contains("nesting deeper than 128 levels"),
+            "{err}"
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(Value::parse(&objects)
+            .unwrap_err()
+            .to_string()
+            .contains("nesting deeper"));
+        // The cap itself still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&ok).is_ok());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! |---|---|
 //! | [`runtime`] | [`Runtime`], [`TaskBuilder`], execution modes, nesting |
 //! | [`dist`] | multi-process driver/worker executor over Unix sockets |
-//! | [`arena`] | the paged, push-only store behind the task/data/record tables |
+//! | [`arena`] | the paged, push-only store behind the task, data, input and edge tables |
 //! | [`fault`] | [`OnFailure`] / [`RetryPolicy`] policies, [`FaultPlan`] injection |
 //! | [`handle`] | [`Handle`], [`DataId`], [`TaskId`] |
 //! | [`payload`] | the [`Payload`] trait (what can flow between tasks) |
@@ -62,6 +62,7 @@ pub mod obs;
 pub mod payload;
 pub mod runtime;
 pub mod sim;
+mod tables;
 pub mod telemetry;
 pub mod trace;
 

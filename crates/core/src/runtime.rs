@@ -15,8 +15,8 @@
 //!   submitted them earlier.
 //! * Tasks may be **nested** ([`TaskBuilder::run_nested1`]): the task body
 //!   receives its own child [`Runtime`], whose trace is recorded inside
-//!   the parent task's [`TaskRecord`]. This is the PyCOMPSs "nesting"
-//!   feature the paper uses to parallelize CNN folds.
+//!   the parent task's [`TaskRecord`](crate::TaskRecord). This is the
+//!   PyCOMPSs "nesting" feature the paper uses to parallelize CNN folds.
 //!
 //! Two execution modes share the same submission path and produce the
 //! same [`Trace`]:
@@ -35,9 +35,13 @@
 //!   sequentially, so every per-task and per-datum lookup is a shift,
 //!   a mask and two indexed loads into one paged table
 //!   ([`crate::arena::Store`]) — no hashing anywhere on the hot path.
-//!   A task's id doubles as its record index in the trace. The tables
-//!   are push-only: no entry is ever removed, so [`Runtime::trace`] and
-//!   [`Runtime::finish`] are complete by construction.
+//!   Each task is one fixed-size row that owns no heap object; its
+//!   inputs and dependents live in flat push-only stores beside it, and
+//!   its [`TaskRecord`](crate::TaskRecord) is built only when
+//!   [`Runtime::trace`] asks (see the `tables` module). A task's id
+//!   doubles as its record index. Nothing is ever removed, so
+//!   [`Runtime::trace`] and [`Runtime::finish`] are complete by
+//!   construction.
 //! * **Release-time resolution.** A task that becomes ready is turned
 //!   into a self-contained `ReadyRun` (job closure + cloned input
 //!   `Arc`s) under whichever lock released it, so executing it later
@@ -63,28 +67,22 @@
 //!   shutdown and joins every worker; no threads outlive the runtime
 //!   (observable via [`live_worker_threads`]).
 
-use crate::arena::Store;
 use crate::fault::{FaultMode, FaultPlan, OnFailure, RetryPolicy, TaskFault, INJECTED_PANIC};
 use crate::handle::{DataId, Handle, TaskId};
 use crate::obs::{Counters, RuntimeStats};
 use crate::payload::Payload;
+use crate::tables::{
+    AnyArc, DataEntry, Kinds, PendingJob, Row, Slot, Status, Tables, TaskFn, BARRIER_KIND, DRIVER,
+    SYNC_KIND,
+};
 use crate::telemetry::{HistogramSnapshot, Registry};
-use crate::trace::{AttemptRecord, TaskRecord, Trace, BARRIER_TASK, SPLIT_TASK, SYNC_TASK};
+use crate::trace::{AttemptRecord, Trace, SPLIT_TASK};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Type-erased shared value.
-type AnyArc = Arc<dyn Any + Send + Sync>;
-
-/// Type-erased task body: receives the resolved inputs (mutable so
-/// INOUT wrappers can take ownership of individual entries), returns
-/// the outputs with their approximate byte sizes. `FnMut` rather than
-/// `FnOnce` so a retryable task's body can be invoked once per attempt.
-type TaskFn = Box<dyn FnMut(&TaskCtx, &mut Vec<AnyArc>) -> Vec<(AnyArc, usize)> + Send>;
 
 /// Poison-tolerant lock: a panicking task body never leaves the
 /// scheduler unusable (task panics are caught, but driver-side panics
@@ -137,7 +135,8 @@ pub struct RuntimeConfig {
     pub nested_mode: ExecMode,
     /// The one observability switch: whether the scheduler maintains
     /// its counters (see [`crate::obs`] and [`Runtime::stats`]) and
-    /// stamps each record's [`TaskRecord::ready_s`]. Updates are
+    /// stamps each record's
+    /// [`TaskRecord::ready_s`](crate::TaskRecord::ready_s). Updates are
     /// relaxed atomics off the lock path, so the default is on; the
     /// benchmark's `obs.recording_overhead_frac` (`sched_fine --trace
     /// 1`) measures the on-vs-off gap. Events, latency histograms and
@@ -202,73 +201,6 @@ impl TaskCtx {
     }
 }
 
-enum Slot {
-    Pending,
-    Ready(AnyArc, usize),
-    /// The value was handed over (by move) to an INOUT task — this
-    /// version of the datum no longer exists; the consuming task's
-    /// output is the successor version. Keeps the byte size so records
-    /// and the simulator still see transfer sizes. Reading a moved
-    /// datum is a contract violation and fails loudly.
-    Moved(usize),
-    /// The value will never materialize: its producer failed under
-    /// [`OnFailure::Ignore`] or was cancelled. `barrier` tolerates
-    /// poisoned data; `wait`/`peek` on it panics with the recorded
-    /// reason.
-    Poisoned(Arc<str>),
-}
-
-/// Per-datum entry, indexed by `DataId`.
-struct DataEntry {
-    slot: Slot,
-    /// Producing task, if any (`None` for `put` data).
-    producer: Option<TaskId>,
-    /// Submitted-but-not-yet-dispatched tasks reading this datum. An
-    /// INOUT task may steal the buffer only when this is zero *and* the
-    /// store holds the only live `Arc` (no dispatched-but-running
-    /// reader, no driver-side `peek`/`wait` clone). Failure cascades
-    /// leak increments (their `make_run` never runs), which only makes
-    /// later consumers fall back to the copy path — conservative.
-    pending_reads: usize,
-    /// Worker whose cache most recently held this value: the producer
-    /// that committed it (stamped in `execute_one`), or [`DRIVER`]
-    /// (-1) for `put` data and inline/driver executions. Feeds the
-    /// affinity hint on dependent tasks (see [`ReadyRun::affinity`]);
-    /// never read for correctness.
-    last_touch: i64,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Status {
-    /// Some dependencies are still unfinished.
-    Waiting,
-    /// All dependencies done; queued (or about to be) for execution.
-    Ready,
-    /// Completed successfully (or failed under [`OnFailure::Ignore`],
-    /// in which case the outputs are poisoned).
-    Done,
-    /// Panicked, or depends (transitively) on a task that did.
-    Failed,
-    /// Never ran: an upstream task failed under [`OnFailure::Ignore`]
-    /// or [`OnFailure::CancelSuccessors`]. Terminal for `barrier`;
-    /// outputs are poisoned.
-    Cancelled,
-}
-
-/// A staged task body, held while the task waits on dependencies.
-/// Input/output data ids are not duplicated here — the task's
-/// [`TaskRecord`] already carries them (one less allocation per task
-/// on the submission hot path).
-struct PendingJob {
-    f: TaskFn,
-    /// Bit `i` set ⇒ input `i` has INOUT (consume) semantics: the
-    /// dispatcher may move the stored value into the task when it is
-    /// the last live consumer. Inputs beyond 64 are never consumed.
-    consume_mask: u64,
-    /// Failure policy + retry parameters declared at submission.
-    fault: TaskFault,
-}
-
 /// A task made fully self-contained at *release* time: the body plus
 /// its already-resolved inputs. Built by [`make_run`] under whichever
 /// state lock released the task (submission or a predecessor's
@@ -286,10 +218,10 @@ struct ReadyRun {
     ready_at: Option<Instant>,
     /// Failure policy carried from submission to the executor.
     fault: TaskFault,
-    /// Task kind name, cloned at release *only* when a [`FaultPlan`]
-    /// is installed (injection decisions match on the kind); `None`
-    /// keeps the no-chaos hot path allocation-free.
-    name: Option<String>,
+    /// Interned task kind, carried *only* when a [`FaultPlan`] is
+    /// installed at release (injection decisions match on the kind);
+    /// `None` keeps the no-chaos path off the plan and kinds locks.
+    kind: Option<u32>,
     /// Locality hint: the worker whose cache most recently held this
     /// task's largest input ([`DRIVER`] when the task has no inputs or
     /// everything was driver-produced — always, in inline mode).
@@ -308,25 +240,31 @@ struct ReadyRun {
 /// same batch) so instrumentation never lengthens the serialized
 /// critical section. `None` when metrics are off.
 fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool) -> ReadyRun {
-    let ti = tid.0 as usize;
-    let job = st.tasks[ti].job.take().expect("ready task has a job");
+    let Tables {
+        data, rows, inputs, ..
+    } = &mut st.tables;
+    let row = &mut rows[tid.0 as usize];
+    let job = row.job.take().expect("ready task has a job");
+    let fault = row.fault();
     // A retryable task must keep its inputs pristine across attempts:
     // a stolen buffer mutated by a half-finished failed attempt cannot
     // be replayed, so steals are disabled and the body falls back to
     // the (result-identical) clone path.
-    let consume_mask = if job.fault.retryable() {
+    let consume_mask = if fault.retryable() {
         0
     } else {
         job.consume_mask
     };
-    let rec = &st.records[ti];
+    let range = Tables::input_range(row);
+    let kind = inject.then_some(row.kind);
     // This task stops being a *pending* reader of its inputs here —
     // before the steal checks below, so its own registration never
     // blocks its own steal.
-    for (d, _) in rec.inputs.iter() {
-        st.data[d.0 as usize].pending_reads -= 1;
+    for j in range.clone() {
+        let (d, _) = inputs[j];
+        data[d.0 as usize].pending_reads -= 1;
     }
-    let mut inputs = Vec::with_capacity(rec.inputs.len());
+    let mut resolved = Vec::with_capacity(range.len());
     // Affinity hint: the last-touch worker of the largest input — the
     // byte-weighted guess at which core's cache still holds this
     // task's working set. Computed inline with input resolution (no
@@ -334,8 +272,9 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
     // carry no hint.
     let mut affinity = DRIVER;
     let mut aff_bytes = 0usize;
-    for (i, (d, _)) in rec.inputs.iter().enumerate() {
-        let entry = &mut st.data[d.0 as usize];
+    for (i, j) in range.enumerate() {
+        let d = inputs[j].0;
+        let entry = &mut data[d.0 as usize];
         if entry.last_touch >= 0 {
             let b = match &entry.slot {
                 Slot::Ready(_, b) => *b,
@@ -358,7 +297,7 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
                 if Arc::strong_count(v) == 1 {
                     let bytes = *b;
                     match std::mem::replace(&mut entry.slot, Slot::Moved(bytes)) {
-                        Slot::Ready(v, _) => inputs.push(v),
+                        Slot::Ready(v, _) => resolved.push(v),
                         _ => unreachable!(),
                     }
                     continue;
@@ -366,7 +305,7 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
             }
         }
         match &entry.slot {
-            Slot::Ready(v, _) => inputs.push(v.clone()),
+            Slot::Ready(v, _) => resolved.push(v.clone()),
             Slot::Pending => unreachable!("input {d:?} not ready for task {tid:?}"),
             // Submission fails tasks reading consumed data in place,
             // so a dispatched task can never see a moved IN input.
@@ -381,37 +320,21 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
     ReadyRun {
         id: tid,
         f: job.f,
-        inputs,
+        inputs: resolved,
         ready_at,
-        fault: job.fault,
-        name: inject.then(|| st.records[ti].name.clone()),
+        fault,
+        kind,
         affinity,
     }
 }
 
-/// Per-task scheduling entry, indexed by `TaskId` (== record index).
-struct TaskEntry {
-    status: Status,
-    /// Unfinished dependencies (meaningful while `Waiting`).
-    remaining: usize,
-    /// Tasks to release when this one completes.
-    dependents: Vec<TaskId>,
-    /// The body, staged until execution.
-    job: Option<PendingJob>,
-    /// Failure message (shared across the transitive failure cone).
-    failure: Option<Arc<str>>,
-    /// Declared failure policy; decides whether a recorded failure is
-    /// fatal to `barrier` ([`OnFailure::Fail`]/[`OnFailure::Retry`])
-    /// or tolerated ([`OnFailure::CancelSuccessors`]).
-    on_failure: OnFailure,
-}
-
 struct State {
-    data: Store<DataEntry>,
-    tasks: Store<TaskEntry>,
-    records: Store<TaskRecord>,
-    sync_marker: Option<TaskId>,
-    since_barrier: Vec<TaskId>,
+    /// Every task, datum, input and dependent edge, indexed by id; see
+    /// [`crate::tables`].
+    tables: Tables,
+    /// The latest barrier marker (0 before the first): the next barrier
+    /// waits on every id from here up to itself.
+    last_barrier: u64,
     /// Drivers currently blocked in `wait`/`barrier`; completion skips
     /// the condvar entirely when zero.
     waiters: usize,
@@ -422,6 +345,9 @@ struct State {
     /// whenever a worker is idle, so eager execution is preserved; an
     /// idle worker also drains it directly (see [`flush_staged`]).
     staged: Vec<ReadyRun>,
+    /// Reused by `submit_locked` to sort and deduplicate a task's
+    /// producers.
+    producers: Vec<TaskId>,
 }
 
 struct WakeState {
@@ -460,6 +386,9 @@ struct Shared {
     /// Mirror of `sleepers > tokens`, maintained under the wake lock;
     /// lets `submit_locked` decide stage-vs-flush without that lock.
     idle_hint: AtomicBool,
+    /// Kind names, interned by [`Runtime::task`] outside the state
+    /// lock. Lock order: `state → kinds`, one-way.
+    kinds: Mutex<Kinds>,
     /// Installed fault-injection plan (chaos harness), if any.
     fault_plan: Mutex<Option<Arc<FaultPlan>>>,
     /// Mirror of `fault_plan.is_some()`: a relaxed load keeps the
@@ -529,13 +458,11 @@ impl Runtime {
         let shared = Arc::new(Shared {
             config,
             state: Mutex::new(State {
-                data: Store::new("data"),
-                tasks: Store::new("task"),
-                records: Store::new("record"),
-                sync_marker: None,
-                since_barrier: Vec::new(),
+                tables: Tables::new(),
+                last_barrier: 0,
                 waiters: 0,
                 staged: Vec::new(),
+                producers: Vec::new(),
             }),
             cv: Condvar::new(),
             injector: Mutex::new(VecDeque::new()),
@@ -549,6 +476,7 @@ impl Runtime {
             }),
             wake_cv: Condvar::new(),
             idle_hint: AtomicBool::new(false),
+            kinds: Mutex::new(Kinds::new()),
             fault_plan: Mutex::new(None),
             fault_active: AtomicBool::new(false),
             epoch,
@@ -573,14 +501,9 @@ impl Runtime {
     /// places such data on the master node (node 0).
     pub fn put<T: Payload>(&self, value: T) -> Handle<T> {
         let bytes = value.approx_bytes();
-        let mut st = lock(&self.inner.shared.state);
-        let id = DataId(st.data.len() as u64);
-        st.data.push(DataEntry {
-            slot: Slot::Ready(Arc::new(value), bytes),
-            producer: None,
-            pending_reads: 0,
-            last_touch: DRIVER,
-        });
+        let data = &mut lock(&self.inner.shared.state).tables.data;
+        let id = DataId(data.len() as u64);
+        data.push(DataEntry::new(Slot::Ready(Arc::new(value), bytes), None));
         Handle::new(id)
     }
 
@@ -592,7 +515,7 @@ impl Runtime {
     pub fn task(&self, name: &str) -> TaskBuilder<'_> {
         TaskBuilder {
             rt: self,
-            name: name.to_string(),
+            kind: lock(&self.inner.shared.kinds).intern(name),
             cores: 1,
             gpus: 0,
             fault: TaskFault::default(),
@@ -621,19 +544,15 @@ impl Runtime {
     /// Panics if the producing task panicked.
     pub fn wait<T: Payload>(&self, h: Handle<T>) -> Arc<T> {
         // Record the sync marker first (driver-side order is submission
-        // order), then block.
+        // order), then block. Its one input is the waited datum, so its
+        // exported deps are that datum's producer plus the previous
+        // marker (see `Tables::records`).
         {
-            let mut st = lock(&self.inner.shared.state);
-            if let Some(producer) = st.data[h.id.0 as usize].producer {
-                let mut deps = vec![producer];
-                if let Some(prev) = st.sync_marker {
-                    if prev != producer {
-                        deps.push(prev);
-                    }
-                }
-                let marker = Self::push_marker(&mut st, SYNC_TASK, deps);
-                st.sync_marker = Some(marker);
-                st.since_barrier.push(marker);
+            let t = &mut lock(&self.inner.shared.state).tables;
+            if t.data[h.id.0 as usize].producer.is_some() {
+                let at = t.inputs.len();
+                t.inputs.push((h.id, 0));
+                t.rows.push(Row::new(SYNC_KIND, at, 1, Status::Done));
             }
         }
         self.block_on(h.id)
@@ -648,15 +567,15 @@ impl Runtime {
     fn block_on<T: Payload>(&self, id: DataId) -> Arc<T> {
         let shared = &self.inner.shared;
         let di = id.0 as usize;
-        if di >= lock(&shared.state).data.len() {
+        if di >= lock(&shared.state).tables.data.len() {
             panic!("unknown data id {id:?}");
         }
         // Failures are reported after `drive_until` returns, i.e. with
         // the state lock released.
         let outcome = drive_until(shared, |st| {
-            let entry = &st.data[di];
+            let entry = &st.tables.data[di];
             if let Some(p) = entry.producer {
-                if let Some(msg) = &st.tasks[p.0 as usize].failure {
+                if let Some(msg) = st.tables.rows[p.0 as usize].failure() {
                     return Some(Err(format!("dependency task failed: {msg}")));
                 }
             }
@@ -680,38 +599,43 @@ impl Runtime {
     /// marker (PyCOMPSs `compss_barrier`).
     pub fn barrier(&self) {
         let shared = &self.inner.shared;
-        let pending: Vec<TaskId> = {
+        // The barrier waits on every id since the previous barrier
+        // marker (that marker included): ids are dense, so the range is
+        // the set.
+        let pending = {
             let mut st = lock(&shared.state);
-            let deps = std::mem::take(&mut st.since_barrier);
-            let marker = Self::push_marker(&mut st, BARRIER_TASK, deps.clone());
-            st.sync_marker = Some(marker);
-            st.since_barrier = vec![marker];
-            deps
+            let marker = st.tables.rows.len() as u64;
+            st.tables
+                .rows
+                .push(Row::new(BARRIER_KIND, 0, 0, Status::Done));
+            let from = std::mem::replace(&mut st.last_barrier, marker);
+            from as usize..marker as usize
         };
         let outcome = drive_until(shared, |st| {
-            for &t in &pending {
-                let e = &st.tasks[t.0 as usize];
+            let rows = &st.tables.rows;
+            for t in pending.clone() {
+                let e = &rows[t];
                 // Non-fatal policies (CancelSuccessors) record a
                 // failure but let the barrier pass; only Fail/Retry
                 // failures abort the workflow here.
                 if !matches!(e.on_failure, OnFailure::Fail | OnFailure::Retry) {
                     continue;
                 }
-                if let Some(msg) = &e.failure {
-                    let rec = &st.records[t.0 as usize];
-                    let name = &rec.name;
-                    let attempts = rec.attempts.len().max(1);
+                if let Some(msg) = e.failure() {
+                    let name = lock(&shared.kinds).name(e.kind).clone();
+                    let attempts = e.attempts().len().max(1);
                     return Some(Err(format!(
-                        "task '{name}' ({t:?}) failed before barrier \
-                         after {attempts} attempt(s): {msg}"
+                        "task '{name}' ({:?}) failed before barrier \
+                         after {attempts} attempt(s): {msg}",
+                        TaskId(t as u64)
                     )));
                 }
             }
             pending
-                .iter()
-                .all(|&t| {
+                .clone()
+                .all(|t| {
                     matches!(
-                        st.tasks[t.0 as usize].status,
+                        rows[t].status,
                         Status::Done | Status::Failed | Status::Cancelled
                     )
                 })
@@ -729,8 +653,8 @@ impl Runtime {
         A: Payload + Clone,
         B: Payload + Clone,
     {
-        let ids = self.task(SPLIT_TASK).cores(0).submit(
-            vec![h.id],
+        let first = self.task(SPLIT_TASK).cores(0).submit(
+            [h.id],
             0,
             2,
             Box::new(move |_ctx, ins| {
@@ -743,7 +667,7 @@ impl Runtime {
                 vec![(Arc::new(a) as AnyArc, ba), (Arc::new(b) as AnyArc, bb)]
             }),
         );
-        (Handle::new(ids[0]), Handle::new(ids[1]))
+        (Handle::new(first), Handle::new(DataId(first.0 + 1)))
     }
 
     /// Snapshot of the trace recorded so far: every record, in task-id
@@ -752,9 +676,10 @@ impl Runtime {
     ///
     /// [`barrier`]: Runtime::barrier
     pub fn trace(&self) -> Trace {
-        let st = lock(&self.inner.shared.state);
+        let shared = &self.inner.shared;
+        let st = lock(&shared.state);
         Trace {
-            records: st.records.iter().cloned().collect(),
+            records: st.tables.records(&lock(&shared.kinds)),
         }
     }
 
@@ -766,7 +691,7 @@ impl Runtime {
 
     /// Number of tasks submitted so far (markers included).
     pub fn task_count(&self) -> usize {
-        lock(&self.inner.shared.state).records.len()
+        lock(&self.inner.shared.state).tables.rows.len()
     }
 
     /// Snapshot of the scheduler's observability counters (see
@@ -789,15 +714,16 @@ impl Runtime {
         let (mut queue_wait, mut run, mut attempt) = (Vec::new(), Vec::new(), Vec::new());
         {
             let st = lock(&self.inner.shared.state);
-            for r in st.records.iter().filter(|r| r.ran()) {
+            for r in st.tables.rows.iter().filter(|r| r.ran()) {
                 run.push(ns(r.duration_s));
-                if r.attempts.is_empty() {
+                let attempts = r.attempts();
+                if attempts.is_empty() {
                     attempt.push(ns(r.duration_s));
                 } else {
-                    attempt.extend(r.attempts.iter().map(|a| ns(a.duration_s)));
+                    attempt.extend(attempts.iter().map(|a| ns(a.duration_s)));
                 }
                 if r.ready_s > 0.0 {
-                    let first_start = r.attempts.first().map_or(r.start_s, |a| a.start_s);
+                    let first_start = attempts.first().map_or(r.start_s, |a| a.start_s);
                     queue_wait.push(ns(first_start - r.ready_s));
                 }
             }
@@ -896,48 +822,13 @@ impl Runtime {
         );
         reg
     }
-
-    /// Markers are born `Done`: they never execute, they only shape the
-    /// dependency graph.
-    fn push_marker(st: &mut State, name: &str, mut deps: Vec<TaskId>) -> TaskId {
-        deps.sort_unstable();
-        deps.dedup();
-        let id = TaskId(st.tasks.len() as u64);
-        let seq = st.records.len() as u64;
-        st.records.push(TaskRecord {
-            id,
-            name: name.to_string(),
-            deps,
-            duration_s: 0.0,
-            inputs: vec![],
-            outputs: vec![],
-            cores: 0,
-            gpus: 0,
-            seq,
-            ready_s: 0.0,
-            start_s: 0.0,
-            worker: -1,
-            child: None,
-            attempts: vec![],
-        });
-        st.tasks.push(TaskEntry {
-            status: Status::Done,
-            remaining: 0,
-            dependents: Vec::new(),
-            job: None,
-            failure: None,
-            on_failure: OnFailure::Fail,
-        });
-        id
-    }
 }
 
 impl TaskBuilder<'_> {
-    /// The one submission path every `run*` method funnels into:
-    /// sanitize the consume mask, run the [`submit_locked`] transaction
-    /// under the state lock, then execute / wake outside it.
-    /// The builder carries the task's name, resources and failure
-    /// policy into the record and the staged job.
+    /// The one submission path every `run*` method funnels into: push
+    /// the inputs and run the [`submit_locked`] transaction under the
+    /// state lock, then execute / wake outside it. Returns the first of
+    /// the task's `n_outputs` contiguous output ids.
     ///
     /// Bit `i` of `consume_mask` marks input `i` as consumable — the
     /// dispatcher moves the stored value into the task when the task is
@@ -948,244 +839,188 @@ impl TaskBuilder<'_> {
     /// post-task version of the datum is the one to keep using.
     fn submit(
         self,
-        inputs: Vec<DataId>,
-        mut consume_mask: u64,
+        inputs: impl IntoIterator<Item = DataId>,
+        consume_mask: u64,
         n_outputs: usize,
         f: TaskFn,
-    ) -> Vec<DataId> {
-        // A datum passed twice to the same task must never be consumed:
-        // stealing one occurrence would leave the other dangling. Clear
-        // every consume bit of any duplicated id (inputs are short —
-        // the quadratic scan only runs for consuming submissions).
-        if consume_mask != 0 {
-            for i in 0..inputs.len().min(64) {
-                if consume_mask >> i & 1 == 1
-                    && inputs
-                        .iter()
-                        .enumerate()
-                        .any(|(j, d)| j != i && *d == inputs[i])
-                {
-                    consume_mask &= !(1u64 << i);
-                }
-            }
-        }
+    ) -> DataId {
         let shared = &self.rt.inner.shared;
         let mut inline_runs = INLINE_WORKLIST.with(std::cell::Cell::take);
-        let (outputs, wake_n) = submit_locked(
-            self,
-            &mut lock(&shared.state),
-            inputs,
-            consume_mask,
-            n_outputs,
-            f,
-            &mut inline_runs,
-        );
+        let (first, wake_n) = {
+            let mut st = lock(&shared.state);
+            let at = st.tables.inputs.len();
+            for d in inputs {
+                st.tables.inputs.push((d, 0));
+            }
+            submit_locked(
+                self,
+                &mut st,
+                at,
+                consume_mask,
+                n_outputs,
+                f,
+                &mut inline_runs,
+            )
+        };
         let scratch = run_worklist(shared, inline_runs);
         INLINE_WORKLIST.with(|c| c.set(scratch));
         if wake_n > 0 {
             wake(shared, wake_n);
         }
-        outputs
+        first
     }
 }
 
-/// The single-task submission transaction: allocates the output
-/// entries, detects dependencies, records the task `b` describes, and
-/// dispatches it if ready — all under the state lock the caller holds.
-/// A ready inline-mode task is appended to `inline_runs` (the caller
-/// executes it after unlocking); returns the output ids and the
-/// threaded-mode wake obligations. Lock order state -> wake/injector
-/// is one-way: nothing here acquires the state lock while holding
-/// either.
+/// The single-task submission transaction: sizes the inputs the caller
+/// pushed at `at..`, detects dependencies, allocates the outputs,
+/// records the task `b` describes, and dispatches it if ready — all
+/// under the state lock the caller holds. A ready inline-mode task is
+/// appended to `inline_runs` (the caller executes it after unlocking);
+/// returns the first output id and the threaded-mode wake obligations.
+/// Lock order state -> wake/injector is one-way: nothing here acquires
+/// the state lock while holding either.
 fn submit_locked(
     b: TaskBuilder<'_>,
     st: &mut State,
-    inputs: Vec<DataId>,
-    consume_mask: u64,
+    at: usize,
+    mut consume_mask: u64,
     n_outputs: usize,
     f: TaskFn,
     inline_runs: &mut Vec<ReadyRun>,
-) -> (Vec<DataId>, usize) {
+) -> (DataId, usize) {
     let TaskBuilder {
         rt,
-        name,
+        kind,
         cores,
         gpus,
         fault,
     } = b;
     let shared = &rt.inner.shared;
-    let tid = TaskId(st.tasks.len() as u64);
+    let State {
+        tables: t,
+        producers,
+        ..
+    } = st;
+    let tid = TaskId(t.rows.len() as u64);
+    let range = at..t.inputs.len();
 
-    let outputs: Vec<DataId> = (0..n_outputs)
-        .map(|_| {
-            let id = DataId(st.data.len() as u64);
-            st.data.push(DataEntry {
-                slot: Slot::Pending,
-                producer: Some(tid),
-                pending_reads: 0,
-                last_touch: DRIVER,
-            });
-            id
-        })
-        .collect();
+    // A datum passed twice to the same task must never be consumed:
+    // stealing one occurrence would leave the other dangling. Clear
+    // every consume bit of any duplicated id (inputs are short — the
+    // quadratic scan only runs for consuming submissions).
+    if consume_mask != 0 {
+        for i in 0..range.len().min(64) {
+            let d = t.inputs[at + i].0;
+            if consume_mask >> i & 1 == 1
+                && range
+                    .clone()
+                    .enumerate()
+                    .any(|(k, j)| k != i && t.inputs[j].0 == d)
+            {
+                consume_mask &= !(1u64 << i);
+            }
+        }
+    }
 
-    let seq = st.records.len() as u64;
+    // Input sizes as of now (`Pending` ones are filled in at commit)
+    // and the data dependencies: the last writer of each input. The
+    // sync marker current at submission is a dependency too, but it is
+    // always done and never failed, so only the export derives it.
     let mut consumed_input = None;
     let mut poisoned_input: Option<Arc<str>> = None;
-    let input_bytes: Vec<(DataId, usize)> = inputs
-        .iter()
-        .map(|d| {
-            let b = match &st.data[d.0 as usize].slot {
-                Slot::Ready(_, b) => *b,
-                Slot::Moved(b) => {
-                    consumed_input = Some(*d);
-                    *b
-                }
-                Slot::Pending => 0, // filled in at completion
-                Slot::Poisoned(m) => {
-                    poisoned_input = Some(m.clone());
-                    0
-                }
-            };
-            (*d, b)
-        })
-        .collect();
-
-    // Data dependencies: last writer of each input. Consuming
-    // `inputs` by value lets `collect` reuse its allocation
-    // (same-layout in-place collection) — the record's `inputs`
-    // carries the ids from here on.
-    let mut deps: Vec<TaskId> = inputs
-        .into_iter()
-        .filter_map(|d| st.data[d.0 as usize].producer)
-        .collect();
-    if let Some(m) = st.sync_marker {
-        deps.push(m);
+    producers.clear();
+    for j in range.clone() {
+        let d = t.inputs[j].0;
+        let entry = &t.data[d.0 as usize];
+        t.inputs[j].1 = match &entry.slot {
+            Slot::Ready(_, b) => *b,
+            Slot::Moved(b) => {
+                consumed_input = Some(d);
+                *b
+            }
+            Slot::Pending => 0,
+            Slot::Poisoned(m) => {
+                poisoned_input = Some(m.clone());
+                0
+            }
+        };
+        producers.extend(entry.producer);
     }
-    deps.sort_unstable();
-    deps.dedup();
-    deps.retain(|&d| d != tid);
-
-    let inherited_failure = deps
+    producers.sort_unstable();
+    producers.dedup();
+    let inherited_failure = producers
         .iter()
-        .find_map(|&d| st.tasks[d.0 as usize].failure.clone());
-    let remaining = deps
+        .find_map(|&p| t.rows[p.0 as usize].failure().cloned());
+    let remaining = producers
         .iter()
-        .filter(|&&d| st.tasks[d.0 as usize].status != Status::Done)
+        .filter(|&&p| t.rows[p.0 as usize].status != Status::Done)
         .count();
 
-    st.records.push(TaskRecord {
-        id: tid,
-        name,
-        deps, // moved — the record holds the only copy
-        duration_s: 0.0,
-        inputs: input_bytes,
-        outputs: outputs.iter().map(|&d| (d, 0)).collect(),
-        cores,
-        gpus,
-        seq,
-        ready_s: 0.0,
-        start_s: 0.0,
-        worker: -1,
-        child: None,
-        attempts: vec![],
-    });
-    st.since_barrier.push(tid);
+    let out_first = t.data.len();
+    for _ in 0..n_outputs {
+        t.data.push(DataEntry::new(Slot::Pending, Some(tid)));
+    }
+    let mut row = Row::new(kind, at, range.len(), Status::Waiting);
+    row.out_first = out_first as u64;
+    row.out_len = n_outputs as u32;
+    row.cores = cores;
+    row.gpus = gpus;
+    row.on_failure = fault.on_failure;
+    if fault.on_failure == OnFailure::Retry && fault.retry != RetryPolicy::default() {
+        row.rare_mut().retry = Some(fault.retry);
+    }
 
-    let ready_now = if let Some(d) = consumed_input {
+    if let Some(d) = consumed_input {
         // Reading a datum an INOUT task already consumed is a
         // contract violation; fail in place, loudly, instead of
         // handing out a stale or missing value.
-        st.tasks.push(TaskEntry {
-            status: Status::Failed,
-            remaining: 0,
-            dependents: Vec::new(),
-            job: None,
-            failure: Some(
-                format!(
-                    "input {d:?} was already consumed by an INOUT task; \
+        row.status = Status::Failed;
+        row.set_failure(
+            format!(
+                "input {d:?} was already consumed by an INOUT task; \
                  use the handle returned by run*_inout instead"
-                )
-                .into(),
-            ),
-            on_failure: fault.on_failure,
-        });
-        false
+            )
+            .into(),
+        );
     } else if let Some(msg) = poisoned_input {
         // An upstream failure was ignored (or cancelled its
         // successors): this task can never run. Cancel in place
         // and poison its outputs so the silence propagates.
-        st.tasks.push(TaskEntry {
-            status: Status::Cancelled,
-            remaining: 0,
-            dependents: Vec::new(),
-            job: None,
-            failure: None,
-            on_failure: fault.on_failure,
-        });
-        for &d in &outputs {
-            st.data[d.0 as usize].slot = Slot::Poisoned(msg.clone());
+        row.status = Status::Cancelled;
+        for d in out_first..out_first + n_outputs {
+            t.data[d].slot = Slot::Poisoned(msg.clone());
         }
         if shared.config.metrics {
             Counters::add(&shared.counters.cancelled, 1);
         }
-        false
     } else if let Some(msg) = inherited_failure {
         // A dependency already failed; its cascade ran before we
         // existed, so fail in place (waiters see it immediately).
-        st.tasks.push(TaskEntry {
-            status: Status::Failed,
-            remaining: 0,
-            dependents: Vec::new(),
-            job: None,
-            failure: Some(msg),
-            on_failure: fault.on_failure,
-        });
-        false
-    } else if remaining == 0 {
-        st.tasks.push(TaskEntry {
-            status: Status::Ready,
-            remaining: 0,
-            dependents: Vec::new(),
-            job: Some(PendingJob {
-                f,
-                consume_mask,
-                fault,
-            }),
-            failure: None,
-            on_failure: fault.on_failure,
-        });
-        true
+        row.status = Status::Failed;
+        row.set_failure(msg);
     } else {
-        st.tasks.push(TaskEntry {
-            status: Status::Waiting,
-            remaining,
-            dependents: Vec::new(),
-            job: Some(PendingJob {
-                f,
-                consume_mask,
-                fault,
-            }),
-            failure: None,
-            on_failure: fault.on_failure,
-        });
-        let deps = &st.records[tid.0 as usize].deps;
-        let tasks = &mut st.tasks;
-        for &d in deps {
-            if tasks[d.0 as usize].status != Status::Done {
-                tasks[d.0 as usize].dependents.push(tid);
-            }
+        row.status = if remaining == 0 {
+            Status::Ready
+        } else {
+            Status::Waiting
+        };
+        row.remaining = remaining as u32;
+        row.job = Some(PendingJob { f, consume_mask });
+        // Pending reader of its inputs until `make_run` resolves them
+        // (see `DataEntry::pending_reads`); failed-in-place tasks never
+        // dispatch.
+        for j in range {
+            let (d, _) = t.inputs[j];
+            t.data[d.0 as usize].pending_reads += 1;
         }
-        false
-    };
-    // Tasks holding a job are pending readers of their inputs
-    // until `make_run` resolves them (see `DataEntry::
-    // pending_reads`); failed-in-place tasks never dispatch.
-    if st.tasks[tid.0 as usize].job.is_some() {
-        let ins = &st.records[tid.0 as usize].inputs;
-        let data = &mut st.data;
-        for (d, _) in ins {
-            data[d.0 as usize].pending_reads += 1;
+    }
+    let status = row.status;
+    t.rows.push(row);
+    if status == Status::Waiting {
+        for &p in producers.iter() {
+            if t.rows[p.0 as usize].status != Status::Done {
+                t.push_dependent(p.0 as usize, tid);
+            }
         }
     }
 
@@ -1195,7 +1030,7 @@ fn submit_locked(
     // flush (eager semantics); otherwise submission storms pay
     // one injector lock + wakeup per batch, not per task.
     let mut wake_n = 0;
-    if ready_now {
+    if status == Status::Ready {
         let inject = shared.fault_active.load(Ordering::Relaxed);
         match shared.config.mode {
             // Inline runs the task right after unlock: queue wait is
@@ -1219,18 +1054,13 @@ fn submit_locked(
             }
         }
     }
-    (outputs, wake_n)
+    (DataId(out_first as u64), wake_n)
 }
 
 /// How many ready-at-submission tasks accumulate in [`State::staged`]
 /// before a flush when no worker is idle (all busy: dispatch latency is
 /// irrelevant, batching the lock + wakeup traffic is everything).
 const STAGE_BATCH: usize = 32;
-
-/// Executor id recorded on [`TaskRecord::worker`] for tasks run on the
-/// driver thread (inline mode, `run_worklist`, or cooperative
-/// `help_drain`); pool workers use their index `0..n_workers`.
-const DRIVER: i64 = -1;
 
 /// Moves driver-staged ready tasks into the injector (see
 /// [`State::staged`]); returns how many were moved. Called by workers
@@ -1602,7 +1432,7 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         inputs,
         ready_at,
         fault,
-        name,
+        kind,
         affinity,
     } = run;
     let ti = task.0 as usize;
@@ -1616,14 +1446,13 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
     } else {
         Counters::add
     };
-    // The injection plan is consulted only when a name was carried
+    // The injection plan is consulted only when a kind was carried
     // (i.e. a plan was active at release) — the common path never
     // touches the plan lock.
-    let plan: Option<Arc<FaultPlan>> = if name.is_some() {
-        lock(&shared.fault_plan).clone()
-    } else {
-        None
-    };
+    let plan: Option<(Arc<FaultPlan>, Arc<str>)> = kind.and_then(|k| {
+        let plan = lock(&shared.fault_plan).clone()?;
+        Some((plan, lock(&shared.kinds).name(k).clone()))
+    });
     let max_attempts = fault.max_attempts();
     // Retryable tasks run every attempt on a private clone of the input
     // vector (cheap `Arc` clones): a failed attempt may have taken
@@ -1645,10 +1474,9 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         } else {
             std::mem::take(&mut inputs)
         };
-        let injected = match (&plan, &name) {
-            (Some(p), Some(n)) => p.decide(n, task.0, attempt_no),
-            _ => None,
-        };
+        let injected = plan
+            .as_ref()
+            .and_then(|(p, name)| p.decide(name, task.0, attempt_no));
         let start = Instant::now();
         if metrics && attempt_no == 1 {
             let shard = shared.counters.shard(who);
@@ -1742,6 +1570,9 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
     {
         let mut st = lock(&shared.state);
         let st = &mut *st; // split field borrows below
+        let row = &mut st.tables.rows[ti];
+        row.ready_s = ready_s;
+        row.worker = who as i32;
         match outcome {
             Ok((outs, ctx, start, end, duration)) => {
                 let child_trace = lock(&ctx.child).take().map(|rt| Box::new(rt.trace()));
@@ -1751,30 +1582,32 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                 // `Instant::now` calls per completion, at the cost of
                 // queue waits including the commit's lock acquisition.
                 let released_at = metrics.then_some(end);
-                // Fill sizes and duration in place on the record (no
-                // reallocation on the completion hot path).
-                let rec = &mut st.records[ti];
                 assert_eq!(
                     outs.len(),
-                    rec.outputs.len(),
+                    row.out_len as usize,
                     "task produced wrong number of outputs"
                 );
-                let data = &mut st.data;
-                rec.duration_s = duration;
-                rec.ready_s = ready_s;
-                rec.start_s = since_epoch(start);
-                rec.worker = who;
-                rec.child = child_trace;
-                rec.attempts = attempts;
-                for ((d, bytes), (v, b)) in rec.outputs.iter_mut().zip(outs) {
-                    *bytes = b;
-                    let entry = &mut data[d.0 as usize];
+                row.duration_s = duration;
+                row.start_s = since_epoch(start);
+                if child_trace.is_some() || !attempts.is_empty() {
+                    let rare = row.rare_mut();
+                    rare.child = child_trace;
+                    rare.attempts = attempts;
+                }
+                row.status = Status::Done;
+                let Tables {
+                    data, rows, inputs, ..
+                } = &mut st.tables;
+                let row = &rows[ti];
+                for (d, (v, b)) in (row.out_first as usize..).zip(outs) {
+                    let entry = &mut data[d];
                     entry.slot = Slot::Ready(v, b);
                     // Stamp the producer so consumers of this output can
                     // be steered back to the worker whose cache holds it.
                     entry.last_touch = who;
                 }
-                for (d, bytes) in rec.inputs.iter_mut() {
+                for j in Tables::input_range(row) {
+                    let (d, bytes) = &mut inputs[j];
                     match &data[d.0 as usize].slot {
                         // `Moved`: this task's own INOUT steal; the size
                         // survives in the tombstone.
@@ -1782,45 +1615,38 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                         Slot::Pending | Slot::Poisoned(_) => {}
                     }
                 }
-                st.tasks[ti].status = Status::Done;
 
-                // Batched release: one pass over the dependents. The
-                // list is detached while iterating (releasing `dep`
-                // needs `&mut` into the same `tasks` vec) and its
-                // allocation handed back afterwards rather than freed.
+                // Batched release: one pass over the dependents, in
+                // the order they were submitted.
                 let inject = shared.fault_active.load(Ordering::Relaxed);
-                let mut deps = std::mem::take(&mut st.tasks[ti].dependents);
-                for dep in deps.drain(..) {
-                    let e = &mut st.tasks[dep.0 as usize];
+                let mut deps = st.tables.take_dependents(ti);
+                while let Some(dep) = deps.next(&st.tables.edges) {
+                    let e = &mut st.tables.rows[dep];
                     if e.status != Status::Waiting {
                         continue; // cancelled under us by a failure cone
                     }
                     e.remaining -= 1;
                     if e.remaining == 0 {
                         e.status = Status::Ready;
-                        newly_ready.push(make_run(st, dep, released_at, inject));
+                        newly_ready.push(make_run(st, TaskId(dep as u64), released_at, inject));
                     }
                 }
-                st.tasks[ti].dependents = deps;
             }
             Err((start, duration)) => {
+                row.duration_s = duration;
+                row.start_s = since_epoch(start);
                 let n = attempts.len();
                 let msg = attempts
                     .last()
                     .and_then(|a| a.error.clone())
                     .unwrap_or_else(|| "task panicked".to_string());
-                let name = st.records[ti].name.clone();
+                let name = lock(&shared.kinds).name(row.kind).clone();
                 let full: Arc<str> = if n > 1 {
                     format!("task '{name}' panicked after {n} attempts: {msg}").into()
                 } else {
                     format!("task '{name}' panicked: {msg}").into()
                 };
-                let rec = &mut st.records[ti];
-                rec.duration_s = duration;
-                rec.ready_s = ready_s;
-                rec.start_s = since_epoch(start);
-                rec.worker = who;
-                rec.attempts = attempts;
+                row.rare_mut().attempts = attempts;
                 match fault.on_failure {
                     OnFailure::Fail | OnFailure::Retry => {
                         if metrics && fault.on_failure == OnFailure::Retry {
@@ -1829,24 +1655,22 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                         // Propagate failure to all transitive dependents
                         // so that waiters on any downstream output wake
                         // up and report instead of deadlocking.
-                        let mut frontier = vec![task];
+                        let mut frontier = vec![ti];
                         while let Some(t) = frontier.pop() {
-                            let e = &mut st.tasks[t.0 as usize];
+                            let e = &mut st.tables.rows[t];
                             e.status = Status::Failed;
-                            e.failure = Some(full.clone());
+                            e.set_failure(full.clone());
                             e.job = None;
-                            frontier.append(&mut e.dependents);
+                            st.tables.take_dependents_into(t, &mut frontier);
                         }
                     }
                     OnFailure::Ignore => {
                         // The failure is swallowed: the task counts as
                         // completed, but its outputs are poisoned and
                         // everything downstream is cancelled silently.
-                        st.tasks[ti].status = Status::Done;
-                        for (d, _) in &st.records[ti].outputs {
-                            st.data[d.0 as usize].slot = Slot::Poisoned(full.clone());
-                        }
-                        let cancelled = cancel_dependents(st, ti, &full);
+                        row.status = Status::Done;
+                        poison_outputs(&mut st.tables, ti, &full);
+                        let cancelled = cancel_dependents(&mut st.tables, ti, &full);
                         if metrics {
                             Counters::add(&shared.counters.poisoned, 1);
                             Counters::add(&shared.counters.cancelled, cancelled);
@@ -1856,9 +1680,9 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                         // The failure stays visible on this task (wait
                         // on its outputs panics, barrier tolerates it),
                         // while dependents are cancelled, not failed.
-                        st.tasks[ti].status = Status::Failed;
-                        st.tasks[ti].failure = Some(full.clone());
-                        let cancelled = cancel_dependents(st, ti, &full);
+                        row.status = Status::Failed;
+                        row.set_failure(full.clone());
+                        let cancelled = cancel_dependents(&mut st.tables, ti, &full);
                         if metrics {
                             Counters::add(&shared.counters.cancelled, cancelled);
                         }
@@ -1881,27 +1705,33 @@ fn panic_message(e: &(dyn Any + Send)) -> String {
         .unwrap_or_else(|| "task panicked".to_string())
 }
 
+/// Poisons every output of task `t` with `reason`.
+fn poison_outputs(t: &mut Tables, task: usize, reason: &Arc<str>) {
+    let row = &t.rows[task];
+    for d in row.out_first..row.out_first + u64::from(row.out_len) {
+        t.data[d as usize].slot = Slot::Poisoned(reason.clone());
+    }
+}
+
 /// Cancels every transitive dependent of `origin` that has not yet run:
 /// status [`Status::Cancelled`], body dropped, outputs poisoned with
 /// `reason` (so later submissions reading them cancel in place too).
 /// Dropped bodies leak their `pending_reads` registrations — harmless:
 /// later INOUT consumers just fall back to the copy path. Returns how
 /// many tasks were cancelled.
-fn cancel_dependents(st: &mut State, origin: usize, reason: &Arc<str>) -> u64 {
+fn cancel_dependents(t: &mut Tables, origin: usize, reason: &Arc<str>) -> u64 {
     let mut n = 0;
-    let mut frontier = std::mem::take(&mut st.tasks[origin].dependents);
-    while let Some(t) = frontier.pop() {
-        let idx = t.0 as usize;
-        let e = &mut st.tasks[idx];
+    let mut frontier = Vec::new();
+    t.take_dependents_into(origin, &mut frontier);
+    while let Some(idx) = frontier.pop() {
+        let e = &mut t.rows[idx];
         if !matches!(e.status, Status::Waiting | Status::Ready) {
             continue; // finished, failed, or already cancelled
         }
         e.status = Status::Cancelled;
         e.job = None;
-        frontier.append(&mut e.dependents);
-        for (d, _) in &st.records[idx].outputs {
-            st.data[d.0 as usize].slot = Slot::Poisoned(reason.clone());
-        }
+        t.take_dependents_into(idx, &mut frontier);
+        poison_outputs(t, idx, reason);
         n += 1;
     }
     n
@@ -1910,7 +1740,8 @@ fn cancel_dependents(st: &mut State, origin: usize, reason: &Arc<str>) -> u64 {
 /// Fluent builder for a task submission; created by [`Runtime::task`].
 pub struct TaskBuilder<'rt> {
     rt: &'rt Runtime,
-    name: String,
+    /// The kind name, interned in the runtime's [`Kinds`].
+    kind: u32,
     cores: u32,
     gpus: u32,
     fault: TaskFault,
@@ -1999,8 +1830,8 @@ impl<'rt> TaskBuilder<'rt> {
         R: Payload,
         F: FnMut() -> R + Send + 'static,
     {
-        let ids = self.submit(vec![], 0, 1, Box::new(move |_ctx, _ins| one(f())));
-        Handle::new(ids[0])
+        let id = self.submit([], 0, 1, Box::new(move |_ctx, _ins| one(f())));
+        Handle::new(id)
     }
 
     /// Submits a one-input task.
@@ -2010,13 +1841,13 @@ impl<'rt> TaskBuilder<'rt> {
         R: Payload,
         F: FnMut(&A) -> R + Send + 'static,
     {
-        let ids = self.submit(
-            vec![a.id],
+        let id = self.submit(
+            [a.id],
             0,
             1,
             Box::new(move |_ctx, ins| one(f(arg::<A>(ins, 0)))),
         );
-        Handle::new(ids[0])
+        Handle::new(id)
     }
 
     /// Submits a one-input task with PyCOMPSs `direction=INOUT`
@@ -2039,8 +1870,8 @@ impl<'rt> TaskBuilder<'rt> {
         A: Payload + Clone,
         F: FnMut(&mut A) + Send + 'static,
     {
-        let ids = self.submit(
-            vec![a.id],
+        let id = self.submit(
+            [a.id],
             0b1,
             1,
             Box::new(move |ctx, ins| {
@@ -2049,7 +1880,7 @@ impl<'rt> TaskBuilder<'rt> {
                 one(v)
             }),
         );
-        Handle::new(ids[0])
+        Handle::new(id)
     }
 
     /// Two-input variant of [`TaskBuilder::run1_inout`]: the first
@@ -2061,8 +1892,8 @@ impl<'rt> TaskBuilder<'rt> {
         B: Payload,
         F: FnMut(&mut A, &B) + Send + 'static,
     {
-        let ids = self.submit(
-            vec![a.id, b.id],
+        let id = self.submit(
+            [a.id, b.id],
             0b1,
             1,
             Box::new(move |ctx, ins| {
@@ -2071,7 +1902,7 @@ impl<'rt> TaskBuilder<'rt> {
                 one(v)
             }),
         );
-        Handle::new(ids[0])
+        Handle::new(id)
     }
 
     /// Submits a two-input task.
@@ -2082,13 +1913,13 @@ impl<'rt> TaskBuilder<'rt> {
         R: Payload,
         F: FnMut(&A, &B) -> R + Send + 'static,
     {
-        let ids = self.submit(
-            vec![a.id, b.id],
+        let id = self.submit(
+            [a.id, b.id],
             0,
             1,
             Box::new(move |_ctx, ins| one(f(arg::<A>(ins, 0), arg::<B>(ins, 1)))),
         );
-        Handle::new(ids[0])
+        Handle::new(id)
     }
 
     /// Submits a three-input task.
@@ -2106,13 +1937,13 @@ impl<'rt> TaskBuilder<'rt> {
         R: Payload,
         F: FnMut(&A, &B, &C) -> R + Send + 'static,
     {
-        let ids = self.submit(
-            vec![a.id, b.id, c.id],
+        let id = self.submit(
+            [a.id, b.id, c.id],
             0,
             1,
             Box::new(move |_ctx, ins| one(f(arg::<A>(ins, 0), arg::<B>(ins, 1), arg::<C>(ins, 2)))),
         );
-        Handle::new(ids[0])
+        Handle::new(id)
     }
 
     /// Submits a four-input task.
@@ -2132,8 +1963,8 @@ impl<'rt> TaskBuilder<'rt> {
         R: Payload,
         F: FnMut(&A, &B, &C, &D) -> R + Send + 'static,
     {
-        let ids = self.submit(
-            vec![a.id, b.id, c.id, d.id],
+        let id = self.submit(
+            [a.id, b.id, c.id, d.id],
             0,
             1,
             Box::new(move |_ctx, ins| {
@@ -2145,7 +1976,7 @@ impl<'rt> TaskBuilder<'rt> {
                 ))
             }),
         );
-        Handle::new(ids[0])
+        Handle::new(id)
     }
 
     /// Submits a reduction-style task over a homogeneous list of inputs.
@@ -2155,8 +1986,8 @@ impl<'rt> TaskBuilder<'rt> {
         R: Payload,
         F: FnMut(&[&A]) -> R + Send + 'static,
     {
-        let ids = self.submit(
-            items.iter().map(|h| h.id).collect(),
+        let id = self.submit(
+            items.iter().map(|h| h.id),
             0,
             1,
             Box::new(move |_ctx, ins| {
@@ -2164,7 +1995,7 @@ impl<'rt> TaskBuilder<'rt> {
                 one(f(&refs))
             }),
         );
-        Handle::new(ids[0])
+        Handle::new(id)
     }
 
     /// Submits a task over one fixed input plus a homogeneous list
@@ -2181,10 +2012,8 @@ impl<'rt> TaskBuilder<'rt> {
         R: Payload,
         F: FnMut(&B, &[&A]) -> R + Send + 'static,
     {
-        let mut inputs = vec![fixed.id];
-        inputs.extend(items.iter().map(|h| h.id));
-        let ids = self.submit(
-            inputs,
+        let id = self.submit(
+            std::iter::once(fixed.id).chain(items.iter().map(|h| h.id)),
             0,
             1,
             Box::new(move |_ctx, ins| {
@@ -2193,7 +2022,7 @@ impl<'rt> TaskBuilder<'rt> {
                 one(f(b, &refs))
             }),
         );
-        Handle::new(ids[0])
+        Handle::new(id)
     }
 
     /// Submits a **nested** task: the body receives a child [`Runtime`]
@@ -2206,8 +2035,8 @@ impl<'rt> TaskBuilder<'rt> {
         R: Payload,
         F: FnMut(&Runtime, &A) -> R + Send + 'static,
     {
-        let ids = self.submit(
-            vec![a.id],
+        let id = self.submit(
+            [a.id],
             0,
             1,
             Box::new(move |ctx, ins| {
@@ -2215,7 +2044,7 @@ impl<'rt> TaskBuilder<'rt> {
                 one(f(&child, arg::<A>(ins, 0)))
             }),
         );
-        Handle::new(ids[0])
+        Handle::new(id)
     }
 
     /// Nested task with two inputs.
@@ -2226,8 +2055,8 @@ impl<'rt> TaskBuilder<'rt> {
         R: Payload,
         F: FnMut(&Runtime, &A, &B) -> R + Send + 'static,
     {
-        let ids = self.submit(
-            vec![a.id, b.id],
+        let id = self.submit(
+            [a.id, b.id],
             0,
             1,
             Box::new(move |ctx, ins| {
@@ -2235,13 +2064,14 @@ impl<'rt> TaskBuilder<'rt> {
                 one(f(&child, arg::<A>(ins, 0), arg::<B>(ins, 1)))
             }),
         );
-        Handle::new(ids[0])
+        Handle::new(id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{BARRIER_TASK, SYNC_TASK};
 
     #[test]
     fn put_and_wait_roundtrip() {
@@ -2600,7 +2430,7 @@ mod tests {
         // Wait for the INOUT task without `peek` (a peeking driver
         // could adopt the gate task and block in `recv`); poll the
         // scheduler state directly instead.
-        let neg_done = || lock(&rt.inner.shared.state).tasks[3].status == Status::Done;
+        let neg_done = || lock(&rt.inner.shared.state).tables.rows[3].status == Status::Done;
         while !neg_done() {
             std::thread::yield_now();
         }

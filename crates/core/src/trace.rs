@@ -179,6 +179,12 @@ impl TaskRecord {
             v.as_u64()
                 .ok_or_else(|| JsonError::msg(format!("{what} must be an unsigned integer")))
         };
+        // Resource demands are `u32`: a larger value is an error, not a
+        // silently truncated demand for the DES to replay.
+        let u32_of = |v: &Value, what: &str| {
+            u32::try_from(u64_of(v, what)?)
+                .map_err(|_| JsonError::msg(format!("{what} exceeds u32::MAX")))
+        };
         let refs = |v: &Value, what: &str| -> Result<Vec<(DataId, usize)>, JsonError> {
             v.as_array()
                 .ok_or_else(|| JsonError::msg(format!("{what} must be an array")))?
@@ -218,8 +224,8 @@ impl TaskRecord {
                 .ok_or_else(|| JsonError::msg("'duration_s' must be a number"))?,
             inputs: refs(v.field("inputs")?, "inputs")?,
             outputs: refs(v.field("outputs")?, "outputs")?,
-            cores: u64_of(v.field("cores")?, "cores")? as u32,
-            gpus: u64_of(v.field("gpus")?, "gpus")? as u32,
+            cores: u32_of(v.field("cores")?, "cores")?,
+            gpus: u32_of(v.field("gpus")?, "gpus")?,
             seq: u64_of(v.field("seq")?, "seq")?,
             // Optional for compatibility with traces archived before
             // the observability fields existed.
@@ -627,6 +633,41 @@ mod tests {
         let bad2 = good.replace("[[0,8]]", "[7]");
         let err2 = Trace::from_json(&bad2).unwrap_err();
         assert!(err2.to_string().contains("[id, bytes]"));
+    }
+
+    #[test]
+    fn resource_demands_past_u32_are_errors_not_truncated() {
+        let t = Trace {
+            records: vec![rec(0, &[], 1.0)],
+        };
+        let good = t.to_value().compact();
+        for (field, from, to) in [
+            ("cores", "\"cores\":1", "\"cores\":4294967297"),
+            ("gpus", "\"gpus\":0", "\"gpus\":4294967298"),
+        ] {
+            let bad = good.replace(from, to);
+            assert_ne!(good, bad, "fixture must contain {from}");
+            let err = Trace::from_json(&bad).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("{field} exceeds u32::MAX")),
+                "unexpected error: {err}"
+            );
+        }
+        let max = good.replace("\"cores\":1", "\"cores\":4294967295");
+        assert_eq!(Trace::from_json(&max).unwrap().records[0].cores, u32::MAX);
+    }
+
+    #[test]
+    fn deeply_nested_json_is_an_error_not_an_abort() {
+        let deep = format!("{{\"records\":{}", "[".repeat(100_000));
+        let err = Trace::from_json(&deep).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
+        let path = std::env::temp_dir().join("taskml_deeply_nested_trace.json");
+        std::fs::write(&path, &deep).unwrap();
+        let err = Trace::load(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::Other);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
