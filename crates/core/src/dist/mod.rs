@@ -69,5 +69,5 @@ pub use driver::{DistConfig, DistReport, DistRuntime, DistStats, ShutdownReport}
 pub use kind::{Kind, KindFn, KindRegistry, CRASH_DROP, CRASH_TRUNCATE};
 pub use plan::{fingerprint, Plan, PlanTask};
 pub use proto::{InputSpec, Msg};
-pub use wire::{WireError, WireValue, MAX_FRAME_BYTES};
+pub use wire::{WireError, WireValue, MAX_FRAME_BYTES, MAX_LIST_DEPTH};
 pub use worker::{maybe_worker, run_worker, WorkerOpts};

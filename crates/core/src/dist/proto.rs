@@ -123,6 +123,13 @@ fn take_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
     Ok(u64::from_le_bytes(head.try_into().unwrap()))
 }
 
+/// A `u32` id sent as `u64`; a value past `u32::MAX` is refused, not
+/// truncated.
+fn take_u32(buf: &mut &[u8], field: &'static str) -> Result<u32, WireError> {
+    let value = take_u64(buf)?;
+    u32::try_from(value).map_err(|_| WireError::OutOfRange { field, value })
+}
+
 fn take_f64(buf: &mut &[u8]) -> Result<f64, WireError> {
     Ok(f64::from_bits(take_u64(buf)?))
 }
@@ -237,7 +244,7 @@ impl Msg {
         };
         let msg = match t {
             tag::HELLO => Msg::Hello {
-                worker: take_u64(&mut buf)? as u32,
+                worker: take_u32(&mut buf, "Hello.worker")?,
             },
             tag::HEARTBEAT => Msg::Heartbeat {
                 seq: take_u64(&mut buf)?,
@@ -266,7 +273,7 @@ impl Msg {
             },
             tag::RUN => {
                 let task = take_u64(&mut buf)?;
-                let attempt = take_u64(&mut buf)? as u32;
+                let attempt = take_u32(&mut buf, "Run.attempt")?;
                 let kind = take_str(&mut buf)?;
                 let out = take_u64(&mut buf)?;
                 let n = take_u64(&mut buf)? as usize;
@@ -282,7 +289,7 @@ impl Msg {
                     }
                     let mut owners = Vec::with_capacity(n_owners);
                     for _ in 0..n_owners {
-                        let w = take_u64(&mut buf)? as u32;
+                        let w = take_u32(&mut buf, "Run owner")?;
                         owners.push((w, take_str(&mut buf)?));
                     }
                     inputs.push(InputSpec { data, owners });
@@ -389,6 +396,51 @@ mod tests {
             let body = m.encode();
             assert_eq!(Msg::decode(&body).unwrap(), m);
         }
+    }
+
+    #[test]
+    fn ids_past_u32_are_refused_not_truncated() {
+        let too_big = (1u64 << 32) + 1;
+        let hello = [&[tag::HELLO][..], &too_big.to_le_bytes()].concat();
+        assert!(matches!(
+            Msg::decode(&hello),
+            Err(WireError::OutOfRange { field: "Hello.worker", value }) if value == too_big
+        ));
+        let run = |attempt: u64, owner: u64| {
+            let mut body = vec![tag::RUN];
+            put_u64(&mut body, 7);
+            put_u64(&mut body, attempt);
+            put_str(&mut body, "k");
+            put_u64(&mut body, 1);
+            put_u64(&mut body, 1);
+            put_u64(&mut body, 0);
+            put_u64(&mut body, 1);
+            put_u64(&mut body, owner);
+            put_str(&mut body, "p");
+            body
+        };
+        assert!(Msg::decode(&run(1, u64::from(u32::MAX))).is_ok());
+        for (body, field) in [
+            (run(too_big, 0), "Run.attempt"),
+            (run(1, too_big), "Run owner"),
+        ] {
+            assert!(matches!(
+                Msg::decode(&body),
+                Err(WireError::OutOfRange { field: f, .. }) if f == field
+            ));
+        }
+    }
+
+    #[test]
+    fn a_deeply_nested_data_frame_is_refused() {
+        // A one-element list is its 9-byte header followed by the element.
+        let list_of_unit = WireValue::List(vec![WireValue::Unit]).encode();
+        let (header, unit) = list_of_unit.split_at(9);
+        let mut body = vec![tag::DATA];
+        put_u64(&mut body, 4);
+        body.extend(header.repeat(200_000));
+        body.extend_from_slice(unit);
+        assert!(matches!(Msg::decode(&body), Err(WireError::TooDeep)));
     }
 
     #[test]

@@ -23,6 +23,12 @@ use std::io::{Read, Write};
 /// prefix must not turn into an unbounded allocation.
 pub const MAX_FRAME_BYTES: usize = 1 << 30;
 
+/// Deepest [`WireValue::List`] nesting the decoder accepts. Decoding
+/// recurses once per level, so an unbounded depth lets a frame far
+/// under [`MAX_FRAME_BYTES`] (9 bytes a level) overflow the stack and
+/// abort the process. The workloads nest one level deep at most.
+pub const MAX_LIST_DEPTH: usize = 64;
+
 /// Errors from decoding bytes or reading frames.
 #[derive(Debug)]
 pub enum WireError {
@@ -32,6 +38,10 @@ pub enum WireError {
     BadTag(u8),
     /// Frame length prefix exceeds [`MAX_FRAME_BYTES`].
     Oversized(usize),
+    /// Lists nest deeper than [`MAX_LIST_DEPTH`].
+    TooDeep,
+    /// A field carried on the wire as `u64` does not fit its `u32`.
+    OutOfRange { field: &'static str, value: u64 },
     /// Underlying socket error (includes EOF mid-frame).
     Io(std::io::Error),
 }
@@ -42,6 +52,10 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "truncated wire value"),
             WireError::BadTag(t) => write!(f, "unknown wire tag {t}"),
             WireError::Oversized(n) => write!(f, "frame of {n} bytes exceeds limit"),
+            WireError::TooDeep => write!(f, "lists nest deeper than {MAX_LIST_DEPTH} levels"),
+            WireError::OutOfRange { field, value } => {
+                write!(f, "{field} = {value} exceeds u32::MAX")
+            }
             WireError::Io(e) => write!(f, "wire i/o error: {e}"),
         }
     }
@@ -74,8 +88,10 @@ pub enum WireValue {
     VecF64(Vec<f64>),
     /// Row-major dense matrix (the ds-array block currency).
     Matrix(Matrix),
-    /// Heterogeneous sequence — nesting is arbitrary, so model bundles
-    /// like `(components, explained_variance)` travel as one value.
+    /// Heterogeneous sequence, so model bundles like
+    /// `(components, explained_variance)` travel as one value. Lists
+    /// may nest up to [`MAX_LIST_DEPTH`] levels; the decoder refuses
+    /// deeper ones with [`WireError::TooDeep`].
     List(Vec<WireValue>),
 }
 
@@ -211,6 +227,11 @@ impl WireValue {
 
     /// Decodes one value from the front of `buf`, advancing it.
     pub fn decode_from(buf: &mut &[u8]) -> Result<WireValue, WireError> {
+        WireValue::decode_nested(buf, 0)
+    }
+
+    /// [`Self::decode_from`] inside `depth` enclosing lists.
+    fn decode_nested(buf: &mut &[u8], depth: usize) -> Result<WireValue, WireError> {
         let t = take_u8(buf)?;
         Ok(match t {
             tag::UNIT => WireValue::Unit,
@@ -238,6 +259,9 @@ impl WireValue {
                 WireValue::Matrix(Matrix::from_vec(rows, cols, take_f64s(buf, n)?))
             }
             tag::LIST => {
+                if depth == MAX_LIST_DEPTH {
+                    return Err(WireError::TooDeep);
+                }
                 let n = take_len(buf)?;
                 // Each element is at least 1 byte; reject absurd counts
                 // before reserving.
@@ -246,7 +270,7 @@ impl WireValue {
                 }
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    items.push(WireValue::decode_from(buf)?);
+                    items.push(WireValue::decode_nested(buf, depth + 1)?);
                 }
                 WireValue::List(items)
             }
@@ -417,6 +441,24 @@ mod tests {
         let mut bytes = WireValue::U64(7).encode();
         bytes.push(0);
         assert!(WireValue::decode(&bytes).is_err());
+    }
+
+    /// `depth` nested one-element lists around a unit.
+    fn nested_lists(depth: usize) -> Vec<u8> {
+        let level = [&[tag::LIST][..], &1u64.to_le_bytes()].concat();
+        [level.repeat(depth), vec![tag::UNIT]].concat()
+    }
+
+    #[test]
+    fn list_nesting_is_capped_instead_of_overflowing_the_stack() {
+        let deepest = WireValue::decode(&nested_lists(MAX_LIST_DEPTH)).unwrap();
+        assert_eq!(deepest.encode(), nested_lists(MAX_LIST_DEPTH));
+        for depth in [MAX_LIST_DEPTH + 1, 100_000] {
+            assert!(matches!(
+                WireValue::decode(&nested_lists(depth)),
+                Err(WireError::TooDeep)
+            ));
+        }
     }
 
     #[test]

@@ -100,7 +100,11 @@ pub(crate) fn wide_enabled() -> bool {
 /// then inlined into the `#[target_feature]` clone below, so the
 /// autovectorizer fills four `f64` lanes instead of SSE2's two. It must
 /// have no other caller: LLVM keeps a closure that is also called from
-/// baseline code out of line, at baseline width.
+/// baseline code out of line, at baseline width. The clone is
+/// `#[inline]` so that rustc instantiates it in the caller's codegen
+/// unit, beside the closure; instantiated in this module's unit, it can
+/// only call the closure out of line, and whether the two units merge
+/// depends on how big the rest of the crate is.
 ///
 /// The result is bit-identical to the baseline build, because the
 /// source fixes every summation order (element-wise AXPY / rotation
@@ -114,6 +118,7 @@ pub(crate) fn wide<R>(f: impl FnOnce() -> R) -> R {
     assert!(fma_available(), "wide: this CPU lacks AVX2+FMA");
     #[cfg(target_arch = "x86_64")]
     {
+        #[inline]
         #[target_feature(enable = "avx2,fma")]
         fn avx2<R>(f: impl FnOnce() -> R) -> R {
             f()
