@@ -4,7 +4,8 @@
 //! hold it`), and the failure detector. It ships [`Msg::Run`] frames
 //! naming registered kinds; payloads move worker-to-worker (the `Run`
 //! carries replica owner addresses, consumers pull) with the driver
-//! relaying only its own seeds.
+//! relaying only its own seeds. A [`Msg::Release`] tells a worker to
+//! drop a replica once no unfinished task reads it.
 //!
 //! **Decisions and I/O are apart.** Every decision of a run — what
 //! ships where, when a failed task is retried, what a lost worker takes
@@ -116,6 +117,12 @@ pub struct DistStats {
     pub peer_pull_bytes: u64,
     /// Bytes the driver relayed (seeds and dead-owner fallbacks).
     pub relay_bytes: u64,
+    /// Data whose worker replicas were dropped by [`Msg::Release`] once
+    /// no unfinished task read them (a datum re-made by lineage and
+    /// released again counts again).
+    pub released: u64,
+    /// Bytes those releases freed, summed over every replica dropped.
+    pub released_bytes: u64,
     /// Wall-clock seconds of the run loop.
     pub wall_s: f64,
 }
@@ -467,10 +474,10 @@ impl DistRuntime {
         while let Some(event) = events.pop_front() {
             for action in state.step(event, self.epoch.elapsed().as_secs_f64())? {
                 match action {
-                    Action::Send(w, run) => {
+                    Action::Send(w, msg) => {
                         let writer = self.writers[w].as_mut();
-                        if writer.is_none_or(|s| proto::send(s, &run).is_err()) {
-                            events.push_back(Event::SendFailed(w));
+                        if writer.is_none_or(|s| proto::send(s, &msg).is_err()) {
+                            events.push_back(Event::SendFailed(w, msg));
                         }
                     }
                     Action::Kill(w) => self.kill(w),
@@ -702,6 +709,7 @@ mod tests {
         assert_eq!(fingerprint(&report.outputs), fingerprint(&inline));
         assert_eq!(report.stats.tasks_run, 3);
         assert_eq!(report.stats.workers_lost, 0);
+        assert_eq!(report.stats.released, 4, "both seeds, s and m");
         assert_eq!(report.trace.records.len(), 3);
         assert!(report.trace.records.iter().all(|r| r.worker >= 0));
 

@@ -6,7 +6,7 @@
 //!
 //! * **Control** — a worker connects to the driver's listener and opens
 //!   with [`Msg::Hello`]; the stream then carries driver→worker
-//!   [`Msg::Run`]/[`Msg::Shutdown`] and worker→driver
+//!   [`Msg::Run`]/[`Msg::Release`]/[`Msg::Shutdown`] and worker→driver
 //!   [`Msg::Heartbeat`]/[`Msg::Done`]/[`Msg::Failed`]/[`Msg::FetchFailed`].
 //! * **Pull** — a one-shot connection opening with [`Msg::Pull`],
 //!   answered with [`Msg::Data`] or [`Msg::NotFound`] before it closes.
@@ -15,8 +15,12 @@
 //!   through the driver); the driver's listener serves the seeds and the
 //!   outputs it fetched back (a *relay*). Which one answered is told by
 //!   the address that was dialled, not by the frames.
+//!
+//! [`send`] and [`recv`] stream a `Data` frame between the socket and
+//! the value: the bytes are those of [`Msg::encode`], but neither side
+//! builds a whole-frame buffer.
 
-use super::wire::{WireError, WireValue};
+use super::wire::{self, FrameReader, WireError, WireValue};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::Arc;
@@ -72,6 +76,9 @@ pub enum Msg {
     },
     /// Driver → worker: drain and exit cleanly.
     Shutdown,
+    /// Driver → worker: no unfinished task reads `data` and it is not a
+    /// marked output, so drop the replica and recycle its buffers.
+    Release { data: u64 },
     /// One-shot pull request, to a peer worker or to the driver.
     Pull { data: u64 },
     /// Reply carrying a payload. Shared, so serving a datum out of a
@@ -92,6 +99,7 @@ mod tag {
     pub const DATA: u8 = 8;
     pub const NOT_FOUND: u8 = 9;
     pub const FETCH_FAILED: u8 = 10;
+    pub const RELEASE: u8 = 11;
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -141,6 +149,10 @@ fn take_ids(buf: &mut &[u8]) -> Result<Vec<u64>, WireError> {
     }
     (0..n).map(|_| take_u64(buf)).collect()
 }
+
+/// The fewest wire bytes an [`InputSpec`] or an owner takes: two `u64`s
+/// (data id and owner count; worker id and path length).
+const MIN_SPEC_BYTES: usize = 16;
 
 fn take_str(buf: &mut &[u8]) -> Result<String, WireError> {
     let n = take_u64(buf)? as usize;
@@ -211,6 +223,10 @@ impl Msg {
                 }
             }
             Msg::Shutdown => out.push(tag::SHUTDOWN),
+            Msg::Release { data } => {
+                out.push(tag::RELEASE);
+                put_u64(&mut out, *data);
+            }
             Msg::Pull { data } => {
                 out.push(tag::PULL);
                 put_u64(&mut out, *data);
@@ -276,18 +292,14 @@ impl Msg {
                 let attempt = take_u32(&mut buf, "Run.attempt")?;
                 let kind = take_str(&mut buf)?;
                 let out = take_u64(&mut buf)?;
+                // Reserve no more entries than the bytes left can hold:
+                // an `InputSpec` takes 16 bytes on the wire, 32 in memory.
                 let n = take_u64(&mut buf)? as usize;
-                if n > body.len() {
-                    return Err(WireError::Truncated);
-                }
-                let mut inputs = Vec::with_capacity(n);
+                let mut inputs = Vec::with_capacity(n.min(buf.len() / MIN_SPEC_BYTES));
                 for _ in 0..n {
                     let data = take_u64(&mut buf)?;
                     let n_owners = take_u64(&mut buf)? as usize;
-                    if n_owners > body.len() {
-                        return Err(WireError::Truncated);
-                    }
-                    let mut owners = Vec::with_capacity(n_owners);
+                    let mut owners = Vec::with_capacity(n_owners.min(buf.len() / MIN_SPEC_BYTES));
                     for _ in 0..n_owners {
                         let w = take_u32(&mut buf, "Run owner")?;
                         owners.push((w, take_str(&mut buf)?));
@@ -303,6 +315,9 @@ impl Msg {
                 }
             }
             tag::SHUTDOWN => Msg::Shutdown,
+            tag::RELEASE => Msg::Release {
+                data: take_u64(&mut buf)?,
+            },
             tag::PULL => Msg::Pull {
                 data: take_u64(&mut buf)?,
             },
@@ -327,14 +342,36 @@ impl Msg {
     }
 }
 
-/// Sends one message as a frame.
+/// Sends one message as a frame. A `Data` frame is written straight
+/// from its value.
 pub fn send(w: &mut impl std::io::Write, msg: &Msg) -> Result<(), WireError> {
-    super::wire::write_frame(w, &msg.encode())
+    match msg {
+        Msg::Data { data, value } => {
+            let mut head = [tag::DATA; 9];
+            head[1..].copy_from_slice(&data.to_le_bytes());
+            wire::write_value_frame(w, &head, value)
+        }
+        _ => wire::write_frame(w, &msg.encode()),
+    }
 }
 
-/// Receives one message frame.
+/// Receives one message frame: what [`Msg::decode`] makes of the body,
+/// value for value and error for error. A `Data` frame's value is
+/// decoded straight off the socket into its own buffers.
 pub fn recv(r: &mut impl std::io::Read) -> Result<Msg, WireError> {
-    Msg::decode(&super::wire::read_frame(r)?)
+    let mut frame = FrameReader::open(r)?;
+    let mut head = [0u8; 9];
+    let n = frame.left().min(head.len());
+    frame.read_exact(&mut head[..n])?;
+    if n == head.len() && head[0] == tag::DATA {
+        let data = u64::from_le_bytes(head[1..].try_into().expect("8-byte id"));
+        let value = Arc::new(frame.read_value()?);
+        return Ok(Msg::Data { data, value });
+    }
+    let mut body = vec![0u8; n + frame.left()];
+    body[..n].copy_from_slice(&head[..n]);
+    frame.read_exact(&mut body[n..])?;
+    Msg::decode(&body)
 }
 
 /// One pull connection: dials `addr`, asks for `data`, and returns the
@@ -391,6 +428,7 @@ mod tests {
             },
             Msg::NotFound { data: 4 },
             Msg::FetchFailed { task: 5, data: 4 },
+            Msg::Release { data: 4 },
         ];
         for m in msgs {
             let body = m.encode();

@@ -5,9 +5,10 @@
 //! replica map, the records, the stats and which workers are alive.
 //! [`RunState::step`] takes one [`Event`] and the time it is handled at
 //! — seconds since the driver epoch, passed in, never read here — and
-//! returns the [`Action`]s to perform: send this `Run`, kill this
-//! worker, fetch this output. What an action observes (a failed send, a
-//! fetched or missing output) comes back as the next event. Sockets,
+//! returns the [`Action`]s to perform: send this `Run` or `Release`,
+//! kill this worker, fetch this output. What an action observes (a
+//! failed send, a fetched or missing output) comes back as the next
+//! event. Sockets,
 //! threads, worker processes and the clock belong to the shell in
 //! `driver`, so a run here can be driven by fabricated events.
 //!
@@ -34,8 +35,10 @@ pub(super) enum Event {
     /// The worker is gone: its control stream ended, or it was silent
     /// for the grace period.
     Lost(usize),
-    /// The `Run` for this worker could not be written, so it never left.
-    SendFailed(usize),
+    /// This message for the worker could not be written: its control
+    /// stream is gone. A `Run` that failed never left, so its task was
+    /// not lost.
+    SendFailed(usize, Msg),
     /// What an [`Action::Fetch`] got: the value, or `None` when no owner
     /// answered.
     Fetched(u64, Option<Arc<WireValue>>),
@@ -46,7 +49,8 @@ pub(super) enum Event {
 /// What the shell must do.
 #[derive(Debug, PartialEq)]
 pub(super) enum Action {
-    /// Write this [`Msg::Run`] on the worker's control stream.
+    /// Write this message — a [`Msg::Run`] or a [`Msg::Release`] — on
+    /// the worker's control stream.
     Send(usize, Msg),
     /// Sever the worker's control stream and kill its process.
     Kill(usize),
@@ -87,6 +91,8 @@ pub(super) struct RunState<'a> {
     failed: Vec<Vec<AttemptRecord>>,
     /// Producers of each task's inputs, sorted and deduplicated.
     deps: Vec<Vec<TaskId>>,
+    /// The tasks reading each datum, each once.
+    consumers: HashMap<u64, Vec<usize>>,
     records: Vec<Option<TaskRecord>>,
     data: HashMap<u64, DataState>,
     /// When each worker joined; dispatch starts once all have.
@@ -120,6 +126,15 @@ impl<'a> RunState<'a> {
                 deps
             })
             .collect();
+        let mut consumers: HashMap<u64, Vec<usize>> = HashMap::new();
+        for (t, pt) in plan.tasks.iter().enumerate() {
+            for &i in &pt.inputs {
+                let readers = consumers.entry(i).or_default();
+                if readers.last() != Some(&t) {
+                    readers.push(t);
+                }
+            }
+        }
         let data = plan
             .seeds
             .iter()
@@ -144,6 +159,7 @@ impl<'a> RunState<'a> {
             not_before: vec![0.0; n],
             failed: vec![Vec::new(); n],
             deps,
+            consumers,
             records: (0..n).map(|_| None).collect(),
             data,
             joined: vec![None; workers],
@@ -193,11 +209,10 @@ impl<'a> RunState<'a> {
             Event::Frame(w, msg) if self.alive[w] => self.on_frame(w, msg, now, &mut actions)?,
             Event::Frame(..) | Event::Wake => {}
             Event::Lost(w) => self.lose(w, &mut actions),
-            Event::SendFailed(w) => {
-                // The `Run` never left, so its task was not lost.
-                for s in &mut self.tasks {
-                    if *s == TState::Running(w) {
-                        *s = TState::Pending;
+            Event::SendFailed(w, msg) => {
+                if let Msg::Run { task, .. } = msg {
+                    if let Some(t) = self.running_on(task, w) {
+                        self.tasks[t] = TState::Pending;
                     }
                 }
                 self.lose(w, &mut actions);
@@ -297,6 +312,9 @@ impl<'a> RunState<'a> {
                     child: None,
                     attempts,
                 });
+                for &i in &pt.inputs {
+                    self.release_unread(i, actions);
+                }
                 if let Some((after, victim)) = self.chaos {
                     if self.stats.tasks_run >= after as u64 {
                         self.chaos = None;
@@ -348,6 +366,38 @@ impl<'a> RunState<'a> {
         Ok(())
     }
 
+    /// Once `data` is not [`Self::needed`], tells every worker holding
+    /// a replica to drop it and forgets those replicas; the driver's own
+    /// copy of a seed stays. Lineage needs no rule of its own: should a
+    /// loss re-open a reader, [`Self::rollback`] finds the datum without
+    /// a replica and re-opens its producer too.
+    fn release_unread(&mut self, data: u64, actions: &mut Vec<Action>) {
+        if self.needed(data) {
+            return;
+        }
+        let Some(d) = self.data.get_mut(&data) else {
+            return;
+        };
+        if d.replicas.is_empty() {
+            return;
+        }
+        self.stats.released += 1;
+        for w in std::mem::take(&mut d.replicas) {
+            self.stats.released_bytes += d.bytes;
+            actions.push(Action::Send(w, Msg::Release { data }));
+        }
+    }
+
+    /// Whether the plan marks `data` as an output or a task that is not
+    /// done reads it.
+    fn needed(&self, data: u64) -> bool {
+        self.plan.outputs().contains(&data)
+            || self
+                .consumers
+                .get(&data)
+                .is_some_and(|readers| readers.iter().any(|&t| self.tasks[t] != TState::Done))
+    }
+
     /// `task`'s index if it runs on `w`. A frame about any other task is
     /// a late duplicate from before a re-execution.
     fn running_on(&self, task: u64, w: usize) -> Option<usize> {
@@ -377,8 +427,8 @@ impl<'a> RunState<'a> {
     }
 
     /// Re-opens, to a fixpoint, every completed task whose output lost
-    /// its last replica while a marked output or an unfinished task
-    /// still needs it — the live mirror of the DES's lineage rollback.
+    /// its last replica — to a loss or to a release — while it is still
+    /// [`Self::needed`]: the live mirror of the DES's lineage rollback.
     fn rollback(&mut self) {
         let plan = self.plan;
         loop {
@@ -391,10 +441,7 @@ impl<'a> RunState<'a> {
                 if self.tasks[t] != TState::Done || !lost {
                     continue;
                 }
-                let needed = plan.outputs().contains(&pt.out)
-                    || (plan.tasks.iter().zip(&self.tasks))
-                        .any(|(c, s)| *s != TState::Done && c.inputs.contains(&pt.out));
-                if needed {
+                if self.needed(pt.out) {
                     self.tasks[t] = TState::Pending;
                     self.stats.reexecutions += 1;
                     changed = true;
@@ -508,6 +555,11 @@ mod tests {
     fn registry() -> KindRegistry {
         let mut reg = KindRegistry::new();
         reg.register("k", |_| Ok(WireValue::Unit));
+        reg.register("inc", |ins| {
+            Ok(WireValue::U64(
+                1 + ins.iter().map(|v| v.as_u64()).sum::<u64>(),
+            ))
+        });
         let retry = RetryPolicy::new(2).backoff(0.5, 2.0).jitter(0.0, 0);
         reg.register_with("flaky", OnFailure::Retry, retry, |_| Ok(WireValue::Unit));
         reg
@@ -540,6 +592,12 @@ mod tests {
 
     /// Worker `w` reports task `t` done.
     fn done(plan: &Plan, w: usize, t: usize) -> Event {
+        done_fetching(plan, w, t, &[], &[])
+    }
+
+    /// Worker `w` reports task `t` done, having pulled `pulled` from
+    /// peers and `relayed` through the driver.
+    fn done_fetching(plan: &Plan, w: usize, t: usize, pulled: &[u64], relayed: &[u64]) -> Event {
         Event::Frame(
             w,
             Msg::Done {
@@ -548,10 +606,23 @@ mod tests {
                 bytes: 8,
                 start_rel_s: 0.0,
                 duration_s: 0.0,
-                pulled: Vec::new(),
-                relayed: Vec::new(),
+                pulled: pulled.to_vec(),
+                relayed: relayed.to_vec(),
             },
         )
+    }
+
+    /// `(data, worker)` of every `Release` among `actions`, sorted.
+    fn releases(actions: &[Action]) -> Vec<(u64, usize)> {
+        let mut out: Vec<_> = actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Send(w, Msg::Release { data }) => Some((*data, *w)),
+                _ => None,
+            })
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     #[test]
@@ -661,5 +732,187 @@ mod tests {
         ));
         let err = st.step(failed(), 2.0).unwrap_err();
         assert_eq!(err, "task 0 ('flaky') failed after 2 attempts: deliberate");
+    }
+
+    #[test]
+    fn each_unread_datum_is_released_once_per_replica_holder() {
+        let reg = registry();
+        let mut plan = Plan::new();
+        let s = plan.put(WireValue::U64(1));
+        let a = plan.task("k", &[s]); // t0
+        let b = plan.task("k", &[s]); // t1
+        let c = plan.task("k", &[a, b]); // t2
+        plan.task("k", &[c]); // t3
+        plan.mark_output(c);
+        let (mut st, actions) = joined(&plan, &reg, 2);
+        assert_eq!(runs(&actions), vec![(0, 0), (1, 1)]);
+        // t1 still reads the seed, and t2 the new datum: nothing goes.
+        let actions = st.step(done_fetching(&plan, 0, 0, &[], &[s]), 1.0).unwrap();
+        assert_eq!(releases(&actions), vec![]);
+        assert!(runs(&actions).is_empty(), "t2 waits for b");
+        // Both holders of the seed drop it; the driver keeps its copy.
+        let actions = st.step(done_fetching(&plan, 1, 1, &[], &[s]), 2.0).unwrap();
+        assert_eq!(releases(&actions), vec![(s, 0), (s, 1)]);
+        assert!(st.data[&s].driver && st.data[&s].replicas.is_empty());
+        // a and b tie on bytes: t2 goes to the lower id and pulls b.
+        assert_eq!(runs(&actions), vec![(2, 0)]);
+        let actions = st.step(done_fetching(&plan, 0, 2, &[b], &[]), 3.0).unwrap();
+        assert_eq!(releases(&actions), vec![(a, 0), (b, 0), (b, 1)]);
+        assert_eq!(runs(&actions), vec![(3, 0)]);
+        let actions = st.step(done(&plan, 0, 3), 4.0).unwrap();
+        assert_eq!(releases(&actions), vec![], "an output is never released");
+        assert_eq!(st.stats.released, 3);
+        // The seed's 9-byte encoding twice, then 8 bytes per replica.
+        assert_eq!(st.stats.released_bytes, 2 * 9 + 8 + 2 * 8);
+    }
+
+    /// Runs `st` to the end on in-memory workers that answer at once: a
+    /// `Run` computes its kind over inputs from the worker's own store,
+    /// a named owner's or the seeds, a `Release` drops the replica and a
+    /// `Kill` empties the store. Right after `lose_after`'s `Done`, the
+    /// worker holding that task's output is lost. Returns how often each
+    /// task ran. A release of a datum some task still needs stalls the
+    /// run, and that panics here.
+    fn drive(
+        plan: &Plan,
+        reg: &KindRegistry,
+        st: &mut RunState<'_>,
+        first: Vec<Action>,
+        mut lose_after: Option<usize>,
+    ) -> Vec<usize> {
+        use std::collections::VecDeque;
+        let mut stores: Vec<HashMap<u64, Arc<WireValue>>> = vec![HashMap::new(); st.alive.len()];
+        let seeds: HashMap<u64, Arc<WireValue>> = plan.seeds.iter().cloned().collect();
+        let mut ran = vec![0; plan.tasks.len()];
+        let mut queue = VecDeque::from(first);
+        let mut now = 1.0;
+        while !st.finished() {
+            let event = match queue.pop_front() {
+                None => {
+                    // Only a fetch pause can be left to wait out.
+                    now += 1.0;
+                    let actions = st.step(Event::Wake, now).unwrap();
+                    assert!(!actions.is_empty(), "the run stalled");
+                    queue.extend(actions);
+                    continue;
+                }
+                Some(Action::Send(w, Msg::Release { data })) => {
+                    stores[w].remove(&data);
+                    continue;
+                }
+                Some(Action::Send(
+                    w,
+                    Msg::Run {
+                        task,
+                        kind,
+                        out,
+                        inputs,
+                        ..
+                    },
+                )) => {
+                    let (mut values, mut pulled, mut relayed) =
+                        (Vec::new(), Vec::new(), Vec::new());
+                    for spec in &inputs {
+                        let held = stores[w].get(&spec.data).cloned();
+                        let peer = spec
+                            .owners
+                            .iter()
+                            .find_map(|(o, _)| stores[*o as usize].get(&spec.data).cloned());
+                        let value = match (held, peer, seeds.get(&spec.data)) {
+                            (Some(v), _, _) => v,
+                            (None, Some(v), _) => {
+                                pulled.push(spec.data);
+                                v
+                            }
+                            (None, None, Some(v)) => {
+                                relayed.push(spec.data);
+                                Arc::clone(v)
+                            }
+                            (None, None, None) => break,
+                        };
+                        stores[w].insert(spec.data, Arc::clone(&value));
+                        values.push(value);
+                    }
+                    if values.len() < inputs.len() {
+                        let data = inputs[values.len()].data;
+                        Event::Frame(w, Msg::FetchFailed { task, data })
+                    } else {
+                        ran[task as usize] += 1;
+                        let value = reg.invoke(&kind, &values).unwrap();
+                        let bytes = value.encoded_len() as u64;
+                        stores[w].insert(out, Arc::new(value));
+                        let (start_rel_s, duration_s) = (0.0, 0.0);
+                        Event::Frame(
+                            w,
+                            Msg::Done {
+                                task,
+                                out,
+                                bytes,
+                                start_rel_s,
+                                duration_s,
+                                pulled,
+                                relayed,
+                            },
+                        )
+                    }
+                }
+                Some(Action::Send(..)) => unreachable!("the driver sends only Run and Release"),
+                Some(Action::Kill(w)) => {
+                    stores[w].clear();
+                    continue;
+                }
+                Some(Action::Fetch { data, owners }) => {
+                    let value = owners.iter().find_map(|&o| stores[o].get(&data).cloned());
+                    Event::Fetched(data, value)
+                }
+            };
+            let finished = match &event {
+                Event::Frame(_, Msg::Done { task, .. }) => Some(*task as usize),
+                _ => None,
+            };
+            queue.extend(st.step(event, now).unwrap());
+            if let Some(t) = finished.filter(|&t| lose_after == Some(t)) {
+                lose_after = None;
+                // The loss overtakes whatever the `Done` just shipped.
+                let holder = *st.data[&plan.tasks[t].out].replicas.first().unwrap();
+                for action in st.step(Event::Lost(holder), now).unwrap().into_iter().rev() {
+                    queue.push_front(action);
+                }
+            }
+        }
+        ran
+    }
+
+    #[test]
+    fn a_loss_after_releases_reexecutes_the_released_producer_chain_to_the_inline_result() {
+        let reg = registry();
+        let mut plan = Plan::new();
+        let s = plan.put(WireValue::U64(1));
+        let a = plan.task("inc", &[s]); // t0
+        let b = plan.task("inc", &[a]); // t1
+        let y = plan.task("inc", &[a]); // t2: a second reader of a
+        let c = plan.task("inc", &[b]); // t3
+        let d = plan.task("inc", &[c, y]); // t4
+        plan.mark_output(d);
+        let inline = plan.run_inline(&reg).unwrap();
+
+        // Undisturbed: every task runs once and every datum but d goes.
+        let (mut st, first) = joined(&plan, &reg, 2);
+        assert_eq!(drive(&plan, &reg, &mut st, first, None), vec![1; 5]);
+        assert_eq!(st.outputs[&d].as_u64(), inline[&d].as_u64());
+        assert_eq!(st.stats.released, 5, "s, a, b, y and c");
+        assert_eq!(st.stats.reexecutions, 0);
+
+        // Lose c's holder once t3 is done: c is needed by t4, and b and a
+        // went with their last readers, so t3, t1 and t0 run again — a
+        // copy of a pulled for t2 is gone too. The seed is the driver's.
+        let (mut st, first) = joined(&plan, &reg, 2);
+        let ran = drive(&plan, &reg, &mut st, first, Some(3));
+        assert_eq!(ran, vec![2, 2, 1, 2, 1]);
+        assert_eq!(st.stats.reexecutions, 3);
+        assert_eq!(
+            crate::dist::fingerprint(&st.outputs),
+            crate::dist::fingerprint(&inline)
+        );
     }
 }

@@ -14,14 +14,22 @@
 //!   is `u32-LE length ‖ body`. A reader either gets the whole body or
 //!   an error; a peer that dies mid-write can never hand a consumer a
 //!   half-message (the driver treats the short read as a worker death).
+//!   A frame that carries a value can also be written from the value
+//!   and read into it through one fixed 64 KiB buffer
+//!   (`write_value_frame`, `FrameReader`): the same bytes on the
+//!   wire, but no whole-frame buffer on either side, and the decoded
+//!   `f64` arrays come from `linalg::pool`.
 
 use crate::payload::Payload;
 use linalg::Matrix;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
 /// Refuse frames larger than this (1 GiB): a corrupt or hostile length
 /// prefix must not turn into an unbounded allocation.
 pub const MAX_FRAME_BYTES: usize = 1 << 30;
+
+/// Bytes a streamed frame moves per socket write or read.
+const CHUNK: usize = 64 << 10;
 
 /// Deepest [`WireValue::List`] nesting the decoder accepts. Decoding
 /// recurses once per level, so an unbounded depth lets a frame far
@@ -152,51 +160,51 @@ impl WireValue {
 
     /// Appends the canonical encoding of `self` to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.encode_to(out).expect("a Vec sink cannot fail");
+    }
+
+    /// Writes the canonical encoding of `self` to `out`.
+    fn encode_to(&self, out: &mut impl Sink) -> io::Result<()> {
         match self {
-            WireValue::Unit => out.push(tag::UNIT),
-            WireValue::Bool(b) => {
-                out.push(tag::BOOL);
-                out.push(u8::from(*b));
-            }
+            WireValue::Unit => out.put(&[tag::UNIT]),
+            WireValue::Bool(b) => out.put(&[tag::BOOL, u8::from(*b)]),
             WireValue::U64(v) => {
-                out.push(tag::U64);
-                out.extend_from_slice(&v.to_le_bytes());
+                out.put(&[tag::U64])?;
+                out.put(&v.to_le_bytes())
             }
             WireValue::I64(v) => {
-                out.push(tag::I64);
-                out.extend_from_slice(&v.to_le_bytes());
+                out.put(&[tag::I64])?;
+                out.put(&v.to_le_bytes())
             }
             WireValue::F64(v) => {
-                out.push(tag::F64);
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
+                out.put(&[tag::F64])?;
+                out.put(&v.to_bits().to_le_bytes())
             }
             WireValue::Str(s) => {
-                out.push(tag::STR);
-                out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
+                out.put(&[tag::STR])?;
+                out.put(&(s.len() as u64).to_le_bytes())?;
+                out.put(s.as_bytes())
             }
             WireValue::Bytes(b) => {
-                out.push(tag::BYTES);
-                out.extend_from_slice(&(b.len() as u64).to_le_bytes());
-                out.extend_from_slice(b);
+                out.put(&[tag::BYTES])?;
+                out.put(&(b.len() as u64).to_le_bytes())?;
+                out.put(b)
             }
             WireValue::VecF64(v) => {
-                out.push(tag::VEC_F64);
-                out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-                put_f64s(out, v);
+                out.put(&[tag::VEC_F64])?;
+                out.put(&(v.len() as u64).to_le_bytes())?;
+                out.put_f64s(v)
             }
             WireValue::Matrix(m) => {
-                out.push(tag::MATRIX);
-                out.extend_from_slice(&(m.rows() as u64).to_le_bytes());
-                out.extend_from_slice(&(m.cols() as u64).to_le_bytes());
-                put_f64s(out, m.as_slice());
+                out.put(&[tag::MATRIX])?;
+                out.put(&(m.rows() as u64).to_le_bytes())?;
+                out.put(&(m.cols() as u64).to_le_bytes())?;
+                out.put_f64s(m.as_slice())
             }
             WireValue::List(items) => {
-                out.push(tag::LIST);
-                out.extend_from_slice(&(items.len() as u64).to_le_bytes());
-                for it in items {
-                    it.encode_into(out);
-                }
+                out.put(&[tag::LIST])?;
+                out.put(&(items.len() as u64).to_le_bytes())?;
+                items.iter().try_for_each(|it| it.encode_to(out))
             }
         }
     }
@@ -230,47 +238,50 @@ impl WireValue {
         WireValue::decode_nested(buf, 0)
     }
 
-    /// [`Self::decode_from`] inside `depth` enclosing lists.
-    fn decode_nested(buf: &mut &[u8], depth: usize) -> Result<WireValue, WireError> {
-        let t = take_u8(buf)?;
+    /// Decodes one value from `src` inside `depth` enclosing lists.
+    /// Nothing is allocated for more bytes than `src` has left.
+    fn decode_nested(src: &mut impl Source, depth: usize) -> Result<WireValue, WireError> {
+        let t = take_u8(src)?;
         Ok(match t {
             tag::UNIT => WireValue::Unit,
-            tag::BOOL => WireValue::Bool(take_u8(buf)? != 0),
-            tag::U64 => WireValue::U64(take_u64(buf)?),
-            tag::I64 => WireValue::I64(take_u64(buf)? as i64),
-            tag::F64 => WireValue::F64(f64::from_bits(take_u64(buf)?)),
+            tag::BOOL => WireValue::Bool(take_u8(src)? != 0),
+            tag::U64 => WireValue::U64(take_u64(src)?),
+            tag::I64 => WireValue::I64(take_u64(src)? as i64),
+            tag::F64 => WireValue::F64(f64::from_bits(take_u64(src)?)),
             tag::STR => {
-                let n = take_len(buf)?;
-                let bytes = take_bytes(buf, n)?;
-                WireValue::Str(String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Truncated)?)
+                let n = take_len(src)?;
+                WireValue::Str(
+                    String::from_utf8(take_bytes(src, n)?).map_err(|_| WireError::Truncated)?,
+                )
             }
             tag::BYTES => {
-                let n = take_len(buf)?;
-                WireValue::Bytes(take_bytes(buf, n)?.to_vec())
+                let n = take_len(src)?;
+                WireValue::Bytes(take_bytes(src, n)?)
             }
             tag::VEC_F64 => {
-                let n = take_len(buf)?;
-                WireValue::VecF64(take_f64s(buf, n)?)
+                let n = take_len(src)?;
+                WireValue::VecF64(src.take_f64s(n)?)
             }
             tag::MATRIX => {
-                let rows = take_len(buf)?;
-                let cols = take_len(buf)?;
+                let rows = take_len(src)?;
+                let cols = take_len(src)?;
                 let n = rows.checked_mul(cols).ok_or(WireError::Truncated)?;
-                WireValue::Matrix(Matrix::from_vec(rows, cols, take_f64s(buf, n)?))
+                WireValue::Matrix(Matrix::from_vec(rows, cols, src.take_f64s(n)?))
             }
             tag::LIST => {
                 if depth == MAX_LIST_DEPTH {
                     return Err(WireError::TooDeep);
                 }
-                let n = take_len(buf)?;
-                // Each element is at least 1 byte; reject absurd counts
-                // before reserving.
-                if n > buf.len() {
+                let n = take_len(src)?;
+                // Each element is at least 1 byte; reject absurd counts,
+                // and reserve no more memory than the bytes left.
+                if n > src.left() {
                     return Err(WireError::Truncated);
                 }
-                let mut items = Vec::with_capacity(n);
+                let mut items =
+                    Vec::with_capacity(n.min(src.left() / std::mem::size_of::<WireValue>()));
                 for _ in 0..n {
-                    items.push(WireValue::decode_nested(buf, depth + 1)?);
+                    items.push(WireValue::decode_nested(src, depth + 1)?);
                 }
                 WireValue::List(items)
             }
@@ -286,6 +297,18 @@ impl WireValue {
         }
         Ok(v)
     }
+
+    /// Hands every `f64` buffer inside to the calling thread's
+    /// `linalg::pool`, where the next decode or `Matrix` clone of a
+    /// like size finds it warm instead of faulting in fresh pages.
+    pub(crate) fn recycle(self) {
+        match self {
+            WireValue::Matrix(m) => m.into_pool(),
+            WireValue::VecF64(v) => linalg::pool::release(v),
+            WireValue::List(items) => items.into_iter().for_each(WireValue::recycle),
+            _ => {}
+        }
+    }
 }
 
 /// The wire size of a value *is* its payload size: the DES transfer
@@ -296,57 +319,153 @@ impl Payload for WireValue {
     }
 }
 
-fn take_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
-    let (&b, rest) = buf.split_first().ok_or(WireError::Truncated)?;
-    *buf = rest;
-    Ok(b)
+/// Where an encoding goes: a growing buffer, or a socket through a
+/// fixed chunk ([`Chunked`]).
+trait Sink {
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()>;
+    /// Puts `xs` as little-endian `f64` bits.
+    fn put_f64s(&mut self, xs: &[f64]) -> io::Result<()>;
 }
 
-fn take_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
-    if buf.len() < 8 {
-        return Err(WireError::Truncated);
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.extend_from_slice(bytes);
+        Ok(())
     }
-    let (head, rest) = buf.split_at(8);
-    *buf = rest;
-    Ok(u64::from_le_bytes(head.try_into().unwrap()))
+
+    /// One resize, then a copy per element into its fixed 8-byte slot.
+    fn put_f64s(&mut self, xs: &[f64]) -> io::Result<()> {
+        let start = self.len();
+        self.resize(start + 8 * xs.len(), 0);
+        put_f64_bits(&mut self[start..], xs);
+        Ok(())
+    }
 }
 
-fn take_len(buf: &mut &[u8]) -> Result<usize, WireError> {
-    let n = take_u64(buf)?;
+/// Writes `xs` into `out`, which holds exactly `8 * xs.len()` bytes.
+fn put_f64_bits(out: &mut [u8], xs: &[f64]) {
+    for (slot, x) in out.chunks_exact_mut(8).zip(xs) {
+        slot.copy_from_slice(&x.to_bits().to_le_bytes());
+    }
+}
+
+/// A socket writer behind one fixed 64 KiB buffer: a frame of
+/// any size costs no allocation.
+struct Chunked<'a, W> {
+    w: &'a mut W,
+    buf: [u8; CHUNK],
+    len: usize,
+}
+
+impl<W: Write> Chunked<'_, W> {
+    fn drain(&mut self) -> io::Result<()> {
+        self.w.write_all(&self.buf[..self.len])?;
+        self.len = 0;
+        Ok(())
+    }
+}
+
+impl<W: Write> Sink for Chunked<'_, W> {
+    fn put(&mut self, mut bytes: &[u8]) -> io::Result<()> {
+        while !bytes.is_empty() {
+            if self.len == CHUNK {
+                self.drain()?;
+            }
+            let n = bytes.len().min(CHUNK - self.len);
+            self.buf[self.len..self.len + n].copy_from_slice(&bytes[..n]);
+            self.len += n;
+            bytes = &bytes[n..];
+        }
+        Ok(())
+    }
+
+    fn put_f64s(&mut self, mut xs: &[f64]) -> io::Result<()> {
+        while !xs.is_empty() {
+            let room = (CHUNK - self.len) / 8;
+            if room == 0 {
+                self.drain()?;
+                continue;
+            }
+            let (now, rest) = xs.split_at(xs.len().min(room));
+            put_f64_bits(&mut self.buf[self.len..self.len + 8 * now.len()], now);
+            self.len += 8 * now.len();
+            xs = rest;
+        }
+        Ok(())
+    }
+}
+
+/// Where a decoder reads from: the rest of a buffered body, or the rest
+/// of a frame still on the socket ([`FrameReader`]).
+trait Source {
+    /// Bytes left: what the buffer holds, or what the frame still
+    /// announces. Every allocation is checked against it first.
+    fn left(&self) -> usize;
+    /// Fills `out`, or `Truncated` when fewer bytes are left.
+    fn take_into(&mut self, out: &mut [u8]) -> Result<(), WireError>;
+    /// Takes `n` little-endian `f64`s, or `Truncated` when fewer than
+    /// `8 * n` bytes are left — checked before anything is allocated, so
+    /// a short body announcing a huge `n` costs nothing.
+    fn take_f64s(&mut self, n: usize) -> Result<Vec<f64>, WireError>;
+}
+
+impl Source for &[u8] {
+    fn left(&self) -> usize {
+        self.len()
+    }
+
+    fn take_into(&mut self, out: &mut [u8]) -> Result<(), WireError> {
+        if self.len() < out.len() {
+            return Err(WireError::Truncated);
+        }
+        let (head, rest) = self.split_at(out.len());
+        out.copy_from_slice(head);
+        *self = rest;
+        Ok(())
+    }
+
+    fn take_f64s(&mut self, n: usize) -> Result<Vec<f64>, WireError> {
+        let len = n.checked_mul(8).ok_or(WireError::Truncated)?;
+        if self.len() < len {
+            return Err(WireError::Truncated);
+        }
+        let (bytes, rest) = self.split_at(len);
+        *self = rest;
+        Ok(bytes.chunks_exact(8).map(f64_of_bits).collect())
+    }
+}
+
+fn f64_of_bits(b: &[u8]) -> f64 {
+    f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+}
+
+fn take_u8(src: &mut impl Source) -> Result<u8, WireError> {
+    let mut b = [0u8; 1];
+    src.take_into(&mut b)?;
+    Ok(b[0])
+}
+
+fn take_u64(src: &mut impl Source) -> Result<u64, WireError> {
+    let mut b = [0u8; 8];
+    src.take_into(&mut b)?;
+    Ok(u64::from_le_bytes(b))
+}
+
+fn take_len(src: &mut impl Source) -> Result<usize, WireError> {
+    let n = take_u64(src)?;
     if n > MAX_FRAME_BYTES as u64 {
         return Err(WireError::Oversized(n as usize));
     }
     Ok(n as usize)
 }
 
-fn take_bytes<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
-    if buf.len() < n {
+fn take_bytes(src: &mut impl Source, n: usize) -> Result<Vec<u8>, WireError> {
+    if src.left() < n {
         return Err(WireError::Truncated);
     }
-    let (head, rest) = buf.split_at(n);
-    *buf = rest;
-    Ok(head)
-}
-
-/// Appends `xs` as little-endian `f64` bits: one resize, then a copy
-/// per element into its fixed 8-byte slot.
-fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
-    let start = out.len();
-    out.resize(start + 8 * xs.len(), 0);
-    for (slot, x) in out[start..].chunks_exact_mut(8).zip(xs) {
-        slot.copy_from_slice(&x.to_bits().to_le_bytes());
-    }
-}
-
-/// Takes `n` little-endian `f64`s. The `8 * n` bytes must all be there
-/// before anything is allocated, so a short body announcing a huge `n`
-/// costs nothing.
-fn take_f64s(buf: &mut &[u8], n: usize) -> Result<Vec<f64>, WireError> {
-    let bytes = take_bytes(buf, n.checked_mul(8).ok_or(WireError::Truncated)?)?;
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk"))))
-        .collect())
+    let mut bytes = vec![0; n];
+    src.take_into(&mut bytes)?;
+    Ok(bytes)
 }
 
 // ---------------------------------------------------------------------
@@ -366,19 +485,118 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), WireError> {
     Ok(())
 }
 
+/// Writes one frame whose body is `head` followed by the encoding of
+/// `value`, through one fixed 64 KiB buffer: the bytes of
+/// [`write_frame`] over `head ‖ value.encode()`, without building
+/// either.
+pub(crate) fn write_value_frame(
+    w: &mut impl Write,
+    head: &[u8],
+    value: &WireValue,
+) -> Result<(), WireError> {
+    let len = head.len() + value.encoded_len();
+    if len > MAX_FRAME_BYTES {
+        return Err(WireError::Oversized(len));
+    }
+    let mut out = Chunked {
+        w,
+        buf: [0; CHUNK],
+        len: 0,
+    };
+    out.put(&(len as u32).to_le_bytes())?;
+    out.put(head)?;
+    value.encode_to(&mut out)?;
+    out.drain()?;
+    out.w.flush()?;
+    Ok(())
+}
+
 /// Reads one length-prefixed frame. Returns `Err` on EOF, a short
 /// read (peer died mid-write), or an oversized prefix — never a
 /// partial body.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let n = u32::from_le_bytes(len) as usize;
-    if n > MAX_FRAME_BYTES {
-        return Err(WireError::Oversized(n));
-    }
-    let mut body = vec![0u8; n];
-    r.read_exact(&mut body)?;
+    let mut frame = FrameReader::open(r)?;
+    let mut body = vec![0u8; frame.left];
+    frame.read_exact(&mut body)?;
     Ok(body)
+}
+
+/// One frame's body, read off the socket piece by piece: what
+/// [`read_frame`] reads, without a whole-frame buffer. Nothing is read
+/// past the length prefix's announcement, and a short read is an error.
+pub(crate) struct FrameReader<'a, R> {
+    r: &'a mut R,
+    /// Body bytes not read yet.
+    left: usize,
+}
+
+impl<'a, R: Read> FrameReader<'a, R> {
+    /// Reads the next frame's length prefix.
+    pub(crate) fn open(r: &'a mut R) -> Result<Self, WireError> {
+        let mut len = [0u8; 4];
+        r.read_exact(&mut len)?;
+        let left = u32::from_le_bytes(len) as usize;
+        if left > MAX_FRAME_BYTES {
+            return Err(WireError::Oversized(left));
+        }
+        Ok(FrameReader { r, left })
+    }
+
+    /// Body bytes not read yet.
+    pub(crate) fn left(&self) -> usize {
+        self.left
+    }
+
+    /// Reads the next `out.len()` body bytes.
+    pub(crate) fn read_exact(&mut self, out: &mut [u8]) -> Result<(), WireError> {
+        self.take_into(out)
+    }
+
+    /// Decodes the value that ends the body straight into its own
+    /// buffers: `f64` arrays come from `linalg::pool` and are filled
+    /// through one 64 KiB buffer. Refuses what
+    /// [`WireValue::decode`] refuses.
+    pub(crate) fn read_value(mut self) -> Result<WireValue, WireError> {
+        let v = WireValue::decode_nested(&mut self, 0)?;
+        if self.left != 0 {
+            return Err(WireError::Truncated);
+        }
+        Ok(v)
+    }
+}
+
+impl<R: Read> Source for FrameReader<'_, R> {
+    fn left(&self) -> usize {
+        self.left
+    }
+
+    fn take_into(&mut self, out: &mut [u8]) -> Result<(), WireError> {
+        if self.left < out.len() {
+            return Err(WireError::Truncated);
+        }
+        self.r.read_exact(out)?;
+        self.left -= out.len();
+        Ok(())
+    }
+
+    fn take_f64s(&mut self, n: usize) -> Result<Vec<f64>, WireError> {
+        let len = n.checked_mul(8).ok_or(WireError::Truncated)?;
+        if self.left < len {
+            return Err(WireError::Truncated);
+        }
+        // Every element is written below, so the pool's stale values
+        // never show.
+        let mut out = linalg::pool::acquire_full_overwrite(n);
+        let mut chunk = [0u8; CHUNK];
+        for xs in out.chunks_mut(CHUNK / 8) {
+            let bytes = &mut chunk[..8 * xs.len()];
+            self.take_into(bytes)?;
+            for (x, b) in xs.iter_mut().zip(bytes.chunks_exact(8)) {
+                *x = f64_of_bits(b);
+            }
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -501,6 +719,43 @@ mod tests {
         let body = WireValue::VecF64(vec![1.0, 2.0]).encode();
         write_frame(&mut a, &body).unwrap();
         assert_eq!(read_frame(&mut b).unwrap(), body);
+    }
+
+    #[test]
+    fn value_frames_stream_the_buffered_bytes_and_read_back() {
+        let big = WireValue::Matrix(Matrix::from_fn(100, 97, |r, c| (r * 97 + c) as f64));
+        for v in samples().into_iter().chain([big]) {
+            let mut sent = Vec::new();
+            write_value_frame(&mut sent, b"head", &v).unwrap();
+            let mut body = b"head".to_vec();
+            v.encode_into(&mut body);
+            let mut want = Vec::new();
+            write_frame(&mut want, &body).unwrap();
+            assert_eq!(sent, want, "variant {v:?}");
+            let mut r = sent.as_slice();
+            let mut frame = FrameReader::open(&mut r).unwrap();
+            let mut head = [0u8; 4];
+            frame.read_exact(&mut head).unwrap();
+            assert_eq!(frame.read_value().unwrap().encode(), v.encode());
+            // One byte short: the reader errs instead of reading past.
+            let mut r = &sent[..sent.len() - 1];
+            let mut frame = FrameReader::open(&mut r).unwrap();
+            frame.read_exact(&mut head).unwrap();
+            assert!(frame.read_value().is_err(), "variant {v:?}");
+        }
+    }
+
+    #[test]
+    fn recycle_hands_every_f64_buffer_to_the_pool() {
+        linalg::pool::clear();
+        let v = WireValue::List(vec![
+            WireValue::Matrix(Matrix::from_fn(4, 4, |r, c| (r + c) as f64)),
+            WireValue::List(vec![WireValue::VecF64(vec![1.0; 8]), WireValue::Unit]),
+        ]);
+        v.recycle();
+        let (_, _, retained) = linalg::pool::stats();
+        assert_eq!(retained, 8 * (16 + 8));
+        linalg::pool::clear();
     }
 
     #[test]

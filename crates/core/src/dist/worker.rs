@@ -7,6 +7,10 @@
 //! *relay* — so bulk payloads flow worker-to-worker, not through the
 //! driver. The store holds `Arc`s and [`Msg::Data`] carries
 //! one, so serving a pull encodes straight from the stored value. A
+//! [`Msg::Release`] drops a datum no task will read again, and its
+//! buffers go back to `linalg::pool` on the thread that runs the task
+//! bodies and decodes their inputs: the next block lands in warm
+//! memory, not in freshly faulted pages. A
 //! dedicated thread heartbeats over the control stream even while a
 //! task body runs, so a *slow* worker is distinguishable from a *dead*
 //! one; it waits on a channel, not in a sleep, so teardown never waits
@@ -209,6 +213,17 @@ fn serve_driver(
         };
         match msg {
             Msg::Shutdown => return Ok(()),
+            Msg::Release { data } => {
+                let dropped = store
+                    .lock()
+                    .expect("a peer thread panicked holding the store")
+                    .remove(&data);
+                // A peer thread still serving the datum keeps it alive,
+                // and frees it on its own thread instead.
+                if let Some(value) = dropped.and_then(Arc::into_inner) {
+                    value.recycle();
+                }
+            }
             Msg::Run {
                 task,
                 attempt: _,

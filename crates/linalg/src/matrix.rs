@@ -292,11 +292,26 @@ fn tile_products(mut acc: [[f64; NR]; MR], a: &[[f64; MR]], b: &[[f64; NR]]) -> 
 }
 
 /// A dense, row-major matrix of `f64`.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+/// A clone's storage comes from the thread-local [`crate::pool`] when a
+/// recycled buffer fits, so a copy lands in warm memory; the elements
+/// are the same bits either way.
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        let mut data = crate::pool::acquire_capacity(self.data.len());
+        data.extend_from_slice(&self.data);
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
+    }
 }
 
 impl fmt::Debug for Matrix {
@@ -915,6 +930,24 @@ mod tests {
         let (hits1, _, _) = crate::pool::stats();
         assert!(hits1 > hits0, "matmul_nt should reuse the dirty buffer");
         assert_eq!(second, reference);
+    }
+
+    #[test]
+    fn clone_draws_a_dirty_pooled_buffer_and_keeps_every_bit() {
+        let m = Matrix::from_fn(9, 17, |r, c| {
+            f64::from_bits((r * 17 + c) as u64 * 0x9E37_79B9)
+        });
+        let mut dirty = crate::pool::acquire(9 * 17 + 30);
+        dirty.iter_mut().for_each(|x| *x = f64::NAN);
+        crate::pool::release(dirty);
+        let (hits0, _, _) = crate::pool::stats();
+        let copy = m.clone();
+        let (hits1, _, _) = crate::pool::stats();
+        assert_eq!(hits1, hits0 + 1, "the clone should reuse the pooled buffer");
+        assert_eq!(copy.shape(), m.shape());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&copy), bits(&m));
+        assert!(Matrix::zeros(0, 3).clone().as_slice().is_empty());
     }
 
     /// Shapes `(rows, cols)` straddling every edge the Gram kernels

@@ -10,38 +10,50 @@
 //! vector and the output value's `Arc`, plus `run_many`'s reference
 //! vector. A `Vec`, `String` or `Box` per task on the table path shows
 //! up here as one more allocation per task.
+//!
+//! The same allocator counts the bytes the `dist` data plane asks for:
+//! a `Data` frame costs its payload once, and a decoder never reserves
+//! more than the frame it reads could fill.
 
+use linalg::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
+use taskrt::dist::proto::{recv, send};
+use taskrt::dist::{InputSpec, Msg, WireError, WireValue};
 use taskrt::{Handle, Runtime};
 
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn note(allocs: u64, bytes: i64) {
+/// Counts `allocs` allocations of `allocated` bytes in all, and a change
+/// of `live` in the bytes held.
+fn note(allocs: u64, allocated: u64, live: i64) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + allocs));
-    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
+    let _ = ALLOCATED_BYTES.try_with(|c| c.set(c.get() + allocated));
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + live));
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator;
 // the counters are plain thread-local cells that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(1, layout.size() as i64);
+        note(1, layout.size() as u64, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(0, -(layout.size() as i64));
+        note(0, 0, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(1, new_size as i64 - layout.size() as i64);
+        note(1, new_size as u64, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -54,6 +66,13 @@ fn measure(f: impl FnOnce()) -> (u64, i64) {
     let (a0, b0) = (ALLOCS.with(Cell::get), LIVE_BYTES.with(Cell::get));
     f();
     (ALLOCS.with(Cell::get) - a0, LIVE_BYTES.with(Cell::get) - b0)
+}
+
+/// Bytes `f` asked the allocator for, on this thread.
+fn allocated(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATED_BYTES.with(Cell::get);
+    f();
+    ALLOCATED_BYTES.with(Cell::get) - before
 }
 
 /// Tasks per measurement: enough that a table page (1024 slots) is
@@ -123,4 +142,67 @@ fn run_many_and_run1_inout_allocate_a_pinned_count_per_task() {
         "run1_inout: {per_task:.3} allocations per task, pinned at 3"
     );
     assert_eq!(rt.peek(h)[0], (64 + N) as f64);
+}
+
+#[test]
+fn a_data_frame_costs_its_payload_once_end_to_end() {
+    let payload = 1 << 20;
+    let block = Matrix::from_fn(128, 1024, |r, c| (r * 1024 + c) as f64 / 3.0);
+    assert_eq!(8 * block.rows() * block.cols(), payload);
+    let msg = Msg::Data {
+        data: 7,
+        value: Arc::new(WireValue::Matrix(block)),
+    };
+    let (mut tx, mut rx) = std::os::unix::net::UnixStream::pair().unwrap();
+    let total = std::thread::scope(|s| {
+        let sender = s.spawn(|| allocated(|| send(&mut tx, &msg).unwrap()));
+        let mut got = None;
+        let receiver = allocated(|| got = Some(recv(&mut rx).unwrap()));
+        assert_eq!(got.unwrap(), msg);
+        let sender = sender.join().unwrap();
+        eprintln!("1 MiB Data frame: sender {sender} B, receiver {receiver} B allocated");
+        sender + receiver
+    });
+    // Encoding the whole frame, reading it whole and decoding it cost
+    // three payloads; streamed, only the decoded matrix is left.
+    assert!(
+        total as usize <= payload + (128 << 10),
+        "a 1 MiB Data frame allocated {total} B"
+    );
+}
+
+#[test]
+fn decoders_reserve_no_more_than_the_bytes_left_can_fill() {
+    // A `Run` announcing as many inputs as its body has bytes: each
+    // takes 16 on the wire and 32 in memory.
+    let mut run = vec![4u8]; // the `Run` tag
+    for field in [7u64, 1, 0, 1] {
+        // task, attempt, an empty kind, out
+        run.extend_from_slice(&field.to_le_bytes());
+    }
+    let n = 1u64 << 20;
+    run.extend_from_slice(&n.to_le_bytes());
+    run.resize(run.len() + n as usize, 0);
+    let mut decoded = None;
+    let bytes = allocated(|| decoded = Some(Msg::decode(&run)));
+    assert!(matches!(decoded, Some(Err(WireError::Truncated))));
+    assert_eq!(std::mem::size_of::<InputSpec>(), 32);
+    assert!(
+        bytes <= 2 * run.len() as u64 + 4096,
+        "a {} B Run reserved {bytes} B",
+        run.len()
+    );
+
+    // A list announcing one element per byte left, the first of them a
+    // bad tag.
+    let mut list = vec![9u8]; // the `List` tag
+    list.extend_from_slice(&n.to_le_bytes());
+    list.resize(list.len() + n as usize, 0xff);
+    let bytes = allocated(|| decoded = Some(WireValue::decode(&list).map(|_| Msg::Shutdown)));
+    assert!(matches!(decoded, Some(Err(WireError::BadTag(0xff)))));
+    assert!(
+        bytes <= list.len() as u64 + 4096,
+        "a {} B list reserved {bytes} B",
+        list.len()
+    );
 }

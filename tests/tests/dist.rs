@@ -5,11 +5,15 @@
 
 use linalg::Matrix;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use taskrt::dist::proto::{recv, send};
 use taskrt::dist::{
-    fingerprint, DistConfig, DistRuntime, KindRegistry, Plan, WireValue, CRASH_DROP, CRASH_TRUNCATE,
+    fingerprint, DistConfig, DistRuntime, KindRegistry, Msg, Plan, WireError, WireValue,
+    CRASH_DROP, CRASH_TRUNCATE,
 };
+use taskrt::trace::Trace;
 use taskrt::{OnFailure, Payload, RetryPolicy};
 
 /// Deterministic nested `WireValue` generator. The vendored proptest
@@ -88,6 +92,129 @@ proptest! {
         for cut in 0..bytes.len() {
             prop_assert!(WireValue::decode(&bytes[..cut]).is_err());
         }
+    }
+}
+
+/// `body` as a frame: its `u32` little-endian length, then the body.
+fn frame(body: &[u8]) -> Vec<u8> {
+    [&(body.len() as u32).to_le_bytes()[..], body].concat()
+}
+
+/// What a decoder made of some bytes, comparable across decoders: the
+/// message's encoding, or the error's variant.
+fn outcome(r: Result<Msg, WireError>) -> Result<Vec<u8>, std::mem::Discriminant<WireError>> {
+    r.map(|m| m.encode())
+        .map_err(|e| std::mem::discriminant(&e))
+}
+
+/// The streamed path ([`recv`] on a whole frame) makes of `body` what
+/// the buffered [`Msg::decode`] makes of it, value for value and error
+/// variant for error variant. Neither may panic.
+fn assert_streamed_matches_buffered(body: &[u8]) {
+    let buffered = outcome(Msg::decode(body));
+    let streamed = outcome(recv(&mut frame(body).as_slice()));
+    assert_eq!(streamed, buffered, "body {body:?}");
+}
+
+/// A `Data` message around `wire_value(seed, depth)`, with a byte
+/// string and a matrix of drawn sizes beside it, so that frames cross
+/// the 64 KiB chunk the streamed path moves at a time.
+fn data_msg(seed: u64, depth: u32, bytes: usize, rows: usize) -> Msg {
+    let value = WireValue::List(vec![
+        WireValue::Bytes((0..bytes).map(|i| (i * 31 + 7) as u8).collect()),
+        WireValue::Matrix(Matrix::from_fn(rows, 257, |r, c| {
+            f64::from_bits((seed ^ (r * 257 + c) as u64).rotate_left(17))
+        })),
+        wire_value(seed, depth),
+    ]);
+    Msg::Data {
+        data: seed,
+        value: Arc::new(value),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes behind a live message tag (or one past the last)
+    /// never panic a decoder, and the streamed path agrees with the
+    /// buffered one.
+    #[test]
+    fn prop_arbitrary_bytes_decode_alike_and_never_panic(
+        tag in 0u8..13,
+        rest in collection::vec(0u8..=255, 0..96),
+    ) {
+        let body = [&[tag][..], &rest].concat();
+        let _ = WireValue::decode(&rest);
+        assert_streamed_matches_buffered(&body);
+    }
+
+    /// Valid `Data` frames with one to three bytes overwritten: lengths,
+    /// tags and counts turn hostile deep inside a value, and the
+    /// streamed decoder still refuses what the buffered one refuses.
+    #[test]
+    fn prop_mutated_data_frames_decode_alike(
+        seed in 0u64..u64::MAX,
+        depth in 0u32..4,
+        edits in collection::vec(0u64..u64::MAX, 1..4),
+    ) {
+        let mut body = data_msg(seed, depth, (seed % 40) as usize, (seed % 3) as usize).encode();
+        for e in edits {
+            let at = (e % body.len() as u64) as usize;
+            body[at] = (e >> 32) as u8;
+        }
+        let _ = WireValue::decode(&body[9..]);
+        assert_streamed_matches_buffered(&body);
+    }
+
+    /// `send` streams a `Data` frame byte for byte as `write_frame` of
+    /// `Msg::encode` would, and `recv` reads it back; no cut of the
+    /// frame decodes.
+    #[test]
+    fn prop_streamed_data_frames_are_the_buffered_bytes(
+        seed in 0u64..u64::MAX,
+        depth in 0u32..3,
+        bytes in 0usize..70_000,
+        rows in 0usize..40,
+    ) {
+        let msg = data_msg(seed, depth, bytes, rows);
+        let mut sent = Vec::new();
+        send(&mut sent, &msg).unwrap();
+        prop_assert_eq!(&sent, &frame(&msg.encode()));
+        prop_assert_eq!(recv(&mut sent.as_slice()).unwrap().encode(), msg.encode());
+        let step = 1 + sent.len() / 64;
+        for cut in (0..sent.len()).step_by(step).chain(sent.len().saturating_sub(9)..sent.len()) {
+            prop_assert!(recv(&mut &sent[..cut]).is_err(), "a {cut}-byte prefix decoded");
+        }
+    }
+
+    /// Every prefix of a small frame fails, on either path.
+    #[test]
+    fn prop_truncated_frames_never_decode(seed in 0u64..u64::MAX, depth in 0u32..3) {
+        let msg = Msg::Data { data: seed, value: Arc::new(wire_value(seed, depth)) };
+        let body = msg.encode();
+        let whole = frame(&body);
+        for cut in 0..whole.len() {
+            prop_assert!(recv(&mut &whole[..cut]).is_err(), "a {cut}-byte prefix decoded");
+        }
+        for cut in 0..body.len() {
+            prop_assert!(Msg::decode(&body[..cut]).is_err(), "a {cut}-byte body decoded");
+        }
+    }
+
+    /// `Trace::load` refuses arbitrary bytes, and bytes that open like
+    /// a trace, with an error, never a panic.
+    #[test]
+    fn prop_trace_load_errs_on_arbitrary_bytes(
+        like_a_trace in 0u8..2,
+        bytes in collection::vec(0u8..=255, 0..256),
+    ) {
+        let head: &[u8] = if like_a_trace == 1 { br#"{"records":[{"id":"# } else { b"" };
+        let path = std::env::temp_dir().join(format!("taskrt-trace-bytes-{}.json", std::process::id()));
+        std::fs::write(&path, [head, &bytes].concat()).unwrap();
+        let loaded = Trace::load(&path);
+        std::fs::remove_file(&path).unwrap();
+        prop_assert!(loaded.is_err());
     }
 }
 
@@ -285,6 +412,17 @@ fn distributed_pca_bit_identical_across_worker_counts() {
             report.outputs[&outs.projection].as_matrix().shape(),
             (96, 3)
         );
+        // A clean run releases every datum some task read, once, unless
+        // the plan marks it as an output.
+        let read: BTreeSet<u64> = report
+            .trace
+            .records
+            .iter()
+            .flat_map(|r| r.inputs.iter().map(|(d, _)| d.0))
+            .filter(|d| !plan.outputs().contains(d))
+            .collect();
+        assert_eq!(report.stats.released, read.len() as u64);
+        assert!(report.stats.released_bytes > 0);
         let shutdown = rt.shutdown();
         assert_eq!(shutdown.workers_reaped, workers);
         assert!(shutdown.sock_dir_removed, "socket dir leaked");
