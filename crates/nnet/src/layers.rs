@@ -344,6 +344,9 @@ fn max_pool_backward(x: &[f32], s: Shape, p: usize, dout: &[f32], dx: &mut [f32]
     }
 }
 
+/// One parameter buffer with its gradient and momentum velocity.
+pub type ParamMut<'a> = (&'a mut [f32], &'a mut [f32], &'a mut [f32]);
+
 /// A network layer.
 #[derive(Debug, Clone)]
 pub enum Layer {
@@ -452,21 +455,19 @@ impl Layer {
         dx
     }
 
-    /// Visits `(params, grads, velocities)` buffers of this layer, if
-    /// any.
-    #[allow(clippy::type_complexity)]
-    pub fn params_mut(&mut self) -> Option<(Vec<&mut [f32]>, Vec<&mut [f32]>, Vec<&mut [f32]>)> {
+    /// This layer's `(params, grads, velocities)` buffers, weights
+    /// first, then biases, if it has any. No allocation: the optimiser
+    /// walks them once per mini-batch.
+    pub fn params_mut(&mut self) -> Option<[ParamMut<'_>; 2]> {
         match self {
-            Layer::Conv1d(c) => Some((
-                vec![&mut c.w, &mut c.b],
-                vec![&mut c.gw, &mut c.gb],
-                vec![&mut c.vw, &mut c.vb],
-            )),
-            Layer::Dense(d) => Some((
-                vec![&mut d.w, &mut d.b],
-                vec![&mut d.gw, &mut d.gb],
-                vec![&mut d.vw, &mut d.vb],
-            )),
+            Layer::Conv1d(c) => Some([
+                (&mut c.w, &mut c.gw, &mut c.vw),
+                (&mut c.b, &mut c.gb, &mut c.vb),
+            ]),
+            Layer::Dense(d) => Some([
+                (&mut d.w, &mut d.gw, &mut d.vw),
+                (&mut d.b, &mut d.gb, &mut d.vb),
+            ]),
             _ => None,
         }
     }

@@ -173,13 +173,14 @@ impl Network {
     /// Panics on size mismatch.
     pub fn set_weights(&mut self, w: &[f32]) {
         let mut off = 0;
-        for l in &mut self.layers {
-            if let Some((params, _, _)) = l.params_mut() {
-                for p in params {
-                    p.copy_from_slice(&w[off..off + p.len()]);
-                    off += p.len();
-                }
-            }
+        for (p, _, _) in self
+            .layers
+            .iter_mut()
+            .filter_map(Layer::params_mut)
+            .flatten()
+        {
+            p.copy_from_slice(&w[off..off + p.len()]);
+            off += p.len();
         }
         assert_eq!(off, w.len(), "weight buffer size mismatch");
     }
@@ -355,15 +356,16 @@ impl Network {
     /// momentum, then clears them.
     fn sgd_step(&mut self, lr: f32, momentum: f32, batch: usize) {
         let scale = lr / batch.max(1) as f32;
-        for l in &mut self.layers {
-            if let Some((params, grads, vels)) = l.params_mut() {
-                for ((p, g), v) in params.into_iter().zip(grads).zip(vels) {
-                    for ((pv, gv), vv) in p.iter_mut().zip(g.iter_mut()).zip(v.iter_mut()) {
-                        *vv = momentum_step(momentum, *vv, scale * *gv);
-                        *pv += *vv;
-                        *gv = 0.0;
-                    }
-                }
+        for (p, g, v) in self
+            .layers
+            .iter_mut()
+            .filter_map(Layer::params_mut)
+            .flatten()
+        {
+            for ((pv, gv), vv) in p.iter_mut().zip(g.iter_mut()).zip(v.iter_mut()) {
+                *vv = momentum_step(momentum, *vv, scale * *gv);
+                *pv += *vv;
+                *gv = 0.0;
             }
         }
     }
@@ -395,11 +397,11 @@ pub fn average_networks(nets: &[&Network]) -> Network {
     let mut out = nets[0].clone();
     let k = nets.len() as f32;
     for (li, layer) in out.layers.iter_mut().enumerate() {
-        let Some((params, _, _)) = layer.params_mut() else {
+        let Some(sets) = layer.params_mut() else {
             continue;
         };
         // Net by net, then `/ k`: `((w0 + w1) + w2) + ..` per weight.
-        for (pi, acc) in params.into_iter().enumerate() {
+        for (pi, (acc, _, _)) in sets.into_iter().enumerate() {
             for net in &nets[1..] {
                 let p = net.layers[li].params()[pi];
                 assert_eq!(
@@ -460,10 +462,13 @@ mod tests {
             loss += net.backprop_batch(&mut ws, x, y, chunk);
         }
         let mut flat = Vec::with_capacity(net.n_params());
-        for l in &mut net.layers {
-            if let Some((_, grads, _)) = l.params_mut() {
-                grads.into_iter().for_each(|g| flat.extend_from_slice(g));
-            }
+        for (_, g, _) in net
+            .layers
+            .iter_mut()
+            .filter_map(Layer::params_mut)
+            .flatten()
+        {
+            flat.extend_from_slice(g);
         }
         (flat, loss)
     }
@@ -578,12 +583,8 @@ mod tests {
         let mut net = Network::afib_cnn(64, 1);
         net.train_epoch(&x, &y, &TrainParams::default(), 0);
         let velocities = |n: &mut Network| -> Vec<f32> {
-            let layers = n.layers.iter_mut().filter_map(Layer::params_mut);
-            layers
-                .flat_map(|(_, _, v)| v)
-                .flatten()
-                .map(|v| *v)
-                .collect()
+            let sets = n.layers.iter_mut().filter_map(Layer::params_mut);
+            sets.flatten().flat_map(|(_, _, v)| v.to_vec()).collect()
         };
         assert!(velocities(&mut net).iter().any(|&v| v != 0.0));
         (0..1000).for_each(|_| net.sgd_step(0.01, 0.9, 8));

@@ -11,11 +11,15 @@
 //! vector. A `Vec`, `String` or `Box` per task on the table path shows
 //! up here as one more allocation per task.
 //!
+//! A CNN training epoch is counted too: its mini-batches, the SGD step
+//! included, reuse one workspace and allocate nothing.
+//!
 //! The same allocator counts the bytes the `dist` data plane asks for:
 //! a `Data` frame costs its payload once, and a decoder never reserves
 //! more than the frame it reads could fill.
 
 use linalg::Matrix;
+use nnet::{Network, TrainParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -142,6 +146,34 @@ fn run_many_and_run1_inout_allocate_a_pinned_count_per_task() {
         "run1_inout: {per_task:.3} allocations per task, pinned at 3"
     );
     assert_eq!(rt.peek(h)[0], (64 + N) as f64);
+}
+
+#[test]
+fn a_training_epoch_allocates_nothing_per_mini_batch() {
+    // The paper's CNN at the benchmark's input length, batches of 4.
+    let len = 160;
+    let data = |n: usize| {
+        let x = Matrix::from_fn(n, len, |r, c| ((r * len + c) as f64 * 0.37).sin());
+        (x, (0..n).map(|i| (i % 2) as u8).collect::<Vec<u8>>())
+    };
+    let ((x20, y20), (x40, y40)) = (data(20), data(40));
+    let params = TrainParams {
+        batch_size: 4,
+        ..TrainParams::default()
+    };
+    let mut net = Network::afib_cnn(len, 1);
+    // Warm-up outside the count: the GEMM's per-thread packing scratch.
+    net.train_epoch(&x40, &y40, &params, 0);
+    let (five, _) = measure(|| {
+        net.train_epoch(&x20, &y20, &params, 1);
+    });
+    let (ten, _) = measure(|| {
+        net.train_epoch(&x40, &y40, &params, 2);
+    });
+    eprintln!("train_epoch: {five} allocations for 5 mini-batches, {ten} for 10");
+    // The workspace and the shuffled order are per call; a mini-batch
+    // (forward, backward, SGD step) allocates nothing.
+    assert_eq!(ten, five, "train_epoch allocates per mini-batch");
 }
 
 #[test]
