@@ -1,16 +1,16 @@
 //! Observability exporter: run the ECG → PCA stage once on the threaded
 //! scheduler and export every `taskrt::obs` / `taskrt::telemetry`
 //! artifact of that one run — the role Extrae + Paraver play in the
-//! paper: counters, then views derived from the finished trace (event
-//! stream, latency histograms, stragglers, real-vs-DES divergence).
+//! paper: scheduler statistics, then views derived from the finished
+//! trace (event stream, latency histograms, stragglers, real-vs-DES
+//! divergence).
 //! Writes, under `out/`:
 //!
-//! * `profile.json` — scheduler counters ([`taskrt::RuntimeStats`]),
+//! * `profile.json` — scheduler statistics ([`taskrt::RuntimeStats`]),
 //!   per-kind profile ([`taskrt::Profile`]), simulated per-node
 //!   breakdown ([`taskrt::SimProfile`]), registry snapshot (linalg pool
 //!   counters folded in), derived events per kind, straggler and
 //!   divergence reports, event-schema identity check.
-//! * `profile.prom` — the registry in Prometheus text exposition format.
 //! * `profile.trace.json` — Chrome-trace timeline of the *real* run (one
 //!   track per driver/worker, straggler verdicts as `instant` markers);
 //!   open in <https://ui.perfetto.dev>.
@@ -30,7 +30,7 @@ use ecg::{Dataset, DatasetSpec, Scale};
 use taskrt::json::Value;
 use taskrt::obs::{chrome_trace_schedule, chrome_trace_stragglers};
 use taskrt::sim::{simulate, ClusterSpec, SimOptions};
-use taskrt::telemetry::{divergence, validate_prometheus, StragglerReport};
+use taskrt::telemetry::{divergence, StragglerReport};
 use taskrt::{Profile, Runtime, SimProfile};
 
 fn main() {
@@ -82,25 +82,15 @@ fn main() {
     let trace = rt.finish();
 
     // -- aggregate, analyze, replay -----------------------------------
-    registry.counter(
-        "taskrt_pool_hits_total",
-        "linalg buffer-pool acquisitions served from a retained buffer",
-        pool_hits,
-    );
-    registry.counter(
-        "taskrt_pool_misses_total",
-        "linalg buffer-pool acquisitions that fell through to the allocator",
-        pool_misses,
-    );
-    registry.counter(
-        "taskrt_pool_reused_bytes_total",
-        "bytes served from retained buffers instead of fresh allocations",
-        pool_bytes,
-    );
+    // The linalg buffer pool: acquisitions served from a retained
+    // buffer, those that fell through to the allocator, and the bytes
+    // served without a fresh allocation.
+    registry.counter("taskrt_pool_hits_total", pool_hits);
+    registry.counter("taskrt_pool_misses_total", pool_misses);
+    registry.counter("taskrt_pool_reused_bytes_total", pool_bytes);
     let stragglers = StragglerReport::from_trace(&trace, straggler_k, 8);
     registry.counter(
         "taskrt_stragglers_total",
-        "tasks flagged slower than k x their kind's running median",
         stragglers.stragglers.len() as u64,
     );
     let profile = Profile::from_trace(&trace);
@@ -192,7 +182,6 @@ fn main() {
     let timeline = chrome_trace_stragglers(&trace, &stragglers);
     for (path, contents) in [
         ("out/profile.json", doc.pretty()),
-        ("out/profile.prom", registry.to_prometheus()),
         ("out/profile.trace.json", timeline),
         ("out/profile_sim.trace.json", chrome_trace_schedule(&report)),
     ] {
@@ -205,9 +194,9 @@ fn main() {
 }
 
 /// Re-reads the written artifacts and asserts they are usable. CI runs
-/// `--check` so a silent regression (counters gated off, ready stamps
+/// `--check` so a silent regression (statistics or ready stamps
 /// missing, pool counters not folded in, DES schema drift, empty
-/// timeline, malformed exporter) fails the build.
+/// timeline) fails the build.
 fn self_check(nodes: usize) {
     let read =
         |path: &str| std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
@@ -215,18 +204,11 @@ fn self_check(nodes: usize) {
         |path: &str| Value::parse(&read(path)).unwrap_or_else(|e| panic!("{path} parses: {e:?}"));
     let num = |v: &Value| v.as_f64().unwrap_or(0.0);
 
-    let prom = read("out/profile.prom");
-    let samples = validate_prometheus(&prom).expect("out/profile.prom is valid exposition text");
-    assert!(
-        samples > 10,
-        "expected >10 Prometheus samples, got {samples}"
-    );
-    assert!(
-        prom.contains("taskrt_pool_hits_total") && prom.contains("taskrt_run_seconds_bucket"),
-        "pool counters or run-time histogram missing from Prometheus snapshot"
-    );
-
     let v = parse("out/profile.json");
+    assert!(
+        v["registry"]["taskrt_pool_hits_total"].as_u64().is_some(),
+        "pool counters missing from the registry snapshot"
+    );
     for path in [
         "runtime.total_tasks",
         "runtime.queued_tasks",

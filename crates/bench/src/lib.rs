@@ -11,7 +11,7 @@
 //! | `pca_cost` | §IV-B: constant PCA cost across algorithms |
 //! | `dist` | multi-process PCA over `taskrt::dist`: bit-identity vs the inline oracle, DES divergence gate, chaos SIGKILL arm — writes `out/dist.json` |
 //! | `chaos` | fault injection on the threaded runtime + node-failure replay in the DES — writes `out/chaos.json` |
-//! | `profile` | observability exporter: one ECG → PCA run, every `taskrt::obs` / `taskrt::telemetry` artifact — writes `out/profile.json`, `.prom`, two Chrome traces |
+//! | `profile` | observability exporter: one ECG → PCA run, every `taskrt::obs` / `taskrt::telemetry` artifact — writes `out/profile.json` and two Chrome traces |
 //!
 //! Nothing here times the code for a verdict: that is `benchmark/`
 //! (`bash benchmark/run.sh`), and properties are `cargo test`.

@@ -38,7 +38,7 @@
 //! | [`sim`] | discrete-event cluster simulator and [`sim::ClusterSpec`] |
 //! | [`dot`] | Graphviz export of execution graphs |
 //! | [`gantt`] | ASCII/JSON timelines of simulated schedules |
-//! | [`obs`] | scheduler counters, Chrome-trace export, profile reports |
+//! | [`obs`] | scheduler statistics, Chrome-trace export, profile reports |
 //! | [`telemetry`] | views derived from a finished trace: events, histograms, registry, stragglers, divergence |
 //! | [`json`] | self-contained JSON tree, parser, and printer |
 //!

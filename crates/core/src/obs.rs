@@ -1,18 +1,18 @@
-//! Observability: runtime counters, profile reports, and timeline export.
+//! Observability: runtime statistics, profile reports, and timeline
+//! export.
 //!
 //! The paper's methodology rests on *measuring* workflows: PyCOMPSs
 //! emits Extrae traces that are inspected in Paraver to explain every
 //! scalability curve and anomaly. This module plays that role for
 //! `taskrt` — for real runs *and* for simulated schedules:
 //!
-//! * **[`RuntimeStats`]** — a snapshot of the scheduler's atomic
-//!   counters (tasks per worker, steal attempts/successes, injector
-//!   batches, wakeups, parks/idle time, driver stalls, queue-wait vs
-//!   run time). Collected with relaxed atomics off the lock path and
-//!   gated by [`crate::RuntimeConfig::metrics`], so the hot path stays
-//!   within noise of the un-instrumented scheduler (measured as
-//!   `obs.recording_overhead_frac` by `benchmark/run.sh --workload
-//!   sched_fine --trace 1`).
+//! * **[`RuntimeStats`]** — the scheduler's statistics (tasks per
+//!   worker, steal attempts/successes, injector batches, wakeups,
+//!   parks/idle time, driver stalls, queue-wait vs run time). There is
+//!   one recording path: the per-task fields are derived from the task
+//!   rows when [`crate::Runtime::stats`] is called, and the handful of
+//!   scheduler-internal counts are plain integers kept beside the locks
+//!   their sites already hold. Nothing here is switched on or off.
 //! * **[`chrome_trace`] / [`chrome_trace_schedule`]** — Chrome-trace
 //!   format (`chrome://tracing` / [Perfetto](https://ui.perfetto.dev))
 //!   JSON timelines: one track per executor (driver + workers) for a
@@ -26,10 +26,9 @@
 //!   received, plus cluster-wide *stall* time (instants where no node
 //!   runs anything — the cost of `wait`/`barrier` serialization).
 //!
-//! The counters are the only observability state a runtime updates
-//! besides each task's [`crate::TaskRecord`]; events, histograms and
-//! straggler reports are derived from the records after the run (see
-//! [`crate::telemetry`]).
+//! Each task's [`crate::TaskRecord`] is the one per-task stamp a
+//! runtime writes; events, histograms and straggler reports are derived
+//! from the records after the run too (see [`crate::telemetry`]).
 //!
 //! `cargo run --release -p bench --bin profile` exercises all of the
 //! above on a real pipeline and writes `out/profile.json` plus two
@@ -39,155 +38,12 @@ use crate::json::Value;
 use crate::sim::SimReport;
 use crate::trace::Trace;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-executor counter shard, `align(64)` so the per-task hot-path
-/// updates from different executors never contend on a shared cache
-/// line — with naively shared counters the instrumentation cost
-/// measured ~45% on the no-op DAG benchmark; sharded it sits within
-/// the 10% acceptance bound. (Ten `u64` fields now span two lines;
-/// the alignment still keeps shards from straddling each other.)
-#[repr(align(64))]
-#[derive(Debug, Default)]
-pub(crate) struct ExecShard {
-    /// Tasks executed by this executor.
-    pub(crate) tasks: AtomicU64,
-    /// Nanoseconds its tasks spent between becoming visible to workers
-    /// (injector flush or predecessor completion) and starting.
-    pub(crate) queue_wait_ns: AtomicU64,
-    /// Nanoseconds spent inside task bodies.
-    pub(crate) run_ns: AtomicU64,
-    /// Steal probes into a sibling's deque (hit or miss).
-    pub(crate) steal_attempts: AtomicU64,
-    /// Steal probes that obtained at least one task.
-    pub(crate) steal_successes: AtomicU64,
-    /// Tasks acquired by stealing.
-    pub(crate) stolen_tasks: AtomicU64,
-    /// Condvar sleeps: workers parking idle, the driver blocking in
-    /// `wait`/`barrier` after a dry cooperative help pass.
-    pub(crate) parks: AtomicU64,
-    /// Nanoseconds spent parked.
-    pub(crate) idle_ns: AtomicU64,
-    /// Tasks this worker ran whose affinity hint named it — the
-    /// (byte-)largest input was produced here, so the execution was
-    /// plausibly cache-warm.
-    pub(crate) locality_hits: AtomicU64,
-    /// Tasks with a worker affinity hint that ran somewhere else.
-    pub(crate) locality_misses: AtomicU64,
-}
-
-/// Scheduler-internal atomic counters, one instance per runtime.
-/// Updated with relaxed ordering outside the state lock; read via
-/// [`crate::Runtime::stats`]. All updates are gated by
-/// [`crate::RuntimeConfig::metrics`].
-#[derive(Debug)]
-pub(crate) struct Counters {
-    /// Per-executor shards: `shards[0]` is the driver, `shards[w + 1]`
-    /// is pool worker `w`.
-    pub(crate) shards: Vec<ExecShard>,
-    // Low-frequency counters (batch granularity) stay shared.
-    /// Staged-submission batches flushed to the injector.
-    pub(crate) injector_flushes: AtomicU64,
-    /// Tasks moved to the injector across all flushes.
-    pub(crate) injector_flushed_tasks: AtomicU64,
-    /// `notify_one` wake tokens granted to sleeping workers.
-    pub(crate) wakeups: AtomicU64,
-    /// INOUT parameters handed to a task by move (buffer reused).
-    pub(crate) inout_steals: AtomicU64,
-    /// INOUT parameters that fell back to clone (input still shared).
-    pub(crate) inout_copies: AtomicU64,
-    // Fault-handling counters: only touched when a task attempt fails,
-    // so they stay shared (no hot-path cost on healthy workflows).
-    /// Failed attempts that were resubmitted under [`crate::OnFailure::Retry`].
-    pub(crate) retries: AtomicU64,
-    /// Tasks that exhausted their retry budget and failed for good.
-    pub(crate) giveups: AtomicU64,
-    /// Outputs poisoned by [`crate::OnFailure::Ignore`] tasks.
-    pub(crate) poisoned: AtomicU64,
-    /// Tasks cancelled by a failed predecessor's policy.
-    pub(crate) cancelled: AtomicU64,
-}
-
-impl Counters {
-    pub(crate) fn new(n_workers: usize) -> Self {
-        Counters {
-            shards: (0..=n_workers).map(|_| ExecShard::default()).collect(),
-            injector_flushes: AtomicU64::new(0),
-            injector_flushed_tasks: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-            inout_steals: AtomicU64::new(0),
-            inout_copies: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            giveups: AtomicU64::new(0),
-            poisoned: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-        }
-    }
-
-    /// The shard owned by executor `who` (`-1` = driver, `w >= 0` =
-    /// pool worker `w`).
-    #[inline]
-    pub(crate) fn shard(&self, who: i64) -> &ExecShard {
-        &self.shards[(who + 1) as usize]
-    }
-
-    #[inline]
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Increment for single-writer counters: each pool worker is the
-    /// only thread that writes its own shard, so a plain load + store
-    /// replaces the lock-prefixed RMW on the per-task hot path.
-    /// (The driver shard can be written from several user threads and
-    /// must use [`Counters::add`].)
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64, n: u64) {
-        counter.store(
-            counter.load(Ordering::Relaxed).wrapping_add(n),
-            Ordering::Relaxed,
-        );
-    }
-
-    pub(crate) fn snapshot(&self) -> RuntimeStats {
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let sum =
-            |f: fn(&ExecShard) -> &AtomicU64| -> u64 { self.shards.iter().map(|s| ld(f(s))).sum() };
-        let total_tasks = sum(|s| &s.tasks);
-        let workers = &self.shards[1..];
-        RuntimeStats {
-            worker_tasks: workers.iter().map(|s| ld(&s.tasks)).collect(),
-            driver_tasks: ld(&self.shards[0].tasks),
-            steal_attempts: sum(|s| &s.steal_attempts),
-            steal_successes: sum(|s| &s.steal_successes),
-            stolen_tasks: sum(|s| &s.stolen_tasks),
-            locality_hits: sum(|s| &s.locality_hits),
-            locality_misses: sum(|s| &s.locality_misses),
-            injector_flushes: ld(&self.injector_flushes),
-            injector_flushed_tasks: ld(&self.injector_flushed_tasks),
-            wakeups: ld(&self.wakeups),
-            inout_steals: ld(&self.inout_steals),
-            inout_copies: ld(&self.inout_copies),
-            retries: ld(&self.retries),
-            giveups: ld(&self.giveups),
-            poisoned: ld(&self.poisoned),
-            cancelled: ld(&self.cancelled),
-            worker_parks: workers.iter().map(|s| ld(&s.parks)).sum(),
-            worker_idle_s: workers.iter().map(|s| ld(&s.idle_ns)).sum::<u64>() as f64 * 1e-9,
-            driver_parks: ld(&self.shards[0].parks),
-            driver_stall_s: ld(&self.shards[0].idle_ns) as f64 * 1e-9,
-            queue_wait_s: sum(|s| &s.queue_wait_ns) as f64 * 1e-9,
-            // Every task gets a release timestamp when metrics are on,
-            // so the queue-wait denominator is the task count.
-            queued_tasks: total_tasks,
-            run_s: sum(|s| &s.run_ns) as f64 * 1e-9,
-        }
-    }
-}
-
-/// A point-in-time snapshot of the scheduler counters (see
-/// [`crate::Runtime::stats`]). All zeros when the runtime was built
-/// with [`crate::RuntimeConfig::metrics`] `= false`.
+/// A point-in-time snapshot of the scheduler's statistics (see
+/// [`crate::Runtime::stats`]). The per-task fields (tasks per executor,
+/// queue wait, run time, retries, give-ups, poisoned, cancelled) are
+/// derived from the task rows; the rest are scheduler-internal counts
+/// kept beside the locks their sites hold.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuntimeStats {
     /// Tasks executed by each pool worker (empty in inline mode).
@@ -237,11 +93,14 @@ pub struct RuntimeStats {
     pub driver_parks: u64,
     /// Total seconds the driver was parked in `wait`/`barrier`.
     pub driver_stall_s: f64,
-    /// Summed ready-to-start latency over measured tasks.
+    /// Summed ready-to-start latency over tasks with a ready stamp
+    /// (every task a threaded runtime queues; none an inline runtime
+    /// runs at submission).
     pub queue_wait_s: f64,
-    /// Number of tasks with a measured queue wait.
+    /// The divisor of [`RuntimeStats::mean_queue_wait_s`]: every
+    /// executed task, since a task that never queued waited 0 s.
     pub queued_tasks: u64,
-    /// Summed task-body execution seconds.
+    /// Summed task-body execution seconds, over every attempt.
     pub run_s: f64,
 }
 
@@ -1152,24 +1011,6 @@ mod tests {
         assert_eq!(stats.worker_tasks.len(), 2);
         assert!(stats.run_s >= 0.0);
         assert!(stats.queued_tasks > 0);
-    }
-
-    #[test]
-    fn metrics_disabled_runtime_reports_zeros() {
-        let rt = Runtime::with_config(crate::RuntimeConfig {
-            mode: crate::ExecMode::Threads(2),
-            nested_mode: crate::ExecMode::Inline,
-            metrics: false,
-            ..crate::RuntimeConfig::default()
-        });
-        let a = rt.put(0u64);
-        for _ in 0..50 {
-            let _ = rt.task("t").run1(a, |v| v + 1);
-        }
-        rt.barrier();
-        let stats = rt.stats();
-        assert_eq!(stats.total_tasks(), 0);
-        assert_eq!(stats.queued_tasks, 0);
     }
 
     #[test]

@@ -69,7 +69,7 @@
 
 use crate::fault::{FaultMode, FaultPlan, OnFailure, RetryPolicy, TaskFault, INJECTED_PANIC};
 use crate::handle::{DataId, Handle, TaskId};
-use crate::obs::{Counters, RuntimeStats};
+use crate::obs::RuntimeStats;
 use crate::payload::Payload;
 use crate::tables::{
     AnyArc, DataEntry, Kinds, PendingJob, Row, Slot, Status, Tables, TaskFn, BARRIER_KIND, DRIVER,
@@ -78,8 +78,9 @@ use crate::tables::{
 use crate::telemetry::{HistogramSnapshot, Registry};
 use crate::trace::{AttemptRecord, Trace, SPLIT_TASK};
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -133,19 +134,13 @@ pub struct RuntimeConfig {
     pub mode: ExecMode,
     /// Execution mode for child runtimes created by nested tasks.
     pub nested_mode: ExecMode,
-    /// The one observability switch: whether the scheduler maintains
-    /// its counters (see [`crate::obs`] and [`Runtime::stats`]) and
-    /// stamps each record's
-    /// [`TaskRecord::ready_s`](crate::TaskRecord::ready_s). Updates are
-    /// relaxed atomics off the lock path, so the default is on; the
-    /// benchmark's `obs.recording_overhead_frac` (`sched_fine --trace
-    /// 1`) measures the on-vs-off gap. Events, latency histograms and
-    /// straggler reports are derived from the records after the run
-    /// ([`Trace::events`], [`Runtime::registry`]).
+    /// No effect. Statistics are always on: [`Runtime::stats`] derives
+    /// its per-task fields from the task rows and reads the scheduler's
+    /// few internal counts beside the locks their sites already hold.
+    /// Kept only because the frozen benchmark constructs it; removal
+    /// waits for the next change to the benchmark.
     pub metrics: bool,
-    /// No effect. Kept only because the frozen benchmark constructs
-    /// it; `metrics` is the one observability switch. Removal waits for
-    /// the next change to the benchmark.
+    /// No effect, like `metrics`, and kept for the same reason.
     pub telemetry: bool,
 }
 
@@ -163,10 +158,10 @@ impl Default for RuntimeConfig {
 /// Context handed to every task body; grants access to nesting.
 pub struct TaskCtx {
     nested_mode: ExecMode,
-    metrics: bool,
-    /// Runtime counters for in-body instrumentation (INOUT steal/copy
-    /// accounting); `None` when metrics are off.
-    counters: Option<Arc<Counters>>,
+    /// INOUT parameters this attempt took by move and by clone (see
+    /// [`take_arg`]); the executor adds them to the runtime's counts
+    /// at commit.
+    inout: Cell<(u64, u64)>,
     child: Mutex<Option<Runtime>>,
 }
 
@@ -180,24 +175,16 @@ impl TaskCtx {
         let rt = Runtime::with_config(RuntimeConfig {
             mode: self.nested_mode,
             nested_mode: self.nested_mode,
-            metrics: self.metrics,
             ..RuntimeConfig::default()
         });
         *lock(&self.child) = Some(rt.clone());
         rt
     }
 
-    /// Records which path an INOUT parameter resolution took (shared
-    /// low-frequency counters; a handful of updates per INOUT task).
-    fn count_inout(&self, stolen: bool) {
-        if let Some(c) = &self.counters {
-            let ctr = if stolen {
-                &c.inout_steals
-            } else {
-                &c.inout_copies
-            };
-            Counters::add(ctr, 1);
-        }
+    /// Records which path an INOUT parameter resolution took.
+    fn count_inout(&self, moved: bool) {
+        let (m, c) = self.inout.get();
+        self.inout.set(if moved { (m + 1, c) } else { (m, c + 1) });
     }
 }
 
@@ -211,10 +198,11 @@ struct ReadyRun {
     id: TaskId,
     f: TaskFn,
     inputs: Vec<AnyArc>,
-    /// When the task became visible to workers — queue-wait origin for
-    /// the obs counters. Stamped once per injector flush (staged tasks
-    /// share the flush instant) or at the releasing predecessor's
-    /// completion; `None` when metrics are off or the task runs inline.
+    /// When the task became visible to workers — the origin of its
+    /// queue wait, kept on its row as `ready_s`. Stamped once per
+    /// injector flush (staged tasks share the flush instant) or at the
+    /// releasing predecessor's completion; `None` for a task an inline
+    /// runtime runs at submission.
     ready_at: Option<Instant>,
     /// Failure policy carried from submission to the executor.
     fault: TaskFault,
@@ -238,7 +226,7 @@ struct ReadyRun {
 /// state lock; `ready_at` is the release timestamp, taken by the caller
 /// *outside* the lock (one clock read covers every task released in the
 /// same batch) so instrumentation never lengthens the serialized
-/// critical section. `None` when metrics are off.
+/// critical section.
 fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool) -> ReadyRun {
     let Tables {
         data, rows, inputs, ..
@@ -348,6 +336,29 @@ struct State {
     /// Reused by `submit_locked` to sort and deduplicate a task's
     /// producers.
     producers: Vec<TaskId>,
+    /// The scheduler-internal fields of [`RuntimeStats`] whose sites
+    /// hold this lock: steal probes, locality, injector flushes, INOUT
+    /// move vs clone, driver parks. The per-task fields stay zero here;
+    /// [`Runtime::stats`] derives them from the rows.
+    counts: RuntimeStats,
+}
+
+/// A worker's steal probes since it last held the state lock; added to
+/// [`State::counts`] at its next commit or dry-queue flush.
+#[derive(Default)]
+struct Steals {
+    attempts: u64,
+    successes: u64,
+    tasks: u64,
+}
+
+impl Steals {
+    fn fold_into(&mut self, counts: &mut RuntimeStats) {
+        counts.steal_attempts += self.attempts;
+        counts.steal_successes += self.successes;
+        counts.stolen_tasks += self.tasks;
+        *self = Steals::default();
+    }
 }
 
 struct WakeState {
@@ -358,6 +369,11 @@ struct WakeState {
     /// one token per sleep cycle.
     tokens: usize,
     shutdown: bool,
+    /// Wake tokens granted (see [`RuntimeStats::wakeups`]).
+    wakeups: u64,
+    /// Worker condvar sleeps, and the seconds they lasted.
+    worker_parks: u64,
+    worker_idle_s: f64,
 }
 
 impl WakeState {
@@ -396,10 +412,6 @@ struct Shared {
     fault_active: AtomicBool,
     /// Creation time — the zero point of every recorded `start_s`.
     epoch: Instant,
-    /// Observability counters (see [`crate::obs`]); updates gated by
-    /// `config.metrics`. `Arc` so a [`TaskCtx`] can carry a reference
-    /// into task bodies for in-body (INOUT) accounting.
-    counters: Arc<Counters>,
 }
 
 struct Inner {
@@ -463,6 +475,7 @@ impl Runtime {
                 waiters: 0,
                 staged: Vec::new(),
                 producers: Vec::new(),
+                counts: RuntimeStats::default(),
             }),
             cv: Condvar::new(),
             injector: Mutex::new(VecDeque::new()),
@@ -473,6 +486,9 @@ impl Runtime {
                 sleepers: 0,
                 tokens: 0,
                 shutdown: false,
+                wakeups: 0,
+                worker_parks: 0,
+                worker_idle_s: 0.0,
             }),
             wake_cv: Condvar::new(),
             idle_hint: AtomicBool::new(false),
@@ -480,7 +496,6 @@ impl Runtime {
             fault_plan: Mutex::new(None),
             fault_active: AtomicBool::new(false),
             epoch,
-            counters: Arc::new(Counters::new(n_workers)),
         });
         let workers = (0..n_workers)
             .map(|i| {
@@ -694,132 +709,118 @@ impl Runtime {
         lock(&self.inner.shared.state).tables.rows.len()
     }
 
-    /// Snapshot of the scheduler's observability counters (see
-    /// [`crate::obs::RuntimeStats`]). All zeros when the runtime was
-    /// built with [`RuntimeConfig::metrics`] `= false`.
+    /// Snapshot of the scheduler's statistics (see [`RuntimeStats`]).
+    /// The per-task fields are derived from the task rows, so a task
+    /// counts once its attempt commits; the scheduler-internal counts
+    /// are read beside the locks their sites hold.
     pub fn stats(&self) -> RuntimeStats {
-        self.inner.shared.counters.snapshot()
+        self.observe(|_, _| {})
     }
 
-    /// Builds a [`Registry`] of every scheduler counter plus three
+    /// [`Runtime::stats`], passing `visit` every row whose body ran and
+    /// its queue wait in seconds (`None` without a ready stamp) — the
+    /// one pass [`Runtime::registry`] builds its histograms in. Takes
+    /// the state lock, then the wake lock, never both at once.
+    fn observe(&self, mut visit: impl FnMut(&Row, Option<f64>)) -> RuntimeStats {
+        let shared = &self.inner.shared;
+        let mut s = {
+            let st = lock(&shared.state);
+            let mut s = RuntimeStats {
+                worker_tasks: vec![0; shared.queues.len()],
+                ..st.counts.clone()
+            };
+            for r in st.tables.rows.iter() {
+                if r.status == Status::Cancelled {
+                    s.cancelled += 1;
+                }
+                if !r.ran() {
+                    continue;
+                }
+                match usize::try_from(r.worker) {
+                    Ok(w) => s.worker_tasks[w] += 1,
+                    Err(_) => s.driver_tasks += 1,
+                }
+                let attempts = r.attempts();
+                let first_start = attempts.first().map_or(r.start_s, |a| a.start_s);
+                let queue_wait = (r.ready_s > 0.0).then(|| (first_start - r.ready_s).max(0.0));
+                s.queue_wait_s += queue_wait.unwrap_or(0.0);
+                s.run_s += if attempts.is_empty() {
+                    r.duration_s
+                } else {
+                    attempts.iter().map(|a| a.duration_s).sum()
+                };
+                // Every failed attempt but a give-up's last was retried.
+                s.retries += attempts.len().saturating_sub(1) as u64;
+                match r.status {
+                    Status::Failed if r.on_failure == OnFailure::Retry => s.giveups += 1,
+                    // Only an `Ignore` task completes on a failed attempt.
+                    Status::Done if attempts.last().is_some_and(|a| a.error.is_some()) => {
+                        s.poisoned += 1
+                    }
+                    _ => {}
+                }
+                visit(r, queue_wait);
+            }
+            // Inline tasks never queue; they add 0 s to the mean.
+            s.queued_tasks = s.total_tasks();
+            s
+        };
+        let w = lock(&shared.wake);
+        s.wakeups = w.wakeups;
+        s.worker_parks = w.worker_parks;
+        s.worker_idle_s = w.worker_idle_s;
+        s
+    }
+
+    /// Builds a [`Registry`] of the scheduler's statistics plus three
     /// latency histograms derived from the records — queue
     /// wait (`ready_s` to the first attempt's start, for records with a
     /// ready stamp), run time (final attempt) and per-attempt latency —
-    /// ready for JSON or Prometheus export. Call it after a `barrier`:
+    /// ready for JSON export. Call it after a `barrier`:
     /// a task still running has no record stamps yet. Callers may fold
     /// their own metrics in afterwards (the `profile` bin adds the
     /// linalg buffer-pool counters this way).
     pub fn registry(&self) -> Registry {
         let ns = |s: f64| (s.max(0.0) * 1e9) as u64;
         let (mut queue_wait, mut run, mut attempt) = (Vec::new(), Vec::new(), Vec::new());
-        {
-            let st = lock(&self.inner.shared.state);
-            for r in st.tables.rows.iter().filter(|r| r.ran()) {
-                run.push(ns(r.duration_s));
-                let attempts = r.attempts();
-                if attempts.is_empty() {
-                    attempt.push(ns(r.duration_s));
-                } else {
-                    attempt.extend(attempts.iter().map(|a| ns(a.duration_s)));
-                }
-                if r.ready_s > 0.0 {
-                    let first_start = attempts.first().map_or(r.start_s, |a| a.start_s);
-                    queue_wait.push(ns(first_start - r.ready_s));
-                }
+        let s = self.observe(|r, wait| {
+            run.push(ns(r.duration_s));
+            let attempts = r.attempts();
+            if attempts.is_empty() {
+                attempt.push(ns(r.duration_s));
+            } else {
+                attempt.extend(attempts.iter().map(|a| ns(a.duration_s)));
             }
-        }
-        let s = self.stats();
+            queue_wait.extend(wait.map(ns));
+        });
         let mut reg = Registry::new();
-        reg.counter("taskrt_tasks_total", "tasks executed", s.total_tasks());
-        reg.counter(
-            "taskrt_driver_tasks_total",
-            "tasks executed on driver threads",
-            s.driver_tasks,
-        );
-        reg.counter(
-            "taskrt_steal_attempts_total",
-            "steal probes into sibling deques",
-            s.steal_attempts,
-        );
-        reg.counter(
-            "taskrt_stolen_tasks_total",
-            "tasks acquired via stealing",
-            s.stolen_tasks,
-        );
-        reg.counter(
-            "taskrt_locality_hits_total",
-            "tasks run on the worker that produced their largest input",
-            s.locality_hits,
-        );
-        reg.counter(
-            "taskrt_locality_misses_total",
-            "affinity-hinted tasks run on a different worker",
-            s.locality_misses,
-        );
-        reg.counter(
-            "taskrt_injector_flushes_total",
-            "staged submission batches flushed",
-            s.injector_flushes,
-        );
-        reg.counter(
-            "taskrt_wakeups_total",
-            "worker wake tokens granted",
-            s.wakeups,
-        );
-        reg.counter(
-            "taskrt_inout_steals_total",
-            "INOUT parameters handed over by move",
-            s.inout_steals,
-        );
-        reg.counter(
-            "taskrt_inout_copies_total",
-            "INOUT parameters cloned on shared",
-            s.inout_copies,
-        );
-        reg.counter("taskrt_retries_total", "failed attempts retried", s.retries);
-        reg.counter(
-            "taskrt_giveups_total",
-            "tasks that exhausted their retry budget",
-            s.giveups,
-        );
-        reg.counter(
-            "taskrt_poisoned_total",
-            "outputs poisoned by ignored failures",
-            s.poisoned,
-        );
-        reg.counter(
-            "taskrt_cancelled_total",
-            "tasks cancelled by failure policies",
-            s.cancelled,
-        );
-        reg.counter(
-            "taskrt_worker_parks_total",
-            "worker condvar sleeps",
-            s.worker_parks,
-        );
-        reg.gauge(
-            "taskrt_worker_idle_seconds",
-            "total seconds workers were parked",
-            s.worker_idle_s,
-        );
-        reg.histogram(
-            "taskrt_queue_wait_seconds",
-            "ready-to-start latency per task",
-            HistogramSnapshot::from_samples(queue_wait),
-            1e-9,
-        );
-        reg.histogram(
-            "taskrt_run_seconds",
-            "task body run time (final attempt)",
-            HistogramSnapshot::from_samples(run),
-            1e-9,
-        );
-        reg.histogram(
-            "taskrt_attempt_seconds",
-            "per-attempt body latency (all attempts)",
-            HistogramSnapshot::from_samples(attempt),
-            1e-9,
-        );
+        for (name, v) in [
+            ("taskrt_tasks_total", s.total_tasks()),
+            ("taskrt_driver_tasks_total", s.driver_tasks),
+            ("taskrt_steal_attempts_total", s.steal_attempts),
+            ("taskrt_stolen_tasks_total", s.stolen_tasks),
+            ("taskrt_locality_hits_total", s.locality_hits),
+            ("taskrt_locality_misses_total", s.locality_misses),
+            ("taskrt_injector_flushes_total", s.injector_flushes),
+            ("taskrt_wakeups_total", s.wakeups),
+            ("taskrt_inout_steals_total", s.inout_steals),
+            ("taskrt_inout_copies_total", s.inout_copies),
+            ("taskrt_retries_total", s.retries),
+            ("taskrt_giveups_total", s.giveups),
+            ("taskrt_poisoned_total", s.poisoned),
+            ("taskrt_cancelled_total", s.cancelled),
+            ("taskrt_worker_parks_total", s.worker_parks),
+        ] {
+            reg.counter(name, v);
+        }
+        reg.gauge("taskrt_worker_idle_seconds", s.worker_idle_s);
+        for (name, samples) in [
+            ("taskrt_queue_wait_seconds", queue_wait),
+            ("taskrt_run_seconds", run),
+            ("taskrt_attempt_seconds", attempt),
+        ] {
+            reg.histogram(name, HistogramSnapshot::from_samples(samples), 1e-9);
+        }
         reg
     }
 }
@@ -990,9 +991,6 @@ fn submit_locked(
         for d in out_first..out_first + n_outputs {
             t.data[d].slot = Slot::Poisoned(msg.clone());
         }
-        if shared.config.metrics {
-            Counters::add(&shared.counters.cancelled, 1);
-        }
     } else if let Some(msg) = inherited_failure {
         // A dependency already failed; its cascade ran before we
         // existed, so fail in place (waiters see it immediately).
@@ -1077,16 +1075,13 @@ fn flush_staged(shared: &Shared) -> usize {
 fn flush_staged_locked(shared: &Shared, st: &mut State) -> usize {
     let n = st.staged.len();
     if n > 0 {
-        let metrics = shared.config.metrics;
-        let stamp = metrics.then(Instant::now);
+        let stamp = Some(Instant::now());
         lock(&shared.injector).extend(st.staged.drain(..).map(|mut r| {
             r.ready_at = stamp;
             r
         }));
-        if metrics {
-            Counters::add(&shared.counters.injector_flushes, 1);
-            Counters::add(&shared.counters.injector_flushed_tasks, n as u64);
-        }
+        st.counts.injector_flushes += 1;
+        st.counts.injector_flushed_tasks += n as u64;
     }
     n
 }
@@ -1098,7 +1093,7 @@ fn flush_staged_locked(shared: &Shared, st: &mut State) -> usize {
 /// Returns the emptied buffer, capacity intact, for the caller to reuse.
 fn run_worklist(shared: &Shared, mut work: Vec<ReadyRun>) -> Vec<ReadyRun> {
     while let Some(r) = work.pop() {
-        execute_one(shared, r, &mut work, DRIVER);
+        execute_one(shared, r, &mut work, DRIVER, &mut Steals::default());
     }
     work
 }
@@ -1134,12 +1129,10 @@ fn wake(shared: &Shared, n: usize) {
         let unclaimed = w.sleepers.saturating_sub(w.tokens);
         let k = n.min(unclaimed);
         w.tokens += k;
+        w.wakeups += k as u64;
         w.publish_idle_hint(&shared.idle_hint);
         k
     };
-    if k > 0 && shared.config.metrics {
-        Counters::add(&shared.counters.wakeups, k as u64);
-    }
     for _ in 0..k {
         shared.wake_cv.notify_one();
     }
@@ -1168,7 +1161,7 @@ fn help_drain(shared: &Shared, newly: &mut Vec<ReadyRun>) -> bool {
         let mut cont = Some(first);
         while let Some(t) = cont.take() {
             newly.clear();
-            execute_one(shared, t, newly, DRIVER);
+            execute_one(shared, t, newly, DRIVER, &mut Steals::default());
             if newly.len() > 1 {
                 let n = newly.len() - 1;
                 lock(&shared.injector).extend(newly.drain(1..));
@@ -1197,17 +1190,14 @@ fn drive_until<R>(shared: &Shared, mut done: impl FnMut(&mut State) -> Option<R>
             }
             if idle {
                 st.waiters += 1;
-                let park_t0 = shared.config.metrics.then(Instant::now);
+                let t0 = Instant::now();
                 let mut st = shared
                     .cv
                     .wait(st)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 st.waiters -= 1;
-                if let Some(t0) = park_t0 {
-                    let shard = shared.counters.shard(DRIVER);
-                    Counters::add(&shard.parks, 1);
-                    Counters::add(&shard.idle_ns, t0.elapsed().as_nanos() as u64);
-                }
+                st.counts.driver_parks += 1;
+                st.counts.driver_stall_s += t0.elapsed().as_secs_f64();
                 idle = false;
                 continue;
             }
@@ -1255,21 +1245,23 @@ fn pop_own(shared: &Shared, me: usize) -> Option<ReadyRun> {
     }
 }
 
-fn pop_work(shared: &Shared, me: usize, scratch: &mut Vec<ReadyRun>) -> Option<ReadyRun> {
+fn pop_work(
+    shared: &Shared,
+    me: usize,
+    scratch: &mut Vec<ReadyRun>,
+    steals: &mut Steals,
+) -> Option<ReadyRun> {
     if let Some(t) = pop_own(shared, me) {
         return Some(t);
     }
     if let Some(t) = adopt_batch(shared, me, scratch) {
         return Some(t);
     }
-    let metrics = shared.config.metrics;
     let n = shared.queues.len();
     for k in 1..n {
         let j = (me + k) % n;
         let mut q = lock(&shared.queues[j]);
-        if metrics {
-            Counters::bump(&shared.counters.shard(me as i64).steal_attempts, 1);
-        }
+        steals.attempts += 1;
         // Steal the back (coldest) half of the victim's deque.
         let take = q.len() / 2;
         if take > 0 {
@@ -1293,29 +1285,27 @@ fn pop_work(shared: &Shared, me: usize, scratch: &mut Vec<ReadyRun>) -> Option<R
                 }
             }
             drop(q);
-            let kept = scratch.len();
-            if metrics {
-                let shard = shared.counters.shard(me as i64);
-                Counters::bump(&shard.steal_successes, 1);
-                Counters::bump(&shard.stolen_tasks, kept as u64);
-            }
+            steals.successes += 1;
+            steals.tasks += scratch.len() as u64;
             if scratch.len() > 1 {
                 lock(&shared.queues[me]).extend(scratch.drain(1..));
             }
             return scratch.pop();
         }
         if let Some(t) = q.pop_back() {
-            if metrics {
-                let shard = shared.counters.shard(me as i64);
-                Counters::bump(&shard.steal_successes, 1);
-                Counters::bump(&shard.stolen_tasks, 1);
-            }
+            steals.successes += 1;
+            steals.tasks += 1;
             return Some(t);
         }
     }
     // Ran dry: adopt anything the driver staged but hasn't dispatched,
-    // sharing the surplus with other sleepers.
-    let flushed = flush_staged(shared);
+    // sharing the surplus with other sleepers. The state lock the flush
+    // takes also absorbs the probes counted above.
+    let flushed = {
+        let mut st = lock(&shared.state);
+        steals.fold_into(&mut st.counts);
+        flush_staged_locked(shared, &mut st)
+    };
     if flushed > 0 {
         if flushed > 1 {
             wake(shared, flushed - 1);
@@ -1348,14 +1338,15 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
     let _guard = WorkerGuard::new();
     let mut newly: Vec<ReadyRun> = Vec::new(); // reused across all tasks
     let mut scratch: Vec<ReadyRun> = Vec::new(); // batch-acquisition buffer
+    let mut steals = Steals::default();
     'outer: loop {
-        while let Some(task) = pop_work(&shared, me, &mut scratch) {
+        while let Some(task) = pop_work(&shared, me, &mut scratch, &mut steals) {
             // Run the task; keep one newly-ready dependent as the
             // continuation and publish the rest for siblings.
             let mut cont = Some(task);
             while let Some(t) = cont.take() {
                 newly.clear();
-                execute_one(&shared, t, &mut newly, me as i64);
+                execute_one(&shared, t, &mut newly, me as i64, &mut steals);
                 if newly.len() > 1 {
                     let n = newly.len() - 1;
                     lock(&shared.queues[me]).extend(newly.drain(1..));
@@ -1393,7 +1384,7 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
             w.publish_idle_hint(&shared.idle_hint);
             continue 'outer;
         }
-        let park_t0 = shared.config.metrics.then(Instant::now);
+        let t0 = Instant::now();
         let mut w = lock(&shared.wake);
         loop {
             if w.shutdown {
@@ -1402,6 +1393,8 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
             if w.tokens > 0 {
                 w.tokens -= 1;
                 w.sleepers -= 1;
+                w.worker_parks += 1;
+                w.worker_idle_s += t0.elapsed().as_secs_f64();
                 w.publish_idle_hint(&shared.idle_hint);
                 break;
             }
@@ -1409,12 +1402,6 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
                 .wake_cv
                 .wait(w)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        drop(w);
-        if let Some(t0) = park_t0 {
-            let shard = shared.counters.shard(me as i64);
-            Counters::bump(&shard.parks, 1);
-            Counters::bump(&shard.idle_ns, t0.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -1424,8 +1411,16 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
 /// (see [`ReadyRun`]), so the only state-lock acquisition here is the
 /// commit. Dependents that became ready are resolved under that same
 /// lock and appended to `newly_ready` (an out-param so callers reuse
-/// one buffer across many tasks).
-fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, who: i64) {
+/// one buffer across many tasks). The commit also adds the task's
+/// locality and INOUT counts, and the executor's `steals`, to
+/// [`State::counts`].
+fn execute_one(
+    shared: &Shared,
+    run: ReadyRun,
+    newly_ready: &mut Vec<ReadyRun>,
+    who: i64,
+    steals: &mut Steals,
+) {
     let ReadyRun {
         id: task,
         mut f,
@@ -1436,16 +1431,7 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         affinity,
     } = run;
     let ti = task.0 as usize;
-    let metrics = shared.config.metrics;
     let since_epoch = |t: Instant| t.saturating_duration_since(shared.epoch).as_secs_f64();
-
-    // Workers own their shard (single writer -> cheap `bump`); driver
-    // executions can come from any user thread and need the RMW.
-    let count: fn(&AtomicU64, u64) = if who >= 0 {
-        Counters::bump
-    } else {
-        Counters::add
-    };
     // The injection plan is consulted only when a kind was carried
     // (i.e. a plan was active at release) — the common path never
     // touches the plan lock.
@@ -1461,12 +1447,13 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
     let keep_inputs = max_attempts > 1;
     let mut inputs = inputs;
     let mut attempts: Vec<AttemptRecord> = Vec::new();
+    // INOUT parameters taken by move and by clone, over every attempt.
+    let mut inout = (0, 0);
     let outcome = loop {
         let attempt_no = attempts.len() as u32 + 1;
         let ctx = TaskCtx {
             nested_mode: shared.config.nested_mode,
-            metrics,
-            counters: metrics.then(|| Arc::clone(&shared.counters)),
+            inout: Cell::new((0, 0)),
             child: Mutex::new(None),
         };
         let mut ins = if keep_inputs {
@@ -1478,26 +1465,6 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
             .as_ref()
             .and_then(|(p, name)| p.decide(name, task.0, attempt_no));
         let start = Instant::now();
-        if metrics && attempt_no == 1 {
-            let shard = shared.counters.shard(who);
-            count(&shard.tasks, 1);
-            // Locality accounting: a hit means the worker executing the
-            // task is the one that produced its (byte-)largest input, so
-            // that input is plausibly still warm in its cache. Driver
-            // executions and tasks with no worker-produced inputs are
-            // excluded rather than counted as misses.
-            if who >= 0 && affinity >= 0 {
-                if who == affinity {
-                    count(&shard.locality_hits, 1);
-                } else {
-                    count(&shard.locality_misses, 1);
-                }
-            }
-            if let Some(t0) = ready_at {
-                let wait = start.saturating_duration_since(t0).as_nanos() as u64;
-                count(&shard.queue_wait_ns, wait);
-            }
-        }
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             match injected {
                 Some(FaultMode::Panic) => panic!("{INJECTED_PANIC} (attempt {attempt_no})"),
@@ -1508,9 +1475,8 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         }));
         let end = Instant::now();
         let duration = end.saturating_duration_since(start).as_secs_f64();
-        if metrics {
-            count(&shared.counters.shard(who).run_ns, (duration * 1e9) as u64);
-        }
+        let (moved, cloned) = ctx.inout.get();
+        inout = (inout.0 + moved, inout.1 + cloned);
         drop(ins); // release the attempt's input refcounts outside the lock
         let start_s = since_epoch(start);
         // Cooperative per-attempt timeout: a body cannot be preempted,
@@ -1549,9 +1515,6 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                 if attempts.len() as u32 >= max_attempts {
                     break Err((start, duration));
                 }
-                if metrics {
-                    Counters::add(&shared.counters.retries, 1);
-                }
                 // Deterministic exponential backoff; sleeps on the
                 // executing worker — retry delays are expected to be
                 // short relative to task runtimes, and parking the
@@ -1570,6 +1533,20 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
     {
         let mut st = lock(&shared.state);
         let st = &mut *st; // split field borrows below
+        steals.fold_into(&mut st.counts);
+        st.counts.inout_steals += inout.0;
+        st.counts.inout_copies += inout.1;
+        // Locality: a hit means the worker executing the task is the one
+        // that produced its (byte-)largest input, so that input is
+        // plausibly still warm in its cache. Driver executions and tasks
+        // with no worker-produced inputs are neither hits nor misses.
+        if who >= 0 && affinity >= 0 {
+            if who == affinity {
+                st.counts.locality_hits += 1;
+            } else {
+                st.counts.locality_misses += 1;
+            }
+        }
         let row = &mut st.tables.rows[ti];
         row.ready_s = ready_s;
         row.worker = who as i32;
@@ -1578,10 +1555,10 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                 let child_trace = lock(&ctx.child).take().map(|rt| Box::new(rt.trace()));
                 // Release stamp shared by every dependent this
                 // completion frees: reusing `end` (instead of a fresh
-                // clock read) keeps the metrics path at zero extra
-                // `Instant::now` calls per completion, at the cost of
-                // queue waits including the commit's lock acquisition.
-                let released_at = metrics.then_some(end);
+                // clock read) costs no extra `Instant::now` per
+                // completion, at the price of queue waits including the
+                // commit's lock acquisition.
+                let released_at = Some(end);
                 assert_eq!(
                     outs.len(),
                     row.out_len as usize,
@@ -1649,9 +1626,6 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                 row.rare_mut().attempts = attempts;
                 match fault.on_failure {
                     OnFailure::Fail | OnFailure::Retry => {
-                        if metrics && fault.on_failure == OnFailure::Retry {
-                            Counters::add(&shared.counters.giveups, 1);
-                        }
                         // Propagate failure to all transitive dependents
                         // so that waiters on any downstream output wake
                         // up and report instead of deadlocking.
@@ -1670,11 +1644,7 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                         // everything downstream is cancelled silently.
                         row.status = Status::Done;
                         poison_outputs(&mut st.tables, ti, &full);
-                        let cancelled = cancel_dependents(&mut st.tables, ti, &full);
-                        if metrics {
-                            Counters::add(&shared.counters.poisoned, 1);
-                            Counters::add(&shared.counters.cancelled, cancelled);
-                        }
+                        cancel_dependents(&mut st.tables, ti, &full);
                     }
                     OnFailure::CancelSuccessors => {
                         // The failure stays visible on this task (wait
@@ -1682,10 +1652,7 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                         // while dependents are cancelled, not failed.
                         row.status = Status::Failed;
                         row.set_failure(full.clone());
-                        let cancelled = cancel_dependents(&mut st.tables, ti, &full);
-                        if metrics {
-                            Counters::add(&shared.counters.cancelled, cancelled);
-                        }
+                        cancel_dependents(&mut st.tables, ti, &full);
                     }
                 }
             }
@@ -1717,10 +1684,8 @@ fn poison_outputs(t: &mut Tables, task: usize, reason: &Arc<str>) {
 /// status [`Status::Cancelled`], body dropped, outputs poisoned with
 /// `reason` (so later submissions reading them cancel in place too).
 /// Dropped bodies leak their `pending_reads` registrations — harmless:
-/// later INOUT consumers just fall back to the copy path. Returns how
-/// many tasks were cancelled.
-fn cancel_dependents(t: &mut Tables, origin: usize, reason: &Arc<str>) -> u64 {
-    let mut n = 0;
+/// later INOUT consumers just fall back to the copy path.
+fn cancel_dependents(t: &mut Tables, origin: usize, reason: &Arc<str>) {
     let mut frontier = Vec::new();
     t.take_dependents_into(origin, &mut frontier);
     while let Some(idx) = frontier.pop() {
@@ -1732,9 +1697,7 @@ fn cancel_dependents(t: &mut Tables, origin: usize, reason: &Arc<str>) -> u64 {
         e.job = None;
         t.take_dependents_into(idx, &mut frontier);
         poison_outputs(t, idx, reason);
-        n += 1;
     }
-    n
 }
 
 /// Fluent builder for a task submission; created by [`Runtime::task`].
@@ -1769,8 +1732,8 @@ fn unit_any() -> AnyArc {
 /// this task is the datum's last live consumer it handed over a unique
 /// `Arc`, so the value moves out without touching the payload bytes;
 /// otherwise the value is cloned — results are identical either way.
-/// The path taken is recorded in the `inout_steals`/`inout_copies`
-/// counters.
+/// The path taken is reported through `ctx`, and the commit adds it to
+/// [`RuntimeStats::inout_steals`] / [`RuntimeStats::inout_copies`].
 fn take_arg<A: Payload + Clone>(ctx: &TaskCtx, ins: &mut [AnyArc], i: usize) -> A {
     let any = std::mem::replace(&mut ins[i], unit_any());
     let arc = any
@@ -2484,7 +2447,13 @@ mod tests {
 
         // Nothing was lost or duplicated: run the adopted task here,
         // release the worker, and everything drains.
-        execute_one(shared, first, &mut Vec::new(), DRIVER);
+        execute_one(
+            shared,
+            first,
+            &mut Vec::new(),
+            DRIVER,
+            &mut Steals::default(),
+        );
         release_tx.send(()).expect("worker alive");
         rt.barrier();
         assert_eq!(rt.stats().total_tasks(), n as u64 + 1);

@@ -1,13 +1,13 @@
 //! Observability views derived from a finished [`Trace`]: the event
-//! stream, latency histograms, a metrics registry with JSON/Prometheus
-//! export, straggler reports and real-vs-DES divergence.
+//! stream, latency histograms, a metrics registry with JSON export,
+//! straggler reports and real-vs-DES divergence.
 //!
 //! Nothing in this module is written while a run executes. The one
 //! per-task stamp is the [`crate::TaskRecord`] the executor fills under
 //! its commit lock (`ready_s`, `start_s`, `duration_s`, `worker`,
-//! `attempts`), beside the `obs::Counters` sums; every view here is
-//! computed from those records on demand, after the run — the paper's
-//! post-mortem Extrae → Paraver workflow:
+//! `attempts`); every view here, like the per-task fields of
+//! [`crate::RuntimeStats`], is computed from those records on demand,
+//! after the run — the paper's post-mortem Extrae → Paraver workflow:
 //!
 //! - [`events_from_trace`] / [`events_from_schedule`] — one event
 //!   schema for a real run and for its DES replay, so [`divergence`]
@@ -15,7 +15,7 @@
 //! - [`HistogramSnapshot`] — log2-bucketed latency histograms (queue
 //!   wait, run time, per-attempt latency; see `Runtime::registry`).
 //! - [`Registry`] — a typed bag of counters/gauges/histograms rendered
-//!   as JSON or Prometheus text exposition format.
+//!   as JSON.
 //! - [`StragglerReport`] — tasks slower than `k×` their kind's running
 //!   median, attributed to worker/retries, plus the critical path.
 
@@ -253,35 +253,16 @@ enum MetricValue {
 
 struct Metric {
     name: String,
-    help: String,
     value: MetricValue,
 }
 
-/// A typed bag of metrics, exportable as JSON ([`Registry::to_value`])
-/// or Prometheus text exposition format
-/// ([`Registry::to_prometheus`]). Built on demand from a runtime's
-/// counters and records — see `Runtime::registry` — and extendable by
-/// callers (the `profile` bin folds the linalg pool counters in).
+/// A typed bag of metrics, exportable as JSON ([`Registry::to_value`]).
+/// Built on demand from a runtime's statistics and records — see
+/// `Runtime::registry` — and extendable by callers (the `profile` bin
+/// folds the linalg pool counters in).
 #[derive(Default)]
 pub struct Registry {
     metrics: Vec<Metric>,
-}
-
-/// Lowercases and maps every non-`[a-z0-9_:]` byte to `_`, yielding a
-/// valid Prometheus metric name.
-fn sanitize_name(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| match c {
-            'a'..='z' | '0'..='9' | '_' | ':' => c,
-            'A'..='Z' => c.to_ascii_lowercase(),
-            _ => '_',
-        })
-        .collect();
-    if out.chars().next().is_none_or(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    out
 }
 
 impl Registry {
@@ -290,21 +271,20 @@ impl Registry {
     }
 
     /// Registers (or replaces) a monotonic counter.
-    pub fn counter(&mut self, name: &str, help: &str, v: u64) {
-        self.put(name, help, MetricValue::Counter(v));
+    pub fn counter(&mut self, name: &str, v: u64) {
+        self.put(name, MetricValue::Counter(v));
     }
 
     /// Registers (or replaces) a gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, v: f64) {
-        self.put(name, help, MetricValue::Gauge(v));
+    pub fn gauge(&mut self, name: &str, v: f64) {
+        self.put(name, MetricValue::Gauge(v));
     }
 
     /// Registers (or replaces) a histogram. `scale` converts recorded
     /// sample units into export units.
-    pub fn histogram(&mut self, name: &str, help: &str, snap: HistogramSnapshot, scale: f64) {
+    pub fn histogram(&mut self, name: &str, snap: HistogramSnapshot, scale: f64) {
         self.put(
             name,
-            help,
             MetricValue::Histogram {
                 snap: Box::new(snap),
                 scale,
@@ -312,15 +292,12 @@ impl Registry {
         );
     }
 
-    fn put(&mut self, name: &str, help: &str, value: MetricValue) {
-        let name = sanitize_name(name);
+    fn put(&mut self, name: &str, value: MetricValue) {
         if let Some(m) = self.metrics.iter_mut().find(|m| m.name == name) {
-            m.help = help.to_string();
             m.value = value;
         } else {
             self.metrics.push(Metric {
-                name,
-                help: help.to_string(),
+                name: name.to_string(),
                 value,
             });
         }
@@ -351,128 +328,6 @@ impl Registry {
                 .collect(),
         )
     }
-
-    /// Prometheus text exposition format (version 0.0.4): `# HELP` /
-    /// `# TYPE` headers per family, log2 bucket bounds as `le` labels.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for m in &self.metrics {
-            let name = &m.name;
-            writeln!(out, "# HELP {name} {}", m.help.replace('\n', " ")).unwrap();
-            match &m.value {
-                MetricValue::Counter(c) => {
-                    writeln!(out, "# TYPE {name} counter").unwrap();
-                    writeln!(out, "{name} {c}").unwrap();
-                }
-                MetricValue::Gauge(g) => {
-                    writeln!(out, "# TYPE {name} gauge").unwrap();
-                    writeln!(out, "{name} {g}").unwrap();
-                }
-                MetricValue::Histogram { snap, scale } => {
-                    writeln!(out, "# TYPE {name} histogram").unwrap();
-                    let mut cum = 0u64;
-                    for (i, &c) in snap.counts.iter().enumerate() {
-                        if c == 0 {
-                            continue;
-                        }
-                        cum += c;
-                        let le = HistogramSnapshot::bucket_bound(i) as f64 * scale;
-                        writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}").unwrap();
-                    }
-                    writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cum}").unwrap();
-                    writeln!(out, "{name}_sum {}", snap.sum as f64 * scale).unwrap();
-                    writeln!(out, "{name}_count {cum}").unwrap();
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Validates Prometheus text exposition output: well-formed comment
-/// and sample lines, legal metric names, parseable values, histogram
-/// buckets cumulative with `+Inf` equal to `_count`. Returns the
-/// number of sample lines. Used by the `profile` bin's `--check` so
-/// CI catches a malformed exporter.
-pub fn validate_prometheus(text: &str) -> Result<usize, String> {
-    fn valid_name(s: &str) -> bool {
-        !s.is_empty()
-            && s.chars().next().is_some_and(|c| !c.is_ascii_digit())
-            && s.chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-    }
-    let mut samples = 0usize;
-    // family → (last cumulative bucket, saw +Inf, inf value)
-    let mut hist: BTreeMap<String, (u64, Option<u64>)> = BTreeMap::new();
-    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-    for (ln, line) in text.lines().enumerate() {
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# ") {
-            let mut it = rest.splitn(3, ' ');
-            let tag = it.next().unwrap_or("");
-            let name = it.next().unwrap_or("");
-            if (tag == "HELP" || tag == "TYPE") && !valid_name(name) {
-                return Err(format!("line {}: bad metric name in '{line}'", ln + 1));
-            }
-            continue;
-        }
-        // Sample line: name[{labels}] value
-        let (name_part, value_part) = match line.rsplit_once(' ') {
-            Some(p) => p,
-            None => return Err(format!("line {}: no value in '{line}'", ln + 1)),
-        };
-        let value: f64 = value_part
-            .parse()
-            .map_err(|_| format!("line {}: bad value '{value_part}'", ln + 1))?;
-        let (name, labels) = match name_part.split_once('{') {
-            Some((n, l)) => {
-                let l = l
-                    .strip_suffix('}')
-                    .ok_or_else(|| format!("line {}: unterminated labels", ln + 1))?;
-                (n, Some(l))
-            }
-            None => (name_part, None),
-        };
-        if !valid_name(name) {
-            return Err(format!("line {}: bad metric name '{name}'", ln + 1));
-        }
-        samples += 1;
-        if let Some(family) = name.strip_suffix("_bucket") {
-            let le = labels
-                .and_then(|l| l.strip_prefix("le=\""))
-                .and_then(|l| l.strip_suffix('"'))
-                .ok_or_else(|| format!("line {}: bucket without le label", ln + 1))?;
-            let e = hist.entry(family.to_string()).or_insert((0, None));
-            if (value as u64) < e.0 {
-                return Err(format!("line {}: non-cumulative bucket", ln + 1));
-            }
-            e.0 = value as u64;
-            if le == "+Inf" {
-                e.1 = Some(value as u64);
-            } else if le.parse::<f64>().is_err() {
-                return Err(format!("line {}: bad le bound '{le}'", ln + 1));
-            }
-        } else if let Some(family) = name.strip_suffix("_count") {
-            counts.insert(family.to_string(), value as u64);
-        }
-    }
-    for (family, (_, inf)) in &hist {
-        let inf = inf.ok_or_else(|| format!("histogram {family} missing +Inf bucket"))?;
-        if let Some(&c) = counts.get(family) {
-            if c != inf {
-                return Err(format!(
-                    "histogram {family}: +Inf bucket {inf} != count {c}"
-                ));
-            }
-        } else {
-            return Err(format!("histogram {family} missing _count"));
-        }
-    }
-    Ok(samples)
 }
 
 // ---------------------------------------------------------------------
@@ -880,37 +735,18 @@ mod tests {
     }
 
     #[test]
-    fn registry_prometheus_roundtrip_validates() {
+    fn registry_json_carries_counters_gauges_and_quantiles() {
         let mut reg = Registry::new();
-        reg.counter("taskrt_tasks_total", "tasks executed", 42);
-        reg.gauge("taskrt_utilization", "worker busy fraction", 0.75);
+        reg.counter("taskrt_tasks_total", 42);
+        reg.gauge("taskrt_utilization", 0.75);
         let h = HistogramSnapshot::from_samples([100u64, 200, 400, 800, 100_000]);
-        reg.histogram("taskrt_run_seconds", "body run time", h, 1e-9);
-        let text = reg.to_prometheus();
-        let n = validate_prometheus(&text).expect("valid exposition");
-        assert!(
-            n >= 2 + 3,
-            "expected counter+gauge+histogram samples, got {n}"
-        );
-        // JSON side parses and carries quantiles.
+        reg.histogram("taskrt_run_seconds", h, 1e-9);
+        reg.counter("taskrt_tasks_total", 43); // replaces, keeps its slot
+        assert_eq!(reg.len(), 3);
         let v = Value::parse(&reg.to_value().compact()).unwrap();
         assert!(v.get("taskrt_run_seconds").unwrap().get("p95").is_some());
-        assert_eq!(v.get("taskrt_tasks_total").unwrap().as_u64(), Some(42));
-    }
-
-    #[test]
-    fn validate_prometheus_rejects_malformed() {
-        assert!(validate_prometheus("1bad_name 3\n").is_err());
-        assert!(validate_prometheus("no_value\n").is_err());
-        assert!(validate_prometheus("m_bucket{le=\"1\"} 5\nm_bucket{le=\"2\"} 3\n").is_err());
-        // Histogram without +Inf.
-        assert!(validate_prometheus("m_bucket{le=\"1\"} 1\nm_count 1\n").is_err());
-    }
-
-    #[test]
-    fn sanitize_prometheus_names() {
-        assert_eq!(sanitize_name("Pool Hit-Rate"), "pool_hit_rate");
-        assert_eq!(sanitize_name("9lives"), "_9lives");
+        assert_eq!(v.get("taskrt_tasks_total").unwrap().as_u64(), Some(43));
+        assert_eq!(v.get("taskrt_utilization").unwrap().as_f64(), Some(0.75));
     }
 
     #[test]

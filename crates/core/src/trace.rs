@@ -96,9 +96,9 @@ pub struct TaskRecord {
     /// When the task became visible to workers (injector flush or the
     /// releasing predecessor's completion), in seconds since the
     /// recording runtime's epoch; its queue wait ends at the first
-    /// attempt's start. `0.0` when `RuntimeConfig::metrics` is off, for
-    /// tasks run inline, for markers, for tasks that never ran, and on
-    /// `dist` records.
+    /// attempt's start. `0.0` for tasks an inline runtime ran at
+    /// submission, for markers, for tasks that never ran, and on `dist`
+    /// records.
     pub ready_s: f64,
     /// Wall-clock start of the task body, in seconds since the
     /// recording runtime's epoch (creation time). `0.0` for markers

@@ -26,6 +26,30 @@ const UNSAFE_ISLAND_PATHS: [&str; 7] = [
     "benchmark/build.rs",
 ];
 
+/// What "No live recorder beside the trace" searches for, as plain
+/// substrings: the names of the live recorders that were deleted (the
+/// seqlock journal, striped histograms, the online straggler analyzer,
+/// the pool observer, the atomic scheduler counters and their switch)
+/// and of the Prometheus exporter that had no consumer.
+const LIVE_RECORDER: [&str; 13] = [
+    concat!("struct ", "Journal"),
+    concat!("Log", "Histogram"),
+    concat!("Hist", "Stripe"),
+    concat!("Straggler", "Analyzer"),
+    concat!("set_", "observer"),
+    concat!("journal_", "events"),
+    concat!("journal_", "dropped"),
+    concat!("config.", "telemetry"),
+    concat!("Counters", "::"),
+    concat!("Exec", "Shard"),
+    concat!("config.", "metrics"),
+    concat!("to_", "prometheus"),
+    concat!("validate_", "prometheus"),
+];
+
+/// The trees "No live recorder beside the trace" walks.
+const LIVE_RECORDER_PATHS: [&str; 3] = ["crates", "tests", "examples"];
+
 /// A source file: its path relative to the workspace root (with `/`)
 /// and its text.
 struct Source {
@@ -190,5 +214,68 @@ fn one_unsafe_island_fires_on_planted_violations() {
         ),
     ];
     let found = unsafe_island_violations(&allowed);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "No live recorder beside the trace" (DESIGN §5.13): a task is
+/// stamped once, on its row, and every statistic, event, histogram and
+/// straggler report is derived from the rows or from plain counts kept
+/// beside a lock the scheduler already holds. Any line naming one of
+/// the retired recorders is rejected, comments included. Returns the
+/// offending lines as `path:line:text`.
+fn live_recorder_violations(sources: &[Source]) -> Vec<String> {
+    let mut found = Vec::new();
+    for src in sources {
+        for (i, line) in src.text.lines().enumerate() {
+            if LIVE_RECORDER.iter().any(|name| line.contains(name)) {
+                found.push(format!("{}:{}:{line}", src.path, i + 1));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn no_live_recorder_beside_the_trace() {
+    let sources = rust_sources(&LIVE_RECORDER_PATHS);
+    assert!(
+        sources
+            .iter()
+            .any(|s| s.path == "crates/core/src/runtime.rs"),
+        "the walk missed the runtime"
+    );
+    let found = live_recorder_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "a second per-task recording path is back:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn no_live_recorder_beside_the_trace_fires_on_planted_violations() {
+    let planted: Vec<Source> = LIVE_RECORDER
+        .iter()
+        .map(|name| Source {
+            path: "crates/core/src/runtime.rs".to_string(),
+            text: format!("    // {name}\n    let x = {name}(1);"),
+        })
+        .collect();
+    let found = live_recorder_violations(&planted);
+    assert_eq!(found.len(), 2 * planted.len(), "{found:#?}");
+    assert!(found[1].starts_with("crates/core/src/runtime.rs:2:"));
+
+    let allowed = Source {
+        path: "crates/core/src/obs.rs".to_string(),
+        text: [
+            "let counters = RuntimeStats::default();",
+            "pub metrics: bool,",
+            "shared.config.nested_mode",
+            "struct Journey;",
+            "reg.to_value()",
+        ]
+        .join("\n"),
+    };
+    let found = live_recorder_violations(&[allowed]);
     assert!(found.is_empty(), "{found:#?}");
 }
