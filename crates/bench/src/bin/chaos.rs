@@ -73,9 +73,9 @@ fn workload(workers: usize, rows: usize, cols: usize, bs: usize) -> RunResult {
     run_workload(workers, rows, cols, bs, None)
 }
 
-/// `(result bits, trace, total tasks, counter retries, retry events)` —
-/// the last derived from the trace's attempt records, cross-checked
-/// against the scheduler counter in `--check`.
+/// `(result bits, trace, total tasks, counter retries, retried
+/// attempts)` — the last counted from the trace's attempt records,
+/// cross-checked against the scheduler counter in `--check`.
 type RunResult = (Vec<u64>, Trace, u64, u64, u64);
 
 fn run_workload(
@@ -108,17 +108,19 @@ fn run_workload(
     bits.push(rt.wait(total).to_bits());
     let trace = rt.finish();
     let stats = rt.stats();
-    let retry_events = trace
-        .events()
+    // A retried attempt is a failed one that another attempt followed.
+    let retried_attempts = trace
+        .records
         .iter()
-        .filter(|e| e.kind == taskrt::EventKind::Retry)
+        .flat_map(|r| r.attempts.windows(2))
+        .filter(|w| w[0].error.is_some())
         .count() as u64;
     (
         bits,
         trace,
         stats.total_tasks(),
         stats.retries,
-        retry_events,
+        retried_attempts,
     )
 }
 
@@ -141,7 +143,7 @@ fn main() {
     for kind in RETRYABLE_KINDS {
         plan = plan.panic_kind(kind, 1);
     }
-    let (fault_bits, _, fault_tasks, retries, retry_events) =
+    let (fault_bits, _, fault_tasks, retries, retried_attempts) =
         run_workload(workers, rows, cols, bs, Some(plan.clone()));
     let (fault_bits2, _, _, retries2, _) = run_workload(workers, rows, cols, bs, Some(plan));
     let fault_frac = retries as f64 / fault_tasks as f64;
@@ -152,7 +154,7 @@ fn main() {
          bit-identical={identical} deterministic={deterministic}",
         fault_frac * 100.0
     );
-    println!("events: {retry_events} retry events derived from the trace");
+    println!("records: {retried_attempts} retried attempts counted from the trace");
 
     // -- 2: retry exhaustion fails with a named-task error ------------
     let giveup_msg = {
@@ -215,7 +217,7 @@ fn main() {
                 ("fault_fraction".into(), Value::from(fault_frac)),
                 ("bit_identical".into(), Value::from(identical)),
                 ("deterministic".into(), Value::from(deterministic)),
-                ("retry_events".into(), Value::from(retry_events)),
+                ("retried_attempts".into(), Value::from(retried_attempts)),
             ]),
         ),
         (
@@ -252,10 +254,10 @@ fn main() {
         assert!(identical, "retried results diverged from fault-free run");
         assert!(deterministic, "seeded fault runs diverged from each other");
         // The trace must tell the same story as the scheduler counter:
-        // one derived `retry` event per retried attempt.
+        // one retry per failed attempt that another attempt followed.
         assert_eq!(
-            retry_events, retries,
-            "derived retry events must match the retry counter"
+            retried_attempts, retries,
+            "retried attempts in the records must match the retry counter"
         );
         assert!(
             named_failure,

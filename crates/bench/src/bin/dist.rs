@@ -34,8 +34,8 @@ use linalg::Matrix;
 use std::sync::Arc;
 use taskrt::dist::{self, fingerprint, DistConfig, DistRuntime, KindRegistry, Plan, WireValue};
 use taskrt::json::Value;
+use taskrt::obs::divergence;
 use taskrt::sim::{simulate, SimOptions};
-use taskrt::telemetry::divergence;
 
 /// The calibration chain's one kind (its first input plus one), and its
 /// links per scalar segment and per block segment (a block link moves

@@ -1,16 +1,14 @@
 //! Observability exporter: run the ECG → PCA stage once on the threaded
-//! scheduler and export every `taskrt::obs` / `taskrt::telemetry`
-//! artifact of that one run — the role Extrae + Paraver play in the
-//! paper: scheduler statistics, then views derived from the finished
-//! trace (event stream, latency histograms, stragglers, real-vs-DES
-//! divergence).
+//! scheduler and export every `taskrt::obs` artifact of that one run —
+//! the role Extrae + Paraver play in the paper: scheduler statistics,
+//! then views derived from the finished trace (per-kind durations and
+//! queue waits, stragglers, real-vs-DES divergence).
 //! Writes, under `out/`:
 //!
 //! * `profile.json` — scheduler statistics ([`taskrt::RuntimeStats`]),
-//!   per-kind profile ([`taskrt::Profile`]), simulated per-node
-//!   breakdown ([`taskrt::SimProfile`]), registry snapshot (linalg pool
-//!   counters folded in), derived events per kind, straggler and
-//!   divergence reports, event-schema identity check.
+//!   the linalg buffer-pool counters, per-kind profile
+//!   ([`taskrt::Profile`]), simulated per-node breakdown
+//!   ([`taskrt::SimProfile`]), stragglers and the divergence report.
 //! * `profile.trace.json` — Chrome-trace timeline of the *real* run (one
 //!   track per driver/worker, straggler verdicts as `instant` markers);
 //!   open in <https://ui.perfetto.dev>.
@@ -21,16 +19,13 @@
 //! [--workers N] [--nodes N] [--straggler-k K] [--check]`; `--check`
 //! re-parses the artifacts and exits non-zero if any is unusable.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use bench::report::{write_artifact, Args};
 use dislib::pca::{Components, Pca};
 use dsarray::DsArray;
 use ecg::{Dataset, DatasetSpec, Scale};
 use taskrt::json::Value;
-use taskrt::obs::{chrome_trace_schedule, chrome_trace_stragglers};
+use taskrt::obs::{chrome_trace, chrome_trace_schedule, divergence, stragglers};
 use taskrt::sim::{simulate, ClusterSpec, SimOptions};
-use taskrt::telemetry::{divergence, StragglerReport};
 use taskrt::{Profile, Runtime, SimProfile};
 
 fn main() {
@@ -78,47 +73,15 @@ fn main() {
         (pool1.0 - pool0.0, pool1.1 - pool0.1, pool1.2 - pool0.2);
 
     let stats = rt.stats();
-    let mut registry = rt.registry();
     let trace = rt.finish();
 
     // -- aggregate, analyze, replay -----------------------------------
-    // The linalg buffer pool: acquisitions served from a retained
-    // buffer, those that fell through to the allocator, and the bytes
-    // served without a fresh allocation.
-    registry.counter("taskrt_pool_hits_total", pool_hits);
-    registry.counter("taskrt_pool_misses_total", pool_misses);
-    registry.counter("taskrt_pool_reused_bytes_total", pool_bytes);
-    let stragglers = StragglerReport::from_trace(&trace, straggler_k, 8);
-    registry.counter(
-        "taskrt_stragglers_total",
-        stragglers.stragglers.len() as u64,
-    );
+    let flagged = stragglers(&trace, straggler_k, 8);
     let profile = Profile::from_trace(&trace);
     let cluster = ClusterSpec::marenostrum4(nodes);
     let report = simulate(&trace, &cluster, &SimOptions::default());
     let sim_profile = SimProfile::from_report(&report, nodes);
     let div = divergence(&trace, &report);
-
-    // Schema identity: the threaded runtime and the DES must emit
-    // events with the exact same key set — the property that makes
-    // real and simulated streams diffable.
-    let (real_events, sim_events) = (trace.events(), report.events());
-    let key_set = |events: &[taskrt::Event]| -> BTreeSet<String> {
-        events
-            .iter()
-            .flat_map(|e| match e.to_value() {
-                Value::Object(fields) => fields.into_iter().map(|(k, _)| k).collect::<Vec<_>>(),
-                _ => vec![],
-            })
-            .collect()
-    };
-    let (real_keys, sim_keys) = (key_set(&real_events), key_set(&sim_events));
-    let schema_identical = !real_keys.is_empty() && real_keys == sim_keys;
-
-    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
-    for e in &real_events {
-        *by_kind.entry(e.kind.as_str()).or_default() += 1;
-    }
 
     // -- console summary ----------------------------------------------
     for table in [
@@ -129,57 +92,39 @@ fn main() {
         print!("\n{table}");
     }
     println!();
+    println!("pool: {pool_hits} hits / {pool_misses} misses, {pool_bytes} bytes reused");
+    println!("stragglers (k={straggler_k}): {} flagged", flagged.len());
     println!(
-        "events: {} derived from the trace {by_kind:?}; pool: {pool_hits} hits / {pool_misses} misses",
-        real_events.len(),
-    );
-    println!(
-        "stragglers (k={straggler_k}): {} flagged; critical path {} tasks, {:.3}s",
-        stragglers.stragglers.len(),
-        stragglers.critical_path.len(),
-        stragglers.critical_path_s,
-    );
-    println!(
-        "divergence: real {:.3}s vs sim {:.3}s (ratio {:.2}); schema identical: {schema_identical}",
+        "divergence: real {:.3}s vs sim {:.3}s (ratio {:.2})",
         div.real_makespan_s, div.sim_makespan_s, div.makespan_ratio,
     );
 
     // -- artifacts ----------------------------------------------------
-    let keys =
-        |k: &BTreeSet<String>| Value::Array(k.iter().map(|k| Value::from(k.as_str())).collect());
+    // The linalg buffer pool: acquisitions served from a retained
+    // buffer, those that fell through to the allocator, and the bytes
+    // served without a fresh allocation.
+    let pool = Value::Object(vec![
+        ("hits".into(), Value::from(pool_hits)),
+        ("misses".into(), Value::from(pool_misses)),
+        ("reused_bytes".into(), Value::from(pool_bytes)),
+    ]);
     let doc = Value::Object(vec![
         ("workload".into(), Value::from("ecg_pca")),
         ("scale".into(), Value::from(scale)),
         ("workers".into(), Value::from(workers)),
         ("sim_nodes".into(), Value::from(nodes)),
         ("runtime".into(), stats.to_value()),
+        ("pool".into(), pool),
         ("profile".into(), profile.to_value()),
         ("sim".into(), sim_profile.to_value()),
-        ("registry".into(), registry.to_value()),
+        ("straggler_k".into(), Value::from(straggler_k)),
         (
-            "events".into(),
-            Value::Object(vec![(
-                "by_kind".into(),
-                Value::Object(
-                    by_kind
-                        .iter()
-                        .map(|(&k, &n)| (k.to_string(), Value::from(n)))
-                        .collect(),
-                ),
-            )]),
+            "stragglers".into(),
+            Value::Array(flagged.iter().map(|s| s.to_value()).collect()),
         ),
-        ("stragglers".into(), stragglers.to_value()),
         ("divergence".into(), div.to_value()),
-        (
-            "schema".into(),
-            Value::Object(vec![
-                ("real_keys".into(), keys(&real_keys)),
-                ("sim_keys".into(), keys(&sim_keys)),
-                ("identical".into(), Value::from(schema_identical)),
-            ]),
-        ),
     ]);
-    let timeline = chrome_trace_stragglers(&trace, &stragglers);
+    let timeline = chrome_trace(&trace, &flagged);
     for (path, contents) in [
         ("out/profile.json", doc.pretty()),
         ("out/profile.trace.json", timeline),
@@ -195,8 +140,7 @@ fn main() {
 
 /// Re-reads the written artifacts and asserts they are usable. CI runs
 /// `--check` so a silent regression (statistics or ready stamps
-/// missing, pool counters not folded in, DES schema drift, empty
-/// timeline) fails the build.
+/// missing, pool counters absent, empty timeline) fails the build.
 fn self_check(nodes: usize) {
     let read =
         |path: &str| std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
@@ -205,17 +149,14 @@ fn self_check(nodes: usize) {
     let num = |v: &Value| v.as_f64().unwrap_or(0.0);
 
     let v = parse("out/profile.json");
-    assert!(
-        v["registry"]["taskrt_pool_hits_total"].as_u64().is_some(),
-        "pool counters missing from the registry snapshot"
-    );
+    for key in ["hits", "misses", "reused_bytes"] {
+        assert!(v["pool"][key].as_u64().is_some(), "pool.{key} missing");
+    }
     for path in [
         "runtime.total_tasks",
         "runtime.queued_tasks",
-        "events.by_kind.task_start",
-        "events.by_kind.task_end",
-        "registry.taskrt_run_seconds.count",
-        "registry.taskrt_queue_wait_seconds.count",
+        "runtime.queue_wait_s",
+        "runtime.run_s",
         "divergence.real_makespan_s",
         "divergence.sim_makespan_s",
     ] {
@@ -226,20 +167,25 @@ fn self_check(nodes: usize) {
     assert!(!kinds.is_empty(), "profile has no task kinds");
     for k in kinds {
         assert!(k["p50_s"].as_f64().is_some() && k["p95_s"].as_f64().is_some());
+        // Per-kind queue-wait quantiles: present, ordered, non-negative.
+        let (w50, w95) = (num(&k["wait_p50_s"]), num(&k["wait_p95_s"]));
+        assert!(
+            k["wait_p95_s"].as_f64().is_some() && w95 >= w50 && w50 >= 0.0,
+            "kind {}: queue-wait quantiles missing or out of order",
+            k["name"].as_str().unwrap_or("?")
+        );
     }
+    assert!(
+        kinds.iter().any(|k| num(&k["wait_p95_s"]) > 0.0),
+        "no kind has a queue wait: ready stamps missing"
+    );
     let rows = v["sim"]["nodes"].as_array().expect("sim.nodes");
     assert_eq!(rows.len(), nodes, "one utilization row per node");
-    let run_p95 = &v["registry"]["taskrt_run_seconds"]["p95"];
-    assert!(run_p95.as_f64().is_some(), "run-time histogram has no p95");
     let div_kinds = v["divergence"]["kinds"]
         .as_array()
         .expect("divergence.kinds");
     assert!(!div_kinds.is_empty(), "divergence has no per-kind rows");
-    assert_eq!(
-        v["schema"]["identical"].as_bool(),
-        Some(true),
-        "threaded and DES emitters are not schema-identical"
-    );
+    assert!(v["stragglers"].as_array().is_some(), "stragglers missing");
 
     for path in ["out/profile.trace.json", "out/profile_sim.trace.json"] {
         let t = parse(path);

@@ -38,8 +38,7 @@
 //! | [`sim`] | discrete-event cluster simulator and [`sim::ClusterSpec`] |
 //! | [`dot`] | Graphviz export of execution graphs |
 //! | [`gantt`] | ASCII/JSON timelines of simulated schedules |
-//! | [`obs`] | scheduler statistics, Chrome-trace export, profile reports |
-//! | [`telemetry`] | views derived from a finished trace: events, histograms, registry, stragglers, divergence |
+//! | [`obs`] | views derived from the records and the DES schedule: statistics, Chrome traces, profiles, stragglers, divergence |
 //! | [`json`] | self-contained JSON tree, parser, and printer |
 //!
 //! ## Runtime internals & performance
@@ -63,14 +62,12 @@ pub mod payload;
 pub mod runtime;
 pub mod sim;
 mod tables;
-pub mod telemetry;
 pub mod trace;
 
 pub use dist::{DistConfig, DistReport, DistRuntime, KindRegistry, Plan, WireValue};
 pub use fault::{FaultMode, FaultPlan, OnFailure, RetryPolicy, TaskFault};
 pub use handle::{DataId, Handle, TaskId};
-pub use obs::{Profile, RuntimeStats, SimProfile};
+pub use obs::{Divergence, Profile, RuntimeStats, SimProfile, Straggler};
 pub use payload::Payload;
 pub use runtime::{live_worker_threads, ExecMode, Runtime, RuntimeConfig, TaskBuilder, TaskCtx};
-pub use telemetry::{Divergence, Event, EventKind, HistogramSnapshot, Registry, StragglerReport};
 pub use trace::{TaskRecord, Trace};

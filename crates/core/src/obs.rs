@@ -1,16 +1,19 @@
-//! Observability: runtime statistics, profile reports, and timeline
-//! export.
+//! Observability: runtime statistics and the views derived from a
+//! finished run.
 //!
 //! The paper's methodology rests on *measuring* workflows: PyCOMPSs
 //! emits Extrae traces that are inspected in Paraver to explain every
 //! scalability curve and anomaly. This module plays that role for
-//! `taskrt` — for real runs *and* for simulated schedules:
+//! `taskrt`. Each task's [`crate::TaskRecord`] is the one per-task stamp
+//! a runtime writes, and a simulated schedule's
+//! [`crate::sim::ScheduleEntry`]s are the DES's; the views below are
+//! computed from those after the run:
 //!
 //! * **[`RuntimeStats`]** — the scheduler's statistics (tasks per
 //!   worker, steal attempts/successes, injector batches, wakeups,
-//!   parks/idle time, driver stalls, queue-wait vs run time). There is
-//!   one recording path: the per-task fields are derived from the task
-//!   rows when [`crate::Runtime::stats`] is called, and the handful of
+//!   parks/idle time, driver stalls, queue-wait vs run time). The
+//!   per-task fields are derived from the task rows when
+//!   [`crate::Runtime::stats`] is called, and the handful of
 //!   scheduler-internal counts are plain integers kept beside the locks
 //!   their sites already hold. Nothing here is switched on or off.
 //! * **[`chrome_trace`] / [`chrome_trace_schedule`]** — Chrome-trace
@@ -19,16 +22,16 @@
 //!   recorded [`Trace`], one track per cluster node for a simulated
 //!   schedule. This is the Paraver-timeline equivalent.
 //! * **[`Profile`]** — per-task-kind aggregation over a trace: count,
-//!   total/mean/p50/p95 duration, bytes in/out, and the share of the
-//!   critical path each kind is responsible for.
+//!   total/mean/p50/p95 duration, p50/p95 queue wait, bytes in/out, and
+//!   the share of the critical path each kind is responsible for.
 //! * **[`SimProfile`]** — per-node breakdown of a [`SimReport`]: busy
 //!   (wall and task-seconds), transfer time, idle time, link bytes
 //!   received, plus cluster-wide *stall* time (instants where no node
 //!   runs anything — the cost of `wait`/`barrier` serialization).
-//!
-//! Each task's [`crate::TaskRecord`] is the one per-task stamp a
-//! runtime writes; events, histograms and straggler reports are derived
-//! from the records after the run too (see [`crate::telemetry`]).
+//! * **[`stragglers`]** — tasks slower than `k×` their kind's running
+//!   median, attributed to worker and retries.
+//! * **[`divergence`]** — a measured run against its DES replay:
+//!   makespan and per-kind busy time.
 //!
 //! `cargo run --release -p bench --bin profile` exercises all of the
 //! above on a real pipeline and writes `out/profile.json` plus two
@@ -37,6 +40,7 @@
 use crate::json::Value;
 use crate::sim::SimReport;
 use crate::trace::Trace;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A point-in-time snapshot of the scheduler's statistics (see
@@ -303,25 +307,12 @@ fn thread_name_event(pid: u64, tid: u64, name: &str) -> Value {
 /// Only records whose body ran ([`crate::TaskRecord::ran`]) get a
 /// slice: sync/barrier markers and tasks failed or cancelled before
 /// running have no start to draw. Nested child traces run on their own
-/// clock and are likewise not flattened in.
-pub fn chrome_trace(trace: &Trace) -> String {
-    chrome_trace_events(trace, &[])
-}
-
-/// [`chrome_trace`] with straggler highlighting: every task the
-/// report flagged (see [`crate::telemetry::StragglerReport`]) gets an
-/// `instant` marker (`ph:"i"`) at its start on the same track, so
-/// Perfetto renders the report's verdicts as droplets over the
-/// timeline. The marker's args carry the slowdown factor and the
-/// kind's median at flag time.
-pub fn chrome_trace_stragglers(
-    trace: &Trace,
-    report: &crate::telemetry::StragglerReport,
-) -> String {
-    chrome_trace_events(trace, &report.stragglers)
-}
-
-fn chrome_trace_events(trace: &Trace, stragglers: &[crate::telemetry::Straggler]) -> String {
+/// clock and are likewise not flattened in. Each of `stragglers` (see
+/// [`stragglers`]) gets an `instant` marker (`ph:"i"`) at its task's
+/// start on the same track, so Perfetto renders the verdicts as
+/// droplets over the timeline; the marker's args carry the slowdown
+/// factor and the kind's median at flag time.
+pub fn chrome_trace(trace: &Trace, stragglers: &[Straggler]) -> String {
     let mut events = Vec::new();
     // One metadata record per executor track, driver first.
     let max_worker = trace
@@ -487,6 +478,12 @@ pub struct KindStats {
     pub p50_s: f64,
     /// 95th-percentile duration, seconds.
     pub p95_s: f64,
+    /// Median queue wait, seconds: from [`crate::TaskRecord::ready_s`]
+    /// to the first attempt's start, over the kind's tasks with a ready
+    /// stamp (0 when none has one, as on an inline runtime).
+    pub wait_p50_s: f64,
+    /// 95th-percentile queue wait, seconds, over the same tasks.
+    pub wait_p95_s: f64,
     /// Summed input bytes.
     pub bytes_in: u64,
     /// Summed output bytes.
@@ -510,7 +507,9 @@ pub struct Profile {
     pub critical_path_s: f64,
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice.
+/// The `q`-quantile of an ascending-sorted slice: the element at index
+/// `round(q·(n−1))`, so no interpolation (p50 of four values is the
+/// third smallest). Every quantile this module reports uses it.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -526,12 +525,17 @@ impl Profile {
     /// Nested child traces are not folded in (the parent's duration
     /// already encloses them).
     pub fn from_trace(trace: &Trace) -> Profile {
-        use std::collections::BTreeMap;
         let profiled = || trace.records.iter().filter(|r| r.ran() && !r.is_marker());
         let mut durs: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+        let mut waits: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
         let mut bytes: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
         for r in profiled() {
             durs.entry(&r.name).or_default().push(r.duration_s);
+            if r.ready_s > 0.0 {
+                let first_start = r.attempts.first().map_or(r.start_s, |a| a.start_s);
+                let wait = (first_start - r.ready_s).max(0.0);
+                waits.entry(&r.name).or_default().push(wait);
+            }
             let e = bytes.entry(&r.name).or_insert((0, 0));
             e.0 += r.inputs.iter().map(|(_, b)| *b as u64).sum::<u64>();
             e.1 += r.outputs.iter().map(|(_, b)| *b as u64).sum::<u64>();
@@ -552,6 +556,8 @@ impl Profile {
             .map(|(name, mut ds)| {
                 ds.sort_by(f64::total_cmp);
                 let total: f64 = ds.iter().sum();
+                let mut ws = waits.remove(name).unwrap_or_default();
+                ws.sort_by(f64::total_cmp);
                 let (bin, bout) = bytes[name];
                 KindStats {
                     name: name.to_string(),
@@ -560,6 +566,8 @@ impl Profile {
                     mean_s: total / ds.len() as f64,
                     p50_s: percentile(&ds, 0.50),
                     p95_s: percentile(&ds, 0.95),
+                    wait_p50_s: percentile(&ws, 0.50),
+                    wait_p95_s: percentile(&ws, 0.95),
                     bytes_in: bin,
                     bytes_out: bout,
                     critical_path_s: cp_of.get(name).copied().unwrap_or(0.0),
@@ -605,6 +613,8 @@ impl Profile {
                                 ("mean_s".into(), Value::from(k.mean_s)),
                                 ("p50_s".into(), Value::from(k.p50_s)),
                                 ("p95_s".into(), Value::from(k.p95_s)),
+                                ("wait_p50_s".into(), Value::from(k.wait_p50_s)),
+                                ("wait_p95_s".into(), Value::from(k.wait_p95_s)),
                                 ("bytes_in".into(), Value::from(k.bytes_in)),
                                 ("bytes_out".into(), Value::from(k.bytes_out)),
                                 ("critical_path_s".into(), Value::from(k.critical_path_s)),
@@ -816,12 +826,184 @@ impl SimProfile {
     }
 }
 
+/// A task flagged as anomalously slow for its kind (see [`stragglers`]).
+#[derive(Debug, Clone)]
+pub struct Straggler {
+    pub task: u64,
+    pub name: String,
+    pub worker: i64,
+    pub duration_s: f64,
+    /// Running median of the task's kind when it was flagged.
+    pub median_s: f64,
+    /// `duration_s / median_s`.
+    pub factor: f64,
+    /// The task went through at least one failed attempt.
+    pub retried: bool,
+}
+
+impl Straggler {
+    pub fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("task".into(), Value::from(self.task)),
+            ("name".into(), Value::from(self.name.as_str())),
+            ("worker".into(), Value::Number(self.worker as f64)),
+            ("duration_s".into(), Value::Number(self.duration_s)),
+            ("median_s".into(), Value::Number(self.median_s)),
+            ("factor".into(), Value::Number(self.factor)),
+            ("retried".into(), Value::from(self.retried)),
+        ])
+    }
+}
+
+/// Walks a finished [`Trace`] in completion order and flags every task
+/// whose duration exceeds `k ×` the running median of the tasks of its
+/// kind that completed before it, once the kind has at least
+/// `min_samples` of them — the per-task-constant-cost analysis of the
+/// Dask-overheads paper. Only user tasks whose body ran
+/// ([`crate::TaskRecord::ran`]) enter the per-kind statistics: markers
+/// and tasks failed or cancelled before running are not 0-second
+/// executions.
+pub fn stragglers(trace: &Trace, k: f64, min_samples: usize) -> Vec<Straggler> {
+    let min_samples = min_samples.max(1);
+    let mut order: Vec<&crate::trace::TaskRecord> = trace
+        .records
+        .iter()
+        .filter(|r| r.ran() && !r.is_marker())
+        .collect();
+    order.sort_by(|a, b| (a.start_s + a.duration_s).total_cmp(&(b.start_s + b.duration_s)));
+    // Sorted durations per kind: running median by bisection insert.
+    let mut kinds: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+    let mut out = Vec::new();
+    for r in order {
+        let durs = kinds.entry(&r.name).or_default();
+        let n = durs.len();
+        if n >= min_samples {
+            let median = durs[n / 2];
+            if median > 0.0 && r.duration_s > k * median {
+                out.push(Straggler {
+                    task: r.id.0,
+                    name: r.name.clone(),
+                    worker: r.worker,
+                    duration_s: r.duration_s,
+                    median_s: median,
+                    factor: r.duration_s / median,
+                    retried: r.attempts.iter().any(|a| a.error.is_some()),
+                });
+            }
+        }
+        let at = durs.partition_point(|&d| d < r.duration_s);
+        durs.insert(at, r.duration_s);
+    }
+    out
+}
+
+/// Per-kind real-vs-simulated busy time (see [`Divergence`]).
+#[derive(Debug, Clone)]
+pub struct KindDivergence {
+    pub name: String,
+    /// Total measured body seconds in the real trace.
+    pub real_s: f64,
+    /// Total simulated busy seconds ([`SimReport::busy_by_kind`]).
+    pub sim_s: f64,
+    /// `sim_s / real_s` (infinity when the kind never ran for real).
+    pub ratio: f64,
+}
+
+/// Real-vs-DES divergence: how far the simulator's replay of a trace
+/// drifts from the measured run. A divergence near 1.0 means the DES
+/// can be trusted to predict scheduling changes.
+#[derive(Debug, Clone)]
+pub struct Divergence {
+    pub real_makespan_s: f64,
+    pub sim_makespan_s: f64,
+    /// `sim / real`.
+    pub makespan_ratio: f64,
+    pub kinds: Vec<KindDivergence>,
+}
+
+impl Divergence {
+    pub fn to_value(&self) -> Value {
+        let kind = |k: &KindDivergence| {
+            Value::Object(vec![
+                ("name".into(), Value::from(k.name.as_str())),
+                ("real_s".into(), Value::Number(k.real_s)),
+                ("sim_s".into(), Value::Number(k.sim_s)),
+                ("ratio".into(), Value::Number(k.ratio)),
+            ])
+        };
+        Value::Object(vec![
+            (
+                "real_makespan_s".into(),
+                Value::Number(self.real_makespan_s),
+            ),
+            ("sim_makespan_s".into(), Value::Number(self.sim_makespan_s)),
+            ("makespan_ratio".into(), Value::Number(self.makespan_ratio)),
+            (
+                "kinds".into(),
+                Value::Array(self.kinds.iter().map(kind).collect()),
+            ),
+        ])
+    }
+}
+
+/// Diffs a measured trace's records against the schedule of its
+/// simulated replay: the span from the first body start to the last
+/// body end against the DES makespan, and each kind's summed body time
+/// against its simulated busy time.
+pub fn divergence(trace: &Trace, report: &SimReport) -> Divergence {
+    let mut start = f64::INFINITY;
+    let mut end = 0.0f64;
+    let mut real_by_kind: BTreeMap<String, f64> = BTreeMap::new();
+    for r in trace.records.iter().filter(|r| r.ran() && !r.is_marker()) {
+        start = start.min(r.start_s);
+        end = end.max(r.start_s + r.duration_s);
+        *real_by_kind.entry(r.name.clone()).or_default() += r.duration_s;
+    }
+    let real_makespan_s = if start.is_finite() {
+        (end - start).max(0.0)
+    } else {
+        0.0
+    };
+    let mut names: Vec<String> = real_by_kind.keys().cloned().collect();
+    for k in report.busy_by_kind.keys() {
+        if !real_by_kind.contains_key(k) {
+            names.push(k.clone());
+        }
+    }
+    let ratio = |sim: f64, real: f64| {
+        if real > 0.0 {
+            sim / real
+        } else {
+            f64::INFINITY
+        }
+    };
+    let kinds = names
+        .into_iter()
+        .map(|name| {
+            let real_s = real_by_kind.get(&name).copied().unwrap_or(0.0);
+            let sim_s = report.busy_by_kind.get(&name).copied().unwrap_or(0.0);
+            KindDivergence {
+                name,
+                real_s,
+                sim_s,
+                ratio: ratio(sim_s, real_s),
+            }
+        })
+        .collect();
+    Divergence {
+        real_makespan_s,
+        sim_makespan_s: report.makespan_s,
+        makespan_ratio: ratio(report.makespan_s, real_makespan_s),
+        kinds,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::handle::{DataId, TaskId};
     use crate::sim::{simulate, ClusterSpec, SimOptions};
-    use crate::trace::TaskRecord;
+    use crate::trace::{AttemptRecord, TaskRecord};
     use crate::Runtime;
 
     fn rec(id: u64, deps: &[u64], dur: f64, name: &str) -> TaskRecord {
@@ -883,12 +1065,107 @@ mod tests {
     }
 
     #[test]
+    fn percentile_takes_the_rounded_index_without_interpolating() {
+        let sorted = [1.0, 2.0, 3.0, 4.0];
+        // round(0.5 · 3) = 2: the third smallest, not a midpoint.
+        assert_eq!(percentile(&sorted, 0.50), 3.0);
+        assert_eq!(percentile(&sorted, 0.95), 4.0);
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
+    }
+
+    #[test]
+    fn profile_queue_waits_are_ordered_and_zero_inline() {
+        let run = |rt: Runtime| {
+            let a = rt.put(1u64);
+            for i in 0..64u64 {
+                let _ = rt
+                    .task(if i % 2 == 0 { "even" } else { "odd" })
+                    .run1(a, move |v| v + i);
+            }
+            Profile::from_trace(&rt.finish())
+        };
+        let threaded = run(Runtime::threaded(2));
+        assert_eq!(threaded.kinds.len(), 2);
+        for k in &threaded.kinds {
+            assert!(k.wait_p95_s >= k.wait_p50_s && k.wait_p50_s >= 0.0, "{k:?}");
+        }
+        for k in &run(Runtime::new()).kinds {
+            assert_eq!((k.wait_p50_s, k.wait_p95_s), (0.0, 0.0), "{k:?}");
+        }
+    }
+
+    /// A record that ran on `worker` over `[start_s, start_s + dur)`.
+    fn ran(id: u64, name: &str, deps: &[u64], worker: i64, start_s: f64, dur: f64) -> TaskRecord {
+        TaskRecord {
+            start_s,
+            worker,
+            ..rec(id, deps, dur, name)
+        }
+    }
+
+    #[test]
+    fn straggler_flagging_and_critical_path() {
+        // A chain a(0) -> b(1) -> c(2) plus independent gemms, all
+        // released by the load at t = 1; the straggler waits on 1 and 2.
+        let mut slow = ran(5, "gemm", &[1, 2], 1, 2.1, 10.0);
+        slow.attempts = vec![
+            AttemptRecord {
+                start_s: 2.1,
+                duration_s: 0.0,
+                error: Some("boom".into()),
+            },
+            AttemptRecord {
+                start_s: 2.1,
+                duration_s: 10.0,
+                error: None,
+            },
+        ];
+        let trace = Trace {
+            records: vec![
+                ran(0, "load", &[], 0, 0.0, 1.0),
+                ran(1, "gemm", &[0], 0, 1.0, 1.0),
+                ran(2, "gemm", &[0], 1, 1.0, 1.1),
+                ran(3, "gemm", &[0], 0, 1.0, 0.9),
+                ran(4, "gemm", &[0], 1, 1.0, 1.0),
+                slow,
+            ],
+        };
+        let found = stragglers(&trace, 3.0, 4);
+        // 10s >> 3x median(~1.0): flagged and attributed.
+        assert_eq!(found.len(), 1);
+        let s = &found[0];
+        assert_eq!((s.task, s.worker, s.retried), (5, 1, true));
+        assert!(s.factor > 3.0);
+        // It ends the critical path: load -> gemm(2, the slower dep) -> it.
+        let (path, len) = trace.critical_path();
+        assert_eq!(path, [0, 2, 5].map(TaskId));
+        assert!((len - 12.1).abs() < 1e-9);
+        // The timeline draws the verdict as a droplet on worker 1's track.
+        let v = Value::parse(&chrome_trace(&trace, &found)).unwrap();
+        let events = v.field("traceEvents").unwrap().as_array().unwrap();
+        let droplet = events
+            .iter()
+            .find(|e| e.get("cat").and_then(|c| c.as_str()) == Some("straggler"))
+            .expect("a straggler marker");
+        assert_eq!(droplet.field("tid").unwrap().as_u64(), Some(2));
+    }
+
+    #[test]
+    fn straggler_needs_min_samples() {
+        let records = (0..9)
+            .map(|i| ran(i, "t", &[], 0, i as f64, if i == 8 { 100.0 } else { 1.0 }))
+            .collect();
+        assert!(stragglers(&Trace { records }, 2.0, 10).is_empty());
+    }
+
+    #[test]
     fn chrome_trace_is_valid_json_with_events() {
         let rt = Runtime::new();
         let a = rt.put(1.0f64);
         let b = rt.task("scale").run1(a, |v| v * 2.0);
         let _ = rt.wait(b);
-        let json = chrome_trace(&rt.trace());
+        let json = chrome_trace(&rt.trace(), &[]);
         let v = Value::parse(&json).expect("valid chrome trace JSON");
         let events = v.field("traceEvents").unwrap().as_array().unwrap();
         // At least the driver thread_name metadata and the task slice.
@@ -927,7 +1204,7 @@ mod tests {
         let x = p.kinds.iter().find(|k| k.name == "x").expect("x row");
         assert_eq!(x.count, 2, "the cancelled x counted as an execution");
 
-        let v = Value::parse(&chrome_trace(&trace)).expect("valid chrome trace JSON");
+        let v = Value::parse(&chrome_trace(&trace, &[])).expect("valid chrome trace JSON");
         let events = v.field("traceEvents").unwrap().as_array().unwrap();
         let slices_of = |task: u64| {
             events

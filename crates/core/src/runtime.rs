@@ -75,7 +75,6 @@ use crate::tables::{
     AnyArc, DataEntry, Kinds, PendingJob, Row, Slot, Status, Tables, TaskFn, BARRIER_KIND, DRIVER,
     SYNC_KIND,
 };
-use crate::telemetry::{HistogramSnapshot, Registry};
 use crate::trace::{AttemptRecord, Trace, SPLIT_TASK};
 use std::any::Any;
 use std::cell::Cell;
@@ -712,16 +711,9 @@ impl Runtime {
     /// Snapshot of the scheduler's statistics (see [`RuntimeStats`]).
     /// The per-task fields are derived from the task rows, so a task
     /// counts once its attempt commits; the scheduler-internal counts
-    /// are read beside the locks their sites hold.
+    /// are read beside the locks their sites hold. Takes the state
+    /// lock, then the wake lock, never both at once.
     pub fn stats(&self) -> RuntimeStats {
-        self.observe(|_, _| {})
-    }
-
-    /// [`Runtime::stats`], passing `visit` every row whose body ran and
-    /// its queue wait in seconds (`None` without a ready stamp) — the
-    /// one pass [`Runtime::registry`] builds its histograms in. Takes
-    /// the state lock, then the wake lock, never both at once.
-    fn observe(&self, mut visit: impl FnMut(&Row, Option<f64>)) -> RuntimeStats {
         let shared = &self.inner.shared;
         let mut s = {
             let st = lock(&shared.state);
@@ -742,8 +734,9 @@ impl Runtime {
                 }
                 let attempts = r.attempts();
                 let first_start = attempts.first().map_or(r.start_s, |a| a.start_s);
-                let queue_wait = (r.ready_s > 0.0).then(|| (first_start - r.ready_s).max(0.0));
-                s.queue_wait_s += queue_wait.unwrap_or(0.0);
+                if r.ready_s > 0.0 {
+                    s.queue_wait_s += (first_start - r.ready_s).max(0.0);
+                }
                 s.run_s += if attempts.is_empty() {
                     r.duration_s
                 } else {
@@ -759,7 +752,6 @@ impl Runtime {
                     }
                     _ => {}
                 }
-                visit(r, queue_wait);
             }
             // Inline tasks never queue; they add 0 s to the mean.
             s.queued_tasks = s.total_tasks();
@@ -770,58 +762,6 @@ impl Runtime {
         s.worker_parks = w.worker_parks;
         s.worker_idle_s = w.worker_idle_s;
         s
-    }
-
-    /// Builds a [`Registry`] of the scheduler's statistics plus three
-    /// latency histograms derived from the records — queue
-    /// wait (`ready_s` to the first attempt's start, for records with a
-    /// ready stamp), run time (final attempt) and per-attempt latency —
-    /// ready for JSON export. Call it after a `barrier`:
-    /// a task still running has no record stamps yet. Callers may fold
-    /// their own metrics in afterwards (the `profile` bin adds the
-    /// linalg buffer-pool counters this way).
-    pub fn registry(&self) -> Registry {
-        let ns = |s: f64| (s.max(0.0) * 1e9) as u64;
-        let (mut queue_wait, mut run, mut attempt) = (Vec::new(), Vec::new(), Vec::new());
-        let s = self.observe(|r, wait| {
-            run.push(ns(r.duration_s));
-            let attempts = r.attempts();
-            if attempts.is_empty() {
-                attempt.push(ns(r.duration_s));
-            } else {
-                attempt.extend(attempts.iter().map(|a| ns(a.duration_s)));
-            }
-            queue_wait.extend(wait.map(ns));
-        });
-        let mut reg = Registry::new();
-        for (name, v) in [
-            ("taskrt_tasks_total", s.total_tasks()),
-            ("taskrt_driver_tasks_total", s.driver_tasks),
-            ("taskrt_steal_attempts_total", s.steal_attempts),
-            ("taskrt_stolen_tasks_total", s.stolen_tasks),
-            ("taskrt_locality_hits_total", s.locality_hits),
-            ("taskrt_locality_misses_total", s.locality_misses),
-            ("taskrt_injector_flushes_total", s.injector_flushes),
-            ("taskrt_wakeups_total", s.wakeups),
-            ("taskrt_inout_steals_total", s.inout_steals),
-            ("taskrt_inout_copies_total", s.inout_copies),
-            ("taskrt_retries_total", s.retries),
-            ("taskrt_giveups_total", s.giveups),
-            ("taskrt_poisoned_total", s.poisoned),
-            ("taskrt_cancelled_total", s.cancelled),
-            ("taskrt_worker_parks_total", s.worker_parks),
-        ] {
-            reg.counter(name, v);
-        }
-        reg.gauge("taskrt_worker_idle_seconds", s.worker_idle_s);
-        for (name, samples) in [
-            ("taskrt_queue_wait_seconds", queue_wait),
-            ("taskrt_run_seconds", run),
-            ("taskrt_attempt_seconds", attempt),
-        ] {
-            reg.histogram(name, HistogramSnapshot::from_samples(samples), 1e-9);
-        }
-        reg
     }
 }
 
@@ -2285,11 +2225,9 @@ mod tests {
         assert_eq!(*rt.wait(b), 4);
         let t = rt.finish();
         assert!(t.records.iter().all(|r| r.ready_s == 0.0));
-        // Inline tasks never queue: no queue-wait samples, one run-time
-        // sample per task.
-        let reg = rt.registry().to_value();
-        assert_eq!(reg["taskrt_queue_wait_seconds"]["count"].as_u64(), Some(0));
-        assert_eq!(reg["taskrt_run_seconds"]["count"].as_u64(), Some(1));
+        // Inline tasks never queue: the one task adds 0 s of wait.
+        let s = rt.stats();
+        assert_eq!((s.queued_tasks, s.queue_wait_s), (1, 0.0));
     }
 
     #[test]

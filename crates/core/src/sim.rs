@@ -260,17 +260,6 @@ pub struct SimReport {
     pub schedule: Vec<ScheduleEntry>,
 }
 
-impl SimReport {
-    /// Re-emits the simulated schedule as the telemetry event schema —
-    /// the same `task_start`/`task_end` stream [`crate::Trace::events`]
-    /// derives from a real run, with cluster node indices in the
-    /// `worker` field. See
-    /// [`crate::telemetry::events_from_schedule`].
-    pub fn events(&self) -> Vec<crate::telemetry::Event> {
-        crate::telemetry::events_from_schedule(self)
-    }
-}
-
 /// Tests whether datum `d` has a replica on node `nd`.
 #[inline]
 fn replica_has(bits: &[u64], words: usize, d: usize, nd: usize) -> bool {

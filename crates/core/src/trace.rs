@@ -380,15 +380,6 @@ impl Trace {
         counts.values().copied().max().unwrap_or(0)
     }
 
-    /// The run's event stream, derived from the records — one
-    /// `task_start`/`task_end` pair per executed task plus a `retry`
-    /// per retried attempt, schema-identical to a DES replay's
-    /// [`crate::sim::SimReport::events`]. See
-    /// [`crate::telemetry::events_from_trace`].
-    pub fn events(&self) -> Vec<crate::telemetry::Event> {
-        crate::telemetry::events_from_trace(self)
-    }
-
     /// Serializes the trace to pretty JSON (for EXPERIMENTS.md artifacts).
     pub fn to_json(&self) -> String {
         self.to_value().pretty()

@@ -5,8 +5,8 @@
 //! Each lint also has a planted-violation test, which proves that it
 //! still fires.
 //!
-//! The words a lint looks for are spelled in pieces (`concat!`), so
-//! that this file does not trip the lints it holds.
+//! The words of a lint that walks `tests/` are spelled in pieces
+//! (`concat!`), so that this file does not trip the lints it holds.
 
 use std::path::Path;
 
@@ -29,9 +29,13 @@ const UNSAFE_ISLAND_PATHS: [&str; 7] = [
 /// What "No live recorder beside the trace" searches for, as plain
 /// substrings: the names of the live recorders that were deleted (the
 /// seqlock journal, striped histograms, the online straggler analyzer,
-/// the pool observer, the atomic scheduler counters and their switch)
-/// and of the Prometheus exporter that had no consumer.
-const LIVE_RECORDER: [&str; 13] = [
+/// the pool observer, the atomic scheduler counters and their switch),
+/// of the Prometheus exporter that had no consumer, and of the copies
+/// re-encoded from the records (the event stream, the log2 histograms,
+/// the metric registry and the module that held them). The registry
+/// pattern is the method, so that the `fn registry() -> KindRegistry`
+/// test helpers do not match.
+const LIVE_RECORDER: [&str; 19] = [
     concat!("struct ", "Journal"),
     concat!("Log", "Histogram"),
     concat!("Hist", "Stripe"),
@@ -45,10 +49,39 @@ const LIVE_RECORDER: [&str; 13] = [
     concat!("config.", "metrics"),
     concat!("to_", "prometheus"),
     concat!("validate_", "prometheus"),
+    concat!("Event", "Kind"),
+    concat!("events_from", "_trace"),
+    concat!("events_from", "_schedule"),
+    concat!("Histogram", "Snapshot"),
+    concat!("fn ", "registry(&self"),
+    concat!("mod ", "telemetry"),
 ];
 
 /// The trees "No live recorder beside the trace" walks.
 const LIVE_RECORDER_PATHS: [&str; 3] = ["crates", "tests", "examples"];
+
+/// What "Driver decisions stay I/O-free" rejects in the `dist` state
+/// machine: sockets, threads, processes, locks and the clock.
+const STATE_IO: [&str; 7] = [
+    "UnixStream",
+    "UnixListener",
+    "std::thread",
+    "std::process",
+    "Mutex",
+    "Instant::now",
+    "recv_timeout",
+];
+
+/// The one file [`STATE_IO`] applies to.
+const STATE_PATH: &str = "crates/core/src/dist/state.rs";
+
+/// What "Driver decisions stay I/O-free" rejects in `dist` and the
+/// runtime: the lint a function threading a run through a dozen loose
+/// arguments needs.
+const MANY_ARGS: &str = "too_many_arguments";
+
+/// The trees [`MANY_ARGS`] applies to.
+const MANY_ARGS_PATHS: [&str; 2] = ["crates/core/src/dist", "crates/core/src/runtime.rs"];
 
 /// A source file: its path relative to the workspace root (with `/`)
 /// and its text.
@@ -218,9 +251,10 @@ fn one_unsafe_island_fires_on_planted_violations() {
 }
 
 /// "No live recorder beside the trace" (DESIGN §5.13): a task is
-/// stamped once, on its row, and every statistic, event, histogram and
+/// stamped once, on its row, and every statistic, quantile and
 /// straggler report is derived from the rows or from plain counts kept
-/// beside a lock the scheduler already holds. Any line naming one of
+/// beside a lock the scheduler already holds, with no second encoding
+/// of them in between. Any line naming one of
 /// the retired recorders is rejected, comments included. Returns the
 /// offending lines as `path:line:text`.
 fn live_recorder_violations(sources: &[Source]) -> Vec<String> {
@@ -273,9 +307,86 @@ fn no_live_recorder_beside_the_trace_fires_on_planted_violations() {
             "shared.config.nested_mode",
             "struct Journey;",
             "reg.to_value()",
+            "let mut reg = KindRegistry::new();",
+            "fn registry() -> KindRegistry {",
+            "pub telemetry: bool,",
+            "telemetry: true,",
         ]
         .join("\n"),
     };
     let found = live_recorder_violations(&[allowed]);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "Driver decisions stay I/O-free" (DESIGN §5.16): `RunState::step`
+/// returns actions, and the shell in `driver.rs` owns the sockets,
+/// threads, processes and clock. Any line of the state module naming
+/// one of [`STATE_IO`], and any line of `dist` or the runtime naming
+/// [`MANY_ARGS`], is rejected, comments included. Returns the
+/// offending lines as `path:line:text`.
+fn driver_io_violations(sources: &[Source]) -> Vec<String> {
+    let mut found = Vec::new();
+    for src in sources {
+        let in_state = src.path == STATE_PATH;
+        let in_many_args = MANY_ARGS_PATHS
+            .iter()
+            .any(|p| src.path == *p || src.path.starts_with(&format!("{p}/")));
+        for (i, line) in src.text.lines().enumerate() {
+            if (in_state && STATE_IO.iter().any(|w| line.contains(w)))
+                || (in_many_args && line.contains(MANY_ARGS))
+            {
+                found.push(format!("{}:{}:{line}", src.path, i + 1));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn driver_decisions_stay_io_free() {
+    let sources = rust_sources(&MANY_ARGS_PATHS);
+    assert!(
+        sources.iter().any(|s| s.path == STATE_PATH),
+        "the walk missed the state machine"
+    );
+    let found = driver_io_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "the dist state machine does I/O or reads the clock, or a dist or \
+         runtime function takes too many arguments again:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn driver_decisions_stay_io_free_fires_on_planted_violations() {
+    let src = |path: &str, text: &str| Source {
+        path: path.to_string(),
+        text: text.to_string(),
+    };
+    let mut planted: Vec<Source> = STATE_IO
+        .iter()
+        .map(|w| src(STATE_PATH, &format!("    // {w}")))
+        .collect();
+    let allow = format!("#[allow(clippy::{MANY_ARGS})]");
+    planted.push(src("crates/core/src/dist/driver.rs", &allow));
+    planted.push(src("crates/core/src/dist/wire.rs", &allow));
+    planted.push(src("crates/core/src/runtime.rs", &allow));
+    let found = driver_io_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with("crates/core/src/dist/state.rs:1:"));
+
+    // The shell may do I/O; a file outside `dist` and the runtime may
+    // allow the lint.
+    let allowed = [
+        src(
+            "crates/core/src/dist/driver.rs",
+            "use std::os::unix::net::UnixStream; let t = Instant::now();",
+        ),
+        src("crates/core/src/dist/worker.rs", "let m = Mutex::new(0);"),
+        src("crates/core/src/sim.rs", &allow),
+        src("crates/core/src/distance.rs", &allow),
+    ];
+    let found = driver_io_violations(&allowed);
     assert!(found.is_empty(), "{found:#?}");
 }

@@ -1,8 +1,8 @@
 //! `RuntimeStats` against known answers: every count field pinned on
 //! deterministic inline DAGs (the golden test), the same failing DAG
 //! counted alike by the inline and the threaded executor, and
-//! `stats()` / `registry()` read from a second thread while a threaded
-//! DAG runs.
+//! `stats()` / `trace()` read from a second thread while a threaded DAG
+//! runs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -215,13 +215,15 @@ fn stats_and_registry_stay_live_under_load() {
         let reader = {
             let (rt, stop) = (rt.clone(), stop.clone());
             std::thread::spawn(move || {
-                let (mut last, mut reads) = (0, 0u64);
+                let (mut last, mut last_ran, mut reads) = (0, 0, 0u64);
                 while !stop.load(Ordering::Relaxed) {
                     let total = rt.stats().total_tasks();
                     assert!(total >= last, "total_tasks went from {last} to {total}");
                     last = total;
-                    let reg = rt.registry().to_value();
-                    assert!(reg["taskrt_tasks_total"].as_u64().is_some());
+                    let ran = rt.trace().records.iter().filter(|r| r.ran()).count();
+                    assert!(ran >= last_ran, "ran records went from {last_ran} to {ran}");
+                    assert!(ran <= TASKS, "{ran} ran records for {TASKS} tasks");
+                    last_ran = ran;
                     reads += 1;
                 }
                 reads
@@ -263,7 +265,7 @@ fn stats_and_registry_stay_live_under_load() {
         done_tx.send(()).expect("report completion");
     });
     if let Err(mpsc::RecvTimeoutError::Timeout) = done_rx.recv_timeout(Duration::from_secs(120)) {
-        panic!("the DAG and its stats() / registry() reader did not finish in 120 s");
+        panic!("the DAG and its stats() / trace() reader did not finish in 120 s");
     }
     run.join().expect("every check under load holds");
 }

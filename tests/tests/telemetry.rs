@@ -1,15 +1,13 @@
-//! Integration tests of the observability views derived from a finished
-//! run: the event stream a threaded run's trace yields, its schema
-//! identity with DES-emitted event streams, the metrics registry
-//! export, and the real-vs-simulated divergence report — the
+//! Integration tests of what a finished threaded run's records tell:
+//! each task's life (ready, start, end, executor), its retried and
+//! failed attempts, and the real-vs-simulated divergence report — the
 //! tracing/analysis workflow the paper drives through Extrae + Paraver.
 
-use dislib::pca::{Components, Pca};
 use dsarray::DsArray;
 use integration_tests::tiny_dataset;
+use taskrt::obs::divergence;
 use taskrt::sim::{simulate, ClusterSpec, SimOptions};
-use taskrt::telemetry::divergence;
-use taskrt::{Event, EventKind, FaultPlan, OnFailure, Runtime, Trace};
+use taskrt::{FaultPlan, OnFailure, Runtime, Trace};
 
 /// A small mixed workload: blocked column sums + an explicit task
 /// cascade, enough to exercise queueing, stealing, and driver help.
@@ -24,33 +22,41 @@ fn small_run() -> (Runtime, u64) {
     (rt, tasks)
 }
 
-fn count(events: &[Event], kind: EventKind) -> u64 {
-    events.iter().filter(|e| e.kind == kind).count() as u64
+/// A retried attempt: a failed one that another attempt followed.
+fn retried_attempts(trace: &Trace) -> u64 {
+    trace
+        .records
+        .iter()
+        .flat_map(|r| r.attempts.windows(2))
+        .filter(|w| w[0].error.is_some())
+        .count() as u64
 }
 
 #[test]
 fn trace_events_record_task_lifecycle() {
     let (rt, tasks) = small_run();
     assert!(tasks > 0);
-    let events = rt.trace().events();
-    assert_eq!(
-        count(&events, EventKind::TaskStart),
-        tasks,
-        "one start per task"
-    );
-    assert_eq!(
-        count(&events, EventKind::TaskEnd),
-        tasks,
-        "one end per task"
-    );
-    assert_eq!(count(&events, EventKind::Retry), 0);
-    // Time-ordered, and every event is attributed to its task.
-    assert!(events.windows(2).all(|w| w[0].t_s <= w[1].t_s));
-    assert!(events.iter().all(|e| e.task.is_some()));
+    let trace = rt.trace();
+    let ran: Vec<_> = trace.records.iter().filter(|r| r.ran()).collect();
+    assert_eq!(ran.len() as u64, tasks, "one ran record per task");
+    for r in ran {
+        // Threaded: released, then started, then ended, on a known
+        // executor, in one clean attempt.
+        assert!(r.ready_s > 0.0 && r.ready_s <= r.start_s, "task {:?}", r.id);
+        assert!(r.duration_s >= 0.0);
+        assert!(
+            (-1..3).contains(&r.worker),
+            "task {:?} on {}",
+            r.id,
+            r.worker
+        );
+        assert!(r.attempts.is_empty(), "task {:?} retried", r.id);
+    }
+    assert_eq!(retried_attempts(&trace), 0);
 }
 
-/// Every failed attempt is journaled in its record's `attempts`, and
-/// the derived stream turns each retried one into a `retry` event.
+/// Every failed attempt is journaled in its record's `attempts`, ahead
+/// of the attempt that retried it.
 #[test]
 fn retries_are_journaled() {
     let rt = Runtime::threaded(2);
@@ -63,13 +69,22 @@ fn retries_are_journaled() {
     let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.wait(h)));
     rt.barrier();
     assert_eq!(got.ok().map(|v| *v), Some(6.0));
-    let retries = count(&rt.trace().events(), EventKind::Retry);
+    let trace = rt.trace();
+    let retries = retried_attempts(&trace);
     assert_eq!(retries, rt.stats().retries);
     assert!(retries >= 1, "the injected first-attempt fault must retry");
+    let flaky = trace.records.iter().find(|r| r.name == "flaky").unwrap();
+    let (failed, last) = (&flaky.attempts[0], flaky.attempts.last().unwrap());
+    assert!(failed.error.is_some() && last.error.is_none());
+    assert!(failed.start_s + failed.duration_s <= last.start_s);
+    assert_eq!(
+        flaky.start_s, last.start_s,
+        "the record's slice is the last attempt"
+    );
 }
 
 #[test]
-fn failed_task_ends_with_aux_and_cancelled_successors_emit_nothing() {
+fn failed_task_records_its_error_and_cancelled_successors_never_run() {
     let rt = Runtime::threaded(2);
     let x = rt.put(1u64);
     let bad = rt
@@ -81,102 +96,19 @@ fn failed_task_ends_with_aux_and_cancelled_successors_emit_nothing() {
     assert_eq!(*rt.wait(ok), 2);
     rt.barrier();
     let trace = rt.trace();
-    let name = |e: &Event| {
-        let id = e.task.expect("task events are attributed");
-        let r = trace.records.iter().find(|r| r.id.0 == id).unwrap();
-        r.name.clone()
-    };
-    let mut ends: Vec<(String, u64)> = trace
-        .events()
+    let mut ends: Vec<(&str, bool)> = trace
+        .records
         .iter()
-        .filter(|e| e.kind == EventKind::TaskEnd)
-        .map(|e| (name(e), e.aux))
+        .filter(|r| r.ran() && !r.is_marker())
+        .map(|r| {
+            let failed = r.attempts.last().is_some_and(|a| a.error.is_some());
+            (r.name.as_str(), failed)
+        })
         .collect();
     ends.sort();
-    // `after` was cancelled before it could run: no events at all.
-    assert_eq!(ends, [("bad".to_string(), 1), ("ok".to_string(), 0)]);
-    assert_eq!(count(&trace.events(), EventKind::Retry), 0);
-}
-
-#[test]
-fn histogram_counts_match_task_counts() {
-    let (rt, tasks) = small_run();
-    let reg = rt.registry().to_value();
-    let hist = |name: &str| &reg[name];
-    let retries = rt.stats().retries;
-    assert_eq!(hist("taskrt_run_seconds")["count"].as_u64(), Some(tasks));
-    assert_eq!(
-        hist("taskrt_attempt_seconds")["count"].as_u64(),
-        Some(tasks + retries)
-    );
-    // Threaded: every task gets a ready stamp.
-    assert_eq!(
-        hist("taskrt_queue_wait_seconds")["count"].as_u64(),
-        Some(tasks)
-    );
-    assert!(hist("taskrt_run_seconds")["sum"].as_f64().unwrap() > 0.0);
-}
-
-#[test]
-fn event_json_roundtrip_preserves_every_field() {
-    let (rt, _) = small_run();
-    let events = rt.trace().events();
-    assert!(!events.is_empty());
-    for e in &events {
-        let back = Event::from_value(&e.to_value()).expect("decode");
-        assert_eq!(&back, e, "JSON round-trip must be lossless");
-    }
-}
-
-/// The DES must speak the real run's exact event schema — same JSON
-/// keys, same kind vocabulary — so divergence analysis can diff the two
-/// streams without translation (the role shared Paraver semantics play
-/// for Extrae traces).
-#[test]
-fn threaded_and_des_event_streams_are_schema_identical() {
-    let (x, _) = tiny_dataset();
-    let rt = Runtime::threaded(3);
-    let ds = DsArray::from_matrix(&rt, x, 16, 120);
-    let pca = Pca::fit(&rt, &ds, Components::Count(8));
-    let _ = pca.transform(&rt, &ds).collect(&rt);
-    let trace: Trace = rt.finish();
-
-    let replayed = trace.events();
-    let report = simulate(
-        &trace,
-        &ClusterSpec::marenostrum4(3),
-        &SimOptions::default(),
-    );
-    let simulated = report.events();
-    assert!(!replayed.is_empty() && !simulated.is_empty());
-
-    let keys = |e: &Event| -> Vec<String> {
-        match e.to_value() {
-            taskrt::json::Value::Object(fields) => fields.into_iter().map(|(k, _)| k).collect(),
-            _ => panic!("events encode as objects"),
-        }
-    };
-    let schema = keys(&replayed[0]);
-    for e in replayed.iter().chain(simulated.iter()) {
-        assert_eq!(keys(e), schema, "one schema across both streams");
-        let back = Event::from_value(&e.to_value()).expect("decode");
-        assert_eq!(&back, e);
-    }
-    // Both streams carry one start+end pair per real task.
-    let pairs = |evs: &[Event]| count(evs, EventKind::TaskEnd) == count(evs, EventKind::TaskStart);
-    assert!(pairs(&replayed) && pairs(&simulated));
-}
-
-#[test]
-fn registry_exports_validate() {
-    let (rt, tasks) = small_run();
-    let reg = rt.registry();
-    let json = reg.to_value().pretty();
-    let parsed = taskrt::json::Value::parse(&json).expect("registry JSON parses");
-    assert_eq!(
-        parsed.get("taskrt_tasks_total").and_then(|v| v.as_u64()),
-        Some(tasks)
-    );
+    // `after` was cancelled before it could run: it has no ran record.
+    assert_eq!(ends, [("bad", true), ("ok", false)]);
+    assert_eq!(retried_attempts(&trace), 0);
 }
 
 #[test]
