@@ -41,7 +41,7 @@ fn main() {
     let straggler_k: f64 = args.get_or("straggler-k", 3.0);
 
     // -- workload: dataset load + distributed PCA (paper §III-B) ------
-    // Runs on the threaded scheduler so the steal/wakeup/queue counters
+    // Runs on the threaded scheduler so the flush/wakeup/queue counters
     // exercise the same paths as a production run.
     let mut spec = DatasetSpec::at_scale(Scale::Small).with_seed(2017);
     if small {

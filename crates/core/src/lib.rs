@@ -45,8 +45,8 @@
 //!
 //! The scheduler is built for fine-grained task graphs (10k+ tasks)
 //! where per-task overhead dominates; see [`runtime`] for the data
-//! structures (dense id-indexed tables, per-worker work-stealing
-//! deques, batched ready release, targeted wakeups) and
+//! structures (dense id-indexed tables, one FIFO ready queue with
+//! continuations, batched ready release, targeted wakeups) and
 //! `bash benchmark/run.sh --workload sched_fine` for the measured
 //! throughput.
 

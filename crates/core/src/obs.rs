@@ -10,8 +10,8 @@
 //! computed from those after the run:
 //!
 //! * **[`RuntimeStats`]** — the scheduler's statistics (tasks per
-//!   worker, steal attempts/successes, injector batches, wakeups,
-//!   parks/idle time, driver stalls, queue-wait vs run time). The
+//!   worker, injector batches, wakeups, parks/idle time, driver
+//!   stalls, queue-wait vs run time). The
 //!   per-task fields are derived from the task rows when
 //!   [`crate::Runtime::stats`] is called, and the handful of
 //!   scheduler-internal counts are plain integers kept beside the locks
@@ -54,18 +54,6 @@ pub struct RuntimeStats {
     pub worker_tasks: Vec<u64>,
     /// Tasks executed on a driver thread (inline or cooperative wait).
     pub driver_tasks: u64,
-    /// Steal probes into sibling deques.
-    pub steal_attempts: u64,
-    /// Steal probes that obtained work.
-    pub steal_successes: u64,
-    /// Tasks acquired via stealing.
-    pub stolen_tasks: u64,
-    /// Tasks executed on the worker their affinity hint named (the
-    /// producer of their largest input). Zero on an inline runtime
-    /// or when no worker-produced input existed.
-    pub locality_hits: u64,
-    /// Tasks with a worker affinity hint that executed elsewhere.
-    pub locality_misses: u64,
     /// Staged-submission batches flushed to the injector.
     pub injector_flushes: u64,
     /// Total tasks that passed through the injector.
@@ -123,24 +111,17 @@ impl RuntimeStats {
         }
     }
 
-    /// Fraction of steal probes that found work.
+    /// Always 0.0: the threaded runtime has one ready queue, so there
+    /// is nothing to steal. Kept only because the frozen benchmark
+    /// calls it; removal waits for the next change to the benchmark.
     pub fn steal_hit_rate(&self) -> f64 {
-        if self.steal_attempts == 0 {
-            0.0
-        } else {
-            self.steal_successes as f64 / self.steal_attempts as f64
-        }
+        0.0
     }
 
-    /// Fraction of affinity-hinted tasks that ran on the worker whose
-    /// cache held their largest input (0.0 when nothing was hinted).
+    /// Always 0.0, like [`RuntimeStats::steal_hit_rate`]: no task
+    /// carries a locality hint. Kept for the same reason.
     pub fn locality_hit_rate(&self) -> f64 {
-        let total = self.locality_hits + self.locality_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.locality_hits as f64 / total as f64
-        }
+        0.0
     }
 
     /// Fraction of INOUT parameters handed over by move rather than
@@ -163,16 +144,6 @@ impl RuntimeStats {
             ),
             ("driver_tasks".into(), Value::from(self.driver_tasks)),
             ("total_tasks".into(), Value::from(self.total_tasks())),
-            ("steal_attempts".into(), Value::from(self.steal_attempts)),
-            ("steal_successes".into(), Value::from(self.steal_successes)),
-            ("stolen_tasks".into(), Value::from(self.stolen_tasks)),
-            ("steal_hit_rate".into(), Value::from(self.steal_hit_rate())),
-            ("locality_hits".into(), Value::from(self.locality_hits)),
-            ("locality_misses".into(), Value::from(self.locality_misses)),
-            (
-                "locality_hit_rate".into(),
-                Value::from(self.locality_hit_rate()),
-            ),
             (
                 "injector_flushes".into(),
                 Value::from(self.injector_flushes),
@@ -214,25 +185,6 @@ impl RuntimeStats {
         writeln!(out, "    by driver        {:>12}", self.driver_tasks).unwrap();
         for (i, n) in self.worker_tasks.iter().enumerate() {
             writeln!(out, "    by worker {i:<2}     {n:>12}").unwrap();
-        }
-        writeln!(
-            out,
-            "  steals             {:>12} ok / {} probes ({:.1}% hit, {} tasks)",
-            self.steal_successes,
-            self.steal_attempts,
-            self.steal_hit_rate() * 100.0,
-            self.stolen_tasks
-        )
-        .unwrap();
-        if self.locality_hits + self.locality_misses > 0 {
-            writeln!(
-                out,
-                "  locality           {:>12} hits / {} misses ({:.1}% hit rate)",
-                self.locality_hits,
-                self.locality_misses,
-                self.locality_hit_rate() * 100.0
-            )
-            .unwrap();
         }
         writeln!(
             out,

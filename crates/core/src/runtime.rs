@@ -46,23 +46,22 @@
 //!   into a self-contained `ReadyRun` (job closure + cloned input
 //!   `Arc`s) under whichever lock released it, so executing it later
 //!   needs the shared state exactly once — at commit.
-//! * **Per-worker deques + stealing.** Each worker owns a deque; the
-//!   driver stages root tasks and flushes them to a shared injector
-//!   queue in batches (immediately when a worker is idle — tracked by
-//!   a lock-free hint — otherwise every [`STAGE_BATCH`] submissions).
-//!   An idle worker pops its own deque first, then adopts the front
-//!   half of the injector, then steals the back half of a sibling
-//!   deque. Lock order is `state → injector → queues`, one-way.
+//! * **One ready queue.** Every ready task that is not a continuation
+//!   waits in one FIFO, the injector. The driver stages root tasks and
+//!   flushes them to it in batches (immediately when a worker is idle —
+//!   tracked by a lock-free hint — otherwise every [`STAGE_BATCH`]
+//!   submissions). Workers and a helping driver pop its front. Lock
+//!   order is `state → injector`, one-way.
 //! * **Cooperative wait.** A driver blocked in `wait`/`barrier` does
-//!   not just sleep: it drains the injector and deques and executes
-//!   tasks itself, only parking on the condvar after a dry pass.
+//!   not just sleep: it drains the ready queue and executes tasks
+//!   itself, only parking on the condvar after a dry pass.
 //! * **Batched release + continuation.** Completing a task releases all
-//!   newly-ready dependents in a single pass under the lock. The worker
-//!   keeps one as its continuation (no queue round-trip) and publishes
-//!   the rest, waking at most that many sleeping workers via a
-//!   token-counted `notify_one` scheme — never a thundering-herd
-//!   `notify_all`. Driver wakeups are likewise skipped entirely unless
-//!   a `wait`/`barrier` is actually blocked.
+//!   newly-ready dependents in a single pass under the lock. The
+//!   executor keeps one as its continuation (no queue round-trip) and
+//!   pushes the rest to the back of the queue, waking at most that many
+//!   sleeping workers via a token-counted `notify_one` scheme — never
+//!   a thundering-herd `notify_all`. Driver wakeups are likewise
+//!   skipped entirely unless a `wait`/`barrier` is actually blocked.
 //! * **Clean shutdown.** Dropping the last [`Runtime`] clone signals
 //!   shutdown and joins every worker; no threads outlive the runtime
 //!   (observable via [`live_worker_threads`]).
@@ -192,7 +191,7 @@ impl TaskCtx {
 /// state lock released the task (submission or a predecessor's
 /// completion) — so executing it needs no state lock at all before the
 /// commit, two acquisitions per task instead of three. This is what
-/// flows through the injector and the worker deques.
+/// flows through the ready queue.
 struct ReadyRun {
     id: TaskId,
     f: TaskFn,
@@ -209,15 +208,6 @@ struct ReadyRun {
     /// installed at release (injection decisions match on the kind);
     /// `None` keeps the no-chaos path off the plan and kinds locks.
     kind: Option<u32>,
-    /// Locality hint: the worker whose cache most recently held this
-    /// task's largest input ([`DRIVER`] when the task has no inputs or
-    /// everything was driver-produced — always, in inline mode).
-    /// Workers prefer own-affinity tasks when popping and leave a
-    /// victim's own-affinity tasks behind when stealing; execution on
-    /// the hinted worker counts as a `locality_hit`. Advisory only —
-    /// any worker may run any task, and results are bit-identical to
-    /// an unsteered (inline) run.
-    affinity: i64,
 }
 
 /// Extracts the body of ready task `tid` and resolves its inputs (all
@@ -252,26 +242,9 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
         data[d.0 as usize].pending_reads -= 1;
     }
     let mut resolved = Vec::with_capacity(range.len());
-    // Affinity hint: the last-touch worker of the largest input — the
-    // byte-weighted guess at which core's cache still holds this
-    // task's working set. Computed inline with input resolution (no
-    // extra pass); driver-touched inputs (all of them, in inline mode)
-    // carry no hint.
-    let mut affinity = DRIVER;
-    let mut aff_bytes = 0usize;
     for (i, j) in range.enumerate() {
         let d = inputs[j].0;
         let entry = &mut data[d.0 as usize];
-        if entry.last_touch >= 0 {
-            let b = match &entry.slot {
-                Slot::Ready(_, b) => *b,
-                _ => 0,
-            };
-            if b > aff_bytes || affinity == DRIVER {
-                aff_bytes = b;
-                affinity = entry.last_touch;
-            }
-        }
         let consume = i < 64 && consume_mask >> i & 1 == 1;
         // INOUT dispatch: hand the store's own reference to the task
         // when no other live consumer exists. `pending_reads` covers
@@ -311,7 +284,6 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
         ready_at,
         fault,
         kind,
-        affinity,
     }
 }
 
@@ -336,28 +308,10 @@ struct State {
     /// producers.
     producers: Vec<TaskId>,
     /// The scheduler-internal fields of [`RuntimeStats`] whose sites
-    /// hold this lock: steal probes, locality, injector flushes, INOUT
-    /// move vs clone, driver parks. The per-task fields stay zero here;
-    /// [`Runtime::stats`] derives them from the rows.
+    /// hold this lock: injector flushes, INOUT move vs clone, driver
+    /// parks. The per-task fields stay zero here; [`Runtime::stats`]
+    /// derives them from the rows.
     counts: RuntimeStats,
-}
-
-/// A worker's steal probes since it last held the state lock; added to
-/// [`State::counts`] at its next commit or dry-queue flush.
-#[derive(Default)]
-struct Steals {
-    attempts: u64,
-    successes: u64,
-    tasks: u64,
-}
-
-impl Steals {
-    fn fold_into(&mut self, counts: &mut RuntimeStats) {
-        counts.steal_attempts += self.attempts;
-        counts.steal_successes += self.successes;
-        counts.stolen_tasks += self.tasks;
-        *self = Steals::default();
-    }
 }
 
 struct WakeState {
@@ -392,10 +346,12 @@ struct Shared {
     state: Mutex<State>,
     /// Signals task completion to blocked drivers.
     cv: Condvar,
-    /// Root-task submissions from the driver, oldest first.
+    /// The one ready queue, oldest first: the driver's flushed roots
+    /// and every released dependent an executor did not keep as its
+    /// continuation.
     injector: Mutex<VecDeque<ReadyRun>>,
-    /// One deque per worker.
-    queues: Vec<Mutex<VecDeque<ReadyRun>>>,
+    /// Worker threads in the pool (0 for an inline runtime).
+    workers: usize,
     wake: Mutex<WakeState>,
     wake_cv: Condvar,
     /// Mirror of `sleepers > tokens`, maintained under the wake lock;
@@ -478,9 +434,7 @@ impl Runtime {
             }),
             cv: Condvar::new(),
             injector: Mutex::new(VecDeque::new()),
-            queues: (0..n_workers)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
+            workers: n_workers,
             wake: Mutex::new(WakeState {
                 sleepers: 0,
                 tokens: 0,
@@ -501,7 +455,7 @@ impl Runtime {
                 let s = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("taskrt-worker-{i}"))
-                    .spawn(move || worker_loop(s, i))
+                    .spawn(move || worker_loop(s, i as i64))
                     .expect("spawn scheduler worker")
             })
             .collect();
@@ -718,7 +672,7 @@ impl Runtime {
         let mut s = {
             let st = lock(&shared.state);
             let mut s = RuntimeStats {
-                worker_tasks: vec![0; shared.queues.len()],
+                worker_tasks: vec![0; shared.workers],
                 ..st.counts.clone()
             };
             for r in st.tables.rows.iter() {
@@ -1033,7 +987,7 @@ fn flush_staged_locked(shared: &Shared, st: &mut State) -> usize {
 /// Returns the emptied buffer, capacity intact, for the caller to reuse.
 fn run_worklist(shared: &Shared, mut work: Vec<ReadyRun>) -> Vec<ReadyRun> {
     while let Some(r) = work.pop() {
-        execute_one(shared, r, &mut work, DRIVER, &mut Steals::default());
+        execute_one(shared, r, &mut work, DRIVER);
     }
     work
 }
@@ -1054,11 +1008,11 @@ thread_local! {
 /// actually asleep and not already claimed by an in-flight token —
 /// when every worker is awake (busy or spinning) this is one
 /// uncontended lock and no syscall, which matters on fine-grained
-/// submission storms. No lost wakeups: callers publish work to a queue
-/// *before* calling `wake`, and a worker only commits to sleeping
-/// after registering in `sleepers` and re-scanning every queue.
+/// submission storms. No lost wakeups: callers publish work to the
+/// queue *before* calling `wake`, and a worker only commits to sleeping
+/// after registering in `sleepers` and re-checking the queue.
 fn wake(shared: &Shared, n: usize) {
-    if n == 0 || shared.queues.is_empty() {
+    if n == 0 || shared.workers == 0 {
         return;
     }
     let k = {
@@ -1078,30 +1032,39 @@ fn wake(shared: &Shared, n: usize) {
     }
 }
 
-/// One cooperative help pass for a blocked driver thread: drains ready
-/// tasks from the injector and the workers' deques and executes them in
-/// place, exactly as a worker would (keep one continuation, publish the
-/// rest). Returns whether anything was executed. Work-sharing turns
-/// sync points into throughput — on machines with fewer cores than
-/// workers a sleeping driver would otherwise just add context switches
-/// while the workers time-slice.
-fn help_drain(shared: &Shared, newly: &mut Vec<ReadyRun>) -> bool {
-    let mut helped = false;
-    loop {
-        let next = lock(&shared.injector)
-            .pop_front()
-            .or_else(|| shared.queues.iter().find_map(|q| lock(q).pop_back()));
-        let Some(first) = next else {
-            if flush_staged(shared) > 0 {
-                continue;
-            }
-            return helped;
-        };
-        helped = true;
+/// Pops the front (oldest) task of the ready queue. On an empty queue
+/// it first publishes whatever the driver staged but has not flushed,
+/// waking sleepers for all but the task taken here, so staged work can
+/// never stall behind a paused submission stream.
+fn pop_ready(shared: &Shared) -> Option<ReadyRun> {
+    if let Some(t) = lock(&shared.injector).pop_front() {
+        return Some(t);
+    }
+    let flushed = flush_staged(shared);
+    if flushed == 0 {
+        return None;
+    }
+    wake(shared, flushed - 1);
+    lock(&shared.injector).pop_front()
+}
+
+/// Executes ready tasks as `who` until the queue and the driver's
+/// staged batch are both empty; returns whether anything ran. Each
+/// popped task runs with its continuations: of the dependents a run
+/// releases, the executor keeps the first and pushes the rest to the
+/// back of the queue, waking at most that many sleepers. Workers call
+/// this from [`worker_loop`], and a blocked driver from
+/// [`drive_until`]: work-sharing turns sync points into throughput —
+/// on machines with fewer cores than workers a sleeping driver would
+/// otherwise just add context switches while the workers time-slice.
+fn drain_ready(shared: &Shared, newly: &mut Vec<ReadyRun>, who: i64) -> bool {
+    let mut ran = false;
+    while let Some(first) = pop_ready(shared) {
+        ran = true;
         let mut cont = Some(first);
         while let Some(t) = cont.take() {
             newly.clear();
-            execute_one(shared, t, newly, DRIVER, &mut Steals::default());
+            execute_one(shared, t, newly, who);
             if newly.len() > 1 {
                 let n = newly.len() - 1;
                 lock(&shared.injector).extend(newly.drain(1..));
@@ -1110,12 +1073,13 @@ fn help_drain(shared: &Shared, newly: &mut Vec<ReadyRun>) -> bool {
             cont = newly.pop();
         }
     }
+    ran
 }
 
 /// The cooperative wait behind `wait`/`peek` and `barrier`: blocks the
 /// calling driver thread until `done`
 /// (evaluated under the state lock) yields a value. Between checks the
-/// thread runs queued tasks itself (see [`help_drain`]) and parks on
+/// thread runs queued tasks itself (see [`drain_ready`]) and parks on
 /// the condvar only after a dry pass — re-checking `done` under the
 /// lock first, so a completion cannot slip between that check and the
 /// wait (every completion notifies when a waiter is registered).
@@ -1142,170 +1106,41 @@ fn drive_until<R>(shared: &Shared, mut done: impl FnMut(&mut State) -> Option<R>
                 continue;
             }
         }
-        idle = !help_drain(shared, &mut newly);
+        idle = !drain_ready(shared, &mut newly, DRIVER);
     }
 }
 
-/// Moves the front (oldest) half of the injector into `me`'s deque and
-/// returns one task to run now. Batch acquisition amortizes the lock
-/// traffic: one visit feeds a worker for many tasks instead of one.
-/// Lock order: injector strictly before worker deques (matches
-/// [`help_drain`]; never the reverse).
-fn adopt_batch(shared: &Shared, me: usize, scratch: &mut Vec<ReadyRun>) -> Option<ReadyRun> {
-    scratch.clear();
-    {
-        let mut inj = lock(&shared.injector);
-        let take = inj.len().div_ceil(2);
-        scratch.extend(inj.drain(..take));
-    }
-    if scratch.len() > 1 {
-        // Keep the oldest for ourselves, queue the rest.
-        lock(&shared.queues[me]).extend(scratch.drain(1..));
-    }
-    scratch.pop()
-}
-
-/// Finds the next task for worker `me`: own deque, then a batch from
-/// the injector, then a batch stolen from a sibling's deque.
-/// Entries scanned from the front of a worker's own deque for an
-/// affinity match before falling back to plain FIFO order. Bounded so
-/// a worker whose deque fills with foreign-affinity work degrades to
-/// an O(1) pop instead of an O(len) scan per task.
-const AFFINITY_SCAN: usize = 8;
-
-/// Pops from `me`'s own deque, preferring (within the first
-/// [`AFFINITY_SCAN`] entries) a task whose affinity hint names `me` —
-/// its largest input was produced here and is plausibly cache-warm.
-fn pop_own(shared: &Shared, me: usize) -> Option<ReadyRun> {
-    let mut q = lock(&shared.queues[me]);
-    let limit = q.len().min(AFFINITY_SCAN);
-    match (0..limit).find(|&i| q[i].affinity == me as i64) {
-        Some(idx) => q.remove(idx),
-        None => q.pop_front(),
-    }
-}
-
-fn pop_work(
-    shared: &Shared,
-    me: usize,
-    scratch: &mut Vec<ReadyRun>,
-    steals: &mut Steals,
-) -> Option<ReadyRun> {
-    if let Some(t) = pop_own(shared, me) {
-        return Some(t);
-    }
-    if let Some(t) = adopt_batch(shared, me, scratch) {
-        return Some(t);
-    }
-    let n = shared.queues.len();
-    for k in 1..n {
-        let j = (me + k) % n;
-        let mut q = lock(&shared.queues[j]);
-        steals.attempts += 1;
-        // Steal the back (coldest) half of the victim's deque.
-        let take = q.len() / 2;
-        if take > 0 {
-            scratch.clear();
-            let start = q.len() - take;
-            scratch.extend(q.drain(start..));
-            // Cold-before-hot: hand back any batch member whose
-            // affinity names the victim itself (its inputs are warm in
-            // the victim's cache), provided at least one cold task
-            // remains for us — an all-hot batch is kept whole so a
-            // starved thief still makes progress.
-            let vid = j as i64;
-            if scratch.iter().any(|r| r.affinity != vid) {
-                let mut i = 0;
-                while i < scratch.len() {
-                    if scratch[i].affinity == vid {
-                        q.push_back(scratch.remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            drop(q);
-            steals.successes += 1;
-            steals.tasks += scratch.len() as u64;
-            if scratch.len() > 1 {
-                lock(&shared.queues[me]).extend(scratch.drain(1..));
-            }
-            return scratch.pop();
-        }
-        if let Some(t) = q.pop_back() {
-            steals.successes += 1;
-            steals.tasks += 1;
-            return Some(t);
-        }
-    }
-    // Ran dry: adopt anything the driver staged but hasn't dispatched,
-    // sharing the surplus with other sleepers. The state lock the flush
-    // takes also absorbs the probes counted above.
-    let flushed = {
-        let mut st = lock(&shared.state);
-        steals.fold_into(&mut st.counts);
-        flush_staged_locked(shared, &mut st)
-    };
-    if flushed > 0 {
-        if flushed > 1 {
-            wake(shared, flushed - 1);
-        }
-        return adopt_batch(shared, me, scratch);
-    }
-    None
-}
-
-/// Rounds of `yield_now` + rescan an idle worker performs before
+/// Rounds of `yield_now` + recheck an idle worker performs before
 /// falling back to a condvar sleep. A producer usually refills the
-/// queues within a few scheduler quanta, and `sched_yield` is far
+/// queue within a few scheduler quanta, and `sched_yield` is far
 /// cheaper than a futex sleep/wake round trip per task — this is what
 /// keeps fine-grained pipelines from ping-ponging through the kernel.
 const IDLE_SPIN_ROUNDS: usize = 32;
 
-/// True when any queue (own, injector, or a sibling's) holds work.
-/// One lock at a time — `||` would keep the left operand's guard alive
-/// while taking the next lock, violating the injector-before-deques
-/// order used everywhere else.
-fn has_work(shared: &Shared, me: usize) -> bool {
-    if !lock(&shared.injector).is_empty() {
-        return true;
-    }
-    let n = shared.queues.len();
-    (0..n).any(|k| !lock(&shared.queues[(me + k) % n]).is_empty())
+/// True when the ready queue holds work. A function, not an inline
+/// expression, so the queue guard is dropped before a caller's `||`
+/// goes on to [`flush_staged`], which takes the state lock and then
+/// the queue lock again.
+fn has_work(shared: &Shared) -> bool {
+    !lock(&shared.injector).is_empty()
 }
 
-fn worker_loop(shared: Arc<Shared>, me: usize) {
+fn worker_loop(shared: Arc<Shared>, me: i64) {
     let _guard = WorkerGuard::new();
     let mut newly: Vec<ReadyRun> = Vec::new(); // reused across all tasks
-    let mut scratch: Vec<ReadyRun> = Vec::new(); // batch-acquisition buffer
-    let mut steals = Steals::default();
     'outer: loop {
-        while let Some(task) = pop_work(&shared, me, &mut scratch, &mut steals) {
-            // Run the task; keep one newly-ready dependent as the
-            // continuation and publish the rest for siblings.
-            let mut cont = Some(task);
-            while let Some(t) = cont.take() {
-                newly.clear();
-                execute_one(&shared, t, &mut newly, me as i64, &mut steals);
-                if newly.len() > 1 {
-                    let n = newly.len() - 1;
-                    lock(&shared.queues[me]).extend(newly.drain(1..));
-                    wake(&shared, n);
-                }
-                cont = newly.pop();
-            }
-        }
+        drain_ready(&shared, &mut newly, me);
         // Idle: spin briefly (yielding the CPU each round) in case the
         // driver is mid-submission, then sleep for a wake token.
         for _ in 0..IDLE_SPIN_ROUNDS {
             std::thread::yield_now();
-            if has_work(&shared, me) {
+            if has_work(&shared) {
                 continue 'outer;
             }
         }
-        // Register as a sleeper *before* the final re-scan. A producer
+        // Register as a sleeper *before* the final recheck. A producer
         // always publishes work before calling `wake`, so either our
-        // re-scan sees the work, or the producer saw our registration
+        // recheck sees the work, or the producer saw our registration
         // and left a token + notify — no interleaving loses a wakeup.
         {
             let mut w = lock(&shared.wake);
@@ -1315,7 +1150,7 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
             w.sleepers += 1;
             w.publish_idle_hint(&shared.idle_hint);
         }
-        if has_work(&shared, me) || flush_staged(&shared) > 0 {
+        if has_work(&shared) || flush_staged(&shared) > 0 {
             // A token granted against this registration may linger; it
             // is consumed (as a free pass through one sleep cycle) by
             // whichever worker next reaches the sleep loop.
@@ -1352,15 +1187,8 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
 /// commit. Dependents that became ready are resolved under that same
 /// lock and appended to `newly_ready` (an out-param so callers reuse
 /// one buffer across many tasks). The commit also adds the task's
-/// locality and INOUT counts, and the executor's `steals`, to
-/// [`State::counts`].
-fn execute_one(
-    shared: &Shared,
-    run: ReadyRun,
-    newly_ready: &mut Vec<ReadyRun>,
-    who: i64,
-    steals: &mut Steals,
-) {
+/// INOUT counts to [`State::counts`].
+fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, who: i64) {
     let ReadyRun {
         id: task,
         mut f,
@@ -1368,7 +1196,6 @@ fn execute_one(
         ready_at,
         fault,
         kind,
-        affinity,
     } = run;
     let ti = task.0 as usize;
     let since_epoch = |t: Instant| t.saturating_duration_since(shared.epoch).as_secs_f64();
@@ -1473,20 +1300,8 @@ fn execute_one(
     {
         let mut st = lock(&shared.state);
         let st = &mut *st; // split field borrows below
-        steals.fold_into(&mut st.counts);
         st.counts.inout_steals += inout.0;
         st.counts.inout_copies += inout.1;
-        // Locality: a hit means the worker executing the task is the one
-        // that produced its (byte-)largest input, so that input is
-        // plausibly still warm in its cache. Driver executions and tasks
-        // with no worker-produced inputs are neither hits nor misses.
-        if who >= 0 && affinity >= 0 {
-            if who == affinity {
-                st.counts.locality_hits += 1;
-            } else {
-                st.counts.locality_misses += 1;
-            }
-        }
         let row = &mut st.tables.rows[ti];
         row.ready_s = ready_s;
         row.worker = who as i32;
@@ -1517,11 +1332,7 @@ fn execute_one(
                 } = &mut st.tables;
                 let row = &rows[ti];
                 for (d, (v, b)) in (row.out_first as usize..).zip(outs) {
-                    let entry = &mut data[d];
-                    entry.slot = Slot::Ready(v, b);
-                    // Stamp the producer so consumers of this output can
-                    // be steered back to the worker whose cache holds it.
-                    entry.last_touch = who;
+                    data[d].slot = Slot::Ready(v, b);
                 }
                 for j in Tables::input_range(row) {
                     let (d, bytes) = &mut inputs[j];
@@ -2329,7 +2140,7 @@ mod tests {
             .task("neg") // task 3
             .run1_inout(src, |v| v.iter_mut().for_each(|x| *x = -*x));
         // Wait for the INOUT task without `peek` (a peeking driver
-        // could adopt the gate task and block in `recv`); poll the
+        // could pop the gate task and block in `recv`); poll the
         // scheduler state directly instead.
         let neg_done = || lock(&rt.inner.shared.state).tables.rows[3].status == Status::Done;
         while !neg_done() {
@@ -2344,11 +2155,11 @@ mod tests {
     }
 
     #[test]
-    fn adopt_batch_takes_the_oldest_half_in_submission_order() {
-        // The injector contract: a plain FIFO whose adopter takes the
-        // oldest ceil(len/2), keeps the single oldest to run now, and
-        // leaves the rest untouched. The only worker is parked inside
-        // a gate task, so nothing else touches the queues.
+    fn the_ready_queue_is_one_fifo_in_submission_order() {
+        // The queue contract: flushed roots wait in one FIFO in the
+        // order they were submitted, and every executor pops its front.
+        // The only worker is parked inside a gate task, so nothing else
+        // touches the queue.
         let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let rt = Runtime::threaded(1);
@@ -2364,34 +2175,18 @@ mod tests {
             let _ = rt.task("root").run0(move || i); // tasks 1..=n
         }
         let shared = &rt.inner.shared;
-        // The busy worker forced batching: full batches were published,
-        // the tail is still staged.
+        // The busy worker forced batching: three full batches were
+        // published, the tail is still staged.
         assert_eq!(lock(&shared.injector).len(), 3 * STAGE_BATCH);
         assert_eq!(flush_staged(shared), 5);
+        let ids: Vec<u64> = lock(&shared.injector).iter().map(|r| r.id.0).collect();
+        assert_eq!(ids, (1..=n as u64).collect::<Vec<_>>());
 
-        let mut scratch = Vec::new();
-        let first = adopt_batch(shared, 0, &mut scratch).expect("injector non-empty");
-        let take = n.div_ceil(2) as u64;
-        assert_eq!(first.id, TaskId(1), "caller keeps the single oldest");
-        let ids = |q: &VecDeque<ReadyRun>| q.iter().map(|r| r.id.0).collect::<Vec<_>>();
-        assert_eq!(
-            ids(&lock(&shared.queues[0])),
-            (2..=take).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            ids(&lock(&shared.injector)),
-            (take + 1..=n as u64).collect::<Vec<_>>()
-        );
-
-        // Nothing was lost or duplicated: run the adopted task here,
-        // release the worker, and everything drains.
-        execute_one(
-            shared,
-            first,
-            &mut Vec::new(),
-            DRIVER,
-            &mut Steals::default(),
-        );
+        // Nothing was lost or duplicated: run the oldest here, release
+        // the worker, and everything drains.
+        let first = pop_ready(shared).expect("queue non-empty");
+        assert_eq!(first.id, TaskId(1), "the front is the oldest");
+        execute_one(shared, first, &mut Vec::new(), DRIVER);
         release_tx.send(()).expect("worker alive");
         rt.barrier();
         assert_eq!(rt.stats().total_tasks(), n as u64 + 1);

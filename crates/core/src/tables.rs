@@ -44,7 +44,7 @@ pub(crate) type TaskFn = Box<dyn FnMut(&TaskCtx, &mut Vec<AnyArc>) -> Vec<(AnyAr
 
 /// Executor id recorded on [`TaskRecord::worker`] for tasks run on the
 /// driver thread (inline mode, `run_worklist`, or cooperative
-/// `help_drain`); pool workers use their index `0..n_workers`.
+/// `drain_ready`); pool workers use their index `0..n_workers`.
 pub(crate) const DRIVER: i64 = -1;
 
 /// Interned kind index of [`SYNC_TASK`] markers.
@@ -83,11 +83,6 @@ pub(crate) struct DataEntry {
     /// leak increments (their `make_run` never runs), which only makes
     /// later consumers fall back to the copy path — conservative.
     pub pending_reads: usize,
-    /// Worker whose cache most recently held this value: the producer
-    /// that committed it (stamped in `execute_one`), or [`DRIVER`]
-    /// (-1) for `put` data and inline/driver executions. Feeds the
-    /// affinity hint on dependent tasks; never read for correctness.
-    pub last_touch: i64,
 }
 
 impl DataEntry {
@@ -96,7 +91,6 @@ impl DataEntry {
             slot,
             producer,
             pending_reads: 0,
-            last_touch: DRIVER,
         }
     }
 

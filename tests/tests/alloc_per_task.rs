@@ -122,8 +122,8 @@ fn run_many_and_run1_inout_allocate_a_pinned_count_per_task() {
         (4.0..4.1).contains(&per_task),
         "run_many: {per_task:.3} allocations per task, pinned at 4"
     );
-    // A 112 B row, ~4.5 input entries of 16 B, a 64 B data entry and
-    // the output's `Arc`: 272 B measured. With a name `String` and four
+    // A 112 B row, ~4.5 input entries of 16 B, a 56 B data entry and
+    // the output's `Arc`: 264 B measured. With a name `String` and four
     // `Vec`s per task beside two table entries, it was 551 B.
     assert!(
         bytes_per_task < 320.0,

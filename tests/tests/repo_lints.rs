@@ -83,6 +83,50 @@ const MANY_ARGS: &str = "too_many_arguments";
 /// The trees [`MANY_ARGS`] applies to.
 const MANY_ARGS_PATHS: [&str; 2] = ["crates/core/src/dist", "crates/core/src/runtime.rs"];
 
+/// What "One ready queue" rejects as a whole word: the fusion
+/// window's switch.
+const FUSE_WORD: &str = concat!("fu", "se");
+
+/// What "One ready queue" rejects as plain substrings: the rest of the
+/// fusion window and of multi-tenancy (either case), and the names the
+/// per-worker deques, work stealing and locality steering retired
+/// (the deque field and its accessors, the steal probe tally, the
+/// affinity hint and the stamp it was computed from, and the five
+/// counters only they fed).
+const ONE_QUEUE: [&str; 17] = [
+    concat!("fu", "se_trace"),
+    concat!("Fused", "Group"),
+    concat!("discard", "able"),
+    concat!("Ten", "ant"),
+    concat!("ten", "ant"),
+    concat!("AFFINITY", "_SCAN"),
+    concat!("adopt", "_batch"),
+    concat!("fn ", "pop_own"),
+    concat!("struct ", "Steals"),
+    concat!("last", "_touch"),
+    concat!("shared", ".queues"),
+    concat!(".affin", "ity"),
+    concat!("steal", "_attempts"),
+    concat!("steal", "_successes"),
+    concat!("stolen", "_tasks"),
+    concat!("locality", "_hits"),
+    concat!("locality", "_misses"),
+];
+
+/// The trees "One ready queue" walks.
+const ONE_QUEUE_PATHS: [&str; 3] = ["crates", "tests", "examples"];
+
+/// What "Task table stays flat" rejects: a stored record table, a
+/// per-task dependents vector and a boxed pending job.
+const FLAT_TABLE: [&str; 3] = [
+    "records: Store<TaskRecord>",
+    "dependents: Vec<TaskId>",
+    "Box::new(PendingJob",
+];
+
+/// The tree "Task table stays flat" walks.
+const FLAT_TABLE_PATH: &str = "crates/core";
+
 /// A source file: its path relative to the workspace root (with `/`)
 /// and its text.
 struct Source {
@@ -137,6 +181,20 @@ fn has_word(line: &str, word: &str) -> bool {
     line.match_indices(word).any(|(at, _)| {
         !is_word(line[..at].chars().next_back()) && !is_word(line[at + word.len()..].chars().next())
     })
+}
+
+/// Every line of `sources` that `reject` flags, comments included, as
+/// `path:line:text`.
+fn lines_matching(sources: &[Source], reject: impl Fn(&str) -> bool) -> Vec<String> {
+    let mut found = Vec::new();
+    for src in sources {
+        for (i, line) in src.text.lines().enumerate() {
+            if reject(line) {
+                found.push(format!("{}:{}:{line}", src.path, i + 1));
+            }
+        }
+    }
+    found
 }
 
 /// "One unsafe island" (DESIGN §5.15, §5.17): `unsafe` code and
@@ -258,15 +316,9 @@ fn one_unsafe_island_fires_on_planted_violations() {
 /// the retired recorders is rejected, comments included. Returns the
 /// offending lines as `path:line:text`.
 fn live_recorder_violations(sources: &[Source]) -> Vec<String> {
-    let mut found = Vec::new();
-    for src in sources {
-        for (i, line) in src.text.lines().enumerate() {
-            if LIVE_RECORDER.iter().any(|name| line.contains(name)) {
-                found.push(format!("{}:{}:{line}", src.path, i + 1));
-            }
-        }
-    }
-    found
+    lines_matching(sources, |line| {
+        LIVE_RECORDER.iter().any(|name| line.contains(name))
+    })
 }
 
 #[test]
@@ -388,5 +440,120 @@ fn driver_decisions_stay_io_free_fires_on_planted_violations() {
         src("crates/core/src/distance.rs", &allow),
     ];
     let found = driver_io_violations(&allowed);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "One ready queue" (DESIGN §5.12, §5.15): submission has one path and
+/// the threaded runtime one FIFO ready queue. The fusion window and
+/// multi-tenancy were measured and removed, and so were the per-worker
+/// deques, work stealing and locality steering; bringing any back is
+/// a new, benchmarked decision.
+fn one_ready_queue_violations(sources: &[Source]) -> Vec<String> {
+    lines_matching(sources, |line| {
+        has_word(line, FUSE_WORD) || ONE_QUEUE.iter().any(|name| line.contains(name))
+    })
+}
+
+#[test]
+fn one_ready_queue() {
+    let sources = rust_sources(&ONE_QUEUE_PATHS);
+    assert!(
+        sources
+            .iter()
+            .any(|s| s.path == "crates/core/src/runtime.rs"),
+        "the walk missed the runtime"
+    );
+    let found = one_ready_queue_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "the fusion window, multi-tenancy, per-worker deques, stealing or \
+         locality steering are back:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn one_ready_queue_fires_on_planted_violations() {
+    let mut planted: Vec<Source> = ONE_QUEUE
+        .iter()
+        .map(|name| Source {
+            path: "crates/core/src/runtime.rs".to_string(),
+            text: format!("    let x = {name}(1);"),
+        })
+        .collect();
+    planted.push(Source {
+        path: "examples/x.rs".to_string(),
+        text: format!("// RuntimeConfig::{FUSE_WORD} is on"),
+    });
+    let found = one_ready_queue_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with("crates/core/src/runtime.rs:1:"));
+
+    let allowed = Source {
+        path: "crates/core/src/obs.rs".to_string(),
+        text: [
+            format!("let con{FUSE_WORD}d = 1; let {FUSE_WORD}d = 2;"),
+            format!("// de{FUSE_WORD}, {FUSE_WORD}_x"),
+            "fn losing_a_worker_requeues_its_task() {}".to_string(),
+            "s.inout_steals + s.inout_copies".to_string(),
+            "s.steal_hit_rate() + s.locality_hit_rate()".to_string(),
+            "lock(&shared.injector).pop_front()".to_string(),
+        ]
+        .join("\n"),
+    };
+    let found = one_ready_queue_violations(&[allowed]);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "Task table stays flat" (DESIGN §5.14): one fixed-size row per task,
+/// flat push-only input and edge stores, records built only at export.
+/// A stored record table, a per-task dependents vector or a boxed
+/// pending job would bring back per-task heap objects
+/// (`tests/tests/alloc_per_task.rs` counts them).
+fn flat_table_violations(sources: &[Source]) -> Vec<String> {
+    lines_matching(sources, |line| FLAT_TABLE.iter().any(|p| line.contains(p)))
+}
+
+#[test]
+fn task_table_stays_flat() {
+    let sources = rust_sources(&[FLAT_TABLE_PATH]);
+    assert!(
+        sources
+            .iter()
+            .any(|s| s.path == "crates/core/src/tables.rs"),
+        "the walk missed the task tables"
+    );
+    let found = flat_table_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "a per-task heap object is back on the task table:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn task_table_stays_flat_fires_on_planted_violations() {
+    let planted: Vec<Source> = FLAT_TABLE
+        .iter()
+        .map(|p| Source {
+            path: "crates/core/src/tables.rs".to_string(),
+            text: format!("    // ok\n    {p}"),
+        })
+        .collect();
+    let found = flat_table_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with("crates/core/src/tables.rs:2:"));
+
+    let allowed = Source {
+        path: "crates/core/src/tables.rs".to_string(),
+        text: [
+            "pub rows: Store<Row>,",
+            "pub edges: Store<TaskId>,",
+            "row.job = Some(PendingJob { f, consume_mask });",
+            "let records: Vec<TaskRecord> = Vec::new();",
+        ]
+        .join("\n"),
+    };
+    let found = flat_table_violations(&[allowed]);
     assert!(found.is_empty(), "{found:#?}");
 }

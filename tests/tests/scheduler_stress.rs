@@ -1,4 +1,4 @@
-//! Scheduler stress tests for the work-stealing runtime.
+//! Scheduler stress tests for the threaded runtime.
 //!
 //! Four properties the scheduler must preserve:
 //!
@@ -218,32 +218,6 @@ fn stress_no_worker_threads_outlive_dropped_runtimes() {
         baseline,
         "worker threads leaked after dropping 20 runtimes"
     );
-}
-
-#[test]
-fn stress_locality_steering_counts_hits_and_is_bit_identical() {
-    let _serial = serial();
-    // The affinity hint steers a task toward the worker that produced
-    // its largest input. It must (a) actually fire on a chain-heavy
-    // DAG — the continuation-keeping worker is the producer, so hits
-    // exist — and (b) be purely advisory: the steered threaded run
-    // computes the same bits as the inline run, where every execution
-    // is the driver and no hint is ever computed.
-    let rt = Runtime::threaded(4);
-    let steered = random_dag_checksum(&rt, 13);
-    let stats = rt.stats();
-    let inline = Runtime::new();
-    assert_eq!(
-        steered,
-        random_dag_checksum(&inline, 13),
-        "locality-steered threaded run diverged from inline"
-    );
-    assert!(
-        stats.locality_hits > 0,
-        "chain-heavy DAG produced no locality hits: {stats:?}"
-    );
-    let inline_stats = inline.stats();
-    assert_eq!(inline_stats.locality_hits + inline_stats.locality_misses, 0);
 }
 
 /// One driver's graph: a `put` seed, `links` chain steps alternating

@@ -10,7 +10,7 @@ use taskrt::sim::{simulate, ClusterSpec, SimOptions};
 use taskrt::{FaultPlan, OnFailure, Runtime, Trace};
 
 /// A small mixed workload: blocked column sums + an explicit task
-/// cascade, enough to exercise queueing, stealing, and driver help.
+/// cascade, enough to exercise queueing, continuations and driver help.
 fn small_run() -> (Runtime, u64) {
     let (x, _) = tiny_dataset();
     let rt = Runtime::threaded(3);
