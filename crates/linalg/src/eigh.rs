@@ -25,11 +25,11 @@
 //! descending order PCA wants, forming those `k` vectors only.
 //!
 //! Both run their body, and every helper it inlines, through
-//! [`crate::sgemm::wide`]: four `f64` lanes on AVX2 hosts, the same
-//! bits as the baseline build.
+//! [`crate::sgemm::wide!`]: eight `f64` lanes on AVX-512F hosts, four
+//! on AVX2 hosts, the same bits as the baseline build.
 
 use crate::matrix::{dot, Matrix};
-use crate::sgemm::{wide, wide_enabled};
+use crate::sgemm::wide;
 
 /// Result of [`eigh`]: `a = vectors * diag(values) * vectors^T`.
 #[derive(Debug, Clone)]
@@ -50,14 +50,10 @@ pub struct EighResult {
 /// Panics if `a` is not square, or with `eigh: non-finite input at
 /// (r, c)` if it holds a NaN or an infinity.
 pub fn eigh(a: &Matrix) -> EighResult {
-    if wide_enabled() {
-        wide(|| eigh_body(a))
-    } else {
-        eigh_body(a)
-    }
+    wide!(eigh_body(a))
 }
 
-/// [`eigh`], for [`wide`] to inline.
+/// [`eigh`], for [`wide!`] to inline.
 #[inline(always)]
 fn eigh_body(a: &Matrix) -> EighResult {
     let Some(mut qt) = symmetrized(a) else {
@@ -95,14 +91,10 @@ fn eigh_body(a: &Matrix) -> EighResult {
 /// # Panics
 /// As [`eigh`], and if `keep` returns 0 or more than the matrix order.
 pub fn eigh_top(a: &Matrix, keep: impl FnOnce(&[f64]) -> usize) -> (Vec<f64>, Matrix) {
-    if wide_enabled() {
-        wide(|| eigh_top_body(a, keep))
-    } else {
-        eigh_top_body(a, keep)
-    }
+    wide!(eigh_top_body(a, keep))
 }
 
-/// [`eigh_top`], for [`wide`] to inline.
+/// [`eigh_top`], for [`wide!`] to inline.
 #[inline(always)]
 fn eigh_top_body(a: &Matrix, keep: impl FnOnce(&[f64]) -> usize) -> (Vec<f64>, Matrix) {
     let Some(mut qt) = symmetrized(a) else {
@@ -412,6 +404,7 @@ fn sorted_columns(qt: Matrix, order: &[usize]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sgemm::{supported_arms, with_arm};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -929,34 +922,44 @@ mod tests {
     }
 
     /// `eigh` and `eigh_top` (at `k` = 1, n / 3 and n) as dispatched
-    /// through `wide`, against their bodies called directly: every
-    /// eigenvalue and eigenvector bit. Both sides are one codegen in the
-    /// dev profile and under `LINALG_FORCE_SCALAR`; the release run on
-    /// an AVX2 host compares two.
+    /// through `wide!` on each arm this CPU supports, against their
+    /// bodies called directly: every eigenvalue and eigenvector bit.
+    /// Every arm is one codegen in the dev profile; the release run on
+    /// an AVX-512F host compares three.
     fn assert_wide_parity(a: &Matrix) {
         let n = a.rows();
-        let (wide, direct) = (eigh(a), eigh_body(a));
-        assert_eq!(
-            bits(&wide.values),
-            bits(&direct.values),
-            "eigh values, n={n}"
-        );
+        let full = eigh_body(a);
+        let keeps: Vec<usize> = [1, n.div_ceil(3), n].map(|k| k.clamp(1, n.max(1))).to_vec();
+        let keep = |k: usize| move |_: &[f64]| if n == 0 { 0 } else { k };
+        let tops: Vec<_> = keeps.iter().map(|&k| eigh_top_body(a, keep(k))).collect();
         let vectors = |r: &EighResult| bits(r.vectors.as_slice());
-        assert_eq!(vectors(&wide), vectors(&direct), "eigh vectors, n={n}");
-        for k in [1, n.div_ceil(3), n] {
-            let k = k.clamp(1, n.max(1));
-            let keep = |_: &[f64]| if n == 0 { 0 } else { k };
-            let (wide, direct) = (eigh_top(a, keep), eigh_top_body(a, keep));
-            assert_eq!(
-                bits(&wide.0),
-                bits(&direct.0),
-                "eigh_top values, n={n} k={k}"
-            );
-            assert_eq!(
-                bits(wide.1.as_slice()),
-                bits(direct.1.as_slice()),
-                "eigh_top vectors, n={n} k={k}"
-            );
+        for arm in supported_arms() {
+            with_arm(arm, || {
+                let got = eigh(a);
+                assert_eq!(
+                    bits(&got.values),
+                    bits(&full.values),
+                    "eigh values, n={n} on {arm:?}"
+                );
+                assert_eq!(
+                    vectors(&got),
+                    vectors(&full),
+                    "eigh vectors, n={n} on {arm:?}"
+                );
+                for (&k, want) in keeps.iter().zip(&tops) {
+                    let got = eigh_top(a, keep(k));
+                    assert_eq!(
+                        bits(&got.0),
+                        bits(&want.0),
+                        "eigh_top values, n={n} k={k} on {arm:?}"
+                    );
+                    assert_eq!(
+                        bits(got.1.as_slice()),
+                        bits(want.1.as_slice()),
+                        "eigh_top vectors, n={n} k={k} on {arm:?}"
+                    );
+                }
+            });
         }
     }
 

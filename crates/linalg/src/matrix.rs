@@ -23,13 +23,14 @@
 //! commuted products in the same order. Those calls compute the upper
 //! triangle only and mirror it: half the flops, the same bits.
 //!
-//! **Same source, two codegens.** Each public kernel calls its
-//! `#[inline(always)]` body through [`crate::sgemm::wide`], which
-//! compiles it four `f64` lanes wide on AVX2 hosts. The bits do not
-//! depend on that choice (see `wide`), and the `*_body` methods stay
-//! callable directly so the tests can hold the two builds equal.
+//! **Same source, three codegens.** Each public kernel calls its
+//! `#[inline(always)]` body through [`crate::sgemm::wide!`], which
+//! compiles it eight `f64` lanes wide on AVX-512F hosts, four on AVX2
+//! hosts, and two at baseline. The bits do not depend on that choice
+//! (see `wide!`), and the `*_body` methods stay callable directly so
+//! the tests can hold every build equal to them.
 
-use crate::sgemm::{wide, wide_enabled};
+use crate::sgemm::wide;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -64,8 +65,8 @@ const TB: usize = 8;
 /// partial accumulators (fixed summation order, so `dot(a, b)` and
 /// `dot(b, a)` are bitwise equal and repeated calls are deterministic).
 ///
-/// Always inlined, so it takes its caller's codegen: four lanes inside
-/// the kernels [`crate::sgemm::wide`] runs, with the same bits.
+/// Always inlined, so it takes its caller's codegen: AVX2 or AVX-512F
+/// inside the kernels [`crate::sgemm::wide!`] runs, with the same bits.
 #[inline(always)]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -533,14 +534,10 @@ impl Matrix {
             "matmul dimension mismatch: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        if wide_enabled() {
-            wide(|| self.matmul_body(rhs))
-        } else {
-            self.matmul_body(rhs)
-        }
+        wide!(self.matmul_body(rhs))
     }
 
-    /// [`Matrix::matmul`] after its shape check, for [`wide`] to inline.
+    /// [`Matrix::matmul`] after its shape check, for [`wide!`] to inline.
     #[inline(always)]
     fn matmul_body(&self, rhs: &Matrix) -> Matrix {
         gemm(self, false, rhs)
@@ -565,14 +562,10 @@ impl Matrix {
             "t_matmul dimension mismatch: ({}x{})^T * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        if wide_enabled() {
-            wide(|| self.t_matmul_body(rhs))
-        } else {
-            self.t_matmul_body(rhs)
-        }
+        wide!(self.t_matmul_body(rhs))
     }
 
-    /// [`Matrix::t_matmul`] after its shape check, for [`wide`] to inline.
+    /// [`Matrix::t_matmul`] after its shape check, for [`wide!`] to inline.
     #[inline(always)]
     fn t_matmul_body(&self, rhs: &Matrix) -> Matrix {
         gemm(self, true, rhs)
@@ -606,14 +599,10 @@ impl Matrix {
             "matmul_nt dimension mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        if wide_enabled() {
-            wide(|| self.matmul_nt_map_body(rhs, f))
-        } else {
-            self.matmul_nt_map_body(rhs, f)
-        }
+        wide!(self.matmul_nt_map_body(rhs, f))
     }
 
-    /// [`Matrix::matmul_nt_map`] after its shape check, for [`wide`] to
+    /// [`Matrix::matmul_nt_map`] after its shape check, for [`wide!`] to
     /// inline.
     #[inline(always)]
     fn matmul_nt_map_body(&self, rhs: &Matrix, f: impl Fn(usize, usize, f64) -> f64) -> Matrix {
@@ -664,14 +653,10 @@ impl Matrix {
     /// summation order as [`dot`] — so `pairwise_sq_dists` between a
     /// row and itself is exactly zero.
     pub fn row_sq_norms(&self) -> Vec<f64> {
-        if wide_enabled() {
-            wide(|| self.row_sq_norms_body())
-        } else {
-            self.row_sq_norms_body()
-        }
+        wide!(self.row_sq_norms_body())
     }
 
-    /// [`Matrix::row_sq_norms`], for [`wide`] to inline.
+    /// [`Matrix::row_sq_norms`], for [`wide!`] to inline.
     #[inline(always)]
     fn row_sq_norms_body(&self) -> Vec<f64> {
         // A loop, not `map().collect()`: `collect` would stay out of line.
@@ -816,6 +801,7 @@ impl IndexMut<(usize, usize)> for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sgemm::{supported_arms, with_arm};
     use proptest::prelude::*;
 
     #[test]
@@ -1098,53 +1084,59 @@ mod tests {
         (m.rows, m.cols, m.data.iter().map(|v| v.to_bits()).collect())
     }
 
-    /// Every GEMM-family kernel that runs through `wide`, dispatched
-    /// against its body called directly, bit for bit: general and
-    /// symmetric paths, the `matmul_nt` map (pairwise distances
-    /// included), the row norms and `dot`.
-    /// `x` is `m x k`, `y` is `n x k`. (Both sides are one codegen in
-    /// the dev profile and under `LINALG_FORCE_SCALAR`; the release
-    /// run on an AVX2 host is the one that compares two.)
+    /// Every GEMM-family kernel that runs through `wide!`, dispatched on
+    /// each arm this CPU supports against its body called directly, bit
+    /// for bit: general and symmetric paths, the `matmul_nt` map
+    /// (pairwise distances included), the row norms and `dot`.
+    /// `x` is `m x k`, `y` is `n x k`. (Every arm is one codegen in the
+    /// dev profile; the release run on an AVX-512F host compares three.)
     fn assert_wide_parity(x: &Matrix, y: &Matrix) {
         let shape = (x.shape(), y.shape());
         let (yt, z) = (y.transpose(), wavy(x.rows, y.rows));
         let poly = |_: usize, _: usize, v: f64| (v + 0.5).powi(3);
         let (xn, yn) = (x.row_sq_norms_body(), y.row_sq_norms_body());
         let sq_dist = |i: usize, j: usize, v: f64| (xn[i] + yn[j] - 2.0 * v).max(0.0);
-        let pairs = [
-            (pairwise_sq_dists(x, y), x.matmul_nt_map_body(y, sq_dist)),
-            (x.matmul(&yt), x.matmul_body(&yt)),
-            (x.t_matmul(&z), x.t_matmul_body(&z)),
-            (x.t_matmul(x), x.t_matmul_body(x)),
-            (x.matmul_nt(y), x.matmul_nt_map_body(y, |_, _, v| v)),
-            (x.matmul_nt(x), x.matmul_nt_map_body(x, |_, _, v| v)),
-            (x.matmul_nt_map(y, poly), x.matmul_nt_map_body(y, poly)),
-            (x.matmul_nt_map(x, poly), x.matmul_nt_map_body(x, poly)),
+        let direct = [
+            x.matmul_nt_map_body(y, sq_dist),
+            x.matmul_body(&yt),
+            x.t_matmul_body(&z),
+            x.t_matmul_body(x),
+            x.matmul_nt_map_body(y, |_, _, v| v),
+            x.matmul_nt_map_body(x, |_, _, v| v),
+            x.matmul_nt_map_body(y, poly),
+            x.matmul_nt_map_body(x, poly),
         ];
-        for (i, (dispatched, direct)) in pairs.iter().enumerate() {
-            assert_eq!(bits(dispatched), bits(direct), "kernel {i} at {shape:?}");
+        let norms: Vec<u64> = x.row_sq_norms_body().iter().map(|v| v.to_bits()).collect();
+        let row_pairs: Vec<(&[f64], &[f64])> = x
+            .data
+            .chunks_exact(x.cols.max(1))
+            .zip(y.data.chunks_exact(y.cols.max(1)))
+            .collect();
+        let dots: Vec<u64> = row_pairs.iter().map(|(a, b)| dot(a, b).to_bits()).collect();
+        for arm in supported_arms() {
+            with_arm(arm, || {
+                let dispatched = [
+                    pairwise_sq_dists(x, y),
+                    x.matmul(&yt),
+                    x.t_matmul(&z),
+                    x.t_matmul(x),
+                    x.matmul_nt(y),
+                    x.matmul_nt(x),
+                    x.matmul_nt_map(y, poly),
+                    x.matmul_nt_map(x, poly),
+                ];
+                for (i, (got, want)) in dispatched.iter().zip(&direct).enumerate() {
+                    assert_eq!(bits(got), bits(want), "kernel {i} at {shape:?} on {arm:?}");
+                }
+                let got: Vec<u64> = x.row_sq_norms().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, norms, "row norms at {shape:?} on {arm:?}");
+                let got: Vec<u64> = row_pairs
+                    .iter()
+                    .map(|(a, b)| wide!(dot(a, b)).to_bits())
+                    .collect();
+                assert_eq!(got, dots, "dot at {shape:?} on {arm:?}");
+            });
         }
-        let norms: Vec<u64> = x.row_sq_norms().iter().map(|v| v.to_bits()).collect();
-        let direct: Vec<u64> = x.row_sq_norms_body().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(norms, direct, "row norms at {shape:?}");
-        if wide_enabled() {
-            for (a, b) in x
-                .data
-                .chunks_exact(x.cols.max(1))
-                .zip(y.data.chunks_exact(y.cols.max(1)))
-            {
-                assert_eq!(
-                    wide(|| dot(a, b)).to_bits(),
-                    dot(a, b).to_bits(),
-                    "dot at {shape:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn wide_is_on_exactly_when_the_backend_is_avx2() {
-        assert_eq!(wide_enabled(), crate::sgemm::backend() == "avx2+fma");
     }
 
     #[test]
@@ -1168,10 +1160,14 @@ mod tests {
     /// The PCA gram of `pca_dist`: a 256-row block of 384 features.
     #[test]
     fn wide_t_matmul_bitwise_matches_its_body_at_the_pca_block_shape() {
-        let x = wavy(256, 384);
-        assert_eq!(bits(&x.t_matmul(&x)), bits(&x.t_matmul_body(&x)));
-        let y = wavy(256, 384);
-        assert_eq!(bits(&x.t_matmul(&y)), bits(&x.t_matmul_body(&y)));
+        let (x, y) = (wavy(256, 384), wavy(256, 384));
+        let (gram, cross) = (bits(&x.t_matmul_body(&x)), bits(&x.t_matmul_body(&y)));
+        for arm in supported_arms() {
+            with_arm(arm, || {
+                assert_eq!(bits(&x.t_matmul(&x)), gram, "gram on {arm:?}");
+                assert_eq!(bits(&x.t_matmul(&y)), cross, "cross on {arm:?}");
+            });
+        }
     }
 
     /// The oracle of the register tiles: an ascending-`k` triple loop

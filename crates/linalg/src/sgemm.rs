@@ -40,10 +40,10 @@
 //!
 //! This module is also the crate's one runtime-dispatched island: the
 //! f64 kernels of [`crate::matrix`] and [`crate::eigh`] run their
-//! unchanged bodies through [`wide`], which compiles them for AVX2 on
-//! hosts that have it. `LINALG_FORCE_SCALAR` pins those to baseline
-//! codegen too (same bits, two lanes). This is the only place in the
-//! workspace that holds `unsafe` code or a `#[target_feature]`.
+//! unchanged bodies through [`wide!`], which compiles them for AVX-512F
+//! or AVX2 on hosts that have it. `LINALG_FORCE_SCALAR` pins those to
+//! baseline codegen too (same bits, two lanes). This is the only place
+//! in the workspace that holds `unsafe` code or a `#[target_feature]`.
 
 use std::sync::OnceLock;
 
@@ -73,13 +73,26 @@ fn fma_available() -> bool {
     false
 }
 
-/// Which kernel the public entry points dispatch to on this host:
-/// `"avx2+fma"`, `"packed-generic"` (autovectorized portable
+/// True when the CPU supports AVX-512F as well as AVX2+FMA (cached).
+fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static AVAIL: OnceLock<bool> = OnceLock::new();
+        *AVAIL.get_or_init(|| fma_available() && is_x86_feature_detected!("avx512f"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Which microkernel the f32 sgemm entry points dispatch to on this
+/// host: `"avx2+fma"`, `"packed-generic"` (autovectorized portable
 /// microkernel), or `"scalar-forced"` (`LINALG_FORCE_SCALAR` set).
 ///
-/// The f64 kernels follow the same switch: under `"avx2+fma"` they run
-/// through [`wide`] four lanes wide, otherwise — `LINALG_FORCE_SCALAR`
-/// included — with baseline codegen. Their bits are the same either way.
+/// This names the f32 path only. The f64 kernels pick their own codegen
+/// in [`wide!`]: eight lanes on an AVX-512F host (which still reports
+/// `"avx2+fma"` here), four under `"avx2+fma"` otherwise, and baseline
+/// codegen under `"packed-generic"` and `"scalar-forced"`. Their bits
+/// are the same on every arm.
 pub fn backend() -> &'static str {
     if !simd_enabled() {
         "scalar-forced"
@@ -90,36 +103,138 @@ pub fn backend() -> &'static str {
     }
 }
 
-/// True when the f64 kernels run through [`wide`]: [`backend`] is
-/// `"avx2+fma"`.
-#[inline]
-pub(crate) fn wide_enabled() -> bool {
-    simd_enabled() && fma_available()
+/// The codegen [`wide!`] runs an f64 kernel under.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Arm {
+    /// AVX-512F (with AVX2 and FMA): eight `f64` lanes.
+    Avx512,
+    /// AVX2+FMA: four `f64` lanes.
+    Avx2,
+    /// The target's baseline (SSE2 on x86-64, two lanes): CPUs without
+    /// AVX2+FMA, and every CPU under `LINALG_FORCE_SCALAR`.
+    Baseline,
 }
 
-/// Runs `f` compiled for AVX2+FMA.
+/// The widest arm this CPU runs, or [`Arm::Baseline`] under
+/// `LINALG_FORCE_SCALAR` (decided once per process; a test may pin
+/// another arm on its thread with `with_arm`).
+#[inline]
+pub(crate) fn arm() -> Arm {
+    #[cfg(test)]
+    if let Some(arm) = FORCED_ARM.get() {
+        return arm;
+    }
+    static ARM: OnceLock<Arm> = OnceLock::new();
+    *ARM.get_or_init(|| {
+        if !simd_enabled() {
+            Arm::Baseline
+        } else if avx512_available() {
+            Arm::Avx512
+        } else if fma_available() {
+            Arm::Avx2
+        } else {
+            Arm::Baseline
+        }
+    })
+}
+
+#[cfg(test)]
+thread_local! {
+    static FORCED_ARM: std::cell::Cell<Option<Arm>> = const { std::cell::Cell::new(None) };
+}
+
+/// Every arm this CPU can run, baseline first, whatever
+/// `LINALG_FORCE_SCALAR` says.
+#[cfg(test)]
+pub(crate) fn supported_arms() -> Vec<Arm> {
+    let mut arms = vec![Arm::Baseline];
+    if fma_available() {
+        arms.push(Arm::Avx2);
+    }
+    if avx512_available() {
+        arms.push(Arm::Avx512);
+    }
+    arms
+}
+
+/// Runs `f` with every [`wide!`] on this thread taking `arm`, so a test
+/// can hold each arm's codegen to the kernel bodies.
 ///
-/// The f64 kernels keep one scalar-source body each, marked
-/// `#[inline(always)]`, and every public entry point calls it as
-/// `if wide_enabled() { wide(|| body) } else { body }`. The closure is
-/// then inlined into the `#[target_feature]` clone below, so the
-/// autovectorizer fills four `f64` lanes instead of SSE2's two. It must
-/// have no other caller: LLVM keeps a closure that is also called from
-/// baseline code out of line, at baseline width. The clone is
-/// `#[inline]` so that rustc instantiates it in the caller's codegen
-/// unit, beside the closure; instantiated in this module's unit, it can
-/// only call the closure out of line, and whether the two units merge
-/// depends on how big the rest of the crate is.
+/// # Panics
+/// Panics if the CPU cannot run `arm`.
+#[cfg(test)]
+pub(crate) fn with_arm<R>(arm: Arm, f: impl FnOnce() -> R) -> R {
+    assert!(supported_arms().contains(&arm), "{arm:?}: not on this CPU");
+    let outer = FORCED_ARM.replace(Some(arm));
+    let out = f();
+    FORCED_ARM.set(outer);
+    out
+}
+
+/// Runs an f64 kernel body under the widest codegen the CPU has: the
+/// one dispatch of every `wide` entry point (`Matrix::{matmul,
+/// t_matmul, matmul_nt_map, row_sq_norms}`, `eigh`, `eigh_top`).
 ///
-/// The result is bit-identical to the baseline build, because the
-/// source fixes every summation order (element-wise AXPY / rotation
-/// loops, [`crate::dot`]'s four accumulator lanes) and Rust never
-/// contracts a separate `*` and `+` into an FMA.
+/// Each kernel keeps one scalar-source body, marked `#[inline(always)]`,
+/// and its entry point is `wide!(body)`. That expands into a `match` on
+/// [`arm()`] with three arms: the body in a closure handed to
+/// [`wide_avx512`], the body in a second closure handed to
+/// [`wide_avx2`], and the body itself. Each closure is then inlined
+/// into its `#[target_feature]` clone, so the autovectorizer fills eight
+/// or four `f64` lanes instead of SSE2's two. A closure must have no
+/// other caller: LLVM keeps a closure that is also called from baseline
+/// code, or from a second clone, out of line at baseline width. That is
+/// why the dispatch is a macro at each entry point and not a function
+/// that picks between two clones of one closure; and why the two clone
+/// fns are called from here only (`tests/tests/repo_lints.rs` keeps it
+/// so).
+///
+/// The result is bit-identical on every arm, because the source fixes
+/// every summation order (element-wise AXPY / rotation loops,
+/// [`crate::dot`]'s four accumulator lanes) and Rust never contracts a
+/// separate `*` and `+` into an FMA.
+macro_rules! wide {
+    ($body:expr) => {
+        match $crate::sgemm::arm() {
+            $crate::sgemm::Arm::Avx512 => $crate::sgemm::wide_avx512(|| $body),
+            $crate::sgemm::Arm::Avx2 => $crate::sgemm::wide_avx2(|| $body),
+            $crate::sgemm::Arm::Baseline => $body,
+        }
+    };
+}
+pub(crate) use wide;
+
+/// Runs `f` compiled for AVX-512F: [`wide!`]'s [`Arm::Avx512`]. The
+/// clone is `#[inline]` so that rustc instantiates it in the caller's
+/// codegen unit, beside the closure; instantiated in this module's
+/// unit, it could only call the closure out of line.
+///
+/// # Panics
+/// Panics if the CPU lacks AVX-512F, AVX2 or FMA.
+#[inline]
+pub(crate) fn wide_avx512<R>(f: impl FnOnce() -> R) -> R {
+    assert!(avx512_available(), "wide: this CPU lacks AVX-512F+AVX2+FMA");
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[inline]
+        #[target_feature(enable = "avx512f,avx2,fma")]
+        fn avx512<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        // SAFETY: avx512_available() detected AVX-512F, AVX2 and FMA.
+        unsafe { avx512(f) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    f()
+}
+
+/// Runs `f` compiled for AVX2+FMA: [`wide!`]'s [`Arm::Avx2`], inlined
+/// like [`wide_avx512`].
 ///
 /// # Panics
 /// Panics if the CPU lacks AVX2 or FMA.
 #[inline]
-pub(crate) fn wide<R>(f: impl FnOnce() -> R) -> R {
+pub(crate) fn wide_avx2<R>(f: impl FnOnce() -> R) -> R {
     assert!(fma_available(), "wide: this CPU lacks AVX2+FMA");
     #[cfg(target_arch = "x86_64")]
     {
@@ -1051,6 +1166,33 @@ mod tests {
     #[test]
     fn backend_is_reported() {
         assert!(["avx2+fma", "packed-generic", "scalar-forced"].contains(&backend()));
+    }
+
+    /// `wide!` takes the widest arm the CPU has, detected here afresh:
+    /// AVX-512F on a host with `avx512f`, `avx2` and `fma`, AVX2 on one
+    /// with the last two, baseline otherwise and under
+    /// `LINALG_FORCE_SCALAR`.
+    #[test]
+    fn wide_takes_the_widest_arm_the_cpu_has() {
+        #[cfg(target_arch = "x86_64")]
+        let (avx2, avx512) = {
+            let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+            (avx2, avx2 && is_x86_feature_detected!("avx512f"))
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let (avx2, avx512) = (false, false);
+        let forced = std::env::var_os("LINALG_FORCE_SCALAR").is_some_and(|v| v != *"0");
+        let want = match (forced, avx512, avx2) {
+            (true, _, _) | (false, false, false) => Arm::Baseline,
+            (false, true, _) => Arm::Avx512,
+            (false, false, true) => Arm::Avx2,
+        };
+        assert_eq!(arm(), want);
+        let arms = supported_arms();
+        assert_eq!(arms.contains(&Arm::Avx512), avx512, "{arms:?}");
+        assert_eq!(arms.contains(&Arm::Avx2), avx2, "{arms:?}");
+        assert_eq!(with_arm(Arm::Baseline, arm), Arm::Baseline);
+        assert_eq!(arm(), want, "with_arm must restore the detected arm");
     }
 
     proptest! {

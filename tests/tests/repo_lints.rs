@@ -127,6 +127,26 @@ const FLAT_TABLE: [&str; 3] = [
 /// The tree "Task table stays flat" walks.
 const FLAT_TABLE_PATH: &str = "crates/core";
 
+/// What `f64_kernels_never_fuse` rejects: a fused multiply-add, which
+/// would move every bit the f64 kernels pin to one `*` then one `+`.
+const FUSED: &str = "mul_add";
+
+/// The two files `f64_kernels_never_fuse` reads.
+const F64_KERNEL_PATHS: [&str; 2] = ["crates/linalg/src/matrix.rs", "crates/linalg/src/eigh.rs"];
+
+/// The two `#[target_feature]` clone fns of `linalg::sgemm`, which only
+/// its `wide!` dispatch macro may call.
+const WIDE_CLONES: [&str; 2] = [concat!("wide", "_avx512"), concat!("wide", "_avx2")];
+
+/// The file that holds the clones and the macro.
+const SGEMM_PATH: &str = "crates/linalg/src/sgemm.rs";
+
+/// The line that opens the dispatch macro.
+const WIDE_MACRO: &str = concat!("macro_rules! ", "wide {");
+
+/// The trees the clone rule walks.
+const WIDE_CLONE_PATHS: [&str; 3] = ["crates", "tests", "examples"];
+
 /// A source file: its path relative to the workspace root (with `/`)
 /// and its text.
 struct Source {
@@ -555,5 +575,157 @@ fn task_table_stays_flat_fires_on_planted_violations() {
         .join("\n"),
     };
     let found = flat_table_violations(&[allowed]);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// `f64_kernels_never_fuse` (DESIGN §5.17): the f64 kernels' bits are
+/// pinned to one `*` then one `+` per product. A fused multiply-add in
+/// `matrix.rs` or `eigh.rs` would move every PCA, SVM and KNN bit, and
+/// the arm-vs-body parity tests cannot see it, because every codegen
+/// would contract the same way. Any line naming one is rejected,
+/// comments included.
+fn fused_violations(sources: &[Source]) -> Vec<String> {
+    lines_matching(sources, |line| line.contains(FUSED))
+}
+
+#[test]
+fn f64_kernels_never_fuse() {
+    let sources = rust_sources(&F64_KERNEL_PATHS);
+    assert_eq!(
+        sources.len(),
+        F64_KERNEL_PATHS.len(),
+        "the walk missed a kernel file"
+    );
+    let found = fused_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "a fused multiply-add is in an f64 kernel:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn f64_kernels_never_fuse_fires_on_planted_violations() {
+    let src = |path: &str, text: &str| Source {
+        path: path.to_string(),
+        text: text.to_string(),
+    };
+    let planted = [
+        src(F64_KERNEL_PATHS[0], "    acc = a.mul_add(b, acc);"),
+        src(F64_KERNEL_PATHS[1], "    // f64::mul_add here"),
+    ];
+    let found = fused_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with("crates/linalg/src/matrix.rs:1:"));
+
+    let allowed = src(
+        F64_KERNEL_PATHS[0],
+        "    acc += a * b;\n    let mul = 1; let add = 2;",
+    );
+    let found = fused_violations(&[allowed]);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "f64 kernel clones are called only by the dispatch" (DESIGN §5.17):
+/// a closure run through a `#[target_feature]` clone is compiled wide
+/// only if the clone is its one caller, so each `wide!` arm hands the
+/// body to a clone in a closure of its own. A clone called anywhere
+/// else (a second clone inside one dispatch fn, a helper, a fn pointer)
+/// is how kernels fall back out of line at baseline width. Outside the
+/// body of `macro_rules! wide` in `sgemm.rs`, a line may name a clone
+/// only to define it (`fn wide_avx2<`) or in a comment.
+fn wide_clone_violations(sources: &[Source]) -> Vec<String> {
+    let mut found = Vec::new();
+    for src in sources {
+        let mut in_macro = false;
+        for (i, line) in src.text.lines().enumerate() {
+            if src.path == SGEMM_PATH && line.trim_start().starts_with(WIDE_MACRO) {
+                in_macro = true;
+            } else if in_macro && line == "}" {
+                in_macro = false;
+            }
+            let named = WIDE_CLONES.iter().find(|name| has_word(line, name));
+            let Some(name) = named else { continue };
+            let defines = src.path == SGEMM_PATH && line.contains(&format!("fn {name}<"));
+            if in_macro || defines || line.trim_start().starts_with("//") {
+                continue;
+            }
+            found.push(format!("{}:{}:{line}", src.path, i + 1));
+        }
+    }
+    found
+}
+
+#[test]
+fn wide_clones_are_called_only_by_the_dispatch() {
+    let sources = rust_sources(&WIDE_CLONE_PATHS);
+    let sgemm = sources
+        .iter()
+        .find(|s| s.path == SGEMM_PATH)
+        .expect("the walk missed linalg::sgemm");
+    for name in WIDE_CLONES {
+        assert!(
+            sgemm.text.contains(&format!("fn {name}<")),
+            "linalg::sgemm no longer defines {name}: update this lint"
+        );
+    }
+    assert!(
+        sgemm.text.contains(WIDE_MACRO),
+        "the dispatch macro moved: update this lint"
+    );
+    let found = wide_clone_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "an f64 kernel clone is called outside the wide! dispatch:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn wide_clones_are_called_only_by_the_dispatch_fires_on_planted_violations() {
+    let [avx512, avx2] = WIDE_CLONES;
+    let src = |path: &str, text: String| Source {
+        path: path.to_string(),
+        text,
+    };
+    let planted = [
+        src(
+            "crates/linalg/src/matrix.rs",
+            format!("        crate::sgemm::{avx2}(|| self.matmul_body(rhs))"),
+        ),
+        src(SGEMM_PATH, format!("    let r = {avx512}(|| f());")),
+        src(
+            SGEMM_PATH,
+            format!("{WIDE_MACRO}\n    () => {{}};\n}}\nfn twice() {{ {avx2}(|| 1); }}"),
+        ),
+        src("tests/tests/x.rs", format!("let f = {avx512}::<f64>;")),
+        src(
+            "crates/linalg/src/eigh.rs",
+            format!("pub(crate) fn {avx2}<R>(f: impl FnOnce() -> R) -> R {{"),
+        ),
+    ];
+    let found = wide_clone_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(
+        found[2].starts_with("crates/linalg/src/sgemm.rs:4:"),
+        "{found:#?}"
+    );
+
+    let allowed = [
+        src(
+            SGEMM_PATH,
+            format!(
+                "{WIDE_MACRO}\n    ($b:expr) => {{\n        A => $crate::sgemm::{avx512}(|| $b),\n        \
+                 B => $crate::sgemm::{avx2}(|| $b),\n    }};\n}}"
+            ),
+        ),
+        src(
+            SGEMM_PATH,
+            format!("pub(crate) fn {avx512}<R>(f: impl FnOnce() -> R) -> R {{"),
+        ),
+        src("crates/linalg/src/matrix.rs", format!("/// like [`{avx2}`].")),
+        src("crates/linalg/src/matrix.rs", format!("let {avx2}x = 1;")),
+    ];
+    let found = wide_clone_violations(&allowed);
     assert!(found.is_empty(), "{found:#?}");
 }
