@@ -245,7 +245,7 @@ fn main() {
             ..SimOptions::default()
         },
     );
-    let div = divergence(&report.trace, &sim);
+    let div = divergence(&report.trace, &sim.trace);
     println!(
         "DES: measured {:.3}s vs simulated {:.3}s (ratio {:.3})",
         div.real_makespan_s, div.sim_makespan_s, div.makespan_ratio

@@ -186,7 +186,7 @@ fn main() {
     }
 
     println!("\nnested schedule on 5 CTE-Power nodes (one fold per node):");
-    print!("{}", taskrt::gantt::ascii_gantt(&nested_rep, 5, 72));
+    print!("{}", taskrt::gantt::ascii_gantt(&nested_rep.trace, 5, 72));
 
     let json = format!(
         "{{\"t_4gpu\":{t_4gpu:.2},\"t_1gpu\":{t_1gpu:.2},\"t_nested\":{t_nested:.2},\"speedup_1gpu\":{:.3},\"speedup_nested\":{:.3}}}",

@@ -2,18 +2,23 @@
 //! scheduler and export every `taskrt::obs` artifact of that one run —
 //! the role Extrae + Paraver play in the paper: scheduler statistics,
 //! then views derived from the finished trace (per-kind durations and
-//! queue waits, stragglers, real-vs-DES divergence).
+//! queue waits, per-executor utilization, stragglers, real-vs-DES
+//! divergence). The DES replay writes the same records as the run, so
+//! each view is one function applied to both traces.
 //! Writes, under `out/`:
 //!
 //! * `profile.json` — scheduler statistics ([`taskrt::RuntimeStats`]),
 //!   the linalg buffer-pool counters, per-kind profile
-//!   ([`taskrt::Profile`]), simulated per-node breakdown
-//!   ([`taskrt::SimProfile`]), stragglers and the divergence report.
+//!   ([`taskrt::Profile`]), per-executor utilization
+//!   ([`taskrt::Utilization`]) of the run (`utilization`, one row per
+//!   worker) and of its replay (`sim`, one row per node), stragglers and
+//!   the divergence report.
 //! * `profile.trace.json` — Chrome-trace timeline of the *real* run (one
 //!   track per driver/worker, straggler verdicts as `instant` markers);
 //!   open in <https://ui.perfetto.dev>.
 //! * `profile_sim.trace.json` — the same DAG replayed on a simulated
-//!   MareNostrum 4 partition (one track per node).
+//!   MareNostrum 4 partition (one track per node, input fetches as
+//!   slices ahead of the bodies).
 //!
 //! Usage: `cargo run --release -p bench --bin profile -- [--scale small|full]
 //! [--workers N] [--nodes N] [--straggler-k K] [--check]`; `--check`
@@ -24,9 +29,9 @@ use dislib::pca::{Components, Pca};
 use dsarray::DsArray;
 use ecg::{Dataset, DatasetSpec, Scale};
 use taskrt::json::Value;
-use taskrt::obs::{chrome_trace, chrome_trace_schedule, divergence, stragglers};
+use taskrt::obs::{chrome_trace, divergence, stragglers};
 use taskrt::sim::{simulate, ClusterSpec, SimOptions};
-use taskrt::{Profile, Runtime, SimProfile};
+use taskrt::{Profile, Runtime, Utilization};
 
 fn main() {
     let args = Args::capture();
@@ -79,15 +84,17 @@ fn main() {
     let flagged = stragglers(&trace, straggler_k, 8);
     let profile = Profile::from_trace(&trace);
     let cluster = ClusterSpec::marenostrum4(nodes);
-    let report = simulate(&trace, &cluster, &SimOptions::default());
-    let sim_profile = SimProfile::from_report(&report, nodes);
-    let div = divergence(&trace, &report);
+    let sim = simulate(&trace, &cluster, &SimOptions::default()).trace;
+    let utilization = Utilization::from_trace(&trace, workers);
+    let sim_utilization = Utilization::from_trace(&sim, nodes);
+    let div = divergence(&trace, &sim);
 
     // -- console summary ----------------------------------------------
     for table in [
         stats.render_table(),
         profile.render_table(),
-        sim_profile.render_table(),
+        utilization.render_table(),
+        format!("simulated, {}", sim_utilization.render_table()),
     ] {
         print!("\n{table}");
     }
@@ -116,7 +123,8 @@ fn main() {
         ("runtime".into(), stats.to_value()),
         ("pool".into(), pool),
         ("profile".into(), profile.to_value()),
-        ("sim".into(), sim_profile.to_value()),
+        ("utilization".into(), utilization.to_value()),
+        ("sim".into(), sim_utilization.to_value()),
         ("straggler_k".into(), Value::from(straggler_k)),
         (
             "stragglers".into(),
@@ -128,12 +136,12 @@ fn main() {
     for (path, contents) in [
         ("out/profile.json", doc.pretty()),
         ("out/profile.trace.json", timeline),
-        ("out/profile_sim.trace.json", chrome_trace_schedule(&report)),
+        ("out/profile_sim.trace.json", chrome_trace(&sim, &[])),
     ] {
         write_artifact(path, &contents).unwrap_or_else(|e| panic!("write {path}: {e}"));
     }
     if args.has("check") {
-        self_check(nodes);
+        self_check(workers, nodes);
         println!("profile: self-check ok");
     }
 }
@@ -141,7 +149,7 @@ fn main() {
 /// Re-reads the written artifacts and asserts they are usable. CI runs
 /// `--check` so a silent regression (statistics or ready stamps
 /// missing, pool counters absent, empty timeline) fails the build.
-fn self_check(nodes: usize) {
+fn self_check(workers: usize, nodes: usize) {
     let read =
         |path: &str| std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     let parse =
@@ -179,8 +187,10 @@ fn self_check(nodes: usize) {
         kinds.iter().any(|k| num(&k["wait_p95_s"]) > 0.0),
         "no kind has a queue wait: ready stamps missing"
     );
-    let rows = v["sim"]["nodes"].as_array().expect("sim.nodes");
-    assert_eq!(rows.len(), nodes, "one utilization row per node");
+    for (view, rows) in [("utilization", workers), ("sim", nodes)] {
+        let got = v[view]["executors"].as_array().expect("utilization rows");
+        assert_eq!(got.len(), rows, "{view}: one utilization row per executor");
+    }
     let div_kinds = v["divergence"]["kinds"]
         .as_array()
         .expect("divergence.kinds");

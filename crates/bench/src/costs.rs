@@ -197,6 +197,8 @@ mod tests {
             seq: 0,
             ready_s: 0.0,
             start_s: 0.0,
+            fetch_s: 0.0,
+            fetch_bytes: 0,
             worker: -1,
             child: None,
             attempts: vec![],

@@ -308,6 +308,8 @@ impl<'a> RunState<'a> {
                     seq: task,
                     ready_s: 0.0,
                     start_s,
+                    fetch_s: 0.0,
+                    fetch_bytes: 0,
                     worker: w as i64,
                     child: None,
                     attempts,

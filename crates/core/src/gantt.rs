@@ -1,33 +1,40 @@
-//! Gantt rendering of simulated schedules.
+//! Gantt rendering of a schedule.
 //!
 //! The PyCOMPSs ecosystem inspects executions with Paraver timelines
 //! (the paper's artifact uploads such traces); this module provides the
-//! equivalent for [`crate::sim::SimReport`] schedules: an ASCII timeline
-//! per node and a JSON export for external tooling.
+//! equivalent for a [`Trace`]: an ASCII timeline per executor. A
+//! simulated schedule ([`crate::sim::SimReport::trace`]) has one
+//! executor per node, a threaded run one per pool worker; both are the
+//! same records, so both render the same way. Marker and driver records
+//! (`worker == -1`) and executors at or past the requested count are
+//! left out of every view here.
 
-use crate::sim::{ScheduleEntry, SimReport};
+use crate::trace::{TaskRecord, Trace};
 use std::fmt::Write as _;
 
-/// Renders an ASCII Gantt chart of the schedule, one row per node,
-/// `width` characters across the makespan. Each cell shows the first
-/// letter of the task kind that occupies the node at that instant (`.`
-/// = idle, `*` = multiple concurrent kinds).
-pub fn ascii_gantt(report: &SimReport, nodes: usize, width: usize) -> String {
+/// Renders an ASCII Gantt chart of the schedule, one row per executor,
+/// `width` characters across the span from 0 to the last end. A task
+/// occupies its row from its input fetch to its body's end; each cell
+/// shows the first letter of the task kind there (`.` = idle, `*` =
+/// multiple concurrent kinds).
+pub fn ascii_gantt(trace: &Trace, nodes: usize, width: usize) -> String {
     let mut out = String::new();
-    let span = report.makespan_s.max(f64::MIN_POSITIVE);
-    writeln!(
-        out,
-        "time 0 .. {:.3} s ({} chars)",
-        report.makespan_s, width
-    )
-    .unwrap();
+    let end_of = |r: &TaskRecord| r.start_s + r.duration_s;
+    let makespan = trace.on_executors(nodes).map(end_of).fold(0.0, f64::max);
+    let span = makespan.max(f64::MIN_POSITIVE);
+    writeln!(out, "time 0 .. {makespan:.3} s ({width} chars)").unwrap();
     for node in 0..nodes {
         let mut row = vec!['.'; width];
-        for e in report.schedule.iter().filter(|e| e.node == node) {
-            let from = ((e.start_s / span) * width as f64).floor() as usize;
-            let to = (((e.end_s / span) * width as f64).ceil() as usize).clamp(from + 1, width);
-            let ch = e.name.chars().next().unwrap_or('?');
-            for c in row.iter_mut().take(to).skip(from.min(width - 1)) {
+        // A zero-width chart has no cells to fill.
+        let on_row = trace
+            .on_executors(nodes)
+            .filter(|r| r.worker as usize == node);
+        for r in on_row.filter(|_| width > 0) {
+            let cell = |t: f64| t / span * width as f64;
+            let from = (cell(r.start_s - r.fetch_s).floor() as usize).min(width - 1);
+            let to = (cell(end_of(r)).ceil() as usize).clamp(from + 1, width);
+            let ch = r.name.chars().next().unwrap_or('?');
+            for c in &mut row[from..to] {
                 *c = if *c == '.' || *c == ch { ch } else { '*' };
             }
         }
@@ -39,23 +46,19 @@ pub fn ascii_gantt(report: &SimReport, nodes: usize, width: usize) -> String {
         .unwrap();
     }
     // Legend of kinds.
-    let mut kinds: Vec<&str> = report.schedule.iter().map(|e| e.name.as_str()).collect();
+    let mut kinds: Vec<&str> = trace.on_executors(nodes).map(|r| r.name.as_str()).collect();
     kinds.sort_unstable();
     kinds.dedup();
     writeln!(out, "kinds: {}", kinds.join(", ")).unwrap();
     out
 }
 
-/// Serializes the schedule to JSON (one object per placed task).
-pub fn schedule_json(schedule: &[ScheduleEntry]) -> String {
-    crate::json::Value::Array(schedule.iter().map(ScheduleEntry::to_value).collect()).pretty()
-}
-
-/// Per-node busy seconds — a quick load-balance summary.
-pub fn node_busy(report: &SimReport, nodes: usize) -> Vec<f64> {
+/// Per-executor busy seconds (input fetch plus body, summed over the
+/// executor's records) — a quick load-balance summary.
+pub fn node_busy(trace: &Trace, nodes: usize) -> Vec<f64> {
     let mut busy = vec![0.0; nodes];
-    for e in &report.schedule {
-        busy[e.node] += e.end_s - e.start_s;
+    for r in trace.on_executors(nodes) {
+        busy[r.worker as usize] += r.fetch_s + r.duration_s;
     }
     busy
 }
@@ -66,7 +69,7 @@ mod tests {
     use crate::runtime::Runtime;
     use crate::sim::{simulate, ClusterSpec, SimOptions};
 
-    fn demo_report() -> (SimReport, usize) {
+    fn demo_schedule() -> (Trace, usize) {
         let rt = Runtime::new();
         let src = rt.put(1.0f64);
         let mids: Vec<_> = (0..6)
@@ -89,28 +92,24 @@ mod tests {
             latency_s: 0.0,
             failures: vec![],
         };
-        (simulate(&trace, &cluster, &SimOptions::default()), 2)
+        (simulate(&trace, &cluster, &SimOptions::default()).trace, 2)
     }
 
     #[test]
     fn schedule_covers_all_user_tasks() {
-        let (rep, _) = demo_report();
-        assert_eq!(rep.schedule.len(), 7);
-        // Sorted by start time.
-        for w in rep.schedule.windows(2) {
-            assert!(w[0].start_s <= w[1].start_s);
-        }
-        // Start/end consistent.
-        for e in &rep.schedule {
-            assert!(e.end_s >= e.start_s);
-            assert!(e.node < 2);
+        let (sched, nodes) = demo_schedule();
+        assert_eq!(sched.on_executors(nodes).count(), 7);
+        for r in &sched.records {
+            assert!(r.duration_s >= 0.0 && r.fetch_s >= 0.0);
+            assert!(r.start_s >= r.fetch_s);
+            assert!(r.worker < nodes as i64);
         }
     }
 
     #[test]
     fn ascii_gantt_renders_rows_and_legend() {
-        let (rep, nodes) = demo_report();
-        let g = ascii_gantt(&rep, nodes, 40);
+        let (sched, nodes) = demo_schedule();
+        let g = ascii_gantt(&sched, nodes, 40);
         assert!(g.contains("node  0 |"));
         assert!(g.contains("node  1 |"));
         assert!(g.contains("kinds: join, work"));
@@ -119,36 +118,15 @@ mod tests {
 
     #[test]
     fn node_busy_sums_schedule() {
-        let (rep, nodes) = demo_report();
-        let busy = node_busy(&rep, nodes);
-        let total: f64 = busy.iter().sum();
-        let expected: f64 = rep.schedule.iter().map(|e| e.end_s - e.start_s).sum();
+        let (sched, nodes) = demo_schedule();
+        let total: f64 = node_busy(&sched, nodes).iter().sum();
+        let expected: f64 = sched.records.iter().map(|r| r.fetch_s + r.duration_s).sum();
         assert!((total - expected).abs() < 1e-12);
     }
 
     #[test]
-    fn schedule_json_is_valid() {
-        let (rep, _) = demo_report();
-        let j = schedule_json(&rep.schedule);
-        let parsed = crate::json::Value::parse(&j).unwrap();
-        assert_eq!(parsed.as_array().unwrap().len(), rep.schedule.len());
-    }
-
-    #[test]
     fn empty_schedule_gantt() {
-        let rep = SimReport {
-            makespan_s: 0.0,
-            transferred_bytes: 0.0,
-            transfer_time_s: 0.0,
-            busy_core_s: 0.0,
-            utilization: 0.0,
-            tasks: 0,
-            busy_by_kind: Default::default(),
-            lost_tasks: 0,
-            reexecutions: 0,
-            schedule: vec![],
-        };
-        let g = ascii_gantt(&rep, 1, 10);
+        let g = ascii_gantt(&Trace::default(), 1, 10);
         assert!(g.contains("node  0"));
     }
 }

@@ -67,7 +67,7 @@ pub mod trace;
 pub use dist::{DistConfig, DistReport, DistRuntime, KindRegistry, Plan, WireValue};
 pub use fault::{FaultMode, FaultPlan, OnFailure, RetryPolicy, TaskFault};
 pub use handle::{DataId, Handle, TaskId};
-pub use obs::{Divergence, Profile, RuntimeStats, SimProfile, Straggler};
+pub use obs::{Divergence, Profile, RuntimeStats, Straggler, Utilization};
 pub use payload::Payload;
 pub use runtime::{live_worker_threads, ExecMode, Runtime, RuntimeConfig, TaskBuilder, TaskCtx};
 pub use trace::{TaskRecord, Trace};

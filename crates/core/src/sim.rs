@@ -17,8 +17,13 @@
 //!   driver-submitted work exactly as `compss_wait_on` does,
 //! * **nesting** — a nested task's duration is the simulated makespan of
 //!   its child trace on the resources granted to the parent.
+//!
+//! The schedule comes back as a [`Trace`] of the same [`TaskRecord`]s a
+//! runtime writes ([`SimReport::trace`]), so every view in
+//! [`crate::obs`] and [`crate::gantt`] reads a real run and its replay
+//! alike, and the schedule is itself replayable.
 
-use crate::trace::{TaskRecord, Trace};
+use crate::trace::{AttemptRecord, TaskRecord, Trace};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
@@ -181,57 +186,6 @@ impl SimOptions {
     }
 }
 
-/// One placed task in a simulated schedule (for Gantt rendering and
-/// schedule inspection — the PyCOMPSs ecosystem's Paraver-trace
-/// equivalent).
-#[derive(Debug, Clone)]
-pub struct ScheduleEntry {
-    /// Task id within the trace.
-    pub task: crate::handle::TaskId,
-    /// Task kind name.
-    pub name: String,
-    /// Node the task ran on.
-    pub node: usize,
-    /// Time the task started transferring inputs.
-    pub start_s: f64,
-    /// Seconds spent in input transfers before compute.
-    pub transfer_s: f64,
-    /// Bytes pulled from remote nodes for this task's inputs.
-    pub transfer_bytes: u64,
-    /// Time the task completed.
-    pub end_s: f64,
-    /// Cores occupied.
-    pub cores: u32,
-    /// GPUs occupied.
-    pub gpus: u32,
-    /// Execution attempt this entry records (1 = first run; higher
-    /// after node-failure re-executions).
-    pub attempt: u32,
-    /// True when the run was killed by a node failure before finishing
-    /// (`end_s` is then the failure time, not a completion).
-    pub lost: bool,
-}
-
-impl ScheduleEntry {
-    /// Encodes the entry as a JSON tree (see [`crate::gantt::schedule_json`]).
-    pub fn to_value(&self) -> crate::json::Value {
-        use crate::json::Value;
-        Value::Object(vec![
-            ("task".into(), Value::from(self.task.0)),
-            ("name".into(), Value::from(self.name.as_str())),
-            ("node".into(), Value::from(self.node)),
-            ("start_s".into(), Value::from(self.start_s)),
-            ("transfer_s".into(), Value::from(self.transfer_s)),
-            ("transfer_bytes".into(), Value::from(self.transfer_bytes)),
-            ("end_s".into(), Value::from(self.end_s)),
-            ("cores".into(), Value::from(self.cores)),
-            ("gpus".into(), Value::from(self.gpus)),
-            ("attempt".into(), Value::from(self.attempt)),
-            ("lost".into(), Value::from(self.lost)),
-        ])
-    }
-}
-
 /// Outcome of a simulation.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -254,10 +208,16 @@ pub struct SimReport {
     /// Completed tasks re-executed because a failure destroyed their
     /// only output replica (lineage rollback).
     pub reexecutions: usize,
-    /// The full placement decisions, ordered by start time (markers
-    /// excluded). With node failures a task can appear more than once —
-    /// killed runs carry [`ScheduleEntry::lost`].
-    pub schedule: Vec<ScheduleEntry>,
+    /// The schedule: one record per input record, in submission order,
+    /// markers included. `worker` is the node (`-1` for markers),
+    /// `start_s` the body start, `fetch_s`/`fetch_bytes` the input
+    /// transfer that ends there, `cores`/`gpus` the granted resources
+    /// (none for markers), and `duration_s` the effective duration,
+    /// with a nested child already folded in (`child` is `None`). Runs
+    /// killed by a node failure, and completed runs whose output a
+    /// failure destroyed, are `attempts` entries whose error names the
+    /// node.
+    pub trace: Trace,
 }
 
 /// Tests whether datum `d` has a replica on node `nd`.
@@ -320,7 +280,11 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
     let index = trace.index_by_id();
 
     // Effective durations (overrides, nesting), resource demands, and
-    // interned kind names (records of one kind share a name id).
+    // interned kind names (records of one kind share a name id). The
+    // output records start as copies with the nested child folded into
+    // the duration and the granted resources; placement stamps their
+    // node and times.
+    let mut out = Vec::with_capacity(n);
     let mut dur = vec![0.0f64; n];
     let mut cores = vec![0u32; n];
     let mut gpus = vec![0u32; n];
@@ -332,6 +296,24 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
             cores[i] = r.cores.clamp(1, cluster.cores_per_node);
             gpus[i] = r.gpus.min(cluster.gpus_per_node);
         }
+        out.push(TaskRecord {
+            id: r.id,
+            name: r.name.clone(),
+            deps: r.deps.clone(),
+            duration_s: dur[i],
+            inputs: r.inputs.clone(),
+            outputs: r.outputs.clone(),
+            cores: cores[i],
+            gpus: gpus[i],
+            seq: r.seq,
+            ready_s: 0.0,
+            start_s: 0.0,
+            fetch_s: 0.0,
+            fetch_bytes: 0,
+            worker: -1,
+            child: None,
+            attempts: Vec::new(),
+        });
         kind_of[i] = kind_names
             .iter()
             .position(|k| k == &r.name)
@@ -405,7 +387,6 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
         start_s: f64,
         xfer_s: f64,
         run_s: f64,
-        sched: Option<usize>,
     }
     let mut state = vec![Stat::Waiting; n];
     let mut attempt = vec![0u32; n];
@@ -486,7 +467,7 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
         busy_by_kind: BTreeMap::new(),
         lost_tasks: 0,
         reexecutions: 0,
-        schedule: Vec::new(),
+        trace: Trace::default(),
     };
 
     loop {
@@ -539,7 +520,8 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
                 master_free = begin + opts.dispatch_overhead_s;
                 dispatch = master_free - now;
             }
-            let finish = now + dispatch + xfer + run_s;
+            let body_start = now + dispatch + xfer;
+            let finish = body_start + run_s;
             heap.push(Reverse(Ev {
                 time: finish,
                 rank: DONE,
@@ -548,29 +530,16 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
             }));
             report.busy_core_s += run_s * cores[i] as f64;
             busy_of_kind[kind_of[i]] += run_s;
-            let mut sched = None;
-            if !r.is_marker() {
-                sched = Some(report.schedule.len());
-                report.schedule.push(ScheduleEntry {
-                    task: r.id,
-                    name: r.name.clone(),
-                    node,
-                    start_s: now + dispatch,
-                    transfer_s: xfer,
-                    transfer_bytes: xfer_bytes,
-                    end_s: finish,
-                    cores: cores[i],
-                    gpus: gpus[i],
-                    attempt: attempt[i] + 1,
-                    lost: false,
-                });
-            }
+            let o = &mut out[i];
+            o.worker = if r.is_marker() { -1 } else { node as i64 };
+            o.start_s = body_start;
+            o.fetch_s = xfer;
+            o.fetch_bytes = xfer_bytes;
             running[i] = Some(RunInfo {
                 node,
                 start_s: now + dispatch,
                 xfer_s: xfer,
                 run_s,
-                sched,
             });
         }
         ready = still_ready;
@@ -631,7 +600,7 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
                 node_up[nd] = false;
 
                 // Kill the node's in-flight runs: requeue the task,
-                // refund the unexecuted tail, truncate its timeline bar.
+                // refund the unexecuted tail, keep the run as an attempt.
                 for i in 0..n {
                     if state[i] != Stat::Running {
                         continue;
@@ -649,10 +618,13 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
                     report.busy_core_s -= (info.run_s - executed) * cores[i] as f64;
                     busy_of_kind[kind_of[i]] -= info.run_s - executed;
                     report.lost_tasks += 1;
-                    if let Some(si) = info.sched {
-                        report.schedule[si].end_s = now;
-                        report.schedule[si].lost = true;
-                    }
+                    // A run killed in its fetch has a body of 0 s at `now`.
+                    let body_start = out[i].start_s.min(now);
+                    out[i].attempts.push(AttemptRecord {
+                        start_s: body_start,
+                        duration_s: executed,
+                        error: Some(format!("killed by the failure of node {nd}")),
+                    });
                 }
 
                 // The node's memory is gone: drop its replicas of
@@ -687,6 +659,12 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
                         attempt[p] += 1;
                         done -= 1;
                         report.reexecutions += 1;
+                        let (start_s, duration_s) = (out[p].start_s, out[p].duration_s);
+                        out[p].attempts.push(AttemptRecord {
+                            start_s,
+                            duration_s,
+                            error: Some(format!("output lost with node {nd}")),
+                        });
                         redo.push(p);
                     }
                 }
@@ -726,9 +704,16 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
 
     report.makespan_s = now;
     report.busy_by_kind = kind_names.into_iter().zip(busy_of_kind).collect();
-    report
-        .schedule
-        .sort_by(|a, b| a.start_s.total_cmp(&b.start_s).then(a.node.cmp(&b.node)));
+    // A record with a lost run closes its history with the final one,
+    // as a runtime's retried tasks do.
+    for o in out.iter_mut().filter(|o| !o.attempts.is_empty()) {
+        o.attempts.push(AttemptRecord {
+            start_s: o.start_s,
+            duration_s: o.duration_s,
+            error: None,
+        });
+    }
+    report.trace = Trace { records: out };
     let denom = now * cluster.total_cores() as f64;
     report.utilization = if denom > 0.0 {
         report.busy_core_s / denom
@@ -838,6 +823,8 @@ mod tests {
             seq: id,
             ready_s: 0.0,
             start_s: 0.0,
+            fetch_s: 0.0,
+            fetch_bytes: 0,
             worker: -1,
             child: None,
             attempts: vec![],
@@ -1031,10 +1018,17 @@ mod tests {
             healthy.makespan_s
         );
         assert_eq!(faulty.lost_tasks, 2, "two in-flight runs die with node 1");
-        // Every task still completes exactly once.
-        let completed = faulty.schedule.iter().filter(|e| !e.lost).count();
-        assert_eq!(completed, 8);
-        assert!(faulty.schedule.iter().any(|e| e.lost && e.attempt == 1));
+        // Every task still completes exactly once, on a live node; each
+        // killed run is a failed first attempt naming the node.
+        let recs = &faulty.trace.records;
+        assert!(recs.len() == 8 && recs.iter().all(|r| r.worker >= 0));
+        let killed = recs
+            .iter()
+            .filter_map(|r| r.attempts.first()?.error.as_deref());
+        assert_eq!(
+            killed.collect::<Vec<_>>(),
+            ["killed by the failure of node 1"; 2]
+        );
 
         // Deterministic: same spec, same report.
         let again = simulate(&t, &c, &SimOptions::default());
@@ -1064,14 +1058,16 @@ mod tests {
             "got {}",
             faulty.makespan_s
         );
-        // The final consumer run happens on the surviving node 1.
-        let last = faulty
-            .schedule
-            .iter()
-            .rfind(|e| !e.lost && e.task == TaskId(1))
-            .unwrap();
-        assert_eq!(last.node, 1);
-        assert_eq!(last.attempt, 2);
+        // The final consumer run happens on the surviving node 1, as its
+        // second attempt; the producer's lost output is a failed attempt.
+        let (producer, consumer) = (&faulty.trace.records[0], &faulty.trace.records[1]);
+        assert_eq!((consumer.worker, consumer.attempts.len()), (1, 2));
+        assert!(consumer.attempts[1].error.is_none());
+        let lost = producer.attempts[0].error.as_deref();
+        assert_eq!(
+            (producer.worker, lost),
+            (1, Some("output lost with node 0"))
+        );
     }
 
     #[test]
@@ -1102,8 +1098,8 @@ mod tests {
         let t = Trace { records: vec![r] };
         let c = cluster(2, 1).with_failure(0, 0.5);
         let rep = simulate(&t, &c, &SimOptions::default());
-        let completed = rep.schedule.iter().filter(|e| !e.lost).count();
-        assert_eq!(completed, 1);
+        let r = &rep.trace.records[0];
+        assert_eq!((r.worker, r.attempts.len()), (1, 2), "{r:?}");
         assert_eq!(rep.reexecutions, 0);
     }
 

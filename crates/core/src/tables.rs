@@ -435,6 +435,8 @@ impl Tables {
                 seq: id.0,
                 ready_s: row.ready_s,
                 start_s: row.start_s,
+                fetch_s: 0.0,
+                fetch_bytes: 0,
                 worker: i64::from(row.worker),
                 child: rare.and_then(|r| r.child.clone()),
                 attempts: rare.map_or_else(Vec::new, |r| r.attempts.clone()),

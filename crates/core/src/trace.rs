@@ -5,7 +5,9 @@
 //! resource demands, and data sizes. Traces are the input to both the
 //! DOT exporter ([`crate::dot`], reproducing the paper's execution-graph
 //! figures) and the discrete-event cluster simulator ([`crate::sim`],
-//! reproducing the scalability figures).
+//! reproducing the scalability figures). The simulator's schedule is a
+//! [`Trace`] too, so a real run and its replay are read by the same
+//! views ([`crate::obs`], [`crate::gantt`]).
 
 use crate::handle::{DataId, TaskId};
 use crate::json::{JsonError, Value};
@@ -105,9 +107,17 @@ pub struct TaskRecord {
     /// and for tasks that never ran. Feeds the timeline exporter
     /// ([`crate::obs::chrome_trace`]).
     pub start_s: f64,
-    /// Executor that ran the task: a pool-worker index (`>= 0`), or
-    /// `-1` for a driver thread (inline mode, or a cooperative
-    /// `wait`/`barrier` help pass). Markers are `-1`.
+    /// Seconds of input fetch that end at `start_s`: the transfer a
+    /// [`crate::sim`] replay charges for inputs held on another node.
+    /// `0.0` on the records a runtime writes, which do not time their
+    /// input fetch yet.
+    pub fetch_s: f64,
+    /// Bytes the input fetch moved (`0` when `fetch_s` is `0.0`).
+    pub fetch_bytes: u64,
+    /// Executor that ran the task: a pool-worker index, or the node of
+    /// a [`crate::sim`] schedule (`>= 0`), or `-1` for a driver thread
+    /// (inline mode, or a cooperative `wait`/`barrier` help pass).
+    /// Markers are `-1`.
     pub worker: i64,
     /// Sub-trace recorded by a nested task, if any.
     pub child: Option<Box<Trace>>,
@@ -158,6 +168,8 @@ impl TaskRecord {
             ("seq".into(), Value::from(self.seq)),
             ("ready_s".into(), Value::from(self.ready_s)),
             ("start_s".into(), Value::from(self.start_s)),
+            ("fetch_s".into(), Value::from(self.fetch_s)),
+            ("fetch_bytes".into(), Value::from(self.fetch_bytes)),
             ("worker".into(), Value::from(self.worker as f64)),
             (
                 "child".into(),
@@ -231,6 +243,8 @@ impl TaskRecord {
             // the observability fields existed.
             ready_s: v.get("ready_s").and_then(Value::as_f64).unwrap_or(0.0),
             start_s: v.get("start_s").and_then(Value::as_f64).unwrap_or(0.0),
+            fetch_s: v.get("fetch_s").and_then(Value::as_f64).unwrap_or(0.0),
+            fetch_bytes: v.get("fetch_bytes").and_then(Value::as_u64).unwrap_or(0),
             worker: v
                 .get("worker")
                 .and_then(Value::as_f64)
@@ -326,6 +340,15 @@ impl Trace {
         }
         path.reverse();
         (path, best.map_or(0.0, |b| finish[b]))
+    }
+
+    /// The records that ran on executors `0..executors`: pool workers,
+    /// or the nodes of a simulated cluster. Markers and driver-run tasks
+    /// (`worker == -1`) are not among them.
+    pub(crate) fn on_executors(&self, executors: usize) -> impl Iterator<Item = &TaskRecord> {
+        self.records
+            .iter()
+            .filter(move |r| usize::try_from(r.worker).is_ok_and(|w| w < executors))
     }
 
     /// Map from task id to record index.
@@ -447,6 +470,8 @@ mod tests {
             seq: id,
             ready_s: 0.0,
             start_s: 0.0,
+            fetch_s: 0.0,
+            fetch_bytes: 0,
             worker: -1,
             child: None,
             attempts: vec![],
@@ -700,11 +725,15 @@ mod tests {
         let mut r = rec(0, &[], 1.0);
         r.ready_s = 3.0;
         r.start_s = 3.25;
+        r.fetch_s = 0.125;
+        r.fetch_bytes = 4096;
         r.worker = 2;
         let t = Trace { records: vec![r] };
         let back = Trace::from_json(&t.to_json()).unwrap();
         assert_eq!(back.records[0].ready_s, 3.0);
         assert_eq!(back.records[0].start_s, 3.25);
+        assert_eq!(back.records[0].fetch_s, 0.125);
+        assert_eq!(back.records[0].fetch_bytes, 4096);
         assert_eq!(back.records[0].worker, 2);
 
         // Traces archived before the obs fields existed still load:
@@ -714,7 +743,12 @@ mod tests {
             if let Some((_, Value::Array(recs))) = fields.iter_mut().find(|(k, _)| k == "records") {
                 for r in recs {
                     if let Value::Object(rf) = r {
-                        rf.retain(|(k, _)| !matches!(k.as_str(), "ready_s" | "start_s" | "worker"));
+                        rf.retain(|(k, _)| {
+                            !matches!(
+                                k.as_str(),
+                                "ready_s" | "start_s" | "fetch_s" | "fetch_bytes" | "worker"
+                            )
+                        });
                     }
                 }
             }
@@ -722,6 +756,8 @@ mod tests {
         let back = Trace::from_json(&v.pretty()).unwrap();
         assert_eq!(back.records[0].ready_s, 0.0);
         assert_eq!(back.records[0].start_s, 0.0);
+        assert_eq!(back.records[0].fetch_s, 0.0);
+        assert_eq!(back.records[0].fetch_bytes, 0);
         assert_eq!(back.records[0].worker, -1);
     }
 }

@@ -90,8 +90,8 @@ fn main() {
         &ClusterSpec::marenostrum4(2),
         &SimOptions::default(),
     );
-    print!("{}", taskrt::gantt::ascii_gantt(&rep, 2, 64));
-    let busy = taskrt::gantt::node_busy(&rep, 2);
+    print!("{}", taskrt::gantt::ascii_gantt(&rep.trace, 2, 64));
+    let busy = taskrt::gantt::node_busy(&rep.trace, 2);
     println!("busy seconds per node: {busy:.3?}");
 
     banner("5. does the scheduling policy matter?");

@@ -21,6 +21,8 @@ fn rec(id: u64, deps: &[u64], dur: f64, name: &str) -> TaskRecord {
         seq: id,
         ready_s: 0.0,
         start_s: 0.0,
+        fetch_s: 0.0,
+        fetch_bytes: 0,
         worker: -1,
         child: None,
         attempts: vec![],
@@ -53,15 +55,73 @@ fn ascii_gantt_diamond_golden() {
     };
     let rep = simulate(&diamond(), &cluster, &SimOptions::default());
     assert!((rep.makespan_s - 4.0).abs() < 1e-12);
-    let got = ascii_gantt(&rep, 1, 8);
+    let got = ascii_gantt(&rep.trace, 1, 8);
     let want = "\
 time 0 .. 4.000 s (8 chars)
 node  0 |ss****jj|
 kinds: join, left, right, src
 ";
     assert_eq!(got, want);
-    let busy = node_busy(&rep, 1);
+    let busy = node_busy(&rep.trace, 1);
     assert!((busy[0] - 6.0).abs() < 1e-12); // 1 + 2 + 2 + 1 task-seconds
+}
+
+fn one_core_node() -> ClusterSpec {
+    ClusterSpec {
+        nodes: 1,
+        cores_per_node: 1,
+        gpus_per_node: 0,
+        bandwidth_bps: 1e9,
+        latency_s: 0.0,
+        failures: vec![],
+    }
+}
+
+#[test]
+fn ascii_gantt_zero_duration_last_task_golden() {
+    // `b` takes 0 s and starts at the makespan: it gets the last cell,
+    // which `a` already fills.
+    let trace = Trace {
+        records: vec![rec(0, &[], 1.0, "a"), rec(1, &[0], 0.0, "b")],
+    };
+    let rep = simulate(&trace, &one_core_node(), &SimOptions::default());
+    let want = "\
+time 0 .. 1.000 s (8 chars)
+node  0 |aaaaaaa*|
+kinds: a, b
+";
+    assert_eq!(ascii_gantt(&rep.trace, 1, 8), want);
+    let want = "\
+time 0 .. 1.000 s (0 chars)
+node  0 ||
+kinds: a, b
+";
+    assert_eq!(ascii_gantt(&rep.trace, 1, 0), want);
+}
+
+#[test]
+fn gantt_views_skip_markers_driver_and_executors_past_the_count() {
+    let placed = |id: u64, worker: i64, start_s: f64, dur: f64, name: &str| TaskRecord {
+        worker,
+        start_s,
+        ..rec(id, &[], dur, name)
+    };
+    let trace = Trace {
+        records: vec![
+            placed(0, 0, 0.0, 1.0, "src"),
+            placed(1, 1, 0.0, 3.0, "wide"),
+            placed(2, -1, 1.0, 0.5, "driver"),
+            placed(3, 0, 1.0, 1.0, "join"),
+        ],
+    };
+    assert_eq!(node_busy(&trace, 1), [2.0]);
+    assert_eq!(node_busy(&trace, 3), [2.0, 3.0, 0.0]);
+    let want = "\
+time 0 .. 2.000 s (4 chars)
+node  0 |ssjj|
+kinds: join, src
+";
+    assert_eq!(ascii_gantt(&trace, 1, 4), want);
 }
 
 #[test]

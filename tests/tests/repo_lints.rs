@@ -147,6 +147,45 @@ const WIDE_MACRO: &str = concat!("macro_rules! ", "wide {");
 /// The trees the clone rule walks.
 const WIDE_CLONE_PATHS: [&str; 3] = ["crates", "tests", "examples"];
 
+/// What "One schedule record" rejects outside comments: the DES's own
+/// schedule row and the views that read only it (the node timeline, the
+/// per-node profile, the schedule's JSON export). The simulator writes
+/// the same `TaskRecord`s a runtime does, and one view serves both.
+const SCHEDULE_ONLY: [&str; 4] = [
+    concat!("Schedule", "Entry"),
+    concat!("Sim", "Profile"),
+    concat!("chrome_trace", "_schedule"),
+    concat!("schedule", "_json"),
+];
+
+/// The trees "One schedule record" walks.
+const SCHEDULE_PATHS: [&str; 3] = ["crates", "tests", "examples"];
+
+/// What "Retention stays decided" rejects as plain substrings, comments
+/// included: the streaming retention policy's config, its table and
+/// store statistics, its retire hook, its watermark and its error.
+const RETENTION: [&str; 7] = [
+    concat!("Stream", "Config"),
+    concat!("Table", "Stats"),
+    concat!("Store", "Stats"),
+    concat!("table", "_stats"),
+    concat!("retire_data", "_if_idle"),
+    concat!("peak_in", "_flight"),
+    concat!("stale ", "handle"),
+];
+
+/// What "Retention stays decided" rejects when no word character
+/// follows it (a `\b` after it, in grep's terms): the runtime's release
+/// call.
+const RELEASE_FN: &str = concat!("fn ", "release");
+
+/// The trees "Retention stays decided" walks.
+const RETENTION_PATHS: [&str; 3] = ["crates", "tests", "examples"];
+
+/// The buffer pool, whose `release` is not the runtime's: exempt from
+/// "Retention stays decided" as a whole file.
+const POOL_PATH: &str = "crates/linalg/src/pool.rs";
+
 /// A source file: its path relative to the workspace root (with `/`)
 /// and its text.
 struct Source {
@@ -727,5 +766,135 @@ fn wide_clones_are_called_only_by_the_dispatch_fires_on_planted_violations() {
         src("crates/linalg/src/matrix.rs", format!("let {avx2}x = 1;")),
     ];
     let found = wide_clone_violations(&allowed);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "One schedule record" (DESIGN §5.13): the DES returns a `Trace` of
+/// the records a runtime writes, so the timeline, utilization, Gantt
+/// and divergence views each read one schema. A second schedule type,
+/// or a view that reads only the simulator's, would split them again.
+/// Comment lines do not count.
+fn schedule_record_violations(sources: &[Source]) -> Vec<String> {
+    lines_matching(sources, |line| {
+        !line.trim_start().starts_with("//") && SCHEDULE_ONLY.iter().any(|n| line.contains(n))
+    })
+}
+
+#[test]
+fn one_schedule_record() {
+    let sources = rust_sources(&SCHEDULE_PATHS);
+    assert!(
+        sources.iter().any(|s| s.path == "crates/core/src/sim.rs"),
+        "the walk missed the simulator"
+    );
+    let found = schedule_record_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "a second schedule record or a simulator-only view is back:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn one_schedule_record_fires_on_planted_violations() {
+    let planted: Vec<Source> = SCHEDULE_ONLY
+        .iter()
+        .map(|name| Source {
+            path: "crates/core/src/obs.rs".to_string(),
+            text: format!("    // {name}\n    let x = {name}(1);"),
+        })
+        .collect();
+    let found = schedule_record_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with("crates/core/src/obs.rs:2:"));
+
+    let allowed = Source {
+        path: "crates/core/src/gantt.rs".to_string(),
+        text: [
+            "pub fn ascii_gantt(trace: &Trace, nodes: usize, width: usize) -> String {",
+            "let u = Utilization::from_trace(&rep.trace, nodes);",
+            "let json = rep.trace.to_json();",
+            "self.schedule(now, actions)",
+        ]
+        .join("\n"),
+    };
+    let found = schedule_record_violations(&[allowed]);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "Retention stays decided" (DESIGN §5.14): the runtime's tables are
+/// push-only and every trace is complete. The streaming mode
+/// (retire-when-consumed, watermarks, `release`) had no user and sat on
+/// the submit/commit path. Any line naming one of [`RETENTION`], or a
+/// [`RELEASE_FN`] not followed by a word character, is rejected,
+/// comments included, except in [`POOL_PATH`].
+fn retention_violations(sources: &[Source]) -> Vec<String> {
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let release_fn = |line: &str| {
+        line.match_indices(RELEASE_FN)
+            .any(|(at, m)| !line[at + m.len()..].starts_with(is_word))
+    };
+    let mut found = lines_matching(sources, |line| {
+        release_fn(line) || RETENTION.iter().any(|p| line.contains(p))
+    });
+    found.retain(|l| !l.starts_with(&format!("{POOL_PATH}:")));
+    found
+}
+
+#[test]
+fn retention_stays_decided() {
+    let sources = rust_sources(&RETENTION_PATHS);
+    assert!(
+        sources.iter().any(|s| s.path == POOL_PATH),
+        "the walk missed the buffer pool"
+    );
+    let found = retention_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "the streaming retention policy is back:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn retention_stays_decided_fires_on_planted_violations() {
+    let mut planted: Vec<Source> = RETENTION
+        .iter()
+        .map(|p| Source {
+            path: "crates/core/src/runtime.rs".to_string(),
+            text: format!("    // ok\n    // {p}"),
+        })
+        .collect();
+    for line in [
+        format!("pub {RELEASE_FN}(&self, d: DataId) {{"),
+        format!("    {RELEASE_FN}<T>(h: Handle<T>)"),
+        format!("x{RELEASE_FN}"),
+    ] {
+        planted.push(Source {
+            path: "examples/x.rs".to_string(),
+            text: line,
+        });
+    }
+    let found = retention_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with("crates/core/src/runtime.rs:2:"));
+
+    let allowed = [
+        Source {
+            path: POOL_PATH.to_string(),
+            text: format!("pub {RELEASE_FN}(buf: Vec<f64>) {{\n// {}", RETENTION[0]),
+        },
+        Source {
+            path: "crates/core/src/runtime.rs".to_string(),
+            text: [
+                format!("{RELEASE_FN}d(&self) {{}}"),
+                format!("{RELEASE_FN}_all(&self) {{}}"),
+                "linalg::pool::release(buf);".to_string(),
+                "Action::Release(d)".to_string(),
+            ]
+            .join("\n"),
+        },
+    ];
+    let found = retention_violations(&allowed);
     assert!(found.is_empty(), "{found:#?}");
 }

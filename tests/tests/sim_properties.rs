@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use taskrt::sim::{simulate, ClusterSpec, Policy, SimOptions};
+use taskrt::trace::SYNC_TASK;
 use taskrt::{DataId, TaskId, TaskRecord, Trace};
 
 /// Builds a random-but-valid trace: each task depends on a subset of
@@ -39,6 +40,8 @@ fn random_trace(n: usize, edges_seed: u64, durations: &[f64], cores: &[u32]) -> 
             seq: i as u64,
             ready_s: 0.0,
             start_s: 0.0,
+            fetch_s: 0.0,
+            fetch_bytes: 0,
             worker: -1,
             child: None,
             attempts: vec![],
@@ -84,6 +87,47 @@ proptest! {
             prop_assert!(rep.makespan_s <= trace.total_work_s() + rep.transfer_time_s + 1e-9);
             // Utilization is a fraction.
             prop_assert!(rep.utilization >= 0.0 && rep.utilization <= 1.0 + 1e-9);
+        }
+    }
+
+    #[test]
+    fn replaying_the_schedule_gives_it_back(
+        n in 2usize..40,
+        seed in 0u64..1000,
+        nodes in 1usize..5,
+        cores_per_node in 1u32..8,
+    ) {
+        // Every seventh record is a sync marker, so markers ride along.
+        let mut trace = random_trace(n, seed, &[0.5, 1.0, 2.0, 0.25], &[1, 2]);
+        for r in trace.records.iter_mut().skip(6).step_by(7) {
+            r.name = SYNC_TASK.to_string();
+        }
+        // A slow link, so fetches are part of what must come back.
+        let cluster = ClusterSpec {
+            nodes,
+            cores_per_node,
+            gpus_per_node: 0,
+            bandwidth_bps: 1e6,
+            latency_s: 1e-4,
+            failures: vec![],
+        };
+        let with_dispatch = SimOptions { dispatch_overhead_s: 1e-3, ..SimOptions::default() };
+        for opts in [
+            SimOptions::with_policy(Policy::Fifo),
+            SimOptions::with_policy(Policy::RoundRobin),
+            SimOptions::with_policy(Policy::LocalityAware),
+            with_dispatch,
+        ] {
+            let first = simulate(&trace, &cluster, &opts);
+            let again = simulate(&first.trace, &cluster, &opts);
+            prop_assert_eq!(first.trace.len(), trace.len());
+            prop_assert_eq!(again.makespan_s, first.makespan_s);
+            for (a, b) in first.trace.records.iter().zip(&again.trace.records) {
+                prop_assert_eq!(
+                    (a.id, a.worker, a.start_s, a.fetch_s, a.duration_s),
+                    (b.id, b.worker, b.start_s, b.fetch_s, b.duration_s)
+                );
+            }
         }
     }
 
@@ -146,6 +190,8 @@ proptest! {
                 seq: i as u64,
                 ready_s: 0.0,
                 start_s: 0.0,
+                fetch_s: 0.0,
+                fetch_bytes: 0,
                 worker: -1,
                 child: None,
                 attempts: vec![],

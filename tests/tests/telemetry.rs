@@ -6,7 +6,7 @@
 use dsarray::DsArray;
 use integration_tests::tiny_dataset;
 use taskrt::obs::divergence;
-use taskrt::sim::{simulate, ClusterSpec, SimOptions};
+use taskrt::sim::{simulate, ClusterSpec, Policy, SimOptions};
 use taskrt::{FaultPlan, OnFailure, Runtime, Trace};
 
 /// A small mixed workload: blocked column sums + an explicit task
@@ -125,12 +125,38 @@ fn divergence_report_compares_real_and_simulated_runs() {
         &ClusterSpec::marenostrum4(2),
         &SimOptions::default(),
     );
-    let div = divergence(&trace, &report);
+    let div = divergence(&trace, &report.trace);
     assert!(div.real_makespan_s > 0.0);
     assert!(div.sim_makespan_s > 0.0);
     assert!(div.makespan_ratio.is_finite() && div.makespan_ratio > 0.0);
     assert!(!div.kinds.is_empty(), "per-kind breakdown present");
     for k in &div.kinds {
         assert!(k.real_s >= 0.0 && k.sim_s >= 0.0, "kind {}", k.name);
+    }
+}
+
+#[test]
+fn divergence_measures_the_replay_as_the_des_does() {
+    // Without a dispatch-overhead model the replay's first task starts
+    // at 0, so "first fetch or body start to last end" over the
+    // simulated records is the DES makespan to the bit, transfers
+    // included.
+    let (rt, _) = small_run();
+    let trace = rt.finish();
+    // Round-robin placement makes the replay move data.
+    let report = simulate(
+        &trace,
+        &ClusterSpec::marenostrum4(2),
+        &SimOptions::with_policy(Policy::RoundRobin),
+    );
+    assert!(report.trace.records.iter().any(|r| r.fetch_s > 0.0));
+    let div = divergence(&trace, &report.trace);
+    assert_eq!(div.sim_makespan_s, report.makespan_s);
+    // Per kind, the replay's body seconds are the measured ones.
+    for k in &div.kinds {
+        assert!(
+            (k.sim_s - k.real_s).abs() <= 1e-9 * k.real_s.max(1.0),
+            "{k:?}"
+        );
     }
 }

@@ -6,7 +6,7 @@
 use dislib::pca::{Components, Pca};
 use dsarray::DsArray;
 use integration_tests::tiny_dataset;
-use taskrt::gantt::{ascii_gantt, node_busy, schedule_json};
+use taskrt::gantt::{ascii_gantt, node_busy};
 use taskrt::sim::{simulate, ClusterSpec, Policy, SimOptions};
 use taskrt::{Runtime, Trace};
 
@@ -33,7 +33,9 @@ fn archived_trace_resimulates_identically() {
     let b = simulate(&restored, &cluster, &opts);
     assert_eq!(a.makespan_s, b.makespan_s);
     assert_eq!(a.transferred_bytes, b.transferred_bytes);
-    assert_eq!(a.schedule.len(), b.schedule.len());
+    // The same schedule, record for record: node, times, fetches.
+    assert_eq!(a.trace.len(), trace.len());
+    assert_eq!(a.trace.to_json(), b.trace.to_json());
 }
 
 #[test]
@@ -49,16 +51,20 @@ fn schedule_is_resource_consistent() {
     };
     let rep = simulate(&trace, &cluster, &SimOptions::default());
 
-    // At no instant may a node exceed its core capacity. Check at every
-    // task start event.
-    for probe in &rep.schedule {
-        let t = (probe.start_s + probe.end_s) / 2.0;
+    // At no instant may a node exceed its core capacity. A record holds
+    // its granted cores from its input fetch to its body's end; check
+    // at the midpoint of every placed task.
+    let placed: Vec<_> = rep.trace.records.iter().filter(|r| r.worker >= 0).collect();
+    assert_eq!(placed.len(), trace.user_task_count());
+    let span = |r: &taskrt::TaskRecord| (r.start_s - r.fetch_s, r.start_s + r.duration_s);
+    for probe in &placed {
+        let (from, to) = span(probe);
+        let t = (from + to) / 2.0;
         for node in 0..cluster.nodes {
-            let used: u32 = rep
-                .schedule
+            let used: u32 = placed
                 .iter()
-                .filter(|e| e.node == node && e.start_s <= t && t < e.end_s)
-                .map(|e| e.cores)
+                .filter(|r| r.worker == node as i64 && span(r).0 <= t && t < span(r).1)
+                .map(|r| r.cores)
                 .sum();
             assert!(
                 used <= cluster.cores_per_node,
@@ -76,12 +82,12 @@ fn gantt_renders_real_pipeline() {
         &ClusterSpec::marenostrum4(2),
         &SimOptions::default(),
     );
-    let g = ascii_gantt(&rep, 2, 72);
+    let g = ascii_gantt(&rep.trace, 2, 72);
     assert!(g.contains("node  0"));
     assert!(g.contains("ds_"));
-    let busy = node_busy(&rep, 2);
+    let busy = node_busy(&rep.trace, 2);
     assert!(busy[0] > 0.0);
-    let json = schedule_json(&rep.schedule);
+    let json = rep.trace.to_json();
     assert!(json.contains("pca_eigh"));
 }
 
