@@ -45,8 +45,9 @@
 //!
 //! The scheduler is built for fine-grained task graphs (10k+ tasks)
 //! where per-task overhead dominates; see [`runtime`] for the data
-//! structures (dense id-indexed tables, one FIFO ready queue with
-//! continuations, batched ready release, targeted wakeups) and
+//! structures (dense id-indexed tables, one queue monitor — a FIFO of
+//! ready tasks and the workers asleep on it behind one lock —,
+//! continuations, batched ready release, token-counted wakeups) and
 //! `bash benchmark/run.sh --workload sched_fine` for the measured
 //! throughput.
 

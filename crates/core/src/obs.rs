@@ -10,9 +10,8 @@
 //! from a [`Trace`] after the run, real or simulated alike:
 //!
 //! * **[`RuntimeStats`]** — the scheduler's statistics (tasks per
-//!   worker, injector batches, wakeups, parks/idle time, driver
-//!   stalls, queue-wait vs run time). The
-//!   per-task fields are derived from the task rows when
+//!   worker, wakeups, parks/idle time, driver stalls, queue-wait vs
+//!   run time). The per-task fields are derived from the task rows when
 //!   [`crate::Runtime::stats`] is called, and the handful of
 //!   scheduler-internal counts are plain integers kept beside the locks
 //!   their sites already hold. Nothing here is switched on or off.
@@ -53,10 +52,6 @@ pub struct RuntimeStats {
     pub worker_tasks: Vec<u64>,
     /// Tasks executed on a driver thread (inline or cooperative wait).
     pub driver_tasks: u64,
-    /// Staged-submission batches flushed to the injector.
-    pub injector_flushes: u64,
-    /// Total tasks that passed through the injector.
-    pub injector_flushed_tasks: u64,
     /// Wake tokens granted (`notify_one` calls issued).
     pub wakeups: u64,
     /// INOUT parameters the runtime handed over by move: the executing
@@ -143,14 +138,6 @@ impl RuntimeStats {
             ),
             ("driver_tasks".into(), Value::from(self.driver_tasks)),
             ("total_tasks".into(), Value::from(self.total_tasks())),
-            (
-                "injector_flushes".into(),
-                Value::from(self.injector_flushes),
-            ),
-            (
-                "injector_flushed_tasks".into(),
-                Value::from(self.injector_flushed_tasks),
-            ),
             ("wakeups".into(), Value::from(self.wakeups)),
             ("inout_steals".into(), Value::from(self.inout_steals)),
             ("inout_copies".into(), Value::from(self.inout_copies)),
@@ -185,12 +172,6 @@ impl RuntimeStats {
         for (i, n) in self.worker_tasks.iter().enumerate() {
             writeln!(out, "    by worker {i:<2}     {n:>12}").unwrap();
         }
-        writeln!(
-            out,
-            "  injector flushes   {:>12} ({} tasks)",
-            self.injector_flushes, self.injector_flushed_tasks
-        )
-        .unwrap();
         writeln!(out, "  wakeups            {:>12}", self.wakeups).unwrap();
         writeln!(
             out,

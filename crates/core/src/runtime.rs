@@ -46,22 +46,25 @@
 //!   into a self-contained `ReadyRun` (job closure + cloned input
 //!   `Arc`s) under whichever lock released it, so executing it later
 //!   needs the shared state exactly once — at commit.
-//! * **One ready queue.** Every ready task that is not a continuation
-//!   waits in one FIFO, the injector. The driver stages root tasks and
-//!   flushes them to it in batches (immediately when a worker is idle —
-//!   tracked by a lock-free hint — otherwise every [`STAGE_BATCH`]
-//!   submissions). Workers and a helping driver pop its front. Lock
-//!   order is `state → injector`, one-way.
+//! * **One queue monitor.** Every ready task that is not a continuation
+//!   waits in one FIFO, and that FIFO, the workers asleep on it, their
+//!   wake tokens and the shutdown flag sit behind one lock. A submitter
+//!   pushes a ready root straight in while it still holds the state
+//!   lock; workers and a helping driver pop the front. A worker's last
+//!   emptiness check and its condvar wait are one critical section of
+//!   that lock, so no push can slip between them. Lock order is
+//!   `state → queue`, one-way.
 //! * **Cooperative wait.** A driver blocked in `wait`/`barrier` does
 //!   not just sleep: it drains the ready queue and executes tasks
 //!   itself, only parking on the condvar after a dry pass.
 //! * **Batched release + continuation.** Completing a task releases all
 //!   newly-ready dependents in a single pass under the lock. The
 //!   executor keeps one as its continuation (no queue round-trip) and
-//!   pushes the rest to the back of the queue, waking at most that many
-//!   sleeping workers via a token-counted `notify_one` scheme — never
-//!   a thundering-herd `notify_all`. Driver wakeups are likewise
-//!   skipped entirely unless a `wait`/`barrier` is actually blocked.
+//!   pushes the rest to the back of the queue. Every push wakes at most
+//!   one sleeping worker per task via a token-counted `notify_one`
+//!   scheme — never a thundering-herd `notify_all`. Driver wakeups are
+//!   likewise skipped entirely unless a `wait`/`barrier` is actually
+//!   blocked.
 //! * **Clean shutdown.** Dropping the last [`Runtime`] clone signals
 //!   shutdown and joins every worker; no threads outlive the runtime
 //!   (observable via [`live_worker_threads`]).
@@ -197,10 +200,9 @@ struct ReadyRun {
     f: TaskFn,
     inputs: Vec<AnyArc>,
     /// When the task became visible to workers — the origin of its
-    /// queue wait, kept on its row as `ready_s`. Stamped once per
-    /// injector flush (staged tasks share the flush instant) or at the
-    /// releasing predecessor's completion; `None` for a task an inline
-    /// runtime runs at submission.
+    /// queue wait, kept on its row as `ready_s`. Stamped at the push
+    /// for a root, or at the releasing predecessor's completion; `None`
+    /// for a task an inline runtime runs at submission.
     ready_at: Option<Instant>,
     /// Failure policy carried from submission to the executor.
     fault: TaskFault,
@@ -297,29 +299,29 @@ struct State {
     /// Drivers currently blocked in `wait`/`barrier`; completion skips
     /// the condvar entirely when zero.
     waiters: usize,
-    /// Ready-at-submission tasks not yet moved to the injector
-    /// (threaded mode only). Submission storms stage here — already
-    /// under the state lock — and flush in batches, instead of paying
-    /// an injector lock plus a wakeup per task. Flushed immediately
-    /// whenever a worker is idle, so eager execution is preserved; an
-    /// idle worker also drains it directly (see [`flush_staged`]).
-    staged: Vec<ReadyRun>,
     /// Reused by `submit_locked` to sort and deduplicate a task's
     /// producers.
     producers: Vec<TaskId>,
     /// The scheduler-internal fields of [`RuntimeStats`] whose sites
-    /// hold this lock: injector flushes, INOUT move vs clone, driver
-    /// parks. The per-task fields stay zero here; [`Runtime::stats`]
-    /// derives them from the rows.
+    /// hold this lock: INOUT move vs clone, driver parks. The per-task
+    /// fields stay zero here; [`Runtime::stats`] derives them from the
+    /// rows.
     counts: RuntimeStats,
 }
 
-struct WakeState {
-    /// Workers currently in (or entering) a condvar sleep.
+/// The ready queue and the workers asleep on it: one monitor, so a
+/// worker's last emptiness check and its sleep on [`Shared::work_cv`]
+/// are one critical section and no push can slip between them.
+#[derive(Default)]
+struct Queue {
+    /// Ready tasks, oldest first: the submitted roots and every
+    /// released dependent an executor did not keep as its continuation.
+    ready: VecDeque<ReadyRun>,
+    /// Workers waiting on `work_cv`.
     sleepers: usize,
     /// Pending wake obligations for sleeping workers (each is one
-    /// issued `notify_one`; always `<= sleepers`). A worker consumes
-    /// one token per sleep cycle.
+    /// issued `notify_one`; always `<= sleepers`). A waking worker
+    /// consumes one.
     tokens: usize,
     shutdown: bool,
     /// Wake tokens granted (see [`RuntimeStats::wakeups`]).
@@ -329,13 +331,18 @@ struct WakeState {
     worker_idle_s: f64,
 }
 
-impl WakeState {
-    /// Republishes the "unclaimed sleeper exists" hint after any
-    /// `sleepers`/`tokens` change (caller holds the wake lock). The
-    /// submission path reads the hint with a relaxed load instead of
-    /// taking the wake lock on every task.
-    fn publish_idle_hint(&self, hint: &AtomicBool) {
-        hint.store(self.sleepers > self.tokens, Ordering::Relaxed);
+impl Queue {
+    /// Appends `runs` to the back and claims one wake token per
+    /// unclaimed sleeper, at most one per task pushed. Returns how many
+    /// `notify_one`s the caller owes once it has unlocked (see
+    /// [`wake`]).
+    fn push(&mut self, runs: impl IntoIterator<Item = ReadyRun>) -> usize {
+        let before = self.ready.len();
+        self.ready.extend(runs);
+        let k = (self.ready.len() - before).min(self.sleepers.saturating_sub(self.tokens));
+        self.tokens += k;
+        self.wakeups += k as u64;
+        k
     }
 }
 
@@ -346,17 +353,13 @@ struct Shared {
     state: Mutex<State>,
     /// Signals task completion to blocked drivers.
     cv: Condvar,
-    /// The one ready queue, oldest first: the driver's flushed roots
-    /// and every released dependent an executor did not keep as its
-    /// continuation.
-    injector: Mutex<VecDeque<ReadyRun>>,
+    /// The one ready queue and its sleepers. Lock order:
+    /// `state → queue`, one-way.
+    queue: Mutex<Queue>,
+    /// Signals a push (or shutdown) to workers asleep in `queue`.
+    work_cv: Condvar,
     /// Worker threads in the pool (0 for an inline runtime).
     workers: usize,
-    wake: Mutex<WakeState>,
-    wake_cv: Condvar,
-    /// Mirror of `sleepers > tokens`, maintained under the wake lock;
-    /// lets `submit_locked` decide stage-vs-flush without that lock.
-    idle_hint: AtomicBool,
     /// Kind names, interned by [`Runtime::task`] outside the state
     /// lock. Lock order: `state → kinds`, one-way.
     kinds: Mutex<Kinds>,
@@ -379,8 +382,8 @@ impl Drop for Inner {
         if self.workers.is_empty() {
             return;
         }
-        lock(&self.shared.wake).shutdown = true;
-        self.shared.wake_cv.notify_all();
+        lock(&self.shared.queue).shutdown = true;
+        self.shared.work_cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -428,23 +431,13 @@ impl Runtime {
                 tables: Tables::new(),
                 last_barrier: 0,
                 waiters: 0,
-                staged: Vec::new(),
                 producers: Vec::new(),
                 counts: RuntimeStats::default(),
             }),
             cv: Condvar::new(),
-            injector: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
+            work_cv: Condvar::new(),
             workers: n_workers,
-            wake: Mutex::new(WakeState {
-                sleepers: 0,
-                tokens: 0,
-                shutdown: false,
-                wakeups: 0,
-                worker_parks: 0,
-                worker_idle_s: 0.0,
-            }),
-            wake_cv: Condvar::new(),
-            idle_hint: AtomicBool::new(false),
             kinds: Mutex::new(Kinds::new()),
             fault_plan: Mutex::new(None),
             fault_active: AtomicBool::new(false),
@@ -666,7 +659,7 @@ impl Runtime {
     /// The per-task fields are derived from the task rows, so a task
     /// counts once its attempt commits; the scheduler-internal counts
     /// are read beside the locks their sites hold. Takes the state
-    /// lock, then the wake lock, never both at once.
+    /// lock, then the queue lock, never both at once.
     pub fn stats(&self) -> RuntimeStats {
         let shared = &self.inner.shared;
         let mut s = {
@@ -711,10 +704,10 @@ impl Runtime {
             s.queued_tasks = s.total_tasks();
             s
         };
-        let w = lock(&shared.wake);
-        s.wakeups = w.wakeups;
-        s.worker_parks = w.worker_parks;
-        s.worker_idle_s = w.worker_idle_s;
+        let q = lock(&shared.queue);
+        s.wakeups = q.wakeups;
+        s.worker_parks = q.worker_parks;
+        s.worker_idle_s = q.worker_idle_s;
         s
     }
 }
@@ -759,9 +752,7 @@ impl TaskBuilder<'_> {
         };
         let scratch = run_worklist(shared, inline_runs);
         INLINE_WORKLIST.with(|c| c.set(scratch));
-        if wake_n > 0 {
-            wake(shared, wake_n);
-        }
+        wake(shared, wake_n);
         first
     }
 }
@@ -770,10 +761,11 @@ impl TaskBuilder<'_> {
 /// pushed at `at..`, detects dependencies, allocates the outputs,
 /// records the task `b` describes, and dispatches it if ready — all
 /// under the state lock the caller holds. A ready inline-mode task is
-/// appended to `inline_runs` (the caller executes it after unlocking);
-/// returns the first output id and the threaded-mode wake obligations.
-/// Lock order state -> wake/injector is one-way: nothing here acquires
-/// the state lock while holding either.
+/// appended to `inline_runs` (the caller executes it after unlocking),
+/// a ready threaded-mode task pushed straight into the ready queue;
+/// returns the first output id and the `notify_one`s that push owes.
+/// Lock order state -> queue is one-way: nothing acquires the state
+/// lock while holding the queue lock.
 fn submit_locked(
     b: TaskBuilder<'_>,
     st: &mut State,
@@ -916,68 +908,22 @@ fn submit_locked(
         }
     }
 
-    // Dispatch, still under the state lock. Inline: resolve now
-    // and run after unlocking. Threaded: stage the resolved run
-    // and flush in batches — an idle worker forces an immediate
-    // flush (eager semantics); otherwise submission storms pay
-    // one injector lock + wakeup per batch, not per task.
+    // Dispatch, still under the state lock. Inline: resolve now and
+    // run after unlocking; queue wait is genuinely ~0, so skip the
+    // stamp (and its clock read) entirely. Threaded: push the resolved
+    // run, stamped, straight into the ready queue.
     let mut wake_n = 0;
     if status == Status::Ready {
         let inject = shared.fault_active.load(Ordering::Relaxed);
         match shared.config.mode {
-            // Inline runs the task right after unlock: queue wait is
-            // genuinely ~0, so skip the stamp (and its clock
-            // read) entirely.
             ExecMode::Inline => inline_runs.push(make_run(st, tid, None, inject)),
             ExecMode::Threads(_) => {
-                // No stamp here either: the flush stamps its batch.
-                let run = make_run(st, tid, None, inject);
-                st.staged.push(run);
-                // "Idle" means a sleeper with no wakeup already
-                // in flight — a notified-but-not-yet-scheduled
-                // worker doesn't force a flush per submission.
-                // (Hint read is racy but never loses work: a
-                // worker publishes the hint before its final
-                // staged-drain, and we stage before reading.)
-                let idle = shared.idle_hint.load(Ordering::Relaxed);
-                if idle || st.staged.len() >= STAGE_BATCH {
-                    wake_n = flush_staged_locked(shared, st);
-                }
+                let run = make_run(st, tid, Some(Instant::now()), inject);
+                wake_n = lock(&shared.queue).push([run]);
             }
         }
     }
     (DataId(out_first as u64), wake_n)
-}
-
-/// How many ready-at-submission tasks accumulate in [`State::staged`]
-/// before a flush when no worker is idle (all busy: dispatch latency is
-/// irrelevant, batching the lock + wakeup traffic is everything).
-const STAGE_BATCH: usize = 32;
-
-/// Moves driver-staged ready tasks into the injector (see
-/// [`State::staged`]); returns how many were moved. Called by workers
-/// that ran dry and by a helping driver, so staged work can never stall
-/// behind a paused submission stream.
-fn flush_staged(shared: &Shared) -> usize {
-    flush_staged_locked(shared, &mut lock(&shared.state))
-}
-
-/// [`flush_staged`] for a caller already holding the state lock (the
-/// submission path). The flush stamps the whole batch: staged tasks
-/// are invisible to workers until it publishes them, so one clock read
-/// covers every task in it.
-fn flush_staged_locked(shared: &Shared, st: &mut State) -> usize {
-    let n = st.staged.len();
-    if n > 0 {
-        let stamp = Some(Instant::now());
-        lock(&shared.injector).extend(st.staged.drain(..).map(|mut r| {
-            r.ready_at = stamp;
-            r
-        }));
-        st.counts.injector_flushes += 1;
-        st.counts.injector_flushed_tasks += n as u64;
-    }
-    n
 }
 
 /// Inline execution: drain the ready set on the caller's thread
@@ -1004,59 +950,31 @@ thread_local! {
         const { std::cell::Cell::new(Vec::new()) };
 }
 
-/// Pokes up to `n` sleeping workers. Notifies only workers that are
-/// actually asleep and not already claimed by an in-flight token —
-/// when every worker is awake (busy or spinning) this is one
-/// uncontended lock and no syscall, which matters on fine-grained
-/// submission storms. No lost wakeups: callers publish work to the
-/// queue *before* calling `wake`, and a worker only commits to sleeping
-/// after registering in `sleepers` and re-checking the queue.
+/// Issues the `n` `notify_one`s a [`Queue::push`] claimed. Called
+/// after the pusher unlocked, so a woken worker does not block on a
+/// lock its waker still holds. Each notify has a token behind it, and
+/// tokens never outnumber sleepers: when every worker is awake (busy
+/// or spinning) a push claims none and this is a no-op.
 fn wake(shared: &Shared, n: usize) {
-    if n == 0 || shared.workers == 0 {
-        return;
-    }
-    let k = {
-        let mut w = lock(&shared.wake);
-        if w.shutdown {
-            return;
-        }
-        let unclaimed = w.sleepers.saturating_sub(w.tokens);
-        let k = n.min(unclaimed);
-        w.tokens += k;
-        w.wakeups += k as u64;
-        w.publish_idle_hint(&shared.idle_hint);
-        k
-    };
-    for _ in 0..k {
-        shared.wake_cv.notify_one();
+    for _ in 0..n {
+        shared.work_cv.notify_one();
     }
 }
 
-/// Pops the front (oldest) task of the ready queue. On an empty queue
-/// it first publishes whatever the driver staged but has not flushed,
-/// waking sleepers for all but the task taken here, so staged work can
-/// never stall behind a paused submission stream.
+/// Pops the front (oldest) task of the ready queue. A function, so the
+/// queue guard is dropped before the caller runs the task.
 fn pop_ready(shared: &Shared) -> Option<ReadyRun> {
-    if let Some(t) = lock(&shared.injector).pop_front() {
-        return Some(t);
-    }
-    let flushed = flush_staged(shared);
-    if flushed == 0 {
-        return None;
-    }
-    wake(shared, flushed - 1);
-    lock(&shared.injector).pop_front()
+    lock(&shared.queue).ready.pop_front()
 }
 
-/// Executes ready tasks as `who` until the queue and the driver's
-/// staged batch are both empty; returns whether anything ran. Each
-/// popped task runs with its continuations: of the dependents a run
-/// releases, the executor keeps the first and pushes the rest to the
-/// back of the queue, waking at most that many sleepers. Workers call
-/// this from [`worker_loop`], and a blocked driver from
-/// [`drive_until`]: work-sharing turns sync points into throughput —
-/// on machines with fewer cores than workers a sleeping driver would
-/// otherwise just add context switches while the workers time-slice.
+/// Executes ready tasks as `who` until the queue is empty; returns
+/// whether anything ran. Each popped task runs with its continuations:
+/// of the dependents a run releases, the executor keeps the first and
+/// pushes the rest to the back of the queue. Workers call this from
+/// [`worker_loop`], and a blocked driver from [`drive_until`]:
+/// work-sharing turns sync points into throughput — on machines with
+/// fewer cores than workers a sleeping driver would otherwise just add
+/// context switches while the workers time-slice.
 fn drain_ready(shared: &Shared, newly: &mut Vec<ReadyRun>, who: i64) -> bool {
     let mut ran = false;
     while let Some(first) = pop_ready(shared) {
@@ -1066,8 +984,7 @@ fn drain_ready(shared: &Shared, newly: &mut Vec<ReadyRun>, who: i64) -> bool {
             newly.clear();
             execute_one(shared, t, newly, who);
             if newly.len() > 1 {
-                let n = newly.len() - 1;
-                lock(&shared.injector).extend(newly.drain(1..));
+                let n = lock(&shared.queue).push(newly.drain(1..));
                 wake(shared, n);
             }
             cont = newly.pop();
@@ -1117,66 +1034,42 @@ fn drive_until<R>(shared: &Shared, mut done: impl FnMut(&mut State) -> Option<R>
 /// keeps fine-grained pipelines from ping-ponging through the kernel.
 const IDLE_SPIN_ROUNDS: usize = 32;
 
-/// True when the ready queue holds work. A function, not an inline
-/// expression, so the queue guard is dropped before a caller's `||`
-/// goes on to [`flush_staged`], which takes the state lock and then
-/// the queue lock again.
-fn has_work(shared: &Shared) -> bool {
-    !lock(&shared.injector).is_empty()
-}
-
 fn worker_loop(shared: Arc<Shared>, me: i64) {
     let _guard = WorkerGuard::new();
     let mut newly: Vec<ReadyRun> = Vec::new(); // reused across all tasks
     'outer: loop {
         drain_ready(&shared, &mut newly, me);
         // Idle: spin briefly (yielding the CPU each round) in case the
-        // driver is mid-submission, then sleep for a wake token.
+        // driver is mid-submission, then sleep. The probe only tries
+        // the lock, so a spinning worker never makes a pusher wait.
         for _ in 0..IDLE_SPIN_ROUNDS {
             std::thread::yield_now();
-            if has_work(&shared) {
+            if shared.queue.try_lock().is_ok_and(|q| !q.ready.is_empty()) {
                 continue 'outer;
             }
         }
-        // Register as a sleeper *before* the final recheck. A producer
-        // always publishes work before calling `wake`, so either our
-        // recheck sees the work, or the producer saw our registration
-        // and left a token + notify — no interleaving loses a wakeup.
-        {
-            let mut w = lock(&shared.wake);
-            if w.shutdown {
-                return;
+        // The monitor's sleep: the emptiness check and the wait are one
+        // critical section, and every push happens under this lock, so
+        // a push either precedes the check or finds this worker among
+        // the sleepers, where it claims a token and a notify unless
+        // every sleeper already has one in flight.
+        let mut q = lock(&shared.queue);
+        if q.ready.is_empty() && !q.shutdown {
+            let t0 = Instant::now();
+            q.sleepers += 1;
+            while q.ready.is_empty() && !q.shutdown {
+                q = shared
+                    .work_cv
+                    .wait(q)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                q.tokens = q.tokens.saturating_sub(1);
             }
-            w.sleepers += 1;
-            w.publish_idle_hint(&shared.idle_hint);
+            q.sleepers -= 1;
+            q.worker_parks += 1;
+            q.worker_idle_s += t0.elapsed().as_secs_f64();
         }
-        if has_work(&shared) || flush_staged(&shared) > 0 {
-            // A token granted against this registration may linger; it
-            // is consumed (as a free pass through one sleep cycle) by
-            // whichever worker next reaches the sleep loop.
-            let mut w = lock(&shared.wake);
-            w.sleepers -= 1;
-            w.publish_idle_hint(&shared.idle_hint);
-            continue 'outer;
-        }
-        let t0 = Instant::now();
-        let mut w = lock(&shared.wake);
-        loop {
-            if w.shutdown {
-                return;
-            }
-            if w.tokens > 0 {
-                w.tokens -= 1;
-                w.sleepers -= 1;
-                w.worker_parks += 1;
-                w.worker_idle_s += t0.elapsed().as_secs_f64();
-                w.publish_idle_hint(&shared.idle_hint);
-                break;
-            }
-            w = shared
-                .wake_cv
-                .wait(w)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if q.shutdown {
+            return;
         }
     }
 }
@@ -1760,26 +1653,6 @@ impl<'rt> TaskBuilder<'rt> {
         );
         Handle::new(id)
     }
-
-    /// Nested task with two inputs.
-    pub fn run_nested2<A, B, R, F>(self, a: Handle<A>, b: Handle<B>, mut f: F) -> Handle<R>
-    where
-        A: Payload,
-        B: Payload,
-        R: Payload,
-        F: FnMut(&Runtime, &A, &B) -> R + Send + 'static,
-    {
-        let id = self.submit(
-            [a.id, b.id],
-            0,
-            1,
-            Box::new(move |ctx, ins| {
-                let child = ctx.nested_runtime();
-                one(f(&child, arg::<A>(ins, 0), arg::<B>(ins, 1)))
-            }),
-        );
-        Handle::new(id)
-    }
 }
 
 #[cfg(test)]
@@ -2156,8 +2029,8 @@ mod tests {
 
     #[test]
     fn the_ready_queue_is_one_fifo_in_submission_order() {
-        // The queue contract: flushed roots wait in one FIFO in the
-        // order they were submitted, and every executor pops its front.
+        // The queue contract: ready roots wait in one FIFO in the order
+        // they were submitted, and every executor pops its front.
         // The only worker is parked inside a gate task, so nothing else
         // touches the queue.
         let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
@@ -2170,17 +2043,14 @@ mod tests {
         }); // task 0
         started_rx.recv().expect("gate started");
 
-        let n = 3 * STAGE_BATCH + 5;
-        for i in 0..n as u64 {
+        let n = 101u64;
+        for i in 0..n {
             let _ = rt.task("root").run0(move || i); // tasks 1..=n
         }
         let shared = &rt.inner.shared;
-        // The busy worker forced batching: three full batches were
-        // published, the tail is still staged.
-        assert_eq!(lock(&shared.injector).len(), 3 * STAGE_BATCH);
-        assert_eq!(flush_staged(shared), 5);
-        let ids: Vec<u64> = lock(&shared.injector).iter().map(|r| r.id.0).collect();
-        assert_eq!(ids, (1..=n as u64).collect::<Vec<_>>());
+        // Every root sits in the queue at once, oldest first.
+        let ids: Vec<u64> = lock(&shared.queue).ready.iter().map(|r| r.id.0).collect();
+        assert_eq!(ids, (1..=n).collect::<Vec<_>>());
 
         // Nothing was lost or duplicated: run the oldest here, release
         // the worker, and everything drains.
@@ -2189,7 +2059,7 @@ mod tests {
         execute_one(shared, first, &mut Vec::new(), DRIVER);
         release_tx.send(()).expect("worker alive");
         rt.barrier();
-        assert_eq!(rt.stats().total_tasks(), n as u64 + 1);
+        assert_eq!(rt.stats().total_tasks(), n + 1);
     }
 
     #[test]

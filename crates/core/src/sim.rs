@@ -89,12 +89,6 @@ impl ClusterSpec {
         }
     }
 
-    /// Same cluster with a different node count (for scalability sweeps).
-    pub fn with_nodes(mut self, nodes: usize) -> Self {
-        self.nodes = nodes;
-        self
-    }
-
     /// Adds a permanent node failure at `fail_at_s`.
     pub fn with_failure(mut self, node: usize, fail_at_s: f64) -> Self {
         self.failures.push(NodeEvent {
@@ -124,11 +118,6 @@ impl ClusterSpec {
     /// Total cores across the cluster.
     pub fn total_cores(&self) -> u32 {
         self.cores_per_node * self.nodes as u32
-    }
-
-    /// Total GPUs across the cluster.
-    pub fn total_gpus(&self) -> u32 {
-        self.gpus_per_node * self.nodes as u32
     }
 }
 

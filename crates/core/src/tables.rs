@@ -121,7 +121,7 @@ pub(crate) enum Status {
     Cancelled,
 }
 
-/// A staged task body, held while the task waits on dependencies. Its
+/// A task body, held while the task waits on dependencies. Its
 /// inputs are the row's range of the input store, and its failure
 /// policy is the row's (`on_failure` plus the rare retry policy).
 pub(crate) struct PendingJob {
@@ -148,7 +148,7 @@ pub(crate) struct Rare {
 /// One task (or marker), indexed by `TaskId`: its scheduling state and
 /// everything its [`TaskRecord`] is built from.
 pub(crate) struct Row {
-    /// The body, staged until execution.
+    /// The body, held until execution.
     pub job: Option<PendingJob>,
     /// Allocated only when the task fails, retries, nests, or declares
     /// a non-default retry policy.

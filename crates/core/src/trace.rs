@@ -95,10 +95,13 @@ pub struct TaskRecord {
     pub gpus: u32,
     /// Submission sequence number (a valid topological order).
     pub seq: u64,
-    /// When the task became visible to workers (injector flush or the
-    /// releasing predecessor's completion), in seconds since the
-    /// recording runtime's epoch; its queue wait ends at the first
-    /// attempt's start. `0.0` for tasks an inline runtime ran at
+    /// When the task became visible to workers (its push into the
+    /// ready queue, or the releasing predecessor's completion), in
+    /// seconds since the recording runtime's epoch; its queue wait ends
+    /// at the first attempt's start. A root is pushed, and stamped, at
+    /// its submission, so its queue wait covers all the time it was
+    /// ready — including the time that earlier versions, which held
+    /// roots back in batches and stamped them at the flush, left out. `0.0` for tasks an inline runtime ran at
     /// submission, for markers, for tasks that never ran, and on `dist`
     /// records.
     pub ready_s: f64,

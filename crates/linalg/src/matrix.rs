@@ -441,11 +441,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow of row `r` as a contiguous slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {

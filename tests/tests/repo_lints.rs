@@ -88,12 +88,14 @@ const MANY_ARGS_PATHS: [&str; 2] = ["crates/core/src/dist", "crates/core/src/run
 const FUSE_WORD: &str = concat!("fu", "se");
 
 /// What "One ready queue" rejects as plain substrings: the rest of the
-/// fusion window and of multi-tenancy (either case), and the names the
+/// fusion window and of multi-tenancy (either case), the names the
 /// per-worker deques, work stealing and locality steering retired
 /// (the deque field and its accessors, the steal probe tally, the
 /// affinity hint and the stamp it was computed from, and the five
-/// counters only they fed).
-const ONE_QUEUE: [&str; 17] = [
+/// counters only they fed), and those the queue monitor retired (the
+/// driver's staged batch, its size and its flush, the lock-free idle
+/// hint, and the wake lock's state).
+const ONE_QUEUE: [&str; 21] = [
     concat!("fu", "se_trace"),
     concat!("Fused", "Group"),
     concat!("discard", "able"),
@@ -111,6 +113,10 @@ const ONE_QUEUE: [&str; 17] = [
     concat!("stolen", "_tasks"),
     concat!("locality", "_hits"),
     concat!("locality", "_misses"),
+    concat!("STAGE", "_BATCH"),
+    concat!("flush", "_staged"),
+    concat!("idle", "_hint"),
+    concat!("Wake", "State"),
 ];
 
 /// The trees "One ready queue" walks.
@@ -186,6 +192,35 @@ const RETENTION_PATHS: [&str; 3] = ["crates", "tests", "examples"];
 /// "Retention stays decided" as a whole file.
 const POOL_PATH: &str = "crates/linalg/src/pool.rs";
 
+/// What "No shipped legacy baselines" rejects anywhere on a line: a
+/// module of superseded implementations.
+const LEGACY_MOD: &str = "mod legacy";
+
+/// What "No shipped legacy baselines" rejects after [`PUB_FN`]: a name
+/// of `[a-z0-9_]` ending in one of these, with more before it and no
+/// word character after it (grep's `pub fn [a-z0-9_]+_(legacy|naive)\b`).
+const LEGACY_SUFFIXES: [&str; 2] = ["_legacy", "_naive"];
+
+/// The public-function prefix [`LEGACY_SUFFIXES`] applies to.
+const PUB_FN: &str = "pub fn ";
+
+/// The trees "No shipped legacy baselines" walks, every file in them.
+const LEGACY_PATHS: [&str; 2] = ["crates", "examples"];
+
+/// What "No allocator knobs" rejects as plain substrings (grep's
+/// `GLIBC_TUNABLES|mallopt|M_(MMAP|TRIM)_THRESHOLD`): the glibc
+/// environment switch, the call that sets malloc parameters, and the
+/// two thresholds that keep freed pages mapped.
+const ALLOCATOR_KNOBS: [&str; 4] = [
+    "GLIBC_TUNABLES",
+    "mallopt",
+    "M_MMAP_THRESHOLD",
+    "M_TRIM_THRESHOLD",
+];
+
+/// The tree "No allocator knobs" walks, every file in it.
+const ALLOCATOR_KNOB_PATH: &str = "crates";
+
 /// A source file: its path relative to the workspace root (with `/`)
 /// and its text.
 struct Source {
@@ -196,7 +231,19 @@ struct Source {
 /// Every `*.rs` file under `paths` (a path may name a file), read from
 /// the workspace root. Symbolic links are not followed.
 fn rust_sources(paths: &[&str]) -> Vec<Source> {
-    fn walk(root: &Path, rel: &str, out: &mut Vec<Source>) {
+    sources_where(paths, |rel| rel.ends_with(".rs"))
+}
+
+/// Every file under `paths`, as `grep -r` reads them: bytes that are
+/// not UTF-8 are replaced, not skipped.
+fn all_sources(paths: &[&str]) -> Vec<Source> {
+    sources_where(paths, |_| true)
+}
+
+/// Every file under `paths` whose relative path `keep` accepts; see
+/// [`rust_sources`].
+fn sources_where(paths: &[&str], keep: fn(&str) -> bool) -> Vec<Source> {
+    fn walk(root: &Path, rel: &str, keep: fn(&str) -> bool, out: &mut Vec<Source>) {
         let full = root.join(rel);
         let Ok(meta) = std::fs::symlink_metadata(&full) else {
             return;
@@ -213,13 +260,13 @@ fn rust_sources(paths: &[&str]) -> Vec<Source> {
                 .collect();
             names.sort();
             for name in names {
-                walk(root, &format!("{rel}/{name}"), out);
+                walk(root, &format!("{rel}/{name}"), keep, out);
             }
-        } else if meta.is_file() && rel.ends_with(".rs") {
-            let text = std::fs::read_to_string(&full).unwrap_or_else(|e| panic!("{rel}: {e}"));
+        } else if meta.is_file() && keep(rel) {
+            let bytes = std::fs::read(&full).unwrap_or_else(|e| panic!("{rel}: {e}"));
             out.push(Source {
                 path: rel.to_string(),
-                text,
+                text: String::from_utf8_lossy(&bytes).into_owned(),
             });
         }
     }
@@ -228,7 +275,7 @@ fn rust_sources(paths: &[&str]) -> Vec<Source> {
         .expect("the tests crate sits in the workspace root");
     let mut out = Vec::new();
     for rel in paths {
-        walk(root, rel, &mut out);
+        walk(root, rel, keep, &mut out);
     }
     out
 }
@@ -503,10 +550,11 @@ fn driver_decisions_stay_io_free_fires_on_planted_violations() {
 }
 
 /// "One ready queue" (DESIGN §5.12, §5.15): submission has one path and
-/// the threaded runtime one FIFO ready queue. The fusion window and
+/// the threaded runtime one FIFO ready queue, which sits with its
+/// sleeping workers behind one lock. The fusion window and
 /// multi-tenancy were measured and removed, and so were the per-worker
-/// deques, work stealing and locality steering; bringing any back is
-/// a new, benchmarked decision.
+/// deques, work stealing, locality steering, the driver's staging and
+/// the idle hint; bringing any back is a new, benchmarked decision.
 fn one_ready_queue_violations(sources: &[Source]) -> Vec<String> {
     lines_matching(sources, |line| {
         has_word(line, FUSE_WORD) || ONE_QUEUE.iter().any(|name| line.contains(name))
@@ -525,8 +573,8 @@ fn one_ready_queue() {
     let found = one_ready_queue_violations(&sources);
     assert!(
         found.is_empty(),
-        "the fusion window, multi-tenancy, per-worker deques, stealing or \
-         locality steering are back:\n{}",
+        "the fusion window, multi-tenancy, per-worker deques, stealing, \
+         locality steering, driver staging or the idle hint are back:\n{}",
         found.join("\n")
     );
 }
@@ -556,7 +604,7 @@ fn one_ready_queue_fires_on_planted_violations() {
             "fn losing_a_worker_requeues_its_task() {}".to_string(),
             "s.inout_steals + s.inout_copies".to_string(),
             "s.steal_hit_rate() + s.locality_hit_rate()".to_string(),
-            "lock(&shared.injector).pop_front()".to_string(),
+            "lock(&shared.queue).ready.pop_front()".to_string(),
         ]
         .join("\n"),
     };
@@ -896,5 +944,138 @@ fn retention_stays_decided_fires_on_planted_violations() {
         },
     ];
     let found = retention_violations(&allowed);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "No shipped legacy baselines": a superseded implementation lives in
+/// git history and, where a test still compares against one, as a
+/// private `#[cfg(test)]` oracle — never as a public item or a
+/// `legacy` module kept alive to be benchmarked against. Rejects any
+/// line naming [`LEGACY_MOD`], or a [`PUB_FN`] whose name ends in one
+/// of [`LEGACY_SUFFIXES`], comments included.
+fn legacy_violations(sources: &[Source]) -> Vec<String> {
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let is_name = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
+    let legacy_fn = |line: &str| {
+        line.match_indices(PUB_FN).any(|(at, m)| {
+            let rest = &line[at + m.len()..];
+            let len = rest.find(|c: char| !is_name(c)).unwrap_or(rest.len());
+            let name = &rest[..len];
+            !rest[len..].starts_with(is_word)
+                && LEGACY_SUFFIXES
+                    .iter()
+                    .any(|s| name.len() > s.len() && name.ends_with(s))
+        })
+    };
+    lines_matching(sources, |line| line.contains(LEGACY_MOD) || legacy_fn(line))
+}
+
+#[test]
+fn no_shipped_legacy_baselines() {
+    let sources = all_sources(&LEGACY_PATHS);
+    for root in LEGACY_PATHS {
+        assert!(
+            sources
+                .iter()
+                .any(|s| s.path.starts_with(&format!("{root}/"))),
+            "the walk missed {root}"
+        );
+    }
+    let found = legacy_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "a *_legacy / *_naive baseline is public again:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn no_shipped_legacy_baselines_fires_on_planted_violations() {
+    let planted: Vec<Source> = [
+        "pub fn gemm_naive(a: &[f64]) {",
+        "    pub fn build_tree_legacy<T>(x: T) {}",
+        "pub fn x2__naive()",
+        "#[cfg(test)] mod legacy {",
+        "pub mod legacy;",
+        "// pub fn eigh_legacy",
+    ]
+    .iter()
+    .map(|line| Source {
+        path: "crates/linalg/src/matrix.rs".to_string(),
+        text: format!("// ok\n{line}"),
+    })
+    .collect();
+    let found = legacy_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with("crates/linalg/src/matrix.rs:2:"));
+
+    let allowed = Source {
+        path: "examples/x.rs".to_string(),
+        text: [
+            "fn build_tree_legacy(x: u8) {}",
+            "pub(crate) fn gemm_naive() {}",
+            "pub fn naive() {}",
+            "pub fn _naive() {}",
+            "pub fn legacy_mode() {}",
+            "pub fn x_legacyish() {}",
+            "pub fn x_naiveBayes() {}",
+            "mod legacies_gone;",
+        ]
+        .join("\n"),
+    };
+    let found = legacy_violations(&[allowed]);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "No allocator knobs" (DESIGN §5.10, §5.16): buffer reuse is explicit
+/// and portable — a worker hands released payloads to `linalg::pool`,
+/// and nothing in the crates tunes the system allocator to keep freed
+/// pages mapped. Rejects any line naming one of [`ALLOCATOR_KNOBS`],
+/// comments included.
+fn allocator_knob_violations(sources: &[Source]) -> Vec<String> {
+    lines_matching(sources, |line| {
+        ALLOCATOR_KNOBS.iter().any(|knob| line.contains(knob))
+    })
+}
+
+#[test]
+fn no_allocator_knobs() {
+    let sources = all_sources(&[ALLOCATOR_KNOB_PATH]);
+    assert!(
+        sources.iter().any(|s| s.path == POOL_PATH),
+        "the walk missed the buffer pool"
+    );
+    let found = allocator_knob_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "an allocator knob is in the crates:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn no_allocator_knobs_fires_on_planted_violations() {
+    let planted: Vec<Source> = ALLOCATOR_KNOBS
+        .iter()
+        .map(|knob| Source {
+            path: POOL_PATH.to_string(),
+            text: format!("// ok\n    // set {knob} here"),
+        })
+        .collect();
+    let found = allocator_knob_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with(&format!("{POOL_PATH}:2:")));
+
+    let allowed = Source {
+        path: "crates/core/Cargo.toml".to_string(),
+        text: [
+            "use std::alloc::System;",
+            "// M_ARENA_MAX is not a knob this lint knows",
+            "let mmap_threshold = 1;",
+            "linalg::pool::release(buf);",
+        ]
+        .join("\n"),
+    };
+    let found = allocator_knob_violations(&[allowed]);
     assert!(found.is_empty(), "{found:#?}");
 }

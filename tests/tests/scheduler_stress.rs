@@ -1,6 +1,6 @@
 //! Scheduler stress tests for the threaded runtime.
 //!
-//! Four properties the scheduler must preserve:
+//! Five properties the scheduler must preserve:
 //!
 //! 1. **Mode equivalence** — a ~5k-task DAG of fine-grained float tasks
 //!    with random dependencies computes *bit-identical* results inline
@@ -14,6 +14,8 @@
 //! 4. **Concurrent drivers** — two threads submitting into one runtime
 //!    each get their own data ids and compute what the same graphs
 //!    compute inline.
+//! 5. **No lost wakeup** — a pool whose workers all sleep wakes for a
+//!    single submission, with no helping driver to run it instead.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
@@ -327,4 +329,29 @@ fn concurrent_drivers_are_bit_identical_to_inline() {
     assert_eq!(outputs.len() as u64, 2 * (LINKS + 1));
     assert!(outputs.iter().all(|&d| d < n_data));
     assert_eq!(rt.stats().total_tasks(), 2 * (LINKS + 1));
+}
+
+#[test]
+fn a_parked_pool_wakes_for_one_submission() {
+    let _serial = serial();
+    // Every other threaded test ends in a `wait` or `barrier`, where the
+    // helping driver would run a stranded task itself and hide a lost
+    // wakeup. Here the driver only listens on a channel: each round
+    // lets both workers spin out and park, then submits one root, and
+    // only a worker woken by that submission can run it.
+    let rt = Runtime::threaded(2);
+    let (tx, rx) = std::sync::mpsc::channel::<u64>();
+    for round in 0..200u64 {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let tx = tx.clone();
+        let _ = rt.task("ping").run0(move || {
+            tx.send(round).expect("driver listening");
+            round
+        });
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .unwrap_or_else(|e| panic!("round {round}: no worker ran the submission: {e}"));
+        assert_eq!(got, round);
+    }
+    assert!(rt.stats().worker_parks > 0, "the workers never parked");
 }
