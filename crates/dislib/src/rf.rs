@@ -17,18 +17,18 @@
 //!   handle considerably more data than other").
 //!
 //! What the tasks share and what each owns: every fit starts with one
-//! `rf_presort` task whose [`Presort`] — each feature's rows in value
-//! order — is the only sorted structure of the forest, read by all of
-//! its tree tasks. A tree task (`rf_build_tree`, `rf_top`,
-//! `rf_subtree`) owns just three row-indexed arrays: its bootstrap as
-//! *weights* (how often each row was drawn), the distinct in-bag rows,
-//! partitioned in place so that a node is a sub-slice, and a per-node
-//! mark. A candidate split is one walk of the shared order keeping the
-//! marked rows (a node too small to be worth the walk sorts its own
-//! handful of rows in a reused buffer); no order is built per tree and
-//! nothing is allocated per feature or node. The trees are
-//! bit-identical to the per-node re-sorting CART the tests keep as
-//! their oracle.
+//! `rf_presort` task whose [`Presort`] — every row's rank in each
+//! feature's value order — is the only sorted structure of the forest,
+//! read by all of its tree tasks. A tree task (`rf_build_tree`,
+//! `rf_top`, `rf_subtree`) owns its bootstrap as *weights* (how often
+//! each row was drawn), the distinct in-bag rows, partitioned in place
+//! so that a node is a sub-slice, and a few reused buffers. A candidate
+//! split takes one path at any node size: the node's rows set their
+//! ranks in a bitmap, draining it in ascending order yields the shared
+//! order restricted to the node, and one vectorised loop scores every
+//! threshold; no order is built per tree and nothing is allocated per
+//! feature or node. The trees are bit-identical to the per-node
+//! re-sorting CART the tests keep as their oracle.
 
 use linalg::Matrix;
 use rand::rngs::StdRng;
@@ -177,12 +177,19 @@ impl Default for RfParams {
 
 /// Gini impurity of a label multiset given counts.
 fn gini(counts: &[usize; 2]) -> f64 {
-    let n = (counts[0] + counts[1]) as f64;
-    if n == 0.0 {
+    if counts[0] + counts[1] == 0 {
         return 0.0;
     }
-    let p0 = counts[0] as f64 / n;
-    let p1 = counts[1] as f64 / n;
+    gini_of(counts.map(|c| c as f64))
+}
+
+/// [`gini`] of a non-empty multiset whose (weighted) counts are held as
+/// `f64` — exact integers, so the same bits as the `usize` form — with
+/// no branch, so that a loop of them vectorises.
+#[inline(always)]
+fn gini_of([c0, c1]: [f64; 2]) -> f64 {
+    let n = c0 + c1;
+    let (p0, p1) = (c0 / n, c1 / n);
     1.0 - p0 * p0 - p1 * p1
 }
 
@@ -191,23 +198,25 @@ fn leaf_probs(counts: &[usize; 2]) -> [f64; 2] {
     [counts[0] as f64 / n, counts[1] as f64 / n]
 }
 
-/// The forest-wide pre-sort: for every feature, the training rows in
-/// ascending value order (stable, so ties keep row order). Computed
-/// once per [`RandomForest::fit`] by the `rf_presort` task and shared,
-/// read-only, by every tree task of the fit — all trees sort the same
-/// matrix and only their bootstraps differ, so this is the only order
-/// any of them needs: a tree reads its own nodes out of it through its
-/// row weights (see [`SplitScratch`]) and builds no order of its own.
+/// The forest-wide pre-sort: for every feature, each training row's
+/// rank in ascending value order (stable, so ties keep row order).
+/// Computed once per [`RandomForest::fit`] by the `rf_presort` task and
+/// shared, read-only, by every tree task of the fit — all trees sort the
+/// same matrix and only their bootstraps differ, so this is the only
+/// order any of them needs: a tree reads its own nodes out of it through
+/// the ranks of their rows (see [`RankSet`]) and builds no order of its
+/// own.
 #[derive(Debug, Clone)]
 pub struct Presort {
     n_rows: usize,
-    /// `order[f * n_rows..][..n_rows]`: row indices sorted by feature `f`.
-    order: Vec<u32>,
+    /// `rank[f * n_rows + row]`: the position of `row` in feature `f`'s
+    /// order.
+    rank: Vec<u32>,
 }
 
 impl Payload for Presort {
     fn approx_bytes(&self) -> usize {
-        self.order.len() * 4 + std::mem::size_of::<Self>()
+        self.rank.len() * 4 + std::mem::size_of::<Self>()
     }
 }
 
@@ -217,18 +226,60 @@ impl Presort {
     pub fn new(x: &Matrix) -> Self {
         let n = x.rows();
         let xt = x.transpose();
-        let mut order = Vec::with_capacity(n * x.cols());
+        let mut rank = vec![0u32; n * x.cols()];
+        let mut order = Vec::with_capacity(n);
         for f in 0..x.cols() {
             let col = xt.row(f);
-            let start = order.len();
+            order.clear();
             order.extend(0..n as u32);
-            order[start..].sort_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+            order.sort_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+            for (p, &r) in order.iter().enumerate() {
+                rank[f * n + r as usize] = p as u32;
+            }
         }
-        Self { n_rows: n, order }
+        Self { n_rows: n, rank }
     }
 
-    fn feature(&self, f: usize) -> &[u32] {
-        &self.order[f * self.n_rows..(f + 1) * self.n_rows]
+    /// The rank of every row in feature `f`'s order.
+    fn ranks(&self, f: usize) -> &[u32] {
+        &self.rank[f * self.n_rows..(f + 1) * self.n_rows]
+    }
+}
+
+/// A node's rows keyed by their rank in one feature's order: a bit per
+/// occupied position (`⌈n_rows / 64⌉` words, all zero between walks) and
+/// the row at each position (read only where a bit is set). Reused by
+/// every feature and node of a tree.
+struct RankSet {
+    bits: Vec<u64>,
+    row_at: Vec<u32>,
+}
+
+impl RankSet {
+    fn new(n_rows: usize) -> Self {
+        Self {
+            bits: vec![0; n_rows.div_ceil(64)],
+            row_at: vec![0; n_rows],
+        }
+    }
+
+    /// Visits `rows` in ascending `rank`: sets each row's rank as a bit
+    /// and drains the set bits word by word — the shared order
+    /// restricted to the node, in O(rows + n_rows / 64) at any node
+    /// size, with no sort. The bits are all zero again on return.
+    fn walk(&mut self, rank: &[u32], rows: &[u32], mut visit: impl FnMut(u32)) {
+        for &r in rows {
+            let p = rank[r as usize] as usize;
+            self.row_at[p] = r;
+            self.bits[p / 64] |= 1 << (p % 64);
+        }
+        for (i, word) in self.bits.iter_mut().enumerate() {
+            let mut b = std::mem::take(word);
+            while b != 0 {
+                visit(self.row_at[i * 64 + b.trailing_zeros() as usize]);
+                b &= b - 1;
+            }
+        }
     }
 }
 
@@ -238,38 +289,42 @@ impl Presort {
 /// ever used of duplicates (it only adds label counts, and `k` equal
 /// values never put a threshold between themselves).
 struct SplitScratch<'a> {
-    /// The forest-wide row order, shared by every tree of the fit.
+    /// The forest-wide ranks, shared by every tree of the fit.
     pre: &'a Presort,
     /// Bootstrap multiplicity of each training row; 0 = out of bag.
     w: Vec<u32>,
     /// The distinct in-bag rows, partitioned in place as the tree
     /// grows: a node is a sub-slice, its children the two halves.
     rows: Vec<u32>,
-    /// `mark[row] == epoch` iff `row` belongs to the node being split.
-    mark: Vec<u32>,
-    epoch: u32,
-    /// Gather buffer for the local-sort fallback on small nodes.
-    vals: Vec<(f64, u8, u32)>,
+    /// The node's rows in one feature's order.
+    ranked: RankSet,
+    /// Indexed by the node's rows in one feature's order: the value,
+    /// the weighted class counts of the rows before it, and the score
+    /// of the threshold just below it. `n_rows` long, reused by every
+    /// feature and node.
+    val: Vec<f64>,
+    left: [Vec<f64>; 2],
+    score: Vec<f64>,
 }
 
 impl<'a> SplitScratch<'a> {
     /// `samples` are training rows with repetition (a bootstrap, or the
     /// part of one that reached a frontier slot).
     fn new(samples: &[u32], pre: &'a Presort) -> Self {
-        let mut w = vec![0u32; pre.n_rows];
+        let n = pre.n_rows;
+        let mut w = vec![0u32; n];
         for &r in samples {
             w[r as usize] += 1;
         }
-        let rows = (0..pre.n_rows as u32)
-            .filter(|&r| w[r as usize] > 0)
-            .collect();
+        let rows = (0..n as u32).filter(|&r| w[r as usize] > 0).collect();
         Self {
             pre,
             w,
             rows,
-            mark: vec![0; pre.n_rows],
-            epoch: 0,
-            vals: Vec::new(),
+            ranked: RankSet::new(n),
+            val: vec![0.0; n],
+            left: [vec![0.0; n], vec![0.0; n]],
+            score: vec![0.0; n],
         }
     }
 
@@ -281,71 +336,28 @@ impl<'a> SplitScratch<'a> {
         }
         c
     }
-
-    /// Whether a node of `m` distinct rows should be read out of the
-    /// presort (filter: one pass over all `n` training rows, a `u32`
-    /// compare each) rather than gathered and sorted (~`m log m`
-    /// comparator calls, each worth several filter steps — hence the
-    /// factor). Both paths find the same split, so the factor only
-    /// moves cost, and barely: 40 trees at 320×160 take 17.7–18.1 ms
-    /// with factor 1, 15.8–18.7 with 2, 16.1–18.5 with 4, 16.7–18.1
-    /// with 8, 16.0–17.2 with 16 (best of 40 fits, three runs each).
-    fn filter_wins(&self, m: usize) -> bool {
-        4 * m * (usize::BITS - m.leading_zeros()) as usize >= self.pre.n_rows
-    }
-}
-
-/// Streaming threshold sweep over `(value, label, weight)` triples
-/// arriving in ascending value order: evaluates a candidate threshold
-/// at every distinct-value boundary, exactly as the seed splitter's
-/// indexed loop does over the duplicated samples (same counts — a
-/// weight adds what its duplicates added one by one, and they never had
-/// a boundary between them — same `0.5 * (prev + next)` thresholds,
-/// same strict-improvement tie-breaking), updating `best` in place.
-fn sweep_sorted(
-    iter: impl Iterator<Item = (f64, u8, u32)>,
-    total: &[usize; 2],
-    f: u32,
-    best: &mut Option<(f64, u32, f64)>,
-) {
-    let mut left = [0usize; 2];
-    let mut prev: Option<f64> = None;
-    for (v, lab, wt) in iter {
-        if let Some(pv) = prev {
-            if v != pv {
-                let right = [total[0] - left[0], total[1] - left[1]];
-                let nl = (left[0] + left[1]) as f64;
-                let nr = (right[0] + right[1]) as f64;
-                let score = (nl * gini(&left) + nr * gini(&right)) / (nl + nr);
-                let thr = 0.5 * (pv + v);
-                if best.is_none_or(|(s, _, _)| score < s) {
-                    *best = Some((score, f, thr));
-                }
-            }
-        }
-        left[lab as usize] += wt as usize;
-        prev = Some(v);
-    }
 }
 
 /// The split finder: same split decisions as the per-node re-sorting
 /// splitter it replaced (identical scores, thresholds, and tie-breaks,
-/// hence identical trees — the test-only `best_split` oracle). With
-/// `use_filter` a candidate feature is one walk of the forest-wide
-/// [`Presort`] order keeping the rows marked as the node's — O(rows)
-/// with no sort and no order of the tree's own; without it (small
-/// nodes, see [`SplitScratch::filter_wins`]) the node's rows are
-/// gathered into a reused buffer and sorted. Either way the sweep sees
-/// the same tie groups with the same counts, so the path never changes
-/// the split. Partitions `sc.rows[node]` in place and returns
-/// `(feature, threshold, mid)`: rows `node.start..mid` go left.
+/// hence identical trees — the test-only `best_split` oracle). A tried
+/// feature is one [`RankSet::walk`] of the node's rows, which lays out
+/// their values and exclusive prefix class counts in value order. One
+/// loop, which the compiler vectorises, then scores every position by
+/// the seed splitter's expression (a weight adds what its duplicates
+/// added one by one, and they never had a boundary between them) and
+/// masks a position whose value equals its predecessor's to `+∞`; the
+/// feature's first minimum replaces the running best only if strictly
+/// below it, with threshold `0.5 * (prev + next)` — the position a
+/// sweep taking every strict improvement would stop at. Partitions
+/// `sc.rows[node]` in place and returns `(feature, threshold, mid)`:
+/// rows `node.start..mid` go left.
 fn best_split_fast(
     x: &Matrix,
     y: &[u8],
     sc: &mut SplitScratch<'_>,
     node: Range<usize>,
     counts: &[usize; 2],
-    use_filter: bool,
     rng: &mut StdRng,
 ) -> Option<(u32, f64, usize)> {
     let n_feat = x.cols();
@@ -359,41 +371,51 @@ fn best_split_fast(
         pre,
         w,
         rows,
-        mark,
-        epoch,
-        vals,
+        ranked,
+        val,
+        left,
+        score,
     } = sc;
     let rows = &mut rows[node.clone()];
-    if use_filter {
-        if *epoch == u32::MAX {
-            mark.fill(0);
-            *epoch = 0;
-        }
-        *epoch += 1;
-        for &r in rows.iter() {
-            mark[r as usize] = *epoch;
-        }
-    }
-
-    let at = |r: u32, f: usize| (x.get(r as usize, f), y[r as usize], w[r as usize]);
-    let mut best: Option<(f64, u32, f64)> = None;
+    let total = counts.map(|c| c as f64);
+    // `(score, feature, threshold)`; a real score is finite.
+    let mut best = (f64::INFINITY, 0u32, 0.0);
     for _ in 0..n_try {
         let f = rng.random_range(0..n_feat);
-        if use_filter {
-            let in_node = pre
-                .feature(f)
+        // Running weight of all rows and of class 1 so far, in integer
+        // registers: no add waits on a store.
+        let (mut m, mut all, mut ones) = (0, 0u32, 0u32);
+        ranked.walk(pre.ranks(f), rows, |r| {
+            let r = r as usize;
+            val[m] = x.get(r, f);
+            left[0][m] = (all - ones) as f64;
+            left[1][m] = ones as f64;
+            all += w[r];
+            ones += w[r] * u32::from(y[r]);
+            m += 1;
+        });
+        // Every position past the first has rows on both sides, so
+        // neither count is empty.
+        let (v, s) = (&val[..m], &mut score[..m]);
+        let (l0, l1) = (&left[0][..m], &left[1][..m]);
+        for i in 1..m {
+            let (a0, a1) = (l0[i], l1[i]);
+            let (b0, b1) = (total[0] - a0, total[1] - a1);
+            let (nl, nr) = (a0 + a1, b0 + b1);
+            let at = (nl * gini_of([a0, a1]) + nr * gini_of([b0, b1])) / (nl + nr);
+            s[i] = if v[i] == v[i - 1] { f64::INFINITY } else { at };
+        }
+        let low = s[1..].iter().fold(f64::INFINITY, |a, &b| a.min(b));
+        if low < best.0 {
+            let i = 1 + s[1..]
                 .iter()
-                .filter(|&&r| mark[r as usize] == *epoch);
-            sweep_sorted(in_node.map(|&r| at(r, f)), counts, f as u32, &mut best);
-        } else {
-            vals.clear();
-            vals.extend(rows.iter().map(|&r| at(r, f)));
-            vals.sort_by(|a, b| a.0.total_cmp(&b.0));
-            sweep_sorted(vals.iter().copied(), counts, f as u32, &mut best);
+                .position(|&x| x == low)
+                .expect("the minimum is a score");
+            best = (low, f as u32, 0.5 * (v[i - 1] + v[i]));
         }
     }
 
-    let (score, feature, threshold) = best?;
+    let (score, feature, threshold) = best;
     if score >= parent_gini - 1e-12 {
         return None;
     }
@@ -446,9 +468,7 @@ fn grow_fast(
     if depth >= params.max_depth || counts[0] + counts[1] < params.min_samples_split {
         return me;
     }
-    let use_filter = sc.filter_wins(node.len());
-    let Some((feature, threshold, mid)) =
-        best_split_fast(x, y, sc, node.clone(), &counts, use_filter, rng)
+    let Some((feature, threshold, mid)) = best_split_fast(x, y, sc, node.clone(), &counts, rng)
     else {
         return me;
     };
@@ -600,13 +620,9 @@ pub fn join_tree(top: &TopSplit, subtrees: &[&Tree]) -> Tree {
             tree.nodes.push(n);
         }
         // Replace the frontier node with the subtree root (copy root
-        // into place so parent links stay valid).
-        let mut root = tree.nodes[offset as usize];
-        if root.left != LEAF && root.left == offset {
-            // Root pointing at itself cannot happen; defensive.
-            root.left = LEAF;
-        }
-        tree.nodes[node] = root;
+        // into place so parent links stay valid; the root's children
+        // follow it, so its copy never points at itself).
+        tree.nodes[node] = tree.nodes[offset as usize];
     }
     tree
 }
@@ -1247,50 +1263,50 @@ mod tests {
     }
 
     #[test]
-    fn split_is_independent_of_the_filter_vs_sort_path() {
-        let (x, y) = eight_level_blobs(60, 5, 49);
+    fn candidates_walk_the_presort_order_of_the_node() {
+        // 200 rows: the bitmap spans four words. Zeros alternate in
+        // sign, which `total_cmp` ranks apart, and column 0 is constant.
+        let (mut x, y) = eight_level_blobs(100, 5, 49);
+        for r in 0..x.rows() {
+            for f in 1..x.cols() {
+                if x.get(r, f) == 0.0 && r % 2 == 1 {
+                    x.set(r, f, -0.0);
+                }
+            }
+            x.set(r, 0, 3.0);
+        }
         let pre = Presort::new(&x);
         let samples = bootstrap(x.rows(), &mut StdRng::seed_from_u64(3));
-        let mut filtered = SplitScratch::new(&samples, &pre);
-        let mut sorted = SplitScratch::new(&samples, &pre);
-        let as_set = |sc: &SplitScratch<'_>, part: Range<usize>| {
-            let mut rows = sc.rows[part].to_vec();
-            rows.sort_unstable();
-            rows
-        };
-        // Every node of the tree, from the ones `filter_wins` would
-        // filter down to the ones it would sort.
+        let mut sc = SplitScratch::new(&samples, &pre);
         let mut todo = Vec::new();
-        todo.push(0..filtered.rows.len());
-        let (mut large, mut small) = (0, 0);
+        todo.push(0..sc.rows.len());
+        let mut nodes = 0;
         while let Some(node) = todo.pop() {
-            let counts = filtered.class_counts(&y, node.clone());
-            let split = |sc: &mut SplitScratch<'_>, use_filter| {
-                let mut rng = StdRng::seed_from_u64(100 + node.start as u64);
-                best_split_fast(&x, &y, sc, node.clone(), &counts, use_filter, &mut rng)
-            };
-            let by_filter = split(&mut filtered, true);
-            assert_eq!(by_filter, split(&mut sorted, false), "node {node:?}");
-            let Some((_, _, mid)) = by_filter else {
-                continue;
-            };
-            for child in [node.start..mid, mid..node.end] {
-                assert_eq!(
-                    as_set(&filtered, child.clone()),
-                    as_set(&sorted, child.clone())
+            nodes += 1;
+            let in_node: std::collections::BTreeSet<u32> =
+                sc.rows[node.clone()].iter().copied().collect();
+            for f in 0..x.cols() {
+                let mut walked = Vec::new();
+                let SplitScratch { rows, ranked, .. } = &mut sc;
+                ranked.walk(pre.ranks(f), &rows[node.clone()], |r| walked.push(r));
+                assert!(
+                    ranked.bits.iter().all(|&w| w == 0),
+                    "the walk left bits set"
                 );
-                todo.push(child);
+                let mut order: Vec<u32> = (0..x.rows() as u32).collect();
+                order.sort_by(|&a, &b| x.get(a as usize, f).total_cmp(&x.get(b as usize, f)));
+                order.retain(|r| in_node.contains(r));
+                assert_eq!(walked, order, "node {node:?} feature {f}");
             }
-            if filtered.filter_wins(node.len()) {
-                large += 1;
-            } else {
-                small += 1;
+            let counts = sc.class_counts(&y, node.clone());
+            let mut rng = StdRng::seed_from_u64(100 + node.start as u64);
+            if let Some((_, _, mid)) =
+                best_split_fast(&x, &y, &mut sc, node.clone(), &counts, &mut rng)
+            {
+                todo.extend([node.start..mid, mid..node.end]);
             }
         }
-        assert!(
-            large >= 3 && small >= 3,
-            "{large} large and {small} small nodes split"
-        );
+        assert!(nodes >= 15, "only {nodes} nodes walked");
     }
 
     #[test]
@@ -1316,17 +1332,24 @@ mod tests {
 
         #[test]
         fn prop_fast_trees_identical_to_legacy(
-            n in 20usize..120,
+            n in 20usize..200,
             d in 1usize..7,
             seed in 0u64..1000,
             est in 0u64..8,
         ) {
             let spread = 0.4 + (seed % 5) as f64 * 0.4;
-            let (mut x, y) = blobs_nd(n, d, spread, seed);
+            let (x, y) = blobs_nd(n, d, spread, seed);
+            // One constant column, and zeros of both signs: `total_cmp`
+            // ranks them apart, the sweep must see one value.
+            let rows = x.rows();
+            let mut x = Matrix::from_fn(rows, d + 1, |r, f| if f == d { 1.5 } else { x.get(r, f) });
             if seed % 2 == 0 {
                 for v in x.as_mut_slice() {
                     *v = (*v * 8.0).round() / 8.0;
                 }
+            }
+            for r in (0..rows).step_by(3) {
+                x.set(r, 0, if r % 2 == 0 { 0.0 } else { -0.0 });
             }
             let params = RfParams {
                 max_depth: 12,

@@ -221,6 +221,79 @@ const ALLOCATOR_KNOBS: [&str; 4] = [
 /// The tree "No allocator knobs" walks, every file in it.
 const ALLOCATOR_KNOB_PATH: &str = "crates";
 
+/// What "One split path" rejects under [`SPLIT_PATH_TREE`], comments
+/// included: the random forest's size threshold that chose between two
+/// candidate paths, the sweep only they fed, and the flag that passed
+/// the choice down.
+const SPLIT_PATHS: [&str; 3] = [
+    concat!("filter", "_wins"),
+    concat!("sweep", "_sorted"),
+    concat!("use", "_filter"),
+];
+
+/// The tree "One split path" walks.
+const SPLIT_PATH_TREE: &str = "crates/dislib";
+
+/// What "No second measurement stack" requires to be absent: the
+/// vendored criterion harness, the bench crate's criterion benches, and
+/// the `perf`, `scale` and `telemetry` bins.
+const MEASUREMENT_STACK_GONE: [&str; 5] = [
+    "compat/criterion",
+    "crates/bench/benches",
+    "crates/bench/src/bin/perf.rs",
+    "crates/bench/src/bin/scale.rs",
+    "crates/bench/src/bin/telemetry.rs",
+];
+
+/// What "No second measurement stack" rejects in the root manifest and
+/// in each `crates/*/Cargo.toml`: a criterion dependency or a bench
+/// target.
+const MEASUREMENT_STACK: [&str; 2] = [concat!("crite", "rion"), concat!("[[", "bench]]")];
+
+/// What "No strided CNN layout" rejects as plain substrings: the
+/// per-sample gather and scatter of the `[channel][sample][len]`
+/// layout.
+const STRIDED_CNN: [&str; 2] = [concat!("gather", "_sample"), concat!("scatter", "_sample")];
+
+/// What "No strided CNN layout" rejects when no word character follows
+/// it: the strided patch-matrix builder.
+const IM2COL_FN: &str = concat!("fn ", "im2col");
+
+/// The tree "No strided CNN layout" walks, every file in it.
+const STRIDED_CNN_PATH: &str = "crates/nnet/src";
+
+/// What "Cut to the paper" requires to be absent: FedAvg, the
+/// RR-interval baseline, the `ablate` bin and the second CNN timer.
+const CUT_FILES: [&str; 6] = [
+    "crates/nnet/src/federated.rs",
+    "examples/federated.rs",
+    "crates/ecg/src/hrv.rs",
+    "crates/bench/src/bin/rr_baseline.rs",
+    "crates/bench/src/bin/ablate.rs",
+    "crates/nnet/examples/train_epoch_micro.rs",
+];
+
+/// What "Cut to the paper" rejects as plain substrings, comments
+/// included: the APIs only the deleted files reached.
+const CUT_APIS: [&str; 13] = [
+    concat!("fed", "_avg"),
+    concat!("Federated", "Config"),
+    concat!("Rr", "Detector"),
+    concat!("hrv", "_features"),
+    concat!("train_epoch", "_gradsync"),
+    concat!("apply", "_gradients"),
+    concat!("NodeSpeed", "Fn"),
+    concat!("node", "_speed"),
+    concat!("Cohort", "Spec"),
+    concat!("filter_af", "_normal"),
+    concat!("grid", "_search"),
+    concat!("Class::", "Other"),
+    concat!("Class::", "Noisy"),
+];
+
+/// The trees "Cut to the paper" walks.
+const CUT_PATHS: [&str; 3] = ["crates", "tests", "examples"];
+
 /// A source file: its path relative to the workspace root (with `/`)
 /// and its text.
 struct Source {
@@ -270,14 +343,27 @@ fn sources_where(paths: &[&str], keep: fn(&str) -> bool) -> Vec<Source> {
             });
         }
     }
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("the tests crate sits in the workspace root");
     let mut out = Vec::new();
     for rel in paths {
-        walk(root, rel, keep, &mut out);
+        walk(workspace_root(), rel, keep, &mut out);
     }
     out
+}
+
+/// The workspace root, which every lint path is relative to.
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("the tests crate sits in the workspace root")
+}
+
+/// Those of `paths` that exist (as files, directories or links).
+fn existing<'a>(paths: &[&'a str]) -> Vec<&'a str> {
+    paths
+        .iter()
+        .copied()
+        .filter(|rel| std::fs::symlink_metadata(workspace_root().join(rel)).is_ok())
+        .collect()
 }
 
 /// True if `word` occurs in `line` with no word character
@@ -287,6 +373,14 @@ fn has_word(line: &str, word: &str) -> bool {
     line.match_indices(word).any(|(at, _)| {
         !is_word(line[..at].chars().next_back()) && !is_word(line[at + word.len()..].chars().next())
     })
+}
+
+/// True if `pat` occurs in `line` with no word character right after
+/// it: grep's `pat\b` when `pat` ends in a word character.
+fn has_word_end(line: &str, pat: &str) -> bool {
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    line.match_indices(pat)
+        .any(|(at, m)| !line[at + m.len()..].starts_with(is_word))
 }
 
 /// Every line of `sources` that `reject` flags, comments included, as
@@ -877,13 +971,8 @@ fn one_schedule_record_fires_on_planted_violations() {
 /// [`RELEASE_FN`] not followed by a word character, is rejected,
 /// comments included, except in [`POOL_PATH`].
 fn retention_violations(sources: &[Source]) -> Vec<String> {
-    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
-    let release_fn = |line: &str| {
-        line.match_indices(RELEASE_FN)
-            .any(|(at, m)| !line[at + m.len()..].starts_with(is_word))
-    };
     let mut found = lines_matching(sources, |line| {
-        release_fn(line) || RETENTION.iter().any(|p| line.contains(p))
+        has_word_end(line, RELEASE_FN) || RETENTION.iter().any(|p| line.contains(p))
     });
     found.retain(|l| !l.starts_with(&format!("{POOL_PATH}:")));
     found
@@ -1077,5 +1166,260 @@ fn no_allocator_knobs_fires_on_planted_violations() {
         .join("\n"),
     };
     let found = allocator_knob_violations(&[allowed]);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "One split path" (DESIGN §5.9): the random forest finds every split
+/// on one path, a walk of the node's rows through the shared presort
+/// and one vector sweep, at any node size. The size threshold that chose
+/// between a presort filter and a per-node sort, and the streaming sweep
+/// only those two paths fed, are gone; any line under
+/// [`SPLIT_PATH_TREE`] naming one of [`SPLIT_PATHS`] is rejected,
+/// comments included.
+fn split_path_violations(sources: &[Source]) -> Vec<String> {
+    lines_matching(sources, |line| SPLIT_PATHS.iter().any(|n| line.contains(n)))
+}
+
+#[test]
+fn one_split_path() {
+    let sources = rust_sources(&[SPLIT_PATH_TREE]);
+    assert!(
+        sources.iter().any(|s| s.path == "crates/dislib/src/rf.rs"),
+        "the walk missed the random forest"
+    );
+    let found = split_path_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "a second split path is back in the random forest:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn one_split_path_fires_on_planted_violations() {
+    let planted: Vec<Source> = SPLIT_PATHS
+        .iter()
+        .map(|name| Source {
+            path: "crates/dislib/src/rf.rs".to_string(),
+            text: format!("    // ok\n    if sc.{name}(m) {{}} // {name}"),
+        })
+        .collect();
+    let found = split_path_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with("crates/dislib/src/rf.rs:2:"));
+
+    let allowed = Source {
+        path: "crates/dislib/src/rf.rs".to_string(),
+        text: [
+            "pre.walk(f, rows, bits, |p| {});",
+            "let best = best_split_fast(x, y, sc, node, &counts, rng);",
+            "let wins = filter_win; let sorted = sweep;",
+        ]
+        .join("\n"),
+    };
+    let found = split_path_violations(&[allowed]);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "No second measurement stack" (DESIGN §5.18): `benchmark/` times the
+/// code, `cargo test` asserts it, and `crates/bench` reproduces the
+/// paper. Rejects any line of the root manifest or of a
+/// `crates/*/Cargo.toml` naming one of [`MEASUREMENT_STACK`].
+fn measurement_stack_violations(sources: &[Source]) -> Vec<String> {
+    lines_matching(sources, |line| {
+        MEASUREMENT_STACK.iter().any(|p| line.contains(p))
+    })
+}
+
+/// The manifests "No second measurement stack" reads: the root one and
+/// `crates/*/Cargo.toml`, one level down.
+fn is_checked_manifest(rel: &str) -> bool {
+    rel == "Cargo.toml"
+        || rel
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.strip_suffix("/Cargo.toml"))
+            .is_some_and(|name| !name.contains('/'))
+}
+
+#[test]
+fn no_second_measurement_stack() {
+    let back = existing(&MEASUREMENT_STACK_GONE);
+    assert!(
+        back.is_empty(),
+        "{back:?} is back: time it in benchmark/, assert it in a #[test]"
+    );
+    let manifests = sources_where(&["Cargo.toml", "crates"], is_checked_manifest);
+    for name in [
+        "Cargo.toml",
+        "crates/bench/Cargo.toml",
+        "crates/dislib/Cargo.toml",
+    ] {
+        assert!(
+            manifests.iter().any(|s| s.path == name),
+            "the walk missed {name}"
+        );
+    }
+    let found = measurement_stack_violations(&manifests);
+    assert!(
+        found.is_empty(),
+        "a criterion dependency or bench target is back:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn no_second_measurement_stack_fires_on_planted_violations() {
+    let [criterion, bench] = MEASUREMENT_STACK;
+    let planted = [
+        Source {
+            path: "Cargo.toml".to_string(),
+            text: format!("[dev-dependencies]\n{criterion} = \"0.5\""),
+        },
+        Source {
+            path: "crates/bench/Cargo.toml".to_string(),
+            text: format!("{bench}\nname = \"micro\""),
+        },
+    ];
+    let found = measurement_stack_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with("Cargo.toml:2:"));
+    assert_eq!(
+        existing(&["Cargo.toml", "crates/bench", "crates/bench/benches/x.rs"]),
+        ["Cargo.toml", "crates/bench"]
+    );
+    assert!(is_checked_manifest("crates/nnet/Cargo.toml"));
+    assert!(!is_checked_manifest("crates/nnet/fuzz/Cargo.toml"));
+    assert!(!is_checked_manifest("benchmark/Cargo.toml"));
+
+    let allowed = Source {
+        path: "crates/bench/Cargo.toml".to_string(),
+        text: "[[bin]]\nname = \"table1\"\nbench = false".to_string(),
+    };
+    let found = measurement_stack_violations(&[allowed]);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "No strided CNN layout" (DESIGN §5 item 9): activations are
+/// channels-last, so a receptive field is a contiguous run and every
+/// pass is one GEMM over row copies. Rejects any line under
+/// [`STRIDED_CNN_PATH`] naming one of [`STRIDED_CNN`], or an
+/// [`IM2COL_FN`] not followed by a word character, comments included.
+fn strided_cnn_violations(sources: &[Source]) -> Vec<String> {
+    lines_matching(sources, |line| {
+        has_word_end(line, IM2COL_FN) || STRIDED_CNN.iter().any(|p| line.contains(p))
+    })
+}
+
+#[test]
+fn no_strided_cnn_layout() {
+    let sources = all_sources(&[STRIDED_CNN_PATH]);
+    assert!(
+        sources
+            .iter()
+            .any(|s| s.path == "crates/nnet/src/layers.rs"),
+        "the walk missed the CNN layers"
+    );
+    let found = strided_cnn_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "the strided [channel][sample][len] path is back:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn no_strided_cnn_layout_fires_on_planted_violations() {
+    let mut planted: Vec<Source> = STRIDED_CNN
+        .iter()
+        .map(|name| Source {
+            path: "crates/nnet/src/layers.rs".to_string(),
+            text: format!("    // ok\n    {name}(&x, s, &mut out);"),
+        })
+        .collect();
+    for line in [
+        format!("{IM2COL_FN}(x: &[f32]) {{"),
+        format!("pub(crate) {IM2COL_FN}<T>()"),
+    ] {
+        planted.push(Source {
+            path: "crates/nnet/src/network.rs".to_string(),
+            text: line,
+        });
+    }
+    let found = strided_cnn_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with("crates/nnet/src/layers.rs:2:"));
+
+    let allowed = Source {
+        path: "crates/nnet/src/layers.rs".to_string(),
+        text: [
+            format!("{IM2COL_FN}_forward_matches_naive() {{}}"),
+            "/// `im2col_with_scalar_gemm_bitwise_matches_naive` pins it.".to_string(),
+            "let sample = gather(x); scatter(sample);".to_string(),
+        ]
+        .join("\n"),
+    };
+    let found = strided_cnn_violations(&[allowed]);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "Cut to the paper" (DESIGN §3): only what the paper's evaluation or
+/// the benchmark runs is shipped. Rejects any line naming one of
+/// [`CUT_APIS`], comments included; bringing one back needs a test or a
+/// committed artifact a reader of the paper needs.
+fn cut_api_violations(sources: &[Source]) -> Vec<String> {
+    lines_matching(sources, |line| CUT_APIS.iter().any(|p| line.contains(p)))
+}
+
+#[test]
+fn cut_to_the_paper() {
+    let back = existing(&CUT_FILES);
+    assert!(
+        back.is_empty(),
+        "{back:?} is back: it runs in neither the paper's evaluation nor the benchmark"
+    );
+    let sources = rust_sources(&CUT_PATHS);
+    for root in CUT_PATHS {
+        assert!(
+            sources
+                .iter()
+                .any(|s| s.path.starts_with(&format!("{root}/"))),
+            "the walk missed {root}"
+        );
+    }
+    let found = cut_api_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "an API cut to the paper is back:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn cut_to_the_paper_fires_on_planted_violations() {
+    let planted: Vec<Source> = CUT_APIS
+        .iter()
+        .map(|name| Source {
+            path: "examples/x.rs".to_string(),
+            text: format!("// ok\nlet x = {name}(1); // {name}"),
+        })
+        .collect();
+    let found = cut_api_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with("examples/x.rs:2:"));
+    assert_eq!(
+        existing(&["examples/quickstart.rs", "examples/federated_x.rs"]),
+        ["examples/quickstart.rs"]
+    );
+
+    let allowed = Source {
+        path: "crates/ecg/src/lib.rs".to_string(),
+        text: [
+            "Class::Normal | Class::Af",
+            "let speed = node.speed; let grid = search(x);",
+            "fn apply_gradient(w: &mut [f32]) {}",
+        ]
+        .join("\n"),
+    };
+    let found = cut_api_violations(&[allowed]);
     assert!(found.is_empty(), "{found:#?}");
 }
