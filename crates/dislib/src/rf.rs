@@ -1262,6 +1262,26 @@ mod tests {
         }
     }
 
+    /// The presort is what the forest shares: one payload that every
+    /// tree task of a fit reads and that the DES ships to every node, so
+    /// its size shapes Fig. 11c. Pinned here, at four bytes per (row,
+    /// feature) rank, so that what the forest shares changes only on
+    /// purpose (DESIGN §5.9).
+    #[test]
+    fn presort_payload_is_four_bytes_per_rank() {
+        for (rows, features) in [(0, 0), (1, 3), (57, 9), (320, 160)] {
+            let x = Matrix::from_fn(rows, features, |r, f| ((r * 7 + f * 3) % 11) as f64);
+            let bytes = Presort::new(&x).approx_bytes();
+            assert_eq!(
+                bytes,
+                4 * rows * features + std::mem::size_of::<Presort>(),
+                "a {rows}x{features} presort now ships {bytes} bytes to every simulated node: \
+                 rerun `cargo run --release -p bench --bin fig11 -- --algo rf --check`, whose \
+                 Fig. 11c plateau gate allows 1 %, and decide the payload change on purpose"
+            );
+        }
+    }
+
     #[test]
     fn candidates_walk_the_presort_order_of_the_node() {
         // 200 rows: the bitmap spans four words. Zeros alternate in

@@ -16,6 +16,10 @@ use linalg::{Kernel, Matrix};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+/// Rows of a [`SvcModel::predict`] block: its kernel values against
+/// every support vector are held at once, so this bounds that buffer.
+const PREDICT_ROWS: usize = 256;
+
 /// SVC hyper-parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SvcParams {
@@ -86,9 +90,33 @@ impl SvcModel {
         u8::from(self.decision(x) > 0.0)
     }
 
-    /// Predicted labels for every row of `x`.
+    /// Predicted labels for every row of `x`, each the one
+    /// [`SvcModel::predict_one`] gives its row.
     pub fn predict(&self, x: &Matrix) -> Vec<u8> {
-        (0..x.rows()).map(|r| self.predict_one(x.row(r))).collect()
+        self.decisions(x)
+            .into_iter()
+            .map(|d| u8::from(d > 0.0))
+            .collect()
+    }
+
+    /// [`SvcModel::decision`] of every row of `x`, bit for bit: one
+    /// batched [`Kernel::eval_pairs`] per block of [`PREDICT_ROWS`] rows
+    /// against all support vectors, summed per row in `decision`'s
+    /// order.
+    pub(crate) fn decisions(&self, x: &Matrix) -> Vec<f64> {
+        let mut out = Vec::with_capacity(x.rows());
+        for r0 in (0..x.rows()).step_by(PREDICT_ROWS) {
+            let block = x.slice_rows(r0, (r0 + PREDICT_ROWS).min(x.rows()));
+            let k = self.kernel.eval_pairs(&block, &self.support_vectors);
+            for r in 0..k.rows() {
+                let mut acc = self.intercept;
+                for (&coef, &kv) in self.dual_coef.iter().zip(k.row(r)) {
+                    acc += coef * kv;
+                }
+                out.push(acc);
+            }
+        }
+        out
     }
 
     /// Number of support vectors.
@@ -485,6 +513,41 @@ mod tests {
     fn rejects_single_class() {
         let x = Matrix::from_rows(&[vec![0.0], vec![1.0]]);
         let _ = fit_svc(&x, &[1, 1], &SvcParams::default());
+    }
+
+    /// `predict`'s batched kernel evaluation gives every row the
+    /// decision value `decision` computes for it alone, bit for bit, for
+    /// each kernel: on the benchmark-regime set (stacked twice, so that
+    /// it spans three predict blocks) and on the blobs.
+    #[test]
+    fn batched_decisions_match_per_row_decision_bit_for_bit() {
+        let (bx, by) = blobs(40, 2.0, 3);
+        let with = |kernel| SvcParams {
+            kernel,
+            ..Default::default()
+        };
+        let poly = Kernel::Poly {
+            degree: 3,
+            coef0: 0.5,
+        };
+        let cases = [
+            high_gamma_set(),
+            (bx.clone(), by.clone(), with(Kernel::Linear)),
+            (bx.clone(), by.clone(), with(Kernel::Rbf { gamma: 0.5 })),
+            (bx, by, with(poly)),
+        ];
+        for (x, y, params) in cases {
+            let model = fit_svc(&x, &y, &params);
+            let x = x.vstack(&x);
+            let got = model.decisions(&x);
+            assert_eq!(got.len(), x.rows());
+            for (r, d) in got.iter().enumerate() {
+                let want = model.decision(x.row(r));
+                assert_eq!(d.to_bits(), want.to_bits(), "{:?} row {r}", params.kernel);
+            }
+            let labels: Vec<u8> = (0..x.rows()).map(|r| model.predict_one(x.row(r))).collect();
+            assert_eq!(model.predict(&x), labels, "{:?}", params.kernel);
+        }
     }
 
     #[test]

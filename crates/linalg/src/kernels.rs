@@ -5,6 +5,7 @@
 //! CascadeSVM.
 
 use crate::matrix::{sq_dists_map, Matrix};
+use crate::sgemm::PairSum;
 
 /// Squared Euclidean distance between two equally-long slices.
 ///
@@ -88,8 +89,24 @@ impl Kernel {
             Kernel::Linear => x.matmul_nt(y),
             Kernel::Rbf { gamma } => sq_dists_map(x, y, |d| (-gamma * d).exp()),
             Kernel::Poly { degree, coef0 } => {
-                x.matmul_nt_map(y, |_, _, v| (v + coef0).powi(degree as i32))
+                x.pair_map(y, PairSum::Dot, |_, _, v| (v + coef0).powi(degree as i32))
             }
+        }
+    }
+
+    /// Every [`Kernel::eval`]`(x.row(i), y.row(j))`, bit for bit, as one
+    /// `x.rows() x y.rows()` matrix: the batched form of per-pair
+    /// evaluation, on the pair tile of [`Matrix::matmul_nt`]. It equals
+    /// [`Kernel::gram`] for the linear and polynomial kernels; the RBF
+    /// kernel sums `(xi - yj)²` directly, as [`euclidean_sq`] does,
+    /// instead of expanding it.
+    ///
+    /// # Panics
+    /// Panics if `x` and `y` disagree on column count.
+    pub fn eval_pairs(&self, x: &Matrix, y: &Matrix) -> Matrix {
+        match *self {
+            Kernel::Rbf { gamma } => x.pair_map(y, PairSum::DiffSq, |_, _, d| (-gamma * d).exp()),
+            Kernel::Linear | Kernel::Poly { .. } => self.gram(x, y),
         }
     }
 }

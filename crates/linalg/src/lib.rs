@@ -25,7 +25,10 @@
 //!   across every window of a sweep.
 //! * [`kernels`] — pairwise distances and SVM kernel functions.
 //! * [`sgemm`] — blocked single-precision GEMM over raw `f32` slices,
-//!   the kernel behind the convolution and dense layers of `nnet`.
+//!   the kernel behind the convolution and dense layers of `nnet`, and
+//!   the f64 pair tile behind [`Matrix::matmul_nt`] and the SVM
+//!   kernels; the crate's one runtime-dispatched (AVX-512F / AVX2 /
+//!   portable) and `unsafe` module.
 //! * [`pool`] — thread-local recycling pool for `Vec<f64>` storage;
 //!   GEMM outputs and eigensolver scratch come from
 //!   [`Matrix::from_pool`] and return via [`Matrix::into_pool`].

@@ -11,10 +11,12 @@
 //! bitwise identical to the naive triple loop.
 //!
 //! The row-by-row products ([`Matrix::matmul_nt`], and through it
-//! [`pairwise_sq_dists`] and `Kernel::gram`) run a register tile of
-//! [`dot`]s instead: `NT_ROWS x NT_COLS` row pairs advance together so
-//! each loaded chunk feeds several accumulators, while every single dot
-//! keeps [`dot`]'s exact lane order and therefore its exact bits.
+//! [`pairwise_sq_dists`] and `Kernel::gram`; `Kernel::eval_pairs`) run
+//! the f64 pair tile of [`crate::sgemm`] instead: 4 rows of the left
+//! operand against a packed strip of 8 rows of the right one, in
+//! AVX-512F or AVX2 intrinsics or a portable loop, while every single
+//! sum keeps [`dot`]'s four lanes, combine order and remainder loop
+//! (or [`crate::euclidean_sq`]'s) and therefore its exact bits.
 //!
 //! **Symmetric fast paths.** A product of a matrix with *itself*
 //! (`m.t_matmul(m)`, `x.matmul_nt(x)`, `pairwise_sq_dists(x, x)`,
@@ -23,14 +25,14 @@
 //! commuted products in the same order. Those calls compute the upper
 //! triangle only and mirror it: half the flops, the same bits.
 //!
-//! **Same source, three codegens.** Each public kernel calls its
+//! **Same source, three codegens.** Each other public kernel calls its
 //! `#[inline(always)]` body through [`crate::sgemm::wide!`], which
 //! compiles it eight `f64` lanes wide on AVX-512F hosts, four on AVX2
 //! hosts, and two at baseline. The bits do not depend on that choice
 //! (see `wide!`), and the `*_body` methods stay callable directly so
 //! the tests can hold every build equal to them.
 
-use crate::sgemm::wide;
+use crate::sgemm::{wide, PairSum};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -51,12 +53,6 @@ const MR: usize = 4;
 /// the broadcast; 4 x 4, 4 x 12, 4 x 16 and 6 x 8 tiles measured slower
 /// (DESIGN §5.17).
 const NR: usize = 8;
-/// Register tile of [`Matrix::matmul_nt`]: the dots of `NT_ROWS` rows
-/// of the left operand with `NT_COLS` rows of the right one advance
-/// together.
-const NT_ROWS: usize = 2;
-/// See [`NT_ROWS`].
-const NT_COLS: usize = 4;
 /// Edge of the square tiles [`Matrix::transpose`] and the triangle
 /// mirror move at a time: one cache line of `f64`.
 const TB: usize = 8;
@@ -109,41 +105,9 @@ pub(crate) fn sq_dists_map(x: &Matrix, y: &Matrix, f: impl Fn(f64) -> f64) -> Ma
     );
     let xn = x.row_sq_norms();
     let yn = y.row_sq_norms();
-    x.matmul_nt_map(y, |i, j, v| f((xn[i] + yn[j] - 2.0 * v).max(0.0)))
-}
-
-/// `R x C` block of [`dot`] products, `out[r][c] = dot(a[r], b[c])`,
-/// advanced together so every loaded chunk feeds `R` or `C`
-/// accumulators. Each product keeps [`dot`]'s lane assignment, combine
-/// order and remainder loop, so it is bitwise equal to calling [`dot`].
-#[inline(always)]
-fn dot_tile<const R: usize, const C: usize>(a: [&[f64]; R], b: [&[f64]; C]) -> [[f64; C]; R] {
-    let k = a[0].len();
-    let a = a.map(|s| &s[..k]);
-    let b = b.map(|s| &s[..k]);
-    let body = k - k % 4;
-    let mut acc = [[[0.0f64; 4]; C]; R];
-    for q in (0..body).step_by(4) {
-        for r in 0..R {
-            for c in 0..C {
-                for l in 0..4 {
-                    acc[r][c][l] += a[r][q + l] * b[c][q + l];
-                }
-            }
-        }
-    }
-    let mut out = [[0.0f64; C]; R];
-    for r in 0..R {
-        for c in 0..C {
-            let t = &acc[r][c];
-            let mut s = (t[0] + t[1]) + (t[2] + t[3]);
-            for q in body..k {
-                s += a[r][q] * b[c][q];
-            }
-            out[r][c] = s;
-        }
-    }
-    out
+    x.pair_map(y, PairSum::Dot, |i, j, v| {
+        f((xn[i] + yn[j] - 2.0 * v).max(0.0))
+    })
 }
 
 /// `a * rhs`, or `a^T * rhs` when `transposed`: the one loop nest
@@ -577,67 +541,43 @@ impl Matrix {
     /// # Panics
     /// Panics if the operands disagree on column count.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_nt_map(rhs, |_, _, v| v)
+        self.pair_map(rhs, PairSum::Dot, |_, _, v| v)
     }
 
-    /// [`Matrix::matmul_nt`] with `f(i, j, dot)` applied to every
-    /// element. For the symmetric fast path (`rhs` is `self`) `f` must
-    /// be symmetric too, `f(i, j, v) == f(j, i, v)` bitwise, as it runs
-    /// on the upper triangle only.
-    pub(crate) fn matmul_nt_map(
+    /// `f(i, j, s)` for every row `i` of `self` and row `j` of `rhs`,
+    /// `s` their [`PairSum`]: bitwise [`dot`] (so with `PairSum::Dot`
+    /// this is [`Matrix::matmul_nt`] mapped by `f`) or
+    /// [`crate::euclidean_sq`] of the two rows, on every arm. For the
+    /// symmetric fast path (`rhs` *is* `self`) `f` must be symmetric
+    /// too, `f(i, j, v) == f(j, i, v)` bitwise, as it runs on the upper
+    /// triangle only and the rest is mirrored.
+    ///
+    /// # Panics
+    /// Panics if the operands disagree on column count.
+    pub(crate) fn pair_map(
         &self,
         rhs: &Matrix,
+        sum: PairSum,
         f: impl Fn(usize, usize, f64) -> f64,
     ) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,
-            "matmul_nt dimension mismatch: {}x{} * ({}x{})^T",
+            "row-pair product dimension mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        wide!(self.matmul_nt_map_body(rhs, f))
-    }
-
-    /// [`Matrix::matmul_nt_map`] after its shape check, for [`wide!`] to
-    /// inline.
-    #[inline(always)]
-    fn matmul_nt_map_body(&self, rhs: &Matrix, f: impl Fn(usize, usize, f64) -> f64) -> Matrix {
         let n = rhs.rows;
         // Every output element is assigned (`=`, never `+=`; the
         // symmetric path's lower triangle by the mirror), so the pool's
         // zero-fill would be pure waste.
         let mut out = Matrix::from_pool_full_overwrite(self.rows, n);
         let symmetric = std::ptr::eq(self, rhs);
-        for i0 in (0..self.rows).step_by(NT_ROWS) {
-            let i1 = (i0 + NT_ROWS).min(self.rows);
-            let mut put = |i: usize, j: usize, v: f64| out.data[i * n + j] = f(i, j, v);
-            // Tiles sit on the NT_COLS grid; the symmetric path starts at
-            // the last grid line at or left of the diagonal.
-            let mut j0 = if symmetric { i0 - i0 % NT_COLS } else { 0 };
-            while j0 + NT_COLS <= n {
-                let b: [&[f64]; NT_COLS] = std::array::from_fn(|c| rhs.row(j0 + c));
-                if i1 - i0 == NT_ROWS {
-                    let a: [&[f64]; NT_ROWS] = std::array::from_fn(|r| self.row(i0 + r));
-                    for (r, tile_row) in dot_tile(a, b).iter().enumerate() {
-                        for (c, &v) in tile_row.iter().enumerate() {
-                            put(i0 + r, j0 + c, v);
-                        }
-                    }
-                } else {
-                    for i in i0..i1 {
-                        let [tile_row] = dot_tile([self.row(i)], b);
-                        for (c, &v) in tile_row.iter().enumerate() {
-                            put(i, j0 + c, v);
-                        }
-                    }
-                }
-                j0 += NT_COLS;
-            }
-            for j in j0..n {
-                for i in i0..i1 {
-                    put(i, j, dot(self.row(i), rhs.row(j)));
-                }
-            }
-        }
+        crate::sgemm::pair_sums(
+            sum,
+            (self.rows, self.cols, n),
+            (&self.data, &rhs.data),
+            symmetric,
+            |i, j, v| out.data[i * n + j] = f(i, j, v),
+        );
         if symmetric {
             out.mirror_upper();
         }
@@ -932,8 +872,8 @@ mod tests {
     }
 
     /// Shapes `(rows, cols)` straddling every edge the Gram kernels
-    /// have: the 2x4 `matmul_nt` tile and its 4-lane chunks, `MR = 4`
-    /// and `KC = 256` of `t_matmul`, and the 8x8 mirror tile.
+    /// have: the 4x8 pair tile and its four depth lanes, `MR = 4` and
+    /// `KC = 256` of `t_matmul`, and the 8x8 mirror tile.
     const GRAM_SHAPES: [(usize, usize); 6] =
         [(1, 1), (5, 3), (61, 161), (257, 386), (300, 7), (7, 300)];
 
@@ -1079,27 +1019,33 @@ mod tests {
         (m.rows, m.cols, m.data.iter().map(|v| v.to_bits()).collect())
     }
 
-    /// Every GEMM-family kernel that runs through `wide!`, dispatched on
-    /// each arm this CPU supports against its body called directly, bit
-    /// for bit: general and symmetric paths, the `matmul_nt` map
-    /// (pairwise distances included), the row norms and `dot`.
-    /// `x` is `m x k`, `y` is `n x k`. (Every arm is one codegen in the
-    /// dev profile; the release run on an AVX-512F host compares three.)
+    /// Every GEMM-family kernel, dispatched on each arm this CPU
+    /// supports, bit for bit: the `wide!` kernels against their bodies
+    /// called directly (`matmul`, general and symmetric `t_matmul`, the
+    /// row norms and `dot`), and the pair-tile kernels (`matmul_nt`, its
+    /// map, pairwise distances; general and symmetric) against [`dot`]
+    /// per element. `x` is `m x k`, `y` is `n x k`. (Every `wide!` arm
+    /// is one codegen in the dev profile, and the release run on an
+    /// AVX-512F host compares three; the pair tile's arms are intrinsics
+    /// in both profiles.)
     fn assert_wide_parity(x: &Matrix, y: &Matrix) {
         let shape = (x.shape(), y.shape());
         let (yt, z) = (y.transpose(), wavy(x.rows, y.rows));
         let poly = |_: usize, _: usize, v: f64| (v + 0.5).powi(3);
         let (xn, yn) = (x.row_sq_norms_body(), y.row_sq_norms_body());
         let sq_dist = |i: usize, j: usize, v: f64| (xn[i] + yn[j] - 2.0 * v).max(0.0);
+        let per_pair = |a: &Matrix, b: &Matrix, f: &dyn Fn(usize, usize, f64) -> f64| {
+            Matrix::from_fn(a.rows, b.rows, |i, j| f(i, j, dot(a.row(i), b.row(j))))
+        };
         let direct = [
-            x.matmul_nt_map_body(y, sq_dist),
+            per_pair(x, y, &sq_dist),
             x.matmul_body(&yt),
             x.t_matmul_body(&z),
             x.t_matmul_body(x),
-            x.matmul_nt_map_body(y, |_, _, v| v),
-            x.matmul_nt_map_body(x, |_, _, v| v),
-            x.matmul_nt_map_body(y, poly),
-            x.matmul_nt_map_body(x, poly),
+            per_pair(x, y, &|_, _, v| v),
+            per_pair(x, x, &|_, _, v| v),
+            per_pair(x, y, &poly),
+            per_pair(x, x, &poly),
         ];
         let norms: Vec<u64> = x.row_sq_norms_body().iter().map(|v| v.to_bits()).collect();
         let row_pairs: Vec<(&[f64], &[f64])> = x
@@ -1117,8 +1063,8 @@ mod tests {
                     x.t_matmul(x),
                     x.matmul_nt(y),
                     x.matmul_nt(x),
-                    x.matmul_nt_map(y, poly),
-                    x.matmul_nt_map(x, poly),
+                    x.pair_map(y, PairSum::Dot, poly),
+                    x.pair_map(x, PairSum::Dot, poly),
                 ];
                 for (i, (got, want)) in dispatched.iter().zip(&direct).enumerate() {
                     assert_eq!(bits(got), bits(want), "kernel {i} at {shape:?} on {arm:?}");
@@ -1136,12 +1082,13 @@ mod tests {
 
     #[test]
     fn wide_kernels_bitwise_match_their_bodies_at_remainder_edges() {
-        // Rows straddle MR = 4 and NT_ROWS = 2, depth covers every
-        // k % 4 (and crosses KC = 256), the right operand's rows fall
-        // short of, meet and pass NT_COLS = 4; 0 is the empty case.
+        // Rows straddle MR = 4 and the pair tile's 4 rows, depth covers
+        // every k % 4 (and crosses KC = 256), the right operand's rows
+        // fall short of, meet and pass the pair tile's 8-row strip; 0 is
+        // the empty case.
         for m in [0, 1, 2, 3, 4, 5, 7, 9] {
             for k in [0, 1, 2, 3, 4, 5, 6, 7, 258] {
-                for n in [0, 1, 3, 4, 5, 9] {
+                for n in [0, 1, 3, 7, 8, 9, 17] {
                     assert_wide_parity(&wavy(m, k), &wavy(n, k));
                 }
             }

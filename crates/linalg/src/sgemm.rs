@@ -1,4 +1,5 @@
-//! Single-precision (f32) GEMM kernels over raw slices.
+//! Single-precision (f32) GEMM kernels over raw slices, and the f64
+//! pair tile of the row-by-row products.
 //!
 //! The neural-network layers keep their activations and weights in flat
 //! `Vec<f32>` buffers, so promoting through [`crate::Matrix`] (f64)
@@ -15,9 +16,11 @@
 //!   order, so `sgemm_nn_scalar` is bitwise identical to a scalar
 //!   `ikj` triple loop. These stay as the parity reference.
 //! * **SIMD path** (the private `packed::gemm`): an explicit
-//!   [`MR`]×[`NR`] register-tiled microkernel, portable (mul + add,
-//!   autovectorized) or, on x86-64 hosts that have it, `std::arch`
-//!   AVX2+FMA, picked at run time. At the CNN's shapes (N or K of a few
+//!   [`MR`]×[`NR`] (4×32) register-tiled microkernel on the arm
+//!   [`arm()`] picks at run time: AVX-512F (two `zmm` accumulators per
+//!   row), AVX2+FMA (each 32-wide panel as two 4×16 `ymm` halves: one
+//!   4×32 `ymm` tile needs 16 accumulators and spills), or portable
+//!   (mul + add, autovectorized). At the CNN's shapes (N or K of a few
 //!   dozen) copying operands costs as much as the FMAs they feed, so
 //!   the loop nest copies as little as it can. The left operand is
 //!   never packed: the microkernel broadcasts it from the slice through
@@ -30,16 +33,32 @@
 //!   microkernel keeps the tile in accumulators across a depth panel
 //!   and flushes once per panel, so per-element summation is
 //!   reassociated (panel partial sums, FMA contraction): results match
-//!   the scalar oracle to ≤1e-4 relative, not bitwise. They do match,
-//!   bit for bit and per microkernel, the packing loop nest this path
-//!   replaced, which a `#[cfg(test)]` oracle keeps.
+//!   the scalar oracle to ≤1e-4 relative, not bitwise. Both FMA arms
+//!   give each output element the same chain (one FMA per depth step,
+//!   ascending, from zero, then one add into `out` per panel), so they
+//!   agree bit for bit, and match, per microkernel, the packing loop
+//!   nest this path replaced, which a `#[cfg(test)]` oracle keeps.
 //!
 //! The public entry points [`sgemm_nn`] / [`sgemm_nt`] / [`sgemm_tn`]
-//! dispatch to the packed path unless `LINALG_FORCE_SCALAR` is set in
-//! the environment (checked once); [`backend`] reports the choice.
+//! dispatch to the packed path on [`arm()`] unless `LINALG_FORCE_SCALAR`
+//! is set in the environment (checked once); [`backend`] names the arm.
+//!
+//! **The f64 pair tile.** [`pair_sums`] runs every row-by-row f64
+//! product (`Matrix::matmul_nt`, and through it `Kernel::gram` and
+//! `pairwise_sq_dists`; `Kernel::eval_pairs`). It broadcasts 4 rows of
+//! the left operand against a strip of 8 rows of the right one, packed
+//! depth-major, and keeps four accumulator sets, one per depth residue
+//! mod 4: exactly [`crate::dot`]'s lanes, one `*` then one `+` per step
+//! and never an FMA, combined as `(l0 + l1) + (l2 + l3)` before the
+//! remainder is added in order. Every element is therefore bitwise
+//! `dot` (or, with difference-square lanes, [`crate::euclidean_sq`]) on
+//! every arm: AVX-512F and AVX2 intrinsics and a portable loop. The
+//! autovectorizer is not relied on here: on a 2-vCPU AVX-512F host a
+//! safe by-value four-lane body ran at 6–28 GFLOP/s depending on the
+//! tile height and on unrelated instantiations.
 //!
 //! This module is also the crate's one runtime-dispatched island: the
-//! f64 kernels of [`crate::matrix`] and [`crate::eigh`] run their
+//! other f64 kernels of [`crate::matrix`] and [`crate::eigh`] run their
 //! unchanged bodies through [`wide!`], which compiles them for AVX-512F
 //! or AVX2 on hosts that have it. `LINALG_FORCE_SCALAR` pins those to
 //! baseline codegen too (same bits, two lanes). This is the only place
@@ -51,8 +70,9 @@ use std::sync::OnceLock;
 const KC: usize = 256;
 /// Register tile height: output rows updated per microkernel call.
 const MR: usize = 4;
-/// Register tile width: two 8-lane f32 vectors per accumulator row.
-const NR: usize = 16;
+/// Register tile width, and the width of a packed panel on every arm:
+/// two 16-lane `zmm` per accumulator row, or two 4×16 `ymm` halves.
+const NR: usize = 32;
 
 /// True unless `LINALG_FORCE_SCALAR` is set (to anything but `0`), which
 /// sends sgemm to its scalar oracles and the f64 kernels to baseline
@@ -84,34 +104,34 @@ fn avx512_available() -> bool {
     false
 }
 
-/// Which microkernel the f32 sgemm entry points dispatch to on this
-/// host: `"avx2+fma"`, `"packed-generic"` (autovectorized portable
-/// microkernel), or `"scalar-forced"` (`LINALG_FORCE_SCALAR` set).
-///
-/// This names the f32 path only. The f64 kernels pick their own codegen
-/// in [`wide!`]: eight lanes on an AVX-512F host (which still reports
-/// `"avx2+fma"` here), four under `"avx2+fma"` otherwise, and baseline
-/// codegen under `"packed-generic"` and `"scalar-forced"`. Their bits
-/// are the same on every arm.
+/// The arm both the f32 sgemm entry points and the f64 kernels run on
+/// this host: `"avx512f"`, `"avx2+fma"`, `"packed-generic"` (the
+/// portable microkernel and baseline f64 codegen, on a CPU without
+/// AVX2+FMA) or `"scalar-forced"` (`LINALG_FORCE_SCALAR` set: the scalar
+/// sgemm oracles and baseline f64 codegen). The f64 bits are the same on
+/// every arm, and so are the f32 bits of the two FMA arms.
 pub fn backend() -> &'static str {
     if !simd_enabled() {
-        "scalar-forced"
-    } else if fma_available() {
-        "avx2+fma"
-    } else {
-        "packed-generic"
+        return "scalar-forced";
+    }
+    match arm() {
+        Arm::Avx512 => "avx512f",
+        Arm::Avx2 => "avx2+fma",
+        Arm::Baseline => "packed-generic",
     }
 }
 
-/// The codegen [`wide!`] runs an f64 kernel under.
+/// The codegen [`wide!`] runs an f64 kernel under, and the microkernel
+/// the f32 entry points and [`pair_sums`] run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Arm {
     /// AVX-512F (with AVX2 and FMA): eight `f64` lanes.
     Avx512,
     /// AVX2+FMA: four `f64` lanes.
     Avx2,
-    /// The target's baseline (SSE2 on x86-64, two lanes): CPUs without
-    /// AVX2+FMA, and every CPU under `LINALG_FORCE_SCALAR`.
+    /// The target's baseline (SSE2 on x86-64, two lanes) and the portable
+    /// microkernels: CPUs without AVX2+FMA, and every CPU under
+    /// `LINALG_FORCE_SCALAR`.
     Baseline,
 }
 
@@ -157,8 +177,8 @@ pub(crate) fn supported_arms() -> Vec<Arm> {
     arms
 }
 
-/// Runs `f` with every [`wide!`] on this thread taking `arm`, so a test
-/// can hold each arm's codegen to the kernel bodies.
+/// Runs `f` with every [`arm()`] on this thread returning `arm`, so a
+/// test can hold each arm's codegen and microkernels to one another.
 ///
 /// # Panics
 /// Panics if the CPU cannot run `arm`.
@@ -173,7 +193,8 @@ pub(crate) fn with_arm<R>(arm: Arm, f: impl FnOnce() -> R) -> R {
 
 /// Runs an f64 kernel body under the widest codegen the CPU has: the
 /// one dispatch of every `wide` entry point (`Matrix::{matmul,
-/// t_matmul, matmul_nt_map, row_sq_norms}`, `eigh`, `eigh_top`).
+/// t_matmul, row_sq_norms}`, `eigh`, `eigh_top`). The row-by-row
+/// products run [`pair_sums`] instead, whose arms are intrinsics.
 ///
 /// Each kernel keeps one scalar-source body, marked `#[inline(always)]`,
 /// and its entry point is `wide!(body)`. That expands into a `match` on
@@ -260,7 +281,7 @@ pub(crate) fn wide_avx2<R>(f: impl FnOnce() -> R) -> R {
 pub fn sgemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
     if simd_enabled() {
-        packed::gemm(fma_available(), (m, k, n), (a, false), (b, false), out)
+        packed::gemm(arm(), (m, k, n), (a, false), (b, false), out)
     } else {
         sgemm_nn_scalar(m, k, n, a, b, out)
     }
@@ -275,7 +296,7 @@ pub fn sgemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
 pub fn sgemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert!(a.len() >= m * k && b.len() >= n * k && out.len() >= m * n);
     if simd_enabled() {
-        packed::gemm(fma_available(), (m, k, n), (a, false), (b, true), out)
+        packed::gemm(arm(), (m, k, n), (a, false), (b, true), out)
     } else {
         sgemm_nt_scalar(m, k, n, a, b, out)
     }
@@ -291,7 +312,7 @@ pub fn sgemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
 pub fn sgemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert!(a.len() >= k * m && b.len() >= k * n && out.len() >= m * n);
     if simd_enabled() {
-        packed::gemm(fma_available(), (m, k, n), (a, true), (b, false), out)
+        packed::gemm(arm(), (m, k, n), (a, true), (b, false), out)
     } else {
         sgemm_tn_scalar(m, k, n, a, b, out)
     }
@@ -437,7 +458,7 @@ pub fn sgemm_tn_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: 
 /// gets `out + chain(k0 → k0 + kb)` per depth panel, the same sums in
 /// the same order as the `#[cfg(test)]` packing oracle, bit for bit.
 mod packed {
-    use super::{KC, MR, NR};
+    use super::{Arm, KC, MR, NR};
     use std::cell::RefCell;
 
     /// Largest `kb`×`n` depth panel (in `f32`s, 32 KiB: one L1d) of a
@@ -493,7 +514,7 @@ mod packed {
 
     impl Sink<'_> {
         /// Whole `NR`-wide rows that are contiguous in `out`, so the
-        /// AVX2 kernel adds its registers straight into them.
+        /// SIMD kernels add their registers straight into them.
         fn rows_contiguous(&self) -> bool {
             self.cs == 1 && self.jw == NR
         }
@@ -533,48 +554,102 @@ mod packed {
     }
 
     #[cfg(target_arch = "x86_64")]
-    mod fma {
+    mod avx512 {
         use super::{Sink, Tile, MR, NR};
         use std::arch::x86_64::*;
 
-        /// AVX2+FMA microkernel: the 4×16 tile lives in eight `__m256`
+        /// AVX-512F microkernel: the 4×32 tile lives in eight `__m512`
         /// accumulators across the depth panel; one broadcast per A
-        /// element, two FMAs per (row, half-tile). Contiguous output
-        /// rows are loaded, added to and stored straight from the
-        /// registers; any other tile is spilled and added by
-        /// [`Sink::add`].
+        /// element, two FMAs per row. Each output element gets the
+        /// AVX2 kernel's chain (one FMA per ascending `kk`, from zero,
+        /// then one add into `out`), so the bits are its bits.
+        /// Contiguous output rows are loaded, added to and stored
+        /// straight from the registers; any other tile is spilled and
+        /// added by [`Sink::add`].
         ///
         /// # Safety
-        /// The CPU must support AVX2 and FMA, and every element the
-        /// tile names must lie inside its slice: `rows[r] + (kb - 1) *
-        /// a_cs < a.len()`, `(kb - 1) * ldb + NR <= b.len()` and, for
-        /// contiguous output rows, `(mr - 1) * rs + NR <= out.len()`.
-        #[target_feature(enable = "avx2,fma")]
+        /// The CPU must support AVX-512F, and every element the tile
+        /// names must lie inside its slice: `rows[r] + (kb - 1) * a_cs <
+        /// a.len()`, `(kb - 1) * ldb + NR <= b.len()` and, for contiguous
+        /// output rows, `(mr - 1) * rs + NR <= out.len()`.
+        #[target_feature(enable = "avx512f,avx2,fma")]
         pub(super) unsafe fn tile(t: &Tile, sink: Sink) {
             let (a, b) = (t.a.as_ptr(), t.b.as_ptr());
-            let mut c = [[_mm256_setzero_ps(); 2]; MR];
+            let mut c = [[_mm512_setzero_ps(); 2]; MR];
             for kk in 0..t.kb {
-                let b0 = _mm256_loadu_ps(b.add(kk * t.ldb));
-                let b1 = _mm256_loadu_ps(b.add(kk * t.ldb + 8));
+                let b0 = _mm512_loadu_ps(b.add(kk * t.ldb));
+                let b1 = _mm512_loadu_ps(b.add(kk * t.ldb + 16));
                 for (cr, &row) in c.iter_mut().zip(&t.rows) {
-                    let av = _mm256_set1_ps(*a.add(row + kk * t.a_cs));
-                    cr[0] = _mm256_fmadd_ps(av, b0, cr[0]);
-                    cr[1] = _mm256_fmadd_ps(av, b1, cr[1]);
+                    let av = _mm512_set1_ps(*a.add(row + kk * t.a_cs));
+                    cr[0] = _mm512_fmadd_ps(av, b0, cr[0]);
+                    cr[1] = _mm512_fmadd_ps(av, b1, cr[1]);
                 }
             }
             if sink.rows_contiguous() {
                 let out = sink.out.as_mut_ptr();
                 for (r, cr) in c.iter().enumerate().take(sink.mr) {
                     let o = out.add(r * sink.rs);
-                    _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), cr[0]));
-                    _mm256_storeu_ps(o.add(8), _mm256_add_ps(_mm256_loadu_ps(o.add(8)), cr[1]));
+                    _mm512_storeu_ps(o, _mm512_add_ps(_mm512_loadu_ps(o), cr[0]));
+                    let o = o.add(16);
+                    _mm512_storeu_ps(o, _mm512_add_ps(_mm512_loadu_ps(o), cr[1]));
                 }
             } else {
                 let mut acc = [[0.0f32; NR]; MR];
                 for (accr, cr) in acc.iter_mut().zip(&c) {
-                    _mm256_storeu_ps(accr.as_mut_ptr(), cr[0]);
-                    _mm256_storeu_ps(accr.as_mut_ptr().add(8), cr[1]);
+                    _mm512_storeu_ps(accr.as_mut_ptr(), cr[0]);
+                    _mm512_storeu_ps(accr.as_mut_ptr().add(16), cr[1]);
                 }
+                sink.add(&acc);
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    mod fma {
+        use super::{Sink, Tile, MR, NR};
+        use std::arch::x86_64::*;
+
+        /// AVX2+FMA microkernel: the 4×32 tile as two 4×16 halves, each
+        /// in eight `__m256` accumulators across the depth panel; one
+        /// broadcast per A element, two FMAs per (row, half). A half
+        /// with no live column is skipped. Contiguous output rows are
+        /// loaded, added to and stored straight from the registers; any
+        /// other tile is spilled and added by [`Sink::add`].
+        ///
+        /// # Safety
+        /// As for the AVX-512F kernel, with AVX2 and FMA in its place.
+        #[target_feature(enable = "avx2,fma")]
+        pub(super) unsafe fn tile(t: &Tile, sink: Sink) {
+            let (a, b) = (t.a.as_ptr(), t.b.as_ptr());
+            let contiguous = sink.rows_contiguous();
+            let mut acc = [[0.0f32; NR]; MR];
+            for h in (0..sink.jw).step_by(16) {
+                let mut c = [[_mm256_setzero_ps(); 2]; MR];
+                for kk in 0..t.kb {
+                    let b0 = _mm256_loadu_ps(b.add(kk * t.ldb + h));
+                    let b1 = _mm256_loadu_ps(b.add(kk * t.ldb + h + 8));
+                    for (cr, &row) in c.iter_mut().zip(&t.rows) {
+                        let av = _mm256_set1_ps(*a.add(row + kk * t.a_cs));
+                        cr[0] = _mm256_fmadd_ps(av, b0, cr[0]);
+                        cr[1] = _mm256_fmadd_ps(av, b1, cr[1]);
+                    }
+                }
+                if contiguous {
+                    let out = sink.out.as_mut_ptr();
+                    for (r, cr) in c.iter().enumerate().take(sink.mr) {
+                        let o = out.add(r * sink.rs + h);
+                        _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), cr[0]));
+                        let o = o.add(8);
+                        _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), cr[1]));
+                    }
+                } else {
+                    for (accr, cr) in acc.iter_mut().zip(&c) {
+                        _mm256_storeu_ps(accr.as_mut_ptr().add(h), cr[0]);
+                        _mm256_storeu_ps(accr.as_mut_ptr().add(h + 8), cr[1]);
+                    }
+                }
+            }
+            if !contiguous {
                 sink.add(&acc);
             }
         }
@@ -628,24 +703,31 @@ mod packed {
         }
     }
 
-    /// Runs one tile on the chosen microkernel. The bounds the AVX2
-    /// kernel relies on are checked here, once per tile.
+    /// Runs one tile on `arm`'s microkernel. The bounds the SIMD
+    /// kernels rely on are checked here, once per tile.
     #[inline]
-    fn run_tile(use_fma: bool, t: &Tile, sink: Sink) {
+    fn run_tile(arm: Arm, t: &Tile, sink: Sink) {
         #[cfg(target_arch = "x86_64")]
-        if use_fma {
+        if arm != Arm::Baseline {
             let last = t.kb - 1;
             assert!(t.rows.iter().all(|&row| row + last * t.a_cs < t.a.len()));
             assert!(last * t.ldb + NR <= t.b.len());
             assert!(!sink.rows_contiguous() || (sink.mr - 1) * sink.rs + NR <= sink.out.len());
-            // SAFETY: `use_fma` is only true when fma_available()
-            // detected AVX2+FMA; the asserts above are the kernel's
-            // bounds contract.
-            unsafe { fma::tile(t, sink) };
+            // SAFETY: an arm other than `Baseline` comes from arm() (or
+            // a test's with_arm), which hands out only what the CPU
+            // runs: AVX-512F+AVX2+FMA for `Avx512`, AVX2+FMA for `Avx2`.
+            // The asserts above are the kernels' bounds contract.
+            unsafe {
+                if arm == Arm::Avx512 {
+                    avx512::tile(t, sink)
+                } else {
+                    fma::tile(t, sink)
+                }
+            };
             return;
         }
         #[cfg(not(target_arch = "x86_64"))]
-        let _ = use_fma;
+        let _ = arm;
         tile_generic(t, sink);
     }
 
@@ -653,11 +735,11 @@ mod packed {
     /// panels of `kb`×`NR`: `bpack[p][kk * NR + j] = B(k0 + kk, j0 + j)`
     /// for `j0 = j_from + p * NR`, lanes past `n` zero. A row-major `b`
     /// (`cs == 1`) is copied row by row. A transposed one (`rs == 1`,
-    /// the `nt` weights) is transposed 8×8 at a time on AVX2 hosts, and
-    /// otherwise, like the ragged rest, read one contiguous column at a
-    /// time and written strided.
+    /// the `nt` weights) is transposed 8×8 at a time on the SIMD arms,
+    /// and otherwise, like the ragged rest, read one contiguous column at
+    /// a time and written strided.
     pub(super) fn pack_b(
-        use_fma: bool,
+        arm: Arm,
         b: View,
         (k0, kb): (usize, usize),
         (j_from, n): (usize, usize),
@@ -686,7 +768,7 @@ mod packed {
                 }
                 let cols = &b.s[j0 * b.cs + k0..];
                 let done = if jw == NR {
-                    transpose_rows(use_fma, cols, b.cs, panel)
+                    transpose_rows(arm, cols, b.cs, panel)
                 } else {
                     0
                 };
@@ -700,19 +782,19 @@ mod packed {
         }
     }
 
-    /// With `use_fma`, fills the first `kb / 8 * 8` depth rows of a
-    /// full `kb`×`NR` panel from the `NR` columns at `cols[j * ld..]`
-    /// by AVX2 8×8 transposes; returns how many rows it filled.
-    fn transpose_rows(use_fma: bool, cols: &[f32], ld: usize, panel: &mut [f32]) -> usize {
+    /// On a SIMD arm, fills the first `kb / 8 * 8` depth rows of a full
+    /// `kb`×`NR` panel from the `NR` columns at `cols[j * ld..]` by AVX2
+    /// 8×8 transposes; returns how many rows it filled.
+    fn transpose_rows(arm: Arm, cols: &[f32], ld: usize, panel: &mut [f32]) -> usize {
         #[cfg(target_arch = "x86_64")]
-        if use_fma {
+        if arm != Arm::Baseline {
             let done = panel.len() / NR / 8 * 8;
             assert!((NR - 1) * ld + done <= cols.len());
             for kk in (0..done).step_by(8) {
-                for h in [0, 8] {
-                    // SAFETY: `use_fma` is only true when fma_available()
-                    // detected AVX2+FMA; the assert bounds the reads, and
-                    // `kk + 8 <= kb` the writes.
+                for h in (0..NR).step_by(8) {
+                    // SAFETY: both SIMD arms come from arm() (or a test's
+                    // with_arm) only on a CPU with AVX2+FMA; the assert
+                    // bounds the reads, and `kk + 8 <= kb` the writes.
                     unsafe {
                         fma::transpose8(
                             cols.as_ptr().add(h * ld + kk),
@@ -725,15 +807,15 @@ mod packed {
             return done;
         }
         #[cfg(not(target_arch = "x86_64"))]
-        let _ = (use_fma, cols, ld, panel);
+        let _ = (arm, cols, ld, panel);
         0
     }
 
     /// `out[m x n] += A * B`; each operand is its slice plus whether it
-    /// is stored transposed (`a`: `k`×`m`, `b`: `n`×`k`). `use_fma`
-    /// picks the AVX2+FMA microkernel (callers pass `fma_available()`).
+    /// is stored transposed (`a`: `k`×`m`, `b`: `n`×`k`), on `arm`'s
+    /// microkernel (callers pass [`super::arm()`]).
     pub(super) fn gemm(
-        use_fma: bool,
+        arm: Arm,
         (m, k, n): (usize, usize, usize),
         (a, ta): (&[f32], bool),
         (b, tb): (&[f32], bool),
@@ -757,16 +839,16 @@ mod packed {
             // its transpose `outᵀ += Bᵀ Aᵀ` fills them all. Each output
             // element keeps its chain: only the factors of every
             // product swap sides.
-            tiles(use_fma, (n, k, m), b.t(), a.t(), (out, 1, n));
+            tiles(arm, (n, k, m), b.t(), a.t(), (out, 1, n));
         } else {
-            tiles(use_fma, (m, k, n), a, b, (out, n, 1));
+            tiles(arm, (m, k, n), a, b, (out, n, 1));
         }
     }
 
     /// `C += A * B` for `A` `m`×`k`, `B` `k`×`n` and `C(i, j) =
     /// out[i * c_rs + j * c_cs]`.
     fn tiles(
-        use_fma: bool,
+        arm: Arm,
         (m, k, n): (usize, usize, usize),
         a: View,
         b: View,
@@ -782,7 +864,7 @@ mod packed {
                 } else {
                     0
                 };
-                pack_b(use_fma, b, (k0, kb), (packed_from, n), bpack);
+                pack_b(arm, b, (k0, kb), (packed_from, n), bpack);
                 for i0 in (0..m).step_by(MR) {
                     let mr = MR.min(m - i0);
                     let rows = std::array::from_fn(|r| (i0 + r.min(mr - 1)) * a.rs + k0 * a.cs);
@@ -807,11 +889,277 @@ mod packed {
                             mr,
                             jw: NR.min(n - j0),
                         };
-                        run_tile(use_fma, &tile, sink);
+                        run_tile(arm, &tile, sink);
                     }
                 }
             }
         })
+    }
+}
+
+/// What the f64 pair tile sums over the depth of a row pair `(x, y)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PairSum {
+    /// `x * y`: each sum is bitwise [`crate::dot`]`(x, y)`.
+    Dot,
+    /// `(x - y) * (x - y)`: each sum is bitwise
+    /// [`crate::euclidean_sq`]`(x, y)`.
+    DiffSq,
+}
+
+/// Rows of the left operand per pair tile, each broadcast per depth
+/// step.
+const PAIR_ROWS: usize = 4;
+/// Rows of the right operand per pair tile: the width of its packed
+/// strip, one `zmm` of `f64`. Four rows times four lane sets fill 16 of
+/// AVX-512's 32 registers.
+const PAIR_COLS: usize = 8;
+
+/// Calls `put(i, j, s)` with `s` the [`PairSum`] of row `i` of `a`
+/// (`m`×`k`, row-major) and row `j` of `b` (`n`×`k`), bitwise what
+/// [`crate::dot`] or [`crate::euclidean_sq`] returns for the two rows,
+/// on every [`arm()`]. Every pair is visited once; with `upper`, only
+/// the tiles that reach the diagonal or right of it are run, which
+/// visits every pair `i <= j` and some below it.
+///
+/// Per strip of [`PAIR_COLS`] rows of `b`, packed depth-major and
+/// zero-padded, each [`PAIR_ROWS`]-row tile of `a` keeps four
+/// accumulator sets, one per depth residue mod 4, and combines them as
+/// `(l0 + l1) + (l2 + l3)` before it adds the remainder in order: the
+/// lanes, combine and remainder of `dot`. Rows past `m` repeat the last
+/// real row and padded columns sum zeros; neither is put.
+///
+/// # Panics
+/// Panics if `a` or `b` is shorter than its shape implies.
+pub(crate) fn pair_sums(
+    sum: PairSum,
+    (m, k, n): (usize, usize, usize),
+    (a, b): (&[f64], &[f64]),
+    upper: bool,
+    put: impl FnMut(usize, usize, f64),
+) {
+    assert!(a.len() >= m * k && b.len() >= n * k);
+    match sum {
+        PairSum::Dot => pair_tiles::<false>((m, k, n), (a, b), upper, put),
+        PairSum::DiffSq => pair_tiles::<true>((m, k, n), (a, b), upper, put),
+    }
+}
+
+/// [`pair_sums`] with the sum fixed at compile time (`DIFF` selects
+/// [`PairSum::DiffSq`]).
+fn pair_tiles<const DIFF: bool>(
+    (m, k, n): (usize, usize, usize),
+    (a, b): (&[f64], &[f64]),
+    upper: bool,
+    mut put: impl FnMut(usize, usize, f64),
+) {
+    let arm = arm();
+    let mut strip = vec![[0.0f64; PAIR_COLS]; k];
+    for j0 in (0..n).step_by(PAIR_COLS) {
+        let jw = PAIR_COLS.min(n - j0);
+        for c in 0..jw {
+            for (dst, &v) in strip.iter_mut().zip(&b[(j0 + c) * k..][..k]) {
+                dst[c] = v;
+            }
+        }
+        if jw < PAIR_COLS {
+            strip.iter_mut().for_each(|dst| dst[jw..].fill(0.0));
+        }
+        let i1 = if upper { m.min(j0 + PAIR_COLS) } else { m };
+        for i0 in (0..i1).step_by(PAIR_ROWS) {
+            let mr = PAIR_ROWS.min(m - i0);
+            let rows = std::array::from_fn(|r| (i0 + r.min(mr - 1)) * k);
+            let tile = pair_tile::<DIFF>(arm, a, rows, &strip);
+            for (r, sums) in tile.iter().enumerate().take(mr) {
+                for (c, &s) in sums.iter().enumerate().take(jw) {
+                    put(i0 + r, j0 + c, s);
+                }
+            }
+        }
+    }
+}
+
+/// One pair tile on `arm`: `out[r][c]` sums rows `a[rows[r]..][..k]` and
+/// column `c` of `strip` (`k` = `strip.len()`). The bounds the SIMD
+/// arms rely on are checked here, once per tile.
+#[inline]
+fn pair_tile<const DIFF: bool>(
+    arm: Arm,
+    a: &[f64],
+    rows: [usize; PAIR_ROWS],
+    strip: &[[f64; PAIR_COLS]],
+) -> [[f64; PAIR_COLS]; PAIR_ROWS] {
+    #[cfg(target_arch = "x86_64")]
+    if arm != Arm::Baseline {
+        assert!(rows.iter().all(|&row| row + strip.len() <= a.len()));
+        // SAFETY: an arm other than `Baseline` comes from arm() (or a
+        // test's with_arm), which hands out only what the CPU runs:
+        // AVX-512F for `Avx512`, AVX2 for `Avx2`. The assert above is
+        // the kernels' bounds contract.
+        return unsafe {
+            if arm == Arm::Avx512 {
+                pair_avx512::tile::<DIFF>(a, rows, strip)
+            } else {
+                pair_avx2::tile::<DIFF>(a, rows, strip)
+            }
+        };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = arm;
+    pair_tile_portable::<DIFF>(a, rows, strip)
+}
+
+/// The pair tile in plain Rust, for the baseline arm.
+fn pair_tile_portable<const DIFF: bool>(
+    a: &[f64],
+    rows: [usize; PAIR_ROWS],
+    strip: &[[f64; PAIR_COLS]],
+) -> [[f64; PAIR_COLS]; PAIR_ROWS] {
+    let term = |x: f64, y: f64| if DIFF { (x - y) * (x - y) } else { x * y };
+    let k = strip.len();
+    let body = k - k % 4;
+    let mut acc = [[[0.0f64; PAIR_COLS]; 4]; PAIR_ROWS];
+    for q in (0..body).step_by(4) {
+        for (l, y) in strip[q..q + 4].iter().enumerate() {
+            for (accr, &row) in acc.iter_mut().zip(&rows) {
+                let x = a[row + q + l];
+                for (s, &yc) in accr[l].iter_mut().zip(y) {
+                    *s += term(x, yc);
+                }
+            }
+        }
+    }
+    let mut out = [[0.0f64; PAIR_COLS]; PAIR_ROWS];
+    for ((o, t), &row) in out.iter_mut().zip(&acc).zip(&rows) {
+        for (c, oc) in o.iter_mut().enumerate() {
+            let mut s = (t[0][c] + t[1][c]) + (t[2][c] + t[3][c]);
+            for (q, y) in strip.iter().enumerate().skip(body) {
+                s += term(a[row + q], y[c]);
+            }
+            *oc = s;
+        }
+    }
+    out
+}
+
+#[cfg(target_arch = "x86_64")]
+mod pair_avx512 {
+    use super::{PAIR_COLS, PAIR_ROWS};
+    use std::arch::x86_64::*;
+
+    /// One depth step's term: `x * y`, or `(x - y)²` when `DIFF`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn term<const DIFF: bool>(x: __m512d, y: __m512d) -> __m512d {
+        if DIFF {
+            let d = _mm512_sub_pd(x, y);
+            _mm512_mul_pd(d, d)
+        } else {
+            _mm512_mul_pd(x, y)
+        }
+    }
+
+    /// The pair tile in sixteen `__m512d` accumulators: one per (row,
+    /// depth residue mod 4), each lane a column of the strip. One
+    /// broadcast per A element, then one multiply and one add per
+    /// accumulator and depth step.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F, and `rows[r] + strip.len() <=
+    /// a.len()` for every `r`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn tile<const DIFF: bool>(
+        a: &[f64],
+        rows: [usize; PAIR_ROWS],
+        strip: &[[f64; PAIR_COLS]],
+    ) -> [[f64; PAIR_COLS]; PAIR_ROWS] {
+        let (a, s, k) = (a.as_ptr(), strip.as_ptr().cast::<f64>(), strip.len());
+        let body = k - k % 4;
+        let mut acc = [[_mm512_setzero_pd(); 4]; PAIR_ROWS];
+        for q in (0..body).step_by(4) {
+            for l in 0..4 {
+                let y = _mm512_loadu_pd(s.add((q + l) * PAIR_COLS));
+                for (accr, &row) in acc.iter_mut().zip(&rows) {
+                    let x = _mm512_set1_pd(*a.add(row + q + l));
+                    accr[l] = _mm512_add_pd(accr[l], term::<DIFF>(x, y));
+                }
+            }
+        }
+        let mut out = [[0.0f64; PAIR_COLS]; PAIR_ROWS];
+        for ((o, t), &row) in out.iter_mut().zip(&acc).zip(&rows) {
+            let mut sum = _mm512_add_pd(_mm512_add_pd(t[0], t[1]), _mm512_add_pd(t[2], t[3]));
+            for q in body..k {
+                let (x, y) = (
+                    _mm512_set1_pd(*a.add(row + q)),
+                    _mm512_loadu_pd(s.add(q * PAIR_COLS)),
+                );
+                sum = _mm512_add_pd(sum, term::<DIFF>(x, y));
+            }
+            _mm512_storeu_pd(o.as_mut_ptr(), sum);
+        }
+        out
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod pair_avx2 {
+    use super::{PAIR_COLS, PAIR_ROWS};
+    use std::arch::x86_64::*;
+
+    /// One depth step's term: `x * y`, or `(x - y)²` when `DIFF`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn term<const DIFF: bool>(x: __m256d, y: __m256d) -> __m256d {
+        if DIFF {
+            let d = _mm256_sub_pd(x, y);
+            _mm256_mul_pd(d, d)
+        } else {
+            _mm256_mul_pd(x, y)
+        }
+    }
+
+    /// The pair tile one row at a time, in eight `__m256d` accumulators
+    /// (depth residue mod 4 × two four-column halves of the strip): all
+    /// four rows at once would need 32 and spill.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, and `rows[r] + strip.len() <= a.len()`
+    /// for every `r`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn tile<const DIFF: bool>(
+        a: &[f64],
+        rows: [usize; PAIR_ROWS],
+        strip: &[[f64; PAIR_COLS]],
+    ) -> [[f64; PAIR_COLS]; PAIR_ROWS] {
+        let (a, s, k) = (a.as_ptr(), strip.as_ptr().cast::<f64>(), strip.len());
+        let body = k - k % 4;
+        let mut out = [[0.0f64; PAIR_COLS]; PAIR_ROWS];
+        for (o, &row) in out.iter_mut().zip(&rows) {
+            let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+            for q in (0..body).step_by(4) {
+                for (l, accl) in acc.iter_mut().enumerate() {
+                    let x = _mm256_set1_pd(*a.add(row + q + l));
+                    for (h, acch) in accl.iter_mut().enumerate() {
+                        let y = _mm256_loadu_pd(s.add((q + l) * PAIR_COLS + 4 * h));
+                        *acch = _mm256_add_pd(*acch, term::<DIFF>(x, y));
+                    }
+                }
+            }
+            for (h, oh) in o.chunks_exact_mut(4).enumerate() {
+                let (l01, l23) = (
+                    _mm256_add_pd(acc[0][h], acc[1][h]),
+                    _mm256_add_pd(acc[2][h], acc[3][h]),
+                );
+                let mut sum = _mm256_add_pd(l01, l23);
+                for q in body..k {
+                    let x = _mm256_set1_pd(*a.add(row + q));
+                    let y = _mm256_loadu_pd(s.add(q * PAIR_COLS + 4 * h));
+                    sum = _mm256_add_pd(sum, term::<DIFF>(x, y));
+                }
+                _mm256_storeu_pd(oh.as_mut_ptr(), sum);
+            }
+        }
+        out
     }
 }
 
@@ -830,8 +1178,13 @@ mod packed {
 /// `out` is touched once per depth panel.
 #[cfg(test)]
 mod packed_oracle {
-    use super::{KC, MR, NR};
+    use super::{KC, MR};
     use std::cell::RefCell;
+
+    /// The oracle's panel width: the 4×16 tile of its AVX2 kernel. The
+    /// width decides no bit: every output element is one chain per depth
+    /// panel whatever the tile it sits in.
+    pub(super) const NR: usize = 16;
 
     std::thread_local! {
         /// (A tile, packed B panels) reused across calls on a thread.
@@ -1037,22 +1390,29 @@ mod tests {
         out
     }
 
-    /// Shipped-path entries bypassing dispatch, so the parity and floor
-    /// tests below compare it against scalar under
+    /// The widest arm this CPU runs, whatever `LINALG_FORCE_SCALAR` says.
+    fn widest() -> Arm {
+        *supported_arms()
+            .last()
+            .expect("baseline is always supported")
+    }
+
+    /// Shipped-path entries bypassing dispatch, on the widest arm, so the
+    /// parity and floor tests below compare it against scalar under
     /// `LINALG_FORCE_SCALAR` too.
     fn sgemm_nn_packed(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
         assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
-        packed::gemm(fma_available(), (m, k, n), (a, false), (b, false), out)
+        packed::gemm(widest(), (m, k, n), (a, false), (b, false), out)
     }
 
     fn sgemm_nt_packed(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
         assert!(a.len() >= m * k && b.len() >= n * k && out.len() >= m * n);
-        packed::gemm(fma_available(), (m, k, n), (a, false), (b, true), out)
+        packed::gemm(widest(), (m, k, n), (a, false), (b, true), out)
     }
 
     fn sgemm_tn_packed(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
         assert!(a.len() >= k * m && b.len() >= k * n && out.len() >= m * n);
-        packed::gemm(fma_available(), (m, k, n), (a, true), (b, false), out)
+        packed::gemm(widest(), (m, k, n), (a, true), (b, false), out)
     }
 
     fn fill(len: usize, seed: f32) -> Vec<f32> {
@@ -1089,7 +1449,7 @@ mod tests {
 
     #[test]
     fn packed_nn_matches_scalar_oracle() {
-        // n=37 = two full NR=16 panels + 5 remainder cols; k crosses KC.
+        // n=37 = one full NR=32 panel + 5 remainder cols; k crosses KC.
         let (m, k, n) = (7, 300, 37);
         let a = fill(m * k, 1.0);
         let b = fill(k * n, 2.0);
@@ -1165,13 +1525,14 @@ mod tests {
 
     #[test]
     fn backend_is_reported() {
-        assert!(["avx2+fma", "packed-generic", "scalar-forced"].contains(&backend()));
+        let names = ["avx512f", "avx2+fma", "packed-generic", "scalar-forced"];
+        assert!(names.contains(&backend()), "{}", backend());
     }
 
-    /// `wide!` takes the widest arm the CPU has, detected here afresh:
-    /// AVX-512F on a host with `avx512f`, `avx2` and `fma`, AVX2 on one
-    /// with the last two, baseline otherwise and under
-    /// `LINALG_FORCE_SCALAR`.
+    /// `wide!`, sgemm and the pair tile take the widest arm the CPU has,
+    /// detected here afresh: AVX-512F on a host with `avx512f`, `avx2`
+    /// and `fma`, AVX2 on one with the last two, baseline otherwise and
+    /// under `LINALG_FORCE_SCALAR`; and [`backend`] names it.
     #[test]
     fn wide_takes_the_widest_arm_the_cpu_has() {
         #[cfg(target_arch = "x86_64")]
@@ -1188,6 +1549,17 @@ mod tests {
             (false, false, true) => Arm::Avx2,
         };
         assert_eq!(arm(), want);
+        let name = match (forced, want) {
+            (true, _) => "scalar-forced",
+            (false, Arm::Avx512) => "avx512f",
+            (false, Arm::Avx2) => "avx2+fma",
+            (false, Arm::Baseline) => "packed-generic",
+        };
+        assert_eq!(
+            backend(),
+            name,
+            "backend() must name the arm both paths run"
+        );
         let arms = supported_arms();
         assert_eq!(arms.contains(&Arm::Avx512), avx512, "{arms:?}");
         assert_eq!(arms.contains(&Arm::Avx2), avx2, "{arms:?}");
@@ -1214,15 +1586,16 @@ mod tests {
         }
 
         /// Packed vs scalar parity across the remainder edges: m spans
-        /// partial MR=4 tiles, n spans partial NR=16 panels, k crosses
-        /// the KC=256 depth boundary.
+        /// partial MR=4 tiles, n spans partial NR=32 panels (and the
+        /// AVX2 kernel's 16-column halves), k crosses the KC=256 depth
+        /// boundary.
         #[test]
         fn prop_packed_matches_scalar_at_remainder_edges(
-            m in 1usize..10, dn in 0usize..19, dk in 0usize..9,
+            m in 1usize..10, dn in 0usize..35, dk in 0usize..9,
             seed in 0.0f32..10.0,
             which in 0usize..3,
         ) {
-            let n = 1 + dn; // 1..=19 straddles the NR=16 panel edge
+            let n = 1 + dn; // 1..=35 straddles the 16 and NR=32 edges
             let k = KC - 4 + dk; // 252..=260 straddles the KC edge
             check_packed_matches_scalar(m, k, n, which, seed);
         }
@@ -1248,7 +1621,7 @@ mod tests {
             let at = |i: usize, kk: usize| if a_trans { a[kk * m + i] } else { a[i * k + kk] };
             let bt = |kk: usize, j: usize| if b_trans { b[j * k + kk] } else { b[kk * n + j] };
             // Dirty, oversized scratch: stale lanes must not survive.
-            let (mut apack, mut bpack) = (vec![f32::NAN; 3 * KC * MR], vec![f32::NAN; 4 * KC * NR]);
+            let (mut apack, mut bpack) = (vec![f32::NAN; 3 * KC * MR], vec![f32::NAN; 2 * KC * NR]);
             let view = if b_trans {
                 packed::View { s: &b, rs: 1, cs: k }
             } else {
@@ -1257,14 +1630,15 @@ mod tests {
             for k0 in (0..k).step_by(KC) {
                 let kb = (k0 + KC).min(k) - k0;
                 for j_from in [0, n / NR * NR] {
-                    for use_fma in [false, fma_available()] {
+                    for arm in supported_arms() {
                         bpack.fill(f32::NAN);
-                        packed::pack_b(use_fma, view, (k0, kb), (j_from, n), &mut bpack);
-                        prop_assert_eq!(bits(&bpack), bits(&pack_b_ref(&bt, (j_from, n), k0, kb)));
+                        packed::pack_b(arm, view, (k0, kb), (j_from, n), &mut bpack);
+                        prop_assert_eq!(bits(&bpack), bits(&pack_b_ref::<NR>(&bt, (j_from, n), k0, kb)));
                     }
                 }
                 packed_oracle::pack_b((&b, b_trans), (k, n), (k0, kb), &mut bpack);
-                prop_assert_eq!(bits(&bpack), bits(&pack_b_ref(&bt, (0, n), k0, kb)));
+                let want = pack_b_ref::<{ packed_oracle::NR }>(&bt, (0, n), k0, kb);
+                prop_assert_eq!(bits(&bpack), bits(&want));
                 for i0 in (0..m).step_by(MR) {
                     let mr = MR.min(m - i0);
                     packed_oracle::pack_a((&a, a_trans), (m, k), (i0, mr), (k0, kb), &mut apack);
@@ -1333,28 +1707,38 @@ mod tests {
                 }
             })
             .collect();
-        let oracle = |use_fma| {
+        // Both FMA arms against the oracle's AVX2 kernel, the portable
+        // arm against its portable one.
+        let oracle = |arm: Arm| {
             let mut out = out0.clone();
-            packed_oracle::gemm(use_fma, (m, k, n), (&a, ta), (&b, tb), &mut out);
+            packed_oracle::gemm(
+                arm != Arm::Baseline,
+                (m, k, n),
+                (&a, ta),
+                (&b, tb),
+                &mut out,
+            );
             bits(&out)
         };
-        for use_fma in [false, fma_available()] {
+        for arm in supported_arms() {
             let mut got = out0.clone();
-            packed::gemm(use_fma, (m, k, n), (&a, ta), (&b, tb), &mut got);
+            packed::gemm(arm, (m, k, n), (&a, ta), (&b, tb), &mut got);
             assert_eq!(
                 bits(&got),
-                oracle(use_fma),
-                "{m}x{k}x{n} variant {which} fma {use_fma}"
+                oracle(arm),
+                "{m}x{k}x{n} variant {which} on {arm:?}"
             );
-        }
-        if simd_enabled() {
-            let mut got = out0.clone();
-            [sgemm_nn, sgemm_nt, sgemm_tn][which](m, k, n, &a, &b, &mut got);
-            assert_eq!(
-                bits(&got),
-                oracle(fma_available()),
-                "dispatched {m}x{k}x{n} variant {which}"
-            );
+            if simd_enabled() {
+                let mut got = out0.clone();
+                with_arm(arm, || {
+                    [sgemm_nn, sgemm_nt, sgemm_tn][which](m, k, n, &a, &b, &mut got)
+                });
+                assert_eq!(
+                    bits(&got),
+                    oracle(arm),
+                    "dispatched {m}x{k}x{n} variant {which} on {arm:?}"
+                );
+            }
         }
     }
 
@@ -1363,6 +1747,122 @@ mod tests {
     fn shipped_matches_the_packing_oracle_at_the_cnn_shapes() {
         for (m, k, n, which) in CNN_SHAPES {
             check_bits_match_oracle(m, k, n, which, 1.0);
+        }
+    }
+
+    /// The AVX-512F microkernel against the AVX2 one, bit for bit, each
+    /// arm taken by the dispatch through `with_arm`: at the CNN shapes;
+    /// across the MR / NR / KC edges and the AVX2 kernel's 16-column
+    /// half; at `16 <= n < NR` with `m >= NR`, which runs transposed; and
+    /// at `k < 8` and `m < MR`. `out` starts non-zero, as the gradient
+    /// buffers do.
+    #[test]
+    fn avx512_sgemm_matches_avx2_bit_for_bit() {
+        if !supported_arms().contains(&Arm::Avx512) {
+            eprintln!("skipped: this CPU has no AVX-512F");
+            return;
+        }
+        let mut shapes = CNN_SHAPES.to_vec();
+        for which in 0..3 {
+            for (m, k, n) in [
+                (MR + 1, KC + 1, NR + 1),
+                (MR - 1, KC - 1, NR - 1),
+                (2 * MR, 2 * KC + 3, 2 * NR),
+                (NR + 3, 40, 16),
+                (NR, 33, 17),
+                (2 * NR + 1, 9, NR - 1),
+                (9, 7, 16),
+                (1, 1, 1),
+                (3, 5, 40),
+                (MR - 1, 300, 16),
+            ] {
+                shapes.push((m, k, n, which));
+            }
+        }
+        for (m, k, n, which) in shapes {
+            let (ta, tb) = [(false, false), (false, true), (true, false)][which];
+            let (a, b) = (fill(m * k, 0.3), fill(k * n, 0.7));
+            let on = |wanted: Arm| {
+                let mut out = fill(m * n, 1.1);
+                with_arm(wanted, || {
+                    packed::gemm(arm(), (m, k, n), (&a, ta), (&b, tb), &mut out)
+                });
+                bits(&out)
+            };
+            assert_eq!(
+                on(Arm::Avx512),
+                on(Arm::Avx2),
+                "{m}x{k}x{n} variant {which}"
+            );
+        }
+    }
+
+    /// `m`×`k` values whose magnitudes span six decades, so that any
+    /// reordered or fused sum rounds differently.
+    fn spread(m: usize, k: usize, seed: f64) -> Vec<f64> {
+        (0..m * k)
+            .map(|i| (i as f64 * 0.37 + seed).sin() * 10f64.powi((i * 5 % 7) as i32 - 3))
+            .collect()
+    }
+
+    /// Every pair `pair_sums` visits on `arm`, as bits, `None` where it
+    /// visited none; a pair visited twice panics.
+    fn visited(
+        arm: Arm,
+        sum: PairSum,
+        (m, k, n): (usize, usize, usize),
+        (a, b): (&[f64], &[f64]),
+        upper: bool,
+    ) -> Vec<Option<u64>> {
+        let mut got = vec![None; m * n];
+        with_arm(arm, || {
+            pair_sums(sum, (m, k, n), (a, b), upper, |i, j, v| {
+                let first = got[i * n + j].replace(v.to_bits()).is_none();
+                assert!(first, "pair ({i}, {j}) visited twice");
+            })
+        });
+        got
+    }
+
+    /// The f64 pair tile on every arm this CPU has, through `with_arm`,
+    /// bit for bit against [`crate::dot`] and [`crate::euclidean_sq`] per
+    /// pair: depth `d % 4` of 0, 1, 2 and 3 (short and long), left rows
+    /// over every `m % 4`, right rows over every `n % 8`, general visits
+    /// (every pair) and upper ones (a matrix with itself: every `i <=
+    /// j`), and empty operands.
+    #[test]
+    fn pair_tile_is_bitwise_dot_and_euclidean_sq_on_every_arm() {
+        for k in [0, 1, 2, 3, 4, 5, 6, 7, 160, 163] {
+            for m in [0, 1, 2, 3, 4, 5, 6, 7, 13] {
+                for n in [0, 1, 3, 7, 8, 9, 12, 15, 16, 17] {
+                    let (a, b) = (spread(m, k, 0.5), spread(n, k, -1.5));
+                    for sum in [PairSum::Dot, PairSum::DiffSq] {
+                        let pair = |x: &[f64], i: usize, y: &[f64], j: usize| {
+                            let (x, y) = (&x[i * k..][..k], &y[j * k..][..k]);
+                            match sum {
+                                PairSum::Dot => crate::dot(x, y),
+                                PairSum::DiffSq => crate::euclidean_sq(x, y),
+                            }
+                            .to_bits()
+                        };
+                        for arm in supported_arms() {
+                            let at = format!("{sum:?} {m}x{k}x{n} on {arm:?}");
+                            let got = visited(arm, sum, (m, k, n), (&a, &b), false);
+                            for (ij, g) in got.iter().enumerate() {
+                                let want = pair(&a, ij / n, &b, ij % n);
+                                assert_eq!(*g, Some(want), "{at}: pair {ij}");
+                            }
+                            let got = visited(arm, sum, (m, k, m), (&a, &a), true);
+                            for (ij, g) in got.iter().enumerate() {
+                                let (i, j) = (ij / m, ij % m);
+                                if i <= j {
+                                    assert_eq!(*g, Some(pair(&a, i, &a, j)), "{at}: upper {i},{j}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -1388,19 +1888,19 @@ mod tests {
         apack
     }
 
-    /// Element-wise packing of B's columns `j_from..n` (see
-    /// [`pack_a_ref`]).
-    fn pack_b_ref(
+    /// Element-wise packing of B's columns `j_from..n` into panels `W`
+    /// wide (see [`pack_a_ref`]).
+    fn pack_b_ref<const W: usize>(
         bt: &impl Fn(usize, usize) -> f32,
         (j_from, n): (usize, usize),
         k0: usize,
         kb: usize,
     ) -> Vec<f32> {
-        let mut bpack = vec![0.0f32; (n - j_from).div_ceil(NR) * kb * NR];
-        for (jp, panel) in bpack.chunks_exact_mut(kb * NR).enumerate() {
-            let j0 = j_from + jp * NR;
-            let jw = NR.min(n - j0);
-            for (kk, prow) in panel.chunks_exact_mut(NR).enumerate() {
+        let mut bpack = vec![0.0f32; (n - j_from).div_ceil(W) * kb * W];
+        for (jp, panel) in bpack.chunks_exact_mut(kb * W).enumerate() {
+            let j0 = j_from + jp * W;
+            let jw = W.min(n - j0);
+            for (kk, prow) in panel.chunks_exact_mut(W).enumerate() {
                 for (j, p) in prow[..jw].iter_mut().enumerate() {
                     *p = bt(k0 + kk, j0 + j);
                 }
@@ -1482,7 +1982,7 @@ mod tests {
         ignore = "times optimized code: run with `cargo test --release`"
     )]
     fn shipped_holds_its_floor_over_the_scalar_oracle_at_the_cnn_shapes_and_512_cubed() {
-        let floor_512 = if fma_available() { 1.8 } else { 1.0 };
+        let floor_512 = if widest() == Arm::Baseline { 1.0 } else { 1.8 };
         for (m, k, n, which, floor) in [
             (512, 512, 512, 0, floor_512),
             (44, 160, 32, 1, 1.0),

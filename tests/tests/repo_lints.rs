@@ -137,8 +137,18 @@ const FLAT_TABLE_PATH: &str = "crates/core";
 /// would move every bit the f64 kernels pin to one `*` then one `+`.
 const FUSED: &str = "mul_add";
 
-/// The two files `f64_kernels_never_fuse` reads.
-const F64_KERNEL_PATHS: [&str; 2] = ["crates/linalg/src/matrix.rs", "crates/linalg/src/eigh.rs"];
+/// The fused operations of `std::arch` that `f64_kernels_never_fuse`
+/// rejects in an intrinsic on `f64` (a name ending in `_pd` or `_sd`).
+/// Their `_ps` forms are the f32 sgemm tiles' and stay allowed.
+const FUSED_OPS: [&str; 4] = ["fmadd", "fmsub", "fnmadd", "fnmsub"];
+
+/// The files `f64_kernels_never_fuse` reads: the f64 kernels, and the
+/// module that holds their intrinsic pair tile.
+const F64_KERNEL_PATHS: [&str; 3] = [
+    "crates/linalg/src/matrix.rs",
+    "crates/linalg/src/eigh.rs",
+    "crates/linalg/src/sgemm.rs",
+];
 
 /// The two `#[target_feature]` clone fns of `linalg::sgemm`, which only
 /// its `wide!` dispatch macro may call.
@@ -761,12 +771,22 @@ fn task_table_stays_flat_fires_on_planted_violations() {
 
 /// `f64_kernels_never_fuse` (DESIGN §5.17): the f64 kernels' bits are
 /// pinned to one `*` then one `+` per product. A fused multiply-add in
-/// `matrix.rs` or `eigh.rs` would move every PCA, SVM and KNN bit, and
-/// the arm-vs-body parity tests cannot see it, because every codegen
+/// `matrix.rs` or `eigh.rs`, or a fused f64 intrinsic in the pair tile
+/// of `sgemm.rs`, would move every PCA, SVM and KNN bit, and the
+/// arm-vs-body parity tests cannot see the first, because every codegen
 /// would contract the same way. Any line naming one is rejected,
 /// comments included.
 fn fused_violations(sources: &[Source]) -> Vec<String> {
-    lines_matching(sources, |line| line.contains(FUSED))
+    let fused_f64_intrinsic = |word: &str| {
+        FUSED_OPS.iter().any(|op| word.contains(op))
+            && (word.ends_with("_pd") || word.ends_with("_sd"))
+    };
+    lines_matching(sources, |line| {
+        line.contains(FUSED)
+            || line
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .any(fused_f64_intrinsic)
+    })
 }
 
 #[test]
@@ -794,16 +814,27 @@ fn f64_kernels_never_fuse_fires_on_planted_violations() {
     let planted = [
         src(F64_KERNEL_PATHS[0], "    acc = a.mul_add(b, acc);"),
         src(F64_KERNEL_PATHS[1], "    // f64::mul_add here"),
+        src(F64_KERNEL_PATHS[2], "    acc = _mm512_fmadd_pd(x, y, acc);"),
+        src(F64_KERNEL_PATHS[2], "    s = _mm256_fnmadd_pd(x, y, s);"),
+        src(F64_KERNEL_PATHS[2], "    use _mm_fmsub_sd as f;"),
+        src(F64_KERNEL_PATHS[2], "    // or _mm512_mask3_fmaddsub_pd"),
     ];
     let found = fused_violations(&planted);
     assert_eq!(found.len(), planted.len(), "{found:#?}");
     assert!(found[0].starts_with("crates/linalg/src/matrix.rs:1:"));
 
-    let allowed = src(
-        F64_KERNEL_PATHS[0],
-        "    acc += a * b;\n    let mul = 1; let add = 2;",
-    );
-    let found = fused_violations(&[allowed]);
+    let allowed = [
+        src(
+            F64_KERNEL_PATHS[0],
+            "    acc += a * b;\n    let mul = 1; let add = 2;",
+        ),
+        src(
+            F64_KERNEL_PATHS[2],
+            "    c = _mm512_fmadd_ps(av, b0, c);\n    s = _mm512_add_pd(s, _mm512_mul_pd(x, y));\n    \
+             let fmadd_pd_count = 0;",
+        ),
+    ];
+    let found = fused_violations(&allowed);
     assert!(found.is_empty(), "{found:#?}");
 }
 
