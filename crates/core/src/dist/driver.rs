@@ -35,7 +35,7 @@
 
 use super::kind::KindRegistry;
 use super::plan::Plan;
-use super::proto::{self, Msg};
+use super::proto::{self, Msg, Store, STORE_POISONED};
 use super::state::{Action, Event, RunState};
 use super::wire::WireValue;
 use super::worker::{self, WorkerOpts};
@@ -253,7 +253,7 @@ pub struct DistRuntime {
     last_seen: Arc<[AtomicU64]>,
     /// Whether each worker's control stream has reported EOF.
     closed: Vec<bool>,
-    driver_store: Arc<Mutex<HashMap<u64, Arc<WireValue>>>>,
+    driver_store: Store,
     relay_bytes: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
     rx: Receiver<Ev>,
@@ -266,8 +266,6 @@ pub struct DistRuntime {
 }
 
 static DIR_NONCE: AtomicU64 = AtomicU64::new(0);
-
-const STORE_POISONED: &str = "a relay thread panicked holding the driver store";
 
 impl DistRuntime {
     /// Launches `cfg.workers` **worker processes** by re-executing the
@@ -601,7 +599,7 @@ impl Drop for DistRuntime {
 #[derive(Clone)]
 struct ConnCtx {
     last_seen: Arc<[AtomicU64]>,
-    store: Arc<Mutex<HashMap<u64, Arc<WireValue>>>>,
+    store: Store,
     relay_bytes: Arc<AtomicU64>,
     tx: SyncSender<Ev>,
     epoch: Instant,
@@ -652,16 +650,8 @@ fn serve_connection(mut conn: UnixStream, ctx: ConnCtx) {
             }
         }
         Ok(Msg::Pull { data }) => {
-            let held = ctx.store.lock().unwrap().get(&data).cloned();
-            let reply = match held {
-                Some(value) => {
-                    ctx.relay_bytes
-                        .fetch_add(value.encoded_len() as u64, Ordering::Relaxed);
-                    Msg::Data { data, value }
-                }
-                None => Msg::NotFound { data },
-            };
-            let _ = proto::send(&mut conn, &reply);
+            let served = proto::serve_pull(&mut conn, data, &ctx.store);
+            ctx.relay_bytes.fetch_add(served, Ordering::Relaxed);
         }
         _ => {} // shutdown wake-up connection, or garbage
     }

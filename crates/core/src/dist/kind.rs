@@ -10,8 +10,8 @@
 //!
 //! Each kind carries its [`OnFailure`] policy and [`RetryPolicy`] from
 //! [`crate::fault`] — the same vocabulary the threaded runtime uses —
-//! so the driver applies identical semantics when a worker reports a
-//! body failure.
+//! and the driver gives `Fail` and `Retry` their threaded meaning;
+//! [`crate::dist::Plan::validate`] refuses the other two.
 
 use super::wire::WireValue;
 use crate::fault::{OnFailure, RetryPolicy};

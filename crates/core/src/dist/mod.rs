@@ -12,10 +12,10 @@
 //!
 //! Layer map:
 //!
-//! * [`wire`] — length-prefixed frames and the closed-universe
-//!   [`WireValue`] payload encoding (`encoded_len` *is*
-//!   `Payload::approx_bytes`, pinning the DES transfer model to real
-//!   wire bytes).
+//! * [`wire`] — the one codec: length-prefixed frames, the
+//!   closed-universe [`WireValue`] payload, and the primitives every
+//!   message is walked with (`encoded_len` *is* `Payload::approx_bytes`,
+//!   pinning the DES transfer model to real wire bytes).
 //! * [`proto`] — the driver ⇄ worker message set.
 //! * [`kind`] — the named-kind registry replacing serialized closures,
 //!   carrying `crate::fault` policies per kind.

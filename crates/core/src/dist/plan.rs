@@ -11,6 +11,7 @@
 
 use super::kind::KindRegistry;
 use super::wire::WireValue;
+use crate::fault::OnFailure;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -84,7 +85,10 @@ impl Plan {
     }
 
     /// Checks the plan against a registry: every kind must be
-    /// registered, every id defined exactly once.
+    /// registered, with `Fail` or `Retry` (`dist` neither poisons nor
+    /// cancels successors, so it refuses `Ignore` and `CancelSuccessors`
+    /// rather than give them another meaning), and every id defined
+    /// exactly once.
     pub fn validate(&self, reg: &KindRegistry) -> Result<(), String> {
         let mut defined = std::collections::BTreeSet::new();
         for (id, _) in &self.seeds {
@@ -93,8 +97,14 @@ impl Plan {
             }
         }
         for t in &self.tasks {
-            if reg.get(&t.kind).is_none() {
+            let Some(kind) = reg.get(&t.kind) else {
                 return Err(format!("kind '{}' is not registered", t.kind));
+            };
+            if let policy @ (OnFailure::Ignore | OnFailure::CancelSuccessors) = kind.on_failure {
+                return Err(format!(
+                    "kind '{}' has on_failure {policy:?}; dist implements only Fail and Retry",
+                    t.kind
+                ));
             }
             for i in &t.inputs {
                 if !defined.contains(i) {
@@ -150,7 +160,7 @@ pub fn fingerprint(outputs: &BTreeMap<u64, Arc<WireValue>>) -> Vec<u8> {
     let mut bytes = Vec::new();
     for (id, v) in outputs {
         bytes.extend_from_slice(&id.to_le_bytes());
-        v.encode_into(&mut bytes);
+        bytes.extend_from_slice(&v.encode());
     }
     bytes
 }

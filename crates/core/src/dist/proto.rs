@@ -16,14 +16,17 @@
 //!   outputs it fetched back (a *relay*). Which one answered is told by
 //!   the address that was dialled, not by the frames.
 //!
-//! [`send`] and [`recv`] stream a `Data` frame between the socket and
-//! the value: the bytes are those of [`Msg::encode`], but neither side
-//! builds a whole-frame buffer.
+//! A message's bytes are one `wire` walk each way (`encode_to`,
+//! `decode_from`): [`send`]/[`recv`] run them on the socket, a heartbeat
+//! and a 1 MiB `Data` alike, and [`Msg::encode`]/[`Msg::decode`] on a
+//! buffer. Neither side builds a whole-frame buffer.
 
-use super::wire::{self, FrameReader, WireError, WireValue};
+use super::wire::{self, Encode, FrameReader, Sink, Source, WireError, WireValue};
+use std::collections::HashMap;
+use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Where a consumer can find an input: the data id plus the peer
 /// socket paths of workers currently holding a replica (driver-held
@@ -102,81 +105,29 @@ mod tag {
     pub const RELEASE: u8 = 11;
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_ids(out: &mut Vec<u8>, ids: &[u64]) {
-    put_u64(out, ids.len() as u64);
-    for d in ids {
-        put_u64(out, *d);
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn take_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
-    if buf.len() < 8 {
-        return Err(WireError::Truncated);
-    }
-    let (head, rest) = buf.split_at(8);
-    *buf = rest;
-    Ok(u64::from_le_bytes(head.try_into().unwrap()))
-}
-
-/// A `u32` id sent as `u64`; a value past `u32::MAX` is refused, not
-/// truncated.
-fn take_u32(buf: &mut &[u8], field: &'static str) -> Result<u32, WireError> {
-    let value = take_u64(buf)?;
-    u32::try_from(value).map_err(|_| WireError::OutOfRange { field, value })
-}
-
-fn take_f64(buf: &mut &[u8]) -> Result<f64, WireError> {
-    Ok(f64::from_bits(take_u64(buf)?))
-}
-
-fn take_ids(buf: &mut &[u8]) -> Result<Vec<u64>, WireError> {
-    let n = take_u64(buf)? as usize;
-    if n > buf.len() {
-        return Err(WireError::Truncated);
-    }
-    (0..n).map(|_| take_u64(buf)).collect()
-}
-
 /// The fewest wire bytes an [`InputSpec`] or an owner takes: two `u64`s
 /// (data id and owner count; worker id and path length).
 const MIN_SPEC_BYTES: usize = 16;
 
-fn take_str(buf: &mut &[u8]) -> Result<String, WireError> {
-    let n = take_u64(buf)? as usize;
-    if buf.len() < n {
-        return Err(WireError::Truncated);
-    }
-    let (head, rest) = buf.split_at(n);
-    *buf = rest;
-    String::from_utf8(head.to_vec()).map_err(|_| WireError::Truncated)
-}
-
-impl Msg {
-    /// Encodes the message as a frame body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+impl Encode for Msg {
+    fn encode_to(&self, out: &mut impl Sink) -> io::Result<()> {
+        let t = match self {
+            Msg::Hello { .. } => tag::HELLO,
+            Msg::Heartbeat { .. } => tag::HEARTBEAT,
+            Msg::Done { .. } => tag::DONE,
+            Msg::Failed { .. } => tag::FAILED,
+            Msg::FetchFailed { .. } => tag::FETCH_FAILED,
+            Msg::Run { .. } => tag::RUN,
+            Msg::Shutdown => tag::SHUTDOWN,
+            Msg::Release { .. } => tag::RELEASE,
+            Msg::Pull { .. } => tag::PULL,
+            Msg::Data { .. } => tag::DATA,
+            Msg::NotFound { .. } => tag::NOT_FOUND,
+        };
+        out.put_u8(t)?;
         match self {
-            Msg::Hello { worker } => {
-                out.push(tag::HELLO);
-                put_u64(&mut out, u64::from(*worker));
-            }
-            Msg::Heartbeat { seq } => {
-                out.push(tag::HEARTBEAT);
-                put_u64(&mut out, *seq);
-            }
+            Msg::Hello { worker } => out.put_u64(u64::from(*worker)),
+            Msg::Heartbeat { seq } => out.put_u64(*seq),
             Msg::Done {
                 task,
                 out: o,
@@ -186,19 +137,21 @@ impl Msg {
                 pulled,
                 relayed,
             } => {
-                out.push(tag::DONE);
-                put_u64(&mut out, *task);
-                put_u64(&mut out, *o);
-                put_u64(&mut out, *bytes);
-                put_f64(&mut out, *start_rel_s);
-                put_f64(&mut out, *duration_s);
-                put_ids(&mut out, pulled);
-                put_ids(&mut out, relayed);
+                out.put_u64(*task)?;
+                out.put_u64(*o)?;
+                out.put_u64(*bytes)?;
+                out.put_f64(*start_rel_s)?;
+                out.put_f64(*duration_s)?;
+                out.put_ids(pulled)?;
+                out.put_ids(relayed)
             }
             Msg::Failed { task, error } => {
-                out.push(tag::FAILED);
-                put_u64(&mut out, *task);
-                put_str(&mut out, error);
+                out.put_u64(*task)?;
+                out.put_str(error)
+            }
+            Msg::FetchFailed { task, data } => {
+                out.put_u64(*task)?;
+                out.put_u64(*data)
             }
             Msg::Run {
                 task,
@@ -207,102 +160,83 @@ impl Msg {
                 out: o,
                 inputs,
             } => {
-                out.push(tag::RUN);
-                put_u64(&mut out, *task);
-                put_u64(&mut out, u64::from(*attempt));
-                put_str(&mut out, kind);
-                put_u64(&mut out, *o);
-                put_u64(&mut out, inputs.len() as u64);
+                out.put_u64(*task)?;
+                out.put_u64(u64::from(*attempt))?;
+                out.put_str(kind)?;
+                out.put_u64(*o)?;
+                out.put_u64(inputs.len() as u64)?;
                 for i in inputs {
-                    put_u64(&mut out, i.data);
-                    put_u64(&mut out, i.owners.len() as u64);
+                    out.put_u64(i.data)?;
+                    out.put_u64(i.owners.len() as u64)?;
                     for (w, path) in &i.owners {
-                        put_u64(&mut out, u64::from(*w));
-                        put_str(&mut out, path);
+                        out.put_u64(u64::from(*w))?;
+                        out.put_str(path)?;
                     }
                 }
+                Ok(())
             }
-            Msg::Shutdown => out.push(tag::SHUTDOWN),
-            Msg::Release { data } => {
-                out.push(tag::RELEASE);
-                put_u64(&mut out, *data);
-            }
-            Msg::Pull { data } => {
-                out.push(tag::PULL);
-                put_u64(&mut out, *data);
+            Msg::Shutdown => Ok(()),
+            Msg::Release { data } | Msg::Pull { data } | Msg::NotFound { data } => {
+                out.put_u64(*data)
             }
             Msg::Data { data, value } => {
-                out.reserve(9 + value.encoded_len());
-                out.push(tag::DATA);
-                put_u64(&mut out, *data);
-                value.encode_into(&mut out);
-            }
-            Msg::NotFound { data } => {
-                out.push(tag::NOT_FOUND);
-                put_u64(&mut out, *data);
-            }
-            Msg::FetchFailed { task, data } => {
-                out.push(tag::FETCH_FAILED);
-                put_u64(&mut out, *task);
-                put_u64(&mut out, *data);
+                out.put_u64(*data)?;
+                value.encode_to(out)
             }
         }
-        out
+    }
+}
+
+impl Msg {
+    /// Encodes the message as a frame body.
+    pub fn encode(&self) -> Vec<u8> {
+        wire::bytes_of(self)
     }
 
     /// Decodes a frame body. The whole body must be consumed.
-    pub fn decode(body: &[u8]) -> Result<Msg, WireError> {
-        let mut buf = body;
-        let t = {
-            let (&b, rest) = buf.split_first().ok_or(WireError::Truncated)?;
-            buf = rest;
-            b
-        };
-        let msg = match t {
+    pub fn decode(mut body: &[u8]) -> Result<Msg, WireError> {
+        wire::whole(&mut body, Msg::decode_from)
+    }
+
+    /// Decodes one message from the front of `src`.
+    /// Fields are read in the order written: the wire order.
+    fn decode_from(src: &mut impl Source) -> Result<Msg, WireError> {
+        Ok(match src.take_u8()? {
             tag::HELLO => Msg::Hello {
-                worker: take_u32(&mut buf, "Hello.worker")?,
+                worker: src.take_u32("Hello.worker")?,
             },
             tag::HEARTBEAT => Msg::Heartbeat {
-                seq: take_u64(&mut buf)?,
+                seq: src.take_u64()?,
             },
-            tag::DONE => {
-                let task = take_u64(&mut buf)?;
-                let out = take_u64(&mut buf)?;
-                let bytes = take_u64(&mut buf)?;
-                let start_rel_s = take_f64(&mut buf)?;
-                let duration_s = take_f64(&mut buf)?;
-                let pulled = take_ids(&mut buf)?;
-                let relayed = take_ids(&mut buf)?;
-                Msg::Done {
-                    task,
-                    out,
-                    bytes,
-                    start_rel_s,
-                    duration_s,
-                    pulled,
-                    relayed,
-                }
-            }
+            tag::DONE => Msg::Done {
+                task: src.take_u64()?,
+                out: src.take_u64()?,
+                bytes: src.take_u64()?,
+                start_rel_s: src.take_f64()?,
+                duration_s: src.take_f64()?,
+                pulled: src.take_ids()?,
+                relayed: src.take_ids()?,
+            },
             tag::FAILED => Msg::Failed {
-                task: take_u64(&mut buf)?,
-                error: take_str(&mut buf)?,
+                task: src.take_u64()?,
+                error: src.take_str()?,
             },
             tag::RUN => {
-                let task = take_u64(&mut buf)?;
-                let attempt = take_u32(&mut buf, "Run.attempt")?;
-                let kind = take_str(&mut buf)?;
-                let out = take_u64(&mut buf)?;
+                let task = src.take_u64()?;
+                let attempt = src.take_u32("Run.attempt")?;
+                let kind = src.take_str()?;
+                let out = src.take_u64()?;
                 // Reserve no more entries than the bytes left can hold:
                 // an `InputSpec` takes 16 bytes on the wire, 32 in memory.
-                let n = take_u64(&mut buf)? as usize;
-                let mut inputs = Vec::with_capacity(n.min(buf.len() / MIN_SPEC_BYTES));
+                let n = src.take_u64()? as usize;
+                let mut inputs = Vec::with_capacity(n.min(src.left() / MIN_SPEC_BYTES));
                 for _ in 0..n {
-                    let data = take_u64(&mut buf)?;
-                    let n_owners = take_u64(&mut buf)? as usize;
-                    let mut owners = Vec::with_capacity(n_owners.min(buf.len() / MIN_SPEC_BYTES));
+                    let data = src.take_u64()?;
+                    let n_owners = src.take_u64()? as usize;
+                    let mut owners = Vec::with_capacity(n_owners.min(src.left() / MIN_SPEC_BYTES));
                     for _ in 0..n_owners {
-                        let w = take_u32(&mut buf, "Run owner")?;
-                        owners.push((w, take_str(&mut buf)?));
+                        let w = src.take_u32("Run owner")?;
+                        owners.push((w, src.take_str()?));
                     }
                     inputs.push(InputSpec { data, owners });
                 }
@@ -316,62 +250,61 @@ impl Msg {
             }
             tag::SHUTDOWN => Msg::Shutdown,
             tag::RELEASE => Msg::Release {
-                data: take_u64(&mut buf)?,
+                data: src.take_u64()?,
             },
             tag::PULL => Msg::Pull {
-                data: take_u64(&mut buf)?,
+                data: src.take_u64()?,
             },
-            tag::DATA => {
-                let data = take_u64(&mut buf)?;
-                let value = Arc::new(WireValue::decode_from(&mut buf)?);
-                Msg::Data { data, value }
-            }
+            tag::DATA => Msg::Data {
+                data: src.take_u64()?,
+                value: Arc::new(WireValue::decode_from(src)?),
+            },
             tag::NOT_FOUND => Msg::NotFound {
-                data: take_u64(&mut buf)?,
+                data: src.take_u64()?,
             },
             tag::FETCH_FAILED => Msg::FetchFailed {
-                task: take_u64(&mut buf)?,
-                data: take_u64(&mut buf)?,
+                task: src.take_u64()?,
+                data: src.take_u64()?,
             },
             other => return Err(WireError::BadTag(other)),
-        };
-        if !buf.is_empty() {
-            return Err(WireError::Truncated);
-        }
-        Ok(msg)
+        })
     }
 }
 
-/// Sends one message as a frame. A `Data` frame is written straight
-/// from its value.
-pub fn send(w: &mut impl std::io::Write, msg: &Msg) -> Result<(), WireError> {
-    match msg {
-        Msg::Data { data, value } => {
-            let mut head = [tag::DATA; 9];
-            head[1..].copy_from_slice(&data.to_le_bytes());
-            wire::write_value_frame(w, &head, value)
-        }
-        _ => wire::write_frame(w, &msg.encode()),
-    }
+/// Sends one message as a frame: the bytes of [`Msg::encode`] behind
+/// their length, in one `write` when they fit 64 KiB.
+pub fn send(w: &mut impl Write, msg: &Msg) -> Result<(), WireError> {
+    wire::write_frame(w, msg)
 }
 
 /// Receives one message frame: what [`Msg::decode`] makes of the body,
-/// value for value and error for error. A `Data` frame's value is
-/// decoded straight off the socket into its own buffers.
-pub fn recv(r: &mut impl std::io::Read) -> Result<Msg, WireError> {
+/// value for value and error for error, decoded straight off the
+/// socket.
+pub fn recv(r: &mut impl Read) -> Result<Msg, WireError> {
     let mut frame = FrameReader::open(r)?;
-    let mut head = [0u8; 9];
-    let n = frame.left().min(head.len());
-    frame.read_exact(&mut head[..n])?;
-    if n == head.len() && head[0] == tag::DATA {
-        let data = u64::from_le_bytes(head[1..].try_into().expect("8-byte id"));
-        let value = Arc::new(frame.read_value()?);
-        return Ok(Msg::Data { data, value });
-    }
-    let mut body = vec![0u8; n + frame.left()];
-    body[..n].copy_from_slice(&head[..n]);
-    frame.read_exact(&mut body[n..])?;
-    Msg::decode(&body)
+    wire::whole(&mut frame, Msg::decode_from)
+}
+
+/// A store of shared values by data id: a worker's replicas, or the
+/// driver's seeds and fetched outputs.
+pub(super) type Store = Arc<Mutex<HashMap<u64, Arc<WireValue>>>>;
+
+pub(super) const STORE_POISONED: &str = "a thread panicked holding a store";
+
+/// Answers a pull for `data` from `store` with `Data` or `NotFound`,
+/// and returns the payload bytes it served (0 for `NotFound`). A
+/// worker's peer server and the driver's relay both answer with it.
+pub(super) fn serve_pull(conn: &mut impl Write, data: u64, store: &Store) -> u64 {
+    let held = store.lock().expect(STORE_POISONED).get(&data).cloned();
+    let (reply, served) = match held {
+        Some(value) => {
+            let bytes = value.encoded_len() as u64;
+            (Msg::Data { data, value }, bytes)
+        }
+        None => (Msg::NotFound { data }, 0),
+    };
+    let _ = send(conn, &reply);
+    served
 }
 
 /// One pull connection: dials `addr`, asks for `data`, and returns the
@@ -389,6 +322,14 @@ pub(super) fn pull(addr: &Path, data: u64) -> Option<Arc<WireValue>> {
 mod tests {
     use super::*;
     use linalg::Matrix;
+
+    /// `body` behind its `u32` length: the frame [`send`] must write.
+    fn frame(body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.put_u32(body.len() as u32).unwrap();
+        out.extend_from_slice(body);
+        out
+    }
 
     #[test]
     fn every_message_roundtrips() {
@@ -433,28 +374,33 @@ mod tests {
         for m in msgs {
             let body = m.encode();
             assert_eq!(Msg::decode(&body).unwrap(), m);
+            let mut sent = Vec::new();
+            send(&mut sent, &m).unwrap();
+            assert_eq!(sent, frame(&body), "{m:?}");
+            assert_eq!(recv(&mut sent.as_slice()).unwrap(), m);
         }
     }
 
     #[test]
     fn ids_past_u32_are_refused_not_truncated() {
         let too_big = (1u64 << 32) + 1;
-        let hello = [&[tag::HELLO][..], &too_big.to_le_bytes()].concat();
+        let mut hello = vec![tag::HELLO];
+        hello.put_u64(too_big).unwrap();
         assert!(matches!(
             Msg::decode(&hello),
             Err(WireError::OutOfRange { field: "Hello.worker", value }) if value == too_big
         ));
         let run = |attempt: u64, owner: u64| {
             let mut body = vec![tag::RUN];
-            put_u64(&mut body, 7);
-            put_u64(&mut body, attempt);
-            put_str(&mut body, "k");
-            put_u64(&mut body, 1);
-            put_u64(&mut body, 1);
-            put_u64(&mut body, 0);
-            put_u64(&mut body, 1);
-            put_u64(&mut body, owner);
-            put_str(&mut body, "p");
+            body.put_u64(7).unwrap();
+            body.put_u64(attempt).unwrap();
+            body.put_str("k").unwrap();
+            body.put_u64(1).unwrap();
+            body.put_u64(1).unwrap();
+            body.put_u64(0).unwrap();
+            body.put_u64(1).unwrap();
+            body.put_u64(owner).unwrap();
+            body.put_str("p").unwrap();
             body
         };
         assert!(Msg::decode(&run(1, u64::from(u32::MAX))).is_ok());
@@ -473,9 +419,9 @@ mod tests {
     fn a_deeply_nested_data_frame_is_refused() {
         // A one-element list is its 9-byte header followed by the element.
         let list_of_unit = WireValue::List(vec![WireValue::Unit]).encode();
-        let (header, unit) = list_of_unit.split_at(9);
+        let (header, unit) = (&list_of_unit[..9], &list_of_unit[9..]);
         let mut body = vec![tag::DATA];
-        put_u64(&mut body, 4);
+        body.put_u64(4).unwrap();
         body.extend(header.repeat(200_000));
         body.extend_from_slice(unit);
         assert!(matches!(Msg::decode(&body), Err(WireError::TooDeep)));
@@ -496,6 +442,67 @@ mod tests {
         .encode();
         for cut in 0..body.len() {
             assert!(Msg::decode(&body[..cut]).is_err(), "prefix {cut} decoded");
+        }
+    }
+
+    /// Counts the `read` or `write` calls made through it.
+    struct Calls<T> {
+        inner: T,
+        calls: usize,
+    }
+
+    impl<T: Write> Write for Calls<T> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.inner.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl<T: Read> Read for Calls<T> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_control_frame_costs_one_write_and_at_most_two_reads() {
+        let msgs = [
+            Msg::Run {
+                task: 7,
+                attempt: 1,
+                kind: "dpca_gram".into(),
+                out: 11,
+                inputs: vec![InputSpec {
+                    data: 4,
+                    owners: vec![(0, "/tmp/w0.sock".into())],
+                }],
+            },
+            Msg::Done {
+                task: 7,
+                out: 11,
+                bytes: 4096,
+                start_rel_s: 0.5,
+                duration_s: 0.001,
+                pulled: vec![4],
+                relayed: vec![],
+            },
+            Msg::Heartbeat { seq: 3 },
+        ];
+        let (a, b) = UnixStream::pair().unwrap();
+        let mut tx = Calls { inner: a, calls: 0 };
+        let mut rx = Calls { inner: b, calls: 0 };
+        for m in msgs {
+            tx.calls = 0;
+            send(&mut tx, &m).unwrap();
+            assert_eq!(tx.calls, 1, "writes for {m:?}");
+            rx.calls = 0;
+            assert_eq!(recv(&mut rx).unwrap(), m);
+            assert!(rx.calls <= 2, "{} reads for {m:?}", rx.calls);
         }
     }
 }

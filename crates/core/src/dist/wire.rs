@@ -14,11 +14,17 @@
 //!   is `u32-LE length ‖ body`. A reader either gets the whole body or
 //!   an error; a peer that dies mid-write can never hand a consumer a
 //!   half-message (the driver treats the short read as a worker death).
-//!   A frame that carries a value can also be written from the value
-//!   and read into it through one fixed 64 KiB buffer
-//!   (`write_value_frame`, `FrameReader`): the same bytes on the
-//!   wire, but no whole-frame buffer on either side, and the decoded
-//!   `f64` arrays come from `linalg::pool`.
+//!
+//! A type's bytes are one encoding walk over a [`Sink`] ([`Encode`]) and
+//! one decoding walk over a [`Source`], made of the primitives here; no
+//! other module spells out a layout. A counting sink ([`Count`]) gives
+//! [`WireValue::encoded_len`] and every frame's prefix. [`write_frame`]
+//! puts prefix and body through one buffer of at most 64 KiB, one
+//! `write` for a frame that fits; [`FrameReader`] decodes off the
+//! socket, filling its 64 KiB read-ahead `min(bytes left in the frame,
+//! 64 KiB)` at a time — never past the frame, so a control frame is one
+//! read after its prefix — and draws decoded `f64` arrays from
+//! `linalg::pool`.
 
 use crate::payload::Payload;
 use linalg::Matrix;
@@ -28,7 +34,7 @@ use std::io::{self, Read, Write};
 /// prefix must not turn into an unbounded allocation.
 pub const MAX_FRAME_BYTES: usize = 1 << 30;
 
-/// Bytes a streamed frame moves per socket write or read.
+/// Bytes a frame moves per socket write, and at most per read.
 const CHUNK: usize = 64 << 10;
 
 /// Deepest [`WireValue::List`] nesting the decoder accepts. Decoding
@@ -158,113 +164,42 @@ impl WireValue {
         }
     }
 
-    /// Appends the canonical encoding of `self` to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.encode_to(out).expect("a Vec sink cannot fail");
-    }
-
-    /// Writes the canonical encoding of `self` to `out`.
-    fn encode_to(&self, out: &mut impl Sink) -> io::Result<()> {
-        match self {
-            WireValue::Unit => out.put(&[tag::UNIT]),
-            WireValue::Bool(b) => out.put(&[tag::BOOL, u8::from(*b)]),
-            WireValue::U64(v) => {
-                out.put(&[tag::U64])?;
-                out.put(&v.to_le_bytes())
-            }
-            WireValue::I64(v) => {
-                out.put(&[tag::I64])?;
-                out.put(&v.to_le_bytes())
-            }
-            WireValue::F64(v) => {
-                out.put(&[tag::F64])?;
-                out.put(&v.to_bits().to_le_bytes())
-            }
-            WireValue::Str(s) => {
-                out.put(&[tag::STR])?;
-                out.put(&(s.len() as u64).to_le_bytes())?;
-                out.put(s.as_bytes())
-            }
-            WireValue::Bytes(b) => {
-                out.put(&[tag::BYTES])?;
-                out.put(&(b.len() as u64).to_le_bytes())?;
-                out.put(b)
-            }
-            WireValue::VecF64(v) => {
-                out.put(&[tag::VEC_F64])?;
-                out.put(&(v.len() as u64).to_le_bytes())?;
-                out.put_f64s(v)
-            }
-            WireValue::Matrix(m) => {
-                out.put(&[tag::MATRIX])?;
-                out.put(&(m.rows() as u64).to_le_bytes())?;
-                out.put(&(m.cols() as u64).to_le_bytes())?;
-                out.put_f64s(m.as_slice())
-            }
-            WireValue::List(items) => {
-                out.put(&[tag::LIST])?;
-                out.put(&(items.len() as u64).to_le_bytes())?;
-                items.iter().try_for_each(|it| it.encode_to(out))
-            }
-        }
-    }
-
     /// The canonical encoding as a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut out);
-        out
+        bytes_of(self)
     }
 
-    /// Exact length [`Self::encode`] will produce, computed without
-    /// encoding. This is also the [`Payload::approx_bytes`] of the
-    /// value — the wire format and the simulator's transfer model are
-    /// pinned to each other byte for byte.
+    /// Exact length [`Self::encode`] will produce, counted by the same
+    /// walk. This is also the [`Payload::approx_bytes`] of the value —
+    /// the wire format and the simulator's transfer model are pinned to
+    /// each other byte for byte.
     pub fn encoded_len(&self) -> usize {
-        1 + match self {
-            WireValue::Unit => 0,
-            WireValue::Bool(_) => 1,
-            WireValue::U64(_) | WireValue::I64(_) | WireValue::F64(_) => 8,
-            WireValue::Str(s) => 8 + s.len(),
-            WireValue::Bytes(b) => 8 + b.len(),
-            WireValue::VecF64(v) => 8 + 8 * v.len(),
-            WireValue::Matrix(m) => 16 + 8 * m.rows() * m.cols(),
-            WireValue::List(items) => 8 + items.iter().map(WireValue::encoded_len).sum::<usize>(),
-        }
+        len_of(self)
     }
 
-    /// Decodes one value from the front of `buf`, advancing it.
-    pub fn decode_from(buf: &mut &[u8]) -> Result<WireValue, WireError> {
-        WireValue::decode_nested(buf, 0)
+    /// Decodes one value from the front of `src`, advancing it.
+    pub(crate) fn decode_from(src: &mut impl Source) -> Result<WireValue, WireError> {
+        WireValue::decode_nested(src, 0)
     }
 
     /// Decodes one value from `src` inside `depth` enclosing lists.
     /// Nothing is allocated for more bytes than `src` has left.
     fn decode_nested(src: &mut impl Source, depth: usize) -> Result<WireValue, WireError> {
-        let t = take_u8(src)?;
-        Ok(match t {
+        Ok(match src.take_u8()? {
             tag::UNIT => WireValue::Unit,
-            tag::BOOL => WireValue::Bool(take_u8(src)? != 0),
-            tag::U64 => WireValue::U64(take_u64(src)?),
-            tag::I64 => WireValue::I64(take_u64(src)? as i64),
-            tag::F64 => WireValue::F64(f64::from_bits(take_u64(src)?)),
-            tag::STR => {
-                let n = take_len(src)?;
-                WireValue::Str(
-                    String::from_utf8(take_bytes(src, n)?).map_err(|_| WireError::Truncated)?,
-                )
-            }
-            tag::BYTES => {
-                let n = take_len(src)?;
-                WireValue::Bytes(take_bytes(src, n)?)
-            }
+            tag::BOOL => WireValue::Bool(src.take_u8()? != 0),
+            tag::U64 => WireValue::U64(src.take_u64()?),
+            tag::I64 => WireValue::I64(src.take_u64()? as i64),
+            tag::F64 => WireValue::F64(src.take_f64()?),
+            tag::STR => WireValue::Str(src.take_str()?),
+            tag::BYTES => WireValue::Bytes(src.take_bytes()?),
             tag::VEC_F64 => {
-                let n = take_len(src)?;
+                let n = src.take_len()?;
                 WireValue::VecF64(src.take_f64s(n)?)
             }
             tag::MATRIX => {
-                let rows = take_len(src)?;
-                let cols = take_len(src)?;
+                let rows = src.take_len()?;
+                let cols = src.take_len()?;
                 let n = rows.checked_mul(cols).ok_or(WireError::Truncated)?;
                 WireValue::Matrix(Matrix::from_vec(rows, cols, src.take_f64s(n)?))
             }
@@ -272,7 +207,7 @@ impl WireValue {
                 if depth == MAX_LIST_DEPTH {
                     return Err(WireError::TooDeep);
                 }
-                let n = take_len(src)?;
+                let n = src.take_len()?;
                 // Each element is at least 1 byte; reject absurd counts,
                 // and reserve no more memory than the bytes left.
                 if n > src.left() {
@@ -291,11 +226,7 @@ impl WireValue {
 
     /// Decodes a value that must occupy the whole buffer.
     pub fn decode(mut buf: &[u8]) -> Result<WireValue, WireError> {
-        let v = WireValue::decode_from(&mut buf)?;
-        if !buf.is_empty() {
-            return Err(WireError::Truncated);
-        }
-        Ok(v)
+        whole(&mut buf, WireValue::decode_from)
     }
 
     /// Hands every `f64` buffer inside to the calling thread's
@@ -311,6 +242,49 @@ impl WireValue {
     }
 }
 
+impl Encode for WireValue {
+    fn encode_to(&self, out: &mut impl Sink) -> io::Result<()> {
+        let t = match self {
+            WireValue::Unit => tag::UNIT,
+            WireValue::Bool(_) => tag::BOOL,
+            WireValue::U64(_) => tag::U64,
+            WireValue::I64(_) => tag::I64,
+            WireValue::F64(_) => tag::F64,
+            WireValue::Str(_) => tag::STR,
+            WireValue::Bytes(_) => tag::BYTES,
+            WireValue::VecF64(_) => tag::VEC_F64,
+            WireValue::Matrix(_) => tag::MATRIX,
+            WireValue::List(_) => tag::LIST,
+        };
+        out.put_u8(t)?;
+        match self {
+            WireValue::Unit => Ok(()),
+            WireValue::Bool(b) => out.put_u8(u8::from(*b)),
+            WireValue::U64(v) => out.put_u64(*v),
+            WireValue::I64(v) => out.put_u64(*v as u64),
+            WireValue::F64(v) => out.put_f64(*v),
+            WireValue::Str(s) => out.put_str(s),
+            WireValue::Bytes(b) => {
+                out.put_u64(b.len() as u64)?;
+                out.put(b)
+            }
+            WireValue::VecF64(v) => {
+                out.put_u64(v.len() as u64)?;
+                out.put_f64s(v)
+            }
+            WireValue::Matrix(m) => {
+                out.put_u64(m.rows() as u64)?;
+                out.put_u64(m.cols() as u64)?;
+                out.put_f64s(m.as_slice())
+            }
+            WireValue::List(items) => {
+                out.put_u64(items.len() as u64)?;
+                items.iter().try_for_each(|it| it.encode_to(out))
+            }
+        }
+    }
+}
+
 /// The wire size of a value *is* its payload size: the DES transfer
 /// model and the real socket move the same byte counts.
 impl Payload for WireValue {
@@ -319,12 +293,62 @@ impl Payload for WireValue {
     }
 }
 
-/// Where an encoding goes: a growing buffer, or a socket through a
-/// fixed chunk ([`Chunked`]).
-trait Sink {
+/// A type whose bytes are one walk over a [`Sink`]: the buffer, the
+/// counter and the socket all run the same `encode_to`.
+pub(crate) trait Encode {
+    fn encode_to(&self, out: &mut impl Sink) -> io::Result<()>;
+}
+
+/// Exact length of `x`'s encoding: its walk over a [`Count`].
+fn len_of(x: &impl Encode) -> usize {
+    let mut n = Count(0);
+    x.encode_to(&mut n).expect("a counter cannot fail");
+    n.0
+}
+
+/// `x`'s encoding as a fresh buffer of exactly that length.
+pub(crate) fn bytes_of(x: &impl Encode) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len_of(x));
+    x.encode_to(&mut out).expect("a Vec sink cannot fail");
+    out
+}
+
+/// Where an encoding goes: a growing buffer, a [`Count`], or a socket
+/// through a bounded chunk ([`Chunked`]). The provided methods are the
+/// format's primitives; every integer is little-endian.
+pub(crate) trait Sink {
     fn put(&mut self, bytes: &[u8]) -> io::Result<()>;
     /// Puts `xs` as little-endian `f64` bits.
     fn put_f64s(&mut self, xs: &[f64]) -> io::Result<()>;
+
+    fn put_u8(&mut self, v: u8) -> io::Result<()> {
+        self.put(&[v])
+    }
+
+    fn put_u32(&mut self, v: u32) -> io::Result<()> {
+        self.put(&v.to_le_bytes())
+    }
+
+    fn put_u64(&mut self, v: u64) -> io::Result<()> {
+        self.put(&v.to_le_bytes())
+    }
+
+    /// Via `to_bits`, so NaN payloads and `-0.0` keep every bit.
+    fn put_f64(&mut self, v: f64) -> io::Result<()> {
+        self.put_u64(v.to_bits())
+    }
+
+    /// Its byte length, then its UTF-8 bytes.
+    fn put_str(&mut self, s: &str) -> io::Result<()> {
+        self.put_u64(s.len() as u64)?;
+        self.put(s.as_bytes())
+    }
+
+    /// A count, then each id.
+    fn put_ids(&mut self, ids: &[u64]) -> io::Result<()> {
+        self.put_u64(ids.len() as u64)?;
+        ids.iter().try_for_each(|&id| self.put_u64(id))
+    }
 }
 
 impl Sink for Vec<u8> {
@@ -342,6 +366,21 @@ impl Sink for Vec<u8> {
     }
 }
 
+/// A sink that keeps only the number of bytes put into it.
+struct Count(usize);
+
+impl Sink for Count {
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.0 += bytes.len();
+        Ok(())
+    }
+
+    fn put_f64s(&mut self, xs: &[f64]) -> io::Result<()> {
+        self.0 += 8 * xs.len();
+        Ok(())
+    }
+}
+
 /// Writes `xs` into `out`, which holds exactly `8 * xs.len()` bytes.
 fn put_f64_bits(out: &mut [u8], xs: &[f64]) {
     for (slot, x) in out.chunks_exact_mut(8).zip(xs) {
@@ -349,31 +388,35 @@ fn put_f64_bits(out: &mut [u8], xs: &[f64]) {
     }
 }
 
-/// A socket writer behind one fixed 64 KiB buffer: a frame of
-/// any size costs no allocation.
+/// A socket writer behind one buffer of at most 64 KiB, sized to the
+/// frame when it is smaller and never grown: any frame costs one
+/// allocation, and one that fits costs one `write`.
 struct Chunked<'a, W> {
     w: &'a mut W,
-    buf: [u8; CHUNK],
-    len: usize,
+    buf: Vec<u8>,
 }
 
 impl<W: Write> Chunked<'_, W> {
     fn drain(&mut self) -> io::Result<()> {
-        self.w.write_all(&self.buf[..self.len])?;
-        self.len = 0;
+        self.w.write_all(&self.buf)?;
+        self.buf.clear();
         Ok(())
+    }
+
+    /// Bytes the buffer takes before it must drain.
+    fn room(&self) -> usize {
+        self.buf.capacity() - self.buf.len()
     }
 }
 
 impl<W: Write> Sink for Chunked<'_, W> {
     fn put(&mut self, mut bytes: &[u8]) -> io::Result<()> {
         while !bytes.is_empty() {
-            if self.len == CHUNK {
+            if self.room() == 0 {
                 self.drain()?;
             }
-            let n = bytes.len().min(CHUNK - self.len);
-            self.buf[self.len..self.len + n].copy_from_slice(&bytes[..n]);
-            self.len += n;
+            let n = bytes.len().min(self.room());
+            self.buf.extend_from_slice(&bytes[..n]);
             bytes = &bytes[n..];
         }
         Ok(())
@@ -381,14 +424,15 @@ impl<W: Write> Sink for Chunked<'_, W> {
 
     fn put_f64s(&mut self, mut xs: &[f64]) -> io::Result<()> {
         while !xs.is_empty() {
-            let room = (CHUNK - self.len) / 8;
+            let room = self.room() / 8;
             if room == 0 {
                 self.drain()?;
                 continue;
             }
             let (now, rest) = xs.split_at(xs.len().min(room));
-            put_f64_bits(&mut self.buf[self.len..self.len + 8 * now.len()], now);
-            self.len += 8 * now.len();
+            let start = self.buf.len();
+            self.buf.resize(start + 8 * now.len(), 0);
+            put_f64_bits(&mut self.buf[start..], now);
             xs = rest;
         }
         Ok(())
@@ -396,8 +440,9 @@ impl<W: Write> Sink for Chunked<'_, W> {
 }
 
 /// Where a decoder reads from: the rest of a buffered body, or the rest
-/// of a frame still on the socket ([`FrameReader`]).
-trait Source {
+/// of a frame still on the socket ([`FrameReader`]). The provided
+/// methods are the format's primitives, the mirror of [`Sink`]'s.
+pub(crate) trait Source {
     /// Bytes left: what the buffer holds, or what the frame still
     /// announces. Every allocation is checked against it first.
     fn left(&self) -> usize;
@@ -407,6 +452,66 @@ trait Source {
     /// `8 * n` bytes are left — checked before anything is allocated, so
     /// a short body announcing a huge `n` costs nothing.
     fn take_f64s(&mut self, n: usize) -> Result<Vec<f64>, WireError>;
+
+    fn take_u8(&mut self) -> Result<u8, WireError> {
+        let mut b = [0u8; 1];
+        self.take_into(&mut b)?;
+        Ok(b[0])
+    }
+
+    fn take_u64(&mut self) -> Result<u64, WireError> {
+        let mut b = [0u8; 8];
+        self.take_into(&mut b)?;
+        Ok(u64::from_le_bytes(b))
+    }
+
+    /// A `u32` id sent as `u64`; a value past `u32::MAX` is refused as
+    /// `OutOfRange` naming `field`, not truncated.
+    fn take_u32(&mut self, field: &'static str) -> Result<u32, WireError> {
+        let value = self.take_u64()?;
+        u32::try_from(value).map_err(|_| WireError::OutOfRange { field, value })
+    }
+
+    fn take_f64(&mut self) -> Result<f64, WireError> {
+        Ok(f64::from_bits(self.take_u64()?))
+    }
+
+    /// A length or count; one past [`MAX_FRAME_BYTES`] is `Oversized`.
+    fn take_len(&mut self) -> Result<usize, WireError> {
+        let n = self.take_u64()?;
+        if n > MAX_FRAME_BYTES as u64 {
+            return Err(WireError::Oversized(n as usize));
+        }
+        Ok(n as usize)
+    }
+
+    /// A length, then that many bytes, refused before allocating when
+    /// fewer are left.
+    fn take_bytes(&mut self) -> Result<Vec<u8>, WireError> {
+        let n = self.take_len()?;
+        if self.left() < n {
+            return Err(WireError::Truncated);
+        }
+        let mut bytes = vec![0; n];
+        self.take_into(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    /// [`Source::take_bytes`] that are UTF-8 (anything else is
+    /// `Truncated`).
+    fn take_str(&mut self) -> Result<String, WireError> {
+        String::from_utf8(self.take_bytes()?).map_err(|_| WireError::Truncated)
+    }
+
+    /// A count, then that many ids; a count the bytes left cannot hold
+    /// is refused before anything is reserved.
+    fn take_ids(&mut self) -> Result<Vec<u64>, WireError> {
+        let n = self.take_u64()? as usize;
+        if n > self.left() / 8 {
+            return Err(WireError::Truncated);
+        }
+        (0..n).map(|_| self.take_u64()).collect()
+    }
 }
 
 impl Source for &[u8] {
@@ -439,95 +544,50 @@ fn f64_of_bits(b: &[u8]) -> f64 {
     f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
 }
 
-fn take_u8(src: &mut impl Source) -> Result<u8, WireError> {
-    let mut b = [0u8; 1];
-    src.take_into(&mut b)?;
-    Ok(b[0])
-}
-
-fn take_u64(src: &mut impl Source) -> Result<u64, WireError> {
-    let mut b = [0u8; 8];
-    src.take_into(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn take_len(src: &mut impl Source) -> Result<usize, WireError> {
-    let n = take_u64(src)?;
-    if n > MAX_FRAME_BYTES as u64 {
-        return Err(WireError::Oversized(n as usize));
-    }
-    Ok(n as usize)
-}
-
-fn take_bytes(src: &mut impl Source, n: usize) -> Result<Vec<u8>, WireError> {
-    if src.left() < n {
+/// Runs `decode` over `src`, which it must use up: a body is one value
+/// or message, and a byte left after it is `Truncated`.
+pub(crate) fn whole<S: Source, T>(
+    src: &mut S,
+    decode: impl FnOnce(&mut S) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let v = decode(src)?;
+    if src.left() != 0 {
         return Err(WireError::Truncated);
     }
-    let mut bytes = vec![0; n];
-    src.take_into(&mut bytes)?;
-    Ok(bytes)
+    Ok(v)
 }
 
-// ---------------------------------------------------------------------
-// Frames
-// ---------------------------------------------------------------------
-
-/// Writes one length-prefixed frame. The body is flushed as a unit;
-/// callers serialize concurrent writers with a mutex so frames never
-/// interleave.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), WireError> {
-    if body.len() > MAX_FRAME_BYTES {
-        return Err(WireError::Oversized(body.len()));
-    }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Writes one frame whose body is `head` followed by the encoding of
-/// `value`, through one fixed 64 KiB buffer: the bytes of
-/// [`write_frame`] over `head ‖ value.encode()`, without building
-/// either.
-pub(crate) fn write_value_frame(
-    w: &mut impl Write,
-    head: &[u8],
-    value: &WireValue,
-) -> Result<(), WireError> {
-    let len = head.len() + value.encoded_len();
+/// Writes `body` as one length-prefixed frame: the walk over a
+/// [`Count`] gives the prefix, then the same walk runs through one
+/// [`Chunked`] buffer. Callers serialize concurrent writers with a
+/// mutex so frames never interleave.
+pub(crate) fn write_frame(w: &mut impl Write, body: &impl Encode) -> Result<(), WireError> {
+    let len = len_of(body);
     if len > MAX_FRAME_BYTES {
         return Err(WireError::Oversized(len));
     }
     let mut out = Chunked {
         w,
-        buf: [0; CHUNK],
-        len: 0,
+        buf: Vec::with_capacity((4 + len).min(CHUNK)),
     };
-    out.put(&(len as u32).to_le_bytes())?;
-    out.put(head)?;
-    value.encode_to(&mut out)?;
+    out.put_u32(len as u32)?;
+    body.encode_to(&mut out)?;
     out.drain()?;
     out.w.flush()?;
     Ok(())
 }
 
-/// Reads one length-prefixed frame. Returns `Err` on EOF, a short
-/// read (peer died mid-write), or an oversized prefix — never a
-/// partial body.
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
-    let mut frame = FrameReader::open(r)?;
-    let mut body = vec![0u8; frame.left];
-    frame.read_exact(&mut body)?;
-    Ok(body)
-}
-
-/// One frame's body, read off the socket piece by piece: what
-/// [`read_frame`] reads, without a whole-frame buffer. Nothing is read
-/// past the length prefix's announcement, and a short read is an error.
+/// One frame's body, decoded off the socket as a [`Source`]. `open`
+/// reads the length prefix; after it nothing is read past what the
+/// prefix announced, and a short read is an error, never a short body.
 pub(crate) struct FrameReader<'a, R> {
     r: &'a mut R,
-    /// Body bytes not read yet.
-    left: usize,
+    /// Body bytes still on the socket.
+    unread: usize,
+    /// Read-ahead: `buf[at..end]` is read but not taken yet.
+    buf: [u8; CHUNK],
+    at: usize,
+    end: usize,
 }
 
 impl<'a, R: Read> FrameReader<'a, R> {
@@ -535,65 +595,77 @@ impl<'a, R: Read> FrameReader<'a, R> {
     pub(crate) fn open(r: &'a mut R) -> Result<Self, WireError> {
         let mut len = [0u8; 4];
         r.read_exact(&mut len)?;
-        let left = u32::from_le_bytes(len) as usize;
-        if left > MAX_FRAME_BYTES {
-            return Err(WireError::Oversized(left));
+        let unread = u32::from_le_bytes(len) as usize;
+        if unread > MAX_FRAME_BYTES {
+            return Err(WireError::Oversized(unread));
         }
-        Ok(FrameReader { r, left })
+        Ok(FrameReader {
+            r,
+            unread,
+            buf: [0; CHUNK],
+            at: 0,
+            end: 0,
+        })
     }
 
-    /// Body bytes not read yet.
-    pub(crate) fn left(&self) -> usize {
-        self.left
-    }
-
-    /// Reads the next `out.len()` body bytes.
-    pub(crate) fn read_exact(&mut self, out: &mut [u8]) -> Result<(), WireError> {
-        self.take_into(out)
-    }
-
-    /// Decodes the value that ends the body straight into its own
-    /// buffers: `f64` arrays come from `linalg::pool` and are filled
-    /// through one 64 KiB buffer. Refuses what
-    /// [`WireValue::decode`] refuses.
-    pub(crate) fn read_value(mut self) -> Result<WireValue, WireError> {
-        let v = WireValue::decode_nested(&mut self, 0)?;
-        if self.left != 0 {
-            return Err(WireError::Truncated);
-        }
-        Ok(v)
+    /// Refills the drained read-ahead with the next `min(unread,
+    /// 64 KiB)` bytes of the frame.
+    fn fill(&mut self) -> Result<(), WireError> {
+        let n = self.unread.min(CHUNK);
+        self.r.read_exact(&mut self.buf[..n])?;
+        self.unread -= n;
+        self.at = 0;
+        self.end = n;
+        Ok(())
     }
 }
 
 impl<R: Read> Source for FrameReader<'_, R> {
     fn left(&self) -> usize {
-        self.left
+        self.unread + (self.end - self.at)
     }
 
     fn take_into(&mut self, out: &mut [u8]) -> Result<(), WireError> {
-        if self.left < out.len() {
+        if self.left() < out.len() {
             return Err(WireError::Truncated);
         }
-        self.r.read_exact(out)?;
-        self.left -= out.len();
+        let mut done = 0;
+        while done < out.len() {
+            if self.at == self.end {
+                self.fill()?;
+            }
+            let n = (self.end - self.at).min(out.len() - done);
+            out[done..done + n].copy_from_slice(&self.buf[self.at..self.at + n]);
+            self.at += n;
+            done += n;
+        }
         Ok(())
     }
 
+    /// Decodes straight from the read-ahead into a pooled array.
     fn take_f64s(&mut self, n: usize) -> Result<Vec<f64>, WireError> {
         let len = n.checked_mul(8).ok_or(WireError::Truncated)?;
-        if self.left < len {
+        if self.left() < len {
             return Err(WireError::Truncated);
         }
         // Every element is written below, so the pool's stale values
         // never show.
         let mut out = linalg::pool::acquire_full_overwrite(n);
-        let mut chunk = [0u8; CHUNK];
-        for xs in out.chunks_mut(CHUNK / 8) {
-            let bytes = &mut chunk[..8 * xs.len()];
-            self.take_into(bytes)?;
-            for (x, b) in xs.iter_mut().zip(bytes.chunks_exact(8)) {
+        let mut i = 0;
+        while i < n {
+            let whole = ((self.end - self.at) / 8).min(n - i);
+            if whole == 0 {
+                // The next element straddles the read-ahead's end.
+                out[i] = self.take_f64()?;
+                i += 1;
+                continue;
+            }
+            let bytes = &self.buf[self.at..self.at + 8 * whole];
+            for (x, b) in out[i..i + whole].iter_mut().zip(bytes.chunks_exact(8)) {
                 *x = f64_of_bits(b);
             }
+            self.at += 8 * whole;
+            i += whole;
         }
         Ok(out)
     }
@@ -602,6 +674,8 @@ impl<R: Read> Source for FrameReader<'_, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::proto::{recv, send, Msg};
+    use std::sync::Arc;
 
     fn samples() -> Vec<WireValue> {
         vec![
@@ -716,32 +790,33 @@ mod tests {
     #[test]
     fn frame_roundtrip_over_socketpair() {
         let (mut a, mut b) = std::os::unix::net::UnixStream::pair().unwrap();
-        let body = WireValue::VecF64(vec![1.0, 2.0]).encode();
-        write_frame(&mut a, &body).unwrap();
-        assert_eq!(read_frame(&mut b).unwrap(), body);
+        let msg = Msg::Data {
+            data: 1,
+            value: Arc::new(WireValue::VecF64(vec![1.0, 2.0])),
+        };
+        send(&mut a, &msg).unwrap();
+        assert_eq!(recv(&mut b).unwrap(), msg);
     }
 
     #[test]
     fn value_frames_stream_the_buffered_bytes_and_read_back() {
         let big = WireValue::Matrix(Matrix::from_fn(100, 97, |r, c| (r * 97 + c) as f64));
         for v in samples().into_iter().chain([big]) {
+            let msg = Msg::Data {
+                data: 7,
+                value: Arc::new(v.clone()),
+            };
             let mut sent = Vec::new();
-            write_value_frame(&mut sent, b"head", &v).unwrap();
-            let mut body = b"head".to_vec();
-            v.encode_into(&mut body);
-            let mut want = Vec::new();
-            write_frame(&mut want, &body).unwrap();
+            send(&mut sent, &msg).unwrap();
+            let body = msg.encode();
+            let want = [&(body.len() as u32).to_le_bytes()[..], &body].concat();
             assert_eq!(sent, want, "variant {v:?}");
-            let mut r = sent.as_slice();
-            let mut frame = FrameReader::open(&mut r).unwrap();
-            let mut head = [0u8; 4];
-            frame.read_exact(&mut head).unwrap();
-            assert_eq!(frame.read_value().unwrap().encode(), v.encode());
+            let Msg::Data { value, .. } = recv(&mut sent.as_slice()).unwrap() else {
+                panic!("not a Data frame");
+            };
+            assert_eq!(value.encode(), v.encode());
             // One byte short: the reader errs instead of reading past.
-            let mut r = &sent[..sent.len() - 1];
-            let mut frame = FrameReader::open(&mut r).unwrap();
-            frame.read_exact(&mut head).unwrap();
-            assert!(frame.read_value().is_err(), "variant {v:?}");
+            assert!(recv(&mut &sent[..sent.len() - 1]).is_err(), "variant {v:?}");
         }
     }
 
@@ -766,13 +841,13 @@ mod tests {
         a.write_all(&[1, 2, 3]).unwrap();
         drop(a);
         let mut b = b;
-        assert!(matches!(read_frame(&mut b), Err(WireError::Io(_))));
+        assert!(matches!(recv(&mut b), Err(WireError::Io(_))));
     }
 
     #[test]
     fn oversized_frame_prefix_is_rejected_before_allocating() {
         let (mut a, mut b) = std::os::unix::net::UnixStream::pair().unwrap();
         a.write_all(&u32::MAX.to_le_bytes()).unwrap();
-        assert!(matches!(read_frame(&mut b), Err(WireError::Oversized(_))));
+        assert!(matches!(recv(&mut b), Err(WireError::Oversized(_))));
     }
 }

@@ -17,7 +17,7 @@
 //! out a heartbeat period.
 
 use super::kind::{KindRegistry, CRASH_DROP, CRASH_TRUNCATE};
-use super::proto::{self, InputSpec, Msg};
+use super::proto::{self, InputSpec, Msg, Store};
 use super::wire::{self, WireValue};
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -79,9 +79,6 @@ pub fn maybe_worker(registry: &Arc<KindRegistry>) {
         std::process::exit(code);
     }
 }
-
-/// The worker's shared local store.
-type Store = Arc<Mutex<HashMap<u64, Arc<WireValue>>>>;
 
 /// Runs the worker loop to completion (clean [`Msg::Shutdown`], driver
 /// EOF, or a crash-sentinel kind). Used directly by thread-mode
@@ -151,12 +148,7 @@ fn serve_peers(listener: UnixListener, store: Store, stop: Arc<AtomicBool>) {
         let store = Arc::clone(&store);
         std::thread::spawn(move || {
             if let Ok(Msg::Pull { data }) = proto::recv(&mut conn) {
-                let held = store.lock().unwrap().get(&data).cloned();
-                let reply = match held {
-                    Some(value) => Msg::Data { data, value },
-                    None => Msg::NotFound { data },
-                };
-                let _ = proto::send(&mut conn, &reply);
+                proto::serve_pull(&mut conn, data, &store);
             }
         });
     }
@@ -286,10 +278,11 @@ fn serve_driver(
                         return Ok(());
                     }
                     Err(e) if e == CRASH_TRUNCATE => {
-                        // Simulated crash mid-commit: announce a full
-                        // Done frame but deliver only half of it, then
-                        // die. The driver must never half-apply it.
-                        let body = Msg::Done {
+                        // Simulated crash mid-commit: write the first
+                        // half of a Done frame, whose length prefix
+                        // announces all of it, then die. The driver must
+                        // never half-apply it.
+                        let done = Msg::Done {
                             task,
                             out,
                             bytes: 0,
@@ -297,11 +290,11 @@ fn serve_driver(
                             duration_s,
                             pulled,
                             relayed,
-                        }
-                        .encode();
+                        };
+                        let mut frame = Vec::new();
+                        proto::send(&mut frame, &done)?;
                         let mut w = control_w.lock().unwrap();
-                        let _ = w.write_all(&(body.len() as u32).to_le_bytes());
-                        let _ = w.write_all(&body[..body.len() / 2]);
+                        let _ = w.write_all(&frame[..frame.len() / 2]);
                         let _ = w.flush();
                         return Ok(());
                     }

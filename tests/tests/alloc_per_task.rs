@@ -224,6 +224,15 @@ fn decoders_reserve_no_more_than_the_bytes_left_can_fill() {
         "a {} B Run reserved {bytes} B",
         run.len()
     );
+    // The same body as a frame, decoded off a reader by `recv`.
+    let frame = [&(run.len() as u32).to_le_bytes()[..], &run].concat();
+    let bytes = allocated(|| decoded = Some(recv(&mut frame.as_slice())));
+    assert!(matches!(decoded, Some(Err(WireError::Truncated))));
+    assert!(
+        bytes <= 2 * run.len() as u64 + 4096,
+        "a {} B Run frame reserved {bytes} B",
+        run.len()
+    );
 
     // A list announcing one element per byte left, the first of them a
     // bad tag.

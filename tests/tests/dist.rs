@@ -107,9 +107,10 @@ fn outcome(r: Result<Msg, WireError>) -> Result<Vec<u8>, std::mem::Discriminant<
         .map_err(|e| std::mem::discriminant(&e))
 }
 
-/// The streamed path ([`recv`] on a whole frame) makes of `body` what
-/// the buffered [`Msg::decode`] makes of it, value for value and error
-/// variant for error variant. Neither may panic.
+/// [`recv`] on a whole frame (the decoding walk over a socket's
+/// read-ahead) makes of `body` what [`Msg::decode`] (the same walk over
+/// a slice) makes of it, value for value and error variant for error
+/// variant. Neither may panic.
 fn assert_streamed_matches_buffered(body: &[u8]) {
     let buffered = outcome(Msg::decode(body));
     let streamed = outcome(recv(&mut frame(body).as_slice()));
@@ -118,7 +119,7 @@ fn assert_streamed_matches_buffered(body: &[u8]) {
 
 /// A `Data` message around `wire_value(seed, depth)`, with a byte
 /// string and a matrix of drawn sizes beside it, so that frames cross
-/// the 64 KiB chunk the streamed path moves at a time.
+/// the 64 KiB chunk a frame moves through at a time.
 fn data_msg(seed: u64, depth: u32, bytes: usize, rows: usize) -> Msg {
     let value = WireValue::List(vec![
         WireValue::Bytes((0..bytes).map(|i| (i * 31 + 7) as u8).collect()),
@@ -167,9 +168,9 @@ proptest! {
         assert_streamed_matches_buffered(&body);
     }
 
-    /// `send` streams a `Data` frame byte for byte as `write_frame` of
-    /// `Msg::encode` would, and `recv` reads it back; no cut of the
-    /// frame decodes.
+    /// `send` writes a `Data` frame byte for byte as `Msg::encode`
+    /// behind its length, and `recv` reads it back; no cut of the frame
+    /// decodes.
     #[test]
     fn prop_streamed_data_frames_are_the_buffered_bytes(
         seed in 0u64..u64::MAX,
@@ -386,6 +387,38 @@ fn retry_budget_exhaustion_names_task_and_attempts() {
         "unhelpful error: {err}"
     );
     rt.shutdown();
+}
+
+/// `dist` does not poison or cancel successors, so a plan over an
+/// `Ignore` or `CancelSuccessors` kind is refused before any task runs,
+/// inline and distributed alike, with an error naming the kind and its
+/// policy.
+#[test]
+fn unimplemented_failure_policies_are_refused_before_any_task_runs() {
+    for policy in [OnFailure::Ignore, OnFailure::CancelSuccessors] {
+        let calls = Arc::new(AtomicU32::new(0));
+        let mut reg = KindRegistry::new();
+        let c = Arc::clone(&calls);
+        reg.register_with("lenient", policy, RetryPolicy::default(), move |_| {
+            c.fetch_add(1, Ordering::SeqCst);
+            Ok(WireValue::Unit)
+        });
+        let reg = Arc::new(reg);
+        let mut plan = Plan::new();
+        let out = plan.task("lenient", &[]);
+        plan.mark_output(out);
+        let named = |err: String| {
+            assert!(
+                err.contains("lenient") && err.contains(&format!("{policy:?}")),
+                "unnamed refusal: {err}"
+            );
+        };
+        named(plan.run_inline(&reg).expect_err("inline run accepted"));
+        let mut rt = DistRuntime::launch_threads(DistConfig::with_workers(1), &reg).unwrap();
+        named(rt.run(&plan, &reg).err().expect("dist run accepted"));
+        rt.shutdown();
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "{policy:?}: a task ran");
+    }
 }
 
 /// The distributed PCA pipeline is bit-identical to the inline oracle

@@ -304,6 +304,32 @@ const CUT_APIS: [&str; 13] = [
 /// The trees "Cut to the paper" walks.
 const CUT_PATHS: [&str; 3] = ["crates", "tests", "examples"];
 
+/// What "One wire codec" rejects in the `dist` modules that handle
+/// frames, comments included: spelling out a byte layout. The walks of
+/// `dist::wire` are the only place one is written down.
+const BYTE_LAYOUT: [&str; 3] = ["to_le_bytes", "from_le_bytes", "split_at"];
+
+/// The files [`BYTE_LAYOUT`] applies to: every `dist` module that
+/// reads or writes frames, but `wire.rs` itself.
+const FRAME_PATHS: [&str; 4] = [
+    "crates/core/src/dist/proto.rs",
+    "crates/core/src/dist/driver.rs",
+    "crates/core/src/dist/worker.rs",
+    "crates/core/src/dist/state.rs",
+];
+
+/// What "One wire codec" rejects as whole words anywhere under
+/// [`WIRE_CODEC_PATHS`]: the second frame writer and the frame readers
+/// that streamed `Data` beside the buffered decoder.
+const SECOND_CODEC: [&str; 3] = [
+    concat!("write", "_value_frame"),
+    concat!("read", "_frame"),
+    concat!("read", "_value"),
+];
+
+/// The trees [`SECOND_CODEC`] applies to.
+const WIRE_CODEC_PATHS: [&str; 3] = ["crates", "tests", "examples"];
+
 /// A source file: its path relative to the workspace root (with `/`)
 /// and its text.
 struct Source {
@@ -1452,5 +1478,86 @@ fn cut_to_the_paper_fires_on_planted_violations() {
         .join("\n"),
     };
     let found = cut_api_violations(&[allowed]);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "One wire codec" (DESIGN §5.16): each `dist` type's bytes are one
+/// encoding walk over a `Sink` and one decoding walk over a `Source`,
+/// used for buffers and sockets alike. Rejects a byte layout spelled
+/// out in a frame-handling module, and any line naming one of
+/// [`SECOND_CODEC`]. The worker's `CRASH_TRUNCATE` sentinel cuts a
+/// frame that `send` wrote, so it needs no exemption.
+fn wire_codec_violations(sources: &[Source]) -> Vec<String> {
+    let mut found = Vec::new();
+    for src in sources {
+        let frames = FRAME_PATHS.contains(&src.path.as_str());
+        for (i, line) in src.text.lines().enumerate() {
+            let layout = frames && BYTE_LAYOUT.iter().any(|p| line.contains(p));
+            if layout || SECOND_CODEC.iter().any(|w| has_word(line, w)) {
+                found.push(format!("{}:{}:{line}", src.path, i + 1));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn one_wire_codec() {
+    let sources = rust_sources(&WIRE_CODEC_PATHS);
+    for path in FRAME_PATHS {
+        assert!(
+            sources.iter().any(|s| s.path == path),
+            "the walk missed {path}"
+        );
+    }
+    let found = wire_codec_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "a byte layout outside dist::wire, or a second frame codec, is back:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn one_wire_codec_fires_on_planted_violations() {
+    let mut planted: Vec<Source> = BYTE_LAYOUT
+        .iter()
+        .map(|name| Source {
+            path: "crates/core/src/dist/proto.rs".to_string(),
+            text: format!("    // ok\n    let b = x.{name}(8); // {name}"),
+        })
+        .collect();
+    planted.extend(SECOND_CODEC.iter().map(|name| Source {
+        path: "crates/core/src/dist/driver.rs".to_string(),
+        text: format!("    let v = frame.recv();\n    let v = {name}(&mut r)?;"),
+    }));
+    planted.push(Source {
+        path: "crates/core/src/dist/worker.rs".to_string(),
+        text: "// ok\nlet _ = w.write_all(&(body.len() as u32).to_le_bytes());".to_string(),
+    });
+    let found = wire_codec_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with("crates/core/src/dist/proto.rs:2:"));
+
+    let allowed = [
+        Source {
+            path: "crates/core/src/dist/worker.rs".to_string(),
+            text: "let _ = w.write_all(&frame[..frame.len() / 2]);".to_string(),
+        },
+        Source {
+            path: "crates/core/src/dist/wire.rs".to_string(),
+            text: "self.put(&v.to_le_bytes())\nlet (head, rest) = self.split_at(n);".to_string(),
+        },
+        Source {
+            path: "crates/core/src/dist/plan.rs".to_string(),
+            text: "bytes.extend_from_slice(&id.to_le_bytes());".to_string(),
+        },
+        Source {
+            path: "crates/core/src/dist/proto.rs".to_string(),
+            text: "let v = read_frames(r); let w = spread_value(x); write_frame(w, msg)"
+                .to_string(),
+        },
+    ];
+    let found = wire_codec_violations(&allowed);
     assert!(found.is_empty(), "{found:#?}");
 }
