@@ -10,8 +10,11 @@
 //!    loop), runs the same plan distributed, and requires the outputs to
 //!    be **bit-identical** to the oracle;
 //! 3. replays the measured trace on the DES mirror of the cluster
-//!    (`DistRuntime::cluster_spec`), with the dispatch turnaround and
+//!    (`DistRuntime::cluster_spec`) under the driver's own placement
+//!    rule (`Policy::OwnerComputes`), with the dispatch turnaround and
 //!    the link measured on a twin cluster just before (`calibrate`),
+//!    reports how many tasks the replay placed on another worker than
+//!    the run and the bytes it modelled against those the run moved,
 //!    and computes the measured-vs-simulated divergence — `--check`
 //!    gates `|makespan_ratio − 1| ≤ 0.25`, and on 2 workers that the
 //!    bytes moved (peer pulls + driver relay) stay within 2× the
@@ -35,7 +38,7 @@ use std::sync::Arc;
 use taskrt::dist::{self, fingerprint, DistConfig, DistRuntime, KindRegistry, Plan, WireValue};
 use taskrt::json::Value;
 use taskrt::obs::divergence;
-use taskrt::sim::{simulate, SimOptions};
+use taskrt::sim::{simulate, Policy, SimOptions};
 
 /// The calibration chain's one kind (its first input plus one), and its
 /// links per scalar segment and per block segment (a block link moves
@@ -241,6 +244,7 @@ fn main() {
         &report.trace,
         &spec,
         &SimOptions {
+            policy: Policy::OwnerComputes,
             dispatch_overhead_s: cal.turnaround_s,
             ..SimOptions::default()
         },
@@ -249,6 +253,20 @@ fn main() {
     println!(
         "DES: measured {:.3}s vs simulated {:.3}s (ratio {:.3})",
         div.real_makespan_s, div.sim_makespan_s, div.makespan_ratio
+    );
+    let placement_mismatch = report
+        .trace
+        .records
+        .iter()
+        .zip(&sim.trace.records)
+        .filter(|(real, replay)| real.ran() && real.worker != replay.worker)
+        .count();
+    println!(
+        "DES placement: {placement_mismatch} of {} tasks on another worker than the run; \
+         modelled {:.0} bytes moved vs {} measured",
+        plan.len(),
+        sim.transferred_bytes,
+        s.peer_pull_bytes + s.relay_bytes
     );
 
     let summary = Value::Object(vec![
@@ -270,6 +288,14 @@ fn main() {
             Value::Number(s.peer_pull_bytes as f64),
         ),
         ("relay_bytes".into(), Value::Number(s.relay_bytes as f64)),
+        (
+            "placement_mismatch".into(),
+            Value::Number(placement_mismatch as f64),
+        ),
+        (
+            "sim_transferred_bytes".into(),
+            Value::Number(sim.transferred_bytes),
+        ),
         ("input_bytes".into(), Value::Number(input_bytes as f64)),
         ("moved_ratio".into(), Value::Number(moved_ratio)),
         (

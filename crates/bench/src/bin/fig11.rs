@@ -42,7 +42,6 @@ fn sweep(result: &AlgoResult, max_nodes: usize, model: &ScaleModel, element_rati
         cluster.bandwidth_bps /= element_ratio;
         let opts = SimOptions {
             policy: Policy::LocalityAware,
-            model_transfers: true,
             duration_of: Some(model.duration_fn()),
             ..SimOptions::default()
         };

@@ -70,7 +70,6 @@ fn report(trace: &Trace, nodes: usize, model: &ScaleModel) -> taskrt::sim::SimRe
     let cluster = ClusterSpec::cte_power(nodes);
     let opts = SimOptions {
         policy: Policy::LocalityAware,
-        model_transfers: true,
         duration_of: Some(model.duration_fn()),
         ..SimOptions::default()
     };

@@ -33,7 +33,6 @@ fn main() {
     let model = ScaleModel::paper_scale(SAMPLE_RATIO, FEATURE_RATIO).with_fixed("pca_eigh", T_EIGH);
     let opts = SimOptions {
         policy: Policy::LocalityAware,
-        model_transfers: true,
         duration_of: Some(model.duration_fn()),
         ..SimOptions::default()
     };

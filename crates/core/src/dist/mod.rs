@@ -23,11 +23,13 @@
 //!   must match bit for bit.
 //! * [`worker`] — the worker loop: local store, peer listener,
 //!   heartbeat beacon.
+//! * `place` — owner-computes placement, a pure function of the ready
+//!   tasks, the bytes each worker holds of them and who is busy; the
+//!   DES replays `dist` with it (`sim::Policy::OwnerComputes`).
 //! * `state` — the driver's decisions as an I/O-free state machine:
-//!   dispatch, retries, lineage re-execution, trace capture.
+//!   dispatch by `place`, retries, lineage re-execution, trace capture.
 //! * [`driver`] — the shell around it: sockets, threads, worker
-//!   processes, heartbeat failure detection, and owner-computes
-//!   placement over the replica map.
+//!   processes and heartbeat failure detection.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -59,6 +61,7 @@
 
 pub mod driver;
 pub mod kind;
+pub(crate) mod place;
 pub mod plan;
 pub mod proto;
 mod state;

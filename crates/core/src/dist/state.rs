@@ -14,8 +14,9 @@
 //!
 //! [`DistRuntime::run`]: super::DistRuntime::run
 
-use super::driver::{place, DistReport, DistStats};
+use super::driver::{DistReport, DistStats};
 use super::kind::KindRegistry;
+use super::place::place;
 use super::plan::Plan;
 use super::proto::{InputSpec, Msg};
 use super::wire::WireValue;

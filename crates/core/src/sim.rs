@@ -13,6 +13,10 @@
 //!   `latency + bytes / bandwidth` before compute starts, and leaves a
 //!   replica behind (this mechanism produces the paper's RF 2-vs-3-node
 //!   anomaly),
+//! * **placement** — the rule of the executor being replayed
+//!   ([`Policy`]): COMPSs' locality-aware master for the paper's
+//!   figures, the `dist` driver's own owner-computes rule for a replay
+//!   of a `dist` run,
 //! * **sync markers** — zero-cost graph nodes that serialize
 //!   driver-submitted work exactly as `compss_wait_on` does,
 //! * **nesting** — a nested task's duration is the simulated makespan of
@@ -23,24 +27,22 @@
 //! [`crate::obs`] and [`crate::gantt`] reads a real run and its replay
 //! alike, and the schedule is itself replayable.
 
+use crate::dist::place::place;
 use crate::trace::{AttemptRecord, TaskRecord, Trace};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
-/// A scheduled node outage in a simulated cluster. At `fail_at_s` the
+/// A permanent node outage in a simulated cluster. At `fail_at_s` the
 /// node vanishes: every task running on it is killed and requeued, and
-/// every data replica it held is lost (external input data on node 0 is
-/// durable master storage and survives). With `recover_at_s` the node
-/// rejoins empty — capacity returns, memory does not.
+/// every replica of produced data it held is lost (external input data
+/// is durable master storage and survives).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeEvent {
     /// Node index that fails.
     pub node: usize,
     /// Simulated time of the failure, seconds.
     pub fail_at_s: f64,
-    /// Optional time the node rejoins (with empty memory).
-    pub recover_at_s: Option<f64>,
 }
 
 /// Description of a simulated cluster.
@@ -91,27 +93,7 @@ impl ClusterSpec {
 
     /// Adds a permanent node failure at `fail_at_s`.
     pub fn with_failure(mut self, node: usize, fail_at_s: f64) -> Self {
-        self.failures.push(NodeEvent {
-            node,
-            fail_at_s,
-            recover_at_s: None,
-        });
-        self
-    }
-
-    /// Adds a node failure at `fail_at_s` with the node rejoining
-    /// (empty) at `recover_at_s`.
-    pub fn with_failure_and_recovery(
-        mut self,
-        node: usize,
-        fail_at_s: f64,
-        recover_at_s: f64,
-    ) -> Self {
-        self.failures.push(NodeEvent {
-            node,
-            fail_at_s,
-            recover_at_s: Some(recover_at_s),
-        });
+        self.failures.push(NodeEvent { node, fail_at_s });
         self
     }
 
@@ -121,15 +103,23 @@ impl ClusterSpec {
     }
 }
 
-/// Where a ready task is placed when several nodes can host it.
+/// Where a ready task is placed: the rule of the executor a replay
+/// stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
-    /// First node (lowest index) with free capacity.
-    Fifo,
-    /// Rotate across nodes.
-    RoundRobin,
-    /// Node already holding the most input bytes (minimizes transfers).
+    /// COMPSs' master (the paper's figures): external input data lives
+    /// on node 0, and each ready task, in submission order, takes the
+    /// free node it needs the fewest bytes moved to.
     LocalityAware,
+    /// The `dist` driver's owner-computes rule, `dist::place` itself,
+    /// fed the view the driver builds: the ready tasks in plan order
+    /// with the bytes of their inputs each node holds, the tasks in
+    /// flight per node, and which nodes are up. A task waits for the
+    /// node holding most of its inputs, busy or not, and one task runs
+    /// per node at a time (one `Run` in flight per worker). External
+    /// input data is held by the driver, which is not a node, so every
+    /// first touch of it is a transfer.
+    OwnerComputes,
 }
 
 /// Cost-model hook: return `Some(seconds)` to override the measured
@@ -141,8 +131,6 @@ pub type DurationFn = Arc<dyn Fn(&TaskRecord) -> Option<f64> + Send + Sync>;
 pub struct SimOptions {
     /// Placement policy.
     pub policy: Policy,
-    /// Whether to model inter-node data transfers.
-    pub model_transfers: bool,
     /// Optional analytic duration override (see [`DurationFn`]).
     pub duration_of: Option<DurationFn>,
     /// Constant per-task master-side dispatch cost, in seconds. Each
@@ -158,19 +146,8 @@ impl Default for SimOptions {
     fn default() -> Self {
         Self {
             policy: Policy::LocalityAware,
-            model_transfers: true,
             duration_of: None,
             dispatch_overhead_s: 0.0,
-        }
-    }
-}
-
-impl SimOptions {
-    /// Options with a specific policy and defaults otherwise.
-    pub fn with_policy(policy: Policy) -> Self {
-        Self {
-            policy,
-            ..Self::default()
         }
     }
 }
@@ -327,9 +304,10 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
 
     // Dense data tables: the producing record of each datum and a flat
     // replica bitset (`words` u64 words per datum, one bit per node).
-    // Data without a producing record is external input living on the
-    // master (node 0); produced data gets its bit at completion, which
-    // happens before any consumer is placed.
+    // Data without a producing record is external input: COMPSs' master
+    // is node 0, while the `dist` driver is no node at all. Produced
+    // data gets its bit at completion, which happens before any
+    // consumer is placed.
     let mut n_data = 0usize;
     for r in &trace.records {
         for (d, _) in r.inputs.iter().chain(r.outputs.iter()) {
@@ -344,9 +322,11 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
             produced[d.0 as usize] = true;
         }
     }
-    for (d, &p) in produced.iter().enumerate() {
-        if !p {
-            replica_set(&mut replicas, words, d, 0);
+    if opts.policy == Policy::LocalityAware {
+        for (d, &p) in produced.iter().enumerate() {
+            if !p {
+                replica_set(&mut replicas, words, d, 0);
+            }
         }
     }
 
@@ -392,10 +372,9 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
     }
 
     // Event ranks order equal-time events: completions first, then
-    // failures, then recoveries.
+    // failures.
     const DONE: u8 = 0;
     const FAIL: u8 = 1;
-    const RECOVER: u8 = 2;
     #[derive(PartialEq)]
     struct Ev {
         time: f64,
@@ -427,20 +406,10 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
             idx: f.node,
             attempt: 0,
         }));
-        if let Some(rt) = f.recover_at_s {
-            assert!(rt >= f.fail_at_s, "recovery before failure");
-            heap.push(Reverse(Ev {
-                time: rt,
-                rank: RECOVER,
-                idx: f.node,
-                attempt: 0,
-            }));
-        }
     }
 
     let mut now = 0.0f64;
     let mut done = 0usize;
-    let mut rr_next = 0usize;
     // Serialized master cursor for the per-task dispatch-overhead model
     // (see [`SimOptions::dispatch_overhead_s`]): a centralized runtime
     // dispatches one task at a time, so concurrent placements queue.
@@ -460,28 +429,51 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
     };
 
     loop {
-        // One placement sweep over the ready list at the current time,
-        // in submission order.
-        let mut still_ready = Vec::new();
-        for (key, i) in ready.drain(..) {
-            let r = &trace.records[i];
-            let node = match choose_node(
-                r,
-                cores[i],
-                gpus[i],
-                &free_cores,
-                &free_gpus,
-                &node_up,
-                &replicas,
-                words,
-                opts.policy,
-                &mut rr_next,
-            ) {
-                Some(nd) => nd,
-                None => {
-                    still_ready.push((key, i));
-                    continue;
+        // One placement sweep at the current time. Locality-aware picks
+        // a node for each ready task in submission order (`None` below);
+        // owner-computes starts what `place` ships, in its order, and
+        // leaves the rest ready.
+        let sweep: Vec<((u64, usize), Option<usize>)> = match opts.policy {
+            Policy::LocalityAware => ready.drain(..).map(|k| (k, None)).collect(),
+            Policy::OwnerComputes => {
+                let mut in_flight = vec![0usize; cluster.nodes];
+                for run in running.iter().flatten() {
+                    in_flight[run.node] += 1;
                 }
+                let view: Vec<(usize, Vec<u64>)> = ready
+                    .iter()
+                    .map(|&(_, i)| {
+                        let mut held = vec![0u64; cluster.nodes];
+                        for (d, bytes) in &trace.records[i].inputs {
+                            for (nd, h) in held.iter_mut().enumerate() {
+                                if replica_has(&replicas, words, d.0 as usize, nd) {
+                                    *h += *bytes as u64;
+                                }
+                            }
+                        }
+                        (i, held)
+                    })
+                    .collect();
+                let shipped = place(&view, &in_flight, &node_up);
+                ready.retain(|&(_, i)| shipped.iter().all(|&(t, _)| t != i));
+                let seq = |i: usize| trace.records[i].seq;
+                shipped
+                    .into_iter()
+                    .map(|(i, nd)| ((seq(i), i), Some(nd)))
+                    .collect()
+            }
+        };
+        let mut still_ready = std::mem::take(&mut ready);
+        for ((key, i), pick) in sweep {
+            let r = &trace.records[i];
+            let fits = |nd: usize| {
+                node_up[nd] && free_cores[nd] >= cores[i] as i64 && free_gpus[nd] >= gpus[i] as i64
+            };
+            let Some(node) =
+                pick.or_else(|| locality_node(r, cluster.nodes, fits, &replicas, words))
+            else {
+                still_ready.push((key, i));
+                continue;
             };
             state[i] = Stat::Running;
             free_cores[node] -= cores[i] as i64;
@@ -490,7 +482,7 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
             // Transfers for remote inputs (each leaves a replica behind).
             let mut xfer = 0.0;
             let mut xfer_bytes = 0u64;
-            if opts.model_transfers && !r.is_marker() {
+            if !r.is_marker() {
                 for (d, bytes) in &r.inputs {
                     let di = d.0 as usize;
                     if !replica_has(&replicas, words, di, node) {
@@ -581,7 +573,8 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
                 newly.sort_unstable();
                 merge_ready(&mut ready, newly);
             }
-            FAIL => {
+            _ => {
+                // FAIL
                 let nd = ev.idx;
                 if !node_up[nd] {
                     continue;
@@ -683,11 +676,6 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
                 }
                 ready.sort_unstable();
             }
-            _ => {
-                // RECOVER: capacity was refunded when the node failed;
-                // the node rejoins empty (its replicas stay cleared).
-                node_up[ev.idx] = true;
-            }
         }
     }
 
@@ -742,56 +730,33 @@ fn effective_duration(r: &TaskRecord, cluster: &ClusterSpec, opts: &SimOptions) 
     r.duration_s
 }
 
-#[allow(clippy::too_many_arguments)]
-fn choose_node(
+/// The free node (by `fits`) that needs the fewest bytes of `r`'s
+/// inputs moved to it; the lowest index on a tie.
+fn locality_node(
     r: &TaskRecord,
-    cores: u32,
-    gpus: u32,
-    free_cores: &[i64],
-    free_gpus: &[i64],
-    node_up: &[bool],
+    nodes: usize,
+    fits: impl Fn(usize) -> bool,
     replicas: &[u64],
     words: usize,
-    policy: Policy,
-    rr_next: &mut usize,
 ) -> Option<usize> {
-    let nodes = free_cores.len();
-    let fits =
-        |nd: usize| node_up[nd] && free_cores[nd] >= cores as i64 && free_gpus[nd] >= gpus as i64;
-
-    match policy {
-        Policy::Fifo => (0..nodes).find(|&nd| fits(nd)),
-        Policy::RoundRobin => {
-            for k in 0..nodes {
-                let nd = (*rr_next + k) % nodes;
-                if fits(nd) {
-                    *rr_next = (nd + 1) % nodes;
-                    return Some(nd);
-                }
-            }
-            None
+    let mut best: Option<(f64, usize)> = None;
+    for nd in 0..nodes {
+        if !fits(nd) {
+            continue;
         }
-        Policy::LocalityAware => {
-            let mut best: Option<(f64, usize)> = None;
-            for nd in 0..nodes {
-                if !fits(nd) {
-                    continue;
-                }
-                // Bytes that would need transferring to `nd`.
-                let mut missing = 0.0;
-                for (d, bytes) in &r.inputs {
-                    if !replica_has(replicas, words, d.0 as usize, nd) {
-                        missing += *bytes as f64;
-                    }
-                }
-                match best {
-                    Some((b, _)) if b <= missing => {}
-                    _ => best = Some((missing, nd)),
-                }
+        // Bytes that would need transferring to `nd`.
+        let mut missing = 0.0;
+        for (d, bytes) in &r.inputs {
+            if !replica_has(replicas, words, d.0 as usize, nd) {
+                missing += *bytes as f64;
             }
-            best.map(|(_, nd)| nd)
+        }
+        match best {
+            Some((b, _)) if b <= missing => {}
+            _ => best = Some((missing, nd)),
         }
     }
+    best.map(|(_, nd)| nd)
 }
 
 #[cfg(test)]
@@ -889,36 +854,29 @@ mod tests {
 
     #[test]
     fn transfers_penalize_remote_placement() {
-        // Producer then consumer with a huge intermediate; on one node no
-        // transfer, on round-robin two nodes the consumer pays.
+        // Producer then consumer with a huge intermediate: on one node,
+        // and with locality on two, the consumer stays with its input.
         let mut producer = rec(0, &[], 1.0, 1);
         producer.outputs = vec![(DataId(0), 1_000_000_000)]; // 1 GB
         let mut consumer = rec(1, &[0], 1.0, 1);
         consumer.inputs = vec![(DataId(0), 1_000_000_000)];
-        let t = Trace {
-            records: vec![producer, consumer],
+        let mut t = Trace {
+            records: vec![producer, consumer.clone()],
         };
+        for c in [cluster(1, 2), cluster(2, 1)] {
+            let local = simulate(&t, &c, &SimOptions::default());
+            assert!((local.makespan_s - 2.0).abs() < 1e-9);
+            assert_eq!(local.transferred_bytes, 0.0);
+        }
 
-        let local = simulate(&t, &cluster(1, 2), &SimOptions::with_policy(Policy::Fifo));
-        assert!((local.makespan_s - 2.0).abs() < 1e-9);
-        assert_eq!(local.transferred_bytes, 0.0);
-
-        let remote = simulate(
-            &t,
-            &cluster(2, 1),
-            &SimOptions::with_policy(Policy::RoundRobin),
-        );
+        // A second consumer finds the producer's node busy and runs on
+        // the other one, paying the 1 s fetch first.
+        consumer.id = TaskId(2);
+        consumer.seq = 2;
+        t.records.push(consumer);
+        let remote = simulate(&t, &cluster(2, 1), &SimOptions::default());
         assert!(remote.makespan_s > 2.5, "got {}", remote.makespan_s);
-        assert!(remote.transferred_bytes > 0.0);
-
-        // Locality-aware avoids the transfer even with two nodes.
-        let smart = simulate(
-            &t,
-            &cluster(2, 1),
-            &SimOptions::with_policy(Policy::LocalityAware),
-        );
-        assert!((smart.makespan_s - 2.0).abs() < 1e-9);
-        assert_eq!(smart.transferred_bytes, 0.0);
+        assert_eq!(remote.transferred_bytes, 1e9);
     }
 
     #[test]
@@ -1060,28 +1018,10 @@ mod tests {
     }
 
     #[test]
-    fn node_recovery_restores_capacity_without_memory() {
-        // Single-node cluster: the failure kills the first task, and
-        // nothing can run until the node rejoins at t=5.
-        let t = Trace {
-            records: vec![rec(0, &[], 1.0, 1), rec(1, &[], 1.0, 1)],
-        };
-        let c = cluster(1, 1).with_failure_and_recovery(0, 0.5, 5.0);
-        let rep = simulate(&t, &c, &SimOptions::default());
-        assert_eq!(rep.lost_tasks, 1);
-        // 5.0 (rejoin) + 1.0 + 1.0 serial on one core.
-        assert!(
-            (rep.makespan_s - 7.0).abs() < 1e-9,
-            "got {}",
-            rep.makespan_s
-        );
-    }
-
-    #[test]
     fn external_master_data_survives_node_zero_failure() {
         // Task consumes external (non-produced) data living on node 0.
-        // Node 0 failing and recovering must not orphan that datum: it
-        // is durable master storage, so the task re-runs successfully.
+        // Node 0 failing must not orphan that datum: it is durable
+        // master storage, so the task re-runs successfully on node 1.
         let mut r = rec(0, &[], 1.0, 1);
         r.inputs = vec![(DataId(99), 1000)];
         let t = Trace { records: vec![r] };
@@ -1090,6 +1030,91 @@ mod tests {
         let r = &rep.trace.records[0];
         assert_eq!((r.worker, r.attempts.len()), (1, 2), "{r:?}");
         assert_eq!(rep.reexecutions, 0);
+    }
+
+    const OWNER: SimOptions = SimOptions {
+        policy: Policy::OwnerComputes,
+        duration_of: None,
+        dispatch_overhead_s: 0.0,
+    };
+
+    #[test]
+    fn owner_computes_fetches_a_seed_even_on_node_zero() {
+        // External data is held by the driver, not by node 0: the first
+        // touch is a transfer wherever it runs.
+        let mut r = rec(0, &[], 1.0, 1);
+        r.inputs = vec![(DataId(99), 1000)];
+        let t = Trace { records: vec![r] };
+        let rep = simulate(&t, &cluster(1, 1), &OWNER);
+        let r = &rep.trace.records[0];
+        assert_eq!((r.worker, r.fetch_bytes), (0, 1000));
+        assert_eq!(rep.transferred_bytes, 1000.0);
+        // COMPSs' master keeps it on node 0.
+        let rep = simulate(&t, &cluster(1, 1), &SimOptions::default());
+        assert_eq!(rep.transferred_bytes, 0.0);
+    }
+
+    #[test]
+    fn owner_computes_deals_first_touches_in_contiguous_runs() {
+        // Six tasks, each on its own seed, over three nodes: plan order
+        // is cut into three runs of two.
+        let t = Trace {
+            records: (0..6)
+                .map(|i| TaskRecord {
+                    inputs: vec![(DataId(100 + i), 8)],
+                    ..rec(i, &[], 1.0, 1)
+                })
+                .collect(),
+        };
+        let rep = simulate(&t, &cluster(3, 1), &OWNER);
+        let workers: Vec<i64> = rep.trace.records.iter().map(|r| r.worker).collect();
+        assert_eq!(workers, [0, 0, 1, 1, 2, 2]);
+    }
+
+    #[test]
+    fn owner_computes_waits_for_a_busy_owner() {
+        // Node 0 produces D0; at t = 1 it runs task 2, and task 3, which
+        // also reads D0, waits for it while node 1 runs its own task 4.
+        let t = Trace {
+            records: vec![
+                rec(0, &[], 1.0, 1),
+                rec(1, &[], 1.0, 1),
+                rec(2, &[0], 1.0, 1),
+                rec(3, &[0], 1.0, 1),
+                rec(4, &[1], 1.0, 1),
+            ],
+        };
+        let rep = simulate(&t, &cluster(2, 1), &OWNER);
+        let r3 = &rep.trace.records[3];
+        assert_eq!((r3.worker, r3.start_s, r3.fetch_bytes), (0, 2.0, 0));
+        assert_eq!(rep.transferred_bytes, 0.0);
+        // Locality-aware takes the free node instead, and moves D0.
+        let rep = simulate(&t, &cluster(2, 1), &SimOptions::default());
+        let r3 = &rep.trace.records[3];
+        assert_eq!((r3.worker, r3.fetch_bytes), (1, 1000));
+    }
+
+    #[test]
+    fn owner_computes_steals_only_the_tail_of_the_longest_backlog() {
+        // Node 0 produces D0, read by tasks 3, 4, 5; node 1 is busy
+        // with a long task, and node 2 is idle with nothing of its own
+        // at t = 1: it takes task 5, the last of node 0's backlog.
+        let t = Trace {
+            records: vec![
+                rec(0, &[], 1.0, 1),
+                rec(1, &[], 10.0, 1),
+                rec(2, &[], 1.0, 1),
+                rec(3, &[0], 1.0, 1),
+                rec(4, &[0], 1.0, 1),
+                rec(5, &[0], 1.0, 1),
+            ],
+        };
+        let rep = simulate(&t, &cluster(3, 1), &OWNER);
+        let placed: Vec<(i64, u64)> = rep.trace.records[3..]
+            .iter()
+            .map(|r| (r.worker, r.fetch_bytes))
+            .collect();
+        assert_eq!(placed, [(0, 0), (0, 0), (2, 1000)]);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use apps::banner;
 use dislib::csvm::{CascadeSvm, CascadeSvmParams};
 use dsarray::{DsArray, DsLabels};
 use ecg::{Dataset, DatasetSpec, Scale};
-use taskrt::sim::{simulate, ClusterSpec, Policy, SimOptions};
+use taskrt::sim::{simulate, ClusterSpec, SimOptions};
 use taskrt::Runtime;
 
 fn main() {
@@ -67,11 +67,7 @@ fn main() {
             bandwidth_bps: bps,
             ..ClusterSpec::marenostrum4(4)
         };
-        let rep = simulate(
-            &trace,
-            &cluster,
-            &SimOptions::with_policy(Policy::RoundRobin),
-        );
+        let rep = simulate(&trace, &cluster, &SimOptions::default());
         println!(
             "{label:>14} {:>12.4} {:>14.2}",
             rep.makespan_s,
@@ -93,30 +89,4 @@ fn main() {
     print!("{}", taskrt::gantt::ascii_gantt(&rep.trace, 2, 64));
     let busy = taskrt::gantt::node_busy(&rep.trace, 2);
     println!("busy seconds per node: {busy:.3?}");
-
-    banner("5. does the scheduling policy matter?");
-    let mut moved = Vec::new();
-    for (name, policy) in [
-        ("fifo        ", Policy::Fifo),
-        ("round-robin ", Policy::RoundRobin),
-        ("locality    ", Policy::LocalityAware),
-    ] {
-        let cluster = ClusterSpec {
-            bandwidth_bps: 1.25e7, // stress transfers so placement matters
-            ..ClusterSpec::marenostrum4(4)
-        };
-        let rep = simulate(&trace, &cluster, &SimOptions::with_policy(policy));
-        println!(
-            "{name} makespan {:>9.4} s, moved {:>8.2} MB",
-            rep.makespan_s,
-            rep.transferred_bytes / 1e6
-        );
-        moved.push(rep.transferred_bytes);
-    }
-    // fifo, round-robin, locality: in that order above.
-    assert!(
-        moved[2] <= moved[1],
-        "locality-aware placement moved more bytes than round-robin: {moved:?}"
-    );
-    println!("(locality-aware placement avoids re-shipping blocks — cheapest on slow links)");
 }

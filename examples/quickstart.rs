@@ -10,7 +10,7 @@
 use apps::banner;
 use linalg::Matrix;
 use taskrt::dot::to_dot;
-use taskrt::sim::{simulate, ClusterSpec, Policy, SimOptions};
+use taskrt::sim::{simulate, ClusterSpec, SimOptions};
 use taskrt::Runtime;
 
 fn main() {
@@ -58,11 +58,7 @@ fn main() {
     banner("4. replay the same DAG on clusters you do not own");
     for nodes in [1usize, 2, 4] {
         let cluster = ClusterSpec::marenostrum4(nodes);
-        let rep = simulate(
-            &trace,
-            &cluster,
-            &SimOptions::with_policy(Policy::LocalityAware),
-        );
+        let rep = simulate(&trace, &cluster, &SimOptions::default());
         println!(
             "{:>3} nodes ({:>3} cores): makespan {:.6} s, utilization {:>5.1} %",
             nodes,

@@ -72,8 +72,12 @@ const STATE_IO: [&str; 7] = [
     "recv_timeout",
 ];
 
-/// The one file [`STATE_IO`] applies to.
-const STATE_PATH: &str = "crates/core/src/dist/state.rs";
+/// The files [`STATE_IO`] applies to: the driver's state machine and
+/// the placement rule it (and the DES) calls.
+const STATE_PATHS: [&str; 2] = [
+    "crates/core/src/dist/state.rs",
+    "crates/core/src/dist/place.rs",
+];
 
 /// What "Driver decisions stay I/O-free" rejects in `dist` and the
 /// runtime: the lint a function threading a run through a dozen loose
@@ -329,6 +333,30 @@ const SECOND_CODEC: [&str; 3] = [
 
 /// The trees [`SECOND_CODEC`] applies to.
 const WIRE_CODEC_PATHS: [&str; 3] = ["crates", "tests", "examples"];
+
+/// What "One placement rule per executor" rejects anywhere under
+/// [`PLACEMENT_PATHS`], comments included: the DES placement rules no
+/// executor runs, the switch that turned transfers off, the policy
+/// shorthand only tests used, and the node recovery no caller used.
+const UNRUN_RULES: [&str; 7] = [
+    concat!("Policy::", "Fifo"),
+    concat!("Round", "Robin"),
+    concat!("rr", "_next"),
+    concat!("model", "_transfers"),
+    concat!("with", "_policy"),
+    concat!("recover", "_at_s"),
+    concat!("with_failure", "_and_recovery"),
+];
+
+/// What "One placement rule per executor" rejects outside
+/// [`PLACE_PATH`]: a second definition of owner-computes placement.
+const PLACE_FN: &str = concat!("fn ", "place(");
+
+/// The one file that may define [`PLACE_FN`].
+const PLACE_PATH: &str = "crates/core/src/dist/place.rs";
+
+/// The trees "One placement rule per executor" walks.
+const PLACEMENT_PATHS: [&str; 3] = ["crates", "tests", "examples"];
 
 /// A source file: its path relative to the workspace root (with `/`)
 /// and its text.
@@ -615,7 +643,7 @@ fn no_live_recorder_beside_the_trace_fires_on_planted_violations() {
 fn driver_io_violations(sources: &[Source]) -> Vec<String> {
     let mut found = Vec::new();
     for src in sources {
-        let in_state = src.path == STATE_PATH;
+        let in_state = STATE_PATHS.contains(&src.path.as_str());
         let in_many_args = MANY_ARGS_PATHS
             .iter()
             .any(|p| src.path == *p || src.path.starts_with(&format!("{p}/")));
@@ -633,10 +661,12 @@ fn driver_io_violations(sources: &[Source]) -> Vec<String> {
 #[test]
 fn driver_decisions_stay_io_free() {
     let sources = rust_sources(&MANY_ARGS_PATHS);
-    assert!(
-        sources.iter().any(|s| s.path == STATE_PATH),
-        "the walk missed the state machine"
-    );
+    for path in STATE_PATHS {
+        assert!(
+            sources.iter().any(|s| s.path == path),
+            "the walk missed {path}"
+        );
+    }
     let found = driver_io_violations(&sources);
     assert!(
         found.is_empty(),
@@ -652,9 +682,9 @@ fn driver_decisions_stay_io_free_fires_on_planted_violations() {
         path: path.to_string(),
         text: text.to_string(),
     };
-    let mut planted: Vec<Source> = STATE_IO
+    let mut planted: Vec<Source> = STATE_PATHS
         .iter()
-        .map(|w| src(STATE_PATH, &format!("    // {w}")))
+        .flat_map(|p| STATE_IO.iter().map(|w| src(p, &format!("    // {w}"))))
         .collect();
     let allow = format!("#[allow(clippy::{MANY_ARGS})]");
     planted.push(src("crates/core/src/dist/driver.rs", &allow));
@@ -1559,5 +1589,84 @@ fn one_wire_codec_fires_on_planted_violations() {
         },
     ];
     let found = wire_codec_violations(&allowed);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "One placement rule per executor" (DESIGN §5.16): the `dist` driver
+/// and the DES replay of a `dist` run place by the one `place` in
+/// `dist/place.rs`, and the DES keeps only rules an executor runs
+/// (`LocalityAware` for COMPSs' master, `OwnerComputes` for `dist`).
+/// Returns the offending lines as `path:line:text`.
+fn placement_rule_violations(sources: &[Source]) -> Vec<String> {
+    let mut found = Vec::new();
+    for src in sources {
+        for (i, line) in src.text.lines().enumerate() {
+            if UNRUN_RULES.iter().any(|n| line.contains(n))
+                || (src.path != PLACE_PATH && line.contains(PLACE_FN))
+            {
+                found.push(format!("{}:{}:{line}", src.path, i + 1));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn one_placement_rule_per_executor() {
+    let sources = rust_sources(&PLACEMENT_PATHS);
+    for path in [PLACE_PATH, "crates/core/src/sim.rs"] {
+        assert!(
+            sources.iter().any(|s| s.path == path),
+            "the walk missed {path}"
+        );
+    }
+    let found = placement_rule_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "a placement rule no executor runs, or a second `place`, is back:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn one_placement_rule_per_executor_fires_on_planted_violations() {
+    let src = |path: &str, text: String| Source {
+        path: path.to_string(),
+        text,
+    };
+    let mut planted: Vec<Source> = UNRUN_RULES
+        .iter()
+        .map(|name| {
+            src(
+                "crates/core/src/sim.rs",
+                format!("    // ok\n    let p = {name};"),
+            )
+        })
+        .collect();
+    planted.push(src(
+        "examples/quickstart.rs",
+        format!("// {}", UNRUN_RULES[1]),
+    ));
+    planted.push(src(
+        "crates/core/src/dist/driver.rs",
+        format!("pub(super) {PLACE_FN}ready: &[usize]) {{}}"),
+    ));
+    planted.push(src("tests/tests/sim_properties.rs", format!("{PLACE_FN})")));
+    let found = placement_rule_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with("crates/core/src/sim.rs:2:"));
+
+    let allowed = [
+        src(PLACE_PATH, format!("pub(crate) {PLACE_FN}")),
+        src(
+            "crates/core/src/sim.rs",
+            "Policy::LocalityAware | Policy::OwnerComputes => locality_node(r)".to_string(),
+        ),
+        src(
+            "tests/tests/sim_properties.rs",
+            "// Round-robin puts each stage on the next node; fn placement(".to_string(),
+        ),
+    ];
+    let found = placement_rule_violations(&allowed);
     assert!(found.is_empty(), "{found:#?}");
 }

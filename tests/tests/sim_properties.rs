@@ -71,13 +71,8 @@ proptest! {
             latency_s: 0.0,
             failures: vec![],
         };
-        for policy in [Policy::Fifo, Policy::RoundRobin, Policy::LocalityAware] {
-            let rep = simulate(&trace, &cluster, &SimOptions {
-                policy,
-                model_transfers: true,
-                duration_of: None,
-                ..SimOptions::default()
-            });
+        for policy in [Policy::LocalityAware, Policy::OwnerComputes] {
+            let rep = simulate(&trace, &cluster, &SimOptions { policy, ..SimOptions::default() });
             // Lower bounds: critical path; total work / total cores.
             prop_assert!(rep.makespan_s + 1e-9 >= trace.critical_path_s());
             let work_bound = trace.total_work_s() / f64::from(cluster.total_cores());
@@ -111,13 +106,10 @@ proptest! {
             latency_s: 1e-4,
             failures: vec![],
         };
+        let owner = SimOptions { policy: Policy::OwnerComputes, ..SimOptions::default() };
         let with_dispatch = SimOptions { dispatch_overhead_s: 1e-3, ..SimOptions::default() };
-        for opts in [
-            SimOptions::with_policy(Policy::Fifo),
-            SimOptions::with_policy(Policy::RoundRobin),
-            SimOptions::with_policy(Policy::LocalityAware),
-            with_dispatch,
-        ] {
+        let owner_with_dispatch = SimOptions { dispatch_overhead_s: 1e-3, ..owner.clone() };
+        for opts in [SimOptions::default(), owner, with_dispatch, owner_with_dispatch] {
             let first = simulate(&trace, &cluster, &opts);
             let again = simulate(&first.trace, &cluster, &opts);
             prop_assert_eq!(first.trace.len(), trace.len());
@@ -165,7 +157,7 @@ proptest! {
         };
         let slow = ClusterSpec { bandwidth_bps: 1e5, latency_s: 0.01, ..fast.clone() };
         // Same deterministic policy on both.
-        let opts = SimOptions::with_policy(Policy::RoundRobin);
+        let opts = SimOptions::default();
         let rep_fast = simulate(&trace, &fast, &opts);
         let rep_slow = simulate(&trace, &slow, &opts);
         prop_assert!(rep_slow.makespan_s + 1e-9 >= rep_fast.makespan_s);
@@ -206,9 +198,11 @@ proptest! {
             latency_s: 1e-4,
             failures: vec![],
         };
-        let rr = simulate(&trace, &cluster, &SimOptions::with_policy(Policy::RoundRobin));
-        let loc = simulate(&trace, &cluster, &SimOptions::with_policy(Policy::LocalityAware));
-        prop_assert!(loc.transferred_bytes <= rr.transferred_bytes);
+        // Round-robin puts each stage on the next node, so every link
+        // crosses nodes and moves its 1 MiB block.
+        let round_robin_bytes = ((len - 1) << 20) as f64;
+        let loc = simulate(&trace, &cluster, &SimOptions::default());
+        prop_assert!(loc.transferred_bytes <= round_robin_bytes);
         prop_assert_eq!(loc.transferred_bytes, 0.0);
     }
 }

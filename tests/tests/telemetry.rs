@@ -143,12 +143,13 @@ fn divergence_measures_the_replay_as_the_des_does() {
     // included.
     let (rt, _) = small_run();
     let trace = rt.finish();
-    // Round-robin placement makes the replay move data.
-    let report = simulate(
-        &trace,
-        &ClusterSpec::marenostrum4(2),
-        &SimOptions::with_policy(Policy::RoundRobin),
-    );
+    // Owner-computes placement fetches every seed from the driver, so
+    // the replay moves data.
+    let opts = SimOptions {
+        policy: Policy::OwnerComputes,
+        ..SimOptions::default()
+    };
+    let report = simulate(&trace, &ClusterSpec::marenostrum4(2), &opts);
     assert!(report.trace.records.iter().any(|r| r.fetch_s > 0.0));
     let div = divergence(&trace, &report.trace);
     assert_eq!(div.sim_makespan_s, report.makespan_s);

@@ -7,7 +7,7 @@ use dislib::pca::{Components, Pca};
 use dsarray::DsArray;
 use integration_tests::tiny_dataset;
 use taskrt::gantt::{ascii_gantt, node_busy};
-use taskrt::sim::{simulate, ClusterSpec, Policy, SimOptions};
+use taskrt::sim::{simulate, ClusterSpec, SimOptions};
 use taskrt::{Runtime, Trace};
 
 fn recorded_pipeline() -> Trace {
@@ -28,7 +28,7 @@ fn archived_trace_resimulates_identically() {
     std::fs::remove_file(path).ok();
 
     let cluster = ClusterSpec::marenostrum4(3);
-    let opts = SimOptions::with_policy(Policy::LocalityAware);
+    let opts = SimOptions::default();
     let a = simulate(&trace, &cluster, &opts);
     let b = simulate(&restored, &cluster, &opts);
     assert_eq!(a.makespan_s, b.makespan_s);
