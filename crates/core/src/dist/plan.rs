@@ -15,7 +15,7 @@ use crate::fault::OnFailure;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// One task in a plan. Task ids are indices into [`Plan::tasks`].
+/// One task in a plan. Task ids are indices into `Plan::tasks`.
 #[derive(Debug, Clone)]
 pub struct PlanTask {
     pub kind: String,

@@ -15,12 +15,12 @@
 //!   an error; a peer that dies mid-write can never hand a consumer a
 //!   half-message (the driver treats the short read as a worker death).
 //!
-//! A type's bytes are one encoding walk over a [`Sink`] ([`Encode`]) and
-//! one decoding walk over a [`Source`], made of the primitives here; no
-//! other module spells out a layout. A counting sink ([`Count`]) gives
-//! [`WireValue::encoded_len`] and every frame's prefix. [`write_frame`]
+//! A type's bytes are one encoding walk over a `Sink` (`Encode`) and
+//! one decoding walk over a `Source`, made of the primitives here; no
+//! other module spells out a layout. A counting sink (`Count`) gives
+//! [`WireValue::encoded_len`] and every frame's prefix. `write_frame`
 //! puts prefix and body through one buffer of at most 64 KiB, one
-//! `write` for a frame that fits; [`FrameReader`] decodes off the
+//! `write` for a frame that fits; `FrameReader` decodes off the
 //! socket, filling its 64 KiB read-ahead `min(bytes left in the frame,
 //! 64 KiB)` at a time — never past the frame, so a control frame is one
 //! read after its prefix — and draws decoded `f64` arrays from

@@ -48,7 +48,7 @@ pub struct WorkerOpts {
 impl WorkerOpts {
     /// Reads the options from the [`ENV_WORKER`]-family environment
     /// variables, if this process was launched as a worker.
-    pub fn from_env() -> Option<WorkerOpts> {
+    fn from_env() -> Option<WorkerOpts> {
         std::env::var(ENV_WORKER).ok()?;
         Some(WorkerOpts {
             id: std::env::var(ENV_ID).ok()?.parse().ok()?,

@@ -14,7 +14,7 @@
 //! into the same tasks, so CI can assert bit-identical recovery.
 //!
 //! [`FaultPlan`] is the injection side: a seeded plan that makes chosen
-//! task kinds panic or stall on their first N attempts, so the recovery
+//! task kinds panic on their first N attempts, so the recovery
 //! machinery is testable in-process without real hardware faults.
 //!
 //! A retryable task never INOUT-steals its inputs: a stolen buffer
@@ -45,15 +45,9 @@ pub enum OnFailure {
     CancelSuccessors,
 }
 
-/// How a retryable task is resubmitted: attempt budget, exponential
-/// backoff with deterministic seeded jitter, and an optional
-/// per-attempt timeout.
-///
-/// The timeout is *cooperative*: task bodies cannot be preempted, so an
-/// attempt that overruns `attempt_timeout_s` is allowed to finish but
-/// its result is discarded and the attempt counts as failed. Paired
-/// with [`FaultMode::Stall`] this makes timeout handling testable
-/// deterministically.
+/// How a retryable task is resubmitted: attempt budget and exponential
+/// backoff with deterministic seeded jitter. An attempt fails only by
+/// panicking; no rule reads how long it ran.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts including the first (>= 1).
@@ -67,8 +61,6 @@ pub struct RetryPolicy {
     pub jitter_frac: f64,
     /// Seed for the jitter hash.
     pub seed: u64,
-    /// Per-attempt timeout in seconds; `0.0` disables it.
-    pub attempt_timeout_s: f64,
 }
 
 impl Default for RetryPolicy {
@@ -79,7 +71,6 @@ impl Default for RetryPolicy {
             backoff_factor: 2.0,
             jitter_frac: 0.1,
             seed: 0x5eed_f00d,
-            attempt_timeout_s: 0.0,
         }
     }
 }
@@ -104,12 +95,6 @@ impl RetryPolicy {
     pub fn jitter(mut self, frac: f64, seed: u64) -> Self {
         self.jitter_frac = frac.clamp(0.0, 1.0);
         self.seed = seed;
-        self
-    }
-
-    /// Sets the cooperative per-attempt timeout.
-    pub fn attempt_timeout(mut self, seconds: f64) -> Self {
-        self.attempt_timeout_s = seconds.max(0.0);
         self
     }
 
@@ -160,29 +145,17 @@ impl TaskFault {
     }
 }
 
-/// What an injected fault does to an attempt.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultMode {
-    /// The attempt panics (payload contains [`INJECTED_PANIC`]).
-    Panic,
-    /// The attempt sleeps this long before running the real body —
-    /// composes with [`RetryPolicy::attempt_timeout_s`] to exercise the
-    /// timeout path.
-    Stall(f64),
-}
-
 /// Substring identifying panics raised by [`FaultPlan`] injection, so
 /// chaos harnesses can silence the expected panic output while leaving
 /// real panics visible.
 pub const INJECTED_PANIC: &str = "injected fault";
 
-/// One injection rule: which task kinds it hits, what it does, and on
-/// which attempts.
+/// One injection rule: which task kinds it panics, and on which
+/// attempts.
 #[derive(Debug, Clone)]
 struct FaultRule {
     /// Task kind to hit; `None` matches every kind.
     kind: Option<String>,
-    mode: FaultMode,
     /// Inject only on attempts `1..=first_attempts`.
     first_attempts: u32,
     /// Fraction of matching tasks hit, decided by a deterministic hash
@@ -214,65 +187,42 @@ impl FaultPlan {
     /// Adds a rule: panic every task of `kind` on its first
     /// `first_attempts` attempts.
     pub fn panic_kind(self, kind: &str, first_attempts: u32) -> Self {
-        self.rule(Some(kind), FaultMode::Panic, first_attempts, 1.0)
-    }
-
-    /// Adds a rule: stall every task of `kind` for `seconds` on its
-    /// first `first_attempts` attempts.
-    pub fn stall_kind(self, kind: &str, seconds: f64, first_attempts: u32) -> Self {
-        self.rule(Some(kind), FaultMode::Stall(seconds), first_attempts, 1.0)
+        self.panic_sampled(Some(kind), 1.0, first_attempts)
     }
 
     /// Adds a sampled rule: panic a deterministic `probability` fraction
     /// of tasks (of `kind`, or all kinds when `None`) on their first
     /// `first_attempts` attempts.
-    pub fn panic_sampled(self, kind: Option<&str>, probability: f64, first_attempts: u32) -> Self {
-        self.rule(kind, FaultMode::Panic, first_attempts, probability)
-    }
-
-    /// Adds an arbitrary rule.
-    pub fn rule(
+    pub fn panic_sampled(
         mut self,
         kind: Option<&str>,
-        mode: FaultMode,
-        first_attempts: u32,
         probability: f64,
+        first_attempts: u32,
     ) -> Self {
         self.rules.push(FaultRule {
             kind: kind.map(str::to_string),
-            mode,
             first_attempts,
             probability: probability.clamp(0.0, 1.0),
         });
         self
     }
 
-    /// Whether (and how) to fault this attempt. First matching rule
-    /// wins. Pure function of the plan, the task identity, and the
+    /// Whether to inject a panic on this attempt: true if any rule
+    /// matches. Pure function of the plan, the task identity, and the
     /// attempt number (1-based).
-    pub fn decide(&self, kind: &str, task: u64, attempt: u32) -> Option<FaultMode> {
-        for (i, r) in self.rules.iter().enumerate() {
-            if attempt > r.first_attempts {
-                continue;
-            }
-            if let Some(k) = &r.kind {
-                if k != kind {
-                    continue;
-                }
-            }
-            if r.probability < 1.0 {
-                let h = splitmix64(
-                    self.seed
-                        ^ (i as u64).wrapping_mul(0xff51_afd7_ed55_8ccd)
-                        ^ task.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                if unit_f64(h) >= r.probability {
-                    continue;
-                }
-            }
-            return Some(r.mode);
-        }
-        None
+    pub fn decide(&self, kind: &str, task: u64, attempt: u32) -> bool {
+        self.rules.iter().enumerate().any(|(i, r)| {
+            attempt <= r.first_attempts
+                && r.kind.as_deref().is_none_or(|k| k == kind)
+                && (r.probability >= 1.0 || {
+                    let h = splitmix64(
+                        self.seed
+                            ^ (i as u64).wrapping_mul(0xff51_afd7_ed55_8ccd)
+                            ^ task.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                    );
+                    unit_f64(h) < r.probability
+                })
+        })
     }
 }
 
@@ -337,28 +287,18 @@ mod tests {
             .panic_kind("flaky", 2)
             .panic_sampled(None, 0.5, 1);
         // Kind rule: all "flaky" tasks fault on attempts 1 and 2 only.
-        assert_eq!(plan.decide("flaky", 3, 1), Some(FaultMode::Panic));
-        assert_eq!(plan.decide("flaky", 3, 2), Some(FaultMode::Panic));
-        assert_eq!(plan.decide("flaky", 3, 3), None);
+        assert!(plan.decide("flaky", 3, 1));
+        assert!(plan.decide("flaky", 3, 2));
+        assert!(!plan.decide("flaky", 3, 3));
         // Sampled rule: decision repeats exactly per task id.
         for t in 0..64u64 {
             assert_eq!(plan.decide("other", t, 1), plan.decide("other", t, 1));
         }
         // ... and hits roughly the requested fraction.
-        let hit = (0..1000u64)
-            .filter(|&t| plan.decide("other", t, 1).is_some())
-            .count();
+        let hit = (0..1000u64).filter(|&t| plan.decide("other", t, 1)).count();
         assert!((350..650).contains(&hit), "sampled hit rate off: {hit}");
         // A different seed draws a different sample.
         let other = FaultPlan::new(100).panic_sampled(None, 0.5, 1);
         assert!((0..1000u64).any(|t| plan.decide("x", t, 1) != other.decide("x", t, 1)));
-    }
-
-    #[test]
-    fn stall_rule_reports_duration() {
-        let plan = FaultPlan::new(1).stall_kind("slow", 0.25, 1);
-        assert_eq!(plan.decide("slow", 0, 1), Some(FaultMode::Stall(0.25)));
-        assert_eq!(plan.decide("slow", 0, 2), None);
-        assert_eq!(plan.decide("fast", 0, 1), None);
     }
 }

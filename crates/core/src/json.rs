@@ -103,11 +103,6 @@ impl Value {
         }
     }
 
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Object field lookup.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -550,7 +545,7 @@ mod tests {
         assert_eq!(v["xs"][1].as_u64(), Some(20));
         assert_eq!(v["name"].as_str(), Some("t"));
         assert_eq!(v["flag"].as_bool(), Some(true));
-        assert!(v["missing"].is_null());
+        assert_eq!(v["missing"], Value::Null);
         assert_eq!(v.as_array(), None);
         assert_eq!(v["xs"].as_array().unwrap().len(), 2);
     }

@@ -66,7 +66,7 @@ mod tables;
 pub mod trace;
 
 pub use dist::{DistConfig, DistReport, DistRuntime, KindRegistry, Plan, WireValue};
-pub use fault::{FaultMode, FaultPlan, OnFailure, RetryPolicy, TaskFault};
+pub use fault::{FaultPlan, OnFailure, RetryPolicy, TaskFault};
 pub use handle::{DataId, Handle, TaskId};
 pub use obs::{Divergence, Profile, RuntimeStats, Straggler, Utilization};
 pub use payload::Payload;

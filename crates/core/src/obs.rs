@@ -463,7 +463,7 @@ impl Profile {
     }
 
     /// Share of the critical path attributed to `kind` (0..=1).
-    pub fn critical_share(&self, kind: &str) -> f64 {
+    fn critical_share(&self, kind: &str) -> f64 {
         if self.critical_path_s <= 0.0 {
             return 0.0;
         }

@@ -69,7 +69,7 @@
 //!   shutdown and joins every worker; no threads outlive the runtime
 //!   (observable via [`live_worker_threads`]).
 
-use crate::fault::{FaultMode, FaultPlan, OnFailure, RetryPolicy, TaskFault, INJECTED_PANIC};
+use crate::fault::{FaultPlan, OnFailure, RetryPolicy, TaskFault, INJECTED_PANIC};
 use crate::handle::{DataId, Handle, TaskId};
 use crate::obs::RuntimeStats;
 use crate::payload::Payload;
@@ -133,8 +133,6 @@ pub enum ExecMode {
 pub struct RuntimeConfig {
     /// Execution mode for tasks submitted to this runtime.
     pub mode: ExecMode,
-    /// Execution mode for child runtimes created by nested tasks.
-    pub nested_mode: ExecMode,
     /// No effect. Statistics are always on: [`Runtime::stats`] derives
     /// its per-task fields from the task rows and reads the scheduler's
     /// few internal counts beside the locks their sites already hold.
@@ -149,7 +147,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         Self {
             mode: ExecMode::Inline,
-            nested_mode: ExecMode::Inline,
             metrics: true,
             telemetry: true,
         }
@@ -158,7 +155,6 @@ impl Default for RuntimeConfig {
 
 /// Context handed to every task body; grants access to nesting.
 pub struct TaskCtx {
-    nested_mode: ExecMode,
     /// INOUT parameters this attempt took by move and by clone (see
     /// [`take_arg`]); the executor adds them to the runtime's counts
     /// at commit.
@@ -167,17 +163,14 @@ pub struct TaskCtx {
 }
 
 impl TaskCtx {
-    /// Creates the child runtime for a nested task. The child's trace is
-    /// attached to the parent task's record when the body returns.
+    /// Creates the inline child runtime for a nested task. The child's
+    /// trace is attached to the parent task's record when the body
+    /// returns, and the DES schedules it on the parent's grant.
     ///
     /// Calling this more than once replaces the recorded child trace;
     /// nest one runtime per task.
-    pub fn nested_runtime(&self) -> Runtime {
-        let rt = Runtime::with_config(RuntimeConfig {
-            mode: self.nested_mode,
-            nested_mode: self.nested_mode,
-            ..RuntimeConfig::default()
-        });
+    fn nested_runtime(&self) -> Runtime {
+        let rt = Runtime::new();
         *lock(&self.child) = Some(rt.clone());
         rt
     }
@@ -413,7 +406,6 @@ impl Runtime {
     pub fn threaded(workers: usize) -> Self {
         Self::with_config(RuntimeConfig {
             mode: ExecMode::Threads(workers),
-            nested_mode: ExecMode::Inline,
             ..RuntimeConfig::default()
         })
     }
@@ -1112,7 +1104,6 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
     let outcome = loop {
         let attempt_no = attempts.len() as u32 + 1;
         let ctx = TaskCtx {
-            nested_mode: shared.config.nested_mode,
             inout: Cell::new((0, 0)),
             child: Mutex::new(None),
         };
@@ -1123,13 +1114,11 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         };
         let injected = plan
             .as_ref()
-            .and_then(|(p, name)| p.decide(name, task.0, attempt_no));
+            .is_some_and(|(p, name)| p.decide(name, task.0, attempt_no));
         let start = Instant::now();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match injected {
-                Some(FaultMode::Panic) => panic!("{INJECTED_PANIC} (attempt {attempt_no})"),
-                Some(FaultMode::Stall(s)) => std::thread::sleep(Duration::from_secs_f64(s)),
-                None => {}
+            if injected {
+                panic!("{INJECTED_PANIC} (attempt {attempt_no})");
             }
             f(&ctx, &mut ins)
         }));
@@ -1139,20 +1128,6 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         inout = (inout.0 + moved, inout.1 + cloned);
         drop(ins); // release the attempt's input refcounts outside the lock
         let start_s = since_epoch(start);
-        // Cooperative per-attempt timeout: a body cannot be preempted,
-        // so an overrunning attempt finishes but its result is
-        // discarded and the attempt counts as failed.
-        let timeout = fault.retry.attempt_timeout_s;
-        let result: Result<_, Box<dyn Any + Send>> = match result {
-            Ok(_)
-                if fault.on_failure == OnFailure::Retry && timeout > 0.0 && duration > timeout =>
-            {
-                Err(Box::new(format!(
-                    "attempt timed out after {duration:.3}s (limit {timeout}s)"
-                )))
-            }
-            r => r,
-        };
         match result {
             Ok(outs) => {
                 if !attempts.is_empty() {
@@ -1411,7 +1386,7 @@ impl<'rt> TaskBuilder<'rt> {
     }
 
     /// Makes the task retryable under the given policy (implies
-    /// [`OnFailure::Retry`]): a panicking or timed-out attempt is
+    /// [`OnFailure::Retry`]): a panicking attempt is
     /// re-run, up to `policy.max_attempts` total, with deterministic
     /// exponential backoff between attempts. The COMPSs
     /// `on_failure=RETRY` equivalent.

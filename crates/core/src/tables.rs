@@ -237,7 +237,7 @@ impl Row {
 
     /// A `wait` or `barrier` marker (unlike [`TaskRecord::is_marker`],
     /// not a `__split` helper, which has inputs and runs).
-    pub fn is_sync_point(&self) -> bool {
+    fn is_sync_point(&self) -> bool {
         self.kind == SYNC_KIND || self.kind == BARRIER_KIND
     }
 

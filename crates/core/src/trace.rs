@@ -21,7 +21,7 @@ pub const SPLIT_TASK: &str = "__split";
 
 /// One execution attempt of a task. Recorded only when a task needed
 /// more than one attempt (see [`TaskRecord::attempts`]): failed
-/// attempts carry their panic/timeout message, the final successful
+/// attempts carry their panic message, the final successful
 /// attempt (if any) closes the list with `error: None`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttemptRecord {
@@ -32,7 +32,7 @@ pub struct AttemptRecord {
     pub start_s: f64,
     /// Duration of the attempt body, in seconds.
     pub duration_s: f64,
-    /// Panic or timeout message; `None` for the successful attempt.
+    /// Panic message; `None` for the successful attempt.
     pub error: Option<String>,
 }
 
@@ -53,7 +53,7 @@ impl AttemptRecord {
     }
 
     /// Decodes an attempt from a JSON tree.
-    pub fn from_value(v: &Value) -> Result<AttemptRecord, JsonError> {
+    fn from_value(v: &Value) -> Result<AttemptRecord, JsonError> {
         let f64_of = |v: &Value, what: &str| {
             v.as_f64()
                 .ok_or_else(|| JsonError::msg(format!("{what} must be a number")))
@@ -189,7 +189,7 @@ impl TaskRecord {
     }
 
     /// Decodes a record from a JSON tree.
-    pub fn from_value(v: &Value) -> Result<TaskRecord, JsonError> {
+    fn from_value(v: &Value) -> Result<TaskRecord, JsonError> {
         let u64_of = |v: &Value, what: &str| {
             v.as_u64()
                 .ok_or_else(|| JsonError::msg(format!("{what} must be an unsigned integer")))
@@ -415,7 +415,7 @@ impl Trace {
     /// round-trip that lets recorded workloads be archived and
     /// re-simulated later (the role Paraver trace files play for
     /// PyCOMPSs).
-    pub fn from_json(s: &str) -> Result<Trace, JsonError> {
+    fn from_json(s: &str) -> Result<Trace, JsonError> {
         Trace::from_value(&Value::parse(s)?)
     }
 
@@ -428,7 +428,7 @@ impl Trace {
     }
 
     /// Decodes a trace from a JSON tree.
-    pub fn from_value(v: &Value) -> Result<Trace, JsonError> {
+    fn from_value(v: &Value) -> Result<Trace, JsonError> {
         let records = v
             .field("records")?
             .as_array()

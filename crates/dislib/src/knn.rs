@@ -128,7 +128,7 @@ impl KnnClassifier {
     }
 
     /// Prediction pipeline for one query band.
-    pub fn predict_band(&self, rt: &Runtime, qband: Handle<Matrix>) -> Handle<Vec<u8>> {
+    fn predict_band(&self, rt: &Runtime, qband: Handle<Matrix>) -> Handle<Vec<u8>> {
         let k = self.params.k;
         let candidates: Vec<Handle<Neighbors>> = self
             .parts

@@ -125,11 +125,11 @@ impl Tree {
 /// Output of an `rf_top` task: a partial tree whose frontier leaves each
 /// own a sample partition.
 #[derive(Debug, Clone)]
-pub struct TopSplit {
+struct TopSplit {
     /// Partial tree with `FRONTIER` leaves.
-    pub tree: Tree,
+    tree: Tree,
     /// `partitions[slot]` = bootstrap sample indices reaching that slot.
-    pub partitions: Vec<Vec<u32>>,
+    partitions: Vec<Vec<u32>>,
 }
 
 impl Payload for TopSplit {
@@ -204,7 +204,7 @@ fn leaf_probs(counts: &[usize; 2]) -> [f64; 2] {
 /// shared, read-only, by every tree task of the fit — all trees sort the
 /// same matrix and only their bootstraps differ, so this is the only
 /// order any of them needs: a tree reads its own nodes out of it through
-/// the ranks of their rows (see [`RankSet`]) and builds no order of its
+/// the ranks of their rows (see `RankSet`) and builds no order of its
 /// own.
 #[derive(Debug, Clone)]
 pub struct Presort {
@@ -511,7 +511,7 @@ fn grow_samples(
 
 /// Builds one full tree locally (the `distr_depth == 0` path), using
 /// the pre-sorted split finder over the forest-wide `pre`sort of `x`.
-pub fn build_tree(x: &Matrix, y: &[u8], pre: &Presort, params: &RfParams, est_seed: u64) -> Tree {
+fn build_tree(x: &Matrix, y: &[u8], pre: &Presort, params: &RfParams, est_seed: u64) -> Tree {
     let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(est_seed));
     let samples = bootstrap(x.rows(), &mut rng);
     grow_samples(x, y, pre, &samples, 0, params, &mut rng, None)
@@ -519,13 +519,7 @@ pub fn build_tree(x: &Matrix, y: &[u8], pre: &Presort, params: &RfParams, est_se
 
 /// Builds the top of a tree down to `distr_depth` and collects the
 /// sample partition for each frontier slot.
-pub fn build_top(
-    x: &Matrix,
-    y: &[u8],
-    pre: &Presort,
-    params: &RfParams,
-    est_seed: u64,
-) -> TopSplit {
+fn build_top(x: &Matrix, y: &[u8], pre: &Presort, params: &RfParams, est_seed: u64) -> TopSplit {
     let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(est_seed));
     let samples = bootstrap(x.rows(), &mut rng);
     let stop = Some(params.distr_depth);
@@ -567,7 +561,7 @@ fn route_to_frontier(mut tree: Tree, x: &Matrix, idx: &[u32]) -> TopSplit {
 }
 
 /// Grows the subtree for frontier `slot` of a [`TopSplit`].
-pub fn build_subtree(
+fn build_subtree(
     x: &Matrix,
     y: &[u8],
     pre: &Presort,
@@ -604,7 +598,7 @@ pub fn build_subtree(
 }
 
 /// Grafts the subtrees into the partial tree, producing a complete tree.
-pub fn join_tree(top: &TopSplit, subtrees: &[&Tree]) -> Tree {
+fn join_tree(top: &TopSplit, subtrees: &[&Tree]) -> Tree {
     let mut tree = top.tree.clone();
     let slots = tree.frontier_slots();
     assert_eq!(slots.len(), subtrees.len(), "subtree count mismatch");

@@ -214,14 +214,8 @@ impl DsArray {
 
     /// Builds a ds-array from pre-existing row-band handles (each a
     /// `rows_i x cols` matrix with a single column block).
-    pub fn from_row_bands(
-        rt: &Runtime,
-        bands: Vec<Handle<Matrix>>,
-        band_rows: &[usize],
-        cols: usize,
-    ) -> Self {
+    fn from_row_bands(bands: Vec<Handle<Matrix>>, band_rows: &[usize], cols: usize) -> Self {
         assert_eq!(bands.len(), band_rows.len());
-        let _ = rt;
         let rows = band_rows.iter().sum();
         let rb_size = band_rows.iter().copied().max().unwrap_or(1);
         DsArray {
@@ -238,11 +232,6 @@ impl DsArray {
         (self.rows, self.cols)
     }
 
-    /// Configured block shape `(rb_size, cb_size)`.
-    pub fn block_shape(&self) -> (usize, usize) {
-        (self.rb_size, self.cb_size)
-    }
-
     /// Number of row blocks — the parallelism bound of dislib estimators.
     pub fn n_row_blocks(&self) -> usize {
         self.grid.len()
@@ -254,7 +243,7 @@ impl DsArray {
     }
 
     /// Number of rows in row block `rb`.
-    pub fn rows_in_band(&self, rb: usize) -> usize {
+    fn rows_in_band(&self, rb: usize) -> usize {
         let r0 = rb * self.rb_size;
         (self.rows - r0).min(self.rb_size)
     }
@@ -267,7 +256,7 @@ impl DsArray {
     /// The full row band `rb` as a single matrix handle; a
     /// `ds_merge_band` task hstacks the band's blocks (no-op pass-through
     /// when the array has a single column block).
-    pub fn row_band(&self, rt: &Runtime, rb: usize) -> Handle<Matrix> {
+    fn row_band(&self, rt: &Runtime, rb: usize) -> Handle<Matrix> {
         if self.n_col_blocks() == 1 {
             return self.grid[rb][0];
         }
@@ -286,7 +275,8 @@ impl DsArray {
         })
     }
 
-    /// All row bands (see [`Self::row_band`]).
+    /// All row bands, each its blocks hstacked by one `ds_merge_band`
+    /// task (or the block itself when there is one column block).
     pub fn row_bands(&self, rt: &Runtime) -> Vec<Handle<Matrix>> {
         (0..self.n_row_blocks())
             .map(|rb| self.row_band(rt, rb))
@@ -297,7 +287,7 @@ impl DsArray {
     /// synchronizing: the `ds_gather` task stays in the task graph, so
     /// downstream tasks can consume the gathered matrix before the
     /// driver ever blocks.
-    pub fn collect_handle(&self, rt: &Runtime) -> Handle<Matrix> {
+    fn collect_handle(&self, rt: &Runtime) -> Handle<Matrix> {
         let blocks: Vec<Handle<Matrix>> = self.grid.iter().flatten().copied().collect();
         let (rows, cols) = (self.rows, self.cols);
         let (rb_size, cb_size) = (self.rb_size, self.cb_size);
@@ -316,53 +306,12 @@ impl DsArray {
 
     /// Gathers the whole array back into one local matrix (synchronizes).
     ///
-    /// One `ds_gather` task ([`Self::collect_handle`]) copies every
+    /// One `ds_gather` task (`Self::collect_handle`) copies every
     /// block straight into a single preallocated `rows x cols` matrix —
     /// the tree of `vstack` intermediates (each copying the full prefix
     /// again) is gone, so gathering moves each element exactly once.
     pub fn collect(&self, rt: &Runtime) -> Matrix {
         (*rt.wait(self.collect_handle(rt))).clone()
-    }
-
-    /// Re-partitions the array to a new block shape without a driver
-    /// round trip. `collect` followed by `from_matrix` forces a full
-    /// synchronization (gather → driver → scatter); `reblock` keeps the
-    /// exchange inside the task graph. When the target shape equals the
-    /// current one the gather/scatter pair collapses completely — the
-    /// existing block handles are reused and zero tasks are submitted.
-    /// Otherwise one lazy `ds_gather` feeds a `ds_reblock` slice task
-    /// per new block, and the driver never blocks.
-    ///
-    /// # Panics
-    /// Panics if either block size is zero.
-    pub fn reblock(&self, rt: &Runtime, rb_size: usize, cb_size: usize) -> DsArray {
-        assert!(rb_size > 0 && cb_size > 0, "block sizes must be positive");
-        if rb_size == self.rb_size && cb_size == self.cb_size {
-            return self.clone();
-        }
-        let src = self.collect_handle(rt);
-        let (rows, cols) = (self.rows, self.cols);
-        let n_rb = rows.div_ceil(rb_size);
-        let n_cb = cols.div_ceil(cb_size);
-        let mut grid = Vec::with_capacity(n_rb);
-        for rb in 0..n_rb {
-            let mut row = Vec::with_capacity(n_cb);
-            let (r0, r1) = (rb * rb_size, ((rb + 1) * rb_size).min(rows));
-            for cb in 0..n_cb {
-                let (c0, c1) = (cb * cb_size, ((cb + 1) * cb_size).min(cols));
-                row.push(rt.task("ds_reblock").run1(src, move |m: &Matrix| {
-                    m.slice_rows(r0, r1).slice_cols(c0, c1)
-                }));
-            }
-            grid.push(row);
-        }
-        DsArray {
-            rows,
-            cols,
-            rb_size,
-            cb_size,
-            grid,
-        }
     }
 
     /// Applies `f` block-wise, producing a new ds-array with the same
@@ -391,36 +340,6 @@ impl DsArray {
             })
             .collect();
         DsArray { grid, ..*self }
-    }
-
-    /// Consuming, in-place variant of [`DsArray::map_blocks`]: every
-    /// block is submitted with `direction=INOUT`, so when this array is
-    /// the block's only consumer the mutation happens directly on the
-    /// stored matrix with zero copies. `f` must preserve block shape.
-    pub fn map_blocks_inplace(
-        self,
-        rt: &Runtime,
-        name: &str,
-        f: impl Fn(&mut Matrix) + Send + Sync + 'static,
-    ) -> DsArray {
-        let f = Arc::new(f);
-        let grid = self
-            .grid
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|&b| {
-                        let f = f.clone();
-                        rt.task(name).run1_inout(b, move |m: &mut Matrix| {
-                            let shape = m.shape();
-                            f(m);
-                            assert_eq!(m.shape(), shape, "map_blocks_inplace must preserve shape");
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
-        DsArray { grid, ..self }
     }
 
     /// Per-column sums via one partial task per block followed by a tree
@@ -495,7 +414,7 @@ impl DsArray {
         // first produced band at collect time; here we record `k` as the
         // declared width of `w` if available.
         let k = rt.peek(w).cols();
-        DsArray::from_row_bands(rt, new_bands, &band_rows, k)
+        DsArray::from_row_bands(new_bands, &band_rows, k)
     }
 
     /// Subtracts a row vector from every row (column centering), block
@@ -505,24 +424,11 @@ impl DsArray {
         DsArray { grid, ..*self }
     }
 
-    /// Consuming, in-place variant of [`DsArray::sub_row_vector`]: the
-    /// block parameter is INOUT, so centering a freshly-produced array
-    /// (the common scaler/PCA pipeline shape) mutates blocks in place
-    /// instead of cloning each one.
-    pub fn sub_row_vector_inplace(self, rt: &Runtime, v: Handle<Vec<f64>>) -> DsArray {
-        let grid = self.row_vector_op(rt, "ds_center", v, true, center);
-        DsArray { grid, ..self }
-    }
-
     /// Divides every column by the matching entry of `v` (unit-variance
     /// scaling); entries `<= eps` divide by 1 instead (constant columns).
-    pub fn div_row_vector(&self, rt: &Runtime, v: Handle<Vec<f64>>) -> DsArray {
-        let grid = self.row_vector_op(rt, "ds_scale", v, false, unit_scale);
-        DsArray { grid, ..*self }
-    }
-
-    /// Consuming, in-place variant of [`DsArray::div_row_vector`]; same
-    /// constant-column guard, INOUT block parameter.
+    /// Consuming: the block parameter is INOUT, so scaling a
+    /// freshly-produced array (the scaler's pipeline shape) mutates
+    /// blocks in place instead of cloning each one.
     pub fn div_row_vector_inplace(self, rt: &Runtime, v: Handle<Vec<f64>>) -> DsArray {
         let grid = self.row_vector_op(rt, "ds_scale", v, true, unit_scale);
         DsArray { grid, ..self }
@@ -530,9 +436,9 @@ impl DsArray {
 
     /// One `name` task per block applying `op(x, v[column of x])` to
     /// every element: INOUT on the block when `inplace`, on a clone of
-    /// it otherwise. (Both forms stay: a `Handle` the driver still holds
-    /// does not block an INOUT steal, so a caller that reads the array
-    /// again cannot use the consuming form.)
+    /// it otherwise. (A `Handle` the driver still holds does not block
+    /// an INOUT steal, so an op whose caller reads the array again
+    /// cannot use the consuming form.)
     fn row_vector_op(
         &self,
         rt: &Runtime,
@@ -590,7 +496,7 @@ fn unit_scale(x: &mut f64, s: f64) {
 #[derive(Clone)]
 pub struct DsLabels {
     parts: Vec<Handle<Vec<u8>>>,
-    band_rows: Vec<usize>,
+    len: usize,
 }
 
 impl DsLabels {
@@ -598,13 +504,11 @@ impl DsLabels {
     /// row bands.
     pub fn from_slice(rt: &Runtime, y: &[u8], rb_size: usize) -> Self {
         assert!(rb_size > 0);
-        let mut parts = Vec::new();
-        let mut band_rows = Vec::new();
-        for chunk in y.chunks(rb_size) {
-            parts.push(rt.put(chunk.to_vec()));
-            band_rows.push(chunk.len());
+        let parts = y.chunks(rb_size).map(|c| rt.put(c.to_vec())).collect();
+        DsLabels {
+            parts,
+            len: y.len(),
         }
-        DsLabels { parts, band_rows }
     }
 
     /// Number of partitions.
@@ -617,14 +521,9 @@ impl DsLabels {
         self.parts[i]
     }
 
-    /// Rows in partition `i`.
-    pub fn rows_in_part(&self, i: usize) -> usize {
-        self.band_rows[i]
-    }
-
     /// Total number of labels.
     pub fn len(&self) -> usize {
-        self.band_rows.iter().sum()
+        self.len
     }
 
     /// True if there are no labels.
@@ -720,7 +619,7 @@ mod tests {
             assert!(mean.abs() < 1e-9);
         }
         let stds = rt.put(cm.col_stds(&cm.col_means()));
-        let scaled = centered.div_row_vector(&rt, stds);
+        let scaled = centered.div_row_vector_inplace(&rt, stds);
         let sm = scaled.collect(&rt);
         for c in 0..3 {
             let col = sm.col(c);
@@ -769,46 +668,8 @@ mod tests {
         let y: Vec<u8> = (0..11).map(|i| (i % 2) as u8).collect();
         let dl = DsLabels::from_slice(&rt, &y, 4);
         assert_eq!(dl.n_parts(), 3);
-        assert_eq!(dl.rows_in_part(2), 3);
         assert_eq!(dl.len(), 11);
         assert_eq!(*rt.peek(dl.part(1)), vec![0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn reblock_identity_submits_nothing() {
-        let rt = Runtime::new();
-        let m = demo_matrix(12, 6);
-        let ds = DsArray::from_matrix_owned(&rt, m, 4, 3);
-        let before = rt.task_count();
-        let same = ds.reblock(&rt, 4, 3);
-        assert_eq!(rt.task_count(), before, "identity reblock is free");
-        for rb in 0..ds.n_row_blocks() {
-            for cb in 0..ds.n_col_blocks() {
-                assert_eq!(same.block(rb, cb).id(), ds.block(rb, cb).id());
-            }
-        }
-    }
-
-    #[test]
-    fn reblock_matches_collect_roundtrip() {
-        let rt = Runtime::new();
-        let m = demo_matrix(23, 7);
-        let ds = DsArray::from_matrix(&rt, &m, 5, 3);
-        let re = ds.reblock(&rt, 4, 2);
-        assert_eq!(re.block_shape(), (4, 2));
-        assert_eq!(re.n_row_blocks(), 6);
-        assert_eq!(re.n_col_blocks(), 4);
-        // Same content as the synchronous collect + from_matrix trip.
-        let roundtrip = DsArray::from_matrix(&rt, &ds.collect(&rt), 4, 2);
-        for rb in 0..re.n_row_blocks() {
-            for cb in 0..re.n_col_blocks() {
-                assert_eq!(
-                    *rt.peek(re.block(rb, cb)),
-                    *rt.peek(roundtrip.block(rb, cb))
-                );
-            }
-        }
-        assert_eq!(re.collect(&rt), m);
     }
 
     #[test]
@@ -867,27 +728,34 @@ mod tests {
         assert!(rt.stats().inout_steals > 0);
     }
 
+    /// `m` with `x - mean[c]`, then `x / std[c]` (constant columns
+    /// kept), then `f`, applied to every element on the driver: the
+    /// reference the block-wise ops must match bit for bit.
+    fn dense_center_scale(m: &Matrix, mean: &[f64], std: &[f64], f: fn(f64) -> f64) -> Matrix {
+        Matrix::from_fn(m.rows(), m.cols(), |r, c| {
+            let mut x = m.row(r)[c];
+            center(&mut x, mean[c]);
+            unit_scale(&mut x, std[c]);
+            f(x)
+        })
+    }
+
     #[test]
     fn inplace_ops_match_clone_based() {
         let rt = Runtime::new();
         let m = demo_matrix(11, 5);
-        let means = rt.put(m.col_means());
-        let stds = rt.put(m.col_stds(&m.col_means()));
+        let (mean, std) = (m.col_means(), m.col_stds(&m.col_means()));
+        let reference = dense_center_scale(&m, &mean, &std, |x| 2.0 * x);
+        let (means, stds) = (rt.put(mean), rt.put(std));
 
-        let reference = DsArray::from_matrix(&rt, &m, 4, 2)
+        let inplace = DsArray::from_matrix_owned(&rt, m, 4, 2)
             .sub_row_vector(&rt, means)
-            .div_row_vector(&rt, stds)
+            .div_row_vector_inplace(&rt, stds)
             .map_blocks(&rt, "dbl", |b| {
                 let mut out = b.clone();
                 out.scale(2.0);
                 out
             })
-            .collect(&rt);
-
-        let inplace = DsArray::from_matrix_owned(&rt, m, 4, 2)
-            .sub_row_vector_inplace(&rt, means)
-            .div_row_vector_inplace(&rt, stds)
-            .map_blocks_inplace(&rt, "dbl", |b| b.scale(2.0))
             .collect(&rt);
 
         assert_eq!(inplace, reference);
@@ -899,11 +767,13 @@ mod tests {
         // of in-place ops should steal at every link.
         let rt = Runtime::new();
         let m = demo_matrix(12, 6);
-        let v = rt.put(vec![1.0; 6]);
-        let ds = DsArray::from_matrix_owned(&rt, m, 4, 3)
-            .sub_row_vector_inplace(&rt, v)
-            .map_blocks_inplace(&rt, "neg", |b| b.scale(-1.0));
-        let _ = ds.collect(&rt);
+        let v = rt.put(vec![2.0; 6]);
+        let w = rt.put(vec![0.5; 6]);
+        let ds = DsArray::from_matrix_owned(&rt, m.clone(), 4, 3)
+            .div_row_vector_inplace(&rt, v)
+            .div_row_vector_inplace(&rt, w);
+        // Halved, then doubled: exact in binary.
+        assert_eq!(ds.collect(&rt), m);
         let st = rt.stats();
         assert_eq!(st.inout_copies, 0, "single-consumer chain must not copy");
         assert_eq!(st.inout_steals, 12); // 6 blocks x 2 in-place ops
@@ -913,8 +783,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
-        /// Random chains of ds-array ops: the INOUT path must be
-        /// indistinguishable from the clone-based one.
+        /// Random chains of ds-array ops, INOUT and clone-based, on any
+        /// block grid: the same bits as the ops applied to the dense
+        /// matrix on the driver.
         #[test]
         fn prop_inplace_chain_matches_clone_chain(
             rows in 1usize..18,
@@ -924,46 +795,41 @@ mod tests {
             ops in proptest::collection::vec(0u8..4, 1..6),
         ) {
             let rt = Runtime::new();
-            let m = Matrix::from_fn(rows, cols, |r, c| ((r * 13 + c * 7) as f64 * 0.31).sin());
-            let v = rt.put((0..cols).map(|c| 0.5 + c as f64).collect::<Vec<f64>>());
+            let mut m = Matrix::from_fn(rows, cols, |r, c| ((r * 13 + c * 7) as f64 * 0.31).sin());
+            let vs: Vec<f64> = (0..cols).map(|c| 0.5 + c as f64).collect();
+            let zeros = vec![0.0; cols];
+            let ones = vec![1.0; cols];
+            let v = rt.put(vs.clone());
 
-            let mut a = DsArray::from_matrix(&rt, &m, rb, cb);
-            let mut b = DsArray::from_matrix_owned(&rt, m, rb, cb);
+            let mut a = DsArray::from_matrix_owned(&rt, m.clone(), rb, cb);
             for &op in &ops {
+                let f: fn(f64) -> f64 = match op {
+                    0 => |x| x * 1.25,
+                    3 => |x| x * x,
+                    _ => |x| x,
+                };
                 match op {
-                    0 => {
-                        a = a.map_blocks(&rt, "scale", |x| {
-                            let mut o = x.clone();
-                            o.scale(1.25);
-                            o
-                        });
-                        b = b.map_blocks_inplace(&rt, "scale", |x| x.scale(1.25));
-                    }
                     1 => {
                         a = a.sub_row_vector(&rt, v);
-                        b = b.sub_row_vector_inplace(&rt, v);
+                        m = dense_center_scale(&m, &vs, &ones, f);
                     }
                     2 => {
-                        a = a.div_row_vector(&rt, v);
-                        b = b.div_row_vector_inplace(&rt, v);
+                        a = a.div_row_vector_inplace(&rt, v);
+                        m = dense_center_scale(&m, &zeros, &vs, f);
                     }
                     _ => {
-                        a = a.map_blocks(&rt, "sq", |x| {
+                        a = a.map_blocks(&rt, "elementwise", move |x| {
                             let mut o = x.clone();
                             for val in o.as_mut_slice() {
-                                *val *= *val;
+                                *val = f(*val);
                             }
                             o
                         });
-                        b = b.map_blocks_inplace(&rt, "sq", |x| {
-                            for val in x.as_mut_slice() {
-                                *val *= *val;
-                            }
-                        });
+                        m = dense_center_scale(&m, &zeros, &ones, f);
                     }
                 }
             }
-            proptest::prop_assert_eq!(a.collect(&rt), b.collect(&rt));
+            proptest::prop_assert_eq!(a.collect(&rt), m);
         }
     }
 }

@@ -27,7 +27,7 @@ pub const PEAKS_PER_PATCH: usize = 6;
 ///
 /// Signals with fewer than `2 * PEAKS_PER_PATCH` peaks yield a single
 /// patch (nothing to shuffle).
-pub fn patch_boundaries(signal_len: usize, peaks: &[usize]) -> Vec<usize> {
+fn patch_boundaries(signal_len: usize, peaks: &[usize]) -> Vec<usize> {
     let mut cuts = vec![0usize];
     if peaks.len() >= 2 * PEAKS_PER_PATCH {
         let mut g = PEAKS_PER_PATCH;
@@ -46,7 +46,7 @@ pub fn patch_boundaries(signal_len: usize, peaks: &[usize]) -> Vec<usize> {
 
 /// Produces one augmented signal by shuffling the 6-R-peak patches of
 /// `rec`. Deterministic for a given `seed`.
-pub fn shuffle_patches(rec: &Recording, seed: u64) -> Recording {
+fn shuffle_patches(rec: &Recording, seed: u64) -> Recording {
     let peaks = detect_r_peaks(&rec.samples, rec.fs, &RPeakConfig::default());
     let cuts = patch_boundaries(rec.samples.len(), &peaks);
     let mut patches: Vec<&[f64]> = cuts.windows(2).map(|w| &rec.samples[w[0]..w[1]]).collect();
@@ -61,26 +61,6 @@ pub fn shuffle_patches(rec: &Recording, seed: u64) -> Recording {
         fs: rec.fs,
         class: rec.class,
     }
-}
-
-/// In-place variant of [`shuffle_patches`]: replaces the recording's
-/// signal with the shuffled permutation, drawing the output buffer from
-/// (and recycling the old buffer into) the thread-local
-/// [`linalg::pool`]. Produces exactly the same permutation as
-/// `shuffle_patches` for a given seed — the Fisher–Yates pass depends
-/// only on the patch count and the seed.
-pub fn shuffle_patches_inplace(rec: &mut Recording, seed: u64) {
-    let peaks = detect_r_peaks(&rec.samples, rec.fs, &RPeakConfig::default());
-    let cuts = patch_boundaries(rec.samples.len(), &peaks);
-    let mut order: Vec<usize> = (0..cuts.len() - 1).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    order.shuffle(&mut rng);
-    let mut out = linalg::pool::acquire_capacity(rec.samples.len());
-    for &p in &order {
-        out.extend_from_slice(&rec.samples[cuts[p]..cuts[p + 1]]);
-    }
-    let old = std::mem::replace(&mut rec.samples, out);
-    linalg::pool::release(old);
 }
 
 /// Balances the minority class by patch-shuffling augmentation: new
@@ -174,21 +154,6 @@ mod tests {
             shuffle_patches(&rec, 7).samples,
             shuffle_patches(&rec, 7).samples
         );
-    }
-
-    #[test]
-    fn inplace_shuffle_matches_allocating_shuffle() {
-        let rec = generate(&cfg(), Class::Af, 21);
-        let expect = shuffle_patches(&rec, 5);
-        let mut got = rec.clone();
-        shuffle_patches_inplace(&mut got, 5);
-        assert_eq!(got.samples, expect.samples);
-        assert_eq!(got.class, expect.class);
-        // Repeated in-place augmentation recycles sample buffers.
-        let (h0, _, _) = linalg::pool::stats();
-        shuffle_patches_inplace(&mut got, 6);
-        let (h1, _, _) = linalg::pool::stats();
-        assert!(h1 > h0, "second shuffle should hit the pooled buffer");
     }
 
     #[test]

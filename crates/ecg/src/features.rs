@@ -56,7 +56,7 @@ pub fn stft_features(
 /// [`stft_features`] through a caller-held [`SpectrogramPlan`], so a
 /// dataset-wide sweep amortizes the FFT plan, Hann window, and scratch
 /// buffers across recordings (O(1) allocations per signal).
-pub fn stft_features_with(
+fn stft_features_with(
     plan: &mut SpectrogramPlan,
     signal: &[f64],
     max_freq_hz: Option<f64>,

@@ -99,21 +99,6 @@ pub fn detect_r_peaks(signal: &[f64], fs: f64, cfg: &RPeakConfig) -> Vec<usize> 
     peaks
 }
 
-/// Mean and standard deviation of RR intervals (seconds) for detected
-/// peaks — the irregularity statistic that distinguishes AF.
-pub fn rr_stats(peaks: &[usize], fs: f64) -> Option<(f64, f64)> {
-    if peaks.len() < 3 {
-        return None;
-    }
-    let rr: Vec<f64> = peaks
-        .windows(2)
-        .map(|w| (w[1] - w[0]) as f64 / fs)
-        .collect();
-    let mean = rr.iter().sum::<f64>() / rr.len() as f64;
-    let var = rr.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>() / rr.len() as f64;
-    Some((mean, var.sqrt()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +138,22 @@ mod tests {
         }
     }
 
+    /// Standard deviation of the RR intervals (seconds) between detected
+    /// peaks — the irregularity statistic that distinguishes AF — or
+    /// `None` with fewer than three peaks.
+    fn rr_std(peaks: &[usize], fs: f64) -> Option<f64> {
+        if peaks.len() < 3 {
+            return None;
+        }
+        let rr: Vec<f64> = peaks
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as f64 / fs)
+            .collect();
+        let mean = rr.iter().sum::<f64>() / rr.len() as f64;
+        let var = rr.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>() / rr.len() as f64;
+        Some(var.sqrt())
+    }
+
     #[test]
     fn af_rr_std_exceeds_normal() {
         let c = RPeakConfig::default();
@@ -168,7 +169,7 @@ mod tests {
             let nr = generate(&gen_cfg, Class::Normal, 300 + seed);
             let pa = detect_r_peaks(&afr.samples, afr.fs, &c);
             let pn = detect_r_peaks(&nr.samples, nr.fs, &c);
-            if let (Some((_, sa)), Some((_, sn))) = (rr_stats(&pa, afr.fs), rr_stats(&pn, nr.fs)) {
+            if let (Some(sa), Some(sn)) = (rr_std(&pa, afr.fs), rr_std(&pn, nr.fs)) {
                 af_sd += sa;
                 n_sd += sn;
                 counted += 1;
@@ -184,13 +185,5 @@ mod tests {
         assert!(detect_r_peaks(&[], 300.0, &c).is_empty());
         assert!(detect_r_peaks(&[0.0; 100], 300.0, &c).is_empty());
         assert!(detect_r_peaks(&[1.0, 2.0], 300.0, &c).is_empty());
-    }
-
-    #[test]
-    fn rr_stats_requires_three_peaks() {
-        assert!(rr_stats(&[10, 20], 300.0).is_none());
-        let s = rr_stats(&[0, 300, 600], 300.0).unwrap();
-        assert!((s.0 - 1.0).abs() < 1e-12);
-        assert!(s.1.abs() < 1e-12);
     }
 }

@@ -4,10 +4,10 @@
 //! `tred2` + `tql2` recurrences), laid out for the row-major [`Matrix`]
 //! it runs on:
 //!
-//! 1. **Householder tridiagonalization** ([`reduce`], [`accumulate`]):
+//! 1. **Householder tridiagonalization** (`reduce`, `accumulate`):
 //!    reduce the symmetric input `A` to tridiagonal form `T = Q^T A Q`,
 //!    then accumulate the orthogonal transform `Q`.
-//! 2. **Implicit-shift QL iteration** ([`ql_implicit`]): diagonalize `T`,
+//! 2. **Implicit-shift QL iteration** (`ql_implicit`): diagonalize `T`,
 //!    applying the Givens rotations to `Q` so it ends up holding the
 //!    eigenvectors.
 //!
@@ -25,7 +25,7 @@
 //! descending order PCA wants, forming those `k` vectors only.
 //!
 //! Both run their body, and every helper it inlines, through
-//! [`crate::sgemm::wide!`]: eight `f64` lanes on AVX-512F hosts, four
+//! `crate::sgemm::wide!`: eight `f64` lanes on AVX-512F hosts, four
 //! on AVX2 hosts, the same bits as the baseline build.
 
 use crate::matrix::{dot, Matrix};

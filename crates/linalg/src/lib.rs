@@ -52,20 +52,14 @@ pub use matrix::{dot, pairwise_sq_dists, Matrix};
 pub use sgemm::{sgemm_nn, sgemm_nn_scalar, sgemm_nt, sgemm_nt_scalar, sgemm_tn, sgemm_tn_scalar};
 pub use stft::{hann_window, spectrogram, SpectrogramConfig, SpectrogramPlan};
 
-/// Machine-epsilon-scaled tolerance used by the iterative solvers.
-pub const EPS: f64 = f64::EPSILON;
-
-/// Returns `true` when `a` and `b` are equal within `tol` absolutely or
-/// relatively (whichever is looser), the comparison used throughout the
-/// test-suites of this workspace.
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    let diff = (a - b).abs();
-    diff <= tol || diff <= tol * a.abs().max(b.abs())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    /// Returns `true` when `a` and `b` are equal within `tol` absolutely
+    /// or relatively (whichever is looser).
+    fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
+        let diff = (a - b).abs();
+        diff <= tol || diff <= tol * a.abs().max(b.abs())
+    }
 
     #[test]
     fn approx_eq_absolute_and_relative() {

@@ -26,7 +26,7 @@
 //! triangle only and mirror it: half the flops, the same bits.
 //!
 //! **Same source, three codegens.** Each other public kernel calls its
-//! `#[inline(always)]` body through [`crate::sgemm::wide!`], which
+//! `#[inline(always)]` body through `crate::sgemm::wide!`, which
 //! compiles it eight `f64` lanes wide on AVX-512F hosts, four on AVX2
 //! hosts, and two at baseline. The bits do not depend on that choice
 //! (see `wide!`), and the `*_body` methods stay callable directly so
@@ -62,7 +62,7 @@ const TB: usize = 8;
 /// `dot(b, a)` are bitwise equal and repeated calls are deterministic).
 ///
 /// Always inlined, so it takes its caller's codegen: AVX2 or AVX-512F
-/// inside the kernels [`crate::sgemm::wide!`] runs, with the same bits.
+/// inside the kernels `crate::sgemm::wide!` runs, with the same bits.
 #[inline(always)]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -475,8 +475,8 @@ impl Matrix {
 
     /// Matrix product `self * rhs`, cache-blocked and register-tiled.
     ///
-    /// Each [`MR`] x [`NR`] block of the output is loaded into registers
-    /// once per [`KC`]-deep block, takes one product per `k` there and
+    /// Each `MR` x `NR` block of the output is loaded into registers
+    /// once per `KC`-deep block, takes one product per `k` there and
     /// is stored once, instead of reloading and restoring `MR` output
     /// rows around every streamed `rhs` row (5 loads and 4 stores per 8
     /// flops). Per output element the contributions still arrive in
@@ -505,14 +505,14 @@ impl Matrix {
     /// Computes `self^T * rhs` without materializing the transpose; used
     /// by the PCA covariance step (`x.T @ x`). The same register-tiled
     /// loop nest as [`Matrix::matmul`]: columns of `self` are packed into
-    /// the [`MR`]-row panels (they are rows of the output), and each
-    /// `MR x NR` output tile stays in registers across a [`KC`]-deep
+    /// the `MR`-row panels (they are rows of the output), and each
+    /// `MR x NR` output tile stays in registers across a `KC`-deep
     /// block. Same ascending-`k` order, so the naive loop's bits; on the
     /// 256x384 PCA block gram 1.7x faster than the row-AXPY kernel it
     /// replaced.
     ///
     /// When `rhs` *is* `self` (every PCA gram) each tile only computes
-    /// the columns from the [`NR`]-wide strip holding its diagonal on,
+    /// the columns from the `NR`-wide strip holding its diagonal on,
     /// and the lower triangle is mirrored at the end: same bits, about
     /// half the flops.
     pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {

@@ -1,4 +1,4 @@
-//! Thread-local buffer pool for [`Matrix`] storage.
+//! Thread-local buffer pool for [`Matrix`](crate::Matrix) storage.
 //!
 //! The data-plane profile of the ML pipelines is dominated by
 //! short-lived `Vec<f64>` buffers: every GEMM allocates its output,
@@ -19,8 +19,8 @@
 //! * **Zero-filled on reuse.** [`acquire`] returns a buffer of exactly
 //!   `n` zeros, bit-identical to `vec![0.0; n]` — kernels keep their
 //!   results byte-for-byte regardless of whether the pool hit.
-//! * **Bounded.** At most [`PER_BUCKET`] buffers per bucket and
-//!   [`MAX_RETAINED_BYTES`] held overall; releases beyond the caps
+//! * **Bounded.** At most `PER_BUCKET` buffers per bucket and
+//!   `MAX_RETAINED_BYTES` held overall; releases beyond the caps
 //!   fall through to the normal allocator.
 //!
 //! No `unsafe`: the pool trades only `Vec` values.

@@ -16,8 +16,8 @@
 //!   order, so `sgemm_nn_scalar` is bitwise identical to a scalar
 //!   `ikj` triple loop. These stay as the parity reference.
 //! * **SIMD path** (the private `packed::gemm`): an explicit
-//!   [`MR`]×[`NR`] (4×32) register-tiled microkernel on the arm
-//!   [`arm()`] picks at run time: AVX-512F (two `zmm` accumulators per
+//!   `MR`×`NR` (4×32) register-tiled microkernel on the arm
+//!   `arm()` picks at run time: AVX-512F (two `zmm` accumulators per
 //!   row), AVX2+FMA (each 32-wide panel as two 4×16 `ymm` halves: one
 //!   4×32 `ymm` tile needs 16 accumulators and spills), or portable
 //!   (mul + add, autovectorized). At the CNN's shapes (N or K of a few
@@ -40,10 +40,10 @@
 //!   nest this path replaced, which a `#[cfg(test)]` oracle keeps.
 //!
 //! The public entry points [`sgemm_nn`] / [`sgemm_nt`] / [`sgemm_tn`]
-//! dispatch to the packed path on [`arm()`] unless `LINALG_FORCE_SCALAR`
+//! dispatch to the packed path on `arm()` unless `LINALG_FORCE_SCALAR`
 //! is set in the environment (checked once); [`backend`] names the arm.
 //!
-//! **The f64 pair tile.** [`pair_sums`] runs every row-by-row f64
+//! **The f64 pair tile.** `pair_sums` runs every row-by-row f64
 //! product (`Matrix::matmul_nt`, and through it `Kernel::gram` and
 //! `pairwise_sq_dists`; `Kernel::eval_pairs`). It broadcasts 4 rows of
 //! the left operand against a strip of 8 rows of the right one, packed
@@ -58,8 +58,8 @@
 //! tile height and on unrelated instantiations.
 //!
 //! This module is also the crate's one runtime-dispatched island: the
-//! other f64 kernels of [`crate::matrix`] and [`crate::eigh`] run their
-//! unchanged bodies through [`wide!`], which compiles them for AVX-512F
+//! other f64 kernels of [`crate::matrix`] and [`crate::eigh`](mod@crate::eigh) run their
+//! unchanged bodies through `wide!`, which compiles them for AVX-512F
 //! or AVX2 on hosts that have it. `LINALG_FORCE_SCALAR` pins those to
 //! baseline codegen too (same bits, two lanes). This is the only place
 //! in the workspace that holds `unsafe` code or a `#[target_feature]`.
@@ -319,7 +319,7 @@ pub fn sgemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
 }
 
 /// Scalar oracle for `out += a * b`: blocked over depth (`KC`),
-/// register-tiled over [`MR`] output rows, contiguous AXPY inner loop.
+/// register-tiled over `MR` output rows, contiguous AXPY inner loop.
 /// Bitwise identical to a scalar `ikj` triple loop (contributions per
 /// output element arrive in ascending-`k` order).
 ///

@@ -157,12 +157,6 @@ pub fn spectrogram(signal: &[f64], cfg: &SpectrogramConfig) -> Matrix {
     SpectrogramPlan::new(cfg).compute(signal)
 }
 
-/// Flattens a spectrogram row-major into a feature vector, as the paper
-/// does with `numpy.ndarray.flatten` before PCA.
-pub fn flatten_spectrogram(sxx: &Matrix) -> Vec<f64> {
-    sxx.as_slice().to_vec()
-}
-
 /// Number of features produced by [`spectrogram`] + flatten for a signal
 /// of `len` samples, without computing it.
 pub fn feature_count(len: usize, cfg: &SpectrogramConfig) -> usize {
@@ -298,7 +292,7 @@ mod tests {
         };
         let sig = vec![1.0; 200];
         let sxx = spectrogram(&sig, &cfg);
-        assert_eq!(flatten_spectrogram(&sxx).len(), feature_count(200, &cfg));
+        assert_eq!(sxx.as_slice().len(), feature_count(200, &cfg));
     }
 
     #[test]

@@ -171,7 +171,7 @@ impl Network {
     ///
     /// # Panics
     /// Panics on size mismatch.
-    pub fn set_weights(&mut self, w: &[f32]) {
+    fn set_weights(&mut self, w: &[f32]) {
         let mut off = 0;
         for (p, _, _) in self
             .layers

@@ -8,7 +8,7 @@
 //! (failure scoped to the dependency cone).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use taskrt::{ExecMode, FaultPlan, OnFailure, RetryPolicy, Runtime, RuntimeConfig};
+use taskrt::{FaultPlan, OnFailure, RetryPolicy, Runtime};
 
 #[test]
 #[should_panic(expected = "boom-inline")]
@@ -65,12 +65,7 @@ fn unrelated_tasks_survive_a_failure() {
 #[test]
 #[should_panic(expected = "nested-boom")]
 fn nested_child_panic_reaches_parent_waiter() {
-    let rt = Runtime::with_config(RuntimeConfig {
-        mode: ExecMode::Threads(2),
-        nested_mode: ExecMode::Inline,
-        metrics: true,
-        ..RuntimeConfig::default()
-    });
+    let rt = Runtime::threaded(2);
     let a = rt.put(1u64);
     let out = rt.task("fold").run_nested1(a, |child, v| {
         let h = child.task("inner").run0({

@@ -1,9 +1,9 @@
 //! The repo's source lints as Tier-1 tests: each walks the tree with
-//! `std` alone, applies the pattern, paths and exemptions of the CI
-//! step of the same name, and fails with the lines it rejects. The CI
-//! step only runs its test, so `cargo test` and CI cannot drift apart.
-//! Each lint also has a planted-violation test, which proves that it
-//! still fires.
+//! `std` alone, applies its pattern, paths and exemptions, and fails
+//! with the lines it rejects. CI's one "Repo lints" step runs this whole
+//! binary, so `cargo test` and CI cannot drift apart, and a new lint
+//! runs in both without a CI change. Each lint also has a
+//! planted-violation test, which proves that it still fires.
 //!
 //! The words of a lint that walks `tests/` are spelled in pieces
 //! (`concat!`), so that this file does not trip the lints it holds.
@@ -465,8 +465,9 @@ fn lines_matching(sources: &[Source], reject: impl Fn(&str) -> bool) -> Vec<Stri
 /// `#[target_feature]` live only in `linalg::sgemm`. Comment lines do
 /// not count. The one test-only exception is the counting
 /// `#[global_allocator]` of `tests/tests/alloc_per_task.rs`, whose
-/// `GlobalAlloc` impl cannot be written without `unsafe`. Returns the
-/// offending lines as `path:line:text`.
+/// `GlobalAlloc` impl cannot be written without `unsafe`; it forwards
+/// every call to `System`. Returns the offending lines as
+/// `path:line:text`.
 fn unsafe_island_violations(sources: &[Source]) -> Vec<String> {
     let allocator_exempt = [
         format!("{UNSAFE} impl GlobalAlloc for Counting"),
@@ -620,7 +621,7 @@ fn no_live_recorder_beside_the_trace_fires_on_planted_violations() {
         text: [
             "let counters = RuntimeStats::default();",
             "pub metrics: bool,",
-            "shared.config.nested_mode",
+            "shared.config.mode",
             "struct Journey;",
             "reg.to_value()",
             "let mut reg = KindRegistry::new();",
@@ -1310,7 +1311,9 @@ fn one_split_path_fires_on_planted_violations() {
 
 /// "No second measurement stack" (DESIGN §5.18): `benchmark/` times the
 /// code, `cargo test` asserts it, and `crates/bench` reproduces the
-/// paper. Rejects any line of the root manifest or of a
+/// paper. The `perf` / `scale` / `telemetry` bins, the criterion benches
+/// and their vendored harness were a second measurement stack whose
+/// small-scale ratio gates failed on untouched code. Rejects any line of the root manifest or of a
 /// `crates/*/Cargo.toml` naming one of [`MEASUREMENT_STACK`].
 fn measurement_stack_violations(sources: &[Source]) -> Vec<String> {
     lines_matching(sources, |line| {
@@ -1450,7 +1453,10 @@ fn no_strided_cnn_layout_fires_on_planted_violations() {
 }
 
 /// "Cut to the paper" (DESIGN §3): only what the paper's evaluation or
-/// the benchmark runs is shipped. Rejects any line naming one of
+/// the benchmark runs is shipped. FedAvg (the paper's §V future work),
+/// the RR-interval baseline (a §II related-work claim), the `ablate`
+/// bin and the second CNN timer went with every API only they reached.
+/// Rejects any line naming one of
 /// [`CUT_APIS`], comments included; bringing one back needs a test or a
 /// committed artifact a reader of the paper needs.
 fn cut_api_violations(sources: &[Source]) -> Vec<String> {
@@ -1668,5 +1674,265 @@ fn one_placement_rule_per_executor_fires_on_planted_violations() {
         ),
     ];
     let found = placement_rule_violations(&allowed);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// The trees whose `.rs` files count as callers for "Every pub fn has a
+/// caller": everything that builds against the crates.
+const CALLER_PATHS: [&str; 5] = [
+    "crates",
+    "examples",
+    "benchmark/src",
+    "benchmark/tests",
+    "tests",
+];
+
+/// This file names every lint's patterns, so it calls nothing.
+const LINTS_PATH: &str = "tests/tests/repo_lints.rs";
+
+/// Public functions that "Every pub fn has a caller" accepts with no
+/// caller outside their own file, as `(path, name, why)`. Empty: every
+/// shipped `pub fn` has one.
+const UNCALLED_PUB_FNS: [(&str, &str, &str); 0] = [];
+
+/// What "Every pub fn has a caller" rejects anywhere under
+/// [`UNSHIPPED_PATHS`], comments included: the wall-clock attempt
+/// timeout, the stall fault that fed it, and the knob that ran nested
+/// children on threads. No caller set any of them.
+const UNSHIPPED: [&str; 4] = [
+    concat!("attempt", "_timeout"),
+    concat!("stall", "_kind"),
+    concat!("Fault", "Mode"),
+    concat!("nested", "_mode"),
+];
+
+/// The trees [`UNSHIPPED`] applies to.
+const UNSHIPPED_PATHS: [&str; 3] = ["crates", "tests", "examples"];
+
+/// `text` with comments, string literals and character literals
+/// replaced by spaces (line breaks kept), so that the braces and
+/// attributes left are code.
+fn code_only(text: &str) -> String {
+    let b = text.as_bytes();
+    let is_word = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    let mut out = b.to_vec();
+    let blank = |from: usize, to: usize, out: &mut Vec<u8>| {
+        for c in &mut out[from..to.min(b.len())] {
+            if *c != b'\n' {
+                *c = b' ';
+            }
+        }
+    };
+    let mut i = 0;
+    while i < b.len() {
+        let rest = &b[i..];
+        // A raw string's `r` may follow a `b`, but no other word character.
+        let p = i - usize::from(i > 0 && b[i - 1] == b'b');
+        let after_word = p > 0 && is_word(b[p - 1]);
+        let hashes = rest.iter().skip(1).take_while(|&&c| c == b'#').count();
+        let end = if rest.starts_with(b"//") {
+            rest.iter()
+                .position(|&c| c == b'\n')
+                .map_or(b.len(), |p| i + p)
+        } else if rest.starts_with(b"/*") {
+            let (mut j, mut open) = (i + 2, 1);
+            while j < b.len() && open > 0 {
+                if b[j..].starts_with(b"/*") {
+                    (open, j) = (open + 1, j + 2);
+                } else if b[j..].starts_with(b"*/") {
+                    (open, j) = (open - 1, j + 2);
+                } else {
+                    j += 1;
+                }
+            }
+            j
+        } else if !after_word && rest[0] == b'r' && rest.get(1 + hashes) == Some(&b'"') {
+            let close: Vec<u8> = std::iter::once(b'"')
+                .chain(std::iter::repeat_n(b'#', hashes))
+                .collect();
+            let body = i + 2 + hashes;
+            b[body..]
+                .windows(close.len())
+                .position(|w| w == close)
+                .map_or(b.len(), |p| body + p + close.len())
+        } else if rest[0] == b'"' {
+            let mut j = i + 1;
+            while j < b.len() && b[j] != b'"' {
+                j += if b[j] == b'\\' { 2 } else { 1 };
+            }
+            j + 1
+        } else if rest[0] == b'\'' && rest.get(1) == Some(&b'\\') {
+            // An escape: the quote that closes it comes after `'\x`.
+            rest.get(3..)
+                .and_then(|r| r.iter().position(|&c| c == b'\''))
+                .map_or(i + 1, |p| i + 4 + p)
+        } else if rest[0] == b'\'' {
+            // A character literal, or a lifetime (no closing quote).
+            let ch = text[i + 1..].chars().next().map_or(0, char::len_utf8);
+            if rest.get(1 + ch) == Some(&b'\'') {
+                i + 2 + ch
+            } else {
+                i + 1
+            }
+        } else {
+            i + 1
+        };
+        if end > i + 1 {
+            blank(i, end, &mut out);
+        }
+        i = end;
+    }
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+/// Per line of `text`: whether it belongs to an item under
+/// `#[cfg(test)]` (the attribute, and the item through its closing
+/// brace or semicolon).
+fn test_only_lines(text: &str) -> Vec<bool> {
+    const CFG_TEST: &str = "#[cfg(test)]";
+    let mut depth = 0i64;
+    let (mut pending, mut item_at) = (false, None);
+    code_only(text)
+        .lines()
+        .map(|line| {
+            let mut rest = line.trim();
+            if item_at.is_none() {
+                if let Some(r) = rest.strip_prefix(CFG_TEST) {
+                    (pending, rest) = (true, r.trim());
+                }
+            }
+            let test = pending || item_at.is_some();
+            if pending && !rest.is_empty() && !rest.starts_with("#[") {
+                (pending, item_at) = (false, Some(depth));
+            }
+            depth += line.matches('{').count() as i64 - line.matches('}').count() as i64;
+            if item_at == Some(depth) && (line.contains('}') || rest.ends_with(';')) {
+                item_at = None;
+            }
+            test
+        })
+        .collect()
+}
+
+/// "Every pub fn has a caller" (ROADMAP item 20): every `pub fn` under
+/// `crates/*/src` outside `#[cfg(test)]` is named as a word in another
+/// `.rs` file of [`CALLER_PATHS`] (this file excepted), or is on
+/// `allowed` with the reason it stays. A function only its own file
+/// calls is private; one nothing calls is deleted with the tests whose
+/// only subject it was. Also rejects every line under
+/// [`UNSHIPPED_PATHS`] naming one of [`UNSHIPPED`]. Returns the
+/// offending lines as `path:line:text`.
+fn uncalled_pub_fn_violations(sources: &[Source], allowed: &[(&str, &str, &str)]) -> Vec<String> {
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let words: Vec<std::collections::HashSet<&str>> = sources
+        .iter()
+        .map(|s| s.text.split(|c: char| !is_word(c)).collect())
+        .collect();
+    let in_crate_src = |path: &str| {
+        let mut parts = path.split('/');
+        parts.next() == Some("crates") && parts.nth(1) == Some("src")
+    };
+    let mut found = Vec::new();
+    for (k, src) in sources.iter().enumerate() {
+        let unshipped = UNSHIPPED_PATHS
+            .iter()
+            .any(|p| src.path.starts_with(&format!("{p}/")));
+        let named_elsewhere = |name: &str| {
+            allowed
+                .iter()
+                .any(|a| (a.0, a.1) == (src.path.as_str(), name))
+                || words
+                    .iter()
+                    .enumerate()
+                    .any(|(j, w)| j != k && w.contains(name))
+        };
+        let test_only = test_only_lines(&src.text);
+        for (i, line) in src.text.lines().enumerate() {
+            let uncalled = in_crate_src(&src.path)
+                && !test_only[i]
+                && line.match_indices(PUB_FN).any(|(at, m)| {
+                    let rest = &line[at + m.len()..];
+                    let name = &rest[..rest.find(|c| !is_word(c)).unwrap_or(rest.len())];
+                    let own_word = !line[..at].ends_with(is_word);
+                    own_word && !(name.is_empty() || named_elsewhere(name))
+                });
+            if uncalled || (unshipped && UNSHIPPED.iter().any(|n| line.contains(n))) {
+                found.push(format!("{}:{}:{line}", src.path, i + 1));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn every_pub_fn_has_a_caller() {
+    let sources: Vec<Source> = rust_sources(&existing(&CALLER_PATHS))
+        .into_iter()
+        .filter(|s| s.path != LINTS_PATH)
+        .collect();
+    for path in ["crates/core/src/runtime.rs", "examples/quickstart.rs"] {
+        assert!(
+            sources.iter().any(|s| s.path == path),
+            "the walk missed {path}"
+        );
+    }
+    let found = uncalled_pub_fn_violations(&sources, &UNCALLED_PUB_FNS);
+    assert!(
+        found.is_empty(),
+        "a pub fn nothing else names (make it private, delete it, or allow \
+         it with a reason), or a deleted option is back:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn every_pub_fn_has_a_caller_fires_on_planted_violations() {
+    let src = |path: &str, text: &str| Source {
+        path: path.to_string(),
+        text: text.to_string(),
+    };
+    let mut planted = vec![
+        src(
+            "crates/dsarray/src/lib.rs",
+            "impl DsArray {\n    /// `}`\n    pub fn reblock(&self) {\n        let _ = '}';\n    }\n}",
+        ),
+        src(
+            "crates/core/src/trace.rs",
+            "#[cfg(test)]\nfn oracle<'a>() {\n    let _ = ('{', '\\'', \"{\", r#\"{\"#, br\"{\"); /* { */ // {\n}\n\
+             pub fn from_json(s: &str) {}\n#[cfg(test)] use x;\npub fn from_value() {}",
+        ),
+        src("examples/quickstart.rs", "// calls reblock2\nfn main() {}"),
+    ];
+    planted.extend(
+        UNSHIPPED
+            .iter()
+            .map(|n| src("tests/tests/runtime_modes.rs", n)),
+    );
+    let found = uncalled_pub_fn_violations(&planted, &[]);
+    assert_eq!(found.len(), 3 + UNSHIPPED.len(), "{found:#?}");
+    assert!(found[0].starts_with("crates/dsarray/src/lib.rs:3:"));
+    assert!(found[1].starts_with("crates/core/src/trace.rs:5:"));
+    assert!(found[2].starts_with("crates/core/src/trace.rs:7:"));
+
+    // Named in another file, allowed, private, test-only, outside a
+    // crate's `src`, or a name in another word: all accepted.
+    let allowed = [
+        src(
+            "crates/core/src/json.rs",
+            "pub fn parse() {}\npub fn is_null() {}\npub(crate) fn hidden() {}\n\
+             fn private() {}\nmy_pub fn nope() {}",
+        ),
+        src("crates/core/src/runtime.rs", "let v = json::parse(s);"),
+        src(
+            "crates/linalg/src/lib.rs",
+            "#[cfg(test)]\nmod tests {\n    pub fn helper() {\n        let s = \"{\";\n    }\n}",
+        ),
+        src("crates/bench/src/bin/x.rs", "// is_null\npub fn main() {}"),
+        src("crates/bench/src/lib.rs", "pub fn main_entry() {}"),
+        src("tests/tests/x.rs", "x.main_entry(); main();"),
+        src("benchmark/src/main.rs", "pub fn only_here() {}"),
+    ];
+    let allow = [("crates/core/src/json.rs", "is_null", "planted")];
+    let found = uncalled_pub_fn_violations(&allowed, &allow);
     assert!(found.is_empty(), "{found:#?}");
 }

@@ -7,7 +7,7 @@
 
 use dsarray::{tree_reduce, DsArray};
 use linalg::Matrix;
-use taskrt::{ExecMode, Runtime, RuntimeConfig};
+use taskrt::Runtime;
 
 fn workflow(rt: &Runtime) -> f64 {
     let x = Matrix::from_fn(60, 20, |r, c| ((r * 31 + c * 7) % 17) as f64 - 8.0);
@@ -63,12 +63,7 @@ fn threaded_wide_fanout_and_reduce() {
 
 #[test]
 fn threaded_nested_tasks() {
-    let rt = Runtime::with_config(RuntimeConfig {
-        mode: ExecMode::Threads(4),
-        nested_mode: ExecMode::Threads(2),
-        metrics: true,
-        ..RuntimeConfig::default()
-    });
+    let rt = Runtime::threaded(4);
     let data: Vec<_> = (0..6).map(|i| rt.put(i as f64)).collect();
     let outs: Vec<_> = data
         .iter()
