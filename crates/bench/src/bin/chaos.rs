@@ -1,6 +1,6 @@
 //! Chaos harness: prove the fault-tolerance layer end to end.
 //!
-//! Three experiments, all deterministic under a fixed `--seed`:
+//! Two experiments, both deterministic under a fixed `--seed`:
 //!
 //! 1. **Retry correctness** — a distributed ds-array workload (column
 //!    sums + Gram matrix + a tree reduction) runs fault-free, then
@@ -11,24 +11,22 @@
 //! 2. **Give-up semantics** — a task whose injected fault outlives its
 //!    retry budget must fail the workflow with an error naming the task
 //!    and its attempt count.
-//! 3. **Node-failure replay** — the recorded fault-free trace replays
-//!    on a simulated MareNostrum-4 partition, healthy vs. one node
-//!    lost at 50% of the healthy makespan. The degraded makespan must
-//!    be strictly larger, and the degraded replay deterministic.
+//!
+//! Worker loss is the `dist` bin's `--chaos` arm, which SIGKILLs a
+//! worker process and recovers through the driver's lineage rollback.
 //!
 //! Writes `out/chaos.json`; `--check` asserts all of the above and
 //! exits non-zero on any violation (the CI chaos job runs this).
 //!
 //! Usage: `cargo run --release -p bench --bin chaos --
-//! [--scale small|full] [--workers N] [--nodes N] [--seed N] [--check]`
+//! [--scale small|full] [--workers N] [--seed N] [--check]`
 
 use bench::report::{write_artifact, Args};
 use dsarray::{tree_reduce, DsArray};
 use linalg::Matrix;
 use taskrt::fault::INJECTED_PANIC;
 use taskrt::json::Value;
-use taskrt::sim::{simulate, ClusterSpec, SimOptions};
-use taskrt::{FaultPlan, RetryPolicy, Runtime, Trace};
+use taskrt::{FaultPlan, RetryPolicy, Runtime};
 
 /// Kinds the workload submits with a `Retry` policy — the injection
 /// targets. Non-retryable kinds (loads, INOUT reductions) must stay
@@ -67,24 +65,17 @@ fn input_matrix(rows: usize, cols: usize) -> Matrix {
 
 /// The workload under test: block the matrix, take column sums and the
 /// Gram matrix (both submit `Retry` tasks), then tree-reduce per-band
-/// traces of the Gram partials. Returns every result bit plus the
-/// recorded trace.
-fn workload(workers: usize, rows: usize, cols: usize, bs: usize) -> RunResult {
-    run_workload(workers, rows, cols, bs, None)
-}
-
-/// `(result bits, trace, total tasks, counter retries, retried
+/// traces of the Gram partials, under the fault `plan` if any.
+/// Returns `(result bits, total tasks, counter retries, retried
 /// attempts)` — the last counted from the trace's attempt records,
 /// cross-checked against the scheduler counter in `--check`.
-type RunResult = (Vec<u64>, Trace, u64, u64, u64);
-
 fn run_workload(
     workers: usize,
     rows: usize,
     cols: usize,
     bs: usize,
     plan: Option<FaultPlan>,
-) -> RunResult {
+) -> (Vec<u64>, u64, u64, u64) {
     let rt = Runtime::threaded(workers);
     rt.set_fault_plan(plan);
     let m = input_matrix(rows, cols);
@@ -115,13 +106,7 @@ fn run_workload(
         .flat_map(|r| r.attempts.windows(2))
         .filter(|w| w[0].error.is_some())
         .count() as u64;
-    (
-        bits,
-        trace,
-        stats.total_tasks(),
-        stats.retries,
-        retried_attempts,
-    )
+    (bits, stats.total_tasks(), stats.retries, retried_attempts)
 }
 
 fn main() {
@@ -129,23 +114,22 @@ fn main() {
     let small = args.scale_small();
     let scale = if small { "small" } else { "full" };
     let workers: usize = args.get_or("workers", 4);
-    let nodes: usize = args.get_or("nodes", 4);
     let seed: u64 = args.get_or("seed", 0xc4a0_5eed);
     let check = args.has("check");
     let (rows, cols, bs) = if small { (96, 64, 16) } else { (384, 256, 32) };
 
     install_quiet_panic_hook();
-    println!("chaos: scale={scale} workers={workers} sim_nodes={nodes} seed={seed:#x}");
+    println!("chaos: scale={scale} workers={workers} seed={seed:#x}");
 
     // -- 1: fault-free baseline vs. injected-fault retry runs ---------
-    let (clean_bits, trace, clean_tasks, _, _) = workload(workers, rows, cols, bs);
+    let (clean_bits, clean_tasks, _, _) = run_workload(workers, rows, cols, bs, None);
     let mut plan = FaultPlan::new(seed);
     for kind in RETRYABLE_KINDS {
         plan = plan.panic_kind(kind, 1);
     }
-    let (fault_bits, _, fault_tasks, retries, retried_attempts) =
+    let (fault_bits, fault_tasks, retries, retried_attempts) =
         run_workload(workers, rows, cols, bs, Some(plan.clone()));
-    let (fault_bits2, _, _, retries2, _) = run_workload(workers, rows, cols, bs, Some(plan));
+    let (fault_bits2, _, retries2, _) = run_workload(workers, rows, cols, bs, Some(plan));
     let fault_frac = retries as f64 / fault_tasks as f64;
     let identical = clean_bits == fault_bits;
     let deterministic = fault_bits == fault_bits2 && retries == retries2;
@@ -180,29 +164,6 @@ fn main() {
     let named_failure = giveup_msg.contains("'doomed'") && giveup_msg.contains("3 attempts");
     println!("giveup: named_failure={named_failure} msg={giveup_msg:?}");
 
-    // -- 3: DES replay, healthy vs. one node lost at t=50% ------------
-    // Locality-aware placement concentrates this workload on node 0, so
-    // that is the node whose loss actually hurts: its in-flight tasks
-    // die and its produced blocks must be rebuilt on the survivors.
-    let healthy_cluster = ClusterSpec::marenostrum4(nodes);
-    let opts = SimOptions::default();
-    let healthy = simulate(&trace, &healthy_cluster, &opts);
-    let fail_at = healthy.makespan_s * 0.5;
-    let degraded_cluster = ClusterSpec::marenostrum4(nodes).with_failure(0, fail_at);
-    let degraded = simulate(&trace, &degraded_cluster, &opts);
-    let degraded2 = simulate(&trace, &degraded_cluster, &opts);
-    let degradation = degraded.makespan_s / healthy.makespan_s - 1.0;
-    println!(
-        "sim: healthy {:.4}s, node 0 lost at t={:.4}s -> {:.4}s (+{:.1}%), \
-         {} runs lost, {} re-executions",
-        healthy.makespan_s,
-        fail_at,
-        degraded.makespan_s,
-        degradation * 100.0,
-        degraded.lost_tasks,
-        degraded.reexecutions
-    );
-
     // -- artifact -----------------------------------------------------
     let doc = Value::Object(vec![
         ("workload".into(), Value::from("dsarray_reductions")),
@@ -227,21 +188,6 @@ fn main() {
                 ("message".into(), Value::String(giveup_msg.clone())),
             ]),
         ),
-        (
-            "sim".into(),
-            Value::Object(vec![
-                ("nodes".into(), Value::from(nodes)),
-                ("healthy_makespan_s".into(), Value::from(healthy.makespan_s)),
-                ("fail_at_s".into(), Value::from(fail_at)),
-                (
-                    "degraded_makespan_s".into(),
-                    Value::from(degraded.makespan_s),
-                ),
-                ("degradation_frac".into(), Value::from(degradation)),
-                ("lost_tasks".into(), Value::from(degraded.lost_tasks)),
-                ("reexecutions".into(), Value::from(degraded.reexecutions)),
-            ]),
-        ),
     ]);
     write_artifact("out/chaos.json", &doc.pretty()).expect("write out/chaos.json");
 
@@ -263,17 +209,6 @@ fn main() {
             named_failure,
             "give-up error must name the task and attempt count, got: {giveup_msg:?}"
         );
-        assert!(
-            degraded.makespan_s > healthy.makespan_s,
-            "node failure must strictly increase makespan ({} vs {})",
-            degraded.makespan_s,
-            healthy.makespan_s
-        );
-        assert_eq!(
-            degraded.makespan_s, degraded2.makespan_s,
-            "degraded replay must be deterministic"
-        );
-        assert!(degraded.lost_tasks > 0, "the lost node had work in flight");
         println!("chaos: self-check ok");
     }
 }

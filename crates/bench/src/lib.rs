@@ -10,7 +10,7 @@
 //! | `graphs` | Figs. 4, 6, 8, 9, 10: execution graphs as Graphviz DOT |
 //! | `pca_cost` | §IV-B: constant PCA cost across algorithms |
 //! | `dist` | multi-process PCA over `taskrt::dist`: bit-identity vs the inline oracle, DES divergence gate, chaos SIGKILL arm — writes `out/dist.json` |
-//! | `chaos` | fault injection on the threaded runtime + node-failure replay in the DES — writes `out/chaos.json` |
+//! | `chaos` | fault injection on the threaded runtime: retried results bit-identical, an exhausted retry budget fails with a named error — writes `out/chaos.json` |
 //! | `profile` | observability exporter: one ECG → PCA run, every `taskrt::obs` view — writes `out/profile.json` and two Chrome traces |
 //!
 //! Nothing here times the code for a verdict: that is `benchmark/`

@@ -23,12 +23,11 @@
 //! recomputed after every event — there is no queue to repair when a
 //! worker dies. One `Run` is in flight per worker.
 //!
-//! Heartbeat loss or a control-stream EOF declares a worker dead, which
-//! feeds the same recovery vocabulary the DES models: in-flight tasks
-//! are requeued, and completed tasks whose only output replica died are
-//! **re-executed from lineage** on the survivors — exactly the rollback
-//! `crate::sim` performs for a simulated node failure, so measured and
-//! simulated recovery stay comparable. The run loop wakes at least once
+//! Heartbeat loss or a control-stream EOF declares a worker dead: its
+//! in-flight tasks are requeued, and completed tasks whose only output
+//! replica died are **re-executed from lineage** on the survivors. This
+//! is the one lineage rollback there is; `crate::sim` replays healthy
+//! clusters only. The run loop wakes at least once
 //! per heartbeat period and checks for silence itself; nothing in the
 //! driver sleeps for a fixed time, so teardown costs what the workers'
 //! exit costs.
@@ -325,7 +324,6 @@ impl DistRuntime {
             gpus_per_node: 0,
             bandwidth_bps,
             latency_s,
-            failures: Vec::new(),
         }
     }
 

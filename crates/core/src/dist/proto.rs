@@ -92,17 +92,17 @@ pub enum Msg {
 }
 
 mod tag {
-    pub const HELLO: u8 = 0;
-    pub const HEARTBEAT: u8 = 1;
-    pub const DONE: u8 = 2;
-    pub const FAILED: u8 = 3;
-    pub const RUN: u8 = 4;
-    pub const SHUTDOWN: u8 = 5;
-    pub const PULL: u8 = 7;
-    pub const DATA: u8 = 8;
-    pub const NOT_FOUND: u8 = 9;
-    pub const FETCH_FAILED: u8 = 10;
-    pub const RELEASE: u8 = 11;
+    pub(super) const HELLO: u8 = 0;
+    pub(super) const HEARTBEAT: u8 = 1;
+    pub(super) const DONE: u8 = 2;
+    pub(super) const FAILED: u8 = 3;
+    pub(super) const RUN: u8 = 4;
+    pub(super) const SHUTDOWN: u8 = 5;
+    pub(super) const PULL: u8 = 7;
+    pub(super) const DATA: u8 = 8;
+    pub(super) const NOT_FOUND: u8 = 9;
+    pub(super) const FETCH_FAILED: u8 = 10;
+    pub(super) const RELEASE: u8 = 11;
 }
 
 /// The fewest wire bytes an [`InputSpec`] or an owner takes: two `u64`s

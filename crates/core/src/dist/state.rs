@@ -269,9 +269,13 @@ impl<'a> RunState<'a> {
                 });
                 entry.bytes = bytes;
                 entry.replicas.insert(w);
+                // The record's `fetch_bytes`: every input moved to `w`,
+                // pulled from a peer or relayed through the driver.
+                let mut fetch_bytes = 0;
                 for p in &pulled {
                     if let Some(d) = self.data.get_mut(p) {
                         d.replicas.insert(w);
+                        fetch_bytes += d.bytes;
                         self.stats.peer_pulls += 1;
                         self.stats.peer_pull_bytes += d.bytes;
                     }
@@ -281,6 +285,7 @@ impl<'a> RunState<'a> {
                 for p in &relayed {
                     if let Some(d) = self.data.get_mut(p) {
                         d.replicas.insert(w);
+                        fetch_bytes += d.bytes;
                     }
                 }
                 let start_s = self.joined[w].unwrap_or(0.0) + start_rel_s;
@@ -310,7 +315,7 @@ impl<'a> RunState<'a> {
                     ready_s: 0.0,
                     start_s,
                     fetch_s: 0.0,
-                    fetch_bytes: 0,
+                    fetch_bytes,
                     worker: w as i64,
                     child: None,
                     attempts,
@@ -626,6 +631,28 @@ mod tests {
             .collect();
         out.sort_unstable();
         out
+    }
+
+    #[test]
+    fn a_record_carries_the_bytes_its_worker_fetched() {
+        let reg = registry();
+        let mut plan = Plan::new();
+        let s = plan.put(WireValue::U64(1));
+        let a = plan.task("k", &[s]); // t0
+        let b = plan.task("k", &[]); // t1
+        let c = plan.task("k", &[a, b]); // t2
+        plan.mark_output(c);
+        let (mut st, actions) = joined(&plan, &reg, 2);
+        assert_eq!(runs(&actions), vec![(0, 0), (1, 1)]);
+        // t0 had the seed's 9-byte encoding relayed by the driver; t1
+        // read nothing.
+        st.step(done_fetching(&plan, 0, 0, &[], &[s]), 1.0).unwrap();
+        let actions = st.step(done(&plan, 1, 1), 2.0).unwrap();
+        // t2 runs beside a and pulls b's 8 bytes from worker 1.
+        assert_eq!(runs(&actions), vec![(2, 0)]);
+        st.step(done_fetching(&plan, 0, 2, &[b], &[]), 3.0).unwrap();
+        let fetched: Vec<u64> = st.records.iter().flatten().map(|r| r.fetch_bytes).collect();
+        assert_eq!(fetched, [9, 0, 8]);
     }
 
     #[test]

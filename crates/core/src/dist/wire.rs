@@ -110,16 +110,16 @@ pub enum WireValue {
 }
 
 mod tag {
-    pub const UNIT: u8 = 0;
-    pub const BOOL: u8 = 1;
-    pub const U64: u8 = 2;
-    pub const I64: u8 = 3;
-    pub const F64: u8 = 4;
-    pub const STR: u8 = 5;
-    pub const BYTES: u8 = 6;
-    pub const VEC_F64: u8 = 7;
-    pub const MATRIX: u8 = 8;
-    pub const LIST: u8 = 9;
+    pub(super) const UNIT: u8 = 0;
+    pub(super) const BOOL: u8 = 1;
+    pub(super) const U64: u8 = 2;
+    pub(super) const I64: u8 = 3;
+    pub(super) const F64: u8 = 4;
+    pub(super) const STR: u8 = 5;
+    pub(super) const BYTES: u8 = 6;
+    pub(super) const VEC_F64: u8 = 7;
+    pub(super) const MATRIX: u8 = 8;
+    pub(super) const LIST: u8 = 9;
 }
 
 impl WireValue {

@@ -90,7 +90,6 @@ mod tests {
             gpus_per_node: 0,
             bandwidth_bps: 1e9,
             latency_s: 0.0,
-            failures: vec![],
         };
         (simulate(&trace, &cluster, &SimOptions::default()).trace, 2)
     }

@@ -12,7 +12,7 @@ use std::fmt;
 /// nests four levels per nested runtime, so real documents stay far
 /// below it; past it the parser returns an error instead of recursing
 /// until the stack overflows.
-pub const MAX_DEPTH: usize = 128;
+const MAX_DEPTH: usize = 128;
 
 /// A JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,7 +117,7 @@ impl Value {
             .ok_or_else(|| JsonError::msg(format!("missing field '{key}'")))
     }
 
-    /// Parses a JSON document. Nesting deeper than [`MAX_DEPTH`] is an
+    /// Parses a JSON document. Nesting deeper than 128 levels is an
     /// error.
     pub fn parse(s: &str) -> Result<Value, JsonError> {
         let mut p = Parser {

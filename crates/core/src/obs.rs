@@ -1111,7 +1111,6 @@ mod tests {
             gpus_per_node: 0,
             bandwidth_bps,
             latency_s: 0.0,
-            failures: vec![],
         }
     }
 

@@ -28,24 +28,14 @@
 //! alike, and the schedule is itself replayable.
 
 use crate::dist::place::place;
-use crate::trace::{AttemptRecord, TaskRecord, Trace};
+use crate::trace::{TaskRecord, Trace};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
-/// A permanent node outage in a simulated cluster. At `fail_at_s` the
-/// node vanishes: every task running on it is killed and requeued, and
-/// every replica of produced data it held is lost (external input data
-/// is durable master storage and survives).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeEvent {
-    /// Node index that fails.
-    pub node: usize,
-    /// Simulated time of the failure, seconds.
-    pub fail_at_s: f64,
-}
-
-/// Description of a simulated cluster.
+/// Description of a simulated cluster: every node is up for the whole
+/// replay. Worker loss is recovered by the executor that has workers,
+/// `dist` (its lineage rollback is `dist::state`'s).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Number of compute nodes.
@@ -58,9 +48,6 @@ pub struct ClusterSpec {
     pub bandwidth_bps: f64,
     /// Per-transfer latency in seconds.
     pub latency_s: f64,
-    /// Scheduled node failures (empty = perfectly healthy cluster,
-    /// the pre-fault-model behaviour).
-    pub failures: Vec<NodeEvent>,
 }
 
 impl ClusterSpec {
@@ -74,7 +61,6 @@ impl ClusterSpec {
             gpus_per_node: 0,
             bandwidth_bps: 1.25e9, // 10 Gbit/s
             latency_s: 50e-6,
-            failures: Vec::new(),
         }
     }
 
@@ -87,14 +73,7 @@ impl ClusterSpec {
             gpus_per_node: 4,
             bandwidth_bps: 1.25e9,
             latency_s: 50e-6,
-            failures: Vec::new(),
         }
-    }
-
-    /// Adds a permanent node failure at `fail_at_s`.
-    pub fn with_failure(mut self, node: usize, fail_at_s: f64) -> Self {
-        self.failures.push(NodeEvent { node, fail_at_s });
-        self
     }
 
     /// Total cores across the cluster.
@@ -169,20 +148,12 @@ pub struct SimReport {
     pub tasks: usize,
     /// Busy seconds per task kind.
     pub busy_by_kind: BTreeMap<String, f64>,
-    /// In-flight task runs killed by a node failure.
-    pub lost_tasks: usize,
-    /// Completed tasks re-executed because a failure destroyed their
-    /// only output replica (lineage rollback).
-    pub reexecutions: usize,
     /// The schedule: one record per input record, in submission order,
     /// markers included. `worker` is the node (`-1` for markers),
     /// `start_s` the body start, `fetch_s`/`fetch_bytes` the input
     /// transfer that ends there, `cores`/`gpus` the granted resources
     /// (none for markers), and `duration_s` the effective duration,
-    /// with a nested child already folded in (`child` is `None`). Runs
-    /// killed by a node failure, and completed runs whose output a
-    /// failure destroyed, are `attempts` entries whose error names the
-    /// node.
+    /// with a nested child already folded in (`child` is `None`).
     pub trace: Trace,
 }
 
@@ -302,11 +273,10 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
         }
     }
 
-    // Dense data tables: the producing record of each datum and a flat
-    // replica bitset (`words` u64 words per datum, one bit per node).
-    // Data without a producing record is external input: COMPSs' master
-    // is node 0, while the `dist` driver is no node at all. Produced
-    // data gets its bit at completion, which happens before any
+    // A flat replica bitset (`words` u64 words per datum, one bit per
+    // node). Data without a producing record is external input: COMPSs'
+    // master is node 0, while the `dist` driver is no node at all.
+    // Produced data gets its bit at completion, which happens before any
     // consumer is placed.
     let mut n_data = 0usize;
     for r in &trace.records {
@@ -316,13 +286,13 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
     }
     let words = cluster.nodes.div_ceil(64);
     let mut replicas = vec![0u64; n_data * words];
-    let mut produced = vec![false; n_data];
-    for r in &trace.records {
-        for (d, _) in &r.outputs {
-            produced[d.0 as usize] = true;
-        }
-    }
     if opts.policy == Policy::LocalityAware {
+        let mut produced = vec![false; n_data];
+        for r in &trace.records {
+            for (d, _) in &r.outputs {
+                produced[d.0 as usize] = true;
+            }
+        }
         for (d, &p) in produced.iter().enumerate() {
             if !p {
                 replica_set(&mut replicas, words, d, 0);
@@ -330,36 +300,14 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
         }
     }
 
-    // Producer record of each datum (for lineage rollback).
-    let mut producer_of: Vec<Option<usize>> = vec![None; n_data];
-    for (i, r) in trace.records.iter().enumerate() {
-        for (d, _) in &r.outputs {
-            producer_of[d.0 as usize] = Some(i);
-        }
-    }
-
     let mut free_cores: Vec<i64> = vec![cluster.cores_per_node as i64; cluster.nodes];
     let mut free_gpus: Vec<i64> = vec![cluster.gpus_per_node as i64; cluster.nodes];
-    let mut node_up = vec![true; cluster.nodes];
-
-    // Per-task scheduling state. `attempt` stamps completion events so
-    // a failure that kills a run invalidates its pending event.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Stat {
-        Waiting,
-        Ready,
-        Running,
-        Done,
-    }
-    struct RunInfo {
-        node: usize,
-        start_s: f64,
-        xfer_s: f64,
-        run_s: f64,
-    }
-    let mut state = vec![Stat::Waiting; n];
-    let mut attempt = vec![0u32; n];
-    let mut running: Vec<Option<RunInfo>> = (0..n).map(|_| None).collect();
+    // Owner-computes is handed the driver's view of which nodes are up:
+    // all of them, for the whole replay.
+    let node_up = vec![true; cluster.nodes];
+    // The node each placed record runs on, and the runs per node.
+    let mut node_of = vec![0usize; n];
+    let mut in_flight = vec![0usize; cluster.nodes];
 
     // Ready list ordered by submission sequence (FIFO task order).
     let mut ready: Vec<(u64, usize)> = (0..n)
@@ -367,20 +315,12 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
         .map(|i| (trace.records[i].seq, i))
         .collect();
     ready.sort_unstable();
-    for &(_, i) in &ready {
-        state[i] = Stat::Ready;
-    }
 
-    // Event ranks order equal-time events: completions first, then
-    // failures.
-    const DONE: u8 = 0;
-    const FAIL: u8 = 1;
+    // Completion events, ordered by (time, record index).
     #[derive(PartialEq)]
     struct Ev {
         time: f64,
-        rank: u8,
         idx: usize,
-        attempt: u32,
     }
     impl Eq for Ev {}
     impl PartialOrd for Ev {
@@ -392,22 +332,11 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
         fn cmp(&self, other: &Self) -> std::cmp::Ordering {
             self.time
                 .total_cmp(&other.time)
-                .then(self.rank.cmp(&other.rank))
                 .then(self.idx.cmp(&other.idx))
         }
     }
 
     let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
-    for f in &cluster.failures {
-        assert!(f.node < cluster.nodes, "failure event on nonexistent node");
-        heap.push(Reverse(Ev {
-            time: f.fail_at_s,
-            rank: FAIL,
-            idx: f.node,
-            attempt: 0,
-        }));
-    }
-
     let mut now = 0.0f64;
     let mut done = 0usize;
     // Serialized master cursor for the per-task dispatch-overhead model
@@ -423,8 +352,6 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
         utilization: 0.0,
         tasks: n,
         busy_by_kind: BTreeMap::new(),
-        lost_tasks: 0,
-        reexecutions: 0,
         trace: Trace::default(),
     };
 
@@ -436,10 +363,6 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
         let sweep: Vec<((u64, usize), Option<usize>)> = match opts.policy {
             Policy::LocalityAware => ready.drain(..).map(|k| (k, None)).collect(),
             Policy::OwnerComputes => {
-                let mut in_flight = vec![0usize; cluster.nodes];
-                for run in running.iter().flatten() {
-                    in_flight[run.node] += 1;
-                }
                 let view: Vec<(usize, Vec<u64>)> = ready
                     .iter()
                     .map(|&(_, i)| {
@@ -466,18 +389,18 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
         let mut still_ready = std::mem::take(&mut ready);
         for ((key, i), pick) in sweep {
             let r = &trace.records[i];
-            let fits = |nd: usize| {
-                node_up[nd] && free_cores[nd] >= cores[i] as i64 && free_gpus[nd] >= gpus[i] as i64
-            };
+            let fits =
+                |nd: usize| free_cores[nd] >= cores[i] as i64 && free_gpus[nd] >= gpus[i] as i64;
             let Some(node) =
                 pick.or_else(|| locality_node(r, cluster.nodes, fits, &replicas, words))
             else {
                 still_ready.push((key, i));
                 continue;
             };
-            state[i] = Stat::Running;
             free_cores[node] -= cores[i] as i64;
             free_gpus[node] -= gpus[i] as i64;
+            node_of[i] = node;
+            in_flight[node] += 1;
 
             // Transfers for remote inputs (each leaves a replica behind).
             let mut xfer = 0.0;
@@ -502,12 +425,9 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
                 dispatch = master_free - now;
             }
             let body_start = now + dispatch + xfer;
-            let finish = body_start + run_s;
             heap.push(Reverse(Ev {
-                time: finish,
-                rank: DONE,
+                time: body_start + run_s,
                 idx: i,
-                attempt: attempt[i],
             }));
             report.busy_core_s += run_s * cores[i] as f64;
             busy_of_kind[kind_of[i]] += run_s;
@@ -516,12 +436,6 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
             o.start_s = body_start;
             o.fetch_s = xfer;
             o.fetch_bytes = xfer_bytes;
-            running[i] = Some(RunInfo {
-                node,
-                start_s: now + dispatch,
-                xfer_s: xfer,
-                run_s,
-            });
         }
         ready = still_ready;
 
@@ -533,163 +447,37 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
             .pop()
             .expect("simulation stalled: ready tasks cannot be placed and nothing is running");
         now = now.max(ev.time);
-        match ev.rank {
-            DONE => {
-                // Drain the batch of completions sharing this time.
-                let mut batch = vec![(ev.idx, ev.attempt)];
-                while let Some(Reverse(p)) = heap.peek() {
-                    if p.time != ev.time || p.rank != DONE {
-                        break;
-                    }
-                    let p = heap.pop().unwrap().0;
-                    batch.push((p.idx, p.attempt));
-                }
-                let mut newly: Vec<(u64, usize)> = Vec::new();
-                for (idx, att) in batch {
-                    // A failure between dispatch and completion bumped
-                    // the task's attempt: this event is stale.
-                    if state[idx] != Stat::Running || attempt[idx] != att {
-                        continue;
-                    }
-                    let info = running[idx].take().expect("running task has run info");
-                    state[idx] = Stat::Done;
-                    done += 1;
-                    free_cores[info.node] += cores[idx] as i64;
-                    free_gpus[info.node] += gpus[idx] as i64;
-                    for (d, _) in &trace.records[idx].outputs {
-                        replica_set(&mut replicas, words, d.0 as usize, info.node);
-                    }
-                    for &dep in &dependents[idx] {
-                        if state[dep] != Stat::Waiting {
-                            continue;
-                        }
-                        indeg[dep] -= 1;
-                        if indeg[dep] == 0 {
-                            state[dep] = Stat::Ready;
-                            newly.push((trace.records[dep].seq, dep));
-                        }
-                    }
-                }
-                newly.sort_unstable();
-                merge_ready(&mut ready, newly);
+        // Drain the batch of completions sharing this time.
+        let mut batch = vec![ev.idx];
+        while let Some(Reverse(p)) = heap.peek() {
+            if p.time != ev.time {
+                break;
             }
-            _ => {
-                // FAIL
-                let nd = ev.idx;
-                if !node_up[nd] {
-                    continue;
+            batch.push(heap.pop().unwrap().0.idx);
+        }
+        let mut newly: Vec<(u64, usize)> = Vec::new();
+        for idx in batch {
+            let node = node_of[idx];
+            done += 1;
+            in_flight[node] -= 1;
+            free_cores[node] += cores[idx] as i64;
+            free_gpus[node] += gpus[idx] as i64;
+            for (d, _) in &trace.records[idx].outputs {
+                replica_set(&mut replicas, words, d.0 as usize, node);
+            }
+            for &dep in &dependents[idx] {
+                indeg[dep] -= 1;
+                if indeg[dep] == 0 {
+                    newly.push((trace.records[dep].seq, dep));
                 }
-                node_up[nd] = false;
-
-                // Kill the node's in-flight runs: requeue the task,
-                // refund the unexecuted tail, keep the run as an attempt.
-                for i in 0..n {
-                    if state[i] != Stat::Running {
-                        continue;
-                    }
-                    let on_nd = running[i].as_ref().map(|ri| ri.node) == Some(nd);
-                    if !on_nd {
-                        continue;
-                    }
-                    let info = running[i].take().unwrap();
-                    state[i] = Stat::Waiting;
-                    attempt[i] += 1;
-                    free_cores[nd] += cores[i] as i64;
-                    free_gpus[nd] += gpus[i] as i64;
-                    let executed = (now - info.start_s - info.xfer_s).clamp(0.0, info.run_s);
-                    report.busy_core_s -= (info.run_s - executed) * cores[i] as f64;
-                    busy_of_kind[kind_of[i]] -= info.run_s - executed;
-                    report.lost_tasks += 1;
-                    // A run killed in its fetch has a body of 0 s at `now`.
-                    let body_start = out[i].start_s.min(now);
-                    out[i].attempts.push(AttemptRecord {
-                        start_s: body_start,
-                        duration_s: executed,
-                        error: Some(format!("killed by the failure of node {nd}")),
-                    });
-                }
-
-                // The node's memory is gone: drop its replicas of
-                // produced data. External inputs live on the master's
-                // durable storage and survive a node-0 failure.
-                for (d, &p) in produced.iter().enumerate() {
-                    if p {
-                        replicas[d * words + nd / 64] &= !(1u64 << (nd % 64));
-                    }
-                }
-
-                // Lineage rollback: any datum still needed by a pending
-                // task whose only replica died must be re-produced, and
-                // the producer's own lost inputs recurse.
-                let zero_replicas = |replicas: &[u64], d: usize| {
-                    replicas[d * words..(d + 1) * words].iter().all(|&w| w == 0)
-                };
-                let mut redo: Vec<usize> = (0..n)
-                    .filter(|&i| matches!(state[i], Stat::Waiting | Stat::Ready))
-                    .collect();
-                while let Some(i) = redo.pop() {
-                    for (d, _) in &trace.records[i].inputs {
-                        let di = d.0 as usize;
-                        if !zero_replicas(&replicas, di) {
-                            continue;
-                        }
-                        let Some(p) = producer_of[di] else { continue };
-                        if state[p] != Stat::Done {
-                            continue;
-                        }
-                        state[p] = Stat::Waiting;
-                        attempt[p] += 1;
-                        done -= 1;
-                        report.reexecutions += 1;
-                        let (start_s, duration_s) = (out[p].start_s, out[p].duration_s);
-                        out[p].attempts.push(AttemptRecord {
-                            start_s,
-                            duration_s,
-                            error: Some(format!("output lost with node {nd}")),
-                        });
-                        redo.push(p);
-                    }
-                }
-
-                // Re-derive the dependency frontier for every pending
-                // task (O(V+E); failures are rare events).
-                ready.clear();
-                for i in 0..n {
-                    if !matches!(state[i], Stat::Waiting | Stat::Ready) {
-                        continue;
-                    }
-                    let mut k = 0usize;
-                    for d in &trace.records[i].deps {
-                        if let Some(&j) = index.get(d) {
-                            if state[j] != Stat::Done {
-                                k += 1;
-                            }
-                        }
-                    }
-                    indeg[i] = k;
-                    if k == 0 {
-                        state[i] = Stat::Ready;
-                        ready.push((trace.records[i].seq, i));
-                    } else {
-                        state[i] = Stat::Waiting;
-                    }
-                }
-                ready.sort_unstable();
             }
         }
+        newly.sort_unstable();
+        merge_ready(&mut ready, newly);
     }
 
     report.makespan_s = now;
     report.busy_by_kind = kind_names.into_iter().zip(busy_of_kind).collect();
-    // A record with a lost run closes its history with the final one,
-    // as a runtime's retried tasks do.
-    for o in out.iter_mut().filter(|o| !o.attempts.is_empty()) {
-        o.attempts.push(AttemptRecord {
-            start_s: o.start_s,
-            duration_s: o.duration_s,
-            error: None,
-        });
-    }
     report.trace = Trace { records: out };
     let denom = now * cluster.total_cores() as f64;
     report.utilization = if denom > 0.0 {
@@ -717,8 +505,6 @@ fn effective_duration(r: &TaskRecord, cluster: &ClusterSpec, opts: &SimOptions) 
             gpus_per_node: r.gpus.min(cluster.gpus_per_node),
             bandwidth_bps: cluster.bandwidth_bps,
             latency_s: cluster.latency_s,
-            // Node failures hit the outer cluster, not nested replays.
-            failures: Vec::new(),
         };
         let child_rep = simulate(child, &granted, opts);
         // In inline recording the parent's measured duration includes
@@ -792,7 +578,6 @@ mod tests {
             gpus_per_node: 0,
             bandwidth_bps: 1e9,
             latency_s: 0.0,
-            failures: Vec::new(),
         }
     }
 
@@ -945,91 +730,6 @@ mod tests {
         };
         let rep = simulate(&t, &cluster(1, 1), &SimOptions::default());
         assert!((rep.makespan_s - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn node_failure_strictly_increases_makespan() {
-        // Eight independent 1s tasks on 2×2 cores: two waves, 2s healthy.
-        let t = Trace {
-            records: (0..8).map(|i| rec(i, &[], 1.0, 1)).collect(),
-        };
-        let healthy = simulate(&t, &cluster(2, 2), &SimOptions::default());
-        assert!((healthy.makespan_s - 2.0).abs() < 1e-9);
-
-        let c = cluster(2, 2).with_failure(1, 0.5);
-        let faulty = simulate(&t, &c, &SimOptions::default());
-        assert!(
-            faulty.makespan_s > healthy.makespan_s,
-            "failure must cost time: {} vs {}",
-            faulty.makespan_s,
-            healthy.makespan_s
-        );
-        assert_eq!(faulty.lost_tasks, 2, "two in-flight runs die with node 1");
-        // Every task still completes exactly once, on a live node; each
-        // killed run is a failed first attempt naming the node.
-        let recs = &faulty.trace.records;
-        assert!(recs.len() == 8 && recs.iter().all(|r| r.worker >= 0));
-        let killed = recs
-            .iter()
-            .filter_map(|r| r.attempts.first()?.error.as_deref());
-        assert_eq!(
-            killed.collect::<Vec<_>>(),
-            ["killed by the failure of node 1"; 2]
-        );
-
-        // Deterministic: same spec, same report.
-        let again = simulate(&t, &c, &SimOptions::default());
-        assert_eq!(again.makespan_s, faulty.makespan_s);
-        assert_eq!(again.lost_tasks, faulty.lost_tasks);
-        assert_eq!(again.reexecutions, faulty.reexecutions);
-    }
-
-    #[test]
-    fn node_failure_triggers_lineage_rollback() {
-        // producer -> consumer, both on node 0 (locality). Node 0 dies
-        // while the consumer runs: the producer's only output replica is
-        // lost, so it must re-execute on the survivor first.
-        let t = Trace {
-            records: vec![rec(0, &[], 1.0, 1), rec(1, &[0], 1.0, 1)],
-        };
-        let healthy = simulate(&t, &cluster(2, 1), &SimOptions::default());
-        assert!((healthy.makespan_s - 2.0).abs() < 1e-9);
-
-        let c = cluster(2, 1).with_failure(0, 1.5);
-        let faulty = simulate(&t, &c, &SimOptions::default());
-        assert_eq!(faulty.lost_tasks, 1, "consumer run dies");
-        assert_eq!(faulty.reexecutions, 1, "producer output must be rebuilt");
-        // 1.5 (failure) + 1.0 (producer redo) + 1.0 (consumer) = 3.5.
-        assert!(
-            (faulty.makespan_s - 3.5).abs() < 1e-9,
-            "got {}",
-            faulty.makespan_s
-        );
-        // The final consumer run happens on the surviving node 1, as its
-        // second attempt; the producer's lost output is a failed attempt.
-        let (producer, consumer) = (&faulty.trace.records[0], &faulty.trace.records[1]);
-        assert_eq!((consumer.worker, consumer.attempts.len()), (1, 2));
-        assert!(consumer.attempts[1].error.is_none());
-        let lost = producer.attempts[0].error.as_deref();
-        assert_eq!(
-            (producer.worker, lost),
-            (1, Some("output lost with node 0"))
-        );
-    }
-
-    #[test]
-    fn external_master_data_survives_node_zero_failure() {
-        // Task consumes external (non-produced) data living on node 0.
-        // Node 0 failing must not orphan that datum: it is durable
-        // master storage, so the task re-runs successfully on node 1.
-        let mut r = rec(0, &[], 1.0, 1);
-        r.inputs = vec![(DataId(99), 1000)];
-        let t = Trace { records: vec![r] };
-        let c = cluster(2, 1).with_failure(0, 0.5);
-        let rep = simulate(&t, &c, &SimOptions::default());
-        let r = &rep.trace.records[0];
-        assert_eq!((r.worker, r.attempts.len()), (1, 2), "{r:?}");
-        assert_eq!(rep.reexecutions, 0);
     }
 
     const OWNER: SimOptions = SimOptions {

@@ -115,7 +115,10 @@ pub struct TaskRecord {
     /// `0.0` on the records a runtime writes, which do not time their
     /// input fetch yet.
     pub fetch_s: f64,
-    /// Bytes the input fetch moved (`0` when `fetch_s` is `0.0`).
+    /// Bytes the input fetch moved: what a [`crate::sim`] replay
+    /// transfers, or what a `dist` worker pulled from peers or had
+    /// relayed by the driver. `0` on the records a threaded or inline
+    /// runtime writes.
     pub fetch_bytes: u64,
     /// Executor that ran the task: a pool-worker index, or the node of
     /// a [`crate::sim`] schedule (`>= 0`), or `-1` for a driver thread

@@ -46,7 +46,7 @@ impl Default for KnnParams {
 /// Candidate neighbours for a block of query rows: for each query row,
 /// up to `k` `(distance_sq, label)` pairs sorted ascending by distance.
 #[derive(Debug, Clone)]
-pub struct Neighbors {
+struct Neighbors {
     /// `cand[q]` = sorted candidate list for query row `q`.
     pub cand: Vec<Vec<(f64, u8)>>,
     /// k requested.

@@ -17,7 +17,7 @@
 //!   handle considerably more data than other").
 //!
 //! What the tasks share and what each owns: every fit starts with one
-//! `rf_presort` task whose [`Presort`] — every row's rank in each
+//! `rf_presort` task whose `Presort` — every row's rank in each
 //! feature's value order — is the only sorted structure of the forest,
 //! read by all of its tree tasks. A tree task (`rf_build_tree`,
 //! `rf_top`, `rf_subtree`) owns its bootstrap as *weights* (how often
@@ -207,7 +207,7 @@ fn leaf_probs(counts: &[usize; 2]) -> [f64; 2] {
 /// the ranks of their rows (see `RankSet`) and builds no order of its
 /// own.
 #[derive(Debug, Clone)]
-pub struct Presort {
+struct Presort {
     n_rows: usize,
     /// `rank[f * n_rows + row]`: the position of `row` in feature `f`'s
     /// order.

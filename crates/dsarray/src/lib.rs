@@ -283,16 +283,18 @@ impl DsArray {
             .collect()
     }
 
-    /// Gathers the whole array into a single matrix **handle** without
-    /// synchronizing: the `ds_gather` task stays in the task graph, so
-    /// downstream tasks can consume the gathered matrix before the
-    /// driver ever blocks.
-    fn collect_handle(&self, rt: &Runtime) -> Handle<Matrix> {
+    /// Gathers the whole array back into one local matrix (synchronizes).
+    ///
+    /// One `ds_gather` task copies every block straight into a single
+    /// preallocated `rows x cols` matrix — the tree of `vstack`
+    /// intermediates (each copying the full prefix again) is gone, so
+    /// gathering moves each element exactly once.
+    pub fn collect(&self, rt: &Runtime) -> Matrix {
         let blocks: Vec<Handle<Matrix>> = self.grid.iter().flatten().copied().collect();
         let (rows, cols) = (self.rows, self.cols);
         let (rb_size, cb_size) = (self.rb_size, self.cb_size);
         let n_cb = self.n_col_blocks();
-        rt.task("ds_gather").run_many(&blocks, move |bs| {
+        let gathered = rt.task("ds_gather").run_many(&blocks, move |bs| {
             let mut out = Matrix::from_pool(rows, cols);
             for (i, b) in bs.iter().enumerate() {
                 let (r0, c0) = ((i / n_cb) * rb_size, (i % n_cb) * cb_size);
@@ -301,17 +303,8 @@ impl DsArray {
                 }
             }
             out
-        })
-    }
-
-    /// Gathers the whole array back into one local matrix (synchronizes).
-    ///
-    /// One `ds_gather` task (`Self::collect_handle`) copies every
-    /// block straight into a single preallocated `rows x cols` matrix —
-    /// the tree of `vstack` intermediates (each copying the full prefix
-    /// again) is gone, so gathering moves each element exactly once.
-    pub fn collect(&self, rt: &Runtime) -> Matrix {
-        (*rt.wait(self.collect_handle(rt))).clone()
+        });
+        (*rt.wait(gathered)).clone()
     }
 
     /// Applies `f` block-wise, producing a new ds-array with the same
@@ -673,12 +666,12 @@ mod tests {
     }
 
     #[test]
-    fn collect_handle_is_lazy_and_matches_collect() {
+    fn collect_round_trips_a_ragged_block_grid() {
+        // 3x2 blocks over 10x4: four row bands, the last one row tall.
         let rt = Runtime::new();
         let m = demo_matrix(10, 4);
         let ds = DsArray::from_matrix(&rt, &m, 3, 2);
-        let h = ds.collect_handle(&rt);
-        assert_eq!(*rt.wait(h), m);
+        assert_eq!(ds.collect(&rt), m);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Number of R peaks per patch (paper-fixed).
-pub const PEAKS_PER_PATCH: usize = 6;
+const PEAKS_PER_PATCH: usize = 6;
 
 /// Splits `signal` into patches, each containing `PEAKS_PER_PATCH`
 /// consecutive R peaks. Returns the cut points (half-open segment

@@ -345,7 +345,7 @@ fn max_pool_backward(x: &[f32], s: Shape, p: usize, dout: &[f32], dx: &mut [f32]
 }
 
 /// One parameter buffer with its gradient and momentum velocity.
-pub type ParamMut<'a> = (&'a mut [f32], &'a mut [f32], &'a mut [f32]);
+type ParamMut<'a> = (&'a mut [f32], &'a mut [f32], &'a mut [f32]);
 
 /// A network layer.
 #[derive(Debug, Clone)]

@@ -51,7 +51,6 @@ fn ascii_gantt_diamond_golden() {
         gpus_per_node: 0,
         bandwidth_bps: 1e9,
         latency_s: 0.0,
-        failures: vec![],
     };
     let rep = simulate(&diamond(), &cluster, &SimOptions::default());
     assert!((rep.makespan_s - 4.0).abs() < 1e-12);
@@ -73,7 +72,6 @@ fn one_core_node() -> ClusterSpec {
         gpus_per_node: 0,
         bandwidth_bps: 1e9,
         latency_s: 0.0,
-        failures: vec![],
     }
 }
 

@@ -337,16 +337,35 @@ const WIRE_CODEC_PATHS: [&str; 3] = ["crates", "tests", "examples"];
 /// What "One placement rule per executor" rejects anywhere under
 /// [`PLACEMENT_PATHS`], comments included: the DES placement rules no
 /// executor runs, the switch that turned transfers off, the policy
-/// shorthand only tests used, and the node recovery no caller used.
-const UNRUN_RULES: [&str; 7] = [
+/// shorthand only tests used, and the DES's simulated node failures
+/// (the event, its builder and time, the cluster's list of them, read
+/// or written) with the node recovery no caller used.
+const UNRUN_RULES: [&str; 11] = [
     concat!("Policy::", "Fifo"),
     concat!("Round", "Robin"),
     concat!("rr", "_next"),
     concat!("model", "_transfers"),
     concat!("with", "_policy"),
     concat!("recover", "_at_s"),
-    concat!("with_failure", "_and_recovery"),
+    concat!("Node", "Event"),
+    concat!("with", "_failure"),
+    concat!("fail", "_at_s"),
+    concat!(".", "failures"),
+    concat!("failures: ", "Vec::new()"),
 ];
+
+/// What "One placement rule per executor" rejects in [`SIM_PATH`] alone,
+/// comments included: the lineage rollback's counters and the failed
+/// attempts it wrote. Worker loss is rolled back by `dist::state` only,
+/// whose `DistStats` keeps these counter names.
+const DES_ROLLBACK: [&str; 3] = [
+    concat!("lost", "_tasks"),
+    concat!("re", "executions"),
+    concat!("Attempt", "Record"),
+];
+
+/// The DES, which [`DES_ROLLBACK`] applies to.
+const SIM_PATH: &str = "crates/core/src/sim.rs";
 
 /// What "One placement rule per executor" rejects outside
 /// [`PLACE_PATH`]: a second definition of owner-computes placement.
@@ -1598,16 +1617,18 @@ fn one_wire_codec_fires_on_planted_violations() {
     assert!(found.is_empty(), "{found:#?}");
 }
 
-/// "One placement rule per executor" (DESIGN §5.16): the `dist` driver
-/// and the DES replay of a `dist` run place by the one `place` in
-/// `dist/place.rs`, and the DES keeps only rules an executor runs
-/// (`LocalityAware` for COMPSs' master, `OwnerComputes` for `dist`).
-/// Returns the offending lines as `path:line:text`.
+/// "One placement rule per executor" (DESIGN §5.11, §5.16): the `dist`
+/// driver and the DES replay of a `dist` run place by the one `place`
+/// in `dist/place.rs`, the DES keeps only rules an executor runs
+/// (`LocalityAware` for COMPSs' master, `OwnerComputes` for `dist`),
+/// and it replays healthy clusters only: the one lineage rollback is
+/// the `dist` driver's. Returns the offending lines as `path:line:text`.
 fn placement_rule_violations(sources: &[Source]) -> Vec<String> {
     let mut found = Vec::new();
     for src in sources {
         for (i, line) in src.text.lines().enumerate() {
             if UNRUN_RULES.iter().any(|n| line.contains(n))
+                || (src.path == SIM_PATH && DES_ROLLBACK.iter().any(|n| line.contains(n)))
                 || (src.path != PLACE_PATH && line.contains(PLACE_FN))
             {
                 found.push(format!("{}:{}:{line}", src.path, i + 1));
@@ -1620,7 +1641,7 @@ fn placement_rule_violations(sources: &[Source]) -> Vec<String> {
 #[test]
 fn one_placement_rule_per_executor() {
     let sources = rust_sources(&PLACEMENT_PATHS);
-    for path in [PLACE_PATH, "crates/core/src/sim.rs"] {
+    for path in [PLACE_PATH, SIM_PATH] {
         assert!(
             sources.iter().any(|s| s.path == path),
             "the walk missed {path}"
@@ -1642,12 +1663,8 @@ fn one_placement_rule_per_executor_fires_on_planted_violations() {
     };
     let mut planted: Vec<Source> = UNRUN_RULES
         .iter()
-        .map(|name| {
-            src(
-                "crates/core/src/sim.rs",
-                format!("    // ok\n    let p = {name};"),
-            )
-        })
+        .chain(&DES_ROLLBACK)
+        .map(|name| src(SIM_PATH, format!("    // ok\n    let p = {name};")))
         .collect();
     planted.push(src(
         "examples/quickstart.rs",
@@ -1658,6 +1675,13 @@ fn one_placement_rule_per_executor_fires_on_planted_violations() {
         format!("pub(super) {PLACE_FN}ready: &[usize]) {{}}"),
     ));
     planted.push(src("tests/tests/sim_properties.rs", format!("{PLACE_FN})")));
+    planted.push(src(
+        "crates/bench/src/bin/chaos.rs",
+        format!(
+            "let c = ClusterSpec::marenostrum4(4).{}(0, 1.5);",
+            UNRUN_RULES[7]
+        ),
+    ));
     let found = placement_rule_violations(&planted);
     assert_eq!(found.len(), planted.len(), "{found:#?}");
     assert!(found[0].starts_with("crates/core/src/sim.rs:2:"));
@@ -1671,6 +1695,23 @@ fn one_placement_rule_per_executor_fires_on_planted_violations() {
         src(
             "tests/tests/sim_properties.rs",
             "// Round-robin puts each stage on the next node; fn placement(".to_string(),
+        ),
+        // `dist` keeps its worker-loss counters, and the DES its
+        // all-alive view.
+        src(
+            "crates/core/src/dist/state.rs",
+            format!(
+                "self.stats.{} += 1; self.stats.{} += 1; self.stats.fetch_failures += 1;",
+                DES_ROLLBACK[0], DES_ROLLBACK[1]
+            ),
+        ),
+        src(
+            "crates/core/src/dist/driver.rs",
+            "pub fetch_failures: u64,\n/// Body failures burn attempts".to_string(),
+        ),
+        src(
+            SIM_PATH,
+            "let node_up = vec![true; cluster.nodes];".to_string(),
         ),
     ];
     let found = placement_rule_violations(&allowed);
@@ -1687,15 +1728,57 @@ const CALLER_PATHS: [&str; 5] = [
     "tests",
 ];
 
+/// The visibility "Every pub item has a caller" looks for, and the kinds
+/// of item it checks after it (`pub const fn` is a fn).
+const PUB: &str = "pub ";
+const PUB_ITEMS: [&str; 7] = ["fn", "const", "static", "struct", "enum", "type", "trait"];
+
+/// The name that `rest`, the text after [`PUB`], declares as one of
+/// [`PUB_ITEMS`], if it declares one.
+fn pub_item_name(rest: &str) -> Option<&str> {
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let rest = rest
+        .strip_prefix("const ")
+        .filter(|r| r.starts_with("fn "))
+        .unwrap_or(rest);
+    let after = PUB_ITEMS
+        .iter()
+        .find_map(|kind| rest.strip_prefix(kind)?.strip_prefix(' '))?;
+    let name = &after[..after.find(|c| !is_word(c)).unwrap_or(after.len())];
+    (!name.is_empty()).then_some(name)
+}
+
 /// This file names every lint's patterns, so it calls nothing.
 const LINTS_PATH: &str = "tests/tests/repo_lints.rs";
 
-/// Public functions that "Every pub fn has a caller" accepts with no
-/// caller outside their own file, as `(path, name, why)`. Empty: every
-/// shipped `pub fn` has one.
-const UNCALLED_PUB_FNS: [(&str, &str, &str); 0] = [];
+/// Public items that "Every pub item has a caller" accepts with no
+/// caller outside their own file, as `(path, name, why)`: types that a
+/// caller reaches only through a public field or return type, and so
+/// never names.
+const UNCALLED_PUB_ITEMS: [(&str, &str, &str); 4] = [
+    (
+        "crates/core/src/obs.rs",
+        "KindStats",
+        "the row type of the public `Profile::kinds`",
+    ),
+    (
+        "crates/core/src/obs.rs",
+        "ExecutorStats",
+        "the row type of the public `Utilization::executors`",
+    ),
+    (
+        "crates/core/src/obs.rs",
+        "KindDivergence",
+        "the row type of the public `Divergence::kinds`",
+    ),
+    (
+        "crates/bench/src/pipeline.rs",
+        "Prepared",
+        "what the public `prepare` returns and the `run_*` fns take",
+    ),
+];
 
-/// What "Every pub fn has a caller" rejects anywhere under
+/// What "Every pub item has a caller" rejects anywhere under
 /// [`UNSHIPPED_PATHS`], comments included: the wall-clock attempt
 /// timeout, the stall fault that fed it, and the knob that ran nested
 /// children on threads. No caller set any of them.
@@ -1814,12 +1897,13 @@ fn test_only_lines(text: &str) -> Vec<bool> {
         .collect()
 }
 
-/// "Every pub fn has a caller" (ROADMAP item 20): every `pub fn` under
-/// `crates/*/src` outside `#[cfg(test)]` is named as a word in another
-/// `.rs` file of [`CALLER_PATHS`] (this file excepted), or is on
-/// `allowed` with the reason it stays. A function only its own file
-/// calls is private; one nothing calls is deleted with the tests whose
-/// only subject it was. Also rejects every line under
+/// "Every pub item has a caller" (ROADMAP item 20): every `pub` fn,
+/// const, static, struct, enum, type or trait under `crates/*/src`
+/// outside `#[cfg(test)]` is named as a word in another `.rs` file of
+/// [`CALLER_PATHS`] (this file excepted), or is on `allowed` with the
+/// reason it stays. An item only its own file names is private; one
+/// nothing names is deleted with the tests whose only subject it was.
+/// Also rejects every line under
 /// [`UNSHIPPED_PATHS`] naming one of [`UNSHIPPED`]. Returns the
 /// offending lines as `path:line:text`.
 fn uncalled_pub_fn_violations(sources: &[Source], allowed: &[(&str, &str, &str)]) -> Vec<String> {
@@ -1850,11 +1934,10 @@ fn uncalled_pub_fn_violations(sources: &[Source], allowed: &[(&str, &str, &str)]
         for (i, line) in src.text.lines().enumerate() {
             let uncalled = in_crate_src(&src.path)
                 && !test_only[i]
-                && line.match_indices(PUB_FN).any(|(at, m)| {
-                    let rest = &line[at + m.len()..];
-                    let name = &rest[..rest.find(|c| !is_word(c)).unwrap_or(rest.len())];
+                && line.match_indices(PUB).any(|(at, m)| {
                     let own_word = !line[..at].ends_with(is_word);
-                    own_word && !(name.is_empty() || named_elsewhere(name))
+                    let name = pub_item_name(&line[at + m.len()..]);
+                    own_word && name.is_some_and(|name| !named_elsewhere(name))
                 });
             if uncalled || (unshipped && UNSHIPPED.iter().any(|n| line.contains(n))) {
                 found.push(format!("{}:{}:{line}", src.path, i + 1));
@@ -1876,7 +1959,7 @@ fn every_pub_fn_has_a_caller() {
             "the walk missed {path}"
         );
     }
-    let found = uncalled_pub_fn_violations(&sources, &UNCALLED_PUB_FNS);
+    let found = uncalled_pub_fn_violations(&sources, &UNCALLED_PUB_ITEMS);
     assert!(
         found.is_empty(),
         "a pub fn nothing else names (make it private, delete it, or allow \
@@ -1901,6 +1984,12 @@ fn every_pub_fn_has_a_caller_fires_on_planted_violations() {
             "#[cfg(test)]\nfn oracle<'a>() {\n    let _ = ('{', '\\'', \"{\", r#\"{\"#, br\"{\"); /* { */ // {\n}\n\
              pub fn from_json(s: &str) {}\n#[cfg(test)] use x;\npub fn from_value() {}",
         ),
+        src(
+            "crates/core/src/dist/wire.rs",
+            "mod tag {\n    pub const TAG_UNIT: u8 = 0;\n}\npub static SEEN: u8 = 1;\n\
+             pub struct Stale;\npub enum Gone {}\npub type Alias = u8;\npub trait Unused {}\n\
+             pub const fn folded() {}",
+        ),
         src("examples/quickstart.rs", "// calls reblock2\nfn main() {}"),
     ];
     planted.extend(
@@ -1909,10 +1998,12 @@ fn every_pub_fn_has_a_caller_fires_on_planted_violations() {
             .map(|n| src("tests/tests/runtime_modes.rs", n)),
     );
     let found = uncalled_pub_fn_violations(&planted, &[]);
-    assert_eq!(found.len(), 3 + UNSHIPPED.len(), "{found:#?}");
+    assert_eq!(found.len(), 3 + 7 + UNSHIPPED.len(), "{found:#?}");
     assert!(found[0].starts_with("crates/dsarray/src/lib.rs:3:"));
     assert!(found[1].starts_with("crates/core/src/trace.rs:5:"));
     assert!(found[2].starts_with("crates/core/src/trace.rs:7:"));
+    assert!(found[3].starts_with("crates/core/src/dist/wire.rs:2:"));
+    assert!(found[9].starts_with("crates/core/src/dist/wire.rs:9:"));
 
     // Named in another file, allowed, private, test-only, outside a
     // crate's `src`, or a name in another word: all accepted.
@@ -1931,8 +2022,17 @@ fn every_pub_fn_has_a_caller_fires_on_planted_violations() {
         src("crates/bench/src/lib.rs", "pub fn main_entry() {}"),
         src("tests/tests/x.rs", "x.main_entry(); main();"),
         src("benchmark/src/main.rs", "pub fn only_here() {}"),
+        src(
+            "crates/core/src/obs.rs",
+            "pub struct Row;\npub struct Report {\n    pub rows: Vec<Row>,\n}\n\
+             pub const LIMIT: usize = 4;\npub(super) const HELLO: u8 = 0;\npub mod x;",
+        ),
+        src("tests/tests/y.rs", "let r: Report = run(LIMIT);"),
     ];
-    let allow = [("crates/core/src/json.rs", "is_null", "planted")];
+    let allow = [
+        ("crates/core/src/json.rs", "is_null", "planted"),
+        ("crates/core/src/obs.rs", "Row", "planted"),
+    ];
     let found = uncalled_pub_fn_violations(&allowed, &allow);
     assert!(found.is_empty(), "{found:#?}");
 }

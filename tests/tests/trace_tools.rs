@@ -47,7 +47,6 @@ fn schedule_is_resource_consistent() {
         gpus_per_node: 0,
         bandwidth_bps: 1e9,
         latency_s: 1e-5,
-        failures: vec![],
     };
     let rep = simulate(&trace, &cluster, &SimOptions::default());
 
