@@ -110,7 +110,7 @@ fn run_workload(
 }
 
 fn main() {
-    let args = Args::capture();
+    let args = Args::capture(&["scale", "workers", "seed"], &["check"]);
     let small = args.scale_small();
     let scale = if small { "small" } else { "full" };
     let workers: usize = args.get_or("workers", 4);

@@ -156,7 +156,7 @@ fn main() {
     };
     dist::maybe_worker(&registry);
 
-    let args = Args::capture();
+    let args = Args::capture(&["scale", "workers"], &["check", "chaos"]);
     let check = args.has("check");
     let chaos = args.has("chaos");
     let workers: usize = args.get_or("workers", 2);

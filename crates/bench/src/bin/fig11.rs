@@ -66,7 +66,7 @@ fn speedup_note(series: &Series) {
 }
 
 fn main() {
-    let args = Args::capture();
+    let args = Args::capture(&["algo", "max-nodes"], &["check"]);
     let algo = args.get("algo").unwrap_or("all").to_string();
     let max_nodes = args.get_or("max-nodes", 6usize);
     let check = args.has("check");

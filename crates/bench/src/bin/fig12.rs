@@ -119,7 +119,7 @@ fn violations(times: [f64; 3], committed: [f64; 3]) -> Vec<String> {
 }
 
 fn main() {
-    let args = Args::capture();
+    let args = Args::capture(&["seed"], &["check"]);
     let cfg = PipelineConfig {
         seed: args.get_or("seed", 2017),
         ..Default::default()

@@ -7,7 +7,7 @@
 //! Usage: `cargo run -p bench --bin graphs --release`
 //! Render with e.g. `dot -Tsvg out/graph_csvm.dot -o graph_csvm.svg`.
 
-use bench::report::write_artifact;
+use bench::report::{write_artifact, Args};
 use dislib::csvm::{CascadeSvm, CascadeSvmParams};
 use dislib::knn::{KnnClassifier, KnnParams};
 use dislib::rf::{RandomForest, RfParams};
@@ -28,6 +28,7 @@ fn small_data() -> (Matrix, Vec<u8>) {
 }
 
 fn main() {
+    Args::capture(&[], &[]);
     let (x, y) = small_data();
     let rb = x.rows().div_ceil(4);
 

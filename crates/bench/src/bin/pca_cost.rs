@@ -20,7 +20,7 @@ const FEATURE_RATIO: f64 = 18810.0 / 1078.0;
 const T_EIGH: f64 = 800.0;
 
 fn main() {
-    let args = Args::capture();
+    let args = Args::capture(&["seed"], &[]);
     let cfg = PipelineConfig {
         seed: args.get_or("seed", 2017),
         ..Default::default()

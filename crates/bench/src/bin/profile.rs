@@ -34,7 +34,7 @@ use taskrt::sim::{simulate, ClusterSpec, SimOptions};
 use taskrt::{Profile, Runtime, Utilization};
 
 fn main() {
-    let args = Args::capture();
+    let args = Args::capture(&["scale", "workers", "nodes", "straggler-k"], &["check"]);
     let small = args.scale_small();
     let scale = if small { "small" } else { "full" };
     let default_workers = std::thread::available_parallelism()

@@ -30,7 +30,7 @@ const BANDS: [(&str, f64, f64); 4] = [
 const ORDER: [(&str, &str); 3] = [("cnn", "csvm"), ("rf", "csvm"), ("csvm", "knn")];
 
 fn main() {
-    let args = Args::capture();
+    let args = Args::capture(&["algo", "seed"], &["check"]);
     let algo = args.get("algo").unwrap_or("all").to_string();
     let mut cfg = PipelineConfig::default();
     cfg.seed = args.get_or("seed", cfg.seed);

@@ -59,33 +59,60 @@ pub fn write_artifact(path: &str, contents: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Parses `--key value` style flags from `std::env::args`.
+/// `--key value` and `--switch` flags, checked against the names a bin
+/// declares: anything else exits 2 with a usage line, and so does a
+/// value its reader cannot parse.
 pub struct Args {
-    raw: Vec<String>,
+    /// `(name, value)` in command-line order; a switch has no value.
+    flags: Vec<(String, Option<String>)>,
+    usage: String,
 }
 
 impl Args {
-    /// Captures the process arguments.
-    pub fn capture() -> Self {
-        Self {
-            raw: std::env::args().skip(1).collect(),
+    /// Captures the process arguments against the bin's `values` (flags
+    /// that take one) and `switches` (flags that take none).
+    pub fn capture(values: &[&str], switches: &[&str]) -> Self {
+        let bin = std::env::args().next().unwrap_or_default();
+        let bin = bin.rsplit('/').next().unwrap_or_default();
+        Self::parse(bin, std::env::args().skip(1), values, switches)
+            .unwrap_or_else(|msg| exit_usage(&msg))
+    }
+
+    /// [`Args::capture`] over any argument list; the error is what
+    /// `capture` prints, usage line included.
+    fn parse(
+        bin: &str,
+        raw: impl IntoIterator<Item = String>,
+        values: &[&str],
+        switches: &[&str],
+    ) -> Result<Self, String> {
+        let mut usage = format!("usage: {bin}");
+        values.iter().for_each(|v| usage += &format!(" [--{v} V]"));
+        switches.iter().for_each(|s| usage += &format!(" [--{s}]"));
+        let (mut flags, mut raw) = (Vec::new(), raw.into_iter());
+        while let Some(arg) = raw.next() {
+            let name = arg.strip_prefix("--");
+            let Some(name) = name.filter(|n| values.contains(n) || switches.contains(n)) else {
+                return Err(format!("unknown argument '{arg}'\n{usage}"));
+            };
+            let value = values.contains(&name).then(|| raw.next());
+            if value == Some(None) {
+                return Err(format!("--{name} needs a value\n{usage}"));
+            }
+            flags.push((name.to_string(), value.flatten()));
         }
+        Ok(Self { flags, usage })
     }
 
     /// Value of `--name <value>`, if present.
     pub fn get(&self, name: &str) -> Option<&str> {
-        let flag = format!("--{name}");
-        self.raw
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.raw.get(i + 1))
-            .map(String::as_str)
+        let flag = self.flags.iter().find(|(n, _)| n == name);
+        flag.and_then(|(_, v)| v.as_deref())
     }
 
     /// Presence of a boolean flag `--name`.
     pub fn has(&self, name: &str) -> bool {
-        let flag = format!("--{name}");
-        self.raw.iter().any(|a| a == &flag)
+        self.flags.iter().any(|(n, _)| n == name)
     }
 
     /// The `--scale small|full` setting of `profile`, `dist` and
@@ -96,24 +123,73 @@ impl Args {
         match self.get("scale") {
             None | Some("small") => true,
             Some("full") => false,
-            Some(other) => {
-                eprintln!("unknown --scale '{other}'; usage: --scale small|full");
-                std::process::exit(2);
-            }
+            Some(other) => exit_usage(&format!(
+                "--scale '{other}' is not small|full\n{}",
+                self.usage
+            )),
         }
     }
 
-    /// Parsed value with default.
+    /// Parsed value with default; exits 2 with the usage line on a
+    /// value that does not parse.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.value(name, default)
+            .unwrap_or_else(|msg| exit_usage(&msg))
     }
+
+    fn value<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        self.get(name).map_or(Ok(default), |v| {
+            v.parse()
+                .map_err(|_| format!("--{name} '{v}' does not parse\n{}", self.usage))
+        })
+    }
+}
+
+fn exit_usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(raw: &[&str]) -> Result<Args, String> {
+        let raw = raw.iter().map(|a| a.to_string());
+        Args::parse("chaos", raw, &["scale", "workers"], &["check"])
+    }
+
+    #[test]
+    fn args_refuse_an_unknown_flag_and_a_bad_value() {
+        let err = parse(&["--scale", "small", "--nodes", "4"]).err().unwrap();
+        assert!(err.contains("unknown argument '--nodes'"), "{err}");
+        assert!(
+            err.ends_with("usage: chaos [--scale V] [--workers V] [--check]"),
+            "{err}"
+        );
+        for (raw, what) in [
+            (&["--workers"][..], "needs a value"),
+            (&["check"][..], "unknown argument 'check'"),
+        ] {
+            let err = parse(raw).err().unwrap();
+            assert!(err.contains(what), "{raw:?}: {err}");
+        }
+
+        let bad = parse(&["--workers", "four"]).unwrap();
+        let err = bad.value("workers", 4usize).unwrap_err();
+        assert!(err.contains("--workers 'four' does not parse"), "{err}");
+
+        let good = parse(&["--workers", "3", "--check", "--scale", "small"]).unwrap();
+        assert_eq!(good.value("workers", 4usize), Ok(3));
+        assert_eq!(
+            good.value("seed", 7u64),
+            Ok(7),
+            "an absent flag reads its default"
+        );
+        assert!(good.has("check") && !good.has("chaos"));
+        assert_eq!(good.get("scale"), Some("small"));
+        assert!(good.scale_small());
+    }
 
     #[test]
     fn artifact_roundtrip() {

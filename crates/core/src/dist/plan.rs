@@ -11,7 +11,6 @@
 
 use super::kind::KindRegistry;
 use super::wire::WireValue;
-use crate::fault::OnFailure;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -85,10 +84,7 @@ impl Plan {
     }
 
     /// Checks the plan against a registry: every kind must be
-    /// registered, with `Fail` or `Retry` (`dist` neither poisons nor
-    /// cancels successors, so it refuses `Ignore` and `CancelSuccessors`
-    /// rather than give them another meaning), and every id defined
-    /// exactly once.
+    /// registered, and every id defined exactly once.
     pub fn validate(&self, reg: &KindRegistry) -> Result<(), String> {
         let mut defined = std::collections::BTreeSet::new();
         for (id, _) in &self.seeds {
@@ -97,14 +93,8 @@ impl Plan {
             }
         }
         for t in &self.tasks {
-            let Some(kind) = reg.get(&t.kind) else {
+            if reg.get(&t.kind).is_none() {
                 return Err(format!("kind '{}' is not registered", t.kind));
-            };
-            if let policy @ (OnFailure::Ignore | OnFailure::CancelSuccessors) = kind.on_failure {
-                return Err(format!(
-                    "kind '{}' has on_failure {policy:?}; dist implements only Fail and Retry",
-                    t.kind
-                ));
             }
             for i in &t.inputs {
                 if !defined.contains(i) {

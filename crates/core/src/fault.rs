@@ -2,10 +2,13 @@
 //!
 //! COMPSs exposes per-task failure management (`on_failure` in the task
 //! annotation: RETRY, IGNORE, CANCEL_SUCCESSORS, FAIL — see *A
-//! Programming Model for Hybrid Workflows*, PAPERS.md); this module is
-//! the `taskrt` equivalent. A task carries an [`OnFailure`] policy and,
-//! when retryable, a [`RetryPolicy`] describing how many attempts it
-//! gets and how long the runtime backs off between them.
+//! Programming Model for Hybrid Workflows*, PAPERS.md). `taskrt`
+//! implements FAIL ([`OnFailure::Fail`], the default) and RETRY
+//! ([`OnFailure::Retry`], with a [`RetryPolicy`]: attempt budget and
+//! backoff), the two the paper's pipeline runs. IGNORE and
+//! CANCEL_SUCCESSORS are left out so that a task's outcome is a
+//! function of the graph on every executor: it succeeds, or it fails
+//! and so does every reader of its outputs, whenever it was submitted.
 //!
 //! Everything here is deterministic by construction: backoff jitter and
 //! injection decisions are pure functions of a seed and the task's
@@ -33,16 +36,6 @@ pub enum OnFailure {
     /// `max_attempts` degenerates to [`OnFailure::Fail`] (with the
     /// attempt count in the error message).
     Retry,
-    /// Swallow the failure: the task is recorded as completed, its
-    /// outputs are *poisoned*, and dependents reading them are
-    /// cancelled silently. `barrier` passes; `wait` on a poisoned
-    /// datum still panics (reading a value that never materialized is
-    /// a driver bug, not a recoverable condition).
-    Ignore,
-    /// Record the failure on this task but cancel (rather than fail)
-    /// its transitive dependents: `barrier` passes, `wait` on the
-    /// failed task's own outputs panics with the original error.
-    CancelSuccessors,
 }
 
 /// How a retryable task is resubmitted: attempt budget and exponential
@@ -133,7 +126,7 @@ impl TaskFault {
     pub fn max_attempts(&self) -> u32 {
         match self.on_failure {
             OnFailure::Retry => self.retry.max_attempts.max(1),
-            _ => 1,
+            OnFailure::Fail => 1,
         }
     }
 
@@ -272,7 +265,7 @@ mod tests {
     #[test]
     fn retry_grants_attempts_only_under_retry_policy() {
         let mut f = TaskFault {
-            on_failure: OnFailure::Ignore,
+            on_failure: OnFailure::Fail,
             retry: RetryPolicy::new(4),
         };
         assert_eq!(f.max_attempts(), 1);

@@ -43,8 +43,7 @@ use std::fmt::Write as _;
 
 /// A point-in-time snapshot of the scheduler's statistics (see
 /// [`crate::Runtime::stats`]). The per-task fields (tasks per executor,
-/// queue wait, run time, retries, give-ups, poisoned, cancelled) are
-/// derived from the task rows; the rest are scheduler-internal counts
+/// queue wait, run time, retries, give-ups) are derived from the task rows; the rest are scheduler-internal counts
 /// kept beside the locks their sites hold.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuntimeStats {
@@ -65,11 +64,12 @@ pub struct RuntimeStats {
     pub retries: u64,
     /// Tasks that exhausted their retry budget and failed for good.
     pub giveups: u64,
-    /// Outputs poisoned by [`crate::OnFailure::Ignore`] tasks.
+    /// Always 0: no policy poisons a failed task's outputs. Kept only
+    /// because the frozen benchmark reads it; removal waits for the
+    /// next change to the benchmark.
     pub poisoned: u64,
-    /// Tasks cancelled because a failed predecessor's policy removed
-    /// them from the schedule ([`crate::OnFailure::Ignore`] or
-    /// [`crate::OnFailure::CancelSuccessors`]).
+    /// Always 0, like [`RuntimeStats::poisoned`]: a task behind a
+    /// failure fails with it, never cancelled. Kept for the same reason.
     pub cancelled: u64,
     /// Worker condvar sleeps.
     pub worker_parks: u64,
@@ -147,8 +147,6 @@ impl RuntimeStats {
             ),
             ("retries".into(), Value::from(self.retries)),
             ("giveups".into(), Value::from(self.giveups)),
-            ("poisoned".into(), Value::from(self.poisoned)),
-            ("cancelled".into(), Value::from(self.cancelled)),
             ("worker_parks".into(), Value::from(self.worker_parks)),
             ("worker_idle_s".into(), Value::from(self.worker_idle_s)),
             ("driver_parks".into(), Value::from(self.driver_parks)),
@@ -181,11 +179,11 @@ impl RuntimeStats {
             self.inout_steal_rate() * 100.0
         )
         .unwrap();
-        if self.retries + self.giveups + self.poisoned + self.cancelled > 0 {
+        if self.retries + self.giveups > 0 {
             writeln!(
                 out,
-                "  faults             {:>12} retries / {} giveups / {} poisoned / {} cancelled",
-                self.retries, self.giveups, self.poisoned, self.cancelled
+                "  faults             {:>12} retries / {} giveups",
+                self.retries, self.giveups
             )
             .unwrap();
         }
@@ -240,8 +238,8 @@ fn thread_name_event(pid: u64, tid: u64, name: &str) -> Value {
 /// gets a `fetch` slice ending where its body starts.
 ///
 /// Only records whose body ran ([`crate::TaskRecord::ran`]) get a
-/// slice: sync/barrier markers and tasks failed or cancelled before
-/// running have no start to draw. Nested child traces run on their own
+/// slice: sync/barrier markers and tasks failed with their producer
+/// before running have no start to draw. Nested child traces run on their own
 /// clock and are likewise not flattened in. Each of `stragglers` (see
 /// [`stragglers`]) gets an `instant` marker (`ph:"i"`) at its task's
 /// start on the same track, so Perfetto renders the verdicts as
@@ -400,7 +398,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 impl Profile {
     /// Builds the profile of a trace. Only user tasks whose body ran
     /// ([`crate::TaskRecord::ran`]) enter the per-kind rows: markers
-    /// and tasks failed or cancelled before running are excluded.
+    /// and tasks failed with their producer before running are excluded.
     /// Nested child traces are not folded in (the parent's duration
     /// already encloses them).
     pub fn from_trace(trace: &Trace) -> Profile {
@@ -748,7 +746,7 @@ impl Straggler {
 /// `min_samples` of them — the per-task-constant-cost analysis of the
 /// Dask-overheads paper. Only user tasks whose body ran
 /// ([`crate::TaskRecord::ran`]) enter the per-kind statistics: markers
-/// and tasks failed or cancelled before running are not 0-second
+/// and tasks failed with their producer before running are not 0-second
 /// executions.
 pub fn stragglers(trace: &Trace, k: f64, min_samples: usize) -> Vec<Straggler> {
     let min_samples = min_samples.max(1);
@@ -1066,29 +1064,31 @@ mod tests {
 
     #[test]
     fn cancelled_tasks_are_not_zero_second_executions() {
-        // `boom` fails under CancelSuccessors after a gate releases it,
-        // so the `x` registered behind it is cancelled, never run; the
-        // two other `x` run.
+        // `boom` fails after a gate releases it, so the `x` registered
+        // behind it fails with it and never runs; the two other `x`
+        // run.
         let (tx, rx) = std::sync::mpsc::channel::<()>();
         let rt = Runtime::threaded(1);
         let gate = rt.task("gate").run0(move || {
             rx.recv().expect("gate release");
             0u64
         }); // task 0
-        let boom = rt
-            .task("boom")
-            .on_failure(crate::OnFailure::CancelSuccessors)
-            .run1(gate, |_| -> u64 { panic!("kaboom") }); // task 1
-        let _cancelled = rt.task("x").run1(boom, |v| v + 1); // task 2
-        let _ = rt.task("x").run1(gate, |v| v + 1);
-        let _ = rt.task("x").run1(gate, |v| v + 2);
+        let boom = rt.task("boom").run1(gate, |_| -> u64 { panic!("kaboom") }); // task 1
+        let _never_ran = rt.task("x").run1(boom, |v| v + 1); // task 2
+        let x3 = rt.task("x").run1(gate, |v| v + 1);
+        let x4 = rt.task("x").run1(gate, |v| v + 2);
         tx.send(()).expect("release gate");
-        let trace = rt.finish();
+        // The barrier returns at the first failure it sees, so the two
+        // `x` that run are awaited first (`peek` records no marker).
+        assert_eq!((*rt.peek(x3), *rt.peek(x4)), (1, 2));
+        let barrier = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.barrier()));
+        assert!(barrier.is_err(), "the failure is fatal to the barrier");
+        let trace = rt.trace();
         assert_eq!(trace.records[2].name, "x");
 
         let p = Profile::from_trace(&trace);
         let x = p.kinds.iter().find(|k| k.name == "x").expect("x row");
-        assert_eq!(x.count, 2, "the cancelled x counted as an execution");
+        assert_eq!(x.count, 2, "the x that never ran counted as an execution");
 
         let v = Value::parse(&chrome_trace(&trace, &[])).expect("valid chrome trace JSON");
         let events = v.field("traceEvents").unwrap().as_array().unwrap();
@@ -1099,7 +1099,7 @@ mod tests {
                 .filter(|e| e.get("args").and_then(|a| a.get("task")?.as_u64()) == Some(task))
                 .count()
         };
-        assert_eq!(slices_of(2), 0, "the cancelled task drawn as a slice");
+        assert_eq!(slices_of(2), 0, "the task that never ran drawn as a slice");
         // The failed task ran: its record slice plus its failed attempt.
         assert_eq!(slices_of(1), 2);
     }

@@ -265,11 +265,6 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
             // Submission fails tasks reading consumed data in place,
             // so a dispatched task can never see a moved IN input.
             Slot::Moved(_) => unreachable!("input {d:?} consumed before task {tid:?} dispatched"),
-            // Submission cancels tasks reading poisoned data in place,
-            // so a dispatched task can never see a poisoned input.
-            Slot::Poisoned(_) => {
-                unreachable!("input {d:?} poisoned before task {tid:?} dispatched")
-            }
         }
     }
     ReadyRun {
@@ -538,7 +533,6 @@ impl Runtime {
                     "data {id:?} was consumed by an INOUT task; \
                      use the handle returned by run*_inout instead"
                 ))),
-                Slot::Poisoned(msg) => Some(Err(format!("data {id:?} is poisoned: {msg}"))),
                 Slot::Pending => None,
             }
         });
@@ -568,12 +562,6 @@ impl Runtime {
             let rows = &st.tables.rows;
             for t in pending.clone() {
                 let e = &rows[t];
-                // Non-fatal policies (CancelSuccessors) record a
-                // failure but let the barrier pass; only Fail/Retry
-                // failures abort the workflow here.
-                if !matches!(e.on_failure, OnFailure::Fail | OnFailure::Retry) {
-                    continue;
-                }
                 if let Some(msg) = e.failure() {
                     let name = lock(&shared.kinds).name(e.kind).clone();
                     let attempts = e.attempts().len().max(1);
@@ -586,12 +574,7 @@ impl Runtime {
             }
             pending
                 .clone()
-                .all(|t| {
-                    matches!(
-                        rows[t].status,
-                        Status::Done | Status::Failed | Status::Cancelled
-                    )
-                })
+                .all(|t| matches!(rows[t].status, Status::Done | Status::Failed))
                 .then_some(Ok(()))
         });
         if let Err(msg) = outcome {
@@ -661,9 +644,6 @@ impl Runtime {
                 ..st.counts.clone()
             };
             for r in st.tables.rows.iter() {
-                if r.status == Status::Cancelled {
-                    s.cancelled += 1;
-                }
                 if !r.ran() {
                     continue;
                 }
@@ -683,13 +663,8 @@ impl Runtime {
                 };
                 // Every failed attempt but a give-up's last was retried.
                 s.retries += attempts.len().saturating_sub(1) as u64;
-                match r.status {
-                    Status::Failed if r.on_failure == OnFailure::Retry => s.giveups += 1,
-                    // Only an `Ignore` task completes on a failed attempt.
-                    Status::Done if attempts.last().is_some_and(|a| a.error.is_some()) => {
-                        s.poisoned += 1
-                    }
-                    _ => {}
+                if r.status == Status::Failed && r.on_failure == OnFailure::Retry {
+                    s.giveups += 1;
                 }
             }
             // Inline tasks never queue; they add 0 s to the mean.
@@ -806,7 +781,6 @@ fn submit_locked(
     // sync marker current at submission is a dependency too, but it is
     // always done and never failed, so only the export derives it.
     let mut consumed_input = None;
-    let mut poisoned_input: Option<Arc<str>> = None;
     producers.clear();
     for j in range.clone() {
         let d = t.inputs[j].0;
@@ -818,10 +792,6 @@ fn submit_locked(
                 *b
             }
             Slot::Pending => 0,
-            Slot::Poisoned(m) => {
-                poisoned_input = Some(m.clone());
-                0
-            }
         };
         producers.extend(entry.producer);
     }
@@ -861,14 +831,6 @@ fn submit_locked(
             )
             .into(),
         );
-    } else if let Some(msg) = poisoned_input {
-        // An upstream failure was ignored (or cancelled its
-        // successors): this task can never run. Cancel in place
-        // and poison its outputs so the silence propagates.
-        row.status = Status::Cancelled;
-        for d in out_first..out_first + n_outputs {
-            t.data[d].slot = Slot::Poisoned(msg.clone());
-        }
     } else if let Some(msg) = inherited_failure {
         // A dependency already failed; its cascade ran before we
         // existed, so fail in place (waiters see it immediately).
@@ -1202,14 +1164,11 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                 for (d, (v, b)) in (row.out_first as usize..).zip(outs) {
                     data[d].slot = Slot::Ready(v, b);
                 }
+                // Every input materialized before dispatch; one this task
+                // stole by INOUT keeps its size in the `Moved` tombstone.
                 for j in Tables::input_range(row) {
                     let (d, bytes) = &mut inputs[j];
-                    match &data[d.0 as usize].slot {
-                        // `Moved`: this task's own INOUT steal; the size
-                        // survives in the tombstone.
-                        Slot::Ready(_, b) | Slot::Moved(b) => *bytes = *b,
-                        Slot::Pending | Slot::Poisoned(_) => {}
-                    }
+                    *bytes = data[d.0 as usize].bytes();
                 }
 
                 // Batched release: one pass over the dependents, in
@@ -1219,7 +1178,7 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                 while let Some(dep) = deps.next(&st.tables.edges) {
                     let e = &mut st.tables.rows[dep];
                     if e.status != Status::Waiting {
-                        continue; // cancelled under us by a failure cone
+                        continue; // failed under us by another producer's cascade
                     }
                     e.remaining -= 1;
                     if e.remaining == 0 {
@@ -1243,36 +1202,17 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                     format!("task '{name}' panicked: {msg}").into()
                 };
                 row.rare_mut().attempts = attempts;
-                match fault.on_failure {
-                    OnFailure::Fail | OnFailure::Retry => {
-                        // Propagate failure to all transitive dependents
-                        // so that waiters on any downstream output wake
-                        // up and report instead of deadlocking.
-                        let mut frontier = vec![ti];
-                        while let Some(t) = frontier.pop() {
-                            let e = &mut st.tables.rows[t];
-                            e.status = Status::Failed;
-                            e.set_failure(full.clone());
-                            e.job = None;
-                            st.tables.take_dependents_into(t, &mut frontier);
-                        }
-                    }
-                    OnFailure::Ignore => {
-                        // The failure is swallowed: the task counts as
-                        // completed, but its outputs are poisoned and
-                        // everything downstream is cancelled silently.
-                        row.status = Status::Done;
-                        poison_outputs(&mut st.tables, ti, &full);
-                        cancel_dependents(&mut st.tables, ti, &full);
-                    }
-                    OnFailure::CancelSuccessors => {
-                        // The failure stays visible on this task (wait
-                        // on its outputs panics, barrier tolerates it),
-                        // while dependents are cancelled, not failed.
-                        row.status = Status::Failed;
-                        row.set_failure(full.clone());
-                        cancel_dependents(&mut st.tables, ti, &full);
-                    }
+                // Propagate failure to all transitive dependents so
+                // that waiters on any downstream output wake up and
+                // report instead of deadlocking.
+                let mut frontier = vec![ti];
+                while let Some(t) = frontier.pop() {
+                    let e = &mut st.tables.rows[t];
+                    e.status = Status::Failed;
+                    e.set_failure(full.clone());
+                    e.job = None;
+                    let mut deps = st.tables.take_dependents(t);
+                    frontier.extend(std::iter::from_fn(|| deps.next(&st.tables.edges)));
                 }
             }
         }
@@ -1289,34 +1229,6 @@ fn panic_message(e: &(dyn Any + Send)) -> String {
         .map(|s| s.to_string())
         .or_else(|| e.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "task panicked".to_string())
-}
-
-/// Poisons every output of task `t` with `reason`.
-fn poison_outputs(t: &mut Tables, task: usize, reason: &Arc<str>) {
-    let row = &t.rows[task];
-    for d in row.out_first..row.out_first + u64::from(row.out_len) {
-        t.data[d as usize].slot = Slot::Poisoned(reason.clone());
-    }
-}
-
-/// Cancels every transitive dependent of `origin` that has not yet run:
-/// status [`Status::Cancelled`], body dropped, outputs poisoned with
-/// `reason` (so later submissions reading them cancel in place too).
-/// Dropped bodies leak their `pending_reads` registrations — harmless:
-/// later INOUT consumers just fall back to the copy path.
-fn cancel_dependents(t: &mut Tables, origin: usize, reason: &Arc<str>) {
-    let mut frontier = Vec::new();
-    t.take_dependents_into(origin, &mut frontier);
-    while let Some(idx) = frontier.pop() {
-        let e = &mut t.rows[idx];
-        if !matches!(e.status, Status::Waiting | Status::Ready) {
-            continue; // finished, failed, or already cancelled
-        }
-        e.status = Status::Cancelled;
-        e.job = None;
-        t.take_dependents_into(idx, &mut frontier);
-        poison_outputs(t, idx, reason);
-    }
 }
 
 /// Fluent builder for a task submission; created by [`Runtime::task`].
@@ -1386,23 +1298,15 @@ impl<'rt> TaskBuilder<'rt> {
     }
 
     /// Makes the task retryable under the given policy (implies
-    /// [`OnFailure::Retry`]): a panicking attempt is
-    /// re-run, up to `policy.max_attempts` total, with deterministic
-    /// exponential backoff between attempts. The COMPSs
-    /// `on_failure=RETRY` equivalent.
+    /// [`OnFailure::Retry`], the one alternative to the default
+    /// [`OnFailure::Fail`]): a panicking attempt is re-run, up to
+    /// `policy.max_attempts` total, with deterministic exponential
+    /// backoff between attempts (COMPSs `on_failure=RETRY`).
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.fault = TaskFault {
             on_failure: OnFailure::Retry,
             retry: policy,
         };
-        self
-    }
-
-    /// Sets the failure policy (COMPSs `on_failure` equivalent). For
-    /// [`OnFailure::Retry`] prefer [`TaskBuilder::retry`], which also
-    /// carries the attempt budget.
-    pub fn on_failure(mut self, policy: OnFailure) -> Self {
-        self.fault.on_failure = policy;
         self
     }
 
@@ -2144,11 +2048,10 @@ mod tests {
 
     #[test]
     fn failure_cascades_over_pages_of_dependents_keep_every_record() {
-        // Two failing tasks, each with more than a page of dependents
-        // registered before it runs (a gate holds them back): the `Fail`
-        // cascade fails every dependent, `CancelSuccessors` cancels
-        // them. The tables are push-only, so the trace keeps every
-        // record.
+        // A failing task with more than a page of dependents registered
+        // before it runs (a gate holds them back): the cascade fails
+        // every dependent. The tables are push-only, so the trace keeps
+        // every record.
         use crate::arena::PAGE;
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let fan = PAGE + 8;
@@ -2159,15 +2062,8 @@ mod tests {
             0u64
         });
         let fail = rt.task("fail").run1(gate, |_| -> u64 { panic!("kaboom") });
-        let cancel = rt
-            .task("cancel")
-            .on_failure(OnFailure::CancelSuccessors)
-            .run1(gate, |_| -> u64 { panic!("kaboom") });
         let failed: Vec<Handle<u64>> = (0..fan)
             .map(|_| rt.task("fail_dep").run1(fail, |v| *v))
-            .collect();
-        let cancelled: Vec<Handle<u64>> = (0..fan)
-            .map(|_| rt.task("cancel_dep").run1(cancel, |v| *v))
             .collect();
         tx.send(()).expect("release gate");
 
@@ -2175,25 +2071,20 @@ mod tests {
             let e = r.expect_err("must panic");
             e.downcast_ref::<String>().expect("string panic").clone()
         };
-        let caught = |h: Handle<u64>| {
-            msg(catch_unwind(AssertUnwindSafe(|| {
-                rt.peek(h);
-            })))
-        };
         let barrier = msg(catch_unwind(AssertUnwindSafe(|| rt.barrier())));
         assert!(barrier.contains("task 'fail'"), "{barrier}");
         assert!(barrier.contains("failed before barrier"), "{barrier}");
-        let last_failed = caught(*failed.last().unwrap());
+        let last_failed = msg(catch_unwind(AssertUnwindSafe(|| {
+            rt.peek(*failed.last().unwrap());
+        })));
         assert!(
             last_failed.contains("dependency task failed"),
             "{last_failed}"
         );
-        let last_cancelled = caught(*cancelled.last().unwrap());
-        assert!(last_cancelled.contains("poisoned"), "{last_cancelled}");
 
-        // gate + 2 failing tasks + 2 fans + the two barrier markers.
+        // gate + the failing task + its fan + the two barrier markers.
         let trace = rt.finish();
-        assert_eq!(trace.records.len(), 3 + 2 * fan + 2);
+        assert_eq!(trace.records.len(), 2 + fan + 2);
         for (i, r) in trace.records.iter().enumerate() {
             assert_eq!(r.id, TaskId(i as u64), "records out of id order");
         }
@@ -2202,6 +2093,6 @@ mod tests {
             .iter()
             .filter(|r| r.name.ends_with("_dep"))
             .all(|r| !r.ran()));
-        assert_eq!(rt.stats().cancelled, fan as u64);
+        assert_eq!(rt.stats().total_tasks(), 2);
     }
 }

@@ -64,11 +64,6 @@ pub(crate) enum Slot {
     /// and the simulator still see transfer sizes. Reading a moved
     /// datum is a contract violation and fails loudly.
     Moved(usize),
-    /// The value will never materialize: its producer failed under
-    /// [`OnFailure::Ignore`] or was cancelled. `barrier` tolerates
-    /// poisoned data; `wait`/`peek` on it panics with the recorded
-    /// reason.
-    Poisoned(Arc<str>),
 }
 
 /// Per-datum entry, indexed by `DataId`.
@@ -95,11 +90,12 @@ impl DataEntry {
     }
 
     /// The datum's byte size; `0` until it materializes, and forever
-    /// when it is poisoned. Set once, so it never changes after that.
+    /// when its producer failed. Set once, so it never changes after
+    /// that.
     pub fn bytes(&self) -> usize {
         match self.slot {
             Slot::Ready(_, b) | Slot::Moved(b) => b,
-            Slot::Pending | Slot::Poisoned(_) => 0,
+            Slot::Pending => 0,
         }
     }
 }
@@ -110,15 +106,11 @@ pub(crate) enum Status {
     Waiting,
     /// All dependencies done; queued (or about to be) for execution.
     Ready,
-    /// Completed successfully (or failed under [`OnFailure::Ignore`],
-    /// in which case the outputs are poisoned). Markers are born here.
+    /// Completed successfully. Markers are born here.
     Done,
-    /// Panicked, or depends (transitively) on a task that did.
+    /// Panicked on its last attempt, or depends (transitively) on a
+    /// task that did; its outputs never materialize.
     Failed,
-    /// Never ran: an upstream task failed under [`OnFailure::Ignore`]
-    /// or [`OnFailure::CancelSuccessors`]. Terminal for `barrier`;
-    /// outputs are poisoned.
-    Cancelled,
 }
 
 /// A task body, held while the task waits on dependencies. Its
@@ -175,9 +167,8 @@ pub(crate) struct Row {
     dep_tail: u32,
     pub worker: i32,
     pub status: Status,
-    /// Declared failure policy; decides whether a recorded failure is
-    /// fatal to `barrier` ([`OnFailure::Fail`]/[`OnFailure::Retry`])
-    /// or tolerated ([`OnFailure::CancelSuccessors`]).
+    /// Declared failure policy: with [`Rare::retry`], the attempts the
+    /// task gets; a failed [`OnFailure::Retry`] row is a give-up.
     pub on_failure: OnFailure,
 }
 
@@ -371,15 +362,6 @@ impl Tables {
         row.dep_head = NONE;
         row.dep_tail = NONE;
         Dependents(head)
-    }
-
-    /// [`Tables::take_dependents`], appended to `frontier` in push
-    /// order (the failure cascades' worklist).
-    pub fn take_dependents_into(&mut self, owner: usize, frontier: &mut Vec<usize>) {
-        let mut deps = self.take_dependents(owner);
-        while let Some(dep) = deps.next(&self.edges) {
-            frontier.push(dep);
-        }
     }
 
     /// Builds every record, in task-id order. What the rows do not

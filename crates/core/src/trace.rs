@@ -142,7 +142,7 @@ impl TaskRecord {
 
     /// Whether a body executed for this record: an executor stamped it
     /// (`__split` helpers included), as opposed to a sync/barrier
-    /// marker or a task failed or cancelled before it could run.
+    /// marker or a task failed with its producer before it ran.
     pub fn ran(&self) -> bool {
         self.name != SYNC_TASK
             && self.name != BARRIER_TASK

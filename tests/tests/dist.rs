@@ -389,38 +389,6 @@ fn retry_budget_exhaustion_names_task_and_attempts() {
     rt.shutdown();
 }
 
-/// `dist` does not poison or cancel successors, so a plan over an
-/// `Ignore` or `CancelSuccessors` kind is refused before any task runs,
-/// inline and distributed alike, with an error naming the kind and its
-/// policy.
-#[test]
-fn unimplemented_failure_policies_are_refused_before_any_task_runs() {
-    for policy in [OnFailure::Ignore, OnFailure::CancelSuccessors] {
-        let calls = Arc::new(AtomicU32::new(0));
-        let mut reg = KindRegistry::new();
-        let c = Arc::clone(&calls);
-        reg.register_with("lenient", policy, RetryPolicy::default(), move |_| {
-            c.fetch_add(1, Ordering::SeqCst);
-            Ok(WireValue::Unit)
-        });
-        let reg = Arc::new(reg);
-        let mut plan = Plan::new();
-        let out = plan.task("lenient", &[]);
-        plan.mark_output(out);
-        let named = |err: String| {
-            assert!(
-                err.contains("lenient") && err.contains(&format!("{policy:?}")),
-                "unnamed refusal: {err}"
-            );
-        };
-        named(plan.run_inline(&reg).expect_err("inline run accepted"));
-        let mut rt = DistRuntime::launch_threads(DistConfig::with_workers(1), &reg).unwrap();
-        named(rt.run(&plan, &reg).err().expect("dist run accepted"));
-        rt.shutdown();
-        assert_eq!(calls.load(Ordering::SeqCst), 0, "{policy:?}: a task ran");
-    }
-}
-
 /// The distributed PCA pipeline is bit-identical to the inline oracle
 /// across worker counts — the end-to-end property CI's `dist` job
 /// gates in process mode, checked here in thread mode.

@@ -2,13 +2,12 @@
 //! waiter with context — in inline mode, in threaded mode, through
 //! dependency chains, and inside nested runtimes — never deadlock.
 //!
-//! The second half exercises the COMPSs-style failure-management
-//! policies: `Retry` (with deterministic seeded fault injection),
-//! `Ignore` (poisoned outputs, barrier passes), and `CancelSuccessors`
-//! (failure scoped to the dependency cone).
+//! The second half exercises `Retry`, the one COMPSs-style policy a
+//! task opts into besides the default `Fail`, with deterministic
+//! seeded fault injection.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use taskrt::{FaultPlan, OnFailure, RetryPolicy, Runtime};
+use taskrt::{FaultPlan, RetryPolicy, Runtime};
 
 #[test]
 #[should_panic(expected = "boom-inline")]
@@ -154,49 +153,6 @@ fn retry_exhaustion_reports_attempt_count() {
 }
 
 #[test]
-fn ignore_policy_poisons_output_and_passes_barrier() {
-    let rt = Runtime::threaded(2);
-    let a = rt.put(1u64);
-    let bad = rt
-        .task("optional")
-        .on_failure(OnFailure::Ignore)
-        .run1(a, |_| -> u64 { panic!("optional stage failed") });
-    let dependent = rt.task("dep").run1(bad, |v| v + 1);
-    let ok = rt.task("good").run1(a, |v| v * 2);
-    rt.barrier(); // an Ignored failure must not be fatal here
-    assert_eq!(*rt.wait(ok), 2);
-    // Consuming the poisoned output is an error at the waiter.
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        let _ = rt.wait(dependent);
-    }));
-    assert!(caught.is_err(), "waiting on a poisoned result must fail");
-    let stats = rt.stats();
-    assert!(stats.poisoned >= 1, "ignored task's outputs are poisoned");
-    assert!(stats.cancelled >= 1, "its dependents are cancelled");
-}
-
-#[test]
-fn cancel_successors_scopes_failure_to_the_cone() {
-    let rt = Runtime::threaded(2);
-    let a = rt.put(1u64);
-    let bad = rt
-        .task("src")
-        .on_failure(OnFailure::CancelSuccessors)
-        .run1(a, |_| -> u64 { panic!("cone-origin") });
-    let mid = rt.task("mid").run1(bad, |v| v + 1);
-    let tail = rt.task("tail").run1(mid, |v| v + 1);
-    let ok = rt.task("good").run1(a, |v| v + 41);
-    rt.barrier(); // the cancelled cone must not fail the barrier
-    assert_eq!(*rt.wait(ok), 42);
-    // But waiting into the cone surfaces the failure.
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        let _ = rt.wait(tail);
-    }));
-    assert!(caught.is_err(), "cancelled successors must not yield data");
-    assert!(rt.stats().cancelled >= 2, "mid and tail both cancelled");
-}
-
-#[test]
 fn failed_trace_is_still_inspectable() {
     let rt = Runtime::threaded(2);
     let a = rt.put(1u64);
@@ -204,7 +160,7 @@ fn failed_trace_is_still_inspectable() {
     let _good = rt.task("good").run1(a, |v| *v);
     // Wait on the good one; give the bad one time to fail.
     let _ = rt.wait(_good);
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let caught = catch_unwind(AssertUnwindSafe(|| {
         let _ = rt.wait(bad);
     }));
     assert!(caught.is_err());

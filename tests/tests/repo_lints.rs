@@ -1781,12 +1781,22 @@ const UNCALLED_PUB_ITEMS: [(&str, &str, &str); 4] = [
 /// What "Every pub item has a caller" rejects anywhere under
 /// [`UNSHIPPED_PATHS`], comments included: the wall-clock attempt
 /// timeout, the stall fault that fed it, and the knob that ran nested
-/// children on threads. No caller set any of them.
-const UNSHIPPED: [&str; 4] = [
+/// children on threads; and the two failure policies besides `Fail`
+/// and `Retry`, with the poisoned slot, the cancelled status and the
+/// two cascades only they ran. No shipped caller set any of them. The
+/// kept `RuntimeStats::{poisoned, cancelled}` fields and lock-poisoning
+/// text do not match.
+const UNSHIPPED: [&str; 10] = [
     concat!("attempt", "_timeout"),
     concat!("stall", "_kind"),
     concat!("Fault", "Mode"),
     concat!("nested", "_mode"),
+    concat!("Cancel", "Successors"),
+    concat!("OnFailure::", "Ignore"),
+    concat!("Poisoned", "("),
+    concat!("Status::", "Cancelled"),
+    concat!("poison", "_outputs"),
+    concat!("cancel", "_dependents"),
 ];
 
 /// The trees [`UNSHIPPED`] applies to.
@@ -2028,6 +2038,11 @@ fn every_pub_fn_has_a_caller_fires_on_planted_violations() {
              pub const LIMIT: usize = 4;\npub(super) const HELLO: u8 = 0;\npub mod x;",
         ),
         src("tests/tests/y.rs", "let r: Report = run(LIMIT);"),
+        src(
+            "crates/core/src/dist/driver.rs",
+            "// A poisoned lock: PoisonError::into_inner\n\
+             let n = s.poisoned + s.cancelled;\n.expect(STORE_POISONED);",
+        ),
     ];
     let allow = [
         ("crates/core/src/json.rs", "is_null", "planted"),

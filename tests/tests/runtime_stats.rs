@@ -1,6 +1,7 @@
 //! `RuntimeStats` against known answers: every count field pinned on
 //! deterministic inline DAGs (the golden test), the same failing DAG
-//! counted alike by the inline and the threaded executor, and
+//! counted alike, with the same outcome per task, by the inline and the
+//! threaded executor on 1, 2 and 4 workers, and
 //! `stats()` / `trace()` read from a second thread while a threaded DAG
 //! runs.
 
@@ -8,7 +9,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
-use taskrt::{FaultPlan, Handle, OnFailure, Payload, RetryPolicy, Runtime, RuntimeStats};
+use taskrt::{FaultPlan, Handle, RetryPolicy, Runtime, RuntimeStats};
 
 /// The count fields of `s`: the four measured times are zeroed, so two
 /// runs of one DAG compare equal.
@@ -20,13 +21,6 @@ fn counts(s: &RuntimeStats) -> RuntimeStats {
         run_s: 0.0,
         ..s.clone()
     }
-}
-
-/// Blocks until the producer of `h` is finished, failed or cancelled;
-/// the panic `wait` raises for a failed or poisoned datum is the
-/// expected outcome here and is swallowed.
-fn settle<T: Payload>(rt: &Runtime, h: Handle<T>) {
-    let _ = catch_unwind(AssertUnwindSafe(|| rt.wait(h)));
 }
 
 /// Four leaves fanned into one `run_many`, then an INOUT chain of five
@@ -56,13 +50,15 @@ fn fan_in_and_inout_chain(rt: &Runtime) {
     assert_eq!(held[0], 5.0);
 }
 
-/// Every failure path once, each on tasks whose counts do not depend
-/// on when the executor runs them: a retry that succeeds, a retry that
-/// gives up (and a dependent that inherits its failure), an
-/// `OnFailure::Ignore` task with a two-task cone behind it, a task
-/// submitted onto the poisoned output after it settled, a
-/// `CancelSuccessors` task, and an INOUT task whose body panics once
-/// after taking its argument. Returns after every task has settled.
+/// Every failure path once: a retry that succeeds, a retry that gives
+/// up with one dependent submitted before the give-up and one after
+/// it, and an INOUT task whose first attempt panics after taking its
+/// argument. No task waits for a failure before it is submitted
+/// behind it. On a threaded runtime a gate holds the doomed task back
+/// until its first dependent is registered; an inline runtime runs
+/// every task at submission, so its gate is open from the start and
+/// both dependents arrive after the give-up. Returns after every task
+/// has settled.
 fn failing_dag(rt: &Runtime) {
     rt.set_fault_plan(Some(
         FaultPlan::new(7)
@@ -72,24 +68,23 @@ fn failing_dag(rt: &Runtime) {
     let quick = |n| RetryPolicy::new(n).backoff(0.0, 1.0);
     let x = rt.put(1u64);
     let flaky = rt.task("flaky").retry(quick(3)).run1(x, |v| v + 1);
-    let doomed = rt.task("doomed").retry(quick(2)).run1(x, |v| v + 1);
-    let after_doomed = rt.task("after_doomed").run1(doomed, |v| v + 1);
 
-    let ignored = rt
-        .task("optional")
-        .on_failure(OnFailure::Ignore)
-        .run1(x, |_| -> u64 { panic!("optional stage failed") });
-    let mid = rt.task("mid").run1(ignored, |v| v + 1);
-    let tail = rt.task("tail").run1(mid, |v| v + 1);
-    settle(rt, ignored);
-    let late = rt.task("late").run1(ignored, |v| v + 1);
-
-    let src = rt
-        .task("src")
-        .on_failure(OnFailure::CancelSuccessors)
-        .run1(x, |_| -> u64 { panic!("cone origin") });
-    settle(rt, src);
-    let after_src = rt.task("after_src").run1(src, |v| v + 1);
+    let (open, gate_rx) = mpsc::channel::<()>();
+    let inline = rt.stats().worker_tasks.is_empty();
+    if inline {
+        open.send(()).expect("open the gate");
+    }
+    let gate = rt.task("gate").run1(x, move |v| {
+        gate_rx.recv().expect("gate release");
+        *v
+    });
+    let doomed = rt.task("doomed").retry(quick(2)).run1(gate, |v| v + 1);
+    let before = rt.task("before_giveup").run1(doomed, |v| v + 1);
+    let _ = open.send(());
+    while rt.stats().giveups == 0 {
+        std::thread::yield_now();
+    }
+    let after = rt.task("after_giveup").run1(doomed, |v| v + 1);
 
     let buf = rt.put(vec![0.0f64; 8]);
     let mut calls = 0;
@@ -102,22 +97,12 @@ fn failing_dag(rt: &Runtime) {
                 v[0] += 1.0;
             });
 
-    for h in [
-        flaky,
-        doomed,
-        after_doomed,
-        ignored,
-        mid,
-        tail,
-        late,
-        src,
-        after_src,
-    ] {
-        settle(rt, h);
-    }
-    settle(rt, retried_inout);
     assert_eq!(*rt.wait(flaky), 2);
     assert_eq!(rt.wait(retried_inout)[0], 1.0);
+    for h in [doomed, before, after] {
+        let got = catch_unwind(AssertUnwindSafe(|| rt.peek(h)));
+        assert!(got.is_err(), "a task behind the give-up produced a value");
+    }
 }
 
 /// A nested task: the parent counts the one task; the child runtime's
@@ -153,13 +138,11 @@ fn golden_counts_on_inline_dags() {
     assert_eq!(
         run(failing_dag),
         RuntimeStats {
-            driver_tasks: 5,
-            queued_tasks: 5,
+            driver_tasks: 4,
+            queued_tasks: 4,
             inout_copies: 2,
             retries: 4,
             giveups: 1,
-            poisoned: 1,
-            cancelled: 3,
             ..RuntimeStats::default()
         }
     );
@@ -181,16 +164,24 @@ fn golden_counts_on_inline_dags() {
 
 #[test]
 fn threaded_executor_counts_the_failing_dag_like_inline() {
-    let run = |rt: Runtime| {
+    type Outcome = (String, bool, usize, Option<String>);
+    let run = |rt: Runtime| -> (RuntimeStats, Vec<Outcome>) {
         failing_dag(&rt);
         let s = rt.stats();
-        let ran = rt.trace().records.iter().filter(|r| r.ran()).count() as u64;
+        let trace = rt.trace();
+        let ran = trace.records.iter().filter(|r| r.ran()).count() as u64;
         assert_eq!(s.worker_tasks.iter().sum::<u64>() + s.driver_tasks, ran);
-        s
+        let outcomes = trace
+            .records
+            .iter()
+            .filter(|r| !r.is_marker())
+            .map(|r| {
+                let error = r.attempts.last().and_then(|a| a.error.clone());
+                (r.name.clone(), r.ran(), r.attempts.len(), error)
+            })
+            .collect();
+        (s, outcomes)
     };
-    let inline = run(Runtime::new());
-    let threaded = run(Runtime::threaded(2));
-    assert_eq!(threaded.worker_tasks.len(), 2);
     let key = |s: &RuntimeStats| {
         (
             s.total_tasks(),
@@ -201,7 +192,14 @@ fn threaded_executor_counts_the_failing_dag_like_inline() {
             s.inout_steals + s.inout_copies,
         )
     };
-    assert_eq!(key(&threaded), key(&inline));
+    let (inline, inline_outcomes) = run(Runtime::new());
+    assert_eq!(inline_outcomes.len(), 6);
+    for workers in [1, 2, 4] {
+        let (threaded, outcomes) = run(Runtime::threaded(workers));
+        assert_eq!(threaded.worker_tasks.len(), workers);
+        assert_eq!(key(&threaded), key(&inline), "{workers} workers");
+        assert_eq!(outcomes, inline_outcomes, "{workers} workers");
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@ use dsarray::DsArray;
 use integration_tests::tiny_dataset;
 use taskrt::obs::divergence;
 use taskrt::sim::{simulate, ClusterSpec, Policy, SimOptions};
-use taskrt::{FaultPlan, OnFailure, Runtime, Trace};
+use taskrt::{FaultPlan, Runtime, Trace};
 
 /// A small mixed workload: blocked column sums + an explicit task
 /// cascade, enough to exercise queueing, continuations and driver help.
@@ -87,14 +87,12 @@ fn retries_are_journaled() {
 fn failed_task_records_its_error_and_cancelled_successors_never_run() {
     let rt = Runtime::threaded(2);
     let x = rt.put(1u64);
-    let bad = rt
-        .task("bad")
-        .on_failure(OnFailure::CancelSuccessors)
-        .run1(x, |_| -> u64 { panic!("boom") });
+    let bad = rt.task("bad").run1(x, |_| -> u64 { panic!("boom") });
     let _ = rt.task("after").run1(bad, |v| v + 1);
     let ok = rt.task("ok").run1(x, |v| v + 1);
     assert_eq!(*rt.wait(ok), 2);
-    rt.barrier();
+    let barrier = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.barrier()));
+    assert!(barrier.is_err(), "the failure is fatal to the barrier");
     let trace = rt.trace();
     let mut ends: Vec<(&str, bool)> = trace
         .records
@@ -106,7 +104,7 @@ fn failed_task_records_its_error_and_cancelled_successors_never_run() {
         })
         .collect();
     ends.sort();
-    // `after` was cancelled before it could run: it has no ran record.
+    // `after` failed with `bad` before it could run: it has no ran record.
     assert_eq!(ends, [("bad", true), ("ok", false)]);
     assert_eq!(retried_attempts(&trace), 0);
 }
