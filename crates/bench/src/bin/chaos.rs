@@ -28,7 +28,7 @@ use taskrt::fault::INJECTED_PANIC;
 use taskrt::json::Value;
 use taskrt::{FaultPlan, RetryPolicy, Runtime};
 
-/// Kinds the workload submits with a `Retry` policy — the injection
+/// Kinds the workload submits with a retrying policy — the injection
 /// targets. Non-retryable kinds (loads, INOUT reductions) must stay
 /// healthy or the workflow would correctly fail.
 const RETRYABLE_KINDS: &[&str] = &["ds_colsum", "ds_gram", "chaos_reduce"];
@@ -64,7 +64,7 @@ fn input_matrix(rows: usize, cols: usize) -> Matrix {
 }
 
 /// The workload under test: block the matrix, take column sums and the
-/// Gram matrix (both submit `Retry` tasks), then tree-reduce per-band
+/// Gram matrix (both submit retrying tasks), then tree-reduce per-band
 /// traces of the Gram partials, under the fault `plan` if any.
 /// Returns `(result bits, total tasks, counter retries, retried
 /// attempts)` — the last counted from the trace's attempt records,
@@ -82,7 +82,7 @@ fn run_workload(
     let dist = DsArray::from_matrix(&rt, &m, bs, bs);
     let sums = dist.col_sums(&rt);
     let gram = dist.gram(&rt);
-    // An extra explicit Retry cascade over per-band row sums.
+    // An extra explicit retrying cascade over per-band row sums.
     let partials: Vec<_> = dist
         .row_bands(&rt)
         .into_iter()
@@ -147,7 +147,7 @@ fn main() {
         let x = rt.put(1.0f64);
         let h = rt
             .task("doomed")
-            .retry(RetryPolicy::new(3).backoff(1e-6, 2.0))
+            .retry(RetryPolicy::new(3).backoff(1e-6))
             .run1(x, |v| v + 1.0);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = rt.wait(h);

@@ -95,8 +95,8 @@ impl DistConfig {
 pub struct DistStats {
     /// Task executions that completed (re-executions included).
     pub tasks_run: u64,
-    /// Body-failure retries granted by kind [`crate::OnFailure::Retry`]
-    /// policies.
+    /// Body-failure retries granted by kinds registered with a
+    /// [`crate::RetryPolicy`] of more than one attempt.
     pub retries: u64,
     /// Completed tasks re-executed because every replica of their
     /// output died (lineage rollback).
@@ -591,7 +591,7 @@ fn serve_connection(mut conn: UnixStream, ctx: ConnCtx) {
 mod tests {
     use super::*;
     use crate::dist::plan::fingerprint;
-    use crate::fault::{OnFailure, RetryPolicy};
+    use crate::fault::RetryPolicy;
     use crate::handle::TaskId;
 
     fn arith_registry() -> Arc<KindRegistry> {
@@ -730,31 +730,29 @@ mod tests {
     #[test]
     fn retry_policy_recovers_flaky_kind() {
         use std::sync::atomic::{AtomicU32, Ordering};
-        let mut reg = KindRegistry::new();
         let hits = Arc::new(AtomicU32::new(0));
+        let mut reg = KindRegistry::new();
         let h = Arc::clone(&hits);
-        reg.register_with(
-            "flaky_once",
-            OnFailure::Retry,
-            RetryPolicy {
-                backoff_base_s: 0.01,
-                ..RetryPolicy::new(3)
-            },
-            move |_| {
-                if h.fetch_add(1, Ordering::SeqCst) == 0 {
-                    Err("first attempt always fails".into())
-                } else {
-                    Ok(WireValue::U64(7))
-                }
-            },
-        );
+        reg.register_with("flaky_once", RetryPolicy::new(3).backoff(0.01), move |_| {
+            if h.fetch_add(1, Ordering::SeqCst) == 0 {
+                Err("first attempt always fails".into())
+            } else {
+                Ok(WireValue::U64(7))
+            }
+        });
         let reg = Arc::new(reg);
         let mut p = Plan::new();
         let out = p.task("flaky_once", &[]);
         p.mark_output(out);
+        // The inline oracle retries as the driver does: same output,
+        // same two attempts.
+        let inline = p.run_inline(&reg).unwrap();
+        assert_eq!(hits.swap(0, Ordering::SeqCst), 2, "inline attempts");
         let mut rt = DistRuntime::launch_threads(DistConfig::with_workers(1), &reg).unwrap();
         let report = rt.run(&p, &reg).unwrap();
         assert_eq!(report.outputs[&out].as_u64(), 7);
+        assert_eq!(fingerprint(&report.outputs), fingerprint(&inline));
+        assert_eq!(hits.load(Ordering::SeqCst), 2, "distributed attempts");
         assert_eq!(report.stats.retries, 1);
         // The failed attempt is stamped on arrival of its `Failed`
         // frame: after the epoch and no later than the retry's start.

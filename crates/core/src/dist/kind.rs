@@ -8,13 +8,12 @@
 //! data ids. This mirrors how PyCOMPSs ships a decorated function's
 //! module path rather than its bytecode.
 //!
-//! Each kind carries its [`OnFailure`] policy and [`RetryPolicy`] from
-//! [`crate::fault`] — the same vocabulary the threaded runtime uses —
-//! and the driver gives `Fail` and `Retry` their threaded meaning;
-//! [`crate::dist::Plan::validate`] refuses the other two.
+//! Each kind carries its [`RetryPolicy`] from [`crate::fault`] — the
+//! same one value a runtime task carries, with the same meaning: one
+//! attempt is FAIL, more is RETRY.
 
 use super::wire::WireValue;
-use crate::fault::{OnFailure, RetryPolicy};
+use crate::fault::RetryPolicy;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -39,9 +38,7 @@ pub struct Kind {
     pub f: KindFn,
     /// What the driver does when the body itself fails (worker death is
     /// handled separately by lineage re-execution).
-    pub on_failure: OnFailure,
-    /// Attempt budget / backoff when `on_failure` is [`OnFailure::Retry`].
-    pub retry: RetryPolicy,
+    pub policy: RetryPolicy,
 }
 
 /// Name → behaviour table, identical in every process of a cluster.
@@ -55,16 +52,16 @@ impl KindRegistry {
         Self::default()
     }
 
-    /// Registers a kind with the default fail-fast policy.
+    /// Registers a kind with one attempt (fail fast).
     pub fn register<F>(&mut self, name: &str, f: F)
     where
         F: Fn(&[Arc<WireValue>]) -> Result<WireValue, String> + Send + Sync + 'static,
     {
-        self.register_with(name, OnFailure::Fail, RetryPolicy::default(), f);
+        self.register_with(name, RetryPolicy::new(1), f);
     }
 
-    /// Registers a kind with an explicit fault policy.
-    pub fn register_with<F>(&mut self, name: &str, on_failure: OnFailure, retry: RetryPolicy, f: F)
+    /// Registers a kind with an explicit failure policy.
+    pub fn register_with<F>(&mut self, name: &str, policy: RetryPolicy, f: F)
     where
         F: Fn(&[Arc<WireValue>]) -> Result<WireValue, String> + Send + Sync + 'static,
     {
@@ -72,8 +69,7 @@ impl KindRegistry {
             name.to_string(),
             Kind {
                 f: Arc::new(f),
-                on_failure,
-                retry,
+                policy,
             },
         );
         assert!(prev.is_none(), "kind '{name}' registered twice");
@@ -127,16 +123,14 @@ mod tests {
         reg.register("double", |ins| {
             Ok(WireValue::F64(ins[0].as_u64() as f64 * 2.0))
         });
-        reg.register_with("flaky", OnFailure::Retry, RetryPolicy::new(5), |_| {
-            Err("boom".into())
-        });
+        reg.register_with("flaky", RetryPolicy::new(5), |_| Err("boom".into()));
         let out = reg
             .invoke("double", &[Arc::new(WireValue::U64(21))])
             .unwrap();
         assert_eq!(out, WireValue::F64(42.0));
         assert_eq!(reg.invoke("flaky", &[]), Err("boom".into()));
-        assert_eq!(reg.get("flaky").unwrap().on_failure, OnFailure::Retry);
-        assert_eq!(reg.get("flaky").unwrap().retry.max_attempts, 5);
+        assert_eq!(reg.get("flaky").unwrap().policy, RetryPolicy::new(5));
+        assert_eq!(reg.get("double").unwrap().policy, RetryPolicy::new(1));
         assert!(reg.invoke("missing", &[]).unwrap_err().contains("missing"));
     }
 

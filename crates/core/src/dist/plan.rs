@@ -4,13 +4,15 @@
 //! kinds: seeded data, tasks (kind name + input data ids + one output
 //! id), and which data ids the caller wants back. The same plan runs
 //! three ways — inline in the driver ([`Plan::run_inline`], the
-//! bit-identity oracle), distributed across worker processes
+//! bit-identity oracle, under each kind's failure policy as the
+//! driver applies it), distributed across worker processes
 //! ([`crate::dist::DistRuntime::run`]), and replayed in the DES (via
 //! the [`crate::Trace`] a distributed run records) — which is what lets
 //! CI gate `distributed == inline` and `measured ≈ simulated`.
 
 use super::kind::KindRegistry;
 use super::wire::WireValue;
+use crate::fault::give_up_message;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -114,8 +116,10 @@ impl Plan {
     }
 
     /// Executes the plan serially in-process — the reference the
-    /// distributed run must match bit for bit. Returns the marked
-    /// outputs (all data if none were marked).
+    /// distributed run must match bit for bit. A failed task is retried
+    /// as its kind's policy says, after the same backoff, and a give-up
+    /// fails the run with the driver's text. Returns the marked outputs
+    /// (all data if none were marked).
     pub fn run_inline(&self, reg: &KindRegistry) -> Result<BTreeMap<u64, Arc<WireValue>>, String> {
         self.validate(reg)?;
         let mut store: BTreeMap<u64, Arc<WireValue>> = BTreeMap::new();
@@ -128,9 +132,20 @@ impl Plan {
                 .iter()
                 .map(|d| Arc::clone(store.get(d).expect("validated")))
                 .collect();
-            let out = reg
-                .invoke(&t.kind, &inputs)
-                .map_err(|e| format!("task {i} ('{}') failed inline: {e}", t.kind))?;
+            let policy = reg.get(&t.kind).expect("validated").policy;
+            let mut failed = 0;
+            let out = loop {
+                match reg.invoke(&t.kind, &inputs) {
+                    Ok(out) => break out,
+                    Err(e) => {
+                        failed += 1;
+                        let Some(delay) = policy.retry_after(i as u64, failed) else {
+                            return Err(give_up_message(&t.kind, i as u64, failed, &e));
+                        };
+                        std::thread::sleep(std::time::Duration::from_secs_f64(delay));
+                    }
+                }
+            };
             store.insert(t.out, Arc::new(out));
         }
         if self.outputs.is_empty() {

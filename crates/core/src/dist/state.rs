@@ -20,7 +20,7 @@ use super::place::place;
 use super::plan::Plan;
 use super::proto::{InputSpec, Msg};
 use super::wire::WireValue;
-use crate::fault::OnFailure;
+use crate::fault::give_up_message;
 use crate::handle::{DataId, TaskId};
 use crate::trace::{AttemptRecord, TaskRecord, Trace};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -348,7 +348,7 @@ impl<'a> RunState<'a> {
                     return Ok(());
                 };
                 let pt = &plan.tasks[t];
-                let kind = registry.get(&pt.kind).expect("validated at submit");
+                let policy = registry.get(&pt.kind).expect("validated at submit").policy;
                 // `Failed` carries no timing: the attempt is stamped when
                 // its frame is handled (see `AttemptRecord`).
                 self.failed[t].push(AttemptRecord {
@@ -356,15 +356,10 @@ impl<'a> RunState<'a> {
                     duration_s: 0.0,
                     error: Some(error.clone()),
                 });
-                if kind.on_failure != OnFailure::Retry
-                    || self.attempts[t] >= kind.retry.max_attempts
-                {
-                    return Err(format!(
-                        "task {task} ('{}') failed after {} attempts: {error}",
-                        pt.kind, self.attempts[t]
-                    ));
-                }
-                self.not_before[t] = now + kind.retry.backoff_s(task, self.attempts[t]);
+                let Some(delay) = policy.retry_after(task, self.attempts[t]) else {
+                    return Err(give_up_message(&pt.kind, task, self.attempts[t], &error));
+                };
+                self.not_before[t] = now + delay;
                 self.attempts[t] += 1;
                 self.stats.retries += 1;
                 self.tasks[t] = TState::Pending;
@@ -558,6 +553,11 @@ mod tests {
     use super::*;
     use crate::fault::RetryPolicy;
 
+    /// The `flaky` kind's policy.
+    fn flaky_policy() -> RetryPolicy {
+        RetryPolicy::new(2).backoff(0.5)
+    }
+
     const HEARTBEAT_S: f64 = 0.02;
 
     fn registry() -> KindRegistry {
@@ -568,8 +568,7 @@ mod tests {
                 1 + ins.iter().map(|v| v.as_u64()).sum::<u64>(),
             ))
         });
-        let retry = RetryPolicy::new(2).backoff(0.5, 2.0).jitter(0.0, 0);
-        reg.register_with("flaky", OnFailure::Retry, retry, |_| Ok(WireValue::Unit));
+        reg.register_with("flaky", flaky_policy(), |_| Ok(WireValue::Unit));
         reg
     }
 
@@ -751,17 +750,20 @@ mod tests {
         };
         assert!(st.step(failed(), 1.0).unwrap().is_empty());
         assert_eq!(st.stats.retries, 1);
+        // 0.5 s backoff, jittered by at most 10 %.
+        let delay = flaky_policy().retry_after(0, 1).unwrap();
+        assert!((0.45..=0.55).contains(&delay), "{delay}");
         assert!(
-            st.step(Event::Wake, 1.4).unwrap().is_empty(),
-            "0.5 s backoff"
+            st.step(Event::Wake, 1.0 + 0.99 * delay).unwrap().is_empty(),
+            "dispatched inside the backoff"
         );
-        let actions = st.step(Event::Wake, 1.5).unwrap();
+        let actions = st.step(Event::Wake, 1.0 + delay).unwrap();
         assert!(matches!(
             actions[..],
             [Action::Send(0, Msg::Run { attempt: 2, .. })]
         ));
         let err = st.step(failed(), 2.0).unwrap_err();
-        assert_eq!(err, "task 0 ('flaky') failed after 2 attempts: deliberate");
+        assert_eq!(err, "task 'flaky' #0 failed after 2 attempts: deliberate");
     }
 
     #[test]

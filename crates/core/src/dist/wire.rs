@@ -90,14 +90,10 @@ impl From<std::io::Error> for WireError {
 pub enum WireValue {
     /// The unit value (tasks run for effect / markers).
     Unit,
-    Bool(bool),
     U64(u64),
-    I64(i64),
     /// Encoded via `to_bits`, so NaN payloads and `-0.0` round-trip
     /// bit-identically.
     F64(f64),
-    Str(String),
-    Bytes(Vec<u8>),
     /// Dense `f64` vector (column sums, means, explained variance...).
     VecF64(Vec<f64>),
     /// Row-major dense matrix (the ds-array block currency).
@@ -109,14 +105,12 @@ pub enum WireValue {
     List(Vec<WireValue>),
 }
 
+/// Value tags. 1, 3, 5 and 6 belonged to variants no kind sent (bool,
+/// i64, string, bytes); they decode as [`WireError::BadTag`] now.
 mod tag {
     pub(super) const UNIT: u8 = 0;
-    pub(super) const BOOL: u8 = 1;
     pub(super) const U64: u8 = 2;
-    pub(super) const I64: u8 = 3;
     pub(super) const F64: u8 = 4;
-    pub(super) const STR: u8 = 5;
-    pub(super) const BYTES: u8 = 6;
     pub(super) const VEC_F64: u8 = 7;
     pub(super) const MATRIX: u8 = 8;
     pub(super) const LIST: u8 = 9;
@@ -187,12 +181,8 @@ impl WireValue {
     fn decode_nested(src: &mut impl Source, depth: usize) -> Result<WireValue, WireError> {
         Ok(match src.take_u8()? {
             tag::UNIT => WireValue::Unit,
-            tag::BOOL => WireValue::Bool(src.take_u8()? != 0),
             tag::U64 => WireValue::U64(src.take_u64()?),
-            tag::I64 => WireValue::I64(src.take_u64()? as i64),
             tag::F64 => WireValue::F64(src.take_f64()?),
-            tag::STR => WireValue::Str(src.take_str()?),
-            tag::BYTES => WireValue::Bytes(src.take_bytes()?),
             tag::VEC_F64 => {
                 let n = src.take_len()?;
                 WireValue::VecF64(src.take_f64s(n)?)
@@ -246,12 +236,8 @@ impl Encode for WireValue {
     fn encode_to(&self, out: &mut impl Sink) -> io::Result<()> {
         let t = match self {
             WireValue::Unit => tag::UNIT,
-            WireValue::Bool(_) => tag::BOOL,
             WireValue::U64(_) => tag::U64,
-            WireValue::I64(_) => tag::I64,
             WireValue::F64(_) => tag::F64,
-            WireValue::Str(_) => tag::STR,
-            WireValue::Bytes(_) => tag::BYTES,
             WireValue::VecF64(_) => tag::VEC_F64,
             WireValue::Matrix(_) => tag::MATRIX,
             WireValue::List(_) => tag::LIST,
@@ -259,15 +245,8 @@ impl Encode for WireValue {
         out.put_u8(t)?;
         match self {
             WireValue::Unit => Ok(()),
-            WireValue::Bool(b) => out.put_u8(u8::from(*b)),
             WireValue::U64(v) => out.put_u64(*v),
-            WireValue::I64(v) => out.put_u64(*v as u64),
             WireValue::F64(v) => out.put_f64(*v),
-            WireValue::Str(s) => out.put_str(s),
-            WireValue::Bytes(b) => {
-                out.put_u64(b.len() as u64)?;
-                out.put(b)
-            }
             WireValue::VecF64(v) => {
                 out.put_u64(v.len() as u64)?;
                 out.put_f64s(v)
@@ -485,22 +464,16 @@ pub(crate) trait Source {
         Ok(n as usize)
     }
 
-    /// A length, then that many bytes, refused before allocating when
-    /// fewer are left.
-    fn take_bytes(&mut self) -> Result<Vec<u8>, WireError> {
+    /// A length, then that many UTF-8 bytes (anything else is
+    /// `Truncated`), refused before allocating when fewer are left.
+    fn take_str(&mut self) -> Result<String, WireError> {
         let n = self.take_len()?;
         if self.left() < n {
             return Err(WireError::Truncated);
         }
         let mut bytes = vec![0; n];
         self.take_into(&mut bytes)?;
-        Ok(bytes)
-    }
-
-    /// [`Source::take_bytes`] that are UTF-8 (anything else is
-    /// `Truncated`).
-    fn take_str(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.take_bytes()?).map_err(|_| WireError::Truncated)
+        String::from_utf8(bytes).map_err(|_| WireError::Truncated)
     }
 
     /// A count, then that many ids; a count the bytes left cannot hold
@@ -680,13 +653,9 @@ mod tests {
     fn samples() -> Vec<WireValue> {
         vec![
             WireValue::Unit,
-            WireValue::Bool(true),
             WireValue::U64(u64::MAX),
-            WireValue::I64(-42),
             WireValue::F64(-0.0),
             WireValue::F64(f64::NAN),
-            WireValue::Str("αβ task".into()),
-            WireValue::Bytes(vec![0, 255, 7]),
             WireValue::VecF64(vec![1.5, -2.25, f64::INFINITY]),
             WireValue::Matrix(Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f64 / 7.0)),
             WireValue::List(vec![
@@ -759,6 +728,12 @@ mod tests {
             WireValue::decode(&[200]),
             Err(WireError::BadTag(200))
         ));
+        // The tags of the deleted bool, i64, string and bytes variants.
+        for t in [1, 3, 5, 6] {
+            let mut bytes = vec![t];
+            bytes.extend_from_slice(&[0; 16]);
+            assert!(matches!(WireValue::decode(&bytes), Err(WireError::BadTag(b)) if b == t));
+        }
     }
 
     /// Peak virtual memory of this process in KiB (`VmPeak`).

@@ -1,14 +1,21 @@
-//! Fault-tolerance policies and deterministic fault injection.
+//! Fault-tolerance policy and deterministic fault injection.
 //!
 //! COMPSs exposes per-task failure management (`on_failure` in the task
 //! annotation: RETRY, IGNORE, CANCEL_SUCCESSORS, FAIL — see *A
-//! Programming Model for Hybrid Workflows*, PAPERS.md). `taskrt`
-//! implements FAIL ([`OnFailure::Fail`], the default) and RETRY
-//! ([`OnFailure::Retry`], with a [`RetryPolicy`]: attempt budget and
-//! backoff), the two the paper's pipeline runs. IGNORE and
-//! CANCEL_SUCCESSORS are left out so that a task's outcome is a
-//! function of the graph on every executor: it succeeds, or it fails
-//! and so does every reader of its outputs, whenever it was submitted.
+//! Programming Model for Hybrid Workflows*, PAPERS.md). `taskrt` keeps
+//! the two the paper's pipeline runs, and one value says which: a
+//! [`RetryPolicy`] with `max_attempts == 1` is FAIL (what a task without
+//! `.retry` and a kind registered without a policy get), one with more
+//! attempts is RETRY. IGNORE and CANCEL_SUCCESSORS are left out so that
+//! a task's outcome is a function of the graph on every executor: it
+//! succeeds, or it fails and so does every reader of its outputs,
+//! whenever it was submitted.
+//!
+//! Every executor — the inline and threaded runtime, the distributed
+//! driver and [`crate::dist::Plan::run_inline`] — asks
+//! [`RetryPolicy::retry_after`] what a failed attempt leads to and
+//! words a give-up with [`give_up_message`], so the same graph retries
+//! and fails alike, with the same text, on each of them.
 //!
 //! Everything here is deterministic by construction: backoff jitter and
 //! injection decisions are pure functions of a seed and the task's
@@ -23,119 +30,71 @@
 //! A retryable task never INOUT-steals its inputs: a stolen buffer
 //! could not be re-read on attempt two.
 
-/// What the runtime does when a task's final attempt fails
-/// (COMPSs `on_failure` equivalent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OnFailure {
-    /// Fail the workflow: the failure cascades to all transitive
-    /// dependents and surfaces as a panic at the next `wait`/`barrier`.
-    /// This is the pre-fault-tolerance behaviour and the default.
-    #[default]
-    Fail,
-    /// Re-run the task according to its [`RetryPolicy`]; exhausting
-    /// `max_attempts` degenerates to [`OnFailure::Fail`] (with the
-    /// attempt count in the error message).
-    Retry,
-}
+/// Multiplier applied to the backoff per further attempt.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Backoff jitter as a fraction of the delay (±10 %), drawn from
+/// [`JITTER_SEED`], the task id and the attempt.
+const JITTER_FRAC: f64 = 0.1;
+const JITTER_SEED: u64 = 0x5eed_f00d;
 
-/// How a retryable task is resubmitted: attempt budget and exponential
-/// backoff with deterministic seeded jitter. An attempt fails only by
-/// panicking; no rule reads how long it ran.
+/// A task's whole failure policy (COMPSs `on_failure`): the attempt
+/// budget, and the exponential backoff with deterministic jitter
+/// between attempts. One attempt is FAIL; more is RETRY. An attempt
+/// fails only by panicking (or, for a `dist` kind, returning `Err`); no
+/// rule reads how long it ran.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts including the first (>= 1).
     pub max_attempts: u32,
-    /// Backoff before the second attempt, seconds.
+    /// Backoff before the second attempt, seconds; it doubles per
+    /// further attempt.
     pub backoff_base_s: f64,
-    /// Multiplier applied per further attempt.
-    pub backoff_factor: f64,
-    /// Jitter as a fraction of the backoff (`0.1` = ±10%), drawn
-    /// deterministically from `seed`, the task id, and the attempt.
-    pub jitter_frac: f64,
-    /// Seed for the jitter hash.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            backoff_base_s: 1e-3,
-            backoff_factor: 2.0,
-            jitter_frac: 0.1,
-            seed: 0x5eed_f00d,
-        }
-    }
 }
 
 impl RetryPolicy {
-    /// Policy with the given attempt budget and default backoff.
+    /// Policy with the given attempt budget and a 1 ms backoff base.
     pub fn new(max_attempts: u32) -> Self {
         Self {
             max_attempts: max_attempts.max(1),
-            ..Self::default()
+            backoff_base_s: 1e-3,
         }
     }
 
-    /// Sets the backoff curve (base delay and per-attempt multiplier).
-    pub fn backoff(mut self, base_s: f64, factor: f64) -> Self {
+    /// Sets the backoff before the second attempt.
+    pub fn backoff(mut self, base_s: f64) -> Self {
         self.backoff_base_s = base_s.max(0.0);
-        self.backoff_factor = factor.max(1.0);
         self
-    }
-
-    /// Sets the jitter fraction and its seed.
-    pub fn jitter(mut self, frac: f64, seed: u64) -> Self {
-        self.jitter_frac = frac.clamp(0.0, 1.0);
-        self.seed = seed;
-        self
-    }
-
-    /// Backoff before re-running `task` after its `failed_attempts`-th
-    /// failure (1-based). Pure: the same inputs always produce the same
-    /// delay, so retry schedules are replayable under a fixed seed.
-    pub fn backoff_s(&self, task: u64, failed_attempts: u32) -> f64 {
-        if failed_attempts == 0 {
-            return 0.0;
-        }
-        let raw = self.backoff_base_s * self.backoff_factor.powi(failed_attempts as i32 - 1);
-        if self.jitter_frac <= 0.0 {
-            return raw;
-        }
-        let h = splitmix64(
-            self.seed ^ task.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(failed_attempts),
-        );
-        let unit = unit_f64(h); // [0, 1)
-        raw * (1.0 + self.jitter_frac * (2.0 * unit - 1.0))
-    }
-}
-
-/// Per-task failure handling: the policy plus its retry parameters.
-/// The retry parameters only apply when `on_failure` is
-/// [`OnFailure::Retry`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TaskFault {
-    /// What to do when the final attempt fails.
-    pub on_failure: OnFailure,
-    /// Attempt budget and backoff (used only with `Retry`).
-    pub retry: RetryPolicy,
-}
-
-impl TaskFault {
-    /// Total attempts the executor grants this task.
-    pub fn max_attempts(&self) -> u32 {
-        match self.on_failure {
-            OnFailure::Retry => self.retry.max_attempts.max(1),
-            OnFailure::Fail => 1,
-        }
     }
 
     /// Whether a failed attempt may be re-run (affects INOUT dispatch:
     /// a retryable task must keep pristine inputs, so buffer steals are
     /// disabled for it).
     pub fn retryable(&self) -> bool {
-        self.max_attempts() > 1
+        self.max_attempts > 1
     }
+
+    /// What `task`'s `failed_attempts`-th failed attempt (1-based) leads
+    /// to: `Some(delay_s)` — run it again after that many seconds — or
+    /// `None`, give up. Pure: the same inputs always produce the same
+    /// answer, so retry schedules are replayable.
+    pub fn retry_after(&self, task: u64, failed_attempts: u32) -> Option<f64> {
+        if failed_attempts >= self.max_attempts {
+            return None;
+        }
+        let raw = self.backoff_base_s * BACKOFF_FACTOR.powi(failed_attempts as i32 - 1);
+        let h = splitmix64(
+            JITTER_SEED ^ task.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(failed_attempts),
+        );
+        let unit = unit_f64(h); // [0, 1)
+        Some(raw * (1.0 + JITTER_FRAC * (2.0 * unit - 1.0)))
+    }
+}
+
+/// The error a task that gave up fails with, on every executor: its
+/// kind, its id, how many attempts it made and its last attempt's error.
+pub fn give_up_message(kind: &str, task: u64, attempts: u32, error: &str) -> String {
+    let s = if attempts == 1 { "" } else { "s" };
+    format!("task '{kind}' #{task} failed after {attempts} attempt{s}: {error}")
 }
 
 /// Substring identifying panics raised by [`FaultPlan`] injection, so
@@ -240,38 +199,57 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_and_exponential() {
-        let p = RetryPolicy::new(5).backoff(0.1, 2.0).jitter(0.0, 42);
-        assert_eq!(p.backoff_s(7, 1), 0.1);
-        assert_eq!(p.backoff_s(7, 2), 0.2);
-        assert_eq!(p.backoff_s(7, 3), 0.4);
-        // With jitter: still a pure function of (seed, task, attempt).
-        let j = RetryPolicy::new(5).backoff(0.1, 2.0).jitter(0.25, 42);
-        let a = j.backoff_s(7, 2);
-        let b = j.backoff_s(7, 2);
-        assert_eq!(a.to_bits(), b.to_bits(), "jitter must be deterministic");
-        assert!((a - 0.2).abs() <= 0.25 * 0.2 + 1e-12, "jitter bound: {a}");
+        let p = RetryPolicy::new(5).backoff(0.1);
+        for task in [0u64, 7, 8] {
+            for (k, raw) in [(1, 0.1), (2, 0.2), (3, 0.4), (4, 0.8)] {
+                let d = p.retry_after(task, k).expect("within the budget");
+                assert_eq!(d.to_bits(), p.retry_after(task, k).unwrap().to_bits());
+                assert!((d - raw).abs() <= 0.1 * raw + 1e-12, "jitter bound: {d}");
+                // The delay the policy's former jitter fields defaulted
+                // to (factor 2, ±10 %, seed 0x5eed_f00d), bit for bit.
+                let h =
+                    splitmix64(0x5eed_f00d ^ task.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ k as u64);
+                let old = 0.1 * 2f64.powi(k as i32 - 1) * (1.0 + 0.1 * (2.0 * unit_f64(h) - 1.0));
+                assert_eq!(d.to_bits(), old.to_bits());
+            }
+        }
         // Different tasks get different (decorrelated) delays.
-        assert_ne!(j.backoff_s(7, 2).to_bits(), j.backoff_s(8, 2).to_bits());
+        assert_ne!(
+            p.retry_after(7, 2).unwrap().to_bits(),
+            p.retry_after(8, 2).unwrap().to_bits()
+        );
+        assert_eq!(
+            RetryPolicy::new(3).backoff(0.0).retry_after(1, 1),
+            Some(0.0)
+        );
     }
 
     #[test]
     fn default_policy_is_fail_with_one_attempt() {
-        let f = TaskFault::default();
-        assert_eq!(f.on_failure, OnFailure::Fail);
-        assert_eq!(f.max_attempts(), 1);
-        assert!(!f.retryable());
+        let fail = RetryPolicy::new(1);
+        assert!(!fail.retryable());
+        assert_eq!(fail.retry_after(0, 1), None, "FAIL gives up at once");
+        assert_eq!(
+            RetryPolicy::new(0),
+            fail,
+            "a budget is at least one attempt"
+        );
     }
 
     #[test]
     fn retry_grants_attempts_only_under_retry_policy() {
-        let mut f = TaskFault {
-            on_failure: OnFailure::Fail,
-            retry: RetryPolicy::new(4),
-        };
-        assert_eq!(f.max_attempts(), 1);
-        f.on_failure = OnFailure::Retry;
-        assert_eq!(f.max_attempts(), 4);
-        assert!(f.retryable());
+        let retry = RetryPolicy::new(4);
+        assert!(retry.retryable());
+        assert!((1..4).all(|k| retry.retry_after(3, k).is_some()));
+        assert_eq!(retry.retry_after(3, 4), None, "the fourth failure gives up");
+        assert_eq!(
+            give_up_message("flaky", 3, 4, "boom"),
+            "task 'flaky' #3 failed after 4 attempts: boom"
+        );
+        assert_eq!(
+            give_up_message("once", 0, 1, "boom"),
+            "task 'once' #0 failed after 1 attempt: boom"
+        );
     }
 
     #[test]

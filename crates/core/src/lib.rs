@@ -31,7 +31,7 @@
 //! | [`runtime`] | [`Runtime`], [`TaskBuilder`], execution modes, nesting |
 //! | [`dist`] | multi-process driver/worker executor over Unix sockets |
 //! | [`arena`] | the paged, push-only store behind the task, data, input and edge tables |
-//! | [`fault`] | [`OnFailure`] / [`RetryPolicy`] policies, [`FaultPlan`] injection |
+//! | [`fault`] | [`RetryPolicy`] (a task's whole failure policy), [`FaultPlan`] injection |
 //! | [`handle`] | [`Handle`], [`DataId`], [`TaskId`] |
 //! | [`payload`] | the [`Payload`] trait (what can flow between tasks) |
 //! | [`trace`] | [`Trace`] / [`TaskRecord`] — the replayable artifact |
@@ -66,7 +66,7 @@ mod tables;
 pub mod trace;
 
 pub use dist::{DistConfig, DistReport, DistRuntime, KindRegistry, Plan, WireValue};
-pub use fault::{FaultPlan, OnFailure, RetryPolicy, TaskFault};
+pub use fault::{FaultPlan, RetryPolicy};
 pub use handle::{DataId, Handle, TaskId};
 pub use obs::{Divergence, Profile, RuntimeStats, Straggler, Utilization};
 pub use payload::Payload;

@@ -60,9 +60,12 @@ pub struct RuntimeStats {
     /// INOUT parameters that fell back to clone-on-shared (the input
     /// still had another live consumer at dispatch).
     pub inout_copies: u64,
-    /// Failed attempts resubmitted under [`crate::OnFailure::Retry`].
+    /// Failed attempts run again under a [`crate::RetryPolicy`] of
+    /// more than one attempt.
     pub retries: u64,
-    /// Tasks that exhausted their retry budget and failed for good.
+    /// Tasks that ran under a policy of more than one attempt,
+    /// exhausted it and failed for good. A one-attempt (FAIL) task that
+    /// fails is not a give-up.
     pub giveups: u64,
     /// Always 0: no policy poisons a failed task's outputs. Kept only
     /// because the frozen benchmark reads it; removal waits for the

@@ -69,7 +69,8 @@
 //!   shutdown and joins every worker; no threads outlive the runtime
 //!   (observable via [`live_worker_threads`]).
 
-use crate::fault::{FaultPlan, OnFailure, RetryPolicy, TaskFault, INJECTED_PANIC};
+use crate::arena::Store;
+use crate::fault::{give_up_message, FaultPlan, RetryPolicy, INJECTED_PANIC};
 use crate::handle::{DataId, Handle, TaskId};
 use crate::obs::RuntimeStats;
 use crate::payload::Payload;
@@ -198,7 +199,7 @@ struct ReadyRun {
     /// for a task an inline runtime runs at submission.
     ready_at: Option<Instant>,
     /// Failure policy carried from submission to the executor.
-    fault: TaskFault,
+    policy: RetryPolicy,
     /// Interned task kind, carried *only* when a [`FaultPlan`] is
     /// installed at release (injection decisions match on the kind);
     /// `None` keeps the no-chaos path off the plan and kinds locks.
@@ -217,12 +218,12 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
     } = &mut st.tables;
     let row = &mut rows[tid.0 as usize];
     let job = row.job.take().expect("ready task has a job");
-    let fault = row.fault();
+    let policy = row.policy();
     // A retryable task must keep its inputs pristine across attempts:
     // a stolen buffer mutated by a half-finished failed attempt cannot
     // be replayed, so steals are disabled and the body falls back to
     // the (result-identical) clone path.
-    let consume_mask = if fault.retryable() {
+    let consume_mask = if policy.retryable() {
         0
     } else {
         job.consume_mask
@@ -272,7 +273,7 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
         f: job.f,
         inputs: resolved,
         ready_at,
-        fault,
+        policy,
         kind,
     }
 }
@@ -466,7 +467,7 @@ impl Runtime {
             kind: lock(&self.inner.shared.kinds).intern(name),
             cores: 1,
             gpus: 0,
-            fault: TaskFault::default(),
+            policy: RetryPolicy::new(1),
         }
     }
 
@@ -519,12 +520,17 @@ impl Runtime {
             panic!("unknown data id {id:?}");
         }
         // Failures are reported after `drive_until` returns, i.e. with
-        // the state lock released.
+        // the state lock released, and only once every lower id has
+        // settled: an ancestor still running may yet fail with a lower
+        // origin, and the message must not depend on which came first.
+        let mut settled = 0;
         let outcome = drive_until(shared, |st| {
             let entry = &st.tables.data[di];
-            if let Some(p) = entry.producer {
-                if let Some(msg) = st.tables.rows[p.0 as usize].failure() {
-                    return Some(Err(format!("dependency task failed: {msg}")));
+            if let Some(p) = entry.producer.map(|p| p.0 as usize) {
+                let rows = &st.tables.rows;
+                if let Some((_, msg)) = rows[p].failure() {
+                    settled = settle(rows, settled..p);
+                    return (settled == p).then(|| Err(format!("dependency task failed: {msg}")));
                 }
             }
             match &entry.slot {
@@ -558,24 +564,19 @@ impl Runtime {
             let from = std::mem::replace(&mut st.last_barrier, marker);
             from as usize..marker as usize
         };
+        // Once the whole range has settled, the lowest-id failed row
+        // names the failure, whichever row failed first.
+        let mut settled = pending.start;
         let outcome = drive_until(shared, |st| {
             let rows = &st.tables.rows;
-            for t in pending.clone() {
-                let e = &rows[t];
-                if let Some(msg) = e.failure() {
-                    let name = lock(&shared.kinds).name(e.kind).clone();
-                    let attempts = e.attempts().len().max(1);
-                    return Some(Err(format!(
-                        "task '{name}' ({:?}) failed before barrier \
-                         after {attempts} attempt(s): {msg}",
-                        TaskId(t as u64)
-                    )));
-                }
+            settled = settle(rows, settled..pending.end);
+            if settled < pending.end {
+                return None;
             }
-            pending
-                .clone()
-                .all(|t| matches!(rows[t].status, Status::Done | Status::Failed))
-                .then_some(Ok(()))
+            match pending.clone().find_map(|t| rows[t].failure()) {
+                Some((_, msg)) => Some(Err(format!("failed before barrier: {msg}"))),
+                None => Some(Ok(())),
+            }
         });
         if let Err(msg) = outcome {
             panic!("{msg}");
@@ -663,7 +664,7 @@ impl Runtime {
                 };
                 // Every failed attempt but a give-up's last was retried.
                 s.retries += attempts.len().saturating_sub(1) as u64;
-                if r.status == Status::Failed && r.on_failure == OnFailure::Retry {
+                if r.status == Status::Failed && r.policy().retryable() {
                     s.giveups += 1;
                 }
             }
@@ -747,7 +748,7 @@ fn submit_locked(
         kind,
         cores,
         gpus,
-        fault,
+        policy,
     } = b;
     let shared = &rt.inner.shared;
     let State {
@@ -797,9 +798,13 @@ fn submit_locked(
     }
     producers.sort_unstable();
     producers.dedup();
+    // The failed producer with the lowest origin names this task's
+    // failure (see `Row::set_failure`).
     let inherited_failure = producers
         .iter()
-        .find_map(|&p| t.rows[p.0 as usize].failure().cloned());
+        .filter_map(|&p| t.rows[p.0 as usize].failure())
+        .min_by_key(|(origin, _)| *origin)
+        .cloned();
     let remaining = producers
         .iter()
         .filter(|&&p| t.rows[p.0 as usize].status != Status::Done)
@@ -814,10 +819,7 @@ fn submit_locked(
     row.out_len = n_outputs as u32;
     row.cores = cores;
     row.gpus = gpus;
-    row.on_failure = fault.on_failure;
-    if fault.on_failure == OnFailure::Retry && fault.retry != RetryPolicy::default() {
-        row.rare_mut().retry = Some(fault.retry);
-    }
+    row.set_policy(policy);
 
     if let Some(d) = consumed_input {
         // Reading a datum an INOUT task already consumed is a
@@ -825,17 +827,18 @@ fn submit_locked(
         // handing out a stale or missing value.
         row.status = Status::Failed;
         row.set_failure(
-            format!(
+            tid,
+            &format!(
                 "input {d:?} was already consumed by an INOUT task; \
                  use the handle returned by run*_inout instead"
             )
             .into(),
         );
-    } else if let Some(msg) = inherited_failure {
+    } else if let Some((origin, msg)) = inherited_failure {
         // A dependency already failed; its cascade ran before we
         // existed, so fail in place (waiters see it immediately).
         row.status = Status::Failed;
-        row.set_failure(msg);
+        row.set_failure(origin, &msg);
     } else {
         row.status = if remaining == 0 {
             Status::Ready
@@ -854,7 +857,9 @@ fn submit_locked(
     }
     let status = row.status;
     t.rows.push(row);
-    if status == Status::Waiting {
+    // A task that failed in place still hears of its unfinished
+    // producers: a lower origin may reach it through them later.
+    if status != Status::Ready {
         for &p in producers.iter() {
             if t.rows[p.0 as usize].status != Status::Done {
                 t.push_dependent(p.0 as usize, tid);
@@ -1041,7 +1046,7 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         mut f,
         inputs,
         ready_at,
-        fault,
+        policy,
         kind,
     } = run;
     let ti = task.0 as usize;
@@ -1053,12 +1058,11 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         let plan = lock(&shared.fault_plan).clone()?;
         Some((plan, lock(&shared.kinds).name(k).clone()))
     });
-    let max_attempts = fault.max_attempts();
     // Retryable tasks run every attempt on a private clone of the input
     // vector (cheap `Arc` clones): a failed attempt may have taken
     // entries out via `take_arg`, and the next attempt needs them
     // pristine. Single-attempt tasks hand the vector over directly.
-    let keep_inputs = max_attempts > 1;
+    let keep_inputs = policy.retryable();
     let mut inputs = inputs;
     let mut attempts: Vec<AttemptRecord> = Vec::new();
     // INOUT parameters taken by move and by clone, over every attempt.
@@ -1109,16 +1113,16 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                     duration_s: duration,
                     error: Some(panic_message(&*e)),
                 });
-                if attempts.len() as u32 >= max_attempts {
-                    break Err((start, duration));
-                }
                 // Deterministic exponential backoff; sleeps on the
                 // executing worker — retry delays are expected to be
                 // short relative to task runtimes, and parking the
                 // task elsewhere would lose the continuation slot.
-                let delay = fault.retry.backoff_s(task.0, attempts.len() as u32);
-                if delay > 0.0 {
-                    std::thread::sleep(Duration::from_secs_f64(delay));
+                match policy.retry_after(task.0, attempts.len() as u32) {
+                    None => break Err((start, duration)),
+                    Some(delay) if delay > 0.0 => {
+                        std::thread::sleep(Duration::from_secs_f64(delay));
+                    }
+                    Some(_) => {}
                 }
             }
         }
@@ -1190,28 +1194,29 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
             Err((start, duration)) => {
                 row.duration_s = duration;
                 row.start_s = since_epoch(start);
-                let n = attempts.len();
-                let msg = attempts
-                    .last()
-                    .and_then(|a| a.error.clone())
-                    .unwrap_or_else(|| "task panicked".to_string());
+                let error = attempts.last().and_then(|a| a.error.as_deref());
                 let name = lock(&shared.kinds).name(row.kind).clone();
-                let full: Arc<str> = if n > 1 {
-                    format!("task '{name}' panicked after {n} attempts: {msg}").into()
-                } else {
-                    format!("task '{name}' panicked: {msg}").into()
-                };
+                let full: Arc<str> = give_up_message(
+                    &name,
+                    task.0,
+                    attempts.len() as u32,
+                    error.unwrap_or("task panicked"),
+                )
+                .into();
                 row.rare_mut().attempts = attempts;
                 // Propagate failure to all transitive dependents so
                 // that waiters on any downstream output wake up and
-                // report instead of deadlocking.
+                // report instead of deadlocking. A row that already
+                // carries a lower origin keeps it, and so does its cone.
                 let mut frontier = vec![ti];
                 while let Some(t) = frontier.pop() {
                     let e = &mut st.tables.rows[t];
+                    if !e.set_failure(task, &full) {
+                        continue;
+                    }
                     e.status = Status::Failed;
-                    e.set_failure(full.clone());
                     e.job = None;
-                    let mut deps = st.tables.take_dependents(t);
+                    let mut deps = st.tables.dependents(t);
                     frontier.extend(std::iter::from_fn(|| deps.next(&st.tables.edges)));
                 }
             }
@@ -1221,6 +1226,17 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
     if notify_driver {
         shared.cv.notify_all();
     }
+}
+
+/// The first id of `range` whose row has not settled (is neither done
+/// nor failed), or `range.end`. A settled row stays settled, so a
+/// caller resumes from what this returned.
+fn settle(rows: &Store<Row>, range: std::ops::Range<usize>) -> usize {
+    let end = range.end;
+    range
+        .into_iter()
+        .find(|&t| !matches!(rows[t].status, Status::Done | Status::Failed))
+        .unwrap_or(end)
 }
 
 /// Extracts a human-readable message from a caught panic payload.
@@ -1238,7 +1254,7 @@ pub struct TaskBuilder<'rt> {
     kind: u32,
     cores: u32,
     gpus: u32,
-    fault: TaskFault,
+    policy: RetryPolicy,
 }
 
 fn arg<T: Payload>(ins: &[AnyArc], i: usize) -> &T {
@@ -1297,16 +1313,13 @@ impl<'rt> TaskBuilder<'rt> {
         self
     }
 
-    /// Makes the task retryable under the given policy (implies
-    /// [`OnFailure::Retry`], the one alternative to the default
-    /// [`OnFailure::Fail`]): a panicking attempt is re-run, up to
-    /// `policy.max_attempts` total, with deterministic exponential
-    /// backoff between attempts (COMPSs `on_failure=RETRY`).
+    /// Sets the task's failure policy; without it a task gets one
+    /// attempt (COMPSs `on_failure=FAIL`). Under a policy of more
+    /// attempts (`on_failure=RETRY`) a panicking attempt is re-run, up
+    /// to `policy.max_attempts` total, with deterministic exponential
+    /// backoff between attempts.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.fault = TaskFault {
-            on_failure: OnFailure::Retry,
-            retry: policy,
-        };
+        self.policy = policy;
         self
     }
 
@@ -1675,7 +1688,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "panicked")]
+    #[should_panic(
+        expected = "dependency task failed: task 'boom' #0 failed after 1 attempt: kaboom"
+    )]
     fn failed_task_propagates_to_wait() {
         let rt = Runtime::new();
         let a = rt.put(1u64);
@@ -2036,7 +2051,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "panicked")]
+    #[should_panic(
+        expected = "dependency task failed: task 'boom' #0 failed after 1 attempt: kaboom"
+    )]
     fn task_submitted_after_failure_inherits_it() {
         let rt = Runtime::new();
         let a = rt.put(1u64);

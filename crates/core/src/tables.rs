@@ -15,9 +15,12 @@
 //!   order;
 //! * the **kind name** is an index into the runtime's [`Kinds`], each
 //!   name interned once;
+//! * the **failure policy** is the attempt budget in the row; only a
+//!   [`RetryPolicy`] with another backoff than [`RetryPolicy::new`]'s
+//!   goes to the rare state;
 //! * the **rare state** — a failure message, attempt records, a nested
-//!   child trace, a non-default [`RetryPolicy`] — sits behind one
-//!   `Option<Box<Rare>>`, allocated only when one of them occurs.
+//!   child trace, such a policy — sits behind one `Option<Box<Rare>>`,
+//!   allocated only when one of them occurs.
 //!
 //! A record's `deps` are not stored either: export derives them (see
 //! [`Tables::records`]). All table pages are allocated by the
@@ -25,7 +28,7 @@
 //! the runtime drops.
 
 use crate::arena::Store;
-use crate::fault::{OnFailure, RetryPolicy, TaskFault};
+use crate::fault::RetryPolicy;
 use crate::handle::{DataId, TaskId};
 use crate::runtime::TaskCtx;
 use crate::trace::{AttemptRecord, TaskRecord, Trace, BARRIER_TASK, SYNC_TASK};
@@ -115,7 +118,7 @@ pub(crate) enum Status {
 
 /// A task body, held while the task waits on dependencies. Its
 /// inputs are the row's range of the input store, and its failure
-/// policy is the row's (`on_failure` plus the rare retry policy).
+/// policy is the row's ([`Row::policy`]).
 pub(crate) struct PendingJob {
     pub f: TaskFn,
     /// Bit `i` set ⇒ input `i` has INOUT (consume) semantics: the
@@ -127,14 +130,16 @@ pub(crate) struct PendingJob {
 /// The per-task state most tasks never have; see [`Row::rare`].
 #[derive(Default)]
 pub(crate) struct Rare {
-    /// Failure message (shared across the transitive failure cone).
-    pub failure: Option<Arc<str>>,
+    /// The task whose own body gave up, and its message (shared across
+    /// the transitive failure cone); see [`Row::set_failure`].
+    pub failure: Option<(TaskId, Arc<str>)>,
     /// [`TaskRecord::attempts`], when any attempt failed.
     pub attempts: Vec<AttemptRecord>,
     /// [`TaskRecord::child`], for a nested task.
     pub child: Option<Box<Trace>>,
-    /// A retry policy other than the default, for [`OnFailure::Retry`].
-    pub retry: Option<RetryPolicy>,
+    /// A policy the row's `max_attempts` cannot hold (see
+    /// [`Row::set_policy`]).
+    pub policy: Option<RetryPolicy>,
 }
 
 /// One task (or marker), indexed by `TaskId`: its scheduling state and
@@ -143,7 +148,7 @@ pub(crate) struct Row {
     /// The body, held until execution.
     pub job: Option<PendingJob>,
     /// Allocated only when the task fails, retries, nests, or declares
-    /// a non-default retry policy.
+    /// a policy with a backoff of its own.
     pub rare: Option<Box<Rare>>,
     /// First of `out_len` contiguous output data ids.
     pub out_first: u64,
@@ -167,9 +172,9 @@ pub(crate) struct Row {
     dep_tail: u32,
     pub worker: i32,
     pub status: Status,
-    /// Declared failure policy: with [`Rare::retry`], the attempts the
-    /// task gets; a failed [`OnFailure::Retry`] row is a give-up.
-    pub on_failure: OnFailure,
+    /// The attempt budget of a [`RetryPolicy::new`] policy: 1 is FAIL.
+    /// Read through [`Row::policy`].
+    max_attempts: u16,
 }
 
 // A field that grows the row past this bound fails the build: the row
@@ -197,7 +202,7 @@ impl Row {
             dep_tail: NONE,
             worker: DRIVER as i32,
             status,
-            on_failure: OnFailure::Fail,
+            max_attempts: 1,
         }
     }
 
@@ -206,12 +211,24 @@ impl Row {
         self.rare.get_or_insert_with(Box::default)
     }
 
-    pub fn failure(&self) -> Option<&Arc<str>> {
+    /// The failure the row carries: the task it started at, and its
+    /// message.
+    pub fn failure(&self) -> Option<&(TaskId, Arc<str>)> {
         self.rare.as_ref()?.failure.as_ref()
     }
 
-    pub fn set_failure(&mut self, msg: Arc<str>) {
-        self.rare_mut().failure = Some(msg);
+    /// Records a failure that started at task `origin`, unless the row
+    /// already carries one from a lower (or the same) origin: a failed
+    /// task names the lowest-id task, itself or an ancestor, whose own
+    /// body gave up, whichever failed first. Returns whether the row
+    /// changed — only then must its dependents hear of it.
+    pub fn set_failure(&mut self, origin: TaskId, msg: &Arc<str>) -> bool {
+        let rare = self.rare_mut();
+        if rare.failure.as_ref().is_some_and(|(o, _)| *o <= origin) {
+            return false;
+        }
+        rare.failure = Some((origin, msg.clone()));
+        true
     }
 
     pub fn attempts(&self) -> &[AttemptRecord] {
@@ -219,10 +236,18 @@ impl Row {
     }
 
     /// The failure policy declared at submission.
-    pub fn fault(&self) -> TaskFault {
-        TaskFault {
-            on_failure: self.on_failure,
-            retry: self.rare.as_ref().and_then(|r| r.retry).unwrap_or_default(),
+    pub fn policy(&self) -> RetryPolicy {
+        let rare = self.rare.as_ref().and_then(|r| r.policy);
+        rare.unwrap_or_else(|| RetryPolicy::new(u32::from(self.max_attempts)))
+    }
+
+    /// Declares the failure policy. A [`RetryPolicy::new`] policy (the
+    /// one-attempt default and `dsarray`'s) is its attempt budget in
+    /// the row, so it allocates no [`Rare`]; any other goes there.
+    pub fn set_policy(&mut self, policy: RetryPolicy) {
+        match u16::try_from(policy.max_attempts) {
+            Ok(n) if policy == RetryPolicy::new(policy.max_attempts) => self.max_attempts = n,
+            _ => self.rare_mut().policy = Some(policy),
         }
     }
 
@@ -352,6 +377,13 @@ impl Tables {
             self.edges[row.dep_tail as usize].next = e;
         }
         row.dep_tail = e;
+    }
+
+    /// Row `owner`'s dependents list, left in place: a failure cascade
+    /// walks a failed row's list again whenever a lower origin reaches
+    /// it (see [`Row::set_failure`]).
+    pub fn dependents(&self, owner: usize) -> Dependents {
+        Dependents(self.rows[owner].dep_head)
     }
 
     /// Detaches row `owner`'s dependents list (the edges stay in the

@@ -14,15 +14,15 @@
 //! never depends on worker timing. That identity (not a tolerance) is
 //! what `bench --bin dist --check` and CI assert.
 //!
-//! The map-phase kinds (`dpca_colsum`, `dpca_gram`) carry
-//! `OnFailure::Retry` so a flaky worker body exercises the same retry
-//! policies the threaded runtime uses; reductions and `dpca_eigh` stay
-//! fail-fast, with worker *death* handled by the driver's lineage
+//! The map-phase kinds (`dpca_colsum`, `dpca_gram`) carry a
+//! three-attempt [`RetryPolicy`] so a flaky worker body exercises the
+//! same retry rule the threaded runtime uses; reductions and
+//! `dpca_eigh` stay fail-fast (one attempt), with worker *death* handled by the driver's lineage
 //! re-execution instead.
 
 use linalg::{eigh_top, Matrix};
 use taskrt::dist::{KindRegistry, Plan, WireValue};
-use taskrt::{OnFailure, RetryPolicy};
+use taskrt::RetryPolicy;
 
 /// Ids of the data a PCA plan marks as driver outputs.
 #[derive(Debug, Clone, Copy)]
@@ -37,21 +37,16 @@ pub struct PcaPlanOutputs {
 /// the same registry-building path (process-mode workers re-execute the
 /// host binary, so that holds by construction).
 pub fn register_pca_kinds(reg: &mut KindRegistry) {
-    reg.register_with(
-        "dpca_colsum",
-        OnFailure::Retry,
-        RetryPolicy::new(3),
-        |ins| {
-            let m = ins[0].as_matrix();
-            let mut v = vec![0.0; m.cols()];
-            for r in 0..m.rows() {
-                for (j, &x) in m.row(r).iter().enumerate() {
-                    v[j] += x;
-                }
+    reg.register_with("dpca_colsum", RetryPolicy::new(3), |ins| {
+        let m = ins[0].as_matrix();
+        let mut v = vec![0.0; m.cols()];
+        for r in 0..m.rows() {
+            for (j, &x) in m.row(r).iter().enumerate() {
+                v[j] += x;
             }
-            Ok(WireValue::VecF64(v))
-        },
-    );
+        }
+        Ok(WireValue::VecF64(v))
+    });
     reg.register("dpca_vecadd", |ins| {
         let a = ins[0].as_vec_f64();
         let b = ins[1].as_vec_f64();
@@ -82,7 +77,7 @@ pub fn register_pca_kinds(reg: &mut KindRegistry) {
         }
         Ok(WireValue::Matrix(out))
     });
-    reg.register_with("dpca_gram", OnFailure::Retry, RetryPolicy::new(3), |ins| {
+    reg.register_with("dpca_gram", RetryPolicy::new(3), |ins| {
         let m = ins[0].as_matrix();
         Ok(WireValue::Matrix(m.t_matmul(m)))
     });

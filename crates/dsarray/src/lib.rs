@@ -34,10 +34,9 @@ use taskrt::{Handle, RetryPolicy, Runtime};
 /// Returns the single reduced handle. Submits `len - 1` tasks named
 /// `name`.
 ///
-/// Merge tasks are pure (`Fn`, borrowed inputs), so each declares
-/// [`taskrt::OnFailure::Retry`] with the default [`RetryPolicy`]: a
-/// transient fault in one merge re-runs just that merge instead of
-/// failing the whole reduction — COMPSs' task resubmission, scoped to
+/// Merge tasks are pure (`Fn`, borrowed inputs), so each declares a
+/// three-attempt [`RetryPolicy`]: a transient fault in one merge
+/// re-runs just that merge instead of failing the whole reduction — COMPSs' task resubmission, scoped to
 /// the pattern where a single lost task would waste the widest subtree.
 ///
 /// # Panics
@@ -60,7 +59,7 @@ where
         for pair in &mut it {
             if pair.len() == 2 {
                 let f = f.clone();
-                next.push(rt.task(name).retry(RetryPolicy::default()).run2(
+                next.push(rt.task(name).retry(RetryPolicy::new(3)).run2(
                     pair[0],
                     pair[1],
                     move |a, b| f(a, b),
@@ -82,7 +81,7 @@ where
 /// accumulator and the reduction allocates nothing beyond the leaves.
 ///
 /// Unlike [`tree_reduce`], merges here stay on the default
-/// [`taskrt::OnFailure::Fail`] policy: a retryable task gives up the
+/// one-attempt policy: a retryable task gives up the
 /// INOUT buffer steal (the runtime must keep inputs alive for re-runs),
 /// which would forfeit exactly the zero-copy property this variant
 /// exists for. Callers that prefer resilience over allocation can use
@@ -349,7 +348,7 @@ impl DsArray {
                 // Pure partial producers retry on transient faults; the
                 // INOUT reduction below keeps its steal (see
                 // `tree_reduce_inout`).
-                partials.push(rt.task("ds_colsum").retry(RetryPolicy::default()).run1(
+                partials.push(rt.task("ds_colsum").retry(RetryPolicy::new(3)).run1(
                     b,
                     move |m: &Matrix| {
                         let mut v = vec![0.0; cols];
@@ -379,7 +378,7 @@ impl DsArray {
             .into_iter()
             .map(|band| {
                 rt.task("ds_gram")
-                    .retry(RetryPolicy::default())
+                    .retry(RetryPolicy::new(3))
                     .run1(band, |m: &Matrix| m.t_matmul(m))
             })
             .collect();

@@ -199,7 +199,16 @@ pub fn generate(cfg: &EcgConfig, class: Class, seed: u64) -> Recording {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linalg::rfft_mag;
+    use linalg::{Complex, RfftPlan};
+
+    /// One-sided FFT magnitudes of `signal`, zero-padded to the next
+    /// power of two.
+    fn rfft_mag(signal: &[f64]) -> Vec<f64> {
+        let mut plan = RfftPlan::new(signal.len().next_power_of_two());
+        let mut out = vec![Complex::default(); plan.bins()];
+        plan.process(signal, &mut out);
+        out.into_iter().map(Complex::abs).collect()
+    }
 
     fn cfg_short() -> EcgConfig {
         EcgConfig {

@@ -5,19 +5,16 @@
 //! transform; [`crate::stft`] always pads windows to a power of two, the
 //! same strategy SciPy uses when `nfft` is rounded up.
 //!
-//! Two execution paths exist:
-//!
-//! * [`fft_inplace`] / [`ifft_inplace`] — the self-contained transform
-//!   that recomputes twiddle factors with a complex-multiply recurrence
-//!   on every call. The reference path the plans are tested against.
-//! * [`FftPlan`] / [`RfftPlan`] — plan-then-execute, FFTW-style. A plan
-//!   precomputes the bit-reversal permutation and a twiddle table once;
-//!   executing it performs no trigonometry and no allocation. The real
-//!   plan additionally exploits conjugate symmetry by packing the real
-//!   signal into a half-length complex transform (half the butterflies
-//!   of the complex path) and untangling the spectrum afterwards.
-//!   [`crate::stft`] builds one plan per spectrogram and reuses it for
-//!   every window.
+//! [`FftPlan`] / [`RfftPlan`] are plan-then-execute, FFTW-style. A plan
+//! precomputes the bit-reversal permutation and a twiddle table once;
+//! executing it performs no trigonometry and no allocation. The real
+//! plan additionally exploits conjugate symmetry by packing the real
+//! signal into a half-length complex transform (half the butterflies of
+//! the complex path) and untangling the spectrum afterwards.
+//! [`crate::stft`] builds one plan per spectrogram and reuses it for
+//! every window. The plans are tested against a self-contained
+//! reference transform that recomputes its twiddle factors with a
+//! complex-multiply recurrence on every call; it is test code only.
 
 /// A minimal complex number for the FFT; deliberately not a general
 /// complex-arithmetic type.
@@ -69,71 +66,6 @@ impl Complex {
     #[inline]
     fn conj(self) -> Complex {
         Complex::new(self.re, -self.im)
-    }
-}
-
-/// In-place forward FFT.
-///
-/// # Panics
-/// Panics unless `buf.len()` is a power of two (zero-length is allowed).
-pub fn fft_inplace(buf: &mut [Complex]) {
-    fft_dir(buf, false);
-}
-
-/// In-place inverse FFT (including the `1/N` normalization).
-///
-/// # Panics
-/// Panics unless `buf.len()` is a power of two (zero-length is allowed).
-pub fn ifft_inplace(buf: &mut [Complex]) {
-    fft_dir(buf, true);
-    let n = buf.len() as f64;
-    if n > 0.0 {
-        for v in buf.iter_mut() {
-            v.re /= n;
-            v.im /= n;
-        }
-    }
-}
-
-fn fft_dir(buf: &mut [Complex], inverse: bool) {
-    let n = buf.len();
-    if n <= 1 {
-        return;
-    }
-    assert!(
-        n.is_power_of_two(),
-        "fft length must be a power of two, got {n}"
-    );
-
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i as u32).reverse_bits() >> (32 - bits);
-        let j = j as usize;
-        if i < j {
-            buf.swap(i, j);
-        }
-    }
-
-    // Butterfly passes.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::new(ang.cos(), ang.sin());
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex::new(1.0, 0.0);
-            for j in 0..len / 2 {
-                let u = buf[i + j];
-                let v = buf[i + j + len / 2].mul(w);
-                buf[i + j] = u.add(v);
-                buf[i + j + len / 2] = u.sub(v);
-                w = w.mul(wlen);
-            }
-            i += len;
-        }
-        len <<= 1;
     }
 }
 
@@ -205,23 +137,6 @@ impl FftPlan {
     /// # Panics
     /// Panics if `buf.len()` differs from the planned length.
     pub fn forward(&self, buf: &mut [Complex]) {
-        self.execute(buf, false);
-    }
-
-    /// In-place inverse FFT (including the `1/N` normalization).
-    ///
-    /// # Panics
-    /// Panics if `buf.len()` differs from the planned length.
-    pub fn inverse(&self, buf: &mut [Complex]) {
-        self.execute(buf, true);
-        let inv = 1.0 / self.n as f64;
-        for v in buf.iter_mut() {
-            v.re *= inv;
-            v.im *= inv;
-        }
-    }
-
-    fn execute(&self, buf: &mut [Complex], inverse: bool) {
         assert_eq!(buf.len(), self.n, "buffer length differs from plan");
         let n = self.n;
         if n <= 1 {
@@ -235,11 +150,10 @@ impl FftPlan {
         }
         // Butterflies. Each block of `len` is split into its low and
         // high halves and zipped with the twiddle slice, so the inner
-        // loop carries no bounds checks and no index arithmetic, and
-        // the `inverse` branch is hoisted out of it — the compiler
-        // vectorizes the mul/add/sub lanes. The per-element operation
-        // sequence is unchanged from the indexed form, so transforms
-        // stay bit-exact.
+        // loop carries no bounds checks and no index arithmetic — the
+        // compiler vectorizes the mul/add/sub lanes. The per-element
+        // operation sequence is unchanged from the indexed form, so
+        // transforms stay bit-exact.
         let mut stage = 0usize; // offset into the twiddle table
         let mut len = 2;
         while len <= n {
@@ -247,20 +161,11 @@ impl FftPlan {
             let tw = &self.twiddles[stage..stage + half];
             for block in buf.chunks_exact_mut(len) {
                 let (lo, hi) = block.split_at_mut(half);
-                if inverse {
-                    for ((l, h), &w) in lo.iter_mut().zip(hi).zip(tw) {
-                        let u = *l;
-                        let v = h.mul(w.conj());
-                        *l = u.add(v);
-                        *h = u.sub(v);
-                    }
-                } else {
-                    for ((l, h), &w) in lo.iter_mut().zip(hi).zip(tw) {
-                        let u = *l;
-                        let v = h.mul(w);
-                        *l = u.add(v);
-                        *h = u.sub(v);
-                    }
+                for ((l, h), &w) in lo.iter_mut().zip(hi).zip(tw) {
+                    let u = *l;
+                    let v = h.mul(w);
+                    *l = u.add(v);
+                    *h = u.sub(v);
                 }
             }
             stage += half;
@@ -368,31 +273,100 @@ impl RfftPlan {
     }
 }
 
-/// One-shot real-input FFT: zero-pads `signal` to the next power of two
-/// and returns the one-sided spectrum (`n/2 + 1` complex bins). Builds a
-/// throwaway [`RfftPlan`]; sweeps should hold a plan instead.
-pub fn rfft(signal: &[f64]) -> Vec<Complex> {
-    if signal.is_empty() {
-        return vec![];
-    }
-    let n = signal.len().next_power_of_two();
-    let mut plan = RfftPlan::new(n);
-    let mut out = vec![Complex::default(); plan.bins()];
-    plan.process(signal, &mut out);
-    out
+/// The reference in-place forward FFT: twiddles by recurrence, no
+/// plan. What the plans (and `stft`'s per-window oracle) are tested
+/// against.
+///
+/// # Panics
+/// Panics unless `buf.len()` is a power of two (zero-length is allowed).
+#[cfg(test)]
+pub(crate) fn fft_inplace(buf: &mut [Complex]) {
+    fft_dir(buf, false);
 }
 
-/// FFT magnitude spectrum of a real signal: returns `n/2 + 1` one-sided
-/// magnitudes (DC through Nyquist). The input is zero-padded up to the
-/// next power of two.
-pub fn rfft_mag(signal: &[f64]) -> Vec<f64> {
-    rfft(signal).into_iter().map(Complex::abs).collect()
+/// The reference in-place inverse FFT (including the `1/N`
+/// normalization).
+///
+/// # Panics
+/// Panics unless `buf.len()` is a power of two (zero-length is allowed).
+#[cfg(test)]
+fn ifft_inplace(buf: &mut [Complex]) {
+    fft_dir(buf, true);
+    let n = buf.len() as f64;
+    if n > 0.0 {
+        for v in buf.iter_mut() {
+            v.re /= n;
+            v.im /= n;
+        }
+    }
+}
+
+#[cfg(test)]
+fn fft_dir(buf: &mut [Complex], inverse: bool) {
+    let n = buf.len();
+    if n <= 1 {
+        return;
+    }
+    assert!(
+        n.is_power_of_two(),
+        "fft length must be a power of two, got {n}"
+    );
+
+    // Bit-reversal permutation.
+    let bits = n.trailing_zeros();
+    for i in 0..n {
+        let j = (i as u32).reverse_bits() >> (32 - bits);
+        let j = j as usize;
+        if i < j {
+            buf.swap(i, j);
+        }
+    }
+
+    // Butterfly passes.
+    let sign = if inverse { 1.0 } else { -1.0 };
+    let mut len = 2;
+    while len <= n {
+        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+        let wlen = Complex::new(ang.cos(), ang.sin());
+        let mut i = 0;
+        while i < n {
+            let mut w = Complex::new(1.0, 0.0);
+            for j in 0..len / 2 {
+                let u = buf[i + j];
+                let v = buf[i + j + len / 2].mul(w);
+                buf[i + j] = u.add(v);
+                buf[i + j + len / 2] = u.sub(v);
+                w = w.mul(wlen);
+            }
+            i += len;
+        }
+        len <<= 1;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One-shot real-input FFT over a throwaway [`RfftPlan`]: zero-pads
+    /// `signal` to the next power of two and returns the one-sided
+    /// spectrum (`n/2 + 1` complex bins).
+    fn rfft(signal: &[f64]) -> Vec<Complex> {
+        if signal.is_empty() {
+            return vec![];
+        }
+        let n = signal.len().next_power_of_two();
+        let mut plan = RfftPlan::new(n);
+        let mut out = vec![Complex::default(); plan.bins()];
+        plan.process(signal, &mut out);
+        out
+    }
+
+    /// The `n/2 + 1` one-sided magnitudes of [`rfft`].
+    fn rfft_mag(signal: &[f64]) -> Vec<f64> {
+        rfft(signal).into_iter().map(Complex::abs).collect()
+    }
 
     fn naive_dft(x: &[Complex]) -> Vec<Complex> {
         let n = x.len();
@@ -480,7 +454,7 @@ mod tests {
             for (g, w) in got.iter().zip(&want) {
                 assert!((g.re - w.re).abs() < 1e-9 && (g.im - w.im).abs() < 1e-9);
             }
-            plan.inverse(&mut got);
+            ifft_inplace(&mut got);
             for (g, w) in got.iter().zip(&x) {
                 assert!((g.re - w.re).abs() < 1e-9 && (g.im - w.im).abs() < 1e-9);
             }

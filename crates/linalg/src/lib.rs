@@ -46,11 +46,11 @@ pub mod sgemm;
 pub mod stft;
 
 pub use eigh::{eigh, eigh_top, EighResult};
-pub use fft::{fft_inplace, ifft_inplace, rfft, rfft_mag, Complex, FftPlan, RfftPlan};
+pub use fft::{Complex, FftPlan, RfftPlan};
 pub use kernels::{euclidean_sq, Kernel};
 pub use matrix::{dot, pairwise_sq_dists, Matrix};
 pub use sgemm::{sgemm_nn, sgemm_nn_scalar, sgemm_nt, sgemm_nt_scalar, sgemm_tn, sgemm_tn_scalar};
-pub use stft::{hann_window, spectrogram, SpectrogramConfig, SpectrogramPlan};
+pub use stft::{hann_window, SpectrogramConfig, SpectrogramPlan};
 
 #[cfg(test)]
 mod tests {

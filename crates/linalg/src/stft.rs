@@ -10,7 +10,7 @@
 use crate::fft::{Complex, RfftPlan};
 use crate::matrix::Matrix;
 
-/// Parameters for [`spectrogram`], mirroring `scipy.signal.spectrogram`.
+/// Parameters for a [`SpectrogramPlan`], mirroring `scipy.signal.spectrogram`.
 #[derive(Debug, Clone, Copy)]
 pub struct SpectrogramConfig {
     /// Window length in samples (`nperseg`).
@@ -102,8 +102,9 @@ impl SpectrogramPlan {
         &self.cfg
     }
 
-    /// Computes the one-sided power spectrogram of `signal` (same
-    /// semantics and orientation as [`spectrogram`]).
+    /// Computes the one-sided power spectrogram of `signal`: one row
+    /// per frequency bin, one column per window (SciPy's orientation).
+    /// Empty when `signal` is shorter than one window.
     pub fn compute(&mut self, signal: &[f64]) -> Matrix {
         let bins = self.bins();
         let hop = self.cfg.nperseg - self.cfg.noverlap;
@@ -147,18 +148,8 @@ impl SpectrogramPlan {
 ///
 /// Signals shorter than one window yield a `bins x 0` matrix.
 ///
-/// Builds one [`SpectrogramPlan`] per call (so the per-window FFT work
-/// is already plan-cached); sweeps over many signals should construct
-/// the plan once and call [`SpectrogramPlan::compute`] directly.
-///
-/// # Panics
-/// Panics if `noverlap >= nperseg` or `nperseg == 0`.
-pub fn spectrogram(signal: &[f64], cfg: &SpectrogramConfig) -> Matrix {
-    SpectrogramPlan::new(cfg).compute(signal)
-}
-
-/// Number of features produced by [`spectrogram`] + flatten for a signal
-/// of `len` samples, without computing it.
+/// Number of features [`SpectrogramPlan::compute`] + flatten produces
+/// for a signal of `len` samples, without computing it.
 pub fn feature_count(len: usize, cfg: &SpectrogramConfig) -> usize {
     let nfft = cfg.nperseg.next_power_of_two();
     let bins = nfft / 2 + 1;
@@ -174,6 +165,11 @@ mod tests {
     use super::*;
     use crate::fft::fft_inplace;
     use proptest::prelude::*;
+
+    /// One signal's spectrogram over a throwaway plan.
+    fn spectrogram(signal: &[f64], cfg: &SpectrogramConfig) -> Matrix {
+        SpectrogramPlan::new(cfg).compute(signal)
+    }
 
     /// The per-window oracle: recomputes the Hann window and PSD scaling
     /// per call and the FFT twiddle factors per *window*, and runs the

@@ -4,8 +4,9 @@
 //! derives them (the producers of a task's inputs plus the sync marker
 //! current at its submission; sizes from the data table). These
 //! properties run random programs — puts, `run_many`, `run1_inout`,
-//! `wait`, `barrier`, and four always-failing tasks cycling over the
-//! two [`OnFailure`] policies — on an inline and on a 2-thread runtime,
+//! `wait`, `barrier`, and four always-failing tasks cycling over no
+//! `.retry` (one attempt) and a two-attempt [`RetryPolicy`] — on an
+//! inline and on a 2-thread runtime,
 //! and check every record against what the program implies:
 //!
 //! * `deps`: the last writers of the task's inputs plus the latest
@@ -19,7 +20,7 @@
 
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use taskrt::{DataId, Handle, OnFailure, Payload, RetryPolicy, Runtime, TaskId, Trace};
+use taskrt::{DataId, Handle, Payload, RetryPolicy, Runtime, TaskId, Trace};
 
 /// What the program implies for one datum.
 struct Datum {
@@ -148,7 +149,7 @@ impl Oracle {
         });
         self.last_barrier = id;
         self.marker = Some(id);
-        // A failed `Fail`/`Retry` task makes the barrier panic after
+        // A failed task, retrying or not, makes the barrier panic after
         // its marker is recorded.
         let _ = catch_unwind(AssertUnwindSafe(|| rt.barrier()));
     }
@@ -158,7 +159,6 @@ impl Oracle {
     fn run(rt: &Runtime, ops: &[u64], fail_at: &[usize]) -> Oracle {
         let mut o = Oracle::default();
         o.put(rt, 3);
-        let policies = [OnFailure::Fail, OnFailure::Retry];
         for (step, &w) in ops.iter().enumerate() {
             for (p, _) in fail_at
                 .iter()
@@ -169,13 +169,10 @@ impl Oracle {
                 let ins = o.pick(&pool, w, 1 + (w as usize >> 8) % 3);
                 let handles: Vec<_> = ins.iter().map(|&i| o.data[i].handle).collect();
                 let b = rt.task("boom");
-                let b = match policies[p % policies.len()] {
-                    OnFailure::Retry => b.retry(RetryPolicy {
-                        max_attempts: 2,
-                        backoff_base_s: 0.0,
-                        ..RetryPolicy::default()
-                    }),
-                    OnFailure::Fail => b,
+                let b = if p % 2 == 0 {
+                    b
+                } else {
+                    b.retry(RetryPolicy::new(2).backoff(0.0))
                 };
                 let h = b.run_many(&handles, |_: &[&Vec<u64>]| -> Vec<u64> { panic!("boom") });
                 o.task("boom", ins, 0, true, h);

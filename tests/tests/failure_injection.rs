@@ -2,12 +2,12 @@
 //! waiter with context — in inline mode, in threaded mode, through
 //! dependency chains, and inside nested runtimes — never deadlock.
 //!
-//! The second half exercises `Retry`, the one COMPSs-style policy a
-//! task opts into besides the default `Fail`, with deterministic
-//! seeded fault injection.
+//! The second half exercises retries — a `RetryPolicy` of more than
+//! one attempt, COMPSs' RETRY, which a task opts into over the default
+//! single attempt (FAIL) — with deterministic seeded fault injection.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use taskrt::{FaultPlan, RetryPolicy, Runtime};
+use taskrt::{FaultPlan, Handle, RetryPolicy, Runtime};
 
 #[test]
 #[should_panic(expected = "boom-inline")]
@@ -97,7 +97,7 @@ fn retry_recovers_from_transient_faults() {
     let a = rt.put(20u64);
     let h = rt
         .task("flaky")
-        .retry(RetryPolicy::new(3).backoff(1e-6, 2.0))
+        .retry(RetryPolicy::new(3).backoff(1e-6))
         .run1(a, |v| v + 22);
     assert_eq!(*rt.wait(h), 42);
     let stats = rt.stats();
@@ -125,7 +125,7 @@ fn retry_is_deterministic_under_a_fixed_seed() {
         let xs: Vec<_> = (0..64)
             .map(|i| {
                 rt.task("samp")
-                    .retry(RetryPolicy::new(2).backoff(1e-6, 2.0))
+                    .retry(RetryPolicy::new(2).backoff(1e-6))
                     .run0(move || (i as f64 * 0.37).cos())
             })
             .collect();
@@ -147,7 +147,7 @@ fn retry_exhaustion_reports_attempt_count() {
     let a = rt.put(1u64);
     let h = rt
         .task("hopeless")
-        .retry(RetryPolicy::new(2).backoff(1e-6, 2.0))
+        .retry(RetryPolicy::new(2).backoff(1e-6))
         .run1(a, |v| *v);
     let _ = rt.wait(h);
 }
@@ -168,4 +168,63 @@ fn failed_trace_is_still_inspectable() {
     let trace = rt.trace();
     assert!(trace.task_histogram().contains_key("bad"));
     assert!(trace.task_histogram().contains_key("good"));
+}
+
+/// The panic text of `f`, which must panic.
+fn panic_text(f: impl FnOnce()) -> String {
+    let e = catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+    e.downcast_ref::<String>().expect("string panic").clone()
+}
+
+/// A failure is named by the graph, not by timing: the lowest-id task
+/// whose own body gave up, itself or an ancestor. Two failing tasks
+/// read one input, one of them after a 2 ms sleep, so on threads the
+/// sleeper usually fails last: as the lower id it must not be reported
+/// late, as the higher id it must not overwrite the lower one's
+/// message. Either way the text must be inline's, every run.
+#[test]
+fn a_failure_is_named_by_the_lowest_failing_task_on_every_run() {
+    fn fail(name: &'static str, sleep: bool) -> impl FnMut(&u64) -> u64 {
+        move |_| {
+            if sleep {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            panic!("{name}")
+        }
+    }
+    /// Tasks #0 and #1 fail; the one named by `sleeper` sleeps first.
+    fn two_failing(rt: &Runtime, sleeper: usize) -> (Handle<u64>, Handle<u64>) {
+        let a = rt.put(1u64);
+        let x = rt.task("first").run1(a, fail("first", sleeper == 0));
+        let y = rt.task("second").run1(a, fail("second", sleeper == 1));
+        (x, y)
+    }
+    // Two independent failing tasks, reported by a barrier.
+    let independent = |rt: Runtime, sleeper| {
+        two_failing(&rt, sleeper);
+        panic_text(|| rt.barrier())
+    };
+    // One task behind two failing producers, and one behind it.
+    let behind_two = |rt: Runtime, sleeper| {
+        let (x, y) = two_failing(&rt, sleeper);
+        let both = rt.task("both").run2(x, y, |x, y| x + y);
+        let tail = rt.task("tail").run1(both, |v| v + 1);
+        panic_text(|| {
+            rt.wait(tail);
+        })
+    };
+    for sleeper in [0, 1] {
+        let inline = independent(Runtime::new(), sleeper);
+        assert!(inline.contains("task 'first' #0"), "{inline}");
+        for run in 0..50 {
+            let threaded = independent(Runtime::threaded(2), sleeper);
+            assert_eq!(threaded, inline, "barrier, sleeper {sleeper}, run {run}");
+        }
+        let inline = behind_two(Runtime::new(), sleeper);
+        assert!(inline.contains("task 'first' #0"), "{inline}");
+        for run in 0..50 {
+            let threaded = behind_two(Runtime::threaded(2), sleeper);
+            assert_eq!(threaded, inline, "wait, sleeper {sleeper}, run {run}");
+        }
+    }
 }

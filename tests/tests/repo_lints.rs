@@ -1785,18 +1785,25 @@ const UNCALLED_PUB_ITEMS: [(&str, &str, &str); 4] = [
 /// and `Retry`, with the poisoned slot, the cancelled status and the
 /// two cascades only they ran. No shipped caller set any of them. The
 /// kept `RuntimeStats::{poisoned, cancelled}` fields and lock-poisoning
-/// text do not match.
-const UNSHIPPED: [&str; 10] = [
+/// text do not match. Then the second failure knob: the policy enum and
+/// the struct pairing it with a `RetryPolicy`, whose attempt budget
+/// alone says FAIL or RETRY, and the backoff factor, jitter fraction
+/// and seed no shipped caller set (they are constants in `fault.rs`).
+const UNSHIPPED: [&str; 14] = [
     concat!("attempt", "_timeout"),
     concat!("stall", "_kind"),
     concat!("Fault", "Mode"),
     concat!("nested", "_mode"),
     concat!("Cancel", "Successors"),
-    concat!("OnFailure::", "Ignore"),
+    concat!("On", "Failure"),
     concat!("Poisoned", "("),
     concat!("Status::", "Cancelled"),
     concat!("poison", "_outputs"),
     concat!("cancel", "_dependents"),
+    concat!("Task", "Fault"),
+    concat!(".jitter", "("),
+    concat!("backoff", "_factor"),
+    concat!("jitter", "_frac"),
 ];
 
 /// The trees [`UNSHIPPED`] applies to.

@@ -58,14 +58,15 @@ fn fan_in_and_inout_chain(rt: &Runtime) {
 /// until its first dependent is registered; an inline runtime runs
 /// every task at submission, so its gate is open from the start and
 /// both dependents arrive after the give-up. Returns after every task
-/// has settled.
-fn failing_dag(rt: &Runtime) {
+/// has settled, with the failure text `peek` reports for each task
+/// behind the give-up.
+fn failing_dag(rt: &Runtime) -> Vec<String> {
     rt.set_fault_plan(Some(
         FaultPlan::new(7)
             .panic_kind("flaky", 2)
             .panic_kind("doomed", 3),
     ));
-    let quick = |n| RetryPolicy::new(n).backoff(0.0, 1.0);
+    let quick = |n| RetryPolicy::new(n).backoff(0.0);
     let x = rt.put(1u64);
     let flaky = rt.task("flaky").retry(quick(3)).run1(x, |v| v + 1);
 
@@ -99,10 +100,14 @@ fn failing_dag(rt: &Runtime) {
 
     assert_eq!(*rt.wait(flaky), 2);
     assert_eq!(rt.wait(retried_inout)[0], 1.0);
-    for h in [doomed, before, after] {
-        let got = catch_unwind(AssertUnwindSafe(|| rt.peek(h)));
-        assert!(got.is_err(), "a task behind the give-up produced a value");
-    }
+    [doomed, before, after]
+        .into_iter()
+        .map(|h| {
+            let got = catch_unwind(AssertUnwindSafe(|| rt.peek(h)));
+            let e = got.expect_err("a task behind the give-up produced a value");
+            e.downcast_ref::<String>().expect("string panic").clone()
+        })
+        .collect()
 }
 
 /// A nested task: the parent counts the one task; the child runtime's
@@ -124,6 +129,9 @@ fn golden_counts_on_inline_dags() {
         let rt = Runtime::new();
         dag(&rt);
         counts(&rt.stats())
+    };
+    let failing_dag = |rt: &Runtime| {
+        failing_dag(rt);
     };
     assert_eq!(
         run(fan_in_and_inout_chain),
@@ -165,8 +173,8 @@ fn golden_counts_on_inline_dags() {
 #[test]
 fn threaded_executor_counts_the_failing_dag_like_inline() {
     type Outcome = (String, bool, usize, Option<String>);
-    let run = |rt: Runtime| -> (RuntimeStats, Vec<Outcome>) {
-        failing_dag(&rt);
+    let run = |rt: Runtime| -> (RuntimeStats, Vec<Outcome>, Vec<String>) {
+        let failures = failing_dag(&rt);
         let s = rt.stats();
         let trace = rt.trace();
         let ran = trace.records.iter().filter(|r| r.ran()).count() as u64;
@@ -180,7 +188,7 @@ fn threaded_executor_counts_the_failing_dag_like_inline() {
                 (r.name.clone(), r.ran(), r.attempts.len(), error)
             })
             .collect();
-        (s, outcomes)
+        (s, outcomes, failures)
     };
     let key = |s: &RuntimeStats| {
         (
@@ -192,13 +200,18 @@ fn threaded_executor_counts_the_failing_dag_like_inline() {
             s.inout_steals + s.inout_copies,
         )
     };
-    let (inline, inline_outcomes) = run(Runtime::new());
+    let (inline, inline_outcomes, inline_failures) = run(Runtime::new());
     assert_eq!(inline_outcomes.len(), 6);
+    assert!(
+        inline_failures[0].contains("task 'doomed' #2 failed after 2 attempts"),
+        "{inline_failures:?}"
+    );
     for workers in [1, 2, 4] {
-        let (threaded, outcomes) = run(Runtime::threaded(workers));
+        let (threaded, outcomes, failures) = run(Runtime::threaded(workers));
         assert_eq!(threaded.worker_tasks.len(), workers);
         assert_eq!(key(&threaded), key(&inline), "{workers} workers");
         assert_eq!(outcomes, inline_outcomes, "{workers} workers");
+        assert_eq!(failures, inline_failures, "{workers} workers");
     }
 }
 

@@ -42,7 +42,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 /// and that must not affect values. With `retry`, every task declares a
 /// fast-backoff retry policy (for fault-injection runs).
 fn random_dag_checksum_n(rt: &Runtime, seed: u64, n: usize, retry: bool) -> u64 {
-    let policy = RetryPolicy::new(4).backoff(1e-6, 2.0);
+    let policy = RetryPolicy::new(4).backoff(1e-6);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut outs: Vec<Handle<f64>> = Vec::with_capacity(n);
     for i in 0..n {

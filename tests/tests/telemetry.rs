@@ -64,7 +64,7 @@ fn retries_are_journaled() {
     let x = rt.put(2.0f64);
     let h = rt
         .task("flaky")
-        .retry(taskrt::RetryPolicy::new(3).backoff(1e-6, 2.0))
+        .retry(taskrt::RetryPolicy::new(3).backoff(1e-6))
         .run1(x, |v| v * 3.0);
     let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.wait(h)));
     rt.barrier();
