@@ -14,7 +14,7 @@
 //!    rule (`Policy::OwnerComputes`), with the dispatch turnaround and
 //!    the link measured on a twin cluster just before (`calibrate`),
 //!    reports how many tasks the replay placed on another worker than
-//!    the run and the bytes it modelled against those the run moved,
+//!    the run and the bytes its records fetched against the run's,
 //!    and computes the measured-vs-simulated divergence — `--check`
 //!    gates `|makespan_ratio − 1| ≤ 0.25`, and on 2 workers that the
 //!    bytes moved (peer pulls + driver relay) stay within 2× the
@@ -254,19 +254,13 @@ fn main() {
         "DES: measured {:.3}s vs simulated {:.3}s (ratio {:.3})",
         div.real_makespan_s, div.sim_makespan_s, div.makespan_ratio
     );
-    let placement_mismatch = report
-        .trace
-        .records
-        .iter()
-        .zip(&sim.trace.records)
-        .filter(|(real, replay)| real.ran() && real.worker != replay.worker)
-        .count();
     println!(
-        "DES placement: {placement_mismatch} of {} tasks on another worker than the run; \
-         modelled {:.0} bytes moved vs {} measured",
+        "DES placement: {} of {} tasks on another worker than the run; \
+         modelled {} bytes fetched vs {} in the run's records",
+        div.placement_mismatch,
         plan.len(),
-        sim.transferred_bytes,
-        s.peer_pull_bytes + s.relay_bytes
+        div.sim_fetch_bytes,
+        div.real_fetch_bytes
     );
 
     let summary = Value::Object(vec![
@@ -290,12 +284,13 @@ fn main() {
         ("relay_bytes".into(), Value::Number(s.relay_bytes as f64)),
         (
             "placement_mismatch".into(),
-            Value::Number(placement_mismatch as f64),
+            Value::from(div.placement_mismatch),
         ),
         (
             "sim_transferred_bytes".into(),
-            Value::Number(sim.transferred_bytes),
+            Value::from(div.sim_fetch_bytes),
         ),
+        ("real_fetch_bytes".into(), Value::from(div.real_fetch_bytes)),
         ("input_bytes".into(), Value::Number(input_bytes as f64)),
         ("moved_ratio".into(), Value::Number(moved_ratio)),
         (

@@ -9,6 +9,7 @@ use bench::costs::ScaleModel;
 use bench::pipeline::{prepare, PipelineConfig};
 use bench::report::{print_series, write_artifact, Args};
 use taskrt::sim::{simulate, ClusterSpec, Policy, SimOptions};
+use taskrt::Profile;
 
 const SAMPLE_RATIO: f64 = 500.0 / 60.0;
 /// PCA runs on the raw STFT features (paper: 18 810; ours: ~1 078).
@@ -54,16 +55,20 @@ fn main() {
 
     let rep = simulate(trace, &ClusterSpec::marenostrum4(4), &opts);
     println!("\nbusy seconds by task kind (4 nodes):");
-    let mut kinds: Vec<_> = rep.busy_by_kind.iter().collect();
-    kinds.sort_by(|a, b| b.1.partial_cmp(a.1).unwrap());
-    for (kind, secs) in kinds.iter().take(10) {
-        println!("  {kind:>18}  {secs:>10.2}");
+    let profile = Profile::from_trace(&rep.trace);
+    for k in profile.kinds.iter().take(10) {
+        println!("  {:>18}  {:>10.2}", k.name, k.total_s);
     }
+    let eigh_s = profile
+        .kinds
+        .iter()
+        .find(|k| k.name == "pca_eigh")
+        .expect("the PCA stage runs one eigh")
+        .total_s;
     println!(
-        "\nsingle-task eigendecomposition dominates: {:.1}s of {:.1}s makespan ({:.0}%)",
-        rep.busy_by_kind["pca_eigh"],
+        "\nsingle-task eigendecomposition dominates: {eigh_s:.1}s of {:.1}s makespan ({:.0}%)",
         rep.makespan_s,
-        rep.busy_by_kind["pca_eigh"] / rep.makespan_s * 100.0
+        eigh_s / rep.makespan_s * 100.0
     );
     println!("paper: ~850 s, constant across algorithms");
 

@@ -7,7 +7,7 @@
 //! executor per node, a threaded run one per pool worker; both are the
 //! same records, so both render the same way. Marker and driver records
 //! (`worker == -1`) and executors at or past the requested count are
-//! left out of every view here.
+//! left out.
 
 use crate::trace::{TaskRecord, Trace};
 use std::fmt::Write as _;
@@ -53,19 +53,10 @@ pub fn ascii_gantt(trace: &Trace, nodes: usize, width: usize) -> String {
     out
 }
 
-/// Per-executor busy seconds (input fetch plus body, summed over the
-/// executor's records) — a quick load-balance summary.
-pub fn node_busy(trace: &Trace, nodes: usize) -> Vec<f64> {
-    let mut busy = vec![0.0; nodes];
-    for r in trace.on_executors(nodes) {
-        busy[r.worker as usize] += r.fetch_s + r.duration_s;
-    }
-    busy
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::Utilization;
     use crate::runtime::Runtime;
     use crate::sim::{simulate, ClusterSpec, SimOptions};
 
@@ -118,7 +109,8 @@ mod tests {
     #[test]
     fn node_busy_sums_schedule() {
         let (sched, nodes) = demo_schedule();
-        let total: f64 = node_busy(&sched, nodes).iter().sum();
+        let u = Utilization::from_trace(&sched, nodes);
+        let total: f64 = u.executors.iter().map(|n| n.task_s + n.fetch_s).sum();
         let expected: f64 = sched.records.iter().map(|r| r.fetch_s + r.duration_s).sum();
         assert!((total - expected).abs() < 1e-12);
     }

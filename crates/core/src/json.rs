@@ -8,10 +8,10 @@
 
 use std::fmt;
 
-/// The deepest array/object nesting [`Value::parse`] accepts. A trace
-/// nests four levels per nested runtime, so real documents stay far
-/// below it; past it the parser returns an error instead of recursing
-/// until the stack overflows.
+/// The deepest array/object nesting [`Value::parse`] accepts. The
+/// artifacts the repo writes nest a few levels, so real documents stay
+/// far below it; past it the parser returns an error instead of
+/// recursing until the stack overflows.
 const MAX_DEPTH: usize = 128;
 
 /// A JSON document node.
@@ -31,34 +31,9 @@ pub enum Value {
     Object(Vec<(String, Value)>),
 }
 
-/// Error produced by [`Value::parse`] or typed decoding.
-#[derive(Debug, Clone)]
-pub struct JsonError {
-    msg: String,
-    /// Byte offset in the input, when known.
-    pos: Option<usize>,
-}
-
-impl JsonError {
-    /// A decoding error with a free-form message.
-    pub fn msg(m: impl Into<String>) -> Self {
-        JsonError {
-            msg: m.into(),
-            pos: None,
-        }
-    }
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.pos {
-            Some(p) => write!(f, "json error at byte {p}: {}", self.msg),
-            None => write!(f, "json error: {}", self.msg),
-        }
-    }
-}
-
-impl std::error::Error for JsonError {}
+/// Error produced by [`Value::parse`]: what went wrong, and at which
+/// byte of the input.
+type JsonError = String;
 
 impl Value {
     /// The array items, if this is an array.
@@ -109,12 +84,6 @@ impl Value {
             Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
-    }
-
-    /// Required typed field helpers for decoders.
-    pub fn field(&self, key: &str) -> Result<&Value, JsonError> {
-        self.get(key)
-            .ok_or_else(|| JsonError::msg(format!("missing field '{key}'")))
     }
 
     /// Parses a JSON document. Nesting deeper than 128 levels is an
@@ -313,10 +282,7 @@ struct Parser<'a> {
 
 impl Parser<'_> {
     fn err(&self, msg: &str) -> JsonError {
-        JsonError {
-            msg: msg.to_string(),
-            pos: Some(self.pos),
-        }
+        format!("json error at byte {}: {msg}", self.pos)
     }
 
     fn skip_ws(&mut self) {

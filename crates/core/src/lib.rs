@@ -34,10 +34,10 @@
 //! | [`fault`] | [`RetryPolicy`] (a task's whole failure policy), [`FaultPlan`] injection |
 //! | [`handle`] | [`Handle`], [`DataId`], [`TaskId`] |
 //! | [`payload`] | the [`Payload`] trait (what can flow between tasks) |
-//! | [`trace`] | [`Trace`] / [`TaskRecord`] — the replayable artifact |
+//! | [`trace`] | [`Trace`] / [`TaskRecord`] — the in-memory, replayable record of a run |
 //! | [`sim`] | discrete-event cluster simulator and [`sim::ClusterSpec`] |
 //! | [`dot`] | Graphviz export of execution graphs |
-//! | [`gantt`] | ASCII/JSON timelines of simulated schedules |
+//! | [`gantt`] | ASCII timelines of a schedule, real or simulated |
 //! | [`obs`] | views derived from the records and the DES schedule: statistics, Chrome traces, profiles, stragglers, divergence |
 //! | [`json`] | self-contained JSON tree, parser, and printer |
 //!

@@ -30,7 +30,8 @@
 //! * **[`stragglers`]** — tasks slower than `k×` their kind's running
 //!   median, attributed to worker and retries.
 //! * **[`divergence`]** — a measured run against its DES replay, both
-//!   measured the same way: makespan and per-kind body time.
+//!   measured the same way: makespan, per-kind body time, tasks placed
+//!   on another executor, and bytes fetched.
 //!
 //! `cargo run --release -p bench --bin profile` exercises all of the
 //! above on a real pipeline and writes `out/profile.json` plus two
@@ -38,7 +39,7 @@
 
 use crate::json::Value;
 use crate::trace::{TaskRecord, Trace};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 /// A point-in-time snapshot of the scheduler's statistics (see
@@ -807,6 +808,12 @@ pub struct Divergence {
     /// `sim / real`.
     pub makespan_ratio: f64,
     pub kinds: Vec<KindDivergence>,
+    /// Tasks that ran on both sides, on a different executor.
+    pub placement_mismatch: usize,
+    /// Bytes the run's records fetched (`dist` peer pulls and relays).
+    pub real_fetch_bytes: u64,
+    /// Bytes the replay's records fetched (the DES's modelled transfers).
+    pub sim_fetch_bytes: u64,
 }
 
 impl Divergence {
@@ -827,6 +834,15 @@ impl Divergence {
             ("sim_makespan_s".into(), Value::Number(self.sim_makespan_s)),
             ("makespan_ratio".into(), Value::Number(self.makespan_ratio)),
             (
+                "placement_mismatch".into(),
+                Value::from(self.placement_mismatch),
+            ),
+            (
+                "real_fetch_bytes".into(),
+                Value::from(self.real_fetch_bytes),
+            ),
+            ("sim_fetch_bytes".into(), Value::from(self.sim_fetch_bytes)),
+            (
                 "kinds".into(),
                 Value::Array(self.kinds.iter().map(kind).collect()),
             ),
@@ -837,24 +853,20 @@ impl Divergence {
 /// Diffs a measured trace against its simulated replay
 /// ([`crate::sim::SimReport::trace`]), measuring both the same way over
 /// the user tasks whose body ran: the span from the first fetch or body
-/// start to the last end, and each kind's summed body seconds.
+/// start to the last end, each kind's summed body seconds (the two
+/// [`Profile`]s' `total_s`), the tasks placed on another executor, and
+/// the bytes each side fetched.
 pub fn divergence(real: &Trace, sim: &Trace) -> Divergence {
-    fn measure(t: &Trace) -> (f64, BTreeMap<&str, f64>) {
-        let ran = || t.records.iter().filter(|r| r.ran() && !r.is_marker());
-        let mut by_kind: BTreeMap<&str, f64> = BTreeMap::new();
-        for r in ran() {
-            *by_kind.entry(&r.name).or_default() += r.duration_s;
-        }
-        (span(ran()), by_kind)
+    fn ran(t: &Trace) -> impl Iterator<Item = &TaskRecord> {
+        t.records.iter().filter(|r| r.ran() && !r.is_marker())
     }
-    let ((real_makespan_s, real_by_kind), (sim_makespan_s, sim_by_kind)) =
-        (measure(real), measure(sim));
-    let mut names: Vec<&str> = real_by_kind.keys().copied().collect();
-    names.extend(
-        sim_by_kind
-            .keys()
-            .filter(|k| !real_by_kind.contains_key(*k)),
-    );
+    let (real_profile, sim_profile) = (Profile::from_trace(real), Profile::from_trace(sim));
+    let total_s = |p: &Profile, name: &str| {
+        p.kinds
+            .iter()
+            .find(|k| k.name == name)
+            .map_or(0.0, |k| k.total_s)
+    };
     let ratio = |sim: f64, real: f64| {
         if real > 0.0 {
             sim / real
@@ -862,11 +874,17 @@ pub fn divergence(real: &Trace, sim: &Trace) -> Divergence {
             f64::INFINITY
         }
     };
+    let mut names: Vec<&str> = real_profile.kinds.iter().map(|k| k.name.as_str()).collect();
+    for k in &sim_profile.kinds {
+        if !names.contains(&k.name.as_str()) {
+            names.push(&k.name);
+        }
+    }
     let kinds = names
         .into_iter()
         .map(|name| {
-            let real_s = real_by_kind.get(name).copied().unwrap_or(0.0);
-            let sim_s = sim_by_kind.get(name).copied().unwrap_or(0.0);
+            let real_s = total_s(&real_profile, name);
+            let sim_s = total_s(&sim_profile, name);
             KindDivergence {
                 name: name.to_string(),
                 real_s,
@@ -875,11 +893,20 @@ pub fn divergence(real: &Trace, sim: &Trace) -> Divergence {
             }
         })
         .collect();
+    let sim_worker: HashMap<_, _> = ran(sim).map(|r| (r.id, r.worker)).collect();
+    let placement_mismatch = ran(real)
+        .filter(|r| sim_worker.get(&r.id).is_some_and(|&w| w != r.worker))
+        .count();
+    let fetch_bytes = |t: &Trace| t.records.iter().map(|r| r.fetch_bytes).sum();
+    let (real_makespan_s, sim_makespan_s) = (span(ran(real)), span(ran(sim)));
     Divergence {
         real_makespan_s,
         sim_makespan_s,
         makespan_ratio: ratio(sim_makespan_s, real_makespan_s),
         kinds,
+        placement_mismatch,
+        real_fetch_bytes: fetch_bytes(real),
+        sim_fetch_bytes: fetch_bytes(sim),
     }
 }
 
@@ -1030,12 +1057,12 @@ mod tests {
         assert!((len - 12.1).abs() < 1e-9);
         // The timeline draws the verdict as a droplet on worker 1's track.
         let v = Value::parse(&chrome_trace(&trace, &found)).unwrap();
-        let events = v.field("traceEvents").unwrap().as_array().unwrap();
+        let events = v["traceEvents"].as_array().unwrap();
         let droplet = events
             .iter()
             .find(|e| e.get("cat").and_then(|c| c.as_str()) == Some("straggler"))
             .expect("a straggler marker");
-        assert_eq!(droplet.field("tid").unwrap().as_u64(), Some(2));
+        assert_eq!(droplet["tid"].as_u64(), Some(2));
     }
 
     #[test]
@@ -1054,15 +1081,15 @@ mod tests {
         let _ = rt.wait(b);
         let json = chrome_trace(&rt.trace(), &[]);
         let v = Value::parse(&json).expect("valid chrome trace JSON");
-        let events = v.field("traceEvents").unwrap().as_array().unwrap();
+        let events = v["traceEvents"].as_array().unwrap();
         // At least the driver thread_name metadata and the task slice.
         assert!(events.len() >= 2);
         let slice = events
             .iter()
             .find(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
             .expect("one complete event");
-        assert_eq!(slice.field("name").unwrap().as_str(), Some("scale"));
-        assert!(slice.field("dur").unwrap().as_f64().unwrap() >= 0.0);
+        assert_eq!(slice["name"].as_str(), Some("scale"));
+        assert!(slice["dur"].as_f64().unwrap() >= 0.0);
     }
 
     #[test]
@@ -1094,7 +1121,7 @@ mod tests {
         assert_eq!(x.count, 2, "the x that never ran counted as an execution");
 
         let v = Value::parse(&chrome_trace(&trace, &[])).expect("valid chrome trace JSON");
-        let events = v.field("traceEvents").unwrap().as_array().unwrap();
+        let events = v["traceEvents"].as_array().unwrap();
         let slices_of = |task: u64| {
             events
                 .iter()
@@ -1149,7 +1176,47 @@ mod tests {
         assert!(u.stall_s < 1e-9, "stall={}", u.stall_s);
         let total_tasks: usize = u.executors.iter().map(|n| n.tasks).sum();
         assert_eq!(total_tasks, 4);
-        assert_eq!(u.fetch_bytes as f64, rep.transferred_bytes);
+        // `right` runs beside `left` on node 1 and fetches `src`'s 100
+        // bytes; `join` then fetches one of the two branches.
+        assert_eq!(u.fetch_bytes, 200);
+    }
+
+    #[test]
+    fn divergence_counts_moved_tasks_and_fetched_bytes() {
+        // The run put the whole diamond on worker 0, `right` pulling
+        // 64 bytes; the two-node replay moves `right` to node 1.
+        let mut right = ran(2, "right", &[0], 0, 6.0, 2.0);
+        right.fetch_bytes = 64;
+        let real = Trace {
+            records: vec![
+                ran(0, "src", &[], 0, 0.0, 1.0),
+                ran(1, "left", &[0], 0, 1.0, 5.0),
+                right,
+                ran(3, "join", &[1, 2], 0, 8.0, 1.0),
+            ],
+        };
+        let rep = simulate(&real, &two_nodes(1e9), &SimOptions::default());
+        let div = divergence(&real, &rep.trace);
+        assert_eq!(div.placement_mismatch, 1);
+        assert_eq!((div.real_fetch_bytes, div.sim_fetch_bytes), (64, 200));
+        assert_eq!(div.real_makespan_s, 9.0);
+        let kinds: Vec<(&str, f64, f64)> = div
+            .kinds
+            .iter()
+            .map(|k| (k.name.as_str(), k.real_s, k.sim_s))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                ("left", 5.0, 5.0),
+                ("right", 2.0, 2.0),
+                ("join", 1.0, 1.0),
+                ("src", 1.0, 1.0)
+            ]
+        );
+        // A replay of the replay places every task where it was.
+        let again = simulate(&rep.trace, &two_nodes(1e9), &SimOptions::default());
+        assert_eq!(divergence(&rep.trace, &again.trace).placement_mismatch, 0);
     }
 
     #[test]

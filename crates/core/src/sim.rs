@@ -30,7 +30,7 @@
 use crate::dist::place::place;
 use crate::trace::{TaskRecord, Trace};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Description of a simulated cluster: every node is up for the whole
@@ -131,23 +131,15 @@ impl Default for SimOptions {
     }
 }
 
-/// Outcome of a simulation.
+/// Outcome of a simulation: the schedule. Every summary of it (bytes
+/// moved, busy seconds per node or per kind) is a [`crate::obs`] view of
+/// [`SimReport::trace`].
 #[derive(Debug, Clone)]
 pub struct SimReport {
     /// End-to-end makespan in seconds.
     pub makespan_s: f64,
-    /// Total bytes moved between nodes.
-    pub transferred_bytes: f64,
-    /// Total time spent in transfers (sum over tasks), seconds.
-    pub transfer_time_s: f64,
-    /// Sum over tasks of `duration * cores`, in core-seconds.
-    pub busy_core_s: f64,
-    /// `busy_core_s / (makespan * total_cores)`.
-    pub utilization: f64,
     /// Number of scheduled records (markers included).
     pub tasks: usize,
-    /// Busy seconds per task kind.
-    pub busy_by_kind: BTreeMap<String, f64>,
     /// The schedule: one record per input record, in submission order,
     /// markers included. `worker` is the node (`-1` for markers),
     /// `start_s` the body start, `fetch_s`/`fetch_bytes` the input
@@ -196,14 +188,14 @@ fn merge_ready(ready: &mut Vec<(u64, usize)>, newly: Vec<(u64, usize)>) {
     }
 }
 
-/// Simulates `trace` on `cluster` and returns the schedule metrics.
+/// Simulates `trace` on `cluster` and returns the schedule.
 ///
 /// The replay is fully indexed: task and data lookups are dense vector
-/// accesses, data replica locations are flat bitsets, task kinds are
-/// interned once, and equal-time completion events are drained as one
-/// batch followed by a *single* placement sweep (placing a task only
-/// consumes capacity, so one seq-ordered pass over the ready list is
-/// complete — nothing becomes placeable mid-sweep).
+/// accesses, data replica locations are flat bitsets, and equal-time
+/// completion events are drained as one batch followed by a *single*
+/// placement sweep (placing a task only consumes capacity, so one
+/// seq-ordered pass over the ready list is complete — nothing becomes
+/// placeable mid-sweep).
 ///
 /// # Panics
 /// Panics if the trace contains a dependency cycle (impossible for
@@ -216,8 +208,7 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
     let n = trace.records.len();
     let index = trace.index_by_id();
 
-    // Effective durations (overrides, nesting), resource demands, and
-    // interned kind names (records of one kind share a name id). The
+    // Effective durations (overrides, nesting) and resource demands. The
     // output records start as copies with the nested child folded into
     // the duration and the granted resources; placement stamps their
     // node and times.
@@ -225,8 +216,6 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
     let mut dur = vec![0.0f64; n];
     let mut cores = vec![0u32; n];
     let mut gpus = vec![0u32; n];
-    let mut kind_names: Vec<String> = Vec::new();
-    let mut kind_of = vec![0usize; n];
     for (i, r) in trace.records.iter().enumerate() {
         dur[i] = effective_duration(r, cluster, opts);
         if !r.is_marker() {
@@ -251,15 +240,7 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
             child: None,
             attempts: Vec::new(),
         });
-        kind_of[i] = kind_names
-            .iter()
-            .position(|k| k == &r.name)
-            .unwrap_or_else(|| {
-                kind_names.push(r.name.clone());
-                kind_names.len() - 1
-            });
     }
-    let mut busy_of_kind = vec![0.0f64; kind_names.len()];
 
     // Dependency bookkeeping.
     let mut indeg = vec![0usize; n];
@@ -344,17 +325,6 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
     // dispatches one task at a time, so concurrent placements queue.
     let mut master_free = 0.0f64;
 
-    let mut report = SimReport {
-        makespan_s: 0.0,
-        transferred_bytes: 0.0,
-        transfer_time_s: 0.0,
-        busy_core_s: 0.0,
-        utilization: 0.0,
-        tasks: n,
-        busy_by_kind: BTreeMap::new(),
-        trace: Trace::default(),
-    };
-
     loop {
         // One placement sweep at the current time. Locality-aware picks
         // a node for each ready task in submission order (`None` below);
@@ -410,14 +380,11 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
                     let di = d.0 as usize;
                     if !replica_has(&replicas, words, di, node) {
                         xfer += cluster.latency_s + *bytes as f64 / cluster.bandwidth_bps;
-                        report.transferred_bytes += *bytes as f64;
                         xfer_bytes += *bytes as u64;
                         replica_set(&mut replicas, words, di, node);
                     }
                 }
             }
-            report.transfer_time_s += xfer;
-            let run_s = dur[i];
             let mut dispatch = 0.0;
             if opts.dispatch_overhead_s > 0.0 && !r.is_marker() {
                 let begin = now.max(master_free);
@@ -426,11 +393,9 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
             }
             let body_start = now + dispatch + xfer;
             heap.push(Reverse(Ev {
-                time: body_start + run_s,
+                time: body_start + dur[i],
                 idx: i,
             }));
-            report.busy_core_s += run_s * cores[i] as f64;
-            busy_of_kind[kind_of[i]] += run_s;
             let o = &mut out[i];
             o.worker = if r.is_marker() { -1 } else { node as i64 };
             o.start_s = body_start;
@@ -476,16 +441,11 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
         merge_ready(&mut ready, newly);
     }
 
-    report.makespan_s = now;
-    report.busy_by_kind = kind_names.into_iter().zip(busy_of_kind).collect();
-    report.trace = Trace { records: out };
-    let denom = now * cluster.total_cores() as f64;
-    report.utilization = if denom > 0.0 {
-        report.busy_core_s / denom
-    } else {
-        0.0
-    };
-    report
+    SimReport {
+        makespan_s: now,
+        tasks: n,
+        trace: Trace { records: out },
+    }
 }
 
 /// Duration of a record under the given options: explicit override wins;
@@ -549,6 +509,12 @@ fn locality_node(
 mod tests {
     use super::*;
     use crate::handle::{DataId, TaskId};
+    use crate::obs::{Profile, Utilization};
+
+    /// Bytes the schedule moved between `nodes` nodes.
+    fn moved(rep: &SimReport, nodes: usize) -> u64 {
+        Utilization::from_trace(&rep.trace, nodes).fetch_bytes
+    }
 
     fn rec(id: u64, deps: &[u64], dur: f64, cores: u32) -> TaskRecord {
         TaskRecord {
@@ -605,7 +571,9 @@ mod tests {
         assert!((r1.makespan_s - 8.0).abs() < 1e-9);
         assert!((r4.makespan_s - 2.0).abs() < 1e-9);
         assert!((r8.makespan_s - 1.0).abs() < 1e-9);
-        assert!((r8.utilization - 1.0).abs() < 1e-9);
+        // Every core of the node is busy for the whole makespan.
+        let u = Utilization::from_trace(&r8.trace, 1);
+        assert!((u.executors[0].task_s - 8.0 * r8.makespan_s).abs() < 1e-9);
     }
 
     #[test]
@@ -651,7 +619,7 @@ mod tests {
         for c in [cluster(1, 2), cluster(2, 1)] {
             let local = simulate(&t, &c, &SimOptions::default());
             assert!((local.makespan_s - 2.0).abs() < 1e-9);
-            assert_eq!(local.transferred_bytes, 0.0);
+            assert_eq!(moved(&local, c.nodes), 0);
         }
 
         // A second consumer finds the producer's node busy and runs on
@@ -661,7 +629,7 @@ mod tests {
         t.records.push(consumer);
         let remote = simulate(&t, &cluster(2, 1), &SimOptions::default());
         assert!(remote.makespan_s > 2.5, "got {}", remote.makespan_s);
-        assert_eq!(remote.transferred_bytes, 1e9);
+        assert_eq!(moved(&remote, 2), 1_000_000_000);
     }
 
     #[test]
@@ -748,10 +716,10 @@ mod tests {
         let rep = simulate(&t, &cluster(1, 1), &OWNER);
         let r = &rep.trace.records[0];
         assert_eq!((r.worker, r.fetch_bytes), (0, 1000));
-        assert_eq!(rep.transferred_bytes, 1000.0);
+        assert_eq!(moved(&rep, 1), 1000);
         // COMPSs' master keeps it on node 0.
         let rep = simulate(&t, &cluster(1, 1), &SimOptions::default());
-        assert_eq!(rep.transferred_bytes, 0.0);
+        assert_eq!(moved(&rep, 1), 0);
     }
 
     #[test]
@@ -787,7 +755,7 @@ mod tests {
         let rep = simulate(&t, &cluster(2, 1), &OWNER);
         let r3 = &rep.trace.records[3];
         assert_eq!((r3.worker, r3.start_s, r3.fetch_bytes), (0, 2.0, 0));
-        assert_eq!(rep.transferred_bytes, 0.0);
+        assert_eq!(moved(&rep, 2), 0);
         // Locality-aware takes the free node instead, and moves D0.
         let rep = simulate(&t, &cluster(2, 1), &SimOptions::default());
         let r3 = &rep.trace.records[3];
@@ -823,6 +791,7 @@ mod tests {
             records: vec![rec(0, &[], 1.0, 1), rec(3, &[], 2.0, 1)],
         };
         let rep = simulate(&t, &cluster(1, 2), &SimOptions::default());
-        assert!((rep.busy_by_kind["k0"] - 3.0).abs() < 1e-9);
+        let p = Profile::from_trace(&rep.trace);
+        assert_eq!((p.kinds[0].name.as_str(), p.kinds[0].total_s), ("k0", 3.0));
     }
 }

@@ -7,10 +7,11 @@
 //! figures) and the discrete-event cluster simulator ([`crate::sim`],
 //! reproducing the scalability figures). The simulator's schedule is a
 //! [`Trace`] too, so a real run and its replay are read by the same
-//! views ([`crate::obs`], [`crate::gantt`]).
+//! views ([`crate::obs`], [`crate::gantt`]). A trace lives in memory:
+//! every replay reads the [`Trace`] its run returned, and no file format
+//! is kept for it.
 
 use crate::handle::{DataId, TaskId};
-use crate::json::{JsonError, Value};
 
 /// Name given to synchronization marker pseudo-tasks.
 pub const SYNC_TASK: &str = "__sync";
@@ -36,45 +37,8 @@ pub struct AttemptRecord {
     pub error: Option<String>,
 }
 
-impl AttemptRecord {
-    /// Encodes the attempt as a JSON tree.
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("start_s".into(), Value::from(self.start_s)),
-            ("duration_s".into(), Value::from(self.duration_s)),
-            (
-                "error".into(),
-                match &self.error {
-                    Some(e) => Value::from(e.as_str()),
-                    None => Value::Null,
-                },
-            ),
-        ])
-    }
-
-    /// Decodes an attempt from a JSON tree.
-    fn from_value(v: &Value) -> Result<AttemptRecord, JsonError> {
-        let f64_of = |v: &Value, what: &str| {
-            v.as_f64()
-                .ok_or_else(|| JsonError::msg(format!("{what} must be a number")))
-        };
-        Ok(AttemptRecord {
-            start_s: f64_of(v.field("start_s")?, "attempt start_s")?,
-            duration_s: f64_of(v.field("duration_s")?, "attempt duration_s")?,
-            error: match v.field("error")? {
-                Value::Null => None,
-                e => Some(
-                    e.as_str()
-                        .ok_or_else(|| JsonError::msg("attempt 'error' must be a string"))?
-                        .to_string(),
-                ),
-            },
-        })
-    }
-}
-
 /// One task (or marker) in a recorded trace.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskRecord {
     /// Task identifier, unique within its trace.
     pub id: TaskId,
@@ -148,129 +112,10 @@ impl TaskRecord {
             && self.name != BARRIER_TASK
             && (self.worker >= 0 || self.start_s > 0.0 || self.duration_s > 0.0)
     }
-
-    /// Encodes the record as a JSON tree (data refs as `[id, bytes]`
-    /// pairs — the layout the serde derive used to emit).
-    pub fn to_value(&self) -> Value {
-        let refs = |v: &[(DataId, usize)]| {
-            Value::Array(
-                v.iter()
-                    .map(|(d, b)| Value::Array(vec![Value::from(d.0), Value::from(*b)]))
-                    .collect(),
-            )
-        };
-        Value::Object(vec![
-            ("id".into(), Value::from(self.id.0)),
-            ("name".into(), Value::from(self.name.as_str())),
-            (
-                "deps".into(),
-                Value::Array(self.deps.iter().map(|t| Value::from(t.0)).collect()),
-            ),
-            ("duration_s".into(), Value::from(self.duration_s)),
-            ("inputs".into(), refs(&self.inputs)),
-            ("outputs".into(), refs(&self.outputs)),
-            ("cores".into(), Value::from(self.cores)),
-            ("gpus".into(), Value::from(self.gpus)),
-            ("seq".into(), Value::from(self.seq)),
-            ("ready_s".into(), Value::from(self.ready_s)),
-            ("start_s".into(), Value::from(self.start_s)),
-            ("fetch_s".into(), Value::from(self.fetch_s)),
-            ("fetch_bytes".into(), Value::from(self.fetch_bytes)),
-            ("worker".into(), Value::from(self.worker as f64)),
-            (
-                "child".into(),
-                match &self.child {
-                    Some(c) => c.to_value(),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "attempts".into(),
-                Value::Array(self.attempts.iter().map(AttemptRecord::to_value).collect()),
-            ),
-        ])
-    }
-
-    /// Decodes a record from a JSON tree.
-    fn from_value(v: &Value) -> Result<TaskRecord, JsonError> {
-        let u64_of = |v: &Value, what: &str| {
-            v.as_u64()
-                .ok_or_else(|| JsonError::msg(format!("{what} must be an unsigned integer")))
-        };
-        // Resource demands are `u32`: a larger value is an error, not a
-        // silently truncated demand for the DES to replay.
-        let u32_of = |v: &Value, what: &str| {
-            u32::try_from(u64_of(v, what)?)
-                .map_err(|_| JsonError::msg(format!("{what} exceeds u32::MAX")))
-        };
-        let refs = |v: &Value, what: &str| -> Result<Vec<(DataId, usize)>, JsonError> {
-            v.as_array()
-                .ok_or_else(|| JsonError::msg(format!("{what} must be an array")))?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                        JsonError::msg(format!("{what} entries must be [id, bytes] pairs"))
-                    })?;
-                    let id = u64_of(&pair[0], "data id")?;
-                    let bytes = u64_of(&pair[1], "byte size")?;
-                    Ok((DataId(id), bytes as usize))
-                })
-                .collect()
-        };
-        let deps = v
-            .field("deps")?
-            .as_array()
-            .ok_or_else(|| JsonError::msg("'deps' must be an array"))?
-            .iter()
-            .map(|d| u64_of(d, "dep id").map(TaskId))
-            .collect::<Result<Vec<_>, _>>()?;
-        let child = match v.field("child")? {
-            Value::Null => None,
-            c => Some(Box::new(Trace::from_value(c)?)),
-        };
-        Ok(TaskRecord {
-            id: TaskId(u64_of(v.field("id")?, "id")?),
-            name: v
-                .field("name")?
-                .as_str()
-                .ok_or_else(|| JsonError::msg("'name' must be a string"))?
-                .to_string(),
-            deps,
-            duration_s: v
-                .field("duration_s")?
-                .as_f64()
-                .ok_or_else(|| JsonError::msg("'duration_s' must be a number"))?,
-            inputs: refs(v.field("inputs")?, "inputs")?,
-            outputs: refs(v.field("outputs")?, "outputs")?,
-            cores: u32_of(v.field("cores")?, "cores")?,
-            gpus: u32_of(v.field("gpus")?, "gpus")?,
-            seq: u64_of(v.field("seq")?, "seq")?,
-            // Optional for compatibility with traces archived before
-            // the observability fields existed.
-            ready_s: v.get("ready_s").and_then(Value::as_f64).unwrap_or(0.0),
-            start_s: v.get("start_s").and_then(Value::as_f64).unwrap_or(0.0),
-            fetch_s: v.get("fetch_s").and_then(Value::as_f64).unwrap_or(0.0),
-            fetch_bytes: v.get("fetch_bytes").and_then(Value::as_u64).unwrap_or(0),
-            worker: v
-                .get("worker")
-                .and_then(Value::as_f64)
-                .map_or(-1, |w| w as i64),
-            child,
-            // Optional for compatibility with traces archived before
-            // fault tolerance existed.
-            attempts: match v.get("attempts").and_then(Value::as_array) {
-                Some(a) => a
-                    .iter()
-                    .map(AttemptRecord::from_value)
-                    .collect::<Result<Vec<_>, _>>()?,
-                None => Vec::new(),
-            },
-        })
-    }
 }
 
 /// A recorded task graph with timings — the replayable artifact of a run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Records ordered by submission sequence.
     pub records: Vec<TaskRecord>,
@@ -366,17 +211,6 @@ impl Trace {
             .collect()
     }
 
-    /// Map from produced data id to its producer's record index.
-    pub fn producer_index(&self) -> std::collections::HashMap<DataId, usize> {
-        let mut m = std::collections::HashMap::new();
-        for (i, r) in self.records.iter().enumerate() {
-            for (d, _) in &r.outputs {
-                m.insert(*d, i);
-            }
-        }
-        m
-    }
-
     /// Histogram of task counts per kind name (markers included).
     pub fn task_histogram(&self) -> std::collections::BTreeMap<String, usize> {
         let mut m = std::collections::BTreeMap::new();
@@ -407,55 +241,6 @@ impl Trace {
             }
         }
         counts.values().copied().max().unwrap_or(0)
-    }
-
-    /// Serializes the trace to pretty JSON (for EXPERIMENTS.md artifacts).
-    pub fn to_json(&self) -> String {
-        self.to_value().pretty()
-    }
-
-    /// Parses a trace previously produced by [`Self::to_json`] — the
-    /// round-trip that lets recorded workloads be archived and
-    /// re-simulated later (the role Paraver trace files play for
-    /// PyCOMPSs).
-    fn from_json(s: &str) -> Result<Trace, JsonError> {
-        Trace::from_value(&Value::parse(s)?)
-    }
-
-    /// Encodes the trace as a JSON tree.
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![(
-            "records".into(),
-            Value::Array(self.records.iter().map(TaskRecord::to_value).collect()),
-        )])
-    }
-
-    /// Decodes a trace from a JSON tree.
-    fn from_value(v: &Value) -> Result<Trace, JsonError> {
-        let records = v
-            .field("records")?
-            .as_array()
-            .ok_or_else(|| JsonError::msg("'records' must be an array"))?
-            .iter()
-            .map(TaskRecord::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Trace { records })
-    }
-
-    /// Writes the trace to a file as JSON, creating parent directories.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Loads a trace from a JSON file written by [`Self::save`].
-    /// Malformed JSON surfaces as [`std::io::ErrorKind::Other`].
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Trace> {
-        let s = std::fs::read_to_string(path)?;
-        Trace::from_json(&s).map_err(std::io::Error::other)
     }
 }
 
@@ -554,216 +339,5 @@ mod tests {
             records: vec![a, b],
         };
         assert_eq!(t.task_histogram()["fit"], 2);
-    }
-
-    #[test]
-    fn json_roundtrip_smoke() {
-        let t = Trace {
-            records: vec![rec(0, &[], 1.0)],
-        };
-        let s = t.to_json();
-        assert!(s.contains("\"duration_s\""));
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_structure() {
-        let mut parent = rec(0, &[], 2.0);
-        parent.child = Some(Box::new(Trace {
-            records: vec![rec(0, &[], 1.0)],
-        }));
-        let t = Trace {
-            records: vec![parent, rec(1, &[0], 3.0)],
-        };
-        let back = Trace::from_json(&t.to_json()).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.records[1].deps, vec![TaskId(0)]);
-        assert!(back.records[0].child.is_some());
-        assert!((back.critical_path_s() - t.critical_path_s()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let t = Trace {
-            records: vec![rec(0, &[], 1.5), rec(1, &[0], 0.5)],
-        };
-        // `impl AsRef<Path>` accepts owned paths and plain strs alike.
-        let path = std::path::PathBuf::from("/tmp/taskml_trace_test.json");
-        t.save(&path).unwrap();
-        let back = Trace::load("/tmp/taskml_trace_test.json").unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.records[0].duration_s, 1.5);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn load_accepts_artifacts_of_removed_features() {
-        // `testdata/trace_pr8.json` is an `out/*.json` artifact as PRs
-        // 6-15 wrote them: every record carries the per-job ownership
-        // key (PR 8) this version no longer reads, and one name is a
-        // fusion-window group label (PR 6) — now just another kind.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/trace_pr8.json");
-        let t = Trace::load(path).unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.records[0].name, "fused(ds_scale;ds_sub_row)");
-        assert_eq!(t.records[0].worker, 1);
-        assert_eq!(t.records[1].deps, vec![TaskId(0)]);
-        // What we write back is the current schema and loads to the
-        // same records.
-        let json = t.to_json();
-        let back = Trace::from_json(&json).unwrap();
-        assert_eq!(back.to_json(), json);
-        // ... with exactly the keys a record built today has: the
-        // dropped key is not re-emitted.
-        let keys = |r: &TaskRecord| match r.to_value() {
-            Value::Object(fields) => fields.into_iter().map(|(k, _)| k).collect::<Vec<_>>(),
-            _ => panic!("record encodes as an object"),
-        };
-        assert_eq!(keys(&t.records[0]), keys(&rec(0, &[], 1.0)));
-    }
-
-    #[test]
-    fn load_missing_file_is_not_found() {
-        let err = Trace::load("/tmp/taskml_no_such_trace_file.json").unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
-    }
-
-    #[test]
-    fn load_malformed_json_is_error_not_panic() {
-        let path = "/tmp/taskml_malformed_trace.json";
-        std::fs::write(path, "{ not json").unwrap();
-        let err = Trace::load(path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::Other);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn malformed_data_ref_pair_is_error_not_panic() {
-        // A one-element `[id]` pair used to index out of bounds and
-        // panic; it must decode to a JsonError instead.
-        let t = Trace {
-            records: vec![rec(0, &[], 1.0)],
-        };
-        let good = t.to_value().compact();
-        let bad = good.replace("[[0,8]]", "[[0]]");
-        assert_ne!(good, bad, "fixture must contain the [id, bytes] pair");
-        let err = Trace::from_json(&bad).unwrap_err();
-        assert!(
-            err.to_string().contains("[id, bytes]"),
-            "unexpected error: {err}"
-        );
-        // Non-array pair entries are rejected too.
-        let bad2 = good.replace("[[0,8]]", "[7]");
-        let err2 = Trace::from_json(&bad2).unwrap_err();
-        assert!(err2.to_string().contains("[id, bytes]"));
-    }
-
-    #[test]
-    fn resource_demands_past_u32_are_errors_not_truncated() {
-        let t = Trace {
-            records: vec![rec(0, &[], 1.0)],
-        };
-        let good = t.to_value().compact();
-        for (field, from, to) in [
-            ("cores", "\"cores\":1", "\"cores\":4294967297"),
-            ("gpus", "\"gpus\":0", "\"gpus\":4294967298"),
-        ] {
-            let bad = good.replace(from, to);
-            assert_ne!(good, bad, "fixture must contain {from}");
-            let err = Trace::from_json(&bad).unwrap_err();
-            assert!(
-                err.to_string()
-                    .contains(&format!("{field} exceeds u32::MAX")),
-                "unexpected error: {err}"
-            );
-        }
-        let max = good.replace("\"cores\":1", "\"cores\":4294967295");
-        assert_eq!(Trace::from_json(&max).unwrap().records[0].cores, u32::MAX);
-    }
-
-    #[test]
-    fn deeply_nested_json_is_an_error_not_an_abort() {
-        let deep = format!("{{\"records\":{}", "[".repeat(100_000));
-        let err = Trace::from_json(&deep).unwrap_err();
-        assert!(err.to_string().contains("nesting deeper"), "{err}");
-        let path = std::env::temp_dir().join("taskml_deeply_nested_trace.json");
-        std::fs::write(&path, &deep).unwrap();
-        let err = Trace::load(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::Other);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_attempts_and_defaults_old_traces() {
-        let mut r = rec(0, &[], 1.0);
-        r.attempts = vec![
-            AttemptRecord {
-                start_s: 0.5,
-                duration_s: 0.1,
-                error: Some("task 'x' panicked: boom".into()),
-            },
-            AttemptRecord {
-                start_s: 0.7,
-                duration_s: 0.2,
-                error: None,
-            },
-        ];
-        let t = Trace { records: vec![r] };
-        let back = Trace::from_json(&t.to_json()).unwrap();
-        assert_eq!(back.records[0].attempts, t.records[0].attempts);
-
-        // Traces archived before fault tolerance existed still load.
-        let mut v = Value::parse(&t.to_json()).unwrap();
-        if let Value::Object(fields) = &mut v {
-            if let Some((_, Value::Array(recs))) = fields.iter_mut().find(|(k, _)| k == "records") {
-                for r in recs {
-                    if let Value::Object(rf) = r {
-                        rf.retain(|(k, _)| k != "attempts");
-                    }
-                }
-            }
-        }
-        let back = Trace::from_json(&v.pretty()).unwrap();
-        assert!(back.records[0].attempts.is_empty());
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_obs_fields_and_defaults_old_traces() {
-        let mut r = rec(0, &[], 1.0);
-        r.ready_s = 3.0;
-        r.start_s = 3.25;
-        r.fetch_s = 0.125;
-        r.fetch_bytes = 4096;
-        r.worker = 2;
-        let t = Trace { records: vec![r] };
-        let back = Trace::from_json(&t.to_json()).unwrap();
-        assert_eq!(back.records[0].ready_s, 3.0);
-        assert_eq!(back.records[0].start_s, 3.25);
-        assert_eq!(back.records[0].fetch_s, 0.125);
-        assert_eq!(back.records[0].fetch_bytes, 4096);
-        assert_eq!(back.records[0].worker, 2);
-
-        // Traces archived before the obs fields existed still load:
-        // strip the new fields from the JSON tree and re-parse.
-        let mut v = Value::parse(&t.to_json()).unwrap();
-        if let Value::Object(fields) = &mut v {
-            if let Some((_, Value::Array(recs))) = fields.iter_mut().find(|(k, _)| k == "records") {
-                for r in recs {
-                    if let Value::Object(rf) = r {
-                        rf.retain(|(k, _)| {
-                            !matches!(
-                                k.as_str(),
-                                "ready_s" | "start_s" | "fetch_s" | "fetch_bytes" | "worker"
-                            )
-                        });
-                    }
-                }
-            }
-        }
-        let back = Trace::from_json(&v.pretty()).unwrap();
-        assert_eq!(back.records[0].ready_s, 0.0);
-        assert_eq!(back.records[0].start_s, 0.0);
-        assert_eq!(back.records[0].fetch_s, 0.0);
-        assert_eq!(back.records[0].fetch_bytes, 0);
-        assert_eq!(back.records[0].worker, -1);
     }
 }

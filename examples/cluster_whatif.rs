@@ -7,12 +7,12 @@
 //!
 //! Run: `cargo run -p apps --example cluster_whatif --release`
 
-use apps::banner;
+use apps::{banner, core_utilization};
 use dislib::csvm::{CascadeSvm, CascadeSvmParams};
 use dsarray::{DsArray, DsLabels};
 use ecg::{Dataset, DatasetSpec, Scale};
 use taskrt::sim::{simulate, ClusterSpec, SimOptions};
-use taskrt::Runtime;
+use taskrt::{Runtime, Utilization};
 
 fn main() {
     banner("1. run the workflow once, for real, and record it");
@@ -47,7 +47,7 @@ fn main() {
             nodes,
             cluster.total_cores(),
             rep.makespan_s,
-            rep.utilization * 100.0
+            core_utilization(&rep, &cluster) * 100.0
         );
     }
     println!("(the cascade's reduction phase caps useful parallelism — paper §III-C1)");
@@ -71,7 +71,7 @@ fn main() {
         println!(
             "{label:>14} {:>12.4} {:>14.2}",
             rep.makespan_s,
-            rep.transferred_bytes / 1e6
+            Utilization::from_trace(&rep.trace, cluster.nodes).fetch_bytes as f64 / 1e6
         );
         makespans.push(rep.makespan_s);
     }
@@ -87,6 +87,10 @@ fn main() {
         &SimOptions::default(),
     );
     print!("{}", taskrt::gantt::ascii_gantt(&rep.trace, 2, 64));
-    let busy = taskrt::gantt::node_busy(&rep.trace, 2);
+    let busy: Vec<f64> = Utilization::from_trace(&rep.trace, 2)
+        .executors
+        .iter()
+        .map(|n| n.task_s + n.fetch_s)
+        .collect();
     println!("busy seconds per node: {busy:.3?}");
 }

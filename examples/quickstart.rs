@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run -p apps --example quickstart --release`
 
-use apps::banner;
+use apps::{banner, core_utilization};
 use linalg::Matrix;
 use taskrt::dot::to_dot;
 use taskrt::sim::{simulate, ClusterSpec, SimOptions};
@@ -64,7 +64,7 @@ fn main() {
             nodes,
             cluster.total_cores(),
             rep.makespan_s,
-            rep.utilization * 100.0
+            core_utilization(&rep, &cluster) * 100.0
         );
     }
 

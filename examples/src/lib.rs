@@ -16,7 +16,21 @@
 //! | `cluster_whatif` | capacity planning: record a workflow once, replay it on clusters you do not own |
 //! | `edge_monitor` | the paper's motivating edge scenario: train in the "cloud", run windowed AF inference over a live ECG stream |
 
+use taskrt::sim::{ClusterSpec, SimReport};
+
 /// Prints a section banner shared by the examples.
 pub fn banner(title: &str) {
     println!("\n=== {title} ===");
+}
+
+/// The share of a simulated cluster's core-seconds a schedule used: its
+/// records' `duration × cores`, over `makespan × cores` of `cluster`.
+pub fn core_utilization(rep: &SimReport, cluster: &ClusterSpec) -> f64 {
+    let core_s: f64 = rep
+        .trace
+        .records
+        .iter()
+        .map(|r| r.duration_s * f64::from(r.cores))
+        .sum();
+    core_s / (rep.makespan_s * f64::from(cluster.total_cores()))
 }

@@ -13,7 +13,6 @@ use taskrt::dist::{
     fingerprint, DistConfig, DistRuntime, KindRegistry, Msg, Plan, WireError, WireValue,
     CRASH_DROP, CRASH_TRUNCATE,
 };
-use taskrt::trace::Trace;
 use taskrt::{Payload, RetryPolicy};
 
 /// Deterministic nested `WireValue` generator. The vendored proptest
@@ -197,21 +196,6 @@ proptest! {
         for cut in 0..body.len() {
             prop_assert!(Msg::decode(&body[..cut]).is_err(), "a {cut}-byte body decoded");
         }
-    }
-
-    /// `Trace::load` refuses arbitrary bytes, and bytes that open like
-    /// a trace, with an error, never a panic.
-    #[test]
-    fn prop_trace_load_errs_on_arbitrary_bytes(
-        like_a_trace in 0u8..2,
-        bytes in collection::vec(0u8..=255, 0..256),
-    ) {
-        let head: &[u8] = if like_a_trace == 1 { br#"{"records":[{"id":"# } else { b"" };
-        let path = std::env::temp_dir().join(format!("taskrt-trace-bytes-{}.json", std::process::id()));
-        std::fs::write(&path, [head, &bytes].concat()).unwrap();
-        let loaded = Trace::load(&path);
-        std::fs::remove_file(&path).unwrap();
-        prop_assert!(loaded.is_err());
     }
 }
 

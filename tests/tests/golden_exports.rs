@@ -4,9 +4,18 @@
 //! formatting change must show up as a reviewed diff here, not as a
 //! silent drift.
 
-use taskrt::gantt::{ascii_gantt, node_busy};
+use taskrt::gantt::ascii_gantt;
 use taskrt::sim::{simulate, ClusterSpec, SimOptions};
-use taskrt::{dot, DataId, TaskId, TaskRecord, Trace};
+use taskrt::{dot, DataId, TaskId, TaskRecord, Trace, Utilization};
+
+/// Per-executor busy seconds: input fetch plus body, summed.
+fn busy(trace: &Trace, executors: usize) -> Vec<f64> {
+    Utilization::from_trace(trace, executors)
+        .executors
+        .iter()
+        .map(|n| n.task_s + n.fetch_s)
+        .collect()
+}
 
 fn rec(id: u64, deps: &[u64], dur: f64, name: &str) -> TaskRecord {
     TaskRecord {
@@ -61,8 +70,7 @@ node  0 |ss****jj|
 kinds: join, left, right, src
 ";
     assert_eq!(got, want);
-    let busy = node_busy(&rep.trace, 1);
-    assert!((busy[0] - 6.0).abs() < 1e-12); // 1 + 2 + 2 + 1 task-seconds
+    assert!((busy(&rep.trace, 1)[0] - 6.0).abs() < 1e-12); // 1 + 2 + 2 + 1 task-seconds
 }
 
 fn one_core_node() -> ClusterSpec {
@@ -112,8 +120,8 @@ fn gantt_views_skip_markers_driver_and_executors_past_the_count() {
             placed(3, 0, 1.0, 1.0, "join"),
         ],
     };
-    assert_eq!(node_busy(&trace, 1), [2.0]);
-    assert_eq!(node_busy(&trace, 3), [2.0, 3.0, 0.0]);
+    assert_eq!(busy(&trace, 1), [2.0]);
+    assert_eq!(busy(&trace, 3), [2.0, 3.0, 0.0]);
     let want = "\
 time 0 .. 2.000 s (4 chars)
 node  0 |ssjj|

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use taskrt::sim::{simulate, ClusterSpec, Policy, SimOptions};
 use taskrt::trace::SYNC_TASK;
-use taskrt::{DataId, TaskId, TaskRecord, Trace};
+use taskrt::{DataId, Profile, TaskId, TaskRecord, Trace, Utilization};
 
 /// Builds a random-but-valid trace: each task depends on a subset of
 /// earlier tasks (submission order is topological by construction).
@@ -78,9 +78,17 @@ proptest! {
             prop_assert!(rep.makespan_s + 1e-9 >= work_bound);
             // Upper bound: the serial schedule (plus whatever transfer
             // time the placement incurred).
-            prop_assert!(rep.makespan_s <= trace.total_work_s() + rep.transfer_time_s + 1e-9);
-            // Utilization is a fraction.
-            prop_assert!(rep.utilization >= 0.0 && rep.utilization <= 1.0 + 1e-9);
+            let fetch_s: f64 = rep.trace.records.iter().map(|r| r.fetch_s).sum();
+            prop_assert!(rep.makespan_s <= trace.total_work_s() + fetch_s + 1e-9);
+            // The core-weighted utilization is a fraction.
+            let core_s: f64 = rep
+                .trace
+                .records
+                .iter()
+                .map(|r| r.duration_s * f64::from(r.cores))
+                .sum();
+            let utilization = core_s / (rep.makespan_s * f64::from(cluster.total_cores()));
+            prop_assert!((0.0..=1.0 + 1e-9).contains(&utilization), "{utilization}");
         }
     }
 
@@ -197,8 +205,9 @@ proptest! {
         // crosses nodes and moves its 1 MiB block.
         let round_robin_bytes = ((len - 1) << 20) as f64;
         let loc = simulate(&trace, &cluster, &SimOptions::default());
-        prop_assert!(loc.transferred_bytes <= round_robin_bytes);
-        prop_assert_eq!(loc.transferred_bytes, 0.0);
+        let moved = Utilization::from_trace(&loc.trace, cluster.nodes).fetch_bytes as f64;
+        prop_assert!(moved <= round_robin_bytes);
+        prop_assert_eq!(moved, 0.0);
     }
 }
 
@@ -213,14 +222,18 @@ fn report_busy_accounting_consistent() {
         latency_s: 0.0,
     };
     let rep = simulate(&trace, &cluster, &SimOptions::default());
-    let by_kind: f64 = rep.busy_by_kind.values().sum();
+    let by_kind: f64 = Profile::from_trace(&rep.trace)
+        .kinds
+        .iter()
+        .map(|k| k.total_s)
+        .sum();
     let expected: f64 = trace.records.iter().map(|r| r.duration_s).sum();
     assert!((by_kind - expected).abs() < 1e-9);
 }
 
-/// One replay's fingerprint: the bits of the makespan and of the moved
-/// bytes, then every record's `(worker, start_s bits, fetch_bytes)`.
-type Fingerprint = (u64, u64, Vec<(i64, u64, u64)>);
+/// One replay's fingerprint: the bits of the makespan, then every
+/// record's `(worker, start_s bits, fetch_bytes)`.
+type Fingerprint = (u64, Vec<(i64, u64, u64)>);
 
 fn fingerprint(trace: &Trace, policy: Policy) -> Fingerprint {
     // Three two-core nodes behind a slow link, so placement decides
@@ -240,11 +253,7 @@ fn fingerprint(trace: &Trace, policy: Policy) -> Fingerprint {
         .iter()
         .map(|r| (r.worker, r.start_s.to_bits(), r.fetch_bytes))
         .collect();
-    (
-        rep.makespan_s.to_bits(),
-        rep.transferred_bytes.to_bits(),
-        records,
-    )
+    (rep.makespan_s.to_bits(), records)
 }
 
 /// The replay of one fixed random trace, bit for bit, under each
@@ -255,7 +264,6 @@ fn replay_of_a_fixed_trace_is_bit_stable_under_both_policies() {
     let trace = random_trace(16, 11, &[0.5, 1.0, 2.0, 0.25], &[1, 2]);
     let locality: Fingerprint = (
         0x4021_80f0_a5ef_e932,
-        0x40b8_0000_0000_0000,
         vec![
             (0, 0, 0),
             (1, 0, 0),
@@ -277,7 +285,6 @@ fn replay_of_a_fixed_trace_is_bit_stable_under_both_policies() {
     );
     let owner: Fingerprint = (
         0x4021_81e1_4bdf_d263,
-        0x40b8_0000_0000_0000,
         vec![
             (0, 0, 0),
             (1, 0, 0),

@@ -7,7 +7,7 @@ use dsarray::DsArray;
 use integration_tests::tiny_dataset;
 use taskrt::obs::divergence;
 use taskrt::sim::{simulate, ClusterSpec, Policy, SimOptions};
-use taskrt::{FaultPlan, Runtime, Trace};
+use taskrt::{FaultPlan, Runtime, Trace, Utilization};
 
 /// A small mixed workload: blocked column sums + an explicit task
 /// cascade, enough to exercise queueing, continuations and driver help.
@@ -151,6 +151,10 @@ fn divergence_measures_the_replay_as_the_des_does() {
     assert!(report.trace.records.iter().any(|r| r.fetch_s > 0.0));
     let div = divergence(&trace, &report.trace);
     assert_eq!(div.sim_makespan_s, report.makespan_s);
+    // A threaded run fetches nothing; the replay's bytes are the ones
+    // its nodes' utilization counts.
+    let fetched = Utilization::from_trace(&report.trace, 2).fetch_bytes;
+    assert_eq!((div.real_fetch_bytes, div.sim_fetch_bytes), (0, fetched));
     // Per kind, the replay's body seconds are the measured ones.
     for k in &div.kinds {
         assert!(
