@@ -115,7 +115,7 @@ fn calibrate(
     rt.shutdown();
     let mut start_s = vec![0.0; plan.len()];
     for r in &report.trace.records {
-        start_s[r.seq as usize] = r.start_s;
+        start_s[r.id.0 as usize] = r.start_s;
     }
     let per_link = |segment: usize| {
         let total: f64 = bounds

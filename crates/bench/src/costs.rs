@@ -194,7 +194,6 @@ mod tests {
             outputs: vec![(DataId(1), 100)],
             cores: 1,
             gpus,
-            seq: 0,
             ready_s: 0.0,
             start_s: 0.0,
             fetch_s: 0.0,

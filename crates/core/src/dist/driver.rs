@@ -573,7 +573,7 @@ fn serve_connection(mut conn: UnixStream, ctx: ConnCtx) {
                     return;
                 };
                 seen.store(ctx.epoch.elapsed().as_micros() as u64, Ordering::Relaxed);
-                let heartbeat = matches!(msg, Msg::Heartbeat { .. });
+                let heartbeat = matches!(msg, Msg::Heartbeat);
                 if !heartbeat && ctx.tx.send(Ev::Frame(w, msg)).is_err() {
                     return;
                 }
@@ -653,7 +653,12 @@ mod tests {
         let mut rt = DistRuntime::launch_threads(DistConfig::with_workers(1), &reg).unwrap();
         let report = rt.run(&p, &reg).unwrap();
         assert_eq!(report.outputs[&z].as_f64(), 6.0);
-        let last = report.trace.records.iter().find(|r| r.seq == 2).unwrap();
+        let last = report
+            .trace
+            .records
+            .iter()
+            .find(|r| r.id == TaskId(2))
+            .unwrap();
         assert_eq!(last.deps, vec![TaskId(0), TaskId(1)]);
         rt.shutdown();
     }

@@ -44,8 +44,8 @@ pub struct InputSpec {
 pub enum Msg {
     /// Control-stream opener: `worker` identifies the connecting process.
     Hello { worker: u32 },
-    /// Periodic liveness beacon (`seq` increments per beat).
-    Heartbeat { seq: u64 },
+    /// Periodic liveness beacon.
+    Heartbeat,
     /// Task finished. `start_rel_s` is seconds since the worker's own
     /// connection epoch. `pulled` lists the input data ids the worker
     /// fetched from a peer and `relayed` those it fetched through the
@@ -67,12 +67,9 @@ pub enum Msg {
     /// input instead of burning a retry attempt.
     FetchFailed { task: u64, data: u64 },
     /// Driver → worker: execute `kind` over `inputs`, store the result
-    /// as `out`. `attempt` is 1-based; the worker runs every attempt the
-    /// same way and ignores it — it is on the wire so that a captured
-    /// stream tells a retry from a first run.
+    /// as `out`. A retry is sent exactly like a first attempt.
     Run {
         task: u64,
-        attempt: u32,
         kind: String,
         out: u64,
         inputs: Vec<InputSpec>,
@@ -113,7 +110,7 @@ impl Encode for Msg {
     fn encode_to(&self, out: &mut impl Sink) -> io::Result<()> {
         let t = match self {
             Msg::Hello { .. } => tag::HELLO,
-            Msg::Heartbeat { .. } => tag::HEARTBEAT,
+            Msg::Heartbeat => tag::HEARTBEAT,
             Msg::Done { .. } => tag::DONE,
             Msg::Failed { .. } => tag::FAILED,
             Msg::FetchFailed { .. } => tag::FETCH_FAILED,
@@ -127,7 +124,6 @@ impl Encode for Msg {
         out.put_u8(t)?;
         match self {
             Msg::Hello { worker } => out.put_u64(u64::from(*worker)),
-            Msg::Heartbeat { seq } => out.put_u64(*seq),
             Msg::Done {
                 task,
                 out: o,
@@ -155,13 +151,11 @@ impl Encode for Msg {
             }
             Msg::Run {
                 task,
-                attempt,
                 kind,
                 out: o,
                 inputs,
             } => {
                 out.put_u64(*task)?;
-                out.put_u64(u64::from(*attempt))?;
                 out.put_str(kind)?;
                 out.put_u64(*o)?;
                 out.put_u64(inputs.len() as u64)?;
@@ -175,7 +169,7 @@ impl Encode for Msg {
                 }
                 Ok(())
             }
-            Msg::Shutdown => Ok(()),
+            Msg::Heartbeat | Msg::Shutdown => Ok(()),
             Msg::Release { data } | Msg::Pull { data } | Msg::NotFound { data } => {
                 out.put_u64(*data)
             }
@@ -205,9 +199,7 @@ impl Msg {
             tag::HELLO => Msg::Hello {
                 worker: src.take_u32("Hello.worker")?,
             },
-            tag::HEARTBEAT => Msg::Heartbeat {
-                seq: src.take_u64()?,
-            },
+            tag::HEARTBEAT => Msg::Heartbeat,
             tag::DONE => Msg::Done {
                 task: src.take_u64()?,
                 out: src.take_u64()?,
@@ -223,7 +215,6 @@ impl Msg {
             },
             tag::RUN => {
                 let task = src.take_u64()?;
-                let attempt = src.take_u32("Run.attempt")?;
                 let kind = src.take_str()?;
                 let out = src.take_u64()?;
                 // Reserve no more entries than the bytes left can hold:
@@ -242,7 +233,6 @@ impl Msg {
                 }
                 Msg::Run {
                     task,
-                    attempt,
                     kind,
                     out,
                     inputs,
@@ -335,7 +325,7 @@ mod tests {
     fn every_message_roundtrips() {
         let msgs = vec![
             Msg::Hello { worker: 3 },
-            Msg::Heartbeat { seq: 17 },
+            Msg::Heartbeat,
             Msg::Done {
                 task: 5,
                 out: 9,
@@ -351,7 +341,6 @@ mod tests {
             },
             Msg::Run {
                 task: 7,
-                attempt: 2,
                 kind: "dpca_gram".into(),
                 out: 11,
                 inputs: vec![InputSpec {
@@ -390,10 +379,9 @@ mod tests {
             Msg::decode(&hello),
             Err(WireError::OutOfRange { field: "Hello.worker", value }) if value == too_big
         ));
-        let run = |attempt: u64, owner: u64| {
+        let run = |owner: u64| {
             let mut body = vec![tag::RUN];
             body.put_u64(7).unwrap();
-            body.put_u64(attempt).unwrap();
             body.put_str("k").unwrap();
             body.put_u64(1).unwrap();
             body.put_u64(1).unwrap();
@@ -403,16 +391,11 @@ mod tests {
             body.put_str("p").unwrap();
             body
         };
-        assert!(Msg::decode(&run(1, u64::from(u32::MAX))).is_ok());
-        for (body, field) in [
-            (run(too_big, 0), "Run.attempt"),
-            (run(1, too_big), "Run owner"),
-        ] {
-            assert!(matches!(
-                Msg::decode(&body),
-                Err(WireError::OutOfRange { field: f, .. }) if f == field
-            ));
-        }
+        assert!(Msg::decode(&run(u64::from(u32::MAX))).is_ok());
+        assert!(matches!(
+            Msg::decode(&run(too_big)),
+            Err(WireError::OutOfRange { field: "Run owner", value }) if value == too_big
+        ));
     }
 
     #[test]
@@ -431,7 +414,6 @@ mod tests {
     fn truncated_message_bodies_error() {
         let body = Msg::Run {
             task: 7,
-            attempt: 1,
             kind: "k".into(),
             out: 1,
             inputs: vec![InputSpec {
@@ -474,7 +456,6 @@ mod tests {
         let msgs = [
             Msg::Run {
                 task: 7,
-                attempt: 1,
                 kind: "dpca_gram".into(),
                 out: 11,
                 inputs: vec![InputSpec {
@@ -491,7 +472,7 @@ mod tests {
                 pulled: vec![4],
                 relayed: vec![],
             },
-            Msg::Heartbeat { seq: 3 },
+            Msg::Heartbeat,
         ];
         let (a, b) = UnixStream::pair().unwrap();
         let mut tx = Calls { inner: a, calls: 0 };

@@ -311,7 +311,6 @@ impl<'a> RunState<'a> {
                     outputs: vec![(DataId(out), bytes as usize)],
                     cores: 1,
                     gpus: 0,
-                    seq: task,
                     ready_s: 0.0,
                     start_s,
                     fetch_s: 0.0,
@@ -540,7 +539,6 @@ impl<'a> RunState<'a> {
             .collect();
         Msg::Run {
             task: t as u64,
-            attempt: self.attempts[t],
             kind: pt.kind.clone(),
             out: pt.out,
             inputs,
@@ -729,9 +727,9 @@ mod tests {
         let actions = st.step(Event::Wake, 1.0 + HEARTBEAT_S).unwrap();
         assert!(matches!(
             actions[..],
-            [Action::Send(0, Msg::Run { attempt: 1, .. })]
+            [Action::Send(0, Msg::Run { task: 0, .. })]
         ));
-        assert_eq!(st.stats.retries, 0);
+        assert_eq!((st.attempts[0], st.stats.retries), (1, 0));
     }
 
     #[test]
@@ -742,7 +740,7 @@ mod tests {
         let (mut st, actions) = joined(&plan, &reg, 1);
         assert!(matches!(
             actions[..],
-            [Action::Send(0, Msg::Run { attempt: 1, .. })]
+            [Action::Send(0, Msg::Run { task: 0, .. })]
         ));
         let failed = || {
             let error = "deliberate".to_string();
@@ -760,7 +758,7 @@ mod tests {
         let actions = st.step(Event::Wake, 1.0 + delay).unwrap();
         assert!(matches!(
             actions[..],
-            [Action::Send(0, Msg::Run { attempt: 2, .. })]
+            [Action::Send(0, Msg::Run { task: 0, .. })]
         ));
         let err = st.step(failed(), 2.0).unwrap_err();
         assert_eq!(err, "task 'flaky' #0 failed after 2 attempts: deliberate");

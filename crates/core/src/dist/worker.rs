@@ -114,11 +114,9 @@ pub fn run_worker(opts: WorkerOpts, registry: Arc<KindRegistry>) -> Result<(), w
         let control_w = Arc::clone(&control_w);
         let period = std::time::Duration::from_millis(opts.heartbeat_ms.max(1));
         std::thread::spawn(move || {
-            let mut seq = 0u64;
             while hb_wait.recv_timeout(period) == Err(RecvTimeoutError::Timeout) {
-                seq += 1;
                 let mut w = control_w.lock().unwrap();
-                if proto::send(&mut *w, &Msg::Heartbeat { seq }).is_err() {
+                if proto::send(&mut *w, &Msg::Heartbeat).is_err() {
                     break; // driver gone; main loop will see EOF too
                 }
             }
@@ -218,7 +216,6 @@ fn serve_driver(
             }
             Msg::Run {
                 task,
-                attempt: _,
                 kind,
                 out,
                 inputs,

@@ -64,7 +64,7 @@ fn write_body(out: &mut String, trace: &Trace, prefix: &str, max_nodes: usize) {
             writeln!(
                 out,
                 "  \"{id}\" [shape=circle, label=\"{}\", fillcolor=\"{}\", fontsize=8];",
-                r.seq,
+                r.id.0,
                 color_of(&r.name)
             )
             .unwrap();

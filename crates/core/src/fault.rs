@@ -25,10 +25,16 @@
 //!
 //! [`FaultPlan`] is the injection side: a seeded plan that makes chosen
 //! task kinds panic on their first N attempts, so the recovery
-//! machinery is testable in-process without real hardware faults.
+//! machinery is testable in-process without real hardware faults. The
+//! runtime wraps the body of each task submitted while a plan is
+//! installed (`inject`); the executor runs that body like any other.
 //!
 //! A retryable task never INOUT-steals its inputs: a stolen buffer
 //! could not be re-read on attempt two.
+
+use crate::handle::TaskId;
+use crate::tables::TaskFn;
+use std::sync::Arc;
 
 /// Multiplier applied to the backoff per further attempt.
 const BACKOFF_FACTOR: f64 = 2.0;
@@ -117,10 +123,12 @@ struct FaultRule {
 
 /// A deterministic fault-injection plan (chaos-engineering harness).
 ///
-/// Installed on a runtime via `Runtime::set_fault_plan`; consulted once
-/// per attempt before the task body runs. Decisions depend only on the
-/// plan seed, the rule, the task id, and the attempt number — never on
-/// time or global state — so a plan replays identically across runs.
+/// Installed on a runtime via `Runtime::set_fault_plan`, it covers the
+/// tasks submitted while it is installed, and is consulted once per
+/// attempt of such a task, before its body runs. Decisions depend only
+/// on the plan seed, the rule, the task id, and the attempt number —
+/// never on time or global state — so a plan replays identically
+/// across runs.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     seed: u64,
@@ -176,6 +184,20 @@ impl FaultPlan {
                 })
         })
     }
+}
+
+/// Wraps the body of task `task` (of kind `kind`) so that each call —
+/// one per attempt, counted from 1 — first asks `plan` whether to panic
+/// with [`INJECTED_PANIC`] instead of running it.
+pub(crate) fn inject(plan: Arc<FaultPlan>, kind: Arc<str>, task: TaskId, mut f: TaskFn) -> TaskFn {
+    let mut attempt = 0;
+    Box::new(move |ctx, ins| {
+        attempt += 1;
+        if plan.decide(&kind, task.0, attempt) {
+            panic!("{INJECTED_PANIC} (attempt {attempt})");
+        }
+        f(ctx, ins)
+    })
 }
 
 /// SplitMix64 — the standard 64-bit finalizer/PRNG step. Self-contained

@@ -928,7 +928,6 @@ mod tests {
             outputs: vec![(DataId(id), 100)],
             cores: 1,
             gpus: 0,
-            seq: id,
             ready_s: 0.0,
             start_s: 0.0,
             fetch_s: 0.0,

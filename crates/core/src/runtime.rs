@@ -18,11 +18,13 @@
 //!   the parent task's [`TaskRecord`](crate::TaskRecord). This is the
 //!   PyCOMPSs "nesting" feature the paper uses to parallelize CNN folds.
 //!
-//! Two execution modes share the same submission path and produce the
-//! same [`Trace`]:
+//! One dispatch path serves both execution modes and produces the same
+//! [`Trace`]: every ready task goes onto one ready queue, and the only
+//! difference is who pops it.
 //!
-//! * [`ExecMode::Inline`] runs each task synchronously at submission
-//!   (deterministic; durations still measured).
+//! * [`ExecMode::Inline`] is the scheduler with no workers: the driver
+//!   runs each ready task itself before `run*` returns (deterministic;
+//!   durations still measured).
 //! * [`ExecMode::Threads`] runs tasks on a worker pool with true
 //!   parallelism.
 //!
@@ -50,7 +52,8 @@
 //!   waits in one FIFO, and that FIFO, the workers asleep on it, their
 //!   wake tokens and the shutdown flag sit behind one lock. A submitter
 //!   pushes a ready root straight in while it still holds the state
-//!   lock; workers and a helping driver pop the front. A worker's last
+//!   lock; workers and a helping driver pop the front, and a runtime
+//!   with no workers drains it on the submitting thread. A worker's last
 //!   emptiness check and its condvar wait are one critical section of
 //!   that lock, so no push can slip between them. Lock order is
 //!   `state → queue`, one-way.
@@ -70,7 +73,7 @@
 //!   (observable via [`live_worker_threads`]).
 
 use crate::arena::Store;
-use crate::fault::{give_up_message, FaultPlan, RetryPolicy, INJECTED_PANIC};
+use crate::fault::{give_up_message, inject, FaultPlan, RetryPolicy};
 use crate::handle::{DataId, Handle, TaskId};
 use crate::obs::RuntimeStats;
 use crate::payload::Payload;
@@ -82,7 +85,7 @@ use crate::trace::{AttemptRecord, Trace, SPLIT_TASK};
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -121,9 +124,10 @@ impl Drop for WorkerGuard {
 /// How tasks are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Execute each task synchronously at submission time. Deterministic
-    /// and allocation-light; durations are still measured, so traces are
-    /// fully usable by the simulator.
+    /// No worker threads: the submitting driver runs each ready task
+    /// from the one ready queue before `run*` returns. Deterministic;
+    /// durations are still measured, so traces are fully usable by the
+    /// simulator.
     Inline,
     /// Execute tasks on a pool of this many worker threads.
     Threads(usize),
@@ -196,14 +200,11 @@ struct ReadyRun {
     /// When the task became visible to workers — the origin of its
     /// queue wait, kept on its row as `ready_s`. Stamped at the push
     /// for a root, or at the releasing predecessor's completion; `None`
-    /// for a task an inline runtime runs at submission.
+    /// for a root on a runtime with no workers, whose submitting driver
+    /// runs it at once.
     ready_at: Option<Instant>,
     /// Failure policy carried from submission to the executor.
     policy: RetryPolicy,
-    /// Interned task kind, carried *only* when a [`FaultPlan`] is
-    /// installed at release (injection decisions match on the kind);
-    /// `None` keeps the no-chaos path off the plan and kinds locks.
-    kind: Option<u32>,
 }
 
 /// Extracts the body of ready task `tid` and resolves its inputs (all
@@ -212,7 +213,7 @@ struct ReadyRun {
 /// *outside* the lock (one clock read covers every task released in the
 /// same batch) so instrumentation never lengthens the serialized
 /// critical section.
-fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool) -> ReadyRun {
+fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>) -> ReadyRun {
     let Tables {
         data, rows, inputs, ..
     } = &mut st.tables;
@@ -229,7 +230,6 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
         job.consume_mask
     };
     let range = Tables::input_range(row);
-    let kind = inject.then_some(row.kind);
     // This task stops being a *pending* reader of its inputs here —
     // before the steal checks below, so its own registration never
     // blocks its own steal.
@@ -274,7 +274,6 @@ fn make_run(st: &mut State, tid: TaskId, ready_at: Option<Instant>, inject: bool
         inputs: resolved,
         ready_at,
         policy,
-        kind,
     }
 }
 
@@ -291,6 +290,10 @@ struct State {
     /// Reused by `submit_locked` to sort and deduplicate a task's
     /// producers.
     producers: Vec<TaskId>,
+    /// Installed fault-injection plan (chaos harness), if any: a task
+    /// submitted while it is installed runs behind
+    /// [`crate::fault::inject`].
+    fault_plan: Option<Arc<FaultPlan>>,
     /// The scheduler-internal fields of [`RuntimeStats`] whose sites
     /// hold this lock: INOUT move vs clone, driver parks. The per-task
     /// fields stay zero here; [`Runtime::stats`] derives them from the
@@ -338,7 +341,6 @@ impl Queue {
 /// Everything workers need. Workers hold `Arc<Shared>` only — never
 /// `Arc<Inner>` — so dropping the last `Runtime` clone can join them.
 struct Shared {
-    config: RuntimeConfig,
     state: Mutex<State>,
     /// Signals task completion to blocked drivers.
     cv: Condvar,
@@ -352,11 +354,6 @@ struct Shared {
     /// Kind names, interned by [`Runtime::task`] outside the state
     /// lock. Lock order: `state → kinds`, one-way.
     kinds: Mutex<Kinds>,
-    /// Installed fault-injection plan (chaos harness), if any.
-    fault_plan: Mutex<Option<Arc<FaultPlan>>>,
-    /// Mirror of `fault_plan.is_some()`: a relaxed load keeps the
-    /// no-chaos dispatch path free of the plan lock.
-    fault_active: AtomicBool,
     /// Creation time — the zero point of every recorded `start_s`.
     epoch: Instant,
 }
@@ -414,12 +411,12 @@ impl Runtime {
         };
         let epoch = Instant::now();
         let shared = Arc::new(Shared {
-            config,
             state: Mutex::new(State {
                 tables: Tables::new(),
                 last_barrier: 0,
                 waiters: 0,
                 producers: Vec::new(),
+                fault_plan: None,
                 counts: RuntimeStats::default(),
             }),
             cv: Condvar::new(),
@@ -427,8 +424,6 @@ impl Runtime {
             work_cv: Condvar::new(),
             workers: n_workers,
             kinds: Mutex::new(Kinds::new()),
-            fault_plan: Mutex::new(None),
-            fault_active: AtomicBool::new(false),
             epoch,
         });
         let workers = (0..n_workers)
@@ -472,15 +467,13 @@ impl Runtime {
     }
 
     /// Installs (or clears, with `None`) a deterministic fault-injection
-    /// plan: every subsequent attempt of a matching task consults the
-    /// plan before running its body (see [`FaultPlan`]). Chaos-testing
-    /// hook — with no plan installed the dispatch path only pays one
-    /// relaxed atomic load.
+    /// plan (see [`FaultPlan`]). The plan covers the tasks submitted
+    /// while it is installed: each attempt of such a task consults it
+    /// before running the body, whenever the task is released. Tasks
+    /// submitted before or after run as they are. Chaos-testing hook;
+    /// the executor never sees it.
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        let shared = &self.inner.shared;
-        let mut slot = lock(&shared.fault_plan);
-        shared.fault_active.store(plan.is_some(), Ordering::Relaxed);
-        *slot = plan.map(Arc::new);
+        lock(&self.inner.shared.state).fault_plan = plan.map(Arc::new);
     }
 
     /// Blocks until the value behind `h` is computed, returning it.
@@ -683,8 +676,10 @@ impl Runtime {
 impl TaskBuilder<'_> {
     /// The one submission path every `run*` method funnels into: push
     /// the inputs and run the [`submit_locked`] transaction under the
-    /// state lock, then execute / wake outside it. Returns the first of
-    /// the task's `n_outputs` contiguous output ids.
+    /// state lock, then wake outside it — or, on a runtime with no
+    /// workers, drain the ready queue on this thread (the help pass a
+    /// blocked `wait` makes). Returns the first of the task's
+    /// `n_outputs` contiguous output ids.
     ///
     /// Bit `i` of `consume_mask` marks input `i` as consumable — the
     /// dispatcher moves the stored value into the task when the task is
@@ -701,37 +696,28 @@ impl TaskBuilder<'_> {
         f: TaskFn,
     ) -> DataId {
         let shared = &self.rt.inner.shared;
-        let mut inline_runs = INLINE_WORKLIST.with(std::cell::Cell::take);
         let (first, wake_n) = {
             let mut st = lock(&shared.state);
             let at = st.tables.inputs.len();
             for d in inputs {
                 st.tables.inputs.push((d, 0));
             }
-            submit_locked(
-                self,
-                &mut st,
-                at,
-                consume_mask,
-                n_outputs,
-                f,
-                &mut inline_runs,
-            )
+            submit_locked(self, &mut st, at, consume_mask, n_outputs, f)
         };
-        let scratch = run_worklist(shared, inline_runs);
-        INLINE_WORKLIST.with(|c| c.set(scratch));
         wake(shared, wake_n);
+        if shared.workers == 0 {
+            drain_ready(shared, &mut Vec::new(), DRIVER);
+        }
         first
     }
 }
 
 /// The single-task submission transaction: sizes the inputs the caller
 /// pushed at `at..`, detects dependencies, allocates the outputs,
-/// records the task `b` describes, and dispatches it if ready — all
-/// under the state lock the caller holds. A ready inline-mode task is
-/// appended to `inline_runs` (the caller executes it after unlocking),
-/// a ready threaded-mode task pushed straight into the ready queue;
-/// returns the first output id and the `notify_one`s that push owes.
+/// records the task `b` describes — behind [`crate::fault::inject`]
+/// while a fault plan is installed — and pushes it into the ready
+/// queue if ready, all under the state lock the caller holds; returns
+/// the first output id and the `notify_one`s that push owes.
 /// Lock order state -> queue is one-way: nothing acquires the state
 /// lock while holding the queue lock.
 fn submit_locked(
@@ -741,7 +727,6 @@ fn submit_locked(
     mut consume_mask: u64,
     n_outputs: usize,
     f: TaskFn,
-    inline_runs: &mut Vec<ReadyRun>,
 ) -> (DataId, usize) {
     let TaskBuilder {
         rt,
@@ -754,6 +739,7 @@ fn submit_locked(
     let State {
         tables: t,
         producers,
+        fault_plan,
         ..
     } = st;
     let tid = TaskId(t.rows.len() as u64);
@@ -846,6 +832,10 @@ fn submit_locked(
             Status::Waiting
         };
         row.remaining = remaining as u32;
+        let f = match fault_plan {
+            Some(plan) => inject(plan.clone(), lock(&shared.kinds).name(kind).clone(), tid, f),
+            None => f,
+        };
         row.job = Some(PendingJob { f, consume_mask });
         // Pending reader of its inputs until `make_run` resolves them
         // (see `DataEntry::pending_reads`); failed-in-place tasks never
@@ -867,46 +857,15 @@ fn submit_locked(
         }
     }
 
-    // Dispatch, still under the state lock. Inline: resolve now and
-    // run after unlocking; queue wait is genuinely ~0, so skip the
-    // stamp (and its clock read) entirely. Threaded: push the resolved
-    // run, stamped, straight into the ready queue.
+    // Dispatch, still under the state lock: push the resolved run
+    // into the ready queue, stamped only when there are workers to wait
+    // for (a runtime with none runs it before `run*` returns).
     let mut wake_n = 0;
     if status == Status::Ready {
-        let inject = shared.fault_active.load(Ordering::Relaxed);
-        match shared.config.mode {
-            ExecMode::Inline => inline_runs.push(make_run(st, tid, None, inject)),
-            ExecMode::Threads(_) => {
-                let run = make_run(st, tid, Some(Instant::now()), inject);
-                wake_n = lock(&shared.queue).push([run]);
-            }
-        }
+        let run = make_run(st, tid, (shared.workers > 0).then(Instant::now));
+        wake_n = lock(&shared.queue).push([run]);
     }
     (DataId(out_first as u64), wake_n)
-}
-
-/// Inline execution: drain the ready set on the caller's thread
-/// (iterative, so long chains don't recurse; a plain `Vec` worklist —
-/// execution order among ready tasks is unconstrained — reused across
-/// every task it drains, so steady-state chains allocate nothing).
-/// Returns the emptied buffer, capacity intact, for the caller to reuse.
-fn run_worklist(shared: &Shared, mut work: Vec<ReadyRun>) -> Vec<ReadyRun> {
-    while let Some(r) = work.pop() {
-        execute_one(shared, r, &mut work, DRIVER);
-    }
-    work
-}
-
-thread_local! {
-    /// Scratch worklist for inline submissions, reused across calls so
-    /// the per-submission fast path allocates no `Vec` (see
-    /// [`TaskBuilder::submit`], which puts back what
-    /// [`run_worklist`] returns). Task bodies may themselves submit
-    /// tasks: the nested call `take`s an empty default and the
-    /// outermost call wins the put-back, so reentrancy costs at most
-    /// one allocation instead of corrupting the buffer.
-    static INLINE_WORKLIST: std::cell::Cell<Vec<ReadyRun>> =
-        const { std::cell::Cell::new(Vec::new()) };
 }
 
 /// Issues the `n` `notify_one`s a [`Queue::push`] claimed. Called
@@ -1047,17 +1006,9 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         inputs,
         ready_at,
         policy,
-        kind,
     } = run;
     let ti = task.0 as usize;
     let since_epoch = |t: Instant| t.saturating_duration_since(shared.epoch).as_secs_f64();
-    // The injection plan is consulted only when a kind was carried
-    // (i.e. a plan was active at release) — the common path never
-    // touches the plan lock.
-    let plan: Option<(Arc<FaultPlan>, Arc<str>)> = kind.and_then(|k| {
-        let plan = lock(&shared.fault_plan).clone()?;
-        Some((plan, lock(&shared.kinds).name(k).clone()))
-    });
     // Retryable tasks run every attempt on a private clone of the input
     // vector (cheap `Arc` clones): a failed attempt may have taken
     // entries out via `take_arg`, and the next attempt needs them
@@ -1068,7 +1019,6 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
     // INOUT parameters taken by move and by clone, over every attempt.
     let mut inout = (0, 0);
     let outcome = loop {
-        let attempt_no = attempts.len() as u32 + 1;
         let ctx = TaskCtx {
             inout: Cell::new((0, 0)),
             child: Mutex::new(None),
@@ -1078,16 +1028,8 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
         } else {
             std::mem::take(&mut inputs)
         };
-        let injected = plan
-            .as_ref()
-            .is_some_and(|(p, name)| p.decide(name, task.0, attempt_no));
         let start = Instant::now();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if injected {
-                panic!("{INJECTED_PANIC} (attempt {attempt_no})");
-            }
-            f(&ctx, &mut ins)
-        }));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&ctx, &mut ins)));
         let end = Instant::now();
         let duration = end.saturating_duration_since(start).as_secs_f64();
         let (moved, cloned) = ctx.inout.get();
@@ -1177,7 +1119,6 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
 
                 // Batched release: one pass over the dependents, in
                 // the order they were submitted.
-                let inject = shared.fault_active.load(Ordering::Relaxed);
                 let mut deps = st.tables.take_dependents(ti);
                 while let Some(dep) = deps.next(&st.tables.edges) {
                     let e = &mut st.tables.rows[dep];
@@ -1187,7 +1128,7 @@ fn execute_one(shared: &Shared, run: ReadyRun, newly_ready: &mut Vec<ReadyRun>, 
                     e.remaining -= 1;
                     if e.remaining == 0 {
                         e.status = Status::Ready;
-                        newly_ready.push(make_run(st, TaskId(dep as u64), released_at, inject));
+                        newly_ready.push(make_run(st, TaskId(dep as u64), released_at));
                     }
                 }
             }
@@ -2061,6 +2002,38 @@ mod tests {
         // x already failed (inline); y must not deadlock.
         let y = rt.task("after").run1(x, |v| *v);
         let _ = rt.peek(y);
+    }
+
+    #[test]
+    fn a_fault_plan_covers_the_tasks_submitted_while_it_is_installed() {
+        // A gate holds two dependents back until the plan is installed,
+        // so both are released under it. Only the one submitted while it
+        // was installed is injected; the one submitted before runs as it
+        // is, and so does one submitted after the plan is cleared.
+        use crate::fault::INJECTED_PANIC;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let rt = Runtime::threaded(2);
+        let gate = rt.task("gate").run0(move || {
+            rx.recv().expect("gate release");
+            1u64
+        });
+        let before = rt.task("hit").run1(gate, |v| v + 1);
+        rt.set_fault_plan(Some(FaultPlan::new(1).panic_kind("hit", 1)));
+        let during = rt.task("hit").run1(gate, |v| v + 2);
+        tx.send(()).expect("release gate");
+        assert_eq!(*rt.peek(before), 2);
+        let e = catch_unwind(AssertUnwindSafe(|| rt.peek(during))).expect_err("injected");
+        let msg = e.downcast_ref::<String>().expect("string panic");
+        assert!(
+            msg.ends_with(&format!(
+                "task 'hit' #2 failed after 1 attempt: {INJECTED_PANIC} (attempt 1)"
+            )),
+            "{msg}"
+        );
+        rt.set_fault_plan(None);
+        let after = rt.task("hit").run1(gate, |v| v + 3);
+        assert_eq!(*rt.peek(after), 4);
     }
 
     #[test]

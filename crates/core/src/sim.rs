@@ -194,7 +194,7 @@ fn merge_ready(ready: &mut Vec<(u64, usize)>, newly: Vec<(u64, usize)>) {
 /// accesses, data replica locations are flat bitsets, and equal-time
 /// completion events are drained as one batch followed by a *single*
 /// placement sweep (placing a task only consumes capacity, so one
-/// seq-ordered pass over the ready list is complete — nothing becomes
+/// id-ordered pass over the ready list is complete — nothing becomes
 /// placeable mid-sweep).
 ///
 /// # Panics
@@ -231,7 +231,6 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
             outputs: r.outputs.clone(),
             cores: cores[i],
             gpus: gpus[i],
-            seq: r.seq,
             ready_s: 0.0,
             start_s: 0.0,
             fetch_s: 0.0,
@@ -290,10 +289,10 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
     let mut node_of = vec![0usize; n];
     let mut in_flight = vec![0usize; cluster.nodes];
 
-    // Ready list ordered by submission sequence (FIFO task order).
+    // Ready list ordered by task id, i.e. submission order.
     let mut ready: Vec<(u64, usize)> = (0..n)
         .filter(|&i| indeg[i] == 0)
-        .map(|i| (trace.records[i].seq, i))
+        .map(|i| (trace.records[i].id.0, i))
         .collect();
     ready.sort_unstable();
 
@@ -349,10 +348,10 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
                     .collect();
                 let shipped = place(&view, &in_flight, &node_up);
                 ready.retain(|&(_, i)| shipped.iter().all(|&(t, _)| t != i));
-                let seq = |i: usize| trace.records[i].seq;
+                let id = |i: usize| trace.records[i].id.0;
                 shipped
                     .into_iter()
-                    .map(|(i, nd)| ((seq(i), i), Some(nd)))
+                    .map(|(i, nd)| ((id(i), i), Some(nd)))
                     .collect()
             }
         };
@@ -433,7 +432,7 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
             for &dep in &dependents[idx] {
                 indeg[dep] -= 1;
                 if indeg[dep] == 0 {
-                    newly.push((trace.records[dep].seq, dep));
+                    newly.push((trace.records[dep].id.0, dep));
                 }
             }
         }
@@ -526,7 +525,6 @@ mod tests {
             outputs: vec![(DataId(id), 1000)],
             cores,
             gpus: 0,
-            seq: id,
             ready_s: 0.0,
             start_s: 0.0,
             fetch_s: 0.0,
@@ -625,7 +623,6 @@ mod tests {
         // A second consumer finds the producer's node busy and runs on
         // the other one, paying the 1 s fetch first.
         consumer.id = TaskId(2);
-        consumer.seq = 2;
         t.records.push(consumer);
         let remote = simulate(&t, &cluster(2, 1), &SimOptions::default());
         assert!(remote.makespan_s > 2.5, "got {}", remote.makespan_s);

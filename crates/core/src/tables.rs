@@ -46,8 +46,8 @@ pub(crate) type AnyArc = Arc<dyn Any + Send + Sync>;
 pub(crate) type TaskFn = Box<dyn FnMut(&TaskCtx, &mut Vec<AnyArc>) -> Vec<(AnyArc, usize)> + Send>;
 
 /// Executor id recorded on [`TaskRecord::worker`] for tasks run on the
-/// driver thread (inline mode, `run_worklist`, or cooperative
-/// `drain_ready`); pool workers use their index `0..n_workers`.
+/// driver thread (every task of an inline runtime, or a blocked
+/// driver's help pass); pool workers use their index `0..n_workers`.
 pub(crate) const DRIVER: i64 = -1;
 
 /// Interned kind index of [`SYNC_TASK`] markers.
@@ -446,7 +446,6 @@ impl Tables {
                     .collect(),
                 cores: row.cores,
                 gpus: row.gpus,
-                seq: id.0,
                 ready_s: row.ready_s,
                 start_s: row.start_s,
                 fetch_s: 0.0,

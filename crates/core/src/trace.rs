@@ -57,8 +57,6 @@ pub struct TaskRecord {
     pub cores: u32,
     /// Number of GPUs the task occupies while running.
     pub gpus: u32,
-    /// Submission sequence number (a valid topological order).
-    pub seq: u64,
     /// When the task became visible to workers (its push into the
     /// ready queue, or the releasing predecessor's completion), in
     /// seconds since the recording runtime's epoch; its queue wait ends
@@ -258,7 +256,6 @@ mod tests {
             outputs: vec![(DataId(id), 8)],
             cores: 1,
             gpus: 0,
-            seq: id,
             ready_s: 0.0,
             start_s: 0.0,
             fetch_s: 0.0,

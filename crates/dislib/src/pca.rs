@@ -186,6 +186,27 @@ mod tests {
     }
 
     #[test]
+    fn transform_records_the_driver_wait_on_the_components() {
+        // The projection's width is read on the driver, which blocks it:
+        // the trace shows that as a sync marker after the band tasks.
+        let rt = Runtime::new();
+        let ds = DsArray::from_matrix(&rt, &anisotropic(120, 3), 30, 3);
+        let pca = Pca::fit(&rt, &ds, Components::Count(2));
+        let from = rt.task_count();
+        let _ = pca.transform(&rt, &ds);
+        let trace = rt.trace();
+        let names: Vec<&str> = trace.records[from..]
+            .iter()
+            .map(|r| r.name.as_str())
+            .collect();
+        let last = names
+            .iter()
+            .rposition(|&n| n == "ds_matmul")
+            .expect("band tasks");
+        assert_eq!(names[last + 1..], ["__sync"]);
+    }
+
+    #[test]
     fn explained_variance_descending_and_positive() {
         let rt = Runtime::new();
         let x = anisotropic(100, 4);

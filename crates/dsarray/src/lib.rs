@@ -400,12 +400,11 @@ impl DsArray {
         let band_rows: Vec<usize> = (0..self.n_row_blocks())
             .map(|rb| self.rows_in_band(rb))
             .collect();
-        // Column count of the result is unknown until w resolves; carry
-        // it lazily by peeking — acceptable because `w` is usually tiny
-        // and resolved. To stay non-blocking we read the cols from the
-        // first produced band at collect time; here we record `k` as the
-        // declared width of `w` if available.
-        let k = rt.peek(w).cols();
+        // The result's width is `w`'s, known only once `w` resolves: the
+        // driver blocks on it (`compss_wait_on`), and the trace records
+        // that stall as a sync marker. Every band task already depends
+        // on `w`, so the wait adds no edge to them.
+        let k = rt.wait(w).cols();
         DsArray::from_row_bands(new_bands, &band_rows, k)
     }
 

@@ -27,7 +27,6 @@ fn rec(id: u64, deps: &[u64], dur: f64, name: &str) -> TaskRecord {
         outputs: vec![(DataId(id), 100)],
         cores: 1,
         gpus: 0,
-        seq: id,
         ready_s: 0.0,
         start_s: 0.0,
         fetch_s: 0.0,

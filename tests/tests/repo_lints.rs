@@ -398,6 +398,28 @@ const PLACE_PATH: &str = "crates/core/src/dist/place.rs";
 /// The trees "One placement rule per executor" walks.
 const PLACEMENT_PATHS: [&str; 3] = ["crates", "tests", "examples"];
 
+/// What "One dispatch path" rejects anywhere under [`DISPATCH_PATHS`],
+/// comments included: the inline runtime's own worklist, the function
+/// that drained it and the out-parameter that filled it, and the
+/// executor's "a fault plan is installed" flag.
+const SECOND_DISPATCH: [&str; 4] = [
+    concat!("INLINE", "_WORKLIST"),
+    concat!("run", "_worklist"),
+    concat!("inline", "_runs"),
+    concat!("fault", "_active"),
+];
+
+/// What "One dispatch path" rejects in [`RUNTIME_PATH`] alone: a relaxed
+/// atomic access, so that no scheduler atomic needs a memory-model
+/// argument.
+const RELAXED: &str = concat!("Ordering::", "Rel", "axed");
+
+/// The scheduler, which [`RELAXED`] applies to.
+const RUNTIME_PATH: &str = "crates/core/src/runtime.rs";
+
+/// The trees "One dispatch path" walks.
+const DISPATCH_PATHS: [&str; 3] = ["crates", "tests", "examples"];
+
 /// A source file: its path relative to the workspace root (with `/`)
 /// and its text.
 struct Source {
@@ -2084,5 +2106,79 @@ fn every_pub_fn_has_a_caller_fires_on_planted_violations() {
         ("crates/core/src/obs.rs", "Row", "planted"),
     ];
     let found = uncalled_pub_fn_violations(&allowed, &allow);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// "One dispatch path" (DESIGN §5 items 7 and 11): every ready task,
+/// inline or threaded, goes through the one ready queue (a runtime with
+/// no workers drains it on the submitting driver), and fault injection
+/// wraps a task's body at submission, so the executor has neither an
+/// inline worklist nor a chaos branch. `runtime.rs` keeps no relaxed
+/// atomic either. Returns the offending lines as `path:line:text`.
+fn dispatch_path_violations(sources: &[Source]) -> Vec<String> {
+    let mut found = Vec::new();
+    for src in sources {
+        for (i, line) in src.text.lines().enumerate() {
+            if SECOND_DISPATCH.iter().any(|n| line.contains(n))
+                || (src.path == RUNTIME_PATH && line.contains(RELAXED))
+            {
+                found.push(format!("{}:{}:{line}", src.path, i + 1));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn one_dispatch_path() {
+    let sources = rust_sources(&DISPATCH_PATHS);
+    assert!(
+        sources.iter().any(|s| s.path == RUNTIME_PATH),
+        "the walk missed the runtime"
+    );
+    let found = dispatch_path_violations(&sources);
+    assert!(
+        found.is_empty(),
+        "a second dispatch path, an executor-side fault hook or a relaxed \
+         atomic in the scheduler is back:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn one_dispatch_path_fires_on_planted_violations() {
+    let src = |path: &str, text: String| Source {
+        path: path.to_string(),
+        text,
+    };
+    let mut planted: Vec<Source> = SECOND_DISPATCH
+        .iter()
+        .map(|name| src(RUNTIME_PATH, format!("    // ok\n    let w = {name};")))
+        .collect();
+    planted.push(src(
+        "tests/tests/scheduler_stress.rs",
+        format!("// {}", SECOND_DISPATCH[3]),
+    ));
+    planted.push(src(RUNTIME_PATH, format!("LIVE_WORKERS.load({RELAXED})")));
+    let found = dispatch_path_violations(&planted);
+    assert_eq!(found.len(), planted.len(), "{found:#?}");
+    assert!(found[0].starts_with("crates/core/src/runtime.rs:2:"));
+
+    let allowed = [
+        // Other files may use relaxed atomics; the runtime's are SeqCst.
+        src("crates/linalg/src/pool.rs", format!("HITS.fetch_add(1, {RELAXED});")),
+        src(RUNTIME_PATH, "LIVE_WORKERS.load(Ordering::SeqCst)".to_string()),
+        src(
+            RUNTIME_PATH,
+            "drain_ready(shared, &mut Vec::new(), DRIVER);\nfn inline_records_carry_no_ready_stamp() {}"
+                .to_string(),
+        ),
+        src(
+            "crates/core/src/fault.rs",
+            "pub(crate) fn inject(plan: Arc<FaultPlan>, kind: Arc<str>, task: TaskId, mut f: TaskFn)"
+                .to_string(),
+        ),
+    ];
+    let found = dispatch_path_violations(&allowed);
     assert!(found.is_empty(), "{found:#?}");
 }

@@ -37,7 +37,6 @@ fn random_trace(n: usize, edges_seed: u64, durations: &[f64], cores: &[u32]) -> 
             outputs: vec![(DataId(i as u64), 512)],
             cores: cores[i % cores.len()],
             gpus: 0,
-            seq: i as u64,
             ready_s: 0.0,
             start_s: 0.0,
             fetch_s: 0.0,
@@ -183,7 +182,6 @@ proptest! {
                 outputs: vec![(DataId(i as u64), 1 << 20)],
                 cores: 1,
                 gpus: 0,
-                seq: i as u64,
                 ready_s: 0.0,
                 start_s: 0.0,
                 fetch_s: 0.0,
