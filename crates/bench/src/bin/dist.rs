@@ -10,15 +10,14 @@
 //!    loop), runs the same plan distributed, and requires the outputs to
 //!    be **bit-identical** to the oracle;
 //! 3. replays the measured trace on the DES mirror of the cluster
-//!    (`DistRuntime::cluster_spec`) under the driver's own placement
-//!    rule (`Policy::OwnerComputes`), with the dispatch turnaround and
-//!    the link measured on a twin cluster just before (`calibrate`),
-//!    reports how many tasks the replay placed on another worker than
-//!    the run and the bytes its records fetched against the run's,
-//!    and computes the measured-vs-simulated divergence — `--check`
-//!    gates `|makespan_ratio − 1| ≤ 0.25`, and on 2 workers that the
-//!    bytes moved (peer pulls + driver relay) stay within 2× the
-//!    seeded input;
+//!    (`DistRuntime::cluster_spec`), each task on the worker its record
+//!    names (`Policy::Recorded`), with the dispatch turnaround and the
+//!    link measured on a twin cluster just before (`calibrate`) —
+//!    `--check` gates `|makespan_ratio − 1| ≤ 0.25`, on 2 workers that
+//!    peer pulls + driver relay stay within 2× the seeded input, and on
+//!    a clean run (no worker lost, no retry: each record is its task's
+//!    only run) `placement_mismatch == 0` and `sim_fetch_bytes ==
+//!    real_fetch_bytes`;
 //! 4. with `--chaos`, SIGKILLs one worker mid-run and requires the
 //!    driver to finish anyway via lineage re-execution, still
 //!    bit-identical;
@@ -244,7 +243,7 @@ fn main() {
         &report.trace,
         &spec,
         &SimOptions {
-            policy: Policy::OwnerComputes,
+            policy: Policy::Recorded,
             dispatch_overhead_s: cal.turnaround_s,
             ..SimOptions::default()
         },
@@ -255,7 +254,7 @@ fn main() {
         div.real_makespan_s, div.sim_makespan_s, div.makespan_ratio
     );
     println!(
-        "DES placement: {} of {} tasks on another worker than the run; \
+        "DES replay: {} of {} tasks on another worker than the run; \
          modelled {} bytes fetched vs {} in the run's records",
         div.placement_mismatch,
         plan.len(),
@@ -355,6 +354,10 @@ fn main() {
         } else {
             assert_eq!(s.workers_lost, 0, "no worker should die in a clean run");
             assert_eq!(s.tasks_run, plan.len() as u64);
+        }
+        if s.workers_lost == 0 && s.retries == 0 {
+            assert_eq!(div.placement_mismatch, 0, "a task left its worker");
+            assert_eq!(div.sim_fetch_bytes, div.real_fetch_bytes, "bytes differ");
         }
         println!("CHECK PASSED");
     }

@@ -312,11 +312,13 @@ impl DistRuntime {
     /// The DES mirror of this cluster: one single-core node per worker
     /// over a link of the given per-transfer latency and bandwidth —
     /// measured on the real sockets, not assumed. Replay a run on it
-    /// with [`Policy::OwnerComputes`], the rule this driver places by
-    /// (`simulate(&report.trace, &spec, ...)`), and diff with
-    /// [`crate::obs::divergence`].
+    /// with [`Policy::Recorded`] (`simulate(&report.trace, &spec, ...)`),
+    /// which keeps each task on the worker its record names, and diff
+    /// with [`crate::obs::divergence`]: with no worker lost and no retry
+    /// the replay fetches the run's bytes exactly (a record keeps its
+    /// task's last run; lost runs' bytes are in [`DistStats`] alone).
     ///
-    /// [`Policy::OwnerComputes`]: crate::sim::Policy::OwnerComputes
+    /// [`Policy::Recorded`]: crate::sim::Policy::Recorded
     pub fn cluster_spec(&self, latency_s: f64, bandwidth_bps: f64) -> ClusterSpec {
         ClusterSpec {
             nodes: self.cfg.workers,

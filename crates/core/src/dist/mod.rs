@@ -24,8 +24,9 @@
 //! * [`worker`] — the worker loop: local store, peer listener,
 //!   heartbeat beacon.
 //! * `place` — owner-computes placement, a pure function of the ready
-//!   tasks, the bytes each worker holds of them and who is busy; the
-//!   DES replays `dist` with it (`sim::Policy::OwnerComputes`).
+//!   tasks, the bytes each worker holds of them and who is busy; only
+//!   `state` calls it (the DES replays a `dist` run on the workers its
+//!   records name, `sim::Policy::Recorded`).
 //! * `state` — the driver's decisions as an I/O-free state machine:
 //!   dispatch by `place`, retries, lineage re-execution, trace capture.
 //! * [`driver`] — the shell around it: sockets, threads, worker
@@ -61,7 +62,7 @@
 
 pub mod driver;
 pub mod kind;
-pub(crate) mod place;
+mod place;
 pub mod plan;
 pub mod proto;
 mod state;

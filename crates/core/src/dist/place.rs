@@ -1,7 +1,8 @@
-//! Owner-computes placement, the one rule both the `dist` driver
-//! (`super::state`) and the DES's `Policy::OwnerComputes`
-//! ([`crate::sim`]) place tasks by. Pure: no I/O, no clock, no state
-//! between calls.
+//! Owner-computes placement, the rule the `dist` driver
+//! (`super::state`) places tasks by. Pure: no I/O, no clock, no state
+//! between calls. A DES replay of a `dist` run does not run it again:
+//! it keeps the workers the run's records name
+//! ([`crate::sim::Policy::Recorded`]).
 
 use std::cmp::Reverse;
 
@@ -26,7 +27,7 @@ use std::cmp::Reverse;
 ///    longest backlog — the one its owner would have reached last.
 ///
 /// Returns `(task, worker)` pairs, at most one per idle worker.
-pub(crate) fn place(
+pub(super) fn place(
     ready: &[(usize, Vec<u64>)],
     in_flight: &[usize],
     alive: &[bool],

@@ -811,6 +811,8 @@ pub struct Divergence {
     /// Tasks that ran on both sides, on a different executor.
     pub placement_mismatch: usize,
     /// Bytes the run's records fetched (`dist` peer pulls and relays).
+    /// A record keeps only its task's last run, so the bytes of runs
+    /// lost with a worker are in `DistStats` alone.
     pub real_fetch_bytes: u64,
     /// Bytes the replay's records fetched (the DES's modelled transfers).
     pub sim_fetch_bytes: u64,

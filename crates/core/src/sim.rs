@@ -13,10 +13,9 @@
 //!   `latency + bytes / bandwidth` before compute starts, and leaves a
 //!   replica behind (this mechanism produces the paper's RF 2-vs-3-node
 //!   anomaly),
-//! * **placement** — the rule of the executor being replayed
-//!   ([`Policy`]): COMPSs' locality-aware master for the paper's
-//!   figures, the `dist` driver's own owner-computes rule for a replay
-//!   of a `dist` run,
+//! * **placement** ([`Policy`]): COMPSs' locality-aware master for the
+//!   paper's figures, or, for a replay of a `dist` run, the workers the
+//!   run's records name,
 //! * **sync markers** — zero-cost graph nodes that serialize
 //!   driver-submitted work exactly as `compss_wait_on` does,
 //! * **nesting** — a nested task's duration is the simulated makespan of
@@ -27,7 +26,6 @@
 //! [`crate::obs`] and [`crate::gantt`] reads a real run and its replay
 //! alike, and the schedule is itself replayable.
 
-use crate::dist::place::place;
 use crate::trace::{TaskRecord, Trace};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -82,23 +80,24 @@ impl ClusterSpec {
     }
 }
 
-/// Where a ready task is placed: the rule of the executor a replay
-/// stands for.
+/// Where a ready task is placed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// COMPSs' master (the paper's figures): external input data lives
     /// on node 0, and each ready task, in submission order, takes the
     /// free node it needs the fewest bytes moved to.
     LocalityAware,
-    /// The `dist` driver's owner-computes rule, `dist::place` itself,
-    /// fed the view the driver builds: the ready tasks in plan order
-    /// with the bytes of their inputs each node holds, the tasks in
-    /// flight per node, and which nodes are up. A task waits for the
-    /// node holding most of its inputs, busy or not, and one task runs
-    /// per node at a time (one `Run` in flight per worker). External
-    /// input data is held by the driver, which is not a node, so every
-    /// first touch of it is a transfer.
-    OwnerComputes,
+    /// The run's own placement, for a replay of a `dist` trace: every
+    /// task runs on the node its record's `worker` names, so the replay
+    /// decides timing only. Each node takes its ready tasks in the
+    /// order the run began them (a record's `start_s - fetch_s`, then
+    /// id; a runtime's records fetch in zero seconds) while they fit;
+    /// the tasks that start at one instant are dispatched, and fetch,
+    /// in submission order. External input data is held by the driver,
+    /// which is not a node, so every first touch of it is a transfer.
+    /// A marker takes no room and moves nothing; it is booked on node
+    /// 0, where its outputs then live.
+    Recorded,
 }
 
 /// Cost-model hook: return `Some(seconds)` to override the measured
@@ -161,45 +160,20 @@ fn replica_set(bits: &mut [u64], words: usize, d: usize, nd: usize) {
     bits[d * words + nd / 64] |= 1 << (nd % 64);
 }
 
-/// Merges the sorted `newly` list into the sorted `ready` list.
-fn merge_ready(ready: &mut Vec<(u64, usize)>, newly: Vec<(u64, usize)>) {
-    if newly.is_empty() {
-        return;
-    }
-    if ready.is_empty() {
-        *ready = newly;
-        return;
-    }
-    let old = std::mem::replace(ready, Vec::with_capacity(ready.len() + newly.len()));
-    let (mut a, mut b) = (old.into_iter().peekable(), newly.into_iter().peekable());
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => {
-                if x <= y {
-                    ready.push(a.next().unwrap());
-                } else {
-                    ready.push(b.next().unwrap());
-                }
-            }
-            (Some(_), None) => ready.extend(a.by_ref()),
-            (None, Some(_)) => ready.extend(b.by_ref()),
-            (None, None) => break,
-        }
-    }
-}
-
 /// Simulates `trace` on `cluster` and returns the schedule.
 ///
 /// The replay is fully indexed: task and data lookups are dense vector
 /// accesses, data replica locations are flat bitsets, and equal-time
 /// completion events are drained as one batch followed by a *single*
 /// placement sweep (placing a task only consumes capacity, so one
-/// id-ordered pass over the ready list is complete — nothing becomes
+/// ordered pass over the ready list is complete — nothing becomes
 /// placeable mid-sweep).
 ///
 /// # Panics
 /// Panics if the trace contains a dependency cycle (impossible for
-/// traces recorded by [`crate::Runtime`]).
+/// traces recorded by [`crate::Runtime`]), and under
+/// [`Policy::Recorded`] if a non-marker record's `worker` is not a node
+/// of `cluster`.
 pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimReport {
     assert!(
         cluster.nodes > 0 && cluster.cores_per_node > 0,
@@ -216,11 +190,25 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
     let mut dur = vec![0.0f64; n];
     let mut cores = vec![0u32; n];
     let mut gpus = vec![0u32; n];
+    // The node each record runs on: under `Recorded` the one it ran on
+    // (markers book node 0), else the one placement picks.
+    let mut node_of = vec![0usize; n];
     for (i, r) in trace.records.iter().enumerate() {
         dur[i] = effective_duration(r, cluster, opts);
         if !r.is_marker() {
             cores[i] = r.cores.clamp(1, cluster.cores_per_node);
             gpus[i] = r.gpus.min(cluster.gpus_per_node);
+        }
+        if opts.policy == Policy::Recorded && !r.is_marker() {
+            assert!(
+                (0..cluster.nodes as i64).contains(&r.worker),
+                "record {} ({}) ran on worker {}, which is not a node of this {}-node cluster",
+                r.id.0,
+                r.name,
+                r.worker,
+                cluster.nodes
+            );
+            node_of[i] = r.worker as usize;
         }
         out.push(TaskRecord {
             id: r.id,
@@ -253,6 +241,23 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
         }
     }
 
+    // The order ready tasks are taken in: submission order, or the order
+    // the recorded run began them. `by_rank[k]` is the `k`-th record,
+    // and the ready list holds ranks.
+    let began = |r: &TaskRecord| match opts.policy {
+        Policy::LocalityAware => 0.0,
+        Policy::Recorded => r.start_s - r.fetch_s,
+    };
+    let mut by_rank: Vec<usize> = (0..n).collect();
+    by_rank.sort_by(|&a, &b| {
+        let (ra, rb) = (&trace.records[a], &trace.records[b]);
+        began(ra).total_cmp(&began(rb)).then(ra.id.cmp(&rb.id))
+    });
+    let mut rank = vec![0usize; n];
+    for (k, &i) in by_rank.iter().enumerate() {
+        rank[i] = k;
+    }
+
     // A flat replica bitset (`words` u64 words per datum, one bit per
     // node). Data without a producing record is external input: COMPSs'
     // master is node 0, while the `dist` driver is no node at all.
@@ -282,18 +287,8 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
 
     let mut free_cores: Vec<i64> = vec![cluster.cores_per_node as i64; cluster.nodes];
     let mut free_gpus: Vec<i64> = vec![cluster.gpus_per_node as i64; cluster.nodes];
-    // Owner-computes is handed the driver's view of which nodes are up:
-    // all of them, for the whole replay.
-    let node_up = vec![true; cluster.nodes];
-    // The node each placed record runs on, and the runs per node.
-    let mut node_of = vec![0usize; n];
-    let mut in_flight = vec![0usize; cluster.nodes];
 
-    // Ready list ordered by task id, i.e. submission order.
-    let mut ready: Vec<(u64, usize)> = (0..n)
-        .filter(|&i| indeg[i] == 0)
-        .map(|i| (trace.records[i].id.0, i))
-        .collect();
+    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).map(|i| rank[i]).collect();
     ready.sort_unstable();
 
     // Completion events, ordered by (time, record index).
@@ -325,51 +320,47 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
     let mut master_free = 0.0f64;
 
     loop {
-        // One placement sweep at the current time. Locality-aware picks
-        // a node for each ready task in submission order (`None` below);
-        // owner-computes starts what `place` ships, in its order, and
-        // leaves the rest ready.
-        let sweep: Vec<((u64, usize), Option<usize>)> = match opts.policy {
-            Policy::LocalityAware => ready.drain(..).map(|k| (k, None)).collect(),
-            Policy::OwnerComputes => {
-                let view: Vec<(usize, Vec<u64>)> = ready
-                    .iter()
-                    .map(|&(_, i)| {
-                        let mut held = vec![0u64; cluster.nodes];
-                        for (d, bytes) in &trace.records[i].inputs {
-                            for (nd, h) in held.iter_mut().enumerate() {
-                                if replica_has(&replicas, words, d.0 as usize, nd) {
-                                    *h += *bytes as u64;
-                                }
-                            }
-                        }
-                        (i, held)
-                    })
-                    .collect();
-                let shipped = place(&view, &in_flight, &node_up);
-                ready.retain(|&(_, i)| shipped.iter().all(|&(t, _)| t != i));
-                let id = |i: usize| trace.records[i].id.0;
-                shipped
-                    .into_iter()
-                    .map(|(i, nd)| ((id(i), i), Some(nd)))
-                    .collect()
+        // One placement sweep at the current time, in submission order;
+        // what finds no room stays ready. Under `Recorded` each node
+        // first takes its ready tasks in rank order while they fit, so
+        // which task pays a shared fetch or is dispatched first does not
+        // hang on how recorded times round.
+        let sweep = match opts.policy {
+            Policy::LocalityAware => std::mem::take(&mut ready),
+            Policy::Recorded => {
+                let (mut cores_left, mut gpus_left) = (free_cores.clone(), free_gpus.clone());
+                let mut taken = Vec::new();
+                ready.retain(|&k| {
+                    let (i, nd) = (by_rank[k], node_of[by_rank[k]]);
+                    let fits = cores_left[nd] >= cores[i] as i64 && gpus_left[nd] >= gpus[i] as i64;
+                    if fits {
+                        cores_left[nd] -= cores[i] as i64;
+                        gpus_left[nd] -= gpus[i] as i64;
+                        taken.push(k);
+                    }
+                    !fits
+                });
+                taken.sort_unstable_by_key(|&k| (trace.records[by_rank[k]].id, by_rank[k]));
+                taken
             }
         };
         let mut still_ready = std::mem::take(&mut ready);
-        for ((key, i), pick) in sweep {
+        for k in sweep {
+            let i = by_rank[k];
             let r = &trace.records[i];
             let fits =
                 |nd: usize| free_cores[nd] >= cores[i] as i64 && free_gpus[nd] >= gpus[i] as i64;
-            let Some(node) =
-                pick.or_else(|| locality_node(r, cluster.nodes, fits, &replicas, words))
-            else {
-                still_ready.push((key, i));
+            let node = match opts.policy {
+                Policy::LocalityAware => locality_node(r, cluster.nodes, fits, &replicas, words),
+                Policy::Recorded => Some(node_of[i]),
+            };
+            let Some(node) = node else {
+                still_ready.push(k);
                 continue;
             };
             free_cores[node] -= cores[i] as i64;
             free_gpus[node] -= gpus[i] as i64;
             node_of[i] = node;
-            in_flight[node] += 1;
 
             // Transfers for remote inputs (each leaves a replica behind).
             let mut xfer = 0.0;
@@ -419,11 +410,9 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
             }
             batch.push(heap.pop().unwrap().0.idx);
         }
-        let mut newly: Vec<(u64, usize)> = Vec::new();
         for idx in batch {
             let node = node_of[idx];
             done += 1;
-            in_flight[node] -= 1;
             free_cores[node] += cores[idx] as i64;
             free_gpus[node] += gpus[idx] as i64;
             for (d, _) in &trace.records[idx].outputs {
@@ -432,12 +421,11 @@ pub fn simulate(trace: &Trace, cluster: &ClusterSpec, opts: &SimOptions) -> SimR
             for &dep in &dependents[idx] {
                 indeg[dep] -= 1;
                 if indeg[dep] == 0 {
-                    newly.push((trace.records[dep].id.0, dep));
+                    let k = rank[dep];
+                    ready.insert(ready.partition_point(|&x| x < k), k);
                 }
             }
         }
-        newly.sort_unstable();
-        merge_ready(&mut ready, newly);
     }
 
     SimReport {
@@ -697,89 +685,76 @@ mod tests {
         assert!((rep.makespan_s - 3.0).abs() < 1e-9);
     }
 
-    const OWNER: SimOptions = SimOptions {
-        policy: Policy::OwnerComputes,
+    const RECORDED: SimOptions = SimOptions {
+        policy: Policy::Recorded,
         duration_of: None,
         dispatch_overhead_s: 0.0,
     };
 
+    /// `rec` as the run recorded it: on `worker`, starting at `start_s`.
+    fn ran(id: u64, deps: &[u64], worker: i64, start_s: f64) -> TaskRecord {
+        TaskRecord {
+            worker,
+            start_s,
+            ..rec(id, deps, 1.0, 1)
+        }
+    }
+
     #[test]
-    fn owner_computes_fetches_a_seed_even_on_node_zero() {
+    fn recorded_keeps_each_worker_and_fetches_a_seed_even_on_node_zero() {
         // External data is held by the driver, not by node 0: the first
-        // touch is a transfer wherever it runs.
-        let mut r = rec(0, &[], 1.0, 1);
-        r.inputs = vec![(DataId(99), 1000)];
-        let t = Trace { records: vec![r] };
-        let rep = simulate(&t, &cluster(1, 1), &OWNER);
-        let r = &rep.trace.records[0];
-        assert_eq!((r.worker, r.fetch_bytes), (0, 1000));
-        assert_eq!(moved(&rep, 1), 1000);
-        // COMPSs' master keeps it on node 0.
-        let rep = simulate(&t, &cluster(1, 1), &SimOptions::default());
-        assert_eq!(moved(&rep, 1), 0);
-    }
-
-    #[test]
-    fn owner_computes_deals_first_touches_in_contiguous_runs() {
-        // Six tasks, each on its own seed, over three nodes: plan order
-        // is cut into three runs of two.
+        // touch is a transfer wherever it runs. Task 1 runs where the
+        // run put it, though locality would keep it with its input.
+        let mut seed_reader = ran(0, &[], 0, 0.0);
+        seed_reader.inputs = vec![(DataId(99), 1000)];
         let t = Trace {
-            records: (0..6)
-                .map(|i| TaskRecord {
-                    inputs: vec![(DataId(100 + i), 8)],
-                    ..rec(i, &[], 1.0, 1)
-                })
-                .collect(),
+            records: vec![seed_reader, ran(1, &[0], 1, 1.0)],
         };
-        let rep = simulate(&t, &cluster(3, 1), &OWNER);
-        let workers: Vec<i64> = rep.trace.records.iter().map(|r| r.worker).collect();
-        assert_eq!(workers, [0, 0, 1, 1, 2, 2]);
-    }
-
-    #[test]
-    fn owner_computes_waits_for_a_busy_owner() {
-        // Node 0 produces D0; at t = 1 it runs task 2, and task 3, which
-        // also reads D0, waits for it while node 1 runs its own task 4.
-        let t = Trace {
-            records: vec![
-                rec(0, &[], 1.0, 1),
-                rec(1, &[], 1.0, 1),
-                rec(2, &[0], 1.0, 1),
-                rec(3, &[0], 1.0, 1),
-                rec(4, &[1], 1.0, 1),
-            ],
-        };
-        let rep = simulate(&t, &cluster(2, 1), &OWNER);
-        let r3 = &rep.trace.records[3];
-        assert_eq!((r3.worker, r3.start_s, r3.fetch_bytes), (0, 2.0, 0));
-        assert_eq!(moved(&rep, 2), 0);
-        // Locality-aware takes the free node instead, and moves D0.
-        let rep = simulate(&t, &cluster(2, 1), &SimOptions::default());
-        let r3 = &rep.trace.records[3];
-        assert_eq!((r3.worker, r3.fetch_bytes), (1, 1000));
-    }
-
-    #[test]
-    fn owner_computes_steals_only_the_tail_of_the_longest_backlog() {
-        // Node 0 produces D0, read by tasks 3, 4, 5; node 1 is busy
-        // with a long task, and node 2 is idle with nothing of its own
-        // at t = 1: it takes task 5, the last of node 0's backlog.
-        let t = Trace {
-            records: vec![
-                rec(0, &[], 1.0, 1),
-                rec(1, &[], 10.0, 1),
-                rec(2, &[], 1.0, 1),
-                rec(3, &[0], 1.0, 1),
-                rec(4, &[0], 1.0, 1),
-                rec(5, &[0], 1.0, 1),
-            ],
-        };
-        let rep = simulate(&t, &cluster(3, 1), &OWNER);
-        let placed: Vec<(i64, u64)> = rep.trace.records[3..]
+        let rep = simulate(&t, &cluster(2, 1), &RECORDED);
+        let placed: Vec<(i64, u64)> = rep
+            .trace
+            .records
             .iter()
             .map(|r| (r.worker, r.fetch_bytes))
             .collect();
-        assert_eq!(placed, [(0, 0), (0, 0), (2, 1000)]);
+        assert_eq!(placed, [(0, 1000), (1, 1000)]);
+        // COMPSs' master keeps the seed and the chain on node 0.
+        let rep = simulate(&t, &cluster(2, 1), &SimOptions::default());
+        assert_eq!(moved(&rep, 2), 0);
+    }
+
+    #[test]
+    fn recorded_takes_ready_tasks_in_the_runs_start_order() {
+        // Two roots on one single-core node, the later id begun first.
+        let t = Trace {
+            records: vec![ran(0, &[], 0, 5.0), ran(1, &[], 0, 2.0)],
+        };
+        let rep = simulate(&t, &cluster(1, 1), &RECORDED);
+        let starts: Vec<f64> = rep.trace.records.iter().map(|r| r.start_s).collect();
+        assert_eq!(starts, [1.0, 0.0]);
+    }
+
+    #[test]
+    fn recorded_replays_a_producer_recorded_after_its_consumer() {
+        // A chaos trace keeps each task's last run only: a re-executed
+        // producer can be recorded starting after its consumer on the
+        // same worker. The replay still runs the producer first.
+        let t = Trace {
+            records: vec![ran(0, &[], 0, 2.0), ran(1, &[0], 0, 1.0)],
+        };
+        let rep = simulate(&t, &cluster(1, 1), &RECORDED);
+        let starts: Vec<f64> = rep.trace.records.iter().map(|r| r.start_s).collect();
+        assert_eq!(starts, [0.0, 1.0]);
+        assert_eq!(rep.makespan_s, 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "record 1 (k1) ran on worker 2")]
+    fn recorded_refuses_a_worker_the_cluster_lacks() {
+        let t = Trace {
+            records: vec![ran(0, &[], 0, 0.0), ran(1, &[], 2, 0.0)],
+        };
+        simulate(&t, &cluster(2, 1), &RECORDED);
     }
 
     #[test]

@@ -80,7 +80,9 @@ pub struct TaskRecord {
     /// Bytes the input fetch moved: what a [`crate::sim`] replay
     /// transfers, or what a `dist` worker pulled from peers or had
     /// relayed by the driver. `0` on the records a threaded or inline
-    /// runtime writes.
+    /// runtime writes. A record keeps only its task's last run, so on a
+    /// `dist` run that lost a worker the bytes its lost runs moved are
+    /// in `DistStats` alone, not in any record.
     pub fetch_bytes: u64,
     /// Executor that ran the task: a pool-worker index, or the node of
     /// a [`crate::sim`] schedule (`>= 0`), or `-1` for a driver thread

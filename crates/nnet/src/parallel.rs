@@ -82,6 +82,22 @@ impl Payload for FoldResult {
     }
 }
 
+/// A fold's outcome: `network`'s predictions on the fold's test split
+/// and how many of them are right.
+fn evaluate(network: Network, f: &FoldData) -> FoldResult {
+    let predictions = network.predict(&f.x_test);
+    let correct = predictions
+        .iter()
+        .zip(&f.y_test)
+        .filter(|(p, t)| p == t)
+        .count() as u64;
+    FoldResult {
+        network,
+        test: (correct, f.y_test.len() as u64),
+        predictions,
+    }
+}
+
 /// Splits `(x, y)` into `workers` contiguous shards.
 fn shard(x: &Matrix, y: &[u8], workers: usize) -> Vec<(Matrix, Vec<u8>)> {
     let n = x.rows();
@@ -170,17 +186,7 @@ pub fn train_kfold_handles(
             let result = rt
                 .task("cnn_eval")
                 .run2(model, fh, |net: &Network, f: &FoldData| {
-                    let predictions = net.predict(&f.x_test);
-                    let correct = predictions
-                        .iter()
-                        .zip(&f.y_test)
-                        .filter(|(p, t)| p == t)
-                        .count() as u64;
-                    FoldResult {
-                        network: net.clone(),
-                        test: (correct, f.y_test.len() as u64),
-                        predictions,
-                    }
+                    evaluate(net.clone(), f)
                 });
             (*rt.wait(result)).clone()
         })
@@ -223,18 +229,7 @@ pub fn train_kfold_nested_handles(
                 .run_nested1(fh, move |child, f: &FoldData| {
                     let model =
                         train_data_parallel(child, net0.clone(), &f.x_train, &f.y_train, &cfg);
-                    let net = (*child.wait(model)).clone();
-                    let predictions = net.predict(&f.x_test);
-                    let correct = predictions
-                        .iter()
-                        .zip(&f.y_test)
-                        .filter(|(p, t)| p == t)
-                        .count() as u64;
-                    FoldResult {
-                        network: net,
-                        test: (correct, f.y_test.len() as u64),
-                        predictions,
-                    }
+                    evaluate((*child.wait(model)).clone(), f)
                 })
         })
         .collect()

@@ -13,6 +13,8 @@ use taskrt::dist::{
     fingerprint, DistConfig, DistRuntime, KindRegistry, Msg, Plan, WireError, WireValue,
     CRASH_DROP, CRASH_TRUNCATE,
 };
+use taskrt::obs::divergence;
+use taskrt::sim::{simulate, Policy, SimOptions};
 use taskrt::{Payload, RetryPolicy};
 
 /// Deterministic nested `WireValue` generator. The vendored proptest
@@ -439,6 +441,22 @@ fn measured_trace_has_one_ran_record_per_plan_task() {
         assert!(r.worker >= 0 && r.worker < 2, "bad worker {}", r.worker);
         assert!(r.duration_s >= 0.0 && r.start_s >= 0.0);
         assert!(!r.outputs.is_empty());
+    }
+    // Replayed on the cluster's mirror, every task stays on the worker
+    // its record names, and the replay fetches the run's bytes exactly
+    // (no worker was lost and nothing retried).
+    let spec = rt.cluster_spec(1e-4, 1e9);
+    let opts = SimOptions {
+        policy: Policy::Recorded,
+        ..SimOptions::default()
+    };
+    let replay = simulate(&report.trace, &spec, &opts);
+    let div = divergence(&report.trace, &replay.trace);
+    assert_eq!(div.placement_mismatch, 0);
+    assert!(div.real_fetch_bytes > 0, "the driver relays every seed");
+    assert_eq!(div.real_fetch_bytes, div.sim_fetch_bytes);
+    for (run, sim) in report.trace.records.iter().zip(&replay.trace.records) {
+        assert_eq!((sim.id, sim.worker), (run.id, run.worker));
     }
     rt.shutdown();
 }

@@ -357,13 +357,16 @@ const WIRE_CODEC_PATHS: [&str; 3] = ["crates", "tests", "examples"];
 
 /// What "One placement rule per executor" rejects anywhere under
 /// [`PLACEMENT_PATHS`], comments included: the DES placement rules no
-/// executor runs, the switch that turned transfers off, the policy
-/// shorthand only tests used, and the DES's simulated node failures
-/// (the event, its builder and time, the cluster's list of them, read
-/// or written) with the node recovery no caller used.
-const UNRUN_RULES: [&str; 11] = [
+/// executor runs, the DES's copy of the `dist` driver's rule (a replay
+/// of a `dist` run keeps the workers its records name), the switch
+/// that turned transfers off, the policy shorthand only tests used, and
+/// the DES's simulated node failures (the event, its builder and time,
+/// the cluster's list of them, read or written) with the node recovery
+/// no caller used.
+const UNRUN_RULES: [&str; 12] = [
     concat!("Policy::", "Fifo"),
     concat!("Round", "Robin"),
+    concat!("Owner", "Computes"),
     concat!("rr", "_next"),
     concat!("model", "_transfers"),
     concat!("with", "_policy"),
@@ -389,7 +392,8 @@ const DES_ROLLBACK: [&str; 3] = [
 const SIM_PATH: &str = "crates/core/src/sim.rs";
 
 /// What "One placement rule per executor" rejects outside
-/// [`PLACE_PATH`]: a second definition of owner-computes placement.
+/// [`PLACE_PATH`]: a second definition of the driver's owner-computes
+/// placement.
 const PLACE_FN: &str = concat!("fn ", "place(");
 
 /// The one file that may define [`PLACE_FN`].
@@ -1668,11 +1672,12 @@ fn one_wire_codec_fires_on_planted_violations() {
 }
 
 /// "One placement rule per executor" (DESIGN §5.11, §5.16): the `dist`
-/// driver and the DES replay of a `dist` run place by the one `place`
-/// in `dist/place.rs`, the DES keeps only rules an executor runs
-/// (`LocalityAware` for COMPSs' master, `OwnerComputes` for `dist`),
-/// and it replays healthy clusters only: the one lineage rollback is
-/// the `dist` driver's. Returns the offending lines as `path:line:text`.
+/// driver places by the one `place` in `dist/place.rs`, the DES keeps
+/// only COMPSs' master (`LocalityAware`) and replays a `dist` run on
+/// the workers its records name (`Recorded`) instead of deciding them
+/// again, and it replays healthy clusters only: the one lineage
+/// rollback is the `dist` driver's. Returns the offending lines as
+/// `path:line:text`.
 fn placement_rule_violations(sources: &[Source]) -> Vec<String> {
     let mut found = Vec::new();
     for src in sources {
@@ -1721,6 +1726,13 @@ fn one_placement_rule_per_executor_fires_on_planted_violations() {
         format!("// {}", UNRUN_RULES[1]),
     ));
     planted.push(src(
+        "tests/tests/dist.rs",
+        format!(
+            "let opts = SimOptions {{ policy: Policy::{}, ..d }};",
+            UNRUN_RULES[2]
+        ),
+    ));
+    planted.push(src(
         "crates/core/src/dist/driver.rs",
         format!("pub(super) {PLACE_FN}ready: &[usize]) {{}}"),
     ));
@@ -1729,7 +1741,7 @@ fn one_placement_rule_per_executor_fires_on_planted_violations() {
         "crates/bench/src/bin/chaos.rs",
         format!(
             "let c = ClusterSpec::marenostrum4(4).{}(0, 1.5);",
-            UNRUN_RULES[7]
+            UNRUN_RULES[8]
         ),
     ));
     let found = placement_rule_violations(&planted);
@@ -1737,17 +1749,16 @@ fn one_placement_rule_per_executor_fires_on_planted_violations() {
     assert!(found[0].starts_with("crates/core/src/sim.rs:2:"));
 
     let allowed = [
-        src(PLACE_PATH, format!("pub(crate) {PLACE_FN}")),
+        src(PLACE_PATH, format!("pub(super) {PLACE_FN}")),
         src(
             "crates/core/src/sim.rs",
-            "Policy::LocalityAware | Policy::OwnerComputes => locality_node(r)".to_string(),
+            "Policy::Recorded => Some(pinned[i]), // owner-computes stays the driver's".to_string(),
         ),
         src(
             "tests/tests/sim_properties.rs",
             "// Round-robin puts each stage on the next node; fn placement(".to_string(),
         ),
-        // `dist` keeps its worker-loss counters, and the DES its
-        // all-alive view.
+        // `dist` keeps its worker-loss counters.
         src(
             "crates/core/src/dist/state.rs",
             format!(
@@ -1758,10 +1769,6 @@ fn one_placement_rule_per_executor_fires_on_planted_violations() {
         src(
             "crates/core/src/dist/driver.rs",
             "pub fetch_failures: u64,\n/// Body failures burn attempts".to_string(),
-        ),
-        src(
-            SIM_PATH,
-            "let node_up = vec![true; cluster.nodes];".to_string(),
         ),
     ];
     let found = placement_rule_violations(&allowed);

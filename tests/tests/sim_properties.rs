@@ -49,6 +49,15 @@ fn random_trace(n: usize, edges_seed: u64, durations: &[f64], cores: &[u32]) -> 
     Trace { records }
 }
 
+/// `trace` as a run on `nodes` workers recorded it: record `i` on
+/// worker `i % nodes`, what a [`Policy::Recorded`] replay keeps.
+fn on_nodes(mut trace: Trace, nodes: usize) -> Trace {
+    for r in &mut trace.records {
+        r.worker = (r.id.0 % nodes as u64) as i64;
+    }
+    trace
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -61,7 +70,7 @@ proptest! {
     ) {
         let durations = [0.5, 1.0, 2.0, 0.25];
         let cores = [1u32, 2];
-        let trace = random_trace(n, seed, &durations, &cores);
+        let trace = on_nodes(random_trace(n, seed, &durations, &cores), nodes);
         let cluster = ClusterSpec {
             nodes,
             cores_per_node,
@@ -69,7 +78,7 @@ proptest! {
             bandwidth_bps: 1e12, // negligible transfers for the bound check
             latency_s: 0.0,
         };
-        for policy in [Policy::LocalityAware, Policy::OwnerComputes] {
+        for policy in [Policy::LocalityAware, Policy::Recorded] {
             let rep = simulate(&trace, &cluster, &SimOptions { policy, ..SimOptions::default() });
             // Lower bounds: critical path; total work / total cores.
             prop_assert!(rep.makespan_s + 1e-9 >= trace.critical_path_s());
@@ -99,7 +108,7 @@ proptest! {
         cores_per_node in 1u32..8,
     ) {
         // Every seventh record is a sync marker, so markers ride along.
-        let mut trace = random_trace(n, seed, &[0.5, 1.0, 2.0, 0.25], &[1, 2]);
+        let mut trace = on_nodes(random_trace(n, seed, &[0.5, 1.0, 2.0, 0.25], &[1, 2]), nodes);
         for r in trace.records.iter_mut().skip(6).step_by(7) {
             r.name = SYNC_TASK.to_string();
         }
@@ -111,10 +120,10 @@ proptest! {
             bandwidth_bps: 1e6,
             latency_s: 1e-4,
         };
-        let owner = SimOptions { policy: Policy::OwnerComputes, ..SimOptions::default() };
+        let recorded = SimOptions { policy: Policy::Recorded, ..SimOptions::default() };
         let with_dispatch = SimOptions { dispatch_overhead_s: 1e-3, ..SimOptions::default() };
-        let owner_with_dispatch = SimOptions { dispatch_overhead_s: 1e-3, ..owner.clone() };
-        for opts in [SimOptions::default(), owner, with_dispatch, owner_with_dispatch] {
+        let recorded_with_dispatch = SimOptions { dispatch_overhead_s: 1e-3, ..recorded.clone() };
+        for opts in [SimOptions::default(), recorded, with_dispatch, recorded_with_dispatch] {
             let first = simulate(&trace, &cluster, &opts);
             let again = simulate(&first.trace, &cluster, &opts);
             prop_assert_eq!(first.trace.len(), trace.len());
@@ -281,27 +290,27 @@ fn replay_of_a_fixed_trace_is_bit_stable_under_both_policies() {
             (2, 0x4011_0281_ba7f_c32f, 1024),
         ],
     );
-    let owner: Fingerprint = (
-        0x4021_81e1_4bdf_d263,
+    let recorded: Fingerprint = (
+        0x4021_82d1_f1cf_bb94,
         vec![
             (0, 0, 0),
             (1, 0, 0),
             (2, 0, 0),
             (0, 0x3fe0_0000_0000_0000, 0),
-            (0, 0x3ff0_0281_ba7f_c32f, 512),
-            (1, 0x4000_0281_ba7f_c32f, 1024),
-            (0, 0x3ff8_0281_ba7f_c32f, 0),
-            (0, 0x400c_0281_ba7f_c32f, 512),
-            (0, 0x400e_0281_ba7f_c32f, 0),
-            (1, 0x4010_0281_ba7f_c32f, 512),
-            (2, 0x400e_0644_523f_67f5, 1536),
-            (1, 0x400e_03c2_97bf_a4c6, 512),
             (1, 0x3ff0_0281_ba7f_c32f, 512),
-            (0, 0x4017_03c2_97bf_a4c6, 512),
-            (0, 0x401b_03c2_97bf_a4c6, 0),
-            (0, 0x4011_01e1_4bdf_d264, 512),
+            (2, 0x4000_0281_ba7f_c32f, 1024),
+            (0, 0x3ff8_0503_74ff_865e, 512),
+            (1, 0x400c_0503_74ff_865e, 1024),
+            (2, 0x400e_0644_523f_67f5, 512),
+            (0, 0x400e_0785_2f7f_498d, 1024),
+            (1, 0x400e_0644_523f_67f5, 512),
+            (2, 0x4011_0322_291f_b3fa, 0),
+            (0, 0x3ff0_0281_ba7f_c32f, 512),
+            (1, 0x4017_03c2_97bf_a4c6, 512),
+            (2, 0x401b_05a3_e39f_7729, 1536),
+            (0, 0x4013_0463_065f_9592, 512),
         ],
     );
     assert_eq!(fingerprint(&trace, Policy::LocalityAware), locality);
-    assert_eq!(fingerprint(&trace, Policy::OwnerComputes), owner);
+    assert_eq!(fingerprint(&on_nodes(trace, 3), Policy::Recorded), recorded);
 }

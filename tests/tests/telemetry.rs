@@ -6,7 +6,7 @@
 use dsarray::DsArray;
 use integration_tests::tiny_dataset;
 use taskrt::obs::divergence;
-use taskrt::sim::{simulate, ClusterSpec, Policy, SimOptions};
+use taskrt::sim::{simulate, ClusterSpec, SimOptions};
 use taskrt::{FaultPlan, Runtime, Trace, Utilization};
 
 /// A small mixed workload: blocked column sums + an explicit task
@@ -141,13 +141,13 @@ fn divergence_measures_the_replay_as_the_des_does() {
     // included.
     let (rt, _) = small_run();
     let trace = rt.finish();
-    // Owner-computes placement fetches every seed from the driver, so
-    // the replay moves data.
-    let opts = SimOptions {
-        policy: Policy::OwnerComputes,
-        ..SimOptions::default()
+    // Two single-core nodes: locality-aware placement runs independent
+    // tasks side by side on both, so the replay moves data.
+    let cluster = ClusterSpec {
+        cores_per_node: 1,
+        ..ClusterSpec::marenostrum4(2)
     };
-    let report = simulate(&trace, &ClusterSpec::marenostrum4(2), &opts);
+    let report = simulate(&trace, &cluster, &SimOptions::default());
     assert!(report.trace.records.iter().any(|r| r.fetch_s > 0.0));
     let div = divergence(&trace, &report.trace);
     assert_eq!(div.sim_makespan_s, report.makespan_s);
